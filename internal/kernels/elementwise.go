@@ -22,7 +22,7 @@ func checkSameLen(name string, xs ...[]float32) int {
 // Add computes dst[i] = a[i] + b[i].
 func Add(dst, a, b []float32) {
 	checkSameLen("Add", dst, a, b)
-	parallelFor(len(dst), func(lo, hi int) {
+	parallelFor(len(dst), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] + b[i]
 		}
@@ -33,7 +33,7 @@ func Add(dst, a, b []float32) {
 // primitive.
 func AccumulateInto(dst, a []float32) {
 	checkSameLen("AccumulateInto", dst, a)
-	parallelFor(len(dst), func(lo, hi int) {
+	parallelFor(len(dst), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] += a[i]
 		}
@@ -43,7 +43,7 @@ func AccumulateInto(dst, a []float32) {
 // Mul computes dst[i] = a[i] * b[i].
 func Mul(dst, a, b []float32) {
 	checkSameLen("Mul", dst, a, b)
-	parallelFor(len(dst), func(lo, hi int) {
+	parallelFor(len(dst), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] * b[i]
 		}
@@ -54,7 +54,7 @@ func Mul(dst, a, b []float32) {
 // normalization kernel (multiply by 1/sqrt(d_model/h)).
 func Scale(dst, a []float32, s float32) {
 	checkSameLen("Scale", dst, a)
-	parallelFor(len(dst), func(lo, hi int) {
+	parallelFor(len(dst), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = s * a[i]
 		}
@@ -161,7 +161,7 @@ func BiasGrad(dBias []float32, dY []float32, m, n int) {
 // sends them to zero.
 func MaskAdd(dst, a, mask []float32) {
 	checkSameLen("MaskAdd", dst, a, mask)
-	parallelFor(len(dst), func(lo, hi int) {
+	parallelFor(len(dst), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = a[i] + mask[i]
 		}
@@ -177,7 +177,7 @@ func ScaleMaskSoftmaxFused(dst, a, mask []float32, s float32, rows, n int) {
 	if len(a) != rows*n || len(dst) != rows*n || len(mask) != rows*n {
 		panic("kernels: ScaleMaskSoftmaxFused dims mismatch")
 	}
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			in := a[r*n : (r+1)*n]
 			mk := mask[r*n : (r+1)*n]
@@ -204,7 +204,7 @@ func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float
 		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention keyMask=%d want %d", len(keyMask), b*n))
 	}
 	const negInf = float32(-1e9)
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			q := r % n           // query position
 			batch := r / (h * n) // sequence index

@@ -10,7 +10,7 @@ import "math"
 // need the original input (the engine keeps x).
 func GeLUForward(dst, x []float32) {
 	checkSameLen("GeLUForward", dst, x)
-	parallelFor(len(x), func(lo, hi int) {
+	parallelFor(len(x), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = geluScalar(x[i])
 		}
@@ -34,7 +34,7 @@ func geluScalar(x float32) float32 {
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
 	const invSqrt2Pi = 0.3989422804014327
-	parallelFor(len(x), func(lo, hi int) {
+	parallelFor(len(x), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			v := float64(x[i])
 			cdf := 0.5 * (1 + math.Erf(v/math.Sqrt2))

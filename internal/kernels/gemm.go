@@ -114,7 +114,7 @@ func scaleC(c []float32, beta float32) {
 // Note there is deliberately no skip for zero coefficients: 0·NaN must
 // stay NaN.
 func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, n*k, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			ai := a[i*k : (i+1)*k]
@@ -128,7 +128,7 @@ func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
 // gemmNT: A is M×K, B is N×K. C[i][j] is a dot product of two contiguous
 // rows.
 func gemmNT(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, n*k, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ai := a[i*k : (i+1)*k]
 			ci := c[i*n : (i+1)*n]
@@ -143,7 +143,7 @@ func gemmNT(m, n, k int, alpha float32, a, b, c []float32) {
 // gemmTN: A is K×M, B is K×N. For each k, rank-1 update of the C row block
 // — contiguous access of B and C rows.
 func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, n*k, func(lo, hi int) {
 		for p := 0; p < k; p++ {
 			ap := a[p*m : (p+1)*m]
 			bp := b[p*n : (p+1)*n]
@@ -158,7 +158,7 @@ func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
 // contiguous, A is strided. TT does not occur in BERT's training graph but
 // is provided for completeness.
 func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, n*k, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {

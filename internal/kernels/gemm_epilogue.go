@@ -228,7 +228,7 @@ func (ep *Epilogue) applyReference(c []float32, m, n int) {
 // copyRows copies src into dst in parallel (save-buffer fill).
 func copyRows(dst, src []float32) {
 	checkSameLen("copyRows", dst, src)
-	parallelFor(len(src), func(lo, hi int) {
+	parallelFor(len(src), 1, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
 	})
 }

@@ -90,7 +90,7 @@ func PackWeightInt8(transB bool, n, k int, b []float32) *PackedBInt8 {
 		colSum: make([]int32, n),
 	}
 	// op(B)[d][j] = b[j*k+d] when transB (stored N×K), b[d*n+j] otherwise.
-	parallelFor(n, func(lo, hi int) {
+	parallelFor(n, k, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			var maxAbs float32
 			if transB {

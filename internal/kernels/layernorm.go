@@ -17,7 +17,7 @@ func LayerNormForward(y, x, gamma, beta []float32, mean, invStd []float32, rows,
 	if len(x) != rows*n || len(y) != rows*n || len(gamma) != n || len(beta) != n || len(mean) != rows || len(invStd) != rows {
 		panic(fmt.Sprintf("kernels: LayerNormForward dims rows=%d n=%d", rows, n))
 	}
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			xr := x[r*n : (r+1)*n]
 			yr := y[r*n : (r+1)*n]
@@ -74,7 +74,7 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 	}
 
 	// dX: independent per row, parallel over rows.
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			xr := x[r*n : (r+1)*n]
 			dyr := dY[r*n : (r+1)*n]
@@ -100,7 +100,7 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 	// dGamma/dBeta: column reductions, parallel over columns. The fold is
 	// seeded from the existing gradient so splitting the rows across
 	// multiple calls (gradient accumulation) matches one call bitwise.
-	parallelFor(n, func(lo, hi int) {
+	parallelFor(n, rows, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			dg, db := dGamma[j], dBeta[j]
 			for r := 0; r < rows; r++ {

@@ -16,6 +16,10 @@ var (
 		"grain-sized work chunks handed out by region drains")
 	poolSteals = obs.NewCounter("kernels_pool_steals_total",
 		"regions stolen from the queue by a joining caller while it waited")
+	poolHotPickups = obs.NewCounter("kernels_pool_hot_pickups_total",
+		"regions a pool worker took while still polling inside its hot window")
+	poolParks = obs.NewCounter("kernels_pool_parks_total",
+		"times a pool worker fell back to the blocking receive: its hot window ran out, or the pool was not saturated and it did not poll")
 
 	packCacheHits = obs.NewCounter("kernels_pack_cache_hits_total",
 		"weight-pack cache lookups served from the cached panels")

@@ -1,7 +1,9 @@
 package kernels
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"demystbert/internal/obs"
 )
@@ -24,17 +26,47 @@ func TestPoolDispatchCounters(t *testing.T) {
 	}
 
 	old := SetMaxWorkers(1)
-	if d := counterDelta(poolInline, func() { parallelFor(1024, body) }); d != 1 {
+	if d := counterDelta(poolInline, func() { parallelFor(1024, heavy, body) }); d != 1 {
 		t.Errorf("serial pool: inline delta %d, want 1", d)
 	}
 	SetMaxWorkers(4)
-	if d := counterDelta(poolDispatches, func() { parallelFor(1024, body) }); d != 1 {
+	if d := counterDelta(poolDispatches, func() { parallelFor(1024, heavy, body) }); d != 1 {
 		t.Errorf("parallel pool: dispatch delta %d, want 1", d)
 	}
-	if d := counterDelta(poolGrains, func() { parallelFor(1024, body) }); d < 2 {
+	if d := counterDelta(poolGrains, func() { parallelFor(1024, heavy, body) }); d < 2 {
 		t.Errorf("parallel pool: grain delta %d, want >= 2", d)
 	}
 	SetMaxWorkers(old)
+}
+
+// TestPoolHotAndParkCounters: the workers of a saturated pool take
+// regions handed to them back to back inside their hot window; left alone
+// they park, once. Every live worker is enlisted (earlier tests may have
+// grown the pool), because a send on workCh prefers a parked receiver to a
+// polling one.
+func TestPoolHotAndParkCounters(t *testing.T) {
+	old := SetMaxWorkers(max(2, int(spawned.Load())+1))
+	defer SetMaxWorkers(old)
+	body := &funcBody{f: func(lo, hi int) { busyFor(50 * time.Microsecond) }}
+	saturate(t, 64, body) // every worker is now inside its window
+
+	hot := counterDelta(poolHotPickups, func() {
+		for i := 0; i < 100; i++ {
+			parallelRun(64, 1, body)
+		}
+	})
+	// With one P the caller finishes and steals its own handles before a
+	// worker is ever scheduled.
+	if runtime.GOMAXPROCS(0) > 1 && hot < 50 {
+		t.Errorf("100 back-to-back regions: %d hot pickups, want >= 50", hot)
+	}
+	const idle = 50 * time.Millisecond
+	if parks := counterDelta(poolParks, func() { time.Sleep(idle) }); parks < 1 {
+		t.Errorf("idle for %v: park delta %d, want >= 1", idle, parks)
+	}
+	if again := counterDelta(poolParks, func() { time.Sleep(idle) }); again != 0 {
+		t.Errorf("already parked: park delta %d, want 0", again)
+	}
 }
 
 func TestPackCacheCounters(t *testing.T) {

@@ -10,9 +10,14 @@
 // layer modules in internal/nn supply tensor-typed wrappers.
 //
 // Parallel kernels share one persistent worker pool (this file): workers
-// are spawned once and parked on a channel, and each parallel region hands
-// out index ranges through an atomic counter, so load balance is dynamic
-// and steady-state dispatch does no per-call goroutine spawning.
+// are spawned once, and each parallel region hands out index ranges through
+// an atomic counter, so load balance is dynamic and steady-state dispatch
+// does no per-call goroutine spawning. A BERT step is hundreds of small
+// kernels back to back, so the fork/join is built to cost microseconds:
+// while the pool is saturated a worker that finishes a region keeps
+// polling for the next one for hotWindow before it parks, and a join
+// yields for joinWindow and then parks on the region's own wake-up — it
+// never sleeps on a timer.
 package kernels
 
 import (
@@ -56,18 +61,25 @@ type blockBody interface{ runRange(lo, hi int) }
 // the atomic next counter, so fast workers take more chunks (dynamic
 // chunking) instead of being assigned a fixed slice up front.
 //
-// Completion is tracked by two counters rather than a WaitGroup so the
-// caller's join never depends on the pool picking anything up: done counts
-// processed indices (region complete when done == n) and pending counts
-// handles still sitting in workCh (region reusable when pending == 0).
+// Completion is one word, so the caller's join never depends on the pool
+// picking anything up: state counts the handles enlisted in workCh and not
+// yet retired, and a handle is retired only after its holder's drain has
+// returned. The caller's own drain returns once every chunk is claimed, so
+// from then on state == 0 means every index is processed and nobody else
+// holds the region. regionParked, set in the same word by a caller that
+// gives up yielding, obliges whoever retires the last handle to send on
+// wake; a retirer that sees anything else never touches the region again,
+// which is what lets the caller recycle it the moment it reads zero.
 type region struct {
-	body    blockBody
-	n       int
-	grain   int
-	next    atomic.Int64
-	done    atomic.Int64
-	pending atomic.Int64
+	body  blockBody
+	n     int
+	grain int
+	next  atomic.Int64
+	state atomic.Int64
+	wake  chan struct{} // capacity 1: the last retirer's send never blocks
 }
+
+const regionParked = 1 << 32
 
 // drain grabs chunks until the region's index space is exhausted.
 func (r *region) drain() {
@@ -88,7 +100,15 @@ func (r *region) drain() {
 		}
 		chunks++
 		r.body.runRange(int(lo), int(hi))
-		r.done.Add(hi - lo)
+	}
+}
+
+// help is what every consumer of a queued handle does: take chunks until
+// none are left, then retire the handle.
+func (r *region) help() {
+	r.drain()
+	if r.state.Add(-1) == regionParked {
+		r.wake <- struct{}{}
 	}
 }
 
@@ -103,7 +123,7 @@ var (
 	// spawned counts live pool workers.
 	spawned atomic.Int64
 
-	regionPool = sync.Pool{New: func() any { return new(region) }}
+	regionPool = sync.Pool{New: func() any { return &region{wake: make(chan struct{}, 1)} }}
 	fbPool     = sync.Pool{New: func() any { return new(funcBody) }}
 )
 
@@ -120,31 +140,177 @@ func ensureWorkers(target int) {
 	}
 }
 
-// poolWorker parks on the work channel forever, joining one region at a
-// time. Workers survive for the life of the process — the pool is sized by
-// SetMaxWorkers, never torn down.
+// Fork/join constants, not knobs: each is the break-even point of a cost
+// measured on the host class this engine runs on (2-core VM, DESIGN.md
+// §6), and a wrong guess is bounded either way.
+//
+// Waking a goroutine parked on a channel costs 75–190 µs at the median
+// before it runs (milliseconds at p99) and 10–17 µs of futex work on the
+// sender's side, and time.Sleep(20µs) returns after 80 µs–1.1 ms at the
+// median — against ~0.1 µs for a runtime.Gosched that finds nothing else
+// to run. The kernels of one training step or one served batch follow
+// each other within tens of microseconds, so a worker that parks after
+// every region is asleep for the start of every kernel.
+const (
+	// hotWindow is how long a worker that has just finished a region keeps
+	// polling for the next one before it parks. It is the ski-rental
+	// choice: poll for about as long as one wake-up costs, so a worker
+	// never spends more than twice what the better of "always park" and
+	// "never park" would have, back-to-back kernels find their helper
+	// awake, and an idle process is parked within 300 µs of its last
+	// kernel and burns nothing.
+	hotWindow = 300 * time.Microsecond
+
+	// joinWindow is how long a caller whose own chunks are done keeps
+	// stealing and yielding before it parks on the region's wake-up. The
+	// tail of a region is at most one chunk on another worker, so almost
+	// every join ends inside the window; the park behind it only bounds
+	// what a descheduled or very long straggler can make a waiter burn.
+	joinWindow = 300 * time.Microsecond
+
+	// heatCap and idleWeight say when the pool is saturated, which is the
+	// only time its workers stay hot: the pool must have been in use for
+	// at least idleWeight/(idleWeight+1) = 3/4 of the recent past, and
+	// for heatCap/2 = 0.5 s net of that, before a worker polls at all.
+	// A polling worker is only worth its core if the core is its own, and
+	// on a multiplexed host that is earned by load: the reference VM's two
+	// vCPUs take 4 ms turns on one core once the VM has idled for ~2 s,
+	// and get a core each again after ~1.2 s with both busy (4.7 s at
+	// 50 % duty, never at 30 %). A server answering one short request
+	// every 20 ms never earns it, so with always-hot workers the same
+	// workload read 8.4 ms or 14 ms from one run to the next, by where the
+	// hypervisor had left the second vCPU before the process started.
+	// Training steps and saturated serving keep the pool above 80 % busy
+	// and are spread within their first second; sparse serving stays
+	// below 60 % and runs with parked workers, as it always did.
+	heatCap    = time.Second
+	idleWeight = 3
+)
+
+// Pool heat says how saturated the pool has been lately. inFlight counts
+// dispatched regions; each change between "none" and "some" settles the
+// stretch that just ended into heat: a busy stretch adds its length, and
+// so does an idle one no longer than hotWindow (a hot worker bridges it, so
+// the stream of kernels did not break); a longer idle stretch takes away
+// idleWeight times its length. heat stays within [0, heatCap]. The updates
+// are plain loads and stores: concurrent roots can lose one, which a
+// heuristic can afford.
+var (
+	poolEpoch = time.Now()
+	inFlight  atomic.Int64
+	lastFlip  atomic.Int64 // ns since poolEpoch
+	heat      atomic.Int64 // ns
+)
+
+func settle(busy bool) {
+	now := int64(time.Since(poolEpoch))
+	d := max(now-lastFlip.Swap(now), 0) // a concurrent root may have stamped later
+	h := heat.Load()
+	if busy || d <= int64(hotWindow) {
+		h = min(h+d, int64(heatCap))
+	} else {
+		h = max(h-idleWeight*d, 0)
+	}
+	heat.Store(h)
+}
+
+// poolSaturated reports whether workers stay hot between regions.
+func poolSaturated() bool { return heat.Load() >= int64(heatCap/2) }
+
+// poolWorker joins one region at a time for the life of the process — the
+// pool is sized by SetMaxWorkers, never torn down. Between regions of a
+// saturated pool it polls workCh for hotWindow, yielding every turn so
+// that a single P is never starved by a spinning worker, and only then
+// blocks in the receive; otherwise it blocks at once.
 func poolWorker() {
-	for r := range workCh {
-		r.drain()
-		r.pending.Add(-1)
+	for {
+		var r *region
+		if poolSaturated() {
+			r = pollWork()
+		}
+		if r != nil {
+			poolHotPickups.Inc()
+		} else {
+			poolParks.Inc()
+			r = <-workCh
+		}
+		r.help()
 	}
 }
 
-// Join-loop backoff: a waiter spins (yielding) while its region finishes,
-// then naps so a long-running chunk elsewhere doesn't burn a core.
-const (
-	joinSpins = 64
-	joinNap   = 20 * time.Microsecond
-)
+// pollWork returns the next queued region, or nil if none arrives within
+// hotWindow.
+func pollWork() *region {
+	start := time.Now()
+	for {
+		select {
+		case r := <-workCh:
+			return r
+		default:
+		}
+		if time.Since(start) >= hotWindow {
+			return nil
+		}
+		runtime.Gosched()
+	}
+}
+
+// steal is what a joining caller does with a handle it finds queued while
+// it waits — its own or anybody's.
+func steal(other *region) {
+	poolSteals.Inc()
+	other.help()
+}
+
+// join blocks until every handle of r has been retired. The caller has
+// already drained r, so that is also when every index has been processed.
+// Stealing while it waits is what keeps nested dispatch live: a waiter is
+// always a reader of workCh, parked or not.
+func (r *region) join() {
+	var start time.Time
+	for {
+		s := r.state.Load()
+		if s == 0 {
+			return
+		}
+		select {
+		case other := <-workCh:
+			steal(other)
+			continue
+		default:
+		}
+		if start.IsZero() {
+			start = time.Now()
+		}
+		if time.Since(start) < joinWindow {
+			runtime.Gosched()
+			continue
+		}
+		if r.state.CompareAndSwap(s, s|regionParked) {
+			break
+		}
+	}
+	// Parked: exactly one send on wake is now owed, by whoever takes the
+	// count to zero, and r cannot be recycled before it arrives.
+	for {
+		select {
+		case other := <-workCh:
+			steal(other)
+		case <-r.wake:
+			r.state.Store(0)
+			return
+		}
+	}
+}
 
 // parallelRun executes body over [0, n) in grain-sized chunks using the
 // worker pool, blocking until every index is processed. The calling
 // goroutine always participates, and while it waits for chunks claimed by
-// others it steals queued handles from workCh instead of parking — so no
-// join ever depends on pool availability, and nested dispatch (a pool
-// worker calling parallelRun) cannot deadlock even when every worker is
-// itself blocked in a join. With maxWorkers == 1 or a single chunk it runs
-// inline with zero dispatch cost.
+// others it steals queued handles from workCh — so no join ever depends on
+// pool availability, and nested dispatch (a pool worker calling
+// parallelRun) cannot deadlock even when every worker is itself blocked in
+// a join. With maxWorkers == 1 or a single chunk it runs inline with zero
+// dispatch cost.
 func parallelRun(n, grain int, body blockBody) {
 	if n <= 0 {
 		return
@@ -162,44 +328,32 @@ func parallelRun(n, grain int, body blockBody) {
 		return
 	}
 	poolDispatches.Inc()
+	if inFlight.Add(1) == 1 {
+		settle(false) // an idle stretch ends
+	}
 	ensureWorkers(w - 1)
 	r := regionPool.Get().(*region)
 	r.body, r.n, r.grain = body, n, grain
 	r.next.Store(0)
-	r.done.Store(0)
 enlist:
 	for i := 0; i < w-1; i++ {
-		r.pending.Add(1)
+		r.state.Add(1)
 		select {
 		case workCh <- r:
 		default:
 			// Queue full: plenty of work is already circulating; run
 			// with the helpers enlisted so far.
-			r.pending.Add(-1)
+			r.state.Add(-1)
 			break enlist
 		}
 	}
 	r.drain()
-	// Join: complete when every index is processed, reusable when every
-	// queued handle has been consumed. Stealing here is what keeps nested
-	// dispatch live — a waiter is always a reader of workCh.
-	for spins := 0; r.done.Load() < int64(n) || r.pending.Load() > 0; {
-		select {
-		case other := <-workCh:
-			poolSteals.Inc()
-			other.drain()
-			other.pending.Add(-1)
-			spins = 0
-		default:
-			if spins++; spins < joinSpins {
-				runtime.Gosched()
-			} else {
-				time.Sleep(joinNap)
-			}
-		}
-	}
+	r.join()
 	r.body = nil
 	regionPool.Put(r)
+	if inFlight.Add(-1) == 0 {
+		settle(true) // a busy stretch ends
+	}
 }
 
 // funcBody adapts a closure to blockBody; pooled so parallelFor's only
@@ -208,15 +362,23 @@ type funcBody struct{ f func(lo, hi int) }
 
 func (b *funcBody) runRange(lo, hi int) { b.f(lo, hi) }
 
+// minForkWork is the region size, in elements touched, below which a fork
+// costs more than it saves even when the helper is awake: a few
+// microseconds of hand-off against at most a microsecond or two of
+// bandwidth-bound work. Below it parallelFor and SumSquares run inline.
+const minForkWork = 4096
+
 // parallelFor splits [0, n) into dynamically balanced chunks and runs
-// body(lo, hi) concurrently on the worker pool. For small n it runs inline
+// body(lo, hi) concurrently on the worker pool. per is the number of
+// elements one index stands for (1 for a flat buffer, the row length for a
+// row-wise kernel); regions of fewer than minForkWork elements run inline
 // to avoid dispatch overhead on tiny kernels.
-func parallelFor(n int, body func(lo, hi int)) {
+func parallelFor(n, per int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	w := int(maxWorkers.Load())
-	if w == 1 || n < 4 {
+	if w == 1 || n*per < minForkWork {
 		poolInline.Inc()
 		body(0, n)
 		return
@@ -233,3 +395,11 @@ func parallelFor(n int, body func(lo, hi int)) {
 	fb.f = nil
 	fbPool.Put(fb)
 }
+
+// ParallelRange runs body over disjoint half-open ranges that together
+// cover [0, n), the element indices of flat buffers, on the worker pool.
+// It is for element-wise loops outside this package (the optimizers):
+// body must compute each element from that element's inputs alone, so the
+// result does not depend on where the ranges are cut or on the worker
+// count. Buffers under minForkWork elements run inline.
+func ParallelRange(n int, body func(lo, hi int)) { parallelFor(n, 1, body) }

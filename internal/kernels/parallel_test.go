@@ -2,12 +2,19 @@ package kernels
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"demystbert/internal/tensor"
 )
+
+// heavy is a per-index element count that makes every region of two or
+// more indices fork, however small n is.
+const heavy = minForkWork
 
 // TestParallelForCoversExactlyOnce: every index in [0, n) must be visited
 // exactly once, for worker counts above and below the chunk count and for
@@ -17,7 +24,7 @@ func TestParallelForCoversExactlyOnce(t *testing.T) {
 		for _, n := range []int{1, 3, 4, 5, 63, 64, 1000, 1021} {
 			old := SetMaxWorkers(w)
 			counts := make([]int32, n)
-			parallelFor(n, func(lo, hi int) {
+			parallelFor(n, heavy, func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("w=%d n=%d: bad range [%d,%d)", w, n, lo, hi)
 					return
@@ -70,9 +77,9 @@ func TestParallelNested(t *testing.T) {
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
 	var total atomic.Int64
-	parallelFor(8, func(lo, hi int) {
+	parallelFor(8, heavy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(100, func(l, h int) {
+			parallelFor(100, heavy, func(l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -90,11 +97,11 @@ func TestParallelNestedSaturated(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
 	var total atomic.Int64
-	parallelFor(16, func(lo, hi int) {
+	parallelFor(16, heavy, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(64, func(l, h int) {
+			parallelFor(64, heavy, func(l, h int) {
 				for j := l; j < h; j++ {
-					parallelFor(32, func(l2, h2 int) {
+					parallelFor(32, heavy, func(l2, h2 int) {
 						total.Add(int64(h2 - l2))
 					})
 				}
@@ -119,9 +126,9 @@ func TestParallelNestedConcurrentRoots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var total atomic.Int64
-			parallelFor(8, func(lo, hi int) {
+			parallelFor(8, heavy, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					parallelFor(50, func(l, h int) {
+					parallelFor(50, heavy, func(l, h int) {
 						total.Add(int64(h - l))
 					})
 				}
@@ -243,4 +250,139 @@ func TestMaxWorkersReporting(t *testing.T) {
 		t.Fatalf("MaxWorkers = %d, want 3", MaxWorkers())
 	}
 	SetMaxWorkers(orig)
+}
+
+// busyFor spins for d: a work item of known length, whatever the core's
+// speed.
+func busyFor(d time.Duration) {
+	for t := time.Now(); time.Since(t) < d; {
+	}
+}
+
+// saturate runs body's region back to back until the pool counts as
+// saturated, which is when its workers start to stay hot.
+func saturate(tb testing.TB, n int, body blockBody) {
+	tb.Helper()
+	for start := time.Now(); !poolSaturated(); {
+		if time.Since(start) > 10*heatCap {
+			tb.Fatalf("pool not saturated after %v of back-to-back regions", 10*heatCap)
+		}
+		parallelRun(n, 1, body)
+	}
+}
+
+// BenchmarkForkJoin reports what one fork/join of a saturated pool costs
+// over the ideal: a region of two 100 µs items on two workers should take
+// 100 µs. It runs the regions back to back, and again with 100 µs of
+// serial work between them — the shape of a training step, where the
+// helper has to still be awake when the next kernel arrives.
+func BenchmarkForkJoin(b *testing.B) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		b.Skip("the ideal assumes the two items run side by side")
+	}
+	const item = 100 * time.Microsecond
+	old := SetMaxWorkers(2)
+	defer SetMaxWorkers(old)
+	body := &funcBody{f: func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			busyFor(item)
+		}
+	}}
+	for _, bc := range []struct {
+		name string
+		gap  time.Duration
+	}{{"back_to_back", 0}, {"gap_100us", 100 * time.Microsecond}} {
+		b.Run(bc.name, func(b *testing.B) {
+			saturate(b, 2, body) // spawn the helper and warm the pool outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				busyFor(bc.gap)
+				parallelRun(2, 1, body)
+			}
+			perOp := float64(b.Elapsed()) / float64(b.N)
+			b.ReportMetric((perOp-float64(item+bc.gap))/1e3, "overhead_us/op")
+		})
+	}
+}
+
+// TestJoinParksAndWakes drives the join's two orders against a handle the
+// test holds itself. Retired late, the caller has run out its window and
+// parked: the retirer must wake it, exactly once. Retired first, nobody is
+// parked and no wake-up may be left behind in the recycled region.
+func TestJoinParksAndWakes(t *testing.T) {
+	r := regionPool.Get().(*region)
+	r.body, r.n, r.grain = &funcBody{f: func(lo, hi int) {}}, 0, 1
+	defer regionPool.Put(r)
+
+	r.state.Store(1)
+	go func() {
+		time.Sleep(20 * joinWindow)
+		r.help()
+	}()
+	start := time.Now()
+	r.join()
+	if waited := time.Since(start); waited < 20*joinWindow {
+		t.Errorf("join returned after %v, before the handle was retired", waited)
+	}
+	if s, tokens := r.state.Load(), len(r.wake); s != 0 || tokens != 0 {
+		t.Errorf("after a parked join: state %#x, %d wake-ups pending, want 0 and 0", s, tokens)
+	}
+
+	r.state.Store(1)
+	r.help()
+	r.join()
+	if s, tokens := r.state.Load(), len(r.wake); s != 0 || tokens != 0 {
+		t.Errorf("after an unparked join: state %#x, %d wake-ups pending, want 0 and 0", s, tokens)
+	}
+}
+
+// cpuTime is the process's user+system CPU time so far.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatalf("getrusage: %v", err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// TestPoolParksWhenIdle: staying hot between kernels must not turn into
+// spinning between steps. Once the hot window has run out every worker is
+// parked in the blocking receive and an idle process burns nothing — a
+// worker still polling would burn the whole stretch.
+func TestPoolParksWhenIdle(t *testing.T) {
+	old := SetMaxWorkers(2)
+	defer SetMaxWorkers(old)
+	body := &funcBody{f: func(lo, hi int) { busyFor(20 * time.Microsecond) }}
+	saturate(t, 2, body)
+	time.Sleep(20 * hotWindow)
+	const idle = 50 * time.Millisecond
+	before := cpuTime(t)
+	time.Sleep(idle)
+	if burned := cpuTime(t) - before; burned > idle/5 {
+		t.Errorf("idle process burned %v of CPU over %v: a worker is still polling", burned, idle)
+	}
+}
+
+// TestPoolColdWhenSparse: bursts of kernels that keep the pool busy for a
+// small share of the time — a server answering occasional requests — never
+// make a worker poll. Every region is taken from the blocking receive, so
+// what such a process does cannot depend on whether its helper's core is
+// really there.
+func TestPoolColdWhenSparse(t *testing.T) {
+	old := SetMaxWorkers(2)
+	defer SetMaxWorkers(old)
+	body := &funcBody{f: func(lo, hi int) { busyFor(20 * time.Microsecond) }}
+	// Whatever heat earlier tests left drains with the first region.
+	time.Sleep(heatCap/idleWeight + 50*time.Millisecond)
+	hot := counterDelta(poolHotPickups, func() {
+		for burst := 0; burst < 30; burst++ {
+			for i := 0; i < 40; i++ {
+				parallelRun(2, 1, body)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
+	if hot != 0 {
+		t.Errorf("30 sparse bursts: %d hot pickups, want 0", hot)
+	}
 }

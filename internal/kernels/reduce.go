@@ -41,7 +41,7 @@ func (s *sumSqState) runRange(lo, hi int) {
 func SumSquares(x []float32) float64 {
 	n := len(x)
 	w := MaxWorkers()
-	if n < 4096 || w == 1 {
+	if n < minForkWork || w == 1 {
 		var s float64
 		for _, v := range x {
 			s += float64(v) * float64(v)

@@ -31,7 +31,7 @@ func Softmax(dst, x []float32, rows, n int) {
 	if len(x) != rows*n || len(dst) != rows*n {
 		panic(fmt.Sprintf("kernels: Softmax dims x=%d dst=%d rows=%d n=%d", len(x), len(dst), rows, n))
 	}
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			softmaxRow(dst[r*n:(r+1)*n], x[r*n:(r+1)*n])
 		}
@@ -46,7 +46,7 @@ func SoftmaxGrad(dX, dY, y []float32, rows, n int) {
 	if len(dX) != rows*n || len(dY) != rows*n || len(y) != rows*n {
 		panic("kernels: SoftmaxGrad dims mismatch")
 	}
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			yr := y[r*n : (r+1)*n]
 			dyr := dY[r*n : (r+1)*n]

@@ -8,7 +8,7 @@ func Transpose2D(dst, x []float32, m, n int) {
 	if len(x) != m*n || len(dst) != m*n {
 		panic(fmt.Sprintf("kernels: Transpose2D dims x=%d dst=%d m=%d n=%d", len(x), len(dst), m, n))
 	}
-	parallelFor(m, func(lo, hi int) {
+	parallelFor(m, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			row := x[i*n : (i+1)*n]
 			for j, v := range row {
@@ -28,7 +28,7 @@ func SplitHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: SplitHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	parallelFor(b*n, func(lo, hi int) {
+	parallelFor(b*n, dModel, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			batch, seq := t/n, t%n
 			src := x[t*dModel : (t+1)*dModel]
@@ -47,7 +47,7 @@ func MergeHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: MergeHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	parallelFor(b*n, func(lo, hi int) {
+	parallelFor(b*n, dModel, func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			batch, seq := t/n, t%n
 			out := dst[t*dModel : (t+1)*dModel]

@@ -77,7 +77,7 @@ func CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, cl
 		return
 	}
 	inv := 1 / float32(count)
-	parallelFor(rows, func(lo, hi int) {
+	parallelFor(rows, classes, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			out := dLogits[r*classes : (r+1)*classes]
 			if targets[r] == IgnoreIndex {

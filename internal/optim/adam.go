@@ -133,12 +133,14 @@ func (o *Adam) stepFused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 				for _, p := range group {
 					m, v := o.State(p)
 					md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
-					for i := range gd {
-						g := gd[i]
-						md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-						vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
-						wd[i] -= o.LR * (md[i] / bc1) / (sqrt32(vd[i]/bc2) + o.Eps)
-					}
+					kernels.ParallelRange(len(gd), func(lo, hi int) {
+						for i := lo; i < hi; i++ {
+							g := gd[i]
+							md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
+							vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
+							wd[i] -= o.LR * (md[i] / bc1) / (sqrt32(vd[i]/bc2) + o.Eps)
+						}
+					})
 					p.BumpGen() // weights changed: invalidate cached GEMM packs
 				}
 			})
@@ -221,9 +223,11 @@ func (o *SGD) Step(ctx *nn.Ctx, params []*nn.Param) {
 		ctx.Prof.Time("sgd_apply", profile.CatOptimizer, profile.Update,
 			kernels.EWFLOPs(n, 2), kernels.EWBytes(n, 2, 1, fp32Size), func() {
 				wd, gd := p.Value.Data(), p.Grad.Data()
-				for i := range wd {
-					wd[i] -= o.LR * gd[i]
-				}
+				kernels.ParallelRange(len(wd), func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						wd[i] -= o.LR * gd[i]
+					}
+				})
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}

@@ -144,14 +144,16 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 		ctx.Prof.Time("lamb_stage1", profile.CatLAMBStage1, profile.Update,
 			kernels.EWFLOPs(n, 12), kernels.EWBytes(n, 4, 3, fp32Size), func() {
 				md, vd, gd, wd, ud := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data(), upd.Data()
-				for i := range gd {
-					g := gd[i] * gradScale
-					md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-					vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
-					mh := md[i] / bc1
-					vh := vd[i] / bc2
-					ud[i] = mh/(sqrt32(vh)+o.Eps) + o.WeightDecay*wd[i]
-				}
+				kernels.ParallelRange(len(gd), func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						g := gd[i] * gradScale
+						md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
+						vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
+						mh := md[i] / bc1
+						vh := vd[i] / bc2
+						ud[i] = mh/(sqrt32(vh)+o.Eps) + o.WeightDecay*wd[i]
+					}
+				})
 			})
 	}
 
@@ -170,9 +172,11 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 				}
 				step := o.LR * trust
 				wd, ud := p.Value.Data(), upd.Data()
-				for i := range wd {
-					wd[i] -= step * ud[i]
-				}
+				kernels.ParallelRange(len(wd), func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						wd[i] -= step * ud[i]
+					}
+				})
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}

@@ -2,8 +2,10 @@ package optim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"demystbert/internal/kernels"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
@@ -255,4 +257,58 @@ func TestOptimizerInterfaceCompliance(t *testing.T) {
 	var _ Optimizer = NewLAMB(0.1)
 	var _ Optimizer = NewAdam(0.1, true)
 	var _ Optimizer = NewSGD(0.1)
+}
+
+// TestOptimizersBitwiseAcrossWorkers: the update loops run as pooled
+// element ranges, and where the ranges are cut must not show. Three steps
+// of LAMB, fused Adam and SGD leave bitwise the same weights, m and v at
+// any worker count. The tensors sit on both sides of the pool's inline
+// threshold, and one has a length no chunking divides.
+func TestOptimizersBitwiseAcrossWorkers(t *testing.T) {
+	type state = func(*nn.Param) (m, v *tensor.Tensor)
+	cases := []struct {
+		name string
+		make func() (Optimizer, state)
+	}{
+		{"lamb", func() (Optimizer, state) { o := NewLAMB(0.01); return o, o.State }},
+		{"adam_fused", func() (Optimizer, state) { o := NewAdam(0.01, true); return o, o.State }},
+		{"sgd", func() (Optimizer, state) { return NewSGD(0.01), nil }},
+	}
+	// run returns every weight, m and v after three steps at w workers.
+	run := func(w int, mk func() (Optimizer, state)) []float32 {
+		defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(w))
+		r := tensor.NewRNG(7)
+		params := []*nn.Param{
+			makeParam("bias", r, 256),
+			makeParam("w", r, 96, 96),
+			makeParam("odd", r, 10007),
+		}
+		o, st := mk()
+		ctx := nn.NewCtx(1)
+		for step := 0; step < 3; step++ {
+			fillGrads(r, params)
+			o.Step(ctx, params)
+		}
+		var out []float32
+		for _, p := range params {
+			out = append(out, p.Value.Data()...)
+			if st != nil {
+				m, v := st(p)
+				out = append(out, m.Data()...)
+				out = append(out, v.Data()...)
+			}
+		}
+		return out
+	}
+	for _, c := range cases {
+		want := run(1, c.make)
+		for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
+			got := run(w, c.make)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: workers=%d differs from workers=1 at element %d: %v vs %v", c.name, w, i, got[i], want[i])
+				}
+			}
+		}
+	}
 }

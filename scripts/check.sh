@@ -21,6 +21,9 @@ go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./intern
 echo "== spill-arena race leg (concurrent regions through the shared scratch pool)"
 go test -race -run 'TestArenaConcurrentRegions' -count=1 ./internal/memscale/
 
+echo "== GOMAXPROCS=1 leg (kernels, optim, distnet: nothing may depend on the core count; a polling worker or join that forgot to yield hangs here)"
+GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/
+
 echo "== go test ./..."
 go test ./...
 
@@ -85,7 +88,7 @@ go test -run 'TestLaunchZero1BitwiseMatchesUnsharded' -count=1 ./cmd/bertdist/
 echo "== memory-scaled BERT-Large smoke (reduced layers; accumulation + virtual shards + spill under GOMEMLIMIT)"
 go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -shards 2 -ckpt-every 1 -memlimit-mb 768 >/dev/null
 
-echo "== bench smoke (GEMM paper shapes + fused FFN tail + int8, 1 iteration)"
-go test -run 'xxx' -bench 'Fig6GEMMIntensity|GEMMPaperSizes|GEMMInt8PaperSizes|RealFFN' -benchtime 1x -benchmem . >/dev/null
+echo "== bench smoke (GEMM paper shapes + fused FFN tail + int8 + pool fork/join, 1 iteration)"
+go test -run 'xxx' -bench 'Fig6GEMMIntensity|GEMMPaperSizes|GEMMInt8PaperSizes|RealFFN|ForkJoin' -benchtime 1x -benchmem . ./internal/kernels/ >/dev/null
 
 echo "check: OK"
