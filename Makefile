@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench-gemm bench-serve bench-dist fuzz clean
+.PHONY: all build test check bench-serve bench-dist fuzz clean
 
 all: build
 
@@ -14,10 +14,6 @@ test:
 # benchmark smoke. CI entrypoint.
 check:
 	sh scripts/check.sh
-
-# Run the GEMM benchmark suite and emit BENCH_gemm.json.
-bench-gemm:
-	sh scripts/bench_gemm.sh
 
 # Run the serving latency-vs-throughput frontier and emit BENCH_serve.json.
 bench-serve:

@@ -26,6 +26,7 @@ import (
 
 	"demystbert"
 	"demystbert/internal/data"
+	"demystbert/internal/kernels"
 	"demystbert/internal/memscale"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
@@ -193,8 +194,8 @@ func runLarge(stdout io.Writer, lf *largeFlags, dev demystbert.Device) error {
 		debug.SetMemoryLimit(limit)
 	}
 
-	fmt.Fprintf(stdout, "BERT-Large for real: N=%d d_model=%d h=%d d_ff=%d vocab=%d (%.0fM params)\n",
-		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, cfg.Vocab, float64(cfg.ParamCount())/1e6)
+	fmt.Fprintf(stdout, "BERT-Large for real: N=%d d_model=%d h=%d d_ff=%d vocab=%d (%.0fM params), gemm kernel %s\n",
+		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, cfg.Vocab, float64(cfg.ParamCount())/1e6, kernels.ActiveKernel())
 	fmt.Fprintf(stdout, "memory plan: B=%d as %d micro-batches of %d, n=%d, ckpt every %d layers (spilled), "+
 		"%d virtual optimizer shards; modeled resident %.0f MiB vs %.0f MiB unspilled, GOMEMLIMIT %d MiB\n",
 		lf.b, lf.accum, micro, lf.seq, lf.ckptEvery, lf.shards,

@@ -42,6 +42,7 @@ import (
 	"demystbert"
 	"demystbert/internal/audit"
 	"demystbert/internal/data"
+	"demystbert/internal/kernels"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/obs"
@@ -232,8 +233,8 @@ func runLive(stdout io.Writer, sd *runutil.Shutdown, steps int, metricsPath stri
 		}
 	})
 
-	fmt.Fprintf(stdout, "live run: BERT N=%d d_model=%d h=%d d_ff=%d, B=%d n=%d, %d steps (mixed-precision=%v)\n",
-		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, b, n, steps, mp)
+	fmt.Fprintf(stdout, "live run: BERT N=%d d_model=%d h=%d d_ff=%d, B=%d n=%d, %d steps (mixed-precision=%v, gemm kernel %s)\n",
+		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, b, n, steps, mp, kernels.ActiveKernel())
 
 	gen := data.NewGenerator(cfg.Vocab, 0.15, seed+1)
 	ctx := &nn.Ctx{Prof: profile.New(), RNG: tensor.NewRNG(seed + 2), Train: true, MixedPrecision: mp}

@@ -26,6 +26,7 @@ import (
 
 	"demystbert/internal/data"
 	"demystbert/internal/device"
+	"demystbert/internal/kernels"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/obs"
@@ -115,8 +116,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(stdout, "BERT N=%d d_model=%d h=%d d_ff=%d vocab=%d: %d parameters\n",
 		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, cfg.Vocab, m.NumParams())
-	fmt.Fprintf(stdout, "workload: B=%d n=%d (%d tokens/iteration), mixed-precision=%v, checkpoint=%d, causal=%v\n\n",
+	fmt.Fprintf(stdout, "workload: B=%d n=%d (%d tokens/iteration), mixed-precision=%v, checkpoint=%d, causal=%v\n",
 		*b, *n, *b**n, *mp, *checkpoint, *causal)
+	fmt.Fprintf(stdout, "gemm kernel: %s\n\n", kernels.ActiveKernel())
 
 	gen := data.NewGenerator(cfg.Vocab, 0.15, *seed+1)
 	ctx := &nn.Ctx{Prof: profile.New(), RNG: tensor.NewRNG(*seed + 2), Train: true, MixedPrecision: *mp}

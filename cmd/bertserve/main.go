@@ -170,8 +170,8 @@ func runServer(ecfg serve.Config, addr, traceOut string, stdout, stderr io.Write
 	sd.Defer("drain http", func() { srv.ShutdownTimeout(5 * time.Second) })
 
 	eff := engine.Config()
-	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (gemm=%s, buckets=%v, max_batch=%d, max_delay=%v, warmed %d packs)\n",
-		srv.Addr, eff.GEMMPath, eff.Buckets, eff.MaxBatch, eff.MaxDelay, engine.WarmedPacks)
+	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (gemm=%s, kernel=%s, buckets=%v, max_batch=%d, max_delay=%v, warmed %d packs)\n",
+		srv.Addr, eff.GEMMPath, kernels.ActiveKernel(), eff.Buckets, eff.MaxBatch, eff.MaxDelay, engine.WarmedPacks)
 	<-done // signal handler drains and exits the process
 	return 0
 }

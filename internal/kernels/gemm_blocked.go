@@ -25,7 +25,7 @@ import "sync"
 // exactly one worker with a fixed loop order, so results are bitwise
 // deterministic regardless of scheduling.
 const (
-	gemmMC = 120  // row block; multiple of both micro-tile heights (4 and 6)
+	gemmMC = 120  // row block; every table entry's mr divides it (checkKernel)
 	gemmKC = 256  // depth block: packed A block is 120×256×4 B ≈ 120 KiB (L2-resident)
 	gemmNC = 2048 // column block: packed B panel is 256×2048×4 B = 2 MiB (streams via L3)
 
@@ -33,30 +33,10 @@ const (
 	// multiple of gemmMC.
 	gemmStripe = 3840
 
-	// microTileMax is the largest micro-tile (6×16 SIMD kernel).
-	microTileMax = 6 * 16
-
 	// smallGEMMFlops: below this, packing overhead outweighs blocking
 	// gains and GEMM dispatches to the naive reference path instead.
 	smallGEMMFlops = 1 << 15
 )
-
-// Active micro-kernel geometry. The portable scalar kernel is the default;
-// on amd64 with AVX2+FMA an assembly 6×16 kernel is installed at init
-// (gemm_kernel_amd64.go). Tests switch backends via useScalarKernel /
-// useSIMDKernel to cross-check them.
-var (
-	gemmMR      = 4
-	gemmNR      = 4
-	microKernel func(kc int, a, b, c []float32, ldc int) = microKernel4x4
-)
-
-// useScalarKernel installs the portable micro-kernel (also the permanent
-// state on non-amd64 builds and under DEMYSTBERT_NOSIMD=1).
-func useScalarKernel() {
-	gemmMR, gemmNR, microKernel = 4, 4, microKernel4x4
-	int8Kernel = gemmInt8Kernel4x16Go
-}
 
 // gemmBlocked computes C += alpha·op(A)·op(B) (beta is applied by the
 // caller) with cache blocking and packing. par selects pool parallelism;
@@ -158,7 +138,7 @@ func (g *gemmState) tile(t int) {
 	}
 }
 
-var microTilePool = sync.Pool{New: func() any { return new([microTileMax]float32) }}
+var microTilePool = sync.Pool{New: func() any { s := make([]float32, microTileMax); return &s }}
 
 // ---------------------------------------------------------------------------
 // Packing.
@@ -202,6 +182,7 @@ func packA(transA bool, dst, a []float32, io, ms, pc, kcb, m, k int, alpha float
 
 func (s *packAState) runRange(lo, hi int) {
 	mr, kcb, alpha := s.mr, s.kcb, s.alpha
+	packT4 := activeKernel.packT4
 	for pi := lo; pi < hi; pi++ {
 		dst := s.dst[pi*mr*kcb : (pi+1)*mr*kcb]
 		r0 := pi * mr
@@ -225,9 +206,18 @@ func (s *packAState) runRange(lo, hi int) {
 		// A stored M×K: op(A)[i][p] = a[i·ld + pc + p] — mr strided
 		// read streams, sequential writes.
 		base := (s.row0+r0)*s.ld + s.pc
+		rv := 0 // rows the vectorised 4-row strips covered
+		if packT4 != nil {
+			for ; rv+4 <= rows; rv += 4 {
+				packT4(&dst[rv], int64(mr), &s.src[base+rv*s.ld], int64(s.ld), int64(kcb), alpha, true)
+			}
+			if rv == mr {
+				continue
+			}
+		}
 		for p := 0; p < kcb; p++ {
 			d := dst[p*mr:]
-			for r := 0; r < rows; r++ {
+			for r := rv; r < rows; r++ {
 				d[r] = alpha * s.src[base+r*s.ld+p]
 			}
 			for r := rows; r < mr; r++ {
@@ -272,6 +262,7 @@ func packB(transB bool, dst, b []float32, jc, ncb, pc, kcb, n, k, nr int, par bo
 
 func (s *packBState) runRange(lo, hi int) {
 	nr, kcb := s.nr, s.kcb
+	packT4 := activeKernel.packT4
 	for pj := lo; pj < hi; pj++ {
 		dst := s.dst[pj*nr*kcb : (pj+1)*nr*kcb]
 		j0 := pj * nr
@@ -296,7 +287,13 @@ func (s *packBState) runRange(lo, hi int) {
 		}
 		// B stored N×K: op(B)[p][j] = b[(jc+j)·ld + pc + p] — each
 		// packed column is a contiguous read.
-		for j := 0; j < cols; j++ {
+		jv := 0 // columns the vectorised 4-row strips covered
+		if packT4 != nil {
+			for ; jv+4 <= cols; jv += 4 {
+				packT4(&dst[jv], int64(nr), &s.src[(s.jc+j0+jv)*s.ld+s.pc], int64(s.ld), int64(kcb), 1, false)
+			}
+		}
+		for j := jv; j < cols; j++ {
 			src := s.src[(s.jc+j0+j)*s.ld+s.pc:]
 			for p := 0; p < kcb; p++ {
 				dst[p*nr+j] = src[p]

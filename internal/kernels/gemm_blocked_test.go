@@ -23,12 +23,29 @@ func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32
 	gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, par)
 }
 
-// withScalarKernel runs f under the portable micro-kernel, then restores
-// the best available backend.
-func withScalarKernel(f func()) {
-	useScalarKernel()
-	defer useSIMDKernel()
+// withKernel runs f under micro-kernel backend k, then restores the
+// installed one.
+func withKernel(k *gemmKernel, f func()) {
+	prev := activeKernel
+	installKernel(k)
+	defer installKernel(prev)
 	f()
+}
+
+// forEachKernel runs f as one subtest per kernel-table entry (named after
+// the entry, plus suffix), under that entry; entries the host cannot
+// execute skip with the reason logged, so an AVX-512 host still exercises
+// the AVX2 and scalar paths.
+func forEachKernel(t *testing.T, suffix string, f func(t *testing.T)) {
+	for i := range kernelTable {
+		k := &kernelTable[i]
+		t.Run(k.name+suffix, func(t *testing.T) {
+			if !k.supported {
+				t.Skipf("host CPU/OS does not support the %s kernel", k.name)
+			}
+			withKernel(k, func() { f(t) })
+		})
+	}
 }
 
 // tolFor scales the comparison tolerance with the accumulation depth: the
@@ -70,14 +87,8 @@ func TestGEMMBlockedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Run("simd-parallel", func(t *testing.T) { run(t, true) })
-	t.Run("simd-serial", func(t *testing.T) { run(t, false) })
-	t.Run("scalar-parallel", func(t *testing.T) {
-		withScalarKernel(func() { run(t, true) })
-	})
-	t.Run("scalar-serial", func(t *testing.T) {
-		withScalarKernel(func() { run(t, false) })
-	})
+	forEachKernel(t, "-parallel", func(t *testing.T) { run(t, true) })
+	forEachKernel(t, "-serial", func(t *testing.T) { run(t, false) })
 }
 
 // TestGEMMBlockedEquivalenceWorkers exercises the dynamic tile scheduler
@@ -171,7 +182,7 @@ func TestGEMMNaNPropagation(t *testing.T) {
 			{"GEMMNaive", func(c []float32) { GEMMNaive(false, false, m, n, k, 1, a, b, 0, c) }},
 			{"gemmSerial", func(c []float32) { gemmSerial(false, false, m, n, k, 1, a, b, 0, c) }},
 			{"blocked-scalar", func(c []float32) {
-				withScalarKernel(func() { blockedFull(false, false, m, n, k, 1, a, b, 0, c, true) })
+				withKernel(&scalarKernel, func() { blockedFull(false, false, m, n, k, 1, a, b, 0, c, true) })
 			}},
 		}
 		for _, p := range paths {
@@ -218,6 +229,12 @@ func TestGEMMZeroAllocSteadyState(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	r := tensor.NewRNG(14)
+	old := SetMaxWorkers(1)
+	defer SetMaxWorkers(old)
+	forEachKernel(t, "", func(t *testing.T) { zeroAllocSteadyState(t, r) })
+}
+
+func zeroAllocSteadyState(t *testing.T, r *tensor.RNG) {
 	m, n, k := 192, 192, 192
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
@@ -227,9 +244,6 @@ func TestGEMMZeroAllocSteadyState(t *testing.T) {
 	ab := randSlice(r, batch*32*32)
 	bb := randSlice(r, batch*32*32)
 	cb := make([]float32, batch*32*32)
-
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
 	GEMM(false, false, m, n, k, 1, a, b, 0, c) // warm the scratch pools
 	GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
 	BatchedGEMM(batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)

@@ -317,17 +317,19 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 	r := tensor.NewRNG(48)
 	m, n, k := 128, 128, 128
 	a := randSlice(r, m*k)
-	pb := PackWeight(false, n, k, randSlice(r, k*n))
 	c := make([]float32, m*n)
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
-	for _, kind := range epilogueKinds {
-		ep := makeEpilogue(r, kind, m, n, true)
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c) // warm pools
-		if avg := testing.AllocsPerRun(10, func() {
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
-		}); avg != 0 {
-			t.Errorf("%s: fused epilogue allocates %v per op in steady state, want 0", kind, avg)
+	forEachKernel(t, "", func(t *testing.T) {
+		pb := PackWeight(false, n, k, randSlice(r, k*n))
+		for _, kind := range epilogueKinds {
+			ep := makeEpilogue(r, kind, m, n, true)
+			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c) // warm pools
+			if avg := testing.AllocsPerRun(10, func() {
+				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
+			}); avg != 0 {
+				t.Errorf("%s: fused epilogue allocates %v per op in steady state, want 0", kind, avg)
+			}
 		}
-	}
+	})
 }

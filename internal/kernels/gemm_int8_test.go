@@ -60,13 +60,14 @@ func refGEMMInt8(m, n, k int, a []float32, pb *PackedBInt8, c []float32) {
 	}
 }
 
-// TestInt8KernelAsmMatchesGo cross-checks the AVX2 micro-kernel against
-// the portable Go one bit-for-bit on quantizer-realistic operands. Skipped
-// when the assembly kernel is not installed (non-AVX2 host or NOSIMD).
+// TestInt8KernelAsmMatchesGo cross-checks every table entry's int8
+// micro-kernel against the portable Go one bit-for-bit on
+// quantizer-realistic operands.
 func TestInt8KernelAsmMatchesGo(t *testing.T) {
-	if !useSIMDKernel() {
-		t.Skip("no SIMD backend on this host")
-	}
+	forEachKernel(t, "", int8KernelMatchesGo)
+}
+
+func int8KernelMatchesGo(t *testing.T) {
 	r := tensor.NewRNG(50)
 	for _, kg := range []int{1, 2, 3, 7, 64, 193} {
 		a := make([]uint8, kg*int8MR*int8KGroup)
@@ -78,7 +79,7 @@ func TestInt8KernelAsmMatchesGo(t *testing.T) {
 			b[i] = int8(r.Intn(2*int8WeightMax+1) - int8WeightMax) // [-63,63]
 		}
 		var accAsm, accGo [int8MR * int8NR]int32
-		int8Kernel4x16SIMD(kg, a, b, &accAsm)
+		int8Kernel(kg, a, b, &accAsm)
 		gemmInt8Kernel4x16Go(kg, a, b, &accGo)
 		if accAsm != accGo {
 			t.Fatalf("kg=%d: asm and Go kernels disagree\nasm: %v\ngo:  %v", kg, accAsm, accGo)
@@ -306,10 +307,12 @@ func TestGEMMInt8ZeroAlloc(t *testing.T) {
 	c := make([]float32, m*n)
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
-	GEMMInt8(m, n, k, a, pb, ep, c) // warm pools
-	if avg := testing.AllocsPerRun(10, func() {
-		GEMMInt8(m, n, k, a, pb, ep, c)
-	}); avg != 0 {
-		t.Errorf("GEMMInt8 allocates %v per op in steady state, want 0", avg)
-	}
+	forEachKernel(t, "", func(t *testing.T) {
+		GEMMInt8(m, n, k, a, pb, ep, c) // warm pools
+		if avg := testing.AllocsPerRun(10, func() {
+			GEMMInt8(m, n, k, a, pb, ep, c)
+		}); avg != 0 {
+			t.Errorf("GEMMInt8 allocates %v per op in steady state, want 0", avg)
+		}
+	})
 }

@@ -1,0 +1,98 @@
+package kernels
+
+import (
+	"fmt"
+	"os"
+
+	"demystbert/internal/obs"
+)
+
+// gemmKernel is one micro-kernel backend: the register-tile geometry the
+// packs and the tile sweep are built around, the f32 and int8 kernels, and
+// the vectorised transposing pack that goes with them (nil: the portable
+// Go loops). kernelTable (one per build, gemm_kernel_*.go) lists the
+// backends widest first; init installs the first supported one and tests
+// iterate over all of them with forEachKernel.
+type gemmKernel struct {
+	name      string
+	mr, nr    int
+	f32       func(kc int, a, b, c []float32, ldc int)
+	int8      func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32)
+	packT4    func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
+	supported bool
+}
+
+// scalarKernel is the portable backend: the last entry of every table,
+// the permanent state on non-amd64 builds and under DEMYSTBERT_NOSIMD=1,
+// and the cross-check oracle for the assembly kernels.
+var scalarKernel = gemmKernel{name: "scalar", mr: 4, nr: 4, f32: microKernel4x4, int8: gemmInt8Kernel4x16Go, supported: true}
+
+// The installed micro-kernel and its tile geometry. The hot paths read
+// these plain variables; only installKernel (init and tests) writes them.
+var (
+	activeKernel *gemmKernel
+	gemmMR       int
+	gemmNR       int
+)
+
+// microTileMax sizes the edge-tile side buffer: the largest micro-tile in
+// the table.
+var microTileMax = func() int {
+	m := 0
+	for _, k := range kernelTable {
+		m = max(m, k.mr*k.nr)
+	}
+	return m
+}()
+
+// checkKernel rejects a geometry the blocking cannot carry: row blocks and
+// stripes start on gemmMC multiples, so an mr that does not divide gemmMC
+// (or a stripe that is not whole row blocks) would hand microTileSweep a
+// row origin inside a micro-panel and compute garbage without any panic.
+func checkKernel(k *gemmKernel) error {
+	if gemmMC%k.mr != 0 || gemmStripe%gemmMC != 0 {
+		return fmt.Errorf("kernels: micro-kernel %q: mr=%d must divide gemmMC=%d and gemmMC must divide gemmStripe=%d",
+			k.name, k.mr, gemmMC, gemmStripe)
+	}
+	return nil
+}
+
+// pickKernel returns the widest supported entry, or the last (scalar) one
+// when SIMD is disabled.
+func pickKernel(table []gemmKernel, noSIMD bool) *gemmKernel {
+	for i := range table {
+		if table[i].supported && !noSIMD {
+			return &table[i]
+		}
+	}
+	return &table[len(table)-1]
+}
+
+func installKernel(k *gemmKernel) {
+	activeKernel, gemmMR, gemmNR = k, k.mr, k.nr
+	int8Kernel = k.int8
+}
+
+func init() {
+	for i := range kernelTable {
+		if err := checkKernel(&kernelTable[i]); err != nil {
+			panic(err)
+		}
+	}
+	k := pickKernel(kernelTable, os.Getenv("DEMYSTBERT_NOSIMD") != "")
+	installKernel(k)
+	obs.NewGauge(fmt.Sprintf(`kernels_gemm_kernel_info{isa="%s",mr="%d",nr="%d"}`, k.name, k.mr, k.nr),
+		"GEMM micro-kernel installed at start-up (constant 1; the labels carry the answer)").Set(1)
+}
+
+// KernelInfo names the installed GEMM micro-kernel and its register tile.
+type KernelInfo struct {
+	Name   string
+	MR, NR int
+}
+
+func (k KernelInfo) String() string { return fmt.Sprintf("%s %dx%d", k.Name, k.MR, k.NR) }
+
+// ActiveKernel reports which micro-kernel the GEMM engine runs on: the
+// widest one the CPU and OS support, or scalar under DEMYSTBERT_NOSIMD=1.
+func ActiveKernel() KernelInfo { return KernelInfo{activeKernel.name, gemmMR, gemmNR} }

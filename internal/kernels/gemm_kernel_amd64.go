@@ -2,10 +2,11 @@
 
 package kernels
 
-import "os"
+// Assembly micro-kernel bindings (gemm_kernel_amd64.s), the CPU feature
+// probe, and the kernel table built from them.
 
-// Assembly micro-kernel bindings (gemm_kernel_amd64.s) plus the CPU feature
-// probe that decides whether to install them.
+//go:noescape
+func sgemmKernel12x32(kc int64, a, b, c *float32, ldc int64)
 
 //go:noescape
 func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
@@ -13,11 +14,18 @@ func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
 //go:noescape
 func igemmKernel4x16(kg int64, a *uint8, b *int8, acc *int32)
 
+//go:noescape
+func packT4asm(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// microKernel6x16 adapts the AVX2+FMA assembly kernel to the generic
-// micro-kernel signature: C[0:6][0:16] += Apanel·Bpanel.
+// microKernel12x32 and microKernel6x16 adapt the assembly kernels to the
+// generic micro-kernel signature: C[0:mr][0:nr] += Apanel·Bpanel.
+func microKernel12x32(kc int, a, b, c []float32, ldc int) {
+	sgemmKernel12x32(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+}
+
 func microKernel6x16(kc int, a, b, c []float32, ldc int) {
 	sgemmKernel6x16(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
 }
@@ -30,42 +38,50 @@ func int8Kernel4x16SIMD(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32
 	igemmKernel4x16(int64(kg), &a[0], &b[0], &acc[0])
 }
 
-// haveAVX2FMA reports whether both the CPU and the OS support AVX2 and FMA
-// (including YMM state saving via XSAVE).
-var haveAVX2FMA = detectAVX2FMA()
+// cpuRegs is what the feature decision reads: the highest basic CPUID
+// leaf, CPUID.1:ECX, CPUID.7.0:EBX, and XCR0 (zero when OSXSAVE is clear
+// and XGETBV may not be executed).
+type cpuRegs struct{ maxLeaf, leaf1ECX, leaf7EBX, xcr0 uint32 }
 
-func detectAVX2FMA() bool {
-	maxID, _, _, _ := cpuid(0, 0)
-	if maxID < 7 {
-		return false
+func readCPU() cpuRegs {
+	var r cpuRegs
+	r.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, r.leaf1ECX, _ = cpuid(1, 0)
+	if r.maxLeaf >= 7 {
+		_, r.leaf7EBX, _, _ = cpuid(7, 0)
 	}
-	_, _, ecx1, _ := cpuid(1, 0)
-	const fma = 1 << 12
-	const osxsave = 1 << 27
-	if ecx1&fma == 0 || ecx1&osxsave == 0 {
-		return false
+	if r.leaf1ECX&cpuOSXSAVE != 0 {
+		r.xcr0, _ = xgetbv()
 	}
-	if eax, _ := xgetbv(); eax&0x6 != 0x6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	return r
 }
 
-// useSIMDKernel installs the 6×16 AVX2+FMA micro-kernel; it reports false
-// (leaving the scalar kernel active) when unsupported.
-func useSIMDKernel() bool {
-	if !haveAVX2FMA {
-		return false
+const (
+	cpuFMA     = 1 << 12 // CPUID.1:ECX
+	cpuOSXSAVE = 1 << 27 // CPUID.1:ECX
+	cpuAVX2    = 1 << 5  // CPUID.7.0:EBX
+	cpuAVX512F = 1 << 16 // CPUID.7.0:EBX
+	xcr0YMM    = 0x06    // XMM and YMM state enabled
+	xcr0ZMM    = 0xE6    // plus opmask, ZMM0-15 upper halves, ZMM16-31
+)
+
+// cpuFeatures decides which assembly kernels may run: the CPU must
+// implement the instructions and the OS must save the registers they use
+// (an AVX-512 CPU under an OS that leaves ZMM state disabled gets AVX2).
+func cpuFeatures(r cpuRegs) (avx2fma, avx512f bool) {
+	if r.maxLeaf < 7 || r.leaf1ECX&cpuFMA == 0 || r.leaf1ECX&cpuOSXSAVE == 0 {
+		return false, false
 	}
-	gemmMR, gemmNR, microKernel = 6, 16, microKernel6x16
-	int8Kernel = int8Kernel4x16SIMD
-	return true
+	avx2fma = r.leaf7EBX&cpuAVX2 != 0 && r.xcr0&xcr0YMM == xcr0YMM
+	avx512f = avx2fma && r.leaf7EBX&cpuAVX512F != 0 && r.xcr0&xcr0ZMM == xcr0ZMM
+	return avx2fma, avx512f
 }
 
-func init() {
-	if os.Getenv("DEMYSTBERT_NOSIMD") == "" {
-		useSIMDKernel()
+var kernelTable = func() []gemmKernel {
+	avx2fma, avx512f := cpuFeatures(readCPU())
+	return []gemmKernel{
+		{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, int8: int8Kernel4x16SIMD, packT4: packT4asm, supported: avx512f},
+		{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, int8: int8Kernel4x16SIMD, packT4: packT4asm, supported: avx2fma},
+		scalarKernel,
 	}
-}
+}()

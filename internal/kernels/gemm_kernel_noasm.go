@@ -2,6 +2,6 @@
 
 package kernels
 
-// useSIMDKernel is a no-op on platforms without an assembly micro-kernel;
-// the portable scalar kernel stays active.
-func useSIMDKernel() bool { return false }
+// No assembly micro-kernel on this platform: the portable one is the
+// whole table.
+var kernelTable = []gemmKernel{scalarKernel}

@@ -35,7 +35,7 @@ func edgeDims() []int {
 func TestGEMMPackedEquivalence(t *testing.T) {
 	run := func(t *testing.T) {
 		r := tensor.NewRNG(21)
-		mnDims := []int{1, gemmMR - 1, gemmMR + 1, gemmNR - 1, gemmNR + 1, 2*gemmMR*gemmNR + 1}
+		mnDims := []int{1, gemmMR - 1, gemmMR + 1, gemmNR - 1, gemmNR + 1, 2*gemmMC + 1}
 		kDims := []int{1, gemmMR + 1, gemmNR + 1, gemmKC - 1, gemmKC + 1}
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
@@ -60,8 +60,7 @@ func TestGEMMPackedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Run("active", run)
-	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { run(t) }) })
+	forEachKernel(t, "", run)
 }
 
 // TestGEMMPackedBitwiseMatchesGEMM: skipping packB must not change a single
@@ -125,20 +124,26 @@ func TestGEMMPackedArgChecks(t *testing.T) {
 	})
 }
 
-// TestGEMMPackedBackendMismatchPanics: a pack built for the SIMD panel
-// width is rejected under the scalar backend instead of misreading panels.
+// TestGEMMPackedBackendMismatchPanics: a pack built for one backend's
+// panel width is rejected under every other backend instead of misreading
+// panels (scalar under SIMD, and AVX2 under AVX-512 and back).
 func TestGEMMPackedBackendMismatchPanics(t *testing.T) {
-	if !useSIMDKernel() {
-		t.Skip("no SIMD kernel on this platform")
-	}
-	pb := PackWeight(false, 64, 64, make([]float32, 64*64))
-	withScalarKernel(func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("backend-mismatched pack did not panic")
+	forEachKernel(t, "", func(t *testing.T) {
+		pb := PackWeight(false, 64, 64, make([]float32, 64*64))
+		for i := range kernelTable {
+			other := &kernelTable[i]
+			if other.nr == pb.nr || !other.supported {
+				continue
 			}
-		}()
-		GEMMPacked(false, 32, 64, 64, 1, make([]float32, 32*64), pb, 0, make([]float32, 32*64))
+			withKernel(other, func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("pack built for nr=%d did not panic under the %s kernel", pb.nr, other.name)
+					}
+				}()
+				GEMMPacked(false, 32, 64, 64, 1, make([]float32, 32*64), pb, 0, make([]float32, 32*64))
+			})
+		}
 	})
 }
 
@@ -246,8 +251,7 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	t.Run("active", run)
-	t.Run("scalar", func(t *testing.T) { withScalarKernel(func() { run(t) }) })
+	forEachKernel(t, "", run)
 }
 
 // TestBatchedGEMMBlockedMatchesPerMatrix fuzzes random shapes through both

@@ -24,8 +24,8 @@ package kernels
 // into C.
 func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0, jrEnd, ms, ncb int) {
 	mr, nr := gemmMR, gemmNR
-	kern := microKernel
-	var tmp *[microTileMax]float32
+	kern := activeKernel.f32
+	var tmp *[]float32
 	for jr := jr0; jr < jrEnd; jr += nr {
 		nw := min(nr, ncb-jr)
 		bpanel := bp[(jr/nr)*nr*kcb:]
@@ -38,19 +38,16 @@ func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0
 				continue
 			}
 			if tmp == nil {
-				tmp = microTilePool.Get().(*[microTileMax]float32)
+				tmp = microTilePool.Get().(*[]float32)
 			}
-			clear(tmp[:mr*nr])
+			t := (*tmp)[:mr*nr]
+			clear(t)
 			for r := 0; r < mw; r++ {
-				copy(tmp[r*nr:r*nr+nw], cc[r*ldc:])
+				copy(t[r*nr:r*nr+nw], cc[r*ldc:])
 			}
-			kern(kcb, apanel, bpanel, tmp[:], nr)
+			kern(kcb, apanel, bpanel, t, nr)
 			for r := 0; r < mw; r++ {
-				crow := cc[r*ldc:]
-				trow := tmp[r*nr:]
-				for q := 0; q < nw; q++ {
-					crow[q] = trow[q]
-				}
+				copy(cc[r*ldc:r*ldc+nw], t[r*nr:])
 			}
 		}
 	}

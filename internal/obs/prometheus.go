@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // WritePrometheus renders every registered metric in the Prometheus text
@@ -13,15 +14,19 @@ import (
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, m := range r.Snapshot() {
+		// A name may carry a constant label set (an info metric such as
+		// kernels_gemm_kernel_info{isa="avx2"}); HELP and TYPE take the
+		// bare family name.
+		family, _, _ := strings.Cut(m.Name, "{")
 		if m.Desc != "" {
 			bw.WriteString("# HELP ")
-			bw.WriteString(m.Name)
+			bw.WriteString(family)
 			bw.WriteByte(' ')
 			bw.WriteString(m.Desc)
 			bw.WriteByte('\n')
 		}
 		bw.WriteString("# TYPE ")
-		bw.WriteString(m.Name)
+		bw.WriteString(family)
 		bw.WriteByte(' ')
 		bw.WriteString(m.Kind)
 		bw.WriteByte('\n')

@@ -88,7 +88,7 @@ go test -run 'TestLaunchZero1BitwiseMatchesUnsharded' -count=1 ./cmd/bertdist/
 echo "== memory-scaled BERT-Large smoke (reduced layers; accumulation + virtual shards + spill under GOMEMLIMIT)"
 go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -shards 2 -ckpt-every 1 -memlimit-mb 768 >/dev/null
 
-echo "== bench smoke (GEMM paper shapes + fused FFN tail + int8 + pool fork/join, 1 iteration)"
-go test -run 'xxx' -bench 'Fig6GEMMIntensity|GEMMPaperSizes|GEMMInt8PaperSizes|RealFFN|ForkJoin' -benchtime 1x -benchmem . ./internal/kernels/ >/dev/null
+echo "== bench smoke (GEMM paper shapes + fused FFN tail + int8 + pool fork/join + micro-kernels + transposing packs, 1 iteration)"
+go test -run 'xxx' -bench 'Fig6GEMMIntensity|GEMMPaperSizes|GEMMInt8PaperSizes|RealFFN|ForkJoin|MicroKernel|PackPanels' -benchtime 1x -benchmem . ./internal/kernels/ >/dev/null
 
 echo "check: OK"
