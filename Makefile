@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench-serve bench-dist fuzz clean
+.PHONY: all build test check bench-dist fuzz clean
 
 all: build
 
@@ -14,10 +14,6 @@ test:
 # benchmark smoke. CI entrypoint.
 check:
 	sh scripts/check.sh
-
-# Run the serving latency-vs-throughput frontier and emit BENCH_serve.json.
-bench-serve:
-	sh scripts/bench_serve.sh
 
 # Real multi-process distributed-training sweep (world x overlap) and
 # emit BENCH_dist.json with measured vs modeled scaling.

@@ -836,9 +836,8 @@ func BenchmarkGEMMPaperSizes(b *testing.B) {
 	// Table 2b batched attention shapes: per-(batch x head) score products
 	// n x n x dHead (NT) and context products n x dHead x n (NN), at
 	// sequence lengths 128 (phase-1) and 512 (phase-2) plus the real-engine
-	// TinyBERT shape (n=16, dHead=8) where per-matrix dispatch used to fall
-	// back to scalar naive. Each runs the blocked batched engine against the
-	// per-matrix baseline.
+	// TinyBERT shape (n=16, dHead=8), where each per-head product is below
+	// smallGEMMFlops and runs the naive loops.
 	type bshape struct {
 		name       string
 		ta, tb     bool
@@ -871,39 +870,29 @@ func BenchmarkGEMMPaperSizes(b *testing.B) {
 			},
 		)
 	}
-	bimpls := []struct {
-		name string
-		run  func(s bshape, a, bm, c []float32)
-	}{
-		{"blocked", func(s bshape, a, bm, c []float32) {
-			kernels.BatchedGEMM(s.batch, s.ta, s.tb, s.m, s.n, s.k, 1, a, s.sA, bm, s.sB, 0, c, s.sC)
-		}},
-		{"permatrix", func(s bshape, a, bm, c []float32) {
-			kernels.BatchedGEMMPerMatrix(s.batch, s.ta, s.tb, s.m, s.n, s.k, 1, a, s.sA, bm, s.sB, 0, c, s.sC)
-		}},
-	}
 	for _, s := range bshapes {
-		for _, im := range bimpls {
-			b.Run(s.name+"/"+im.name, func(b *testing.B) {
-				r := tensor.NewRNG(1)
-				a := make([]float32, s.batch*s.sA)
-				bm := make([]float32, s.batch*s.sB)
-				c := make([]float32, s.batch*s.sC)
-				for i := range a {
-					a[i] = r.Float32()
-				}
-				for i := range bm {
-					bm[i] = r.Float32()
-				}
-				im.run(s, a, bm, c) // warm pools
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					im.run(s, a, bm, c)
-				}
-				flops := float64(2*s.batch*s.m*s.n*s.k) * float64(b.N)
-				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
-		}
+		b.Run(s.name, func(b *testing.B) {
+			r := tensor.NewRNG(1)
+			a := make([]float32, s.batch*s.sA)
+			bm := make([]float32, s.batch*s.sB)
+			c := make([]float32, s.batch*s.sC)
+			for i := range a {
+				a[i] = r.Float32()
+			}
+			for i := range bm {
+				bm[i] = r.Float32()
+			}
+			run := func() {
+				kernels.BatchedGEMM(s.batch, s.ta, s.tb, s.m, s.n, s.k, 1, a, s.sA, bm, s.sB, 0, c, s.sC)
+			}
+			run() // warm pools
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+			flops := float64(2*s.batch*s.m*s.n*s.k) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
 	}
 }
 

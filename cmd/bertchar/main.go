@@ -281,7 +281,6 @@ func runLive(stdout io.Writer, sd *runutil.Shutdown, steps int, metricsPath stri
 		"kernels_pack_cache_rebuilds_total",
 		"kernels_pool_dispatches_total",
 		"kernels_pool_steals_total",
-		"kernels_batched_gemm_blocked_total",
 		"kernels_batched_gemm_per_matrix_total",
 	} {
 		if metric, ok := obs.Default.Find(name); ok {

@@ -1,15 +1,15 @@
 // Command bertserve runs the frozen-weight inference engine behind an
 // HTTP front-end with continuous batching — the serving-side counterpart
-// of bertprof's training characterization. It has three modes:
+// of bertprof's training characterization. It has two modes:
 //
-// Server (default): build the model, pre-pack every weight for the
-// selected GEMM path, and serve POST /v1/mlm (plus /healthz, /metrics,
+// Server (default): build the model, pre-pack every weight (f32 panels,
+// or int8 packs with -int8), and serve POST /v1/mlm (plus /healthz, /metrics,
 // /debug/pprof) until SIGINT/SIGTERM, which drains gracefully: HTTP
 // stops accepting, in-flight requests finish, every admitted request is
 // answered.
 //
 //	bertserve -addr :8080 [-layers N] [-dmodel D] [-heads H] [-dff F]
-//	          [-vocab V] [-maxpos P] [-gemm-path fused] [-max-batch 32]
+//	          [-vocab V] [-maxpos P] [-int8] [-max-batch 32]
 //	          [-max-delay 2ms] [-buckets 8,16,32] [-queue-cap 4096]
 //
 // Load generator: drive an already-running server (or error out) with
@@ -18,12 +18,8 @@
 //
 //	bertserve -loadgen -target http://host:8080 -rate 1000 -duration 10s
 //
-// Bench: run the full in-process latency-vs-throughput frontier across
-// GEMM paths plus the serial baseline and accuracy check, and write
-// BENCH_serve.json.
-//
-//	bertserve -bench [-bench-out BENCH_serve.json] [-rates 250,500,1000]
-//	          [-paths blocked,fused,int8] [-duration 5s]
+// The measured latency/throughput numbers of the engine itself come from
+// the repo benchmark (go run ./bench -workload serve_sat).
 package main
 
 import (
@@ -62,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	vocab := fs.Int("vocab", 1000, "vocabulary size")
 	maxpos := fs.Int("maxpos", 64, "maximum sequence length (position table size)")
 	seed := fs.Uint64("seed", 42, "deterministic weight seed")
-	gemmPath := fs.String("gemm-path", "fused", "GEMM path: auto|naive|blocked|packed|batched|fused|int8")
+	useInt8 := fs.Bool("int8", false, "run Linear forwards on the int8 quantized engine instead of f32")
 
 	// Scheduler policy.
 	addr := fs.String("addr", "localhost:8080", "serve address (\":0\" picks a free port)")
@@ -84,13 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxLen := fs.Int("max-len", 16, "maximum synthetic request length")
 	maskFrac := fs.Float64("mask-frac", 0.15, "fraction of positions masked")
 
-	// Frontier bench.
-	bench := fs.Bool("bench", false, "run the in-process latency-vs-throughput frontier and exit")
-	benchOut := fs.String("bench-out", "BENCH_serve.json", "frontier report output path")
-	paths := fs.String("paths", "blocked,fused,int8", "GEMM paths to sweep in -bench")
-	rates := fs.String("rates", "250,500,1000,2000", "offered rates to sweep in -bench")
-	satRate := fs.Float64("saturation-rate", 4000, "capacity-measurement rate for -bench")
-
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,18 +89,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DModel: *dmodel, Heads: *heads, DFF: *dff,
 		FusedAttention: true,
 	}
-	path, err := kernels.ParseGEMMPath(*gemmPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "bertserve: %v\n", err)
-		return 2
-	}
 	bkts, err := parseInts(*buckets)
 	if err != nil {
 		fmt.Fprintf(stderr, "bertserve: -buckets: %v\n", err)
 		return 2
 	}
 	ecfg := serve.Config{
-		Model: mcfg, Seed: *seed, GEMMPath: path,
+		Model: mcfg, Seed: *seed, Int8: *useInt8,
 		MaxBatch: *maxBatch, MaxDelay: *maxDelay,
 		Buckets: bkts, QueueCap: *queueCap,
 	}
@@ -125,14 +109,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaskFrac: *maskFrac, Vocab: *vocab, Seed: *seed,
 	}
 
-	switch {
-	case *bench:
-		return runBench(ecfg, spec, *paths, *rates, *satRate, *benchOut, stdout, stderr)
-	case *loadgen:
+	if *loadgen {
 		return runLoadgen(spec, *target, stdout, stderr)
-	default:
-		return runServer(ecfg, *addr, *traceOut, stdout, stderr)
 	}
+	return runServer(ecfg, *addr, *traceOut, stdout, stderr)
 }
 
 // runServer serves until SIGINT/SIGTERM, then drains: HTTP first (stop
@@ -170,8 +150,8 @@ func runServer(ecfg serve.Config, addr, traceOut string, stdout, stderr io.Write
 	sd.Defer("drain http", func() { srv.ShutdownTimeout(5 * time.Second) })
 
 	eff := engine.Config()
-	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (gemm=%s, kernel=%s, buckets=%v, max_batch=%d, max_delay=%v, warmed %d packs)\n",
-		srv.Addr, eff.GEMMPath, kernels.ActiveKernel(), eff.Buckets, eff.MaxBatch, eff.MaxDelay, engine.WarmedPacks)
+	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (int8=%v, kernel=%s, buckets=%v, max_batch=%d, max_delay=%v, warmed %d packs)\n",
+		srv.Addr, eff.Int8, kernels.ActiveKernel(), eff.Buckets, eff.MaxBatch, eff.MaxDelay, engine.WarmedPacks)
 	<-done // signal handler drains and exits the process
 	return 0
 }
@@ -225,42 +205,6 @@ func httpTarget(client *http.Client, base string) serve.Target {
 	}
 }
 
-// runBench runs the in-process frontier and writes BENCH_serve.json.
-func runBench(ecfg serve.Config, spec serve.LoadSpec, paths, rates string, satRate float64, out string, stdout, stderr io.Writer) int {
-	rateList, err := parseFloats(rates)
-	if err != nil {
-		fmt.Fprintf(stderr, "bertserve: -rates: %v\n", err)
-		return 2
-	}
-	bcfg := serve.BenchConfig{
-		Model:          ecfg,
-		Spec:           spec,
-		Paths:          splitNonEmpty(paths),
-		Rates:          rateList,
-		SaturationRate: satRate,
-	}
-	rep, err := serve.RunBench(bcfg, stdout)
-	if err != nil {
-		fmt.Fprintf(stderr, "bertserve: bench: %v\n", err)
-		return 1
-	}
-	// Serving metrics accumulate across the sweep; snapshot them into
-	// the report sidecar via the debug mux if someone is watching, but
-	// the artifact itself is self-contained.
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "bertserve: %v\n", err)
-		return 1
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		fmt.Fprintf(stderr, "bertserve: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", out)
-	return 0
-}
-
 func splitNonEmpty(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {
@@ -275,18 +219,6 @@ func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, p := range splitNonEmpty(s) {
 		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, p := range splitNonEmpty(s) {
-		v, err := strconv.ParseFloat(p, 64)
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,51 +17,13 @@ func runCmd(t *testing.T, args ...string) (string, string, int) {
 
 func TestFlagErrors(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad gemm path":        {"-gemm-path", "nope"},
+		"removed gemm path":    {"-gemm-path", "fused"},
+		"removed bench mode":   {"-bench"},
 		"bad buckets":          {"-buckets", "8,x"},
 		"loadgen needs target": {"-loadgen"},
-		"bad rates":            {"-bench", "-rates", "1,zz"},
 	} {
 		if _, _, code := runCmd(t, args...); code != 2 {
 			t.Errorf("%s: exit code %d, want 2", name, code)
-		}
-	}
-}
-
-// TestBenchWritesReport runs a minuscule frontier (one path, one rate,
-// tiny durations) end to end and checks the BENCH_serve.json schema.
-func TestBenchWritesReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench run in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	stdout, stderr, code := runCmd(t,
-		"-bench", "-bench-out", out,
-		"-paths", "fused", "-rates", "200",
-		"-saturation-rate", "600", "-duration", "300ms")
-	if code != 0 {
-		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep serve.BenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Frontier) != 2 { // one sweep rate + the saturation point
-		t.Errorf("frontier has %d points, want 2", len(rep.Frontier))
-	}
-	if rep.SerialBaseline.LoadResult == nil || rep.SerialBaseline.OK == 0 {
-		t.Error("serial baseline missing or empty")
-	}
-	if !rep.EqualAccuracy {
-		t.Error("batched and serial predictions diverged")
-	}
-	for _, pt := range rep.Frontier {
-		if pt.PackMisses != 0 {
-			t.Errorf("path %s took %d steady-state pack misses", pt.Path, pt.PackMisses)
 		}
 	}
 }

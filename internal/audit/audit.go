@@ -1,8 +1,9 @@
 // Package audit is a differential correctness harness for the engine's
 // semantically-equivalent execution paths. The same math is implemented
-// many ways — naive vs blocked vs packed vs batched GEMM, 1..N pool
-// workers, FP32 vs mixed-precision storage, stored vs checkpointed
-// activations, fused vs unfused attention softmax — and their mutual
+// many ways — naive vs blocked vs fused vs size-routed GEMM, int8 vs f32
+// Linear forwards, 1..N pool workers, FP32 vs mixed-precision storage,
+// stored vs checkpointed activations, fused vs unfused attention softmax —
+// and their mutual
 // agreement was previously only spot-checked per kernel. The harness runs
 // whole modules (each nn layer, the full encoder block, BERT.Step,
 // FineTuner.Step) forward+backward through the cross-product of execution
@@ -27,12 +28,17 @@ import (
 	"sort"
 
 	"demystbert/internal/kernels"
+	"demystbert/internal/nn"
 )
 
 // Mode is one point in the execution-mode cross product.
 type Mode struct {
-	// Path forces every GEMM entry point down one implementation.
+	// Path forces every GEMM entry point down one implementation
+	// (GEMMPathAuto: production's own per-call routing).
 	Path kernels.GEMMPath
+	// Int8 runs Linear forwards on the quantized engine (nn.Ctx.Int8);
+	// enumerated over auto routing only, the way serving runs it.
+	Int8 bool
 	// Workers is the kernel pool width (kernels.SetMaxWorkers).
 	Workers int
 	// MP enables mixed-precision activation storage (nn.Ctx.MixedPrecision).
@@ -46,8 +52,12 @@ type Mode struct {
 }
 
 func (m Mode) String() string {
+	path := m.Path.String()
+	if m.Int8 {
+		path = "int8"
+	}
 	return fmt.Sprintf("path=%s/w=%d/mp=%v/ckpt=%v/fused=%v",
-		m.Path, m.Workers, m.MP, m.Ckpt, m.Fused)
+		path, m.Workers, m.MP, m.Ckpt, m.Fused)
 }
 
 // Oracle returns the reference mode this mode is differenced against: the
@@ -65,8 +75,8 @@ func (m Mode) Oracle() Mode {
 func (m Mode) IsOracle() bool { return m == m.Oracle() }
 
 // apply installs the mode's global knobs (GEMM path, worker count) and
-// returns a restore function. Per-context knobs (MP, Ckpt, Fused) are
-// applied by each subject's runner.
+// returns a restore function. Per-context knobs come from ctx (MP, Int8)
+// and from each subject's runner (Ckpt, Fused).
 func (m Mode) apply() (restore func()) {
 	prevPath := kernels.SetGEMMPath(m.Path)
 	prevW := kernels.SetMaxWorkers(m.Workers)
@@ -76,17 +86,32 @@ func (m Mode) apply() (restore func()) {
 	}
 }
 
+// ctx returns a fresh training context carrying the mode's numeric
+// settings, seeded like every other audit context.
+func (m Mode) ctx() *nn.Ctx {
+	c := nn.NewCtx(ctxSeed)
+	c.MixedPrecision = m.MP
+	c.Int8 = m.Int8
+	return c
+}
+
+// routes are the GEMM-route × int8 points every mode list is built from:
+// the oracle, the two forced engine routes, production's own routing, and
+// production's routing with int8 Linear forwards.
+var routes = []Mode{
+	{Path: kernels.GEMMPathNaive},
+	{Path: kernels.GEMMPathBlocked},
+	{Path: kernels.GEMMPathFused},
+	{Path: kernels.GEMMPathAuto},
+	{Path: kernels.GEMMPathAuto, Int8: true},
+}
+
 // Modes enumerates the cross product for a subject. Worker counts are
 // {1, 2, GOMAXPROCS} deduplicated; dimensions the subject does not have
 // (fusion without attention, checkpointing without a checkpoint path) are
 // pinned to false rather than enumerated, so the matrix has no aliased
 // duplicate modes.
 func Modes(s *Subject, quick bool) []Mode {
-	paths := []kernels.GEMMPath{
-		kernels.GEMMPathNaive, kernels.GEMMPathBlocked,
-		kernels.GEMMPathPacked, kernels.GEMMPathBatched,
-		kernels.GEMMPathFused, kernels.GEMMPathInt8,
-	}
 	workers := dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)})
 	mps := []bool{false, true}
 	ckpts := []bool{false}
@@ -104,12 +129,14 @@ func Modes(s *Subject, quick bool) []Mode {
 		mps = []bool{false}
 	}
 	var ms []Mode
-	for _, p := range paths {
+	for _, r := range routes {
 		for _, w := range workers {
 			for _, mp := range mps {
 				for _, ck := range ckpts {
 					for _, fu := range fuseds {
-						ms = append(ms, Mode{Path: p, Workers: w, MP: mp, Ckpt: ck, Fused: fu})
+						m := r
+						m.Workers, m.MP, m.Ckpt, m.Fused = w, mp, ck, fu
+						ms = append(ms, m)
 					}
 				}
 			}
@@ -148,11 +175,11 @@ var (
 	// and computes each element in the identical serial order for any
 	// worker count, so it must be bitwise at any width.
 	tolNaiveWorkers = Tol{}
-	// tolBlockedFwd: the blocked/packed/batched engines accumulate each
-	// dot product in kc-sized partial sums with an alpha-scaled packed A
-	// operand, a different float32 accumulation order than the naive
-	// loops, so results differ by rounding. Forward activations in the
-	// audit subjects stay O(1) with k ≤ 64.
+	// tolBlockedFwd: the blocked engine (forced, or chosen by auto routing)
+	// accumulates each dot product in kc-sized partial sums with an
+	// alpha-scaled packed A operand, a different float32 accumulation
+	// order than the naive loops, so results differ by rounding. Forward
+	// activations in the audit subjects stay O(1) with k ≤ 64.
 	tolBlockedFwd = Tol{Abs: 1e-5, Rel: 1e-5}
 	// tolBlockedGrad: gradients compose more GEMMs (dX and dW per
 	// linear) and sum longer chains, so rounding differences compound.
@@ -170,7 +197,7 @@ var (
 	// tolMPSanity: the loose FP32-vs-MP forward check. ~2^-11 relative
 	// per quantization, compounding across layers.
 	tolMPSanity = Tol{Abs: 5e-2, Rel: 5e-2}
-	// tolInt8Fwd: the int8 path quantizes activations to 8 bits (per-row
+	// tolInt8Fwd: the int8 mode quantizes activations to 8 bits (per-row
 	// scale) and weights to 7 bits (per-column scale), so its forward
 	// output differs from the f32 oracle by real quantization error, not
 	// rounding — ~2^-7 relative per operand, compounding through layers
@@ -192,7 +219,7 @@ var (
 // mode m against its oracle.
 func tolerances(m Mode) (fwd, grad Tol) {
 	switch {
-	case m.Path == kernels.GEMMPathInt8:
+	case m.Int8:
 		// Quantized forward: real approximation error, not rounding.
 		fwd = fwd.max(tolInt8Fwd)
 		grad = grad.max(tolInt8Grad)
@@ -320,17 +347,18 @@ func diffScalar(got, want float64, tol Tol) string {
 	return ""
 }
 
-// CheckFastPathEquivalence pins two empirically-verified bitwise
-// invariants among the fast paths themselves (a much stronger statement
-// than the tolerance-based oracle comparison): packed ≡ blocked — the
-// pre-packed engine hands the tile grid byte-identical micro-panels with
-// the identical schedule, so skipping the per-call packB pass must not
-// change a single bit — batched ≡ blocked — the flattened batched engine
-// runs the same micro-kernel over the same kc blocking per matrix — and
-// fused ≡ blocked — the fused-epilogue engine shares the packed schedule
-// and performs the tail's exact float expressions in the unfused order,
-// so folding bias/GeLU/residual/LN into the write-back must not change a
-// single bit either (the headline numerics claim of the epilogue engine).
+// CheckFastPathEquivalence pins the bitwise invariant between the two
+// forced engine routes (a much stronger statement than the tolerance-based
+// oracle comparison): fused ≡ blocked. The fused route differs from the
+// blocked one in exactly two shortcuts, so equality implies both — packed
+// ≡ blocked: the pre-packed engine hands the tile grid byte-identical
+// micro-panels with the identical schedule, so skipping the per-call packB
+// pass must not change a single bit — and fused ≡ unfused: the epilogue
+// engine performs the tail's exact float expressions in the unfused order,
+// so folding bias/GeLU/residual/LN into the write-back must not either
+// (the headline numerics claim of the epilogue engine). Each half also has
+// a kernel-level pin of its own (TestGEMMPackedBitwiseMatchesGEMM,
+// TestGEMMPackedEpilogueFusedBitwiseUnfused).
 func CheckFastPathEquivalence(s *Subject, workers int) []Divergence {
 	run := func(p kernels.GEMMPath) *Trace {
 		m := Mode{Path: p, Workers: workers}
@@ -338,14 +366,10 @@ func CheckFastPathEquivalence(s *Subject, workers int) []Divergence {
 		defer restore()
 		return s.Run(m)
 	}
-	blocked := run(kernels.GEMMPathBlocked)
-	var divs []Divergence
-	for _, p := range []kernels.GEMMPath{kernels.GEMMPathPacked, kernels.GEMMPathBatched, kernels.GEMMPathFused} {
-		m := Mode{Path: p, Workers: workers}
-		for _, d := range compareTraces(s.Name, m, run(p), blocked, Tol{}, Tol{}) {
-			d.Kind = "fastpath-equiv"
-			divs = append(divs, d)
-		}
+	m := Mode{Path: kernels.GEMMPathFused, Workers: workers}
+	divs := compareTraces(s.Name, m, run(kernels.GEMMPathFused), run(kernels.GEMMPathBlocked), Tol{}, Tol{})
+	for i := range divs {
+		divs[i].Kind = "fastpath-equiv"
 	}
 	return divs
 }
@@ -379,7 +403,7 @@ func RunModes(s *Subject, ms []Mode) []Divergence {
 		}
 		fwd, grad := tolerances(m)
 		divs = append(divs, compareTraces(s.Name, m, got, want, fwd, grad)...)
-		if m.MP && m.Path == kernels.GEMMPathNaive && m.Workers == 1 && !m.Ckpt && !m.Fused {
+		if m.MP && m.IsOracle() {
 			// Loose FP32-vs-MP sanity: quantized forward must stay near
 			// the full-precision forward (gradients excluded; surrogate
 			// upstream gradients make their MP deltas uninformative).

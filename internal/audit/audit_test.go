@@ -64,10 +64,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestFastPathEquivalence pins the bitwise agreement of the fast paths
-// among themselves: packed ≡ blocked (pre-packed panels are byte-identical
-// to per-call packing) and batched ≡ blocked (the flattened engine runs
-// the same per-matrix schedule).
+// TestFastPathEquivalence pins the bitwise agreement of the two forced
+// engine routes, fused ≡ blocked, which holds only if both packed ≡ blocked
+// (pre-packed panels are byte-identical to per-call packing) and fused ≡
+// unfused (the epilogue write-back repeats the reference tail's float
+// expressions) do.
 func TestFastPathEquivalence(t *testing.T) {
 	workers := []int{1, runtime.GOMAXPROCS(0)}
 	if testing.Short() {
@@ -107,21 +108,31 @@ func TestMatrixDimensions(t *testing.T) {
 		t.Fatal("bert.step subject missing")
 	}
 	ms := Modes(bert, false)
-	paths := map[kernels.GEMMPath]bool{}
+	type route struct {
+		path kernels.GEMMPath
+		int8 bool
+	}
+	paths := map[route]bool{}
 	workers := map[int]bool{}
 	var mp, ckpt, fused bool
 	for _, m := range ms {
-		paths[m.Path] = true
+		paths[route{m.Path, m.Int8}] = true
 		workers[m.Workers] = true
 		mp = mp || m.MP
 		ckpt = ckpt || m.Ckpt
 		fused = fused || m.Fused
 	}
-	if len(paths) != 6 {
-		t.Errorf("GEMM paths enumerated: %d, want 6 (naive/blocked/packed/batched/fused/int8)", len(paths))
+	if len(paths) != 5 || !paths[route{kernels.GEMMPathAuto, false}] || !paths[route{kernels.GEMMPathAuto, true}] {
+		t.Errorf("GEMM routes enumerated: %v, want 5 (naive/blocked/fused/auto/auto+int8)", paths)
 	}
-	if wantW := len(dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)})); len(workers) != wantW {
+	wantW := len(dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)}))
+	if len(workers) != wantW {
 		t.Errorf("worker widths enumerated: %d, want %d", len(workers), wantW)
+	}
+	// 5 routes × widths × mp{2} × ckpt{2} × fused{2}: 80 on the 2-vCPU
+	// reference host.
+	if want := 5 * wantW * 8; len(ms) != want {
+		t.Errorf("bert.step matrix has %d modes, want %d", len(ms), want)
 	}
 	if !mp || !ckpt || !fused {
 		t.Errorf("dimension missing from matrix: mp=%v ckpt=%v fused=%v", mp, ckpt, fused)
@@ -132,12 +143,27 @@ func TestMatrixDimensions(t *testing.T) {
 // eval-mode encoder subjects for the mutation test below. The production
 // modules zero-initialize their biases, and a multiplicative fault on a
 // zero bias is invisible — the roster subjects would make the mutation
-// test vacuously green.
-func mutationSubjects() []*Subject {
-	lin := moduleSubject("linear.biased", false, func(Mode) *modInstance {
+// test vacuously green. With fault set, every route but the naive oracle
+// computes with its biases scaled 1.5× — a stand-in for a fast path whose
+// bias handling is broken.
+func mutationSubjects(fault bool) []*Subject {
+	skew := func(m Mode, params []*nn.Param) {
+		seed := uint64(weightSeed + 2)
+		for _, p := range params {
+			if !strings.HasSuffix(p.Name, ".bias") {
+				continue
+			}
+			fillInput(p.Value, seed)
+			seed++
+			if fault && m.Path != kernels.GEMMPathNaive {
+				kernels.Scale(p.Value.Data(), p.Value.Data(), 1.5)
+			}
+		}
+	}
+	lin := moduleSubject("linear.biased", false, func(m Mode) *modInstance {
 		rng := tensor.NewRNG(weightSeed)
 		l := nn.NewLinear("audit.linb", linIn, linOut, profile.CatLinear, rng)
-		fillInput(l.B.Value, weightSeed+2)
+		skew(m, l.Params())
 		x := tensor.New(linTokens, linIn)
 		fillInput(x, dataSeed)
 		dY := tensor.New(linTokens, linOut)
@@ -152,19 +178,12 @@ func mutationSubjects() []*Subject {
 	enc.Run = func(m Mode) *Trace {
 		rng := tensor.NewRNG(weightSeed)
 		e := nn.NewEncoderLayer("audit.encb", encDModel, encHeads, encDFF, 0.1, rng)
-		seed := uint64(weightSeed + 2)
-		for _, p := range e.Params() {
-			if strings.HasSuffix(p.Name, ".bias") {
-				fillInput(p.Value, seed)
-				seed++
-			}
-		}
+		skew(m, e.Params())
 		e.Attn.FusedSoftmax = m.Fused
 		mask := paddingMask(encB, encN)
 		x := tensor.New(encB*encN, encDModel)
 		fillInput(x, dataSeed)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		ctx.Train = false
 		y := e.Forward(ctx, x, encB, encN, mask)
 		tr := newTrace()
@@ -174,37 +193,29 @@ func mutationSubjects() []*Subject {
 	return []*Subject{lin, enc}
 }
 
-// TestHarnessCatchesBrokenEpilogue is the harness's own mutation test for
-// the new fused paths: it injects a bias fault into the fused tile
-// write-back (kernels.SetEpilogueDebugBiasScale — the forced unfused
-// reference paths stay honest) and asserts the differential comparison
-// flags every fused-engine mode. A harness that stays green under a
-// deliberately broken epilogue would be decorative.
+// TestHarnessCatchesBrokenEpilogue is the harness's own mutation test: a
+// subject whose fast routes add a 1.5×-skewed bias while its naive oracle
+// stays honest must be flagged in every non-oracle route, int8's wide
+// quantization band included. A harness that stays green under a
+// deliberately broken fast path would be decorative.
 func TestHarnessCatchesBrokenEpilogue(t *testing.T) {
-	prev := kernels.SetEpilogueDebugBiasScale(1.5)
-	defer kernels.SetEpilogueDebugBiasScale(prev)
-	if prev != 1 {
-		t.Fatalf("debug bias scale at rest = %v, want 1", prev)
+	modes := []Mode{
+		{Path: kernels.GEMMPathFused, Workers: 1},
+		{Path: kernels.GEMMPathAuto, Workers: 1},
+		{Path: kernels.GEMMPathAuto, Int8: true, Workers: 1},
 	}
-	for _, s := range mutationSubjects() {
-		for _, m := range []Mode{
-			{Path: kernels.GEMMPathFused, Workers: 1},
-			{Path: kernels.GEMMPathInt8, Workers: 1},
-		} {
+	for _, s := range mutationSubjects(true) {
+		for _, m := range modes {
 			if divs := RunModes(s, []Mode{m}); len(divs) == 0 {
-				t.Errorf("%s [%s]: harness failed to flag a 1.5x-skewed fused bias", s.Name, m)
+				t.Errorf("%s [%s]: harness failed to flag a 1.5x-skewed bias", s.Name, m)
 			}
 		}
 	}
-	// With the fault removed the same modes must be green again, proving
-	// the failure above came from the injected fault alone.
-	kernels.SetEpilogueDebugBiasScale(prev)
-	for _, s := range mutationSubjects() {
-		for _, d := range RunModes(s, []Mode{
-			{Path: kernels.GEMMPathFused, Workers: 1},
-			{Path: kernels.GEMMPathInt8, Workers: 1},
-		}) {
-			t.Errorf("after fault removal: %s", d)
+	// Without the fault the same subjects and modes must be green, proving
+	// the failures above came from the injected fault alone.
+	for _, s := range mutationSubjects(false) {
+		for _, d := range RunModes(s, modes) {
+			t.Errorf("without the fault: %s", d)
 		}
 	}
 }
@@ -212,7 +223,7 @@ func TestHarnessCatchesBrokenEpilogue(t *testing.T) {
 // TestOracleDefinition pins the oracle construction: naive path, one
 // worker, matching MP, everything else off.
 func TestOracleDefinition(t *testing.T) {
-	m := Mode{Path: kernels.GEMMPathBatched, Workers: 7, MP: true, Ckpt: true, Fused: true}
+	m := Mode{Path: kernels.GEMMPathAuto, Int8: true, Workers: 7, MP: true, Ckpt: true, Fused: true}
 	o := m.Oracle()
 	want := Mode{Path: kernels.GEMMPathNaive, Workers: 1, MP: true}
 	if o != want {

@@ -26,22 +26,22 @@ import (
 const determinismSteps = 3
 
 // DeterminismModes returns the mode points the trajectory pin runs at:
-// every worker width at the full fast-path stack plus the oracle path, MP
-// both ways (quick: fast path only, FP32 only).
+// every worker width on the forced fused route (the engine at every size)
+// plus the oracle route, MP, and production routing with int8 forwards
+// (quick: fused only, FP32 only).
 func DeterminismModes(quick bool) []Mode {
 	workers := dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)})
 	var ms []Mode
 	for _, w := range workers {
-		ms = append(ms, Mode{Path: kernels.GEMMPathBatched, Workers: w})
+		ms = append(ms, Mode{Path: kernels.GEMMPathFused, Workers: w})
 		if !quick {
 			ms = append(ms, Mode{Path: kernels.GEMMPathNaive, Workers: w})
-			ms = append(ms, Mode{Path: kernels.GEMMPathBatched, Workers: w, MP: true})
-			// The fused-epilogue and int8 engines must also replay
-			// bit-identically: fused shares the packed schedule, and int8
-			// re-quantizes per call from the same weights in fixed integer
-			// order.
-			ms = append(ms, Mode{Path: kernels.GEMMPathFused, Workers: w})
-			ms = append(ms, Mode{Path: kernels.GEMMPathInt8, Workers: w})
+			ms = append(ms, Mode{Path: kernels.GEMMPathFused, Workers: w, MP: true})
+			// Size-based routing and the int8 engine must also replay
+			// bit-identically: the route is a function of the shapes, and
+			// int8 re-quantizes per call from the same weights in fixed
+			// integer order.
+			ms = append(ms, Mode{Path: kernels.GEMMPathAuto, Int8: true, Workers: w})
 		}
 	}
 	return ms

@@ -125,23 +125,18 @@ func gradCheckLoss(subject string, m Mode, params []*nn.Param,
 }
 
 // GradModes returns the reduced mode list gradchecking runs at: one mode
-// per GEMM path (finite differences validate analytic-vs-numeric per
+// per GEMM route (finite differences validate analytic-vs-numeric per
 // implementation; the worker dimension is already pinned bitwise by the
-// oracle comparison), with softmax fusion exercised on the batched path
-// and the fused-epilogue engine exercised as its own path. The int8 path
-// is deliberately excluded: its forward is a quantized step function of
-// the parameters, so central differences measure the quantizer's
-// staircase, not the gradient (the same reason MP modes are skipped).
+// oracle comparison), with softmax fusion exercised on production's auto
+// routing. Int8 forwards are deliberately excluded: they are a quantized
+// step function of the parameters, so central differences measure the
+// quantizer's staircase, not the gradient (the same reason MP modes are
+// skipped).
 func GradModes(s *Subject) []Mode {
-	ms := []Mode{
+	return []Mode{
 		{Path: kernels.GEMMPathNaive, Workers: 1},
 		{Path: kernels.GEMMPathBlocked, Workers: 1},
-		{Path: kernels.GEMMPathPacked, Workers: 1},
 		{Path: kernels.GEMMPathFused, Workers: 1},
+		{Path: kernels.GEMMPathAuto, Workers: 2, Fused: s.HasAttention},
 	}
-	last := Mode{Path: kernels.GEMMPathBatched, Workers: 2}
-	if s.HasAttention {
-		last.Fused = true
-	}
-	return append(ms, last)
 }

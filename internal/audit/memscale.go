@@ -38,27 +38,23 @@ func accumConfig(fused bool) model.Config {
 }
 
 // AccumModes enumerates the accumulation-equivalence matrix: every GEMM
-// path × checkpointing, at one and at full pool width. MP is pinned off
-// (the loss-scaling interplay is audited separately) and attention
-// fusion is exercised through the fused path entry.
+// route × checkpointing, at one and at full pool width. MP is pinned off
+// (the loss-scaling interplay is audited separately).
 func AccumModes(quick bool) []Mode {
-	paths := []kernels.GEMMPath{
-		kernels.GEMMPathNaive, kernels.GEMMPathBlocked,
-		kernels.GEMMPathPacked, kernels.GEMMPathBatched,
-		kernels.GEMMPathFused, kernels.GEMMPathInt8,
-	}
 	workers := dedupInts([]int{1, runtime.GOMAXPROCS(0)})
 	if quick {
-		paths = []kernels.GEMMPath{
-			kernels.GEMMPathNaive, kernels.GEMMPathBlocked, kernels.GEMMPathBatched,
-		}
 		workers = dedupInts([]int{runtime.GOMAXPROCS(0)})
 	}
 	var ms []Mode
-	for _, p := range paths {
+	for _, r := range routes {
+		if quick && r.Path == kernels.GEMMPathAuto {
+			continue // quick: the forced routes, where the pin is bitwise
+		}
 		for _, w := range workers {
 			for _, ck := range []bool{false, true} {
-				ms = append(ms, Mode{Path: p, Workers: w, Ckpt: ck})
+				m := r
+				m.Workers, m.Ckpt = w, ck
+				ms = append(ms, m)
 			}
 		}
 	}
@@ -71,19 +67,18 @@ func AccumModes(quick bool) []Mode {
 // gradients. Both runs share the mode's worker count and GEMM path, so
 // the only varying factor is the accumulation split itself.
 //
-// The int8 path is the one exception to bitwise: it only redirects the
-// frozen-weight Linear forward, so its other GEMMs keep auto routing —
-// and the auto small-GEMM fallback picks a kernel by 2·m·n·k, which
+// Auto routing (with or without int8 forwards) is the one exception to
+// bitwise: the small-GEMM fallback picks a kernel by 2·m·n·k, which
 // accumulation changes (k is the token count in every wgrad). A
 // micro-batch can take the naive fallback where the full batch takes the
-// blocked kernel; the difference is pure f32 rounding, so that path is
+// blocked kernel; the difference is pure f32 rounding, so that route is
 // pinned at the blocked-engine tolerance instead.
 func CheckAccumEquivalence(m Mode) []Divergence {
 	restore := m.apply()
 	defer restore()
 
 	var fwd, grad Tol
-	if m.Path == kernels.GEMMPathInt8 {
+	if m.Path == kernels.GEMMPathAuto {
 		fwd, grad = tolBlockedFwd, tolBlockedGrad
 	}
 
@@ -96,7 +91,7 @@ func CheckAccumEquivalence(m Mode) []Divergence {
 			bert.CheckpointEvery = 1
 		}
 		batch := data.NewGenerator(accumConfig(false).Vocab, 0.15, dataSeed).Next(accumB, stepN)
-		ctx := nn.NewCtx(ctxSeed)
+		ctx := m.ctx()
 		bert.ZeroGrads()
 		var loss float64
 		if accum == 1 {

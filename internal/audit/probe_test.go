@@ -47,26 +47,25 @@ func TestProbePathDeltas(t *testing.T) {
 			for _, m := range []Mode{
 				{Path: kernels.GEMMPathNaive, Workers: 4},
 				{Path: kernels.GEMMPathBlocked, Workers: 1},
-				{Path: kernels.GEMMPathPacked, Workers: 1},
-				{Path: kernels.GEMMPathBatched, Workers: 4},
 				{Path: kernels.GEMMPathFused, Workers: 4},
-				{Path: kernels.GEMMPathInt8, Workers: 4},
+				{Path: kernels.GEMMPathAuto, Workers: 4},
+				{Path: kernels.GEMMPathAuto, Int8: true, Workers: 4},
 			} {
 				rel, bw := probeDiff(t, s, m, naive)
 				t.Logf("%-40s vs oracle: maxRel=%.3g bitwise=%v", m, rel, bw)
 			}
-			// Packed-vs-blocked bitwise claim from the pre-packed GEMM
-			// design: same panel geometry, same micro-kernel schedule.
+			// Fused-vs-blocked bitwise claim: same panel geometry, same
+			// micro-kernel schedule, same tail expressions.
 			rel, bw := probeDiff(t, s,
-				Mode{Path: kernels.GEMMPathPacked, Workers: 2},
+				Mode{Path: kernels.GEMMPathFused, Workers: 2},
 				Mode{Path: kernels.GEMMPathBlocked, Workers: 2})
-			t.Logf("%-40s packed vs blocked: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
+			t.Logf("%-40s fused vs blocked: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
 			if s.HasAttention {
-				base := Mode{Path: kernels.GEMMPathBatched, Workers: 2}
+				base := Mode{Path: kernels.GEMMPathFused, Workers: 2}
 				fused := base
 				fused.Fused = true
 				rel, bw = probeDiff(t, s, fused, base)
-				t.Logf("%-40s fused vs unfused: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
+				t.Logf("%-40s fused vs unfused softmax: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
 			}
 		})
 	}

@@ -78,8 +78,7 @@ type modInstance struct {
 func moduleSubject(name string, hasAttention bool, build func(m Mode) *modInstance) *Subject {
 	run := func(m Mode) *Trace {
 		inst := build(m)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		y := inst.forward(ctx)
 		tr := newTrace()
 		tr.add("out", y.Data())
@@ -222,8 +221,7 @@ func newEncoderEvalSubject() *Subject {
 		mask := paddingMask(encB, encN)
 		x := tensor.New(encB*encN, encDModel)
 		fillInput(x, dataSeed)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		ctx.Train = false
 		y := e.Forward(ctx, x, encB, encN, mask)
 		tr := newTrace()
@@ -249,8 +247,7 @@ func newBERTStepSubject() *Subject {
 	s.Run = func(m Mode) *Trace {
 		bert := buildStepBERT(m)
 		batch := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed).Next(stepB, stepN)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		bert.ZeroGrads()
 		loss := bert.Step(ctx, batch)
 		tr := newTrace()
@@ -278,8 +275,7 @@ func newBERTStepSubject() *Subject {
 		bert := buildStepBERT(m)
 		gen := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed)
 		opt := optim.NewLAMB(0.01)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		params := bert.Params()
 		losses := make([]float64, steps)
 		for i := range losses {
@@ -301,8 +297,7 @@ func newFineTuneStepSubject() *Subject {
 	}
 	s.Run = func(m Mode) *Trace {
 		ft, batch := build(m)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		ft.ZeroGrads()
 		loss := ft.Step(ctx, batch)
 		tr := newTrace()
@@ -316,8 +311,7 @@ func newFineTuneStepSubject() *Subject {
 		ft, _ := build(m)
 		gen := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed+1)
 		opt := optim.NewLAMB(0.01)
-		ctx := nn.NewCtx(ctxSeed)
-		ctx.MixedPrecision = m.MP
+		ctx := m.ctx()
 		params := ft.Params()
 		losses := make([]float64, steps)
 		for i := range losses {

@@ -161,7 +161,7 @@ func TestRingSizeMismatchPanics(t *testing.T) {
 
 // Steady-state AllReduce on a held Ring must not allocate: the per-step
 // chunk copies of the old implementation are the regression this guards
-// against (the guard runs in check.sh next to the kernel alloc guards).
+// against.
 func TestRingAllReduceZeroAllocSteadyState(t *testing.T) {
 	const d, n = 4, 4096
 	ring := NewRing(d, n)

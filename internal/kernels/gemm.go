@@ -31,20 +31,22 @@ func GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 	if k == 0 || alpha == 0 {
 		return
 	}
-	switch CurrentGEMMPath() {
-	case GEMMPathNaive:
+	gemmRouted(transA, transB, m, n, k, alpha, a, b, c, true)
+}
+
+// gemmRouted accumulates C += alpha·op(A)·op(B) on the route the active
+// path selects (beta applied and quick returns taken by the caller): the
+// naive loops when forced, or under auto for products too small to repay
+// packing, else the blocked engine. par allows pool parallelism;
+// BatchedGEMM passes false for its per-matrix products.
+func gemmRouted(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, par bool) {
+	switch path := CurrentGEMMPath(); {
+	case path == GEMMPathNaive && par:
 		gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
-	case GEMMPathBlocked, GEMMPathPacked, GEMMPathBatched, GEMMPathFused:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, true)
+	case path == GEMMPathNaive, path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
+		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
 	default:
-		// Auto — and GEMMPathInt8, which only redirects the frozen-weight
-		// Linear forward (the caller routes to GEMMInt8); every other
-		// product keeps production routing.
-		if 2*m*n*k < smallGEMMFlops {
-			gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
-			return
-		}
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, true)
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, par)
 	}
 }
 
@@ -203,15 +205,12 @@ func axpy(s float32, x, y []float32) {
 // launched as a single kernel, Section 3.2.2). Matrix i of each operand
 // begins at offset i·stride of its buffer.
 //
-// The batch runs through the flattened blocked engine
-// (gemm_batched_blocked.go): operands are packed once per matrix, then
-// (matrix × row-block × column-segment) work items share one worker-pool
-// region, so load balance does not depend on the batch count and small
-// per-head matrices still hit the SIMD micro-kernel. Batches whose packed
-// operands would exceed the scratch cap fall back to
-// BatchedGEMMPerMatrix. It panics if a stride is smaller than its matrix
-// or a buffer cannot hold all batch entries, since a silent out-of-bounds
-// access would corrupt a later batch element.
+// Whole matrices are distributed over the worker pool and each product
+// runs single-threaded through the same routing as GEMM (naive below
+// smallGEMMFlops, the blocked engine above), so the result is bitwise a
+// serial loop of GEMM calls at any worker count. It panics if a stride is
+// smaller than its matrix or a buffer cannot hold all batch entries, since
+// a silent out-of-bounds access would corrupt a later batch element.
 func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
 	checkBatchedGEMMArgs(batch, m, n, k, a, strideA, b, strideB, c, strideC)
 	if batch == 0 {
@@ -230,59 +229,22 @@ func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a [
 		}
 		return
 	}
-	mr, nr := gemmMR, gemmNR
-	mRound := (m + mr - 1) / mr * mr
-	nRound := (n + nr - 1) / nr * nr
-	if int64(batch)*int64(mRound+nRound)*int64(k) > batchedPackCapFloats {
-		batchedPackCapTrips.Inc()
-		batchedPerMatrixRuns.Inc()
-		batchedPerMatrix(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
-		return
-	}
-	switch CurrentGEMMPath() {
-	case GEMMPathNaive, GEMMPathBlocked, GEMMPathPacked:
-		// Forced sub-batched path: run per-matrix; gemmSerial routes each
-		// matrix product to the forced implementation.
-		batchedPerMatrixRuns.Inc()
-		batchedPerMatrix(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
-		return
-	case GEMMPathBatched, GEMMPathFused:
-		batchedBlockedRuns.Inc()
-		batchedBlocked(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
-		return
-	}
-	// The flattened engine wins by (a) running sub-threshold matrices
-	// through the micro-kernel instead of the scalar naive path and
-	// (b) exposing batch x tile parallelism to the pool. With a serial
-	// pool and matrices already above the small-GEMM threshold neither
-	// applies, and per-matrix dispatch keeps each pack L2-resident
-	// instead of staging the whole batch's panels up front.
-	if MaxWorkers() <= 1 && 2*m*n*k >= smallGEMMFlops {
-		batchedPerMatrixRuns.Inc()
-		batchedPerMatrix(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
-		return
-	}
-	batchedBlockedRuns.Inc()
-	batchedBlocked(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
+	batchedGEMMRuns.Inc()
+	s := batchedPool.Get().(*batchedState)
+	s.transA, s.transB = transA, transB
+	s.m, s.n, s.k = m, n, k
+	s.alpha, s.beta = alpha, beta
+	s.a, s.b, s.c = a, b, c
+	s.sA, s.sB, s.sC = strideA, strideB, strideC
+	parallelRun(batch, 1, s)
+	s.a, s.b, s.c = nil, nil, nil
+	batchedPool.Put(s)
 }
 
-// BatchedGEMMPerMatrix is the previous batch-level-parallel
-// implementation: batch elements are distributed over the worker pool and
-// each per-matrix GEMM runs single-threaded (naive below the
-// small-product threshold). It is kept as the fallback for batches whose
-// packed operands would not fit the blocked engine's scratch cap, as the
-// "before" baseline for the batched benchmarks, and as a second oracle
-// for the equivalence suite. Same semantics as BatchedGEMM.
+// BatchedGEMMPerMatrix is BatchedGEMM under the name it had while a second,
+// flattened batched engine existed beside it; bench/ still calls it.
 func BatchedGEMMPerMatrix(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
-	checkBatchedGEMMArgs(batch, m, n, k, a, strideA, b, strideB, c, strideC)
-	if batch == 0 {
-		return
-	}
-	if batch == 1 {
-		GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
-		return
-	}
-	batchedPerMatrix(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
+	BatchedGEMM(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
 }
 
 // checkBatchedGEMMArgs validates dims, strides, and — unlike the
@@ -319,19 +281,6 @@ func checkBatchedGEMMArgs(batch, m, n, k int, a []float32, strideA int, b []floa
 	}
 }
 
-// batchedPerMatrix distributes whole matrices over the worker pool.
-func batchedPerMatrix(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
-	s := batchedPool.Get().(*batchedState)
-	s.transA, s.transB = transA, transB
-	s.m, s.n, s.k = m, n, k
-	s.alpha, s.beta = alpha, beta
-	s.a, s.b, s.c = a, b, c
-	s.sA, s.sB, s.sC = strideA, strideB, strideC
-	parallelRun(batch, 1, s)
-	s.a, s.b, s.c = nil, nil, nil
-	batchedPool.Put(s)
-}
-
 // batchedState is the pooled parallel-region body of BatchedGEMM: item i
 // is the i-th matrix product of the batch.
 type batchedState struct {
@@ -346,35 +295,12 @@ var batchedPool = sync.Pool{New: func() any { return new(batchedState) }}
 
 func (s *batchedState) runRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		gemmSerial(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
+		c := s.c[i*s.sC : i*s.sC+s.m*s.n]
+		scaleC(c, s.beta)
+		gemmRouted(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
 			s.a[i*s.sA:i*s.sA+s.m*s.k],
 			s.b[i*s.sB:i*s.sB+s.k*s.n],
-			s.beta,
-			s.c[i*s.sC:i*s.sC+s.m*s.n])
-	}
-}
-
-// gemmSerial is GEMM without internal parallelism, used per batch element.
-func gemmSerial(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	checkGEMMArgs(transA, transB, m, n, k, a, b, c)
-	if m == 0 || n == 0 {
-		return
-	}
-	scaleC(c[:m*n], beta)
-	if k == 0 || alpha == 0 {
-		return
-	}
-	switch CurrentGEMMPath() {
-	case GEMMPathNaive:
-		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
-	case GEMMPathBlocked, GEMMPathPacked, GEMMPathBatched, GEMMPathFused:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, false)
-	default:
-		if 2*m*n*k < smallGEMMFlops {
-			gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
-			return
-		}
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, false)
+			c, false)
 	}
 }
 

@@ -125,8 +125,7 @@ func (g *gemmState) runRange(lo, hi int) {
 }
 
 // tile computes one row-block × column-segment piece of C from the packed
-// panels via the shared micro-tile sweep (gemm_small.go), keeping the A
-// block hot in L2.
+// panels, keeping the A block hot in L2.
 func (g *gemmState) tile(t int) {
 	i := (t / g.segs) * gemmMC
 	iEnd := min(i+gemmMC, g.ms)
@@ -139,6 +138,54 @@ func (g *gemmState) tile(t int) {
 }
 
 var microTilePool = sync.Pool{New: func() any { s := make([]float32, microTileMax); return &s }}
+
+// microTileSweep accumulates C[ir0:irEnd][jr0:jrEnd] += Apanels·Bpanels
+// for one depth block of kcb packed steps. c addresses the full packed
+// region: element (r, j) lives at c[r*ldc+j], ap/bp hold mr-row and
+// nr-column micro-panels of ms live rows and ncb live columns (panel i
+// at ap[i*mr*kcb:], panel j at bp[j*nr*kcb:], zero-padded). ir0/jr0 must
+// be multiples of mr/nr. The micro-kernel is a continuation fold (its
+// accumulators seed from C), so the sweep preserves that property: a
+// depth range split across calls folds bitwise-identically to one call.
+// Full tiles go straight to the micro-kernel; edge tiles land in a
+// pooled side buffer first (a plain local array would escape through the
+// indirect kern call and allocate per tile) that is seeded with the live
+// C region and copied back afterwards — panel padding is zero and a
+// zero-seeded fma lane stays exactly zero, so the dead lanes never leak
+// into C.
+func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0, jrEnd, ms, ncb int) {
+	mr, nr := gemmMR, gemmNR
+	kern := activeKernel.f32
+	var tmp *[]float32
+	for jr := jr0; jr < jrEnd; jr += nr {
+		nw := min(nr, ncb-jr)
+		bpanel := bp[(jr/nr)*nr*kcb:]
+		for ir := ir0; ir < irEnd; ir += mr {
+			mw := min(mr, ms-ir)
+			apanel := ap[(ir/mr)*mr*kcb:]
+			cc := c[ir*ldc+jr:]
+			if mw == mr && nw == nr {
+				kern(kcb, apanel, bpanel, cc, ldc)
+				continue
+			}
+			if tmp == nil {
+				tmp = microTilePool.Get().(*[]float32)
+			}
+			t := (*tmp)[:mr*nr]
+			clear(t)
+			for r := 0; r < mw; r++ {
+				copy(t[r*nr:r*nr+nw], cc[r*ldc:])
+			}
+			kern(kcb, apanel, bpanel, t, nr)
+			for r := 0; r < mw; r++ {
+				copy(cc[r*ldc:r*ldc+nw], t[r*nr:])
+			}
+		}
+	}
+	if tmp != nil {
+		microTilePool.Put(tmp)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Packing.

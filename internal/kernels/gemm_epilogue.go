@@ -2,9 +2,7 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Fused GEMM epilogues. The paper's operator-fusion study (Section 6.1)
@@ -119,36 +117,15 @@ func (ep *Epilogue) check(m, n int) {
 	}
 }
 
-// epilogueDebugBiasScale is a fault-injection knob for the audit
-// harness's self-test: the fused tile write-back multiplies the bias by
-// this factor, so a deliberately skewed scale must surface as a
-// divergence between the fused path and its unfused oracle. It exists
-// only to prove the differential harness can catch a broken epilogue;
-// production code never touches it. Stored as float bits for race-free
-// access from the -race audit legs.
-var epilogueDebugBiasScale atomic.Uint32
-
-func init() { epilogueDebugBiasScale.Store(math.Float32bits(1)) }
-
-// SetEpilogueDebugBiasScale installs a bias fault factor for the fused
-// write-back (1 = correct behavior) and returns the previous factor.
-// Test-only: see epilogueDebugBiasScale.
-func SetEpilogueDebugBiasScale(s float32) float32 {
-	return math.Float32frombits(epilogueDebugBiasScale.Swap(math.Float32bits(s)))
-}
-
-func debugBiasScale() float32 { return math.Float32frombits(epilogueDebugBiasScale.Load()) }
-
 // GEMMPackedEpilogue computes C = alpha·op(A)·pb followed by the epilogue
 // tail, overwriting C (beta = 0 semantics: epilogues define the full
 // output). pb is op(B) packed by PackWeight, as in GEMMPacked.
 //
-// Routing mirrors the other entry points: the forced naive / blocked /
-// packed / batched paths run the plain GEMM and then the unfused
-// reference tail (the differential comparators for the audit harness),
-// while auto and the forced fused path run the fused engine. Fused and
-// unfused results are bitwise identical on the same backend (see the
-// package comment above).
+// Routing mirrors the other entry points: the forced naive and blocked
+// paths run the plain GEMM and then the unfused reference tail (the
+// differential comparators for the audit harness), while auto and the
+// forced fused path run the fused engine. Fused and unfused results are
+// bitwise identical on the same backend (see the package comment above).
 func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
 	if ep == nil || ep.Kind == EpilogueNone {
 		GEMMPacked(transA, m, n, k, alpha, a, pb, 0, c)
@@ -182,17 +159,12 @@ func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb
 		scaleC(c[:m*n], 0)
 		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, c, true)
 		ep.applyReference(c, m, n)
-	case GEMMPathPacked, GEMMPathBatched:
-		scaleC(c[:m*n], 0)
-		gemmPackedBlocked(transA, m, n, k, alpha, a, pb, c)
-		ep.applyReference(c, m, n)
 	case GEMMPathFused:
 		gemmPackedFused(transA, m, n, k, alpha, a, pb, ep, c)
 	default:
-		// Auto (and the int8 override, whose redirect lives in the
-		// caller): tiny products keep the naive fallback — the packed
-		// engine never pays for itself down there — with the reference
-		// tail; everything else runs fused.
+		// Auto: tiny products keep the naive fallback — the packed engine
+		// never pays for itself down there — with the reference tail;
+		// everything else runs fused.
 		if 2*m*n*k < smallGEMMFlops {
 			scaleC(c[:m*n], 0)
 			gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
@@ -280,13 +252,12 @@ func gemmPackedFused(transA bool, m, n, k int, alpha float32, a []float32, pb *P
 // kind only bias+residual happens here — normalization needs complete
 // rows and runs in finalizeLNRows.
 func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
-	bs := debugBiasScale()
 	switch ep.Kind {
 	case EpilogueBias:
 		for r := r0; r < r1; r++ {
 			row := c[r*ld : r*ld+c1]
 			for j := c0; j < c1; j++ {
-				row[j] += bs * ep.Bias[j]
+				row[j] += ep.Bias[j]
 			}
 		}
 	case EpilogueBiasGeLU:
@@ -295,14 +266,14 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 			if ep.X != nil {
 				xrow := ep.X[r*ld : r*ld+c1]
 				for j := c0; j < c1; j++ {
-					pre := row[j] + bs*ep.Bias[j]
+					pre := row[j] + ep.Bias[j]
 					xrow[j] = pre
 					row[j] = geluScalar(pre)
 				}
 				continue
 			}
 			for j := c0; j < c1; j++ {
-				row[j] = geluScalar(row[j] + bs*ep.Bias[j])
+				row[j] = geluScalar(row[j] + ep.Bias[j])
 			}
 		}
 	case EpilogueBiasResidualLayerNorm:
@@ -312,7 +283,7 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 			for j := c0; j < c1; j++ {
 				// Same association as the unfused sequence: (acc+bias)
 				// first (AddBias), then +residual (AccumulateInto).
-				row[j] = (row[j] + bs*ep.Bias[j]) + res[j]
+				row[j] = (row[j] + ep.Bias[j]) + res[j]
 			}
 		}
 	}

@@ -354,7 +354,6 @@ func (s *int8RunState) runRange(lo, hi int) {
 	bPanelBytes := kg * int8NR * int8KGroup
 	colPanels := (n + int8NR - 1) / int8NR
 	acc := int8AccPool.Get().(*[int8MR * int8NR]int32)
-	bs := debugBiasScale()
 	kind := EpilogueNone
 	if ep != nil {
 		kind = ep.Kind
@@ -380,13 +379,13 @@ func (s *int8RunState) runRange(lo, hi int) {
 					for j := 0; j < cols; j++ {
 						col := j0 + j
 						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
-						row[col] = v + bs*ep.Bias[col]
+						row[col] = v + ep.Bias[col]
 					}
 				case EpilogueBiasGeLU:
 					for j := 0; j < cols; j++ {
 						col := j0 + j
 						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
-						pre := v + bs*ep.Bias[col]
+						pre := v + ep.Bias[col]
 						if ep.X != nil {
 							ep.X[(rp*int8MR+r)*n+col] = pre
 						}
@@ -397,7 +396,7 @@ func (s *int8RunState) runRange(lo, hi int) {
 					for j := 0; j < cols; j++ {
 						col := j0 + j
 						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
-						row[col] = (v + bs*ep.Bias[col]) + res[col]
+						row[col] = (v + ep.Bias[col]) + res[col]
 					}
 				}
 			}

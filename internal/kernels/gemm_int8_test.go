@@ -293,8 +293,7 @@ func TestPackCacheInt8(t *testing.T) {
 }
 
 // TestGEMMInt8ZeroAlloc: quantize + compute must be allocation-free in
-// steady state (scratch pools and pooled region states). Wired into
-// scripts/check.sh next to the other alloc guards.
+// steady state (scratch pools and pooled region states).
 func TestGEMMInt8ZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")

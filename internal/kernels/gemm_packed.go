@@ -103,7 +103,7 @@ func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Packed
 		// Forced blocked-without-prepack: ignore the cached panels and
 		// pack the raw operand per call, like GEMM does.
 		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, c, true)
-	case GEMMPathPacked, GEMMPathBatched, GEMMPathFused:
+	case GEMMPathFused:
 		gemmPackedBlocked(transA, m, n, k, alpha, a, pb, c)
 	default:
 		if 2*m*n*k < smallGEMMFlops {

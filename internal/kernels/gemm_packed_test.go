@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -220,11 +221,13 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestBatchedGEMMBlockedEquivalence drives the flattened blocked engine
-// against the float64 reference: all four transpose combinations, edge
-// dims, strided (non-contiguous) layouts, and a beta accumulate, on both
-// backends.
+// TestBatchedGEMMBlockedEquivalence drives BatchedGEMM with every matrix
+// forced through the blocked engine against the float64 reference: all
+// four transpose combinations, edge dims the size rule would hand to the
+// naive loops, strided (non-contiguous) layouts, and a beta accumulate, on
+// every backend.
 func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
+	defer SetGEMMPath(SetGEMMPath(GEMMPathBlocked))
 	run := func(t *testing.T) {
 		r := tensor.NewRNG(26)
 		dims := []int{1, gemmMR + 1, gemmNR - 1, 2*gemmNR + 3}
@@ -237,10 +240,7 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 					b := randSlice(r, (batch-1)*sB+k*n)
 					got := randSlice(r, (batch-1)*sC+m*n)
 					want := append([]float32(nil), got...)
-					// Call the engine directly: the public BatchedGEMM may
-					// route to the per-matrix path (serial pool, big
-					// matrices), and this test is about the flattened engine.
-					batchedBlocked(batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
+					BatchedGEMM(batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
 					for i := 0; i < batch; i++ {
 						refGEMM(ta, tb, m, n, k, 1.25, a[i*sA:], b[i*sB:], 0.5, want[i*sC:i*sC+m*n])
 					}
@@ -254,40 +254,67 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 	forEachKernel(t, "", run)
 }
 
-// TestBatchedGEMMBlockedMatchesPerMatrix fuzzes random shapes through both
-// batched implementations.
-func TestBatchedGEMMBlockedMatchesPerMatrix(t *testing.T) {
+// TestBatchedGEMMMatchesLoopOfGEMM pins the batched contract: BatchedGEMM
+// is bitwise a serial loop of GEMM calls over the strided operands — at any
+// worker count, for all four transpose combinations, with the slack between
+// matrices untouched, on shapes both sides of smallGEMMFlops (so both the
+// naive and the blocked per-matrix route are compared) and at BERT's
+// attention shapes.
+func TestBatchedGEMMMatchesLoopOfGEMM(t *testing.T) {
+	shapes := []struct{ batch, m, n, k int }{
+		{5, 7, 5, 9},              // far below smallGEMMFlops: naive loops
+		{6, 16, 16, 63},           // 2mnk = 32256, just below the threshold
+		{6, 16, 16, 64},           // 2mnk = 32768, exactly at it: blocked engine
+		{3, 37, 29, 41},           // above, edge tiles in both directions
+		{4, 128, 128, 64},         // attention score at n=128, d/h=64
+		{4, 128, 64, 128},         // attention context
+		{2, 24, 40, 2*gemmKC + 5}, // several depth blocks
+	}
 	r := tensor.NewRNG(27)
-	for trial := 0; trial < 30; trial++ {
-		batch := 2 + r.Intn(7)
-		m, n, k := 1+r.Intn(40), 1+r.Intn(40), 1+r.Intn(40)
-		ta, tb := r.Intn(2) == 1, r.Intn(2) == 1
-		a := randSlice(r, batch*m*k)
-		b := randSlice(r, batch*k*n)
-		got := make([]float32, batch*m*n)
-		want := make([]float32, batch*m*n)
-		batchedBlocked(batch, ta, tb, m, n, k, 1, a, m*k, b, k*n, 0, got, m*n)
-		BatchedGEMMPerMatrix(batch, ta, tb, m, n, k, 1, a, m*k, b, k*n, 0, want, m*n)
-		if d := maxAbsDiff(got, want); d > tolFor(k) {
-			t.Fatalf("trial %d (tA=%v tB=%v batch=%d %dx%dx%d): blocked vs per-matrix diff %v",
-				trial, ta, tb, batch, m, n, k, d)
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	for _, sh := range shapes {
+		batch, m, n, k := sh.batch, sh.m, sh.n, sh.k
+		sA, sB, sC := m*k+3, k*n+1, m*n+7
+		a := randSlice(r, (batch-1)*sA+m*k)
+		b := randSlice(r, (batch-1)*sB+k*n)
+		c0 := randSlice(r, (batch-1)*sC+m*n)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				SetMaxWorkers(1)
+				want := append([]float32(nil), c0...)
+				for i := 0; i < batch; i++ {
+					GEMM(ta, tb, m, n, k, 0.75, a[i*sA:i*sA+m*k], b[i*sB:i*sB+k*n], 0.5, want[i*sC:i*sC+m*n])
+				}
+				for _, w := range []int{1, 2, 4} {
+					SetMaxWorkers(w)
+					got := append([]float32(nil), c0...)
+					BatchedGEMM(batch, ta, tb, m, n, k, 0.75, a, sA, b, sB, 0.5, got, sC)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("batch=%d %dx%dx%d tA=%v tB=%v workers=%d: c[%d] = %v, loop of GEMM gives %v",
+								batch, m, n, k, ta, tb, w, i, got[i], want[i])
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestBatchedGEMMDeterministic: the flattened schedule writes every C tile
-// from exactly one work item, so repeated runs are bitwise identical even
-// with parallel workers.
+// TestBatchedGEMMDeterministic: every matrix is one work item with a fixed
+// loop order, so repeated runs are bitwise identical even with parallel
+// workers.
 func TestBatchedGEMMDeterministic(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(4))
 	r := tensor.NewRNG(28)
 	batch, m, n, k := 16, 33, 29, 65
 	a := randSlice(r, batch*m*k)
 	b := randSlice(r, batch*k*n)
 	first := make([]float32, batch*m*n)
-	batchedBlocked(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, first, m*n)
+	BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, first, m*n)
 	for run := 0; run < 3; run++ {
 		c := make([]float32, batch*m*n)
-		batchedBlocked(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, c, m*n)
+		BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, c, m*n)
 		for i := range c {
 			if c[i] != first[i] {
 				t.Fatalf("run %d differs at %d", run, i)
@@ -338,25 +365,4 @@ func TestBatchedGEMMQuickReturns(t *testing.T) {
 		}
 	}
 	BatchedGEMM(2, false, false, 0, 2, 2, 1, nil, 0, make([]float32, 8), 4, 0, nil, 0)
-}
-
-// TestBatchedGEMMPackCapFallback pushes a batch over the packed-scratch
-// cap and checks the per-matrix fallback produces the same results.
-func TestBatchedGEMMPackCapFallback(t *testing.T) {
-	// mRound+nRound ≈ 2·520 with k=2048: 3 matrices ≈ 6.4M floats > cap/…
-	// choose shape so batch*(mRound+nRound)*k > 1<<23 with modest memory.
-	batch, m, n, k := 3, 516, 516, 2048
-	if int64(batch)*int64(m+n+16)*int64(k) <= batchedPackCapFloats {
-		t.Skip("shape no longer exceeds the cap")
-	}
-	r := tensor.NewRNG(29)
-	a := randSlice(r, batch*m*k)
-	b := randSlice(r, batch*k*n)
-	got := make([]float32, batch*m*n)
-	want := make([]float32, batch*m*n)
-	BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, got, m*n)
-	BatchedGEMMPerMatrix(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, want, m*n)
-	if d := maxAbsDiff(got, want); d > tolFor(k) {
-		t.Fatalf("cap-fallback diff %v", d)
-	}
 }

@@ -1,53 +1,46 @@
 package kernels
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // GEMMPath selects which implementation the GEMM entry points route to.
 //
-// Production runs leave the path on GEMMPathAuto, where routing is decided
-// per call by product size and operand packing (small products take the
-// naive loops, large ones the cache-blocked engine, pre-packed weights the
-// packed engine, batches the flattened batched engine). The audit harness
-// (internal/audit) forces one path for a whole forward+backward pass so
-// every semantically-equivalent implementation can be differential-tested
-// against the naive/serial oracle at model scale — including shapes the
-// size heuristics would normally never send to a given path (edge tiles,
-// k < NR, single-row stripes).
+// Production never sets it: under GEMMPathAuto every call decides its own
+// route from its operands — products below smallGEMMFlops take the naive
+// loops, larger ones the cache-blocked engine, pre-packed weights skip the
+// per-call pack, epilogues fuse into the tile write-back, and a batch runs
+// one product per work item. The other three values are a test hook: the
+// audit harness (internal/audit) and the kernel tests force one route for
+// a whole forward+backward pass so the implementations can be
+// differential-tested against each other at model scale — including
+// shapes the size rule would never send to the engine (edge tiles, k < NR,
+// single-row stripes). One value per route that differs in code executed:
+//
+//	             small products   B operand           epilogue tail
+//	auto         naive loops      pre-packed panels   fused (engine) / reference (naive)
+//	naive        naive loops      raw                 reference
+//	blocked      engine           packed per call     reference
+//	fused        engine           pre-packed panels   fused
+//
+// blocked is the bitwise comparator for fused: same micro-kernel, same
+// panel bytes, same schedule, with both shortcuts (pack reuse, fused tail)
+// turned off.
 type GEMMPath int32
 
 const (
 	// GEMMPathAuto is the production default: size- and operand-based
-	// routing, exactly as before path forcing existed.
+	// routing.
 	GEMMPathAuto GEMMPath = iota
 	// GEMMPathNaive forces the unblocked row-saxpy/dot reference loops
 	// everywhere (the oracle implementation).
 	GEMMPathNaive
-	// GEMMPathBlocked forces the cache-blocked packed engine with
-	// per-call operand packing; pre-packed weights are ignored and
-	// batches run per-matrix.
+	// GEMMPathBlocked forces the cache-blocked engine at every size with
+	// per-call operand packing (pre-packed weights are ignored) and the
+	// unfused reference epilogue tail.
 	GEMMPathBlocked
-	// GEMMPathPacked is GEMMPathBlocked plus pre-packed weight reuse on
-	// GEMMPacked calls; batches still run per-matrix.
-	GEMMPathPacked
-	// GEMMPathBatched is GEMMPathPacked plus the flattened batched
-	// blocked engine for BatchedGEMM (the full fast-path stack).
-	GEMMPathBatched
-	// GEMMPathFused is GEMMPathBatched plus fused GEMM epilogues: on
-	// GEMMPackedEpilogue calls the bias / bias+GeLU / bias+residual+
-	// LayerNorm tail is applied inside the tile write-back instead of as
-	// separate element-wise passes (gemm_epilogue.go). Plain GEMM and
-	// BatchedGEMM entry points route exactly like GEMMPathBatched.
+	// GEMMPathFused forces the cache-blocked engine at every size with
+	// pre-packed weight reuse on GEMMPacked calls and the epilogue tail
+	// fused into the tile write-back on GEMMPackedEpilogue calls.
 	GEMMPathFused
-	// GEMMPathInt8 routes frozen-weight forward GEMMs (nn.Linear with a
-	// cached int8 weight pack) through the quantized GEMMInt8 engine;
-	// every other GEMM entry point falls back to auto routing. The
-	// selection happens in the caller (nn.Linear checks this path), so
-	// forcing it audits int8 forwards against the f32 oracle while the
-	// backward pass stays in f32.
-	GEMMPathInt8
 )
 
 // String names the path for mode tables and audit reports.
@@ -59,28 +52,10 @@ func (p GEMMPath) String() string {
 		return "naive"
 	case GEMMPathBlocked:
 		return "blocked"
-	case GEMMPathPacked:
-		return "packed"
-	case GEMMPathBatched:
-		return "batched"
 	case GEMMPathFused:
 		return "fused"
-	case GEMMPathInt8:
-		return "int8"
 	}
 	return "invalid"
-}
-
-// ParseGEMMPath maps a path name (as produced by String) back to its
-// GEMMPath — the flag-parsing inverse for binaries that take a
-// -gemm-path argument.
-func ParseGEMMPath(s string) (GEMMPath, error) {
-	for p := GEMMPathAuto; p <= GEMMPathInt8; p++ {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return GEMMPathAuto, fmt.Errorf("kernels: unknown GEMM path %q (want auto|naive|blocked|packed|batched|fused|int8)", s)
 }
 
 // gemmPath is the active path override; reads are a single atomic load on
@@ -88,9 +63,10 @@ func ParseGEMMPath(s string) (GEMMPath, error) {
 // do).
 var gemmPath atomic.Int32
 
-// SetGEMMPath installs a path override and returns the previous one.
-// Like SetMaxWorkers it is safe for concurrent use, but callers that force
-// a path mid-run get whichever routing each in-flight call observed.
+// SetGEMMPath installs a path override and returns the previous one. It is
+// a process-wide test hook — no production code calls it — and like
+// SetMaxWorkers it is safe for concurrent use, but callers that force a
+// path mid-run get whichever routing each in-flight call observed.
 func SetGEMMPath(p GEMMPath) GEMMPath {
 	return GEMMPath(gemmPath.Swap(int32(p)))
 }

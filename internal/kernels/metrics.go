@@ -3,10 +3,10 @@ package kernels
 import "demystbert/internal/obs"
 
 // Runtime counters for the kernel layer's three hot subsystems — the
-// worker pool, the pre-packed-weight cache, and the batched-GEMM engine
-// router. All are plain atomic adds (obs hot-path contract), so the
-// zero-alloc guarantees of the dispatch paths hold with instrumentation
-// on; served live at /metrics by the obs debug server.
+// worker pool, the pre-packed-weight cache, and the GEMM entry points.
+// All are plain atomic adds (obs hot-path contract), so the zero-alloc
+// guarantees of the dispatch paths hold with instrumentation on; served
+// live at /metrics by the obs debug server.
 var (
 	poolDispatches = obs.NewCounter("kernels_pool_dispatches_total",
 		"parallel regions dispatched to the worker pool")
@@ -28,12 +28,8 @@ var (
 	packCacheRebuilds = obs.NewCounter("kernels_pack_cache_rebuilds_total",
 		"weight-pack cache entries rebuilt because the parameter generation moved")
 
-	batchedBlockedRuns = obs.NewCounter("kernels_batched_gemm_blocked_total",
-		"batched GEMMs routed to the flattened blocked engine")
-	batchedPerMatrixRuns = obs.NewCounter("kernels_batched_gemm_per_matrix_total",
-		"batched GEMMs routed to the per-matrix fallback path")
-	batchedPackCapTrips = obs.NewCounter("kernels_batched_gemm_pack_cap_trips_total",
-		"batched GEMMs that exceeded the packed-scratch cap and fell back")
+	batchedGEMMRuns = obs.NewCounter("kernels_batched_gemm_per_matrix_total",
+		"batched GEMMs (batch ≥ 2) run one matrix per pool work item")
 
 	epilogueFusedBias = obs.NewCounter("kernels_gemm_epilogue_fused_bias_total",
 		"GEMMs with a bias epilogue fused into the tile write-back")

@@ -92,43 +92,24 @@ func TestPackCacheCounters(t *testing.T) {
 	}
 }
 
+// TestBatchedRoutingCounters: the one batched counter left (bench/ reads it
+// by name) counts BatchedGEMM calls that run a batch; a batch of one is a
+// plain GEMM and a quick return runs nothing.
 func TestBatchedRoutingCounters(t *testing.T) {
 	const batch, m, n, k = 4, 16, 16, 8
 	a := make([]float32, batch*m*k)
 	b := make([]float32, batch*k*n)
 	c := make([]float32, batch*m*n)
-	for i := range a {
-		a[i] = float32(i % 5)
+	run := func(batch int, alpha float32) func() {
+		return func() { BatchedGEMM(batch, false, false, m, n, k, alpha, a, m*k, b, k*n, 0, c, m*n) }
 	}
-	for i := range b {
-		b[i] = float32(i % 3)
+	if d := counterDelta(batchedGEMMRuns, run(batch, 1)); d != 1 {
+		t.Errorf("batch of %d: delta %d, want 1", batch, d)
 	}
-
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
-	if d := counterDelta(batchedBlockedRuns, func() {
-		BatchedGEMM(batch, false, false, m, n, k, 1, a, m*k, b, k*n, 0, c, m*n)
-	}); d != 1 {
-		t.Errorf("small batch: blocked delta %d, want 1", d)
+	if d := counterDelta(batchedGEMMRuns, run(1, 1)); d != 0 {
+		t.Errorf("batch of 1: delta %d, want 0", d)
 	}
-
-	// A batch whose packed panels exceed the scratch cap must trip the
-	// cap counter and route per-matrix. 2 × (512+512) × 8192 floats
-	// ≈ 2^23+ > batchedPackCapFloats.
-	big := 512
-	kBig := 8192
-	ab := make([]float32, 2*big*kBig)
-	bb := make([]float32, 2*kBig*big)
-	cb := make([]float32, 2*big*big)
-	capd := counterDelta(batchedPackCapTrips, func() {
-		pmd := counterDelta(batchedPerMatrixRuns, func() {
-			BatchedGEMM(2, false, false, big, big, kBig, 1, ab, big*kBig, bb, kBig*big, 0, cb, big*big)
-		})
-		if pmd != 1 {
-			t.Errorf("cap trip: per-matrix delta %d, want 1", pmd)
-		}
-	})
-	if capd != 1 {
-		t.Errorf("cap trip delta %d, want 1", capd)
+	if d := counterDelta(batchedGEMMRuns, run(batch, 0)); d != 0 {
+		t.Errorf("alpha=0 quick return: delta %d, want 0", d)
 	}
 }

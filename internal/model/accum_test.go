@@ -21,7 +21,7 @@ func TestStepAccumBitwiseMatchesFullBatch(t *testing.T) {
 	batch := tinyBatch(cfg, b, n, 11)
 
 	for _, path := range []kernels.GEMMPath{
-		kernels.GEMMPathNaive, kernels.GEMMPathBlocked, kernels.GEMMPathBatched,
+		kernels.GEMMPathNaive, kernels.GEMMPathBlocked, kernels.GEMMPathFused,
 	} {
 		for _, ckpt := range []int{0, 1} {
 			for _, accumSteps := range []int{2, 4} {

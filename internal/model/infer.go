@@ -143,15 +143,16 @@ func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Batch, positions [][]int) []
 // WarmupInference pre-packs every weight the inference path consults —
 // the Q/K/V/O projections and both FC layers of each encoder layer, the
 // MLM dense layer, and the (embedding-tied) vocabulary decoder — for
-// the GEMM engine the active path routes to. Serving calls this once at
-// load, after SetGEMMPath, so steady-state traffic never takes a
-// pack-cache miss: frozen weights never bump their generation, which is
-// exactly the 100% reuse regime the pack cache was designed around.
-// Returns the number of packs built.
-func (m *BERT) WarmupInference() int {
+// the engine ctx selects (int8 packs with ctx.Int8, f32 otherwise).
+// Serving calls this once at load with the context it will predict
+// under, so steady-state traffic never takes a pack-cache miss: frozen
+// weights never bump their generation, which is exactly the 100% reuse
+// regime the pack cache was designed around. Returns the number of packs
+// built.
+func (m *BERT) WarmupInference(ctx *nn.Ctx) int {
 	warmed := 0
 	warm := func(l *nn.Linear) {
-		l.WarmPack()
+		l.WarmPack(ctx)
 		warmed++
 	}
 	for _, layer := range m.Layers {

@@ -80,8 +80,9 @@ func TestLoadParamsResumeMatchesContinuousRun(t *testing.T) {
 	gen := data.NewGenerator(cfg.Vocab, 0.15, 1)
 	batch1, batch2 := gen.Next(2, 16), gen.Next(2, 16)
 
-	// Pack caches only matter on the packed path.
-	old := kernels.SetGEMMPath(kernels.GEMMPathPacked)
+	// Pack caches only matter where pre-packed panels are consumed; the
+	// forced fused path consumes them at every size.
+	old := kernels.SetGEMMPath(kernels.GEMMPathFused)
 	defer kernels.SetGEMMPath(old)
 
 	step := func(m *BERT, opt *optim.LAMB, b *data.Batch) float64 {

@@ -100,6 +100,13 @@ type Ctx struct {
 	// MP training (Section 3.2.1).
 	MixedPrecision bool
 
+	// Int8 runs every Linear forward on the quantized engine
+	// (kernels.GEMMInt8) against the layer's cached int8 weight pack — the
+	// frozen-weight serving mode. Like MixedPrecision it is a numeric mode
+	// of this context, not a GEMM route: backward GEMMs, attention and
+	// everything else stay float32 under the kernels' own routing.
+	Int8 bool
+
 	// LossScale multiplies the loss gradient at the top of backprop
 	// (mixed-precision loss scaling; 0 or 1 means unscaled). Gradients
 	// must be unscaled before the optimizer step — see

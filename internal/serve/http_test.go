@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
-
-	"demystbert/internal/kernels"
 )
 
 // postMLM sends one request to a running server and decodes the reply.
@@ -29,7 +28,6 @@ func postMLM(t *testing.T, base string, body string) (*http.Response, []byte) {
 
 func startTestServer(t *testing.T, cfg Config) (*Engine, string) {
 	t.Helper()
-	prev := kernels.CurrentGEMMPath()
 	e, srv, err := Start(cfg, "localhost:0")
 	if err != nil {
 		t.Fatalf("Start: %v", err)
@@ -37,22 +35,18 @@ func startTestServer(t *testing.T, cfg Config) (*Engine, string) {
 	t.Cleanup(func() {
 		srv.ShutdownTimeout(5 * time.Second)
 		e.Close()
-		kernels.SetGEMMPath(prev)
 	})
 	return e, "http://" + srv.Addr
 }
 
-// TestServeSmokeAllPaths is the serving smoke in scripts/check.sh: a
-// live HTTP server on each production GEMM path must answer tokenized
-// requests with 200s and non-empty predictions, and expose the serving
-// metrics on the same port.
+// TestServeSmokeAllPaths is the serving smoke: a live HTTP server in each
+// numeric mode (f32, int8) must answer tokenized requests with 200s and
+// non-empty predictions, and expose the serving metrics on the same port.
 func TestServeSmokeAllPaths(t *testing.T) {
-	for _, path := range []kernels.GEMMPath{
-		kernels.GEMMPathBlocked, kernels.GEMMPathFused, kernels.GEMMPathInt8,
-	} {
-		t.Run(path.String(), func(t *testing.T) {
+	for _, tc := range numerics {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.GEMMPath = path
+			cfg.Int8 = tc.int8
 			_, base := startTestServer(t, cfg)
 
 			for i := 0; i < 4; i++ {
@@ -164,6 +158,32 @@ func TestLoadgenAgainstEngine(t *testing.T) {
 	if res.GoodputTPS <= 0 {
 		t.Errorf("goodput %.1f, want > 0", res.GoodputTPS)
 	}
+}
+
+// checksumConcurrent submits reqs with many concurrent workers (so the
+// scheduler actually coalesces them into multi-request batches) and
+// folds per-request predictions in request order — comparable against a
+// serial PredictionChecksum of the same set.
+func checksumConcurrent(reqs []*Request, target Target, workers int) (uint64, error) {
+	resps := make([]*Response, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, workers)
+	for i := range reqs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			resps[i], errs[i] = target(reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	i := -1
+	return PredictionChecksum(reqs, func(*Request) (*Response, error) {
+		i++
+		return resps[i], errs[i]
+	})
 }
 
 // TestBatchedMatchesSerialPredictions is the equal-accuracy leg of the

@@ -38,7 +38,7 @@ var (
 		"time from admission to batch dispatch, milliseconds",
 		obs.ExpBuckets(0.05, 2, 18))
 	// Latency buckets are tuned to the measured operating band: the
-	// BENCH_serve sweep lands p50 between 3.9 and 9.2 ms across batch
+	// one-core serve sweeps landed p50 between 3.9 and 9.2 ms across batch
 	// configurations, so that range gets 0.5 ms resolution (the old
 	// power-of-two ladder jumped 3.2→6.4→12.8 and blurred every
 	// configuration into two buckets). Sub-ms and tail ranges keep

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"demystbert/internal/data"
-	"demystbert/internal/kernels"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
@@ -59,11 +58,11 @@ type Config struct {
 	Model model.Config
 	Seed  uint64
 
-	// GEMMPath routes the frozen-weight GEMMs (blocked f32, fused
-	// epilogues, int8 quantized). Installed process-wide at New, before
-	// the warmup pre-pack, so the packs match the engine that will
-	// consume them.
-	GEMMPath kernels.GEMMPath
+	// Int8 runs the frozen-weight Linear forwards on the quantized engine
+	// (nn.Ctx.Int8) instead of f32 with fused epilogues. It is a property
+	// of this engine's context, so engines of both kinds can share a
+	// process; the warmup pre-pack builds the matching packs.
+	Int8 bool
 
 	// MaxBatch caps requests per dynamic batch (default 32).
 	MaxBatch int
@@ -216,10 +215,9 @@ const requestLogCap = 256
 // window rather than growing without bound.
 const profEventCap = 1 << 18
 
-// New builds the model, installs the GEMM path, pre-packs every
-// inference weight (so the first request is as fast as the thousandth
-// and the pack-cache miss counters stay flat in steady state), and
-// starts the scheduler.
+// New builds the model, pre-packs every inference weight (so the first
+// request is as fast as the thousandth and the pack-cache miss counters
+// stay flat in steady state), and starts the scheduler.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -228,13 +226,12 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	kernels.SetGEMMPath(cfg.GEMMPath)
 	e := &Engine{
 		cfg: cfg,
 		m:   m,
 		// Eval-only context: nil profiler (alloc-free no-op path), no
 		// RNG use (dropout inactive), Train permanently false.
-		ctx:    &nn.Ctx{Train: false},
+		ctx:    &nn.Ctx{Train: false, Int8: cfg.Int8},
 		queue:  make(chan *pending, cfg.QueueCap),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -249,7 +246,7 @@ func New(cfg Config) (*Engine, error) {
 		e.ctx.Tracer = e.tracer
 	}
 	queueCap.Set(float64(cfg.QueueCap))
-	e.WarmedPacks = m.WarmupInference()
+	e.WarmedPacks = m.WarmupInference(e.ctx)
 	go e.run()
 	return e, nil
 }

@@ -2,26 +2,25 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"demystbert/internal/data"
-	"demystbert/internal/kernels"
 	"demystbert/internal/model"
+	"demystbert/internal/nn"
 	"demystbert/internal/obs"
+	"demystbert/internal/tensor"
 )
 
-// testConfig is the reduced-scale engine every scheduler test uses. The
-// GEMM path override is process-global, so tests that force one restore
-// the previous value and never run in parallel with each other.
+// testConfig is the reduced-scale engine every scheduler test uses.
 func testConfig() Config {
 	mcfg := model.Tiny()
 	mcfg.FusedAttention = true
 	return Config{
 		Model:    mcfg,
 		Seed:     7,
-		GEMMPath: kernels.GEMMPathFused,
 		MaxBatch: 8,
 		MaxDelay: 2 * time.Millisecond,
 		Buckets:  []int{8, 16},
@@ -31,15 +30,11 @@ func testConfig() Config {
 
 func newTestEngine(t *testing.T, cfg Config) *Engine {
 	t.Helper()
-	prev := kernels.CurrentGEMMPath()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() {
-		e.Close()
-		kernels.SetGEMMPath(prev)
-	})
+	t.Cleanup(e.Close)
 	return e
 }
 
@@ -251,40 +246,137 @@ func counterValue(t *testing.T, name string) int64 {
 	return int64(m.Value)
 }
 
+// numerics names the two engine configurations that exist: f32 with fused
+// epilogues, and int8 Linear forwards.
+var numerics = []struct {
+	name        string
+	int8        bool
+	missCounter string
+}{
+	{"f32", false, "kernels_pack_cache_misses_total"},
+	{"int8", true, "kernels_int8_pack_cache_misses_total"},
+}
+
+// submitBurst drives n concurrent requests of mixed lengths through e.
+func submitBurst(t *testing.T, e *Engine, n int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := e.Submit(testRequest(5+i%12, i)); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+}
+
 // TestSteadyStateZeroPackMisses is the pack-cache acceptance criterion:
-// after the load-time warmup, serving traffic on each GEMM path takes
+// after the load-time warmup, serving traffic in either numeric mode takes
 // zero pack-cache misses — every weight pack the forward consults was
 // pre-built by WarmupInference and frozen weights never invalidate it.
 func TestSteadyStateZeroPackMisses(t *testing.T) {
-	for _, tc := range []struct {
-		path    kernels.GEMMPath
-		counter string
-	}{
-		{kernels.GEMMPathBlocked, "kernels_pack_cache_misses_total"},
-		{kernels.GEMMPathFused, "kernels_pack_cache_misses_total"},
-		{kernels.GEMMPathInt8, "kernels_int8_pack_cache_misses_total"},
-	} {
-		t.Run(tc.path.String(), func(t *testing.T) {
+	for _, tc := range numerics {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.GEMMPath = tc.path
+			cfg.Int8 = tc.int8
 			e := newTestEngine(t, cfg) // New warms the packs (cold misses land here)
 
-			before := counterValue(t, tc.counter)
-			var wg sync.WaitGroup
-			for i := 0; i < 48; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					if _, err := e.Submit(testRequest(5+i%12, i)); err != nil {
-						t.Errorf("request %d: %v", i, err)
-					}
-				}(i)
-			}
-			wg.Wait()
-			if d := counterValue(t, tc.counter) - before; d != 0 {
-				t.Errorf("steady-state serving took %d pack-cache misses on %s, want 0 (warmup must pre-pack everything)", d, tc.path)
+			before := counterValue(t, tc.missCounter)
+			submitBurst(t, e, 48)
+			if d := counterValue(t, tc.missCounter) - before; d != 0 {
+				t.Errorf("steady-state serving took %d pack-cache misses on %s, want 0 (warmup must pre-pack everything)", d, tc.name)
 			}
 		})
+	}
+}
+
+// directF32Predictions answers reqs one at a time on e's model with no
+// scheduler: each request alone in a batch padded to its bucket, straight
+// through PredictMaskedAt under a plain f32 eval context.
+func directF32Predictions(e *Engine, reqs []*Request) [][]int {
+	ctx := &nn.Ctx{}
+	out := make([][]int, len(reqs))
+	for i, req := range reqs {
+		positions, bkt, _ := e.validate(req)
+		b := &data.Batch{B: 1, N: bkt, Tokens: make([]int, bkt), Segments: make([]int, bkt)}
+		copy(b.Tokens, req.Tokens)
+		if len(req.Tokens) < bkt {
+			b.Mask = tensor.New(1, bkt)
+			for j := len(req.Tokens); j < bkt; j++ {
+				b.Mask.Set(-1e9, 0, j)
+			}
+		}
+		out[i] = e.Model().PredictMaskedAt(ctx, b, [][]int{positions})[0]
+	}
+	return out
+}
+
+// TestTwoEnginesOneProcess: numeric mode is a property of each engine's
+// context, not of the process. An int8 and an f32 engine alive together
+// (created in the order that used to flip the first one's route) each keep
+// their own numerics — the f32 engine bit-equal to direct PredictMaskedAt,
+// the int8 engine bit-equal to a lone int8 engine — and both hold the
+// zero-pack-miss invariant while serving concurrently.
+func TestTwoEnginesOneProcess(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBatch = 1 // every request runs alone, so direct calls see the same shapes
+	cfg8 := cfg
+	cfg8.Int8 = true
+
+	reqs := make([]*Request, 24)
+	for i := range reqs {
+		reqs[i] = testRequest(5+i%12, i)
+	}
+	serve := func(e *Engine) [][]int {
+		out := make([][]int, len(reqs))
+		for i, req := range reqs {
+			resp, err := e.Submit(req)
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			for _, p := range resp.Predictions {
+				out[i] = append(out[i], p.Token)
+			}
+		}
+		return out
+	}
+
+	lone := newTestEngine(t, cfg8)
+	wantInt8 := serve(lone)
+	lone.Close()
+
+	e8 := newTestEngine(t, cfg8)
+	e32 := newTestEngine(t, cfg) // the later f32 engine must not flip e8
+	wantF32 := directF32Predictions(e32, reqs)
+	if reflect.DeepEqual(wantF32, wantInt8) {
+		t.Fatal("f32 and int8 predictions coincide on the whole request set; the test cannot tell the modes apart")
+	}
+
+	missF32 := counterValue(t, numerics[0].missCounter)
+	missInt8 := counterValue(t, numerics[1].missCounter)
+	var got8, got32 [][]int
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); got8 = serve(e8) }()
+	go func() { defer wg.Done(); got32 = serve(e32) }()
+	wg.Wait()
+	submitBurst(t, e8, 24)
+	submitBurst(t, e32, 24)
+
+	if !reflect.DeepEqual(got32, wantF32) {
+		t.Errorf("f32 engine beside an int8 engine diverged from direct PredictMaskedAt:\n got %v\nwant %v", got32, wantF32)
+	}
+	if !reflect.DeepEqual(got8, wantInt8) {
+		t.Errorf("int8 engine beside an f32 engine diverged from a lone int8 engine:\n got %v\nwant %v", got8, wantInt8)
+	}
+	if d := counterValue(t, numerics[0].missCounter) - missF32; d != 0 {
+		t.Errorf("%d f32 pack-cache misses with both engines serving, want 0", d)
+	}
+	if d := counterValue(t, numerics[1].missCounter) - missInt8; d != 0 {
+		t.Errorf("%d int8 pack-cache misses with both engines serving, want 0", d)
 	}
 }
 
