@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench-dist fuzz clean
+.PHONY: all build test check fuzz clean
 
 all: build
 
@@ -14,11 +14,6 @@ test:
 # benchmark smoke. CI entrypoint.
 check:
 	sh scripts/check.sh
-
-# Real multi-process distributed-training sweep (world x overlap) and
-# emit BENCH_dist.json with measured vs modeled scaling.
-bench-dist:
-	sh scripts/bench_dist.sh
 
 # Short fuzz pass over the GEMM and softmax kernels.
 fuzz:

@@ -9,7 +9,7 @@
 //	         [-model large|base|megatron|gpt]
 //	         [-compute X] [-bandwidth X]
 //	bertchar -export json|csv [-phase 1|2] [-b N] [-mp]
-//	bertchar -steps N [-metrics-jsonl FILE] [-debug-addr HOST:PORT]
+//	bertchar -large [-debug-addr HOST:PORT]
 //	bertchar -audit [-audit-full]
 //
 // The -compute and -bandwidth flags scale the device model to project
@@ -17,12 +17,12 @@
 // workload's machine-readable breakdown for plotting pipelines (with the
 // live runtime-counter snapshot embedded).
 //
-// -steps runs a reduced-scale characterization for real on the pure-Go
-// engine: each training step emits one JSON line of telemetry (loss,
-// tokens/s, per-category achieved GFLOP/s and GB/s against the device
-// roofline) to -metrics-jsonl, while -debug-addr serves the runtime
-// counters (pack-cache hit rate, worker-pool dispatch/steal counts,
-// batched-GEMM routing) as Prometheus text plus expvar and pprof.
+// The reduced-scale run on the real engine is bertprof's job (bertprof
+// -iters N -metrics-jsonl FILE streams the per-step telemetry). -large
+// executes one honest BERT-Large iteration here (see large.go); it runs
+// for minutes, so -debug-addr serves the runtime counters (pack-cache hit
+// rate, worker-pool dispatch/steal counts, spill traffic) as Prometheus
+// text plus expvar and pprof while it does.
 //
 // -audit runs the cross-path numerics audit (internal/audit): every
 // module and training step, forward+backward, through the cross product
@@ -41,16 +41,9 @@ import (
 
 	"demystbert"
 	"demystbert/internal/audit"
-	"demystbert/internal/data"
-	"demystbert/internal/kernels"
-	"demystbert/internal/model"
-	"demystbert/internal/nn"
 	"demystbert/internal/obs"
-	"demystbert/internal/optim"
-	"demystbert/internal/profile"
 	"demystbert/internal/report"
 	"demystbert/internal/runutil"
-	"demystbert/internal/tensor"
 )
 
 func main() {
@@ -68,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	phase := fs.Int("phase", 1, "pre-training phase for -export (1: n=128, 2: n=512)")
 	batch := fs.Int("b", 32, "mini-batch size for -export")
 	mp := fs.Bool("mp", false, "mixed precision for -export")
-	steps := fs.Int("steps", 0, "run this many reduced-scale real training steps with live telemetry (defaults to 3 when -metrics-jsonl is set)")
-	metricsPath := fs.String("metrics-jsonl", "", "write one JSON telemetry record per live step to this path")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
 	auditRun := fs.Bool("audit", false, "run the cross-path numerics audit and exit (non-zero on divergence)")
 	auditFull := fs.Bool("audit-full", false, "with -audit, run the full mode matrix instead of the reduced sweep")
@@ -87,9 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *steps == 0 && *metricsPath != "" {
-		*steps = 3
-	}
 
 	if *auditRun {
 		divs := audit.RunSweep(stdout, !*auditFull)
@@ -102,8 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// One LIFO cleanup list shared by normal return and SIGINT/SIGTERM,
-	// so an interrupt flushes the metrics JSONL and drains the debug
-	// server instead of truncating them mid-write.
+	// so an interrupt drains the debug server.
 	sd := runutil.Install(stderr)
 	defer sd.Drain()
 
@@ -140,14 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *large {
 		if err := runLarge(stdout, &lf, dev); err != nil {
-			fmt.Fprintf(stderr, "bertchar: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-
-	if *steps > 0 {
-		if err := runLive(stdout, sd, *steps, *metricsPath, *mp, dev); err != nil {
 			fmt.Fprintf(stderr, "bertchar: %v\n", err)
 			return 2
 		}
@@ -191,101 +170,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// runLive trains a reduced-scale BERT for real on the pure-Go engine and
-// emits one telemetry record per step: the live counterpart of the
-// analytical characterization, sharing its JSONL schema and the device
-// roofline the achieved rates are compared against.
-func runLive(stdout io.Writer, sd *runutil.Shutdown, steps int, metricsPath string, mp bool, dev demystbert.Device) error {
-	cfg := model.Config{
-		Vocab:     1000,
-		MaxPos:    32,
-		NumLayers: 2,
-		DModel:    64,
-		Heads:     4,
-		DFF:       256,
-		DropProb:  0.1,
-	}
-	const b, n, seed = 4, 32, 42
-	m, err := model.New(cfg, seed)
-	if err != nil {
-		return err
-	}
-
-	out := stdout
-	var finalReg *obs.Registry // nil keeps stdout clean: flush only
-	var metricsFile *os.File
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		out, metricsFile, finalReg = f, f, obs.Default
-	}
-	emitter := obs.NewStepEmitter(out, dev.Peaks())
-	sd.Defer("metrics jsonl", func() {
-		if err := emitter.EmitFinal(finalReg); err != nil {
-			fmt.Fprintf(os.Stderr, "bertchar: metrics final: %v\n", err)
-		}
-		if metricsFile != nil {
-			metricsFile.Close()
-		}
-	})
-
-	fmt.Fprintf(stdout, "live run: BERT N=%d d_model=%d h=%d d_ff=%d, B=%d n=%d, %d steps (mixed-precision=%v, gemm kernel %s)\n",
-		cfg.NumLayers, cfg.DModel, cfg.Heads, cfg.DFF, b, n, steps, mp, kernels.ActiveKernel())
-
-	gen := data.NewGenerator(cfg.Vocab, 0.15, seed+1)
-	ctx := &nn.Ctx{Prof: profile.New(), RNG: tensor.NewRNG(seed + 2), Train: true, MixedPrecision: mp}
-	opt := optim.NewLAMB(0.01)
-	scaler := optim.NewDynamicLossScaler()
-
-	// Warm-up step (untimed, not emitted) so pack caches and the worker
-	// pool are hot before the first measured step.
-	warm := gen.Next(b, n)
-	if mp {
-		scaler.Arm(ctx)
-	}
-	m.Step(ctx, warm)
-	if !mp || scaler.UnscaleAndCheck(m.Params()) {
-		opt.Step(ctx, m.Params())
-	}
-	m.ZeroGrads()
-	ctx.Prof.Reset()
-
-	for i := 1; i <= steps; i++ {
-		evBase := ctx.Prof.KernelCount()
-		start := time.Now()
-		batch := gen.Next(b, n)
-		if mp {
-			scaler.Arm(ctx)
-		}
-		loss := m.Step(ctx, batch)
-		if !mp || scaler.UnscaleAndCheck(m.Params()) {
-			opt.Step(ctx, m.Params())
-		}
-		m.ZeroGrads()
-		sum := profile.Summarize(ctx.Prof.Events()[evBase:])
-		if err := emitter.EmitStep(i, loss, b*n, time.Since(start), sum); err != nil {
-			return fmt.Errorf("metrics emit: %w", err)
-		}
-		fmt.Fprintf(stdout, "step %d: loss %.4f\n", i, loss)
-	}
-
-	// Close the loop on the runtime counters the debug endpoint serves.
-	fmt.Fprintln(stdout)
-	for _, name := range []string{
-		"kernels_pack_cache_hits_total",
-		"kernels_pack_cache_misses_total",
-		"kernels_pack_cache_rebuilds_total",
-		"kernels_pool_dispatches_total",
-		"kernels_pool_steals_total",
-		"kernels_batched_gemm_per_matrix_total",
-	} {
-		if metric, ok := obs.Default.Find(name); ok {
-			fmt.Fprintf(stdout, "%s %.0f\n", name, metric.Value)
-		}
-	}
-	return nil
 }

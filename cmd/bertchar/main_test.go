@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -104,70 +103,21 @@ func TestRunExportJSONCarriesRuntime(t *testing.T) {
 	}
 }
 
-func TestRunLiveSteps(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/steps.jsonl"
-	out, _, code := runCmd(t, "-steps", "2", "-metrics-jsonl", path)
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
-	}
-	if !strings.Contains(out, "step 2: loss") {
-		t.Fatalf("live run output missing step lines:\n%s", out)
-	}
-	// The run must report the engine counters the /metrics endpoint serves.
-	for _, want := range []string{"kernels_pack_cache_", "kernels_pool_dispatches_total", "kernels_batched_gemm_"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("live run output missing counter %q", want)
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d JSONL records, want 3 (2 steps + final snapshot)", len(lines))
-	}
-	var final map[string]any
-	if err := json.Unmarshal([]byte(lines[2]), &final); err != nil {
-		t.Fatalf("final record not valid JSON: %v", err)
-	}
-	if _, ok := final["final_metrics"]; !ok {
-		t.Fatalf("last record is not the registry snapshot: %s", lines[2])
-	}
-	for i, line := range lines[:2] {
-		var rec map[string]any
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %d not valid JSON: %v", i+1, err)
-		}
-		if rec["step"] != float64(i+1) || rec["loss"] == float64(0) {
-			t.Fatalf("line %d malformed: %s", i+1, line)
-		}
-	}
-}
-
-func TestRunMetricsImpliesSteps(t *testing.T) {
-	path := t.TempDir() + "/steps.jsonl"
-	out, _, code := runCmd(t, "-metrics-jsonl", path)
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
-	}
-	if !strings.Contains(out, "3 steps") {
-		t.Fatalf("-metrics-jsonl alone must default to 3 live steps:\n%s", out[:min(200, len(out))])
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(strings.Split(strings.TrimSpace(string(data)), "\n")); n != 4 {
-		t.Fatalf("%d JSONL records, want 4 (3 steps + final snapshot)", n)
-	}
-}
-
 func TestRunDebugAddr(t *testing.T) {
-	out, _, code := runCmd(t, "-steps", "1", "-debug-addr", "127.0.0.1:0")
+	out, _, code := runCmd(t, "-artifact", "fig3", "-debug-addr", "127.0.0.1:0")
 	if code != 0 || !strings.Contains(out, "debug server: http://127.0.0.1:") {
 		t.Fatalf("debug server did not start: code %d\n%s", code, out[:min(200, len(out))])
+	}
+}
+
+// The live reduced-scale run is bertprof's (-iters N -metrics-jsonl F);
+// its second entry point here is gone, not ignored.
+func TestRunLiveFlagsRemoved(t *testing.T) {
+	for _, args := range [][]string{{"-steps", "1"}, {"-metrics-jsonl", "x"}} {
+		_, errOut, code := runCmd(t, args...)
+		if code != 2 || !strings.Contains(errOut, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, stderr %q", args, code, errOut)
+		}
 	}
 }
 

@@ -5,14 +5,13 @@ package main
 //
 //	bertdist -launch 2 -steps 6            # fork 2 loopback ranks, train
 //	bertdist -rank 1 -world 2 -addr H:P    # one rank, joined manually
-//	bertdist -bench-dist BENCH_dist.json   # measured-vs-modeled sweep
 //
 // The launcher forks this executable once per rank; workers rendezvous
 // at rank 0's TCP address, train on deterministic synthetic data, and
-// report per-rank results as JSON files the launcher aggregates. The
-// bench mode sweeps world sizes with overlap on and off and prints the
-// measured scaling efficiency next to the analytical model's prediction
-// for the same measured buckets and probed link.
+// report per-rank results as JSON files the launcher aggregates.
+// Measured scaling (step time, exposed communication, efficiency against
+// the single-rank run) is the benchmark's job: `go run ./bench -workload
+// dist_w2`.
 
 import (
 	"encoding/json"
@@ -23,14 +22,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"demystbert/internal/dist"
 	"demystbert/internal/distnet"
 	"demystbert/internal/memscale"
 	"demystbert/internal/model"
@@ -44,8 +40,7 @@ import (
 // intercepts it before the test runner takes over.
 const workerArgsEnv = "BERTDIST_WORKER_ARGS"
 
-// trainFlags carries every knob shared by the worker, launcher, and
-// bench modes.
+// trainFlags carries every knob shared by the worker and launcher modes.
 type trainFlags struct {
 	rank, world int
 	addr        string
@@ -65,7 +60,6 @@ type trainFlags struct {
 	traceOut string
 
 	paramsOut, resultOut, jsonOut string
-	benchOut, benchWorlds         string
 }
 
 func (tf *trainFlags) register(fs *flag.FlagSet) {
@@ -90,8 +84,6 @@ func (tf *trainFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&tf.paramsOut, "params-out", "", "write this rank's final model checkpoint here")
 	fs.StringVar(&tf.resultOut, "result-out", "", "write this rank's result JSON here")
 	fs.StringVar(&tf.jsonOut, "json", "", "with -launch: write aggregated per-rank results here")
-	fs.StringVar(&tf.benchOut, "bench-dist", "", "run the measured-vs-modeled scaling sweep, write JSON here")
-	fs.StringVar(&tf.benchWorlds, "bench-worlds", "1,2,4", "world sizes for -bench-dist")
 }
 
 func (tf *trainFlags) modelConfig() model.Config {
@@ -181,7 +173,7 @@ func trainWorker(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown)
 	ck := &atomicCkpt{path: tf.paramsOut}
 	cfg.WireTrainer = func(t *distnet.Trainer) error {
 		if tf.zero1 && t.G.World() > 1 {
-			sh, err := memscale.NewSharded(memscale.WrapLAMB(t.Opt), t.M.Params(), t.G.World(), t.G)
+			sh, err := memscale.NewSharded(t.Opt, t.M.Params(), t.G.World(), t.G)
 			if err != nil {
 				return err
 			}
@@ -248,7 +240,8 @@ func reportLossTrend(w io.Writer, losses []float64) {
 // forkWorld forks one worker process per rank on a free loopback port
 // and returns their results. Children are SIGTERMed if the parent is
 // asked to shut down mid-run.
-func forkWorld(tf trainFlags, world int, overlap bool, paramsOutRank0 string, stderr io.Writer, sd *runutil.Shutdown) ([]*distnet.Result, error) {
+func forkWorld(tf *trainFlags, stderr io.Writer, sd *runutil.Shutdown) ([]*distnet.Result, error) {
+	world := tf.launch
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -281,7 +274,7 @@ func forkWorld(tf trainFlags, world int, overlap bool, paramsOutRank0 string, st
 			"-net-timeout", tf.netTimeout.String(),
 			"-result-out", filepath.Join(dir, fmt.Sprintf("rank%d.json", r)),
 		}
-		if !overlap {
+		if tf.noOverlap {
 			args = append(args, "-no-overlap")
 		}
 		if tf.fixedData {
@@ -298,8 +291,8 @@ func forkWorld(tf trainFlags, world int, overlap bool, paramsOutRank0 string, st
 				args = append(args, "-trace-out", tf.traceOut)
 			}
 		}
-		if r == 0 && paramsOutRank0 != "" {
-			args = append(args, "-params-out", paramsOutRank0)
+		if r == 0 && tf.paramsOut != "" {
+			args = append(args, "-params-out", tf.paramsOut)
 		}
 		encoded, err := json.Marshal(args)
 		if err != nil {
@@ -348,7 +341,7 @@ func forkWorld(tf trainFlags, world int, overlap bool, paramsOutRank0 string, st
 // launchLocal is the `-launch N` mode: fork, wait, aggregate, summarize.
 func launchLocal(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown) int {
 	world := tf.launch
-	results, err := forkWorld(*tf, world, !tf.noOverlap, tf.paramsOut, stderr, sd)
+	results, err := forkWorld(tf, stderr, sd)
 	if err != nil {
 		fmt.Fprintf(stderr, "bertdist: launch: %v\n", err)
 		return 1
@@ -385,147 +378,6 @@ func launchLocal(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown)
 		}
 	}
 	return 0
-}
-
-// --- measured-vs-modeled sweep ---------------------------------------
-
-type benchModeled struct {
-	StepMS     float64 `json:"step_ms"`
-	ExposedMS  float64 `json:"exposed_ms"`
-	HiddenMS   float64 `json:"hidden_ms"`
-	Efficiency float64 `json:"efficiency"`
-}
-
-type benchPoint struct {
-	World              int             `json:"world"`
-	Overlap            bool            `json:"overlap"`
-	Measured           *distnet.Result `json:"measured"`
-	MeasuredEfficiency float64         `json:"measured_efficiency"`
-	// ModeledIdeal assumes dedicated compute per rank (the paper's
-	// setting); ModeledSharedHost dilates compute by world/cores, the
-	// regime a loopback sweep on one machine actually runs in.
-	ModeledIdeal      benchModeled `json:"modeled_ideal"`
-	ModeledSharedHost benchModeled `json:"modeled_shared_host"`
-}
-
-type benchReport struct {
-	Layers       int          `json:"layers"`
-	DModel       int          `json:"dmodel"`
-	Seq          int          `json:"seq"`
-	TrainB       int          `json:"train_b"`
-	Steps        int          `json:"steps"`
-	BucketKB     int          `json:"bucket_kb"`
-	Cores        int          `json:"cores"`
-	GradElems    int          `json:"grad_elems"`
-	Buckets      int          `json:"buckets"`
-	SerialStepMS float64      `json:"serial_step_ms"`
-	Points       []benchPoint `json:"points"`
-}
-
-func toModeled(p dist.Prediction, serial time.Duration) benchModeled {
-	return benchModeled{
-		StepMS:     float64(p.Step) / float64(time.Millisecond),
-		ExposedMS:  float64(p.Exposed) / float64(time.Millisecond),
-		HiddenMS:   float64(p.Hidden) / float64(time.Millisecond),
-		Efficiency: p.Efficiency(serial),
-	}
-}
-
-// benchDist sweeps world sizes with overlap on and off, printing
-// measured scaling next to the analytical model fed with the measured
-// buckets and the probed link.
-func benchDist(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown) int {
-	var worlds []int
-	for _, s := range strings.Split(tf.benchWorlds, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || w < 1 {
-			fmt.Fprintf(stderr, "bertdist: bad -bench-worlds entry %q\n", s)
-			return 2
-		}
-		worlds = append(worlds, w)
-	}
-
-	// Serial calibration run: per-bucket backward segments and compute
-	// times every prediction is built from.
-	fmt.Fprintf(stderr, "bench-dist: calibrating at world=1...\n")
-	serialRes, err := forkWorld(*tf, 1, true, "", stderr, sd)
-	if err != nil {
-		fmt.Fprintf(stderr, "bertdist: bench: %v\n", err)
-		return 1
-	}
-	serial := serialRes[0]
-	serialStep := msToDur(serial.StepMS)
-	buckets := make([]dist.MeasuredBucket, len(serial.BucketKB))
-	for i := range buckets {
-		buckets[i] = dist.MeasuredBucket{
-			Bwd:   msToDur(serial.BucketBwdMS[i]),
-			Bytes: int64(serial.BucketKB[i] * 1024),
-		}
-	}
-	fwd, upd := msToDur(serial.FwdMS), msToDur(serial.UpdMS)
-	cores := runtime.NumCPU()
-
-	rep := &benchReport{
-		Layers: tf.layers, DModel: tf.dmodel, Seq: tf.seq, TrainB: tf.trainB,
-		Steps: tf.steps, BucketKB: tf.bucketKB, Cores: cores,
-		GradElems: serial.GradElems, Buckets: serial.Buckets,
-		SerialStepMS: serial.StepMS,
-	}
-
-	fmt.Fprintf(stdout, "world overlap  step(ms)  exposed(ms)  eff    model-eff  model-eff(shared)\n")
-	for _, w := range worlds {
-		overlaps := []bool{true, false}
-		if w == 1 {
-			overlaps = []bool{true} // no comm to overlap
-		}
-		for _, ov := range overlaps {
-			var results []*distnet.Result
-			if w == 1 {
-				results = serialRes // reuse the calibration run
-			} else {
-				fmt.Fprintf(stderr, "bench-dist: measuring world=%d overlap=%v...\n", w, ov)
-				results, err = forkWorld(*tf, w, ov, "", stderr, sd)
-				if err != nil {
-					fmt.Fprintf(stderr, "bertdist: bench: %v\n", err)
-					return 1
-				}
-			}
-			// Worst rank bounds the step; rank 0's probe calibrates the link.
-			meas := results[0]
-			for _, r := range results {
-				if r.StepMS > meas.StepMS {
-					meas = r
-				}
-			}
-			link := dist.Link{
-				Bandwidth: results[0].LinkBandwidth,
-				Latency:   time.Duration(results[0].LinkLatencyUS * float64(time.Microsecond)),
-			}
-			dilation := float64(w) / float64(cores)
-			ideal := dist.PredictDP(fwd, upd, buckets, w, link, ov, 1)
-			shared := dist.PredictDP(fwd, upd, buckets, w, link, ov, dilation)
-			pt := benchPoint{
-				World: w, Overlap: ov, Measured: meas,
-				MeasuredEfficiency: serial.StepMS / meas.StepMS,
-				ModeledIdeal:       toModeled(ideal, serialStep),
-				ModeledSharedHost:  toModeled(shared, serialStep),
-			}
-			rep.Points = append(rep.Points, pt)
-			fmt.Fprintf(stdout, "%5d %-7v %9.2f %12.2f %6.2f %10.2f %13.2f\n",
-				w, ov, meas.StepMS, meas.ExposedMS, pt.MeasuredEfficiency,
-				pt.ModeledIdeal.Efficiency, pt.ModeledSharedHost.Efficiency)
-		}
-	}
-	if err := writeJSON(tf.benchOut, rep); err != nil {
-		fmt.Fprintf(stderr, "bertdist: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s\n", tf.benchOut)
-	return 0
-}
-
-func msToDur(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
 }
 
 func freeLoopbackAddr() (string, error) {

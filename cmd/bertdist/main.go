@@ -17,11 +17,12 @@
 //
 //	bertdist -launch 2 -steps 6            # fork 2 worker processes
 //	bertdist -rank 0 -world 2 -addr H:P    # one worker, manual rendezvous
-//	bertdist -bench-dist BENCH_dist.json   # measured-vs-modeled sweep
 //
 // -metrics-jsonl writes the modeled single-device iteration as one
-// telemetry record in the shared per-step JSONL schema; -debug-addr
-// serves the runtime counter registry, expvar, and pprof.
+// telemetry record in the shared per-step JSONL schema (analytical modes
+// only: it is refused with -world/-launch); -debug-addr serves the
+// runtime counter registry (the distnet_* counters of a -world rank
+// included), expvar, and pprof.
 package main
 
 import (
@@ -63,22 +64,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	tf.noOverlap = *noOverlap
+	// Real multi-process training (internal/distnet, see distrun.go);
+	// everything else is the analytical model.
+	distributed := tf.launch > 0 || tf.world > 0
+	if distributed && *metricsPath != "" {
+		fmt.Fprintln(stderr, "bertdist: -metrics-jsonl records the modeled iteration; it cannot be combined with -world/-launch")
+		return 2
+	}
 
 	// Signal-safe cleanup: SIGINT/SIGTERM flushes the metrics file and
 	// drains the debug server instead of truncating mid-write.
 	sd := runutil.Install(stderr)
 	defer sd.Drain()
-
-	// Real multi-process training modes (internal/distnet) — see
-	// distrun.go. Everything below stays the analytical model.
-	switch {
-	case tf.benchOut != "":
-		return benchDist(&tf, stdout, stderr, sd)
-	case tf.launch > 0:
-		return launchLocal(&tf, stdout, stderr, sd)
-	case tf.world > 0:
-		return trainWorker(&tf, stdout, stderr, sd)
-	}
 
 	if *debugAddr != "" {
 		srv, err := obs.StartDebugServer(*debugAddr, obs.Default)
@@ -88,6 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sd.Defer("debug server", func() { srv.ShutdownTimeout(2 * time.Second) })
 		fmt.Fprintf(stdout, "debug server: http://%s/metrics\n", srv.Addr)
+	}
+
+	if distributed {
+		if tf.launch > 0 {
+			return launchLocal(&tf, stdout, stderr, sd)
+		}
+		return trainWorker(&tf, stdout, stderr, sd)
 	}
 
 	cfg := demystbert.BERTLarge()

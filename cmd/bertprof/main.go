@@ -14,7 +14,11 @@
 // -metrics-jsonl streams one JSON record per training step (loss,
 // tokens/s, per-category achieved GFLOP/s and GB/s against the MI100
 // roofline); -debug-addr serves live Prometheus-text runtime counters,
-// expvar, and pprof while the run is in flight.
+// expvar, and pprof while the run is in flight. -trace writes the
+// measured iterations as a Chrome/Perfetto timeline through the repo's
+// one exporter (trace.WriteChromeTrace): a step span per iteration, its
+// fwd/bwd/upd phase spans inside it, and the kernel slices on a companion
+// track.
 package main
 
 import (
@@ -34,6 +38,7 @@ import (
 	"demystbert/internal/profile"
 	"demystbert/internal/runutil"
 	"demystbert/internal/tensor"
+	"demystbert/internal/trace"
 )
 
 func main() {
@@ -56,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	causal := fs.Bool("causal", false, "decoder-style (causal) attention")
 	fused := fs.Bool("fused-attention", false, "fuse the scale/mask/softmax kernels")
 	mode := fs.String("mode", "pretrain", "pretrain or finetune")
-	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the kernel timeline to this path")
+	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the step/phase/kernel timeline to this path")
 	seed := fs.Uint64("seed", 42, "deterministic seed")
 	metricsPath := fs.String("metrics-jsonl", "", "write one JSON telemetry record per training step to this path")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
@@ -128,6 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// run leaves a loadable (partial) trace instead of nothing.
 	writeTrace := func() error { return nil }
 	if *tracePath != "" {
+		ctx.Tracer = trace.New(0, 0)
 		traceDone := false
 		writeTrace = func() error {
 			if traceDone {
@@ -140,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return err
 			}
 			defer f.Close()
-			if err := ctx.Prof.WriteChromeTrace(f); err != nil {
+			if err := trace.WriteChromeTrace(f, ctx.Tracer.Spans(), ctx.Prof.Events()); err != nil {
 				fmt.Fprintf(stderr, "bertprof: writing trace: %v\n", err)
 				return err
 			}
@@ -154,22 +160,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// step runs one full iteration; i >= 1 marks a measured step whose
 	// telemetry (loss, tokens/s, per-category achieved rates over the
-	// step's own event suffix) goes to the JSONL emitter.
+	// step's own event suffix) goes to the JSONL emitter. With -trace the
+	// iteration is one trace: a "step" root, the fwd/bwd spans stepFn
+	// emits under it, and an "upd" span around the optimizer.
 	step := func(i int, stepFn func() float64, params []*nn.Param, zero func()) float64 {
 		evBase := ctx.Prof.KernelCount()
 		start := time.Now()
+		ctx.Tracer.SetStep(i)
+		_, sc := ctx.Tracer.NewTrace()
+		root := ctx.Tracer.StartSpan(sc, "step")
+		ctx.Span = root.Context()
 		if *mp {
 			scaler.Arm(ctx)
 		}
 		loss := stepFn()
-		if *mp {
-			if scaler.UnscaleAndCheck(params) {
-				opt.Step(ctx, params)
-			}
-		} else {
+		upd := ctx.StartSpan("upd")
+		if !*mp || scaler.UnscaleAndCheck(params) {
 			opt.Step(ctx, params)
 		}
 		zero()
+		upd.End()
+		root.End()
 		if emitter != nil && i >= 1 {
 			sum := profile.Summarize(ctx.Prof.Events()[evBase:])
 			if err := emitter.EmitStep(i, loss, *b**n, time.Since(start), sum); err != nil {
@@ -185,6 +196,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warm := gen.Next(*b, *n)
 		step(0, func() float64 { return m.Step(ctx, warm) }, m.Params(), m.ZeroGrads)
 		ctx.Prof.Reset()
+		ctx.Tracer.Reset()
 
 		for i := 0; i < *iters; i++ {
 			batch := gen.Next(*b, *n)
@@ -196,6 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		warm := gen.NextQA(*b, *n)
 		step(0, func() float64 { return f.Step(ctx, warm) }, f.Params(), f.ZeroGrads)
 		ctx.Prof.Reset()
+		ctx.Tracer.Reset()
 
 		for i := 0; i < *iters; i++ {
 			batch := gen.NextQA(*b, *n)

@@ -51,22 +51,74 @@ func TestCausalFusedProfile(t *testing.T) {
 	}
 }
 
+// TestTraceOutput pins the -trace timeline, which bertprof builds from
+// real spans through trace.WriteChromeTrace: every fwd/bwd/upd span lies
+// inside the step span it names as parent, and every kernel slice inside
+// one phase span — the iteration → phase → kernel hierarchy of the
+// paper's Fig. 3, by containment on the shared clock.
 func TestTraceOutput(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	_, code := runCmd(t, "-iters", "1", "-trace", path)
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
+	type event struct {
+		Name string            `json:"name"`
+		Cat  string            `json:"cat"`
+		Ph   string            `json:"ph"`
+		TS   float64           `json:"ts"`
+		Dur  float64           `json:"dur"`
+		Args map[string]string `json:"args"`
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(data, &events); err != nil {
-		t.Fatalf("trace not valid JSON: %v", err)
-	}
-	if len(events) < 50 {
-		t.Fatalf("trace has only %d events", len(events))
+	inside := func(e, outer event) bool { return e.TS >= outer.TS && e.TS+e.Dur <= outer.TS+outer.Dur }
+	for _, mode := range []string{"pretrain", "finetune"} {
+		path := filepath.Join(t.TempDir(), "trace.json")
+		if _, code := runCmd(t, "-mode", mode, "-iters", "2", "-trace", path); code != 0 {
+			t.Fatalf("%s: exit code %d", mode, code)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []event
+		if err := json.Unmarshal(data, &events); err != nil {
+			t.Fatalf("%s: trace not valid JSON: %v", mode, err)
+		}
+		steps := map[string]event{} // by span id
+		var phases, kernels []event
+		for _, e := range events {
+			switch {
+			case e.Ph != "X":
+			case e.Cat != "span":
+				kernels = append(kernels, e)
+			case e.Name == "step":
+				steps[e.Args["span"]] = e
+			default:
+				phases = append(phases, e)
+			}
+		}
+		// The warm-up iteration is not in the file: 2 steps × {fwd, bwd, upd}.
+		if len(steps) != 2 || len(phases) != 6 {
+			t.Fatalf("%s: %d step and %d phase spans, want 2 and 6", mode, len(steps), len(phases))
+		}
+		for _, p := range phases {
+			root, ok := steps[p.Args["parent"]]
+			if !ok || !inside(p, root) {
+				t.Errorf("%s: %s span [%f, +%f] is not inside its step span %+v", mode, p.Name, p.TS, p.Dur, root)
+			}
+		}
+		if len(kernels) < 50 {
+			t.Fatalf("%s: only %d kernel slices", mode, len(kernels))
+		}
+		for _, k := range kernels {
+			var in []string
+			for _, p := range phases {
+				if inside(k, p) {
+					in = append(in, p.Name)
+				}
+			}
+			// The profiler's own phase label must agree with the span.
+			want := map[string]string{"FWD": "fwd", "BWD": "bwd", "UPD": "upd"}[k.Args["phase"]]
+			if len(in) != 1 || in[0] != want {
+				t.Errorf("%s: %s kernel %s [%f, +%f] lies inside phase spans %v, want [%s]",
+					mode, k.Args["phase"], k.Name, k.TS, k.Dur, in, want)
+			}
+		}
 	}
 }
 

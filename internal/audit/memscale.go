@@ -9,7 +9,6 @@ package audit
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"time"
@@ -164,7 +163,7 @@ func CheckShardedOptimizer() []Divergence {
 	}
 	defer arena.Close()
 	po, so := optim.NewLAMB(0.01), optim.NewLAMB(0.01)
-	sh, err := memscale.NewSharded(memscale.WrapLAMB(so), sharded, 3, nil)
+	sh, err := memscale.NewSharded(so, sharded, 3, nil)
 	if err != nil {
 		return shardDiverge("virtual", err)
 	}
@@ -183,7 +182,7 @@ func CheckShardedOptimizer() []Divergence {
 	divs = append(divs, compareShardValues("virtual-k3", sharded, plain)...)
 
 	// --- world 2 over loopback TCP --------------------------------------
-	groups, err := joinLoopbackPair()
+	groups, err := distnet.JoinLoopback(2, 10*time.Second)
 	if err != nil {
 		return append(divs, shardDiverge("world2-join", err)...)
 	}
@@ -197,7 +196,7 @@ func CheckShardedOptimizer() []Divergence {
 	ro := optim.NewLAMB(0.01)
 	shs := make([]*memscale.Sharded, 2)
 	for r := 0; r < 2; r++ {
-		shs[r], err = memscale.NewSharded(memscale.WrapLAMB(optim.NewLAMB(0.01)), replicas[r], 2, groups[r])
+		shs[r], err = memscale.NewSharded(optim.NewLAMB(0.01), replicas[r], 2, groups[r])
 		if err != nil {
 			return append(divs, shardDiverge("world2", err)...)
 		}
@@ -230,39 +229,4 @@ func CheckShardedOptimizer() []Divergence {
 	divs = append(divs, compareShardValues("world2-rank0", replicas[0], reference)...)
 	divs = append(divs, compareShardValues("world2-rank1", replicas[1], reference)...)
 	return divs
-}
-
-// joinLoopbackPair stands up a world-2 distnet group in-process.
-func joinLoopbackPair() ([]*distnet.Group, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	addr := ln.Addr().String()
-	groups := make([]*distnet.Group, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := distnet.Config{Rank: r, World: 2, Addr: addr, Timeout: 10 * time.Second}
-			if r == 0 {
-				cfg.Listener = ln
-			}
-			groups[r], errs[r] = distnet.Join(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			for _, g := range groups {
-				if g != nil {
-					g.Close()
-				}
-			}
-			return nil, fmt.Errorf("rank %d join: %w", r, err)
-		}
-	}
-	return groups, nil
 }

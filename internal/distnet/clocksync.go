@@ -98,7 +98,7 @@ func (g *Group) GatherTraceShards(own trace.Shard) ([]trace.Shard, error) {
 		return nil, fmt.Errorf("distnet: GatherTraceShards on rank %d", g.rank)
 	}
 	for r, c := range g.ctrls {
-		payload, tag, _, err := c.readAny()
+		payload, tag, _, err := c.readAny(maxShardFrame)
 		if err != nil {
 			return nil, g.fail(fmt.Errorf("distnet: trace shard from rank %d: %w", r+1, err))
 		}

@@ -21,30 +21,9 @@ import (
 // rank, and fails the test if any rank cannot join.
 func joinWorld(t *testing.T, world int, timeout time.Duration) []*Group {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	groups, err := JoinLoopback(world, timeout)
 	if err != nil {
 		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	groups := make([]*Group, world)
-	errs := make([]error, world)
-	var wg sync.WaitGroup
-	for r := 0; r < world; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := Config{Rank: r, World: world, Addr: addr, Timeout: timeout}
-			if r == 0 {
-				cfg.Listener = ln
-			}
-			groups[r], errs[r] = Join(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d join: %v", r, err)
-		}
 	}
 	t.Cleanup(func() {
 		for _, g := range groups {

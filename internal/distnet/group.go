@@ -104,6 +104,46 @@ func Join(cfg Config) (*Group, error) {
 	return g, nil
 }
 
+// JoinLoopback forms a complete process group inside this process, one
+// goroutine per rank, over real TCP sockets on 127.0.0.1 — what parity
+// tests and the numerics audit run their world-N legs on. On error every
+// rank that did join is closed; on success the caller closes the groups.
+func JoinLoopback(world int, timeout time.Duration) ([]*Group, error) {
+	if world < 1 {
+		return nil, fmt.Errorf("distnet: world size %d < 1", world)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	groups := make([]*Group, world)
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for r := 0; r < world; r++ {
+		cfg := Config{Rank: r, World: world, Addr: ln.Addr().String(), Timeout: timeout}
+		if r == 0 {
+			cfg.Listener = ln // the group takes ownership
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			groups[r], errs[r] = Join(cfg)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			for _, g := range groups {
+				if g != nil {
+					g.Close()
+				}
+			}
+			return nil, fmt.Errorf("distnet: loopback rank %d: %w", r, err)
+		}
+	}
+	return groups, nil
+}
+
 func (g *Group) joinRank0(cfg Config) error {
 	ln := cfg.Listener
 	if ln == nil {
@@ -128,7 +168,7 @@ func (g *Group) joinRank0(cfg Config) error {
 			return fmt.Errorf("distnet: rank 0 waiting for %d more worker(s): %w", g.world-1-got, err)
 		}
 		c := newConn(raw, g.timeout)
-		payload, tag, _, err := c.readAny()
+		payload, tag, _, err := c.readAny(maxCtrlFrame)
 		if err != nil {
 			return fmt.Errorf("distnet: rank 0 handshake read: %w", err)
 		}
@@ -201,7 +241,7 @@ func (g *Group) joinWorker(cfg Config) error {
 	if err := g.ctrl.writeRaw(tagHello, uint32(g.rank), hello); err != nil {
 		return fmt.Errorf("distnet: rank %d hello: %w", g.rank, err)
 	}
-	payload, tag, _, err := g.ctrl.readAny()
+	payload, tag, _, err := g.ctrl.readAny(maxCtrlFrame)
 	if err != nil {
 		return fmt.Errorf("distnet: rank %d waiting for address table (rendezvous rejected the group?): %w", g.rank, err)
 	}
@@ -243,7 +283,7 @@ func (g *Group) dialRing(addr string, deadline time.Time) (*conn, error) {
 // acceptRing verifies the inbound ring conn really is the expected
 // predecessor.
 func (g *Group) acceptRing(c *conn, wantRank int) error {
-	payload, tag, seq, err := c.readAny()
+	payload, tag, seq, err := c.readAny(maxCtrlFrame)
 	if err != nil {
 		return fmt.Errorf("distnet: rank %d ring accept: %w", g.rank, err)
 	}

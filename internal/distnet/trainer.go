@@ -197,12 +197,15 @@ func (t *Trainer) bucketTag(idx int) uint32 {
 	return (uint32(t.step)*uint32(len(t.plan.List)) + uint32(idx)) & 0x00FFFFFF
 }
 
-// commLoop drains ready bucket indices, all-reducing and averaging each.
-// It runs concurrently with Backward; the channel send in onGradGroup
-// establishes the happens-before edge from the gradient writes.
-func (t *Trainer) commLoop(done chan<- commStats) {
+// commLoop drains ready bucket indices, all-reducing and averaging each:
+// the one bucket loop of both modes, so overlapped and sequential runs
+// issue the same tagged collectives in the same order (the bitwise
+// "overlap vs sequential" contract). Overlapped, it runs concurrently with
+// Backward on t.ready; the channel send in onGradGroup establishes the
+// happens-before edge from the gradient writes.
+func (t *Trainer) commLoop(ready <-chan int) commStats {
 	var cs commStats
-	for idx := range t.ready {
+	for idx := range ready {
 		if cs.err != nil {
 			continue // group already failed; just drain
 		}
@@ -219,7 +222,7 @@ func (t *Trainer) commLoop(done chan<- commStats) {
 		t.plan.ScatterScale(b, t.inv)
 		bucketsReduced.Inc()
 	}
-	done <- cs
+	return cs
 }
 
 // recordComm logs one bucket's AllReduce as an "allreduce.b<idx>" span
@@ -269,38 +272,35 @@ func (t *Trainer) Step(b *data.Batch) (float64, stepStats, error) {
 		t.ready = make(chan int, len(t.plan.List))
 		t.launched = 0
 		done = make(chan commStats, 1)
-		go t.commLoop(done)
+		go func() { done <- t.commLoop(t.ready) }()
 	}
 	t.bwdStart = time.Now()
 	t.M.Backward(t.Ctx)
 	bwdEnd := time.Now()
 	st.bwd = bwdEnd.Sub(t.bwdStart)
 
-	if t.overlap {
-		close(t.ready)
-		cs := <-done
-		t.ready = nil
+	if t.G.World() > 1 {
+		var cs commStats
+		if t.overlap {
+			close(t.ready)
+			cs = <-done
+			t.ready = nil
+			st.exposed = time.Since(bwdEnd)
+		} else {
+			// Sequential: every bucket, in index order, after backward — all
+			// communication is exposed.
+			all := make(chan int, len(t.plan.List))
+			for i := range t.plan.List {
+				all <- i
+			}
+			close(all)
+			cs = t.commLoop(all)
+			st.exposed = cs.comm
+		}
 		if cs.err != nil {
 			return 0, st, cs.err
 		}
 		st.comm = cs.comm
-		st.exposed = time.Since(bwdEnd)
-	} else if t.G.World() > 1 {
-		// Sequential bucket loop: all communication is exposed.
-		for i := range t.plan.List {
-			b := &t.plan.List[i]
-			t.plan.Gather(b)
-			c0 := time.Now()
-			if err := t.G.AllReduce(t.bucketTag(i), t.plan.Slice(b)); err != nil {
-				return 0, st, err
-			}
-			d := time.Since(c0)
-			st.comm += d
-			t.recordComm(i, c0, d)
-			t.plan.ScatterScale(b, t.inv)
-			bucketsReduced.Inc()
-		}
-		st.exposed = st.comm
 	}
 
 	updStart := time.Now()

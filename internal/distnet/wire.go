@@ -31,7 +31,8 @@ import (
 // payloads. Tag identifies the collective (bucket id, probe, barrier),
 // seq the ring step within it — both are verified on receive, so a
 // desynchronized peer surfaces as a protocol error instead of silently
-// corrupted gradients.
+// corrupted gradients. len is verified too, against what the receiver
+// expects and before a byte of payload is buffered (see maxCtrlFrame).
 const (
 	protoVersion = 1
 
@@ -116,11 +117,38 @@ func (c *conn) writeRaw(tag, seq uint32, payload []byte) error {
 	return nil
 }
 
-// readFrame receives one frame, verifying tag, seq, and payload size.
+// Limits for the frames whose length the receiver cannot know in advance.
+// A data frame needs none: its receiver was told the element count and
+// accepts exactly 4·elems bytes. The scratch never grows to a size this
+// rank did not agree to.
+const (
+	// maxCtrlFrame bounds the handshake: a hello (12 bytes + one address),
+	// the address table (one address per rank), the empty ring hello.
+	maxCtrlFrame = 64 << 10
+	// maxShardFrame bounds one worker's JSON trace shard: a full span ring
+	// (trace.DefaultRingCap = 65536 spans at ~250 bytes each) fits.
+	maxShardFrame = 32 << 20
+)
+
+// frameSizeError reports a frame whose header announces a payload the
+// receiver did not agree to: a desynchronized or hostile peer. It is
+// returned before any of the payload is read or buffered.
+type frameSizeError struct {
+	tag, seq, announced uint32
+	accepts             string // "exactly N" or "at most N"
+}
+
+func (e *frameSizeError) Error() string {
+	return fmt.Sprintf("distnet: frame tag %#x seq %d announces %d bytes, receiver accepts %s",
+		e.tag, e.seq, e.announced, e.accepts)
+}
+
+// readFrame receives one frame, verifying tag, seq, and payload size —
+// all three against the header alone, before the payload is buffered.
 // The returned bytes alias the conn's scratch and are valid until the
 // next read.
 func (c *conn) readFrame(tag, seq uint32, elems int) ([]byte, error) {
-	payload, gotTag, gotSeq, err := c.readAny()
+	gotTag, gotSeq, nb, err := c.readHeader()
 	if err != nil {
 		return nil, err
 	}
@@ -128,37 +156,50 @@ func (c *conn) readFrame(tag, seq uint32, elems int) ([]byte, error) {
 		return nil, fmt.Errorf("distnet: protocol desync: got frame tag %#x seq %d, want %#x seq %d",
 			gotTag, gotSeq, tag, seq)
 	}
-	if len(payload) != 4*elems {
-		return nil, fmt.Errorf("distnet: frame tag %#x seq %d carries %d bytes, want %d",
-			tag, seq, len(payload), 4*elems)
+	if int64(nb) != 4*int64(elems) {
+		return nil, &frameSizeError{tag, seq, nb, fmt.Sprint("exactly ", 4*elems)}
 	}
-	return payload, nil
+	return c.readPayload(nb)
 }
 
 // readAny receives the next frame whatever its tag (the handshake path,
-// where the expected tag depends on who dialed).
-func (c *conn) readAny() (payload []byte, tag, seq uint32, err error) {
-	if err := c.c.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
+// where the expected tag depends on who dialed), refusing one that
+// announces more than limit bytes.
+func (c *conn) readAny(limit int) (payload []byte, tag, seq uint32, err error) {
+	tag, seq, nb, err := c.readHeader()
+	if err != nil {
 		return nil, 0, 0, err
+	}
+	if int64(nb) > int64(limit) {
+		return nil, 0, 0, &frameSizeError{tag, seq, nb, fmt.Sprint("at most ", limit)}
+	}
+	payload, err = c.readPayload(nb)
+	return payload, tag, seq, err
+}
+
+func (c *conn) readHeader() (tag, seq, nb uint32, err error) {
+	if err := c.c.SetReadDeadline(time.Now().Add(c.timeout)); err != nil {
+		return 0, 0, 0, err
 	}
 	if _, err := io.ReadFull(c.br, c.hdr[:]); err != nil {
-		return nil, 0, 0, err
+		return 0, 0, 0, err
 	}
-	tag = binary.LittleEndian.Uint32(c.hdr[0:])
-	seq = binary.LittleEndian.Uint32(c.hdr[4:])
-	nb := binary.LittleEndian.Uint32(c.hdr[8:])
-	const maxFrame = 1 << 30
-	if nb > maxFrame {
-		return nil, 0, 0, fmt.Errorf("distnet: implausible frame size %d", nb)
-	}
+	return binary.LittleEndian.Uint32(c.hdr[0:]),
+		binary.LittleEndian.Uint32(c.hdr[4:]),
+		binary.LittleEndian.Uint32(c.hdr[8:]), nil
+}
+
+// readPayload buffers the nb payload bytes of the frame whose header was
+// just accepted.
+func (c *conn) readPayload(nb uint32) ([]byte, error) {
 	buf := c.grow(int(nb))
 	if _, err := io.ReadFull(c.br, buf); err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	n := int64(frameHeaderBytes) + int64(nb)
 	c.bytesIn += n
 	rxBytes.Add(n)
-	return buf, tag, seq, nil
+	return buf, nil
 }
 
 func (c *conn) close() error { return c.c.Close() }

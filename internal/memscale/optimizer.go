@@ -7,43 +7,7 @@ import (
 	"demystbert/internal/nn"
 	"demystbert/internal/optim"
 	"demystbert/internal/profile"
-	"demystbert/internal/tensor"
 )
-
-// Applier applies one prepared iteration's update to a parameter subset
-// (optim.LAMBStep and optim.AdamStep both satisfy it).
-type Applier interface {
-	Apply(ctx *nn.Ctx, params []*nn.Param)
-}
-
-// Inner abstracts the prepare/apply split of the shardable optimizers.
-// Prepare advances the step count exactly once per iteration and fixes
-// the iteration-wide scalars (bias correction, LAMB's global clip scale);
-// the returned Applier may then be invoked shard by shard.
-type Inner interface {
-	Prepare(ctx *nn.Ctx, all []*nn.Param) Applier
-	State(p *nn.Param) (m, v *tensor.Tensor)
-	ReleaseState(p *nn.Param)
-	StepCount() int
-}
-
-// WrapLAMB adapts a LAMB optimizer for sharding.
-func WrapLAMB(o *optim.LAMB) Inner { return lambInner{o} }
-
-// WrapAdam adapts an Adam optimizer for sharding.
-func WrapAdam(o *optim.Adam) Inner { return adamInner{o} }
-
-type lambInner struct{ *optim.LAMB }
-
-func (l lambInner) Prepare(ctx *nn.Ctx, all []*nn.Param) Applier {
-	return l.PrepareStep(ctx, all)
-}
-
-type adamInner struct{ *optim.Adam }
-
-func (a adamInner) Prepare(ctx *nn.Ctx, all []*nn.Param) Applier {
-	return a.PrepareStep()
-}
 
 // Sharded is a ZeRO-1 optimizer-state-sharded update engine. The model,
 // gradients, and weights stay fully replicated (plain data parallelism);
@@ -67,7 +31,7 @@ func (a adamInner) Prepare(ctx *nn.Ctx, all []*nn.Param) Applier {
 //     2× model size through the arena per iteration. Spilled bytes
 //     round-trip bitwise, so this too equals the unsharded update.
 type Sharded struct {
-	Inner Inner
+	Opt   optim.Shardable
 	Plan  ShardPlan
 	G     *distnet.Group // nil, or the data-parallel group (one shard per rank)
 	Arena *Arena         // virtual mode: spill store for non-resident shards
@@ -77,11 +41,11 @@ type Sharded struct {
 	regions map[*nn.Param][2]Region // m, v spill regions
 }
 
-// NewSharded plans K shards over params and wraps inner. For distributed
-// use pass the group as g (K must equal the world size and the trainer
-// must have all-reduced gradients before Step); for single-process
-// virtual sharding pass g == nil and an arena via SetArena.
-func NewSharded(inner Inner, params []*nn.Param, k int, g *distnet.Group) (*Sharded, error) {
+// NewSharded plans K shards over params and shards opt's state (LAMB or
+// Adam). For distributed use pass the group as g (K must equal the world
+// size and the trainer must have all-reduced gradients before Step); for
+// single-process virtual sharding pass g == nil and an arena via SetArena.
+func NewSharded(opt optim.Shardable, params []*nn.Param, k int, g *distnet.Group) (*Sharded, error) {
 	if g != nil && g.World() > 1 && k != g.World() {
 		return nil, fmt.Errorf("memscale: %d shards for world %d", k, g.World())
 	}
@@ -89,7 +53,7 @@ func NewSharded(inner Inner, params []*nn.Param, k int, g *distnet.Group) (*Shar
 	if err != nil {
 		return nil, err
 	}
-	return &Sharded{Inner: inner, Plan: plan, G: g}, nil
+	return &Sharded{Opt: opt, Plan: plan, G: g}, nil
 }
 
 // SetArena enables virtual-shard state spilling.
@@ -104,7 +68,7 @@ func (s *Sharded) SetArena(a *Arena) {
 // canonical full parameter list every call (it is what Prepare's global
 // reductions run over); the shard partition of it is fixed by the Plan.
 func (s *Sharded) Step(ctx *nn.Ctx, params []*nn.Param) error {
-	st := s.Inner.Prepare(ctx, params)
+	st := s.Opt.Prepare(ctx, params)
 	s.step++
 	if s.G != nil && s.G.World() > 1 {
 		return s.stepWorld(ctx, st)
@@ -113,7 +77,7 @@ func (s *Sharded) Step(ctx *nn.Ctx, params []*nn.Param) error {
 }
 
 // stepWorld updates this rank's shard and ring-gathers the weights.
-func (s *Sharded) stepWorld(ctx *nn.Ctx, st Applier) error {
+func (s *Sharded) stepWorld(ctx *nn.Ctx, st optim.Applier) error {
 	rank := s.G.Rank()
 	st.Apply(ctx, s.Plan.Shards[rank])
 
@@ -154,7 +118,7 @@ func (s *Sharded) stepWorld(ctx *nn.Ctx, st Applier) error {
 
 // stepVirtual walks the shards with at most one shard's optimizer state
 // resident (when an arena is set).
-func (s *Sharded) stepVirtual(ctx *nn.Ctx, st Applier) error {
+func (s *Sharded) stepVirtual(ctx *nn.Ctx, st optim.Applier) error {
 	for _, shard := range s.Plan.Shards {
 		if s.Arena != nil {
 			if err := s.loadShardState(ctx, shard); err != nil {
@@ -173,7 +137,7 @@ func (s *Sharded) stepVirtual(ctx *nn.Ctx, st Applier) error {
 }
 
 // loadShardState restores previously spilled m/v for the shard's params.
-// Params never spilled before (first iteration) are left to the inner
+// Params never spilled before (first iteration) are left to the
 // optimizer's lazy zero-initialized allocation.
 func (s *Sharded) loadShardState(ctx *nn.Ctx, shard []*nn.Param) error {
 	var err error
@@ -184,7 +148,7 @@ func (s *Sharded) loadShardState(ctx *nn.Ctx, shard []*nn.Param) error {
 				if !ok {
 					continue
 				}
-				m, v := s.Inner.State(p)
+				m, v := s.Opt.State(p)
 				if err = s.Arena.Read(regs[0], m.Data()); err != nil {
 					return
 				}
@@ -203,7 +167,7 @@ func (s *Sharded) spillShardState(ctx *nn.Ctx, shard []*nn.Param) error {
 	ctx.Prof.Time("spill_optstate_write", profile.CatOther, profile.Update,
 		0, shardStateBytes(shard), func() {
 			for _, p := range shard {
-				m, v := s.Inner.State(p)
+				m, v := s.Opt.State(p)
 				regs, ok := s.regions[p]
 				if !ok {
 					regs = [2]Region{s.Arena.Alloc(p.Size()), s.Arena.Alloc(p.Size())}
@@ -215,7 +179,7 @@ func (s *Sharded) spillShardState(ctx *nn.Ctx, shard []*nn.Param) error {
 				if err = s.Arena.Write(regs[1], v.Data()); err != nil {
 					return
 				}
-				s.Inner.ReleaseState(p)
+				s.Opt.ReleaseState(p)
 			}
 		})
 	return err

@@ -2,7 +2,6 @@ package memscale
 
 import (
 	"math"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +50,7 @@ func TestVirtualShardLAMBBitwiseMatchesUnsharded(t *testing.T) {
 
 	po := optim.NewLAMB(0.01)
 	so := optim.NewLAMB(0.01)
-	sh, err := NewSharded(WrapLAMB(so), sharded, 3, nil)
+	sh, err := NewSharded(so, sharded, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestVirtualShardAdamBitwiseMatchesUnsharded(t *testing.T) {
 
 	po := optim.NewAdam(0.01, true)
 	so := optim.NewAdam(0.01, true)
-	sh, err := NewSharded(WrapAdam(so), sharded, 2, nil)
+	sh, err := NewSharded(so, sharded, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,30 +112,9 @@ func TestVirtualShardAdamBitwiseMatchesUnsharded(t *testing.T) {
 // joinPair stands up a loopback world-2 group in-process.
 func joinPair(t *testing.T) []*distnet.Group {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	groups, err := distnet.JoinLoopback(2, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	groups := make([]*distnet.Group, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := distnet.Config{Rank: r, World: 2, Addr: addr, Timeout: 5 * time.Second}
-			if r == 0 {
-				cfg.Listener = ln
-			}
-			groups[r], errs[r] = distnet.Join(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d join: %v", r, err)
-		}
 	}
 	t.Cleanup(func() {
 		for _, g := range groups {
@@ -161,7 +139,7 @@ func TestShardedLAMBWorld2BitwiseMatchesUnsharded(t *testing.T) {
 	shs := make([]*Sharded, 2)
 	for r := 0; r < 2; r++ {
 		var err error
-		shs[r], err = NewSharded(WrapLAMB(optim.NewLAMB(0.01)), replicas[r], 2, groups[r])
+		shs[r], err = NewSharded(optim.NewLAMB(0.01), replicas[r], 2, groups[r])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +177,7 @@ func TestShardedLAMBWorld2BitwiseMatchesUnsharded(t *testing.T) {
 // distributed mode.
 func TestShardedRejectsWorldMismatch(t *testing.T) {
 	groups := joinPair(t)
-	if _, err := NewSharded(WrapLAMB(optim.NewLAMB(0.01)), mkParams(10, 10), 3, groups[0]); err == nil {
+	if _, err := NewSharded(optim.NewLAMB(0.01), mkParams(10, 10), 3, groups[0]); err == nil {
 		t.Fatal("3 shards for world 2 accepted")
 	}
 	// Unblock rank 1's group teardown (no collective was issued).

@@ -109,8 +109,12 @@ func (f *FineTuner) Backward(ctx *nn.Ctx) {
 // Step runs one fine-tuning iteration and returns the loss.
 func (f *FineTuner) Step(ctx *nn.Ctx, b *data.QABatch) float64 {
 	ctx.Prof.BeginIteration()
+	sp := ctx.StartSpan("fwd")
 	loss := f.Forward(ctx, b)
+	sp.End()
+	sp = ctx.StartSpan("bwd")
 	f.Backward(ctx)
+	sp.End()
 	return loss
 }
 

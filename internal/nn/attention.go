@@ -105,10 +105,10 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 		})
 
 	// Attention scores: B·h batched GEMMs of n×n×dHead (Table 2b
-	// "Attn. Score"). BatchedGEMM's flattened blocked engine packs the
-	// whole batch once and keeps even tiny per-head products (small
-	// configs: 16×16×8) on the SIMD micro-kernel instead of the scalar
-	// fallback; see DESIGN.md §8.
+	// "Attn. Score"). BatchedGEMM hands whole matrices to the worker pool
+	// and routes each product as GEMM would, so heads of the paper's
+	// models (64 wide) run the blocked engine and tiny ones (small
+	// configs: 16×16×8) the naive loops; see DESIGN.md §8.
 	scores := tensor.New(batch, n, n)
 	stQK, stS := n*a.dHead, n*n
 	ctx.Prof.Time("attn_score_bgemm", profile.CatAttnBGEMM, profile.Forward,

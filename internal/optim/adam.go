@@ -76,22 +76,23 @@ func (o *Adam) ReleaseState(p *nn.Param) {
 }
 
 // AdamStep is one iteration's update context: the bias-correction terms,
-// fixed once per PrepareStep. As with LAMBStep, Apply may be called once
+// fixed once per Prepare. As with LAMBStep, Apply may be called once
 // with all parameters or once per shard; the step count — and therefore
 // bc1/bc2 — advances exactly once per iteration regardless, and is shared
 // between the fused and unfused kernel organizations. This is what keeps
 // bias correction in sync when gradient accumulation or a loss-scale skip
 // makes iterations and optimizer calls no longer one-to-one: a skipped
-// step simply never calls PrepareStep, and no partial application can
+// step simply never calls Prepare, and no partial application can
 // advance the count twice.
 type AdamStep struct {
 	o        *Adam
 	bc1, bc2 float32
 }
 
-// PrepareStep advances the step count once and fixes this iteration's
-// bias-correction terms.
-func (o *Adam) PrepareStep() *AdamStep {
+// Prepare advances the step count once and fixes this iteration's
+// bias-correction terms. Adam has no cross-parameter reduction, so the
+// arguments (LAMB's global clip needs them) go unused.
+func (o *Adam) Prepare(*nn.Ctx, []*nn.Param) Applier {
 	o.step++
 	return &AdamStep{
 		o:   o,
@@ -102,7 +103,7 @@ func (o *Adam) PrepareStep() *AdamStep {
 
 // Step applies one Adam update to every parameter.
 func (o *Adam) Step(ctx *nn.Ctx, params []*nn.Param) {
-	o.PrepareStep().Apply(ctx, params)
+	o.Prepare(ctx, params).Apply(ctx, params)
 }
 
 // Apply updates params — any subset of the trainable set — using this

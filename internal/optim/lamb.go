@@ -78,7 +78,7 @@ func (o *LAMB) ReleaseState(p *nn.Param) {
 }
 
 // LAMBStep is one iteration's update context: the bias-correction terms
-// and the global gradient clip scale, fixed once per PrepareStep. Apply
+// and the global gradient clip scale, fixed once per Prepare. Apply
 // may then be called once with every parameter (the plain path) or once
 // per shard (the ZeRO-1 sharded and virtual-shard paths) — the step count
 // advances exactly once either way, so bias correction cannot desync no
@@ -89,12 +89,12 @@ type LAMBStep struct {
 	bc1, bc2  float32
 }
 
-// PrepareStep advances the step count once and computes the global
+// Prepare advances the step count once and computes the global
 // gradient-norm clip scale. params must be ALL trainable parameters in
 // canonical order — LAMB's clip norm is global, so every rank and every
 // shard must derive the identical scale even when Apply later touches
 // only a subset.
-func (o *LAMB) PrepareStep(ctx *nn.Ctx, params []*nn.Param) *LAMBStep {
+func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
 	o.step++
 
 	// Global gradient norm: LAMB normalizes all layers' gradients before
@@ -122,11 +122,11 @@ func (o *LAMB) PrepareStep(ctx *nn.Ctx, params []*nn.Param) *LAMBStep {
 
 // Step applies one LAMB update to every parameter.
 func (o *LAMB) Step(ctx *nn.Ctx, params []*nn.Param) {
-	o.PrepareStep(ctx, params).Apply(ctx, params)
+	o.Prepare(ctx, params).Apply(ctx, params)
 }
 
 // Apply runs both LAMB stages over params, which may be any subset of the
-// parameters PrepareStep saw. Per-tensor arithmetic is independent across
+// parameters Prepare saw. Per-tensor arithmetic is independent across
 // tensors, so splitting one iteration's Apply across shards is bitwise
 // identical to a single whole-model Apply.
 func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {

@@ -82,7 +82,7 @@ func TestMixedSkipApplyKeepsFusedUnfusedInSync(t *testing.T) {
 }
 
 // TestAdamShardedApplyBitwiseMatchesStep pins the prepare/apply contract:
-// one PrepareStep followed by per-shard Apply calls advances the step
+// one Prepare followed by per-shard Apply calls advances the step
 // count once and produces bitwise the same weights and state as a single
 // whole-model Step.
 func TestAdamShardedApplyBitwiseMatchesStep(t *testing.T) {
@@ -100,7 +100,7 @@ func TestAdamShardedApplyBitwiseMatchesStep(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		fillGrads(gr, whole, sharded)
 		ow.Step(ctx, whole)
-		st := os.PrepareStep()
+		st := os.Prepare(ctx, sharded)
 		st.Apply(ctx, sharded[:2])
 		st.Apply(ctx, sharded[2:])
 	}
@@ -143,7 +143,7 @@ func TestLAMBShardedApplyBitwiseMatchesStep(t *testing.T) {
 	for iter := 0; iter < 3; iter++ {
 		fillGrads(gr, whole, sharded)
 		ow.Step(ctx, whole)
-		st := os.PrepareStep(ctx, sharded) // clip norm over ALL params
+		st := os.Prepare(ctx, sharded) // clip norm over ALL params
 		st.Apply(ctx, sharded[:1])
 		st.Apply(ctx, sharded[1:])
 	}

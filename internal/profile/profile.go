@@ -115,9 +115,9 @@ func (p *Profiler) Record(e Event) {
 }
 
 // BeginIteration marks the start of the next training iteration; events
-// recorded from now on carry its 1-based index, which WriteChromeTrace
-// uses to nest kernels under iteration spans. On a nil profiler it is a
-// no-op.
+// recorded from now on carry its 1-based index, which the timeline export
+// (trace.WriteChromeTrace) attaches to every kernel slice. On a nil
+// profiler it is a no-op.
 func (p *Profiler) BeginIteration() {
 	if p == nil {
 		return

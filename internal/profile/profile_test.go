@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -190,157 +189,6 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// decodeTrace parses a trace and splits it into hierarchy spans
-// (cat "iteration"/"phase") and kernel slices.
-func decodeTrace(t *testing.T, trace string) (spans, kernels []map[string]any) {
-	t.Helper()
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(trace), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	for _, e := range events {
-		if e["cat"] == "iteration" || e["cat"] == "phase" {
-			spans = append(spans, e)
-		} else {
-			kernels = append(kernels, e)
-		}
-	}
-	return spans, kernels
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	p := New()
-	p.BeginIteration()
-	p.Time("gemm_a", CatFCGEMM, Forward, 100, 10, func() { time.Sleep(time.Millisecond) })
-	p.Time("lamb_b", CatLAMBStage1, Update, 5, 50, func() {})
-	var sb strings.Builder
-	if err := p.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	spans, kernels := decodeTrace(t, sb.String())
-	if len(kernels) != 2 {
-		t.Fatalf("trace has %d kernel events, want 2", len(kernels))
-	}
-	// One iteration span plus one span each for FWD and UPD.
-	if len(spans) != 3 {
-		t.Fatalf("trace has %d hierarchy spans, want 3: %v", len(spans), spans)
-	}
-	first := kernels[0]
-	if first["name"] != "gemm_a" || first["cat"] != "FCGEMM" || first["ph"] != "X" {
-		t.Fatalf("malformed trace event: %v", first)
-	}
-	if first["dur"].(float64) < 900 {
-		t.Fatalf("duration %v µs, want >= ~1000", first["dur"])
-	}
-	args := first["args"].(map[string]any)
-	if args["flops"] != "100" || args["bytes"] != "10" || args["iteration"] != "1" {
-		t.Fatalf("args %v", args)
-	}
-}
-
-// TestWriteChromeTraceNesting pins the Fig. 3 hierarchy: every kernel
-// slice lies inside its phase span, and every phase span inside its
-// iteration span, all on one track so Perfetto nests them.
-func TestWriteChromeTraceNesting(t *testing.T) {
-	p := New()
-	for it := 0; it < 2; it++ {
-		p.BeginIteration()
-		p.Time("fwd_gemm", CatLinear, Forward, 10, 10, func() { time.Sleep(time.Millisecond) })
-		p.Time("bwd_gemm", CatLinear, Backward, 10, 10, func() { time.Sleep(time.Millisecond) })
-		p.Time("lamb", CatLAMBStage1, Update, 10, 10, func() {})
-	}
-	var sb strings.Builder
-	if err := p.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	spans, kernels := decodeTrace(t, sb.String())
-	if len(kernels) != 6 {
-		t.Fatalf("%d kernel events, want 6", len(kernels))
-	}
-	// 2 iteration spans + 2×3 phase spans.
-	if len(spans) != 8 {
-		t.Fatalf("%d hierarchy spans, want 8: %v", len(spans), spans)
-	}
-	envelope := func(name string) (lo, hi float64) {
-		t.Helper()
-		for _, s := range spans {
-			if s["name"] == name {
-				return s["ts"].(float64), s["ts"].(float64) + s["dur"].(float64)
-			}
-		}
-		t.Fatalf("span %q missing", name)
-		return 0, 0
-	}
-	it1lo, it1hi := envelope("iteration 1")
-	it2lo, _ := envelope("iteration 2")
-	if it1hi > it2lo {
-		t.Fatalf("iteration spans overlap: it1 ends %v, it2 starts %v", it1hi, it2lo)
-	}
-	for _, k := range kernels {
-		ts := k["ts"].(float64)
-		end := ts + k["dur"].(float64)
-		iter := k["args"].(map[string]any)["iteration"]
-		if iter == "1" && (ts < it1lo || end > it1hi) {
-			t.Fatalf("kernel %v [%v,%v] outside iteration 1 span [%v,%v]", k["name"], ts, end, it1lo, it1hi)
-		}
-	}
-	// Every event shares one track — nesting in Perfetto is by
-	// containment on the same tid.
-	for _, s := range append(spans, kernels...) {
-		if s["tid"].(float64) != 1 {
-			t.Fatalf("event %v on tid %v, want 1", s["name"], s["tid"])
-		}
-	}
-}
-
-func TestWriteChromeTraceManualEvents(t *testing.T) {
-	// Events recorded without timestamps are laid out sequentially.
-	p := New()
-	p.Record(Event{Kernel: "a", Duration: 2 * time.Millisecond})
-	p.Record(Event{Kernel: "b", Duration: 3 * time.Millisecond})
-	var sb strings.Builder
-	if err := p.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	_, kernels := decodeTrace(t, sb.String())
-	if kernels[1]["ts"].(float64) != 2000 {
-		t.Fatalf("second event ts %v, want 2000 (after first's 2ms)", kernels[1]["ts"])
-	}
-}
-
-// TestWriteChromeTraceMixedTimestamps is the regression test for the
-// synthetic-layout bug: when real Start timestamps and zero ones mix,
-// synthetic events used to start at ts 0 and overlap the real timeline.
-// They must be laid out back-to-back after the last real event ends.
-func TestWriteChromeTraceMixedTimestamps(t *testing.T) {
-	p := New()
-	base := time.Now()
-	p.Record(Event{Kernel: "real_a", Start: base, Duration: 4 * time.Millisecond})
-	p.Record(Event{Kernel: "synth_x", Duration: 2 * time.Millisecond})
-	p.Record(Event{Kernel: "real_b", Start: base.Add(5 * time.Millisecond), Duration: 3 * time.Millisecond})
-	p.Record(Event{Kernel: "synth_y", Duration: time.Millisecond})
-	var sb strings.Builder
-	if err := p.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	_, kernels := decodeTrace(t, sb.String())
-	ts := map[string]float64{}
-	for _, k := range kernels {
-		ts[k["name"].(string)] = k["ts"].(float64)
-	}
-	// Real timeline: real_a [0, 4000], real_b [5000, 8000]. Synthetic
-	// events follow from 8000, in record order.
-	if ts["real_a"] != 0 || ts["real_b"] != 5000 {
-		t.Fatalf("real timestamps %v", ts)
-	}
-	if ts["synth_x"] != 8000 {
-		t.Fatalf("first synthetic event ts %v, want 8000 (after last real event)", ts["synth_x"])
-	}
-	if ts["synth_y"] != 10000 {
-		t.Fatalf("second synthetic event ts %v, want 10000", ts["synth_y"])
 	}
 }
 

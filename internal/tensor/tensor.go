@@ -197,15 +197,6 @@ func SameShape(a, b *Tensor) bool {
 	return true
 }
 
-// NumElements returns the element count of a shape.
-func NumElements(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		n *= d
-	}
-	return n
-}
-
 // String renders a compact description, e.g. "Tensor[32 128 1024]".
 func (t *Tensor) String() string {
 	dims := make([]string, len(t.shape))

@@ -17,8 +17,9 @@ import (
 // the wall-clock timeline with the spans, which is what lets a serving
 // batch span visually contain the GEMM slices it dispatched.
 
-// chromeEvent mirrors profile's trace-event encoding; kept separate so
-// the two packages stay independently evolvable.
+// chromeEvent is one entry of the Chrome trace-event format
+// (chrome://tracing, Perfetto), the interchange format GPU profilers
+// including rocProf export to.
 type chromeEvent struct {
 	Name     string            `json:"name"`
 	Category string            `json:"cat"`
@@ -33,11 +34,13 @@ type chromeEvent struct {
 const kernelTrackStride = 1000
 
 // WriteChromeTrace exports spans (already merged/aligned — see Merge)
-// as a Chrome trace-event JSON array. kernels, when non-empty, is a
-// profile event log recorded on the same clock (rank 0's, for
-// distributed runs; the serving process's own for serve); its slices
-// land on a companion track. Timestamps are rebased to the earliest
-// span so Perfetto opens at t=0.
+// as a Chrome trace-event JSON array: the repo's one timeline writer,
+// behind bertprof -trace, bertdist -trace-out and serve.Engine.WriteTrace.
+// kernels, when non-empty, is a profile event log recorded on the same
+// clock (rank 0's, for distributed runs; the process's own otherwise);
+// its slices land on a companion track, carrying phase, iteration, FLOPs
+// and bytes as args. Timestamps are rebased to the earliest span so
+// Perfetto opens at t=0.
 func WriteChromeTrace(w io.Writer, spans []Span, kernels []profile.Event) error {
 	var origin time.Time
 	for _, s := range spans {
@@ -88,7 +91,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, kernels []profile.Event) error 
 	}
 	for _, e := range kernels {
 		if e.Start.IsZero() {
-			continue // synthetic events have no place on a wall-clock timeline
+			continue // an event recorded without a timestamp has no place on a wall-clock timeline
 		}
 		out = append(out, chromeEvent{
 			Name: e.Kernel, Category: string(e.Category), Phase: "X",
@@ -99,6 +102,7 @@ func WriteChromeTrace(w io.Writer, spans []Span, kernels []profile.Event) error 
 				"phase": e.Phase.String(),
 				"iter":  fmt.Sprint(e.Iter),
 				"flops": fmt.Sprint(e.FLOPs),
+				"bytes": fmt.Sprint(e.Bytes),
 			},
 		})
 	}

@@ -15,8 +15,8 @@ import (
 // shared barrier, the step cannot advance until the slowest rank's
 // backward + residual communication finishes — this report names that
 // rank per step and attributes each rank's exposed communication to the
-// buckets that caused it, instead of the averaged aggregate the
-// BENCH_dist sweep reports.
+// buckets that caused it, instead of the run-averaged comm/exposed
+// aggregate in distnet.Result.
 
 // BucketComm is one bucket's communication on one rank for one step.
 type BucketComm struct {

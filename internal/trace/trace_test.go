@@ -230,8 +230,9 @@ func TestChromeTraceTrackOrdering(t *testing.T) {
 	})
 
 	kernels := []profile.Event{
-		{Kernel: "sgemm", Category: profile.CatLinear, Phase: profile.Forward,
-			Start: base.Add(105 * time.Millisecond), Duration: 5 * time.Millisecond},
+		{Kernel: "sgemm", Category: profile.CatLinear, Phase: profile.Forward, Iter: 1,
+			Start: base.Add(105 * time.Millisecond), Duration: 5 * time.Millisecond,
+			FLOPs: 2000, Bytes: 640},
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, merged, kernels); err != nil {
@@ -267,6 +268,18 @@ func TestChromeTraceTrackOrdering(t *testing.T) {
 					tid, events[i].Name, events[i].TS, last)
 			}
 			last = events[i].TS
+		}
+	}
+	// The kernel slice carries the profiler's metadata as args.
+	for _, e := range events {
+		if e.Name != "sgemm" {
+			continue
+		}
+		want := map[string]string{"phase": "FWD", "iter": "1", "flops": "2000", "bytes": "640"}
+		for k, v := range want {
+			if e.Args[k] != v {
+				t.Errorf("kernel slice arg %s = %q, want %q", k, e.Args[k], v)
+			}
 		}
 	}
 	// Child containment: every span with a parent lies inside it.

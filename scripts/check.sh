@@ -1,8 +1,8 @@
 #!/bin/sh
 # check.sh — tier-1 gate for the repo: vet, build, race-test the hot
-# packages, full test sweep, and a short benchmark smoke so kernel
-# regressions fail loudly before merge. Run from the repo root or via
-# `make check`.
+# packages, full test sweep, and the benchmark's own smoke (every workload
+# plus its correctness checks) so kernel regressions fail loudly before
+# merge. Run from the repo root or via `make check`.
 #
 # Every test leg runs whole packages and differs from `go test ./...` by a
 # flag or the environment (-race, -race -short, GOMAXPROCS=1); no leg pins
@@ -43,7 +43,10 @@ test -s /tmp/bertdist_trace.json && rm -f /tmp/bertdist_trace.json
 echo "== memory-scaled BERT-Large smoke (reduced layers; accumulation + virtual shards + spill under GOMEMLIMIT)"
 go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -shards 2 -ckpt-every 1 -memlimit-mb 768 >/dev/null
 
-echo "== bench smoke (GEMM paper shapes + fused FFN tail + int8 + pool fork/join + micro-kernels + transposing packs, 1 iteration)"
-go test -run 'xxx' -bench 'Fig6GEMMIntensity|GEMMPaperSizes|GEMMInt8PaperSizes|RealFFN|ForkJoin|MicroKernel|PackPanels' -benchtime 1x -benchmem . ./internal/kernels/ >/dev/null
+echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
+go run ./bench -all -smoke >/dev/null
+
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
