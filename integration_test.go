@@ -7,6 +7,7 @@ package demystbert
 // operator enumeration is wrong.
 
 import (
+	"strings"
 	"testing"
 
 	"demystbert/internal/data"
@@ -16,9 +17,18 @@ import (
 	"demystbert/internal/profile"
 )
 
-// realTransformerGEMMFLOPs runs one real iteration and sums GEMM FLOPs of
-// transformer-layer kernels per phase.
-func realGEMMFLOPs(t *testing.T, cfg model.Config, b, n int) map[profile.Phase]int64 {
+// gemmFLOPs holds GEMM FLOPs per phase for the transformer layers and for
+// the output heads.
+type gemmFLOPs struct {
+	transformer, output map[profile.Phase]int64
+}
+
+// realGEMMFLOPs runs one real iteration and sums the GEMM FLOPs of its
+// transformer-layer and output-head kernels per phase. The graph folds the
+// NSP head (B rows) into one element-wise kernel, so the pooler's and the
+// classifier's GEMMs are left out of the output sum. It also returns how
+// many rows the batch scores.
+func realGEMMFLOPs(t *testing.T, cfg model.Config, b, n int) (gemmFLOPs, int) {
 	t.Helper()
 	m, err := model.New(cfg, 1)
 	if err != nil {
@@ -28,25 +38,38 @@ func realGEMMFLOPs(t *testing.T, cfg model.Config, b, n int) map[profile.Phase]i
 	batch := data.NewGenerator(cfg.Vocab, 0.15, 3).Next(b, n)
 	m.Step(ctx, batch)
 
-	out := make(map[profile.Phase]int64)
+	out := gemmFLOPs{make(map[profile.Phase]int64), make(map[profile.Phase]int64)}
 	for _, e := range ctx.Prof.Events() {
-		if e.Category == profile.CatLinear || e.Category == profile.CatAttnBGEMM || e.Category == profile.CatFCGEMM {
-			if e.FLOPs > 0 && e.Kernel != "linear_fwd_bias" && e.Kernel != "linear_bwd_bgrad" {
-				out[e.Phase] += e.FLOPs
-			}
+		// The real profiler folds bias kernels into the GEMM categories
+		// but records them as separate events, excluded here.
+		if e.FLOPs == 0 || e.Kernel == "linear_fwd_bias" || e.Kernel == "linear_bwd_bgrad" {
+			continue
+		}
+		switch {
+		case e.Category == profile.CatLinear || e.Category == profile.CatAttnBGEMM || e.Category == profile.CatFCGEMM:
+			out.transformer[e.Phase] += e.FLOPs
+		case e.Category == profile.CatOutput && strings.HasSuffix(e.Kernel, "_gemm"):
+			out.output[e.Phase] += e.FLOPs
 		}
 	}
-	return out
+	nsp := int64(2*b*cfg.DModel*cfg.DModel + 2*b*2*cfg.DModel) // pooler + classifier
+	out.output[profile.Forward] -= nsp
+	out.output[profile.Backward] -= 2 * nsp // d-activation and d-weight
+	return out, batch.MaskedCount()
 }
 
-// graphGEMMFLOPs sums transformer GEMM FLOPs per phase from the
-// analytical graph.
-func graphGEMMFLOPs(cfg model.Config, b, n int) map[profile.Phase]int64 {
-	w := opgraph.Workload{Cfg: cfg, B: b, SeqLen: n, Precision: opgraph.FP32}
-	out := make(map[profile.Phase]int64)
+// graphGEMMFLOPs sums GEMM FLOPs per phase from the analytical graph, with
+// the MLM head over mlmRows positions (0 = all of them).
+func graphGEMMFLOPs(cfg model.Config, b, n, mlmRows int) gemmFLOPs {
+	w := opgraph.Workload{Cfg: cfg, B: b, SeqLen: n, Precision: opgraph.FP32, MLMRows: mlmRows}
+	out := gemmFLOPs{make(map[profile.Phase]int64), make(map[profile.Phase]int64)}
 	for _, op := range opgraph.Build(w).Ops {
-		if op.Class == opgraph.ClassTransformer && op.GEMM != nil {
-			out[op.Phase] += op.TotalFLOPs()
+		switch {
+		case op.GEMM == nil:
+		case op.Class == opgraph.ClassTransformer:
+			out.transformer[op.Phase] += op.TotalFLOPs()
+		case op.Class == opgraph.ClassOutput:
+			out.output[op.Phase] += op.TotalFLOPs()
 		}
 	}
 	return out
@@ -55,16 +78,27 @@ func graphGEMMFLOPs(cfg model.Config, b, n int) map[profile.Phase]int64 {
 func TestRealAndAnalyticalGEMMFLOPsMatchExactly(t *testing.T) {
 	cfg := model.Tiny()
 	const b, n = 4, 32
-	real := realGEMMFLOPs(t, cfg, b, n)
-	graph := graphGEMMFLOPs(cfg, b, n)
+	real, scored := realGEMMFLOPs(t, cfg, b, n)
+	if scored == 0 || scored == b*n {
+		t.Fatalf("batch scores %d of %d rows; the output check needs a gathered head", scored, b*n)
+	}
+	graph := graphGEMMFLOPs(cfg, b, n, scored)
 
 	for _, ph := range []profile.Phase{profile.Forward, profile.Backward} {
-		// The real profiler folds bias kernels into Linear/FCGEMM
-		// categories but records them as separate events (excluded
-		// above); the remaining GEMM FLOPs must match to the operation.
-		if real[ph] != graph[ph] {
+		if real.transformer[ph] != graph.transformer[ph] {
 			t.Errorf("%s transformer GEMM FLOPs: real engine %d vs analytical graph %d",
-				ph, real[ph], graph[ph])
+				ph, real.transformer[ph], graph.transformer[ph])
+		}
+		// The real MLM head runs over the scored rows; the graph matches it
+		// to the operation once told how many there are, and the all-token
+		// head of Table 2b (MLMRows = 0) is that times B·n / rows.
+		if real.output[ph] != graph.output[ph] {
+			t.Errorf("%s output GEMM FLOPs: real engine %d vs analytical graph at MLMRows=%d %d",
+				ph, real.output[ph], scored, graph.output[ph])
+		}
+		if dense := graphGEMMFLOPs(cfg, b, n, 0); dense.output[ph]*int64(scored) != graph.output[ph]*int64(b*n) {
+			t.Errorf("%s output GEMM FLOPs: all-token head %d is not B·n/rows = %d/%d of the gathered head's %d",
+				ph, dense.output[ph], b*n, scored, graph.output[ph])
 		}
 	}
 }
@@ -73,16 +107,16 @@ func TestRealAndAnalyticalScaleTogether(t *testing.T) {
 	// Doubling B must exactly double both substrates' transformer GEMM
 	// FLOPs — the linear-in-tokens law (Obs. 3) holding bit-for-bit.
 	cfg := model.Tiny()
-	g1 := graphGEMMFLOPs(cfg, 2, 32)
-	g2 := graphGEMMFLOPs(cfg, 4, 32)
-	r1 := realGEMMFLOPs(t, cfg, 2, 32)
-	r2 := realGEMMFLOPs(t, cfg, 4, 32)
+	g1 := graphGEMMFLOPs(cfg, 2, 32, 0).transformer
+	g2 := graphGEMMFLOPs(cfg, 4, 32, 0).transformer
+	r1, _ := realGEMMFLOPs(t, cfg, 2, 32)
+	r2, _ := realGEMMFLOPs(t, cfg, 4, 32)
 	for _, ph := range []profile.Phase{profile.Forward, profile.Backward} {
 		if g2[ph] != 2*g1[ph] {
 			t.Errorf("graph %s FLOPs not linear in B: %d vs %d", ph, g2[ph], g1[ph])
 		}
-		if r2[ph] != 2*r1[ph] {
-			t.Errorf("real %s FLOPs not linear in B: %d vs %d", ph, r2[ph], r1[ph])
+		if r2.transformer[ph] != 2*r1.transformer[ph] {
+			t.Errorf("real %s FLOPs not linear in B: %d vs %d", ph, r2.transformer[ph], r1.transformer[ph])
 		}
 	}
 }

@@ -46,7 +46,7 @@ func gemmRouted(transA, transB bool, m, n, k int, alpha float32, a, b, c []float
 	case path == GEMMPathNaive, path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
 		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
 	default:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, par)
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
 	}
 }
 

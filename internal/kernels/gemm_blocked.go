@@ -39,29 +39,64 @@ const (
 )
 
 // gemmBlocked computes C += alpha·op(A)·op(B) (beta is applied by the
-// caller) with cache blocking and packing. par selects pool parallelism;
-// BatchedGEMM passes false so per-matrix GEMMs never nest dispatch.
-func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, par bool) {
+// caller) with cache blocking and packing: the one engine loop every
+// blocked route runs. par selects pool parallelism; BatchedGEMM passes
+// false so per-matrix GEMMs never nest dispatch.
+//
+// The B panels come from one of two sources. panels == nil packs each
+// (pc, jc) block of b into pooled, cache-resident scratch. Otherwise panels
+// is op(B) packed whole by PackWeight and the packB pass is skipped; the
+// pack stores full-width depth blocks, so the NC loop — which exists to
+// bound packB scratch — collapses to one column block (column segmentation
+// in gemmState.run still splits wide tile grids for load balance). Both
+// sources hold the same panel bytes and every C element sees the same
+// micro-kernel schedule, so the result is bitwise the same.
+//
+// ep, when non-nil, is folded into the write-back (gemm_epilogue.go): the
+// tile grid of each stripe's final depth block applies the element-wise
+// part to every tile right after the micro-kernel finishes it, and LN rows
+// are finalized once the stripe's grid completes, while they are still
+// warm. The finalize always runs on the pool, so ep comes with par.
+func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, ep *Epilogue, c []float32, par bool) {
 	mr, nr := gemmMR, gemmNR
 	kc0 := min(k, gemmKC)
 	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
-	bp := getScratch(((min(n, gemmNC) + nr - 1) / nr) * nr * kc0)
+	nc, panelW := n, panelWidth(n, nr)
+	var bp *[]float32
+	if panels == nil {
+		nc = gemmNC
+		bp = getScratch(panelWidth(min(n, nc), nr) * kc0)
+	}
 	g := gemmStatePool.Get().(*gemmState)
+	g.ep = ep
 	for io := 0; io < m; io += gemmStripe {
 		ms := min(gemmStripe, m-io)
 		for pc := 0; pc < k; pc += gemmKC {
 			kcb := min(gemmKC, k-pc)
+			g.epOn = pc+gemmKC >= k
 			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, par)
-			for jc := 0; jc < n; jc += gemmNC {
-				ncb := min(gemmNC, n-jc)
-				packB(transB, *bp, b, jc, ncb, pc, kcb, n, k, nr, par)
-				g.run(c, *ap, *bp, n, io, ms, jc, ncb, kcb, par)
+			for jc := 0; jc < n; jc += nc {
+				ncb := min(nc, n-jc)
+				var block []float32
+				if bp != nil {
+					packB(transB, *bp, b, jc, ncb, pc, kcb, n, k, nr, par)
+					block = *bp
+				} else {
+					block = panels[panelW*pc:]
+				}
+				g.run(c, *ap, block, n, io, ms, jc, ncb, kcb, par)
 			}
 		}
+		if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
+			ep.finalizeLNRows(c, io, ms, n)
+		}
 	}
+	g.ep, g.epOn = nil, false
 	gemmStatePool.Put(g)
 	putScratch(ap)
-	putScratch(bp)
+	if bp != nil {
+		putScratch(bp)
+	}
 }
 
 // gemmState is the pooled parallel-region body for the tile grid of one
@@ -80,7 +115,6 @@ type gemmState struct {
 	// Fused epilogue (gemm_epilogue.go): when ep is set and epOn marks
 	// the final depth block, each tile applies the element-wise epilogue
 	// right after its micro-tile sweep, while the tile is cache-hot.
-	// Both stay zero for the plain blocked/packed paths.
 	ep   *Epilogue
 	epOn bool
 }

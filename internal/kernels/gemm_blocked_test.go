@@ -20,7 +20,7 @@ func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32
 	if k == 0 || alpha == 0 {
 		return
 	}
-	gemmBlocked(transA, transB, m, n, k, alpha, a, b, c, par)
+	gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
 }
 
 // withKernel runs f under micro-kernel backend k, then restores the
@@ -220,9 +220,10 @@ func checkNaN(t *testing.T, name string, c []float32) {
 }
 
 // TestGEMMZeroAllocSteadyState: after warm-up, the blocked GEMM, the
-// pre-packed GEMM, and the batched GEMM must not allocate — pack scratch,
-// tile state, and pool regions are all recycled, and GEMMPacked's operand
-// pack is built once outside the hot loop.
+// pre-packed GEMM (on built panels and on an un-built operand, the
+// pack-cache first-use route), and the batched GEMM must not allocate —
+// pack scratch, tile state, and pool regions are all recycled, and
+// GEMMPacked's operand pack is built once outside the hot loop.
 func TestGEMMZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -238,13 +239,15 @@ func zeroAllocSteadyState(t *testing.T, r *tensor.RNG) {
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
 	c := make([]float32, m*n)
-	pb := PackWeight(true, n, k, randSlice(r, n*k))
+	w := randSlice(r, n*k)
+	pb, unbuilt := PackWeight(true, n, k, w), describeWeight(true, n, k, w)
 	const batch = 8
 	ab := randSlice(r, batch*32*32)
 	bb := randSlice(r, batch*32*32)
 	cb := make([]float32, batch*32*32)
 	GEMM(false, false, m, n, k, 1, a, b, 0, c) // warm the scratch pools
 	GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
+	GEMMPacked(false, m, n, k, 1, a, unbuilt, 0, c)
 	BatchedGEMM(batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)
 	if avg := testing.AllocsPerRun(10, func() {
 		GEMM(false, false, m, n, k, 1, a, b, 0, c)
@@ -255,6 +258,11 @@ func zeroAllocSteadyState(t *testing.T, r *tensor.RNG) {
 		GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
 	}); avg != 0 {
 		t.Errorf("GEMMPacked allocates %v per op in steady state, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		GEMMPacked(false, m, n, k, 1, a, unbuilt, 0, c)
+	}); avg != 0 {
+		t.Errorf("GEMMPacked on an un-built operand allocates %v per op in steady state, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
 		BatchedGEMM(batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)

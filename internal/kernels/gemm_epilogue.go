@@ -119,13 +119,16 @@ func (ep *Epilogue) check(m, n int) {
 
 // GEMMPackedEpilogue computes C = alpha·op(A)·pb followed by the epilogue
 // tail, overwriting C (beta = 0 semantics: epilogues define the full
-// output). pb is op(B) packed by PackWeight, as in GEMMPacked.
+// output). pb is op(B) as PackWeight or PackCache returns it, as in
+// GEMMPacked.
 //
 // Routing mirrors the other entry points: the forced naive and blocked
 // paths run the plain GEMM and then the unfused reference tail (the
 // differential comparators for the audit harness), while auto and the
-// forced fused path run the fused engine. Fused and unfused results are
-// bitwise identical on the same backend (see the package comment above).
+// forced fused path run the engine with the tail fused into its
+// write-back, whichever panel source pb gives it. Fused and unfused results
+// are bitwise identical on the same backend (see the package comment
+// above).
 func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
 	if ep == nil || ep.Kind == EpilogueNone {
 		GEMMPacked(transA, m, n, k, alpha, a, pb, 0, c)
@@ -143,35 +146,38 @@ func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb
 		return
 	}
 	ep.check(m, n)
+	scaleC(c[:m*n], 0)
 	if k == 0 || alpha == 0 {
 		// BLAS quick return for the product; the epilogue still defines
 		// the output (bias rows, or LN of bias+residual).
-		scaleC(c[:m*n], 0)
 		ep.applyReference(c, m, n)
 		return
 	}
-	switch CurrentGEMMPath() {
-	case GEMMPathNaive:
-		scaleC(c[:m*n], 0)
+	switch path := CurrentGEMMPath(); {
+	case path == GEMMPathNaive:
 		gemmNaivePar(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
 		ep.applyReference(c, m, n)
-	case GEMMPathBlocked:
-		scaleC(c[:m*n], 0)
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, c, true)
+	case path == GEMMPathBlocked:
+		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, nil, nil, c, true)
 		ep.applyReference(c, m, n)
-	case GEMMPathFused:
-		gemmPackedFused(transA, m, n, k, alpha, a, pb, ep, c)
+	case path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
+		// Tiny products keep the naive fallback — the engine never pays
+		// for itself down there — with the reference tail.
+		gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
+		ep.applyReference(c, m, n)
 	default:
-		// Auto: tiny products keep the naive fallback — the packed engine
-		// never pays for itself down there — with the reference tail;
-		// everything else runs fused.
-		if 2*m*n*k < smallGEMMFlops {
-			scaleC(c[:m*n], 0)
-			gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-			ep.applyReference(c, m, n)
-			return
+		// Auto and forced fused: the engine with the tail folded into its
+		// write-back, on pb's panels or, while pb is un-built, on panels
+		// packed per call.
+		switch ep.Kind {
+		case EpilogueBias:
+			epilogueFusedBias.Inc()
+		case EpilogueBiasGeLU:
+			epilogueFusedBiasGeLU.Inc()
+		case EpilogueBiasResidualLayerNorm:
+			epilogueFusedBiasResLN.Inc()
 		}
-		gemmPackedFused(transA, m, n, k, alpha, a, pb, ep, c)
+		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, ep, c, true)
 	}
 }
 
@@ -206,45 +212,9 @@ func copyRows(dst, src []float32) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused engine.
-
-// gemmPackedFused is gemmPackedBlocked with the epilogue folded into the
-// write-back: during the final depth block of each stripe the tile grid
-// applies the element-wise part of the epilogue to each tile right after
-// the micro-kernel finishes it (cache-hot), and LN rows are finalized per
-// stripe immediately after its grid completes, while the rows are still
-// warm.
-func gemmPackedFused(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
-	switch ep.Kind {
-	case EpilogueBias:
-		epilogueFusedBias.Inc()
-	case EpilogueBiasGeLU:
-		epilogueFusedBiasGeLU.Inc()
-	case EpilogueBiasResidualLayerNorm:
-		epilogueFusedBiasResLN.Inc()
-	}
-	scaleC(c[:m*n], 0)
-	mr := gemmMR
-	kc0 := min(k, gemmKC)
-	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
-	g := gemmStatePool.Get().(*gemmState)
-	g.ep = ep
-	for io := 0; io < m; io += gemmStripe {
-		ms := min(gemmStripe, m-io)
-		for pc := 0; pc < k; pc += gemmKC {
-			kcb := min(gemmKC, k-pc)
-			g.epOn = pc+gemmKC >= k
-			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, true)
-			g.run(c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
-		}
-		if ep.Kind == EpilogueBiasResidualLayerNorm {
-			ep.finalizeLNRows(c, io, ms, n)
-		}
-	}
-	g.ep, g.epOn = nil, false
-	gemmStatePool.Put(g)
-	putScratch(ap)
-}
+// Fused write-back: the hooks gemmBlocked calls when it is handed an
+// epilogue (applyTile per finished tile of the final depth block,
+// finalizeLNRows per finished stripe).
 
 // applyTile applies the element-wise part of the epilogue to the C region
 // rows [r0, r1) × cols [c0, c1). c is the full output buffer with leading

@@ -140,48 +140,61 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 // contract: the fused write-back and the unfused sequence — the same
 // pre-packed product, then the reference tail as separate element-wise
 // passes — produce bit-identical outputs and save buffers on the same
-// backend. The forced fused path keeps the smallest shape on the engine.
+// backend, whether the fused engine reads pre-packed panels or, handed an
+// un-built operand (a pack-cache first use), packs them per call. The
+// forced fused path keeps the smallest shape on the engine; the widest
+// crosses both the NC column-block and the KC depth-block boundary, so the
+// per-call leg applies its tail from more than one column block.
 func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
-	r := tensor.NewRNG(42)
-	for _, kind := range epilogueKinds {
-		for _, sh := range [][3]int{{7, 17, 33}, {64, 64, 64}, {130, 96, 96}, {33, 257, 48}} {
-			m, n, k := sh[0], sh[1], sh[2]
-			a := randSlice(r, m*k)
-			b := randSlice(r, k*n)
-			pb := PackWeight(false, n, k, b)
-			ep := makeEpilogue(r, kind, m, n, true)
+	forEachKernel(t, "", func(t *testing.T) {
+		r := tensor.NewRNG(42)
+		for _, kind := range epilogueKinds {
+			for i, sh := range [][3]int{{7, 17, 33}, {64, 64, 64}, {130, 96, 96}, {33, 257, 48}, {9, gemmNC + 52, gemmKC + 44}} {
+				m, n, k := sh[0], sh[1], sh[2]
+				tb := i%2 == 1
+				a := randSlice(r, m*k)
+				b := randSlice(r, k*n)
+				built := PackWeight(tb, n, k, b)
+				ep := makeEpilogue(r, kind, m, n, true)
 
-			fused := make([]float32, m*n)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, fused)
-			unfused := make([]float32, m*n)
-			uep := cloneEpilogue(ep, m, n)
-			GEMMPacked(false, m, n, k, 1, a, pb, 0, unfused)
-			uep.applyReference(unfused, m, n)
+				unfused := make([]float32, m*n)
+				uep := cloneEpilogue(ep, m, n)
+				GEMMPacked(false, m, n, k, 1, a, built, 0, unfused)
+				uep.applyReference(unfused, m, n)
 
-			for i := range fused {
-				if math.Float32bits(fused[i]) != math.Float32bits(unfused[i]) {
-					t.Fatalf("%s %dx%dx%d: fused/unfused diverge at %d: %v vs %v",
-						kind, m, n, k, i, fused[i], unfused[i])
-				}
-			}
-			if ep.X != nil {
-				for i := range ep.X {
-					if math.Float32bits(ep.X[i]) != math.Float32bits(uep.X[i]) {
-						t.Fatalf("%s %dx%dx%d: X saves diverge at %d", kind, m, n, k, i)
+				for _, leg := range []struct {
+					name string
+					pb   *PackedB
+				}{{"pre-packed panels", built}, {"per-call panels", describeWeight(tb, n, k, b)}} {
+					fep := cloneEpilogue(ep, m, n)
+					fused := make([]float32, m*n)
+					if d := counterDelta(epilogueReferenceRuns, func() {
+						GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, fep, fused)
+					}); d != 0 {
+						t.Fatalf("%s, %s %dx%dx%d: ran the reference tail", leg.name, kind, m, n, k)
 					}
-				}
-			}
-			if ep.Mean != nil {
-				for i := range ep.Mean {
-					if math.Float32bits(ep.Mean[i]) != math.Float32bits(uep.Mean[i]) ||
-						math.Float32bits(ep.InvStd[i]) != math.Float32bits(uep.InvStd[i]) {
-						t.Fatalf("%s %dx%dx%d: LN stats diverge at row %d", kind, m, n, k, i)
+					for i := range fused {
+						if math.Float32bits(fused[i]) != math.Float32bits(unfused[i]) {
+							t.Fatalf("%s, %s %dx%dx%d: fused/unfused diverge at %d: %v vs %v",
+								leg.name, kind, m, n, k, i, fused[i], unfused[i])
+						}
+					}
+					for i := range fep.X {
+						if math.Float32bits(fep.X[i]) != math.Float32bits(uep.X[i]) {
+							t.Fatalf("%s, %s %dx%dx%d: X saves diverge at %d", leg.name, kind, m, n, k, i)
+						}
+					}
+					for i := range fep.Mean {
+						if math.Float32bits(fep.Mean[i]) != math.Float32bits(uep.Mean[i]) ||
+							math.Float32bits(fep.InvStd[i]) != math.Float32bits(uep.InvStd[i]) {
+							t.Fatalf("%s, %s %dx%dx%d: LN stats diverge at row %d", leg.name, kind, m, n, k, i)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestGEMMPackedEpilogueWorkerInvariance: fused results must not depend on
@@ -286,14 +299,19 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 	old := SetMaxWorkers(1)
 	defer SetMaxWorkers(old)
 	forEachKernel(t, "", func(t *testing.T) {
-		pb := PackWeight(false, n, k, randSlice(r, k*n))
-		for _, kind := range epilogueKinds {
-			ep := makeEpilogue(r, kind, m, n, true)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c) // warm pools
-			if avg := testing.AllocsPerRun(10, func() {
-				GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
-			}); avg != 0 {
-				t.Errorf("%s: fused epilogue allocates %v per op in steady state, want 0", kind, avg)
+		b := randSlice(r, k*n)
+		for _, leg := range []struct {
+			name string
+			pb   *PackedB
+		}{{"pre-packed panels", PackWeight(false, n, k, b)}, {"per-call panels", describeWeight(false, n, k, b)}} {
+			for _, kind := range epilogueKinds {
+				ep := makeEpilogue(r, kind, m, n, true)
+				GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
+				if avg := testing.AllocsPerRun(10, func() {
+					GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
+				}); avg != 0 {
+					t.Errorf("%s, %s: fused epilogue allocates %v per op in steady state, want 0", leg.name, kind, avg)
+				}
 			}
 		}
 	})

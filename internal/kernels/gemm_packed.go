@@ -5,12 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// Pre-packed B operands. A weight matrix used as the B operand of many
-// GEMMs (every Linear forward and dX-backward reuses the same W until the
-// optimizer writes it) can be packed into micro-panels once and reused,
-// skipping the packB copy on every call. The paper's Table 2b attributes
-// most of BERT's iteration time to exactly these weight GEMMs, and packing
-// is pure overhead on the hot path when the operand is static.
+// Pre-packed B operands. A weight matrix used as the B operand of more than
+// one GEMM before the optimizer next writes it (gradient-accumulation
+// micro-batches, a checkpoint segment's recompute, eval loops, every served
+// request) can be packed into micro-panels once and reused, skipping the
+// packB copy on every later call. A plain training step uses each
+// orientation of each weight exactly once per generation, and there a
+// whole-matrix pack is a freshly faulted-in copy that is read once and
+// thrown away — slower than packing per call into cache-resident scratch —
+// so PackCache builds the panels on a generation's second use, not its
+// first (DESIGN.md §7).
 //
 // Layout: for each gemmKC depth block pc, all ceil(n/nr) nr-column
 // micro-panels of op(B)[pc:pc+kcb][0:n] are stored contiguously, zero-
@@ -20,16 +24,18 @@ import (
 // on-the-fly path uses and hit the identical micro-kernel schedule:
 // results are bitwise equal to GEMM's blocked path on the same backend.
 
-// PackedB is a weight matrix packed once into micro-panels for reuse as
-// the B operand of GEMMPacked. It is immutable after PackWeight returns
-// and safe for concurrent readers.
+// PackedB is a weight matrix prepared for use as the B operand of
+// GEMMPacked: packed into micro-panels (by PackWeight, or by PackCache on a
+// generation's second use), or — PackCache's answer to a first use — only
+// described, in which case the call packs it block by block as GEMM does,
+// bitwise to the same result. It is immutable once returned and safe for
+// concurrent readers.
 type PackedB struct {
 	transB bool
 	n, k   int
-	nr     int       // micro-panel width the pack was built for
-	panelW int       // ceil(n/nr)*nr
-	buf    []float32 // panelW*k floats of packed panels
-	src    []float32 // original operand, for the small-GEMM fallback
+	nr     int       // micro-panel width the pack is for
+	buf    []float32 // panelW*k floats of packed panels; nil while unbuilt
+	src    []float32 // original operand: per-call packing and the naive routes
 }
 
 // PackWeight packs op(B) (K×N; stored K×N when transB is false, N×K when
@@ -37,27 +43,30 @@ type PackedB struct {
 // matrix and one extra copy of it in memory; amortize it by reusing the
 // result across calls (see PackCache).
 func PackWeight(transB bool, n, k int, b []float32) *PackedB {
+	pb := describeWeight(transB, n, k, b)
+	panelW := panelWidth(n, pb.nr)
+	pb.buf = make([]float32, panelW*k)
+	for pc := 0; pc < k; pc += gemmKC {
+		kcb := min(gemmKC, k-pc)
+		packB(transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, 0, n, pc, kcb, n, k, pb.nr, true)
+	}
+	return pb
+}
+
+// panelWidth is the column count of one packed depth block: n rounded up to
+// whole nr-column micro-panels.
+func panelWidth(n, nr int) int { return (n + nr - 1) / nr * nr }
+
+// describeWeight returns the un-built PackedB of op(B): the operand and the
+// geometry a pack of it would have under the active backend, no panels.
+func describeWeight(transB bool, n, k int, b []float32) *PackedB {
 	if n < 0 || k < 0 {
 		panic(fmt.Sprintf("kernels: PackWeight with negative dims n=%d k=%d", n, k))
 	}
 	if len(b) < k*n {
 		panic(fmt.Sprintf("kernels: PackWeight B buffer %d < k*n=%d (transB=%v)", len(b), k*n, transB))
 	}
-	nr := gemmNR
-	panelW := (n + nr - 1) / nr * nr
-	pb := &PackedB{
-		transB: transB,
-		n:      n, k: k,
-		nr:     nr,
-		panelW: panelW,
-		buf:    make([]float32, panelW*k),
-		src:    b,
-	}
-	for pc := 0; pc < k; pc += gemmKC {
-		kcb := min(gemmKC, k-pc)
-		packB(transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, 0, n, pc, kcb, n, k, nr, true)
-	}
-	return pb
+	return &PackedB{transB: transB, n: n, k: k, nr: gemmNR, src: b}
 }
 
 // TransB reports the orientation the pack was built for.
@@ -76,10 +85,10 @@ func (pb *PackedB) Matches(transB bool, n, k int) bool {
 	return pb != nil && pb.transB == transB && pb.n == n && pb.k == k && pb.nr == gemmNR
 }
 
-// GEMMPacked computes C = alpha·op(A)·pb + beta·C, where pb is op(B)
-// packed by PackWeight. Semantics match GEMM exactly — same quick
-// returns, same panics, and bitwise-identical results on the same
-// backend — minus the per-call packB pass.
+// GEMMPacked computes C = alpha·op(A)·pb + beta·C, where pb is op(B) as
+// PackWeight or PackCache returns it. Semantics match GEMM exactly — same
+// quick returns, same panics, and bitwise-identical results on the same
+// backend — minus, when pb holds panels, the per-call packB pass.
 func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
 	if pb == nil {
 		panic("kernels: GEMMPacked with nil PackedB")
@@ -96,65 +105,47 @@ func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Packed
 	if k == 0 || alpha == 0 {
 		return
 	}
-	switch CurrentGEMMPath() {
-	case GEMMPathNaive:
+	switch path := CurrentGEMMPath(); {
+	case path == GEMMPathNaive:
 		gemmNaivePar(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-	case GEMMPathBlocked:
+	case path == GEMMPathBlocked:
 		// Forced blocked-without-prepack: ignore the cached panels and
 		// pack the raw operand per call, like GEMM does.
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, c, true)
-	case GEMMPathFused:
-		gemmPackedBlocked(transA, m, n, k, alpha, a, pb, c)
+		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, nil, nil, c, true)
+	case path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
+		// Same dispatch as GEMM: packing never paid for itself down
+		// here, so the pack keeps the raw operand around for the
+		// naive path.
+		gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
 	default:
-		if 2*m*n*k < smallGEMMFlops {
-			// Same dispatch as GEMM: packing never paid for itself down
-			// here, so the pack keeps the raw operand around for the
-			// naive path.
-			gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-			return
-		}
-		gemmPackedBlocked(transA, m, n, k, alpha, a, pb, c)
+		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, nil, c, true)
 	}
-}
-
-// gemmPackedBlocked is gemmBlocked with the packB pass deleted: only A is
-// packed per (stripe, pc) step, and the pre-packed full-width B block is
-// handed to the tile grid directly. There is no NC loop — NC existed to
-// bound packB scratch, and column segmentation in gemmState.run already
-// splits wide tile grids for load balance.
-func gemmPackedBlocked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, c []float32) {
-	mr := gemmMR
-	kc0 := min(k, gemmKC)
-	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
-	g := gemmStatePool.Get().(*gemmState)
-	for io := 0; io < m; io += gemmStripe {
-		ms := min(gemmStripe, m-io)
-		for pc := 0; pc < k; pc += gemmKC {
-			kcb := min(gemmKC, k-pc)
-			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, true)
-			g.run(c, *ap, pb.buf[pb.panelW*pc:], n, io, ms, 0, n, kcb, true)
-		}
-	}
-	gemmStatePool.Put(g)
-	putScratch(ap)
 }
 
 // ---------------------------------------------------------------------------
 // Pack cache.
 
-// packEntry snapshots one cached pack with the parameter generation it was
-// built from.
+// packEntry snapshots one slot of the cache: the PackedB handed out for
+// generation gen, un-built after the generation's first use. stale says a
+// pack of this shape had been built at an earlier generation, so building
+// this one is a rebuild rather than a cold miss.
 type packEntry struct {
-	gen uint64
-	pb  *PackedB
+	gen   uint64
+	pb    *PackedB
+	stale bool
 }
 
 // PackCache caches one PackedB per transpose orientation of a weight
 // buffer, invalidated by a generation counter that the owner bumps on
-// every mutation (nn.Param bumps it from the optimizer step). Lookups are
-// lock-free; concurrent readers that miss simultaneously both repack —
-// the duplicate work is benign and both packs are identical, so whichever
-// Store lands last wins with no torn state.
+// every mutation (nn.Param bumps it from the optimizer step). Panels are
+// built when a generation is used a second time: the rule keys on the reuse
+// the cache observes in its own traffic, so a weight that is consumed once
+// per generation (a plain training step) never pays for, or holds, a
+// whole-matrix copy, and one that is reused (accumulation, recompute, eval,
+// serving) packs once, on its second use. Lookups are lock-free; concurrent
+// readers that miss simultaneously both repack — the duplicate work is
+// benign and both packs are identical, so whichever Store lands last wins
+// with no torn state.
 type PackCache struct {
 	e  [2]atomic.Pointer[packEntry]
 	i8 [2]atomic.Pointer[packInt8Entry]
@@ -167,28 +158,49 @@ type packInt8Entry struct {
 	pb  *PackedBInt8
 }
 
-// Get returns a pack of op(B) valid for generation gen, rebuilding it if
-// the cached one is missing, stale, or was built for a different shape or
-// micro-kernel backend.
+// Get returns op(B) for generation gen as a GEMMPacked operand: the cached
+// pack when one is current; else, on the first use of this generation (or
+// shape, or micro-kernel backend), an un-built PackedB that makes the call
+// pack per use; and on the second, a pack built now and cached. The forced
+// fused path is the pre-packed route by definition and always builds.
 func (pc *PackCache) Get(transB bool, n, k int, b []float32, gen uint64) *PackedB {
+	return pc.get(transB, n, k, b, gen, CurrentGEMMPath() == GEMMPathFused)
+}
+
+// Warm is Get for a caller that knows the reuse is coming (serving warm-up
+// over frozen weights): it builds the pack at once, so every later lookup
+// of this generation is a hit.
+func (pc *PackCache) Warm(transB bool, n, k int, b []float32, gen uint64) *PackedB {
+	return pc.get(transB, n, k, b, gen, true)
+}
+
+func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build bool) *PackedB {
 	slot := &pc.e[0]
 	if transB {
 		slot = &pc.e[1]
 	}
 	e := slot.Load()
-	if e != nil && e.gen == gen && e.pb.Matches(transB, n, k) {
+	known := e != nil && e.pb.Matches(transB, n, k)
+	current := known && e.gen == gen
+	if current && e.pb.buf != nil {
 		packCacheHits.Inc()
 		return e.pb
 	}
-	if e != nil && e.pb.Matches(transB, n, k) {
-		// Same shape and backend, stale generation: the optimizer moved
-		// the weights since the pack was built.
-		packCacheRebuilds.Inc()
+	stale := known && (e.stale || e.pb.buf != nil)
+	var pb *PackedB
+	if !current && !build {
+		packCacheDeferred.Inc()
+		pb = describeWeight(transB, n, k, b)
 	} else {
-		packCacheMisses.Inc()
+		if stale {
+			// The optimizer moved the weights since panels were last built.
+			packCacheRebuilds.Inc()
+		} else {
+			packCacheMisses.Inc()
+		}
+		pb = PackWeight(transB, n, k, b)
 	}
-	pb := PackWeight(transB, n, k, b)
-	slot.Store(&packEntry{gen: gen, pb: pb})
+	slot.Store(&packEntry{gen: gen, pb: pb, stale: stale})
 	return pb
 }
 

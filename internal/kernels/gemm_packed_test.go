@@ -148,15 +148,23 @@ func TestGEMMPackedBackendMismatchPanics(t *testing.T) {
 	})
 }
 
-// TestPackCacheInvalidation: a stale generation returns the cached (old)
-// pack; bumping the generation rebuilds from the live buffer, matching a
-// fresh PackWeight bitwise.
+// TestPackCacheInvalidation: a generation's first use builds nothing, its
+// second builds the pack and later ones return it; a stale generation keeps
+// returning the cached (old) pack; bumping the generation drops it, and the
+// rebuild on the new generation's second use reads the live buffer,
+// matching a fresh PackWeight bitwise.
 func TestPackCacheInvalidation(t *testing.T) {
 	r := tensor.NewRNG(24)
 	n, k := 48, 32
 	b := randSlice(r, n*k)
 	var cache PackCache
+	if first := cache.Get(true, n, k, b, 0); first.buf != nil {
+		t.Fatal("a generation's first use must not build panels")
+	}
 	pb0 := cache.Get(true, n, k, b, 0)
+	if pb0.buf == nil {
+		t.Fatal("a generation's second use must build the pack")
+	}
 	if cache.Get(true, n, k, b, 0) != pb0 {
 		t.Fatal("unchanged generation must return the cached pack")
 	}
@@ -166,9 +174,12 @@ func TestPackCacheInvalidation(t *testing.T) {
 	if cache.Get(true, n, k, b, 0) != pb0 {
 		t.Fatal("mutation without a generation bump must (by contract) keep serving the old pack")
 	}
+	if first := cache.Get(true, n, k, b, 1); first == pb0 || first.buf != nil {
+		t.Fatal("generation bump must drop the pack, and the new generation's first use must not build one")
+	}
 	pb1 := cache.Get(true, n, k, b, 1)
-	if pb1 == pb0 {
-		t.Fatal("generation bump must rebuild the pack")
+	if pb1 == pb0 || pb1.buf == nil {
+		t.Fatal("the new generation's second use must rebuild the pack")
 	}
 	fresh := PackWeight(true, n, k, b)
 	for i := range fresh.buf {
@@ -177,11 +188,11 @@ func TestPackCacheInvalidation(t *testing.T) {
 		}
 	}
 	// Orientation slots are independent.
-	if cache.Get(false, k, n, b, 1) == pb1 {
+	if cache.Get(false, k, n, b, 1).buf != nil || cache.Get(true, n, k, b, 1) != pb1 {
 		t.Fatal("transpose orientations must cache separately")
 	}
 	cache.Invalidate()
-	if cache.Get(true, n, k, b, 1) == pb1 {
+	if cache.Get(true, n, k, b, 1).buf != nil {
 		t.Fatal("Invalidate must drop cached packs")
 	}
 }

@@ -6,24 +6,27 @@ import "sync/atomic"
 //
 // Production never sets it: under GEMMPathAuto every call decides its own
 // route from its operands — products below smallGEMMFlops take the naive
-// loops, larger ones the cache-blocked engine, pre-packed weights skip the
-// per-call pack, epilogues fuse into the tile write-back, and a batch runs
-// one product per work item. The other three values are a test hook: the
-// audit harness (internal/audit) and the kernel tests force one route for
-// a whole forward+backward pass so the implementations can be
-// differential-tested against each other at model scale — including
-// shapes the size rule would never send to the engine (edge tiles, k < NR,
-// single-row stripes). One value per route that differs in code executed:
+// loops, larger ones the cache-blocked engine, weights the pack cache has
+// seen reused skip the per-call pack, epilogues fuse into the tile
+// write-back, and a batch runs one product per work item. The other three
+// values are a test hook: the audit harness (internal/audit) and the kernel
+// tests force one route for a whole forward+backward pass so the
+// implementations can be differential-tested against each other at model
+// scale — including shapes the size rule would never send to the engine
+// (edge tiles, k < NR, single-row stripes). One value per route that differs
+// in code executed:
 //
-//	             small products   B operand           epilogue tail
-//	auto         naive loops      pre-packed panels   fused (engine) / reference (naive)
-//	naive        naive loops      raw                 reference
-//	blocked      engine           packed per call     reference
-//	fused        engine           pre-packed panels   fused
+//	             small products   B operand                    epilogue tail
+//	auto         naive loops      pre-packed once reused,      fused (engine) / reference (naive)
+//	                              per call on a first use
+//	naive        naive loops      raw                          reference
+//	blocked      engine           packed per call              reference
+//	fused        engine           pre-packed at once           fused
 //
 // blocked is the bitwise comparator for fused: same micro-kernel, same
 // panel bytes, same schedule, with both shortcuts (pack reuse, fused tail)
-// turned off.
+// turned off. auto's first-use route sits between them — panels per call,
+// tail fused — and is bitwise both.
 type GEMMPath int32
 
 const (
@@ -38,8 +41,9 @@ const (
 	// unfused reference epilogue tail.
 	GEMMPathBlocked
 	// GEMMPathFused forces the cache-blocked engine at every size with
-	// pre-packed weight reuse on GEMMPacked calls and the epilogue tail
-	// fused into the tile write-back on GEMMPackedEpilogue calls.
+	// pre-packed weights on GEMMPacked calls (PackCache builds on first
+	// use under it) and the epilogue tail fused into the tile write-back
+	// on GEMMPackedEpilogue calls.
 	GEMMPathFused
 )
 

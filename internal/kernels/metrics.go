@@ -24,9 +24,11 @@ var (
 	packCacheHits = obs.NewCounter("kernels_pack_cache_hits_total",
 		"weight-pack cache lookups served from the cached panels")
 	packCacheMisses = obs.NewCounter("kernels_pack_cache_misses_total",
-		"weight-pack cache lookups with no usable entry (cold or wrong shape/backend)")
+		"weight packs built with no earlier pack of that shape in the cache (cold or wrong shape/backend)")
 	packCacheRebuilds = obs.NewCounter("kernels_pack_cache_rebuilds_total",
-		"weight-pack cache entries rebuilt because the parameter generation moved")
+		"weight packs rebuilt because the parameter generation moved")
+	packCacheDeferred = obs.NewCounter("kernels_pack_cache_deferred_total",
+		"weight-pack cache lookups that built nothing: a generation's first use packs per call, its second builds the pack")
 
 	batchedGEMMRuns = obs.NewCounter("kernels_batched_gemm_per_matrix_total",
 		"batched GEMMs (batch ≥ 2) run one matrix per pool work item")

@@ -47,6 +47,13 @@ func TestPoolDispatchCounters(t *testing.T) {
 func TestPoolHotAndParkCounters(t *testing.T) {
 	old := SetMaxWorkers(max(2, int(spawned.Load())+1))
 	defer SetMaxWorkers(old)
+	// heat is settled only when a region starts or ends, so read between
+	// two tests it still says "saturated" long after every worker has
+	// parked, and saturate would return at once on a cold pool. Start from
+	// none: saturate then has to earn it with regions of its own, which
+	// wake every worker this test enlists, whatever ran before (this test
+	// included, under -count).
+	heat.Store(0)
 	body := &funcBody{f: func(lo, hi int) { busyFor(50 * time.Microsecond) }}
 	saturate(t, 64, body) // every worker is now inside its window
 
@@ -69,27 +76,62 @@ func TestPoolHotAndParkCounters(t *testing.T) {
 	}
 }
 
+// TestPackCacheCounters pins the pack-on-reuse sequence: exactly one of
+// the four counters moves per lookup, and misses/rebuilds move only when
+// panels were built.
 func TestPackCacheCounters(t *testing.T) {
 	b := make([]float32, 64*48)
 	for i := range b {
 		b[i] = float32(i%7) - 3
 	}
 	var pc PackCache
+	counters := []*obs.Counter{packCacheDeferred, packCacheMisses, packCacheRebuilds, packCacheHits}
+	names := []string{"deferred", "misses", "rebuilds", "hits"}
+	step := func(what string, want *obs.Counter, lookup func() *PackedB) {
+		t.Helper()
+		before := make([]int64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
+		pb := lookup()
+		for i, c := range counters {
+			d, wantD := c.Value()-before[i], int64(0)
+			if c == want {
+				wantD = 1
+			}
+			if d != wantD {
+				t.Errorf("%s: %s moved by %d, want %d", what, names[i], d, wantD)
+			}
+		}
+		if built := pb.buf != nil; built != (want != packCacheDeferred) {
+			t.Errorf("%s: panels built = %v", what, built)
+		}
+	}
+	get := func(transB bool, n, k int, gen uint64) func() *PackedB {
+		return func() *PackedB { return pc.Get(transB, n, k, b, gen) }
+	}
 
-	if d := counterDelta(packCacheMisses, func() { pc.Get(false, 48, 64, b, 1) }); d != 1 {
-		t.Errorf("cold lookup: miss delta %d, want 1", d)
-	}
-	if d := counterDelta(packCacheHits, func() { pc.Get(false, 48, 64, b, 1) }); d != 1 {
-		t.Errorf("warm lookup: hit delta %d, want 1", d)
-	}
-	// Same shape, moved generation: a rebuild, not a cold miss.
-	if d := counterDelta(packCacheRebuilds, func() { pc.Get(false, 48, 64, b, 2) }); d != 1 {
-		t.Errorf("stale lookup: rebuild delta %d, want 1", d)
-	}
-	// The other orientation is its own slot: cold again.
-	if d := counterDelta(packCacheMisses, func() { pc.Get(true, 64, 48, b, 2) }); d != 1 {
-		t.Errorf("other orientation: miss delta %d, want 1", d)
-	}
+	step("first use", packCacheDeferred, get(false, 48, 64, 1))
+	step("second use", packCacheMisses, get(false, 48, 64, 1))
+	step("third use", packCacheHits, get(false, 48, 64, 1))
+	// Same shape, moved generation: deferred again, then a rebuild, not a
+	// cold miss.
+	step("new generation", packCacheDeferred, get(false, 48, 64, 2))
+	step("new generation, second use", packCacheRebuilds, get(false, 48, 64, 2))
+	// A generation used once still leaves the next one's build a rebuild.
+	step("generation used once", packCacheDeferred, get(false, 48, 64, 3))
+	step("generation after it", packCacheDeferred, get(false, 48, 64, 4))
+	step("generation after it, second use", packCacheRebuilds, get(false, 48, 64, 4))
+	// The other orientation is its own slot: cold, and Warm builds at once.
+	step("Warm, cold", packCacheMisses, func() *PackedB { return pc.Warm(true, 64, 48, b, 4) })
+	step("after Warm", packCacheHits, get(true, 64, 48, 4))
+	step("Warm, warm", packCacheHits, func() *PackedB { return pc.Warm(true, 64, 48, b, 4) })
+	step("Warm, new generation", packCacheRebuilds, func() *PackedB { return pc.Warm(true, 64, 48, b, 5) })
+	// The forced fused path is the pre-packed route: it builds at once.
+	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
+	step("forced fused, new generation", packCacheRebuilds, get(false, 48, 64, 5))
+	var cold PackCache
+	step("forced fused, cold", packCacheMisses, func() *PackedB { return cold.Get(false, 48, 64, b, 0) })
 }
 
 // TestBatchedRoutingCounters: the one batched counter left (bench/ reads it

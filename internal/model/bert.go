@@ -62,9 +62,14 @@ type BERT struct {
 	// with the remaining backprop (internal/distnet).
 	GradHook func(group int)
 
-	// Saved iteration state.
+	// Saved iteration state. The MLM head runs over the scored positions
+	// only: mlmRows lists them (row indices into the [B·n, d] sequence
+	// output, ascending), mlmTargets their targets, and mlmProbs has one
+	// row per entry; all three are nil when the batch scores no position.
 	batch      *data.Batch
 	seqOut     *tensor.Tensor
+	mlmRows    []int
+	mlmTargets []int
 	mlmProbs   *tensor.Tensor
 	nspProbs   *tensor.Tensor
 	pooledTanh *tensor.Tensor
@@ -164,30 +169,61 @@ func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 	return m.headsForward(ctx, h)
 }
 
+// gatherRows copies the listed rows of x into a new [len(rows), d] tensor,
+// as the named output-category kernel. It is what lets an MLM head cost
+// O(rows · vocab) instead of O(B·n · vocab): training gathers the positions
+// the loss scores, serving the positions a request asks about.
+func gatherRows(ctx *nn.Ctx, name string, x *tensor.Tensor, rows []int) *tensor.Tensor {
+	d := x.Dim(1)
+	out := tensor.New(len(rows), d)
+	ctx.Prof.Time(name, profile.CatOutput, profile.Forward,
+		0, kernels.EWBytes(len(rows)*d, 1, 1, ctx.ElemSize()), func() {
+			for i, r := range rows {
+				copy(out.Row(i), x.Row(r))
+			}
+		})
+	return out
+}
+
 // headsForward computes both task losses from the encoder output.
 func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 	b := m.batch
 	cfg := m.Config
 
-	// Masked-LM head over every position; unmasked positions are ignored
-	// by the loss (kernels.IgnoreIndex).
-	x := m.MLMDense.Forward(ctx, seq)
-	x = m.MLMAct.Forward(ctx, x)
-	x = m.MLMLN.Forward(ctx, x)
-	logits := m.MLMDecoder.Forward(ctx, x)
-	m.mlmProbs = tensor.New(b.B*b.N, cfg.Vocab)
+	// Masked-LM head over the scored positions only. The loss ignores every
+	// other row (kernels.IgnoreIndex, ~85% of them), no head operator mixes
+	// rows in forward, and every cross-row fold in backward is sequential
+	// and destination-seeded, so running the head on the gathered rows is
+	// bitwise what running it on all B·n and dropping the rest would be
+	// (DESIGN.md §7a). A batch with nothing scored — possible for a
+	// StepAccum micro-batch — skips the head.
+	m.mlmRows, m.mlmTargets, m.mlmProbs = nil, nil, nil
+	for r, t := range b.MLMTargets {
+		if t != kernels.IgnoreIndex {
+			m.mlmRows = append(m.mlmRows, r)
+			m.mlmTargets = append(m.mlmTargets, t)
+		}
+	}
 	var mlmLoss float64
-	nl := b.B * b.N * cfg.Vocab
-	ctx.Prof.Time("mlm_xent_fwd", profile.CatOutput, profile.Forward,
-		kernels.EWFLOPs(nl, 4), kernels.EWBytes(nl, 1, 1, ctx.ElemSize()), func() {
-			if m.accum.active {
-				m.accum.mlmSum, m.accum.mlmSeen = kernels.CrossEntropySumForward(
-					m.mlmProbs.Data(), logits.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab,
-					m.accum.mlmSum, m.accum.mlmSeen)
-			} else {
-				mlmLoss = kernels.CrossEntropyForward(m.mlmProbs.Data(), logits.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
-			}
-		})
+	if rows := len(m.mlmRows); rows > 0 {
+		x := gatherRows(ctx, "mlm_gather", seq, m.mlmRows)
+		x = m.MLMDense.Forward(ctx, x)
+		x = m.MLMAct.Forward(ctx, x)
+		x = m.MLMLN.Forward(ctx, x)
+		logits := m.MLMDecoder.Forward(ctx, x)
+		m.mlmProbs = tensor.New(rows, cfg.Vocab)
+		nl := rows * cfg.Vocab
+		ctx.Prof.Time("mlm_xent_fwd", profile.CatOutput, profile.Forward,
+			kernels.EWFLOPs(nl, 4), kernels.EWBytes(nl, 1, 1, ctx.ElemSize()), func() {
+				if m.accum.active {
+					m.accum.mlmSum, m.accum.mlmSeen = kernels.CrossEntropySumForward(
+						m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab,
+						m.accum.mlmSum, m.accum.mlmSeen)
+				} else {
+					mlmLoss = kernels.CrossEntropyForward(m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab)
+				}
+			})
+	}
 
 	// NSP head over the CLS token of each sequence.
 	cls := tensor.New(b.B, cfg.DModel)
@@ -230,30 +266,64 @@ func (m *BERT) Backward(ctx *nn.Ctx) {
 	if m.batch == nil {
 		panic("model: Backward called before Forward")
 	}
+	dSeq := m.headsBackward(ctx)
+
+	// All head gradients are final once the CLS path has backpropagated.
+	m.fireGrad(0)
+
+	// Encoder layers in reverse, with optional recompute-from-checkpoint.
+	if m.CheckpointEvery > 0 {
+		m.backwardWithCheckpoints(ctx, dSeq)
+	} else {
+		for i := len(m.Layers) - 1; i >= 0; i-- {
+			dSeq = m.Layers[i].Backward(ctx, dSeq)
+			m.fireGrad(1 + (len(m.Layers) - 1 - i))
+		}
+		m.Embed.Backward(ctx, dSeq)
+		m.finishEmbedGrads(ctx)
+	}
+
+	m.dropIterationState()
+}
+
+// headsBackward backpropagates both task losses through their heads and
+// returns the gradient with respect to the encoder output.
+func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 	b := m.batch
 	cfg := m.Config
 	es := ctx.ElemSize()
 
-	// MLM head backward.
-	dLogits := tensor.New(b.B*b.N, cfg.Vocab)
-	nl := b.B * b.N * cfg.Vocab
-	ctx.Prof.Time("mlm_xent_bwd", profile.CatOutput, profile.Backward,
-		kernels.EWFLOPs(nl, 2), kernels.EWBytes(nl, 1, 1, es), func() {
-			if m.accum.active {
-				// Normalize by the FULL batch's scored-row count so the
-				// summed micro-batch gradients match one full-batch step.
-				kernels.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab, m.accum.mlmTotal)
-			} else {
-				kernels.CrossEntropyBackward(dLogits.Data(), m.mlmProbs.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
-			}
-			if s := ctx.EffectiveLossScale(); s != 1 {
-				kernels.Scale(dLogits.Data(), dLogits.Data(), s)
-			}
-		})
-	dx := m.MLMDecoder.Backward(ctx, dLogits)
-	dx = m.MLMLN.Backward(ctx, dx)
-	dx = m.MLMAct.Backward(ctx, dx)
-	dSeq := m.MLMDense.Backward(ctx, dx)
+	// MLM head backward over the scored rows; its input gradient scatters
+	// into the rows of dSeq it was gathered from, and every other row of
+	// dSeq is exactly zero, as the all-rows head computed it.
+	dSeq := tensor.New(b.B*b.N, cfg.DModel)
+	if rows := len(m.mlmRows); rows > 0 {
+		dLogits := tensor.New(rows, cfg.Vocab)
+		nl := rows * cfg.Vocab
+		ctx.Prof.Time("mlm_xent_bwd", profile.CatOutput, profile.Backward,
+			kernels.EWFLOPs(nl, 2), kernels.EWBytes(nl, 1, 1, es), func() {
+				if m.accum.active {
+					// Normalize by the FULL batch's scored-row count so the
+					// summed micro-batch gradients match one full-batch step.
+					kernels.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmTotal)
+				} else {
+					kernels.CrossEntropyBackward(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab)
+				}
+				if s := ctx.EffectiveLossScale(); s != 1 {
+					kernels.Scale(dLogits.Data(), dLogits.Data(), s)
+				}
+			})
+		dx := m.MLMDecoder.Backward(ctx, dLogits)
+		dx = m.MLMLN.Backward(ctx, dx)
+		dx = m.MLMAct.Backward(ctx, dx)
+		dx = m.MLMDense.Backward(ctx, dx)
+		ctx.Prof.Time("mlm_scatter", profile.CatOutput, profile.Backward,
+			0, kernels.EWBytes(rows*cfg.DModel, 1, 1, es), func() {
+				for i, r := range m.mlmRows {
+					copy(dSeq.Row(r), dx.Row(i))
+				}
+			})
+	}
 
 	// NSP head backward.
 	dNSPLogits := tensor.New(b.B, 2)
@@ -289,22 +359,13 @@ func (m *BERT) Backward(ctx *nn.Ctx) {
 			}
 		})
 
-	// All head gradients are final once the CLS path has backpropagated.
-	m.fireGrad(0)
+	return dSeq
+}
 
-	// Encoder layers in reverse, with optional recompute-from-checkpoint.
-	if m.CheckpointEvery > 0 {
-		m.backwardWithCheckpoints(ctx, dSeq)
-	} else {
-		for i := len(m.Layers) - 1; i >= 0; i-- {
-			dSeq = m.Layers[i].Backward(ctx, dSeq)
-			m.fireGrad(1 + (len(m.Layers) - 1 - i))
-		}
-		m.Embed.Backward(ctx, dSeq)
-		m.finishEmbedGrads(ctx)
-	}
-
-	m.batch, m.seqOut, m.mlmProbs, m.nspProbs, m.pooledTanh = nil, nil, nil, nil, nil
+// dropIterationState releases what Forward saved for Backward.
+func (m *BERT) dropIterationState() {
+	m.batch, m.seqOut, m.nspProbs, m.pooledTanh = nil, nil, nil, nil
+	m.mlmRows, m.mlmTargets, m.mlmProbs = nil, nil, nil
 }
 
 // finishEmbedGrads merges the token-table scatter accumulator into the

@@ -351,3 +351,58 @@ func TestGradHookFiresInOrderWithFinalGrads(t *testing.T) {
 		}
 	}
 }
+
+// TestDropoutMaskIsAttributed: the serial mask fill is a kernel of its own
+// in the profile, in its layer's category — one dropout_mask event per
+// active dropout of a training forward (embedding, and attention-score,
+// attention-block and FC-block dropout of every layer), none in
+// evaluation, and none when a checkpointed segment is replayed, which
+// reuses the saved masks and draws nothing.
+func TestDropoutMaskIsAttributed(t *testing.T) {
+	cfg := Tiny()
+	cfg.NumLayers = 4
+	b := tinyBatch(cfg, 2, 16, 1)
+	want := 3*cfg.NumLayers + 1
+	count := func(ctx *nn.Ctx, kernel string) int {
+		n := 0
+		for _, ev := range ctx.Prof.Events() {
+			if ev.Kernel == kernel {
+				n++
+				if kernel == "dropout_mask" && (ev.FLOPs != 0 || ev.Bytes == 0 || ev.Phase != profile.Forward) {
+					t.Errorf("dropout_mask event %+v: want a forward kernel with bytes written and no FLOPs", ev)
+				}
+			}
+		}
+		return n
+	}
+
+	m, _ := New(cfg, 7)
+	ctx := nn.NewCtx(99)
+	m.Forward(ctx, b)
+	if masks, applies := count(ctx, "dropout_mask"), count(ctx, "dropout_fwd"); masks != want || applies != want {
+		t.Errorf("training forward: %d dropout_mask and %d dropout_fwd events, want %d of each", masks, applies, want)
+	}
+	byCat := map[profile.Category]int{}
+	for _, ev := range ctx.Prof.Events() {
+		if ev.Kernel == "dropout_mask" {
+			byCat[ev.Category]++
+		}
+	}
+	if byCat[profile.CatEmbedding] != 1 || byCat[profile.CatScaleMaskSM] != cfg.NumLayers || byCat[profile.CatDRRCLN] != 2*cfg.NumLayers {
+		t.Errorf("dropout_mask events by category %v, want each in its layer's own", byCat)
+	}
+
+	eval := &nn.Ctx{Prof: profile.New()}
+	m.Forward(eval, b)
+	if masks := count(eval, "dropout_mask"); masks != 0 {
+		t.Errorf("evaluation forward: %d dropout_mask events, want 0", masks)
+	}
+
+	ck, _ := New(cfg, 7)
+	ck.CheckpointEvery = 2
+	cctx := nn.NewCtx(99)
+	ck.Step(cctx, b)
+	if masks, applies := count(cctx, "dropout_mask"), count(cctx, "dropout_fwd"); masks != want || applies <= want {
+		t.Errorf("checkpointed step: %d dropout_mask events (want %d: replay draws nothing) beside %d dropout_fwd (want more: replay re-applies)", masks, want, applies)
+	}
+}

@@ -173,23 +173,11 @@ func (m *BERT) PredictMasked(ctx *nn.Ctx, b *data.Batch) map[int]int {
 	m.Forward(ctx, b)
 	ctx.Train = prevTrain
 
-	preds := make(map[int]int)
-	v := m.Config.Vocab
-	probs := m.mlmProbs
-	for pos, tgt := range b.MLMTargets {
-		if tgt == kernels.IgnoreIndex {
-			continue
-		}
-		row := probs.Data()[pos*v : (pos+1)*v]
-		best := 0
-		for i, p := range row {
-			if p > row[best] {
-				best = i
-			}
-		}
-		preds[pos] = best
+	preds := make(map[int]int, len(m.mlmRows))
+	for i, pos := range m.mlmRows {
+		preds[pos] = argmaxRow(m.mlmProbs, i)
 	}
-	m.batch, m.seqOut, m.mlmProbs, m.nspProbs, m.pooledTanh = nil, nil, nil, nil, nil
+	m.dropIterationState()
 	return preds
 }
 

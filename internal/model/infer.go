@@ -72,16 +72,17 @@ func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Batch, positions [][]int) []
 	}
 	seq := m.EncodeEval(ctx, b)
 
-	total := 0
+	var rows []int
 	for s, ps := range positions {
 		for _, p := range ps {
 			if p < 0 || p >= b.N {
 				panic(fmt.Sprintf("model: PredictMaskedAt position %d of sequence %d outside [0, %d)", p, s, b.N))
 			}
+			rows = append(rows, s*b.N+p)
 		}
-		total += len(ps)
 	}
 	out := make([][]int, b.B)
+	total := len(rows)
 	if total == 0 {
 		return out
 	}
@@ -91,19 +92,8 @@ func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Batch, positions [][]int) []
 	prevTrain := ctx.Train
 	ctx.Train = false
 	defer func() { ctx.Train = prevTrain }()
-	d := m.Config.DModel
-	gathered := tensor.New(total, d)
+	gathered := gatherRows(ctx, "infer_gather", seq, rows)
 	es := ctx.ElemSize()
-	ctx.Prof.Time("infer_gather", profile.CatOutput, profile.Forward,
-		0, kernels.EWBytes(total*d, 1, 1, es), func() {
-			row := 0
-			for s, ps := range positions {
-				for _, p := range ps {
-					copy(gathered.Row(row), seq.Row(s*b.N+p))
-					row++
-				}
-			}
-		})
 
 	var x *tensor.Tensor
 	if ctx.MixedPrecision {

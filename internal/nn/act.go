@@ -78,8 +78,14 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		// Checkpointed recompute: replay the saved mask so the recomputed
 		// activation matches the original bit-for-bit.
 	} else {
+		// The fill is serial (one RNG stream) and costs more than the apply
+		// it feeds, so it is a kernel of its own in the profile: n float32
+		// written, no arithmetic.
 		d.mask = tensor.New(x.Shape()...)
-		kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
+			0, int64(x.Size())*4, func() {
+				kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+			})
 	}
 	y := tensor.New(x.Shape()...)
 	n := x.Size()

@@ -139,10 +139,11 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	y := tensor.New(tokens, l.out)
 	es := ctx.ElemSize()
 
-	// The weight operand is packed (f32) or quantized+packed (int8) once
-	// per parameter generation and reused across micro-batches, gradient-
-	// accumulation steps, and eval (nn.Param caches); only the activation
-	// operand is processed per call.
+	// The weight operand is packed (f32) or quantized+packed (int8) at
+	// most once per parameter generation and reused across micro-batches,
+	// gradient-accumulation steps, and eval (nn.Param caches); a weight
+	// used once per generation — a plain training step — is packed per
+	// call instead, with the same fused tail.
 	m, n, k := tokens, l.out, l.in
 	ctx.Prof.Time("linear_fwd_gemm", l.Category, profile.Forward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
@@ -175,8 +176,9 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	dX := tensor.New(tokens, l.in)
 
-	// dX = dY · W: (tokens×out)·(out×in), reusing the weight pack for the
-	// untransposed orientation (a second cache slot of the same Param).
+	// dX = dY · W: (tokens×out)·(out×in), on the weight pack for the
+	// untransposed orientation (a second cache slot of the same Param)
+	// once the generation is reused.
 	m, n, k := tokens, l.in, l.out
 	ctx.Prof.Time("linear_bwd_dgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
@@ -201,8 +203,9 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 
 // WarmPack builds the forward-orientation weight pack ahead of use —
 // the serving warmup that turns every steady-state pack-cache lookup
-// into a hit. It packs for the engine Forward consults under ctx (int8
-// quantized pack with ctx.Int8, f32 micro-panels otherwise). Frozen
+// into a hit, where Forward alone would pack per call on its first use and
+// build on its second. It packs for the engine Forward consults under ctx
+// (int8 quantized pack with ctx.Int8, f32 micro-panels otherwise). Frozen
 // weights never bump their generation, so a warmed pack stays valid for
 // the life of the process.
 func (l *Linear) WarmPack(ctx *Ctx) {
@@ -210,7 +213,7 @@ func (l *Linear) WarmPack(ctx *Ctx) {
 		l.W.PackedInt8(true, l.out, l.in)
 		return
 	}
-	l.W.Packed(true, l.out, l.in)
+	l.W.packs.Warm(true, l.out, l.in, l.W.Value.Data(), l.W.gen.Load())
 }
 
 // Params returns the weight and bias parameters.

@@ -25,12 +25,13 @@ import (
 //
 // A Param also carries a mutation generation and a cache of micro-panel
 // packings of Value (one per GEMM transpose orientation), so layers that
-// use the weight as a GEMM B operand can call kernels.GEMMPacked without
-// re-packing on every forward/backward. The contract: any code that
-// mutates Value in place after the first forward pass must call BumpGen —
-// the optimizers do (once per step, so the pack is rebuilt at most once
-// per iteration instead of per GEMM call), and construction-time writes
-// need nothing because no pack exists yet. Params must not be copied by
+// use the weight as a GEMM B operand more than once between two optimizer
+// steps can call kernels.GEMMPacked without re-packing on every
+// forward/backward. The contract: any code that mutates Value in place
+// after the first forward pass must call BumpGen — the optimizers do (once
+// per step, so a pack is built at most once per iteration, and only in an
+// iteration that uses it twice), and construction-time writes need nothing
+// because no pack exists yet. Params must not be copied by
 // value once in use (the generation counter and cache are atomic state;
 // go vet's copylocks check enforces this).
 type Param struct {
@@ -65,12 +66,13 @@ func (p *Param) Gen() uint64 { return p.gen.Load() }
 // concurrently).
 func (p *Param) BumpGen() { p.gen.Add(1) }
 
-// Packed returns the cached micro-panel packing of Value for use as the
-// B operand of kernels.GEMMPacked (op(B) is k×n; Value is stored n×k when
-// transB is true, k×n otherwise). The pack is rebuilt only when the
-// generation, shape, or kernel backend changed since the last call with
-// this orientation. Concurrent readers are safe; the tied MLM-decoder
-// weight shares the embedding Param and therefore this cache.
+// Packed returns Value as the B operand of kernels.GEMMPacked (op(B) is
+// k×n; Value is stored n×k when transB is true, k×n otherwise): the cached
+// micro-panel packing from the second call on with this orientation since
+// the generation, shape, or kernel backend last changed, and an un-built
+// operand that packs per call on the first (kernels.PackCache). Concurrent
+// readers are safe; the tied MLM-decoder weight shares the embedding Param
+// and therefore this cache.
 func (p *Param) Packed(transB bool, n, k int) *kernels.PackedB {
 	return p.packs.Get(transB, n, k, p.Value.Data(), p.gen.Load())
 }

@@ -325,22 +325,28 @@ func (b *builder) transformerBwd(layers int) {
 
 // outputFwd: the classification layer for BERT's two unsupervised tasks.
 // Under slicing, the vocabulary dimension of the decoder is split m ways
-// (Megatron's vocab-parallel output layer).
+// (Megatron's vocab-parallel output layer). The MLM head runs over
+// Workload.MLMRows positions — all n·B tokens unless the workload gathers
+// the scored ones first, which costs one gather here and one scatter in
+// outputBwd.
 func (b *builder) outputFwd() {
 	w := b.w
 	cfg := w.Cfg
 	m := b.m
-	nB := w.Tokens()
+	rows := w.mlmRows()
 	d, v := cfg.DModel, cfg.Vocab
 	dm, vm := d/m, (v+m-1)/m
 
+	if w.MLMRows > 0 {
+		b.ew("mlm_gather", profile.CatOutput, profile.Forward, ClassOutput, rows*d, 0, 2, 1)
+	}
 	b.gemm("mlm_dense_fwd", profile.CatOutput, profile.Forward, ClassOutput,
-		GEMMShape{M: dm, N: nB, K: d, Batch: 1}, 1)
-	b.ew("mlm_gelu", profile.CatOutput, profile.Forward, ClassOutput, nB*dm, 5, 4, 1)
-	b.ew("mlm_ln", profile.CatOutput, profile.Forward, ClassOutput, nB*d, 8, 2, 1)
+		GEMMShape{M: dm, N: rows, K: d, Batch: 1}, 1)
+	b.ew("mlm_gelu", profile.CatOutput, profile.Forward, ClassOutput, rows*dm, 5, 4, 1)
+	b.ew("mlm_ln", profile.CatOutput, profile.Forward, ClassOutput, rows*d, 8, 2, 1)
 	b.gemm("mlm_decoder_fwd", profile.CatOutput, profile.Forward, ClassOutput,
-		GEMMShape{M: vm, N: nB, K: d, Batch: 1}, 1)
-	b.ew("mlm_xent_fwd", profile.CatOutput, profile.Forward, ClassOutput, nB*vm, 4, 2, 1)
+		GEMMShape{M: vm, N: rows, K: d, Batch: 1}, 1)
+	b.ew("mlm_xent_fwd", profile.CatOutput, profile.Forward, ClassOutput, rows*vm, 4, 2, 1)
 	// NSP head: B rows only — negligible, folded into one kernel.
 	b.ew("nsp_head_fwd", profile.CatOutput, profile.Forward, ClassOutput, w.B*d, 8, 4, 1)
 }
@@ -349,22 +355,25 @@ func (b *builder) outputBwd() {
 	w := b.w
 	cfg := w.Cfg
 	m := b.m
-	nB := w.Tokens()
+	rows := w.mlmRows()
 	d, v := cfg.DModel, cfg.Vocab
 	dm, vm := d/m, (v+m-1)/m
 
 	b.ew("nsp_head_bwd", profile.CatOutput, profile.Backward, ClassOutput, w.B*d, 8, 4, 1)
-	b.ew("mlm_xent_bwd", profile.CatOutput, profile.Backward, ClassOutput, nB*vm, 2, 2, 1)
+	b.ew("mlm_xent_bwd", profile.CatOutput, profile.Backward, ClassOutput, rows*vm, 2, 2, 1)
 	b.gemm("mlm_decoder_bwd_dgrad", profile.CatOutput, profile.Backward, ClassOutput,
-		GEMMShape{TransA: true, TransB: false, M: d, N: nB, K: vm, Batch: 1}, 1)
+		GEMMShape{TransA: true, TransB: false, M: d, N: rows, K: vm, Batch: 1}, 1)
 	b.gemm("mlm_decoder_bwd_wgrad", profile.CatOutput, profile.Backward, ClassOutput,
-		GEMMShape{TransA: false, TransB: true, M: vm, N: d, K: nB, Batch: 1}, 1)
-	b.ew("mlm_ln_bwd", profile.CatOutput, profile.Backward, ClassOutput, nB*d, 14, 4, 1)
-	b.ew("mlm_gelu_bwd", profile.CatOutput, profile.Backward, ClassOutput, nB*dm, 8, 4, 1)
+		GEMMShape{TransA: false, TransB: true, M: vm, N: d, K: rows, Batch: 1}, 1)
+	b.ew("mlm_ln_bwd", profile.CatOutput, profile.Backward, ClassOutput, rows*d, 14, 4, 1)
+	b.ew("mlm_gelu_bwd", profile.CatOutput, profile.Backward, ClassOutput, rows*dm, 8, 4, 1)
 	b.gemm("mlm_dense_bwd_dgrad", profile.CatOutput, profile.Backward, ClassOutput,
-		GEMMShape{TransA: true, TransB: false, M: d, N: nB, K: dm, Batch: 1}, 1)
+		GEMMShape{TransA: true, TransB: false, M: d, N: rows, K: dm, Batch: 1}, 1)
 	b.gemm("mlm_dense_bwd_wgrad", profile.CatOutput, profile.Backward, ClassOutput,
-		GEMMShape{TransA: false, TransB: true, M: dm, N: d, K: nB, Batch: 1}, 1)
+		GEMMShape{TransA: false, TransB: true, M: dm, N: d, K: rows, Batch: 1}, 1)
+	if w.MLMRows > 0 {
+		b.ew("mlm_scatter", profile.CatOutput, profile.Backward, ClassOutput, rows*d, 0, 2, 1)
+	}
 }
 
 // taskHeadFwd: a fine-tuning task head modeled on SQuAD's span

@@ -89,7 +89,7 @@ func Footprint(w Workload) MemoryFootprint {
 	nB := int64(w.Tokens())
 	f.Activations += nB * int64(cfg.DModel) * es // embedding output
 	if w.Mode == Pretraining {
-		f.Activations += nB * int64(cfg.Vocab) * es // MLM logits/probs
+		f.Activations += int64(w.mlmRows()) * int64(cfg.Vocab) * es // MLM logits/probs
 	}
 	return f
 }

@@ -174,6 +174,22 @@ type Workload struct {
 	// sequence with one fused kernel (Section 6.1.1's software
 	// optimization for the data-intensive attention-score phase).
 	FusedAttention bool
+
+	// MLMRows is how many token positions the masked-LM head runs over. 0
+	// is every one of the B·n tokens — the paper's Table 2b output GEMM,
+	// and what its measured stack computed; > 0 models a head that gathers
+	// the positions the loss scores first (~15 % of them, what the real
+	// engine does and the reference BERT code's max_predictions_per_seq),
+	// as one more ablation beside FusedAttention and CheckpointEvery.
+	MLMRows int
+}
+
+// mlmRows returns the number of rows the MLM head processes.
+func (w Workload) mlmRows() int {
+	if w.MLMRows > 0 {
+		return w.MLMRows
+	}
+	return w.Tokens()
 }
 
 // OptimizerKind selects which optimizer's kernels the update phase emits.

@@ -482,3 +482,50 @@ func TestFineTuningGraphSmallerThanPretraining(t *testing.T) {
 		t.Fatal("fine-tuning graph must have fewer kernels")
 	}
 }
+
+// TestMLMRowsAblation: the gathered head is an ablation of the output
+// class and of nothing else. MLMRows = 0 and MLMRows = B·n describe the
+// same output GEMMs (Table 2b's all-token head stays the default); fewer
+// rows scale every output-class GEMM and the logits' share of the
+// footprint by rows / B·n exactly, add the gather and the scatter, and
+// leave every other class's ops untouched.
+func TestMLMRowsAblation(t *testing.T) {
+	cfg := model.BERTLarge()
+	dense := Phase1(cfg, 32, FP32)
+	tokens := dense.Tokens()
+	classFLOPs := func(w Workload, gemmOnly bool) map[LayerClass]int64 {
+		out := map[LayerClass]int64{}
+		for _, op := range Build(w).Ops {
+			if !gemmOnly || op.GEMM != nil {
+				out[op.Class] += op.TotalFLOPs()
+			}
+		}
+		return out
+	}
+
+	full := dense
+	full.MLMRows = tokens
+	if d, f := classFLOPs(dense, true), classFLOPs(full, true); d[ClassOutput] != f[ClassOutput] {
+		t.Errorf("MLMRows = B·n: output GEMM FLOPs %d, all-token head %d", f[ClassOutput], d[ClassOutput])
+	}
+
+	sparse := dense
+	sparse.MLMRows = tokens * 15 / 100
+	dAll, sAll := classFLOPs(dense, false), classFLOPs(sparse, false)
+	for _, c := range []LayerClass{ClassEmbedding, ClassTransformer, ClassLAMB} {
+		if dAll[c] != sAll[c] {
+			t.Errorf("%s FLOPs moved with MLMRows: %d vs %d", c, sAll[c], dAll[c])
+		}
+	}
+	dG, sG := classFLOPs(dense, true), classFLOPs(sparse, true)
+	if got, want := sG[ClassOutput]*int64(tokens), dG[ClassOutput]*int64(sparse.MLMRows); got != want {
+		t.Errorf("output GEMM FLOPs %d at %d of %d rows, want exactly rows/tokens of %d", sG[ClassOutput], sparse.MLMRows, tokens, dG[ClassOutput])
+	}
+	if extra := Build(sparse).KernelCount() - Build(dense).KernelCount(); extra != 2 {
+		t.Errorf("gathered head adds %d kernels, want 2 (mlm_gather, mlm_scatter)", extra)
+	}
+	logits := func(rows int) int64 { return int64(rows) * int64(cfg.Vocab) * int64(FP32.ElemSize()) }
+	if got, want := Footprint(dense).Activations-Footprint(sparse).Activations, logits(tokens)-logits(sparse.MLMRows); got != want {
+		t.Errorf("footprint falls by %d bytes, want the logits of the rows not computed, %d", got, want)
+	}
+}

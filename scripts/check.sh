@@ -5,10 +5,10 @@
 # merge. Run from the repo root or via `make check`.
 #
 # Every test leg runs whole packages and differs from `go test ./...` by a
-# flag or the environment (-race, -race -short, GOMAXPROCS=1); no leg pins
-# tests by name, so a renamed test cannot leave the gate. The alloc guards,
-# serving/tracing/shutdown smokes and bitwise-parity tests are ordinary
-# tests of their packages and run in the sweep.
+# flag or the environment (-race, -race -short, GOMAXPROCS=1, -count=2); no
+# leg pins tests by name, so a renamed test cannot leave the gate. The alloc
+# guards, serving/tracing/shutdown smokes and bitwise-parity tests are
+# ordinary tests of their packages and run in the sweep.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,9 @@ go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./intern
 
 echo "== GOMAXPROCS=1 leg (kernels, optim, distnet: nothing may depend on the core count; a polling worker or join that forgot to yield hangs here)"
 GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/
+
+echo "== re-run leg (kernels, nn, model, optim twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
+go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/
 
 echo "== go test ./..."
 go test ./...
