@@ -13,14 +13,12 @@ import (
 )
 
 // Fixed-seed determinism pins. The engine's reproducibility claim is:
-// identical seed AND identical worker count ⇒ bitwise-identical results.
-// Worker count is part of the key because one reduction (SumSquares, used
-// by LAMB's trust ratios) chooses its float64 partial-sum grain from the
-// pool width, so LAMB trajectories are reproducible per width, not across
-// widths. Everything else — forward, backward, dropout, data — partitions
-// work disjointly with a fixed per-element order and is worker-invariant
-// (which the oracle comparisons in RunModes pin separately, with zero
-// tolerance on the naive path).
+// identical seed and mode ⇒ bitwise-identical results. Forward, backward,
+// dropout and data partition work disjointly with a fixed per-element
+// order, and LAMB's float64 norms are one fixed fold (kernels.SumSquares),
+// so nothing depends on the worker count either (the oracle comparisons in
+// RunModes pin that separately, with zero tolerance on the naive path, and
+// optim's TestLAMBTrajectoryWorkerInvariant for the update).
 
 // determinismSteps is the pinned trajectory length.
 const determinismSteps = 3

@@ -11,19 +11,8 @@ import "math"
 func GeLUForward(dst, x []float32) {
 	checkSameLen("GeLUForward", dst, x)
 	parallelFor(len(x), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = geluScalar(x[i])
-		}
+		geluSpan(dst[lo:hi], x[lo:hi])
 	})
-}
-
-// geluScalar is the shared scalar GELU used by both the stand-alone
-// GeLUForward pass and the fused GEMM epilogue (gemm_epilogue.go). Keeping
-// the exact same float64 expression in one place is what makes the fused
-// and unfused paths bitwise-identical.
-func geluScalar(x float32) float32 {
-	v := float64(x)
-	return float32(v * 0.5 * (1 + math.Erf(v/math.Sqrt2)))
 }
 
 // GeLUBackward computes dX = dY * GELU'(x) with the exact derivative
@@ -33,15 +22,177 @@ func geluScalar(x float32) float32 {
 // where phi is the standard normal density.
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
-	const invSqrt2Pi = 0.3989422804014327
 	parallelFor(len(x), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := float64(x[i])
-			cdf := 0.5 * (1 + math.Erf(v/math.Sqrt2))
-			pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
-			dX[i] = dY[i] * float32(cdf+v*pdf)
+		// The derivative goes through a block-sized side buffer, so dX may
+		// alias dY.
+		var d [geluBlock]float32
+		for i := lo; i < hi; i += geluBlock {
+			n := min(geluBlock, hi-i)
+			geluGradSpan(d[:n], x[i:i+n])
+			for j, dv := range d[:n] {
+				dX[i+j] = dY[i+j] * dv
+			}
 		}
 	})
+}
+
+// geluScalar and geluGradScalar are the definitions of GELU and GELU' in
+// this engine: the float64 expressions every result must equal bit for
+// bit. The span kernels below return exactly these values and call them
+// for the few inputs their fast path cannot settle; the tests use them as
+// the oracle.
+func geluScalar(x float32) float32 {
+	v := float64(x)
+	return float32(v * 0.5 * (1 + math.Erf(v/math.Sqrt2)))
+}
+
+func geluGradScalar(x float32) float32 {
+	v := float64(x)
+	cdf := 0.5 * (1 + math.Erf(v/math.Sqrt2))
+	pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
+	return float32(cdf + v*pdf)
+}
+
+const invSqrt2Pi = 0.3989422804014327
+
+// Exact-rounding fast path (DESIGN.md "Exact-rounding GeLU"). Φ(x) and
+// GELU'(x) are evaluated in float64 as degree-geluDegree Taylor expansions
+// about the centres of geluCells intervals of width 1/8 covering
+// [-geluRange, geluRange). The value y so obtained is within geluEps
+// (scaled by |x| for GELU = x·Φ) of what the reference expression computes
+// in float64, so the reference lies in [y-e, y+e]; rounding to float32 is
+// monotone, so when both ends round to the same float32 the reference
+// rounds to it too. Otherwise — a few inputs per hundred thousand — and
+// outside the range or on NaN, the reference expression itself runs.
+const (
+	geluRange  = 6.0
+	geluCells  = 96
+	geluDegree = 10
+	geluEps    = 1.0 / (1 << 44)
+	// geluBlock is the staging length: a span is converted to float64,
+	// evaluated and rounded in three separate loops over at most this
+	// many elements. In a single per-element loop the float32<->float64
+	// conversions (CVTSS2SD/CVTSD2SS merge into their destination
+	// register) pick up a false dependency on the polynomial chain of the
+	// previous element whenever the register allocator reuses its
+	// register: 3x slower, or not, depending on unrelated edits nearby.
+	geluBlock = 64
+)
+
+// geluCell is one interval's expansion: its centre c and the Taylor
+// coefficients f⁽ᵏ⁾(c)/k!, k = 0..geluDegree.
+type geluCell struct {
+	c float64
+	a [geluDegree + 1]float64
+}
+
+// geluCDF expands Φ, geluGrad expands GELU' = Φ + xφ.
+var geluCDF, geluGrad = geluTables()
+
+// geluTables fills both tables from the Hermite recurrence
+// φ⁽ᵏ⁾(c) = (-1)ᵏ Heₖ(c) φ(c), He₍ₖ₊₁₎ = c·Heₖ - k·He₍ₖ₋₁₎:
+//
+//	Φ⁽ᵏ⁾     = φ⁽ᵏ⁻¹⁾
+//	GELU'⁽ᵏ⁾ = (k+1)·φ⁽ᵏ⁻¹⁾ + c·φ⁽ᵏ⁾    (Leibniz on x·φ)
+//
+// for k >= 1, seeded by Φ(c) and φ(c) from the math package.
+func geluTables() (cdf, grad *[geluCells]geluCell) {
+	cdf, grad = new([geluCells]geluCell), new([geluCells]geluCell)
+	for i := range cdf {
+		c := -geluRange + (float64(i)+0.5)/8
+		phi := invSqrt2Pi * math.Exp(-0.5*c*c)
+		var d [geluDegree + 1]float64 // d[k] = φ⁽ᵏ⁾(c)
+		hePrev, he, sign := 0.0, 1.0, 1.0
+		for k := range d {
+			d[k] = sign * he * phi
+			hePrev, he, sign = he, c*he-float64(k)*hePrev, -sign
+		}
+		cdf[i].c, grad[i].c = c, c
+		cdf[i].a[0] = 0.5 * math.Erfc(-c/math.Sqrt2)
+		grad[i].a[0] = cdf[i].a[0] + c*phi
+		fact := 1.0
+		for k := 1; k <= geluDegree; k++ {
+			fact *= float64(k)
+			cdf[i].a[k] = d[k-1] / fact
+			grad[i].a[k] = (float64(k+1)*d[k-1] + c*d[k]) / fact
+		}
+	}
+	return cdf, grad
+}
+
+// geluPoly widens x into v and evaluates tab's expansion at each v[j]
+// into p[j] — the first two stages of a block. Inputs outside
+// [-geluRange, geluRange), NaN included, get NaN, which fails the caller's
+// rounding test and so reaches the reference.
+func geluPoly(p, v *[geluBlock]float64, x []float32, tab *[geluCells]geluCell) {
+	for j, xv := range x {
+		v[j] = float64(xv)
+	}
+	for j, xv := range v[:len(x)] {
+		if !(xv >= -geluRange && xv < geluRange) {
+			p[j] = math.NaN()
+			continue
+		}
+		cell := &tab[int((xv+geluRange)*8)]
+		t := xv - cell.c
+		a := &cell.a
+		s := a[10]
+		s = s*t + a[9]
+		s = s*t + a[8]
+		s = s*t + a[7]
+		s = s*t + a[6]
+		s = s*t + a[5]
+		s = s*t + a[4]
+		s = s*t + a[3]
+		s = s*t + a[2]
+		s = s*t + a[1]
+		p[j] = s*t + a[0]
+	}
+}
+
+// geluSpan sets dst[i] = GELU(x[i]), bit for bit geluScalar(x[i]). dst may
+// be x itself. It is the one GELU body: GeLUForward, the fused f32
+// epilogue and the int8 epilogue all call it. The return value counts the
+// elements that took the reference expression; only the test that bounds
+// the fallback rate reads it.
+func geluSpan(dst, x []float32) (fallbacks int) {
+	var v, p [geluBlock]float64
+	for len(x) > 0 {
+		n := min(len(x), geluBlock)
+		geluPoly(&p, &v, x[:n], geluCDF)
+		for j, xv := range v[:n] {
+			y := xv * p[j]
+			e := geluEps * math.Abs(xv)
+			lo, hi := float32(y-e), float32(y+e)
+			if lo != hi {
+				lo = geluScalar(float32(xv))
+				fallbacks++
+			}
+			dst[j] = lo
+		}
+		dst, x = dst[n:], x[n:]
+	}
+	return fallbacks
+}
+
+// geluGradSpan sets dst[i] = GELU'(x[i]), bit for bit geluGradScalar(x[i]),
+// and counts fallbacks like geluSpan.
+func geluGradSpan(dst, x []float32) (fallbacks int) {
+	var v, p [geluBlock]float64
+	for len(x) > 0 {
+		n := min(len(x), geluBlock)
+		geluPoly(&p, &v, x[:n], geluGrad)
+		for j, y := range p[:n] {
+			lo, hi := float32(y-geluEps), float32(y+geluEps)
+			if lo != hi {
+				lo = geluGradScalar(float32(v[j]))
+				fallbacks++
+			}
+			dst[j] = lo
+		}
+		dst, x = dst[n:], x[n:]
+	}
+	return fallbacks
 }
 
 // GeLUUnfusedKernelCount is the kernel count of an unfused GeLU forward:

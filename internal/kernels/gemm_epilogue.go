@@ -19,7 +19,7 @@ import (
 // Numerics contract: the fused write-back performs the exact same float32
 // expressions, in the same order, as the unfused reference sequence
 // (AddBias → GeLUForward / AddBias → residual add → LayerNormForward),
-// sharing the scalar helpers geluScalar and layerNormRowStats/-Apply. The
+// sharing the helpers geluSpan and layerNormRowStats/-Apply. The
 // engine never contracts a+b+c or reorders row reductions, so fused and
 // unfused results are bitwise identical on the same micro-kernel backend —
 // an invariant the audit harness pins (internal/audit).
@@ -231,20 +231,16 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 			}
 		}
 	case EpilogueBiasGeLU:
+		bias := ep.Bias[c0:c1]
 		for r := r0; r < r1; r++ {
-			row := c[r*ld : r*ld+c1]
+			row := c[r*ld+c0 : r*ld+c1]
+			for j, b := range bias {
+				row[j] += b
+			}
 			if ep.X != nil {
-				xrow := ep.X[r*ld : r*ld+c1]
-				for j := c0; j < c1; j++ {
-					pre := row[j] + ep.Bias[j]
-					xrow[j] = pre
-					row[j] = geluScalar(pre)
-				}
-				continue
+				copy(ep.X[r*ld+c0:r*ld+c1], row)
 			}
-			for j := c0; j < c1; j++ {
-				row[j] = geluScalar(row[j] + ep.Bias[j])
-			}
+			geluSpan(row, row)
 		}
 	case EpilogueBiasResidualLayerNorm:
 		for r := r0; r < r1; r++ {

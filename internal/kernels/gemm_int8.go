@@ -375,21 +375,11 @@ func (s *int8RunState) runRange(lo, hi int) {
 						col := j0 + j
 						row[col] = sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
 					}
-				case EpilogueBias:
+				case EpilogueBias, EpilogueBiasGeLU:
 					for j := 0; j < cols; j++ {
 						col := j0 + j
 						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
 						row[col] = v + ep.Bias[col]
-					}
-				case EpilogueBiasGeLU:
-					for j := 0; j < cols; j++ {
-						col := j0 + j
-						v := sar * pb.scales[col] * float32(accr[j]-int8ActZero*pb.colSum[col])
-						pre := v + ep.Bias[col]
-						if ep.X != nil {
-							ep.X[(rp*int8MR+r)*n+col] = pre
-						}
-						row[col] = geluScalar(pre)
 					}
 				case EpilogueBiasResidualLayerNorm:
 					res := ep.Residual[(rp*int8MR+r)*n:]
@@ -401,13 +391,18 @@ func (s *int8RunState) runRange(lo, hi int) {
 				}
 			}
 		}
-		if kind == EpilogueBiasResidualLayerNorm {
-			// Rows are complete: finalize LN per row while cache-hot.
+		if kind == EpilogueBiasGeLU || kind == EpilogueBiasResidualLayerNorm {
+			// Rows are complete: save the pre-activation, then apply GeLU
+			// or finalize LN, per row while cache-hot.
 			for r := 0; r < rows; r++ {
 				gr := rp*int8MR + r
 				row := s.c[gr*n : (gr+1)*n]
 				if ep.X != nil {
 					copy(ep.X[gr*n:(gr+1)*n], row)
+				}
+				if kind == EpilogueBiasGeLU {
+					geluSpan(row, row)
+					continue
 				}
 				mu, istd := layerNormRowStats(row, ep.Eps)
 				if ep.Mean != nil {

@@ -13,13 +13,20 @@ import (
 // Go loops). kernelTable (one per build, gemm_kernel_*.go) lists the
 // backends widest first; init installs the first supported one and tests
 // iterate over all of them with forEachKernel.
+//
+// The LAMB sweeps' lane bodies (lamb.go, reduce.go) ride the same ISA
+// decision: lambStage1, subScaled and sumSq8 take whole 8-element groups,
+// and nil again means the Go body.
 type gemmKernel struct {
-	name      string
-	mr, nr    int
-	f32       func(kc int, a, b, c []float32, ldc int)
-	int8      func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32)
-	packT4    func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
-	supported bool
+	name       string
+	mr, nr     int
+	f32        func(kc int, a, b, c []float32, ldc int)
+	int8       func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32)
+	packT4     func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
+	lambStage1 func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
+	subScaled  func(y, x []float32, a float32)
+	sumSq8     func(x []float32) float64
+	supported  bool
 }
 
 // scalarKernel is the portable backend: the last entry of every table,

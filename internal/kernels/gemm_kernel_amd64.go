@@ -79,9 +79,12 @@ func cpuFeatures(r cpuRegs) (avx2fma, avx512f bool) {
 
 var kernelTable = func() []gemmKernel {
 	avx2fma, avx512f := cpuFeatures(readCPU())
-	return []gemmKernel{
-		{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, int8: int8Kernel4x16SIMD, packT4: packT4asm, supported: avx512f},
-		{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, int8: int8Kernel4x16SIMD, packT4: packT4asm, supported: avx2fma},
-		scalarKernel,
+	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, supported: avx512f}
+	avx2 := gemmKernel{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, supported: avx2fma}
+	// Everything but the f32 micro-kernel is 256-bit code the two share.
+	for _, k := range []*gemmKernel{&avx512, &avx2} {
+		k.int8, k.packT4 = int8Kernel4x16SIMD, packT4asm
+		k.lambStage1, k.subScaled, k.sumSq8 = lambStage1SIMD, subScaledSIMD, sumSq8SIMD
 	}
+	return []gemmKernel{avx512, avx2, scalarKernel}
 }()

@@ -369,7 +369,11 @@ func TestDropoutMaskPreservesExpectation(t *testing.T) {
 	DropoutMask(mask, 0.1, tensor.NewRNG(6))
 	y := make([]float32, n)
 	DropoutApply(y, x, mask)
-	if mean := Sum(y) / n; math.Abs(mean-1) > 0.01 {
+	var sum float64
+	for _, v := range y {
+		sum += float64(v)
+	}
+	if mean := sum / n; math.Abs(mean-1) > 0.01 {
 		t.Fatalf("inverted dropout mean %v, want ~1", mean)
 	}
 }
@@ -422,13 +426,7 @@ func TestReductions(t *testing.T) {
 	if got := SumSquares(x); got != 25 {
 		t.Fatalf("SumSquares = %v", got)
 	}
-	if got := L2Norm(x); got != 5 {
-		t.Fatalf("L2Norm = %v", got)
-	}
-	if got := Sum(x); got != 7 {
-		t.Fatalf("Sum = %v", got)
-	}
-	if SumSquares(nil) != 0 || Sum(nil) != 0 {
+	if SumSquares(nil) != 0 {
 		t.Fatal("empty reductions must be 0")
 	}
 }

@@ -209,6 +209,10 @@ func (o *Adam) stepUnfused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 // per parameter tensor.
 const UnfusedKernelsPerTensor = 12
 
+func sqrt32(x float32) float32 {
+	return float32(math.Sqrt(float64(x)))
+}
+
 // SGD is the plain stochastic-gradient-descent baseline: w -= lr·g.
 type SGD struct {
 	LR float32
@@ -223,12 +227,7 @@ func (o *SGD) Step(ctx *nn.Ctx, params []*nn.Param) {
 		n := p.Size()
 		ctx.Prof.Time("sgd_apply", profile.CatOptimizer, profile.Update,
 			kernels.EWFLOPs(n, 2), kernels.EWBytes(n, 2, 1, fp32Size), func() {
-				wd, gd := p.Value.Data(), p.Grad.Data()
-				kernels.ParallelRange(len(wd), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						wd[i] -= o.LR * gd[i]
-					}
-				})
+				kernels.SubScaled(p.Value.Data(), p.Grad.Data(), o.LR)
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}

@@ -18,9 +18,9 @@ import (
 //   - Stage 1, per parameter tensor, folds the gradient into momentum (m)
 //     and velocity (v) state and produces the adaptive update direction —
 //     reading gradient, m, v, and weights: data worth 4× the model size
-//     (Takeaway 7);
-//   - Stage 2, per parameter tensor, computes the layer-wise trust ratio
-//     from the weight and update norms and applies the update.
+//     (Takeaway 7) — and accumulates ‖w‖² and ‖update‖² on the way;
+//   - Stage 2, per parameter tensor, forms the layer-wise trust ratio
+//     from those two norms and applies the update.
 //
 // All state and arithmetic are FP32 regardless of training precision.
 type LAMB struct {
@@ -95,6 +95,11 @@ type LAMBStep struct {
 // shard must derive the identical scale even when Apply later touches
 // only a subset.
 func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
+	s := o.prepare(ctx, params)
+	return &s
+}
+
+func (o *LAMB) prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
 	o.step++
 
 	// Global gradient norm: LAMB normalizes all layers' gradients before
@@ -112,7 +117,7 @@ func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
 			}
 		})
 
-	return &LAMBStep{
+	return LAMBStep{
 		o:         o,
 		gradScale: gradScale,
 		bc1:       1 - float32(math.Pow(float64(o.Beta1), float64(o.step))),
@@ -122,61 +127,45 @@ func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
 
 // Step applies one LAMB update to every parameter.
 func (o *LAMB) Step(ctx *nn.Ctx, params []*nn.Param) {
-	o.Prepare(ctx, params).Apply(ctx, params)
+	s := o.prepare(ctx, params)
+	s.Apply(ctx, params)
 }
 
 // Apply runs both LAMB stages over params, which may be any subset of the
-// parameters Prepare saw. Per-tensor arithmetic is independent across
-// tensors, so splitting one iteration's Apply across shards is bitwise
-// identical to a single whole-model Apply.
+// parameters Prepare saw, one tensor at a time: stage 2 follows stage 1
+// while the tensor's update and weights are still in cache. Per-tensor
+// arithmetic is independent across tensors, so splitting one iteration's
+// Apply across shards is bitwise identical to a single whole-model Apply.
 func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
-	o, gradScale, bc1, bc2 := s.o, s.gradScale, s.bc1, s.bc2
-
-	// Stage 1 per tensor: update m and v, produce the adaptive direction.
-	// Reads g, m, v, w (4× model size); writes m, v, update.
+	o := s.o
 	for _, p := range params {
 		m, v := o.State(p)
 		if o.updates[p] == nil {
 			o.updates[p] = tensor.New(p.Value.Shape()...)
 		}
-		upd := o.updates[p]
+		wd, ud := p.Value.Data(), o.updates[p].Data()
 		n := p.Size()
+
+		// Stage 1: update m and v, produce the adaptive direction and the
+		// two norms of the trust ratio. Reads g, m, v, w (4× model size);
+		// writes m, v, update.
+		var wSq, uSq float64
 		ctx.Prof.Time("lamb_stage1", profile.CatLAMBStage1, profile.Update,
 			kernels.EWFLOPs(n, 12), kernels.EWBytes(n, 4, 3, fp32Size), func() {
-				md, vd, gd, wd, ud := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data(), upd.Data()
-				kernels.ParallelRange(len(gd), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						g := gd[i] * gradScale
-						md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-						vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
-						mh := md[i] / bc1
-						vh := vd[i] / bc2
-						ud[i] = mh/(sqrt32(vh)+o.Eps) + o.WeightDecay*wd[i]
-					}
-				})
+				wSq, uSq = kernels.LAMBStage1(p.Grad.Data(), m.Data(), v.Data(), wd, ud,
+					s.gradScale, o.Beta1, o.Beta2, s.bc1, s.bc2, o.Eps, o.WeightDecay)
 			})
-	}
 
-	// Stage 2 per tensor: trust ratio from ‖w‖ and ‖update‖, then apply.
-	// Reads update, w; writes w.
-	for _, p := range params {
-		upd := o.updates[p]
-		n := p.Size()
+		// Stage 2: trust ratio ‖w‖/‖update‖, then apply. Reads update, w;
+		// writes w.
 		ctx.Prof.Time("lamb_stage2", profile.CatLAMBStage2, profile.Update,
 			kernels.EWFLOPs(n, 6), kernels.EWBytes(n, 2, 1, fp32Size), func() {
-				wNorm := kernels.L2Norm(p.Value.Data())
-				uNorm := kernels.L2Norm(upd.Data())
+				wNorm, uNorm := math.Sqrt(wSq), math.Sqrt(uSq)
 				trust := float32(1)
 				if wNorm > 0 && uNorm > 0 {
 					trust = float32(wNorm / uNorm)
 				}
-				step := o.LR * trust
-				wd, ud := p.Value.Data(), upd.Data()
-				kernels.ParallelRange(len(wd), func(lo, hi int) {
-					for i := lo; i < hi; i++ {
-						wd[i] -= step * ud[i]
-					}
-				})
+				kernels.SubScaled(wd, ud, o.LR*trust)
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}
@@ -184,7 +173,8 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 
 // BytesPerParam is the algorithmic traffic of one LAMB update per
 // parameter element: stage 1 reads 4 and writes 3 FP32 values, stage 2
-// reads 2 and writes 1 (norm reads counted once with the apply read).
+// reads 2 and writes 1. The trust ratio's norms add nothing: stage 1
+// accumulates them from the w and update values it already holds.
 const BytesPerParam = (4 + 3 + 2 + 1) * fp32Size
 
 func totalFLOPs(params []*nn.Param, perElem int) int64 {
@@ -201,8 +191,4 @@ func totalBytes(params []*nn.Param, reads, writes int) int64 {
 		n += int64(p.Size())
 	}
 	return n * int64(reads+writes) * fp32Size
-}
-
-func sqrt32(x float32) float32 {
-	return float32(math.Sqrt(float64(x)))
 }

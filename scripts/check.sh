@@ -5,10 +5,11 @@
 # merge. Run from the repo root or via `make check`.
 #
 # Every test leg runs whole packages and differs from `go test ./...` by a
-# flag or the environment (-race, -race -short, GOMAXPROCS=1, -count=2); no
-# leg pins tests by name, so a renamed test cannot leave the gate. The alloc
-# guards, serving/tracing/shutdown smokes and bitwise-parity tests are
-# ordinary tests of their packages and run in the sweep.
+# flag or the environment (-race, -race -short, GOMAXPROCS=1,
+# DEMYSTBERT_NOSIMD=1, -count=2, -gelu-full); no leg pins tests by name, so
+# a renamed test cannot leave the gate. The alloc guards,
+# serving/tracing/shutdown smokes and bitwise-parity tests are ordinary
+# tests of their packages and run in the sweep.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -27,11 +28,17 @@ go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./intern
 echo "== GOMAXPROCS=1 leg (kernels, optim, distnet: nothing may depend on the core count; a polling worker or join that forgot to yield hangs here)"
 GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/
 
+echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps — end to end, which an AVX host otherwise never runs)"
+DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/
+
 echo "== re-run leg (kernels, nn, model, optim twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
 go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/
 
 echo "== go test ./..."
 go test ./...
+
+echo "== GeLU exactness, all 2^32 float32 inputs (kernels with -gelu-full: GELU and GELU' equal the float64 reference bit for bit; ~2.5 min on 2 cores)"
+go test -count=1 -timeout 30m ./internal/kernels/ -gelu-full
 
 echo "== numerics audit sweep (cross-path differential + gradcheck + determinism)"
 go run ./cmd/bertchar -audit >/dev/null
@@ -49,7 +56,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs, 1 iteration)"
-go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + GeLU + LAMB sweeps, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|GeLU|LAMB|SumSquares|SubScaled' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
