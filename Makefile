@@ -15,9 +15,11 @@ test:
 check:
 	sh scripts/check.sh
 
-# Short fuzz pass over the GEMM and softmax kernels.
+# Short fuzz passes: the GEMM kernels, and the /v1/mlm request body — the
+# one place external bytes enter the server.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzGEMMBlockedVsNaive -fuzztime 30s ./internal/kernels/
+	$(GO) test -run xxx -fuzz FuzzMLMHandler -fuzztime 30s ./internal/serve/
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 // Command bertserve runs the frozen-weight inference engine behind an
-// HTTP front-end with continuous batching — the serving-side counterpart
-// of bertprof's training characterization. It has two modes:
+// HTTP front-end with continuous batching of padding-free (ragged)
+// batches behind one FIFO — the serving-side counterpart of bertprof's
+// training characterization. It has two modes:
 //
 // Server (default): build the model, pre-pack every weight (f32 panels,
 // or int8 packs with -int8), and serve POST /v1/mlm (plus /healthz, /metrics,
@@ -10,7 +11,7 @@
 //
 //	bertserve -addr :8080 [-layers N] [-dmodel D] [-heads H] [-dff F]
 //	          [-vocab V] [-maxpos P] [-int8] [-max-batch 32]
-//	          [-max-delay 2ms] [-buckets 8,16,32] [-queue-cap 4096]
+//	          [-queue-cap 4096]
 //
 // Load generator: drive an already-running server (or error out) with
 // deterministic synthetic traffic on an open-loop clock and print the
@@ -30,7 +31,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 
 	// Model geometry (defaults are the reduced-scale config every other
-	// binary uses; serving cares about MaxPos ≥ the largest bucket).
+	// binary uses; MaxPos is the longest request the server admits).
 	layers := fs.Int("layers", 2, "Transformer layer count (N)")
 	dmodel := fs.Int("dmodel", 64, "hidden dimension (d_model)")
 	heads := fs.Int("heads", 4, "attention heads (h)")
@@ -63,8 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Scheduler policy.
 	addr := fs.String("addr", "localhost:8080", "serve address (\":0\" picks a free port)")
 	maxBatch := fs.Int("max-batch", 32, "max requests per dynamic batch")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "batch coalescing deadline (starvation bound)")
-	buckets := fs.String("buckets", "", "comma-separated length buckets (default: powers of two up to maxpos)")
 	queueCap := fs.Int("queue-cap", 4096, "admission queue capacity")
 
 	// Request tracing.
@@ -89,15 +87,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DModel: *dmodel, Heads: *heads, DFF: *dff,
 		FusedAttention: true,
 	}
-	bkts, err := parseInts(*buckets)
-	if err != nil {
-		fmt.Fprintf(stderr, "bertserve: -buckets: %v\n", err)
-		return 2
-	}
 	ecfg := serve.Config{
 		Model: mcfg, Seed: *seed, Int8: *useInt8,
-		MaxBatch: *maxBatch, MaxDelay: *maxDelay,
-		Buckets: bkts, QueueCap: *queueCap,
+		MaxBatch: *maxBatch, QueueCap: *queueCap,
 	}
 	if *traceSample > 0 {
 		ecfg.Tracer = trace.New(0, 0)
@@ -150,8 +142,8 @@ func runServer(ecfg serve.Config, addr, traceOut string, stdout, stderr io.Write
 	sd.Defer("drain http", func() { srv.ShutdownTimeout(5 * time.Second) })
 
 	eff := engine.Config()
-	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (int8=%v, kernel=%s, buckets=%v, max_batch=%d, max_delay=%v, warmed %d packs)\n",
-		srv.Addr, eff.Int8, kernels.ActiveKernel(), eff.Buckets, eff.MaxBatch, eff.MaxDelay, engine.WarmedPacks)
+	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (int8=%v, kernel=%s, max_len=%d, max_batch=%d, warmed %d packs)\n",
+		srv.Addr, eff.Int8, kernels.ActiveKernel(), eff.Model.MaxPos, eff.MaxBatch, engine.WarmedPacks)
 	<-done // signal handler drains and exits the process
 	return 0
 }
@@ -203,26 +195,4 @@ func httpTarget(client *http.Client, base string) serve.Target {
 		}
 		return &resp, nil
 	}
-}
-
-func splitNonEmpty(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, p := range splitNonEmpty(s) {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -19,7 +19,8 @@ func TestFlagErrors(t *testing.T) {
 	for name, args := range map[string][]string{
 		"removed gemm path":    {"-gemm-path", "fused"},
 		"removed bench mode":   {"-bench"},
-		"bad buckets":          {"-buckets", "8,x"},
+		"removed buckets":      {"-buckets", "8,16"},
+		"removed max delay":    {"-max-delay", "2ms"},
 		"loadgen needs target": {"-loadgen"},
 	} {
 		if _, _, code := runCmd(t, args...); code != 2 {

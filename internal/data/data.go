@@ -43,6 +43,45 @@ type Batch struct {
 	Mask *tensor.Tensor
 }
 
+// Ragged is a padding-free evaluation batch: the concatenation of its
+// sequences' real tokens. Sequence s owns entries Offsets[s]..Offsets[s+1]
+// of Tokens and Segments, and its positions restart at 0. The model
+// stacks every token vector into one [T, d] matrix anyway (Section
+// 3.2.2), so only attention needs Offsets; there are no pad slots and no
+// mask. The zero value is an empty batch ready for Append.
+type Ragged struct {
+	Tokens   []int
+	Segments []int
+	// Offsets has one entry more than the batch has sequences, ascending
+	// from 0 to len(Tokens).
+	Offsets []int
+}
+
+// B returns the number of sequences.
+func (r *Ragged) B() int { return max(len(r.Offsets)-1, 0) }
+
+// Reset empties the batch and keeps its buffers.
+func (r *Ragged) Reset() {
+	r.Tokens, r.Segments, r.Offsets = r.Tokens[:0], r.Segments[:0], r.Offsets[:0]
+}
+
+// Append adds one sequence. Nil segments put every token in sentence A.
+func (r *Ragged) Append(tokens, segments []int) {
+	if segments != nil && len(segments) != len(tokens) {
+		panic(fmt.Sprintf("data: Ragged.Append got %d segments for %d tokens", len(segments), len(tokens)))
+	}
+	if len(r.Offsets) == 0 {
+		r.Offsets = append(r.Offsets, 0)
+	}
+	r.Tokens = append(r.Tokens, tokens...)
+	if segments == nil {
+		r.Segments = append(r.Segments, make([]int, len(tokens))...)
+	} else {
+		r.Segments = append(r.Segments, segments...)
+	}
+	r.Offsets = append(r.Offsets, len(r.Tokens))
+}
+
 // Generator produces deterministic synthetic batches.
 type Generator struct {
 	vocab    int

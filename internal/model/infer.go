@@ -12,24 +12,36 @@ import (
 )
 
 // This file is the frozen-weight inference surface of the model: a
-// forward-only encoder pass plus an MLM head applied to just the
-// positions a serving request asks about. It is the machinery behind
-// PredictMasked restructured for serving: no loss, no NSP head, no
-// full-vocabulary softmax over every position — the vocabulary
-// projection (the single largest GEMM in the network) runs over the
-// handful of masked rows instead of all B·n of them.
+// forward-only encoder pass over a padding-free batch plus an MLM head
+// applied to just the positions a serving request asks about. No loss, no
+// NSP head, no pad slots, no attention mask, and no full-vocabulary
+// softmax over every position — the vocabulary projection (the single
+// largest GEMM in the network) runs over the handful of masked rows
+// instead of all T of them. It is the only serving forward; the [B, n]
+// batch and its additive mask belong to the training step, which
+// PredictMasked and FineTuner.PredictSpan also run, with Train off.
+//
+// The contract serving rests on: every operator is either row-wise over
+// the T stacked token rows or, in attention, confined to one sequence's
+// rows, so a sequence's encoder rows and logits are bitwise the same
+// alone, in any batch and at any place in it — f32 or ctx.Int8, at any
+// worker count. One caveat, the one StepAccum and the sparse MLM head
+// already carry: under the auto GEMM route a model narrower than d = 128
+// can cross smallGEMMFlops as the row count changes, and the naive and
+// blocked routes round differently.
 
 // EncodeEval runs the embedding and encoder stack in evaluation mode
 // (dropout inactive; the fused Add&Norm epilogue path engages at full
-// precision) and returns the sequence output [B·n, dModel]. The
+// precision) over the ragged batch and returns the sequence output
+// [T, dModel], sequence s in rows b.Offsets[s]..b.Offsets[s+1]. The
 // caller's ctx.Train flag is restored on return.
-func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Batch) *tensor.Tensor {
+func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
 	prevTrain := ctx.Train
 	ctx.Train = false
 	defer func() { ctx.Train = prevTrain }()
 
 	sp := ctx.StartSpan("embed")
-	h := m.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
+	h := m.Embed.ForwardRagged(ctx, b.Tokens, b.Segments, b.Offsets)
 	sp.End()
 	for i, layer := range m.Layers {
 		// Recording gate keeps the layerName lookup (and any Sprintf
@@ -38,7 +50,7 @@ func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Batch) *tensor.Tensor {
 		if ctx.Tracer != nil && ctx.Span.Sampled() {
 			ls = ctx.StartSpan(layerName(i))
 		}
-		h = layer.Forward(ctx, h, b.B, b.N, b.Mask)
+		h = layer.ForwardRagged(ctx, h, b.Offsets)
 		ls.End()
 	}
 	return h
@@ -62,38 +74,59 @@ func layerName(i int) string {
 
 // PredictMaskedAt runs a forward-only inference pass and returns, for
 // every requested (sequence, position) pair, the argmax token id of the
-// MLM head. positions[s] lists the query positions of sequence s (the
-// serving scheduler puts each request's [MASK] locations here); the
-// result is shaped exactly like positions. Softmax is monotonic, so the
-// argmax is taken over raw logits and no probability pass runs at all.
-func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Batch, positions [][]int) [][]int {
-	if len(positions) != b.B {
-		panic(fmt.Sprintf("model: PredictMaskedAt got positions for %d sequences, batch has %d", len(positions), b.B))
+// MLM head. positions[s] lists the query positions of sequence s, counted
+// from the sequence's own start (the serving scheduler puts each request's
+// [MASK] locations here); the result is shaped exactly like positions.
+func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Ragged, positions [][]int) [][]int {
+	if len(positions) != b.B() {
+		panic(fmt.Sprintf("model: PredictMaskedAt got positions for %d sequences, batch has %d", len(positions), b.B()))
 	}
 	seq := m.EncodeEval(ctx, b)
 
 	var rows []int
 	for s, ps := range positions {
+		lo, hi := b.Offsets[s], b.Offsets[s+1]
 		for _, p := range ps {
-			if p < 0 || p >= b.N {
-				panic(fmt.Sprintf("model: PredictMaskedAt position %d of sequence %d outside [0, %d)", p, s, b.N))
+			if p < 0 || p >= hi-lo {
+				panic(fmt.Sprintf("model: PredictMaskedAt position %d of sequence %d outside [0, %d)", p, s, hi-lo))
 			}
-			rows = append(rows, s*b.N+p)
+			rows = append(rows, lo+p)
 		}
 	}
-	out := make([][]int, b.B)
-	total := len(rows)
-	if total == 0 {
+	out := make([][]int, len(positions))
+	if len(rows) == 0 {
 		return out
 	}
+	logits := m.mlmLogits(ctx, seq, rows)
 
-	// Gather just the queried rows; the whole MLM head then costs
-	// O(total · vocab) instead of O(B·n · vocab).
+	// Softmax is monotonic: the argmax is taken over raw logits and no
+	// probability pass runs at all.
+	v := m.Config.Vocab
+	row := 0
+	ctx.Prof.Time("infer_argmax", profile.CatOutput, profile.Forward,
+		kernels.EWFLOPs(len(rows)*v, 1), kernels.EWBytes(len(rows)*v, 1, 0, ctx.ElemSize()), func() {
+			for s, ps := range positions {
+				if len(ps) == 0 {
+					continue
+				}
+				out[s] = make([]int, len(ps))
+				for i := range ps {
+					out[s][i] = argmaxRow(logits, row)
+					row++
+				}
+			}
+		})
+	return out
+}
+
+// mlmLogits applies the MLM head to just the listed rows of the encoder
+// output and returns their [len(rows), vocab] logits, so the whole head
+// costs O(len(rows) · vocab) instead of O(T · vocab).
+func (m *BERT) mlmLogits(ctx *nn.Ctx, seq *tensor.Tensor, rows []int) *tensor.Tensor {
 	prevTrain := ctx.Train
 	ctx.Train = false
 	defer func() { ctx.Train = prevTrain }()
 	gathered := gatherRows(ctx, "infer_gather", seq, rows)
-	es := ctx.ElemSize()
 
 	var x *tensor.Tensor
 	if ctx.MixedPrecision {
@@ -102,32 +135,7 @@ func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Batch, positions [][]int) []
 		x = m.MLMDense.ForwardBiasGeLU(ctx, gathered, m.MLMAct)
 	}
 	x = m.MLMLN.Forward(ctx, x)
-	logits := m.MLMDecoder.Forward(ctx, x)
-
-	v := m.Config.Vocab
-	row := 0
-	ctx.Prof.Time("infer_argmax", profile.CatOutput, profile.Forward,
-		kernels.EWFLOPs(total*v, 1), kernels.EWBytes(total*v, 1, 0, es), func() {
-			ld := logits.Data()
-			for s, ps := range positions {
-				if len(ps) == 0 {
-					continue
-				}
-				out[s] = make([]int, len(ps))
-				for i := range ps {
-					r := ld[row*v : (row+1)*v]
-					best := 0
-					for j, lv := range r {
-						if lv > r[best] {
-							best = j
-						}
-					}
-					out[s][i] = best
-					row++
-				}
-			}
-		})
-	return out
+	return m.MLMDecoder.Forward(ctx, x)
 }
 
 // WarmupInference pre-packs every weight the inference path consults —

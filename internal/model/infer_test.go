@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -12,88 +13,209 @@ import (
 
 func inferCtx() *nn.Ctx { return &nn.Ctx{Train: false} }
 
-// mixedBatch builds a padded mixed-length batch of B sequences (lengths
-// lens, padded to n) with the serving-style additive key mask, plus the
-// per-sequence mask positions PredictMaskedAt is queried at. Each
-// sequence is CLS + words with a couple of [MASK]s.
-func mixedBatch(t *testing.T, cfg Config, n int, lens []int, seed uint64) (*data.Batch, [][]int) {
-	t.Helper()
+// raggedBatch builds a padding-free batch of sequences of the given
+// lengths plus the per-sequence positions PredictMaskedAt is queried at.
+// Each sequence is CLS + words with [MASK] at position 1 and, from four
+// tokens up, at its last position; a lone CLS has nothing to query.
+func raggedBatch(cfg Config, lens []int, seed uint64) (*data.Ragged, [][]int) {
 	rng := tensor.NewRNG(seed)
-	B := len(lens)
-	b := &data.Batch{
-		B:      B,
-		N:      n,
-		Tokens: make([]int, B*n),
-		// Segments stay zero; pad slots stay PadID.
-		Segments: make([]int, B*n),
-		Mask:     tensor.New(B, n),
-	}
-	positions := make([][]int, B)
+	b := &data.Ragged{}
+	positions := make([][]int, len(lens))
 	for s, ln := range lens {
-		if ln > n {
-			t.Fatalf("length %d > bucket %d", ln, n)
-		}
-		base := s * n
-		b.Tokens[base] = data.ClsID
+		toks := make([]int, ln)
+		toks[0] = data.ClsID
 		for i := 1; i < ln; i++ {
-			b.Tokens[base+i] = data.FirstWordID + rng.Intn(cfg.Vocab-data.FirstWordID)
+			toks[i] = data.FirstWordID + rng.Intn(cfg.Vocab-data.FirstWordID)
 		}
-		// Two masks per sequence (one for length-2 sequences).
-		b.Tokens[base+1] = data.MaskID
-		positions[s] = []int{1}
+		if ln > 1 {
+			toks[1] = data.MaskID
+			positions[s] = []int{1}
+		}
 		if ln > 3 {
-			b.Tokens[base+ln-1] = data.MaskID
+			toks[ln-1] = data.MaskID
 			positions[s] = append(positions[s], ln-1)
 		}
-		for i := ln; i < n; i++ {
-			b.Mask.Set(-1e9, s, i)
+		segs := make([]int, ln)
+		for i := ln / 2; i < ln; i++ {
+			segs[i] = 1
 		}
+		b.Append(toks, segs)
 	}
 	return b, positions
 }
 
-// serialBatch rebuilds sequence s of a padded batch at its natural
-// length (no padding, no mask).
-func serialBatch(b *data.Batch, s, ln int) *data.Batch {
-	sb := &data.Batch{B: 1, N: ln, Tokens: make([]int, ln), Segments: make([]int, ln)}
-	copy(sb.Tokens, b.Tokens[s*b.N:s*b.N+ln])
-	copy(sb.Segments, b.Segments[s*b.N:s*b.N+ln])
-	return sb
+// pick returns the batch made of sequences order[0], order[1], … of b.
+func pick(b *data.Ragged, positions [][]int, order ...int) (*data.Ragged, [][]int) {
+	out := &data.Ragged{}
+	var ps [][]int
+	for _, s := range order {
+		lo, hi := b.Offsets[s], b.Offsets[s+1]
+		out.Append(b.Tokens[lo:hi], b.Segments[lo:hi])
+		ps = append(ps, positions[s])
+	}
+	return out, ps
 }
 
-// TestPredictMaskedAtBucketedMatchesSerial is the serving-correctness
-// keystone: a mixed-length batch padded to one bucket with key masks
-// must predict exactly the tokens each request gets when run alone at
-// its natural length, and the encoder outputs of real positions must
-// agree numerically.
-func TestPredictMaskedAtBucketedMatchesSerial(t *testing.T) {
-	cfg := Tiny()
-	cfg.FusedAttention = true
-	m, err := New(cfg, 17)
-	if err != nil {
-		t.Fatal(err)
+// encodeAndLogits runs the evaluation forward and the MLM head at the
+// queried positions, returning the encoder output and the logits.
+func encodeAndLogits(m *BERT, ctx *nn.Ctx, b *data.Ragged, positions [][]int) (seq, logits *tensor.Tensor) {
+	seq = m.EncodeEval(ctx, b)
+	var rows []int
+	for s, ps := range positions {
+		for _, p := range ps {
+			rows = append(rows, b.Offsets[s]+p)
+		}
 	}
-	lens := []int{16, 9, 5, 12}
-	batch, positions := mixedBatch(t, cfg, 16, lens, 99)
+	if len(rows) == 0 {
+		return seq, tensor.New(0, m.Config.Vocab)
+	}
+	return seq, m.mlmLogits(ctx, seq, rows)
+}
 
-	batchSeq := m.EncodeEval(inferCtx(), batch)
-	batchPreds := m.PredictMaskedAt(inferCtx(), batch, positions)
+// TestRaggedBatchBitwiseMatchesAlone is the serving-correctness keystone:
+// the encoder rows and MLM logits of every sequence in a mixed batch are,
+// bit for bit, what the same sequence gets run alone — whatever else is in
+// the batch, wherever in it the sequence sits, f32 or int8, causal or not,
+// on one worker or several. Lengths span 1 (a 1×1 softmax) to MaxPos.
+//
+// Forced routes hold at any width. Under auto the config is d = 128, where
+// even a one-row product stays on the engine (2·1·128·128 = smallGEMMFlops);
+// a narrower model can cross the size rule as the row count changes — the
+// caveat StepAccum and the sparse MLM head carry too.
+func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
+	wide := Config{Vocab: 256, MaxPos: 32, NumLayers: 2, DModel: 128, Heads: 2, DFF: 256, DropProb: 0.1}
+	for _, tc := range []struct {
+		path kernels.GEMMPath
+		cfg  Config
+	}{
+		{kernels.GEMMPathNaive, Tiny()},
+		{kernels.GEMMPathBlocked, Tiny()},
+		{kernels.GEMMPathFused, Tiny()},
+		{kernels.GEMMPathAuto, wide},
+	} {
+		for _, int8 := range []bool{false, true} {
+			for _, causal := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%v/int8=%v/causal=%v", tc.path, int8, causal), func(t *testing.T) {
+					defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
+					defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(1))
+					cfg := tc.cfg
+					cfg.Causal = causal
+					m, err := New(cfg, 17)
+					if err != nil {
+						t.Fatal(err)
+					}
+					newCtx := func() *nn.Ctx { return &nn.Ctx{Int8: int8} }
+					lens := []int{cfg.MaxPos, 1, 9, 2, cfg.MaxPos/2 + 1, 5}
+					all, positions := raggedBatch(cfg, lens, 99)
 
-	for s, ln := range lens {
-		sb := serialBatch(batch, s, ln)
-		serialSeq := m.EncodeEval(inferCtx(), sb)
-		for i := 0; i < ln; i++ {
-			br, sr := batchSeq.Row(s*batch.N+i), serialSeq.Row(i)
-			for j := range sr {
-				if diff := math.Abs(float64(br[j] - sr[j])); diff > 1e-4 {
-					t.Fatalf("seq %d pos %d dim %d: padded %g vs serial %g", s, i, j, br[j], sr[j])
-				}
+					// Each sequence alone, on one worker.
+					aloneSeq := make([]*tensor.Tensor, len(lens))
+					aloneLogits := make([]*tensor.Tensor, len(lens))
+					for s := range lens {
+						b, ps := pick(all, positions, s)
+						aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, newCtx(), b, ps)
+					}
+
+					for _, workers := range []int{1, 3} {
+						kernels.SetMaxWorkers(workers)
+						for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 5, 0, 4, 2, 1}} {
+							b, ps := pick(all, positions, order...)
+							seq, logits := encodeAndLogits(m, newCtx(), b, ps)
+							logitRow := 0
+							for i, s := range order {
+								for r := 0; r < lens[s]; r++ {
+									got, want := seq.Row(b.Offsets[i]+r), aloneSeq[s].Row(r)
+									for j := range want {
+										if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+											t.Fatalf("workers=%d order=%v: sequence %d row %d dim %d: %v in the batch, %v alone", workers, order, s, r, j, got[j], want[j])
+										}
+									}
+								}
+								for q := range ps[i] {
+									got, want := logits.Row(logitRow), aloneLogits[s].Row(q)
+									logitRow++
+									for j := range want {
+										if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+											t.Fatalf("workers=%d order=%v: sequence %d query %d logit %d: %v in the batch, %v alone", workers, order, s, q, j, got[j], want[j])
+										}
+									}
+								}
+							}
+						}
+					}
+				})
 			}
 		}
-		serialPreds := m.PredictMaskedAt(inferCtx(), sb, [][]int{positions[s]})
-		for i := range positions[s] {
-			if batchPreds[s][i] != serialPreds[0][i] {
-				t.Errorf("seq %d mask %d: batched predicts %d, serial predicts %d", s, i, batchPreds[s][i], serialPreds[0][i])
+	}
+}
+
+// paddedEncode is the oracle for the ragged forward: the evaluation pass
+// this package ran before it — every sequence padded with PadID to n
+// tokens, a [B, n] additive key-padding mask, and the training layers in
+// eval mode. Sequence s is in rows s·n … of the result.
+func paddedEncode(m *BERT, ctx *nn.Ctx, b *data.Ragged, n int) *tensor.Tensor {
+	B := b.B()
+	tokens, segments := make([]int, B*n), make([]int, B*n)
+	mask := tensor.New(B, n)
+	for s := 0; s < B; s++ {
+		ln := copy(tokens[s*n:(s+1)*n], b.Tokens[b.Offsets[s]:b.Offsets[s+1]])
+		copy(segments[s*n:], b.Segments[b.Offsets[s]:b.Offsets[s+1]])
+		for i := ln; i < n; i++ {
+			mask.Set(-1e9, s, i)
+		}
+	}
+	seq := m.Embed.Forward(ctx, tokens, segments, B, n)
+	for _, layer := range m.Layers {
+		seq = layer.Forward(ctx, seq, B, n, mask)
+	}
+	return seq
+}
+
+// TestRaggedMatchesPaddedOracle: the padding-free forward computes what
+// the padded, masked forward computed on the real rows — to 1e-4, with
+// identical predictions, not bitwise: a sequence's attention products are
+// n_s wide here and n wide there, and the per-matrix route and the
+// blocking depend on that width.
+func TestRaggedMatchesPaddedOracle(t *testing.T) {
+	for _, fused := range []bool{true, false} {
+		for _, causal := range []bool{false, true} {
+			cfg := Tiny()
+			cfg.FusedAttention, cfg.Causal = fused, causal
+			m, err := New(cfg, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 16
+			lens := []int{16, 9, 5, 12, 1, 2}
+			b, positions := raggedBatch(cfg, lens, 99)
+
+			seq := m.EncodeEval(inferCtx(), b)
+			got := m.PredictMaskedAt(inferCtx(), b, positions)
+
+			padded := paddedEncode(m, inferCtx(), b, n)
+			var rows []int
+			for s, ln := range lens {
+				for i := 0; i < ln; i++ {
+					rr, pr := seq.Row(b.Offsets[s]+i), padded.Row(s*n+i)
+					for j := range pr {
+						if diff := math.Abs(float64(rr[j] - pr[j])); diff > 1e-4 {
+							t.Fatalf("fused=%v causal=%v seq %d pos %d dim %d: ragged %g vs padded %g", fused, causal, s, i, j, rr[j], pr[j])
+						}
+					}
+				}
+				for _, p := range positions[s] {
+					rows = append(rows, s*n+p)
+				}
+			}
+			logits := m.mlmLogits(inferCtx(), padded, rows)
+			row := 0
+			for s := range lens {
+				for i := range positions[s] {
+					if want := argmaxRow(logits, row); got[s][i] != want {
+						t.Errorf("fused=%v causal=%v seq %d mask %d: ragged predicts %d, padded oracle %d", fused, causal, s, i, got[s][i], want)
+					}
+					row++
+				}
 			}
 		}
 	}
@@ -118,6 +240,7 @@ func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 		MLMTargets: make([]int, B*n),
 		NSPLabels:  make([]int, B), // PredictMasked runs the full pretrain forward
 	}
+	rb := &data.Ragged{}
 	positions := make([][]int, B)
 	for s := 0; s < B; s++ {
 		base := s * n
@@ -133,9 +256,10 @@ func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 			b.MLMTargets[base+p] = data.FirstWordID // any real target; only position matters
 			positions[s] = append(positions[s], p)
 		}
+		rb.Append(b.Tokens[base:base+n], nil)
 	}
 
-	got := m.PredictMaskedAt(inferCtx(), b, positions)
+	got := m.PredictMaskedAt(inferCtx(), rb, positions)
 	want := m.PredictMasked(inferCtx(), b)
 	for s := range positions {
 		for i, p := range positions[s] {
@@ -154,7 +278,7 @@ func TestPredictMaskedAtEmptyPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, _ := mixedBatch(t, cfg, 8, []int{5, 7}, 1)
+	batch, _ := raggedBatch(cfg, []int{5, 7}, 1)
 	out := m.PredictMaskedAt(inferCtx(), batch, [][]int{nil, nil})
 	if len(out) != 2 || out[0] != nil || out[1] != nil {
 		t.Fatalf("want two empty rows, got %v", out)
@@ -162,18 +286,18 @@ func TestPredictMaskedAtEmptyPositions(t *testing.T) {
 }
 
 // TestPredictMaskedAtValidation: malformed queries panic loudly instead
-// of reading out-of-range rows.
+// of reading another sequence's rows.
 func TestPredictMaskedAtValidation(t *testing.T) {
 	cfg := Tiny()
 	m, err := New(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, _ := mixedBatch(t, cfg, 8, []int{5}, 1)
+	batch, _ := raggedBatch(cfg, []int{5, 8}, 1)
 	for name, positions := range map[string][][]int{
-		"wrong sequence count": {{1}, {1}},
-		"position past bucket": {{8}},
-		"negative position":    {{-1}},
+		"wrong sequence count":   {{1}},
+		"position past sequence": {{5}, {1}},
+		"negative position":      {{1}, {-1}},
 	} {
 		func() {
 			defer func() {

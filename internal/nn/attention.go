@@ -64,15 +64,6 @@ func (a *MultiHeadAttention) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask 
 	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, b, n, mask))
 }
 
-// ForwardFused is Forward with the output projection's Add&Norm tail
-// (bias, residual skip addition, LayerNorm) fused into the projection
-// GEMM's write-back. The caller (EncoderLayer) guarantees the block
-// dropout between projection and residual is inactive and precision is
-// full; Backward is unchanged — the fused call fills the same saved state.
-func (a *MultiHeadAttention) ForwardFused(ctx *Ctx, x *tensor.Tensor, b, n int, mask, skip *tensor.Tensor, ln *LayerNorm) *tensor.Tensor {
-	return a.Wo.ForwardBiasResidualLN(ctx, a.forwardCore(ctx, x, b, n, mask), skip, ln)
-}
-
 // forwardCore runs everything up to (not including) the output
 // projection, returning the merged head outputs [B·n, dModel].
 func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
@@ -197,6 +188,42 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 			kernels.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
 		})
 
+	return merged
+}
+
+// forwardCoreRagged is forwardCore for a padding-free evaluation batch:
+// x is [T, dModel] and sequence s owns rows offsets[s]..offsets[s+1]. The
+// three projections run over all T rows; everything between them and the
+// output projection is one kernel (kernels.AttentionRagged), so there is
+// no key mask, no score tensor and nothing saved for Backward. It always
+// scales and normalizes in one pass, whatever FusedSoftmax says — the two
+// training sequences agree bitwise anyway.
+func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
+	tokens, dim := mustRank2("MultiHeadAttention", x)
+	if dim != a.dModel || offsets[len(offsets)-1] != tokens {
+		panic(fmt.Sprintf("nn: ragged attention input %v, want [%d, %d]", x.Shape(), offsets[len(offsets)-1], a.dModel))
+	}
+	if ctx.Train {
+		panic("nn: ragged attention is evaluation-only")
+	}
+	q := a.Wq.Forward(ctx, x)
+	k := a.Wk.Forward(ctx, x)
+	v := a.Wv.Forward(ctx, x)
+
+	// One event for the whole region, carrying the B-GEMM work of every
+	// (sequence, head) item; the scale and softmax ride inside it.
+	es := ctx.ElemSize()
+	var flops, bytes int64
+	for s := 1; s < len(offsets); s++ {
+		n := offsets[s] - offsets[s-1]
+		flops += int64(a.heads) * (kernels.GEMMFLOPs(n, n, a.dHead) + kernels.GEMMFLOPs(n, a.dHead, n))
+		bytes += int64(a.heads) * (kernels.GEMMBytes(n, n, a.dHead, es) + kernels.GEMMBytes(n, a.dHead, n, es))
+	}
+	merged := tensor.New(tokens, a.dModel)
+	scale := float32(1 / math.Sqrt(float64(a.dHead)))
+	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
+		kernels.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
+	})
 	return merged
 }
 

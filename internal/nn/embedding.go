@@ -79,28 +79,62 @@ func (e *Embedding) Forward(ctx *Ctx, tokens, segments []int, b, n int) *tensor.
 	es := ctx.ElemSize()
 	ctx.Prof.Time("embedding_gather", profile.CatEmbedding, profile.Forward,
 		kernels.EWFLOPs(total, 2), kernels.EWBytes(total, 3, 1, es), func() {
-			d := out.Data()
 			for t := 0; t < b*n; t++ {
-				id := tokens[t]
-				if id < 0 || id >= e.vocab {
-					panic(fmt.Sprintf("nn: token id %d out of vocab %d", id, e.vocab))
-				}
-				seg := segments[t]
-				if seg != 0 && seg != 1 {
-					panic(fmt.Sprintf("nn: segment id %d must be 0 or 1", seg))
-				}
-				row := d[t*e.dModel : (t+1)*e.dModel]
-				tok := e.Tok.Value.Row(id)
-				pv := e.Pos.Value.Row(t % n)
-				sv := e.Seg.Value.Row(seg)
-				for j := range row {
-					row[j] = tok[j] + pv[j] + sv[j]
-				}
+				e.sumRow(out.Row(t), tokens[t], segments[t], t%n)
 			}
 		})
 
 	h := e.LN.Forward(ctx, out)
 	return e.Drop.Forward(ctx, h)
+}
+
+// sumRow writes the token + position + segment embedding sum into row.
+func (e *Embedding) sumRow(row []float32, id, seg, pos int) {
+	if id < 0 || id >= e.vocab {
+		panic(fmt.Sprintf("nn: token id %d out of vocab %d", id, e.vocab))
+	}
+	if seg != 0 && seg != 1 {
+		panic(fmt.Sprintf("nn: segment id %d must be 0 or 1", seg))
+	}
+	tok := e.Tok.Value.Row(id)
+	pv := e.Pos.Value.Row(pos)
+	sv := e.Seg.Value.Row(seg)
+	for j := range row {
+		row[j] = tok[j] + pv[j] + sv[j]
+	}
+}
+
+// ForwardRagged embeds a padding-free batch for evaluation: tokens and
+// segments are the concatenation of the sequences' real tokens, sequence s
+// owns entries offsets[s]..offsets[s+1] (len(offsets) = B+1, from 0 to
+// len(tokens)) and its positions restart at 0. Returns [T, dModel]. No
+// state is saved: Backward does not follow it.
+func (e *Embedding) ForwardRagged(ctx *Ctx, tokens, segments, offsets []int) *tensor.Tensor {
+	t := len(tokens)
+	if ctx.Train {
+		panic("nn: Embedding.ForwardRagged is evaluation-only")
+	}
+	if len(segments) != t || len(offsets) < 2 || offsets[0] != 0 || offsets[len(offsets)-1] != t {
+		panic(fmt.Sprintf("nn: ragged Embedding got %d tokens, %d segments, offsets %v", t, len(segments), offsets))
+	}
+	for s := 1; s < len(offsets); s++ {
+		if n := offsets[s] - offsets[s-1]; n < 1 || n > e.maxPos {
+			panic(fmt.Sprintf("nn: ragged sequence %d has %d tokens, want 1..%d", s-1, n, e.maxPos))
+		}
+	}
+	e.tokens, e.segments = nil, nil
+
+	out := tensor.New(t, e.dModel)
+	total := t * e.dModel
+	ctx.Prof.Time("embedding_gather", profile.CatEmbedding, profile.Forward,
+		kernels.EWFLOPs(total, 2), kernels.EWBytes(total, 3, 1, ctx.ElemSize()), func() {
+			for s := 1; s < len(offsets); s++ {
+				for r := offsets[s-1]; r < offsets[s]; r++ {
+					e.sumRow(out.Row(r), tokens[r], segments[r], r-offsets[s-1])
+				}
+			}
+		})
+	return e.LN.Forward(ctx, out)
 }
 
 // Backward scatters gradients into the three embedding tables. The token

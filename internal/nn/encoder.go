@@ -76,14 +76,30 @@ func NewEncoderLayer(name string, dModel, heads, dFF int, dropP float32, rng *te
 // Forward runs the layer over x: [B·n, dModel] with an optional additive
 // [B, n] attention mask.
 func (e *EncoderLayer) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
+	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, b, n, mask))
+}
+
+// ForwardRagged runs the layer in evaluation mode over a padding-free
+// batch: x is [T, dModel] and sequence s owns rows offsets[s]..offsets[s+1].
+// Only attention knows where a sequence ends; every other operator sees T
+// rows.
+func (e *EncoderLayer) ForwardRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
+	return e.forwardFrom(ctx, x, e.Attn.forwardCoreRagged(ctx, x, offsets))
+}
+
+// forwardFrom runs the layer from the merged attention heads on: output
+// projection, Add&Norm, feed-forward, Add&Norm.
+func (e *EncoderLayer) forwardFrom(ctx *Ctx, x, merged *tensor.Tensor) *tensor.Tensor {
 	var h *tensor.Tensor
 	if fuseResidualLN(ctx, e.AttnDrop) {
 		// The block dropout is inactive, so its module call is skipped
 		// entirely; clear any stale mask so its Backward stays an identity.
+		// The output projection absorbs the Add&Norm tail (bias, residual
+		// skip addition, LayerNorm) into its GEMM write-back.
 		e.AttnDrop.mask = nil
-		h = e.Attn.ForwardFused(ctx, x, b, n, mask, x, e.AttnLN)
+		h = e.Attn.Wo.ForwardBiasResidualLN(ctx, merged, x, e.AttnLN)
 	} else {
-		attnOut := e.Attn.Forward(ctx, x, b, n, mask)
+		attnOut := e.Attn.Wo.Forward(ctx, merged)
 		attnOut = e.AttnDrop.Forward(ctx, attnOut)
 		h = e.res.AddSkip(ctx, attnOut, x)
 		h = e.AttnLN.Forward(ctx, h)

@@ -43,6 +43,11 @@ func Handler(e *Engine, reg *obs.Registry) http.Handler {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
 			reqsRejected.Inc()
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeErr(w, http.StatusRequestEntityTooLarge, err.Error())
+				return
+			}
 			writeErr(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
 			return
 		}

@@ -6,9 +6,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"demystbert/internal/data"
+	"demystbert/internal/obs"
 )
 
 // postMLM sends one request to a running server and decodes the reply.
@@ -84,7 +89,7 @@ func TestServeSmokeAllPaths(t *testing.T) {
 
 // TestHTTPErrors: status-code mapping for the admission error taxonomy.
 func TestHTTPErrors(t *testing.T) {
-	_, base := startTestServer(t, testConfig())
+	e, base := startTestServer(t, testConfig())
 
 	resp, _ := postMLM(t, base, `{"tokens": [1, 3, 9999]}`)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -105,6 +110,14 @@ func TestHTTPErrors(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET: HTTP %d, want 405", hr.StatusCode)
+	}
+	// Past the 1 MiB body limit the answer is 413, not a decode error. A
+	// recorder, not the socket: the server hangs up on the unread half.
+	w := httptest.NewRecorder()
+	big := strings.NewReader(`{"tokens": ` + intList(1<<20, 3) + `}`)
+	Handler(e, obs.NewRegistry()).ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/mlm", big))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB body: HTTP %d, want 413", w.Code)
 	}
 }
 
@@ -241,5 +254,32 @@ func TestGenRequestsDeterministic(t *testing.T) {
 		if masks == 0 {
 			t.Fatalf("request %d has no mask", i)
 		}
+	}
+}
+
+// TestGenRequestsLengthOne: a spec that draws 1-token requests (bertserve
+// -loadgen -min-len 1) used to panic choosing a mask position among zero
+// words; a lone [CLS] is a legal request and is emitted unmasked.
+func TestGenRequestsLengthOne(t *testing.T) {
+	spec := LoadSpec{MinLen: 1, MaxLen: 2, MaskFrac: 0.15, Vocab: 1000, Seed: 4}
+	spec.setDefaults()
+	ones := 0
+	for i, r := range spec.GenRequests(64) {
+		switch len(r.Tokens) {
+		case 1:
+			ones++
+			if r.Tokens[0] != data.ClsID {
+				t.Fatalf("request %d: 1-token request is %v, want a lone [CLS]", i, r.Tokens)
+			}
+		case 2:
+			if r.Tokens[1] != data.MaskID {
+				t.Fatalf("request %d: %v has no mask", i, r.Tokens)
+			}
+		default:
+			t.Fatalf("request %d: length %d outside [1, 2]", i, len(r.Tokens))
+		}
+	}
+	if ones == 0 {
+		t.Fatal("spec drew no 1-token request; the test covers nothing")
 	}
 }

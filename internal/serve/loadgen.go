@@ -57,7 +57,9 @@ func (s *LoadSpec) setDefaults() {
 
 // GenRequests deterministically builds the first n requests of the
 // spec's stream: [CLS] + words with MaskFrac masked (at least one mask,
-// so every request has a prediction to return).
+// so every request has a prediction to return — except a 1-token request,
+// a lone [CLS] with nothing to mask, which the engine answers with zero
+// predictions).
 func (s *LoadSpec) GenRequests(n int) []*Request {
 	rng := tensor.NewRNG(s.Seed)
 	reqs := make([]*Request, n)
@@ -74,7 +76,7 @@ func (s *LoadSpec) GenRequests(n int) []*Request {
 				toks[j] = data.FirstWordID + rng.Intn(s.Vocab-data.FirstWordID)
 			}
 		}
-		if !masked {
+		if !masked && ln > 1 {
 			toks[1+rng.Intn(ln-1)] = data.MaskID
 		}
 		reqs[i] = &Request{Tokens: toks}

@@ -5,9 +5,9 @@ import "demystbert/internal/obs"
 // Serving metrics, registered in the process-wide obs registry so the
 // debug endpoints of a serving binary expose the scheduler the same way
 // they expose the kernel layer: queue depth and wait, coalesced batch
-// geometry, end-to-end latency, and goodput (real, non-padding tokens)
-// versus padding waste. All hot-path updates are single atomics per the
-// obs contract.
+// geometry (requests and tokens per batch), end-to-end latency, and
+// goodput in tokens. All hot-path updates are single atomics per the obs
+// contract.
 var (
 	reqsTotal = obs.NewCounter("serve_requests_total",
 		"inference requests accepted into the scheduler queue")
@@ -20,11 +20,7 @@ var (
 	batchesTotal = obs.NewCounter("serve_batches_total",
 		"dynamic batches dispatched to the model")
 	goodputTokens = obs.NewCounter("serve_goodput_tokens_total",
-		"real (non-padding) tokens in dispatched batches")
-	paddingTokens = obs.NewCounter("serve_padding_tokens_total",
-		"padding tokens in dispatched batches (bucketing waste)")
-	deadlineFlushes = obs.NewCounter("serve_deadline_flushes_total",
-		"batches dispatched by the coalescing deadline rather than by filling up")
+		"tokens in dispatched batches (all real: batches are ragged)")
 
 	queueDepth = obs.NewGauge("serve_queue_depth",
 		"requests waiting in the scheduler (queued or coalescing)")
@@ -34,6 +30,9 @@ var (
 	batchSizeHist = obs.NewHistogram("serve_batch_size",
 		"requests per dispatched batch",
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
+	batchTokensHist = obs.NewHistogram("serve_batch_tokens",
+		"tokens per dispatched batch (what the forward pass's cost follows)",
+		obs.ExpBuckets(4, 2, 12))
 	queueWaitMS = obs.NewHistogram("serve_queue_wait_ms",
 		"time from admission to batch dispatch, milliseconds",
 		obs.ExpBuckets(0.05, 2, 18))
@@ -57,6 +56,12 @@ var (
 )
 
 func init() {
+	// Nothing pads and no deadline flushes any more; bench/ still reads
+	// both counters, so they stay registered and read 0.
+	obs.NewCounter("serve_padding_tokens_total",
+		"always 0: batches are ragged, no padding token is ever dispatched")
+	obs.NewCounter("serve_deadline_flushes_total",
+		"always 0: there is no coalescing deadline")
 	obs.NewQuantileGauge("serve_latency_p50_ms",
 		"rolling-window median request latency, milliseconds", latencyWindow, 0.50)
 	obs.NewQuantileGauge("serve_latency_p99_ms",

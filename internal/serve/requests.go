@@ -18,20 +18,20 @@ import (
 // reqRecord is the compact in-ring form; trace ids stay numeric so the
 // hot path never formats strings.
 type reqRecord struct {
-	trace      trace.TraceID
-	start      time.Time
-	tokens     int
-	preds      int
-	bucket     int
-	batchSize  int
-	seq        int64
-	enqueue    time.Duration
-	bucketWait time.Duration
-	assembly   time.Duration
-	forward    time.Duration
-	respond    time.Duration
-	total      time.Duration
-	err        string
+	trace       trace.TraceID
+	start       time.Time
+	tokens      int
+	preds       int
+	batchSize   int
+	batchTokens int
+	seq         int64
+	enqueue     time.Duration
+	bucketWait  time.Duration
+	assembly    time.Duration
+	forward     time.Duration
+	respond     time.Duration
+	total       time.Duration
+	err         string
 }
 
 func (e *Engine) logRequest(r reqRecord) {
@@ -47,16 +47,19 @@ func (e *Engine) logRequest(r reqRecord) {
 
 // RequestRecord is one /debug/requests entry. The five stage columns
 // partition TotalMS exactly: enqueue (validation + queue send), bucket
-// wait (queued until the scheduler dispatched the bucket), batch
-// assembly (padding + mask build), forward (the model pass), respond
-// (delivery back to the waiting request).
+// wait (queued until the scheduler took the request into a batch; the
+// name is older than ragged batches and bench/ reads it), batch assembly
+// (concatenating the batch's tokens), forward (the model pass), respond
+// (delivery back to the waiting request). BatchTokens is the token total
+// of the request's batch, all its requests together: the forward's cost
+// is a function of it.
 type RequestRecord struct {
 	TraceID         string    `json:"trace_id"`
 	Start           time.Time `json:"start"`
 	Tokens          int       `json:"tokens"`
 	Predictions     int       `json:"predictions"`
-	Bucket          int       `json:"bucket"`
 	BatchSize       int       `json:"batch_size"`
+	BatchTokens     int       `json:"batch_tokens"`
 	BatchSeq        int64     `json:"batch_seq"`
 	EnqueueMS       float64   `json:"enqueue_ms"`
 	BucketWaitMS    float64   `json:"bucket_wait_ms"`
@@ -90,8 +93,8 @@ func (e *Engine) RecentRequests() []RequestRecord {
 			Start:           r.start,
 			Tokens:          r.tokens,
 			Predictions:     r.preds,
-			Bucket:          r.bucket,
 			BatchSize:       r.batchSize,
+			BatchTokens:     r.batchTokens,
 			BatchSeq:        r.seq,
 			EnqueueMS:       ms(r.enqueue),
 			BucketWaitMS:    ms(r.bucketWait),

@@ -3,28 +3,27 @@
 // characterizes training. A single model instance (eval context —
 // forward only, no gradients, no optimizer state) sits behind a
 // continuous-batching scheduler: concurrent requests are coalesced into
-// dynamic batches by length bucket, padded requests carry per-request
-// additive key-padding masks (the [B, n] mask plumbing in nn.attention,
-// here in its first production role), and the whole weight set is
-// pre-packed at load so steady-state traffic runs at 100% pack-cache
-// reuse — the regime the generation-counted pack cache (DESIGN.md §7)
-// and the int8/fused inference kernels (§11) were built for.
+// padding-free (ragged) batches — the concatenation of their real tokens,
+// [T, d] activations plus an offsets slice — so every GEMM row is a token
+// somebody sent, and the whole weight set is pre-packed at load so
+// steady-state traffic runs at 100% pack-cache reuse — the regime the
+// generation-counted pack cache (DESIGN.md §7) and the int8/fused
+// inference kernels (§11) were built for.
 //
-// Scheduling policy (DESIGN.md §12): requests enter one bounded queue;
-// the runner drains it opportunistically, groups requests by the
-// smallest configured bucket length that fits, and dispatches a bucket
-// the moment it holds MaxBatch requests — or when its oldest request
-// has waited MaxDelay, which bounds starvation for odd-length
-// stragglers. While a forward pass runs, arrivals accumulate in the
-// queue and form the next batch: continuous batching without a separate
-// batching thread.
+// Scheduling policy (DESIGN.md §12): one bounded FIFO. The runner blocks
+// for the first request, takes what else is queued up to MaxBatch in
+// arrival order, runs the batch, and repeats. It is work-conserving — an
+// idle engine never holds a request back for company — and the batch in
+// flight is the coalescing window: arrivals during a forward pass form
+// the next batch. A request waits at most for the batch in flight plus
+// the requests ahead of it.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -32,7 +31,6 @@ import (
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
-	"demystbert/internal/tensor"
 	"demystbert/internal/trace"
 )
 
@@ -66,21 +64,21 @@ type Config struct {
 
 	// MaxBatch caps requests per dynamic batch (default 32).
 	MaxBatch int
-	// MaxDelay bounds how long a pending request may wait for its
-	// bucket to fill before the scheduler dispatches a partial batch
-	// (default 2ms). This is the starvation bound.
+	// MaxDelay is accepted and ignored: there is no coalescing deadline.
+	// It remains only because bench/serve.go sets it and bench/ is frozen
+	// while a PR claims a gain; it goes when a benchmark PR stops setting it.
 	MaxDelay time.Duration
-	// Buckets are the ascending sequence lengths requests are padded up
-	// to (default: powers of two from 8 through Model.MaxPos). A
-	// request longer than the last bucket is rejected.
+	// Buckets is accepted and ignored, and goes with MaxDelay: batches
+	// are ragged, so nothing is padded up to a bucket length. A request
+	// may be up to Model.MaxPos tokens long.
 	Buckets []int
 	// QueueCap bounds the admission queue (default 4096); a full queue
 	// rejects with ErrOverloaded.
 	QueueCap int
 
 	// Tracer, when non-nil, enables request-scoped tracing: every
-	// sampled request records enqueue/bucket-wait/batch-assembly/
-	// forward/respond stage spans, batches record a span the model's
+	// sampled request records enqueue/bucket-wait (time queued)/
+	// batch-assembly/forward/respond stage spans, batches record a span the model's
 	// phase spans nest under, and kernel events are captured alongside
 	// on the same wall clock (WriteTrace exports both). Nil keeps the
 	// hot path exactly as before — no clock reads beyond the existing
@@ -88,32 +86,13 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-func (c *Config) setDefaults() error {
+func (c *Config) setDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 4096
 	}
-	if len(c.Buckets) == 0 {
-		for b := 8; b < c.Model.MaxPos; b *= 2 {
-			c.Buckets = append(c.Buckets, b)
-		}
-		c.Buckets = append(c.Buckets, c.Model.MaxPos)
-	}
-	sort.Ints(c.Buckets)
-	for i, b := range c.Buckets {
-		if b < 1 || b > c.Model.MaxPos {
-			return fmt.Errorf("serve: bucket %d outside [1, MaxPos=%d]", b, c.Model.MaxPos)
-		}
-		if i > 0 && b == c.Buckets[i-1] {
-			return fmt.Errorf("serve: duplicate bucket %d", b)
-		}
-	}
-	return nil
 }
 
 // Request is one tokenized inference request: predict the token id at
@@ -140,9 +119,7 @@ type Prediction struct {
 // latency-vs-throughput frontier is built from.
 type Response struct {
 	Predictions []Prediction `json:"predictions"`
-	// Bucket is the padded sequence length the request was batched at;
-	// BatchSize the number of requests in its dynamic batch.
-	Bucket    int     `json:"bucket"`
+	// BatchSize is the number of requests in the request's dynamic batch.
 	BatchSize int     `json:"batch_size"`
 	QueueMS   float64 `json:"queue_ms"`
 	TotalMS   float64 `json:"total_ms"`
@@ -158,7 +135,6 @@ type pending struct {
 	tokens    []int
 	segments  []int
 	positions []int
-	bucket    int
 	enq       time.Time         // t0: Submit entry
 	tq        time.Time         // after the queue send — enqueue stage end
 	sc        trace.SpanContext // sampled trace identity (zero = off)
@@ -168,9 +144,10 @@ type pending struct {
 type result struct {
 	preds     []Prediction
 	batchSize int
+	batchToks int // tokens in the batch, all its requests together
 	queued    time.Duration
 	seq       int64     // batch sequence number
-	td        time.Time // batch dispatch (bucket-wait stage end)
+	td        time.Time // batch dispatch (queue-wait stage end)
 	ta        time.Time // forward start (batch-assembly stage end)
 	tf        time.Time // forward end
 	err       error
@@ -197,7 +174,8 @@ type Engine struct {
 	// always on (bounded, no per-entry allocation).
 	tracer *trace.Tracer
 	prof   *profile.Profiler
-	seq    int64 // runner goroutine only
+	seq    int64       // runner goroutine only
+	batch  data.Ragged // runner goroutine only: assembly buffers, reused
 
 	logMu   sync.Mutex
 	log     []reqRecord
@@ -219,9 +197,7 @@ const profEventCap = 1 << 18
 // request is as fast as the thousandth and the pack-cache miss counters
 // stay flat in steady state), and starts the scheduler.
 func New(cfg Config) (*Engine, error) {
-	if err := cfg.setDefaults(); err != nil {
-		return nil, err
-	}
+	cfg.setDefaults()
 	m, err := model.New(cfg.Model, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -258,43 +234,31 @@ func (e *Engine) Model() *model.BERT { return e.m }
 // Config returns the effective (default-filled) configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// bucketFor returns the smallest configured bucket that fits n tokens,
-// or -1 when the request is too long.
-func (e *Engine) bucketFor(n int) int {
-	for _, b := range e.cfg.Buckets {
-		if n <= b {
-			return b
-		}
-	}
-	return -1
-}
-
 // validate admission-checks a request and returns its mask positions.
-func (e *Engine) validate(req *Request) ([]int, int, error) {
+func (e *Engine) validate(req *Request) ([]int, error) {
 	n := len(req.Tokens)
 	if n == 0 {
-		return nil, 0, &BadRequestError{"empty token list"}
+		return nil, &BadRequestError{"empty token list"}
 	}
-	bkt := e.bucketFor(n)
-	if bkt < 0 {
-		return nil, 0, &BadRequestError{fmt.Sprintf("length %d exceeds max bucket %d", n, e.cfg.Buckets[len(e.cfg.Buckets)-1])}
+	if n > e.cfg.Model.MaxPos {
+		return nil, &BadRequestError{fmt.Sprintf("length %d exceeds max position %d", n, e.cfg.Model.MaxPos)}
 	}
 	if req.Segments != nil && len(req.Segments) != n {
-		return nil, 0, &BadRequestError{fmt.Sprintf("%d segments for %d tokens", len(req.Segments), n)}
+		return nil, &BadRequestError{fmt.Sprintf("%d segments for %d tokens", len(req.Segments), n)}
 	}
 	var positions []int
 	for i, id := range req.Tokens {
 		if id < 0 || id >= e.cfg.Model.Vocab {
-			return nil, 0, &BadRequestError{fmt.Sprintf("token id %d outside vocab %d", id, e.cfg.Model.Vocab)}
+			return nil, &BadRequestError{fmt.Sprintf("token id %d outside vocab %d", id, e.cfg.Model.Vocab)}
 		}
 		if req.Segments != nil && req.Segments[i] != 0 && req.Segments[i] != 1 {
-			return nil, 0, &BadRequestError{fmt.Sprintf("segment id %d must be 0 or 1", req.Segments[i])}
+			return nil, &BadRequestError{fmt.Sprintf("segment id %d must be 0 or 1", req.Segments[i])}
 		}
 		if id == data.MaskID {
 			positions = append(positions, i)
 		}
 	}
-	return positions, bkt, nil
+	return positions, nil
 }
 
 // Submit admits a request and blocks until its batch completes,
@@ -302,7 +266,7 @@ func (e *Engine) validate(req *Request) ([]int, int, error) {
 // admitted before Close are always answered (the drain dispatches
 // them), never abandoned.
 func (e *Engine) Submit(req *Request) (*Response, error) {
-	positions, bkt, err := e.validate(req)
+	positions, err := e.validate(req)
 	if err != nil {
 		reqsRejected.Inc()
 		return nil, err
@@ -330,7 +294,6 @@ func (e *Engine) Submit(req *Request) (*Response, error) {
 		tokens:    req.Tokens,
 		segments:  req.Segments,
 		positions: positions,
-		bucket:    bkt,
 		enq:       time.Now(),
 		sc:        sc,
 		done:      make(chan result, 1),
@@ -388,14 +351,13 @@ func (e *Engine) Submit(req *Request) (*Response, error) {
 	e.logRequest(reqRecord{
 		trace: tid, start: p.enq,
 		tokens: len(p.tokens), preds: len(r.preds),
-		bucket: bkt, batchSize: r.batchSize, seq: r.seq,
+		batchSize: r.batchSize, batchTokens: r.batchToks, seq: r.seq,
 		enqueue: p.tq.Sub(p.enq), bucketWait: r.td.Sub(p.tq),
 		assembly: r.ta.Sub(r.td), forward: r.tf.Sub(r.ta),
 		respond: tr.Sub(r.tf), total: total,
 	})
 	return &Response{
 		Predictions: r.preds,
-		Bucket:      bkt,
 		BatchSize:   r.batchSize,
 		QueueMS:     1e3 * r.queued.Seconds(),
 		TotalMS:     ms,
@@ -421,131 +383,49 @@ func (e *Engine) Close() {
 // run is the scheduler: single goroutine, so the model's per-layer
 // saved state is never shared. Throughput parallelism lives inside the
 // kernels (the GEMM worker pool fans each forward across cores);
-// concurrency across requests is the batching itself.
+// concurrency across requests is the batching itself. The admission
+// channel is the FIFO: a batch is its first MaxBatch entries, whatever
+// their lengths.
 func (e *Engine) run() {
 	defer close(e.done)
-	pend := make(map[int][]*pending)
-	total := 0
-
-	add := func(p *pending) {
-		pend[p.bucket] = append(pend[p.bucket], p)
-		total++
-	}
-	dispatch := func(bkt int) {
-		reqs := pend[bkt]
-		delete(pend, bkt)
-		total -= len(reqs)
-		queueDepth.Add(-float64(len(reqs)))
-		e.runBatch(bkt, reqs)
-	}
-	// fullBucket returns a bucket at MaxBatch, oldestBucket the bucket
-	// whose head request has waited longest (its deadline governs).
-	fullBucket := func() int {
-		for bkt, reqs := range pend {
-			if len(reqs) >= e.cfg.MaxBatch {
-				return bkt
-			}
-		}
-		return -1
-	}
-	oldestBucket := func() (int, time.Time) {
-		best, bestT := -1, time.Time{}
-		for bkt, reqs := range pend {
-			if best == -1 || reqs[0].enq.Before(bestT) {
-				best, bestT = bkt, reqs[0].enq
-			}
-		}
-		return best, bestT
-	}
-
+	var reqs []*pending
 	for {
-		// Nothing pending: block for work or shutdown.
-		if total == 0 {
+		var first *pending
+		select {
+		case first = <-e.queue:
+		case <-e.stop:
+			// Close's barrier put every admitted request in the queue
+			// before stop closed: answer them all, then exit.
 			select {
-			case p := <-e.queue:
-				add(p)
-			case <-e.stop:
-				e.drainFinal(pend)
+			case first = <-e.queue:
+			default:
 				return
 			}
 		}
-		// Opportunistic drain: coalesce everything that arrived while
-		// the previous batch was in the model.
-	drain:
-		for {
+		reqs = append(reqs[:0], first)
+		// Let every caller that is ready to enqueue do so before the
+		// batch is cut. On one core the send that woke this goroutine
+		// also put it ahead of all other submitters, and without the
+		// yield every batch would hold one request however many callers
+		// are waiting; with nothing else runnable it costs nothing.
+		runtime.Gosched()
+	fill:
+		for len(reqs) < e.cfg.MaxBatch {
 			select {
 			case p := <-e.queue:
-				add(p)
-				if len(pend[p.bucket]) >= e.cfg.MaxBatch {
-					dispatch(p.bucket)
-				}
+				reqs = append(reqs, p)
 			default:
-				break drain
+				break fill
 			}
 		}
-		if bkt := fullBucket(); bkt >= 0 {
-			dispatch(bkt)
-			continue
-		}
-		bkt, oldest := oldestBucket()
-		if bkt < 0 {
-			continue
-		}
-		deadline := oldest.Add(e.cfg.MaxDelay)
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			deadlineFlushes.Inc()
-			dispatch(bkt)
-			continue
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case p := <-e.queue:
-			timer.Stop()
-			add(p)
-			if len(pend[p.bucket]) >= e.cfg.MaxBatch {
-				dispatch(p.bucket)
-			}
-		case <-timer.C:
-			deadlineFlushes.Inc()
-			dispatch(bkt)
-		case <-e.stop:
-			timer.Stop()
-			e.drainFinal(pend)
-			return
-		}
+		queueDepth.Add(-float64(len(reqs)))
+		e.runBatch(reqs)
 	}
 }
 
-// drainFinal answers everything still pending plus everything sitting
-// in the admission buffer — the graceful-shutdown guarantee that no
-// admitted request is abandoned.
-func (e *Engine) drainFinal(pend map[int][]*pending) {
-	for {
-		select {
-		case p := <-e.queue:
-			pend[p.bucket] = append(pend[p.bucket], p)
-		default:
-			for bkt, reqs := range pend {
-				queueDepth.Add(-float64(len(reqs)))
-				for len(reqs) > 0 {
-					n := min(len(reqs), e.cfg.MaxBatch)
-					e.runBatch(bkt, reqs[:n])
-					reqs = reqs[n:]
-				}
-			}
-			return
-		}
-	}
-}
-
-// runBatch pads the coalesced requests to the bucket length, builds the
-// additive key-padding mask, runs the forward-only model pass, and
-// delivers per-request predictions.
-func (e *Engine) runBatch(bkt int, reqs []*pending) {
-	if len(reqs) == 0 {
-		return
-	}
+// runBatch concatenates the requests' tokens into one ragged batch, runs
+// the forward-only model pass, and delivers per-request predictions.
+func (e *Engine) runBatch(reqs []*pending) {
 	e.seq++
 	seq := e.seq
 	td := time.Now()
@@ -560,38 +440,14 @@ func (e *Engine) runBatch(bkt int, reqs []*pending) {
 		}
 	}()
 
-	B, n := len(reqs), bkt
-	batch := &data.Batch{
-		B:        B,
-		N:        n,
-		Tokens:   make([]int, B*n),
-		Segments: make([]int, B*n),
-	}
+	B := len(reqs)
+	e.batch.Reset()
 	positions := make([][]int, B)
-	real := 0
-	padded := false
 	for s, p := range reqs {
-		base := s * n
-		copy(batch.Tokens[base:], p.tokens)
-		if p.segments != nil {
-			copy(batch.Segments[base:], p.segments)
-		}
-		// Pad slots keep PadID/segment 0; the mask removes them from
-		// every attention sum, and no prediction reads their rows.
-		if len(p.tokens) < n {
-			padded = true
-		}
+		e.batch.Append(p.tokens, p.segments)
 		positions[s] = p.positions
-		real += len(p.tokens)
 	}
-	if padded {
-		batch.Mask = tensor.New(B, n)
-		for s, p := range reqs {
-			for i := len(p.tokens); i < n; i++ {
-				batch.Mask.Set(-1e9, s, i)
-			}
-		}
-	}
+	tokens := len(e.batch.Tokens)
 
 	// When any rider is sampled, the batch records a span under that
 	// request's root; the model's phase spans (embed, layerN) nest under
@@ -615,15 +471,15 @@ func (e *Engine) runBatch(bkt int, reqs []*pending) {
 	}
 
 	ta := time.Now()
-	preds := e.m.PredictMaskedAt(e.ctx, batch, positions)
+	preds := e.m.PredictMaskedAt(e.ctx, &e.batch, positions)
 	tf := time.Now()
 	bsp.End()
 	e.ctx.Span = trace.SpanContext{}
 
 	batchesTotal.Inc()
 	batchSizeHist.Observe(float64(B))
-	goodputTokens.Add(int64(real))
-	paddingTokens.Add(int64(B*n - real))
+	batchTokensHist.Observe(float64(tokens))
+	goodputTokens.Add(int64(tokens))
 	modelMS.Observe(1e3 * tf.Sub(ta).Seconds())
 
 	for s, p := range reqs {
@@ -633,7 +489,7 @@ func (e *Engine) runBatch(bkt int, reqs []*pending) {
 		for i, pos := range p.positions {
 			out[i] = Prediction{Pos: pos, Token: preds[s][i]}
 		}
-		p.done <- result{preds: out, batchSize: B, queued: queued,
+		p.done <- result{preds: out, batchSize: B, batchToks: tokens, queued: queued,
 			seq: seq, td: td, ta: ta, tf: tf}
 	}
 }

@@ -13,6 +13,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# vet and build cover ./bench, which may not change in a PR that claims a
+# gain: they are the proof that no name it reads from internal/ has moved.
 echo "== go vet ./..."
 go vet ./...
 
@@ -25,14 +27,14 @@ go test -race ./internal/kernels/ ./internal/tensor/ ./internal/obs/ ./internal/
 echo "== go test -race -short (nn, model, optim, ddp, distnet, memscale, audit, serve, runutil — reduced scale)"
 go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/ddp/ ./internal/distnet/ ./internal/memscale/ ./internal/audit/ ./internal/serve/ ./internal/runutil/
 
-echo "== GOMAXPROCS=1 leg (kernels, optim, distnet: nothing may depend on the core count; a polling worker or join that forgot to yield hangs here)"
-GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/
+echo "== GOMAXPROCS=1 leg (kernels, optim, distnet, serve, model, nn: nothing may depend on the core count; a polling worker, a join or a FIFO runner that forgot to yield hangs here)"
+GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/ ./internal/serve/ ./internal/model/ ./internal/nn/
 
 echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps — end to end, which an AVX host otherwise never runs)"
 DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/
 
-echo "== re-run leg (kernels, nn, model, optim twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
-go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/
+echo "== re-run leg (kernels, nn, model, optim, serve twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
+go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/
 
 echo "== go test ./..."
 go test ./...
