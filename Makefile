@@ -15,11 +15,12 @@ test:
 check:
 	sh scripts/check.sh
 
-# Short fuzz passes: the GEMM kernels, and the /v1/mlm request body — the
-# one place external bytes enter the server.
+# Short fuzz passes: the GEMM kernels, the /v1/mlm request body — the one
+# place external bytes enter the server — and checkpoint loading.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzGEMMBlockedVsNaive -fuzztime 30s ./internal/kernels/
 	$(GO) test -run xxx -fuzz FuzzMLMHandler -fuzztime 30s ./internal/serve/
+	$(GO) test -run xxx -fuzz '^FuzzLoad$$' -fuzztime 30s ./internal/model/
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,9 @@
 package kernels
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // GeLUForward applies the exact Gaussian Error Linear Unit (paper Eq. 1):
 //
@@ -23,16 +26,7 @@ func GeLUForward(dst, x []float32) {
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
 	parallelFor(len(x), 1, func(lo, hi int) {
-		// The derivative goes through a block-sized side buffer, so dX may
-		// alias dY.
-		var d [geluBlock]float32
-		for i := lo; i < hi; i += geluBlock {
-			n := min(geluBlock, hi-i)
-			geluGradSpan(d[:n], x[i:i+n])
-			for j, dv := range d[:n] {
-				dX[i+j] = dY[i+j] * dv
-			}
-		}
+		geluGradSpan(dX[lo:hi], dY[lo:hi], x[lo:hi])
 	})
 }
 
@@ -89,32 +83,62 @@ type geluCell struct {
 // geluCDF expands Φ, geluGrad expands GELU' = Φ + xφ.
 var geluCDF, geluGrad = geluTables()
 
-// geluTables fills both tables from the Hermite recurrence
+// geluExpand writes the Taylor coefficients f⁽ᵏ⁾(c)/k! of Φ into cdf and
+// of GELU' into grad, k = 0..len(cdf)-1, from the Hermite recurrence
 // φ⁽ᵏ⁾(c) = (-1)ᵏ Heₖ(c) φ(c), He₍ₖ₊₁₎ = c·Heₖ - k·He₍ₖ₋₁₎:
 //
 //	Φ⁽ᵏ⁾     = φ⁽ᵏ⁻¹⁾
 //	GELU'⁽ᵏ⁾ = (k+1)·φ⁽ᵏ⁻¹⁾ + c·φ⁽ᵏ⁾    (Leibniz on x·φ)
 //
 // for k >= 1, seeded by Φ(c) and φ(c) from the math package.
+func geluExpand(c float64, cdf, grad []float64) {
+	phi := invSqrt2Pi * math.Exp(-0.5*c*c)
+	d := make([]float64, len(cdf)) // d[k] = φ⁽ᵏ⁾(c)
+	hePrev, he, sign := 0.0, 1.0, 1.0
+	for k := range d {
+		d[k] = sign * he * phi
+		hePrev, he, sign = he, c*he-float64(k)*hePrev, -sign
+	}
+	cdf[0] = 0.5 * math.Erfc(-c/math.Sqrt2)
+	grad[0] = cdf[0] + c*phi
+	fact := 1.0
+	for k := 1; k < len(cdf); k++ {
+		fact *= float64(k)
+		cdf[k] = d[k-1] / fact
+		grad[k] = (float64(k+1)*d[k-1] + c*d[k]) / fact
+	}
+}
+
+// geluTables fills the Go body's tables: 96 cells of width 1/8, cell-major.
 func geluTables() (cdf, grad *[geluCells]geluCell) {
 	cdf, grad = new([geluCells]geluCell), new([geluCells]geluCell)
 	for i := range cdf {
 		c := -geluRange + (float64(i)+0.5)/8
-		phi := invSqrt2Pi * math.Exp(-0.5*c*c)
-		var d [geluDegree + 1]float64 // d[k] = φ⁽ᵏ⁾(c)
-		hePrev, he, sign := 0.0, 1.0, 1.0
-		for k := range d {
-			d[k] = sign * he * phi
-			hePrev, he, sign = he, c*he-float64(k)*hePrev, -sign
-		}
 		cdf[i].c, grad[i].c = c, c
-		cdf[i].a[0] = 0.5 * math.Erfc(-c/math.Sqrt2)
-		grad[i].a[0] = cdf[i].a[0] + c*phi
-		fact := 1.0
-		for k := 1; k <= geluDegree; k++ {
-			fact *= float64(k)
-			cdf[i].a[k] = d[k-1] / fact
-			grad[i].a[k] = (float64(k+1)*d[k-1] + c*d[k]) / fact
+		geluExpand(c, cdf[i].a[:], grad[i].a[:])
+	}
+	return cdf, grad
+}
+
+// The AVX-512 bodies (transcend_amd64.s, DESIGN.md "Vector bodies") use
+// their own tables: geluVecCells cells of width 1 covering
+// [-geluVecRange, geluVecRange), degree geluVecDegree, stored
+// coefficient-major so that one coefficient of every cell is two 512-bit
+// rows a single VPERMT2PD selects from.
+const (
+	geluVecRange  = 8
+	geluVecCells  = 2 * geluVecRange
+	geluVecDegree = 20
+)
+
+var geluVecCDF, geluVecGrad = geluVecTables()
+
+func geluVecTables() (cdf, grad [geluVecDegree + 1][geluVecCells]float64) {
+	var a, b [geluVecDegree + 1]float64
+	for i := 0; i < geluVecCells; i++ {
+		geluExpand(-geluVecRange+float64(i)+0.5, a[:], b[:])
+		for k := range a {
+			cdf[k][i], grad[k][i] = a[k], b[k]
 		}
 	}
 	return cdf, grad
@@ -151,11 +175,53 @@ func geluPoly(p, v *[geluBlock]float64, x []float32, tab *[geluCells]geluCell) {
 }
 
 // geluSpan sets dst[i] = GELU(x[i]), bit for bit geluScalar(x[i]). dst may
-// be x itself. It is the one GELU body: GeLUForward, the fused f32
-// epilogue and the int8 epilogue all call it. The return value counts the
-// elements that took the reference expression; only the test that bounds
-// the fallback rate reads it.
+// be x itself. It is the one GELU entry: GeLUForward, the fused f32
+// epilogue and the int8 epilogue all call it, and it runs the kernel
+// table's vector body when there is one. The return value counts the
+// elements that took the reference expression; only the tests that bound
+// the fallback rate read it.
 func geluSpan(dst, x []float32) (fallbacks int) {
+	if body := activeKernel.gelu; body != nil {
+		return vecSpan(dst, x, body, geluScalar)
+	}
+	return geluGo(dst, x)
+}
+
+// geluGradSpan sets dX[i] = dY[i]·GELU'(x[i]), bit for bit
+// dY[i]*geluGradScalar(x[i]), and counts fallbacks like geluSpan. dX may
+// be dY itself.
+func geluGradSpan(dX, dY, x []float32) (fallbacks int) {
+	body := activeKernel.geluGrad
+	if body == nil {
+		// The Go body's derivative goes through a block-sized side
+		// buffer, so dX may alias dY.
+		var d [geluBlock]float32
+		for len(x) > 0 {
+			n := min(len(x), geluBlock)
+			fallbacks += geluGradGo(d[:n], x[:n])
+			for j, dv := range d[:n] {
+				dX[j] = dY[j] * dv
+			}
+			dX, dY, x = dX[n:], dY[n:], x[n:]
+		}
+		return fallbacks
+	}
+	// vecSpan's loop with dY carried along: a lane the body leaves alone
+	// still holds its dY.
+	for len(x) > 0 {
+		n := min(len(x), 64)
+		for m := body(dX[:n], dY[:n], x[:n]); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			dX[j] = dY[j] * geluGradScalar(x[j])
+			fallbacks++
+		}
+		dX, dY, x = dX[n:], dY[n:], x[n:]
+	}
+	return fallbacks
+}
+
+// geluGo and geluGradGo are the Go bodies of the two spans.
+func geluGo(dst, x []float32) (fallbacks int) {
 	var v, p [geluBlock]float64
 	for len(x) > 0 {
 		n := min(len(x), geluBlock)
@@ -175,9 +241,7 @@ func geluSpan(dst, x []float32) (fallbacks int) {
 	return fallbacks
 }
 
-// geluGradSpan sets dst[i] = GELU'(x[i]), bit for bit geluGradScalar(x[i]),
-// and counts fallbacks like geluSpan.
-func geluGradSpan(dst, x []float32) (fallbacks int) {
+func geluGradGo(dst, x []float32) (fallbacks int) {
 	var v, p [geluBlock]float64
 	for len(x) > 0 {
 		n := min(len(x), geluBlock)
@@ -189,6 +253,23 @@ func geluGradSpan(dst, x []float32) (fallbacks int) {
 				fallbacks++
 			}
 			dst[j] = lo
+		}
+		dst, x = dst[n:], x[n:]
+	}
+	return fallbacks
+}
+
+// vecSpan drives a vector body over a span in blocks of up to 64: the body
+// stores the lanes it could settle and returns the mask of the others,
+// which still hold their input (stores are masked, so dst may be x) and
+// take ref.
+func vecSpan(dst, x []float32, body func(dst, x []float32) uint64, ref func(float32) float32) (fallbacks int) {
+	for len(x) > 0 {
+		n := min(len(x), 64)
+		for m := body(dst[:n], x[:n]); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			dst[j] = ref(x[j])
+			fallbacks++
 		}
 		dst, x = dst[n:], x[n:]
 	}

@@ -3,9 +3,6 @@ package kernels
 import (
 	"flag"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"demystbert/internal/tensor"
@@ -16,45 +13,53 @@ import (
 // the leg).
 var geluFull = flag.Bool("gelu-full", false, "sweep every float32 bit pattern in TestGeLUMatchesReferenceBits")
 
-// geluFuncs pairs each span kernel with the expression it must reproduce.
-var geluFuncs = []struct {
-	name string
-	span func(dst, x []float32) int
-	ref  func(float32) float32
-}{
-	{"GELU", geluSpan, geluScalar},
-	{"GELU'", geluGradSpan, geluGradScalar},
+// geluFuncs are the two GeLU spans (transcend_test.go).
+var geluFuncs = []transcendental{geluFn, geluGradFn}
+
+// edgeBits are the float32 inputs where any fast path may change
+// behaviour: the zeros, the subnormal range's ends, the float32 extremes,
+// the infinities and NaNs of both kinds and signs.
+var edgeBits = []uint32{
+	0x00000000, 0x80000000, // ±0
+	0x00000001, 0x80000001, // smallest subnormals
+	0x007fffff, 0x807fffff, // largest subnormals
+	0x00800000, 0x80800000, // smallest normals
+	0x7f7fffff, 0xff7fffff, // largest finite
+	0x7f800000, 0xff800000, // ±Inf
+	0x7fc00000, 0xffc00000, 0x7fc12345, // quiet NaNs
+	0x7f800001, 0xffa00000, // signalling NaNs
 }
 
-// geluEdgeBits are the inputs where the fast path changes behaviour: the
-// zeros, the subnormal range's ends, the float32 extremes, ±geluRange and
-// every interval edge each with the four neighbours on either side, the
-// infinities and NaNs of both kinds and signs.
+// geluEdgeBits adds the edges of both bodies' cells — every 1/8 on
+// [-geluRange, geluRange] and every integer on [-geluVecRange,
+// geluVecRange] — each with the four neighbours on either side.
 func geluEdgeBits() []uint32 {
-	bits := []uint32{
-		0x00000000, 0x80000000, // ±0
-		0x00000001, 0x80000001, // smallest subnormals
-		0x007fffff, 0x807fffff, // largest subnormals
-		0x00800000, 0x80800000, // smallest normals
-		0x7f7fffff, 0xff7fffff, // largest finite
-		0x7f800000, 0xff800000, // ±Inf
-		0x7fc00000, 0xffc00000, 0x7fc12345, // quiet NaNs
-		0x7f800001, 0xffa00000, // signalling NaNs
-	}
+	bits := append([]uint32(nil), edgeBits...)
 	for i := 0; i <= geluCells; i++ {
-		edge := math.Float32bits(float32(-geluRange + float64(i)/8))
-		for d := uint32(0); d <= 4; d++ {
-			bits = append(bits, edge+d, edge-d)
-		}
+		bits = appendNeighbours(bits, float32(-geluRange+float64(i)/8), 4)
+	}
+	for i := 0; i <= geluVecCells; i++ {
+		bits = appendNeighbours(bits, float32(-geluVecRange+i), 4)
 	}
 	return bits
 }
 
-// TestGeLUMatchesReferenceBits is the contract of gelu.go: through the
-// span entry points, GELU and GELU' are the float64 reference expressions
-// bit for bit — on a strided sweep of the whole float32 space (all of it
-// under -gelu-full), and on the edge inputs at every span length that
-// crosses a staging block, with dst separate from and aliasing x.
+// appendNeighbours appends x's bits and those of the d floats on either
+// side of it.
+func appendNeighbours(bits []uint32, x float32, d uint32) []uint32 {
+	b := math.Float32bits(x)
+	for i := uint32(0); i <= d; i++ {
+		bits = append(bits, b+i, b-i)
+	}
+	return bits
+}
+
+// TestGeLUMatchesReferenceBits is the contract of gelu.go: every GELU and
+// GELU' body the host can run — the kernel table's vector body and the Go
+// body — is the float64 reference expression bit for bit, on a strided
+// sweep of the whole float32 space (all of it under -gelu-full), and on
+// the edge inputs at every span length that crosses a block, with dst
+// separate from and aliasing x.
 func TestGeLUMatchesReferenceBits(t *testing.T) {
 	stride := uint64(257)
 	switch {
@@ -63,79 +68,9 @@ func TestGeLUMatchesReferenceBits(t *testing.T) {
 	case raceEnabled || testing.Short():
 		stride = 257 * 31
 	}
-	const chunk = 1 << 20 // inputs per work item
-	total := (uint64(1)<<32 + stride - 1) / stride
 	for _, f := range geluFuncs {
-		var next, mismatches atomic.Uint64
-		var first atomic.Uint64 // bits+1 of one mismatching input
-		var wg sync.WaitGroup
-		for w := 0; w < runtime.GOMAXPROCS(0); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				x := make([]float32, chunk)
-				got := make([]float32, chunk)
-				for {
-					lo := next.Add(chunk) - chunk
-					if lo >= total {
-						return
-					}
-					n := int(min(chunk, total-lo))
-					for i := range x[:n] {
-						x[i] = math.Float32frombits(uint32((lo + uint64(i)) * stride))
-					}
-					f.span(got[:n], x[:n])
-					for i, xv := range x[:n] {
-						if math.Float32bits(got[i]) != math.Float32bits(f.ref(xv)) {
-							mismatches.Add(1)
-							first.Store(uint64(math.Float32bits(xv)) + 1)
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if n := mismatches.Load(); n != 0 {
-			b := uint32(first.Load() - 1)
-			t.Errorf("%s: %d of %d inputs differ from the reference, e.g. x = %v (bits %#08x)",
-				f.name, n, total, math.Float32frombits(b), b)
-		} else {
-			t.Logf("%s: %d inputs (bit patterns 0, %d, %d, ...), 0 mismatches", f.name, total, stride, 2*stride)
-		}
-	}
-
-	// Edge inputs, padded with ordinary values, at lengths 1..130 from a
-	// rotating start so that every edge meets every position of a block.
-	r := tensor.NewRNG(31)
-	var pool []float32
-	for _, b := range geluEdgeBits() {
-		pool = append(pool, math.Float32frombits(b), 2*r.NormFloat32())
-	}
-	for _, f := range geluFuncs {
-		start := 0
-		for length := 1; length <= 130; length++ {
-			for rep := 0; rep < len(pool)/length+1; rep++ {
-				x := make([]float32, length)
-				for i := range x {
-					x[i] = pool[(start+i)%len(pool)]
-				}
-				start += length
-				want := make([]float32, length)
-				for i, xv := range x {
-					want[i] = f.ref(xv)
-				}
-				got := make([]float32, length)
-				f.span(got, x)
-				f.span(x, x) // dst aliasing x
-				for i := range want {
-					w := math.Float32bits(want[i])
-					if g, a := math.Float32bits(got[i]), math.Float32bits(x[i]); g != w || a != w {
-						t.Fatalf("%s length %d element %d: got %#08x, in place %#08x, want %#08x",
-							f.name, length, i, g, a, w)
-					}
-				}
-			}
-		}
+		sweepBits(t, f, stride)
+		checkEdges(t, f)
 	}
 }
 
@@ -179,34 +114,45 @@ func TestGeLUFallbackRate(t *testing.T) {
 	}{{1, 1e-3}, {float32(math.Sqrt(3)), 1e-2}} {
 		x := normalSlice(34, n, tc.std)
 		for _, f := range geluFuncs {
-			rate := float64(f.span(dst, x)) / n
-			t.Logf("%s on N(0, %.3g²): reference taken for %.1f elements per million", f.name, tc.std, 1e6*rate)
-			if rate >= tc.limit {
-				t.Errorf("%s on N(0, %.3g²): fallback rate %.2e, want < %.0e", f.name, tc.std, rate, tc.limit)
+			for _, body := range f.bodies() {
+				rate := float64(body.span(dst, x)) / n
+				t.Logf("%s on %s, N(0, %.3g²): reference taken for %.1f elements per million", f.name, body.name, tc.std, 1e6*rate)
+				if rate >= tc.limit {
+					t.Errorf("%s on %s, N(0, %.3g²): fallback rate %.2e, want < %.0e", f.name, body.name, tc.std, rate, tc.limit)
+				}
 			}
 		}
 	}
 }
 
-// FuzzGeLUExact: any float32, by its bits, alone and inside a span.
+// FuzzGeLUExact: any float32, by its bits, alone and inside a span, on
+// every body.
 func FuzzGeLUExact(f *testing.F) {
 	for _, b := range geluEdgeBits() {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, bits uint32) {
-		x := math.Float32frombits(bits)
-		span := []float32{1.5, x, -0.25}
 		for _, fn := range geluFuncs {
-			var one [1]float32
-			var three [3]float32
-			fn.span(one[:], []float32{x})
-			fn.span(three[:], span)
-			want := math.Float32bits(fn.ref(x))
-			if g1, g3 := math.Float32bits(one[0]), math.Float32bits(three[1]); g1 != want || g3 != want {
-				t.Fatalf("%s(%v, bits %#08x) = %#08x alone, %#08x in a span, want %#08x", fn.name, x, bits, g1, g3, want)
-			}
+			checkOneInput(t, fn, bits)
 		}
 	})
+}
+
+// checkOneInput runs every body of f on the input with the given bits,
+// alone and in the middle of a span, against the reference.
+func checkOneInput(t *testing.T, f transcendental, bits uint32) {
+	x := math.Float32frombits(bits)
+	span := []float32{1.5, x, -0.25}
+	want := math.Float32bits(f.ref(x))
+	for _, body := range f.bodies() {
+		var one [1]float32
+		var three [3]float32
+		body.span(one[:], []float32{x})
+		body.span(three[:], span)
+		if g1, g3 := math.Float32bits(one[0]), math.Float32bits(three[1]); g1 != want || g3 != want {
+			t.Fatalf("%s on %s (%v, bits %#08x) = %#08x alone, %#08x in a span, want %#08x", f.name, body.name, x, bits, g1, g3, want)
+		}
+	}
 }
 
 func normalSlice(seed uint64, n int, std float32) []float32 {

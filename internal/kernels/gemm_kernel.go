@@ -16,7 +16,11 @@ import (
 //
 // The LAMB sweeps' lane bodies (lamb.go, reduce.go) ride the same ISA
 // decision: lambStage1, subScaled and sumSq8 take whole 8-element groups,
-// and nil again means the Go body.
+// and nil again means the Go body. So do the transcendental spans
+// (gelu.go, softmax.go): gelu, geluGrad (GELU' times dY, GeLUBackward's
+// product) and exp take up to 64 elements, store only the lanes whose
+// float32 result is certain, and return the mask of the others for the
+// reference expression (nil: the Go body).
 type gemmKernel struct {
 	name       string
 	mr, nr     int
@@ -26,6 +30,9 @@ type gemmKernel struct {
 	lambStage1 func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
 	subScaled  func(y, x []float32, a float32)
 	sumSq8     func(x []float32) float64
+	gelu       func(dst, x []float32) (fallback uint64)
+	geluGrad   func(dX, dY, x []float32) (fallback uint64)
+	exp        func(dst, x []float32, m float32) (fallback uint64)
 	supported  bool
 }
 

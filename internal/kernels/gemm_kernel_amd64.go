@@ -57,31 +57,39 @@ func readCPU() cpuRegs {
 }
 
 const (
-	cpuFMA     = 1 << 12 // CPUID.1:ECX
-	cpuOSXSAVE = 1 << 27 // CPUID.1:ECX
-	cpuAVX2    = 1 << 5  // CPUID.7.0:EBX
-	cpuAVX512F = 1 << 16 // CPUID.7.0:EBX
-	xcr0YMM    = 0x06    // XMM and YMM state enabled
-	xcr0ZMM    = 0xE6    // plus opmask, ZMM0-15 upper halves, ZMM16-31
+	cpuFMA      = 1 << 12 // CPUID.1:ECX
+	cpuOSXSAVE  = 1 << 27 // CPUID.1:ECX
+	cpuAVX2     = 1 << 5  // CPUID.7.0:EBX
+	cpuAVX512F  = 1 << 16 // CPUID.7.0:EBX
+	cpuAVX512DQ = 1 << 17 // CPUID.7.0:EBX
+	cpuAVX512VL = 1 << 31 // CPUID.7.0:EBX
+	xcr0YMM     = 0x06    // XMM and YMM state enabled
+	xcr0ZMM     = 0xE6    // plus opmask, ZMM0-15 upper halves, ZMM16-31
 )
 
 // cpuFeatures decides which assembly kernels may run: the CPU must
 // implement the instructions and the OS must save the registers they use
 // (an AVX-512 CPU under an OS that leaves ZMM state disabled gets AVX2).
-func cpuFeatures(r cpuRegs) (avx2fma, avx512f bool) {
+// The avx512 entry asks for F, DQ and VL together, the subset every
+// AVX-512 part since Skylake-SP has: a part with F alone (Knights
+// Landing/Mill) takes the avx2 entry rather than trust that no body strays
+// past F.
+func cpuFeatures(r cpuRegs) (avx2fma, avx512 bool) {
 	if r.maxLeaf < 7 || r.leaf1ECX&cpuFMA == 0 || r.leaf1ECX&cpuOSXSAVE == 0 {
 		return false, false
 	}
+	const avx512Bits = cpuAVX512F | cpuAVX512DQ | cpuAVX512VL
 	avx2fma = r.leaf7EBX&cpuAVX2 != 0 && r.xcr0&xcr0YMM == xcr0YMM
-	avx512f = avx2fma && r.leaf7EBX&cpuAVX512F != 0 && r.xcr0&xcr0ZMM == xcr0ZMM
-	return avx2fma, avx512f
+	avx512 = avx2fma && r.leaf7EBX&avx512Bits == avx512Bits && r.xcr0&xcr0ZMM == xcr0ZMM
+	return avx2fma, avx512
 }
 
 var kernelTable = func() []gemmKernel {
-	avx2fma, avx512f := cpuFeatures(readCPU())
-	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, supported: avx512f}
+	avx2fma, avx512ok := cpuFeatures(readCPU())
+	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, supported: avx512ok,
+		gelu: geluVec512, geluGrad: geluGradVec512, exp: expVec512}
 	avx2 := gemmKernel{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, supported: avx2fma}
-	// Everything but the f32 micro-kernel is 256-bit code the two share.
+	// Everything else is 256-bit code the two share.
 	for _, k := range []*gemmKernel{&avx512, &avx2} {
 		k.int8, k.packT4 = int8Kernel4x16SIMD, packT4asm
 		k.lambStage1, k.subScaled, k.sumSq8 = lambStage1SIMD, subScaledSIMD, sumSq8SIMD

@@ -6,7 +6,8 @@ import (
 )
 
 // softmaxRow writes softmax(in) to out using the numerically stable
-// max-shift formulation. in and out may alias.
+// max-shift formulation. in and out may alias. The sum is one float32
+// fold in index order, whichever body computed the exponentials.
 func softmaxRow(out, in []float32) {
 	maxV := in[0]
 	for _, v := range in[1:] {
@@ -14,15 +15,42 @@ func softmaxRow(out, in []float32) {
 			maxV = v
 		}
 	}
+	expSpan(out, in, maxV)
 	var sum float32
-	for i, v := range in {
-		e := float32(math.Exp(float64(v - maxV)))
-		out[i] = e
+	for _, e := range out {
 		sum += e
 	}
 	inv := 1 / sum
 	for i := range out {
 		out[i] *= inv
+	}
+}
+
+// expScalar is the definition of softmax's exponential: the max shift in
+// float32, then math.Exp in float64, rounded once.
+func expScalar(x, m float32) float32 {
+	return float32(math.Exp(float64(x - m)))
+}
+
+// expSpan sets dst[i] = expScalar(x[i], m), bit for bit; dst may be x
+// itself. A vector body on the kernel table evaluates exp in float64 and
+// keeps a lane only when its rounding to float32 is certain (gelu.go's
+// argument; DESIGN.md "Vector bodies"); the rest take expScalar. Returns
+// the number of those; the Go body (expScalar itself) has none.
+func expSpan(dst, x []float32, m float32) (fallbacks int) {
+	body := activeKernel.exp
+	if body == nil {
+		expGo(dst, x, m)
+		return 0
+	}
+	return vecSpan(dst, x,
+		func(dst, x []float32) uint64 { return body(dst, x, m) },
+		func(v float32) float32 { return expScalar(v, m) })
+}
+
+func expGo(dst, x []float32, m float32) {
+	for i, v := range x {
+		dst[i] = expScalar(v, m)
 	}
 }
 

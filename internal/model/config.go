@@ -5,7 +5,10 @@
 // activation checkpointing.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config holds BERT's hyperparameters using the paper's symbols
 // (Table 2a): N Transformer layers of hidden size d_model with h attention
@@ -43,7 +46,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("model: d_model %d not divisible by %d heads", c.DModel, c.Heads)
 	case c.DFF < 1:
 		return fmt.Errorf("model: d_ff %d < 1", c.DFF)
-	case c.DropProb < 0 || c.DropProb >= 1:
+	case !(c.DropProb >= 0 && c.DropProb < 1): // NaN too
 		return fmt.Errorf("model: dropout %v outside [0,1)", c.DropProb)
 	}
 	return nil
@@ -84,15 +87,50 @@ func Tiny() Config {
 // ParamCount returns the exact trainable-parameter count of the
 // configuration, matching Params() of a constructed model.
 func (c Config) ParamCount() int {
+	n, _ := c.paramCountWithin(math.MaxInt)
+	return n
+}
+
+// paramCountWithin evaluates ParamCount in arithmetic that gives up, rather
+// than overflow, once a partial result passes limit: ok is false then. A
+// validated configuration's dimensions are positive, so every partial
+// result is at most the total. Load uses it on a header's 31-bit fields.
+func (c Config) paramCountWithin(limit int) (n int, ok bool) {
+	k := checkedInt{limit: limit}
 	d, ff := c.DModel, c.DFF
 	// Embeddings: token + position + segment tables and LN.
-	emb := (c.Vocab+c.MaxPos+2)*d + 2*d
+	emb := k.add(k.mul(k.add(c.Vocab, c.MaxPos+2), d), 2*d)
 	// Per encoder layer: 4 projections (d·d+d), FC1 (d·ff+ff),
 	// FC2 (ff·d+d), 2 LayerNorms (2d each).
-	layer := 4*(d*d+d) + (d*ff + ff) + (ff*d + d) + 4*d
+	dd, dff := k.mul(d, d), k.mul(d, ff)
+	layer := k.add(k.add(k.mul(4, k.add(dd, d)), k.add(dff, ff)), k.add(k.add(dff, d), 4*d))
 	// Heads: MLM dense (d·d+d) + LN (2d) + decoder bias (vocab; the
 	// decoder weight is tied to the token embedding) + pooler (d·d+d) +
 	// NSP classifier (2d+2).
-	heads := (d*d + d) + 2*d + c.Vocab + (d*d + d) + (2*d + 2)
-	return emb + c.NumLayers*layer + heads
+	heads := k.add(k.add(k.mul(2, k.add(dd, d)), 4*d+2), c.Vocab)
+	n = k.add(k.add(emb, k.mul(c.NumLayers, layer)), heads)
+	return n, !k.over
+}
+
+// checkedInt is non-negative int arithmetic that latches over, and yields
+// 0, once a result would exceed limit.
+type checkedInt struct {
+	limit int
+	over  bool
+}
+
+func (k *checkedInt) mul(a, b int) int {
+	if a < 0 || b < 0 || (a != 0 && b > k.limit/a) {
+		k.over = true
+		return 0
+	}
+	return a * b
+}
+
+func (k *checkedInt) add(a, b int) int {
+	if a < 0 || b < 0 || a > k.limit-b {
+		k.over = true
+		return 0
+	}
+	return a + b
 }

@@ -45,18 +45,33 @@ func (m *BERT) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxCheckpointParams bounds the model Load will build from a checkpoint
+// header: 2³¹ parameters (8 GiB of float32), past Megatron-BERT. The
+// header is 40 bytes that nothing vouches for, and Load allocates the
+// whole model before it reads a parameter byte — a declared d_model of 2³⁰
+// would otherwise end the process with an unrecoverable out-of-memory.
+const maxCheckpointParams = 1 << 31
+
 // Load constructs a model from a checkpoint written by Save. The
 // checkpoint's configuration takes precedence; parameter names and shapes
-// are verified against the freshly built model.
+// are verified against the freshly built model. A configuration that does
+// not validate or declares more than maxCheckpointParams parameters is
+// refused before anything is allocated.
 func Load(r io.Reader) (*BERT, error) {
 	br := bufio.NewReader(r)
 	cfg, err := readHeader(br)
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("model: checkpoint config invalid: %w", err)
+	}
+	if _, ok := cfg.paramCountWithin(maxCheckpointParams); !ok {
+		return nil, fmt.Errorf("model: checkpoint declares more than %d parameters (%+v)", maxCheckpointParams, cfg)
+	}
 	m, err := New(cfg, 0)
 	if err != nil {
-		return nil, fmt.Errorf("model: checkpoint config invalid: %w", err)
+		return nil, err
 	}
 	if err := m.readParams(br); err != nil {
 		return nil, err
@@ -76,7 +91,9 @@ func (m *BERT) LoadParams(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if cfg != m.Config {
+	// Equal to the bit: a header whose dropout is -0 does not describe a
+	// model configured with +0.
+	if cfg != m.Config || math.Float32bits(cfg.DropProb) != math.Float32bits(m.Config.DropProb) {
 		return fmt.Errorf("model: checkpoint config %+v does not match model config %+v", cfg, m.Config)
 	}
 	return m.readParams(br)
@@ -109,13 +126,8 @@ func (m *BERT) readParams(br *bufio.Reader) error {
 				return fmt.Errorf("model: %s dim %d is %d, want %d", name, i, d, p.Value.Dim(i))
 			}
 		}
-		data := p.Value.Data()
-		for i := range data {
-			var bits uint32
-			if err := binary.Read(br, binary.LittleEndian, &bits); err != nil {
-				return fmt.Errorf("model: reading %s data: %w", name, err)
-			}
-			data[i] = math.Float32frombits(bits)
+		if err := binary.Read(br, binary.LittleEndian, p.Value.Data()); err != nil {
+			return fmt.Errorf("model: reading %s data: %w", name, err)
 		}
 		// Invalidate any packed-weight panels built from the pre-restore
 		// values — a resumed run must repack from the loaded weights.
@@ -157,6 +169,9 @@ func readHeader(r io.Reader) (Config, error) {
 	}
 	if fields[1] != checkpointVersion {
 		return Config{}, fmt.Errorf("model: unsupported checkpoint version %d", fields[1])
+	}
+	if fields[8]&^3 != 0 {
+		return Config{}, fmt.Errorf("model: unknown checkpoint flags %#x", fields[8])
 	}
 	var dropBits uint32
 	if err := binary.Read(r, binary.LittleEndian, &dropBits); err != nil {

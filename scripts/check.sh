@@ -6,7 +6,7 @@
 #
 # Every test leg runs whole packages and differs from `go test ./...` by a
 # flag or the environment (-race, -race -short, GOMAXPROCS=1,
-# DEMYSTBERT_NOSIMD=1, -count=2, -gelu-full); no leg pins tests by name, so
+# DEMYSTBERT_NOSIMD=1, -count=2, -gelu-full -exp-full); no leg pins tests by name, so
 # a renamed test cannot leave the gate. The alloc guards,
 # serving/tracing/shutdown smokes and bitwise-parity tests are ordinary
 # tests of their packages and run in the sweep.
@@ -30,8 +30,8 @@ go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./intern
 echo "== GOMAXPROCS=1 leg (kernels, optim, distnet, serve, model, nn: nothing may depend on the core count; a polling worker, a join or a FIFO runner that forgot to yield hangs here)"
 GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/ ./internal/serve/ ./internal/model/ ./internal/nn/
 
-echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps — end to end, which an AVX host otherwise never runs)"
-DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/
+echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim, model, serve: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps, GeLU/exp spans — end to end, ragged batch == alone and batched == serial included, which an AVX host otherwise never runs)"
+DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/ ./internal/model/ ./internal/serve/
 
 echo "== re-run leg (kernels, nn, model, optim, serve twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
 go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/
@@ -39,8 +39,8 @@ go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./i
 echo "== go test ./..."
 go test ./...
 
-echo "== GeLU exactness, all 2^32 float32 inputs (kernels with -gelu-full: GELU and GELU' equal the float64 reference bit for bit; ~2.5 min on 2 cores)"
-go test -count=1 -timeout 30m ./internal/kernels/ -gelu-full
+echo "== GeLU and exp exactness, all 2^32 float32 inputs (kernels with -gelu-full -exp-full: GELU, GELU' and softmax's exp equal the float64 reference bit for bit on every body the host runs; ~4 min on 2 cores)"
+go test -count=1 -timeout 30m ./internal/kernels/ -gelu-full -exp-full
 
 echo "== numerics audit sweep (cross-path differential + gradcheck + determinism)"
 go run ./cmd/bertchar -audit >/dev/null
@@ -58,7 +58,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + GeLU + LAMB sweeps, 1 iteration)"
-go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|GeLU|LAMB|SumSquares|SubScaled' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + GeLU + LAMB sweeps + softmax/exp, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
