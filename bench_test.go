@@ -22,11 +22,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
+	"time"
 
 	"demystbert/internal/data"
-	"demystbert/internal/ddp"
 	"demystbert/internal/dist"
+	"demystbert/internal/distnet"
 	"demystbert/internal/fusion"
 	"demystbert/internal/kernels"
 	"demystbert/internal/model"
@@ -645,52 +647,6 @@ func BenchmarkAblationGEMMWorkers(b *testing.B) {
 	}
 }
 
-// Real data-parallel training: D replicas + actual ring AllReduce.
-func BenchmarkRealDDPStep(b *testing.B) {
-	cfg := TinyBERT()
-	tr, err := ddp.NewTrainer(cfg, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gen := data.NewGenerator(cfg.Vocab, 0.15, 2)
-	shards := []*data.Batch{gen.Next(2, 16), gen.Next(2, 16)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Step(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(tr.CommBytesPerStep())/1e6, "comm-MB/replica")
-}
-
-func BenchmarkRealRingAllReduce(b *testing.B) {
-	const d, n = 4, 1 << 18
-	r := tensor.NewRNG(1)
-	buffers := make([][]float32, d)
-	for i := range buffers {
-		buffers[i] = make([]float32, n)
-		for j := range buffers[i] {
-			buffers[i][j] = r.Float32()
-		}
-	}
-	b.SetBytes(int64(d) * ddp.BytesMoved(n, d))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RingBuffersReset(buffers, r)
-		ddp.RingAllReduce(buffers)
-	}
-}
-
-// RingBuffersReset refreshes buffers between iterations so the reduce
-// operates on fresh values.
-func RingBuffersReset(buffers [][]float32, r *tensor.RNG) {
-	for i := range buffers {
-		for j := range buffers[i] {
-			buffers[i][j] = r.Float32()
-		}
-	}
-}
-
 // Activation-memory footprint model (Section 4's capacity motivation).
 func BenchmarkMemoryFootprint(b *testing.B) {
 	var plain, ck int64
@@ -711,22 +667,49 @@ func BenchmarkMemoryFootprint(b *testing.B) {
 	b.ReportMetric(float64(maxBCk), "maxB-32GB-ckpt")
 }
 
-// Real m-way tensor-sliced encoder layer vs the unsliced reference.
+// Real m-way tensor-sliced encoder layer: one loopback rank per shard,
+// its four AllReduces over the ring's TCP sockets. The reported time is
+// one forward pass of all ranks.
 func BenchmarkRealTensorSlicedLayer(b *testing.B) {
 	r := tensor.NewRNG(1)
 	ref := nn.NewEncoderLayer("ref", 64, 4, 256, 0, r)
 	for _, m := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("ways=%d", m), func(b *testing.B) {
-			s, err := ddp.NewSlicedLayer(ref, m)
+			groups, err := distnet.JoinLoopback(m, 30*time.Second)
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer func() {
+				for _, g := range groups {
+					g.Close()
+				}
+			}()
+			layers := make([]*distnet.SlicedLayer, m)
+			for i, g := range groups {
+				if layers[i], err = distnet.NewSlicedLayer(g, ref); err != nil {
+					b.Fatal(err)
+				}
+			}
 			x := tensor.New(4*32, 64)
 			x.FillUniform(r, -1, 1)
-			ctx := &nn.Ctx{RNG: tensor.NewRNG(2), Train: true}
+			errs := make([]error, m)
+			var wg sync.WaitGroup
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Forward(ctx, x, 4, 32)
+			for i := range layers {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ctx := &nn.Ctx{RNG: tensor.NewRNG(2), Train: true}
+					for n := 0; n < b.N && errs[i] == nil; n++ {
+						_, errs[i] = layers[i].Forward(ctx, x, 4, 32)
+					}
+				}(i)
+			}
+			wg.Wait()
+			for rank, err := range errs {
+				if err != nil {
+					b.Fatalf("rank %d: %v", rank, err)
+				}
 			}
 		})
 	}

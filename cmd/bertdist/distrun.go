@@ -256,6 +256,9 @@ func forkWorld(tf *trainFlags, stderr io.Writer, sd *runutil.Shutdown) ([]*distn
 	}
 	defer os.RemoveAll(dir)
 
+	// os/exec serializes the writes of one child's stdout and stderr, but
+	// not those of different children: every rank shares one lock.
+	childOut := &lockedWriter{w: stderr}
 	cmds := make([]*exec.Cmd, world)
 	for r := 0; r < world; r++ {
 		args := []string{
@@ -300,8 +303,8 @@ func forkWorld(tf *trainFlags, stderr io.Writer, sd *runutil.Shutdown) ([]*distn
 		}
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(), workerArgsEnv+"="+string(encoded))
-		cmd.Stdout = stderr // keep the parent's stdout for the summary
-		cmd.Stderr = stderr
+		cmd.Stdout = childOut // keep the parent's stdout for the summary
+		cmd.Stderr = childOut
 		if err := cmd.Start(); err != nil {
 			for _, c := range cmds[:r] {
 				c.Process.Signal(syscall.SIGTERM)
@@ -336,6 +339,18 @@ func forkWorld(tf *trainFlags, stderr io.Writer, sd *runutil.Shutdown) ([]*distn
 		results[r] = &res
 	}
 	return results, nil
+}
+
+// lockedWriter serializes writes from concurrent goroutines into w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // launchLocal is the `-launch N` mode: fork, wait, aggregate, summarize.

@@ -2,16 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
-	"demystbert/internal/data"
-	"demystbert/internal/ddp"
+	"demystbert/internal/distnet"
 	"demystbert/internal/model"
 )
 
@@ -198,13 +200,13 @@ func TestLaunchTwoProcesses(t *testing.T) {
 }
 
 // Cross-process bitwise parity: two real OS processes training over TCP
-// must land on exactly the parameters the in-process ddp trainer
-// produces from the same seeds and data schedule.
+// must land on exactly the parameters in-process loopback distnet.Train
+// produces from the same flags. Loopback Train is in turn pinned to the
+// serial two-replica reference in internal/distnet.
 func TestLaunchBitwiseMatchesInProcessDDP(t *testing.T) {
-	const steps, seed, B, N = 3, 7, 2, 16
+	args := []string{"-steps", "3", "-train-b", "2", "-seq", "16", "-seed", "7"}
 	params := filepath.Join(t.TempDir(), "params.bin")
-	out, code := runCmd(t, "-launch", "2", "-steps", "3", "-train-b", "2", "-seq", "16",
-		"-seed", "7", "-params-out", params)
+	out, code := runCmd(t, append([]string{"-launch", "2", "-params-out", params}, args...)...)
 	if code != 0 {
 		t.Fatalf("launch exit code %d\n%s", code, out)
 	}
@@ -219,20 +221,37 @@ func TestLaunchBitwiseMatchesInProcessDDP(t *testing.T) {
 	}
 
 	var tf trainFlags
-	tf.trainB, tf.seq, tf.layers, tf.dmodel, tf.vocab, tf.drop = B, N, 2, 64, 1000, -1
-	cfg := tf.modelConfig()
-	ddpTr, err := ddp.NewTrainer(cfg, 2, seed)
+	fs := flag.NewFlagSet("loopback", flag.ContinueOnError)
+	tf.register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ddpTr.Close()
-	gen := data.NewGenerator(cfg.Vocab, 0.15, seed+1000003)
-	for s := 0; s < steps; s++ {
-		if _, err := ddpTr.Step([]*data.Batch{gen.Next(B, N), gen.Next(B, N)}); err != nil {
-			t.Fatal(err)
+	models := make([]*model.BERT, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for r := range models {
+		cfg := tf.trainConfig()
+		cfg.Rank, cfg.World, cfg.Addr = r, 2, ln.Addr().String()
+		if r == 0 {
+			cfg.Listener = ln
+		}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			_, models[r], errs[r] = distnet.Train(cfg)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("loopback rank %d: %v", r, err)
 		}
 	}
-	gp, wp := got.Params(), ddpTr.Replicas[0].Params()
+	gp, wp := got.Params(), models[0].Params()
 	if len(gp) != len(wp) {
 		t.Fatalf("param count %d vs %d", len(gp), len(wp))
 	}
@@ -240,7 +259,7 @@ func TestLaunchBitwiseMatchesInProcessDDP(t *testing.T) {
 		a, b := gp[i].Value.Data(), wp[i].Value.Data()
 		for j := range a {
 			if a[j] != b[j] {
-				t.Fatalf("%s[%d]: cross-process %v vs in-process %v (bitwise divergence)",
+				t.Fatalf("%s[%d]: cross-process %v vs loopback %v (bitwise divergence)",
 					gp[i].Name, j, a[j], b[j])
 			}
 		}

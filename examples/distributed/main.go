@@ -9,12 +9,14 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sync"
 	"time"
 
 	"demystbert"
 	"demystbert/internal/data"
-	"demystbert/internal/ddp"
 	"demystbert/internal/dist"
+	"demystbert/internal/distnet"
+	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/opgraph"
 	"demystbert/internal/perfmodel"
@@ -54,50 +56,75 @@ func main() {
 	}
 
 	// Extension 3: REAL data-parallel training at engine scale — three
-	// replicas, a real ring AllReduce over goroutines, replicas verified
-	// bit-identical after every step (Section 2.5's semantics executed).
-	fmt.Println("\nreal data-parallel training (3 replicas, tiny BERT, real ring AllReduce)")
-	fmt.Println("=========================================================================")
+	// ranks in one process, joined over loopback TCP, a real ring
+	// AllReduce of bucketed gradients, ranks verified bit-identical after
+	// every step (Section 2.5's semantics executed).
+	fmt.Println("\nreal data-parallel training (3 loopback ranks, tiny BERT, TCP ring AllReduce)")
+	fmt.Println("==============================================================================")
 	tiny := demystbert.TinyBERT()
 	tiny.DropProb = 0
-	tr, err := ddp.NewTrainer(tiny, 3, 42)
+	groups, err := distnet.JoinLoopback(3, 30*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen := data.NewGenerator(tiny.Vocab, 0.15, 43)
-	shards := []*data.Batch{gen.Next(2, 16), gen.Next(2, 16), gen.Next(2, 16)}
-	for step := 0; step < 4; step++ {
-		losses, err := tr.Step(shards)
+	trainers := make([]*distnet.Trainer, len(groups))
+	for r, g := range groups {
+		m, err := model.New(tiny, 42)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sync, _ := tr.InSync()
-		fmt.Printf("  step %d: losses %.4f %.4f %.4f  replicas-in-sync=%v\n",
-			step+1, losses[0], losses[1], losses[2], sync)
+		trainers[r] = distnet.NewTrainer(g, m, 42, 32*1024, true, 0.01)
 	}
-	fmt.Printf("  gradient sync: %.2f MB transmitted per replica per step (ring AllReduce)\n",
-		float64(tr.CommBytesPerStep())/1e6)
+	gen := data.NewGenerator(tiny.Vocab, 0.15, 43)
+	shards := []*data.Batch{gen.Next(2, 16), gen.Next(2, 16), gen.Next(2, 16)}
+	losses := make([]float64, len(groups))
+	var txBefore int64
+	for step := 0; step < 4; step++ {
+		txBefore, _ = groups[0].WireBytes()
+		onEveryRank(len(groups), func(r int) (err error) {
+			losses[r], _, err = trainers[r].Step(shards[r])
+			return err
+		})
+		fmt.Printf("  step %d: losses %.4f %.4f %.4f  ranks-in-sync=%v\n",
+			step+1, losses[0], losses[1], losses[2], inSync(trainers))
+	}
+	tx, _ := groups[0].WireBytes()
+	fmt.Printf("  gradient sync: %.2f MB sent by rank 0 per step (ring AllReduce over TCP)\n",
+		float64(tx-txBefore)/1e6)
+	for _, g := range groups {
+		g.Close()
+	}
 
 	// Extension 3b: REAL tensor slicing — an encoder layer split 2-way
-	// Megatron-style, its four per-layer AllReduces executed, and the
-	// output verified against the unsliced layer (Fig. 10 made runnable).
+	// Megatron-style across two loopback ranks, its four per-layer
+	// AllReduces run on the ring, and the output verified against the
+	// unsliced layer (Fig. 10 made runnable).
 	fmt.Println("\nreal tensor slicing (2-way Megatron split of one encoder layer)")
 	fmt.Println("===============================================================")
 	rng := tensor.NewRNG(7)
 	refLayer := nn.NewEncoderLayer("ref", 64, 4, 256, 0, rng)
-	sliced, err := ddp.NewSlicedLayer(refLayer, 2)
+	xIn := tensor.New(8*16, 64)
+	xIn.FillUniform(rng, -1, 1)
+	want := refLayer.Forward(&nn.Ctx{RNG: tensor.NewRNG(1), Train: true}, xIn, 8, 16, nil)
+	groups, err = distnet.JoinLoopback(2, 30*time.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	xIn := tensor.New(8*16, 64)
-	xIn.FillUniform(rng, -1, 1)
-	refCtx := &nn.Ctx{RNG: tensor.NewRNG(1), Train: true}
-	tsCtx := &nn.Ctx{RNG: tensor.NewRNG(1), Train: true}
-	want := refLayer.Forward(refCtx, xIn, 8, 16, nil)
-	got := sliced.Forward(tsCtx, xIn, 8, 16)
+	outs := make([]*tensor.Tensor, len(groups))
+	onEveryRank(len(groups), func(r int) error {
+		sliced, err := distnet.NewSlicedLayer(groups[r], refLayer)
+		if err != nil {
+			return err
+		}
+		outs[r], err = sliced.Forward(&nn.Ctx{RNG: tensor.NewRNG(1), Train: true}, xIn, 8, 16)
+		return err
+	})
+	for _, g := range groups {
+		g.Close()
+	}
 	var maxDiff float64
 	for i := range want.Data() {
-		d := float64(want.Data()[i] - got.Data()[i])
+		d := float64(want.Data()[i] - outs[0].Data()[i])
 		if d < 0 {
 			d = -d
 		}
@@ -117,4 +144,39 @@ func main() {
 		fmt.Printf("  link x%-3.0f: total %8v  comm %5.1f%%\n",
 			x, p.Total.Round(time.Millisecond), 100*p.CommShare())
 	}
+}
+
+// onEveryRank runs f once per rank, concurrently, and exits on any error.
+func onEveryRank(world int, f func(r int) error) {
+	errs := make([]error, world)
+	var wg sync.WaitGroup
+	for r := 0; r < world; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = f(r)
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			log.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// inSync reports whether every rank's parameters are bit-identical to
+// rank 0's.
+func inSync(trainers []*distnet.Trainer) bool {
+	ref := trainers[0].M.Params()
+	for _, t := range trainers[1:] {
+		for i, p := range t.M.Params() {
+			for j, v := range p.Value.Data() {
+				if v != ref[i].Value.Data()[j] {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }

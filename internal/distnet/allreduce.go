@@ -8,11 +8,10 @@ import (
 // AllReduce sums buf element-wise across all ranks in place, using the
 // bandwidth-optimal ring algorithm over the persistent TCP streams:
 // D-1 reduce-scatter steps (each rank accumulates one chunk) followed by
-// D-1 all-gather steps (the reduced chunks circulate). The chunk bounds
-// c·n/D match ddp.Ring exactly, and the reduce accumulates with the same
-// dst[i] += recv[i] loop, so at world=2 the result is bit-identical to
-// the in-process all-reduce (float addition of two operands is
-// commutative).
+// D-1 all-gather steps (the reduced chunks circulate). Chunk c covers
+// [c·n/D, (c+1)·n/D) and is folded in ring order starting at its owner:
+// acc = x_c, then acc = x_{c+k mod D} + acc for k = 1..D-1 — the serial
+// reference the parity tests pin every rank's result to, bit for bit.
 //
 // tag identifies this collective; every rank must issue the same
 // sequence of (tag, len) collectives. Send and receive proceed

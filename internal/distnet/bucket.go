@@ -75,8 +75,8 @@ func (p *Plan) Gather(b *Bucket) {
 
 // ScatterScale writes the reduced flat window back into the parameter
 // gradients, scaled by scale (1/world: the data-parallel average). The
-// per-element expression matches ddp.Trainer.Step exactly, keeping
-// world=2 training bit-identical to the in-process path.
+// per-element expression is sum·(1/world), the one the serial two-replica
+// reference uses, keeping world=2 training bit-identical to it.
 func (p *Plan) ScatterScale(b *Bucket, scale float32) {
 	off := b.Off
 	for _, prm := range b.Params {

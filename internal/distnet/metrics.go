@@ -8,7 +8,7 @@ import (
 )
 
 // Transport and trainer telemetry, served at /metrics next to the
-// in-process ddp counters. The exposed-vs-overlapped histograms are the
+// kernel-layer counters. The exposed-vs-overlapped histograms are the
 // observable form of the paper's D1-vs-D2 distinction: with overlap on,
 // distnet_exposed_comm_seconds should collapse toward the final bucket's
 // AllReduce while distnet_hidden_comm_seconds absorbs the rest.

@@ -154,9 +154,8 @@ func NewTrainer(g *Group, m *model.BERT, seed uint64, bucketBytes int, overlap b
 		M: m,
 		Ctx: &nn.Ctx{
 			Prof: profile.New(),
-			// Distinct dropout streams per rank, matching ddp.NewTrainer's
-			// seed schedule so world=2 runs are bit-identical to the
-			// in-process trainer.
+			// Distinct dropout streams per rank (seed + rank·7919), the
+			// schedule the serial two-replica reference reproduces.
 			RNG:   tensor.NewRNG(seed + uint64(g.Rank())*7919),
 			Train: true,
 		},
@@ -348,9 +347,9 @@ func (t *Trainer) Step(b *data.Batch) (float64, stepStats, error) {
 // the group, train cfg.Steps steps on deterministic synthetic data, and
 // return the rank's Result plus the final model (for checkpointing and
 // parity checks). Every rank generates the full global batch sequence
-// from the shared data seed and consumes its own shard — the same
-// schedule ddp.Trainer sees, which is what makes world=2 runs
-// bit-identical to the in-process path.
+// from the shared data seed and consumes its own shard — a schedule a
+// serial reference can replay, which is what makes world=2 runs
+// bit-identical to two replicas stepped one after the other.
 func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 	if cfg.Steps < 1 || cfg.B < 1 || cfg.N < 1 {
 		return nil, nil, fmt.Errorf("distnet: need positive steps/B/N, got %d/%d/%d", cfg.Steps, cfg.B, cfg.N)

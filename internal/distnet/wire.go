@@ -1,15 +1,16 @@
 // Package distnet trains BERT data-parallel across real worker
 // processes connected by TCP sockets — the executable, measurable
-// counterpart of both the in-process goroutine simulation (internal/ddp)
-// and the analytical multi-device model (internal/dist, the paper's
-// Section 5). Rank 0 hosts the rendezvous; workers dial in, exchange a
-// rank/world handshake, and build a ring of persistent length-prefixed
-// byte streams. Gradients are coalesced into fixed-size buckets and
-// ring-all-reduced (reduce-scatter + all-gather, the same chunk math as
-// ddp.RingAllReduce); with overlap enabled, each bucket's AllReduce
+// counterpart of the analytical multi-device model (internal/dist, the
+// paper's Section 5). Rank 0 hosts the rendezvous; workers dial in,
+// exchange a rank/world handshake, and build a ring of persistent
+// length-prefixed byte streams. Gradients are coalesced into fixed-size
+// buckets and ring-all-reduced (reduce-scatter + all-gather over chunks
+// [c·n/D, (c+1)·n/D)); with overlap enabled, each bucket's AllReduce
 // launches the moment its last gradient is produced during backward, so
 // only communication that outlives backprop is exposed — the D2 bar of
-// the paper's Fig. 11, measured instead of modeled.
+// the paper's Fig. 11, measured instead of modeled. The same ring runs
+// Megatron tensor slicing (SlicedLayer, Fig. 10): one rank per shard,
+// four AllReduces per layer.
 package distnet
 
 import (
@@ -46,6 +47,7 @@ const (
 	tagBarrier = 0xC0000003
 	tagClock   = 0xC0000004 // clock-offset ping-pong (worker t1 -> rank 0 t2)
 	tagShard   = 0xC0000005 // worker -> rank 0: JSON trace shard at end of run
+	tagSlice   = 0xE0000000 // tensor-sliced layer collectives: tagSlice+0..3
 	tagProbe   = 0xF0000000 // probe collectives: tagProbe+i
 )
 
@@ -205,9 +207,8 @@ func (c *conn) readPayload(nb uint32) ([]byte, error) {
 func (c *conn) close() error { return c.c.Close() }
 
 // decodeSum adds the frame payload element-wise into dst (the
-// reduce-scatter accumulate: dst[i] += recv[i], matching
-// ddp.Ring.runRank so world=2 results are bit-identical to the
-// in-process trainer).
+// reduce-scatter accumulate: dst[i] += recv[i], the local partial plus
+// the one arriving from the ring predecessor).
 func decodeSum(dst []float32, payload []byte) {
 	for i := range dst {
 		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))

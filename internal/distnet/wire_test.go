@@ -1,6 +1,7 @@
 package distnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -91,4 +92,54 @@ func TestJoinRefusesOversizedHello(t *testing.T) {
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("Join took %v to refuse the hello", d)
 	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to both frame readers through a
+// net.Pipe. Either the read fails — a *frameSizeError or a short stream —
+// or it returns exactly the payload the header declared. It never panics,
+// and the scratch never grows past what the receiver agreed to accept.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(tag, seq, declared uint32, payload []byte) []byte {
+		b := make([]byte, frameHeaderBytes, frameHeaderBytes+len(payload))
+		binary.LittleEndian.PutUint32(b[0:], tag)
+		binary.LittleEndian.PutUint32(b[4:], seq)
+		binary.LittleEndian.PutUint32(b[8:], declared)
+		return append(b, payload...)
+	}
+	f.Add(frame(7, 3, 16, make([]byte, 16)), uint32(7), uint32(3), uint16(4), false)         // valid data frame
+	f.Add(frame(tagTable, 0, 5, []byte("table")), uint32(0), uint32(0), uint16(0), true)     // valid control frame
+	f.Add(frame(7, 3, 1<<30, nil), uint32(7), uint32(3), uint16(4), false)                   // oversize data frame
+	f.Add(frame(tagHello, 0, 1<<30, []byte("x")), uint32(0), uint32(0), uint16(0), true)     // oversize control frame
+	f.Add(frame(7, 3, 16, make([]byte, 5)), uint32(7), uint32(3), uint16(4), false)          // truncated payload
+	f.Add(frame(tagShard, 1, 900, make([]byte, 300)), uint32(0), uint32(0), uint16(0), true) // truncated control frame
+	f.Fuzz(func(t *testing.T, stream []byte, tag, seq uint32, elems uint16, anyTag bool) {
+		peer, local := net.Pipe()
+		defer peer.Close()
+		defer local.Close() // unblocks the writer if the reader stopped early
+		go func() {
+			peer.Write(stream)
+			peer.Close()
+		}()
+		c := newConn(local, time.Second)
+		var payload []byte
+		var err error
+		bound := 4 * int(elems)
+		if anyTag {
+			bound = 1 << 12
+			payload, _, _, err = c.readAny(bound)
+		} else {
+			payload, err = c.readFrame(tag, seq, int(elems))
+		}
+		if cap(c.buf) > bound {
+			t.Fatalf("scratch grew to %d bytes, receiver accepts at most %d", cap(c.buf), bound)
+		}
+		if err != nil {
+			return
+		}
+		declared := int(binary.LittleEndian.Uint32(stream[8:]))
+		if len(payload) != declared || !bytes.Equal(payload, stream[frameHeaderBytes:frameHeaderBytes+declared]) {
+			t.Fatalf("read %d bytes %x, header declared %d bytes %x", len(payload), payload,
+				declared, stream[frameHeaderBytes:])
+		}
+	})
 }

@@ -62,8 +62,8 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 func (p *Param) Gen() uint64 { return p.gen.Load() }
 
 // BumpGen records a mutation of Value, invalidating any cached packs.
-// Safe for concurrent use (ddp replicas step their optimizers
-// concurrently).
+// Safe for concurrent use (loopback ranks in one process step their
+// optimizers concurrently).
 func (p *Param) BumpGen() { p.gen.Add(1) }
 
 // Packed returns Value as the B operand of kernels.GEMMPacked (op(B) is

@@ -24,8 +24,8 @@ go build ./...
 echo "== go test -race (kernels, tensor, obs, profile, trace)"
 go test -race ./internal/kernels/ ./internal/tensor/ ./internal/obs/ ./internal/profile/ ./internal/trace/
 
-echo "== go test -race -short (nn, model, optim, ddp, distnet, memscale, audit, serve, runutil — reduced scale)"
-go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/ddp/ ./internal/distnet/ ./internal/memscale/ ./internal/audit/ ./internal/serve/ ./internal/runutil/
+echo "== go test -race -short (nn, model, optim, distnet, memscale, audit, serve, runutil, cmd/bertdist's forked-worker launcher — reduced scale)"
+go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/distnet/ ./internal/memscale/ ./internal/audit/ ./internal/serve/ ./internal/runutil/ ./cmd/bertdist/
 
 echo "== GOMAXPROCS=1 leg (kernels, optim, distnet, serve, model, nn: nothing may depend on the core count; a polling worker, a join or a FIFO runner that forgot to yield hangs here)"
 GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/ ./internal/serve/ ./internal/model/ ./internal/nn/
