@@ -14,84 +14,102 @@ import (
 // reference the parity tests pin every rank's result to, bit for bit.
 //
 // tag identifies this collective; every rank must issue the same
-// sequence of (tag, len) collectives. Send and receive proceed
-// concurrently (an ephemeral goroutine pushes the outbound chunk while
-// the caller blocks on the inbound one) — with large chunks a
-// send-then-receive lockstep would deadlock once both directions' kernel
-// socket buffers fill.
-func (g *Group) AllReduce(tag uint32, buf []float32) error {
+// sequence of (tag, len) collectives.
+func (g *Group) AllReduce(tag uint32, buf []float32) error { return g.allReduce(tag, buf, 1) }
+
+// allReduce is AllReduce with each chunk's owner computing
+// float32(acc+recv)·scale on its last reduce-scatter step, once; the
+// all-gather ships those bits. The trainer passes 1/world: the
+// data-parallel average the serial two-replica reference applies.
+func (g *Group) allReduce(tag uint32, buf []float32, scale float32) error {
 	if g.world == 1 {
 		return nil
 	}
-	if err := g.errNow(); err != nil {
-		return err
-	}
 	d, n := g.world, len(buf)
-	if cap(g.bounds) < d+1 {
-		g.bounds = make([]int, d+1)
+	for c := range g.bounds {
+		g.bounds[c] = c * n / d
 	}
-	bounds := g.bounds[:d+1]
-	for c := 0; c <= d; c++ {
-		bounds[c] = c * n / d
-	}
-	chunk := func(c int) []float32 {
-		c = ((c % d) + d) % d
-		return buf[bounds[c]:bounds[c+1]]
-	}
-
 	// Reduce-scatter: after step s, chunk(rank-s-1) holds the partial sum
 	// of s+2 ranks' contributions; after D-1 steps each rank owns one
-	// fully reduced chunk.
-	for s := 0; s < d-1; s++ {
-		seq := uint32(s)
-		out := chunk(g.rank - s)
-		in := chunk(g.rank - s - 1)
-		g.sendAsync(tag, seq, out)
-		payload, err := g.prev.readFrame(tag, seq, len(in))
-		if err != nil {
-			return g.collectFail(tag, countTimeout(deadlineReduce, err))
-		}
-		decodeSum(in, payload)
-		if err := <-g.sendErrCh; err != nil {
-			countTimeout(deadlineReduce, err)
-			return g.fail(fmt.Errorf("distnet: allreduce tag %#x send: %w", tag, err))
-		}
+	// fully reduced chunk, chunk(rank+1). All-gather circulates them.
+	if err := g.ring(tag, 0, buf, g.bounds, g.rank, scale); err != nil {
+		return err
 	}
-	// All-gather: circulate the reduced chunks.
-	for s := 0; s < d-1; s++ {
-		seq := uint32(d - 1 + s)
-		out := chunk(g.rank + 1 - s)
-		in := chunk(g.rank - s)
-		g.sendAsync(tag, seq, out)
-		payload, err := g.prev.readFrame(tag, seq, len(in))
-		if err != nil {
-			return g.collectFail(tag, countTimeout(deadlineGather, err))
-		}
-		decodeCopy(in, payload)
-		if err := <-g.sendErrCh; err != nil {
-			countTimeout(deadlineGather, err)
-			return g.fail(fmt.Errorf("distnet: allreduce tag %#x send: %w", tag, err))
-		}
+	if err := g.ring(tag, uint32(d-1), buf, g.bounds, g.rank+1, 0); err != nil {
+		return err
 	}
 	allreducesTotal.Inc()
 	return nil
 }
 
-// sendAsync ships one chunk to the ring successor without blocking the
-// caller. Exactly one send is in flight per Group; the result is always
-// collected from sendErrCh before the next send starts (or before
-// returning on a receive error), so the goroutine can never leak and the
-// chunk it encodes is never concurrently mutated.
-func (g *Group) sendAsync(tag, seq uint32, data []float32) {
-	go func() { g.sendErrCh <- g.next.writeFrame(tag, seq, data) }()
+// ring runs the D-1 steps of one ring phase over buf's chunks, the ring
+// loop of every collective. Step s (seq0+s) hands chunk(first-s) to the
+// sender goroutine while receiving chunk(first-s-1) (conn.readData):
+// scale 0 copies it in (all-gather), else it is summed in with the final
+// step times scale (reduce-scatter). Send and receive overlap — a lockstep
+// deadlocks once both directions' socket buffers fill — and each send is
+// reaped before its step ends, so buf comes back with no write in flight.
+func (g *Group) ring(tag, seq0 uint32, buf []float32, bounds []int, first int, scale float32) error {
+	if err := g.errNow(); err != nil {
+		return err
+	}
+	phase, deadline := "reduce-scatter", deadlineReduce
+	if scale == 0 {
+		phase, deadline = "all-gather", deadlineGather
+	}
+	d := g.world
+	chunk := func(c int) []float32 {
+		c = ((c % d) + d) % d
+		return buf[bounds[c]:bounds[c+1]]
+	}
+	for s := 0; s < d-1; s++ {
+		seq, sc := seq0+uint32(s), scale
+		if sc != 0 && s < d-2 {
+			sc = 1 // plain sums until the chunk owner's final step
+		}
+		g.sends <- sendReq{tag, seq, chunk(first - s)}
+		if err := g.prev.readData(tag, seq, chunk(first-s-1), sc); err != nil {
+			// fail closes the conns, so the in-flight send unblocks promptly.
+			err = g.fail(fmt.Errorf("distnet: %s tag %#x seq %d recv: %w", phase, tag, seq, countTimeout(deadline, err)))
+			g.reap()
+			return err
+		}
+		if err := g.reap(); err != nil {
+			return g.fail(fmt.Errorf("distnet: %s tag %#x seq %d send: %w", phase, tag, seq, countTimeout(deadline, err)))
+		}
+	}
+	return nil
 }
 
-// collectFail tears the group down after a receive error and reaps the
-// in-flight send (which unblocks promptly because fail closed its conn).
-func (g *Group) collectFail(tag uint32, err error) error {
-	err = g.fail(fmt.Errorf("distnet: allreduce tag %#x recv: %w", tag, err))
-	<-g.sendErrCh
-	return err
+// sendReq is one data frame for the sender goroutine.
+type sendReq struct {
+	tag, seq uint32
+	data     []float32
+}
+
+// sender is the group's one long-lived send goroutine, started by Join
+// and stopped by Close or fail: at most one data frame in flight to the
+// ring successor, its result reported on sendErr.
+func (g *Group) sender() {
+	defer close(g.senderDone)
+	for {
+		select {
+		case r := <-g.sends:
+			g.sendErr <- g.next.writeRaw(r.tag, r.seq, g.next.wireBytes(r.data))
+		case <-g.quit:
+			return
+		}
+	}
+}
+
+// reap waits for the in-flight send's result; an exited sender has none.
+func (g *Group) reap() error {
+	select {
+	case err := <-g.sendErr:
+		return err
+	case <-g.senderDone:
+		return errClosed
+	}
 }
 
 // ProbeLink measures the effective ring link by timing two collectives:

@@ -1,6 +1,9 @@
 package distnet
 
-import "demystbert/internal/nn"
+import (
+	"demystbert/internal/nn"
+	"demystbert/internal/tensor"
+)
 
 // Bucket is one coalesced slice of the flat gradient buffer, covering a
 // contiguous run of parameters from the backward-ready ordering. It is
@@ -12,10 +15,11 @@ type Bucket struct {
 	// the bucket may launch once this group's grads are final
 }
 
-// Plan owns the flat gradient staging buffer and its partition into
-// buckets. Buckets follow the backward production order (MLM/NSP heads
-// first, then layers top-down, embedding last), so with overlap enabled
-// early buckets ship while later layers are still computing.
+// Plan owns the flat gradient buffer and its partition into buckets; a
+// Trainer at world > 1 makes every parameter's gradient a view into it
+// (bindGrads). Buckets follow the backward production order (MLM/NSP
+// heads first, then layers top-down, embedding last), so with overlap
+// enabled early buckets ship while later layers are still computing.
 type Plan struct {
 	Flat []float32
 	List []Bucket
@@ -65,27 +69,21 @@ func (p *Plan) Elems() int { return len(p.Flat) }
 // Slice returns the bucket's window of the flat buffer.
 func (p *Plan) Slice(b *Bucket) []float32 { return p.Flat[b.Off : b.Off+b.Len] }
 
-// Gather copies the bucket's parameter gradients into its flat window.
-func (p *Plan) Gather(b *Bucket) {
-	off := b.Off
-	for _, prm := range b.Params {
-		off += copy(p.Flat[off:], prm.Grad.Data())
-	}
-}
-
-// ScatterScale writes the reduced flat window back into the parameter
-// gradients, scaled by scale (1/world: the data-parallel average). The
-// per-element expression is sum·(1/world), the one the serial two-replica
-// reference uses, keeping world=2 training bit-identical to it.
-func (p *Plan) ScatterScale(b *Bucket, scale float32) {
-	off := b.Off
-	for _, prm := range b.Params {
-		g := prm.Grad.Data()
-		src := p.Flat[off : off+len(g)]
-		for j := range g {
-			g[j] = src[j] * scale
+// bindGrads makes every bucketed parameter's gradient a view of its
+// window of Flat, carrying over the values it holds: backward then writes
+// straight into the buffer the ring all-reduces, and the reduced, averaged
+// values land where the optimizer reads them. Each view's capacity ends
+// at its own window.
+func (p *Plan) bindGrads() {
+	for i := range p.List {
+		off := p.List[i].Off
+		for _, prm := range p.List[i].Params {
+			n := prm.Size()
+			view := p.Flat[off : off+n : off+n]
+			copy(view, prm.Grad.Data())
+			prm.Grad = tensor.Of(view, prm.Grad.Shape()...)
+			off += n
 		}
-		off += len(g)
 	}
 }
 

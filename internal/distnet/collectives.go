@@ -10,10 +10,8 @@ import "fmt"
 // would split a tensor between two owners.
 //
 // bounds must have world+1 non-decreasing entries with bounds[0] == 0 and
-// bounds[world] == len(buf), identical on every rank. Both collectives
-// run D-1 ring steps with the same send/receive discipline as AllReduce
-// (concurrent send and receive per step; one collective in flight per
-// Group; errors tear the group down).
+// bounds[world] == len(buf), identical on every rank. Both run on
+// AllReduce's ring loop (Group.ring) as plain sums and copies.
 
 // checkBounds validates a caller-supplied chunk partition.
 func (g *Group) checkBounds(buf []float32, bounds []int) error {
@@ -40,36 +38,13 @@ func (g *Group) ReduceScatter(tag uint32, buf []float32, bounds []int) error {
 	if g.world == 1 {
 		return nil
 	}
-	if err := g.errNow(); err != nil {
-		return err
-	}
 	if err := g.checkBounds(buf, bounds); err != nil {
 		return err
-	}
-	d := g.world
-	chunk := func(c int) []float32 {
-		c = ((c % d) + d) % d
-		return buf[bounds[c]:bounds[c+1]]
 	}
 	// Step s sends the chunk reduced in step s-1 and folds the incoming
 	// partial into the next one down the ring; after D-1 steps the chunk
 	// that has visited every rank — chunk(rank) — rests here.
-	for s := 0; s < d-1; s++ {
-		seq := uint32(s)
-		out := chunk(g.rank - s - 1)
-		in := chunk(g.rank - s - 2)
-		g.sendAsync(tag, seq, out)
-		payload, err := g.prev.readFrame(tag, seq, len(in))
-		if err != nil {
-			return g.collectFail(tag, countTimeout(deadlineReduce, err))
-		}
-		decodeSum(in, payload)
-		if err := <-g.sendErrCh; err != nil {
-			countTimeout(deadlineReduce, err)
-			return g.fail(fmt.Errorf("distnet: reducescatter tag %#x send: %w", tag, err))
-		}
-	}
-	return nil
+	return g.ring(tag, 0, buf, bounds, g.rank-1, 1)
 }
 
 // AllGather circulates each rank's own chunk — buf[bounds[rank]:
@@ -80,34 +55,11 @@ func (g *Group) AllGather(tag uint32, buf []float32, bounds []int) error {
 	if g.world == 1 {
 		return nil
 	}
-	if err := g.errNow(); err != nil {
-		return err
-	}
 	if err := g.checkBounds(buf, bounds); err != nil {
 		return err
-	}
-	d := g.world
-	chunk := func(c int) []float32 {
-		c = ((c % d) + d) % d
-		return buf[bounds[c]:bounds[c+1]]
 	}
 	// Step s forwards the chunk received in step s-1 (step 0 sends our
 	// own); after D-1 steps chunks rank, rank-1, …, rank-(D-1) have all
 	// arrived — the full set.
-	for s := 0; s < d-1; s++ {
-		seq := uint32(s)
-		out := chunk(g.rank - s)
-		in := chunk(g.rank - s - 1)
-		g.sendAsync(tag, seq, out)
-		payload, err := g.prev.readFrame(tag, seq, len(in))
-		if err != nil {
-			return g.collectFail(tag, countTimeout(deadlineGather, err))
-		}
-		decodeCopy(in, payload)
-		if err := <-g.sendErrCh; err != nil {
-			countTimeout(deadlineGather, err)
-			return g.fail(fmt.Errorf("distnet: allgather tag %#x send: %w", tag, err))
-		}
-	}
-	return nil
+	return g.ring(tag, 0, buf, bounds, g.rank, 0)
 }

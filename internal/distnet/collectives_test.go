@@ -139,6 +139,63 @@ func TestReduceScatterAllGatherComposesToAllReduce(t *testing.T) {
 	}
 }
 
+// TestCollectivesAllocFree: a steady-state collective at world 2
+// allocates nothing — no goroutine per frame, no encode buffer, no
+// growing receive scratch. testing.AllocsPerRun reads the process-wide
+// malloc count, so the peer rank's allocations count too; it runs on a
+// long-lived goroutine driven over channels, which allocate nothing.
+func TestCollectivesAllocFree(t *testing.T) {
+	groups := joinWorld(t, 2, 10*time.Second)
+	const n = 3 * pieceElems // several receive pieces per chunk
+	bounds := unevenBounds(2, n)
+	bufs := [][]float32{make([]float32, n), make([]float32, n)}
+	ops := []struct {
+		name string
+		op   func(g *Group) error
+	}{
+		{"AllReduce", func(g *Group) error { return g.AllReduce(1, bufs[g.Rank()]) }},
+		{"averaging allReduce", func(g *Group) error { return g.allReduce(2, bufs[g.Rank()], 0.5) }},
+		{"ReduceScatter", func(g *Group) error { return g.ReduceScatter(3, bufs[g.Rank()], bounds) }},
+		{"AllGather", func(g *Group) error { return g.AllGather(4, bufs[g.Rank()], bounds) }},
+	}
+	for _, o := range ops {
+		start, done := make(chan struct{}), make(chan error)
+		go func() {
+			for range start {
+				done <- o.op(groups[1])
+			}
+		}()
+		run := func() {
+			start <- struct{}{}
+			err := o.op(groups[0])
+			if peerErr := <-done; err == nil {
+				err = peerErr
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", o.name, err)
+			}
+		}
+		run() // the receive scratch grows here, once
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s: %v allocations per collective at world 2, want 0", o.name, allocs)
+		}
+		close(start)
+	}
+}
+
+// Close returns only once the group's sender goroutine has exited: none
+// outlives its group.
+func TestCloseStopsSender(t *testing.T) {
+	for _, g := range joinWorld(t, 2, 5*time.Second) {
+		g.Close()
+		select {
+		case <-g.senderDone:
+		default:
+			t.Fatalf("rank %d: Close returned with the sender still running", g.Rank())
+		}
+	}
+}
+
 func TestCollectivesRejectBadBounds(t *testing.T) {
 	groups := joinWorld(t, 2, 5*time.Second)
 	buf := make([]float32, 10)

@@ -123,6 +123,93 @@ func TestAllReduceMatchesInProcessRing(t *testing.T) {
 	}
 }
 
+// The trainer's averaging all-reduce leaves every rank holding
+// ringOrderSum·(1/d), bit for bit: each chunk's owner scales its final sum
+// once and the all-gather ships those bits — what scaling the plain sum on
+// every rank afterwards computed.
+func TestAveragedAllReduceMatchesRingOrderSum(t *testing.T) {
+	rng := tensor.NewRNG(13)
+	for _, world := range []int{2, 3, 4} {
+		for _, n := range []int{0, 1, 7, 1000, 4096} {
+			groups := joinWorld(t, world, 10*time.Second)
+			bufs := make([][]float32, world)
+			for r := range bufs {
+				bufs[r] = make([]float32, n)
+				for j := range bufs[r] {
+					bufs[r][j] = rng.NormFloat32()
+				}
+			}
+			sum := ringOrderSum(bufs)
+			inv := 1 / float32(world)
+			runCollective(t, groups, func(g *Group) error { return g.allReduce(42, bufs[g.Rank()], inv) })
+			for r := range bufs {
+				for j := range bufs[r] {
+					if want := sum[j] * inv; math.Float32bits(bufs[r][j]) != math.Float32bits(want) {
+						t.Fatalf("world=%d n=%d rank %d elem %d: averaged all-reduce %v, ring-order sum·(1/%d) %v",
+							world, n, r, j, bufs[r][j], world, want)
+					}
+				}
+			}
+			for _, g := range groups {
+				g.Close()
+			}
+		}
+	}
+}
+
+// At world ≥ 2 NewTrainer makes every gradient a view of the bucket
+// buffer at its offset — values carried over, capacity ending at its own
+// window — so ZeroGrads clears the whole buffer. At world 1 the gradients
+// are left alone.
+func TestTrainerGradsAliasBuckets(t *testing.T) {
+	for _, world := range []int{1, 2} {
+		m, err := model.New(model.Tiny(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(5)
+		prior, grads := map[*nn.Param]*tensor.Tensor{}, map[*nn.Param]*tensor.Tensor{}
+		for _, p := range m.Params() {
+			p.Grad.FillUniform(rng, -1, 1)
+			prior[p], grads[p] = p.Grad.Clone(), p.Grad
+		}
+		tr := NewTrainer(joinWorld(t, world, 10*time.Second)[0], m, 7, 32*1024, true, 0.01)
+		if world == 1 {
+			for _, p := range m.Params() {
+				if p.Grad != grads[p] {
+					t.Fatalf("world 1: %s's Grad was rebound", p.Name)
+				}
+			}
+			continue
+		}
+		flat := tr.Plan().Flat
+		for _, b := range tr.Plan().List {
+			off := b.Off
+			for _, p := range b.Params {
+				g := p.Grad.Data()
+				if len(g) != p.Size() || cap(g) != len(g) || &g[0] != &flat[off] {
+					t.Fatalf("%s: Grad (len %d cap %d) is not flat[%d:%d]", p.Name, len(g), cap(g), off, off+p.Size())
+				}
+				if !tensor.SameShape(p.Grad, p.Value) {
+					t.Fatalf("%s: Grad shape %v, Value shape %v", p.Name, p.Grad.Shape(), p.Value.Shape())
+				}
+				for j, v := range prior[p].Data() {
+					if math.Float32bits(g[j]) != math.Float32bits(v) {
+						t.Fatalf("%s[%d]: %v after binding, %v before", p.Name, j, g[j], v)
+					}
+				}
+				off += p.Size()
+			}
+		}
+		m.ZeroGrads()
+		for i, v := range flat {
+			if v != 0 {
+				t.Fatalf("flat[%d] = %v after ZeroGrads", i, v)
+			}
+		}
+	}
+}
+
 func TestAllReduceReusesGroupAcrossCollectives(t *testing.T) {
 	groups := joinWorld(t, 2, 10*time.Second)
 	for round := 0; round < 5; round++ {

@@ -48,8 +48,11 @@ type Group struct {
 	ctrl       *conn   // workers: stream to rank 0
 	ctrls      []*conn // rank 0: stream per worker, index rank-1
 
-	sendErrCh chan error
-	bounds    []int // chunk-boundary scratch, reused across AllReduces
+	sends      chan sendReq  // to the sender goroutine (allreduce.go)
+	sendErr    chan error    // the sender's result for each send
+	quit       chan struct{} // closed by Close and fail: the sender exits
+	senderDone chan struct{} // made when Join starts the sender, closed when it exits
+	bounds     []int         // AllReduce's chunk bounds, world+1 entries
 
 	mu     sync.Mutex
 	err    error
@@ -79,10 +82,13 @@ func Join(cfg Config) (*Group, error) {
 		timeout = DefaultTimeout
 	}
 	g := &Group{
-		rank:      cfg.Rank,
-		world:     cfg.World,
-		timeout:   timeout,
-		sendErrCh: make(chan error, 1),
+		rank:    cfg.Rank,
+		world:   cfg.World,
+		timeout: timeout,
+		sends:   make(chan sendReq, 1),
+		sendErr: make(chan error, 1),
+		quit:    make(chan struct{}),
+		bounds:  make([]int, cfg.World+1),
 	}
 	if cfg.World == 1 {
 		if cfg.Listener != nil {
@@ -101,6 +107,8 @@ func Join(cfg Config) (*Group, error) {
 		g.Close()
 		return nil, err
 	}
+	g.senderDone = make(chan struct{})
+	go g.sender()
 	return g, nil
 }
 
@@ -304,10 +312,12 @@ func (g *Group) errNow() error {
 		return g.err
 	}
 	if g.closed {
-		return errors.New("distnet: group closed")
+		return errClosed
 	}
 	return nil
 }
+
+var errClosed = errors.New("distnet: group closed")
 
 // fail records the first error and tears the group down so every
 // in-flight and future operation — here and at blocked peers — returns
@@ -322,25 +332,29 @@ func (g *Group) fail(err error) error {
 	g.closed = true
 	g.mu.Unlock()
 	if !alreadyClosed {
-		g.closeConns()
+		g.teardown()
 	}
 	return err
 }
 
-// Close tears down every stream. Idempotent; safe to call concurrently
-// with a blocked collective, which will return an error.
+// Close tears down every stream and waits for the sender to exit.
+// Idempotent; safe to call concurrently with a blocked collective.
 func (g *Group) Close() error {
 	g.mu.Lock()
 	alreadyClosed := g.closed
 	g.closed = true
 	g.mu.Unlock()
 	if !alreadyClosed {
-		g.closeConns()
+		g.teardown()
+	}
+	if g.senderDone != nil { // nil: world 1, or Join failed
+		<-g.senderDone
 	}
 	return nil
 }
 
-func (g *Group) closeConns() {
+func (g *Group) teardown() {
+	close(g.quit)
 	for _, c := range []*conn{g.next, g.prev, g.ctrl} {
 		if c != nil {
 			c.close()

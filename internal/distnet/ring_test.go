@@ -1,7 +1,10 @@
 package distnet
 
 import (
+	"io"
 	"math"
+	"net"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -200,4 +203,98 @@ func TestTrainerLossDecreases(t *testing.T) {
 	if last >= first {
 		t.Fatalf("DP training loss did not fall: %v -> %v", first, last)
 	}
+}
+
+// BenchmarkBucketAllReduce times one dist_w2 step's gradient exchange with
+// no compute running: every 128 KiB bucket of bench's mid4 model (4
+// layers, d=256, vocab 8192) all-reduced and averaged over a world-2
+// loopback ring in Trainer.commLoop's order ("ring"), against the raw
+// TCP floor ("tcp"): the same bytes per rank streamed each way over one
+// loopback socket pair, with no framing, lockstep, fold or copy.
+//
+//	go test -run xxx -bench BucketAllReduce -benchtime 50x ./internal/distnet/
+func BenchmarkBucketAllReduce(b *testing.B) {
+	m, err := model.New(model.Config{Vocab: 8192, MaxPos: 128, NumLayers: 4, DModel: 256, Heads: 4, DFF: 1024}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := PlanBuckets(m.GradGroups(), 128<<10)
+	// each runs f concurrently once per index and fails b on any error.
+	each := func(b *testing.B, n int, f func(i int) error) {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i := range errs {
+			wg.Add(1)
+			go func() { defer wg.Done(); errs[i] = f(i) }()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("ring", func(b *testing.B) {
+		groups, err := JoinLoopback(2, 30*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer func() {
+			for _, g := range groups {
+				g.Close()
+			}
+		}()
+		flats := [][]float32{make([]float32, plan.Elems()), make([]float32, plan.Elems())}
+		b.SetBytes(4 * int64(plan.Elems()))
+		for i := 0; i < b.N; i++ {
+			each(b, 2, func(r int) error {
+				for k, bk := range plan.List {
+					if err := groups[r].allReduce(uint32(k), flats[r][bk.Off:bk.Off+bk.Len], 0.5); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	})
+	b.Run("tcp", func(b *testing.B) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer ln.Close()
+		c0, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c0.Close()
+		c1, err := ln.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c1.Close()
+		ends := []net.Conn{c0, c1, c1, c0} // writer, reader per direction
+		bufs := make([][]byte, 4)
+		for i := range bufs {
+			bufs[i] = make([]byte, 4*plan.Elems())
+		}
+		b.SetBytes(4 * int64(plan.Elems()))
+		for i := 0; i < b.N; i++ {
+			each(b, 4, func(e int) error {
+				for _, bk := range plan.List {
+					chunk := bufs[e][4*bk.Off : 4*(bk.Off+bk.Len)]
+					var err error
+					if e%2 == 0 {
+						_, err = ends[e].Write(chunk)
+					} else {
+						_, err = io.ReadFull(ends[e], chunk)
+					}
+					if err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+	})
 }

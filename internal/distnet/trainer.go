@@ -101,8 +101,9 @@ type Result struct {
 }
 
 // Trainer runs one rank of multi-process data-parallel training:
-// local forward/backward, bucketed ring all-reduce of gradients (overlapped
-// with backward when enabled), averaged scatter-back, identical LAMB step.
+// local forward/backward into gradients that are views of the bucket
+// buffer, a bucketed, averaging ring all-reduce of them in place
+// (overlapped with backward when enabled), identical LAMB step.
 type Trainer struct {
 	G   *Group
 	M   *model.BERT
@@ -147,7 +148,8 @@ type commStats struct {
 }
 
 // NewTrainer wires a joined group to a model. The model's GradHook is
-// claimed by the trainer.
+// claimed by the trainer, and at world > 1 every parameter's Grad is
+// rebound to a view of the bucket buffer, values carried over.
 func NewTrainer(g *Group, m *model.BERT, seed uint64, bucketBytes int, overlap bool, lr float32) *Trainer {
 	t := &Trainer{
 		G: g,
@@ -163,6 +165,9 @@ func NewTrainer(g *Group, m *model.BERT, seed uint64, bucketBytes int, overlap b
 		plan:    PlanBuckets(m.GradGroups(), bucketBytes),
 		overlap: overlap && g.World() > 1,
 		inv:     1 / float32(g.World()),
+	}
+	if g.World() > 1 {
+		t.plan.bindGrads()
 	}
 	t.groupReadyAt = make([]time.Duration, len(m.GradGroups()))
 	m.GradHook = t.onGradGroup
@@ -196,29 +201,27 @@ func (t *Trainer) bucketTag(idx int) uint32 {
 	return (uint32(t.step)*uint32(len(t.plan.List)) + uint32(idx)) & 0x00FFFFFF
 }
 
-// commLoop drains ready bucket indices, all-reducing and averaging each:
-// the one bucket loop of both modes, so overlapped and sequential runs
-// issue the same tagged collectives in the same order (the bitwise
-// "overlap vs sequential" contract). Overlapped, it runs concurrently with
-// Backward on t.ready; the channel send in onGradGroup establishes the
-// happens-before edge from the gradient writes.
+// commLoop drains ready bucket indices, all-reducing and averaging each
+// in place (the gradients are views of it): the one bucket loop of both
+// modes, so overlapped and sequential runs issue the same tagged
+// collectives in the same order (the bitwise "overlap vs sequential"
+// contract). Overlapped, it runs concurrently with Backward on t.ready;
+// the channel send in onGradGroup establishes the happens-before edge
+// from the gradient writes, which never touch a released bucket again.
 func (t *Trainer) commLoop(ready <-chan int) commStats {
 	var cs commStats
 	for idx := range ready {
 		if cs.err != nil {
 			continue // group already failed; just drain
 		}
-		b := &t.plan.List[idx]
-		t.plan.Gather(b)
 		c0 := time.Now()
-		if err := t.G.AllReduce(t.bucketTag(idx), t.plan.Slice(b)); err != nil {
+		if err := t.G.allReduce(t.bucketTag(idx), t.plan.Slice(&t.plan.List[idx]), t.inv); err != nil {
 			cs.err = err
 			continue
 		}
 		d := time.Since(c0)
 		cs.comm += d
 		t.recordComm(idx, c0, d)
-		t.plan.ScatterScale(b, t.inv)
 		bucketsReduced.Inc()
 	}
 	return cs

@@ -18,22 +18,24 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"time"
+	"unsafe"
 )
 
 // Wire protocol constants. Every message is a frame:
 //
 //	[tag u32][seq u32][len u32][len payload bytes]   (little-endian)
 //
-// Data frames carry float32 chunks; control messages (handshake,
-// address table, barrier) use the same framing with string or u32-list
-// payloads. Tag identifies the collective (bucket id, probe, barrier),
-// seq the ring step within it — both are verified on receive, so a
-// desynchronized peer surfaces as a protocol error instead of silently
-// corrupted gradients. len is verified too, against what the receiver
-// expects and before a byte of payload is buffered (see maxCtrlFrame).
+// Data frames carry float32 chunks as their little-endian bits — on a
+// little-endian host, the chunk's memory itself (wire_le.go); control
+// messages (handshake, address table, barrier) use the same framing with
+// string or u32-list payloads. Tag identifies the collective (bucket id,
+// probe, barrier), seq the ring step within it — both are verified on
+// receive, so a desynchronized peer surfaces as a protocol error instead
+// of silently corrupted gradients. len is verified too, against what the
+// receiver expects and before a byte of payload is read (see
+// maxCtrlFrame).
 const (
 	protoVersion = 1
 
@@ -51,20 +53,25 @@ const (
 	tagProbe   = 0xF0000000 // probe collectives: tagProbe+i
 )
 
-// conn wraps one persistent TCP stream with buffered framing, a reused
-// payload scratch, and a per-operation I/O deadline, so a wedged or dead
-// peer always surfaces as an error within the deadline instead of a
-// hung worker.
+// conn wraps one persistent TCP stream with framing, reused scratches,
+// and a per-operation I/O deadline, so a wedged or dead peer always
+// surfaces as an error within the deadline instead of a hung worker.
 type conn struct {
 	c       net.Conn
 	br      *bufio.Reader
-	bw      *bufio.Writer
 	timeout time.Duration
 	hdr     [frameHeaderBytes]byte
-	buf     []byte // payload scratch, grown on demand
+	iov     [2][]byte   // header and payload of the frame being written
+	vec     net.Buffers // iov as handed to the vectored write
+	buf     []byte      // control-frame payload scratch, grown on demand
+	piece   []float32   // reduce-scatter receive scratch, at most pieceElems
 
 	bytesIn, bytesOut int64
 }
+
+// pieceElems bounds the reduce-scatter receive scratch: a summed frame is
+// read in pieces of at most 64 KiB, each folded in while still in cache.
+const pieceElems = 64 << 10 / 4
 
 func newConn(c net.Conn, timeout time.Duration) *conn {
 	if tc, ok := c.(*net.TCPConn); ok {
@@ -73,7 +80,6 @@ func newConn(c net.Conn, timeout time.Duration) *conn {
 	return &conn{
 		c:       c,
 		br:      bufio.NewReaderSize(c, 1<<16),
-		bw:      bufio.NewWriterSize(c, 1<<16),
 		timeout: timeout,
 	}
 }
@@ -85,18 +91,14 @@ func (c *conn) grow(n int) []byte {
 	return c.buf[:n]
 }
 
-// writeFrame sends one frame whose payload is the little-endian encoding
-// of data, using the reused scratch (zero steady-state allocations once
-// the scratch has grown to the largest chunk).
-func (c *conn) writeFrame(tag, seq uint32, data []float32) error {
-	nb := 4 * len(data)
-	buf := c.grow(nb)
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	return c.writeRaw(tag, seq, buf)
+// floatBytes views a float32 slice's memory as bytes.
+func floatBytes(f []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
 }
 
+// writeRaw sends one frame, header and payload in one vectored write. A
+// data frame's payload is wireBytes: on a little-endian host the float32
+// memory itself, with no encode step.
 func (c *conn) writeRaw(tag, seq uint32, payload []byte) error {
 	if err := c.c.SetWriteDeadline(time.Now().Add(c.timeout)); err != nil {
 		return err
@@ -104,13 +106,9 @@ func (c *conn) writeRaw(tag, seq uint32, payload []byte) error {
 	binary.LittleEndian.PutUint32(c.hdr[0:], tag)
 	binary.LittleEndian.PutUint32(c.hdr[4:], seq)
 	binary.LittleEndian.PutUint32(c.hdr[8:], uint32(len(payload)))
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := c.bw.Write(payload); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
+	c.iov = [2][]byte{c.hdr[:], payload}
+	c.vec = c.iov[:] // a field, so WriteTo's pointer receiver does not allocate
+	if _, err := c.vec.WriteTo(c.c); err != nil {
 		return err
 	}
 	n := int64(frameHeaderBytes + len(payload))
@@ -145,23 +143,73 @@ func (e *frameSizeError) Error() string {
 		e.tag, e.seq, e.announced, e.accepts)
 }
 
-// readFrame receives one frame, verifying tag, seq, and payload size —
-// all three against the header alone, before the payload is buffered.
-// The returned bytes alias the conn's scratch and are valid until the
-// next read.
-func (c *conn) readFrame(tag, seq uint32, elems int) ([]byte, error) {
+// expect reads the next header and verifies tag, seq, and a payload of
+// exactly 4·elems bytes, before a byte of payload is read.
+func (c *conn) expect(tag, seq uint32, elems int) error {
 	gotTag, gotSeq, nb, err := c.readHeader()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if gotTag != tag || gotSeq != seq {
-		return nil, fmt.Errorf("distnet: protocol desync: got frame tag %#x seq %d, want %#x seq %d",
+		return fmt.Errorf("distnet: protocol desync: got frame tag %#x seq %d, want %#x seq %d",
 			gotTag, gotSeq, tag, seq)
 	}
 	if int64(nb) != 4*int64(elems) {
-		return nil, &frameSizeError{tag, seq, nb, fmt.Sprint("exactly ", 4*elems)}
+		return &frameSizeError{tag, seq, nb, fmt.Sprint("exactly ", 4*elems)}
 	}
-	return c.readPayload(nb)
+	return nil
+}
+
+// readFrame receives one control frame of 4·elems bytes into the conn's
+// scratch, valid until the next read.
+func (c *conn) readFrame(tag, seq uint32, elems int) ([]byte, error) {
+	if err := c.expect(tag, seq, elems); err != nil {
+		return nil, err
+	}
+	return c.readPayload(uint32(4 * elems))
+}
+
+// readData receives one data frame into dst with no decode step. scale 0
+// reads the payload straight into dst's memory (the all-gather move);
+// otherwise pieces of at most pieceElems are folded in while still in
+// cache: dst[i] = float32(dst[i]+recv[i])·scale. A refused header leaves
+// dst untouched; after a later error dst is unspecified, and the caller
+// fails the group.
+func (c *conn) readData(tag, seq uint32, dst []float32, scale float32) error {
+	if err := c.expect(tag, seq, len(dst)); err != nil {
+		return err
+	}
+	if scale == 0 {
+		if err := readFloats(c.br, dst); err != nil {
+			return err
+		}
+	} else {
+		for rest := dst; len(rest) > 0; {
+			n := min(len(rest), pieceElems)
+			if cap(c.piece) < n {
+				c.piece = make([]float32, n)
+			}
+			if err := readFloats(c.br, c.piece[:n]); err != nil {
+				return err
+			}
+			fold(rest[:n], c.piece[:n], scale)
+			rest = rest[n:]
+		}
+	}
+	n := int64(frameHeaderBytes) + 4*int64(len(dst))
+	c.bytesIn += n
+	rxBytes.Add(n)
+	return nil
+}
+
+// fold is the reduce-scatter accumulate. A plain sum passes scale 1:
+// multiplying by 1 returns every value an addition can produce, NaN
+// payloads included, bit for bit.
+func fold(dst, recv []float32, scale float32) {
+	dst = dst[:len(recv)]
+	for i, v := range recv {
+		dst[i] = float32(dst[i]+v) * scale
+	}
 }
 
 // readAny receives the next frame whatever its tag (the handshake path,
@@ -205,20 +253,3 @@ func (c *conn) readPayload(nb uint32) ([]byte, error) {
 }
 
 func (c *conn) close() error { return c.c.Close() }
-
-// decodeSum adds the frame payload element-wise into dst (the
-// reduce-scatter accumulate: dst[i] += recv[i], the local partial plus
-// the one arriving from the ring predecessor).
-func decodeSum(dst []float32, payload []byte) {
-	for i := range dst {
-		dst[i] += math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-}
-
-// decodeCopy overwrites dst with the frame payload (the all-gather
-// move).
-func decodeCopy(dst []float32, payload []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:]))
-	}
-}

@@ -18,6 +18,9 @@ cd "$(dirname "$0")/.."
 echo "== go vet ./..."
 go vet ./...
 
+echo "== GOARCH=s390x go vet ./internal/distnet/ (the big-endian wire encode/decode in wire_be.go keeps compiling)"
+GOARCH=s390x go vet ./internal/distnet/
+
 echo "== go build ./..."
 go build ./...
 
@@ -33,8 +36,8 @@ GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ 
 echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim, model, serve: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps, GeLU/exp spans — end to end, ragged batch == alone and batched == serial included, which an AVX host otherwise never runs)"
 DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/ ./internal/model/ ./internal/serve/
 
-echo "== re-run leg (kernels, nn, model, optim, serve twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers — cannot pass by running first)"
-go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/
+echo "== re-run leg (kernels, nn, model, optim, serve, distnet twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers, a group's sender goroutine outliving its Close — cannot pass by running first)"
+go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/ ./internal/distnet/
 
 echo "== go test ./..."
 go test ./...
