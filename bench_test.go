@@ -880,8 +880,7 @@ func BenchmarkGEMMPaperSizes(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused GEMM epilogues and the int8 quantized path — Section 6.1's fusion
-// argument executed for real, plus the quantized-inference throughput row.
+// Fused GEMM epilogues — Section 6.1's fusion argument executed for real.
 
 // benchRealFFNEpilogue runs the full FFN block — FC1 + bias + GeLU, then
 // FC2 + bias + residual + LayerNorm — at a Table 2 shape (512 tokens of
@@ -951,53 +950,6 @@ func benchRealFFNEpilogue(b *testing.B, fused bool) {
 
 func BenchmarkRealFFNUnfusedTail(b *testing.B)   { benchRealFFNEpilogue(b, false) }
 func BenchmarkRealFFNFusedEpilogue(b *testing.B) { benchRealFFNEpilogue(b, true) }
-
-// BenchmarkGEMMInt8PaperSizes measures the int8 quantized engine against
-// the pre-packed f32 path on the Table 2 forward shapes whose B operand is
-// a weight (the only shapes the int8 path serves: nn.Linear forwards).
-// GFLOP/s counts the same 2mnk useful work for both so the rows compare
-// directly.
-func BenchmarkGEMMInt8PaperSizes(b *testing.B) {
-	shapes := []struct {
-		name    string
-		m, n, k int
-	}{
-		{"qkv_fwd_NT_512x1024x1024", 512, 1024, 1024},
-		{"fc1_fwd_NT_512x4096x1024", 512, 4096, 1024},
-		{"fc2_fwd_NT_512x1024x4096", 512, 1024, 4096},
-	}
-	for _, s := range shapes {
-		r := tensor.NewRNG(1)
-		x := make([]float32, s.m*s.k)
-		w := make([]float32, s.n*s.k)
-		c := make([]float32, s.m*s.n)
-		for i := range x {
-			x[i] = r.Float32() - 0.5
-		}
-		for i := range w {
-			w[i] = r.Float32() - 0.5
-		}
-		flopsPerOp := float64(2 * s.m * s.n * s.k)
-		b.Run(s.name+"/f32packed", func(b *testing.B) {
-			pb := kernels.PackWeight(true, s.n, s.k, w)
-			kernels.GEMMPacked(false, s.m, s.n, s.k, 1, x, pb, 0, c) // warm pools
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kernels.GEMMPacked(false, s.m, s.n, s.k, 1, x, pb, 0, c)
-			}
-			b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-		b.Run(s.name+"/int8", func(b *testing.B) {
-			pb := kernels.PackWeightInt8(true, s.n, s.k, w)
-			kernels.GEMMInt8(s.m, s.n, s.k, x, pb, nil, c) // warm pools
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				kernels.GEMMInt8(s.m, s.n, s.k, x, pb, nil, c)
-			}
-			b.ReportMetric(flopsPerOp*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
-	}
-}
 
 // Reworked bias kernels: AddBias dispatches flattened element ranges (so
 // short-and-wide activations still use the full pool) and BiasGrad sweeps

@@ -3,14 +3,13 @@
 // batches behind one FIFO — the serving-side counterpart of bertprof's
 // training characterization. It has two modes:
 //
-// Server (default): build the model, pre-pack every weight (f32 panels,
-// or int8 packs with -int8), and serve POST /v1/mlm (plus /healthz, /metrics,
-// /debug/pprof) until SIGINT/SIGTERM, which drains gracefully: HTTP
-// stops accepting, in-flight requests finish, every admitted request is
-// answered.
+// Server (default): build the model, pre-pack every weight, and serve
+// POST /v1/mlm (plus /healthz, /metrics, /debug/pprof) until
+// SIGINT/SIGTERM, which drains gracefully: HTTP stops accepting, in-flight
+// requests finish, every admitted request is answered.
 //
 //	bertserve -addr :8080 [-layers N] [-dmodel D] [-heads H] [-dff F]
-//	          [-vocab V] [-maxpos P] [-int8] [-max-batch 32]
+//	          [-vocab V] [-maxpos P] [-max-batch 32]
 //	          [-queue-cap 4096]
 //
 // Load generator: drive an already-running server (or error out) with
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	vocab := fs.Int("vocab", 1000, "vocabulary size")
 	maxpos := fs.Int("maxpos", 64, "maximum sequence length (position table size)")
 	seed := fs.Uint64("seed", 42, "deterministic weight seed")
-	useInt8 := fs.Bool("int8", false, "run Linear forwards on the int8 quantized engine instead of f32")
 
 	// Scheduler policy.
 	addr := fs.String("addr", "localhost:8080", "serve address (\":0\" picks a free port)")
@@ -88,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FusedAttention: true,
 	}
 	ecfg := serve.Config{
-		Model: mcfg, Seed: *seed, Int8: *useInt8,
+		Model: mcfg, Seed: *seed,
 		MaxBatch: *maxBatch, QueueCap: *queueCap,
 	}
 	if *traceSample > 0 {
@@ -142,8 +140,8 @@ func runServer(ecfg serve.Config, addr, traceOut string, stdout, stderr io.Write
 	sd.Defer("drain http", func() { srv.ShutdownTimeout(5 * time.Second) })
 
 	eff := engine.Config()
-	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (int8=%v, kernel=%s, max_len=%d, max_batch=%d, warmed %d packs)\n",
-		srv.Addr, eff.Int8, kernels.ActiveKernel(), eff.Model.MaxPos, eff.MaxBatch, engine.WarmedPacks)
+	fmt.Fprintf(stdout, "bertserve: serving on http://%s/v1/mlm (kernel=%s, max_len=%d, max_batch=%d, warmed %d packs)\n",
+		srv.Addr, kernels.ActiveKernel(), eff.Model.MaxPos, eff.MaxBatch, engine.WarmedPacks)
 	<-done // signal handler drains and exits the process
 	return 0
 }

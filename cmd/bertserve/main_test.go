@@ -21,6 +21,7 @@ func TestFlagErrors(t *testing.T) {
 		"removed bench mode":   {"-bench"},
 		"removed buckets":      {"-buckets", "8,16"},
 		"removed max delay":    {"-max-delay", "2ms"},
+		"removed int8":         {"-int8"},
 		"loadgen needs target": {"-loadgen"},
 	} {
 		if _, _, code := runCmd(t, args...); code != 2 {

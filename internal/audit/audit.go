@@ -1,9 +1,8 @@
 // Package audit is a differential correctness harness for the engine's
 // semantically-equivalent execution paths. The same math is implemented
-// many ways — naive vs blocked vs fused vs size-routed GEMM, int8 vs f32
-// Linear forwards, 1..N pool workers, FP32 vs mixed-precision storage,
-// stored vs checkpointed activations, fused vs unfused attention softmax —
-// and their mutual
+// many ways — naive vs blocked vs fused vs size-routed GEMM, 1..N pool
+// workers, FP32 vs mixed-precision storage, stored vs checkpointed
+// activations, fused vs unfused attention softmax — and their mutual
 // agreement was previously only spot-checked per kernel. The harness runs
 // whole modules (each nn layer, the full encoder block, BERT.Step,
 // FineTuner.Step) forward+backward through the cross-product of execution
@@ -36,9 +35,6 @@ type Mode struct {
 	// Path forces every GEMM entry point down one implementation
 	// (GEMMPathAuto: production's own per-call routing).
 	Path kernels.GEMMPath
-	// Int8 runs Linear forwards on the quantized engine (nn.Ctx.Int8);
-	// enumerated over auto routing only, the way serving runs it.
-	Int8 bool
 	// Workers is the kernel pool width (kernels.SetMaxWorkers).
 	Workers int
 	// MP enables mixed-precision activation storage (nn.Ctx.MixedPrecision).
@@ -52,12 +48,8 @@ type Mode struct {
 }
 
 func (m Mode) String() string {
-	path := m.Path.String()
-	if m.Int8 {
-		path = "int8"
-	}
 	return fmt.Sprintf("path=%s/w=%d/mp=%v/ckpt=%v/fused=%v",
-		path, m.Workers, m.MP, m.Ckpt, m.Fused)
+		m.Path, m.Workers, m.MP, m.Ckpt, m.Fused)
 }
 
 // Oracle returns the reference mode this mode is differenced against: the
@@ -75,8 +67,8 @@ func (m Mode) Oracle() Mode {
 func (m Mode) IsOracle() bool { return m == m.Oracle() }
 
 // apply installs the mode's global knobs (GEMM path, worker count) and
-// returns a restore function. Per-context knobs come from ctx (MP, Int8)
-// and from each subject's runner (Ckpt, Fused).
+// returns a restore function. Per-context knobs come from ctx (MP) and
+// from each subject's runner (Ckpt, Fused).
 func (m Mode) apply() (restore func()) {
 	prevPath := kernels.SetGEMMPath(m.Path)
 	prevW := kernels.SetMaxWorkers(m.Workers)
@@ -91,19 +83,16 @@ func (m Mode) apply() (restore func()) {
 func (m Mode) ctx() *nn.Ctx {
 	c := nn.NewCtx(ctxSeed)
 	c.MixedPrecision = m.MP
-	c.Int8 = m.Int8
 	return c
 }
 
-// routes are the GEMM-route × int8 points every mode list is built from:
-// the oracle, the two forced engine routes, production's own routing, and
-// production's routing with int8 Linear forwards.
-var routes = []Mode{
-	{Path: kernels.GEMMPathNaive},
-	{Path: kernels.GEMMPathBlocked},
-	{Path: kernels.GEMMPathFused},
-	{Path: kernels.GEMMPathAuto},
-	{Path: kernels.GEMMPathAuto, Int8: true},
+// routes are the GEMM routes every mode list is built from: the oracle,
+// the two forced engine routes, and production's own routing.
+var routes = []kernels.GEMMPath{
+	kernels.GEMMPathNaive,
+	kernels.GEMMPathBlocked,
+	kernels.GEMMPathFused,
+	kernels.GEMMPathAuto,
 }
 
 // Modes enumerates the cross product for a subject. Worker counts are
@@ -129,14 +118,12 @@ func Modes(s *Subject, quick bool) []Mode {
 		mps = []bool{false}
 	}
 	var ms []Mode
-	for _, r := range routes {
+	for _, p := range routes {
 		for _, w := range workers {
 			for _, mp := range mps {
 				for _, ck := range ckpts {
 					for _, fu := range fuseds {
-						m := r
-						m.Workers, m.MP, m.Ckpt, m.Fused = w, mp, ck, fu
-						ms = append(ms, m)
+						ms = append(ms, Mode{Path: p, Workers: w, MP: mp, Ckpt: ck, Fused: fu})
 					}
 				}
 			}
@@ -197,33 +184,12 @@ var (
 	// tolMPSanity: the loose FP32-vs-MP forward check. ~2^-11 relative
 	// per quantization, compounding across layers.
 	tolMPSanity = Tol{Abs: 5e-2, Rel: 5e-2}
-	// tolInt8Fwd: the int8 mode quantizes activations to 8 bits (per-row
-	// scale) and weights to 7 bits (per-column scale), so its forward
-	// output differs from the f32 oracle by real quantization error, not
-	// rounding — ~2^-7 relative per operand, compounding through layers
-	// and amplified by LayerNorm's division by small row deviations.
-	// Pure relative error on near-zero outputs is unbounded (the probe
-	// in probe_test.go logs maxRel ≈ 2 on tiny elements — as it does for
-	// the f32 blocked path), so the absolute term carries those and the
-	// relative term bounds the O(1)-magnitude bulk of the distribution.
-	tolInt8Fwd = Tol{Abs: 1e-1, Rel: 1e-1}
-	// tolInt8Grad: gradients flow through f32 backward GEMMs but use the
-	// int8 forward's saved activations and outputs, so forward
-	// quantization error propagates into every parameter gradient, and
-	// backward reductions over quantized activations accumulate it — the
-	// gradient band sits a factor ~3 wider than the forward one.
-	tolInt8Grad = Tol{Abs: 3e-1, Rel: 3e-1}
 )
 
 // tolerances returns the forward and gradient tolerances for comparing
 // mode m against its oracle.
 func tolerances(m Mode) (fwd, grad Tol) {
-	switch {
-	case m.Int8:
-		// Quantized forward: real approximation error, not rounding.
-		fwd = fwd.max(tolInt8Fwd)
-		grad = grad.max(tolInt8Grad)
-	case m.Path != kernels.GEMMPathNaive:
+	if m.Path != kernels.GEMMPathNaive {
 		fwd = fwd.max(tolBlockedFwd)
 		grad = grad.max(tolBlockedGrad)
 	}

@@ -108,30 +108,26 @@ func TestMatrixDimensions(t *testing.T) {
 		t.Fatal("bert.step subject missing")
 	}
 	ms := Modes(bert, false)
-	type route struct {
-		path kernels.GEMMPath
-		int8 bool
-	}
-	paths := map[route]bool{}
+	paths := map[kernels.GEMMPath]bool{}
 	workers := map[int]bool{}
 	var mp, ckpt, fused bool
 	for _, m := range ms {
-		paths[route{m.Path, m.Int8}] = true
+		paths[m.Path] = true
 		workers[m.Workers] = true
 		mp = mp || m.MP
 		ckpt = ckpt || m.Ckpt
 		fused = fused || m.Fused
 	}
-	if len(paths) != 5 || !paths[route{kernels.GEMMPathAuto, false}] || !paths[route{kernels.GEMMPathAuto, true}] {
-		t.Errorf("GEMM routes enumerated: %v, want 5 (naive/blocked/fused/auto/auto+int8)", paths)
+	if len(paths) != 4 || !paths[kernels.GEMMPathAuto] {
+		t.Errorf("GEMM routes enumerated: %v, want 4 (naive/blocked/fused/auto)", paths)
 	}
 	wantW := len(dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)}))
 	if len(workers) != wantW {
 		t.Errorf("worker widths enumerated: %d, want %d", len(workers), wantW)
 	}
-	// 5 routes × widths × mp{2} × ckpt{2} × fused{2}: 80 on the 2-vCPU
+	// 4 routes × widths × mp{2} × ckpt{2} × fused{2}: 64 on the 2-vCPU
 	// reference host.
-	if want := 5 * wantW * 8; len(ms) != want {
+	if want := 4 * wantW * 8; len(ms) != want {
 		t.Errorf("bert.step matrix has %d modes, want %d", len(ms), want)
 	}
 	if !mp || !ckpt || !fused {
@@ -195,14 +191,12 @@ func mutationSubjects(fault bool) []*Subject {
 
 // TestHarnessCatchesBrokenEpilogue is the harness's own mutation test: a
 // subject whose fast routes add a 1.5×-skewed bias while its naive oracle
-// stays honest must be flagged in every non-oracle route, int8's wide
-// quantization band included. A harness that stays green under a
-// deliberately broken fast path would be decorative.
+// stays honest must be flagged in every non-oracle route. A harness that
+// stays green under a deliberately broken fast path would be decorative.
 func TestHarnessCatchesBrokenEpilogue(t *testing.T) {
 	modes := []Mode{
 		{Path: kernels.GEMMPathFused, Workers: 1},
 		{Path: kernels.GEMMPathAuto, Workers: 1},
-		{Path: kernels.GEMMPathAuto, Int8: true, Workers: 1},
 	}
 	for _, s := range mutationSubjects(true) {
 		for _, m := range modes {
@@ -223,7 +217,7 @@ func TestHarnessCatchesBrokenEpilogue(t *testing.T) {
 // TestOracleDefinition pins the oracle construction: naive path, one
 // worker, matching MP, everything else off.
 func TestOracleDefinition(t *testing.T) {
-	m := Mode{Path: kernels.GEMMPathAuto, Int8: true, Workers: 7, MP: true, Ckpt: true, Fused: true}
+	m := Mode{Path: kernels.GEMMPathAuto, Workers: 7, MP: true, Ckpt: true, Fused: true}
 	o := m.Oracle()
 	want := Mode{Path: kernels.GEMMPathNaive, Workers: 1, MP: true}
 	if o != want {

@@ -25,8 +25,8 @@ const determinismSteps = 3
 
 // DeterminismModes returns the mode points the trajectory pin runs at:
 // every worker width on the forced fused route (the engine at every size)
-// plus the oracle route, MP, and production routing with int8 forwards
-// (quick: fused only, FP32 only).
+// plus the oracle route, MP, and production routing (quick: fused only,
+// FP32 only).
 func DeterminismModes(quick bool) []Mode {
 	workers := dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)})
 	var ms []Mode
@@ -35,11 +35,9 @@ func DeterminismModes(quick bool) []Mode {
 		if !quick {
 			ms = append(ms, Mode{Path: kernels.GEMMPathNaive, Workers: w})
 			ms = append(ms, Mode{Path: kernels.GEMMPathFused, Workers: w, MP: true})
-			// Size-based routing and the int8 engine must also replay
-			// bit-identically: the route is a function of the shapes, and
-			// int8 re-quantizes per call from the same weights in fixed
-			// integer order.
-			ms = append(ms, Mode{Path: kernels.GEMMPathAuto, Int8: true, Workers: w})
+			// Size-based routing must also replay bit-identically: the
+			// route is a function of the shapes.
+			ms = append(ms, Mode{Path: kernels.GEMMPathAuto, Workers: w})
 		}
 	}
 	return ms

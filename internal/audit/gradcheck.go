@@ -128,10 +128,9 @@ func gradCheckLoss(subject string, m Mode, params []*nn.Param,
 // per GEMM route (finite differences validate analytic-vs-numeric per
 // implementation; the worker dimension is already pinned bitwise by the
 // oracle comparison), with softmax fusion exercised on production's auto
-// routing. Int8 forwards are deliberately excluded: they are a quantized
-// step function of the parameters, so central differences measure the
-// quantizer's staircase, not the gradient (the same reason MP modes are
-// skipped).
+// routing. MP modes are deliberately excluded: binary16 storage makes the
+// loss a step function of the parameters, so central differences measure
+// the quantizer's staircase, not the gradient.
 func GradModes(s *Subject) []Mode {
 	return []Mode{
 		{Path: kernels.GEMMPathNaive, Workers: 1},

@@ -45,15 +45,13 @@ func AccumModes(quick bool) []Mode {
 		workers = dedupInts([]int{runtime.GOMAXPROCS(0)})
 	}
 	var ms []Mode
-	for _, r := range routes {
-		if quick && r.Path == kernels.GEMMPathAuto {
+	for _, p := range routes {
+		if quick && p == kernels.GEMMPathAuto {
 			continue // quick: the forced routes, where the pin is bitwise
 		}
 		for _, w := range workers {
 			for _, ck := range []bool{false, true} {
-				m := r
-				m.Workers, m.Ckpt = w, ck
-				ms = append(ms, m)
+				ms = append(ms, Mode{Path: p, Workers: w, Ckpt: ck})
 			}
 		}
 	}
@@ -66,12 +64,12 @@ func AccumModes(quick bool) []Mode {
 // gradients. Both runs share the mode's worker count and GEMM path, so
 // the only varying factor is the accumulation split itself.
 //
-// Auto routing (with or without int8 forwards) is the one exception to
-// bitwise: the small-GEMM fallback picks a kernel by 2·m·n·k, which
-// accumulation changes (k is the token count in every wgrad). A
-// micro-batch can take the naive fallback where the full batch takes the
-// blocked kernel; the difference is pure f32 rounding, so that route is
-// pinned at the blocked-engine tolerance instead.
+// Auto routing is the one exception to bitwise: the small-GEMM fallback
+// picks a kernel by 2·m·n·k, which accumulation changes (k is the token
+// count in every wgrad). A micro-batch can take the naive fallback where
+// the full batch takes the blocked kernel; the difference is pure f32
+// rounding, so that route is pinned at the blocked-engine tolerance
+// instead.
 func CheckAccumEquivalence(m Mode) []Divergence {
 	restore := m.apply()
 	defer restore()

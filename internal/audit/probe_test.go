@@ -49,7 +49,6 @@ func TestProbePathDeltas(t *testing.T) {
 				{Path: kernels.GEMMPathBlocked, Workers: 1},
 				{Path: kernels.GEMMPathFused, Workers: 4},
 				{Path: kernels.GEMMPathAuto, Workers: 4},
-				{Path: kernels.GEMMPathAuto, Int8: true, Workers: 4},
 			} {
 				rel, bw := probeDiff(t, s, m, naive)
 				t.Logf("%-40s vs oracle: maxRel=%.3g bitwise=%v", m, rel, bw)

@@ -156,40 +156,6 @@ func BiasGrad(dBias []float32, dY []float32, m, n int) {
 	biasGradPool.Put(s)
 }
 
-// MaskAdd computes dst[i] = a[i] + mask[i]. BERT's attention mask is
-// additive: masked positions carry a large negative value so that softmax
-// sends them to zero.
-func MaskAdd(dst, a, mask []float32) {
-	checkSameLen("MaskAdd", dst, a, mask)
-	parallelFor(len(dst), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] + mask[i]
-		}
-	})
-}
-
-// ScaleMaskSoftmaxFused applies scale, additive mask, and row softmax in a
-// single pass over batch rows of length n. It is the fused counterpart of
-// the Scale → MaskAdd → Softmax kernel sequence, used by the kernel-fusion
-// study (Section 6.1.1): one read and one write of the activation instead
-// of three of each.
-func ScaleMaskSoftmaxFused(dst, a, mask []float32, s float32, rows, n int) {
-	if len(a) != rows*n || len(dst) != rows*n || len(mask) != rows*n {
-		panic("kernels: ScaleMaskSoftmaxFused dims mismatch")
-	}
-	parallelFor(rows, n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			in := a[r*n : (r+1)*n]
-			mk := mask[r*n : (r+1)*n]
-			out := dst[r*n : (r+1)*n]
-			for i := range out {
-				out[i] = s*in[i] + mk[i]
-			}
-			softmaxRow(out, out)
-		}
-	})
-}
-
 // ScaleMaskSoftmaxAttention is the fused attention-score pipeline over a
 // [B·h, n, n] score tensor: scale, broadcast additive key mask
 // (keyMask: [B, n], may be nil), optional causal masking of future

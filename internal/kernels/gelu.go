@@ -175,11 +175,11 @@ func geluPoly(p, v *[geluBlock]float64, x []float32, tab *[geluCells]geluCell) {
 }
 
 // geluSpan sets dst[i] = GELU(x[i]), bit for bit geluScalar(x[i]). dst may
-// be x itself. It is the one GELU entry: GeLUForward, the fused f32
-// epilogue and the int8 epilogue all call it, and it runs the kernel
-// table's vector body when there is one. The return value counts the
-// elements that took the reference expression; only the tests that bound
-// the fallback rate read it.
+// be x itself. It is the one GELU entry: GeLUForward and the fused
+// epilogue both call it, and it runs the kernel table's vector body when
+// there is one. The return value counts the elements that took the
+// reference expression; only the tests that bound the fallback rate read
+// it.
 func geluSpan(dst, x []float32) (fallbacks int) {
 	if body := activeKernel.gelu; body != nil {
 		return vecSpan(dst, x, body, geluScalar)

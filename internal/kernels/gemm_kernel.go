@@ -8,9 +8,9 @@ import (
 )
 
 // gemmKernel is one micro-kernel backend: the register-tile geometry the
-// packs and the tile sweep are built around, the f32 and int8 kernels, and
-// the vectorised transposing pack that goes with them (nil: the portable
-// Go loops). kernelTable (one per build, gemm_kernel_*.go) lists the
+// packs and the tile sweep are built around, the f32 kernel, and the
+// vectorised transposing pack that goes with it (nil: the portable Go
+// loops). kernelTable (one per build, gemm_kernel_*.go) lists the
 // backends widest first; init installs the first supported one and tests
 // iterate over all of them with forEachKernel.
 //
@@ -25,7 +25,6 @@ type gemmKernel struct {
 	name       string
 	mr, nr     int
 	f32        func(kc int, a, b, c []float32, ldc int)
-	int8       func(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32)
 	packT4     func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
 	lambStage1 func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
 	subScaled  func(y, x []float32, a float32)
@@ -39,7 +38,7 @@ type gemmKernel struct {
 // scalarKernel is the portable backend: the last entry of every table,
 // the permanent state on non-amd64 builds and under DEMYSTBERT_NOSIMD=1,
 // and the cross-check oracle for the assembly kernels.
-var scalarKernel = gemmKernel{name: "scalar", mr: 4, nr: 4, f32: microKernel4x4, int8: gemmInt8Kernel4x16Go, supported: true}
+var scalarKernel = gemmKernel{name: "scalar", mr: 4, nr: 4, f32: microKernel4x4, supported: true}
 
 // The installed micro-kernel and its tile geometry. The hot paths read
 // these plain variables; only installKernel (init and tests) writes them.
@@ -84,7 +83,6 @@ func pickKernel(table []gemmKernel, noSIMD bool) *gemmKernel {
 
 func installKernel(k *gemmKernel) {
 	activeKernel, gemmMR, gemmNR = k, k.mr, k.nr
-	int8Kernel = k.int8
 }
 
 func init() {

@@ -12,9 +12,6 @@ func sgemmKernel12x32(kc int64, a, b, c *float32, ldc int64)
 func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
 
 //go:noescape
-func igemmKernel4x16(kg int64, a *uint8, b *int8, acc *int32)
-
-//go:noescape
 func packT4asm(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
@@ -28,14 +25,6 @@ func microKernel12x32(kc int, a, b, c []float32, ldc int) {
 
 func microKernel6x16(kc int, a, b, c []float32, ldc int) {
 	sgemmKernel6x16(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
-}
-
-// int8Kernel4x16SIMD adapts the AVX2 int8 assembly kernel to the generic
-// int8 micro-kernel signature (4×16 int32 tile, overwrite semantics).
-func int8Kernel4x16SIMD(kg int, a []uint8, b []int8, acc *[int8MR * int8NR]int32) {
-	_ = a[kg*int8MR*int8KGroup-1]
-	_ = b[kg*int8NR*int8KGroup-1]
-	igemmKernel4x16(int64(kg), &a[0], &b[0], &acc[0])
 }
 
 // cpuRegs is what the feature decision reads: the highest basic CPUID
@@ -91,7 +80,7 @@ var kernelTable = func() []gemmKernel {
 	avx2 := gemmKernel{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, supported: avx2fma}
 	// Everything else is 256-bit code the two share.
 	for _, k := range []*gemmKernel{&avx512, &avx2} {
-		k.int8, k.packT4 = int8Kernel4x16SIMD, packT4asm
+		k.packT4 = packT4asm
 		k.lambStage1, k.subScaled, k.sumSq8 = lambStage1SIMD, subScaledSIMD, sumSq8SIMD
 	}
 	return []gemmKernel{avx512, avx2, scalarKernel}

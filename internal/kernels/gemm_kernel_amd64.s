@@ -313,91 +313,3 @@ pt4colplain:
 pt4done:
 	VZEROUPPER
 	RET
-
-// func igemmKernel4x16(kg int64, a *uint8, b *int8, acc *int32)
-//
-// Int8 4x16 micro-kernel: acc[4][16] (row-major int32, overwritten) =
-// sum over kg depth groups of the u8 x s8 products. a holds kg groups of
-// 16 bytes (row r, depth d at r*4+d); b holds kg groups of 64 bytes
-// (column j, depth d at j*4+d). Per group and row: VPBROADCASTD smears
-// the row's 4 activation bytes across a lane, VPMADDUBSW forms pairwise
-// u8*s8 sums in i16 (safe: weights are clamped to +-63 so 255*63*2 fits
-// i16), and VPMADDWD with an all-ones i16 vector widens adjacent pairs
-// into the i32 accumulators.
-//
-// Register plan: Y0-Y7 accumulators (row r in Y{2r} cols 0-7, Y{2r+1}
-// cols 8-15), Y12 = i16 ones, Y13/Y14 = B group halves, Y15 = broadcast
-// A, Y11 = scratch.
-TEXT ·igemmKernel4x16(SB), NOSPLIT, $0-32
-	MOVQ kg+0(FP), CX
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
-	MOVQ acc+24(FP), DI
-
-	VPCMPEQW Y12, Y12, Y12
-	VPSRLW   $15, Y12, Y12
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	VPXOR Y4, Y4, Y4
-	VPXOR Y5, Y5, Y5
-	VPXOR Y6, Y6, Y6
-	VPXOR Y7, Y7, Y7
-
-	TESTQ CX, CX
-	JZ    i8store
-
-i8loop:
-	VMOVDQU (DX), Y13
-	VMOVDQU 32(DX), Y14
-
-	VPBROADCASTD (SI), Y15
-	VPMADDUBSW   Y13, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y0, Y0
-	VPMADDUBSW   Y14, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y1, Y1
-
-	VPBROADCASTD 4(SI), Y15
-	VPMADDUBSW   Y13, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y2, Y2
-	VPMADDUBSW   Y14, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y3, Y3
-
-	VPBROADCASTD 8(SI), Y15
-	VPMADDUBSW   Y13, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y4, Y4
-	VPMADDUBSW   Y14, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y5, Y5
-
-	VPBROADCASTD 12(SI), Y15
-	VPMADDUBSW   Y13, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y6, Y6
-	VPMADDUBSW   Y14, Y15, Y11
-	VPMADDWD     Y12, Y11, Y11
-	VPADDD       Y11, Y7, Y7
-
-	ADDQ $16, SI
-	ADDQ $64, DX
-	DECQ CX
-	JNZ  i8loop
-
-i8store:
-	VMOVDQU Y0, (DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-	VMOVDQU Y4, 128(DI)
-	VMOVDQU Y5, 160(DI)
-	VMOVDQU Y6, 192(DI)
-	VMOVDQU Y7, 224(DI)
-	VZEROUPPER
-	RET

@@ -147,15 +147,7 @@ type packEntry struct {
 // benign and both packs are identical, so whichever Store lands last wins
 // with no torn state.
 type PackCache struct {
-	e  [2]atomic.Pointer[packEntry]
-	i8 [2]atomic.Pointer[packInt8Entry]
-}
-
-// packInt8Entry snapshots one cached int8 pack with the parameter
-// generation it was quantized from.
-type packInt8Entry struct {
-	gen uint64
-	pb  *PackedBInt8
+	e [2]atomic.Pointer[packEntry]
 }
 
 // Get returns op(B) for generation gen as a GEMMPacked operand: the cached
@@ -204,36 +196,9 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 	return pb
 }
 
-// GetInt8 returns an int8 quantized pack of op(B) valid for generation
-// gen, re-quantizing if the cached one is missing, stale, or was built
-// for a different shape. The int8 layout is backend-independent (fixed
-// 4×16 micro-tile), so unlike Get there is no micro-kernel dimension to
-// the match.
-func (pc *PackCache) GetInt8(transB bool, n, k int, b []float32, gen uint64) *PackedBInt8 {
-	slot := &pc.i8[0]
-	if transB {
-		slot = &pc.i8[1]
-	}
-	e := slot.Load()
-	if e != nil && e.gen == gen && e.pb.Matches(transB, n, k) {
-		int8PackCacheHits.Inc()
-		return e.pb
-	}
-	if e != nil && e.pb.Matches(transB, n, k) {
-		int8PackCacheRebuilds.Inc()
-	} else {
-		int8PackCacheMisses.Inc()
-	}
-	pb := PackWeightInt8(transB, n, k, b)
-	slot.Store(&packInt8Entry{gen: gen, pb: pb})
-	return pb
-}
-
 // Invalidate drops both cached orientations (e.g. when the owning buffer
 // is replaced rather than mutated in place).
 func (pc *PackCache) Invalidate() {
 	pc.e[0].Store(nil)
 	pc.e[1].Store(nil)
-	pc.i8[0].Store(nil)
-	pc.i8[1].Store(nil)
 }

@@ -41,13 +41,4 @@ var (
 		"GEMMs with a bias+residual+LayerNorm epilogue fused into the write-back")
 	epilogueReferenceRuns = obs.NewCounter("kernels_gemm_epilogue_reference_total",
 		"GEMM epilogues applied as the unfused reference kernel sequence")
-
-	int8GEMMRuns = obs.NewCounter("kernels_gemm_int8_total",
-		"GEMMs executed by the int8 quantized engine")
-	int8PackCacheHits = obs.NewCounter("kernels_int8_pack_cache_hits_total",
-		"int8 weight-pack cache lookups served from the cached panels")
-	int8PackCacheMisses = obs.NewCounter("kernels_int8_pack_cache_misses_total",
-		"int8 weight-pack cache lookups with no usable entry")
-	int8PackCacheRebuilds = obs.NewCounter("kernels_int8_pack_cache_rebuilds_total",
-		"int8 weight-pack cache entries rebuilt because the parameter generation moved")
 )

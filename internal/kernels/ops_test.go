@@ -65,14 +65,6 @@ func TestAddBiasAndGrad(t *testing.T) {
 	}
 }
 
-func TestMaskAdd(t *testing.T) {
-	dst := make([]float32, 2)
-	MaskAdd(dst, []float32{1, 2}, []float32{0, -1e9})
-	if dst[0] != 1 || dst[1] != -1e9+2 {
-		t.Fatalf("MaskAdd = %v", dst)
-	}
-}
-
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	r := tensor.NewRNG(1)
 	rows, n := 8, 16
@@ -154,31 +146,6 @@ func TestSoftmaxGradFiniteDifference(t *testing.T) {
 		if math.Abs(num-float64(dX[i])) > 1e-2 {
 			t.Fatalf("softmax grad[%d]: analytic %v vs numeric %v", i, dX[i], num)
 		}
-	}
-}
-
-func TestScaleMaskSoftmaxFusedMatchesUnfused(t *testing.T) {
-	r := tensor.NewRNG(9)
-	rows, n := 4, 8
-	x := randSlice(r, rows*n)
-	mask := make([]float32, rows*n)
-	for i := range mask {
-		if r.Float32() < 0.2 {
-			mask[i] = -1e9
-		}
-	}
-	const s = 0.125
-	fused := make([]float32, rows*n)
-	ScaleMaskSoftmaxFused(fused, x, mask, s, rows, n)
-
-	tmp := make([]float32, rows*n)
-	Scale(tmp, x, s)
-	MaskAdd(tmp, tmp, mask)
-	unfused := make([]float32, rows*n)
-	Softmax(unfused, tmp, rows, n)
-
-	if d := maxAbsDiff(fused, unfused); d > 1e-6 {
-		t.Fatalf("fused vs unfused diff %v", d)
 	}
 }
 
@@ -440,35 +407,6 @@ func TestSumSquaresParallelMatchesSerial(t *testing.T) {
 	SetMaxWorkers(old)
 	if math.Abs(par-ser) > 1e-6*math.Abs(ser) {
 		t.Fatalf("parallel %v vs serial %v", par, ser)
-	}
-}
-
-func TestTranspose2D(t *testing.T) {
-	x := []float32{1, 2, 3, 4, 5, 6} // 2x3
-	y := make([]float32, 6)
-	Transpose2D(y, x, 2, 3)
-	want := []float32{1, 4, 2, 5, 3, 6}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("Transpose2D = %v", y)
-		}
-	}
-}
-
-// Property: double transpose is identity.
-func TestTransposeInvolutionProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := tensor.NewRNG(seed)
-		m, n := 1+r.Intn(10), 1+r.Intn(10)
-		x := randSlice(r, m*n)
-		y := make([]float32, m*n)
-		z := make([]float32, m*n)
-		Transpose2D(y, x, m, n)
-		Transpose2D(z, y, n, m)
-		return maxAbsDiff(x, z) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

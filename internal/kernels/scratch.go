@@ -21,20 +21,3 @@ func getScratch(n int) *[]float32 {
 }
 
 func putScratch(s *[]float32) { f32Scratch.Put(s) }
-
-// u8Scratch hands out reusable byte buffers for the int8 GEMM engine's
-// quantized-activation panels, with the same coarse size-class rounding as
-// the float pool.
-var u8Scratch = sync.Pool{New: func() any { return new([]uint8) }}
-
-// getScratchU8 returns a byte buffer of length n (contents undefined).
-func getScratchU8(n int) *[]uint8 {
-	s := u8Scratch.Get().(*[]uint8)
-	if cap(*s) < n {
-		*s = make([]uint8, (n+scratchRound-1)&^(scratchRound-1))
-	}
-	*s = (*s)[:n]
-	return s
-}
-
-func putScratchU8(s *[]uint8) { u8Scratch.Put(s) }

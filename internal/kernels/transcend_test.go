@@ -178,15 +178,14 @@ func checkEdges(t *testing.T, f transcendental) {
 }
 
 // TestTranscendentalBodiesBitwiseAcrossKernels: every public path through
-// the three spans — GeLUForward, GeLUBackward with dX aliasing dY, the f32
-// and int8 bias+GeLU epilogues, Softmax, CrossEntropyForward and
-// AttentionRagged — gives the same bits under every kernel-table entry the
-// host supports, on lengths 0..70 and ragged tails past the 16- and
-// 64-lane blocks, at element offsets 0..7, with special values mixed in.
-// The one exception is the f32 epilogue's GEMM: the scalar micro-kernel
-// rounds every product and the vector ones fuse it, so there each entry's
-// GeLU tail is checked against the reference applied to the pre-activation
-// that entry saved.
+// the three spans — GeLUForward, GeLUBackward with dX aliasing dY, the
+// bias+GeLU epilogue, Softmax, CrossEntropyForward and AttentionRagged —
+// gives the same bits under every kernel-table entry the host supports, on
+// lengths 0..70 and ragged tails past the 16- and 64-lane blocks, at
+// element offsets 0..7, with special values mixed in. The one exception is
+// the epilogue's GEMM: the scalar micro-kernel rounds every product and the
+// vector ones fuse it, so there each entry's GeLU tail is checked against
+// the reference applied to the pre-activation that entry saved.
 func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 	lengths := []int{}
 	for n := 0; n <= 70; n++ {
@@ -257,9 +256,6 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 					t.Fatalf("f32 bias+GeLU epilogue %dx%d element %d: GELU(%v) = %#08x, want %#08x", rows, n, i, xv, g, w)
 				}
 			}
-			c8 := make([]float32, off+rows*n)[off:]
-			GEMMInt8(rows, n, k, a, PackWeightInt8(true, n, k, w), &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias}, c8)
-			record(fmt.Sprintf("int8 bias+GeLU epilogue %dx%d", rows, n), c8...)
 		}
 		for _, causal := range []bool{false, true} {
 			offsets := []int{0}

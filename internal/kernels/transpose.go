@@ -2,22 +2,6 @@ package kernels
 
 import "fmt"
 
-// Transpose2D writes the transpose of the m×n matrix x into the n×m matrix
-// dst. The buffers must not alias.
-func Transpose2D(dst, x []float32, m, n int) {
-	if len(x) != m*n || len(dst) != m*n {
-		panic(fmt.Sprintf("kernels: Transpose2D dims x=%d dst=%d m=%d n=%d", len(x), len(dst), m, n))
-	}
-	parallelFor(m, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := x[i*n : (i+1)*n]
-			for j, v := range row {
-				dst[j*m+i] = v
-			}
-		}
-	})
-}
-
 // SplitHeads reshapes a (B·n)×dModel projection output into the
 // (B·h)×n×dHead layout consumed by the batched attention GEMMs: matrix
 // (b·h + head) holds the n×dHead block for that head. This is the "split

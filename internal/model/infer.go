@@ -24,11 +24,11 @@ import (
 // The contract serving rests on: every operator is either row-wise over
 // the T stacked token rows or, in attention, confined to one sequence's
 // rows, so a sequence's encoder rows and logits are bitwise the same
-// alone, in any batch and at any place in it — f32 or ctx.Int8, at any
-// worker count. One caveat, the one StepAccum and the sparse MLM head
-// already carry: under the auto GEMM route a model narrower than d = 128
-// can cross smallGEMMFlops as the row count changes, and the naive and
-// blocked routes round differently.
+// alone, in any batch and at any place in it, at any worker count. One
+// caveat, the one StepAccum and the sparse MLM head already carry: under
+// the auto GEMM route a model narrower than d = 128 can cross
+// smallGEMMFlops as the row count changes, and the naive and blocked
+// routes round differently.
 
 // EncodeEval runs the embedding and encoder stack in evaluation mode
 // (dropout inactive; the fused Add&Norm epilogue path engages at full
@@ -140,17 +140,15 @@ func (m *BERT) mlmLogits(ctx *nn.Ctx, seq *tensor.Tensor, rows []int) *tensor.Te
 
 // WarmupInference pre-packs every weight the inference path consults —
 // the Q/K/V/O projections and both FC layers of each encoder layer, the
-// MLM dense layer, and the (embedding-tied) vocabulary decoder — for
-// the engine ctx selects (int8 packs with ctx.Int8, f32 otherwise).
-// Serving calls this once at load with the context it will predict
-// under, so steady-state traffic never takes a pack-cache miss: frozen
-// weights never bump their generation, which is exactly the 100% reuse
-// regime the pack cache was designed around. Returns the number of packs
-// built.
-func (m *BERT) WarmupInference(ctx *nn.Ctx) int {
+// MLM dense layer, and the (embedding-tied) vocabulary decoder. Serving
+// calls this once at load, so steady-state traffic never takes a
+// pack-cache miss: frozen weights never bump their generation, which is
+// exactly the 100% reuse regime the pack cache was designed around.
+// Returns the number of packs built.
+func (m *BERT) WarmupInference() int {
 	warmed := 0
 	warm := func(l *nn.Linear) {
-		l.WarmPack(ctx)
+		l.WarmPack()
 		warmed++
 	}
 	for _, layer := range m.Layers {

@@ -75,8 +75,8 @@ func encodeAndLogits(m *BERT, ctx *nn.Ctx, b *data.Ragged, positions [][]int) (s
 // TestRaggedBatchBitwiseMatchesAlone is the serving-correctness keystone:
 // the encoder rows and MLM logits of every sequence in a mixed batch are,
 // bit for bit, what the same sequence gets run alone — whatever else is in
-// the batch, wherever in it the sequence sits, f32 or int8, causal or not,
-// on one worker or several. Lengths span 1 (a 1×1 softmax) to MaxPos.
+// the batch, wherever in it the sequence sits, causal or not, on one worker
+// or several. Lengths span 1 (a 1×1 softmax) to MaxPos.
 //
 // Forced routes hold at any width. Under auto the config is d = 128, where
 // even a one-row product stays on the engine (2·1·128·128 = smallGEMMFlops);
@@ -93,58 +93,55 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 		{kernels.GEMMPathFused, Tiny()},
 		{kernels.GEMMPathAuto, wide},
 	} {
-		for _, int8 := range []bool{false, true} {
-			for _, causal := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%v/int8=%v/causal=%v", tc.path, int8, causal), func(t *testing.T) {
-					defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
-					defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(1))
-					cfg := tc.cfg
-					cfg.Causal = causal
-					m, err := New(cfg, 17)
-					if err != nil {
-						t.Fatal(err)
-					}
-					newCtx := func() *nn.Ctx { return &nn.Ctx{Int8: int8} }
-					lens := []int{cfg.MaxPos, 1, 9, 2, cfg.MaxPos/2 + 1, 5}
-					all, positions := raggedBatch(cfg, lens, 99)
+		for _, causal := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/causal=%v", tc.path, causal), func(t *testing.T) {
+				defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
+				defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(1))
+				cfg := tc.cfg
+				cfg.Causal = causal
+				m, err := New(cfg, 17)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lens := []int{cfg.MaxPos, 1, 9, 2, cfg.MaxPos/2 + 1, 5}
+				all, positions := raggedBatch(cfg, lens, 99)
 
-					// Each sequence alone, on one worker.
-					aloneSeq := make([]*tensor.Tensor, len(lens))
-					aloneLogits := make([]*tensor.Tensor, len(lens))
-					for s := range lens {
-						b, ps := pick(all, positions, s)
-						aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, newCtx(), b, ps)
-					}
+				// Each sequence alone, on one worker.
+				aloneSeq := make([]*tensor.Tensor, len(lens))
+				aloneLogits := make([]*tensor.Tensor, len(lens))
+				for s := range lens {
+					b, ps := pick(all, positions, s)
+					aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, &nn.Ctx{}, b, ps)
+				}
 
-					for _, workers := range []int{1, 3} {
-						kernels.SetMaxWorkers(workers)
-						for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 5, 0, 4, 2, 1}} {
-							b, ps := pick(all, positions, order...)
-							seq, logits := encodeAndLogits(m, newCtx(), b, ps)
-							logitRow := 0
-							for i, s := range order {
-								for r := 0; r < lens[s]; r++ {
-									got, want := seq.Row(b.Offsets[i]+r), aloneSeq[s].Row(r)
-									for j := range want {
-										if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-											t.Fatalf("workers=%d order=%v: sequence %d row %d dim %d: %v in the batch, %v alone", workers, order, s, r, j, got[j], want[j])
-										}
+				for _, workers := range []int{1, 3} {
+					kernels.SetMaxWorkers(workers)
+					for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 5, 0, 4, 2, 1}} {
+						b, ps := pick(all, positions, order...)
+						seq, logits := encodeAndLogits(m, &nn.Ctx{}, b, ps)
+						logitRow := 0
+						for i, s := range order {
+							for r := 0; r < lens[s]; r++ {
+								got, want := seq.Row(b.Offsets[i]+r), aloneSeq[s].Row(r)
+								for j := range want {
+									if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+										t.Fatalf("workers=%d order=%v: sequence %d row %d dim %d: %v in the batch, %v alone", workers, order, s, r, j, got[j], want[j])
 									}
 								}
-								for q := range ps[i] {
-									got, want := logits.Row(logitRow), aloneLogits[s].Row(q)
-									logitRow++
-									for j := range want {
-										if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-											t.Fatalf("workers=%d order=%v: sequence %d query %d logit %d: %v in the batch, %v alone", workers, order, s, q, j, got[j], want[j])
-										}
+							}
+							for q := range ps[i] {
+								got, want := logits.Row(logitRow), aloneLogits[s].Row(q)
+								logitRow++
+								for j := range want {
+									if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+										t.Fatalf("workers=%d order=%v: sequence %d query %d logit %d: %v in the batch, %v alone", workers, order, s, q, j, got[j], want[j])
 									}
 								}
 							}
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

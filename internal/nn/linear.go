@@ -43,8 +43,7 @@ func NewLinear(name string, in, out int, cat profile.Category, rng *tensor.RNG) 
 // Forward computes Y = X·W^T + b and saves X for the backward pass. The
 // bias add is fused into the GEMM's tile write-back
 // (kernels.GEMMPackedEpilogue), which is bitwise identical to the legacy
-// GEMM-then-AddBias sequence; with ctx.Int8 the product runs on the
-// quantized engine against the cached int8 weight pack.
+// GEMM-then-AddBias sequence.
 func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
 	y := l.runEpilogueGEMM(ctx, x, &kernels.Epilogue{
@@ -139,19 +138,14 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	y := tensor.New(tokens, l.out)
 	es := ctx.ElemSize()
 
-	// The weight operand is packed (f32) or quantized+packed (int8) at
-	// most once per parameter generation and reused across micro-batches,
-	// gradient-accumulation steps, and eval (nn.Param caches); a weight
-	// used once per generation — a plain training step — is packed per
-	// call instead, with the same fused tail.
+	// The weight operand is packed at most once per parameter generation
+	// and reused across micro-batches, gradient-accumulation steps, and
+	// eval (nn.Param caches); a weight used once per generation — a plain
+	// training step — is packed per call instead, with the same fused tail.
 	m, n, k := tokens, l.out, l.in
 	ctx.Prof.Time("linear_fwd_gemm", l.Category, profile.Forward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			if ctx.Int8 {
-				kernels.GEMMInt8(m, n, k, x.Data(), l.W.PackedInt8(true, n, k), ep, y.Data())
-			} else {
-				kernels.GEMMPackedEpilogue(false, m, n, k, 1, x.Data(), l.W.Packed(true, n, k), ep, y.Data())
-			}
+			kernels.GEMMPackedEpilogue(false, m, n, k, 1, x.Data(), l.W.Packed(true, n, k), ep, y.Data())
 		})
 	return y
 }
@@ -204,15 +198,9 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 // WarmPack builds the forward-orientation weight pack ahead of use —
 // the serving warmup that turns every steady-state pack-cache lookup
 // into a hit, where Forward alone would pack per call on its first use and
-// build on its second. It packs for the engine Forward consults under ctx
-// (int8 quantized pack with ctx.Int8, f32 micro-panels otherwise). Frozen
-// weights never bump their generation, so a warmed pack stays valid for
-// the life of the process.
-func (l *Linear) WarmPack(ctx *Ctx) {
-	if ctx.Int8 {
-		l.W.PackedInt8(true, l.out, l.in)
-		return
-	}
+// build on its second. Frozen weights never bump their generation, so a
+// warmed pack stays valid for the life of the process.
+func (l *Linear) WarmPack() {
 	l.W.packs.Warm(true, l.out, l.in, l.W.Value.Data(), l.W.gen.Load())
 }
 

@@ -77,15 +77,6 @@ func (p *Param) Packed(transB bool, n, k int) *kernels.PackedB {
 	return p.packs.Get(transB, n, k, p.Value.Data(), p.gen.Load())
 }
 
-// PackedInt8 returns the cached int8 quantized packing of Value for use
-// as the B operand of kernels.GEMMInt8 (the frozen-weight inference
-// path). It shares the generation-counted cache with the f32 packs, so
-// an optimizer step invalidates both and the quantization always tracks
-// the live weights.
-func (p *Param) PackedInt8(transB bool, n, k int) *kernels.PackedBInt8 {
-	return p.packs.GetInt8(transB, n, k, p.Value.Data(), p.gen.Load())
-}
-
 // Ctx carries per-iteration execution state through forward and backward
 // passes: the profiler, the dropout RNG, the training flag, and whether
 // mixed-precision byte accounting is active.
@@ -101,13 +92,6 @@ type Ctx struct {
 	// master weights and optimizer state stay FP32, matching the paper's
 	// MP training (Section 3.2.1).
 	MixedPrecision bool
-
-	// Int8 runs every Linear forward on the quantized engine
-	// (kernels.GEMMInt8) against the layer's cached int8 weight pack — the
-	// frozen-weight serving mode. Like MixedPrecision it is a numeric mode
-	// of this context, not a GEMM route: backward GEMMs, attention and
-	// everything else stay float32 under the kernels' own routing.
-	Int8 bool
 
 	// LossScale multiplies the loss gradient at the top of backprop
 	// (mixed-precision loss scaling; 0 or 1 means unscaled). Gradients

@@ -22,14 +22,6 @@ type OpTime struct {
 	Total     time.Duration // PerLaunch × Repeat
 }
 
-// AchievedBW returns the modeled bytes/s this op sustains.
-func (t OpTime) AchievedBW() float64 {
-	if t.PerLaunch <= 0 {
-		return 0
-	}
-	return float64(t.Op.Bytes) / t.PerLaunch.Seconds()
-}
-
 // Result is a timed iteration.
 type Result struct {
 	Graph  *opgraph.Graph

@@ -44,47 +44,44 @@ func startTestServer(t *testing.T, cfg Config) (*Engine, string) {
 	return e, "http://" + srv.Addr
 }
 
-// TestServeSmokeAllPaths is the serving smoke: a live HTTP server in each
-// numeric mode (f32, int8) must answer tokenized requests with 200s and
-// non-empty predictions, and expose the serving metrics on the same port.
+// TestServeSmokeAllPaths is the serving smoke: a live HTTP server must
+// answer tokenized requests with 200s and non-empty predictions, and
+// expose the serving metrics on the same port.
 func TestServeSmokeAllPaths(t *testing.T) {
-	for _, tc := range numerics {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Int8 = tc.int8
-			_, base := startTestServer(t, cfg)
+	t.Run("f32", func(t *testing.T) {
+		cfg := testConfig()
+		_, base := startTestServer(t, cfg)
 
-			for i := 0; i < 4; i++ {
-				body, _ := json.Marshal(testRequest(5+3*i, i))
-				resp, raw := postMLM(t, base, string(body))
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, raw)
-				}
-				var r Response
-				if err := json.Unmarshal(raw, &r); err != nil {
-					t.Fatalf("request %d: bad JSON %q: %v", i, raw, err)
-				}
-				if len(r.Predictions) == 0 {
-					t.Fatalf("request %d: empty predictions: %s", i, raw)
-				}
-				for _, p := range r.Predictions {
-					if p.Token < 0 || p.Token >= cfg.Model.Vocab {
-						t.Fatalf("request %d: token %d outside vocab", i, p.Token)
-					}
+		for i := 0; i < 4; i++ {
+			body, _ := json.Marshal(testRequest(5+3*i, i))
+			resp, raw := postMLM(t, base, string(body))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("request %d: HTTP %d: %s", i, resp.StatusCode, raw)
+			}
+			var r Response
+			if err := json.Unmarshal(raw, &r); err != nil {
+				t.Fatalf("request %d: bad JSON %q: %v", i, raw, err)
+			}
+			if len(r.Predictions) == 0 {
+				t.Fatalf("request %d: empty predictions: %s", i, raw)
+			}
+			for _, p := range r.Predictions {
+				if p.Token < 0 || p.Token >= cfg.Model.Vocab {
+					t.Fatalf("request %d: token %d outside vocab", i, p.Token)
 				}
 			}
+		}
 
-			hr, err := http.Get(base + "/metrics")
-			if err != nil {
-				t.Fatalf("GET /metrics: %v", err)
-			}
-			mb, _ := io.ReadAll(hr.Body)
-			hr.Body.Close()
-			if !bytes.Contains(mb, []byte("serve_requests_total")) {
-				t.Error("metrics endpoint missing serve_requests_total")
-			}
-		})
-	}
+		hr, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		mb, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if !bytes.Contains(mb, []byte("serve_requests_total")) {
+			t.Error("metrics endpoint missing serve_requests_total")
+		}
+	})
 }
 
 // TestHTTPErrors: status-code mapping for the admission error taxonomy.

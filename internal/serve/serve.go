@@ -7,8 +7,8 @@
 // [T, d] activations plus an offsets slice — so every GEMM row is a token
 // somebody sent, and the whole weight set is pre-packed at load so
 // steady-state traffic runs at 100% pack-cache reuse — the regime the
-// generation-counted pack cache (DESIGN.md §7) and the int8/fused
-// inference kernels (§11) were built for.
+// generation-counted pack cache (DESIGN.md §7) and the fused epilogues
+// (§11) were built for.
 //
 // Scheduling policy (DESIGN.md §12): one bounded FIFO. The runner blocks
 // for the first request, takes what else is queued up to MaxBatch in
@@ -55,12 +55,6 @@ type Config struct {
 	// model/serialize — the serving path is identical from there on).
 	Model model.Config
 	Seed  uint64
-
-	// Int8 runs the frozen-weight Linear forwards on the quantized engine
-	// (nn.Ctx.Int8) instead of f32 with fused epilogues. It is a property
-	// of this engine's context, so engines of both kinds can share a
-	// process; the warmup pre-pack builds the matching packs.
-	Int8 bool
 
 	// MaxBatch caps requests per dynamic batch (default 32).
 	MaxBatch int
@@ -207,7 +201,7 @@ func New(cfg Config) (*Engine, error) {
 		m:   m,
 		// Eval-only context: nil profiler (alloc-free no-op path), no
 		// RNG use (dropout inactive), Train permanently false.
-		ctx:    &nn.Ctx{Train: false, Int8: cfg.Int8},
+		ctx:    &nn.Ctx{Train: false},
 		queue:  make(chan *pending, cfg.QueueCap),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -222,7 +216,7 @@ func New(cfg Config) (*Engine, error) {
 		e.ctx.Tracer = e.tracer
 	}
 	queueCap.Set(float64(cfg.QueueCap))
-	e.WarmedPacks = m.WarmupInference(e.ctx)
+	e.WarmedPacks = m.WarmupInference()
 	go e.run()
 	return e, nil
 }

@@ -420,16 +420,9 @@ func counterValue(t *testing.T, name string) int64 {
 	return int64(m.Value)
 }
 
-// numerics names the two engine configurations that exist: f32 with fused
-// epilogues, and int8 Linear forwards.
-var numerics = []struct {
-	name        string
-	int8        bool
-	missCounter string
-}{
-	{"f32", false, "kernels_pack_cache_misses_total"},
-	{"int8", true, "kernels_int8_pack_cache_misses_total"},
-}
+// packMissCounter counts weight packs built cold; a warmed engine serving
+// frozen weights must never move it.
+const packMissCounter = "kernels_pack_cache_misses_total"
 
 // submitBurst drives n concurrent requests of mixed lengths through e.
 func submitBurst(t *testing.T, e *Engine, n int) {
@@ -448,23 +441,19 @@ func submitBurst(t *testing.T, e *Engine, n int) {
 }
 
 // TestSteadyStateZeroPackMisses is the pack-cache acceptance criterion:
-// after the load-time warmup, serving traffic in either numeric mode takes
-// zero pack-cache misses — every weight pack the forward consults was
-// pre-built by WarmupInference and frozen weights never invalidate it.
+// after the load-time warmup, serving traffic takes zero pack-cache misses
+// — every weight pack the forward consults was pre-built by
+// WarmupInference and frozen weights never invalidate it.
 func TestSteadyStateZeroPackMisses(t *testing.T) {
-	for _, tc := range numerics {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Int8 = tc.int8
-			e := newTestEngine(t, cfg) // New warms the packs (cold misses land here)
+	t.Run("f32", func(t *testing.T) {
+		e := newTestEngine(t, testConfig()) // New warms the packs (cold misses land here)
 
-			before := counterValue(t, tc.missCounter)
-			submitBurst(t, e, 48)
-			if d := counterValue(t, tc.missCounter) - before; d != 0 {
-				t.Errorf("steady-state serving took %d pack-cache misses on %s, want 0 (warmup must pre-pack everything)", d, tc.name)
-			}
-		})
-	}
+		before := counterValue(t, packMissCounter)
+		submitBurst(t, e, 48)
+		if d := counterValue(t, packMissCounter) - before; d != 0 {
+			t.Errorf("steady-state serving took %d pack-cache misses, want 0 (warmup must pre-pack everything)", d)
+		}
+	})
 }
 
 // directF32Predictions answers reqs one at a time on e's model with no
@@ -482,17 +471,15 @@ func directF32Predictions(e *Engine, reqs []*Request) [][]int {
 	return out
 }
 
-// TestTwoEnginesOneProcess: numeric mode is a property of each engine's
-// context, not of the process. An int8 and an f32 engine alive together
-// (created in the order that used to flip the first one's route) each keep
-// their own numerics — the f32 engine bit-equal to direct PredictMaskedAt,
-// the int8 engine bit-equal to a lone int8 engine — and both hold the
-// zero-pack-miss invariant while serving concurrently.
+// TestTwoEnginesOneProcess: an engine's answers are a property of its own
+// model and context, not of the process. Two engines with different weight
+// seeds, alive together and serving concurrently, each answer bit for bit
+// like a lone engine of their seed, and neither takes a pack-cache miss.
 func TestTwoEnginesOneProcess(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 1 // every request runs alone, so direct calls see the same shapes
-	cfg8 := cfg
-	cfg8.Int8 = true
+	cfgA := testConfig()
+	cfgA.MaxBatch = 1 // every request runs alone, so every engine sees the same shapes
+	cfgB := cfgA
+	cfgB.Seed = cfgA.Seed + 1
 
 	reqs := make([]*Request, 24)
 	for i := range reqs {
@@ -512,39 +499,36 @@ func TestTwoEnginesOneProcess(t *testing.T) {
 		return out
 	}
 
-	lone := newTestEngine(t, cfg8)
-	wantInt8 := serve(lone)
-	lone.Close()
-
-	e8 := newTestEngine(t, cfg8)
-	e32 := newTestEngine(t, cfg) // the later f32 engine must not flip e8
-	wantF32 := directF32Predictions(e32, reqs)
-	if reflect.DeepEqual(wantF32, wantInt8) {
-		t.Fatal("f32 and int8 predictions coincide on the whole request set; the test cannot tell the modes apart")
+	lone := func(cfg Config) [][]int {
+		e := newTestEngine(t, cfg)
+		defer e.Close()
+		return serve(e)
+	}
+	wantA, wantB := lone(cfgA), lone(cfgB)
+	if reflect.DeepEqual(wantA, wantB) {
+		t.Fatal("both seeds predict alike on the whole request set; the test cannot tell the engines apart")
 	}
 
-	missF32 := counterValue(t, numerics[0].missCounter)
-	missInt8 := counterValue(t, numerics[1].missCounter)
-	var got8, got32 [][]int
+	eA := newTestEngine(t, cfgA)
+	eB := newTestEngine(t, cfgB)
+	before := counterValue(t, packMissCounter)
+	var gotA, gotB [][]int
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); got8 = serve(e8) }()
-	go func() { defer wg.Done(); got32 = serve(e32) }()
+	go func() { defer wg.Done(); gotA = serve(eA) }()
+	go func() { defer wg.Done(); gotB = serve(eB) }()
 	wg.Wait()
-	submitBurst(t, e8, 24)
-	submitBurst(t, e32, 24)
+	submitBurst(t, eA, 24)
+	submitBurst(t, eB, 24)
 
-	if !reflect.DeepEqual(got32, wantF32) {
-		t.Errorf("f32 engine beside an int8 engine diverged from direct PredictMaskedAt:\n got %v\nwant %v", got32, wantF32)
+	if !reflect.DeepEqual(gotA, wantA) {
+		t.Errorf("seed %d engine beside another diverged from a lone one:\n got %v\nwant %v", cfgA.Seed, gotA, wantA)
 	}
-	if !reflect.DeepEqual(got8, wantInt8) {
-		t.Errorf("int8 engine beside an f32 engine diverged from a lone int8 engine:\n got %v\nwant %v", got8, wantInt8)
+	if !reflect.DeepEqual(gotB, wantB) {
+		t.Errorf("seed %d engine beside another diverged from a lone one:\n got %v\nwant %v", cfgB.Seed, gotB, wantB)
 	}
-	if d := counterValue(t, numerics[0].missCounter) - missF32; d != 0 {
-		t.Errorf("%d f32 pack-cache misses with both engines serving, want 0", d)
-	}
-	if d := counterValue(t, numerics[1].missCounter) - missInt8; d != 0 {
-		t.Errorf("%d int8 pack-cache misses with both engines serving, want 0", d)
+	if d := counterValue(t, packMissCounter) - before; d != 0 {
+		t.Errorf("%d pack-cache misses with both engines serving, want 0", d)
 	}
 }
 

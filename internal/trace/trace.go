@@ -287,24 +287,6 @@ func (a ActiveSpan) End() {
 	})
 }
 
-// EndWithParent closes the span under an explicit parent (used when the
-// parent was not known at start — e.g. a batch span adopted by the
-// requests that rode in it).
-func (a ActiveSpan) EndWithParent(parent SpanID) {
-	if a.t == nil {
-		return
-	}
-	a.t.record(Span{
-		Trace:  a.trace,
-		ID:     a.id,
-		Parent: parent,
-		Name:   a.name,
-		Step:   a.step,
-		Start:  a.start,
-		Dur:    time.Since(a.start),
-	})
-}
-
 // Record appends a fully specified span (explicit start/duration — the
 // scheduler path, which derives stage spans from timestamps it already
 // took). Zero Trace ids are dropped; safe on nil.

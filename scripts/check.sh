@@ -21,6 +21,9 @@ go vet ./...
 echo "== GOARCH=s390x go vet ./internal/distnet/ (the big-endian wire encode/decode in wire_be.go keeps compiling)"
 GOARCH=s390x go vet ./internal/distnet/
 
+echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
+GOARCH=arm64 go vet ./...
+
 echo "== go build ./..."
 go build ./...
 
