@@ -34,10 +34,28 @@ func Add(dst, a, b []float32) {
 func AccumulateInto(dst, a []float32) {
 	checkSameLen("AccumulateInto", dst, a)
 	parallelFor(len(dst), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += a[i]
-		}
+		addRow(dst[lo:hi], a[lo:hi])
 	})
+}
+
+// addRow computes y[i] += x[i], one float32 add per element, through the
+// kernel table's vector body (whole 8-element groups) with the tail in Go.
+// It is the one add loop behind AddBias, AccumulateInto and the fused
+// epilogue's bias and residual adds. Where both addends are NaN the vector
+// body returns y's NaN, quieted; the Go body returns either one, since Go
+// does not fix the operand order of a commutative add.
+func addRow(y, x []float32) {
+	x = x[:len(y)]
+	if body := activeKernel.addRow; body != nil {
+		n8 := len(y) &^ 7
+		if n8 > 0 {
+			body(y[:n8], x[:n8])
+		}
+		y, x = y[n8:], x[n8:]
+	}
+	for i, v := range x {
+		y[i] += v
+	}
 }
 
 // Mul computes dst[i] = a[i] * b[i].
@@ -79,11 +97,7 @@ func (s *addBiasState) runRange(lo, hi int) {
 	for i := lo; i < hi; {
 		j := i % s.n
 		end := min(hi, i-j+s.n) // clip the segment to its row boundary
-		row := s.x[i:end]
-		b := s.bias[j : j+len(row)]
-		for k := range row {
-			row[k] += b[k]
-		}
+		addRow(s.x[i:end], s.bias[j:])
 		i = end
 	}
 }

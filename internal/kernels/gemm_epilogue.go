@@ -19,7 +19,7 @@ import (
 // Numerics contract: the fused write-back performs the exact same float32
 // expressions, in the same order, as the unfused reference sequence
 // (AddBias → GeLUForward / AddBias → residual add → LayerNormForward),
-// sharing the helpers geluSpan and layerNormRowStats/-Apply. The
+// sharing the helpers addRow, geluSpan and layerNormRows. The
 // engine never contracts a+b+c or reorders row reductions, so fused and
 // unfused results are bitwise identical on the same micro-kernel backend —
 // an invariant the audit harness pins (internal/audit).
@@ -222,35 +222,20 @@ func copyRows(dst, src []float32) {
 // kind only bias+residual happens here — normalization needs complete
 // rows and runs in finalizeLNRows.
 func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
-	switch ep.Kind {
-	case EpilogueBias:
-		for r := r0; r < r1; r++ {
-			row := c[r*ld : r*ld+c1]
-			for j := c0; j < c1; j++ {
-				row[j] += ep.Bias[j]
-			}
-		}
-	case EpilogueBiasGeLU:
-		bias := ep.Bias[c0:c1]
-		for r := r0; r < r1; r++ {
-			row := c[r*ld+c0 : r*ld+c1]
-			for j, b := range bias {
-				row[j] += b
-			}
+	bias := ep.Bias[c0:c1]
+	for r := r0; r < r1; r++ {
+		row := c[r*ld+c0 : r*ld+c1]
+		addRow(row, bias)
+		switch ep.Kind {
+		case EpilogueBiasGeLU:
 			if ep.X != nil {
 				copy(ep.X[r*ld+c0:r*ld+c1], row)
 			}
 			geluSpan(row, row)
-		}
-	case EpilogueBiasResidualLayerNorm:
-		for r := r0; r < r1; r++ {
-			row := c[r*ld : r*ld+c1]
-			res := ep.Residual[r*ld : r*ld+c1]
-			for j := c0; j < c1; j++ {
-				// Same association as the unfused sequence: (acc+bias)
-				// first (AddBias), then +residual (AccumulateInto).
-				row[j] = (row[j] + ep.Bias[j]) + res[j]
-			}
+		case EpilogueBiasResidualLayerNorm:
+			// Same association as the unfused sequence: (acc+bias) first
+			// (AddBias), then +residual (AccumulateInto).
+			addRow(row, ep.Residual[r*ld+c0:r*ld+c1])
 		}
 	}
 }
@@ -268,20 +253,8 @@ type epLNFinalizeState struct {
 var epLNFinalizePool = sync.Pool{New: func() any { return new(epLNFinalizeState) }}
 
 func (s *epLNFinalizeState) runRange(lo, hi int) {
-	n, ep := s.n, s.ep
-	for t := lo; t < hi; t++ {
-		r := s.row0 + t
-		row := s.c[r*n : (r+1)*n]
-		if ep.X != nil {
-			copy(ep.X[r*n:(r+1)*n], row)
-		}
-		mu, istd := layerNormRowStats(row, ep.Eps)
-		if ep.Mean != nil {
-			ep.Mean[r] = mu
-			ep.InvStd[r] = istd
-		}
-		layerNormRowApply(row, row, ep.Gamma, ep.Beta, mu, istd)
-	}
+	ep := s.ep
+	layerNormRows(s.c, s.c, ep.X, ep.Gamma, ep.Beta, ep.Mean, ep.InvStd, s.row0+lo, s.row0+hi, s.n, ep.Eps)
 }
 
 // finalizeLNRows normalizes rows [row0, row0+rows) of c in place. Shared

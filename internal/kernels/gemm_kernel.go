@@ -20,7 +20,9 @@ import (
 // (gelu.go, softmax.go): gelu, geluGrad (GELU' times dY, GeLUBackward's
 // product) and exp take up to 64 elements, store only the lanes whose
 // float32 result is certain, and return the mask of the others for the
-// reference expression (nil: the Go body).
+// reference expression (nil: the Go body). The fused GEMM tails' bodies —
+// addRow (y += x) and lnApply (LayerNorm's affine) — take whole 8-element
+// groups like the LAMB ones, with the same nil convention.
 type gemmKernel struct {
 	name       string
 	mr, nr     int
@@ -29,6 +31,8 @@ type gemmKernel struct {
 	lambStage1 func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
 	subScaled  func(y, x []float32, a float32)
 	sumSq8     func(x []float32) float64
+	addRow     func(y, x []float32)
+	lnApply    func(y, x, gamma, beta []float32, mu, istd float32)
 	gelu       func(dst, x []float32) (fallback uint64)
 	geluGrad   func(dX, dY, x []float32) (fallback uint64)
 	exp        func(dst, x []float32, m float32) (fallback uint64)

@@ -82,6 +82,7 @@ var kernelTable = func() []gemmKernel {
 	for _, k := range []*gemmKernel{&avx512, &avx2} {
 		k.packT4 = packT4asm
 		k.lambStage1, k.subScaled, k.sumSq8 = lambStage1SIMD, subScaledSIMD, sumSq8SIMD
+		k.addRow, k.lnApply = addRowSIMD, lnApplySIMD
 	}
 	return []gemmKernel{avx512, avx2, scalarKernel}
 }()

@@ -138,8 +138,11 @@ func (m *BERT) ScaleGrads(f float32) {
 }
 
 // Forward runs the forward pass over a batch and returns the summed
-// MLM + NSP loss. State is retained for a subsequent Backward.
+// MLM + NSP loss. State is retained for a subsequent Backward. Like
+// EncodeEval it starts a new forward on ctx's workspace, which an
+// evaluation-mode call (PredictMasked) draws its activations from.
 func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
+	ctx.ResetWorkspace()
 	m.batch = b
 	h := m.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
 
@@ -175,7 +178,7 @@ func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 // the loss scores, serving the positions a request asks about.
 func gatherRows(ctx *nn.Ctx, name string, x *tensor.Tensor, rows []int) *tensor.Tensor {
 	d := x.Dim(1)
-	out := tensor.New(len(rows), d)
+	out := ctx.NewActivation(len(rows), d)
 	ctx.Prof.Time(name, profile.CatOutput, profile.Forward,
 		0, kernels.EWBytes(len(rows)*d, 1, 1, ctx.ElemSize()), func() {
 			for i, r := range rows {

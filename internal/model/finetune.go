@@ -38,8 +38,10 @@ func NewFineTuner(base *BERT, seed uint64) *FineTuner {
 }
 
 // Forward runs the encoder and span head over a QA batch, returning the
-// mean of the start- and end-position cross-entropy losses.
+// mean of the start- and end-position cross-entropy losses. It starts a new
+// forward on ctx's workspace, as BERT.Forward does.
 func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
+	ctx.ResetWorkspace()
 	f.batch = b
 	h := f.Base.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
 	for _, layer := range f.Base.Layers {

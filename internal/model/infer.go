@@ -35,7 +35,13 @@ import (
 // precision) over the ragged batch and returns the sequence output
 // [T, dModel], sequence s in rows b.Offsets[s]..b.Offsets[s+1]. The
 // caller's ctx.Train flag is restored on return.
+//
+// Every activation, the result included, comes from ctx's workspace
+// (nn.Ctx), which EncodeEval resets on entry: the result stays valid until
+// the next EncodeEval — or any other model forward — on the same ctx.
+// Copy it to keep it longer.
 func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
+	ctx.ResetWorkspace()
 	prevTrain := ctx.Train
 	ctx.Train = false
 	defer func() { ctx.Train = prevTrain }()
@@ -121,7 +127,8 @@ func (m *BERT) PredictMaskedAt(ctx *nn.Ctx, b *data.Ragged, positions [][]int) [
 
 // mlmLogits applies the MLM head to just the listed rows of the encoder
 // output and returns their [len(rows), vocab] logits, so the whole head
-// costs O(len(rows) · vocab) instead of O(T · vocab).
+// costs O(len(rows) · vocab) instead of O(T · vocab). After EncodeEval its
+// activations come from the same workspace, behind the encoder's.
 func (m *BERT) mlmLogits(ctx *nn.Ctx, seq *tensor.Tensor, rows []int) *tensor.Tensor {
 	prevTrain := ctx.Train
 	ctx.Train = false

@@ -306,3 +306,79 @@ func TestPredictMaskedAtValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestRaggedWorkspaceReuseBitwise: an evaluation forward on a context whose
+// workspace already holds a larger batch — slots bigger than needed, full
+// of that batch's activations — computes a short batch's encoder rows and
+// logits bit for bit as a fresh context does, and so does the larger batch
+// after it. A producer that left any element of its output unwritten
+// would read the earlier batch's values here. Same routes, causal or not,
+// as TestRaggedBatchBitwiseMatchesAlone.
+func TestRaggedWorkspaceReuseBitwise(t *testing.T) {
+	wide := Config{Vocab: 256, MaxPos: 32, NumLayers: 2, DModel: 128, Heads: 2, DFF: 256, DropProb: 0.1}
+	for _, tc := range []struct {
+		path kernels.GEMMPath
+		cfg  Config
+	}{
+		{kernels.GEMMPathNaive, Tiny()},
+		{kernels.GEMMPathBlocked, Tiny()},
+		{kernels.GEMMPathFused, Tiny()},
+		{kernels.GEMMPathAuto, wide},
+	} {
+		for _, causal := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/causal=%v", tc.path, causal), func(t *testing.T) {
+				defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
+				cfg := tc.cfg
+				cfg.Causal = causal
+				m, err := New(cfg, 17)
+				if err != nil {
+					t.Fatal(err)
+				}
+				large, largePos := raggedBatch(cfg, []int{cfg.MaxPos, 9, cfg.MaxPos, 5, cfg.MaxPos/2 + 1}, 98)
+				short, shortPos := raggedBatch(cfg, []int{3, 1, 7}, 99)
+				fresh := func(b *data.Ragged, ps [][]int) (seq, logits *tensor.Tensor) {
+					return encodeAndLogits(m, &nn.Ctx{}, b, ps)
+				}
+				wantLarge, wantLargeLogits := fresh(large, largePos)
+				wantShort, wantShortLogits := fresh(short, shortPos)
+
+				ctx := &nn.Ctx{}
+				for k, step := range []struct {
+					name        string
+					b           *data.Ragged
+					ps          [][]int
+					seq, logits *tensor.Tensor
+				}{
+					{"large", large, largePos, wantLarge, wantLargeLogits},
+					{"short after large", short, shortPos, wantShort, wantShortLogits},
+					{"large after short", large, largePos, wantLarge, wantLargeLogits},
+					{"short again", short, shortPos, wantShort, wantShortLogits},
+				} {
+					seq, logits := encodeAndLogits(m, ctx, step.b, step.ps)
+					for _, p := range []struct {
+						what      string
+						got, want *tensor.Tensor
+					}{{"encoder rows", seq, step.seq}, {"logits", logits, step.logits}} {
+						if !tensor.SameShape(p.got, p.want) {
+							t.Fatalf("batch %d (%s): %s shaped %v, want %v", k, step.name, p.what, p.got.Shape(), p.want.Shape())
+						}
+						if i := firstBitDiff(p.got.Data(), p.want.Data()); i >= 0 {
+							t.Fatalf("batch %d (%s): %s differ from a fresh context's at element %d", k, step.name, p.what, i)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which a and b differ in their
+// bits, or -1.
+func firstBitDiff(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}

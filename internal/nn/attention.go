@@ -219,7 +219,7 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 		flops += int64(a.heads) * (kernels.GEMMFLOPs(n, n, a.dHead) + kernels.GEMMFLOPs(n, a.dHead, n))
 		bytes += int64(a.heads) * (kernels.GEMMBytes(n, n, a.dHead, es) + kernels.GEMMBytes(n, a.dHead, n, es))
 	}
-	merged := tensor.New(tokens, a.dModel)
+	merged := ctx.NewActivation(tokens, a.dModel)
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
 		kernels.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)

@@ -124,7 +124,7 @@ func (e *Embedding) ForwardRagged(ctx *Ctx, tokens, segments, offsets []int) *te
 	}
 	e.tokens, e.segments = nil, nil
 
-	out := tensor.New(t, e.dModel)
+	out := ctx.NewActivation(t, e.dModel)
 	total := t * e.dModel
 	ctx.Prof.Time("embedding_gather", profile.CatEmbedding, profile.Forward,
 		kernels.EWFLOPs(total, 2), kernels.EWBytes(total, 3, 1, ctx.ElemSize()), func() {

@@ -39,9 +39,9 @@ func (l *LayerNorm) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: LayerNorm features %d, want %d", dim, l.dim))
 	}
 	l.x = x
-	l.mean = tensor.New(rows)
-	l.invStd = tensor.New(rows)
-	y := tensor.New(rows, dim)
+	l.mean = ctx.NewActivation(rows)
+	l.invStd = ctx.NewActivation(rows)
+	y := ctx.NewActivation(rows, dim)
 	n := rows * dim
 	es := ctx.ElemSize()
 	// LN is a reduction plus a few EW ops: ~8 ops/element.

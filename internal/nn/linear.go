@@ -135,7 +135,7 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 		panic(fmt.Sprintf("nn: Linear input features %d, want %d", in, l.in))
 	}
 	l.x = x
-	y := tensor.New(tokens, l.out)
+	y := ctx.NewActivation(tokens, l.out)
 	es := ctx.ElemSize()
 
 	// The weight operand is packed at most once per parameter generation

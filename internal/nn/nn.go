@@ -80,6 +80,14 @@ func (p *Param) Packed(transB bool, n, k int) *kernels.PackedB {
 // Ctx carries per-iteration execution state through forward and backward
 // passes: the profiler, the dropout RNG, the training flag, and whether
 // mixed-precision byte accounting is active.
+//
+// A Ctx also owns the evaluation forward's activation memory, a grow-only
+// workspace (workspace.go) that model.BERT.EncodeEval resets on entry. In
+// evaluation mode the layers draw their outputs from it (NewActivation), so
+// a steady stream of batches reuses the same memory instead of allocating
+// and zeroing every activation anew; a tensor returned by an evaluation
+// forward is therefore valid only until the next forward on the same Ctx.
+// Training allocates as before. A Ctx serves one goroutine at a time.
 type Ctx struct {
 	Prof  *profile.Profiler
 	RNG   *tensor.RNG
@@ -112,6 +120,8 @@ type Ctx struct {
 	// Tracer or unsampled Span makes StartSpan free.
 	Tracer *trace.Tracer
 	Span   trace.SpanContext
+
+	ws *workspace // nil until the first ResetWorkspace
 }
 
 // StartSpan opens a model-phase span under the context's ambient trace.

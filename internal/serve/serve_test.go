@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -541,5 +542,36 @@ func TestWarmupCoversInferencePath(t *testing.T) {
 	want := 6*e.cfg.Model.NumLayers + 2
 	if e.WarmedPacks != want {
 		t.Errorf("warmed %d packs, want %d", e.WarmedPacks, want)
+	}
+}
+
+// TestServedBatchAllocationGuard: once warm, a served batch draws every
+// activation from the engine context's workspace, so what it allocates is
+// request bookkeeping — under 64 KiB — where a fresh tensor per activation
+// cost hundreds of KiB even at this reduced scale (about 14 MB per batch
+// at serve_sat's).
+func TestServedBatchAllocationGuard(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under -race")
+	}
+	e := newTestEngine(t, testConfig())
+	req := testRequest(e.cfg.Model.MaxPos, 1)
+	submit := func() {
+		if _, err := e.Submit(req); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	for range 3 {
+		submit()
+	}
+	const batches = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range batches {
+		submit()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / batches; per >= 64<<10 {
+		t.Errorf("a warm served batch allocates %d bytes, want under 64 KiB", per)
 	}
 }

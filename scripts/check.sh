@@ -24,6 +24,14 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
+echo "== GOARCH=arm64 LayerNorm listing (no fused multiply-add in layernorm.go: every product is rounded before it is added, so arm64 computes amd64's LayerNorm bits)"
+GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/layernorm_arm64.txt 2>&1 || { tail -20 /tmp/layernorm_arm64.txt; exit 1; }
+if grep 'layernorm\.go:' /tmp/layernorm_arm64.txt | grep -E 'FN?M(ADD|SUB)S'; then
+	echo "check: fused multiply-add in the arm64 LayerNorm bodies" >&2
+	exit 1
+fi
+rm -f /tmp/layernorm_arm64.txt
+
 echo "== go build ./..."
 go build ./...
 
@@ -64,7 +72,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + GeLU + LAMB sweeps + softmax/exp, 1 iteration)"
-go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + GeLU + LAMB sweeps + softmax/exp + fused GEMM tails, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
