@@ -909,11 +909,11 @@ func benchRealFFNEpilogue(b *testing.B, fused bool) {
 	for i := range gamma {
 		gamma[i] = 1
 	}
-	h := make([]float32, tokens*dff)   // FC1 pre-activation
-	a := make([]float32, tokens*dff)   // GeLU output
-	y := make([]float32, tokens*d)     // FC2 output
-	res := make([]float32, tokens*d)   // pre-LN sum
-	out := make([]float32, tokens*d)   // LN output
+	h := make([]float32, tokens*dff) // FC1 pre-activation
+	a := make([]float32, tokens*dff) // GeLU output
+	y := make([]float32, tokens*d)   // FC2 output
+	res := make([]float32, tokens*d) // pre-LN sum
+	out := make([]float32, tokens*d) // LN output
 	mean := make([]float32, tokens)
 	invStd := make([]float32, tokens)
 	const eps = 1e-5

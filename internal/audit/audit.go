@@ -171,10 +171,6 @@ var (
 	// tolBlockedGrad: gradients compose more GEMMs (dX and dW per
 	// linear) and sum longer chains, so rounding differences compound.
 	tolBlockedGrad = Tol{Abs: 1e-4, Rel: 1e-4}
-	// tolFused: the fused softmax kernel applies scale and mask in one
-	// expression; Go may contract s*x+m into an FMA on some
-	// architectures, so a tiny slack is allowed (bitwise on amd64).
-	tolFused = Tol{Abs: 1e-6, Rel: 1e-6}
 	// tolMPAmplify: with MP storage every layer output is quantized to
 	// binary16; a 1-ulp float32 path difference before the quantizer can
 	// land on a different half, i.e. a 2^-11 relative step. Applied only
@@ -193,12 +189,10 @@ func tolerances(m Mode) (fwd, grad Tol) {
 		fwd = fwd.max(tolBlockedFwd)
 		grad = grad.max(tolBlockedGrad)
 	}
-	if m.Fused {
-		fwd = fwd.max(tolFused)
-		grad = grad.max(tolFused)
-	}
-	// Ckpt contributes zero: recomputed activations replay dropout masks
-	// and must be bit-identical to the stored originals.
+	// Ckpt and Fused contribute zero: recomputed activations replay
+	// dropout masks and must be bit-identical to the stored originals, and
+	// the fused softmax rounds the scaled score before the mask add, as
+	// the unfused sequence does.
 	if m.MP && !fwd.zero() {
 		fwd = fwd.max(tolMPAmplify)
 		grad = grad.max(tolMPAmplify)

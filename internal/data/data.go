@@ -184,10 +184,6 @@ func (b *Batch) MaskedCount() int {
 	return c
 }
 
-// Tokens per iteration, the paper's n·B quantity that forward/backward
-// cost scales with (Section 3.3.1).
-func (b *Batch) TokenCount() int { return b.B * b.N }
-
 // NextVarLen generates a batch whose sequences have heterogeneous real
 // lengths in [minLen, n], padded with [PAD] to the bucket length n and
 // masked out of attention — the heterogeneity the paper notes makes NLP
@@ -210,15 +206,4 @@ func (g *Generator) NextVarLen(b, n, minLen int) *Batch {
 		}
 	}
 	return batch
-}
-
-// RealTokenCount returns the number of non-padding tokens.
-func (b *Batch) RealTokenCount() int {
-	c := 0
-	for _, t := range b.Tokens {
-		if t != PadID {
-			c++
-		}
-	}
-	return c
 }

@@ -43,7 +43,7 @@ func TestBatchStructure(t *testing.T) {
 func TestMaskingRate(t *testing.T) {
 	g := NewGenerator(1000, 0.15, 2)
 	b := g.Next(64, 128)
-	rate := float64(b.MaskedCount()) / float64(b.TokenCount())
+	rate := float64(b.MaskedCount()) / float64(b.B*b.N)
 	// 2 structural tokens per sequence are never masked, so the realized
 	// rate is slightly below 0.15.
 	if math.Abs(rate-0.15) > 0.02 {
@@ -108,17 +108,16 @@ func TestGeneratorValidation(t *testing.T) {
 	}
 }
 
-func TestTokenCount(t *testing.T) {
-	b := NewGenerator(100, 0.15, 1).Next(4, 32)
-	if b.TokenCount() != 128 {
-		t.Fatalf("TokenCount = %d", b.TokenCount())
-	}
-}
-
 func TestVarLenBatchPadding(t *testing.T) {
 	g := NewGenerator(500, 0.15, 5)
 	b := g.NextVarLen(8, 32, 8)
-	if b.RealTokenCount() >= b.TokenCount() {
+	pads := 0
+	for _, id := range b.Tokens {
+		if id == PadID {
+			pads++
+		}
+	}
+	if pads == 0 {
 		t.Fatal("variable-length batch has no padding")
 	}
 	for s := 0; s < b.B; s++ {

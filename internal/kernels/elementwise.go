@@ -192,8 +192,11 @@ func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float
 			out := dst[r*n : (r+1)*n]
 			if keyMask != nil {
 				mk := keyMask[batch*n : (batch+1)*n]
+				// The conversion rounds the scaled score before the mask
+				// add, as the unfused Scale-then-add sequence does; without
+				// it arm64 contracts the two into one fused multiply-add.
 				for i := range out {
-					out[i] = s*in[i] + mk[i]
+					out[i] = float32(s*in[i]) + mk[i]
 				}
 			} else {
 				for i := range out {

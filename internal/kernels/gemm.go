@@ -72,16 +72,15 @@ func GEMMNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 // same inner-loop order regardless of the partition, so results are
 // bitwise identical for any worker count.
 func gemmNaivePar(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
-	switch {
-	case !transA && !transB:
-		gemmNN(m, n, k, alpha, a, b, c)
-	case !transA && transB:
-		gemmNT(m, n, k, alpha, a, b, c)
-	case transA && !transB:
-		gemmTN(m, n, k, alpha, a, b, c)
-	default:
-		gemmTT(m, n, k, alpha, a, b, c)
-	}
+	parallelFor(m, n*k, func(lo, hi int) {
+		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, c, lo, hi)
+	})
+}
+
+// gemmNaiveSerial accumulates C += alpha·op(A)·op(B) with the unblocked
+// single-threaded loops (beta already applied by the caller).
+func gemmNaiveSerial(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
+	gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, c, 0, m)
 }
 
 func checkGEMMArgs(transA, transB bool, m, n, k int, a, b, c []float32) {
@@ -111,12 +110,15 @@ func scaleC(c []float32, beta float32) {
 	}
 }
 
-// gemmNN: A is M×K, B is K×N. For each row of C, accumulate saxpy updates
-// over rows of B — the innermost loop streams contiguous B and C rows.
-// Note there is deliberately no skip for zero coefficients: 0·NaN must
-// stay NaN.
-func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, n*k, func(lo, hi int) {
+// gemmNaiveRows accumulates rows [lo, hi) of C += alpha·op(A)·op(B)
+// with the unblocked loops. Every element sums over p in order, whatever
+// the row range, so any partition of [0, m) gives the same bits. There is
+// deliberately no skip for zero coefficients: 0·NaN must stay NaN.
+func gemmNaiveRows(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, lo, hi int) {
+	switch {
+	case !transA && !transB:
+		// A is M×K, B is K×N: saxpy updates over rows of B, streaming
+		// contiguous B and C rows.
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			ai := a[i*k : (i+1)*k]
@@ -124,28 +126,19 @@ func gemmNN(m, n, k int, alpha float32, a, b, c []float32) {
 				axpy(alpha*ai[p], b[p*n:(p+1)*n], ci)
 			}
 		}
-	})
-}
-
-// gemmNT: A is M×K, B is N×K. C[i][j] is a dot product of two contiguous
-// rows.
-func gemmNT(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, n*k, func(lo, hi int) {
+	case !transA && transB:
+		// A is M×K, B is N×K: C[i][j] is a dot product of two
+		// contiguous rows.
 		for i := lo; i < hi; i++ {
 			ai := a[i*k : (i+1)*k]
 			ci := c[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				ci[j] += alpha * dot(ai, bj)
+				ci[j] += alpha * dot(ai, b[j*k:(j+1)*k])
 			}
 		}
-	})
-}
-
-// gemmTN: A is K×M, B is K×N. For each k, rank-1 update of the C row block
-// — contiguous access of B and C rows.
-func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, n*k, func(lo, hi int) {
+	case transA && !transB:
+		// A is K×M, B is K×N: for each p, a rank-1 update of the C row
+		// block.
 		for p := 0; p < k; p++ {
 			ap := a[p*m : (p+1)*m]
 			bp := b[p*n : (p+1)*n]
@@ -153,14 +146,9 @@ func gemmTN(m, n, k int, alpha float32, a, b, c []float32) {
 				axpy(alpha*ap[i], bp, c[i*n:(i+1)*n])
 			}
 		}
-	})
-}
-
-// gemmTT: A is K×M, B is N×K. C[i][j] = sum_p A[p][i]·B[j][p]; the B row is
-// contiguous, A is strided. TT does not occur in BERT's training graph but
-// is provided for completeness.
-func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, n*k, func(lo, hi int) {
+	default:
+		// A is K×M, B is N×K: the B row is contiguous, A is strided. TT
+		// does not occur in BERT's training graph.
 		for i := lo; i < hi; i++ {
 			ci := c[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
@@ -172,7 +160,7 @@ func gemmTT(m, n, k int, alpha float32, a, b, c []float32) {
 				ci[j] += alpha * sum
 			}
 		}
-	})
+	}
 }
 
 // dot returns the inner product of equal-length slices, unrolled 4-wide
@@ -301,48 +289,5 @@ func (s *batchedState) runRange(lo, hi int) {
 			s.a[i*s.sA:i*s.sA+s.m*s.k],
 			s.b[i*s.sB:i*s.sB+s.k*s.n],
 			c, false)
-	}
-}
-
-// gemmNaiveSerial accumulates C += alpha·op(A)·op(B) with the unblocked
-// single-threaded loops (beta already applied by the caller).
-func gemmNaiveSerial(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
-	switch {
-	case !transA && !transB:
-		for i := 0; i < m; i++ {
-			ci := c[i*n : (i+1)*n]
-			ai := a[i*k : (i+1)*k]
-			for p := 0; p < k; p++ {
-				axpy(alpha*ai[p], b[p*n:(p+1)*n], ci)
-			}
-		}
-	case !transA && transB:
-		for i := 0; i < m; i++ {
-			ai := a[i*k : (i+1)*k]
-			ci := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				ci[j] += alpha * dot(ai, b[j*k:(j+1)*k])
-			}
-		}
-	case transA && !transB:
-		for p := 0; p < k; p++ {
-			ap := a[p*m : (p+1)*m]
-			bp := b[p*n : (p+1)*n]
-			for i := 0; i < m; i++ {
-				axpy(alpha*ap[i], bp, c[i*n:(i+1)*n])
-			}
-		}
-	default:
-		for i := 0; i < m; i++ {
-			ci := c[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				bj := b[j*k : (j+1)*k]
-				var sum float32
-				for p := 0; p < k; p++ {
-					sum += a[p*m+i] * bj[p]
-				}
-				ci[j] += alpha * sum
-			}
-		}
 	}
 }

@@ -146,7 +146,7 @@ func TestGEMMNaNPropagation(t *testing.T) {
 	// column carries the special value.
 	t.Run("naive-small", func(t *testing.T) {
 		for _, special := range []float32{nan, inf} {
-			a := []float32{0, 1}          // 1×2
+			a := []float32{0, 1}             // 1×2
 			b := []float32{special, 2, 3, 4} // 2×2
 			c := make([]float32, 2)
 			GEMM(false, false, 1, 2, 2, 1, a, b, 0, c)
@@ -171,9 +171,9 @@ func TestGEMMNaNPropagation(t *testing.T) {
 		for i := range b {
 			b[i] = 1
 		}
-		a[0] = 0     // A[0][0] = 0
-		b[0] = nan   // B[0][0] = NaN: contributes 0·NaN to C[0][0]
-		b[1] = inf   // B[0][1] = Inf: contributes 0·Inf to C[0][1]
+		a[0] = 0   // A[0][0] = 0
+		b[0] = nan // B[0][0] = NaN: contributes 0·NaN to C[0][0]
+		b[1] = inf // B[0][1] = Inf: contributes 0·Inf to C[0][1]
 		paths := []struct {
 			name string
 			run  func(c []float32)
@@ -318,8 +318,8 @@ func TestGEMMPaperShapeSmoke(t *testing.T) {
 	}
 	r := tensor.NewRNG(17)
 	shapes := []struct {
-		name   string
-		ta, tb bool
+		name    string
+		ta, tb  bool
 		m, n, k int
 	}{
 		{"fwd-NT", false, true, 128, 256, 256},

@@ -195,10 +195,3 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 	slot.Store(&packEntry{gen: gen, pb: pb, stale: stale})
 	return pb
 }
-
-// Invalidate drops both cached orientations (e.g. when the owning buffer
-// is replaced rather than mutated in place).
-func (pc *PackCache) Invalidate() {
-	pc.e[0].Store(nil)
-	pc.e[1].Store(nil)
-}

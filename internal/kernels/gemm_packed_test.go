@@ -70,7 +70,7 @@ func TestGEMMPackedEquivalence(t *testing.T) {
 func TestGEMMPackedBitwiseMatchesGEMM(t *testing.T) {
 	r := tensor.NewRNG(22)
 	for _, tb := range []bool{false, true} {
-		m, n, k := 64, 100, gemmKC + 44 // edge tiles both ways, two depth blocks
+		m, n, k := 64, 100, gemmKC+44 // edge tiles both ways, two depth blocks
 		a := randSlice(r, m*k)
 		b := randSlice(r, k*n)
 		want := make([]float32, m*n)
@@ -190,10 +190,6 @@ func TestPackCacheInvalidation(t *testing.T) {
 	// Orientation slots are independent.
 	if cache.Get(false, k, n, b, 1).buf != nil || cache.Get(true, n, k, b, 1) != pb1 {
 		t.Fatal("transpose orientations must cache separately")
-	}
-	cache.Invalidate()
-	if cache.Get(true, n, k, b, 1).buf != nil {
-		t.Fatal("Invalidate must drop cached packs")
 	}
 }
 

@@ -155,6 +155,35 @@ func TestGEMMSingleWorkerMatchesParallel(t *testing.T) {
 	}
 }
 
+// Below smallGEMMFlops the auto route runs the naive loops serially and
+// GEMMNaive runs them row-parallel; both sum every element over p in
+// order, so they agree bit for bit at any pool width.
+func TestGEMMSmallAutoBitwiseNaive(t *testing.T) {
+	r := tensor.NewRNG(5)
+	m, n, k := 40, 20, 19
+	if 2*m*n*k >= smallGEMMFlops || m*n*k < minForkWork {
+		t.Fatalf("%dx%dx%d must be below the naive threshold and large enough to fork", m, n, k)
+	}
+	a, b, cInit := randSlice(r, m*k), randSlice(r, k*n), randSlice(r, m*n)
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	for _, w := range []int{1, 2} {
+		SetMaxWorkers(w)
+		for _, ta := range []bool{false, true} {
+			for _, tb := range []bool{false, true} {
+				got := append([]float32(nil), cInit...)
+				want := append([]float32(nil), cInit...)
+				GEMM(ta, tb, m, n, k, 0.75, a, b, 0.5, got)
+				GEMMNaive(ta, tb, m, n, k, 0.75, a, b, 0.5, want)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("workers=%d tA=%v tB=%v: GEMM[%d] = %v, GEMMNaive %v", w, ta, tb, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: (A·B)^T == B^T·A^T, expressed through the transpose flags.
 func TestGEMMTransposeIdentityProperty(t *testing.T) {
 	f := func(seed uint64) bool {

@@ -125,18 +125,6 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 	return m, nil
 }
 
-// ScaleGrads multiplies every parameter gradient by f — the final step of
-// gradient accumulation over micro-batches, which lets the engine train
-// effective batch sizes beyond what fits in one step.
-func (m *BERT) ScaleGrads(f float32) {
-	for _, p := range m.Params() {
-		g := p.Grad.Data()
-		for i := range g {
-			g[i] *= f
-		}
-	}
-}
-
 // Forward runs the forward pass over a batch and returns the summed
 // MLM + NSP loss. State is retained for a subsequent Backward. Like
 // EncodeEval it starts a new forward on ctx's workspace, which an

@@ -97,7 +97,12 @@ func TestGradientAccumulation(t *testing.T) {
 	for i := 0; i < k; i++ {
 		accum.Step(ctxA, b)
 	}
-	accum.ScaleGrads(1.0 / k)
+	for _, p := range accum.Params() {
+		g := p.Grad.Data()
+		for i := range g {
+			g[i] *= 1.0 / k
+		}
+	}
 
 	sp, ap := single.Params(), accum.Params()
 	for i := range sp {

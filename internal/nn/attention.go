@@ -30,7 +30,7 @@ type MultiHeadAttention struct {
 	// full reads and writes of the score matrix.
 	FusedSoftmax bool
 
-	dModel, heads, dHead int
+	heads, dHead int
 
 	// Saved forward state for backprop.
 	b, n       int
@@ -43,33 +43,53 @@ type MultiHeadAttention struct {
 // NewMultiHeadAttention builds an attention block for the given model
 // width and head count. dModel must be divisible by heads.
 func NewMultiHeadAttention(name string, dModel, heads int, dropP float32, rng *tensor.RNG) *MultiHeadAttention {
-	if dModel%heads != 0 {
-		panic(fmt.Sprintf("nn: dModel %d not divisible by %d heads", dModel, heads))
+	a := NewAttentionFrom(
+		NewLinear(name+".q", dModel, dModel, profile.CatLinear, rng),
+		NewLinear(name+".k", dModel, dModel, profile.CatLinear, rng),
+		NewLinear(name+".v", dModel, dModel, profile.CatLinear, rng),
+		NewLinear(name+".o", dModel, dModel, profile.CatLinear, rng),
+		heads)
+	a.AttnDrop.P = dropP
+	return a
+}
+
+// NewAttentionFrom assembles an attention block around existing
+// projections, with attention dropout off. Its input width is Wq.In();
+// its inner width — the width of Q, K and V and of Wo's input — may be
+// narrower, as in a tensor-sliced shard that owns only some of the heads.
+// The inner width must be divisible by heads.
+func NewAttentionFrom(wq, wk, wv, wo *Linear, heads int) *MultiHeadAttention {
+	in, inner := wq.In(), wq.Out()
+	if wk.In() != in || wv.In() != in || wk.Out() != inner || wv.Out() != inner || wo.In() != inner {
+		panic(fmt.Sprintf("nn: attention projections q %dx%d, k %dx%d, v %dx%d, o %dx%d do not fit together",
+			wq.In(), wq.Out(), wk.In(), wk.Out(), wv.In(), wv.Out(), wo.In(), wo.Out()))
+	}
+	if heads <= 0 || inner%heads != 0 {
+		panic(fmt.Sprintf("nn: attention width %d not divisible by %d heads", inner, heads))
 	}
 	return &MultiHeadAttention{
-		Wq:       NewLinear(name+".q", dModel, dModel, profile.CatLinear, rng),
-		Wk:       NewLinear(name+".k", dModel, dModel, profile.CatLinear, rng),
-		Wv:       NewLinear(name+".v", dModel, dModel, profile.CatLinear, rng),
-		Wo:       NewLinear(name+".o", dModel, dModel, profile.CatLinear, rng),
-		AttnDrop: NewDropout(dropP, profile.CatScaleMaskSM),
-		dModel:   dModel,
+		Wq: wq, Wk: wk, Wv: wv, Wo: wo,
+		AttnDrop: NewDropout(0, profile.CatScaleMaskSM),
 		heads:    heads,
-		dHead:    dModel / heads,
+		dHead:    inner / heads,
 	}
 }
 
-// Forward runs attention over x: [B·n, dModel]. mask, if non-nil, is an
+// inner returns the width of Q, K and V: heads·dHead.
+func (a *MultiHeadAttention) inner() int { return a.heads * a.dHead }
+
+// Forward runs attention over x: [B·n, Wq.In()]. mask, if non-nil, is an
 // additive [B, n] key mask (0 for visible, large-negative for padding).
 func (a *MultiHeadAttention) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
 	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, b, n, mask))
 }
 
 // forwardCore runs everything up to (not including) the output
-// projection, returning the merged head outputs [B·n, dModel].
+// projection, returning the merged head outputs [B·n, heads·dHead].
 func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
 	tokens, dim := mustRank2("MultiHeadAttention", x)
-	if tokens != b*n || dim != a.dModel {
-		panic(fmt.Sprintf("nn: attention input %v, want [%d, %d]", x.Shape(), b*n, a.dModel))
+	if tokens != b*n || dim != a.Wq.In() {
+		panic(fmt.Sprintf("nn: attention input %v, want [%d, %d]", x.Shape(), b*n, a.Wq.In()))
 	}
 	if mask != nil && (mask.Rank() != 2 || mask.Dim(0) != b || mask.Dim(1) != n) {
 		panic(fmt.Sprintf("nn: attention mask %v, want [%d, %d]", mask.Shape(), b, n))
@@ -87,7 +107,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	a.qh = tensor.New(batch, n, a.dHead)
 	a.kh = tensor.New(batch, n, a.dHead)
 	a.vh = tensor.New(batch, n, a.dHead)
-	sz := tokens * a.dModel
+	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
 			kernels.SplitHeads(a.qh.Data(), q.Data(), b, n, a.heads, a.dHead)
@@ -181,8 +201,8 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 				a.probs.Data(), stS, a.vh.Data(), stQK, 0, ctxOut.Data(), stQK)
 		})
 
-	// Concatenate heads back to [B·n, dModel].
-	merged := tensor.New(tokens, a.dModel)
+	// Concatenate heads back to [B·n, heads·dHead].
+	merged := tensor.New(tokens, a.inner())
 	ctx.Prof.Time("merge_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
 			kernels.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
@@ -192,7 +212,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 }
 
 // forwardCoreRagged is forwardCore for a padding-free evaluation batch:
-// x is [T, dModel] and sequence s owns rows offsets[s]..offsets[s+1]. The
+// x is [T, Wq.In()] and sequence s owns rows offsets[s]..offsets[s+1]. The
 // three projections run over all T rows; everything between them and the
 // output projection is one kernel (kernels.AttentionRagged), so there is
 // no key mask, no score tensor and nothing saved for Backward. It always
@@ -200,8 +220,8 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 // training sequences agree bitwise anyway.
 func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
 	tokens, dim := mustRank2("MultiHeadAttention", x)
-	if dim != a.dModel || offsets[len(offsets)-1] != tokens {
-		panic(fmt.Sprintf("nn: ragged attention input %v, want [%d, %d]", x.Shape(), offsets[len(offsets)-1], a.dModel))
+	if dim != a.Wq.In() || offsets[len(offsets)-1] != tokens {
+		panic(fmt.Sprintf("nn: ragged attention input %v, want [%d, %d]", x.Shape(), offsets[len(offsets)-1], a.Wq.In()))
 	}
 	if ctx.Train {
 		panic("nn: ragged attention is evaluation-only")
@@ -219,7 +239,7 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 		flops += int64(a.heads) * (kernels.GEMMFLOPs(n, n, a.dHead) + kernels.GEMMFLOPs(n, a.dHead, n))
 		bytes += int64(a.heads) * (kernels.GEMMBytes(n, n, a.dHead, es) + kernels.GEMMBytes(n, a.dHead, n, es))
 	}
-	merged := ctx.NewActivation(tokens, a.dModel)
+	merged := ctx.NewActivation(tokens, a.inner())
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
 		kernels.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
@@ -227,7 +247,7 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 	return merged
 }
 
-// Backward propagates dY: [B·n, dModel] through the attention block and
+// Backward propagates dY: [B·n, Wo.Out()] through the attention block and
 // returns dX. Parameter gradients accumulate into the four projections.
 func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	if a.qh == nil {
@@ -244,7 +264,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 
 	// Un-concatenate heads.
 	dCtxOut := tensor.New(batch, n, a.dHead)
-	sz := tokens * a.dModel
+	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
 			kernels.SplitHeads(dCtxOut.Data(), dMerged.Data(), b, n, a.heads, a.dHead)
@@ -292,10 +312,10 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 				dScores.Data(), stS, a.qh.Data(), stQK, 0, dKh.Data(), stQK)
 		})
 
-	// Merge head gradients back to [B·n, dModel].
-	dQ := tensor.New(tokens, a.dModel)
-	dK := tensor.New(tokens, a.dModel)
-	dV := tensor.New(tokens, a.dModel)
+	// Merge head gradients back to [B·n, heads·dHead].
+	dQ := tensor.New(tokens, a.inner())
+	dK := tensor.New(tokens, a.inner())
+	dV := tensor.New(tokens, a.inner())
 	ctx.Prof.Time("merge_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
 			kernels.MergeHeads(dQ.Data(), dQh.Data(), b, n, a.heads, a.dHead)
@@ -308,7 +328,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	dX := a.Wq.Backward(ctx, dQ)
 	dXk := a.Wk.Backward(ctx, dK)
 	dXv := a.Wv.Backward(ctx, dV)
-	nIn := tokens * a.dModel
+	nIn := tokens * a.Wq.In()
 	ctx.Prof.Time("attn_input_grad_sum", profile.CatOther, profile.Backward,
 		kernels.EWFLOPs(nIn, 2), kernels.EWBytes(nIn, 3, 1, es), func() {
 			kernels.AccumulateInto(dX.Data(), dXk.Data())

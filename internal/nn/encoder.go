@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"demystbert/internal/kernels"
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
 )
@@ -150,10 +151,7 @@ func addGrad(ctx *Ctx, dst, src *tensor.Tensor) {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("residual_add_bwd", profile.CatDRRCLN, profile.Backward,
 		int64(n), int64(n)*int64(3*es), func() {
-			d, s := dst.Data(), src.Data()
-			for i := range d {
-				d[i] += s[i]
-			}
+			kernels.AccumulateInto(dst.Data(), src.Data())
 		})
 }
 

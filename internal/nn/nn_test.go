@@ -244,6 +244,28 @@ func TestAttentionForwardShape(t *testing.T) {
 	}
 }
 
+// An attention block may be narrower inside than at its input, as a
+// tensor-sliced shard holding some of the heads is: Q, K, V and Wo's
+// input are heads·dHead wide, x and dX are Wq.In() wide.
+func TestAttentionFromNarrowProjections(t *testing.T) {
+	r := tensor.NewRNG(12)
+	proj := func(in, out int) *Linear { return NewLinear("p", in, out, profile.CatLinear, r) }
+	a := NewAttentionFrom(proj(16, 8), proj(16, 8), proj(16, 8), proj(8, 16), 2)
+	b, n := 2, 5
+	ctx := NewCtx(1)
+	y := a.Forward(ctx, randTensor(r, b*n, 16), b, n, nil)
+	dX := a.Backward(ctx, randTensor(r, b*n, 16))
+	if !tensor.SameShape(y, dX) || y.Dim(0) != b*n || y.Dim(1) != 16 {
+		t.Fatalf("output %v, dX %v; want [%d, 16] both", y.Shape(), dX.Shape(), b*n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Wo narrower than Q/K/V must panic")
+		}
+	}()
+	NewAttentionFrom(proj(16, 8), proj(16, 8), proj(16, 8), proj(4, 16), 2)
+}
+
 func TestAttentionBatchOneIsStillGEMM(t *testing.T) {
 	// Paper Takeaway 5 / Section 3.2.2: B=1 does not degrade BERT layers
 	// to matrix-vector operations. Verify the profile records GEMM

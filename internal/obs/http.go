@@ -26,10 +26,6 @@ type Server struct {
 	srv *http.Server
 }
 
-// DebugServer is the historical name of Server, kept so call sites that
-// only ever serve the debug mux read naturally.
-type DebugServer = Server
-
 // NewDebugMux returns the debug routing table serving reg:
 //
 //	/metrics       Prometheus text exposition of the registry

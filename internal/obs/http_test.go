@@ -57,7 +57,7 @@ func TestDebugServerBadAddr(t *testing.T) {
 }
 
 func TestDebugServerCloseNil(t *testing.T) {
-	var s *DebugServer
+	var s *Server
 	if err := s.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}

@@ -72,11 +72,6 @@ func (c Category) IsGEMM() bool {
 	return c == CatLinear || c == CatAttnBGEMM || c == CatFCGEMM
 }
 
-// IsLAMB reports whether the category is an optimizer-update stage.
-func (c Category) IsLAMB() bool {
-	return c == CatLAMBStage1 || c == CatLAMBStage2
-}
-
 // Event is one recorded kernel invocation.
 type Event struct {
 	Kernel   string // kernel name, e.g. "sgemm_nt" or "layernorm_fwd"

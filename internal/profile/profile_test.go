@@ -134,19 +134,13 @@ func TestCategoryClassification(t *testing.T) {
 		if !c.IsGEMM() {
 			t.Errorf("%s should be GEMM", c)
 		}
-		if c.IsLAMB() {
-			t.Errorf("%s should not be LAMB", c)
-		}
 	}
 	for _, c := range []Category{CatLAMBStage1, CatLAMBStage2} {
-		if !c.IsLAMB() {
-			t.Errorf("%s should be LAMB", c)
-		}
 		if c.IsGEMM() {
 			t.Errorf("%s should not be GEMM", c)
 		}
 	}
-	if CatGeLU.IsGEMM() || CatGeLU.IsLAMB() {
+	if CatGeLU.IsGEMM() {
 		t.Error("GeLU misclassified")
 	}
 }

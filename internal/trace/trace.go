@@ -254,9 +254,6 @@ func (t *Tracer) StartSpan(sc SpanContext, name string) ActiveSpan {
 	}
 }
 
-// Recording reports whether End will record anything.
-func (a ActiveSpan) Recording() bool { return a.t != nil }
-
 // Context returns the context child spans should be created under.
 func (a ActiveSpan) Context() SpanContext {
 	if a.t == nil {

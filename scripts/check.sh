@@ -15,6 +15,9 @@ cd "$(dirname "$0")/.."
 
 # vet and build cover ./bench, which may not change in a PR that claims a
 # gain: they are the proof that no name it reads from internal/ has moved.
+echo "== gofmt -l . (every Go file is gofmt-formatted)"
+test -z "$(gofmt -l .)" || { gofmt -l . >&2; exit 1; }
+
 echo "== go vet ./..."
 go vet ./...
 
@@ -24,13 +27,13 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
-echo "== GOARCH=arm64 LayerNorm listing (no fused multiply-add in layernorm.go: every product is rounded before it is added, so arm64 computes amd64's LayerNorm bits)"
-GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/layernorm_arm64.txt 2>&1 || { tail -20 /tmp/layernorm_arm64.txt; exit 1; }
-if grep 'layernorm\.go:' /tmp/layernorm_arm64.txt | grep -E 'FN?M(ADD|SUB)S'; then
-	echo "check: fused multiply-add in the arm64 LayerNorm bodies" >&2
+echo "== GOARCH=arm64 LayerNorm and element-wise listing (no fused multiply-add in layernorm.go or elementwise.go: every product is rounded before it is added, so arm64 computes amd64's LayerNorm and fused-softmax bits)"
+GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/kernels_arm64.txt 2>&1 || { tail -20 /tmp/kernels_arm64.txt; exit 1; }
+if grep -E '(layernorm|elementwise)\.go:' /tmp/kernels_arm64.txt | grep -E 'FN?M(ADD|SUB)S'; then
+	echo "check: fused multiply-add in the arm64 LayerNorm or element-wise bodies" >&2
 	exit 1
 fi
-rm -f /tmp/layernorm_arm64.txt
+rm -f /tmp/kernels_arm64.txt
 
 echo "== go build ./..."
 go build ./...
