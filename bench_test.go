@@ -927,8 +927,8 @@ func benchRealFFNEpilogue(b *testing.B, fused bool) {
 	}
 	run := func() {
 		if fused {
-			kernels.GEMMPackedEpilogue(false, tokens, dff, d, 1, x, pb1, ep1, a)
-			kernels.GEMMPackedEpilogue(false, tokens, d, dff, 1, a, pb2, ep2, out)
+			kernels.GEMMPathAuto.GEMMPackedEpilogue(false, tokens, dff, d, 1, x, pb1, ep1, a)
+			kernels.GEMMPathAuto.GEMMPackedEpilogue(false, tokens, d, dff, 1, a, pb2, ep2, out)
 			return
 		}
 		kernels.GEMM(false, true, tokens, dff, d, 1, x, w1, 0, h)

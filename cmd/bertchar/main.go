@@ -10,7 +10,6 @@
 //	         [-compute X] [-bandwidth X]
 //	bertchar -export json|csv [-phase 1|2] [-b N] [-mp]
 //	bertchar -large [-debug-addr HOST:PORT]
-//	bertchar -audit [-audit-full]
 //
 // The -compute and -bandwidth flags scale the device model to project
 // hypothetical accelerator improvements (Section 5.1); -export emits one
@@ -24,12 +23,7 @@
 // rate, worker-pool dispatch/steal counts, spill traffic) as Prometheus
 // text plus expvar and pprof while it does.
 //
-// -audit runs the cross-path numerics audit (internal/audit): every
-// module and training step, forward+backward, through the cross product
-// of GEMM path × worker count × mixed precision × checkpointing × fusion,
-// differenced against the naive/serial oracle, plus gradient checks and
-// fixed-seed determinism pins. Exits non-zero on any divergence.
-// -audit-full runs the full matrix instead of the reduced sweep.
+// The cross-path numerics audit is a test suite: go test ./internal/audit/.
 package main
 
 import (
@@ -40,7 +34,6 @@ import (
 	"time"
 
 	"demystbert"
-	"demystbert/internal/audit"
 	"demystbert/internal/obs"
 	"demystbert/internal/report"
 	"demystbert/internal/runutil"
@@ -62,8 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	batch := fs.Int("b", 32, "mini-batch size for -export")
 	mp := fs.Bool("mp", false, "mixed precision for -export")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
-	auditRun := fs.Bool("audit", false, "run the cross-path numerics audit and exit (non-zero on divergence)")
-	auditFull := fs.Bool("audit-full", false, "with -audit, run the full mode matrix instead of the reduced sweep")
 	large := fs.Bool("large", false, "execute one honest memory-scaled BERT-Large training iteration for real and report the per-category breakdown")
 	var lf largeFlags
 	fs.IntVar(&lf.layers, "large-layers", 0, "with -large: override the layer count (0 = the full 24; reduced values are the CI smoke)")
@@ -77,16 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&lf.jsonOut, "breakdown-json", "", "with -large: write the measured-vs-modeled breakdown JSON here")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *auditRun {
-		divs := audit.RunSweep(stdout, !*auditFull)
-		if len(divs) > 0 {
-			fmt.Fprintf(stderr, "bertchar: audit found %d divergences\n", len(divs))
-			return 1
-		}
-		fmt.Fprintln(stdout, "audit: all execution paths agree")
-		return 0
 	}
 
 	// One LIFO cleanup list shared by normal return and SIGINT/SIGTERM,

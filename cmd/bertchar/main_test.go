@@ -23,19 +23,6 @@ func TestRunSingleArtifact(t *testing.T) {
 	}
 }
 
-func TestRunAudit(t *testing.T) {
-	out, errOut, code := runCmd(t, "-audit")
-	if code != 0 {
-		t.Fatalf("exit code %d, stderr:\n%s\nstdout:\n%s", code, errOut, out)
-	}
-	if !strings.Contains(out, "audit bert.step") || !strings.Contains(out, "all execution paths agree") {
-		t.Fatalf("-audit output malformed:\n%s", out)
-	}
-	if strings.Contains(out, "DIVERGENCE") {
-		t.Fatalf("-audit reported divergences:\n%s", out)
-	}
-}
-
 func TestRunAllArtifacts(t *testing.T) {
 	out, _, code := runCmd(t)
 	if code != 0 {

@@ -82,7 +82,7 @@ func gradCheckModule(subject string, m Mode, inst *modInstance) []Divergence {
 	restore := m.apply()
 	defer restore()
 
-	ctx := nn.NewCtx(ctxSeed)
+	ctx := m.ctx()
 	inst.forward(ctx)
 	for _, p := range inst.params {
 		p.ZeroGrad()
@@ -90,8 +90,7 @@ func gradCheckModule(subject string, m Mode, inst *modInstance) []Divergence {
 	dx := inst.backward(ctx, inst.dY)
 
 	eval := func() float64 {
-		c := nn.NewCtx(ctxSeed)
-		y := inst.forward(c)
+		y := inst.forward(m.ctx())
 		return dot64(inst.dY.Data(), y.Data())
 	}
 	rng := tensor.NewRNG(4242)

@@ -12,12 +12,13 @@
 //     oracle, or within a stated per-path tolerance (MLPerf-style
 //     reference checking);
 //   - analytic gradients match central-difference gradients on sampled
-//     coordinates (gradcheck.go);
+//     coordinates (gradcheck_test.go);
 //   - fixed seed + fixed worker count ⇒ bitwise-identical loss
-//     trajectories over repeated multi-step runs (determinism.go).
+//     trajectories over repeated multi-step runs (determinism_test.go).
 //
 // Tolerances per dimension are stated in DESIGN.md §10 together with the
-// rationale for each. A tolerance of zero means bitwise.
+// rationale for each. A tolerance of zero means bitwise. The harness is
+// test code only: `go test ./internal/audit/` runs it.
 package audit
 
 import (
@@ -32,8 +33,8 @@ import (
 
 // Mode is one point in the execution-mode cross product.
 type Mode struct {
-	// Path forces every GEMM entry point down one implementation
-	// (GEMMPathAuto: production's own per-call routing).
+	// Path is the GEMM route of every context the mode builds
+	// (nn.Ctx.Route; GEMMPathAuto: production's own per-call routing).
 	Path kernels.GEMMPath
 	// Workers is the kernel pool width (kernels.SetMaxWorkers).
 	Workers int
@@ -58,7 +59,7 @@ func (m Mode) String() string {
 // (outputs are quantized through binary16), so an MP mode's oracle must
 // quantize identically or every comparison would just measure
 // quantization. A separate loose FP32-vs-MP sanity check is done by
-// RunAudit when m.MP is set.
+// RunModes when m.MP is set.
 func (m Mode) Oracle() Mode {
 	return Mode{Path: kernels.GEMMPathNaive, Workers: 1, MP: m.MP}
 }
@@ -66,22 +67,21 @@ func (m Mode) Oracle() Mode {
 // IsOracle reports whether the mode is its own oracle.
 func (m Mode) IsOracle() bool { return m == m.Oracle() }
 
-// apply installs the mode's global knobs (GEMM path, worker count) and
-// returns a restore function. Per-context knobs come from ctx (MP) and
-// from each subject's runner (Ckpt, Fused).
+// apply installs the mode's one process-wide knob, the worker count, and
+// returns a restore function. Per-context knobs come from ctx (route, MP)
+// and from each subject's runner (Ckpt, Fused).
 func (m Mode) apply() (restore func()) {
-	prevPath := kernels.SetGEMMPath(m.Path)
 	prevW := kernels.SetMaxWorkers(m.Workers)
-	return func() {
-		kernels.SetGEMMPath(prevPath)
-		kernels.SetMaxWorkers(prevW)
-	}
+	return func() { kernels.SetMaxWorkers(prevW) }
 }
 
-// ctx returns a fresh training context carrying the mode's numeric
-// settings, seeded like every other audit context.
+// ctx returns a fresh training context carrying the mode's route and
+// numeric settings, seeded like every other audit context. Every context a
+// mode runs on must come from here: one built any other way runs auto,
+// which at audit sizes is bitwise the naive oracle.
 func (m Mode) ctx() *nn.Ctx {
 	c := nn.NewCtx(ctxSeed)
+	c.Route = m.Path
 	c.MixedPrecision = m.MP
 	return c
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // probeDiff measures the worst relative difference between two modes of a
-// subject — development instrumentation for grounding the tolerance table
-// in DESIGN.md §10, and a canary that the harness is not passing because
-// everything is accidentally bitwise.
+// subject — instrumentation for grounding the tolerance table in DESIGN.md
+// §10, and a canary that the harness is not passing because everything is
+// accidentally bitwise.
 func probeDiff(t *testing.T, s *Subject, a, b Mode) (maxRel float64, bitwise bool) {
 	t.Helper()
 	restore := a.apply()
@@ -36,6 +36,11 @@ func probeDiff(t *testing.T, s *Subject, a, b Mode) (maxRel float64, bitwise boo
 	return maxRel, bitwise
 }
 
+// TestProbePathDeltas logs how far each route is from the oracle, and
+// asserts the two facts the harness stands on: the forced routes reach the
+// GEMMs — blocked differs from the naive oracle somewhere in every subject
+// that runs a GEMM (and nowhere in one that runs none) — and fused ≡
+// blocked, bitwise.
 func TestProbePathDeltas(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instrumentation probe")
@@ -52,6 +57,10 @@ func TestProbePathDeltas(t *testing.T) {
 			} {
 				rel, bw := probeDiff(t, s, m, naive)
 				t.Logf("%-40s vs oracle: maxRel=%.3g bitwise=%v", m, rel, bw)
+				if m.Path == kernels.GEMMPathBlocked && bw != s.NoGEMM {
+					t.Errorf("%s vs oracle: bitwise=%v, want %v (NoGEMM=%v): the route did not reach the GEMMs as it should",
+						m, bw, s.NoGEMM, s.NoGEMM)
+				}
 			}
 			// Fused-vs-blocked bitwise claim: same panel geometry, same
 			// micro-kernel schedule, same tail expressions.
@@ -59,6 +68,9 @@ func TestProbePathDeltas(t *testing.T) {
 				Mode{Path: kernels.GEMMPathFused, Workers: 2},
 				Mode{Path: kernels.GEMMPathBlocked, Workers: 2})
 			t.Logf("%-40s fused vs blocked: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
+			if !bw {
+				t.Errorf("fused vs blocked: maxRel=%.3g, want bitwise", rel)
+			}
 			if s.HasAttention {
 				base := Mode{Path: kernels.GEMMPathFused, Workers: 2}
 				fused := base

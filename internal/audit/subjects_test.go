@@ -48,8 +48,11 @@ type Subject struct {
 	HasAttention bool
 	// HasCkpt: the activation-checkpointing dimension applies.
 	HasCkpt bool
+	// NoGEMM: the subject runs no GEMM, so its trace is the same on every
+	// route.
+	NoGEMM bool
 	// Run builds a fresh, deterministically-seeded instance and runs one
-	// forward+backward pass under mode m (whose global knobs the caller
+	// forward+backward pass under mode m (whose worker count the caller
 	// has already applied), returning the comparison trace.
 	Run func(m Mode) *Trace
 	// GradCheck compares analytic gradients against central differences
@@ -138,7 +141,7 @@ func newFeedForwardSubject() *Subject {
 }
 
 func newLayerNormSubject() *Subject {
-	return moduleSubject("layernorm", false, func(Mode) *modInstance {
+	s := moduleSubject("layernorm", false, func(Mode) *modInstance {
 		ln := nn.NewLayerNorm("audit.ln", lnDim)
 		// Non-trivial gamma/beta so their gradients are exercised off
 		// the initialization values.
@@ -154,6 +157,8 @@ func newLayerNormSubject() *Subject {
 			params:   ln.Params(), x: x, dY: dY,
 		}
 	})
+	s.NoGEMM = true
+	return s
 }
 
 // paddingMask builds an additive [b, n] key mask with the last key of
@@ -260,14 +265,10 @@ func newBERTStepSubject() *Subject {
 	s.GradCheck = func(m Mode) []Divergence {
 		bert := buildStepBERT(m)
 		batch := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed).Next(stepB, stepN)
-		loss := func() float64 {
-			ctx := nn.NewCtx(ctxSeed)
-			return bert.Forward(ctx, batch)
-		}
+		loss := func() float64 { return bert.Forward(m.ctx(), batch) }
 		analytic := func() {
 			bert.ZeroGrads()
-			ctx := nn.NewCtx(ctxSeed)
-			bert.Step(ctx, batch)
+			bert.Step(m.ctx(), batch)
 		}
 		return gradCheckLoss("bert.step", m, bert.Params(), loss, analytic)
 	}

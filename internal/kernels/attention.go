@@ -16,11 +16,11 @@ import (
 // split/merge pass and no key-padding mask exist, and the tile is consumed
 // while it is still in cache.
 //
-// Both products go through the routing BatchedGEMM gives its per-matrix
-// products (gemmRouted, serial), and an item reads and writes only its own
+// Both products take route p the way BatchedGEMM's per-matrix products do
+// (serial, no epilogue), and an item reads and writes only its own
 // sequence's rows: a sequence's output is bitwise the same alone, in any
 // batch, at any position in it and at any worker count.
-func AttentionRagged(out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
+func (p GEMMPath) AttentionRagged(out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
 	d := heads * dHead
 	b := len(offsets) - 1
 	if b < 0 || offsets[0] != 0 || heads < 1 || dHead < 1 {
@@ -41,6 +41,7 @@ func AttentionRagged(out, q, k, v []float32, offsets []int, heads, dHead int, sc
 		return
 	}
 	s := raggedAttnPool.Get().(*raggedAttnState)
+	s.path = p
 	s.out, s.q, s.k, s.v, s.offsets = out, q, k, v, offsets
 	s.heads, s.dHead, s.maxN = heads, dHead, maxN
 	s.scale, s.causal = scale, causal
@@ -52,6 +53,7 @@ func AttentionRagged(out, q, k, v []float32, offsets []int, heads, dHead int, sc
 // raggedAttnState is the pooled parallel-region body of AttentionRagged:
 // item i is head i%heads of sequence i/heads.
 type raggedAttnState struct {
+	path         GEMMPath
 	out, q, k, v []float32
 	offsets      []int
 	heads, dHead int
@@ -82,7 +84,7 @@ func (s *raggedAttnState) runRange(lo, hi int) {
 		}
 
 		clear(sc)
-		gemmRouted(false, true, n, n, dh, 1, qh, kh, sc, false)
+		s.path.run(false, true, n, n, dh, 1, qh, kh, nil, nil, sc, false)
 		for r := 0; r < n; r++ {
 			row := sc[r*n : (r+1)*n]
 			for j := range row {
@@ -99,7 +101,7 @@ func (s *raggedAttnState) runRange(lo, hi int) {
 		}
 
 		clear(ch)
-		gemmRouted(false, false, n, dh, n, 1, sc, vh, ch, false)
+		s.path.run(false, false, n, dh, n, 1, sc, vh, nil, nil, ch, false)
 		for r := 0; r < n; r++ {
 			copy(s.out[(row0+r)*d+col:], ch[r*dh:(r+1)*dh])
 		}

@@ -8,11 +8,11 @@ import (
 	"demystbert/internal/tensor"
 )
 
-// attentionBySequence is the reference for AttentionRagged: the kernel
-// sequence the [B, n] attention runs — split heads, score BatchedGEMM,
-// scale/causal/softmax, context BatchedGEMM, merge heads — applied to one
-// sequence at a time at its own length.
-func attentionBySequence(out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
+// attentionBySequence is the reference for AttentionRagged on route p: the
+// kernel sequence the [B, n] attention runs — split heads, score
+// BatchedGEMM, scale/causal/softmax, context BatchedGEMM, merge heads —
+// applied to one sequence at a time at its own length.
+func attentionBySequence(p GEMMPath, out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
 	d := heads * dHead
 	for s := 1; s < len(offsets); s++ {
 		lo, n := offsets[s-1]*d, offsets[s]-offsets[s-1]
@@ -21,10 +21,10 @@ func attentionBySequence(out, q, k, v []float32, offsets []int, heads, dHead int
 		SplitHeads(kh, k[lo:lo+n*d], 1, n, heads, dHead)
 		SplitHeads(vh, v[lo:lo+n*d], 1, n, heads, dHead)
 		scores, probs := make([]float32, heads*n*n), make([]float32, heads*n*n)
-		BatchedGEMM(heads, false, true, n, n, dHead, 1, qh, n*dHead, kh, n*dHead, 0, scores, n*n)
+		p.BatchedGEMM(heads, false, true, n, n, dHead, 1, qh, n*dHead, kh, n*dHead, 0, scores, n*n)
 		ScaleMaskSoftmaxAttention(probs, scores, nil, scale, causal, 1, heads, n)
 		ch := make([]float32, n*d)
-		BatchedGEMM(heads, false, false, n, dHead, n, 1, probs, n*n, vh, n*dHead, 0, ch, n*dHead)
+		p.BatchedGEMM(heads, false, false, n, dHead, n, 1, probs, n*n, vh, n*dHead, 0, ch, n*dHead)
 		MergeHeads(out[lo:lo+n*d], ch, 1, n, heads, dHead)
 	}
 }
@@ -42,15 +42,14 @@ func TestAttentionRaggedMatchesKernelSequence(t *testing.T) {
 			for _, causal := range []bool{false, true} {
 				for _, workers := range []int{1, 3} {
 					t.Run(fmt.Sprintf("%v/h%dx%d/causal=%v/w%d", path, hd[0], hd[1], causal, workers), func(t *testing.T) {
-						defer SetGEMMPath(SetGEMMPath(path))
 						defer SetMaxWorkers(SetMaxWorkers(workers))
 						heads, dHead := hd[0], hd[1]
 						size := offsets[len(offsets)-1] * heads * dHead
 						q, k, v := randSlice(r, size), randSlice(r, size), randSlice(r, size)
 						got, want := make([]float32, size), make([]float32, size)
 						scale := float32(1 / math.Sqrt(float64(dHead)))
-						AttentionRagged(got, q, k, v, offsets, heads, dHead, scale, causal)
-						attentionBySequence(want, q, k, v, offsets, heads, dHead, scale, causal)
+						path.AttentionRagged(got, q, k, v, offsets, heads, dHead, scale, causal)
+						attentionBySequence(path, want, q, k, v, offsets, heads, dHead, scale, causal)
 						for i := range want {
 							if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 								t.Fatalf("element %d (token %d): ragged %v, kernel sequence %v", i, i/(heads*dHead), got[i], want[i])
@@ -75,9 +74,9 @@ func TestAttentionRaggedZeroAllocSteadyState(t *testing.T) {
 	const heads, dHead = 2, 64
 	size := offsets[len(offsets)-1] * heads * dHead
 	q, k, v, out := randSlice(r, size), randSlice(r, size), randSlice(r, size), make([]float32, size)
-	AttentionRagged(out, q, k, v, offsets, heads, dHead, 0.125, false) // warm the pools
+	GEMMPathAuto.AttentionRagged(out, q, k, v, offsets, heads, dHead, 0.125, false) // warm the pools
 	if avg := testing.AllocsPerRun(10, func() {
-		AttentionRagged(out, q, k, v, offsets, heads, dHead, 0.125, false)
+		GEMMPathAuto.AttentionRagged(out, q, k, v, offsets, heads, dHead, 0.125, false)
 	}); avg != 0 {
 		t.Errorf("AttentionRagged allocates %v per op in steady state, want 0", avg)
 	}
@@ -102,7 +101,7 @@ func TestAttentionRaggedRejectsBadOffsets(t *testing.T) {
 				}
 			}()
 			x := buf(3)
-			AttentionRagged(buf(3), x, x, x, offsets, heads, dHead, 1, false)
+			GEMMPathAuto.AttentionRagged(buf(3), x, x, x, offsets, heads, dHead, 1, false)
 		}()
 	}
 }

@@ -23,6 +23,11 @@ import (
 // NaN/Inf. Within a computed product, however, non-finite values propagate
 // exactly (0·NaN = NaN): the kernels never skip zero operands.
 func GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+	GEMMPathAuto.GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
+}
+
+// GEMM is the package-level GEMM on route p instead of auto.
+func (p GEMMPath) GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	checkGEMMArgs(transA, transB, m, n, k, a, b, c)
 	if m == 0 || n == 0 {
 		return
@@ -31,23 +36,7 @@ func GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta 
 	if k == 0 || alpha == 0 {
 		return
 	}
-	gemmRouted(transA, transB, m, n, k, alpha, a, b, c, true)
-}
-
-// gemmRouted accumulates C += alpha·op(A)·op(B) on the route the active
-// path selects (beta applied and quick returns taken by the caller): the
-// naive loops when forced, or under auto for products too small to repay
-// packing, else the blocked engine. par allows pool parallelism;
-// BatchedGEMM passes false for its per-matrix products.
-func gemmRouted(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32, par bool) {
-	switch path := CurrentGEMMPath(); {
-	case path == GEMMPathNaive && par:
-		gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
-	case path == GEMMPathNaive, path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
-		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
-	default:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
-	}
+	p.run(transA, transB, m, n, k, alpha, a, b, nil, nil, c, true)
 }
 
 // GEMMNaive is the unblocked row-saxpy/dot implementation GEMM used before
@@ -200,12 +189,17 @@ func axpy(s float32, x, y []float32) {
 // smaller than its matrix or a buffer cannot hold all batch entries, since
 // a silent out-of-bounds access would corrupt a later batch element.
 func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
+	GEMMPathAuto.BatchedGEMM(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
+}
+
+// BatchedGEMM is the package-level BatchedGEMM on route p instead of auto.
+func (p GEMMPath) BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
 	checkBatchedGEMMArgs(batch, m, n, k, a, strideA, b, strideB, c, strideC)
 	if batch == 0 {
 		return
 	}
 	if batch == 1 {
-		GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
+		p.GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
 		return
 	}
 	if m == 0 || n == 0 {
@@ -219,6 +213,7 @@ func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a [
 	}
 	batchedGEMMRuns.Inc()
 	s := batchedPool.Get().(*batchedState)
+	s.path = p
 	s.transA, s.transB = transA, transB
 	s.m, s.n, s.k = m, n, k
 	s.alpha, s.beta = alpha, beta
@@ -272,6 +267,7 @@ func checkBatchedGEMMArgs(batch, m, n, k int, a []float32, strideA int, b []floa
 // batchedState is the pooled parallel-region body of BatchedGEMM: item i
 // is the i-th matrix product of the batch.
 type batchedState struct {
+	path           GEMMPath
 	transA, transB bool
 	m, n, k        int
 	alpha, beta    float32
@@ -285,9 +281,9 @@ func (s *batchedState) runRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		c := s.c[i*s.sC : i*s.sC+s.m*s.n]
 		scaleC(c, s.beta)
-		gemmRouted(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
+		s.path.run(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
 			s.a[i*s.sA:i*s.sA+s.m*s.k],
 			s.b[i*s.sB:i*s.sB+s.k*s.n],
-			c, false)
+			nil, nil, c, false)
 	}
 }

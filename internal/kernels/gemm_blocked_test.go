@@ -180,7 +180,7 @@ func TestGEMMNaNPropagation(t *testing.T) {
 		}{
 			{"GEMM", func(c []float32) { GEMM(false, false, m, n, k, 1, a, b, 0, c) }},
 			{"GEMMNaive", func(c []float32) { GEMMNaive(false, false, m, n, k, 1, a, b, 0, c) }},
-			{"serial", func(c []float32) { gemmRouted(false, false, m, n, k, 1, a, b, c, false) }},
+			{"serial", func(c []float32) { GEMMPathAuto.run(false, false, m, n, k, 1, a, b, nil, nil, c, false) }},
 			{"blocked-scalar", func(c []float32) {
 				withKernel(&scalarKernel, func() { blockedFull(false, false, m, n, k, 1, a, b, 0, c, true) })
 			}},

@@ -118,29 +118,22 @@ func (ep *Epilogue) check(m, n int) {
 }
 
 // GEMMPackedEpilogue computes C = alpha·op(A)·pb followed by the epilogue
-// tail, overwriting C (beta = 0 semantics: epilogues define the full
-// output). pb is op(B) as PackWeight or PackCache returns it, as in
+// tail on route p, overwriting C (beta = 0 semantics: epilogues define the
+// full output). pb is op(B) as PackWeight or PackCache returns it, as in
 // GEMMPacked.
 //
-// Routing mirrors the other entry points: the forced naive and blocked
-// paths run the plain GEMM and then the unfused reference tail (the
-// differential comparators for the audit harness), while auto and the
-// forced fused path run the engine with the tail fused into its
-// write-back, whichever panel source pb gives it. Fused and unfused results
-// are bitwise identical on the same backend (see the package comment
-// above).
-func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
+// The forced naive and blocked routes run the plain product and then the
+// unfused reference tail (the differential comparators for the audit
+// harness), as does auto below the size rule; auto above it and the forced
+// fused route run the engine with the tail fused into its write-back,
+// whichever panel source pb gives it. Fused and unfused results are bitwise
+// identical on the same backend (see the package comment above).
+func (p GEMMPath) GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
 	if ep == nil || ep.Kind == EpilogueNone {
-		GEMMPacked(transA, m, n, k, alpha, a, pb, 0, c)
+		p.GEMMPacked(transA, m, n, k, alpha, a, pb, 0, c)
 		return
 	}
-	if pb == nil {
-		panic("kernels: GEMMPackedEpilogue with nil PackedB")
-	}
-	if !pb.Matches(pb.transB, n, k) {
-		panic(fmt.Sprintf("kernels: GEMMPackedEpilogue operand packed for n=%d k=%d nr=%d, called with n=%d k=%d nr=%d — repack required",
-			pb.n, pb.k, pb.nr, n, k, gemmNR))
-	}
+	pb.check("GEMMPackedEpilogue", n, k)
 	checkGEMMArgs(transA, pb.transB, m, n, k, a, pb.src, c)
 	if m == 0 || n == 0 {
 		return
@@ -153,38 +146,33 @@ func GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb
 		ep.applyReference(c, m, n)
 		return
 	}
-	switch path := CurrentGEMMPath(); {
-	case path == GEMMPathNaive:
-		gemmNaivePar(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-		ep.applyReference(c, m, n)
-	case path == GEMMPathBlocked:
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, nil, nil, c, true)
-		ep.applyReference(c, m, n)
-	case path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
-		// Tiny products keep the naive fallback — the engine never pays
-		// for itself down there — with the reference tail.
-		gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-		ep.applyReference(c, m, n)
-	default:
-		// Auto and forced fused: the engine with the tail folded into its
-		// write-back, on pb's panels or, while pb is un-built, on panels
-		// packed per call.
-		switch ep.Kind {
-		case EpilogueBias:
-			epilogueFusedBias.Inc()
-		case EpilogueBiasGeLU:
-			epilogueFusedBiasGeLU.Inc()
-		case EpilogueBiasResidualLayerNorm:
-			epilogueFusedBiasResLN.Inc()
-		}
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, ep, c, true)
+	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, ep, c, true)
+}
+
+// countFused counts a fused write-back of the epilogue; nil-safe, like
+// applyReference, for the calls that carry none.
+func (ep *Epilogue) countFused() {
+	if ep == nil {
+		return
+	}
+	switch ep.Kind {
+	case EpilogueBias:
+		epilogueFusedBias.Inc()
+	case EpilogueBiasGeLU:
+		epilogueFusedBiasGeLU.Inc()
+	case EpilogueBiasResidualLayerNorm:
+		epilogueFusedBiasResLN.Inc()
 	}
 }
 
 // applyReference applies the epilogue as the unfused kernel sequence the
 // fused write-back replaces, reusing the stand-alone element-wise kernels
-// so legacy call sites and epilogue call sites stay bitwise-identical.
+// so legacy call sites and epilogue call sites stay bitwise-identical. A
+// nil epilogue applies nothing.
 func (ep *Epilogue) applyReference(c []float32, m, n int) {
+	if ep == nil {
+		return
+	}
 	epilogueReferenceRuns.Inc()
 	switch ep.Kind {
 	case EpilogueNone:

@@ -109,7 +109,7 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 			ep := makeEpilogue(r, kind, m, n, true)
 
 			got := make([]float32, m*n)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+			GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 
 			want := make([]float32, m*n)
 			refGEMM(false, false, m, n, k, 1, a, b, 0, want)
@@ -146,7 +146,6 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 // crosses both the NC column-block and the KC depth-block boundary, so the
 // per-call leg applies its tail from more than one column block.
 func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
-	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
 	forEachKernel(t, "", func(t *testing.T) {
 		r := tensor.NewRNG(42)
 		for _, kind := range epilogueKinds {
@@ -160,7 +159,7 @@ func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 
 				unfused := make([]float32, m*n)
 				uep := cloneEpilogue(ep, m, n)
-				GEMMPacked(false, m, n, k, 1, a, built, 0, unfused)
+				GEMMPathFused.GEMMPacked(false, m, n, k, 1, a, built, 0, unfused)
 				uep.applyReference(unfused, m, n)
 
 				for _, leg := range []struct {
@@ -170,7 +169,7 @@ func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 					fep := cloneEpilogue(ep, m, n)
 					fused := make([]float32, m*n)
 					if d := counterDelta(epilogueReferenceRuns, func() {
-						GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, fep, fused)
+						GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, fep, fused)
 					}); d != 0 {
 						t.Fatalf("%s, %s %dx%dx%d: ran the reference tail", leg.name, kind, m, n, k)
 					}
@@ -209,11 +208,11 @@ func TestGEMMPackedEpilogueWorkerInvariance(t *testing.T) {
 		ep := makeEpilogue(r, kind, m, n, false)
 		ref := make([]float32, m*n)
 		old := SetMaxWorkers(1)
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
+		GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
 		for _, w := range []int{2, 4, 7} {
 			SetMaxWorkers(w)
 			got := make([]float32, m*n)
-			GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+			GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 					t.Fatalf("%s: workers=%d diverges from workers=1 at %d", kind, w, i)
@@ -236,7 +235,7 @@ func TestGEMMPackedEpilogueNilAndNone(t *testing.T) {
 	GEMMPacked(false, m, n, k, 1, a, pb, 0, want)
 	for _, ep := range []*Epilogue{nil, {Kind: EpilogueNone}} {
 		got := randSlice(r, m*n) // pre-filled garbage must be overwritten
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+		GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 		if d := maxAbsDiff(got, want); d != 0 {
 			t.Fatalf("nil/none epilogue differs from GEMMPacked by %v", d)
 		}
@@ -251,7 +250,7 @@ func TestGEMMPackedEpilogueQuickReturns(t *testing.T) {
 	bias := randSlice(r, n)
 	pb := PackWeight(false, n, 0, nil)
 	c := randSlice(r, m*n)
-	GEMMPackedEpilogue(false, m, n, 0, 1, nil, pb, &Epilogue{Kind: EpilogueBias, Bias: bias}, c)
+	GEMMPathAuto.GEMMPackedEpilogue(false, m, n, 0, 1, nil, pb, &Epilogue{Kind: EpilogueBias, Bias: bias}, c)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			if c[i*n+j] != bias[j] {
@@ -261,7 +260,7 @@ func TestGEMMPackedEpilogueQuickReturns(t *testing.T) {
 	}
 }
 
-// TestGEMMPackedEpilogueAllPathsAgree runs every forced path override on
+// TestGEMMPackedEpilogueAllPathsAgree runs every forced route on
 // the same problem; forced unfused paths are comparators for the fused
 // engine, so all must agree within float tolerance.
 func TestGEMMPackedEpilogueAllPathsAgree(t *testing.T) {
@@ -272,18 +271,15 @@ func TestGEMMPackedEpilogueAllPathsAgree(t *testing.T) {
 	pb := PackWeight(false, n, k, b)
 	ep := makeEpilogue(r, EpilogueBiasResidualLayerNorm, m, n, false)
 	ref := make([]float32, m*n)
-	old := SetGEMMPath(GEMMPathNaive)
-	GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
+	GEMMPathNaive.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
 	for _, p := range []GEMMPath{GEMMPathBlocked, GEMMPathFused, GEMMPathAuto} {
-		SetGEMMPath(p)
 		got := make([]float32, m*n)
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+		p.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 		// LN divides by the row scale, so agreement within 1e-4 is tight.
 		if d := maxAbsDiff(got, ref); d > 1e-4 {
 			t.Errorf("path %v disagrees with naive by %v", p, d)
 		}
 	}
-	SetGEMMPath(old)
 }
 
 // TestGEMMPackedEpilogueZeroAlloc: the fused engine must be allocation-free
@@ -306,9 +302,9 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 		}{{"pre-packed panels", PackWeight(false, n, k, b)}, {"per-call panels", describeWeight(false, n, k, b)}} {
 			for _, kind := range epilogueKinds {
 				ep := makeEpilogue(r, kind, m, n, true)
-				GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
+				GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
 				if avg := testing.AllocsPerRun(10, func() {
-					GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
+					GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
 				}); avg != 0 {
 					t.Errorf("%s, %s: fused epilogue allocates %v per op in steady state, want 0", leg.name, kind, avg)
 				}

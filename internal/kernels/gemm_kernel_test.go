@@ -26,19 +26,19 @@ func fmaKernels(t testing.TB) []*gemmKernel {
 }
 
 // bitwiseOutputs runs every GEMM entry point that reaches the micro-kernel
-// on one problem and returns the named results (outputs and saved
-// epilogue tensors).
-func bitwiseOutputs(seed uint64, m, n, k int) map[string][]float32 {
+// on one problem, on route p, and returns the named results (outputs and
+// saved epilogue tensors).
+func bitwiseOutputs(p GEMMPath, seed uint64, m, n, k int) map[string][]float32 {
 	r := tensor.NewRNG(seed)
 	out := map[string][]float32{}
 	a, b, c0 := randSlice(r, m*k), randSlice(r, k*n), randSlice(r, m*n)
 	for _, ta := range []bool{false, true} {
 		for _, tb := range []bool{false, true} {
 			c := append([]float32(nil), c0...)
-			GEMM(ta, tb, m, n, k, 1.25, a, b, 0.5, c)
+			p.GEMM(ta, tb, m, n, k, 1.25, a, b, 0.5, c)
 			out[fmt.Sprintf("GEMM tA=%v tB=%v", ta, tb)] = c
 			c = append([]float32(nil), c0...)
-			GEMMPacked(ta, m, n, k, 1.25, a, PackWeight(tb, n, k, b), 0.5, c)
+			p.GEMMPacked(ta, m, n, k, 1.25, a, PackWeight(tb, n, k, b), 0.5, c)
 			out[fmt.Sprintf("GEMMPacked tA=%v tB=%v", ta, tb)] = c
 		}
 	}
@@ -46,7 +46,7 @@ func bitwiseOutputs(seed uint64, m, n, k int) map[string][]float32 {
 	for _, kind := range epilogueKinds {
 		ep := makeEpilogue(r, kind, m, n, true)
 		c := make([]float32, m*n)
-		GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
+		p.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
 		out["epilogue "+kind.String()] = c
 		out["epilogue "+kind.String()+" X"] = ep.X
 		out["epilogue "+kind.String()+" mean"] = ep.Mean
@@ -54,7 +54,7 @@ func bitwiseOutputs(seed uint64, m, n, k int) map[string][]float32 {
 	}
 	const batch = 3
 	ab, bb, cb := randSlice(r, batch*m*k), randSlice(r, batch*k*n), randSlice(r, batch*m*n)
-	BatchedGEMM(batch, false, true, m, n, k, 0.5, ab, m*k, bb, k*n, 0.5, cb, m*n)
+	p.BatchedGEMM(batch, false, true, m, n, k, 0.5, ab, m*k, bb, k*n, 0.5, cb, m*n)
 	out["BatchedGEMM"] = cb
 	return out
 }
@@ -70,7 +70,6 @@ func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 	if len(ks) < 2 {
 		t.Skipf("need two FMA kernels to compare, host supports %d", len(ks))
 	}
-	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
 	defer SetMaxWorkers(MaxWorkers())
 	ms := []int{1, 5, 12, 13, 127, 512}
 	ns := []int{1, 31, 32, 33, 768}
@@ -89,7 +88,7 @@ func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 					var want map[string][]float32
 					for i, kn := range ks {
 						var got map[string][]float32
-						withKernel(kn, func() { got = bitwiseOutputs(uint64(m*n+k), m, n, k) })
+						withKernel(kn, func() { got = bitwiseOutputs(GEMMPathFused, uint64(m*n+k), m, n, k) })
 						if i == 0 {
 							want = got
 							continue

@@ -90,13 +90,15 @@ func (pb *PackedB) Matches(transB bool, n, k int) bool {
 // quick returns, same panics, and bitwise-identical results on the same
 // backend — minus, when pb holds panels, the per-call packB pass.
 func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
-	if pb == nil {
-		panic("kernels: GEMMPacked with nil PackedB")
-	}
-	if !pb.Matches(pb.transB, n, k) {
-		panic(fmt.Sprintf("kernels: GEMMPacked operand packed for n=%d k=%d nr=%d, called with n=%d k=%d nr=%d — repack required",
-			pb.n, pb.k, pb.nr, n, k, gemmNR))
-	}
+	GEMMPathAuto.GEMMPacked(transA, m, n, k, alpha, a, pb, beta, c)
+}
+
+// GEMMPacked is the package-level GEMMPacked on route p instead of auto.
+// The forced blocked route ignores pb's panels and packs the raw operand
+// per call, as GEMM does; the naive routes multiply the raw operand pb
+// keeps.
+func (p GEMMPath) GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
+	pb.check("GEMMPacked", n, k)
 	checkGEMMArgs(transA, pb.transB, m, n, k, a, pb.src, c)
 	if m == 0 || n == 0 {
 		return
@@ -105,20 +107,17 @@ func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *Packed
 	if k == 0 || alpha == 0 {
 		return
 	}
-	switch path := CurrentGEMMPath(); {
-	case path == GEMMPathNaive:
-		gemmNaivePar(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-	case path == GEMMPathBlocked:
-		// Forced blocked-without-prepack: ignore the cached panels and
-		// pack the raw operand per call, like GEMM does.
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, nil, nil, c, true)
-	case path == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
-		// Same dispatch as GEMM: packing never paid for itself down
-		// here, so the pack keeps the raw operand around for the
-		// naive path.
-		gemmNaiveSerial(transA, pb.transB, m, n, k, alpha, a, pb.src, c)
-	default:
-		gemmBlocked(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, nil, c, true)
+	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, nil, c, true)
+}
+
+// check panics unless pb can serve a call named op with op(B) k×n.
+func (pb *PackedB) check(op string, n, k int) {
+	if pb == nil {
+		panic("kernels: " + op + " with nil PackedB")
+	}
+	if !pb.Matches(pb.transB, n, k) {
+		panic(fmt.Sprintf("kernels: %s operand packed for n=%d k=%d nr=%d, called with n=%d k=%d nr=%d — repack required",
+			op, pb.n, pb.k, pb.nr, n, k, gemmNR))
 	}
 }
 
@@ -150,13 +149,14 @@ type PackCache struct {
 	e [2]atomic.Pointer[packEntry]
 }
 
-// Get returns op(B) for generation gen as a GEMMPacked operand: the cached
-// pack when one is current; else, on the first use of this generation (or
-// shape, or micro-kernel backend), an un-built PackedB that makes the call
-// pack per use; and on the second, a pack built now and cached. The forced
-// fused path is the pre-packed route by definition and always builds.
-func (pc *PackCache) Get(transB bool, n, k int, b []float32, gen uint64) *PackedB {
-	return pc.get(transB, n, k, b, gen, CurrentGEMMPath() == GEMMPathFused)
+// Get returns op(B) for generation gen as the operand of a GEMMPacked call
+// on route p: the cached pack when one is current; else, on the first use
+// of this generation (or shape, or micro-kernel backend), an un-built
+// PackedB that makes the call pack per use; and on the second, a pack built
+// now and cached. The forced fused route is the pre-packed route by
+// definition and always builds.
+func (pc *PackCache) Get(p GEMMPath, transB bool, n, k int, b []float32, gen uint64) *PackedB {
+	return pc.get(transB, n, k, b, gen, p == GEMMPathFused)
 }
 
 // Warm is Get for a caller that knows the reuse is coming (serving warm-up

@@ -158,26 +158,26 @@ func TestPackCacheInvalidation(t *testing.T) {
 	n, k := 48, 32
 	b := randSlice(r, n*k)
 	var cache PackCache
-	if first := cache.Get(true, n, k, b, 0); first.buf != nil {
+	if first := cache.Get(GEMMPathAuto, true, n, k, b, 0); first.buf != nil {
 		t.Fatal("a generation's first use must not build panels")
 	}
-	pb0 := cache.Get(true, n, k, b, 0)
+	pb0 := cache.Get(GEMMPathAuto, true, n, k, b, 0)
 	if pb0.buf == nil {
 		t.Fatal("a generation's second use must build the pack")
 	}
-	if cache.Get(true, n, k, b, 0) != pb0 {
+	if cache.Get(GEMMPathAuto, true, n, k, b, 0) != pb0 {
 		t.Fatal("unchanged generation must return the cached pack")
 	}
 	for i := range b {
 		b[i] += 1
 	}
-	if cache.Get(true, n, k, b, 0) != pb0 {
+	if cache.Get(GEMMPathAuto, true, n, k, b, 0) != pb0 {
 		t.Fatal("mutation without a generation bump must (by contract) keep serving the old pack")
 	}
-	if first := cache.Get(true, n, k, b, 1); first == pb0 || first.buf != nil {
+	if first := cache.Get(GEMMPathAuto, true, n, k, b, 1); first == pb0 || first.buf != nil {
 		t.Fatal("generation bump must drop the pack, and the new generation's first use must not build one")
 	}
-	pb1 := cache.Get(true, n, k, b, 1)
+	pb1 := cache.Get(GEMMPathAuto, true, n, k, b, 1)
 	if pb1 == pb0 || pb1.buf == nil {
 		t.Fatal("the new generation's second use must rebuild the pack")
 	}
@@ -188,7 +188,7 @@ func TestPackCacheInvalidation(t *testing.T) {
 		}
 	}
 	// Orientation slots are independent.
-	if cache.Get(false, k, n, b, 1).buf != nil || cache.Get(true, n, k, b, 1) != pb1 {
+	if cache.Get(GEMMPathAuto, false, k, n, b, 1).buf != nil || cache.Get(GEMMPathAuto, true, n, k, b, 1) != pb1 {
 		t.Fatal("transpose orientations must cache separately")
 	}
 }
@@ -213,7 +213,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 				// and concurrent rebuilds both occur; the buffer itself is
 				// never written, per the reader contract.
 				gen := uint64(i / (2 + seed))
-				pb := cache.Get(false, n, k, bBuf, gen)
+				pb := cache.Get(GEMMPathAuto, false, n, k, bBuf, gen)
 				GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
 			}
 		}(g)
@@ -222,7 +222,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 	want := make([]float32, m*n)
 	refGEMM(false, false, m, n, k, 1, a, bBuf, 0, want)
 	got := make([]float32, m*n)
-	GEMMPacked(false, m, n, k, 1, a, cache.Get(false, n, k, bBuf, 99), 0, got)
+	GEMMPacked(false, m, n, k, 1, a, cache.Get(GEMMPathAuto, false, n, k, bBuf, 99), 0, got)
 	if d := maxAbsDiff(got, want); d > tolFor(k) {
 		t.Fatalf("post-race pack wrong: max diff %v", d)
 	}
@@ -234,7 +234,6 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 // naive loops, strided (non-contiguous) layouts, and a beta accumulate, on
 // every backend.
 func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
-	defer SetGEMMPath(SetGEMMPath(GEMMPathBlocked))
 	run := func(t *testing.T) {
 		r := tensor.NewRNG(26)
 		dims := []int{1, gemmMR + 1, gemmNR - 1, 2*gemmNR + 3}
@@ -247,7 +246,7 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 					b := randSlice(r, (batch-1)*sB+k*n)
 					got := randSlice(r, (batch-1)*sC+m*n)
 					want := append([]float32(nil), got...)
-					BatchedGEMM(batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
+					GEMMPathBlocked.BatchedGEMM(batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
 					for i := 0; i < batch; i++ {
 						refGEMM(ta, tb, m, n, k, 1.25, a[i*sA:], b[i*sB:], 0.5, want[i*sC:i*sC+m*n])
 					}

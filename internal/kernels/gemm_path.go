@@ -1,20 +1,19 @@
 package kernels
 
-import "sync/atomic"
-
-// GEMMPath selects which implementation the GEMM entry points route to.
+// GEMMPath is the route a GEMM call takes: a value the caller passes (the
+// methods below; nn reads it from Ctx.Route), never process state.
 //
-// Production never sets it: under GEMMPathAuto every call decides its own
-// route from its operands — products below smallGEMMFlops take the naive
-// loops, larger ones the cache-blocked engine, weights the pack cache has
-// seen reused skip the per-call pack, epilogues fuse into the tile
-// write-back, and a batch runs one product per work item. The other three
-// values are a test hook: the audit harness (internal/audit) and the kernel
-// tests force one route for a whole forward+backward pass so the
-// implementations can be differential-tested against each other at model
-// scale — including shapes the size rule would never send to the engine
-// (edge tiles, k < NR, single-row stripes). One value per route that differs
-// in code executed:
+// Production passes GEMMPathAuto: every call decides its own route from its
+// operands — products below smallGEMMFlops take the naive loops, larger
+// ones the cache-blocked engine, weights the pack cache has seen reused
+// skip the per-call pack, epilogues fuse into the tile write-back, and a
+// batch runs one product per work item. The package-level GEMM, GEMMPacked
+// and BatchedGEMM are that route. The other three values force one route
+// for a whole forward+backward pass, so the audit harness (internal/audit)
+// and the kernel tests can differential-test the implementations against
+// each other at model scale — including shapes the size rule would never
+// send to the engine (edge tiles, k < NR, single-row stripes). One value per
+// route that differs in code executed:
 //
 //	             small products   B operand                    epilogue tail
 //	auto         naive loops      pre-packed once reused,      fused (engine) / reference (naive)
@@ -62,18 +61,26 @@ func (p GEMMPath) String() string {
 	return "invalid"
 }
 
-// gemmPath is the active path override; reads are a single atomic load on
-// the GEMM hot paths (same cost class as the maxWorkers load they already
-// do).
-var gemmPath atomic.Int32
-
-// SetGEMMPath installs a path override and returns the previous one. It is
-// a process-wide test hook — no production code calls it — and like
-// SetMaxWorkers it is safe for concurrent use, but callers that force a
-// path mid-run get whichever routing each in-flight call observed.
-func SetGEMMPath(p GEMMPath) GEMMPath {
-	return GEMMPath(gemmPath.Swap(int32(p)))
+// run accumulates C += alpha·op(A)·op(B) on route p and applies ep (nil:
+// no tail); beta and the quick returns are the caller's. Every entry point
+// routes here: the naive loops when forced, or under auto below the size
+// rule, and the forced blocked engine on per-call panels, each followed by
+// the reference tail; otherwise the engine with the tail fused into its
+// write-back, on panels (op(B) pre-packed by PackWeight) or, when nil,
+// packed per call. par allows pool parallelism; BatchedGEMM and
+// AttentionRagged pass false for their per-matrix products.
+func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, ep *Epilogue, c []float32, par bool) {
+	switch {
+	case p == GEMMPathNaive && par:
+		gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
+	case p == GEMMPathNaive, p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
+		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
+	case p == GEMMPathBlocked:
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
+	default:
+		ep.countFused()
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, panels, ep, c, par)
+		return
+	}
+	ep.applyReference(c, m, n)
 }
-
-// CurrentGEMMPath returns the active path override.
-func CurrentGEMMPath() GEMMPath { return GEMMPath(gemmPath.Load()) }

@@ -108,7 +108,7 @@ func TestPackCacheCounters(t *testing.T) {
 		}
 	}
 	get := func(transB bool, n, k int, gen uint64) func() *PackedB {
-		return func() *PackedB { return pc.Get(transB, n, k, b, gen) }
+		return func() *PackedB { return pc.Get(GEMMPathAuto, transB, n, k, b, gen) }
 	}
 
 	step("first use", packCacheDeferred, get(false, 48, 64, 1))
@@ -127,11 +127,10 @@ func TestPackCacheCounters(t *testing.T) {
 	step("after Warm", packCacheHits, get(true, 64, 48, 4))
 	step("Warm, warm", packCacheHits, func() *PackedB { return pc.Warm(true, 64, 48, b, 4) })
 	step("Warm, new generation", packCacheRebuilds, func() *PackedB { return pc.Warm(true, 64, 48, b, 5) })
-	// The forced fused path is the pre-packed route: it builds at once.
-	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
-	step("forced fused, new generation", packCacheRebuilds, get(false, 48, 64, 5))
+	// The forced fused route is the pre-packed route: it builds at once.
+	step("forced fused, new generation", packCacheRebuilds, func() *PackedB { return pc.Get(GEMMPathFused, false, 48, 64, b, 5) })
 	var cold PackCache
-	step("forced fused, cold", packCacheMisses, func() *PackedB { return cold.Get(false, 48, 64, b, 0) })
+	step("forced fused, cold", packCacheMisses, func() *PackedB { return cold.Get(GEMMPathFused, false, 48, 64, b, 0) })
 }
 
 // TestBatchedRoutingCounters: the one batched counter left (bench/ reads it

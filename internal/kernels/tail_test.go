@@ -387,7 +387,6 @@ func TestLayerNormGoBodyRoundsEveryOperation(t *testing.T) {
 // reach the result, on pre-packed and per-call panels, across the NC
 // column-block and KC depth-block boundaries.
 func TestGEMMPackedEpilogueIgnoresOldC(t *testing.T) {
-	defer SetGEMMPath(SetGEMMPath(GEMMPathFused))
 	r := tensor.NewRNG(65)
 	forEachKernel(t, "", func(t *testing.T) {
 		for _, sh := range [][3]int{{7, 17, 33}, {130, 96, 96}, {9, gemmNC + 52, gemmKC + 44}} {
@@ -397,12 +396,12 @@ func TestGEMMPackedEpilogueIgnoresOldC(t *testing.T) {
 				ep := makeEpilogue(r, kind, m, n, false)
 				for _, pb := range []*PackedB{PackWeight(false, n, k, b), describeWeight(false, n, k, b)} {
 					want := make([]float32, m*n)
-					GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, want)
+					GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, want)
 					got := make([]float32, m*n)
 					for i := range got {
 						got[i] = float32(math.NaN())
 					}
-					GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+					GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("%s %dx%dx%d: element %d is %v over old NaN, %v over zeros", kind, m, n, k, i, got[i], want[i])
 					}
@@ -437,7 +436,7 @@ func BenchmarkGEMMEpilogue(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, kind), func(b *testing.B) {
 				b.SetBytes(4 * int64(s.m*s.n)) // the output the tail streams
 				for i := 0; i < b.N; i++ {
-					GEMMPackedEpilogue(false, s.m, s.n, s.k, 1, a, pb, ep, c)
+					GEMMPathAuto.GEMMPackedEpilogue(false, s.m, s.n, s.k, 1, a, pb, ep, c)
 				}
 			})
 		}

@@ -248,9 +248,8 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			bias := input(n, 2)
 			c := make([]float32, off+rows*n)[off:]
 			xs := make([]float32, rows*n)
-			prev := SetGEMMPath(GEMMPathFused) // the tail on the fused write-back at every shape
-			GEMMPackedEpilogue(false, rows, n, k, 1, a, PackWeight(true, n, k, w), &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias, X: xs}, c)
-			SetGEMMPath(prev)
+			// The forced fused route: the tail on the fused write-back at every shape.
+			GEMMPathFused.GEMMPackedEpilogue(false, rows, n, k, 1, a, PackWeight(true, n, k, w), &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias, X: xs}, c)
 			for i, xv := range xs {
 				if g, w := math.Float32bits(c[i]), math.Float32bits(geluScalar(xv)); g != w {
 					t.Fatalf("f32 bias+GeLU epilogue %dx%d element %d: GELU(%v) = %#08x, want %#08x", rows, n, i, xv, g, w)
@@ -276,9 +275,7 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			out := make([]float32, size)
 			// Both products on the naive loops, the same Go code on every
 			// entry, so only the softmax's exp can tell entries apart.
-			prev := SetGEMMPath(GEMMPathNaive)
-			AttentionRagged(out, q, kk, v, offsets, heads, dHead, 0.35, causal)
-			SetGEMMPath(prev)
+			GEMMPathNaive.AttentionRagged(out, q, kk, v, offsets, heads, dHead, 0.35, causal)
 			record(fmt.Sprintf("AttentionRagged causal=%v", causal), out...)
 		}
 		return names, outs

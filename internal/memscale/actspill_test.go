@@ -10,14 +10,19 @@ import (
 	"demystbert/internal/nn"
 )
 
+// blockedCtx is a training context on the forced blocked GEMM route, so
+// every product runs the engine whatever its size.
+func blockedCtx() *nn.Ctx {
+	ctx := nn.NewCtx(7)
+	ctx.Route = kernels.GEMMPathBlocked
+	return ctx
+}
+
 // TestActSpillCheckpointedStepBitwise pins the activation-spill path: a
 // checkpointed training step whose segment inputs stream through the
 // arena must produce bitwise the loss and gradients of the same step with
 // heap-resident checkpoints — the spilled bytes replay exactly.
 func TestActSpillCheckpointedStepBitwise(t *testing.T) {
-	old := kernels.SetGEMMPath(kernels.GEMMPathBlocked)
-	defer kernels.SetGEMMPath(old)
-
 	cfg := model.Tiny()
 	cfg.NumLayers = 4
 	cfg.DropProb = 0 // spill replays data, not RNG streams
@@ -38,7 +43,7 @@ func TestActSpillCheckpointedStepBitwise(t *testing.T) {
 			m.CkptSpill = NewActSpill(a)
 		}
 		b := data.NewGenerator(cfg.Vocab, 0.15, 3).Next(2, 16)
-		loss := m.Step(nn.NewCtx(7), b)
+		loss := m.Step(blockedCtx(), b)
 		return loss, m
 	}
 
@@ -62,9 +67,6 @@ func TestActSpillCheckpointedStepBitwise(t *testing.T) {
 // each micro-batch re-spills the same checkpoint indices, and the
 // accumulated gradients must still match the full-batch step bitwise.
 func TestActSpillAcrossAccumulation(t *testing.T) {
-	old := kernels.SetGEMMPath(kernels.GEMMPathBlocked)
-	defer kernels.SetGEMMPath(old)
-
 	cfg := model.Tiny()
 	cfg.NumLayers = 4
 	cfg.DropProb = 0
@@ -83,7 +85,7 @@ func TestActSpillAcrossAccumulation(t *testing.T) {
 		t.Cleanup(func() { a.Close() })
 		m.CkptSpill = NewActSpill(a)
 		b := data.NewGenerator(cfg.Vocab, 0.15, 4).Next(4, 16)
-		loss := m.StepAccum(nn.NewCtx(7), b, accum)
+		loss := m.StepAccum(blockedCtx(), b, accum)
 		return loss, m
 	}
 

@@ -46,10 +46,10 @@ func TestStepAccumBitwiseMatchesFullBatch(t *testing.T) {
 					}
 					full.CheckpointEvery, accum.CheckpointEvery = ckpt, ckpt
 
-					old := kernels.SetGEMMPath(path)
-					lossFull := full.Step(nn.NewCtx(9), batch)
-					lossAccum := accum.StepAccum(nn.NewCtx(9), batch, accumSteps)
-					kernels.SetGEMMPath(old)
+					ctxFull, ctxAccum := nn.NewCtx(9), nn.NewCtx(9)
+					ctxFull.Route, ctxAccum.Route = path, path
+					lossFull := full.Step(ctxFull, batch)
+					lossAccum := accum.StepAccum(ctxAccum, batch, accumSteps)
 
 					if math.Float64bits(lossFull) != math.Float64bits(lossAccum) {
 						t.Errorf("path=%v ckpt=%d k=%d hole=%v: loss %v (full) != %v (accum)",

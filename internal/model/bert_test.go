@@ -2,9 +2,11 @@ package model
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"demystbert/internal/data"
+	"demystbert/internal/kernels"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
 )
@@ -158,6 +160,54 @@ func TestCheckpointingGradientsIdentical(t *testing.T) {
 		if gradsA[i] != gradsB[i] {
 			t.Fatalf("checkpointing changed gradient at %d: %v vs %v", i, gradsA[i], gradsB[i])
 		}
+	}
+}
+
+// TestConcurrentRoutesBitwiseSerial: the GEMM route belongs to the
+// context, not to the process, so steps on different routes can run at
+// once. Four goroutines run the same Tiny step together, one per route;
+// each loss and gradient must be bitwise its serial run's, and naive and
+// blocked must differ, or the route never reached the GEMMs.
+func TestConcurrentRoutesBitwiseSerial(t *testing.T) {
+	cfg := Tiny()
+	cfg.DropProb = 0
+	batch := tinyBatch(cfg, 2, 16, 3)
+	routes := []kernels.GEMMPath{kernels.GEMMPathNaive, kernels.GEMMPathBlocked, kernels.GEMMPathFused, kernels.GEMMPathAuto}
+	step := func(route kernels.GEMMPath, loss *float64) *BERT {
+		m, _ := New(cfg, 5)
+		ctx := nn.NewCtx(9)
+		ctx.Route = route
+		*loss = m.Step(ctx, batch)
+		return m
+	}
+	serial, concurrent := make([]*BERT, len(routes)), make([]*BERT, len(routes))
+	serialLoss, concurrentLoss := make([]float64, len(routes)), make([]float64, len(routes))
+	for i, route := range routes {
+		serial[i] = step(route, &serialLoss[i])
+	}
+	var wg sync.WaitGroup
+	for i, route := range routes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent[i] = step(route, &concurrentLoss[i])
+		}()
+	}
+	wg.Wait()
+
+	for i, route := range routes {
+		if math.Float64bits(concurrentLoss[i]) != math.Float64bits(serialLoss[i]) {
+			t.Errorf("%v: concurrent loss %v, serial %v", route, concurrentLoss[i], serialLoss[i])
+		}
+		cp, sp := concurrent[i].Params(), serial[i].Params()
+		for j := range sp {
+			if k := firstBitDiff(cp[j].Grad.Data(), sp[j].Grad.Data()); k >= 0 {
+				t.Errorf("%v: grad %s[%d] concurrent %v, serial %v", route, sp[j].Name, k, cp[j].Grad.Data()[k], sp[j].Grad.Data()[k])
+			}
+		}
+	}
+	if math.Float64bits(serialLoss[0]) == math.Float64bits(serialLoss[1]) {
+		t.Errorf("naive and blocked losses are both %v: the route did not reach the GEMMs", serialLoss[0])
 	}
 }
 

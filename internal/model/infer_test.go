@@ -95,7 +95,6 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 	} {
 		for _, causal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/causal=%v", tc.path, causal), func(t *testing.T) {
-				defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
 				defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(1))
 				cfg := tc.cfg
 				cfg.Causal = causal
@@ -111,14 +110,14 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 				aloneLogits := make([]*tensor.Tensor, len(lens))
 				for s := range lens {
 					b, ps := pick(all, positions, s)
-					aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, &nn.Ctx{}, b, ps)
+					aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, &nn.Ctx{Route: tc.path}, b, ps)
 				}
 
 				for _, workers := range []int{1, 3} {
 					kernels.SetMaxWorkers(workers)
 					for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 5, 0, 4, 2, 1}} {
 						b, ps := pick(all, positions, order...)
-						seq, logits := encodeAndLogits(m, &nn.Ctx{}, b, ps)
+						seq, logits := encodeAndLogits(m, &nn.Ctx{Route: tc.path}, b, ps)
 						logitRow := 0
 						for i, s := range order {
 							for r := 0; r < lens[s]; r++ {
@@ -327,7 +326,6 @@ func TestRaggedWorkspaceReuseBitwise(t *testing.T) {
 	} {
 		for _, causal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/causal=%v", tc.path, causal), func(t *testing.T) {
-				defer kernels.SetGEMMPath(kernels.SetGEMMPath(tc.path))
 				cfg := tc.cfg
 				cfg.Causal = causal
 				m, err := New(cfg, 17)
@@ -337,12 +335,12 @@ func TestRaggedWorkspaceReuseBitwise(t *testing.T) {
 				large, largePos := raggedBatch(cfg, []int{cfg.MaxPos, 9, cfg.MaxPos, 5, cfg.MaxPos/2 + 1}, 98)
 				short, shortPos := raggedBatch(cfg, []int{3, 1, 7}, 99)
 				fresh := func(b *data.Ragged, ps [][]int) (seq, logits *tensor.Tensor) {
-					return encodeAndLogits(m, &nn.Ctx{}, b, ps)
+					return encodeAndLogits(m, &nn.Ctx{Route: tc.path}, b, ps)
 				}
 				wantLarge, wantLargeLogits := fresh(large, largePos)
 				wantShort, wantShortLogits := fresh(short, shortPos)
 
-				ctx := &nn.Ctx{}
+				ctx := &nn.Ctx{Route: tc.path}
 				for k, step := range []struct {
 					name        string
 					b           *data.Ragged

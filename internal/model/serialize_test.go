@@ -81,12 +81,10 @@ func TestLoadParamsResumeMatchesContinuousRun(t *testing.T) {
 	batch1, batch2 := gen.Next(2, 16), gen.Next(2, 16)
 
 	// Pack caches only matter where pre-packed panels are consumed; the
-	// forced fused path consumes them at every size.
-	old := kernels.SetGEMMPath(kernels.GEMMPathFused)
-	defer kernels.SetGEMMPath(old)
-
+	// forced fused route consumes them at every size.
 	step := func(m *BERT, opt *optim.LAMB, b *data.Batch) float64 {
 		ctx := nn.NewCtx(9)
+		ctx.Route = kernels.GEMMPathFused
 		loss := m.Step(ctx, b)
 		if opt != nil {
 			opt.Step(ctx, m.Params())

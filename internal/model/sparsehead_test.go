@@ -142,9 +142,9 @@ func TestSparseHeadMatchesDenseOracle(t *testing.T) {
 		for _, mp := range []bool{false, true} {
 			for _, bc := range batches {
 				t.Run(fmt.Sprintf("%v/mp=%v/%s", path, mp, bc.name), func(t *testing.T) {
-					defer kernels.SetGEMMPath(kernels.SetGEMMPath(path))
 					newCtx := func() *nn.Ctx {
 						ctx := nn.NewCtx(9)
+						ctx.Route = path
 						ctx.MixedPrecision = mp
 						if mp {
 							ctx.LossScale = 1024

@@ -125,7 +125,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	ctx.Prof.Time("attn_score_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
 		int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			kernels.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
+			ctx.Route.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
 				a.qh.Data(), stQK, a.kh.Data(), stQK, 0, scores.Data(), stS)
 		})
 
@@ -197,7 +197,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	ctx.Prof.Time("attn_output_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			kernels.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
 				a.probs.Data(), stS, a.vh.Data(), stQK, 0, ctxOut.Data(), stQK)
 		})
 
@@ -242,7 +242,7 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 	merged := ctx.NewActivation(tokens, a.inner())
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
-		kernels.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
+		ctx.Route.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
 	})
 	return merged
 }
@@ -277,9 +277,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	ctx.Prof.Time("attn_output_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
 		2*int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			kernels.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
+			ctx.Route.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
 				dCtxOut.Data(), stQK, a.vh.Data(), stQK, 0, dProbs.Data(), stS)
-			kernels.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
 				a.probs.Data(), stS, dCtxOut.Data(), stQK, 0, dVh.Data(), stQK)
 		})
 
@@ -306,9 +306,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	ctx.Prof.Time("attn_score_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		2*int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			kernels.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
 				dScores.Data(), stS, a.kh.Data(), stQK, 0, dQh.Data(), stQK)
-			kernels.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
 				dScores.Data(), stS, a.qh.Data(), stQK, 0, dKh.Data(), stQK)
 		})
 

@@ -145,7 +145,7 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	m, n, k := tokens, l.out, l.in
 	ctx.Prof.Time("linear_fwd_gemm", l.Category, profile.Forward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			kernels.GEMMPackedEpilogue(false, m, n, k, 1, x.Data(), l.W.Packed(true, n, k), ep, y.Data())
+			ctx.Route.GEMMPackedEpilogue(false, m, n, k, 1, x.Data(), l.W.Packed(ctx.Route, true, n, k), ep, y.Data())
 		})
 	return y
 }
@@ -176,14 +176,14 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	m, n, k := tokens, l.in, l.out
 	ctx.Prof.Time("linear_bwd_dgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			kernels.GEMMPacked(false, m, n, k, 1, dY.Data(), l.W.Packed(false, n, k), 0, dX.Data())
+			ctx.Route.GEMMPacked(false, m, n, k, 1, dY.Data(), l.W.Packed(ctx.Route, false, n, k), 0, dX.Data())
 		})
 
 	// dW += dY^T · X: (out×tokens)·(tokens×in).
 	m, n, k = l.out, l.in, tokens
 	ctx.Prof.Time("linear_bwd_wgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			kernels.GEMM(true, false, m, n, k, 1, dY.Data(), l.x.Data(), 1, l.W.Grad.Data())
+			ctx.Route.GEMM(true, false, m, n, k, 1, dY.Data(), l.x.Data(), 1, l.W.Grad.Data())
 		})
 
 	ctx.Prof.Time("linear_bwd_bgrad", l.Category, profile.Backward,

@@ -66,20 +66,20 @@ func (p *Param) Gen() uint64 { return p.gen.Load() }
 // optimizers concurrently).
 func (p *Param) BumpGen() { p.gen.Add(1) }
 
-// Packed returns Value as the B operand of kernels.GEMMPacked (op(B) is
-// k×n; Value is stored n×k when transB is true, k×n otherwise): the cached
-// micro-panel packing from the second call on with this orientation since
-// the generation, shape, or kernel backend last changed, and an un-built
-// operand that packs per call on the first (kernels.PackCache). Concurrent
-// readers are safe; the tied MLM-decoder weight shares the embedding Param
-// and therefore this cache.
-func (p *Param) Packed(transB bool, n, k int) *kernels.PackedB {
-	return p.packs.Get(transB, n, k, p.Value.Data(), p.gen.Load())
+// Packed returns Value as the B operand of a kernels.GEMMPacked call on
+// route (op(B) is k×n; Value is stored n×k when transB is true, k×n
+// otherwise): the cached micro-panel packing from the second call on with
+// this orientation since the generation, shape, or kernel backend last
+// changed, and an un-built operand that packs per call on the first
+// (kernels.PackCache); the forced fused route builds at once. Concurrent readers are safe; the tied
+// MLM-decoder weight shares the embedding Param and therefore this cache.
+func (p *Param) Packed(route kernels.GEMMPath, transB bool, n, k int) *kernels.PackedB {
+	return p.packs.Get(route, transB, n, k, p.Value.Data(), p.gen.Load())
 }
 
 // Ctx carries per-iteration execution state through forward and backward
-// passes: the profiler, the dropout RNG, the training flag, and whether
-// mixed-precision byte accounting is active.
+// passes: the profiler, the dropout RNG, the training flag, the GEMM route,
+// and whether mixed-precision byte accounting is active.
 //
 // A Ctx also owns the evaluation forward's activation memory, a grow-only
 // workspace (workspace.go) that model.BERT.EncodeEval resets on entry. In
@@ -112,6 +112,11 @@ type Ctx struct {
 	// of sampling a fresh one, so recomputed activations are bit-identical
 	// to the originals.
 	Recompute bool
+
+	// Route is the GEMM route of every layer's products. The zero value,
+	// kernels.GEMMPathAuto, is production's per-call routing; the forced
+	// routes are for differential tests (internal/audit).
+	Route kernels.GEMMPath
 
 	// Tracer and Span carry request/step-scoped trace identity through
 	// the model's forward/backward plumbing, so phase spans (embed,

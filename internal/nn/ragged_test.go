@@ -18,7 +18,6 @@ import (
 // mixed precision, the unfused ones. The GEMM route is forced so that it
 // cannot change with the row count.
 func TestRaggedForwardMatchesPerSequenceForward(t *testing.T) {
-	defer kernels.SetGEMMPath(kernels.SetGEMMPath(kernels.GEMMPathBlocked))
 	const vocab, maxPos, d, heads, dff = 50, 12, 32, 4, 64
 	offsets := []int{0, 12, 13, 20, 22}
 	rng := tensor.NewRNG(4)
@@ -32,7 +31,7 @@ func TestRaggedForwardMatchesPerSequenceForward(t *testing.T) {
 				emb := NewEmbedding(vocab, maxPos, d, 0.1, tensor.NewRNG(1))
 				layer := NewEncoderLayer("l", d, heads, dff, 0.1, tensor.NewRNG(2))
 				layer.Attn.Causal = causal
-				ctx := &Ctx{MixedPrecision: mp, Prof: profile.New()}
+				ctx := &Ctx{MixedPrecision: mp, Prof: profile.New(), Route: kernels.GEMMPathBlocked}
 
 				got := layer.ForwardRagged(ctx, emb.ForwardRagged(ctx, tokens, segments, offsets), offsets)
 				for s := 1; s < len(offsets); s++ {

@@ -6,7 +6,7 @@
 #
 # Every test leg runs whole packages and differs from `go test ./...` by a
 # flag or the environment (-race, -race -short, GOMAXPROCS=1,
-# DEMYSTBERT_NOSIMD=1, -count=2, -gelu-full -exp-full); no leg pins tests by name, so
+# DEMYSTBERT_NOSIMD=1, -count=2, -count=1, -gelu-full -exp-full); no leg pins tests by name, so
 # a renamed test cannot leave the gate. The alloc guards,
 # serving/tracing/shutdown smokes and bitwise-parity tests are ordinary
 # tests of their packages and run in the sweep.
@@ -50,7 +50,7 @@ GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ 
 echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim, model, serve: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps, GeLU/exp spans — end to end, ragged batch == alone and batched == serial included, which an AVX host otherwise never runs)"
 DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/ ./internal/model/ ./internal/serve/
 
-echo "== re-run leg (kernels, nn, model, optim, serve, distnet twice in one process: a test that leans on process-global state — pool heat, obs counters, SetGEMMPath, SetMaxWorkers, a group's sender goroutine outliving its Close — cannot pass by running first)"
+echo "== re-run leg (kernels, nn, model, optim, serve, distnet twice in one process: a test that leans on process-global state — pool heat, obs counters, SetMaxWorkers, a group's sender goroutine outliving its Close — cannot pass by running first)"
 go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/ ./internal/distnet/
 
 echo "== go test ./..."
@@ -59,8 +59,8 @@ go test ./...
 echo "== GeLU and exp exactness, all 2^32 float32 inputs (kernels with -gelu-full -exp-full: GELU, GELU' and softmax's exp equal the float64 reference bit for bit on every body the host runs; ~4 min on 2 cores)"
 go test -count=1 -timeout 30m ./internal/kernels/ -gelu-full -exp-full
 
-echo "== numerics audit sweep (cross-path differential + gradcheck + determinism)"
-go run ./cmd/bertchar -audit >/dev/null
+echo "== numerics audit, full mode matrix uncached (cross-path differential + gradcheck + determinism; ~1 s)"
+go test -count=1 ./internal/audit/
 
 echo "== distributed training smoke (2 real processes over loopback TCP, loss falls)"
 go run ./cmd/bertdist -launch 2 -steps 6 -train-b 2 -seq 16 -fixed-data -drop 0 | grep "loss fell"
