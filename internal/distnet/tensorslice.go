@@ -148,3 +148,7 @@ func (s *SlicedLayer) Backward(ctx *nn.Ctx, dY *tensor.Tensor) (*tensor.Tensor, 
 	kernels.AccumulateInto(dX.Data(), dSum.Data())
 	return dX, nil
 }
+
+// Params returns the shard's parameters: its slices of the projections and
+// feed-forward layers, and its replicas of the LayerNorms.
+func (s *SlicedLayer) Params() []*nn.Param { return s.shard.Params() }

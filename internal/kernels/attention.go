@@ -83,8 +83,7 @@ func (s *raggedAttnState) runRange(lo, hi int) {
 			copy(vh[r*dh:(r+1)*dh], s.v[src:])
 		}
 
-		clear(sc)
-		s.path.run(false, true, n, n, dh, 1, qh, kh, nil, nil, sc, false)
+		s.path.run(false, true, n, n, dh, 1, qh, kh, nil, 0, nil, sc, false)
 		for r := 0; r < n; r++ {
 			row := sc[r*n : (r+1)*n]
 			for j := range row {
@@ -100,8 +99,7 @@ func (s *raggedAttnState) runRange(lo, hi int) {
 			softmaxRow(row, row)
 		}
 
-		clear(ch)
-		s.path.run(false, false, n, dh, n, 1, sc, vh, nil, nil, ch, false)
+		s.path.run(false, false, n, dh, n, 1, sc, vh, nil, 0, nil, ch, false)
 		for r := 0; r < n; r++ {
 			copy(s.out[(row0+r)*d+col:], ch[r*dh:(r+1)*dh])
 		}

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -19,24 +20,48 @@ func checkSameLen(name string, xs ...[]float32) int {
 	return n
 }
 
+// ewArgs are the operands of the flat element-wise kernels, which run as
+// argsPool bodies so that a call allocates nothing.
+type ewArgs struct {
+	dst, a, b []float32
+	s         float32
+}
+
+var ewBodies argsPool[ewArgs]
+
+// rowArgs are the operands of the row-wise kernels (softmax, head split
+// and merge, cross-entropy backward); each uses the fields it names.
+type rowArgs struct {
+	dst, x, y, mask []float32
+	targets         []int
+	s               float32
+	causal          bool
+	n, heads, dHead int
+}
+
+var rowBodies argsPool[rowArgs]
+
 // Add computes dst[i] = a[i] + b[i].
 func Add(dst, a, b []float32) {
 	checkSameLen("Add", dst, a, b)
-	parallelFor(len(dst), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] + b[i]
-		}
-	})
+	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, b: b}, addRange)
+}
+
+func addRange(e *ewArgs, lo, hi int) {
+	dst, a, b := e.dst, e.a, e.b
+	for i := lo; i < hi; i++ {
+		dst[i] = a[i] + b[i]
+	}
 }
 
 // AccumulateInto computes dst[i] += a[i], the gradient-accumulation
 // primitive.
 func AccumulateInto(dst, a []float32) {
 	checkSameLen("AccumulateInto", dst, a)
-	parallelFor(len(dst), 1, func(lo, hi int) {
-		addRow(dst[lo:hi], a[lo:hi])
-	})
+	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a}, accumulateRange)
 }
+
+func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
 
 // addRow computes y[i] += x[i], one float32 add per element, through the
 // kernel table's vector body (whole 8-element groups) with the tail in Go.
@@ -58,25 +83,70 @@ func addRow(y, x []float32) {
 	}
 }
 
+// zeroGrain is the element chunk ZeroAll hands to the pool: 64 KiB of
+// float32 per chunk.
+const zeroGrain = 16384
+
+// zeroAllState is ZeroAll's pooled dispatch body. Work items are element
+// ranges of the buffers laid end to end, so one large buffer and many
+// small ones spread over the pool alike.
+type zeroAllState struct {
+	bufs [][]float32
+	ends []int // ends[i]: offset just past bufs[i] in the concatenation
+}
+
+func (s *zeroAllState) runRange(lo, hi int) {
+	for i := sort.SearchInts(s.ends, lo+1); lo < hi; i++ {
+		start := s.ends[i] - len(s.bufs[i])
+		end := min(hi, s.ends[i])
+		clear(s.bufs[i][lo-start : end-start])
+		lo = end
+	}
+}
+
+var zeroAllPool = sync.Pool{New: func() any { return new(zeroAllState) }}
+
+// ZeroAll sets every element of every buffer to +0 in one pool region —
+// a model's gradients cleared at once rather than one serial loop per
+// tensor. The buffers must not overlap.
+func ZeroAll(bufs ...[]float32) {
+	s := zeroAllPool.Get().(*zeroAllState)
+	s.bufs, s.ends = append(s.bufs[:0], bufs...), s.ends[:0]
+	total := 0
+	for _, b := range bufs {
+		total += len(b)
+		s.ends = append(s.ends, total)
+	}
+	parallelRun(total, zeroGrain, s)
+	clear(s.bufs)
+	zeroAllPool.Put(s)
+}
+
 // Mul computes dst[i] = a[i] * b[i].
 func Mul(dst, a, b []float32) {
 	checkSameLen("Mul", dst, a, b)
-	parallelFor(len(dst), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = a[i] * b[i]
-		}
-	})
+	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, b: b}, mulRange)
+}
+
+func mulRange(e *ewArgs, lo, hi int) {
+	dst, a, b := e.dst, e.a, e.b
+	for i := lo; i < hi; i++ {
+		dst[i] = a[i] * b[i]
+	}
 }
 
 // Scale computes dst[i] = s * a[i]. This is the attention-score
 // normalization kernel (multiply by 1/sqrt(d_model/h)).
 func Scale(dst, a []float32, s float32) {
 	checkSameLen("Scale", dst, a)
-	parallelFor(len(dst), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = s * a[i]
-		}
-	})
+	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, s: s}, scaleRange)
+}
+
+func scaleRange(e *ewArgs, lo, hi int) {
+	dst, a, s := e.dst, e.a, e.s
+	for i := lo; i < hi; i++ {
+		dst[i] = s * a[i]
+	}
 }
 
 // addBiasGrain is the element-range chunk AddBias hands to the pool:
@@ -183,32 +253,35 @@ func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float
 	if keyMask != nil && len(keyMask) != b*n {
 		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention keyMask=%d want %d", len(keyMask), b*n))
 	}
+	rowBodies.run(rows, n, rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
+}
+
+func scaleMaskSoftmaxRange(ra *rowArgs, lo, hi int) {
 	const negInf = float32(-1e9)
-	parallelFor(rows, n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			q := r % n           // query position
-			batch := r / (h * n) // sequence index
-			in := scores[r*n : (r+1)*n]
-			out := dst[r*n : (r+1)*n]
-			if keyMask != nil {
-				mk := keyMask[batch*n : (batch+1)*n]
-				// The conversion rounds the scaled score before the mask
-				// add, as the unfused Scale-then-add sequence does; without
-				// it arm64 contracts the two into one fused multiply-add.
-				for i := range out {
-					out[i] = float32(s*in[i]) + mk[i]
-				}
-			} else {
-				for i := range out {
-					out[i] = s * in[i]
-				}
+	dst, scores, keyMask, s, causal, h, n := ra.dst, ra.x, ra.mask, ra.s, ra.causal, ra.heads, ra.n
+	for r := lo; r < hi; r++ {
+		q := r % n           // query position
+		batch := r / (h * n) // sequence index
+		in := scores[r*n : (r+1)*n]
+		out := dst[r*n : (r+1)*n]
+		if keyMask != nil {
+			mk := keyMask[batch*n : (batch+1)*n]
+			// The conversion rounds the scaled score before the mask
+			// add, as the unfused Scale-then-add sequence does; without
+			// it arm64 contracts the two into one fused multiply-add.
+			for i := range out {
+				out[i] = float32(s*in[i]) + mk[i]
 			}
-			if causal {
-				for i := q + 1; i < n; i++ {
-					out[i] = negInf
-				}
+		} else {
+			for i := range out {
+				out[i] = s * in[i]
 			}
-			softmaxRow(out, out)
 		}
-	})
+		if causal {
+			for i := q + 1; i < n; i++ {
+				out[i] = negInf
+			}
+		}
+		softmaxRow(out, out)
+	}
 }

@@ -13,10 +13,10 @@ import (
 // need the original input (the engine keeps x).
 func GeLUForward(dst, x []float32) {
 	checkSameLen("GeLUForward", dst, x)
-	parallelFor(len(x), 1, func(lo, hi int) {
-		geluSpan(dst[lo:hi], x[lo:hi])
-	})
+	ewBodies.run(len(x), 1, ewArgs{dst: dst, a: x}, geluFwdRange)
 }
+
+func geluFwdRange(e *ewArgs, lo, hi int) { geluSpan(e.dst[lo:hi], e.a[lo:hi]) }
 
 // GeLUBackward computes dX = dY * GELU'(x) with the exact derivative
 //
@@ -25,10 +25,10 @@ func GeLUForward(dst, x []float32) {
 // where phi is the standard normal density.
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
-	parallelFor(len(x), 1, func(lo, hi int) {
-		geluGradSpan(dX[lo:hi], dY[lo:hi], x[lo:hi])
-	})
+	ewBodies.run(len(x), 1, ewArgs{dst: dX, a: dY, b: x}, geluBwdRange)
 }
+
+func geluBwdRange(e *ewArgs, lo, hi int) { geluGradSpan(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }
 
 // geluScalar and geluGradScalar are the definitions of GELU and GELU' in
 // this engine: the float64 expressions every result must equal bit for

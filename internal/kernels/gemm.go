@@ -32,11 +32,11 @@ func (p GEMMPath) GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []f
 	if m == 0 || n == 0 {
 		return
 	}
-	scaleC(c[:m*n], beta)
 	if k == 0 || alpha == 0 {
+		scaleC(c[:m*n], beta)
 		return
 	}
-	p.run(transA, transB, m, n, k, alpha, a, b, nil, nil, c, true)
+	p.run(transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c, true)
 }
 
 // GEMMNaive is the unblocked row-saxpy/dot implementation GEMM used before
@@ -279,11 +279,9 @@ var batchedPool = sync.Pool{New: func() any { return new(batchedState) }}
 
 func (s *batchedState) runRange(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		c := s.c[i*s.sC : i*s.sC+s.m*s.n]
-		scaleC(c, s.beta)
 		s.path.run(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
 			s.a[i*s.sA:i*s.sA+s.m*s.k],
 			s.b[i*s.sB:i*s.sB+s.k*s.n],
-			nil, nil, c, false)
+			nil, s.beta, nil, s.c[i*s.sC:i*s.sC+s.m*s.n], false)
 	}
 }

@@ -38,10 +38,12 @@ const (
 	smallGEMMFlops = 1 << 15
 )
 
-// gemmBlocked computes C += alpha·op(A)·op(B) (beta is applied by the
-// caller) with cache blocking and packing: the one engine loop every
-// blocked route runs. par selects pool parallelism; BatchedGEMM passes
-// false so per-matrix GEMMs never nest dispatch.
+// gemmBlocked computes C = alpha·op(A)·op(B) + beta·C with cache blocking
+// and packing: the one engine loop every blocked route runs. par selects
+// pool parallelism; BatchedGEMM passes false so per-matrix GEMMs never nest
+// dispatch. At beta = 0 nothing clears C up front: every tile of a
+// stripe's first depth block clears its own region just before the
+// micro-kernel first accumulates into it; other betas scale C first.
 //
 // The B panels come from one of two sources. panels == nil packs each
 // (pc, jc) block of b into pooled, cache-resident scratch. Otherwise panels
@@ -57,7 +59,11 @@ const (
 // part to every tile right after the micro-kernel finishes it, and LN rows
 // are finalized once the stripe's grid completes, while they are still
 // warm. The finalize always runs on the pool, so ep comes with par.
-func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, ep *Epilogue, c []float32, par bool) {
+func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32, par bool) {
+	clearC := beta == 0
+	if !clearC {
+		scaleC(c[:m*n], beta)
+	}
 	mr, nr := gemmMR, gemmNR
 	kc0 := min(k, gemmKC)
 	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
@@ -74,6 +80,7 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels [
 		for pc := 0; pc < k; pc += gemmKC {
 			kcb := min(gemmKC, k-pc)
 			g.epOn = pc+gemmKC >= k
+			g.clearC = clearC && pc == 0
 			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, par)
 			for jc := 0; jc < n; jc += nc {
 				ncb := min(nc, n-jc)
@@ -91,7 +98,7 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels [
 			ep.finalizeLNRows(c, io, ms, n)
 		}
 	}
-	g.ep, g.epOn = nil, false
+	g.ep, g.epOn, g.clearC = nil, false, false
 	gemmStatePool.Put(g)
 	putScratch(ap)
 	if bp != nil {
@@ -117,6 +124,10 @@ type gemmState struct {
 	// right after its micro-tile sweep, while the tile is cache-hot.
 	ep   *Epilogue
 	epOn bool
+
+	// clearC marks a beta = 0 product's first depth block: each tile
+	// zeroes its region of C before accumulating into it.
+	clearC bool
 }
 
 var gemmStatePool = sync.Pool{New: func() any { return new(gemmState) }}
@@ -165,6 +176,11 @@ func (g *gemmState) tile(t int) {
 	iEnd := min(i+gemmMC, g.ms)
 	j0 := (t % g.segs) * g.segCols
 	jEnd := min(j0+g.segCols, g.ncb)
+	if g.clearC {
+		for r := g.i0 + i; r < g.i0+iEnd; r++ {
+			clear(g.c[r*g.ldc+g.jc+j0 : r*g.ldc+g.jc+jEnd])
+		}
+	}
 	microTileSweep(g.c[g.i0*g.ldc+g.jc:], g.ldc, g.ap, g.bp, g.kcb, i, iEnd, j0, jEnd, g.ms, g.ncb)
 	if g.epOn && g.ep != nil {
 		g.ep.applyTile(g.c, g.ldc, g.i0+i, g.i0+iEnd, g.jc+j0, g.jc+jEnd)

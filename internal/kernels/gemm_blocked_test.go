@@ -20,7 +20,7 @@ func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32
 	if k == 0 || alpha == 0 {
 		return
 	}
-	gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
+	gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, 1, nil, c, par)
 }
 
 // withKernel runs f under micro-kernel backend k, then restores the
@@ -180,7 +180,7 @@ func TestGEMMNaNPropagation(t *testing.T) {
 		}{
 			{"GEMM", func(c []float32) { GEMM(false, false, m, n, k, 1, a, b, 0, c) }},
 			{"GEMMNaive", func(c []float32) { GEMMNaive(false, false, m, n, k, 1, a, b, 0, c) }},
-			{"serial", func(c []float32) { GEMMPathAuto.run(false, false, m, n, k, 1, a, b, nil, nil, c, false) }},
+			{"serial", func(c []float32) { GEMMPathAuto.run(false, false, m, n, k, 1, a, b, nil, 0, nil, c, false) }},
 			{"blocked-scalar", func(c []float32) {
 				withKernel(&scalarKernel, func() { blockedFull(false, false, m, n, k, 1, a, b, 0, c, true) })
 			}},

@@ -139,14 +139,14 @@ func (p GEMMPath) GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a 
 		return
 	}
 	ep.check(m, n)
-	scaleC(c[:m*n], 0)
 	if k == 0 || alpha == 0 {
 		// BLAS quick return for the product; the epilogue still defines
 		// the output (bias rows, or LN of bias+residual).
+		scaleC(c[:m*n], 0)
 		ep.applyReference(c, m, n)
 		return
 	}
-	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, ep, c, true)
+	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, 0, ep, c, true)
 }
 
 // countFused counts a fused write-back of the epilogue; nil-safe, like
@@ -194,10 +194,10 @@ func (ep *Epilogue) applyReference(c []float32, m, n int) {
 // copyRows copies src into dst in parallel (save-buffer fill).
 func copyRows(dst, src []float32) {
 	checkSameLen("copyRows", dst, src)
-	parallelFor(len(src), 1, func(lo, hi int) {
-		copy(dst[lo:hi], src[lo:hi])
-	})
+	ewBodies.run(len(src), 1, ewArgs{dst: dst, a: src}, copyRange)
 }
+
+func copyRange(e *ewArgs, lo, hi int) { copy(e.dst[lo:hi], e.a[lo:hi]) }
 
 // ---------------------------------------------------------------------------
 // Fused write-back: the hooks gemmBlocked calls when it is handed an

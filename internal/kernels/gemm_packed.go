@@ -103,11 +103,11 @@ func (p GEMMPath) GEMMPacked(transA bool, m, n, k int, alpha float32, a []float3
 	if m == 0 || n == 0 {
 		return
 	}
-	scaleC(c[:m*n], beta)
 	if k == 0 || alpha == 0 {
+		scaleC(c[:m*n], beta)
 		return
 	}
-	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, nil, c, true)
+	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, beta, nil, c, true)
 }
 
 // check panics unless pb can serve a call named op with op(B) k×n.
@@ -127,9 +127,12 @@ func (pb *PackedB) check(op string, n, k int) {
 // packEntry snapshots one slot of the cache: the PackedB handed out for
 // generation gen, un-built after the generation's first use. stale says a
 // pack of this shape had been built at an earlier generation, so building
-// this one is a rebuild rather than a cold miss.
+// this one is a rebuild rather than a cold miss. Only an un-built entry's
+// gen ever moves: the first use of the next generation re-dates it instead
+// of storing a fresh descriptor, so a plain training step's lookups
+// allocate nothing.
 type packEntry struct {
-	gen   uint64
+	gen   atomic.Uint64
 	pb    *PackedB
 	stale bool
 }
@@ -173,7 +176,7 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 	}
 	e := slot.Load()
 	known := e != nil && e.pb.Matches(transB, n, k)
-	current := known && e.gen == gen
+	current := known && e.gen.Load() == gen
 	if current && e.pb.buf != nil {
 		packCacheHits.Inc()
 		return e.pb
@@ -182,6 +185,10 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 	var pb *PackedB
 	if !current && !build {
 		packCacheDeferred.Inc()
+		if known && e.pb.buf == nil && len(b) > 0 && len(e.pb.src) > 0 && &e.pb.src[0] == &b[0] {
+			e.gen.Store(gen)
+			return e.pb
+		}
 		pb = describeWeight(transB, n, k, b)
 	} else {
 		if stale {
@@ -192,6 +199,8 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 		}
 		pb = PackWeight(transB, n, k, b)
 	}
-	slot.Store(&packEntry{gen: gen, pb: pb, stale: stale})
+	ne := &packEntry{pb: pb, stale: stale}
+	ne.gen.Store(gen)
+	slot.Store(ne)
 	return pb
 }

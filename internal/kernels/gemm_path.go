@@ -61,25 +61,34 @@ func (p GEMMPath) String() string {
 	return "invalid"
 }
 
-// run accumulates C += alpha·op(A)·op(B) on route p and applies ep (nil:
-// no tail); beta and the quick returns are the caller's. Every entry point
+// run computes C = alpha·op(A)·op(B) + beta·C on route p and applies ep
+// (nil: no tail); the quick returns are the caller's. Every entry point
 // routes here: the naive loops when forced, or under auto below the size
 // rule, and the forced blocked engine on per-call panels, each followed by
 // the reference tail; otherwise the engine with the tail fused into its
 // write-back, on panels (op(B) pre-packed by PackWeight) or, when nil,
 // packed per call. par allows pool parallelism; BatchedGEMM and
 // AttentionRagged pass false for their per-matrix products.
-func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, ep *Epilogue, c []float32, par bool) {
+//
+// The naive loops scale C by beta in a pre-pass. The engine does too for a
+// beta other than 0 and 1; at beta = 0 each tile clears its own region of C
+// on its first depth block instead (gemmState.tile), on the worker that
+// computes it. C holds +0 before the first multiply-add either way, so the
+// result is bitwise the same, and C's prior contents — NaN included — are
+// never read.
+func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32, par bool) {
 	switch {
 	case p == GEMMPathNaive && par:
+		scaleC(c[:m*n], beta)
 		gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
 	case p == GEMMPathNaive, p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
+		scaleC(c[:m*n], beta)
 		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
 	case p == GEMMPathBlocked:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, nil, c, par)
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c, par)
 	default:
 		ep.countFused()
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, panels, ep, c, par)
+		gemmBlocked(transA, transB, m, n, k, alpha, a, b, panels, beta, ep, c, par)
 		return
 	}
 	ep.applyReference(c, m, n)

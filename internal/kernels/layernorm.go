@@ -33,9 +33,21 @@ func LayerNormForward(y, x, gamma, beta []float32, mean, invStd []float32, rows,
 	if len(x) != rows*n || len(y) != rows*n || len(gamma) != n || len(beta) != n || len(mean) != rows || len(invStd) != rows {
 		panic(fmt.Sprintf("kernels: LayerNormForward dims rows=%d n=%d", rows, n))
 	}
-	parallelFor(rows, n, func(lo, hi int) {
-		layerNormRows(y, x, nil, gamma, beta, mean, invStd, lo, hi, n, eps)
-	})
+	lnBodies.run(rows, n, lnArgs{y: y, x: x, gamma: gamma, beta: beta, mean: mean, invStd: invStd, rows: rows, n: n, eps: eps}, layerNormRange)
+}
+
+// lnArgs are the operands of the LayerNorm kernels' argsPool bodies.
+type lnArgs struct {
+	y, x, gamma, beta, mean, invStd []float32
+	dX, dY, dGamma, dBeta           []float32
+	rows, n                         int
+	eps                             float32
+}
+
+var lnBodies argsPool[lnArgs]
+
+func layerNormRange(a *lnArgs, lo, hi int) {
+	layerNormRows(a.y, a.x, nil, a.gamma, a.beta, a.mean, a.invStd, lo, hi, a.n, a.eps)
 }
 
 // layerNormRows normalizes rows [lo, hi) of the n-wide matrix x into y (the
@@ -150,45 +162,52 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 		panic(fmt.Sprintf("kernels: LayerNormBackward dims rows=%d n=%d", rows, n))
 	}
 
+	args := lnArgs{x: x, gamma: gamma, mean: mean, invStd: invStd,
+		dX: dX, dY: dY, dGamma: dGamma, dBeta: dBeta, rows: rows, n: n}
 	// dX: independent per row, parallel over rows.
-	parallelFor(rows, n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			xr := x[r*n : (r+1)*n]
-			dyr := dY[r*n : (r+1)*n]
-			dxr := dX[r*n : (r+1)*n]
-			mu, istd := mean[r], invStd[r]
-
-			var sumG, sumGX float32
-			for i := range xr {
-				xhat := (xr[i] - mu) * istd
-				g := float32(dyr[i] * gamma[i])
-				sumG += g
-				sumGX += float32(g * xhat)
-			}
-			invN := 1 / float32(n)
-			for i := range xr {
-				xhat := (xr[i] - mu) * istd
-				g := float32(dyr[i] * gamma[i])
-				dxr[i] = istd * ((g - float32(invN*sumG)) - float32(float32(xhat*invN)*sumGX))
-			}
-		}
-	})
-
+	lnBodies.run(rows, n, args, layerNormGradRows)
 	// dGamma/dBeta: column reductions, parallel over columns. The fold is
 	// seeded from the existing gradient so splitting the rows across
 	// multiple calls (gradient accumulation) matches one call bitwise.
-	parallelFor(n, rows, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			dg, db := dGamma[j], dBeta[j]
-			for r := 0; r < rows; r++ {
-				xhat := (x[r*n+j] - mean[r]) * invStd[r]
-				dy := dY[r*n+j]
-				dg += float32(dy * xhat)
-				db += dy
-			}
-			dGamma[j], dBeta[j] = dg, db
+	lnBodies.run(n, rows, args, layerNormGradCols)
+}
+
+func layerNormGradRows(a *lnArgs, lo, hi int) {
+	dX, dY, x, gamma, mean, invStd, n := a.dX, a.dY, a.x, a.gamma, a.mean, a.invStd, a.n
+	for r := lo; r < hi; r++ {
+		xr := x[r*n : (r+1)*n]
+		dyr := dY[r*n : (r+1)*n]
+		dxr := dX[r*n : (r+1)*n]
+		mu, istd := mean[r], invStd[r]
+
+		var sumG, sumGX float32
+		for i := range xr {
+			xhat := (xr[i] - mu) * istd
+			g := float32(dyr[i] * gamma[i])
+			sumG += g
+			sumGX += float32(g * xhat)
 		}
-	})
+		invN := 1 / float32(n)
+		for i := range xr {
+			xhat := (xr[i] - mu) * istd
+			g := float32(dyr[i] * gamma[i])
+			dxr[i] = istd * ((g - float32(invN*sumG)) - float32(float32(xhat*invN)*sumGX))
+		}
+	}
+}
+
+func layerNormGradCols(a *lnArgs, lo, hi int) {
+	dGamma, dBeta, dY, x, mean, invStd, rows, n := a.dGamma, a.dBeta, a.dY, a.x, a.mean, a.invStd, a.rows, a.n
+	for j := lo; j < hi; j++ {
+		dg, db := dGamma[j], dBeta[j]
+		for r := 0; r < rows; r++ {
+			xhat := (x[r*n+j] - mean[r]) * invStd[r]
+			dy := dY[r*n+j]
+			dg += float32(dy * xhat)
+			db += dy
+		}
+		dGamma[j], dBeta[j] = dg, db
+	}
 }
 
 // LayerNormUnfusedKernelCount is the number of separate GPU kernels an

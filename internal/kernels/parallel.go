@@ -372,28 +372,60 @@ const minForkWork = 4096
 // body(lo, hi) concurrently on the worker pool. per is the number of
 // elements one index stands for (1 for a flat buffer, the row length for a
 // row-wise kernel); regions of fewer than minForkWork elements run inline
-// to avoid dispatch overhead on tiny kernels.
+// to avoid dispatch overhead on tiny kernels. The closure escapes to the
+// heap on every call; the kernels on a training step's path use
+// argsPool.run instead, which allocates nothing.
 func parallelFor(n, per int, body func(lo, hi int)) {
+	fb := fbPool.Get().(*funcBody)
+	fb.f = body
+	forChunks(n, per, fb)
+	fb.f = nil
+	fbPool.Put(fb)
+}
+
+// forChunks is the scheduling behind parallelFor and argsPool.run.
+func forChunks(n, per int, body blockBody) {
 	if n <= 0 {
 		return
 	}
 	w := int(maxWorkers.Load())
 	if w == 1 || n*per < minForkWork {
 		poolInline.Inc()
-		body(0, n)
+		body.runRange(0, n)
 		return
 	}
 	// ~4 chunks per worker: coarse enough to amortize dispatch, fine
 	// enough that an unlucky worker cannot stall the join.
-	grain := n / (4 * w)
-	if grain < 1 {
-		grain = 1
+	parallelRun(n, max(n/(4*w), 1), body)
+}
+
+// argsBody is a parallel-region body that calls a plain function on
+// operands it holds by value: parallelFor's closure without the closure,
+// whose captured operands would escape to the heap on every call.
+type argsBody[A any] struct {
+	args A
+	f    func(a *A, lo, hi int)
+}
+
+func (b *argsBody[A]) runRange(lo, hi int) { b.f(&b.args, lo, hi) }
+
+// argsPool pools the bodies of one operand type A; its zero value is
+// ready to use.
+type argsPool[A any] struct{ p sync.Pool }
+
+// run is parallelFor for f(&args, lo, hi): the same chunking and inline
+// threshold, and no allocation once the pool holds a body. f must be a
+// top-level function, not a closure.
+func (ap *argsPool[A]) run(n, per int, args A, f func(a *A, lo, hi int)) {
+	b, _ := ap.p.Get().(*argsBody[A])
+	if b == nil {
+		b = new(argsBody[A])
 	}
-	fb := fbPool.Get().(*funcBody)
-	fb.f = body
-	parallelRun(n, grain, fb)
-	fb.f = nil
-	fbPool.Put(fb)
+	b.args, b.f = args, f
+	forChunks(n, per, b)
+	var zero A
+	b.args, b.f = zero, nil
+	ap.p.Put(b)
 }
 
 // ParallelRange runs body over disjoint half-open ranges that together

@@ -59,11 +59,14 @@ func Softmax(dst, x []float32, rows, n int) {
 	if len(x) != rows*n || len(dst) != rows*n {
 		panic(fmt.Sprintf("kernels: Softmax dims x=%d dst=%d rows=%d n=%d", len(x), len(dst), rows, n))
 	}
-	parallelFor(rows, n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			softmaxRow(dst[r*n:(r+1)*n], x[r*n:(r+1)*n])
-		}
-	})
+	rowBodies.run(rows, n, rowArgs{dst: dst, x: x, n: n}, softmaxRange)
+}
+
+func softmaxRange(ra *rowArgs, lo, hi int) {
+	dst, x, n := ra.dst, ra.x, ra.n
+	for r := lo; r < hi; r++ {
+		softmaxRow(dst[r*n:(r+1)*n], x[r*n:(r+1)*n])
+	}
 }
 
 // SoftmaxGrad computes the input gradient of a row-wise softmax given the
@@ -74,18 +77,21 @@ func SoftmaxGrad(dX, dY, y []float32, rows, n int) {
 	if len(dX) != rows*n || len(dY) != rows*n || len(y) != rows*n {
 		panic("kernels: SoftmaxGrad dims mismatch")
 	}
-	parallelFor(rows, n, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			yr := y[r*n : (r+1)*n]
-			dyr := dY[r*n : (r+1)*n]
-			dxr := dX[r*n : (r+1)*n]
-			var dotv float32
-			for i := range yr {
-				dotv += dyr[i] * yr[i]
-			}
-			for i := range yr {
-				dxr[i] = yr[i] * (dyr[i] - dotv)
-			}
+	rowBodies.run(rows, n, rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
+}
+
+func softmaxGradRange(ra *rowArgs, lo, hi int) {
+	dX, dY, y, n := ra.dst, ra.x, ra.y, ra.n
+	for r := lo; r < hi; r++ {
+		yr := y[r*n : (r+1)*n]
+		dyr := dY[r*n : (r+1)*n]
+		dxr := dX[r*n : (r+1)*n]
+		var dotv float32
+		for i := range yr {
+			dotv += dyr[i] * yr[i]
 		}
-	})
+		for i := range yr {
+			dxr[i] = yr[i] * (dyr[i] - dotv)
+		}
+	}
 }

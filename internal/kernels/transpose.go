@@ -12,16 +12,20 @@ func SplitHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: SplitHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	parallelFor(b*n, dModel, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			batch, seq := t/n, t%n
-			src := x[t*dModel : (t+1)*dModel]
-			for h := 0; h < heads; h++ {
-				dstOff := ((batch*heads+h)*n + seq) * dHead
-				copy(dst[dstOff:dstOff+dHead], src[h*dHead:(h+1)*dHead])
-			}
+	rowBodies.run(b*n, dModel, rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, splitHeadsRange)
+}
+
+func splitHeadsRange(ra *rowArgs, lo, hi int) {
+	dst, x, n, heads, dHead := ra.dst, ra.x, ra.n, ra.heads, ra.dHead
+	dModel := heads * dHead
+	for t := lo; t < hi; t++ {
+		batch, seq := t/n, t%n
+		src := x[t*dModel : (t+1)*dModel]
+		for h := 0; h < heads; h++ {
+			dstOff := ((batch*heads+h)*n + seq) * dHead
+			copy(dst[dstOff:dstOff+dHead], src[h*dHead:(h+1)*dHead])
 		}
-	})
+	}
 }
 
 // MergeHeads is the inverse of SplitHeads: it concatenates per-head
@@ -31,14 +35,18 @@ func MergeHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: MergeHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	parallelFor(b*n, dModel, func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			batch, seq := t/n, t%n
-			out := dst[t*dModel : (t+1)*dModel]
-			for h := 0; h < heads; h++ {
-				srcOff := ((batch*heads+h)*n + seq) * dHead
-				copy(out[h*dHead:(h+1)*dHead], x[srcOff:srcOff+dHead])
-			}
+	rowBodies.run(b*n, dModel, rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, mergeHeadsRange)
+}
+
+func mergeHeadsRange(ra *rowArgs, lo, hi int) {
+	dst, x, n, heads, dHead := ra.dst, ra.x, ra.n, ra.heads, ra.dHead
+	dModel := heads * dHead
+	for t := lo; t < hi; t++ {
+		batch, seq := t/n, t%n
+		out := dst[t*dModel : (t+1)*dModel]
+		for h := 0; h < heads; h++ {
+			srcOff := ((batch*heads+h)*n + seq) * dHead
+			copy(out[h*dHead:(h+1)*dHead], x[srcOff:srcOff+dHead])
 		}
-	})
+	}
 }

@@ -77,18 +77,21 @@ func CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, cl
 		return
 	}
 	inv := 1 / float32(count)
-	parallelFor(rows, classes, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			out := dLogits[r*classes : (r+1)*classes]
-			if targets[r] == IgnoreIndex {
-				clear(out)
-				continue
-			}
-			pr := probs[r*classes : (r+1)*classes]
-			for c := range out {
-				out[c] = pr[c] * inv
-			}
-			out[targets[r]] -= inv
+	rowBodies.run(rows, classes, rowArgs{dst: dLogits, x: probs, targets: targets, s: inv, n: classes}, xentGradRange)
+}
+
+func xentGradRange(ra *rowArgs, lo, hi int) {
+	dLogits, probs, targets, inv, classes := ra.dst, ra.x, ra.targets, ra.s, ra.n
+	for r := lo; r < hi; r++ {
+		out := dLogits[r*classes : (r+1)*classes]
+		if targets[r] == IgnoreIndex {
+			clear(out)
+			continue
 		}
-	})
+		pr := probs[r*classes : (r+1)*classes]
+		for c := range out {
+			out[c] = pr[c] * inv
+		}
+		out[targets[r]] -= inv
+	}
 }

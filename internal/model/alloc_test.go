@@ -1,0 +1,75 @@
+package model
+
+import (
+	"runtime"
+	"testing"
+
+	"demystbert/internal/data"
+	"demystbert/internal/nn"
+	"demystbert/internal/optim"
+	"demystbert/internal/tensor"
+)
+
+// TestTrainingStepAllocationPin pins what a warmed training step costs the
+// allocator: Forward, Backward, the LAMB update and ZeroGrads draw every
+// activation from the context's workspace, reuse each slot's tensor header
+// while shapes repeat, dispatch every kernel through pooled bodies, and
+// clear the gradients in one pooled region — so the step allocates nothing,
+// and its bytes stay far below one [B·n, d] activation. It covers a
+// pre-training and a fine-tuning step; serving's forward has its own pin
+// (internal/serve).
+func TestTrainingStepAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const b, n = 4, 32
+	cfg := Tiny()
+	activation := uint64(b * n * cfg.DModel * 4)
+
+	m, err := New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := data.NewGenerator(cfg.Vocab, 0.15, 2)
+	batch, qa := gen.Next(b, n), gen.NextQA(b, n)
+	f := NewFineTuner(m, 4)
+	steps := []struct {
+		name string
+		run  func(ctx *nn.Ctx, opt *optim.LAMB)
+	}{
+		{"pre-training", func(ctx *nn.Ctx, opt *optim.LAMB) {
+			m.Forward(ctx, batch)
+			m.Backward(ctx)
+			opt.Step(ctx, m.Params())
+			m.ZeroGrads()
+		}},
+		{"fine-tuning", func(ctx *nn.Ctx, opt *optim.LAMB) {
+			f.Forward(ctx, qa)
+			f.Backward(ctx)
+			opt.Step(ctx, f.Params())
+			f.ZeroGrads()
+		}},
+	}
+	for _, s := range steps {
+		// No profiler: recording an event appends to a slice.
+		ctx := &nn.Ctx{RNG: tensor.NewRNG(9), Train: true}
+		opt := optim.NewLAMB(0.01)
+		step := func() { s.run(ctx, opt) }
+		step()
+		step()
+		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+			t.Errorf("%s: a warmed step allocates %v objects, want 0", s.name, allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > activation/8 {
+			t.Errorf("%s: a warmed step allocates %d bytes, want at most %d (an eighth of one %d-byte activation)",
+				s.name, per, activation/8, activation)
+		}
+	}
+}

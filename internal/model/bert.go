@@ -74,11 +74,13 @@ type BERT struct {
 	nspProbs   *tensor.Tensor
 	pooledTanh *tensor.Tensor
 	ckptInputs []*tensor.Tensor
-	spillBuf   *tensor.Tensor // reused restore target when CkptSpill is set
 	res        nn.Residual
 
 	// Gradient-accumulation state for an in-flight StepAccum.
 	accum accumState
+
+	params   []*nn.Param // Params, built on first use
+	gradBufs [][]float32 // ZeroGrads' reused list of gradient buffers
 }
 
 // accumState threads the loss fold and normalization counts across the
@@ -127,8 +129,10 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 
 // Forward runs the forward pass over a batch and returns the summed
 // MLM + NSP loss. State is retained for a subsequent Backward. Like
-// EncodeEval it starts a new forward on ctx's workspace, which an
-// evaluation-mode call (PredictMasked) draws its activations from.
+// EncodeEval it starts a new pass on ctx's workspace, from which this
+// forward and the Backward that follows draw every activation and
+// activation gradient: what they return is valid until the next forward
+// on ctx.
 func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 	ctx.ResetWorkspace()
 	m.batch = b
@@ -188,7 +192,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 	// bitwise what running it on all B·n and dropping the rest would be
 	// (DESIGN.md §7a). A batch with nothing scored — possible for a
 	// StepAccum micro-batch — skips the head.
-	m.mlmRows, m.mlmTargets, m.mlmProbs = nil, nil, nil
+	m.mlmRows, m.mlmTargets, m.mlmProbs = m.mlmRows[:0], m.mlmTargets[:0], nil
 	for r, t := range b.MLMTargets {
 		if t != kernels.IgnoreIndex {
 			m.mlmRows = append(m.mlmRows, r)
@@ -202,7 +206,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 		x = m.MLMAct.Forward(ctx, x)
 		x = m.MLMLN.Forward(ctx, x)
 		logits := m.MLMDecoder.Forward(ctx, x)
-		m.mlmProbs = tensor.New(rows, cfg.Vocab)
+		m.mlmProbs = ctx.NewActivation(rows, cfg.Vocab)
 		nl := rows * cfg.Vocab
 		ctx.Prof.Time("mlm_xent_fwd", profile.CatOutput, profile.Forward,
 			kernels.EWFLOPs(nl, 4), kernels.EWBytes(nl, 1, 1, ctx.ElemSize()), func() {
@@ -217,7 +221,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 	}
 
 	// NSP head over the CLS token of each sequence.
-	cls := tensor.New(b.B, cfg.DModel)
+	cls := ctx.NewActivation(b.B, cfg.DModel)
 	ctx.Prof.Time("cls_gather", profile.CatOutput, profile.Forward,
 		0, kernels.EWBytes(b.B*cfg.DModel, 1, 1, ctx.ElemSize()), func() {
 			for s := 0; s < b.B; s++ {
@@ -225,7 +229,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 			}
 		})
 	pooled := m.Pooler.Forward(ctx, cls)
-	m.pooledTanh = tensor.New(b.B, cfg.DModel)
+	m.pooledTanh = ctx.NewActivation(b.B, cfg.DModel)
 	np := b.B * cfg.DModel
 	ctx.Prof.Time("pooler_tanh", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(np, 4), kernels.EWBytes(np, 1, 1, ctx.ElemSize()), func() {
@@ -235,7 +239,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 			}
 		})
 	nspLogits := m.NSP.Forward(ctx, m.pooledTanh)
-	m.nspProbs = tensor.New(b.B, 2)
+	m.nspProbs = ctx.NewActivation(b.B, 2)
 	var nspLoss float64
 	ctx.Prof.Time("nsp_xent_fwd", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(b.B*2, 4), kernels.EWBytes(b.B*2, 1, 1, ctx.ElemSize()), func() {
@@ -286,10 +290,12 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 
 	// MLM head backward over the scored rows; its input gradient scatters
 	// into the rows of dSeq it was gathered from, and every other row of
-	// dSeq is exactly zero, as the all-rows head computed it.
-	dSeq := tensor.New(b.B*b.N, cfg.DModel)
+	// dSeq is exactly zero, as the all-rows head computed it. The CLS
+	// gradient then accumulates into dSeq, so it is the step's one zeroed
+	// draw.
+	dSeq := ctx.NewZeroedActivation(b.B*b.N, cfg.DModel)
 	if rows := len(m.mlmRows); rows > 0 {
-		dLogits := tensor.New(rows, cfg.Vocab)
+		dLogits := ctx.NewActivation(rows, cfg.Vocab)
 		nl := rows * cfg.Vocab
 		ctx.Prof.Time("mlm_xent_bwd", profile.CatOutput, profile.Backward,
 			kernels.EWFLOPs(nl, 2), kernels.EWBytes(nl, 1, 1, es), func() {
@@ -317,7 +323,7 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 	}
 
 	// NSP head backward.
-	dNSPLogits := tensor.New(b.B, 2)
+	dNSPLogits := ctx.NewActivation(b.B, 2)
 	ctx.Prof.Time("nsp_xent_bwd", profile.CatOutput, profile.Backward,
 		kernels.EWFLOPs(b.B*2, 2), kernels.EWBytes(b.B*2, 1, 1, es), func() {
 			if m.accum.active {
@@ -353,10 +359,11 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 	return dSeq
 }
 
-// dropIterationState releases what Forward saved for Backward.
+// dropIterationState releases what Forward saved for Backward, keeping
+// the scored-row lists' memory for the next Forward.
 func (m *BERT) dropIterationState() {
 	m.batch, m.seqOut, m.nspProbs, m.pooledTanh = nil, nil, nil, nil
-	m.mlmRows, m.mlmTargets, m.mlmProbs = nil, nil, nil
+	m.mlmRows, m.mlmTargets, m.mlmProbs = m.mlmRows[:0], m.mlmTargets[:0], nil
 }
 
 // finishEmbedGrads merges the token-table scatter accumulator into the
@@ -391,13 +398,9 @@ func (m *BERT) backwardWithCheckpoints(ctx *nn.Ctx, dSeq *tensor.Tensor) {
 			ctx.Recompute = true
 			h := m.ckptInputs[seg]
 			if h == nil {
-				// Spilled checkpoint: restore into one reused buffer — only
-				// a single segment input is ever resident during backward.
-				rows := b.B * b.N
-				if m.spillBuf == nil || m.spillBuf.Dim(0) != rows || m.spillBuf.Dim(1) != m.Config.DModel {
-					m.spillBuf = tensor.New(rows, m.Config.DModel)
-				}
-				h = m.spillBuf
+				// Spilled checkpoint: restore into a workspace draw, which
+				// Restore fills whole.
+				h = ctx.NewActivation(b.B*b.N, m.Config.DModel)
 				ctx.Prof.Time("spill_ckpt_read", profile.CatOther, profile.Backward,
 					0, int64(h.Size())*4, func() {
 						m.CkptSpill.Restore(seg, h.Data())
@@ -523,8 +526,17 @@ func (m *BERT) StepAccum(ctx *nn.Ctx, b *data.Batch, accumSteps int) float64 {
 }
 
 // Params returns every trainable parameter of the model exactly once
-// (the tied MLM decoder weight appears only under the embedding).
+// (the tied MLM decoder weight appears only under the embedding). The
+// list is built on the first call and shared by every later one: the
+// caller must not modify it.
 func (m *BERT) Params() []*nn.Param {
+	if m.params == nil {
+		m.params = m.collectParams()
+	}
+	return m.params[:len(m.params):len(m.params)]
+}
+
+func (m *BERT) collectParams() []*nn.Param {
 	ps := m.Embed.Params()
 	for _, l := range m.Layers {
 		ps = append(ps, l.Params()...)
@@ -555,13 +567,23 @@ func (m *BERT) NumParams() int {
 	return total
 }
 
-// ZeroGrads clears all parameter gradients, including any pending
-// token-scatter accumulation from an abandoned half-iteration.
+// ZeroGrads clears all parameter gradients in one pool region, including
+// any pending token-scatter accumulation from an abandoned half-iteration.
 func (m *BERT) ZeroGrads() {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
+	m.gradBufs = zeroGrads(m.gradBufs, m.Params())
 	m.Embed.DropTokScatter()
+}
+
+// zeroGrads clears the gradients of params at once (kernels.ZeroAll),
+// collecting their buffers into bufs, which it returns for reuse. The
+// buffers are read at every call: a distributed trainer rebinds them.
+func zeroGrads(bufs [][]float32, params []*nn.Param) [][]float32 {
+	bufs = bufs[:0]
+	for _, p := range params {
+		bufs = append(bufs, p.Grad.Data())
+	}
+	kernels.ZeroAll(bufs...)
+	return bufs
 }
 
 func tanh32(x float32) float32 {

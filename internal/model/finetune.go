@@ -25,6 +25,9 @@ type FineTuner struct {
 	batch      *data.QABatch
 	startProbs *tensor.Tensor
 	endProbs   *tensor.Tensor
+
+	params   []*nn.Param // Params, built on first use
+	gradBufs [][]float32 // ZeroGrads' reused list of gradient buffers
 }
 
 // NewFineTuner wraps a (typically pre-trained) BERT with a fresh span
@@ -50,8 +53,8 @@ func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
 	logits := f.Span.Forward(ctx, h) // [B·n, 2]
 
 	// Regroup into per-sequence position logits: start[B, n], end[B, n].
-	start := tensor.New(b.B, b.N)
-	end := tensor.New(b.B, b.N)
+	start := ctx.NewActivation(b.B, b.N)
+	end := ctx.NewActivation(b.B, b.N)
 	es := ctx.ElemSize()
 	ctx.Prof.Time("span_split", profile.CatOutput, profile.Forward,
 		0, kernels.EWBytes(2*b.B*b.N, 1, 1, es), func() {
@@ -64,8 +67,8 @@ func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
 			}
 		})
 
-	f.startProbs = tensor.New(b.B, b.N)
-	f.endProbs = tensor.New(b.B, b.N)
+	f.startProbs = ctx.NewActivation(b.B, b.N)
+	f.endProbs = ctx.NewActivation(b.B, b.N)
 	var loss float64
 	ctx.Prof.Time("span_xent_fwd", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(2*b.B*b.N, 4), kernels.EWBytes(2*b.B*b.N, 1, 1, es), func() {
@@ -83,9 +86,9 @@ func (f *FineTuner) Backward(ctx *nn.Ctx) {
 	b := f.batch
 	es := ctx.ElemSize()
 
-	dStart := tensor.New(b.B, b.N)
-	dEnd := tensor.New(b.B, b.N)
-	dLogits := tensor.New(b.B*b.N, 2)
+	dStart := ctx.NewActivation(b.B, b.N)
+	dEnd := ctx.NewActivation(b.B, b.N)
+	dLogits := ctx.NewActivation(b.B*b.N, 2)
 	ctx.Prof.Time("span_xent_bwd", profile.CatOutput, profile.Backward,
 		kernels.EWFLOPs(2*b.B*b.N, 2), kernels.EWBytes(2*b.B*b.N, 1, 1, es), func() {
 			kernels.CrossEntropyBackward(dStart.Data(), f.startProbs.Data(), b.StartPos, b.B, b.N)
@@ -121,20 +124,23 @@ func (f *FineTuner) Step(ctx *nn.Ctx, b *data.QABatch) float64 {
 }
 
 // Params returns the encoder, embedding, and span-head parameters (the
-// unused pre-training heads are excluded — they receive no gradient).
+// unused pre-training heads are excluded — they receive no gradient). The
+// list is built on the first call and shared by every later one: the
+// caller must not modify it.
 func (f *FineTuner) Params() []*nn.Param {
-	ps := f.Base.Embed.Params()
-	for _, l := range f.Base.Layers {
-		ps = append(ps, l.Params()...)
+	if f.params == nil {
+		ps := f.Base.Embed.Params()
+		for _, l := range f.Base.Layers {
+			ps = append(ps, l.Params()...)
+		}
+		f.params = append(ps, f.Span.Params()...)
 	}
-	return append(ps, f.Span.Params()...)
+	return f.params[:len(f.params):len(f.params)]
 }
 
-// ZeroGrads clears all fine-tuning gradients.
+// ZeroGrads clears all fine-tuning gradients in one pool region.
 func (f *FineTuner) ZeroGrads() {
-	for _, p := range f.Params() {
-		p.ZeroGrad()
-	}
+	f.gradBufs = zeroGrads(f.gradBufs, f.Params())
 }
 
 // PredictSpan runs inference over a QA batch and returns the

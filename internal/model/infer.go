@@ -37,8 +37,9 @@ import (
 // caller's ctx.Train flag is restored on return.
 //
 // Every activation, the result included, comes from ctx's workspace
-// (nn.Ctx), which EncodeEval resets on entry: the result stays valid until
-// the next EncodeEval — or any other model forward — on the same ctx.
+// (nn.Ctx) — the same one a training step on ctx draws from — which
+// EncodeEval resets on entry: the result stays valid until the next
+// EncodeEval, training step or any other model forward on the same ctx.
 // Copy it to keep it longer.
 func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
 	ctx.ResetWorkspace()

@@ -18,7 +18,7 @@ func NewGeLU() *GeLU { return &GeLU{} }
 // Forward applies GELU element-wise.
 func (g *GeLU) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	g.x = x
-	y := tensor.New(x.Shape()...)
+	y := ctx.NewActivation(x.Shape()...)
 	n := x.Size()
 	es := ctx.ElemSize()
 	// The unfused kernel sequence performs ~5 ops per element
@@ -36,7 +36,7 @@ func (g *GeLU) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	if g.x == nil {
 		panic("nn: GeLU.Backward called before Forward")
 	}
-	dX := tensor.New(dY.Shape()...)
+	dX := ctx.NewActivation(dY.Shape()...)
 	n := dY.Size()
 	es := ctx.ElemSize()
 	ctx.Prof.Time("gelu_bwd", profile.CatGeLU, profile.Backward,
@@ -81,13 +81,13 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		// The fill is serial (one RNG stream) and costs more than the apply
 		// it feeds, so it is a kernel of its own in the profile: n float32
 		// written, no arithmetic.
-		d.mask = tensor.New(x.Shape()...)
+		d.mask = ctx.NewActivation(x.Shape()...)
 		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
 			0, int64(x.Size())*4, func() {
 				kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
 			})
 	}
-	y := tensor.New(x.Shape()...)
+	y := ctx.NewActivation(x.Shape()...)
 	n := x.Size()
 	es := ctx.ElemSize()
 	ctx.Prof.Time("dropout_fwd", d.Category, profile.Forward,
@@ -102,7 +102,7 @@ func (d *Dropout) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return dY
 	}
-	dX := tensor.New(dY.Shape()...)
+	dX := ctx.NewActivation(dY.Shape()...)
 	n := dY.Size()
 	es := ctx.ElemSize()
 	ctx.Prof.Time("dropout_bwd", d.Category, profile.Backward,

@@ -104,9 +104,9 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	v := a.Wv.Forward(ctx, x)
 
 	// Split into h heads: [B*h, n, dHead].
-	a.qh = tensor.New(batch, n, a.dHead)
-	a.kh = tensor.New(batch, n, a.dHead)
-	a.vh = tensor.New(batch, n, a.dHead)
+	a.qh = ctx.NewActivation(batch, n, a.dHead)
+	a.kh = ctx.NewActivation(batch, n, a.dHead)
+	a.vh = ctx.NewActivation(batch, n, a.dHead)
 	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
@@ -120,7 +120,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	// and routes each product as GEMM would, so heads of the paper's
 	// models (64 wide) run the blocked engine and tiny ones (small
 	// configs: 16×16×8) the naive loops; see DESIGN.md §8.
-	scores := tensor.New(batch, n, n)
+	scores := ctx.NewActivation(batch, n, n)
 	stQK, stS := n*a.dHead, n*n
 	ctx.Prof.Time("attn_score_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
@@ -134,7 +134,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	// paper profiles (Section 3.2.3).
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	nScores := batch * n * n
-	a.softmaxOut = tensor.New(batch, n, n)
+	a.softmaxOut = ctx.NewActivation(batch, n, n)
 	var maskData []float32
 	if mask != nil {
 		maskData = mask.Data()
@@ -187,13 +187,13 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 			})
 	}
 
-	// Attention dropout.
-	flatProbs := a.softmaxOut.Reshape(batch*n, n)
-	a.probs = a.AttnDrop.Forward(ctx, flatProbs).Reshape(batch, n, n)
+	// Attention dropout (element-wise, so over the [B*h, n, n] tensor as
+	// it is).
+	a.probs = a.AttnDrop.Forward(ctx, a.softmaxOut)
 
 	// Weighted sum of values: B·h batched GEMMs of n×dHead×n (Table 2b
 	// "Attn. O/p").
-	ctxOut := tensor.New(batch, n, a.dHead)
+	ctxOut := ctx.NewActivation(batch, n, a.dHead)
 	ctx.Prof.Time("attn_output_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
@@ -202,7 +202,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 		})
 
 	// Concatenate heads back to [B·n, heads·dHead].
-	merged := tensor.New(tokens, a.inner())
+	merged := ctx.NewActivation(tokens, a.inner())
 	ctx.Prof.Time("merge_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
 			kernels.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
@@ -263,7 +263,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	dMerged := a.Wo.Backward(ctx, dY)
 
 	// Un-concatenate heads.
-	dCtxOut := tensor.New(batch, n, a.dHead)
+	dCtxOut := ctx.NewActivation(batch, n, a.dHead)
 	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
@@ -272,8 +272,8 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 
 	// Backward of output BGEMM (Table 2b "Attn. O/p" BWD rows):
 	// dProbs = dCtxOut · V^T, dV = Probs^T · dCtxOut.
-	dProbs := tensor.New(batch, n, n)
-	dVh := tensor.New(batch, n, a.dHead)
+	dProbs := ctx.NewActivation(batch, n, n)
+	dVh := ctx.NewActivation(batch, n, a.dHead)
 	ctx.Prof.Time("attn_output_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
 		2*int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
@@ -284,8 +284,8 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 		})
 
 	// Through dropout, then softmax.
-	dAfterDrop := a.AttnDrop.Backward(ctx, dProbs.Reshape(batch*n, n))
-	dScores := tensor.New(batch, n, n)
+	dAfterDrop := a.AttnDrop.Backward(ctx, dProbs)
+	dScores := ctx.NewActivation(batch, n, n)
 	nScores := batch * n * n
 	ctx.Prof.Time("attn_softmax_bwd", profile.CatScaleMaskSM, profile.Backward,
 		kernels.EWFLOPs(nScores, 4), kernels.EWBytes(nScores, 2, 1, es), func() {
@@ -301,8 +301,8 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 
 	// Backward of score BGEMM (Table 2b "Attn. Score" BWD rows):
 	// dQ = dScores · K, dK = dScores^T · Q.
-	dQh := tensor.New(batch, n, a.dHead)
-	dKh := tensor.New(batch, n, a.dHead)
+	dQh := ctx.NewActivation(batch, n, a.dHead)
+	dKh := ctx.NewActivation(batch, n, a.dHead)
 	ctx.Prof.Time("attn_score_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		2*int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
@@ -313,9 +313,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 		})
 
 	// Merge head gradients back to [B·n, heads·dHead].
-	dQ := tensor.New(tokens, a.inner())
-	dK := tensor.New(tokens, a.inner())
-	dV := tensor.New(tokens, a.inner())
+	dQ := ctx.NewActivation(tokens, a.inner())
+	dK := ctx.NewActivation(tokens, a.inner())
+	dV := ctx.NewActivation(tokens, a.inner())
 	ctx.Prof.Time("merge_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
 			kernels.MergeHeads(dQ.Data(), dQh.Data(), b, n, a.heads, a.dHead)

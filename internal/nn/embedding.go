@@ -34,6 +34,7 @@ type Embedding struct {
 	// a full-batch step: each accumulator is a token-order continuation
 	// fold across micro-batches, and the merge happens exactly once.
 	tokScatter *tensor.Tensor
+	scattered  bool // tokScatter holds a Backward not yet flushed
 
 	// Saved for backward.
 	tokens   []int
@@ -74,7 +75,7 @@ func (e *Embedding) Forward(ctx *Ctx, tokens, segments []int, b, n int) *tensor.
 	e.segments = segments
 	e.seqLen = n
 
-	out := tensor.New(b*n, e.dModel)
+	out := ctx.NewActivation(b*n, e.dModel)
 	total := b * n * e.dModel
 	es := ctx.ElemSize()
 	ctx.Prof.Time("embedding_gather", profile.CatEmbedding, profile.Forward,
@@ -168,6 +169,7 @@ func (e *Embedding) Backward(ctx *Ctx, dY *tensor.Tensor) {
 				}
 			}
 		})
+	e.scattered = true
 	e.tokens, e.segments = nil, nil
 }
 
@@ -185,15 +187,17 @@ func (e *Embedding) FlushTokScatter(ctx *Ctx) {
 		kernels.EWFLOPs(total, 1), kernels.EWBytes(total, 2, 1, es), func() {
 			kernels.AccumulateInto(e.Tok.Grad.Data(), e.tokScatter.Data())
 		})
-	clear(e.tokScatter.Data())
+	kernels.ZeroAll(e.tokScatter.Data())
+	e.scattered = false
 }
 
 // DropTokScatter discards any pending token-scatter accumulation — the
 // ZeroGrads counterpart, so an abandoned half-iteration cannot leak into
-// the next one.
+// the next one. After a flush there is nothing to discard.
 func (e *Embedding) DropTokScatter() {
-	if e.tokScatter != nil {
-		clear(e.tokScatter.Data())
+	if e.scattered {
+		kernels.ZeroAll(e.tokScatter.Data())
+		e.scattered = false
 	}
 }
 

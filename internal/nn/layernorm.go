@@ -60,7 +60,7 @@ func (l *LayerNorm) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 		panic("nn: LayerNorm.Backward called before Forward")
 	}
 	rows, dim := mustRank2("LayerNorm.Backward", dY)
-	dX := tensor.New(rows, dim)
+	dX := ctx.NewActivation(rows, dim)
 	n := rows * dim
 	es := ctx.ElemSize()
 	ctx.Prof.Time("layernorm_bwd", profile.CatDRRCLN, profile.Backward,
@@ -84,7 +84,7 @@ func (Residual) AddSkip(ctx *Ctx, x, skip *tensor.Tensor) *tensor.Tensor {
 	if !tensor.SameShape(x, skip) {
 		panic(fmt.Sprintf("nn: Residual shapes %v vs %v", x.Shape(), skip.Shape()))
 	}
-	y := tensor.New(x.Shape()...)
+	y := ctx.NewActivation(x.Shape()...)
 	n := x.Size()
 	es := ctx.ElemSize()
 	ctx.Prof.Time("residual_add", profile.CatDRRCLN, profile.Forward,

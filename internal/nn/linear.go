@@ -24,7 +24,8 @@ type Linear struct {
 	Category profile.Category
 
 	in, out int
-	x       *tensor.Tensor // saved forward input
+	x       *tensor.Tensor   // saved forward input
+	ep      kernels.Epilogue // the forward's fused tail, kept here so a call allocates none
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights.
@@ -46,10 +47,8 @@ func NewLinear(name string, in, out int, cat profile.Category, rng *tensor.RNG) 
 // GEMM-then-AddBias sequence.
 func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
-	y := l.runEpilogueGEMM(ctx, x, &kernels.Epilogue{
-		Kind: kernels.EpilogueBias,
-		Bias: l.B.Value.Data(),
-	})
+	l.ep = kernels.Epilogue{Kind: kernels.EpilogueBias, Bias: l.B.Value.Data()}
+	y := l.runEpilogueGEMM(ctx, x, &l.ep)
 	es := ctx.ElemSize()
 	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
 		kernels.EWFLOPs(tokens*l.out, 1), kernels.EWBytes(tokens*l.out, 1, 1, es))
@@ -64,10 +63,11 @@ func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 // mixed precision, which fusion deliberately skips.
 func (l *Linear) ForwardBiasGeLU(ctx *Ctx, x *tensor.Tensor, act *GeLU) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
-	ep := &kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU, Bias: l.B.Value.Data()}
+	l.ep = kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU, Bias: l.B.Value.Data()}
+	ep := &l.ep
 	var pre *tensor.Tensor
 	if ctx.Train {
-		pre = tensor.New(tokens, l.out)
+		pre = ctx.NewActivation(tokens, l.out)
 		ep.X = pre.Data()
 	}
 	y := l.runEpilogueGEMM(ctx, x, ep)
@@ -95,7 +95,7 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 	if ln.dim != l.out {
 		panic(fmt.Sprintf("nn: Linear fused LayerNorm dim %d, want %d", ln.dim, l.out))
 	}
-	ep := &kernels.Epilogue{
+	l.ep = kernels.Epilogue{
 		Kind:     kernels.EpilogueBiasResidualLayerNorm,
 		Bias:     l.B.Value.Data(),
 		Residual: skip.Data(),
@@ -103,10 +103,11 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 		Beta:     ln.Beta.Value.Data(),
 		Eps:      ln.Eps,
 	}
+	ep := &l.ep
 	if ctx.Train {
-		ln.x = tensor.New(tokens, l.out)
-		ln.mean = tensor.New(tokens)
-		ln.invStd = tensor.New(tokens)
+		ln.x = ctx.NewActivation(tokens, l.out)
+		ln.mean = ctx.NewActivation(tokens)
+		ln.invStd = ctx.NewActivation(tokens)
 		ep.X, ep.Mean, ep.InvStd = ln.x.Data(), ln.mean.Data(), ln.invStd.Data()
 	} else {
 		ln.x, ln.mean, ln.invStd = nil, nil, nil
@@ -168,7 +169,7 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 		panic("nn: Linear.Backward called before Forward")
 	}
 	es := ctx.ElemSize()
-	dX := tensor.New(tokens, l.in)
+	dX := ctx.NewActivation(tokens, l.in)
 
 	// dX = dY · W: (tokens×out)·(out×in), on the weight pack for the
 	// untransposed orientation (a second cache slot of the same Param)

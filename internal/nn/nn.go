@@ -81,13 +81,14 @@ func (p *Param) Packed(route kernels.GEMMPath, transB bool, n, k int) *kernels.P
 // passes: the profiler, the dropout RNG, the training flag, the GEMM route,
 // and whether mixed-precision byte accounting is active.
 //
-// A Ctx also owns the evaluation forward's activation memory, a grow-only
-// workspace (workspace.go) that model.BERT.EncodeEval resets on entry. In
-// evaluation mode the layers draw their outputs from it (NewActivation), so
-// a steady stream of batches reuses the same memory instead of allocating
-// and zeroing every activation anew; a tensor returned by an evaluation
-// forward is therefore valid only until the next forward on the same Ctx.
-// Training allocates as before. A Ctx serves one goroutine at a time.
+// A Ctx also owns the activation memory of every pass run on it, a
+// grow-only workspace (workspace.go) that each model forward entry point
+// resets. The layers draw their outputs and gradients from it
+// (NewActivation), in training and evaluation alike, so a steady stream of
+// steps or batches reuses the same memory instead of allocating and
+// zeroing every activation anew; a tensor a pass returns is therefore valid
+// only until the next forward on the same Ctx. A Ctx serves one goroutine
+// at a time.
 type Ctx struct {
 	Prof  *profile.Profiler
 	RNG   *tensor.RNG

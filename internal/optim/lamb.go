@@ -33,9 +33,13 @@ type LAMB struct {
 	// does not exceed it (BERT's recipe clips at 1.0).
 	ClipNorm float64
 
-	step    int
-	m, v    map[*nn.Param]*tensor.Tensor
-	updates map[*nn.Param]*tensor.Tensor
+	step int
+	m, v map[*nn.Param]*tensor.Tensor
+	// update is stage 1's output for the tensor being updated: one buffer
+	// the size of the largest parameter, since stage 2 consumes it before
+	// the next tensor's stage 1 runs. Apply is never called concurrently on
+	// one LAMB (every loopback rank owns its optimizer).
+	update []float32
 }
 
 // NewLAMB returns a LAMB optimizer with BERT pre-training defaults.
@@ -49,7 +53,6 @@ func NewLAMB(lr float32) *LAMB {
 		ClipNorm:    1.0,
 		m:           make(map[*nn.Param]*tensor.Tensor),
 		v:           make(map[*nn.Param]*tensor.Tensor),
-		updates:     make(map[*nn.Param]*tensor.Tensor),
 	}
 }
 
@@ -66,15 +69,14 @@ func (o *LAMB) State(p *nn.Param) (m, v *tensor.Tensor) {
 	return o.m[p], o.v[p]
 }
 
-// ReleaseState drops p's optimizer state (m, v, and the update scratch)
-// from the resident maps. The virtual-shard memory-scaling path spills
+// ReleaseState drops p's optimizer state (m and v) from the resident
+// maps. The virtual-shard memory-scaling path spills
 // state to disk between shards and releases it so only one shard's state
 // stays resident; the next State call re-allocates fresh zeroed tensors
 // for the caller to restore into.
 func (o *LAMB) ReleaseState(p *nn.Param) {
 	delete(o.m, p)
 	delete(o.v, p)
-	delete(o.updates, p)
 }
 
 // LAMBStep is one iteration's update context: the bias-correction terms
@@ -140,11 +142,11 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 	o := s.o
 	for _, p := range params {
 		m, v := o.State(p)
-		if o.updates[p] == nil {
-			o.updates[p] = tensor.New(p.Value.Shape()...)
-		}
-		wd, ud := p.Value.Data(), o.updates[p].Data()
 		n := p.Size()
+		if cap(o.update) < n {
+			o.update = make([]float32, n)
+		}
+		wd, ud := p.Value.Data(), o.update[:n]
 
 		// Stage 1: update m and v, produce the adaptive direction and the
 		// two norms of the trust ratio. Reads g, m, v, w (4× model size);

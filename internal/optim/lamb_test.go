@@ -27,7 +27,9 @@ func lambTestParams(seed uint64) []*nn.Param {
 	return ps
 }
 
-// lambSnapshot flattens every weight, m, v and update of params.
+// lambSnapshot flattens every weight, m and v of params. The update
+// direction is scratch that the next tensor overwrites; the weights carry
+// it.
 func lambSnapshot(o *LAMB, params []*nn.Param) []float32 {
 	var out []float32
 	for _, p := range params {
@@ -35,7 +37,6 @@ func lambSnapshot(o *LAMB, params []*nn.Param) []float32 {
 		out = append(out, p.Value.Data()...)
 		out = append(out, m.Data()...)
 		out = append(out, v.Data()...)
-		out = append(out, o.updates[p].Data()...)
 	}
 	return out
 }
@@ -92,12 +93,11 @@ func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
 	}
 	bc1 := 1 - float32(math.Pow(float64(o.Beta1), float64(o.step)))
 	bc2 := 1 - float32(math.Pow(float64(o.Beta2), float64(o.step)))
+	updates := make(map[*nn.Param][]float32, len(params))
 	for _, p := range params {
 		m, v := o.State(p)
-		if o.updates[p] == nil {
-			o.updates[p] = tensor.New(p.Value.Shape()...)
-		}
-		md, vd, gd, wd, ud := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data(), o.updates[p].Data()
+		updates[p] = make([]float32, p.Size())
+		md, vd, gd, wd, ud := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data(), updates[p]
 		for i := range gd {
 			g := gd[i] * gradScale
 			md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
@@ -108,7 +108,7 @@ func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
 		}
 	}
 	for _, p := range params {
-		wd, ud := p.Value.Data(), o.updates[p].Data()
+		wd, ud := p.Value.Data(), updates[p]
 		wNorm := math.Sqrt(kernels.SumSquares(wd))
 		uNorm := math.Sqrt(kernels.SumSquares(ud))
 		trust := float32(1)
@@ -123,8 +123,7 @@ func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
 }
 
 // TestLAMBStepBitwiseMatchesFivePass: three steps of the two-sweep Step
-// leave m, v, the update and the weights bitwise where the five-pass body
-// leaves them, with the clip active and inactive.
+// leave m, v and the weights bitwise where the five-pass body leaves them, with the clip active and inactive.
 func TestLAMBStepBitwiseMatchesFivePass(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Where the compiler fuses multiply-adds the five-pass body above

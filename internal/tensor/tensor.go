@@ -34,7 +34,7 @@ func New(shape ...int) *Tensor {
 func Of(data []float32, shape ...int) *Tensor {
 	n := checkShape(shape)
 	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), shape, n))
+		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (want %d)", len(data), append([]int(nil), shape...), n))
 	}
 	return &Tensor{shape: append([]int(nil), shape...), data: data}
 }
@@ -43,7 +43,9 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension in shape %v", shape))
+			// The copy keeps shape itself from escaping, so a caller's
+			// variadic shape stays on its stack.
+			panic(fmt.Sprintf("tensor: negative dimension in shape %v", append([]int(nil), shape...)))
 		}
 		n *= d
 	}
@@ -89,7 +91,7 @@ func (t *Tensor) offset(idx []int) int {
 	off := 0
 	for i, x := range idx {
 		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
+			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", append([]int(nil), idx...), t.shape))
 		}
 		off = off*t.shape[i] + x
 	}

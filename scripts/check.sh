@@ -44,8 +44,8 @@ go test -race ./internal/kernels/ ./internal/tensor/ ./internal/obs/ ./internal/
 echo "== go test -race -short (nn, model, optim, distnet, memscale, audit, serve, runutil, cmd/bertdist's forked-worker launcher — reduced scale)"
 go test -race -short ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/distnet/ ./internal/memscale/ ./internal/audit/ ./internal/serve/ ./internal/runutil/ ./cmd/bertdist/
 
-echo "== GOMAXPROCS=1 leg (kernels, optim, distnet, serve, model, nn: nothing may depend on the core count; a polling worker, a join or a FIFO runner that forgot to yield hangs here)"
-GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/ ./internal/serve/ ./internal/model/ ./internal/nn/
+echo "== GOMAXPROCS=1 leg (kernels, optim, distnet, serve, model, nn, memscale: nothing may depend on the core count; a polling worker, a join or a FIFO runner that forgot to yield hangs here, and the spill restore target is a workspace draw like every other activation)"
+GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ ./internal/distnet/ ./internal/serve/ ./internal/model/ ./internal/nn/ ./internal/memscale/
 
 echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim, model, serve: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps, GeLU/exp spans — end to end, ragged batch == alone and batched == serial included, which an AVX host otherwise never runs)"
 DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/ ./internal/model/ ./internal/serve/
