@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // AttentionRagged computes multi-head self-attention over a padding-free
 // batch: q, k, v and out are [T, heads·dHead] row-major, and sequence s
@@ -40,19 +37,13 @@ func (p GEMMPath) AttentionRagged(out, q, k, v []float32, offsets []int, heads, 
 	if b == 0 {
 		return
 	}
-	s := raggedAttnPool.Get().(*raggedAttnState)
-	s.path = p
-	s.out, s.q, s.k, s.v, s.offsets = out, q, k, v, offsets
-	s.heads, s.dHead, s.maxN = heads, dHead, maxN
-	s.scale, s.causal = scale, causal
-	parallelRun(b*heads, 1, s)
-	s.out, s.q, s.k, s.v, s.offsets = nil, nil, nil, nil, nil
-	raggedAttnPool.Put(s)
+	raggedAttnBodies.run(b*heads, 1, raggedAttnArgs{path: p, out: out, q: q, k: k, v: v, offsets: offsets,
+		heads: heads, dHead: dHead, maxN: maxN, scale: scale, causal: causal}, raggedAttnRange)
 }
 
-// raggedAttnState is the pooled parallel-region body of AttentionRagged:
-// item i is head i%heads of sequence i/heads.
-type raggedAttnState struct {
+// raggedAttnArgs are AttentionRagged's operands: item i is head i%heads of
+// sequence i/heads.
+type raggedAttnArgs struct {
 	path         GEMMPath
 	out, q, k, v []float32
 	offsets      []int
@@ -62,9 +53,9 @@ type raggedAttnState struct {
 	causal       bool
 }
 
-var raggedAttnPool = sync.Pool{New: func() any { return new(raggedAttnState) }}
+var raggedAttnBodies argsPool[raggedAttnArgs]
 
-func (s *raggedAttnState) runRange(lo, hi int) {
+func raggedAttnRange(s *raggedAttnArgs, lo, hi int) {
 	dh, d := s.dHead, s.heads*s.dHead
 	// One scratch per claimed chunk: the head's Q, K, V and context rows
 	// (n×dHead each) and its n×n score tile.

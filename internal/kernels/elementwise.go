@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // The element-wise kernels correspond to the paper's non-GEMM operations
@@ -44,7 +43,7 @@ var rowBodies argsPool[rowArgs]
 // Add computes dst[i] = a[i] + b[i].
 func Add(dst, a, b []float32) {
 	checkSameLen("Add", dst, a, b)
-	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, b: b}, addRange)
+	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, addRange)
 }
 
 func addRange(e *ewArgs, lo, hi int) {
@@ -58,7 +57,7 @@ func addRange(e *ewArgs, lo, hi int) {
 // primitive.
 func AccumulateInto(dst, a []float32) {
 	checkSameLen("AccumulateInto", dst, a)
-	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a}, accumulateRange)
+	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a}, accumulateRange)
 }
 
 func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
@@ -87,15 +86,23 @@ func addRow(y, x []float32) {
 // float32 per chunk.
 const zeroGrain = 16384
 
-// zeroAllState is ZeroAll's pooled dispatch body. Work items are element
-// ranges of the buffers laid end to end, so one large buffer and many
-// small ones spread over the pool alike.
-type zeroAllState struct {
+// zeroAllArgs are ZeroAll's operands. Work items are element ranges of
+// the buffers laid end to end, so one large buffer and many small ones
+// spread over the pool alike.
+type zeroAllArgs struct {
 	bufs [][]float32
 	ends []int // ends[i]: offset just past bufs[i] in the concatenation
 }
 
-func (s *zeroAllState) runRange(lo, hi int) {
+// zeroAllPlans keeps ZeroAll's two slices from call to call: the bodies
+// drop their operands after each region, and storing the caller's
+// variadic slice in a body would move it to the heap on every call.
+var (
+	zeroAllPlans  freeList[zeroAllArgs]
+	zeroAllBodies argsPool[zeroAllArgs]
+)
+
+func zeroAllRange(s *zeroAllArgs, lo, hi int) {
 	for i := sort.SearchInts(s.ends, lo+1); lo < hi; i++ {
 		start := s.ends[i] - len(s.bufs[i])
 		end := min(hi, s.ends[i])
@@ -104,28 +111,26 @@ func (s *zeroAllState) runRange(lo, hi int) {
 	}
 }
 
-var zeroAllPool = sync.Pool{New: func() any { return new(zeroAllState) }}
-
 // ZeroAll sets every element of every buffer to +0 in one pool region —
 // a model's gradients cleared at once rather than one serial loop per
 // tensor. The buffers must not overlap.
 func ZeroAll(bufs ...[]float32) {
-	s := zeroAllPool.Get().(*zeroAllState)
+	s := zeroAllPlans.get()
 	s.bufs, s.ends = append(s.bufs[:0], bufs...), s.ends[:0]
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
 		s.ends = append(s.ends, total)
 	}
-	parallelRun(total, zeroGrain, s)
+	zeroAllBodies.run(total, zeroGrain, *s, zeroAllRange)
 	clear(s.bufs)
-	zeroAllPool.Put(s)
+	zeroAllPlans.put(s)
 }
 
 // Mul computes dst[i] = a[i] * b[i].
 func Mul(dst, a, b []float32) {
 	checkSameLen("Mul", dst, a, b)
-	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, b: b}, mulRange)
+	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, mulRange)
 }
 
 func mulRange(e *ewArgs, lo, hi int) {
@@ -139,7 +144,7 @@ func mulRange(e *ewArgs, lo, hi int) {
 // normalization kernel (multiply by 1/sqrt(d_model/h)).
 func Scale(dst, a []float32, s float32) {
 	checkSameLen("Scale", dst, a)
-	ewBodies.run(len(dst), 1, ewArgs{dst: dst, a: a, s: s}, scaleRange)
+	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, s: s}, scaleRange)
 }
 
 func scaleRange(e *ewArgs, lo, hi int) {
@@ -154,25 +159,27 @@ func scaleRange(e *ewArgs, lo, hi int) {
 // bandwidth-bound kernel.
 const addBiasGrain = 4096
 
-// addBiasState is AddBias's pooled dispatch body. Work items are flattened
-// element ranges rather than whole rows, so short-and-wide activations
-// (m below the worker count — e.g. per-head attention tails) still spread
-// across the pool instead of capping parallelism at m.
-type addBiasState struct {
-	x, bias []float32
-	n       int
+// biasArgs are the operands of AddBias and BiasGrad: the m×n matrix mat
+// (x or dY) and the length-n vector vec (bias or dBias).
+type biasArgs struct {
+	mat, vec []float32
+	m, n     int
 }
 
-func (s *addBiasState) runRange(lo, hi int) {
+var biasBodies argsPool[biasArgs]
+
+// addBiasRange adds vec to element range [lo, hi) of mat. Work items are
+// flattened element ranges rather than whole rows, so short-and-wide
+// activations (m below the worker count — e.g. per-head attention tails)
+// still spread across the pool instead of capping parallelism at m.
+func addBiasRange(e *biasArgs, lo, hi int) {
 	for i := lo; i < hi; {
-		j := i % s.n
-		end := min(hi, i-j+s.n) // clip the segment to its row boundary
-		addRow(s.x[i:end], s.bias[j:])
+		j := i % e.n
+		end := min(hi, i-j+e.n) // clip the segment to its row boundary
+		addRow(e.mat[i:end], e.vec[j:])
 		i = end
 	}
 }
-
-var addBiasPool = sync.Pool{New: func() any { return new(addBiasState) }}
 
 // AddBias adds a length-n bias vector to every row of an m×n matrix in
 // place. (The GEMM epilogue engine fuses this into the tile write-back on
@@ -182,11 +189,7 @@ func AddBias(x []float32, bias []float32, m, n int) {
 	if len(x) != m*n || len(bias) != n {
 		panic(fmt.Sprintf("kernels: AddBias dims x=%d bias=%d m=%d n=%d", len(x), len(bias), m, n))
 	}
-	s := addBiasPool.Get().(*addBiasState)
-	s.x, s.bias, s.n = x, bias, n
-	parallelRun(m*n, addBiasGrain, s)
-	s.x, s.bias = nil, nil
-	addBiasPool.Put(s)
+	biasBodies.run(m*n, addBiasGrain, biasArgs{mat: x, vec: bias, m: m, n: n}, addBiasRange)
 }
 
 // biasGradChunk is the column-band width of BiasGrad's row-major sweep —
@@ -194,28 +197,24 @@ func AddBias(x []float32, bias []float32, m, n int) {
 // band's accumulator lives on the stack.
 const biasGradChunk = 64
 
-// biasGradState is BiasGrad's pooled dispatch body: work items are
-// disjoint column ranges (so concurrent writes to dBias never collide),
-// but within a band the matrix is swept row-major, turning the naive
-// kernel's stride-n single-float column walks into contiguous loads. The
-// band accumulator is seeded from the existing dBias and the per-column
-// accumulation order stays i = 0..m-1, so the result is bitwise identical
-// to a serial column-at-a-time continuation fold — and splitting the rows
-// across calls (gradient accumulation) matches one call bitwise.
-type biasGradState struct {
-	dBias, dY []float32
-	m, n      int
-}
-
-func (s *biasGradState) runRange(lo, hi int) {
+// biasGradRange adds the sums of columns [lo, hi) of mat into vec. Work
+// items are disjoint column ranges (so concurrent writes to dBias never
+// collide), but within a band the matrix is swept row-major, turning the
+// naive kernel's stride-n single-float column walks into contiguous loads.
+// The band accumulator is seeded from the existing dBias and the
+// per-column accumulation order stays i = 0..m-1, so the result is bitwise
+// identical to a serial column-at-a-time continuation fold — and splitting
+// the rows across calls (gradient accumulation) matches one call bitwise.
+func biasGradRange(e *biasArgs, lo, hi int) {
 	var acc [biasGradChunk]float32
+	m, n := e.m, e.n
 	for j0 := lo; j0 < hi; j0 += biasGradChunk {
 		w := min(biasGradChunk, hi-j0)
 		a := acc[:w]
-		out := s.dBias[j0 : j0+w]
+		out := e.vec[j0 : j0+w]
 		copy(a, out)
-		for i := 0; i < s.m; i++ {
-			row := s.dY[i*s.n+j0 : i*s.n+j0+w]
+		for i := 0; i < m; i++ {
+			row := e.mat[i*n+j0 : i*n+j0+w]
 			for k, v := range row {
 				a[k] += v
 			}
@@ -224,20 +223,14 @@ func (s *biasGradState) runRange(lo, hi int) {
 	}
 }
 
-var biasGradPool = sync.Pool{New: func() any { return new(biasGradState) }}
-
 // BiasGrad accumulates the column sums of an m×n gradient matrix into
 // dBias (the backward pass of AddBias).
 func BiasGrad(dBias []float32, dY []float32, m, n int) {
 	if len(dY) != m*n || len(dBias) != n {
 		panic(fmt.Sprintf("kernels: BiasGrad dims dY=%d dBias=%d m=%d n=%d", len(dY), len(dBias), m, n))
 	}
-	s := biasGradPool.Get().(*biasGradState)
-	s.dBias, s.dY, s.m, s.n = dBias, dY, m, n
 	// Grain = band width so ranges land on band boundaries.
-	parallelRun(n, biasGradChunk, s)
-	s.dBias, s.dY = nil, nil
-	biasGradPool.Put(s)
+	biasBodies.run(n, biasGradChunk, biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
 }
 
 // ScaleMaskSoftmaxAttention is the fused attention-score pipeline over a
@@ -253,7 +246,7 @@ func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float
 	if keyMask != nil && len(keyMask) != b*n {
 		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention keyMask=%d want %d", len(keyMask), b*n))
 	}
-	rowBodies.run(rows, n, rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
+	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
 }
 
 func scaleMaskSoftmaxRange(ra *rowArgs, lo, hi int) {

@@ -13,7 +13,7 @@ import (
 // need the original input (the engine keeps x).
 func GeLUForward(dst, x []float32) {
 	checkSameLen("GeLUForward", dst, x)
-	ewBodies.run(len(x), 1, ewArgs{dst: dst, a: x}, geluFwdRange)
+	ewBodies.run(len(x), grainFor(len(x), 1), ewArgs{dst: dst, a: x}, geluFwdRange)
 }
 
 func geluFwdRange(e *ewArgs, lo, hi int) { geluSpan(e.dst[lo:hi], e.a[lo:hi]) }
@@ -25,7 +25,7 @@ func geluFwdRange(e *ewArgs, lo, hi int) { geluSpan(e.dst[lo:hi], e.a[lo:hi]) }
 // where phi is the standard normal density.
 func GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
-	ewBodies.run(len(x), 1, ewArgs{dst: dX, a: dY, b: x}, geluBwdRange)
+	ewBodies.run(len(x), grainFor(len(x), 1), ewArgs{dst: dX, a: dY, b: x}, geluBwdRange)
 }
 
 func geluBwdRange(e *ewArgs, lo, hi int) { geluGradSpan(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }

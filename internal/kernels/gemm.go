@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // GEMM computes C = alpha·op(A)·op(B) + beta·C for row-major matrices.
 //
@@ -61,7 +58,7 @@ func GEMMNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 // same inner-loop order regardless of the partition, so results are
 // bitwise identical for any worker count.
 func gemmNaivePar(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, n*k, func(lo, hi int) {
+	parallelFor(m, grainFor(m, n*k), func(lo, hi int) {
 		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, c, lo, hi)
 	})
 }
@@ -212,16 +209,8 @@ func (p GEMMPath) BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha
 		return
 	}
 	batchedGEMMRuns.Inc()
-	s := batchedPool.Get().(*batchedState)
-	s.path = p
-	s.transA, s.transB = transA, transB
-	s.m, s.n, s.k = m, n, k
-	s.alpha, s.beta = alpha, beta
-	s.a, s.b, s.c = a, b, c
-	s.sA, s.sB, s.sC = strideA, strideB, strideC
-	parallelRun(batch, 1, s)
-	s.a, s.b, s.c = nil, nil, nil
-	batchedPool.Put(s)
+	batchedBodies.run(batch, 1, batchedArgs{path: p, transA: transA, transB: transB, m: m, n: n, k: k,
+		alpha: alpha, beta: beta, a: a, b: b, c: c, sA: strideA, sB: strideB, sC: strideC}, batchedRange)
 }
 
 // BatchedGEMMPerMatrix is BatchedGEMM under the name it had while a second,
@@ -264,9 +253,9 @@ func checkBatchedGEMMArgs(batch, m, n, k int, a []float32, strideA int, b []floa
 	}
 }
 
-// batchedState is the pooled parallel-region body of BatchedGEMM: item i
-// is the i-th matrix product of the batch.
-type batchedState struct {
+// batchedArgs are BatchedGEMM's operands: item i is the i-th matrix
+// product of the batch.
+type batchedArgs struct {
 	path           GEMMPath
 	transA, transB bool
 	m, n, k        int
@@ -275,9 +264,9 @@ type batchedState struct {
 	sA, sB, sC     int
 }
 
-var batchedPool = sync.Pool{New: func() any { return new(batchedState) }}
+var batchedBodies argsPool[batchedArgs]
 
-func (s *batchedState) runRange(lo, hi int) {
+func batchedRange(s *batchedArgs, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		s.path.run(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
 			s.a[i*s.sA:i*s.sA+s.m*s.k],

@@ -1,7 +1,5 @@
 package kernels
 
-import "sync"
-
 // Cache-blocked packed GEMM, BLIS-style. The operand matrices are copied
 // into contiguous packed panels once per cache block — handling all four
 // transpose combinations (and the alpha scale) at pack time — so a single
@@ -73,8 +71,7 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels [
 		nc = gemmNC
 		bp = getScratch(panelWidth(min(n, nc), nr) * kc0)
 	}
-	g := gemmStatePool.Get().(*gemmState)
-	g.ep = ep
+	g := gemmState{ep: ep}
 	for io := 0; io < m; io += gemmStripe {
 		ms := min(gemmStripe, m-io)
 		for pc := 0; pc < k; pc += gemmKC {
@@ -98,17 +95,15 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels [
 			ep.finalizeLNRows(c, io, ms, n)
 		}
 	}
-	g.ep, g.epOn, g.clearC = nil, false, false
-	gemmStatePool.Put(g)
 	putScratch(ap)
 	if bp != nil {
 		putScratch(bp)
 	}
 }
 
-// gemmState is the pooled parallel-region body for the tile grid of one
-// (stripe, pc, jc) step. Work item t maps to (row block t/segs, column
-// segment t%segs); items touch disjoint regions of C.
+// gemmState holds the operands of the tile grid of one (stripe, pc, jc)
+// step. Work item t maps to (row block t/segs, column segment t%segs);
+// items touch disjoint regions of C.
 type gemmState struct {
 	c       []float32
 	ap, bp  []float32
@@ -130,21 +125,20 @@ type gemmState struct {
 	clearC bool
 }
 
-var gemmStatePool = sync.Pool{New: func() any { return new(gemmState) }}
+var gemmBodies argsPool[gemmState]
 
 func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par bool) {
 	icBlocks := (ms + gemmMC - 1) / gemmMC
 	segs, segCols := 1, ncb
-	w := 1
+	target := 1
 	if par {
-		w = int(maxWorkers.Load())
+		target = piecesPer(icBlocks, 3)
 	}
-	if w > 1 && icBlocks < 3*w {
+	if target > 1 {
 		// Few row blocks: split columns too, keeping ≥ ~3 items per
 		// worker for dynamic balance but segments at least two
 		// micro-panels wide so packed B reuse stays intact.
 		nr := gemmNR
-		target := (3*w + icBlocks - 1) / icBlocks
 		if maxSegs := max(ncb/(2*nr), 1); target > maxSegs {
 			target = maxSegs
 		}
@@ -156,14 +150,13 @@ func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par 
 	g.segs, g.segCols = segs, segCols
 	items := icBlocks * segs
 	if par {
-		parallelRun(items, 1, g)
+		gemmBodies.run(items, 1, *g, gemmTiles)
 	} else {
-		g.runRange(0, items)
+		gemmTiles(g, 0, items)
 	}
-	g.c, g.ap, g.bp = nil, nil, nil
 }
 
-func (g *gemmState) runRange(lo, hi int) {
+func gemmTiles(g *gemmState, lo, hi int) {
 	for t := lo; t < hi; t++ {
 		g.tile(t)
 	}
@@ -187,8 +180,6 @@ func (g *gemmState) tile(t int) {
 	}
 }
 
-var microTilePool = sync.Pool{New: func() any { s := make([]float32, microTileMax); return &s }}
-
 // microTileSweep accumulates C[ir0:irEnd][jr0:jrEnd] += Apanels·Bpanels
 // for one depth block of kcb packed steps. c addresses the full packed
 // region: element (r, j) lives at c[r*ldc+j], ap/bp hold mr-row and
@@ -198,7 +189,7 @@ var microTilePool = sync.Pool{New: func() any { s := make([]float32, microTileMa
 // accumulators seed from C), so the sweep preserves that property: a
 // depth range split across calls folds bitwise-identically to one call.
 // Full tiles go straight to the micro-kernel; edge tiles land in a
-// pooled side buffer first (a plain local array would escape through the
+// scratch side buffer first (a plain local array would escape through the
 // indirect kern call and allocate per tile) that is seeded with the live
 // C region and copied back afterwards — panel padding is zero and a
 // zero-seeded fma lane stays exactly zero, so the dead lanes never leak
@@ -219,7 +210,7 @@ func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0
 				continue
 			}
 			if tmp == nil {
-				tmp = microTilePool.Get().(*[]float32)
+				tmp = getScratch(microTileMax)
 			}
 			t := (*tmp)[:mr*nr]
 			clear(t)
@@ -233,18 +224,18 @@ func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0
 		}
 	}
 	if tmp != nil {
-		microTilePool.Put(tmp)
+		putScratch(tmp)
 	}
 }
 
 // ---------------------------------------------------------------------------
 // Packing.
 
-// packAState packs op(A)[io:io+ms][pc:pc+kcb] into mr-row micro-panels:
-// panel pi holds rows [pi·mr, pi·mr+mr), laid out p-major (mr consecutive
-// row entries per depth step) and scaled by alpha. Short panels at the
-// bottom are zero-padded.
-type packAState struct {
+// packAArgs are the operands of packing op(A)[io:io+ms][pc:pc+kcb] into
+// mr-row micro-panels: panel pi holds rows [pi·mr, pi·mr+mr), laid out
+// p-major (mr consecutive row entries per depth step) and scaled by alpha.
+// Short panels at the bottom are zero-padded.
+type packAArgs struct {
 	dst, src []float32
 	transA   bool
 	row0     int // io: first op(A) row of the stripe
@@ -255,29 +246,22 @@ type packAState struct {
 	mr       int
 }
 
-var packAPool = sync.Pool{New: func() any { return new(packAState) }}
+var packABodies argsPool[packAArgs]
 
 func packA(transA bool, dst, a []float32, io, ms, pc, kcb, m, k int, alpha float32, mr int, par bool) {
-	s := packAPool.Get().(*packAState)
-	s.dst, s.src, s.transA = dst, a, transA
-	s.row0, s.rows, s.pc, s.kcb = io, ms, pc, kcb
-	s.alpha, s.mr = alpha, mr
+	s := packAArgs{dst: dst, src: a, transA: transA, row0: io, rows: ms, pc: pc, kcb: kcb, ld: k, alpha: alpha, mr: mr}
 	if transA {
 		s.ld = m
-	} else {
-		s.ld = k
 	}
 	panels := (ms + mr - 1) / mr
 	if par {
-		parallelRun(panels, 8, s)
+		packABodies.run(panels, 8, s, packARange)
 	} else {
-		s.runRange(0, panels)
+		packARange(&s, 0, panels)
 	}
-	s.dst, s.src = nil, nil
-	packAPool.Put(s)
 }
 
-func (s *packAState) runRange(lo, hi int) {
+func packARange(s *packAArgs, lo, hi int) {
 	mr, kcb, alpha := s.mr, s.kcb, s.alpha
 	packT4 := activeKernel.packT4
 	for pi := lo; pi < hi; pi++ {
@@ -324,10 +308,10 @@ func (s *packAState) runRange(lo, hi int) {
 	}
 }
 
-// packBState packs op(B)[pc:pc+kcb][jc:jc+ncb] into nr-column micro-panels
-// laid out p-major (nr consecutive column entries per depth step), zero-
-// padding short panels on the right.
-type packBState struct {
+// packBArgs are the operands of packing op(B)[pc:pc+kcb][jc:jc+ncb] into
+// nr-column micro-panels laid out p-major (nr consecutive column entries
+// per depth step), zero-padding short panels on the right.
+type packBArgs struct {
 	dst, src []float32
 	transB   bool
 	jc, cols int // column-block origin and width (ncb)
@@ -336,28 +320,22 @@ type packBState struct {
 	nr       int
 }
 
-var packBPool = sync.Pool{New: func() any { return new(packBState) }}
+var packBBodies argsPool[packBArgs]
 
 func packB(transB bool, dst, b []float32, jc, ncb, pc, kcb, n, k, nr int, par bool) {
-	s := packBPool.Get().(*packBState)
-	s.dst, s.src, s.transB = dst, b, transB
-	s.jc, s.cols, s.pc, s.kcb, s.nr = jc, ncb, pc, kcb, nr
+	s := packBArgs{dst: dst, src: b, transB: transB, jc: jc, cols: ncb, pc: pc, kcb: kcb, ld: n, nr: nr}
 	if transB {
 		s.ld = k
-	} else {
-		s.ld = n
 	}
 	panels := (ncb + nr - 1) / nr
 	if par {
-		parallelRun(panels, 8, s)
+		packBBodies.run(panels, 8, s, packBRange)
 	} else {
-		s.runRange(0, panels)
+		packBRange(&s, 0, panels)
 	}
-	s.dst, s.src = nil, nil
-	packBPool.Put(s)
 }
 
-func (s *packBState) runRange(lo, hi int) {
+func packBRange(s *packBArgs, lo, hi int) {
 	nr, kcb := s.nr, s.kcb
 	packT4 := activeKernel.packT4
 	for pj := lo; pj < hi; pj++ {

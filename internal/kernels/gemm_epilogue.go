@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Fused GEMM epilogues. The paper's operator-fusion study (Section 6.1)
 // shows that once the GEMMs are fast, BERT's memory-bound tail operators —
@@ -194,7 +191,7 @@ func (ep *Epilogue) applyReference(c []float32, m, n int) {
 // copyRows copies src into dst in parallel (save-buffer fill).
 func copyRows(dst, src []float32) {
 	checkSameLen("copyRows", dst, src)
-	ewBodies.run(len(src), 1, ewArgs{dst: dst, a: src}, copyRange)
+	ewBodies.run(len(src), grainFor(len(src), 1), ewArgs{dst: dst, a: src}, copyRange)
 }
 
 func copyRange(e *ewArgs, lo, hi int) { copy(e.dst[lo:hi], e.a[lo:hi]) }
@@ -228,19 +225,19 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 	}
 }
 
-// epLNFinalizeState is the pooled parallel-region body of the LayerNorm
-// finalize pass: item r normalizes row row0+r of c in place, saving the
-// pre-LN row and statistics when the epilogue asks for them.
-type epLNFinalizeState struct {
+// epLNArgs are the LayerNorm finalize pass's operands: item r normalizes
+// row row0+r of c in place, saving the pre-LN row and statistics when the
+// epilogue asks for them.
+type epLNArgs struct {
 	c    []float32
 	ep   *Epilogue
 	row0 int
 	n    int
 }
 
-var epLNFinalizePool = sync.Pool{New: func() any { return new(epLNFinalizeState) }}
+var epLNBodies argsPool[epLNArgs]
 
-func (s *epLNFinalizeState) runRange(lo, hi int) {
+func epLNRange(s *epLNArgs, lo, hi int) {
 	ep := s.ep
 	layerNormRows(s.c, s.c, ep.X, ep.Gamma, ep.Beta, ep.Mean, ep.InvStd, s.row0+lo, s.row0+hi, s.n, ep.Eps)
 }
@@ -249,9 +246,5 @@ func (s *epLNFinalizeState) runRange(lo, hi int) {
 // by the fused stripe finalize and the unfused reference applier, so both
 // perform the identical per-row float sequence.
 func (ep *Epilogue) finalizeLNRows(c []float32, row0, rows, n int) {
-	s := epLNFinalizePool.Get().(*epLNFinalizeState)
-	s.c, s.ep, s.row0, s.n = c, ep, row0, n
-	parallelRun(rows, 4, s)
-	s.c, s.ep = nil, nil
-	epLNFinalizePool.Put(s)
+	epLNBodies.run(rows, 4, epLNArgs{c: c, ep: ep, row0: row0, n: n}, epLNRange)
 }

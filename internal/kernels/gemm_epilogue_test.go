@@ -303,10 +303,12 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 			for _, kind := range epilogueKinds {
 				ep := makeEpilogue(r, kind, m, n, true)
 				GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
-				if avg := testing.AllocsPerRun(10, func() {
-					GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
-				}); avg != 0 {
-					t.Errorf("%s, %s: fused epilogue allocates %v per op in steady state, want 0", leg.name, kind, avg)
+				for _, ac := range allocCases {
+					if avg := ac.allocs(10, func() {
+						GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
+					}); avg != 0 {
+						t.Errorf("%s, %s: fused epilogue allocates %v per op %s, want 0", leg.name, kind, avg, ac.name)
+					}
 				}
 			}
 		}

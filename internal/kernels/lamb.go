@@ -1,9 +1,6 @@
 package kernels
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // LAMB's two per-tensor sweeps (optim.LAMB drives them). Both are
 // bandwidth-bound — stage 1 streams seven arrays, stage 2 three — so each
@@ -50,17 +47,17 @@ func lambStage1Go(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64) {
 	return fold8(&lw), fold8(&lu)
 }
 
-// lambStage1State is the pooled parallel-region body of LAMBStage1: item b
-// is fold block b, and its two partial norms go to slots 2b and 2b+1.
-type lambStage1State struct {
+// lambStage1Args are LAMBStage1's operands: item b is fold block b, and
+// its two partial norms go to slots 2b and 2b+1.
+type lambStage1Args struct {
 	g, m, v, w, u []float32
 	c             lambCoef
 	part          []float64
 }
 
-var lambStage1Pool = sync.Pool{New: func() any { return new(lambStage1State) }}
+var lambStage1Bodies argsPool[lambStage1Args]
 
-func (s *lambStage1State) runRange(lo, hi int) {
+func lambStage1Range(s *lambStage1Args, lo, hi int) {
 	body := activeKernel.lambStage1
 	if body == nil {
 		body = lambStage1Go
@@ -96,42 +93,28 @@ func (s *lambStage1State) runRange(lo, hi int) {
 func LAMBStage1(g, m, v, w, u []float32, gradScale, beta1, beta2, bc1, bc2, eps, weightDecay float32) (wSq, uSq float64) {
 	n := checkSameLen("LAMBStage1", g, m, v, w, u)
 	blocks := (n + sumSqBlock - 1) / sumSqBlock
-	s := lambStage1Pool.Get().(*lambStage1State)
-	s.g, s.m, s.v, s.w, s.u = g, m, v, w, u
-	s.c = lambCoef{gradScale, beta1, 1 - beta1, beta2, 1 - beta2, bc1, bc2, eps, weightDecay}
-	if cap(s.part) < 2*blocks {
-		s.part = make([]float64, 2*blocks)
-	}
-	s.part = s.part[:2*blocks]
-	parallelRun(blocks, foldChunk(blocks), s)
+	p := getPartials(2 * blocks)
+	c := lambCoef{gradScale, beta1, 1 - beta1, beta2, 1 - beta2, bc1, bc2, eps, weightDecay}
+	lambStage1Bodies.run(blocks, grainFor(blocks, sumSqBlock), lambStage1Args{g: g, m: m, v: v, w: w, u: u, c: c, part: *p}, lambStage1Range)
 	for b := 0; b < blocks; b++ {
-		wSq += s.part[2*b]
-		uSq += s.part[2*b+1]
+		wSq += (*p)[2*b]
+		uSq += (*p)[2*b+1]
 	}
-	s.g, s.m, s.v, s.w, s.u = nil, nil, nil, nil, nil
-	lambStage1Pool.Put(s)
+	f64Partials.put(p)
 	return wSq, uSq
 }
 
-// subScaledState is SubScaled's pooled dispatch body.
-type subScaledState struct {
-	y, x []float32
-	a    float32
-}
-
-var subScaledPool = sync.Pool{New: func() any { return new(subScaledState) }}
-
-func (s *subScaledState) runRange(lo, hi int) {
-	y, x := s.y[lo:hi], s.x[lo:hi]
+func subScaledRange(e *ewArgs, lo, hi int) {
+	y, x := e.dst[lo:hi], e.a[lo:hi]
 	if body := activeKernel.subScaled; body != nil {
 		n8 := len(y) &^ 7
 		if n8 > 0 {
-			body(y[:n8], x[:n8], s.a)
+			body(y[:n8], x[:n8], e.s)
 		}
 		y, x = y[n8:], x[n8:]
 	}
 	for i, xv := range x {
-		y[i] -= float32(s.a * xv)
+		y[i] -= float32(e.s * xv)
 	}
 }
 
@@ -139,13 +122,5 @@ func (s *subScaledState) runRange(lo, hi int) {
 // the subtraction: LAMB's second sweep (w -= lr·trust·u) and SGD's apply.
 func SubScaled(y, x []float32, a float32) {
 	n := checkSameLen("SubScaled", y, x)
-	s := subScaledPool.Get().(*subScaledState)
-	s.y, s.x, s.a = y, x, a
-	grain := n // under minForkWork: one item, which parallelRun runs inline
-	if n >= minForkWork {
-		grain = max(1, n/(4*MaxWorkers()))
-	}
-	parallelRun(n, grain, s)
-	s.y, s.x = nil, nil
-	subScaledPool.Put(s)
+	ewBodies.run(n, grainFor(n, 1), ewArgs{dst: y, a: x, s: a}, subScaledRange)
 }

@@ -33,7 +33,7 @@ func LayerNormForward(y, x, gamma, beta []float32, mean, invStd []float32, rows,
 	if len(x) != rows*n || len(y) != rows*n || len(gamma) != n || len(beta) != n || len(mean) != rows || len(invStd) != rows {
 		panic(fmt.Sprintf("kernels: LayerNormForward dims rows=%d n=%d", rows, n))
 	}
-	lnBodies.run(rows, n, lnArgs{y: y, x: x, gamma: gamma, beta: beta, mean: mean, invStd: invStd, rows: rows, n: n, eps: eps}, layerNormRange)
+	lnBodies.run(rows, grainFor(rows, n), lnArgs{y: y, x: x, gamma: gamma, beta: beta, mean: mean, invStd: invStd, rows: rows, n: n, eps: eps}, layerNormRange)
 }
 
 // lnArgs are the operands of the LayerNorm kernels' argsPool bodies.
@@ -165,11 +165,11 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 	args := lnArgs{x: x, gamma: gamma, mean: mean, invStd: invStd,
 		dX: dX, dY: dY, dGamma: dGamma, dBeta: dBeta, rows: rows, n: n}
 	// dX: independent per row, parallel over rows.
-	lnBodies.run(rows, n, args, layerNormGradRows)
+	lnBodies.run(rows, grainFor(rows, n), args, layerNormGradRows)
 	// dGamma/dBeta: column reductions, parallel over columns. The fold is
 	// seeded from the existing gradient so splitting the rows across
 	// multiple calls (gradient accumulation) matches one call bitwise.
-	lnBodies.run(n, rows, args, layerNormGradCols)
+	lnBodies.run(n, grainFor(n, rows), args, layerNormGradCols)
 }
 
 func layerNormGradRows(a *lnArgs, lo, hi int) {

@@ -26,14 +26,14 @@ func TestPoolDispatchCounters(t *testing.T) {
 	}
 
 	old := SetMaxWorkers(1)
-	if d := counterDelta(poolInline, func() { parallelFor(1024, heavy, body) }); d != 1 {
+	if d := counterDelta(poolInline, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d != 1 {
 		t.Errorf("serial pool: inline delta %d, want 1", d)
 	}
 	SetMaxWorkers(4)
-	if d := counterDelta(poolDispatches, func() { parallelFor(1024, heavy, body) }); d != 1 {
+	if d := counterDelta(poolDispatches, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d != 1 {
 		t.Errorf("parallel pool: dispatch delta %d, want 1", d)
 	}
-	if d := counterDelta(poolGrains, func() { parallelFor(1024, heavy, body) }); d < 2 {
+	if d := counterDelta(poolGrains, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d < 2 {
 		t.Errorf("parallel pool: grain delta %d, want >= 2", d)
 	}
 	SetMaxWorkers(old)
@@ -54,12 +54,12 @@ func TestPoolHotAndParkCounters(t *testing.T) {
 	// wake every worker this test enlists, whatever ran before (this test
 	// included, under -count).
 	heat.Store(0)
-	body := &funcBody{f: func(lo, hi int) { busyFor(50 * time.Microsecond) }}
+	body := func(lo, hi int) { busyFor(50 * time.Microsecond) }
 	saturate(t, 64, body) // every worker is now inside its window
 
 	hot := counterDelta(poolHotPickups, func() {
 		for i := 0; i < 100; i++ {
-			parallelRun(64, 1, body)
+			parallelFor(64, 1, body)
 		}
 	})
 	// With one P the caller finishes and steals its own handles before a

@@ -659,10 +659,12 @@ func TestAddBiasBiasGradZeroAlloc(t *testing.T) {
 	defer SetMaxWorkers(old)
 	AddBias(x, bias, m, n) // warm the state pools
 	BiasGrad(dB, x, m, n)
-	if avg := testing.AllocsPerRun(10, func() { AddBias(x, bias, m, n) }); avg != 0 {
-		t.Errorf("AddBias allocates %v per op in steady state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(10, func() { BiasGrad(dB, x, m, n) }); avg != 0 {
-		t.Errorf("BiasGrad allocates %v per op in steady state, want 0", avg)
+	for _, ac := range allocCases {
+		if avg := ac.allocs(10, func() { AddBias(x, bias, m, n) }); avg != 0 {
+			t.Errorf("AddBias allocates %v per op %s, want 0", avg, ac.name)
+		}
+		if avg := ac.allocs(10, func() { BiasGrad(dB, x, m, n) }); avg != 0 {
+			t.Errorf("BiasGrad allocates %v per op %s, want 0", avg, ac.name)
+		}
 	}
 }

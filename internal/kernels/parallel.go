@@ -22,7 +22,6 @@ package kernels
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -51,9 +50,8 @@ func SetMaxWorkers(n int) int {
 func MaxWorkers() int { return int(maxWorkers.Load()) }
 
 // blockBody is a unit of parallel work: runRange is invoked with disjoint
-// half-open index ranges, possibly concurrently from several workers.
-// Kernels that need zero-allocation dispatch implement it on a pooled
-// struct; closures go through parallelFor's pooled funcBody wrapper.
+// half-open index ranges, possibly concurrently from several workers. Its
+// one implementation is argsBody, what argsPool.run dispatches.
 type blockBody interface{ runRange(lo, hi int) }
 
 // region is one parallel-for execution shared between the caller and the
@@ -123,8 +121,7 @@ var (
 	// spawned counts live pool workers.
 	spawned atomic.Int64
 
-	regionPool = sync.Pool{New: func() any { return &region{wake: make(chan struct{}, 1)} }}
-	fbPool     = sync.Pool{New: func() any { return new(funcBody) }}
+	regions freeList[region]
 )
 
 // ensureWorkers grows the persistent pool to at least target goroutines.
@@ -310,7 +307,7 @@ func (r *region) join() {
 // pool availability, and nested dispatch (a pool worker calling
 // parallelRun) cannot deadlock even when every worker is itself blocked in
 // a join. With maxWorkers == 1 or a single chunk it runs inline with zero
-// dispatch cost.
+// dispatch cost. Kernels reach it through argsPool.run.
 func parallelRun(n, grain int, body blockBody) {
 	if n <= 0 {
 		return
@@ -332,7 +329,10 @@ func parallelRun(n, grain int, body blockBody) {
 		settle(false) // an idle stretch ends
 	}
 	ensureWorkers(w - 1)
-	r := regionPool.Get().(*region)
+	r := regions.get()
+	if r.wake == nil {
+		r.wake = make(chan struct{}, 1)
+	}
 	r.body, r.n, r.grain = body, n, grain
 	r.next.Store(0)
 enlist:
@@ -350,58 +350,47 @@ enlist:
 	r.drain()
 	r.join()
 	r.body = nil
-	regionPool.Put(r)
+	regions.put(r)
 	if inFlight.Add(-1) == 0 {
 		settle(true) // a busy stretch ends
 	}
 }
 
-// funcBody adapts a closure to blockBody; pooled so parallelFor's only
-// steady-state allocation is the closure itself.
-type funcBody struct{ f func(lo, hi int) }
-
-func (b *funcBody) runRange(lo, hi int) { b.f(lo, hi) }
-
 // minForkWork is the region size, in elements touched, below which a fork
 // costs more than it saves even when the helper is awake: a few
 // microseconds of hand-off against at most a microsecond or two of
-// bandwidth-bound work. Below it parallelFor and SumSquares run inline.
+// bandwidth-bound work.
 const minForkWork = 4096
 
-// parallelFor splits [0, n) into dynamically balanced chunks and runs
-// body(lo, hi) concurrently on the worker pool. per is the number of
-// elements one index stands for (1 for a flat buffer, the row length for a
-// row-wise kernel); regions of fewer than minForkWork elements run inline
-// to avoid dispatch overhead on tiny kernels. The closure escapes to the
-// heap on every call; the kernels on a training step's path use
-// argsPool.run instead, which allocates nothing.
-func parallelFor(n, per int, body func(lo, hi int)) {
-	fb := fbPool.Get().(*funcBody)
-	fb.f = body
-	forChunks(n, per, fb)
-	fb.f = nil
-	fbPool.Put(fb)
-}
-
-// forChunks is the scheduling behind parallelFor and argsPool.run.
-func forChunks(n, per int, body blockBody) {
-	if n <= 0 {
-		return
-	}
+// grainFor is the chunk rule of every kernel without a grain of its own,
+// for n indices that stand for per elements each (1 for a flat buffer, the
+// row length for a row-wise kernel): about four chunks per worker — coarse
+// enough to amortize dispatch, fine enough that an unlucky worker cannot
+// stall the join — and a single chunk, which runs inline, at width 1 or
+// below minForkWork elements.
+func grainFor(n, per int) int {
 	w := int(maxWorkers.Load())
 	if w == 1 || n*per < minForkWork {
-		poolInline.Inc()
-		body.runRange(0, n)
-		return
+		return max(n, 1)
 	}
-	// ~4 chunks per worker: coarse enough to amortize dispatch, fine
-	// enough that an unlucky worker cannot stall the join.
-	parallelRun(n, max(n/(4*w), 1), body)
+	return max(n/(4*w), 1)
+}
+
+// piecesPer is how many pieces each of items work items should be cut
+// into for a region to hold at least perWorker items per worker: 1 at
+// width 1 or when items already suffice. The blocked GEMM cuts the row
+// blocks of a short stripe into column segments with it.
+func piecesPer(items, perWorker int) int {
+	w := int(maxWorkers.Load())
+	if w <= 1 || items >= perWorker*w {
+		return 1
+	}
+	return (perWorker*w + items - 1) / items
 }
 
 // argsBody is a parallel-region body that calls a plain function on
-// operands it holds by value: parallelFor's closure without the closure,
-// whose captured operands would escape to the heap on every call.
+// operands it holds by value. A closure would do the same, but its
+// captured operands escape to the heap on every call.
 type argsBody[A any] struct {
 	args A
 	f    func(a *A, lo, hi int)
@@ -409,23 +398,33 @@ type argsBody[A any] struct {
 
 func (b *argsBody[A]) runRange(lo, hi int) { b.f(&b.args, lo, hi) }
 
-// argsPool pools the bodies of one operand type A; its zero value is
+// argsPool holds the bodies of one operand type A; its zero value is
 // ready to use.
-type argsPool[A any] struct{ p sync.Pool }
+type argsPool[A any] struct{ bodies freeList[argsBody[A]] }
 
-// run is parallelFor for f(&args, lo, hi): the same chunking and inline
-// threshold, and no allocation once the pool holds a body. f must be a
-// top-level function, not a closure.
-func (ap *argsPool[A]) run(n, per int, args A, f func(a *A, lo, hi int)) {
-	b, _ := ap.p.Get().(*argsBody[A])
-	if b == nil {
-		b = new(argsBody[A])
-	}
+// run is the one way a kernel forks: it runs f(&args, lo, hi) over [0, n)
+// in grain-sized chunks on the worker pool (parallelRun), and allocates
+// nothing once the pool holds a body. f must be a top-level function, not
+// a closure. grain is the kernel's own, or grainFor's.
+func (ap *argsPool[A]) run(n, grain int, args A, f func(a *A, lo, hi int)) {
+	b := ap.bodies.get()
 	b.args, b.f = args, f
-	forChunks(n, per, b)
+	parallelRun(n, grain, b)
 	var zero A
 	b.args, b.f = zero, nil
-	ap.p.Put(b)
+	ap.bodies.put(b)
+}
+
+// closures runs closures through the one entry: ParallelRange, the naive
+// GEMM and tests use it. Unlike an args struct, a closure's captures
+// escape to the heap on every call.
+var closures argsPool[func(lo, hi int)]
+
+func callClosure(f *func(lo, hi int), lo, hi int) { (*f)(lo, hi) }
+
+// parallelFor runs body over [0, n) in grain-sized chunks on the pool.
+func parallelFor(n, grain int, body func(lo, hi int)) {
+	closures.run(n, grain, body, callClosure)
 }
 
 // ParallelRange runs body over disjoint half-open ranges that together
@@ -434,4 +433,4 @@ func (ap *argsPool[A]) run(n, per int, args A, f func(a *A, lo, hi int)) {
 // body must compute each element from that element's inputs alone, so the
 // result does not depend on where the ranges are cut or on the worker
 // count. Buffers under minForkWork elements run inline.
-func ParallelRange(n int, body func(lo, hi int)) { parallelFor(n, 1, body) }
+func ParallelRange(n int, body func(lo, hi int)) { parallelFor(n, grainFor(n, 1), body) }

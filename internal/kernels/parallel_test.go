@@ -24,7 +24,7 @@ func TestParallelForCoversExactlyOnce(t *testing.T) {
 		for _, n := range []int{1, 3, 4, 5, 63, 64, 1000, 1021} {
 			old := SetMaxWorkers(w)
 			counts := make([]int32, n)
-			parallelFor(n, heavy, func(lo, hi int) {
+			parallelFor(n, grainFor(n, heavy), func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("w=%d n=%d: bad range [%d,%d)", w, n, lo, hi)
 					return
@@ -51,14 +51,13 @@ func TestParallelRunDynamicChunking(t *testing.T) {
 	defer SetMaxWorkers(old)
 	const n, grain = 1000, 16
 	var calls, covered atomic.Int64
-	fb := &funcBody{f: func(lo, hi int) {
+	parallelFor(n, grain, func(lo, hi int) {
 		if hi-lo > grain {
 			t.Errorf("chunk [%d,%d) exceeds grain %d", lo, hi, grain)
 		}
 		calls.Add(1)
 		covered.Add(int64(hi - lo))
-	}}
-	parallelRun(n, grain, fb)
+	})
 	if covered.Load() != n {
 		t.Fatalf("covered %d of %d indices", covered.Load(), n)
 	}
@@ -77,9 +76,9 @@ func TestParallelNested(t *testing.T) {
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
 	var total atomic.Int64
-	parallelFor(8, heavy, func(lo, hi int) {
+	parallelFor(8, grainFor(8, heavy), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(100, heavy, func(l, h int) {
+			parallelFor(100, grainFor(100, heavy), func(l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -97,11 +96,11 @@ func TestParallelNestedSaturated(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
 	var total atomic.Int64
-	parallelFor(16, heavy, func(lo, hi int) {
+	parallelFor(16, grainFor(16, heavy), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(64, heavy, func(l, h int) {
+			parallelFor(64, grainFor(64, heavy), func(l, h int) {
 				for j := l; j < h; j++ {
-					parallelFor(32, heavy, func(l2, h2 int) {
+					parallelFor(32, grainFor(32, heavy), func(l2, h2 int) {
 						total.Add(int64(h2 - l2))
 					})
 				}
@@ -126,9 +125,9 @@ func TestParallelNestedConcurrentRoots(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var total atomic.Int64
-			parallelFor(8, heavy, func(lo, hi int) {
+			parallelFor(8, grainFor(8, heavy), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					parallelFor(50, heavy, func(l, h int) {
+					parallelFor(50, grainFor(50, heavy), func(l, h int) {
 						total.Add(int64(h - l))
 					})
 				}
@@ -192,23 +191,23 @@ func TestSetMaxWorkersConcurrent(t *testing.T) {
 
 // TestSumSquaresInlineFallbackCoversAllSlots pins the contract that lets
 // SumSquares survive a concurrent worker retune: when parallelRun falls
-// back to the inline path it delivers one range spanning every grain, and
-// runRange must overwrite every partial slot — stale values left in the
+// back to the inline path it delivers one range spanning every block, and
+// sumSqRange must overwrite every partial slot — stale values left in the
 // pooled slice by a previous call must not leak into the reduction.
 func TestSumSquaresInlineFallbackCoversAllSlots(t *testing.T) {
-	const n, grain = 10_000, 2048
+	const n = 10_000
 	x := make([]float32, n)
 	for i := range x {
 		x[i] = 1
 	}
-	chunks := (n + grain - 1) / grain
-	s := &sumSqState{x: x, grain: grain, part: make([]float64, chunks)}
-	for i := range s.part {
-		s.part[i] = 1e9 // poison: any slot not rewritten corrupts the sum
+	chunks := (n + sumSqBlock - 1) / sumSqBlock
+	part := make([]float64, chunks)
+	for i := range part {
+		part[i] = 1e9 // poison: any slot not rewritten corrupts the sum
 	}
-	s.runRange(0, n)
+	sumSqBodies.run(chunks, chunks, sumSqArgs{x: x, part: part}, sumSqRange) // one chunk: inline
 	var sum float64
-	for _, p := range s.part {
+	for _, p := range part {
 		sum += p
 	}
 	if sum != n {
@@ -261,13 +260,13 @@ func busyFor(d time.Duration) {
 
 // saturate runs body's region back to back until the pool counts as
 // saturated, which is when its workers start to stay hot.
-func saturate(tb testing.TB, n int, body blockBody) {
+func saturate(tb testing.TB, n int, body func(lo, hi int)) {
 	tb.Helper()
 	for start := time.Now(); !poolSaturated(); {
 		if time.Since(start) > 10*heatCap {
 			tb.Fatalf("pool not saturated after %v of back-to-back regions", 10*heatCap)
 		}
-		parallelRun(n, 1, body)
+		parallelFor(n, 1, body)
 	}
 }
 
@@ -283,11 +282,11 @@ func BenchmarkForkJoin(b *testing.B) {
 	const item = 100 * time.Microsecond
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
-	body := &funcBody{f: func(lo, hi int) {
+	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			busyFor(item)
 		}
-	}}
+	}
 	for _, bc := range []struct {
 		name string
 		gap  time.Duration
@@ -297,7 +296,7 @@ func BenchmarkForkJoin(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				busyFor(bc.gap)
-				parallelRun(2, 1, body)
+				parallelFor(2, 1, body)
 			}
 			perOp := float64(b.Elapsed()) / float64(b.N)
 			b.ReportMetric((perOp-float64(item+bc.gap))/1e3, "overhead_us/op")
@@ -310,9 +309,7 @@ func BenchmarkForkJoin(b *testing.B) {
 // parked: the retirer must wake it, exactly once. Retired first, nobody is
 // parked and no wake-up may be left behind in the recycled region.
 func TestJoinParksAndWakes(t *testing.T) {
-	r := regionPool.Get().(*region)
-	r.body, r.n, r.grain = &funcBody{f: func(lo, hi int) {}}, 0, 1
-	defer regionPool.Put(r)
+	r := &region{grain: 1, wake: make(chan struct{}, 1)} // n = 0: help never runs a body
 
 	r.state.Store(1)
 	go func() {
@@ -352,7 +349,7 @@ func cpuTime(t *testing.T) time.Duration {
 func TestPoolParksWhenIdle(t *testing.T) {
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
-	body := &funcBody{f: func(lo, hi int) { busyFor(20 * time.Microsecond) }}
+	body := func(lo, hi int) { busyFor(20 * time.Microsecond) }
 	saturate(t, 2, body)
 	time.Sleep(20 * hotWindow)
 	const idle = 50 * time.Millisecond
@@ -371,13 +368,13 @@ func TestPoolParksWhenIdle(t *testing.T) {
 func TestPoolColdWhenSparse(t *testing.T) {
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
-	body := &funcBody{f: func(lo, hi int) { busyFor(20 * time.Microsecond) }}
+	body := func(lo, hi int) { busyFor(20 * time.Microsecond) }
 	// Whatever heat earlier tests left drains with the first region.
 	time.Sleep(heatCap/idleWeight + 50*time.Millisecond)
 	hot := counterDelta(poolHotPickups, func() {
 		for burst := 0; burst < 30; burst++ {
 			for i := 0; i < 40; i++ {
-				parallelRun(2, 1, body)
+				parallelFor(2, 1, body)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

@@ -1,7 +1,5 @@
 package kernels
 
-import "sync"
-
 // The float64 sum of squares is one fixed fold, whatever the ISA and the
 // worker count: the input is cut into sumSqBlock-element blocks; inside a
 // block element i adds its square to lane i mod 8 of eight float64 lanes,
@@ -47,35 +45,23 @@ func sumSqFold(x []float32) float64 {
 	return s
 }
 
-// sumSqState is the pooled parallel-region body of SumSquares. Each
-// grain-sized block writes its partial into a fixed slot (indexed by
-// lo/grain), and the caller reduces the slots in order, so the result is
-// deterministic no matter how the pool schedules chunks. grain is the fold
-// block, not the dispatch chunk: a chunk is several whole blocks.
-type sumSqState struct {
-	x     []float32
-	grain int
-	part  []float64
+// sumSqArgs are SumSquares' operands: item b folds block b of x into
+// part[b], a fixed slot, and the caller adds the slots in order, so the
+// result does not depend on how the pool schedules chunks.
+type sumSqArgs struct {
+	x    []float32
+	part []float64
 }
 
-var sumSqPool = sync.Pool{New: func() any { return new(sumSqState) }}
+var sumSqBodies argsPool[sumSqArgs]
 
-// runRange must handle ranges spanning several grains, one slot per grain:
-// a dispatch chunk is several blocks, and when parallelRun runs inline it
-// delivers [0, n) in a single call; every slot of the pooled part slice
-// must be (re)written or stale partials from a previous call would leak
-// into the sum.
-func (s *sumSqState) runRange(lo, hi int) {
-	g := s.grain
-	for start := lo; start < hi; start += g {
-		s.part[start/g] = sumSqFold(s.x[start:min(start+g, hi)])
+// sumSqRange must write one slot per block of its range: when the region
+// runs inline it delivers every block in a single call, and a slot left
+// unwritten would leak a stale partial from a previous call into the sum.
+func sumSqRange(a *sumSqArgs, lo, hi int) {
+	for b := lo; b < hi; b++ {
+		a.part[b] = sumSqFold(a.x[b*sumSqBlock : min((b+1)*sumSqBlock, len(a.x))])
 	}
-}
-
-// foldChunk is how many fold blocks one pool work item carries: about
-// four items per worker, as in parallelFor.
-func foldChunk(blocks int) int {
-	return max(1, blocks/(4*MaxWorkers()))
 }
 
 // SumSquares returns sum(x[i]^2) in float64 for accuracy; it is the
@@ -89,18 +75,12 @@ func SumSquares(x []float32) float64 {
 		return sumSqFold(x)
 	}
 	blocks := (n + sumSqBlock - 1) / sumSqBlock
-	s := sumSqPool.Get().(*sumSqState)
-	s.x, s.grain = x, sumSqBlock
-	if cap(s.part) < blocks {
-		s.part = make([]float64, blocks)
-	}
-	s.part = s.part[:blocks]
-	parallelRun(n, foldChunk(blocks)*sumSqBlock, s)
+	p := getPartials(blocks)
+	sumSqBodies.run(blocks, grainFor(blocks, sumSqBlock), sumSqArgs{x: x, part: *p}, sumSqRange)
 	var sum float64
-	for _, p := range s.part {
-		sum += p
+	for _, v := range *p {
+		sum += v
 	}
-	s.x = nil
-	sumSqPool.Put(s)
+	f64Partials.put(p)
 	return sum
 }

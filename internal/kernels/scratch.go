@@ -5,21 +5,41 @@ import (
 	"sync"
 )
 
-// f32Scratch hands out reusable float32 buffers for GEMM pack panels and
-// attention tiles, one free list per power-of-two capacity, so
-// steady-state training — which issues the same GEMM shapes every
-// iteration — does zero per-call allocation after warm-up. The lists are
-// plain stacks, not sync.Pools: a pool drops its contents at every garbage
-// collection and hides a buffer returned on one P from a request on
-// another, which under a collection per training step cost a few MiB of
-// fresh panels per step. A list holds at most the buffers that were ever
-// in use at once.
-var f32Scratch [bits.UintSize]scratchList
-
-type scratchList struct {
+// freeList is the one pooling primitive of the package: a mutex-guarded
+// stack of reusable objects, behind the region handles, the argsPool
+// bodies, the reduction partials and the f32 scratch classes. Its zero
+// value is ready to use, and get returns a zero T when the stack is empty.
+// A list holds at most the objects that were ever in use at once and keeps
+// them across garbage collections; DESIGN.md §6 says why that, and not the
+// standard library's pool, is what a step needs.
+type freeList[T any] struct {
 	mu   sync.Mutex
-	free []*[]float32
+	free []*T
 }
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	if k := len(l.free); k > 0 {
+		x := l.free[k-1]
+		l.free = l.free[:k-1]
+		l.mu.Unlock()
+		return x
+	}
+	l.mu.Unlock()
+	return new(T)
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
+// f32Scratch hands out reusable float32 buffers for GEMM pack panels, edge
+// micro-tiles and attention tiles, one free list per power-of-two
+// capacity, so steady-state training — which issues the same GEMM shapes
+// every iteration — does zero per-call allocation after warm-up.
+var f32Scratch [bits.UintSize]freeList[[]float32]
 
 const scratchMin = 1 << 12 // smallest capacity handed out: 4096 floats (16 KiB)
 
@@ -30,25 +50,26 @@ func scratchClass(n int) int { return bits.Len(uint(max(n, scratchMin) - 1)) }
 // getScratch returns a buffer of length n (contents undefined).
 func getScratch(n int) *[]float32 {
 	c := scratchClass(n)
-	l := &f32Scratch[c]
-	var s *[]float32
-	l.mu.Lock()
-	if k := len(l.free); k > 0 {
-		s = l.free[k-1]
-		l.free = l.free[:k-1]
-	}
-	l.mu.Unlock()
-	if s == nil {
-		s = new([]float32)
+	s := f32Scratch[c].get()
+	if *s == nil {
 		*s = make([]float32, 1<<c)
 	}
 	*s = (*s)[:n]
 	return s
 }
 
-func putScratch(s *[]float32) {
-	l := &f32Scratch[scratchClass(cap(*s))]
-	l.mu.Lock()
-	l.free = append(l.free, s)
-	l.mu.Unlock()
+func putScratch(s *[]float32) { f32Scratch[scratchClass(cap(*s))].put(s) }
+
+// f64Partials holds the per-block partial sums of SumSquares and
+// LAMBStage1.
+var f64Partials freeList[[]float64]
+
+// getPartials returns a buffer of length n (contents undefined).
+func getPartials(n int) *[]float64 {
+	p := f64Partials.get()
+	if cap(*p) < n {
+		*p = make([]float64, n)
+	}
+	*p = (*p)[:n]
+	return p
 }

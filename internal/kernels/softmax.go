@@ -59,7 +59,7 @@ func Softmax(dst, x []float32, rows, n int) {
 	if len(x) != rows*n || len(dst) != rows*n {
 		panic(fmt.Sprintf("kernels: Softmax dims x=%d dst=%d rows=%d n=%d", len(x), len(dst), rows, n))
 	}
-	rowBodies.run(rows, n, rowArgs{dst: dst, x: x, n: n}, softmaxRange)
+	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dst, x: x, n: n}, softmaxRange)
 }
 
 func softmaxRange(ra *rowArgs, lo, hi int) {
@@ -77,7 +77,7 @@ func SoftmaxGrad(dX, dY, y []float32, rows, n int) {
 	if len(dX) != rows*n || len(dY) != rows*n || len(y) != rows*n {
 		panic("kernels: SoftmaxGrad dims mismatch")
 	}
-	rowBodies.run(rows, n, rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
+	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
 }
 
 func softmaxGradRange(ra *rowArgs, lo, hi int) {

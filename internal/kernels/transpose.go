@@ -12,7 +12,7 @@ func SplitHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: SplitHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	rowBodies.run(b*n, dModel, rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, splitHeadsRange)
+	rowBodies.run(b*n, grainFor(b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, splitHeadsRange)
 }
 
 func splitHeadsRange(ra *rowArgs, lo, hi int) {
@@ -35,7 +35,7 @@ func MergeHeads(dst, x []float32, b, n, heads, dHead int) {
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: MergeHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	rowBodies.run(b*n, dModel, rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, mergeHeadsRange)
+	rowBodies.run(b*n, grainFor(b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, mergeHeadsRange)
 }
 
 func mergeHeadsRange(ra *rowArgs, lo, hi int) {

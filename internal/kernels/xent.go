@@ -77,7 +77,7 @@ func CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, cl
 		return
 	}
 	inv := 1 / float32(count)
-	rowBodies.run(rows, classes, rowArgs{dst: dLogits, x: probs, targets: targets, s: inv, n: classes}, xentGradRange)
+	rowBodies.run(rows, grainFor(rows, classes), rowArgs{dst: dLogits, x: probs, targets: targets, s: inv, n: classes}, xentGradRange)
 }
 
 func xentGradRange(ra *rowArgs, lo, hi int) {

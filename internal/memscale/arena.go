@@ -53,8 +53,7 @@ type Arena struct {
 
 	mu   sync.Mutex
 	size int64
-
-	scratch sync.Pool // encode/decode chunks, *[]byte
+	free [][]byte // encode/decode chunks not in use, guarded by mu
 }
 
 // arenaChunk is the encode/decode granularity: large enough to amortize
@@ -70,12 +69,28 @@ func NewArena(dir string) (*Arena, error) {
 		return nil, fmt.Errorf("memscale: creating arena: %w", err)
 	}
 	os.Remove(f.Name()) // keep the fd, drop the name
-	a := &Arena{f: f}
-	a.scratch.New = func() any {
-		b := make([]byte, arenaChunk)
-		return &b
+	return &Arena{f: f}, nil
+}
+
+// chunk takes an encode/decode chunk off the free list, or makes one. The
+// list is a plain stack, not the standard library's pool: it holds at
+// most one chunk per Read or Write that ever ran at once, and neither a
+// collection nor the race detector drops one.
+func (a *Arena) chunk() []byte {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if k := len(a.free); k > 0 {
+		b := a.free[k-1]
+		a.free = a.free[:k-1]
+		return b
 	}
-	return a, nil
+	return make([]byte, arenaChunk)
+}
+
+func (a *Arena) release(b []byte) {
+	a.mu.Lock()
+	a.free = append(a.free, b)
+	a.mu.Unlock()
 }
 
 // Region addresses one allocated block: a byte offset and element count.
@@ -109,8 +124,8 @@ func (a *Arena) Write(r Region, src []float32) error {
 		return fmt.Errorf("memscale: writing %d elems into region of %d", len(src), r.elems)
 	}
 	start := time.Now()
-	bp := a.scratch.Get().(*[]byte)
-	buf := *bp
+	buf := a.chunk()
+	defer a.release(buf)
 	off := r.off
 	for len(src) > 0 {
 		n := len(src)
@@ -121,13 +136,11 @@ func (a *Arena) Write(r Region, src []float32) error {
 			binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
 		}
 		if _, err := a.f.WriteAt(buf[:4*n], off); err != nil {
-			a.scratch.Put(bp)
 			return fmt.Errorf("memscale: arena write at %d: %w", off, err)
 		}
 		src = src[n:]
 		off += int64(4 * n)
 	}
-	a.scratch.Put(bp)
 	spillBytesWritten.Add(int64(r.elems) * 4)
 	spillStallNS.Add(int64(time.Since(start)))
 	return nil
@@ -140,8 +153,8 @@ func (a *Arena) Read(r Region, dst []float32) error {
 		return fmt.Errorf("memscale: reading %d elems from region of %d", len(dst), r.elems)
 	}
 	start := time.Now()
-	bp := a.scratch.Get().(*[]byte)
-	buf := *bp
+	buf := a.chunk()
+	defer a.release(buf)
 	off := r.off
 	for len(dst) > 0 {
 		n := len(dst)
@@ -149,7 +162,6 @@ func (a *Arena) Read(r Region, dst []float32) error {
 			n = arenaChunk / 4
 		}
 		if _, err := a.f.ReadAt(buf[:4*n], off); err != nil {
-			a.scratch.Put(bp)
 			return fmt.Errorf("memscale: arena read at %d: %w", off, err)
 		}
 		for i := range dst[:n] {
@@ -158,7 +170,6 @@ func (a *Arena) Read(r Region, dst []float32) error {
 		dst = dst[n:]
 		off += int64(4 * n)
 	}
-	a.scratch.Put(bp)
 	spillBytesRead.Add(int64(r.elems) * 4)
 	spillStallNS.Add(int64(time.Since(start)))
 	return nil

@@ -15,9 +15,11 @@ import (
 // activation from the context's workspace, reuse each slot's tensor header
 // while shapes repeat, dispatch every kernel through pooled bodies, and
 // clear the gradients in one pooled region — so the step allocates nothing,
-// and its bytes stay far below one [B·n, d] activation. It covers a
-// pre-training and a fine-tuning step; serving's forward has its own pin
-// (internal/serve).
+// and its bytes stay far below one [B·n, d] activation. A garbage
+// collection just before the step, which bench/ runs before every measured
+// step, costs it nothing either: the kernels' pooled objects live in free
+// lists that a collection leaves alone. It covers a pre-training and a
+// fine-tuning step; serving's forward has its own pin (internal/serve).
 func TestTrainingStepAllocationPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -60,6 +62,16 @@ func TestTrainingStepAllocationPin(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
 			t.Errorf("%s: a warmed step allocates %v objects, want 0", s.name, allocs)
 		}
+		// The step itself allocates nothing after a collection either,
+		// but the collection wakes the runtime's own goroutines, and now
+		// and then one of them allocates inside the measured window (the
+		// background scavenger growing the timer heap as it re-arms its
+		// timer): one object in one of a few hundred steps. A kernel pool
+		// that the collection emptied would cost at least one object on
+		// every step.
+		if allocs := allocsAfterCollection(10, step); allocs >= 1 {
+			t.Errorf("%s: a warmed step right after a collection allocates %v objects, want under 1", s.name, allocs)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		const runs = 10
@@ -72,4 +84,21 @@ func TestTrainingStepAllocationPin(t *testing.T) {
 				s.name, per, activation/8, activation)
 		}
 	}
+}
+
+// allocsAfterCollection is testing.AllocsPerRun with runtime.GC() before
+// every run, the mallocs counted around f only.
+func allocsAfterCollection(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i < runs; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	return float64(mallocs) / float64(runs)
 }

@@ -551,9 +551,6 @@ func TestWarmupCoversInferencePath(t *testing.T) {
 // cost hundreds of KiB even at this reduced scale (about 14 MB per batch
 // at serve_sat's).
 func TestServedBatchAllocationGuard(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops pooled scratch at random under -race")
-	}
 	e := newTestEngine(t, testConfig())
 	req := testRequest(e.cfg.Model.MaxPos, 1)
 	submit := func() {
