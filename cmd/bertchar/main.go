@@ -1,27 +1,38 @@
-// Command bertchar regenerates the paper's single-device characterization
-// artifacts — Table 2b and Figures 3, 4, 6, 7, 8, 9, 12a, 12b, the
-// checkpointing study, the NMC study, the Section 7 run-mode comparison,
-// and the Table 1 takeaway checks — from the calibrated analytical model.
+// Command bertchar is the front end of the calibrated analytical model: it
+// regenerates the paper's characterization artifacts — Table 2b and
+// Figures 3, 4, 6, 7, 8, 9, 11, 12a, 12b, the checkpointing study, the
+// NMC study, the Section 7 run-mode comparison, and the Table 1 takeaway
+// checks — sweeps one hyperparameter of a workload (Section 3.3), profiles
+// custom data-parallel and tensor-sliced setups (Sections 5, 6.2.3), and
+// exports a workload's modeled breakdown.
 //
 // Usage:
 //
 //	bertchar [-artifact all|table2b|fig3|...|takeaways]
 //	         [-model large|base|megatron|gpt]
-//	         [-compute X] [-bandwidth X]
-//	bertchar -export json|csv [-phase 1|2] [-b N] [-mp]
+//	         [-compute X] [-bandwidth X] [-link X]
+//	bertchar -sweep layers|batch|seqlen [-values V1,V2,...] [-b N] [-mp]
+//	bertchar -dp D [-zero] [-no-overlap] [-b N] [-mp]
+//	bertchar -ts M [-in-network] [-b N] [-mp]
+//	bertchar -export json|csv [-phase 1|2] [-b N] [-mp] [-sweep ...]
 //	bertchar -large [-debug-addr HOST:PORT]
 //
-// The -compute and -bandwidth flags scale the device model to project
-// hypothetical accelerator improvements (Section 5.1); -export emits one
-// workload's machine-readable breakdown for plotting pipelines (with the
-// live runtime-counter snapshot embedded).
+// -model, -phase, -b and -mp define the workload that -sweep, -dp, -ts
+// and -export act on. The -compute, -bandwidth and -link flags scale the
+// device model to project hypothetical accelerator and interconnect
+// improvements (Section 5.1); they apply to every mode. -export writes
+// the modeled breakdown in the per-step record schema bertprof writes for
+// measured steps (obs.StepRecord): one record for the workload, or one
+// per -sweep point, as JSON lines closed by the runtime-counter snapshot,
+// or as CSV category rows.
 //
 // The reduced-scale run on the real engine is bertprof's job (bertprof
-// -iters N -metrics-jsonl FILE streams the per-step telemetry). -large
-// executes one honest BERT-Large iteration here (see large.go); it runs
-// for minutes, so -debug-addr serves the runtime counters (pack-cache hit
-// rate, worker-pool dispatch/steal counts, spill traffic) as Prometheus
-// text plus expvar and pprof while it does.
+// -iters N -metrics-jsonl FILE streams the per-step telemetry), and real
+// multi-process training is bertdist's. -large executes one honest
+// BERT-Large iteration here (see large.go); it runs for minutes, so
+// -debug-addr serves the runtime counters (pack-cache hit rate,
+// worker-pool dispatch/steal counts, spill traffic) as Prometheus text
+// plus expvar and pprof while it does.
 //
 // The cross-path numerics audit is a test suite: go test ./internal/audit/.
 package main
@@ -35,7 +46,6 @@ import (
 
 	"demystbert"
 	"demystbert/internal/obs"
-	"demystbert/internal/report"
 	"demystbert/internal/runutil"
 )
 
@@ -50,10 +60,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	modelName := fs.String("model", "large", "model config: large, base, megatron, or gpt")
 	computeX := fs.Float64("compute", 1, "scale device compute throughput")
 	bwX := fs.Float64("bandwidth", 1, "scale device memory bandwidth")
-	export := fs.String("export", "", "export one workload's breakdown as 'json' or 'csv' instead of rendering artifacts")
-	phase := fs.Int("phase", 1, "pre-training phase for -export (1: n=128, 2: n=512)")
-	batch := fs.Int("b", 32, "mini-batch size for -export")
-	mp := fs.Bool("mp", false, "mixed precision for -export")
+	linkX := fs.Float64("link", 1, "scale device interconnect bandwidth")
+	phase := fs.Int("phase", 1, "pre-training phase of the workload (1: n=128, 2: n=512)")
+	batch := fs.Int("b", 32, "per-device mini-batch size of the workload")
+	mp := fs.Bool("mp", false, "mixed-precision workload")
+	var mf modeFlags
+	fs.StringVar(&mf.export, "export", "", "write the workload's modeled breakdown (one record per -sweep point with -sweep) as 'json' lines or 'csv' instead of rendering")
+	fs.StringVar(&mf.sweep, "sweep", "", "sweep one hyperparameter of the workload: layers, batch, or seqlen")
+	fs.StringVar(&mf.values, "values", "", "comma-separated -sweep points (default: a per-sweep set)")
+	fs.IntVar(&mf.dp, "dp", 0, "profile D-way data parallelism of the workload (0 = off)")
+	fs.BoolVar(&mf.zero, "zero", false, "with -dp: ZeRO-style reduced-gradient data parallelism")
+	fs.BoolVar(&mf.noOverlap, "no-overlap", false, "with -dp: no compute/communication overlap")
+	fs.IntVar(&mf.ts, "ts", 0, "profile m-way tensor slicing of the workload (0 = off)")
+	fs.BoolVar(&mf.inNetwork, "in-network", false, "with -ts: in-network AllReduce (Section 6.2.3)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
 	large := fs.Bool("large", false, "execute one honest memory-scaled BERT-Large training iteration for real and report the per-category breakdown")
 	var lf largeFlags
@@ -101,9 +120,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	dev := demystbert.MI100()
-	if *computeX != 1 || *bwX != 1 {
-		dev = dev.Scale(*computeX, *bwX, 1)
-		fmt.Fprintf(stdout, "device: %s (compute x%.2f, bandwidth x%.2f)\n", dev.Name, *computeX, *bwX)
+	if *computeX != 1 || *bwX != 1 || *linkX != 1 {
+		dev = dev.Scale(*computeX, *bwX, *linkX)
+		fmt.Fprintf(stdout, "device: %s (compute x%.2f, bandwidth x%.2f, link x%.2f)\n", dev.Name, *computeX, *bwX, *linkX)
 	}
 
 	if *large {
@@ -114,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *export != "" {
+	if mf.active() {
 		prec := demystbert.FP32
 		if *mp {
 			prec = demystbert.Mixed
@@ -123,17 +142,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *phase == 2 {
 			w = demystbert.Phase2(cfg, *batch, prec)
 		}
-		r := demystbert.Characterize(w, dev)
-		var err error
-		switch *export {
-		case "json":
-			err = report.WriteJSONExport(stdout, report.ExportWithRuntime(r, obs.Default.Snapshot()))
-		case "csv":
-			err = report.WriteCSV(stdout, r)
-		default:
-			err = fmt.Errorf("unknown export format %q (json|csv)", *export)
-		}
-		if err != nil {
+		if err := mf.run(stdout, w, dev); err != nil {
 			fmt.Fprintf(stderr, "bertchar: %v\n", err)
 			return 2
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -56,17 +57,72 @@ func TestRunDeviceScaling(t *testing.T) {
 	}
 }
 
-func TestRunExportJSON(t *testing.T) {
-	out, _, code := runCmd(t, "-export", "json", "-b", "4")
+// exportLines runs a JSON export and decodes its records; the last line
+// must be the registry snapshot.
+func exportLines(t *testing.T, args ...string) []map[string]any {
+	t.Helper()
+	out, errOut, code := runCmd(t, append([]string{"-export", "json"}, args...)...)
 	if code != 0 {
-		t.Fatalf("exit code %d", code)
+		t.Fatalf("exit code %d: %s", code, errOut)
 	}
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(out), &decoded); err != nil {
-		t.Fatalf("export not valid JSON: %v", err)
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	var final map[string]any
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil || final["final_metrics"] == nil {
+		t.Fatalf("last line is not the registry snapshot (%v): %.200s", err, lines[len(lines)-1])
 	}
-	if decoded["workload"] != "Ph1-B4-FP32" {
-		t.Fatalf("workload %v", decoded["workload"])
+	var recs []map[string]any
+	for i, line := range lines[:len(lines)-1] {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("line %d not valid JSON: %v", i+1, err)
+		}
+		if rec["step"] != float64(i+1) || rec["loss"] != float64(0) || rec["tokens_per_sec"] == float64(0) {
+			t.Fatalf("line %d is not a modeled step record: %.300s", i+1, line)
+		}
+		cats, ok := rec["categories"].([]any)
+		if !ok || len(cats) == 0 {
+			t.Fatalf("line %d has no categories", i+1)
+		}
+		for _, key := range []string{"category", "kernels", "time_ms", "achieved_gflops", "achieved_gbs", "peak_flop_frac", "peak_mem_frac"} {
+			if _, ok := cats[0].(map[string]any)[key]; !ok {
+				t.Fatalf("line %d: category row missing %q: %v", i+1, key, cats[0])
+			}
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// The workload export is one obs.StepRecord, the schema bertprof writes
+// for measured steps.
+func TestRunExportJSON(t *testing.T) {
+	recs := exportLines(t, "-b", "4")
+	if len(recs) != 1 || recs[0]["tokens"] != float64(4*128) {
+		t.Fatalf("want one record of 4x128 tokens, got %v", recs)
+	}
+}
+
+// A -dp run exports the per-device workload record it profiles, the
+// record bertdist's modeled -metrics-jsonl wrote.
+func TestRunExportDP(t *testing.T) {
+	recs := exportLines(t, "-dp", "64")
+	if len(recs) != 1 || recs[0]["tokens"] != float64(32*128) {
+		t.Fatalf("want one per-device record of 32x128 tokens, got %v", recs)
+	}
+}
+
+// With no workload flags the export is the default phase-1 B=32 record.
+func TestRunExportDefaultWorkload(t *testing.T) {
+	recs := exportLines(t)
+	if len(recs) != 1 || recs[0]["tokens"] != float64(32*128) {
+		t.Fatalf("want one record of 32x128 tokens, got %v", recs)
+	}
+}
+
+func TestRunExportSweep(t *testing.T) {
+	recs := exportLines(t, "-sweep", "batch", "-values", "4,8")
+	if len(recs) != 2 || recs[0]["tokens"] != float64(4*128) || recs[1]["tokens"] != float64(8*128) {
+		t.Fatalf("want one record per sweep point, got %v", recs)
 	}
 }
 
@@ -75,18 +131,81 @@ func TestRunExportCSV(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
-	if !strings.HasPrefix(out, "workload,device,category") || !strings.Contains(out, "Ph2-B32-FP16") {
-		t.Fatalf("CSV export malformed:\n%s", out[:min(200, len(out))])
+	rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV export invalid: %v", err)
+	}
+	want := []string{"step", "category", "kernels", "time_ms", "gflops", "gbytes",
+		"achieved_gflops", "achieved_gbs", "peak_flop_frac", "peak_mem_frac"}
+	if strings.Join(rows[0], ",") != strings.Join(want, ",") || len(rows) < 2 || rows[1][0] != "1" {
+		t.Fatalf("CSV export malformed:\n%s", out[:min(300, len(out))])
 	}
 }
 
+// The runtime counters ride the export's closing line, as they close
+// bertprof's measured stream.
 func TestRunExportJSONCarriesRuntime(t *testing.T) {
 	out, _, code := runCmd(t, "-export", "json", "-b", "4")
 	if code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
-	if !strings.Contains(out, "runtime_metrics") {
-		t.Fatal("JSON export must embed the runtime metric snapshot")
+	if !strings.Contains(out, `{"final_metrics":[{"name":`) {
+		t.Fatal("JSON export must close with the runtime metric snapshot")
+	}
+}
+
+// The modes that act on one workload (sweeps, multi-device profiles)
+// and the Section 3.3 and 5 figures they extend.
+func TestRunModeled(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		lines int // 0: not checked
+		want  []string
+	}{
+		{"fig8", []string{"-artifact", "fig8"}, 0, []string{"Figure 8"}},
+		{"fig9", []string{"-artifact", "fig9"}, 0, []string{"C3 (Megatron-like)"}},
+		{"fig11", []string{"-artifact", "fig11"}, 0, []string{"Figure 11", "S1", "D1", "D2", "T1", "T2"}},
+		{"sweep_batch", []string{"-sweep", "batch", "-values", "4,8"}, 3, []string{"tokens/s", "LAMB%"}},
+		{"sweep_layers_defaults", []string{"-sweep", "layers"}, 5, nil},
+		{"sweep_seqlen_mp", []string{"-sweep", "seqlen", "-values", "128,512", "-mp"}, 3, nil},
+		{"dp_no_overlap", []string{"-dp", "64", "-b", "32", "-no-overlap"}, 6, []string{"DP-64 B=32", "Comm"}},
+		{"zero", []string{"-dp", "128", "-zero"}, 6, []string{"ZeRO-128 B=32"}},
+		{"ts_ring", []string{"-ts", "8", "-b", "64"}, 6, []string{"TS-8-way B=64", "Comm"}},
+		{"ts_in_network", []string{"-ts", "8", "-b", "64", "-in-network"}, 6, []string{"(in-network)", "Comm"}},
+		{"ts_link_mp", []string{"-ts", "2", "-mp", "-link", "4"}, 7, []string{"link x4.00", "TS-2-way"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, errOut, code := runCmd(t, tc.args...)
+			if code != 0 {
+				t.Fatalf("exit code %d: %s", code, errOut)
+			}
+			if n := strings.Count(out, "\n"); tc.lines > 0 && n != tc.lines {
+				t.Fatalf("%d lines, want %d:\n%s", n, tc.lines, out)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(out, w) {
+					t.Errorf("output missing %q:\n%.400s", w, out)
+				}
+			}
+		})
+	}
+}
+
+func TestRunBadSweep(t *testing.T) {
+	if _, errOut, code := runCmd(t, "-sweep", "nonsense"); code != 2 || errOut == "" {
+		t.Errorf("exit %d, stderr %q; want 2 and a message", code, errOut)
+	}
+}
+
+func TestRunBadValues(t *testing.T) {
+	for _, args := range [][]string{
+		{"-sweep", "batch", "-values", "4,x"},
+		{"-sweep", "batch", "-values", "-3"},
+	} {
+		if _, errOut, code := runCmd(t, args...); code != 2 || errOut == "" {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and a message", args, code, errOut)
+		}
 	}
 }
 
@@ -94,6 +213,13 @@ func TestRunDebugAddr(t *testing.T) {
 	out, _, code := runCmd(t, "-artifact", "fig3", "-debug-addr", "127.0.0.1:0")
 	if code != 0 || !strings.Contains(out, "debug server: http://127.0.0.1:") {
 		t.Fatalf("debug server did not start: code %d\n%s", code, out[:min(200, len(out))])
+	}
+}
+
+func TestRunSweepDebugAddr(t *testing.T) {
+	out, _, code := runCmd(t, "-sweep", "batch", "-values", "4", "-debug-addr", "127.0.0.1:0")
+	if code != 0 || !strings.Contains(out, "debug server: http://127.0.0.1:") || !strings.Contains(out, "tokens/s") {
+		t.Fatalf("sweep with debug server failed: code %d\n%s", code, out)
 	}
 }
 

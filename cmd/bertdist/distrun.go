@@ -1,7 +1,6 @@
 package main
 
-// Real multi-process data-parallel training (internal/distnet), driven
-// from the same binary that renders the analytical Fig. 11 profiles:
+// Real multi-process data-parallel training (internal/distnet):
 //
 //	bertdist -launch 2 -steps 6            # fork 2 loopback ranks, train
 //	bertdist -rank 1 -world 2 -addr H:P    # one rank, joined manually
@@ -77,6 +76,7 @@ func (tf *trainFlags) register(fs *flag.FlagSet) {
 	fs.Uint64Var(&tf.seed, "seed", 7, "model/data seed (identical across ranks)")
 	fs.Float64Var(&tf.drop, "drop", -1, "dropout override (<0 keeps the config default)")
 	fs.BoolVar(&tf.fixedData, "fixed-data", false, "repeat the first batch every step (convergence smoke)")
+	fs.BoolVar(&tf.noOverlap, "no-overlap", false, "all-reduce after the backward pass instead of overlapping it")
 	fs.BoolVar(&tf.zero1, "zero1", false, "shard optimizer state ZeRO-1 style: each rank keeps m/v for its shard only and all-gathers updated weights")
 	fs.DurationVar(&tf.netTimeout, "net-timeout", 30*time.Second, "handshake and per-frame I/O deadline")
 	fs.BoolVar(&tf.trace, "trace", false, "record per-step spans on every rank; rank 0 merges them clock-aligned and reports per-step stragglers")

@@ -12,13 +12,13 @@
 //	         [-metrics-jsonl FILE] [-debug-addr HOST:PORT]
 //
 // -metrics-jsonl streams one JSON record per training step (loss,
-// tokens/s, per-category achieved GFLOP/s and GB/s against the MI100
-// roofline); -debug-addr serves live Prometheus-text runtime counters,
-// expvar, and pprof while the run is in flight. -trace writes the
-// measured iterations as a Chrome/Perfetto timeline through the repo's
-// one exporter (trace.WriteChromeTrace): a step span per iteration, its
-// fwd/bwd/upd phase spans inside it, and the kernel slices on a companion
-// track.
+// tokens/s, per-category achieved GFLOP/s and GB/s; no peak fractions,
+// since no device model of this host applies); -debug-addr serves live
+// Prometheus-text runtime counters, expvar, and pprof while the run is
+// in flight. -trace writes the measured iterations as a Chrome/Perfetto
+// timeline through the repo's one exporter (trace.WriteChromeTrace): a
+// step span per iteration, its fwd/bwd/upd phase spans inside it, and
+// the kernel slices on a companion track.
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"demystbert/internal/data"
-	"demystbert/internal/device"
 	"demystbert/internal/kernels"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bertprof: %v\n", err)
 			return 2
 		}
-		em := obs.NewStepEmitter(f, device.MI100().Peaks())
+		em := obs.NewStepEmitter(f, obs.Peaks{}) // a CPU step has no MI100 roofline
 		sd.Defer("metrics jsonl", func() {
 			if err := em.EmitFinal(obs.Default); err != nil {
 				fmt.Fprintf(stderr, "bertprof: metrics final: %v\n", err)

@@ -164,6 +164,15 @@ func TestMetricsJSONL(t *testing.T) {
 				t.Fatalf("category row missing %q: %v", key, first)
 			}
 		}
+		// A step measured on this CPU is not divided by a GPU's peaks.
+		for _, c := range cats {
+			row := c.(map[string]any)
+			for _, key := range []string{"peak_flop_frac", "peak_mem_frac"} {
+				if _, ok := row[key]; ok {
+					t.Fatalf("measured category row carries %q: %v", key, row)
+				}
+			}
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"demystbert/internal/data"
 	"demystbert/internal/model"
 	"demystbert/internal/trace"
 )
@@ -179,5 +180,28 @@ func TestTrainWithTraceProducesStragglerReport(t *testing.T) {
 		if !names[want] {
 			t.Fatalf("merged trace has no %q span", want)
 		}
+	}
+	// Rank 0's kernel events ride along: Train installs its profiler.
+	if !names["linear_fwd_gemm"] {
+		t.Fatal("merged trace has no kernel slice (linear_fwd_gemm)")
+	}
+}
+
+// A trainer keeps no kernel events unless its caller installs a
+// profiler, so a long run does not grow by one event per kernel per step.
+func TestNewTrainerRecordsNoKernelEvents(t *testing.T) {
+	m, err := model.New(model.Tiny(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTrainer(joinWorld(t, 1, 10*time.Second)[0], m, 7, 32*1024, true, 0.01)
+	gen := data.NewGenerator(model.Tiny().Vocab, 0.15, 1)
+	for i := 0; i < 3; i++ {
+		if _, _, err := tr.Step(gen.Next(2, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tr.Ctx.Prof.KernelCount(); n != 0 {
+		t.Fatalf("3 steps recorded %d kernel events, want 0", n)
 	}
 }

@@ -149,13 +149,13 @@ type commStats struct {
 
 // NewTrainer wires a joined group to a model. The model's GradHook is
 // claimed by the trainer, and at world > 1 every parameter's Grad is
-// rebound to a view of the bucket buffer, values carried over.
+// rebound to a view of the bucket buffer, values carried over. Ctx.Prof
+// is nil: a caller that reads kernel events installs a profiler.
 func NewTrainer(g *Group, m *model.BERT, seed uint64, bucketBytes int, overlap bool, lr float32) *Trainer {
 	t := &Trainer{
 		G: g,
 		M: m,
 		Ctx: &nn.Ctx{
-			Prof: profile.New(),
 			// Distinct dropout streams per rank (seed + rank·7919), the
 			// schedule the serial two-replica reference reproduces.
 			RNG:   tensor.NewRNG(seed + uint64(g.Rank())*7919),
@@ -383,6 +383,11 @@ func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 		return nil, nil, err
 	}
 	t := NewTrainer(g, m, cfg.Seed, cfg.BucketBytes, cfg.Overlap, lr)
+	if cfg.Trace && cfg.TraceOut != "" && g.Rank() == 0 {
+		// The merged timeline's kernel track is the profiler's only
+		// reader, so no other rank or run keeps one event per kernel.
+		t.Ctx.Prof = profile.New()
+	}
 	if cfg.WireTrainer != nil {
 		if err := cfg.WireTrainer(t); err != nil {
 			return nil, nil, fmt.Errorf("distnet: wiring trainer: %w", err)

@@ -57,8 +57,15 @@ func TestPoolHotAndParkCounters(t *testing.T) {
 	body := func(lo, hi int) { busyFor(50 * time.Microsecond) }
 	saturate(t, 64, body) // every worker is now inside its window
 
+	// The park baseline is read before the last region starts: a worker
+	// whose hot window runs out while this goroutine is descheduled, in
+	// the last region or after it, parks before a later read could see it.
+	var parks0 int64
 	hot := counterDelta(poolHotPickups, func() {
 		for i := 0; i < 100; i++ {
+			if i == 99 {
+				parks0 = poolParks.Value()
+			}
 			parallelFor(64, 1, body)
 		}
 	})
@@ -68,8 +75,9 @@ func TestPoolHotAndParkCounters(t *testing.T) {
 		t.Errorf("100 back-to-back regions: %d hot pickups, want >= 50", hot)
 	}
 	const idle = 50 * time.Millisecond
-	if parks := counterDelta(poolParks, func() { time.Sleep(idle) }); parks < 1 {
-		t.Errorf("idle for %v: park delta %d, want >= 1", idle, parks)
+	time.Sleep(idle)
+	if parks := poolParks.Value() - parks0; parks < 1 {
+		t.Errorf("last region, then idle for %v: park delta %d, want >= 1", idle, parks)
 	}
 	if again := counterDelta(poolParks, func() { time.Sleep(idle) }); again != 0 {
 		t.Errorf("already parked: park delta %d, want 0", again)

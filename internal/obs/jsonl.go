@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bufio"
+	"encoding/csv"
 	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -46,7 +48,9 @@ type CategoryStep struct {
 	PeakMemFrac  float64 `json:"peak_mem_frac,omitempty"`
 }
 
-// StepRecord is one line of the per-step JSONL stream.
+// StepRecord is one line of the per-step JSONL stream: a measured step
+// (NewStepRecord over a profile summary) or a modeled one
+// (report.StepRecordFromResult) — one record shape, two producers.
 type StepRecord struct {
 	Step         int            `json:"step"`
 	Loss         float64        `json:"loss"`
@@ -71,14 +75,14 @@ func NewStepRecord(step int, loss float64, tokens int, wall time.Duration, sum p
 	}
 	for _, c := range sum.Categories() {
 		st := sum.ByCategory[c]
-		rec.Categories = append(rec.Categories, NewCategoryStep(c, st, peaks))
+		rec.Categories = append(rec.Categories, newCategoryStep(c, st, peaks))
 	}
 	return rec
 }
 
-// NewCategoryStep converts one category's aggregate stat into its
+// newCategoryStep converts one category's aggregate stat into its
 // achieved-rate row.
-func NewCategoryStep(c profile.Category, st profile.Stat, peaks Peaks) CategoryStep {
+func newCategoryStep(c profile.Category, st profile.Stat, peaks Peaks) CategoryStep {
 	row := CategoryStep{
 		Category: string(c),
 		Kernels:  st.Kernels,
@@ -123,8 +127,8 @@ func NewStepEmitter(w io.Writer, peaks Peaks) *StepEmitter {
 	return &StepEmitter{bw: bw, peaks: peaks, enc: json.NewEncoder(bw)}
 }
 
-// Emit writes rec as one JSON line.
-func (e *StepEmitter) Emit(rec StepRecord) error {
+// emit writes rec as one JSON line.
+func (e *StepEmitter) emit(rec StepRecord) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.enc.Encode(rec)
@@ -159,5 +163,35 @@ func (e *StepEmitter) EmitFinal(r *Registry) error {
 
 // EmitStep builds a record from the step's summary and writes it.
 func (e *StepEmitter) EmitStep(step int, loss float64, tokens int, wall time.Duration, sum profile.Summary) error {
-	return e.Emit(NewStepRecord(step, loss, tokens, wall, sum, e.peaks))
+	return e.emit(NewStepRecord(step, loss, tokens, wall, sum, e.peaks))
+}
+
+// WriteJSONL writes records computed up front (the analytical model's)
+// as the stream a StepEmitter leaves behind: one JSON line per record,
+// then r's closing snapshot (none when r is nil).
+func WriteJSONL(w io.Writer, recs []StepRecord, r *Registry) error {
+	e := NewStepEmitter(w, Peaks{})
+	for _, rec := range recs {
+		if err := e.emit(rec); err != nil {
+			return err
+		}
+	}
+	return e.EmitFinal(r)
+}
+
+// WriteCSV writes the records' category rows as CSV: a header of the
+// CategoryStep JSON keys behind a step column, then one row per category
+// per record.
+func WriteCSV(w io.Writer, recs []StepRecord) error {
+	rows := [][]string{{"step", "category", "kernels", "time_ms", "gflops", "gbytes",
+		"achieved_gflops", "achieved_gbs", "peak_flop_frac", "peak_mem_frac"}}
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, rec := range recs {
+		for _, c := range rec.Categories {
+			rows = append(rows, []string{strconv.Itoa(rec.Step), c.Category, strconv.Itoa(c.Kernels),
+				num(c.TimeMS), num(c.GFLOPs), num(c.GBytes),
+				num(c.AchievedGFLOPS), num(c.AchievedGBs), num(c.PeakFLOPFrac), num(c.PeakMemFrac)})
+		}
+	}
+	return csv.NewWriter(w).WriteAll(rows)
 }

@@ -1,159 +1,26 @@
 package report
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"demystbert/internal/obs"
 	"demystbert/internal/perfmodel"
 	"demystbert/internal/profile"
 )
 
-// CategoryRow is one line of the machine-readable breakdown export.
-type CategoryRow struct {
-	Category  string  `json:"category"`
-	Kernels   int     `json:"kernels"`
-	TimeMS    float64 `json:"time_ms"`
-	Share     float64 `json:"share"`
-	GFLOPs    float64 `json:"gflops"`
-	GBytes    float64 `json:"gbytes"`
-	Intensity float64 `json:"ops_per_byte"`
-}
-
-// ResultExport is the machine-readable form of one characterized
-// workload, suitable for plotting pipelines.
-type ResultExport struct {
-	Workload   string        `json:"workload"`
-	Device     string        `json:"device"`
-	TotalMS    float64       `json:"total_ms"`
-	GEMMShare  float64       `json:"gemm_share"`
-	LAMBShare  float64       `json:"lamb_share"`
-	Categories []CategoryRow `json:"categories"`
-
-	// Runtime embeds a snapshot of the live engine's metric registry
-	// (obs.Registry.Snapshot) so an exported breakdown carries the
-	// runtime counters — pack-cache hit rates, worker-pool dispatch
-	// stats, batched-GEMM routing — that produced it.
-	Runtime []obs.Metric `json:"runtime_metrics,omitempty"`
-}
-
-// Export converts a perfmodel result into its machine-readable form,
-// categories sorted by descending time.
-func Export(r *perfmodel.Result) ResultExport {
-	kernels := map[string]int{}
-	flops := map[string]int64{}
-	bytes := map[string]int64{}
-	for _, ot := range r.Ops {
-		c := string(ot.Op.Category)
-		kernels[c] += ot.Op.Repeat
-		flops[c] += ot.Op.TotalFLOPs()
-		bytes[c] += ot.Op.TotalBytes()
-	}
-
-	out := ResultExport{
-		Workload:  r.Graph.Workload.Name,
-		Device:    r.Device.Name,
-		TotalMS:   1e3 * r.Total.Seconds(),
-		GEMMShare: r.GEMMShare(),
-		LAMBShare: r.LAMBShare(),
-	}
-	times := r.ByCategory()
-	for _, c := range sortedCategories(times) {
-		row := CategoryRow{
-			Category: string(c),
-			Kernels:  kernels[string(c)],
-			TimeMS:   1e3 * times[c].Seconds(),
-			Share:    r.CategoryShare(c),
-			GFLOPs:   float64(flops[string(c)]) / 1e9,
-			GBytes:   float64(bytes[string(c)]) / 1e9,
-		}
-		if bytes[string(c)] > 0 {
-			row.Intensity = float64(flops[string(c)]) / float64(bytes[string(c)])
-		}
-		out.Categories = append(out.Categories, row)
-	}
-	return out
-}
-
-// ExportWithRuntime is Export plus an embedded snapshot of the live
-// metric registry.
-func ExportWithRuntime(r *perfmodel.Result, runtime []obs.Metric) ResultExport {
-	e := Export(r)
-	e.Runtime = runtime
-	return e
-}
-
-// WriteJSON emits the export as indented JSON.
-func WriteJSON(w io.Writer, r *perfmodel.Result) error {
-	return WriteJSONExport(w, Export(r))
-}
-
-// WriteJSONExport emits an already-built export (e.g. one carrying a
-// runtime snapshot) as indented JSON.
-func WriteJSONExport(w io.Writer, e ResultExport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
-}
-
 // StepRecordFromResult converts a modeled characterization into the
-// per-step JSONL schema, so the analytical binaries emit the same stream
-// shape as the real-execution engine: wall time is the modeled iteration
-// time, achieved rates are the modeled per-category rates, and loss is
-// zero (an analytical model has none).
+// per-step record bertprof writes for measured steps: wall time is the
+// modeled iteration time, the category rows are the modeled per-category
+// kernels, time, FLOPs and bytes (sorted like a measured step's, by
+// descending time), rates are taken against the modeled device's peaks,
+// and loss is zero (an analytical model has none).
 func StepRecordFromResult(step int, r *perfmodel.Result) obs.StepRecord {
-	kernels := map[profile.Category]int{}
-	flops := map[profile.Category]int64{}
-	bytes := map[profile.Category]int64{}
+	sum := profile.Summary{ByCategory: map[profile.Category]profile.Stat{}}
 	for _, ot := range r.Ops {
-		kernels[ot.Op.Category] += ot.Op.Repeat
-		flops[ot.Op.Category] += ot.Op.TotalFLOPs()
-		bytes[ot.Op.Category] += ot.Op.TotalBytes()
+		st := sum.ByCategory[ot.Op.Category]
+		st.Kernels += ot.Op.Repeat
+		st.Duration += ot.Total
+		st.FLOPs += ot.Op.TotalFLOPs()
+		st.Bytes += ot.Op.TotalBytes()
+		sum.ByCategory[ot.Op.Category] = st
 	}
-	peaks := r.Device.Peaks()
-	rec := obs.StepRecord{
-		Step:         step,
-		Tokens:       r.Graph.Workload.Tokens(),
-		WallMS:       1e3 * r.Total.Seconds(),
-		TokensPerSec: r.TokensPerSecond(),
-	}
-	times := r.ByCategory()
-	for _, c := range sortedCategories(times) {
-		st := profile.Stat{
-			Kernels:  kernels[c],
-			Duration: times[c],
-			FLOPs:    flops[c],
-			Bytes:    bytes[c],
-		}
-		rec.Categories = append(rec.Categories, obs.NewCategoryStep(c, st, peaks))
-	}
-	return rec
-}
-
-// WriteCSV emits the export as CSV with a header row.
-func WriteCSV(w io.Writer, r *perfmodel.Result) error {
-	e := Export(r)
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"workload", "device", "category", "kernels", "time_ms", "share", "gflops", "gbytes", "ops_per_byte",
-	}); err != nil {
-		return err
-	}
-	for _, row := range e.Categories {
-		if err := cw.Write([]string{
-			e.Workload, e.Device, row.Category,
-			fmt.Sprint(row.Kernels),
-			fmt.Sprintf("%.4f", row.TimeMS),
-			fmt.Sprintf("%.5f", row.Share),
-			fmt.Sprintf("%.3f", row.GFLOPs),
-			fmt.Sprintf("%.3f", row.GBytes),
-			fmt.Sprintf("%.3f", row.Intensity),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return obs.NewStepRecord(step, 0, r.Graph.Workload.Tokens(), r.Total, sum, r.Device.Peaks())
 }

@@ -1,8 +1,6 @@
 package report
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -121,58 +119,5 @@ func TestBarRendering(t *testing.T) {
 	}
 	if got := bar(2, 4); got != "####" {
 		t.Fatalf("bar(2) = %q", got)
-	}
-}
-
-func TestExportStructure(t *testing.T) {
-	r := runOn(opgraphPh1(), device.MI100())
-	e := Export(r)
-	if e.Workload != "Ph1-B32-FP32" || e.TotalMS <= 0 {
-		t.Fatalf("export header wrong: %+v", e)
-	}
-	var shareSum float64
-	seen := map[string]bool{}
-	for _, row := range e.Categories {
-		if seen[row.Category] {
-			t.Fatalf("duplicate category %s", row.Category)
-		}
-		seen[row.Category] = true
-		shareSum += row.Share
-		if row.Kernels <= 0 || row.TimeMS < 0 {
-			t.Fatalf("malformed row %+v", row)
-		}
-	}
-	if shareSum < 0.999 || shareSum > 1.001 {
-		t.Fatalf("category shares sum to %v", shareSum)
-	}
-}
-
-func TestWriteJSONAndCSV(t *testing.T) {
-	r := runOn(opgraphPh1(), device.MI100())
-	var jb strings.Builder
-	if err := WriteJSON(&jb, r); err != nil {
-		t.Fatal(err)
-	}
-	var decoded ResultExport
-	if err := json.Unmarshal([]byte(jb.String()), &decoded); err != nil {
-		t.Fatalf("JSON export invalid: %v", err)
-	}
-	if decoded.Workload != "Ph1-B32-FP32" {
-		t.Fatalf("decoded workload %q", decoded.Workload)
-	}
-
-	var cb strings.Builder
-	if err := WriteCSV(&cb, r); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(strings.NewReader(cb.String())).ReadAll()
-	if err != nil {
-		t.Fatalf("CSV export invalid: %v", err)
-	}
-	if len(rows) != len(decoded.Categories)+1 {
-		t.Fatalf("CSV has %d rows, want %d", len(rows), len(decoded.Categories)+1)
-	}
-	if rows[0][2] != "category" {
-		t.Fatalf("CSV header %v", rows[0])
 	}
 }

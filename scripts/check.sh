@@ -45,6 +45,12 @@ if grep -nE 'maxWorkers|MaxWorkers\(\)' $(ls internal/kernels/*.go | grep -v '_t
 	exit 1
 fi
 
+echo "== bertdist trains, bertchar models (no non-test Go file in cmd/bertdist imports the root demystbert package, internal/opgraph, internal/perfmodel, internal/dist or internal/report)"
+if grep -nE '"demystbert(/internal/(opgraph|perfmodel|dist|report))?"' $(ls cmd/bertdist/*.go | grep -v '_test\.go$'); then
+	echo "check: cmd/bertdist imports the analytical model: its modeled modes are bertchar's" >&2
+	exit 1
+fi
+
 echo "== go build ./..."
 go build ./...
 
