@@ -46,12 +46,7 @@ func Add(dst, a, b []float32) {
 	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, addRange)
 }
 
-func addRange(e *ewArgs, lo, hi int) {
-	dst, a, b := e.dst, e.a, e.b
-	for i := lo; i < hi; i++ {
-		dst[i] = a[i] + b[i]
-	}
-}
+func addRange(e *ewArgs, lo, hi int) { sumRow(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }
 
 // AccumulateInto computes dst[i] += a[i], the gradient-accumulation
 // primitive.
@@ -62,23 +57,27 @@ func AccumulateInto(dst, a []float32) {
 
 func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
 
-// addRow computes y[i] += x[i], one float32 add per element, through the
-// kernel table's vector body (whole 8-element groups) with the tail in Go.
-// It is the one add loop behind AddBias, AccumulateInto and the fused
-// epilogue's bias and residual adds. Where both addends are NaN the vector
-// body returns y's NaN, quieted; the Go body returns either one, since Go
-// does not fix the operand order of a commutative add.
-func addRow(y, x []float32) {
-	x = x[:len(y)]
+// addRow computes y[i] += x[i] through sumRow. It is the add loop behind
+// AddBias, AccumulateInto, BiasGrad and the fused epilogue's bias and
+// residual adds. Where both addends are NaN the vector body returns y's
+// NaN, quieted; the Go body returns either one, since Go does not fix the
+// operand order of a commutative add.
+func addRow(y, x []float32) { sumRow(y, y, x) }
+
+// sumRow computes dst[i] = a[i] + b[i], one float32 add per element,
+// through the kernel table's vector body (whole 8-element groups) with the
+// tail in Go; dst may be a or b. It is the one add loop of the package.
+func sumRow(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	if body := activeKernel.addRow; body != nil {
-		n8 := len(y) &^ 7
+		n8 := len(dst) &^ 7
 		if n8 > 0 {
-			body(y[:n8], x[:n8])
+			body(dst[:n8], a[:n8], b[:n8])
 		}
-		y, x = y[n8:], x[n8:]
+		dst, a, b = dst[n8:], a[n8:], b[n8:]
 	}
-	for i, v := range x {
-		y[i] += v
+	for i, v := range a {
+		dst[i] = v + b[i]
 	}
 }
 
@@ -133,10 +132,21 @@ func Mul(dst, a, b []float32) {
 	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, mulRange)
 }
 
-func mulRange(e *ewArgs, lo, hi int) {
-	dst, a, b := e.dst, e.a, e.b
-	for i := lo; i < hi; i++ {
-		dst[i] = a[i] * b[i]
+func mulRange(e *ewArgs, lo, hi int) { mulRow(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }
+
+// mulRow computes dst[i] = a[i] * b[i] through the kernel table's vector
+// body (whole 8-element groups) with the tail in Go; dst may be a or b.
+func mulRow(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if body := activeKernel.mulRow; body != nil {
+		n8 := len(dst) &^ 7
+		if n8 > 0 {
+			body(dst[:n8], a[:n8], b[:n8])
+		}
+		dst, a, b = dst[n8:], a[n8:], b[n8:]
+	}
+	for i, v := range a {
+		dst[i] = v * b[i]
 	}
 }
 
@@ -147,10 +157,20 @@ func Scale(dst, a []float32, s float32) {
 	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, s: s}, scaleRange)
 }
 
-func scaleRange(e *ewArgs, lo, hi int) {
-	dst, a, s := e.dst, e.a, e.s
-	for i := lo; i < hi; i++ {
-		dst[i] = s * a[i]
+func scaleRange(e *ewArgs, lo, hi int) { scaleRow(e.dst[lo:hi], e.a[lo:hi], e.s) }
+
+// scaleRow computes dst[i] = s * a[i] like mulRow; dst may be a.
+func scaleRow(dst, a []float32, s float32) {
+	a = a[:len(dst)]
+	if body := activeKernel.scaleRow; body != nil {
+		n8 := len(dst) &^ 7
+		if n8 > 0 {
+			body(dst[:n8], a[:n8], s)
+		}
+		dst, a = dst[n8:], a[n8:]
+	}
+	for i, v := range a {
+		dst[i] = s * v
 	}
 }
 
@@ -192,32 +212,42 @@ func AddBias(x []float32, bias []float32, m, n int) {
 	biasBodies.run(m*n, addBiasGrain, biasArgs{mat: x, vec: bias, m: m, n: n}, addBiasRange)
 }
 
-// biasGradChunk is the column-band width of BiasGrad's row-major sweep —
-// wide enough for contiguous vectorizable loads, small enough that each
-// band's accumulator lives on the stack.
-const biasGradChunk = 64
+// colBand is the column multiple the column-band sweeps (BiasGrad,
+// LayerNorm's dγ/dβ) cut their pool regions at: whole vector groups, and
+// whole cache lines of an aligned destination.
+const colBand = 64
+
+// colBandGrain is the grain of a column-band sweep over n columns of m
+// rows: the chunk rule's, rounded up to whole colBand multiples, so a few
+// rows of a wide matrix (the MLM decoder's bias) sweep long contiguous
+// runs per row instead of many narrow bands.
+func colBandGrain(n, m int) int {
+	return (grainFor(n, m) + colBand - 1) / colBand * colBand
+}
 
 // biasGradRange adds the sums of columns [lo, hi) of mat into vec. Work
 // items are disjoint column ranges (so concurrent writes to dBias never
-// collide), but within a band the matrix is swept row-major, turning the
-// naive kernel's stride-n single-float column walks into contiguous loads.
-// The band accumulator is seeded from the existing dBias and the
-// per-column accumulation order stays i = 0..m-1, so the result is bitwise
-// identical to a serial column-at-a-time continuation fold — and splitting
-// the rows across calls (gradient accumulation) matches one call bitwise.
+// collide), but within a band the matrix is swept row-major, each row
+// added to the band accumulator by addRow, instead of stride-n single-float
+// column walks. The band accumulator is seeded from the existing dBias and
+// the per-column accumulation order stays i = 0..m-1, so the result is
+// bitwise identical to a serial column-at-a-time continuation fold — and
+// splitting the rows across calls (gradient accumulation) matches one call
+// bitwise. The accumulator is a scratch buffer, scratchMin columns wide,
+// not a stack array: a slice handed to the kernel table's body escapes,
+// and a worker's own buffer keeps the band off the cache lines of dBias
+// its neighbours write.
 func biasGradRange(e *biasArgs, lo, hi int) {
-	var acc [biasGradChunk]float32
+	acc := getScratch(scratchMin)
+	defer putScratch(acc)
 	m, n := e.m, e.n
-	for j0 := lo; j0 < hi; j0 += biasGradChunk {
-		w := min(biasGradChunk, hi-j0)
-		a := acc[:w]
+	for j0 := lo; j0 < hi; j0 += scratchMin {
+		w := min(scratchMin, hi-j0)
+		a := (*acc)[:w]
 		out := e.vec[j0 : j0+w]
 		copy(a, out)
 		for i := 0; i < m; i++ {
-			row := e.mat[i*n+j0 : i*n+j0+w]
-			for k, v := range row {
-				a[k] += v
-			}
+			addRow(a, e.mat[i*n+j0:i*n+j0+w])
 		}
 		copy(out, a)
 	}
@@ -229,8 +259,7 @@ func BiasGrad(dBias []float32, dY []float32, m, n int) {
 	if len(dY) != m*n || len(dBias) != n {
 		panic(fmt.Sprintf("kernels: BiasGrad dims dY=%d dBias=%d m=%d n=%d", len(dY), len(dBias), m, n))
 	}
-	// Grain = band width so ranges land on band boundaries.
-	biasBodies.run(n, biasGradChunk, biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
+	biasBodies.run(n, colBandGrain(n, m), biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
 }
 
 // ScaleMaskSoftmaxAttention is the fused attention-score pipeline over a

@@ -21,22 +21,32 @@ import (
 // product) and exp take up to 64 elements, store only the lanes whose
 // float32 result is certain, and return the mask of the others for the
 // reference expression (nil: the Go body). The fused GEMM tails' bodies —
-// addRow (y += x) and lnApply (LayerNorm's affine) — take whole 8-element
-// groups like the LAMB ones, with the same nil convention.
+// addRow (dst = a + b) and lnApply (LayerNorm's affine) — and LayerNorm
+// backward's lnGradCols (one row's share of the dγ/dβ column folds) and
+// lnGradApply (one row of dX from its two sums), and mulRow and scaleRow
+// (Mul's and Scale's products) take whole 8-element groups like the LAMB
+// ones, with the same nil convention. The dropout
+// body fills a mask of a positive multiple of 64 elements as eight
+// contiguous sub-streams of the generator (dropout.go).
 type gemmKernel struct {
-	name       string
-	mr, nr     int
-	f32        func(kc int, a, b, c []float32, ldc int)
-	packT4     func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
-	lambStage1 func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
-	subScaled  func(y, x []float32, a float32)
-	sumSq8     func(x []float32) float64
-	addRow     func(y, x []float32)
-	lnApply    func(y, x, gamma, beta []float32, mu, istd float32)
-	gelu       func(dst, x []float32) (fallback uint64)
-	geluGrad   func(dX, dY, x []float32) (fallback uint64)
-	exp        func(dst, x []float32, m float32) (fallback uint64)
-	supported  bool
+	name        string
+	mr, nr      int
+	f32         func(kc int, a, b, c []float32, ldc int)
+	packT4      func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
+	lambStage1  func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
+	subScaled   func(y, x []float32, a float32)
+	sumSq8      func(x []float32) float64
+	addRow      func(dst, a, b []float32)
+	lnApply     func(y, x, gamma, beta []float32, mu, istd float32)
+	lnGradCols  func(dg, db, x, dy []float32, mu, istd float32)
+	lnGradApply func(dx, x, dy, gamma []float32, mu, istd, invN, meanG, sumGX float32)
+	mulRow      func(dst, a, b []float32)
+	scaleRow    func(dst, a []float32, s float32)
+	dropout     func(mask []float32, st [8]uint64, thr uint64, keep float32) (end uint64)
+	gelu        func(dst, x []float32) (fallback uint64)
+	geluGrad    func(dX, dY, x []float32) (fallback uint64)
+	exp         func(dst, x []float32, m float32) (fallback uint64)
+	supported   bool
 }
 
 // scalarKernel is the portable backend: the last entry of every table,

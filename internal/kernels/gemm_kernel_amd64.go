@@ -76,13 +76,15 @@ func cpuFeatures(r cpuRegs) (avx2fma, avx512 bool) {
 var kernelTable = func() []gemmKernel {
 	avx2fma, avx512ok := cpuFeatures(readCPU())
 	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, supported: avx512ok,
-		gelu: geluVec512, geluGrad: geluGradVec512, exp: expVec512}
+		gelu: geluVec512, geluGrad: geluGradVec512, exp: expVec512, dropout: dropoutFillSIMD}
 	avx2 := gemmKernel{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, supported: avx2fma}
 	// Everything else is 256-bit code the two share.
 	for _, k := range []*gemmKernel{&avx512, &avx2} {
 		k.packT4 = packT4asm
 		k.lambStage1, k.subScaled, k.sumSq8 = lambStage1SIMD, subScaledSIMD, sumSq8SIMD
 		k.addRow, k.lnApply = addRowSIMD, lnApplySIMD
+		k.lnGradCols, k.lnGradApply = lnGradColsSIMD, lnGradApplySIMD
+		k.mulRow, k.scaleRow = mulRowSIMD, scaleRowSIMD
 	}
 	return []gemmKernel{avx512, avx2, scalarKernel}
 }()

@@ -166,47 +166,133 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 		dX: dX, dY: dY, dGamma: dGamma, dBeta: dBeta, rows: rows, n: n}
 	// dX: independent per row, parallel over rows.
 	lnBodies.run(rows, grainFor(rows, n), args, layerNormGradRows)
-	// dGamma/dBeta: column reductions, parallel over columns. The fold is
-	// seeded from the existing gradient so splitting the rows across
-	// multiple calls (gradient accumulation) matches one call bitwise.
-	lnBodies.run(n, grainFor(n, rows), args, layerNormGradCols)
+	// dGamma/dBeta: column reductions, parallel over column bands. Each
+	// column's fold is seeded from the existing gradient and runs over the
+	// rows in order, so splitting the rows across multiple calls (gradient
+	// accumulation) matches one call bitwise.
+	lnBodies.run(n, colBandGrain(n, rows), args, layerNormGradCols)
 }
 
+// layerNormGradRows computes dX for rows [lo, hi), lnStatsRows rows per
+// pass through the two sums, each row in its own accumulators and its own
+// sequential order.
 func layerNormGradRows(a *lnArgs, lo, hi int) {
 	dX, dY, x, gamma, mean, invStd, n := a.dX, a.dY, a.x, a.gamma, a.mean, a.invStd, a.n
-	for r := lo; r < hi; r++ {
-		xr := x[r*n : (r+1)*n]
-		dyr := dY[r*n : (r+1)*n]
-		dxr := dX[r*n : (r+1)*n]
-		mu, istd := mean[r], invStd[r]
-
-		var sumG, sumGX float32
-		for i := range xr {
-			xhat := (xr[i] - mu) * istd
-			g := float32(dyr[i] * gamma[i])
-			sumG += g
-			sumGX += float32(g * xhat)
+	var sumG, sumGX [lnStatsRows]float32
+	for r0 := lo; r0 < hi; r0 += lnStatsRows {
+		rows := min(lnStatsRows, hi-r0)
+		if rows == lnStatsRows {
+			sumG, sumGX = lnGradSums4(x[r0*n:(r0+4)*n], dY[r0*n:(r0+4)*n], gamma,
+				[4]float32(mean[r0:r0+4]), [4]float32(invStd[r0:r0+4]))
+		} else {
+			for i := range rows {
+				r := r0 + i
+				sumG[i], sumGX[i] = lnGradSums(x[r*n:(r+1)*n], dY[r*n:(r+1)*n], gamma, mean[r], invStd[r])
+			}
 		}
-		invN := 1 / float32(n)
-		for i := range xr {
-			xhat := (xr[i] - mu) * istd
-			g := float32(dyr[i] * gamma[i])
-			dxr[i] = istd * ((g - float32(invN*sumG)) - float32(float32(xhat*invN)*sumGX))
+		for i := range rows {
+			r := r0 + i
+			lnGradRowApply(dX[r*n:(r+1)*n], x[r*n:(r+1)*n], dY[r*n:(r+1)*n], gamma,
+				mean[r], invStd[r], sumG[i], sumGX[i])
 		}
 	}
 }
 
-func layerNormGradCols(a *lnArgs, lo, hi int) {
-	dGamma, dBeta, dY, x, mean, invStd, rows, n := a.dGamma, a.dBeta, a.dY, a.x, a.mean, a.invStd, a.rows, a.n
-	for j := lo; j < hi; j++ {
-		dg, db := dGamma[j], dBeta[j]
-		for r := 0; r < rows; r++ {
-			xhat := (x[r*n+j] - mean[r]) * invStd[r]
-			dy := dY[r*n+j]
-			dg += float32(dy * xhat)
-			db += dy
+// lnGradSums returns one row's sum(g) and sum(g·xhat), g = dY·gamma.
+func lnGradSums(xr, dyr, gamma []float32, mu, istd float32) (sumG, sumGX float32) {
+	dyr, gamma = dyr[:len(xr)], gamma[:len(xr)]
+	for i, v := range xr {
+		xhat := (v - mu) * istd
+		g := float32(dyr[i] * gamma[i])
+		sumG += g
+		sumGX += float32(g * xhat)
+	}
+	return sumG, sumGX
+}
+
+// lnGradSums4 is lnGradSums on four consecutive rows (x4 and dy4 hold
+// them back to back) at once, each in its own accumulators.
+func lnGradSums4(x4, dy4, gamma []float32, mu, istd [4]float32) (sumG, sumGX [4]float32) {
+	n := len(gamma)
+	x0, x1, x2, x3 := x4[:n], x4[n:2*n], x4[2*n:3*n], x4[3*n:4*n]
+	d0, d1, d2, d3 := dy4[:n], dy4[n:2*n], dy4[2*n:3*n], dy4[3*n:4*n]
+	var s0, s1, s2, s3, q0, q1, q2, q3 float32
+	for i, gm := range gamma {
+		h0, h1 := (x0[i]-mu[0])*istd[0], (x1[i]-mu[1])*istd[1]
+		h2, h3 := (x2[i]-mu[2])*istd[2], (x3[i]-mu[3])*istd[3]
+		g0, g1 := float32(d0[i]*gm), float32(d1[i]*gm)
+		g2, g3 := float32(d2[i]*gm), float32(d3[i]*gm)
+		s0 += g0
+		s1 += g1
+		s2 += g2
+		s3 += g3
+		q0 += float32(g0 * h0)
+		q1 += float32(g1 * h1)
+		q2 += float32(g2 * h2)
+		q3 += float32(g3 * h3)
+	}
+	return [4]float32{s0, s1, s2, s3}, [4]float32{q0, q1, q2, q3}
+}
+
+// lnGradRowApply writes one row of dX from the row's two sums, through
+// the kernel table's vector body (whole 8-element groups) with the tail in
+// Go.
+func lnGradRowApply(dxr, xr, dyr, gamma []float32, mu, istd, sumG, sumGX float32) {
+	xr, dyr, gamma = xr[:len(dxr)], dyr[:len(dxr)], gamma[:len(dxr)]
+	invN := 1 / float32(len(dxr))
+	meanG := float32(invN * sumG)
+	if body := activeKernel.lnGradApply; body != nil {
+		n8 := len(dxr) &^ 7
+		if n8 > 0 {
+			body(dxr[:n8], xr[:n8], dyr[:n8], gamma[:n8], mu, istd, invN, meanG, sumGX)
 		}
-		dGamma[j], dBeta[j] = dg, db
+		dxr, xr, dyr, gamma = dxr[n8:], xr[n8:], dyr[n8:], gamma[n8:]
+	}
+	for i, v := range xr {
+		xhat := (v - mu) * istd
+		g := float32(dyr[i] * gamma[i])
+		dxr[i] = istd * ((g - meanG) - float32(float32(xhat*invN)*sumGX))
+	}
+}
+
+// layerNormGradCols adds columns [lo, hi) of dγ and dβ, in bands of up to
+// scratchMin/2 columns, the rows swept in order. The two accumulators
+// share one scratch buffer, as in BiasGrad.
+func layerNormGradCols(a *lnArgs, lo, hi int) {
+	const band = scratchMin / 2
+	acc := getScratch(scratchMin)
+	defer putScratch(acc)
+	dg, db := (*acc)[:band], (*acc)[band:]
+	dGamma, dBeta, dY, x, mean, invStd, rows, n := a.dGamma, a.dBeta, a.dY, a.x, a.mean, a.invStd, a.rows, a.n
+	for j0 := lo; j0 < hi; j0 += band {
+		w := min(band, hi-j0)
+		g, b := dg[:w], db[:w]
+		copy(g, dGamma[j0:j0+w])
+		copy(b, dBeta[j0:j0+w])
+		for r := 0; r < rows; r++ {
+			lnGradColsRow(g, b, x[r*n+j0:r*n+j0+w], dY[r*n+j0:r*n+j0+w], mean[r], invStd[r])
+		}
+		copy(dGamma[j0:j0+w], g)
+		copy(dBeta[j0:j0+w], b)
+	}
+}
+
+// lnGradColsRow adds one row's share to a band of dγ and dβ through the
+// kernel table's vector body (whole 8-element groups), the tail in Go.
+func lnGradColsRow(dg, db, x, dy []float32, mu, istd float32) {
+	db, x, dy = db[:len(dg)], x[:len(dg)], dy[:len(dg)]
+	if body := activeKernel.lnGradCols; body != nil {
+		n8 := len(dg) &^ 7
+		if n8 > 0 {
+			body(dg[:n8], db[:n8], x[:n8], dy[:n8], mu, istd)
+		}
+		dg, db, x, dy = dg[n8:], db[n8:], x[n8:], dy[n8:]
+	}
+	for i, v := range x {
+		xhat := (v - mu) * istd
+		d := dy[i]
+		dg[i] += float32(d * xhat)
+		db[i] += d
 	}
 }
 

@@ -80,18 +80,55 @@ func SoftmaxGrad(dX, dY, y []float32, rows, n int) {
 	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
 }
 
+// softmaxGradRange computes dX for rows [lo, hi), four rows per pass
+// through the dot products, each row in its own accumulator and its own
+// sequential order. The product is rounded before it is added, so arm64
+// does not fuse the two (check.sh greps the listing).
 func softmaxGradRange(ra *rowArgs, lo, hi int) {
 	dX, dY, y, n := ra.dst, ra.x, ra.y, ra.n
-	for r := lo; r < hi; r++ {
-		yr := y[r*n : (r+1)*n]
-		dyr := dY[r*n : (r+1)*n]
-		dxr := dX[r*n : (r+1)*n]
-		var dotv float32
-		for i := range yr {
-			dotv += dyr[i] * yr[i]
+	var dot [4]float32
+	for r0 := lo; r0 < hi; r0 += len(dot) {
+		rows := min(len(dot), hi-r0)
+		if rows == len(dot) {
+			dot = softmaxGradDot4(dY[r0*n:(r0+4)*n], y[r0*n:(r0+4)*n], n)
+		} else {
+			for i := range rows {
+				r := r0 + i
+				dot[i] = softmaxGradDot(dY[r*n:(r+1)*n], y[r*n:(r+1)*n])
+			}
 		}
-		for i := range yr {
-			dxr[i] = yr[i] * (dyr[i] - dotv)
+		for i := range rows {
+			r := r0 + i
+			yr := y[r*n : (r+1)*n]
+			dyr := dY[r*n : (r+1)*n]
+			dxr := dX[r*n : (r+1)*n]
+			for k := range yr {
+				dxr[k] = yr[k] * (dyr[k] - dot[i])
+			}
 		}
 	}
+}
+
+// softmaxGradDot returns sum_j dy[j]*y[j], folded in index order.
+func softmaxGradDot(dyr, yr []float32) (dot float32) {
+	yr = yr[:len(dyr)]
+	for i, v := range dyr {
+		dot += float32(v * yr[i])
+	}
+	return dot
+}
+
+// softmaxGradDot4 is softmaxGradDot on four consecutive n-wide rows at
+// once, each in its own accumulator.
+func softmaxGradDot4(dy4, y4 []float32, n int) [4]float32 {
+	d0, d1, d2, d3 := dy4[:n], dy4[n:2*n], dy4[2*n:3*n], dy4[3*n:4*n]
+	y0, y1, y2, y3 := y4[:n], y4[n:2*n], y4[2*n:3*n], y4[3*n:4*n]
+	var s0, s1, s2, s3 float32
+	for i, v := range d0 {
+		s0 += float32(v * y0[i])
+		s1 += float32(d1[i] * y1[i])
+		s2 += float32(d2[i] * y2[i])
+		s3 += float32(d3[i] * y3[i])
+	}
+	return [4]float32{s0, s1, s2, s3}
 }

@@ -341,7 +341,9 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 		kernels.EWFLOPs(np, 3), kernels.EWBytes(np, 2, 1, es), func() {
 			dd, td := dPooledTanh.Data(), m.pooledTanh.Data()
 			for i := range dd {
-				dd[i] *= 1 - td[i]*td[i]
+				// The square is rounded before the subtract, so arm64
+				// does not fuse the two (check.sh greps the listing).
+				dd[i] *= 1 - float32(td[i]*td[i])
 			}
 		})
 	dCLS := m.Pooler.Backward(ctx, dPooledTanh)

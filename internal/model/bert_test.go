@@ -402,7 +402,7 @@ func TestGradHookFiresInOrderWithFinalGrads(t *testing.T) {
 	}
 }
 
-// TestDropoutMaskIsAttributed: the serial mask fill is a kernel of its own
+// TestDropoutMaskIsAttributed: the mask fill is a kernel of its own
 // in the profile, in its layer's category — one dropout_mask event per
 // active dropout of a training forward (embedding, and attention-score,
 // attention-block and FC-block dropout of every layer), none in

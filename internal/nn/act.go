@@ -78,9 +78,10 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		// Checkpointed recompute: replay the saved mask so the recomputed
 		// activation matches the original bit-for-bit.
 	} else {
-		// The fill is serial (one RNG stream) and costs more than the apply
-		// it feeds, so it is a kernel of its own in the profile: n float32
-		// written, no arithmetic.
+		// The fill draws one RNG stream — in parallel chunks, each skipped
+		// to its start, so the mask does not depend on the worker count —
+		// and is a kernel of its own in the profile: n float32 written, no
+		// arithmetic.
 		d.mask = ctx.NewActivation(x.Shape()...)
 		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
 			0, int64(x.Size())*4, func() {

@@ -137,8 +137,10 @@ func (o *Adam) stepFused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 					kernels.ParallelRange(len(gd), func(lo, hi int) {
 						for i := lo; i < hi; i++ {
 							g := gd[i]
-							md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-							vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
+							// Each product is rounded before its add,
+							// so arm64 does not fuse them (check.sh).
+							md[i] = float32(o.Beta1*md[i]) + float32((1-o.Beta1)*g)
+							vd[i] = float32(o.Beta2*vd[i]) + float32((1-o.Beta2)*g*g)
 							wd[i] -= o.LR * (md[i] / bc1) / (sqrt32(vd[i]/bc2) + o.Eps)
 						}
 					})
@@ -198,7 +200,7 @@ func (o *Adam) stepUnfused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 		// w -= lr*tmp2
 		run("adam_apply", 2, 1, func() {
 			for i := range wd {
-				wd[i] -= o.LR * tmp2[i]
+				wd[i] -= float32(o.LR * tmp2[i])
 			}
 		})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs

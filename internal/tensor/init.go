@@ -1,6 +1,10 @@
 package tensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xorshift64*). The engine uses it instead of math/rand so that model
@@ -21,12 +25,63 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next raw 64-bit value.
 func (r *RNG) Uint64() uint64 {
-	x := r.state
+	x := xorshift(r.state)
+	r.state = x
+	return x * 0x2545F4914F6CDD1D
+}
+
+// State returns the generator's raw state: NewRNG(r.State()) draws the
+// same stream as r from here on (the state is never zero).
+func (r *RNG) State() uint64 { return r.state }
+
+// xorshift is the generator's state step. Each of its three shifts and
+// xors is linear over GF(2), so the step is one 64×64 bit matrix M, and n
+// steps are M^n.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
+	return x
+}
+
+// jumpTable[k] is M^(2^k) as 64 columns: column i is the image of bit i.
+// It is 32 KiB, built on first use by repeated squaring.
+var jumpTable = sync.OnceValue(func() *[64][64]uint64 {
+	t := new([64][64]uint64)
+	for i := range t[0] {
+		t[0][i] = xorshift(1 << i)
+	}
+	for k := 1; k < len(t); k++ {
+		for i := range t[k] {
+			t[k][i] = applyBits(&t[k-1], t[k-1][i])
+		}
+	}
+	return t
+})
+
+// applyBits returns the bit matrix m applied to x: the xor of the columns
+// of m at x's set bits.
+func applyBits(m *[64]uint64, x uint64) (y uint64) {
+	for ; x != 0; x &= x - 1 {
+		y ^= m[bits.TrailingZeros64(x)]
+	}
+	return y
+}
+
+// Skip advances the generator by n draws in O(log n) — one matrix
+// application per set bit of n — leaving it exactly where n calls of
+// Uint64 would. A fill cut into chunks starts each chunk from a copy
+// skipped to the chunk's first index and draws the serial stream.
+func (r *RNG) Skip(n uint64) {
+	if n == 0 {
+		return
+	}
+	t := jumpTable()
+	for k := 0; n != 0; k, n = k+1, n>>1 {
+		if n&1 != 0 {
+			r.state = applyBits(&t[k], r.state)
+		}
+	}
 }
 
 // Float32 returns a uniform value in [0, 1).
@@ -54,11 +109,13 @@ func (r *RNG) NormFloat32() float32 {
 	return float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
 }
 
-// FillUniform fills t with uniform values in [lo, hi).
+// FillUniform fills t with uniform values in [lo, hi). Here and in
+// FillNormal the product is rounded before the add, so arm64 does not fuse
+// the two and starts from amd64's weights (check.sh greps the listing).
 func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
 	scale := hi - lo
 	for i := range t.data {
-		t.data[i] = lo + scale*r.Float32()
+		t.data[i] = lo + float32(scale*r.Float32())
 	}
 }
 
@@ -66,7 +123,7 @@ func (t *Tensor) FillUniform(r *RNG, lo, hi float32) {
 // deviation.
 func (t *Tensor) FillNormal(r *RNG, mean, std float32) {
 	for i := range t.data {
-		t.data[i] = mean + std*r.NormFloat32()
+		t.data[i] = mean + float32(std*r.NormFloat32())
 	}
 }
 

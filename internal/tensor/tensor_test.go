@@ -234,6 +234,35 @@ func TestRNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestRNGSkipEqualsDraws pins the jump-ahead to the stream: Skip(n) leaves
+// the state n calls of Uint64 would, across the table's bit boundaries, and
+// skips compose.
+func TestRNGSkipEqualsDraws(t *testing.T) {
+	for _, n := range []uint64{0, 1, 63, 64, 65, 4095, 1<<20 + 3} {
+		want := NewRNG(12345)
+		for range n {
+			want.Uint64()
+		}
+		got := NewRNG(12345)
+		got.Skip(n)
+		if got.State() != want.State() {
+			t.Errorf("Skip(%d): state %#x, want %#x", n, got.State(), want.State())
+		}
+	}
+	for _, ab := range [][2]uint64{{0, 5}, {1, 1}, {63, 65}, {4095, 1 << 20}, {1<<40 + 7, 1<<63 + 1}} {
+		split, whole := NewRNG(99), NewRNG(99)
+		split.Skip(ab[0])
+		split.Skip(ab[1])
+		whole.Skip(ab[0] + ab[1])
+		if split.State() != whole.State() {
+			t.Errorf("Skip(%d); Skip(%d) = %#x, Skip(%d) = %#x", ab[0], ab[1], split.State(), ab[0]+ab[1], whole.State())
+		}
+	}
+	if r := NewRNG(7); NewRNG(r.State()).Uint64() != r.Uint64() {
+		t.Error("NewRNG(r.State()) does not continue r's stream")
+	}
+}
+
 func TestRNGZeroSeedIsValid(t *testing.T) {
 	r := NewRNG(0)
 	if r.Uint64() == 0 && r.Uint64() == 0 {
