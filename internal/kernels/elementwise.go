@@ -57,6 +57,23 @@ func AccumulateInto(dst, a []float32) {
 
 func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
 
+// FlushRows folds the listed rows of a row-major scatter accumulator into
+// dst and clears them: dst[r] += acc[r], then acc[r] = +0, for every
+// width-wide row r in rows (distinct). Each row is AccumulateInto's add,
+// so over the listed rows it is bitwise AccumulateInto followed by ZeroAll.
+func FlushRows(dst, acc []float32, rows []int, width int) {
+	checkSameLen("FlushRows", dst, acc)
+	rowBodies.run(len(rows), grainFor(len(rows), width), rowArgs{dst: dst, x: acc, targets: rows, n: width}, flushRowsRange)
+}
+
+func flushRowsRange(e *rowArgs, lo, hi int) {
+	for _, r := range e.targets[lo:hi] {
+		row := e.x[r*e.n : (r+1)*e.n]
+		addRow(e.dst[r*e.n:(r+1)*e.n], row)
+		clear(row)
+	}
+}
+
 // addRow computes y[i] += x[i] through sumRow. It is the add loop behind
 // AddBias, AccumulateInto, BiasGrad and the fused epilogue's bias and
 // residual adds. Where both addends are NaN the vector body returns y's

@@ -37,7 +37,8 @@ const (
 )
 
 // gemmBlocked computes C = alpha·op(A)·op(B) + beta·C with cache blocking
-// and packing: the one engine loop every blocked route runs. par selects
+// and packing: the per-call schedule every blocked route runs, and the
+// oracle of auto's short stripes (gemmShortStripe). par selects
 // pool parallelism; BatchedGEMM passes false so per-matrix GEMMs never nest
 // dispatch. At beta = 0 nothing clears C up front: every tile of a
 // stripe's first depth block clears its own region just before the
@@ -180,52 +181,161 @@ func (g *gemmState) tile(t int) {
 	}
 }
 
+// shortStripeRows is the tallest product the short-stripe route takes: two
+// row blocks, so a B micro-panel serves at most 2·gemmMC/mr micro-kernel
+// row passes (20 at mr = 12) before the sweep moves on. Below that, a
+// packed B panel is read too few times to repay its copy and the fork/join
+// around packB; above it the in-place read of B loses (DESIGN.md §7,
+// "Short stripes").
+const shortStripeRows = 2 * gemmMC
+
+// gemmShortStripe is auto's first-use route for a short stripe
+// (m ≤ shortStripeRows, no pre-built panels, pool parallelism allowed): the
+// same micro-kernel calls as gemmBlocked, without its block-wide packB
+// pass. A is packed
+// for the whole depth up front, then one pool region of column segments
+// runs the product: each segment sweeps every row block through every
+// depth block in order, reading a non-transposed B in place (row stride n)
+// and packing a transposed one — and an in-place edge panel, which must not
+// read past the operand — one micro-panel at a time into its own scratch.
+// That is one fork/join for the product instead of three per depth block,
+// and no packed B panel crosses cores. Every C element sees the same
+// micro-kernel fold over the same A panel and B values in the same depth
+// order as on gemmBlocked, beta = 0 clears and the epilogue tail run per
+// segment as they run per tile there, so the result is bitwise
+// gemmBlocked's (GEMMPathBlocked is the oracle).
+func gemmShortStripe(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, ep *Epilogue, c []float32) {
+	gemmShortStripes.Inc()
+	if beta != 0 {
+		scaleC(c[:m*n], beta)
+	}
+	mr, nr := gemmMR, gemmNR
+	mp := (m + mr - 1) / mr * mr
+	ap := getScratch(mp * k)
+	for pc := 0; pc < k; pc += gemmKC {
+		packA(transA, (*ap)[mp*pc:], a, 0, m, pc, min(gemmKC, k-pc), m, k, alpha, mr, true)
+	}
+	// About four segments per worker, for dynamic balance; the width is
+	// read once, since a concurrent SetMaxWorkers may change it.
+	panels, segs := (n+nr-1)/nr, piecesPer(1, 4)
+	per := (panels + segs - 1) / segs // micro-panels per segment
+	s := stripeState{c: c, ap: *ap, b: b, transB: transB, m: m, n: n, k: k, mp: mp,
+		segCols: per * nr, clearC: beta == 0, ep: ep}
+	stripeBodies.run((panels+per-1)/per, 1, s, stripeSegments)
+	putScratch(ap)
+	if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
+		ep.finalizeLNRows(c, 0, m, n)
+	}
+}
+
+// stripeState holds the operands of a short stripe's region: work item t
+// is the column segment [t·segCols, (t+1)·segCols) over all m rows.
+type stripeState struct {
+	c, ap, b []float32
+	transB   bool
+	m, n, k  int
+	mp       int // rows of a packed A depth block (m rounded up to mr)
+	segCols  int // multiple of nr
+	clearC   bool
+	ep       *Epilogue
+}
+
+var stripeBodies argsPool[stripeState]
+
+func stripeSegments(s *stripeState, lo, hi int) {
+	nr := gemmNR
+	var bs, tmp *[]float32
+	for t := lo; t < hi; t++ {
+		j0 := t * s.segCols
+		jEnd := min(j0+s.segCols, s.n)
+		if s.clearC {
+			for r := 0; r < s.m; r++ {
+				clear(s.c[r*s.n+j0 : r*s.n+jEnd])
+			}
+		}
+		for pc := 0; pc < s.k; pc += gemmKC {
+			kcb := min(gemmKC, s.k-pc)
+			ap := s.ap[s.mp*pc:]
+			for jr := j0; jr < jEnd; jr += nr {
+				nw := min(nr, s.n-jr)
+				bpanel, ldb := s.b[pc*s.n+jr:], s.n
+				if s.transB || nw < nr {
+					if bs == nil {
+						bs = getScratch(nr * gemmKC)
+					}
+					packB(s.transB, *bs, s.b, jr, nw, pc, kcb, s.n, s.k, nr, false)
+					bpanel, ldb = *bs, nr
+				}
+				tmp = microColumn(s.c[jr:], s.n, ap, bpanel, ldb, kcb, 0, s.m, s.m, nw, tmp)
+			}
+		}
+		if s.ep != nil {
+			s.ep.applyTile(s.c, s.n, 0, s.m, j0, jEnd)
+		}
+	}
+	if bs != nil {
+		putScratch(bs)
+	}
+	if tmp != nil {
+		putScratch(tmp)
+	}
+}
+
 // microTileSweep accumulates C[ir0:irEnd][jr0:jrEnd] += Apanels·Bpanels
 // for one depth block of kcb packed steps. c addresses the full packed
 // region: element (r, j) lives at c[r*ldc+j], ap/bp hold mr-row and
 // nr-column micro-panels of ms live rows and ncb live columns (panel i
 // at ap[i*mr*kcb:], panel j at bp[j*nr*kcb:], zero-padded). ir0/jr0 must
-// be multiples of mr/nr. The micro-kernel is a continuation fold (its
-// accumulators seed from C), so the sweep preserves that property: a
-// depth range split across calls folds bitwise-identically to one call.
-// Full tiles go straight to the micro-kernel; edge tiles land in a
-// scratch side buffer first (a plain local array would escape through the
-// indirect kern call and allocate per tile) that is seeded with the live
-// C region and copied back afterwards — panel padding is zero and a
-// zero-seeded fma lane stays exactly zero, so the dead lanes never leak
-// into C.
+// be multiples of mr/nr.
 func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0, jrEnd, ms, ncb int) {
-	mr, nr := gemmMR, gemmNR
-	kern := activeKernel.f32
+	nr := gemmNR
 	var tmp *[]float32
 	for jr := jr0; jr < jrEnd; jr += nr {
-		nw := min(nr, ncb-jr)
-		bpanel := bp[(jr/nr)*nr*kcb:]
-		for ir := ir0; ir < irEnd; ir += mr {
-			mw := min(mr, ms-ir)
-			apanel := ap[(ir/mr)*mr*kcb:]
-			cc := c[ir*ldc+jr:]
-			if mw == mr && nw == nr {
-				kern(kcb, apanel, bpanel, cc, ldc)
-				continue
-			}
-			if tmp == nil {
-				tmp = getScratch(microTileMax)
-			}
-			t := (*tmp)[:mr*nr]
-			clear(t)
-			for r := 0; r < mw; r++ {
-				copy(t[r*nr:r*nr+nw], cc[r*ldc:])
-			}
-			kern(kcb, apanel, bpanel, t, nr)
-			for r := 0; r < mw; r++ {
-				copy(cc[r*ldc:r*ldc+nw], t[r*nr:])
-			}
-		}
+		tmp = microColumn(c[jr:], ldc, ap, bp[(jr/nr)*nr*kcb:], nr, kcb, ir0, irEnd, ms, min(nr, ncb-jr), tmp)
 	}
 	if tmp != nil {
 		putScratch(tmp)
 	}
+}
+
+// microColumn accumulates C[ir0:irEnd][0:nw] += Apanels·bpanel for one
+// depth block: the micro-kernel down one B micro-panel, whose depth step p
+// is bpanel[p*ldb:p*ldb+nr] (ldb = nr on packed panels). The micro-kernel
+// is a continuation fold (its accumulators seed from C), so the sweep
+// preserves that property: a depth range split across calls folds
+// bitwise-identically to one call. Full tiles go straight to the
+// micro-kernel; edge tiles land in a scratch side buffer first (a plain
+// local array would escape through the indirect kern call and allocate per
+// tile) that is seeded with the live C region and copied back afterwards —
+// dead B lanes are zero padding or, read in place, the operand's own
+// columns, and either way they only feed dead lanes, which never leak into
+// C. tmp is that buffer, fetched on first need and returned for the next
+// call; the caller puts it back.
+func microColumn(c []float32, ldc int, ap, bpanel []float32, ldb, kcb, ir0, irEnd, ms, nw int, tmp *[]float32) *[]float32 {
+	mr, nr := gemmMR, gemmNR
+	kern := activeKernel.f32
+	for ir := ir0; ir < irEnd; ir += mr {
+		mw := min(mr, ms-ir)
+		apanel := ap[(ir/mr)*mr*kcb:]
+		cc := c[ir*ldc:]
+		if mw == mr && nw == nr {
+			kern(kcb, apanel, bpanel, ldb, cc, ldc)
+			continue
+		}
+		if tmp == nil {
+			tmp = getScratch(microTileMax)
+		}
+		t := (*tmp)[:mr*nr]
+		clear(t)
+		for r := 0; r < mw; r++ {
+			copy(t[r*nr:r*nr+nw], cc[r*ldc:])
+		}
+		kern(kcb, apanel, bpanel, ldb, t, nr)
+		for r := 0; r < mw; r++ {
+			copy(cc[r*ldc:r*ldc+nw], t[r*nr:])
+		}
+	}
+	return tmp
 }
 
 // ---------------------------------------------------------------------------
@@ -385,24 +495,24 @@ func packBRange(s *packBArgs, lo, hi int) {
 // ---------------------------------------------------------------------------
 // Portable micro-kernel.
 
-// microKernel4x4 computes C[0:4][0:4] += Apanel·Bpanel over kc packed depth
-// steps with 16 independent scalar accumulators, seeded from C so the fold
+// microKernel4x4 computes C[0:4][0:4] += Apanel·Bpanel over kc depth steps
+// (B's step p at b[p*ldb:]) with 16 independent scalar accumulators, seeded from C so the fold
 // continues across kernel invocations: splitting the depth range over
 // multiple calls is bitwise-identical to one call over the whole range
 // (the gradient-accumulation equivalence depends on this). It is the
 // fallback for builds without the SIMD kernel and the cross-check oracle
 // for it.
-func microKernel4x4(kc int, a, b, c []float32, ldc int) {
+func microKernel4x4(kc int, a, b []float32, ldb int, c []float32, ldc int) {
 	r0, r1, r2, r3 := c[0:4], c[ldc:ldc+4], c[2*ldc:2*ldc+4], c[3*ldc:3*ldc+4]
 	c00, c01, c02, c03 := r0[0], r0[1], r0[2], r0[3]
 	c10, c11, c12, c13 := r1[0], r1[1], r1[2], r1[3]
 	c20, c21, c22, c23 := r2[0], r2[1], r2[2], r2[3]
 	c30, c31, c32, c33 := r3[0], r3[1], r3[2], r3[3]
 	a = a[:4*kc]
-	b = b[:4*kc]
-	for len(a) >= 4 {
+	for p := 0; len(a) >= 4; p += ldb {
 		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		bp := b[p : p+4]
+		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
 		c00 += a0 * b0
 		c01 += a0 * b1
 		c02 += a0 * b2
@@ -420,7 +530,6 @@ func microKernel4x4(kc int, a, b, c []float32, ldc int) {
 		c32 += a3 * b2
 		c33 += a3 * b3
 		a = a[4:]
-		b = b[4:]
 	}
 	r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
 	r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13

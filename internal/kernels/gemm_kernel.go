@@ -8,7 +8,9 @@ import (
 )
 
 // gemmKernel is one micro-kernel backend: the register-tile geometry the
-// packs and the tile sweep are built around, the f32 kernel, and the
+// packs and the tile sweep are built around, the f32 kernel (B read with
+// row stride ldb: nr on packed panels, the operand's row length where
+// op(B) is read in place), and the
 // vectorised transposing pack that goes with it (nil: the portable Go
 // loops). kernelTable (one per build, gemm_kernel_*.go) lists the
 // backends widest first; init installs the first supported one and tests
@@ -31,7 +33,7 @@ import (
 type gemmKernel struct {
 	name        string
 	mr, nr      int
-	f32         func(kc int, a, b, c []float32, ldc int)
+	f32         func(kc int, a, b []float32, ldb int, c []float32, ldc int)
 	packT4      func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
 	lambStage1  func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
 	subScaled   func(y, x []float32, a float32)

@@ -6,10 +6,10 @@ package kernels
 // probe, and the kernel table built from them.
 
 //go:noescape
-func sgemmKernel12x32(kc int64, a, b, c *float32, ldc int64)
+func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
 
 //go:noescape
-func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
+func sgemmKernel6x16(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
 
 //go:noescape
 func packT4asm(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
@@ -19,12 +19,12 @@ func xgetbv() (eax, edx uint32)
 
 // microKernel12x32 and microKernel6x16 adapt the assembly kernels to the
 // generic micro-kernel signature: C[0:mr][0:nr] += Apanel·Bpanel.
-func microKernel12x32(kc int, a, b, c []float32, ldc int) {
-	sgemmKernel12x32(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+func microKernel12x32(kc int, a, b []float32, ldb int, c []float32, ldc int) {
+	sgemmKernel12x32(int64(kc), &a[0], &b[0], int64(ldb), &c[0], int64(ldc))
 }
 
-func microKernel6x16(kc int, a, b, c []float32, ldc int) {
-	sgemmKernel6x16(int64(kc), &a[0], &b[0], &c[0], int64(ldc))
+func microKernel6x16(kc int, a, b []float32, ldb int, c []float32, ldc int) {
+	sgemmKernel6x16(int64(kc), &a[0], &b[0], int64(ldb), &c[0], int64(ldc))
 }
 
 // cpuRegs is what the feature decision reads: the highest basic CPUID

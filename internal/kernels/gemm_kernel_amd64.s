@@ -19,27 +19,30 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func sgemmKernel6x16(kc int64, a, b, c *float32, ldc int64)
+// func sgemmKernel6x16(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
 //
-// C[0:6][0:16] += Apanel·Bpanel over kc packed depth steps, computed as a
+// C[0:6][0:16] += Apanel·Bpanel over kc depth steps, computed as a
 // continuation fold: the accumulator tile is SEEDED from C before the
 // depth loop and plain-stored afterwards, so splitting the depth range
 // across multiple kernel invocations yields bitwise-identical results to
 // one invocation over the whole range (the gradient-accumulation
 // equivalence in internal/audit depends on this).
 // a: packed 6-row micro-panel, 6 floats per depth step (alpha pre-folded).
-// b: packed 16-column micro-panel, 16 floats per depth step.
+// b: 16-column micro-panel, depth step p at b[p·ldb:p·ldb+16] — a packed
+// panel (ldb = 16) or op(B) read in place (ldb = its row length).
 // c: row-major, stride ldc floats.
 //
 // Register plan: Y0-Y11 hold the 6×16 accumulator tile (two 8-lane vectors
 // per row), Y12/Y13 the current B vectors, Y14/Y15 broadcast A elements.
 // 12 FMAs per depth step; B feeds from L1, A from L2.
-TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-40
+TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), R8
+	MOVQ ldb+24(FP), R10
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
+	SHLQ $2, R10                // B depth stride in bytes
 	SHLQ $2, R8                 // row stride in bytes
 
 	// Seed the accumulator tile from C, row by row.
@@ -84,7 +87,7 @@ kloop:
 	VFMADD231PS Y12, Y15, Y10
 	VFMADD231PS Y13, Y15, Y11
 	ADDQ $24, SI
-	ADDQ $64, DX
+	ADDQ R10, DX
 	DECQ CX
 	JNZ  kloop
 
@@ -110,14 +113,15 @@ kloop:
 	VZEROUPPER
 	RET
 
-// func sgemmKernel12x32(kc int64, a, b, c *float32, ldc int64)
+// func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
 //
 // The AVX-512F counterpart of sgemmKernel6x16: C[0:12][0:32] +=
 // Apanel·Bpanel, the same continuation fold (seed from C, one FMA per
 // element per depth step in depth order, plain store), so every C element
 // is bitwise what the 6×16 kernel produces for the same panels.
 // a: packed 12-row micro-panel, 12 floats per depth step.
-// b: packed 32-column micro-panel, 32 floats per depth step.
+// b: 32-column micro-panel, depth step p at b[p·ldb:p·ldb+32] (ldb = 32
+// for a packed panel).
 //
 // Register plan: Z0-Z23 hold the 12×32 accumulator tile (two 16-lane
 // vectors per row), Z24/Z25 the current B vectors, Z26-Z31 rotate through
@@ -144,12 +148,14 @@ kloop:
 	VMOVUPS hi, 64(DI); \
 	ADDQ    R8, DI
 
-TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-40
+TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), R8
+	MOVQ ldb+24(FP), R10
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), R8
+	SHLQ $2, R10                // B depth stride in bytes
 	SHLQ $2, R8                 // row stride in bytes
 
 	MOVQ DI, R9
@@ -198,7 +204,7 @@ kloop512:
 	ROW12x32(40, Z30, Z20, Z21)
 	ROW12x32(44, Z31, Z22, Z23)
 	ADDQ $48, SI
-	ADDQ $128, DX
+	ADDQ R10, DX
 	DECQ CX
 	JNZ  kloop512
 

@@ -211,7 +211,7 @@ func BenchmarkMicroKernel(b *testing.B) {
 			ap, bp, c := randSlice(r, k.mr*gemmKC), randSlice(r, k.nr*gemmKC), make([]float32, k.mr*k.nr)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k.f32(gemmKC, ap, bp, c, k.nr)
+				k.f32(gemmKC, ap, bp, k.nr, c, k.nr)
 			}
 			b.ReportMetric(float64(2*k.mr*k.nr*gemmKC)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})

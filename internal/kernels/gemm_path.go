@@ -6,7 +6,8 @@ package kernels
 // Production passes GEMMPathAuto: every call decides its own route from its
 // operands — products below smallGEMMFlops take the naive loops, larger
 // ones the cache-blocked engine, weights the pack cache has seen reused
-// skip the per-call pack, epilogues fuse into the tile write-back, and a
+// skip the per-call pack, short stripes without built panels read or pack
+// B where they consume it, epilogues fuse into the tile write-back, and a
 // batch runs one product per work item. The package-level GEMM, GEMMPacked
 // and BatchedGEMM are that route. The other three values force one route
 // for a whole forward+backward pass, so the audit harness (internal/audit)
@@ -15,17 +16,23 @@ package kernels
 // send to the engine (edge tiles, k < NR, single-row stripes). One value per
 // route that differs in code executed:
 //
-//	             small products   B operand                    epilogue tail
-//	auto         naive loops      pre-packed once reused,      fused (engine) / reference (naive)
-//	                              per call on a first use
-//	naive        naive loops      raw                          reference
-//	blocked      engine           packed per call              reference
-//	fused        engine           pre-packed at once           fused
+//	         small      B with built       B without panels (a weight's     epilogue tail
+//	         products   panels             first use, activations)
+//	auto     naive      pre-packed once    m ≤ 2·gemmMC: short stripe —     fused (engine) /
+//	         loops      reused             read in place (NN) or packed     reference (naive)
+//	                                       per segment (NT); taller:
+//	                                       packed per call
+//	naive    naive      raw                raw                              reference
+//	         loops
+//	blocked  engine     packed per call    packed per call                  reference
+//	fused    engine     pre-packed at      packed per call                  fused
+//	                    once
 //
-// blocked is the bitwise comparator for fused: same micro-kernel, same
-// panel bytes, same schedule, with both shortcuts (pack reuse, fused tail)
-// turned off. auto's first-use route sits between them — panels per call,
-// tail fused — and is bitwise both.
+// blocked is the bitwise comparator for fused and for auto's engine
+// routes: same micro-kernel, same A panels and B values, same depth order
+// per C element, with every shortcut (pack reuse, fused tail, short
+// stripes) turned off. Serial products (BatchedGEMM's and
+// AttentionRagged's per-matrix calls) keep the per-call schedule on auto.
 type GEMMPath int32
 
 const (
@@ -66,14 +73,17 @@ func (p GEMMPath) String() string {
 // routes here: the naive loops when forced, or under auto below the size
 // rule, and the forced blocked engine on per-call panels, each followed by
 // the reference tail; otherwise the engine with the tail fused into its
-// write-back, on panels (op(B) pre-packed by PackWeight) or, when nil,
-// packed per call. par allows pool parallelism; BatchedGEMM and
-// AttentionRagged pass false for their per-matrix products.
+// write-back: auto's short-stripe route when panels is nil, par is set and
+// C has at most shortStripeRows rows, else gemmBlocked on panels (op(B)
+// pre-packed by PackWeight) or, when nil, packed per call. par allows pool
+// parallelism; BatchedGEMM and AttentionRagged pass false for their
+// per-matrix products.
 //
 // The naive loops scale C by beta in a pre-pass. The engine does too for a
-// beta other than 0 and 1; at beta = 0 each tile clears its own region of C
-// on its first depth block instead (gemmState.tile), on the worker that
-// computes it. C holds +0 before the first multiply-add either way, so the
+// beta other than 0 and 1; at beta = 0 each tile (each column segment, on
+// a short stripe) clears its own region of C on its first depth block
+// instead (gemmState.tile, stripeSegments), on the worker that computes
+// it. C holds +0 before the first multiply-add either way, so the
 // result is bitwise the same, and C's prior contents — NaN included — are
 // never read.
 func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32, par bool) {
@@ -86,6 +96,10 @@ func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, pan
 		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
 	case p == GEMMPathBlocked:
 		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c, par)
+	case p == GEMMPathAuto && panels == nil && par && m <= shortStripeRows:
+		ep.countFused()
+		gemmShortStripe(transA, transB, m, n, k, alpha, a, b, beta, ep, c)
+		return
 	default:
 		ep.countFused()
 		gemmBlocked(transA, transB, m, n, k, alpha, a, b, panels, beta, ep, c, par)

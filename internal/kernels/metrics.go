@@ -30,6 +30,9 @@ var (
 	packCacheDeferred = obs.NewCounter("kernels_pack_cache_deferred_total",
 		"weight-pack cache lookups that built nothing: a generation's first use packs per call, its second builds the pack")
 
+	gemmShortStripes = obs.NewCounter("kernels_gemm_short_stripe_total",
+		"GEMMs run on auto's short-stripe route: m within two row blocks, no pre-built panels, B read in place or packed by the segment that uses it")
+
 	batchedGEMMRuns = obs.NewCounter("kernels_batched_gemm_per_matrix_total",
 		"batched GEMMs (batch ≥ 2) run one matrix per pool work item")
 

@@ -379,7 +379,8 @@ func grainFor(n, per int) int {
 // piecesPer is how many pieces each of items work items should be cut
 // into for a region to hold at least perWorker items per worker: 1 at
 // width 1 or when items already suffice. The blocked GEMM cuts the row
-// blocks of a short stripe into column segments with it.
+// blocks of a short stripe into column segments with it, and auto's
+// short-stripe route sizes its segments with it.
 func piecesPer(items, perWorker int) int {
 	w := int(maxWorkers.Load())
 	if w <= 1 || items >= perWorker*w {

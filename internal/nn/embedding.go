@@ -34,7 +34,11 @@ type Embedding struct {
 	// a full-batch step: each accumulator is a token-order continuation
 	// fold across micro-batches, and the merge happens exactly once.
 	tokScatter *tensor.Tensor
-	scattered  bool // tokScatter holds a Backward not yet flushed
+	// tokRows lists, once each, the token rows scattered into since the
+	// last flush or drop (tokSeen marks them), so both touch only those
+	// rows: ~seq-len rows of a vocab-row table.
+	tokRows []int
+	tokSeen []bool
 
 	// Saved for backward.
 	tokens   []int
@@ -151,6 +155,13 @@ func (e *Embedding) Backward(ctx *Ctx, dY *tensor.Tensor) {
 
 	if e.tokScatter == nil {
 		e.tokScatter = tensor.New(e.vocab, e.dModel)
+		e.tokSeen = make([]bool, e.vocab)
+	}
+	for _, id := range e.tokens {
+		if !e.tokSeen[id] {
+			e.tokSeen[id] = true
+			e.tokRows = append(e.tokRows, id)
+		}
 	}
 	total := dSum.Size()
 	es := ctx.ElemSize()
@@ -169,7 +180,6 @@ func (e *Embedding) Backward(ctx *Ctx, dY *tensor.Tensor) {
 				}
 			}
 		})
-	e.scattered = true
 	e.tokens, e.segments = nil, nil
 }
 
@@ -177,28 +187,45 @@ func (e *Embedding) Backward(ctx *Ctx, dY *tensor.Tensor) {
 // Tok.Grad (on top of the tied decoder's GEMM contribution) and clears
 // the accumulator. Call exactly once per logical iteration, after the
 // last Backward.
+//
+// Only the rows scattered since the last flush are added and cleared;
+// every other accumulator row is +0, and adding +0 leaves a float32 as it
+// was unless it is −0 (which becomes +0) or a signalling NaN (which is
+// quieted). Tok.Grad holds neither: ZeroGrads leaves it +0, its other
+// writer before the flush is the decoder's weight-gradient GEMM, whose
+// multiply-add chains start from that +0 — and a round-to-nearest sum is
+// −0 only when both addends are — and arithmetic never produces a
+// signalling NaN. So the sparse flush is bitwise the dense AccumulateInto
+// plus ZeroAll over the whole vocab×d table on every state a training
+// step reaches.
 func (e *Embedding) FlushTokScatter(ctx *Ctx) {
 	if e.tokScatter == nil {
 		return
 	}
-	total := e.tokScatter.Size()
+	touched := len(e.tokRows) * e.dModel
 	es := ctx.ElemSize()
 	ctx.Prof.Time("embedding_scatter_flush", profile.CatEmbedding, profile.Backward,
-		kernels.EWFLOPs(total, 1), kernels.EWBytes(total, 2, 1, es), func() {
-			kernels.AccumulateInto(e.Tok.Grad.Data(), e.tokScatter.Data())
+		kernels.EWFLOPs(touched, 1), kernels.EWBytes(touched, 2, 2, es), func() {
+			kernels.FlushRows(e.Tok.Grad.Data(), e.tokScatter.Data(), e.tokRows, e.dModel)
 		})
-	kernels.ZeroAll(e.tokScatter.Data())
-	e.scattered = false
+	e.forgetTokRows()
 }
 
 // DropTokScatter discards any pending token-scatter accumulation — the
 // ZeroGrads counterpart, so an abandoned half-iteration cannot leak into
 // the next one. After a flush there is nothing to discard.
 func (e *Embedding) DropTokScatter() {
-	if e.scattered {
-		kernels.ZeroAll(e.tokScatter.Data())
-		e.scattered = false
+	for _, id := range e.tokRows {
+		clear(e.tokScatter.Row(id))
 	}
+	e.forgetTokRows()
+}
+
+func (e *Embedding) forgetTokRows() {
+	for _, id := range e.tokRows {
+		e.tokSeen[id] = false
+	}
+	e.tokRows = e.tokRows[:0]
 }
 
 // Params returns the embedding tables and LayerNorm parameters.

@@ -142,7 +142,11 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	// The weight operand is packed at most once per parameter generation
 	// and reused across micro-batches, gradient-accumulation steps, and
 	// eval (nn.Param caches); a weight used once per generation — a plain
-	// training step — is packed per call instead, with the same fused tail.
+	// training step — is packed per call instead, with the same fused tail:
+	// on at most two row blocks of tokens (train_update's 128, the MLM
+	// head's masked rows) one micro-panel at a time by the column segment
+	// that consumes it (kernels' short-stripe route), taller batches one
+	// depth × column block at a time. Every route gives the same bits.
 	m, n, k := tokens, l.out, l.in
 	ctx.Prof.Time("linear_fwd_gemm", l.Category, profile.Forward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
@@ -173,7 +177,11 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 
 	// dX = dY · W: (tokens×out)·(out×in), on the weight pack for the
 	// untransposed orientation (a second cache slot of the same Param)
-	// once the generation is reused.
+	// once the generation is reused. On a first use W is packed per call,
+	// or — on at most two row blocks of tokens — read in place, row
+	// stride in, by the micro-kernel (kernels' short-stripe route).
+	// dW below has the output features as its rows, so at BERT's widths
+	// (≥ 256) it keeps the per-call schedule.
 	m, n, k := tokens, l.in, l.out
 	ctx.Prof.Time("linear_bwd_dgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
