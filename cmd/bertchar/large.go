@@ -214,7 +214,7 @@ func runLarge(stdout io.Writer, lf *largeFlags, dev demystbert.Device) error {
 	m.CkptSpill = memscale.NewActSpill(arena)
 
 	opt := optim.NewLAMB(0.01)
-	sh, err := memscale.NewSharded(opt, m.Params(), lf.shards, nil)
+	sh, err := memscale.NewSharded(opt, m.Params(), lf.shards)
 	if err != nil {
 		return err
 	}

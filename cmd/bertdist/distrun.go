@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"demystbert/internal/distnet"
-	"demystbert/internal/memscale"
 	"demystbert/internal/model"
-	"demystbert/internal/nn"
 	"demystbert/internal/runutil"
 	"demystbert/internal/trace"
 )
@@ -52,7 +50,6 @@ type trainFlags struct {
 	drop                  float64
 	fixedData             bool
 	noOverlap             bool
-	zero1                 bool
 	netTimeout            time.Duration
 
 	trace    bool
@@ -76,8 +73,7 @@ func (tf *trainFlags) register(fs *flag.FlagSet) {
 	fs.Uint64Var(&tf.seed, "seed", 7, "model/data seed (identical across ranks)")
 	fs.Float64Var(&tf.drop, "drop", -1, "dropout override (<0 keeps the config default)")
 	fs.BoolVar(&tf.fixedData, "fixed-data", false, "repeat the first batch every step (convergence smoke)")
-	fs.BoolVar(&tf.noOverlap, "no-overlap", false, "all-reduce after the backward pass instead of overlapping it")
-	fs.BoolVar(&tf.zero1, "zero1", false, "shard optimizer state ZeRO-1 style: each rank keeps m/v for its shard only and all-gathers updated weights")
+	fs.BoolVar(&tf.noOverlap, "no-overlap", false, "reduce-scatter the gradients after the backward pass instead of overlapping it")
 	fs.DurationVar(&tf.netTimeout, "net-timeout", 30*time.Second, "handshake and per-frame I/O deadline")
 	fs.BoolVar(&tf.trace, "trace", false, "record per-step spans on every rank; rank 0 merges them clock-aligned and reports per-step stragglers")
 	fs.StringVar(&tf.traceOut, "trace-out", "", "with -trace: write the merged multi-rank Perfetto timeline here (rank 0)")
@@ -118,31 +114,32 @@ func (tf *trainFlags) trainConfig() distnet.TrainConfig {
 
 // atomicCkpt snapshots model weights to disk so that a SIGTERM landing
 // mid-run still leaves a complete, loadable checkpoint: saves go to a
-// temp file in the destination directory and rename into place, and the
-// mutex excludes the trainer's optimizer step (the only writer of
-// parameter values), making every snapshot step-consistent.
+// temp file in the destination directory and rename into place, and each
+// reads the weights through Trainer.ReadWeights, which excludes the
+// step's update and the weight all-gather that completes it, making
+// every snapshot step-consistent.
 type atomicCkpt struct {
 	mu   sync.Mutex
-	m    *model.BERT
+	t    *distnet.Trainer
 	path string
 }
 
-func (c *atomicCkpt) attach(m *model.BERT) {
+func (c *atomicCkpt) attach(t *distnet.Trainer) {
 	c.mu.Lock()
-	c.m = m
+	c.t = t
 	c.mu.Unlock()
 }
 
 func (c *atomicCkpt) save() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m == nil || c.path == "" {
+	if c.t == nil || c.path == "" {
 		return nil
 	}
-	if err := saveParamsAtomic(c.path, c.m); err != nil {
+	if err := c.t.ReadWeights(func(m *model.BERT) error { return saveParamsAtomic(c.path, m) }); err != nil {
 		return err
 	}
-	c.m = nil // saved cleanly; a later drain has nothing newer to write
+	c.t = nil // saved cleanly; a later drain has nothing newer to write
 	return nil
 }
 
@@ -172,26 +169,7 @@ func trainWorker(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown)
 	cfg := tf.trainConfig()
 	ck := &atomicCkpt{path: tf.paramsOut}
 	cfg.WireTrainer = func(t *distnet.Trainer) error {
-		if tf.zero1 && t.G.World() > 1 {
-			sh, err := memscale.NewSharded(t.Opt, t.M.Params(), t.G.World(), t.G)
-			if err != nil {
-				return err
-			}
-			t.OptStep = sh.Step
-		}
-		// Serialize weight updates against checkpoint snapshots so the
-		// SIGTERM drain never captures a half-applied step.
-		step, opt := t.OptStep, t.Opt
-		t.OptStep = func(ctx *nn.Ctx, params []*nn.Param) error {
-			ck.mu.Lock()
-			defer ck.mu.Unlock()
-			if step != nil {
-				return step(ctx, params)
-			}
-			opt.Step(ctx, params)
-			return nil
-		}
-		ck.attach(t.M)
+		ck.attach(t)
 		return nil
 	}
 	if tf.paramsOut != "" {
@@ -206,9 +184,9 @@ func trainWorker(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown)
 		fmt.Fprintf(stderr, "bertdist: rank %d: %v\n", tf.rank, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "rank %d/%d: %d steps, %d buckets, step %.2fms (fwd %.2f bwd %.2f comm %.2f exposed %.2f upd %.2f)\n",
+	fmt.Fprintf(stdout, "rank %d/%d: %d steps, %d buckets, step %.2fms (fwd %.2f bwd %.2f comm %.2f exposed %.2f upd %.2f gather %.2f)\n",
 		res.Rank, res.World, res.Steps, res.Buckets,
-		res.StepMS, res.FwdMS, res.BwdMS, res.CommMS, res.ExposedMS, res.UpdMS)
+		res.StepMS, res.FwdMS, res.BwdMS, res.CommMS, res.ExposedMS, res.UpdMS, res.GatherMS)
 	reportLossTrend(stdout, res.Losses)
 	if tf.resultOut != "" {
 		if err := writeJSON(tf.resultOut, res); err != nil {
@@ -282,9 +260,6 @@ func forkWorld(tf *trainFlags, stderr io.Writer, sd *runutil.Shutdown) ([]*distn
 		}
 		if tf.fixedData {
 			args = append(args, "-fixed-data")
-		}
-		if tf.zero1 {
-			args = append(args, "-zero1")
 		}
 		if tf.trace {
 			// Clock sync and the shard exchange are collectives: every rank
@@ -366,8 +341,9 @@ func launchLocal(tf *trainFlags, stdout, stderr io.Writer, sd *runutil.Shutdown)
 		world, r0.Overlap, r0.Buckets, r0.GradElems)
 	var meanFirst, meanLast float64
 	for _, r := range results {
-		fmt.Fprintf(stdout, "rank %d: step %.2fms comm %.2fms exposed %.2fms wire %dB/step\n",
-			r.Rank, r.StepMS, r.CommMS, r.ExposedMS, r.WireBytesPerStep)
+		fmt.Fprintf(stdout, "rank %d: step %.2fms comm %.2fms exposed %.2fms gather %.2fms wire %dB/step opt state %dB (%.2f of replicated)\n",
+			r.Rank, r.StepMS, r.CommMS, r.ExposedMS, r.GatherMS, r.WireBytesPerStep,
+			r.OptStateBytes, float64(r.OptStateBytes)/float64(8*r.GradElems))
 		meanFirst += r.Losses[0] / float64(world)
 		meanLast += r.Losses[len(r.Losses)-1] / float64(world)
 	}

@@ -294,31 +294,14 @@ func TestWorkerSIGTERMCheckpointLoadable(t *testing.T) {
 	}
 }
 
-// TestLaunchZero1BitwiseMatchesUnsharded: two real processes training
-// with ZeRO-1 optimizer-state sharding must land on exactly the weights
-// of the replicated-optimizer run — the shard split, per-shard LAMB
-// apply, and weight all-gather are bitwise transparent.
-func TestLaunchZero1BitwiseMatchesUnsharded(t *testing.T) {
-	dir := t.TempDir()
-	plain := filepath.Join(dir, "plain.bin")
-	sharded := filepath.Join(dir, "zero1.bin")
-	if out, code := runCmd(t, "-launch", "2", "-steps", "3", "-train-b", "2", "-seq", "16",
-		"-seed", "7", "-params-out", plain); code != 0 {
-		t.Fatalf("plain launch exit %d\n%s", code, out)
-	}
-	if out, code := runCmd(t, "-launch", "2", "-steps", "3", "-train-b", "2", "-seq", "16",
-		"-seed", "7", "-zero1", "-params-out", sharded); code != 0 {
-		t.Fatalf("zero1 launch exit %d\n%s", code, out)
-	}
-	pb, err := os.ReadFile(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := os.ReadFile(sharded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pb) != string(sb) {
-		t.Fatal("zero1 checkpoint differs from unsharded checkpoint (bitwise divergence)")
+// -zero1 switched the optimizer-state sharding on; every world > 1 run
+// shards it now, so the flag is gone, not ignored. Its bitwise property
+// is TestLaunchBitwiseMatchesInProcessDDP's, and internal/distnet's
+// TestTrainWorld2BitwiseMatchesDDPAndSerial's.
+func TestZero1FlagRemoved(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-zero1", "-launch", "2"}, &out, &errOut); code != 2 ||
+		!strings.Contains(errOut.String(), "flag provided but not defined: -zero1") {
+		t.Errorf("exit %d, stderr %q", code, errOut.String())
 	}
 }

@@ -4,8 +4,8 @@ package audit
 // optimizer-state sharding are pure reorganizations of the same math, so
 // both are held to bitwise equality — StepAccum(B/k, k) against the
 // full-batch Step(B) across the GEMM-path × checkpointing matrix, and
-// the sharded (ZeRO-1) LAMB update against the unsharded optimizer in
-// both virtual-shard and real world-2 modes.
+// the sharded LAMB update against the unsharded optimizer, in memscale's
+// virtual shards and in the world-2 data-parallel trainer.
 
 import (
 	"fmt"
@@ -145,11 +145,14 @@ func compareShardValues(label string, got, want []*nn.Param) []Divergence {
 	return divs
 }
 
-// CheckShardedOptimizer pins the ZeRO-1 optimizer update bitwise against
+// CheckShardedOptimizer pins the sharded optimizer update bitwise against
 // the unsharded LAMB, in both execution modes: virtual shards (one
-// process, K=3, m/v spilled through the arena between shards) and a real
-// world-2 process group over loopback TCP (each rank updates its shard
-// and all-gathers the weights).
+// process, K=3, m/v spilled through the arena between shards) and the
+// data-parallel trainer on a real world-2 process group over loopback TCP
+// (each rank reduce-scatters the gradients, updates the parameters it
+// owns and all-gathers the weights). Both ranks step the same batch with
+// dropout off, so the averaged gradient is each rank's own, exactly, and
+// the reference is one model stepped by a plain LAMB.
 func CheckShardedOptimizer() []Divergence {
 	var divs []Divergence
 	ctx := nn.NewCtx(ctxSeed)
@@ -162,7 +165,7 @@ func CheckShardedOptimizer() []Divergence {
 	}
 	defer arena.Close()
 	po, so := optim.NewLAMB(0.01), optim.NewLAMB(0.01)
-	sh, err := memscale.NewSharded(so, sharded, 3, nil)
+	sh, err := memscale.NewSharded(so, sharded, 3)
 	if err != nil {
 		return shardDiverge("virtual", err)
 	}
@@ -190,32 +193,33 @@ func CheckShardedOptimizer() []Divergence {
 			g.Close()
 		}
 	}()
-	reference := shardParams()
-	replicas := [][]*nn.Param{shardParams(), shardParams()}
-	ro := optim.NewLAMB(0.01)
-	shs := make([]*memscale.Sharded, 2)
-	for r := 0; r < 2; r++ {
-		shs[r], err = memscale.NewSharded(optim.NewLAMB(0.01), replicas[r], 2, groups[r])
+	cfg := accumConfig(false)
+	newModel := func() *model.BERT {
+		m, err := model.New(cfg, weightSeed)
 		if err != nil {
-			return append(divs, shardDiverge("world2", err)...)
+			panic(err)
 		}
+		return m
 	}
-	gr2 := tensor.NewRNG(dataSeed + 1)
+	reference := newModel()
+	ro := optim.NewLAMB(0.01)
+	trainers := make([]*distnet.Trainer, 2)
+	for r := range trainers {
+		trainers[r] = distnet.NewTrainer(groups[r], newModel(), ctxSeed, 16*1024, true, 0.01)
+	}
+	gen := data.NewGenerator(cfg.Vocab, 0.15, dataSeed+1)
 	for iter := 0; iter < 3; iter++ {
-		// Identical grads on every replica — the post-all-reduce state.
-		for i := range reference {
-			reference[i].Grad.FillUniform(gr2, -0.1, 0.1)
-			copy(replicas[0][i].Grad.Data(), reference[i].Grad.Data())
-			copy(replicas[1][i].Grad.Data(), reference[i].Grad.Data())
-		}
-		ro.Step(ctx, reference)
+		batch := gen.Next(2, 16)
+		reference.Step(ctx, batch)
+		ro.Step(ctx, reference.Params())
+		reference.ZeroGrads()
 		errs := make([]error, 2)
 		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
+		for r := range trainers {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				errs[r] = shs[r].Step(nn.NewCtx(ctxSeed), replicas[r])
+				_, _, errs[r] = trainers[r].Step(batch)
 			}(r)
 		}
 		wg.Wait()
@@ -225,8 +229,8 @@ func CheckShardedOptimizer() []Divergence {
 			}
 		}
 	}
-	divs = append(divs, compareShardValues("world2-rank0", replicas[0], reference)...)
-	divs = append(divs, compareShardValues("world2-rank1", replicas[1], reference)...)
+	divs = append(divs, compareShardValues("world2-rank0", trainers[0].M.Params(), reference.Params())...)
+	divs = append(divs, compareShardValues("world2-rank1", trainers[1].M.Params(), reference.Params())...)
 	return divs
 }
 
@@ -243,9 +247,9 @@ func TestAccumEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedOptimizerBitwise pins the ZeRO-1 update — virtual shards
-// through the arena and a real world-2 loopback group — bitwise against
-// the unsharded LAMB.
+// TestShardedOptimizerBitwise pins the sharded update — virtual shards
+// through the arena and the world-2 trainer on a real loopback group —
+// bitwise against the unsharded LAMB.
 func TestShardedOptimizerBitwise(t *testing.T) {
 	for _, d := range CheckShardedOptimizer() {
 		t.Error(d)

@@ -3,11 +3,11 @@ package distnet
 import "fmt"
 
 // ReduceScatter and AllGather are the two halves of the ring AllReduce,
-// exposed separately with CALLER-SUPPLIED chunk bounds. The ZeRO-1
-// optimizer-state sharding path (internal/memscale) needs bounds aligned
-// to parameter-tensor boundaries — rank r owns the parameters in
-// buf[bounds[r]:bounds[r+1]] — where AllReduce's internal c·n/D bounds
-// would split a tensor between two owners.
+// exposed separately with CALLER-SUPPLIED chunk bounds. The trainer's
+// sharded update needs bounds aligned to parameter-tensor boundaries —
+// rank r owns the parameters in buf[bounds[r]:bounds[r+1]] — where
+// AllReduce's internal c·n/D bounds would split a tensor between two
+// owners.
 //
 // bounds must have world+1 non-decreasing entries with bounds[0] == 0 and
 // bounds[world] == len(buf), identical on every rank. Both run on
@@ -32,9 +32,19 @@ func (g *Group) checkBounds(buf []float32, bounds []int) error {
 // ReduceScatter sums buf element-wise across ranks such that on return
 // this rank's own chunk buf[bounds[rank]:bounds[rank+1]] holds the full
 // world-wide sum. Other chunks are left holding partial sums and must be
-// treated as garbage. At world=2 each element of the owned chunk is one
-// float addition — bit-identical to AllReduce's reduced value.
+// treated as garbage. Chunk c is folded in ring order starting after its
+// owner: acc = x_{c+1}, then acc = x_{c+1+k mod D} + acc for k = 1..D-1,
+// the last addend being the owner's own. At world=2 each element of the
+// owned chunk is one float addition — bit-identical to AllReduce's
+// reduced value.
 func (g *Group) ReduceScatter(tag uint32, buf []float32, bounds []int) error {
+	return g.reduceScatter(tag, buf, bounds, 1)
+}
+
+// reduceScatter is ReduceScatter with the owner computing
+// float32(acc+own)·scale on its last step, as allReduce does: the trainer
+// passes 1/world, the data-parallel average.
+func (g *Group) reduceScatter(tag uint32, buf []float32, bounds []int, scale float32) error {
 	if g.world == 1 {
 		return nil
 	}
@@ -44,7 +54,7 @@ func (g *Group) ReduceScatter(tag uint32, buf []float32, bounds []int) error {
 	// Step s sends the chunk reduced in step s-1 and folds the incoming
 	// partial into the next one down the ring; after D-1 steps the chunk
 	// that has visited every rank — chunk(rank) — rests here.
-	return g.ring(tag, 0, buf, bounds, g.rank-1, 1)
+	return g.ring(tag, 0, buf, bounds, g.rank-1, scale)
 }
 
 // AllGather circulates each rank's own chunk — buf[bounds[rank]:

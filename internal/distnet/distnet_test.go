@@ -487,6 +487,21 @@ func TestTrainWorld2BitwiseMatchesDDPAndSerial(t *testing.T) {
 // trainers.
 func stepOnGroups(t *testing.T, groups []*Group, cfg model.Config, steps int, batch func(r int) *data.Batch) []*Trainer {
 	t.Helper()
+	trainers := newTrainers(t, groups, cfg)
+	for s := 0; s < steps; s++ {
+		batches := make([]*data.Batch, len(groups))
+		for r := range batches {
+			batches[r] = batch(r)
+		}
+		stepTrainers(t, trainers, batches)
+	}
+	return trainers
+}
+
+// newTrainers builds one trainer per rank of groups on a model of cfg
+// (model and dropout seed 7, 32 KiB buckets, overlap on).
+func newTrainers(t *testing.T, groups []*Group, cfg model.Config) []*Trainer {
+	t.Helper()
 	trainers := make([]*Trainer, len(groups))
 	for r, g := range groups {
 		m, err := model.New(cfg, 7)
@@ -495,17 +510,20 @@ func stepOnGroups(t *testing.T, groups []*Group, cfg model.Config, steps int, ba
 		}
 		trainers[r] = NewTrainer(g, m, 7, 32*1024, true, 0.01)
 	}
-	for s := 0; s < steps; s++ {
-		batches := make([]*data.Batch, len(groups))
-		for r := range batches {
-			batches[r] = batch(r)
-		}
-		runCollective(t, groups, func(g *Group) error {
-			_, _, err := trainers[g.Rank()].Step(batches[g.Rank()])
-			return err
-		})
-	}
 	return trainers
+}
+
+// stepTrainers steps every rank's trainer once on its batch, concurrently.
+func stepTrainers(t *testing.T, trainers []*Trainer, batches []*data.Batch) {
+	t.Helper()
+	groups := make([]*Group, len(trainers))
+	for r, tr := range trainers {
+		groups[r] = tr.G
+	}
+	runCollective(t, groups, func(g *Group) error {
+		_, _, err := trainers[g.Rank()].Step(batches[g.Rank()])
+		return err
+	})
 }
 
 // Replicas stepping different shards stay bit-identical: every rank
@@ -543,8 +561,10 @@ func TestTrainerGradientAveraging(t *testing.T) {
 }
 
 // One step's ring traffic, summed over the ranks, is the ring all-reduce
-// volume of every bucket: 2(d-1) steps each moving the whole bucket once
-// around the ring, plus one frame header per rank per step.
+// payload of every gradient — 2(d-1)·4 bytes per element, split between
+// each bucket's reduce-scatter and the one weight all-gather — plus the
+// norm exchange's two float32 slots per tensor moved d-1 times, plus one
+// frame header per rank per ring step of each collective.
 func TestTrainerCommBytes(t *testing.T) {
 	const d = 3
 	cfg := model.Tiny()
@@ -560,9 +580,11 @@ func TestTrainerCommBytes(t *testing.T) {
 		tx, _ := g.WireBytes()
 		got += tx
 	}
-	for _, b := range trainers[0].Plan().List {
-		want += 2 * (d - 1) * (4*int64(b.Len) + d*frameHeaderBytes)
-	}
+	plan := trainers[0].Plan()
+	want = 2 * (d - 1) * 4 * int64(plan.Elems())
+	want += (d - 1) * 4 * 2 * int64(len(plan.Params))
+	frames := int64(len(plan.List)) + 2
+	want += frames * (d - 1) * d * frameHeaderBytes
 	if got != want {
 		t.Fatalf("one step moved %d bytes over the ring, want %d", got, want)
 	}

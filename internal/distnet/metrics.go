@@ -24,14 +24,16 @@ var (
 	allreducesTotal = obs.NewCounter("distnet_allreduces_total",
 		"ring AllReduce collectives completed")
 	commSeconds = obs.NewHistogram("distnet_comm_seconds",
-		"total gradient AllReduce time per step (sum over buckets)",
+		"total communication time per step: gradient reduce-scatters (sum over buckets), norm exchange, weight all-gather",
 		obs.ExpBuckets(1e-5, 4, 12)) // 10 µs .. ~40 s
 	exposedSeconds = obs.NewHistogram("distnet_exposed_comm_seconds",
-		"communication time not hidden behind backward compute, per step",
+		"communication time not hidden behind backward compute, per step (the norm exchange and weight all-gather always are)",
 		obs.ExpBuckets(1e-5, 4, 12))
 	hiddenSeconds = obs.NewHistogram("distnet_hidden_comm_seconds",
 		"communication time overlapped with backward compute, per step",
 		obs.ExpBuckets(1e-5, 4, 12))
+	optStateBytes = obs.NewGauge("distnet_optimizer_state_bytes",
+		"LAMB m and v bytes of the parameters the last trainer built in this process owns (1/world of the model, tensor-granular)")
 	stepSeconds = obs.NewHistogram("distnet_step_wall_seconds",
 		"wall-clock time of one multi-process training step",
 		obs.ExpBuckets(1e-4, 4, 12))

@@ -205,20 +205,23 @@ func TestTrainerLossDecreases(t *testing.T) {
 	}
 }
 
-// BenchmarkBucketAllReduce times one dist_w2 step's gradient exchange with
-// no compute running: every 128 KiB bucket of bench's mid4 model (4
-// layers, d=256, vocab 8192) all-reduced and averaged over a world-2
-// loopback ring in Trainer.commLoop's order ("ring"), against the raw
-// TCP floor ("tcp"): the same bytes per rank streamed each way over one
-// loopback socket pair, with no framing, lockstep, fold or copy.
+// BenchmarkStepExchange times one dist_w2 step's exchange with no compute
+// running: every 128 KiB bucket of bench's mid4 model (4 layers, d=256,
+// vocab 8192) reduce-scattered and averaged over a world-2 loopback ring
+// in Trainer.commLoop's order, then the weights all-gathered over the
+// ownership bounds ("ring"; the norm exchange's 624 bytes are left out),
+// against the raw TCP floor ("tcp"): the same bytes per rank streamed each
+// way over one loopback socket pair, with no framing, lockstep, fold or
+// copy.
 //
-//	go test -run xxx -bench BucketAllReduce -benchtime 50x ./internal/distnet/
-func BenchmarkBucketAllReduce(b *testing.B) {
+//	go test -run xxx -bench StepExchange -benchtime 50x ./internal/distnet/
+func BenchmarkStepExchange(b *testing.B) {
 	m, err := model.New(model.Config{Vocab: 8192, MaxPos: 128, NumLayers: 4, DModel: 256, Heads: 4, DFF: 1024}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	plan := PlanBuckets(m.GradGroups(), 128<<10)
+	plan.bind(2)
 	// each runs f concurrently once per index and fails b on any error.
 	each := func(b *testing.B, n int, f func(i int) error) {
 		errs := make([]error, n)
@@ -245,15 +248,16 @@ func BenchmarkBucketAllReduce(b *testing.B) {
 			}
 		}()
 		flats := [][]float32{make([]float32, plan.Elems()), make([]float32, plan.Elems())}
+		weights := [][]float32{make([]float32, plan.Elems()), make([]float32, plan.Elems())}
 		b.SetBytes(4 * int64(plan.Elems()))
 		for i := 0; i < b.N; i++ {
 			each(b, 2, func(r int) error {
 				for k, bk := range plan.List {
-					if err := groups[r].allReduce(uint32(k), flats[r][bk.Off:bk.Off+bk.Len], 0.5); err != nil {
+					if err := groups[r].reduceScatter(uint32(k), flats[r][bk.Off:bk.Off+bk.Len], bk.Bounds, 0.5); err != nil {
 						return err
 					}
 				}
-				return nil
+				return groups[r].AllGather(uint32(len(plan.List)), weights[r], plan.Own)
 			})
 		}
 	})

@@ -147,6 +147,11 @@ func TestTrainWithTraceProducesStragglerReport(t *testing.T) {
 			t.Fatalf("step %d has %d rank entries, want %d", s.Step, len(s.Ranks), world)
 		}
 	}
+	for r, res := range results {
+		if res.GatherMS <= 0 || res.OptStateBytes <= 0 || res.OptStateBytes >= 8*int64(res.GradElems) {
+			t.Fatalf("rank %d: gather %vms, opt state %dB of a %d-element model", r, res.GatherMS, res.OptStateBytes, res.GradElems)
+		}
+	}
 	if results[1].Straggler != nil {
 		t.Fatalf("worker rank carries a straggler report; only rank 0 should")
 	}
@@ -176,7 +181,7 @@ func TestTrainWithTraceProducesStragglerReport(t *testing.T) {
 			t.Fatalf("merged trace missing rank %d track (tids seen: %v)", r, tids)
 		}
 	}
-	for _, want := range []string{"step", "fwd", "bwd", "upd", "allreduce.b0"} {
+	for _, want := range []string{"step", "fwd", "bwd", "upd", "allreduce.b0", "gradnorm", "allgather.w"} {
 		if !names[want] {
 			t.Fatalf("merged trace has no %q span", want)
 		}

@@ -2,9 +2,11 @@ package distnet
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"runtime"
+	"sync"
 	"time"
 
 	"demystbert/internal/data"
@@ -57,11 +59,10 @@ type TrainConfig struct {
 	TraceOut string
 
 	// WireTrainer, when set, runs after the trainer is constructed and
-	// before the first step — the seam callers use to install an OptStep
-	// override (e.g. a ZeRO-1 sharded optimizer from internal/memscale,
-	// which this package cannot import without a cycle). It is a process-
-	// local function, never serialized; every rank must install the same
-	// override or the replicas desynchronize.
+	// before the first step: the seam a caller uses to reach the trainer
+	// Train builds (bertdist's checkpoint snapshots read the weights
+	// through it, with ReadWeights). It is a process-local function, never
+	// serialized.
 	WireTrainer func(t *Trainer) error
 }
 
@@ -82,8 +83,14 @@ type Result struct {
 	FwdMS     float64 `json:"fwd_ms"`
 	BwdMS     float64 `json:"bwd_ms"`
 	UpdMS     float64 `json:"upd_ms"`
-	CommMS    float64 `json:"comm_ms"`    // sum of bucket AllReduce times
-	ExposedMS float64 `json:"exposed_ms"` // comm not hidden behind backward
+	CommMS    float64 `json:"comm_ms"`    // gradient reduce-scatters, norm exchange and weight all-gather
+	ExposedMS float64 `json:"exposed_ms"` // comm not hidden behind backward: the norm exchange and weight all-gather whole
+	// GatherMS is the weight all-gather's time per step: exposed, since
+	// the next forward reads what it writes.
+	GatherMS float64 `json:"gather_ms"`
+	// OptStateBytes is the optimizer state this rank holds at the end of
+	// the run: LAMB's m and v for the parameters it owns.
+	OptStateBytes int64 `json:"opt_state_bytes"`
 
 	BucketKB    []float64 `json:"bucket_kb"`     // per-bucket payload size
 	BucketBwdMS []float64 `json:"bucket_bwd_ms"` // backward segment feeding each bucket
@@ -102,30 +109,41 @@ type Result struct {
 
 // Trainer runs one rank of multi-process data-parallel training:
 // local forward/backward into gradients that are views of the bucket
-// buffer, a bucketed, averaging ring all-reduce of them in place
-// (overlapped with backward when enabled), identical LAMB step.
+// buffer, a bucketed ring reduce-scatter of them in place (overlapped
+// with backward when enabled) that leaves each rank the averaged
+// gradients of the parameters it owns, LAMB on those parameters only,
+// and a ring all-gather of the updated weights straight into the weight
+// buffer every parameter value is a view of. At world 1 it is plain
+// training: no buffers, no collectives, LAMB over every parameter.
 type Trainer struct {
 	G   *Group
 	M   *model.BERT
 	Ctx *nn.Ctx
 	Opt *optim.LAMB
 
-	// Tracer, when non-nil, records step/fwd/bwd/upd/allreduce spans
-	// under the deterministic per-step trace id. Set it before the first
-	// Step (Train wires it from TrainConfig.Trace).
+	// Tracer, when non-nil, records step/fwd/bwd/upd/allreduce/gradnorm/
+	// allgather.w spans under the deterministic per-step trace id. Set it
+	// before the first Step (Train wires it from TrainConfig.Trace).
 	Tracer *trace.Tracer
-
-	// OptStep, when non-nil, replaces the default t.Opt.Step call with a
-	// custom weight update — the hook a sharded (ZeRO-1) optimizer plugs
-	// into. It runs after the gradient all-reduce, so it sees the same
-	// averaged gradients on every rank, and it may itself issue
-	// collectives (the sharded path all-gathers updated weights).
-	OptStep func(ctx *nn.Ctx, params []*nn.Param) error
 
 	plan    *Plan
 	overlap bool
 	inv     float32
 	step    int
+
+	// weightsMu is held while a step writes the weights (ReadWeights).
+	weightsMu sync.Mutex
+
+	// The sharded update's state (world > 1): this rank's parameters in
+	// buffer order, their gradient sums of squares, every parameter's sum
+	// of squares in buffer order as two float32 slots each (the norm
+	// exchange's buffer and bounds), and the buffer index of each entry of
+	// M.Params() — the order LAMB folds its global norm in.
+	owned      []*nn.Param
+	ss         []float64
+	norms      []float32
+	normBounds []int
+	canon      []int
 
 	// Per-step overlap machinery, reset by Step.
 	ready        chan int // bucket indices, fed by the grad hook in launch order
@@ -137,9 +155,9 @@ type Trainer struct {
 
 // stepStats carries one step's timing decomposition.
 type stepStats struct {
-	fwd, bwd, upd, comm, exposed time.Duration
-	wall                         time.Duration
-	groupReadyAt                 []time.Duration
+	fwd, bwd, upd, comm, exposed, gather time.Duration
+	wall                                 time.Duration
+	groupReadyAt                         []time.Duration
 }
 
 type commStats struct {
@@ -148,30 +166,64 @@ type commStats struct {
 }
 
 // NewTrainer wires a joined group to a model. The model's GradHook is
-// claimed by the trainer, and at world > 1 every parameter's Grad is
-// rebound to a view of the bucket buffer, values carried over. Ctx.Prof
-// is nil: a caller that reads kernel events installs a profiler.
+// claimed by the trainer, and at world > 1 every parameter's Grad and
+// Value are rebound to views of the plan's buffers, values carried over,
+// and the update is sharded: this rank's LAMB keeps state for, and
+// updates, only the parameters it owns. Ctx.Prof is nil: a caller that
+// reads kernel events installs a profiler.
 func NewTrainer(g *Group, m *model.BERT, seed uint64, bucketBytes int, overlap bool, lr float32) *Trainer {
 	t := &Trainer{
-		G: g,
-		M: m,
-		Ctx: &nn.Ctx{
-			// Distinct dropout streams per rank (seed + rank·7919), the
-			// schedule the serial two-replica reference reproduces.
-			RNG:   tensor.NewRNG(seed + uint64(g.Rank())*7919),
-			Train: true,
-		},
-		Opt:     optim.NewLAMB(lr),
+		G:       g,
+		M:       m,
 		plan:    PlanBuckets(m.GradGroups(), bucketBytes),
 		overlap: overlap && g.World() > 1,
 		inv:     1 / float32(g.World()),
 	}
+	owned := t.plan.Elems()
 	if g.World() > 1 {
-		t.plan.bindGrads()
+		t.plan.bind(g.World())
+		t.shardUpdate()
+		owned = t.plan.Own[g.Rank()+1] - t.plan.Own[g.Rank()]
 	}
+	optStateBytes.Set(float64(2 * 4 * owned)) // LAMB's m and v, FP32
+	t.Ctx = &nn.Ctx{
+		// Distinct dropout streams per rank (seed + rank·7919), the
+		// schedule the serial two-replica reference reproduces.
+		RNG:   tensor.NewRNG(seed + uint64(g.Rank())*7919),
+		Train: true,
+	}
+	t.Opt = optim.NewLAMB(lr)
 	t.groupReadyAt = make([]time.Duration, len(m.GradGroups()))
 	m.GradHook = t.onGradGroup
 	return t
+}
+
+// shardUpdate sets up this rank's share of the update over the bound plan.
+func (t *Trainer) shardUpdate() {
+	p, r := t.plan, t.G.Rank()
+	t.owned = p.Params[p.OwnParams[r]:p.OwnParams[r+1]]
+	t.ss = make([]float64, len(t.owned))
+	t.norms = make([]float32, 2*len(p.Params))
+	t.normBounds = make([]int, len(p.OwnParams))
+	for i, k := range p.OwnParams {
+		t.normBounds[i] = 2 * k
+	}
+	at := make(map[*nn.Param]int, len(p.Params))
+	for i, prm := range p.Params {
+		at[prm] = i
+	}
+	for _, prm := range t.M.Params() {
+		t.canon = append(t.canon, at[prm])
+	}
+}
+
+// ReadWeights runs f while no step is writing the weights: the update and
+// the all-gather that completes it hold the same lock, so f sees one
+// step's weights, whole, on this rank.
+func (t *Trainer) ReadWeights(f func(m *model.BERT) error) error {
+	t.weightsMu.Lock()
+	defer t.weightsMu.Unlock()
+	return f(t.M)
 }
 
 // Plan exposes the bucket partition (for reporting and tests).
@@ -194,16 +246,18 @@ func (t *Trainer) onGradGroup(group int) {
 	}
 }
 
-// bucketTag gives each collective a tag unique within the recent
-// window, verified by both ends of every ring stream; 24 bits keeps it
-// clear of the reserved control/probe ranges.
-func (t *Trainer) bucketTag(idx int) uint32 {
-	return (uint32(t.step)*uint32(len(t.plan.List)) + uint32(idx)) & 0x00FFFFFF
+// tag gives each collective a tag unique within the recent window,
+// verified by both ends of every ring stream; 24 bits keeps it clear of
+// the reserved control/probe ranges. A step issues len(List)+2: bucket i's
+// reduce-scatter is i, the norm exchange len(List), the weight all-gather
+// len(List)+1.
+func (t *Trainer) tag(i int) uint32 {
+	return (uint32(t.step)*uint32(len(t.plan.List)+2) + uint32(i)) & 0x00FFFFFF
 }
 
-// commLoop drains ready bucket indices, all-reducing and averaging each
-// in place (the gradients are views of it): the one bucket loop of both
-// modes, so overlapped and sequential runs issue the same tagged
+// commLoop drains ready bucket indices, reduce-scattering and averaging
+// each in place (the gradients are views of it): the one bucket loop of
+// both modes, so overlapped and sequential runs issue the same tagged
 // collectives in the same order (the bitwise "overlap vs sequential"
 // contract). Overlapped, it runs concurrently with Backward on t.ready;
 // the channel send in onGradGroup establishes the happens-before edge
@@ -214,34 +268,115 @@ func (t *Trainer) commLoop(ready <-chan int) commStats {
 		if cs.err != nil {
 			continue // group already failed; just drain
 		}
+		b := &t.plan.List[idx]
 		c0 := time.Now()
-		if err := t.G.allReduce(t.bucketTag(idx), t.plan.Slice(&t.plan.List[idx]), t.inv); err != nil {
+		if err := t.G.reduceScatter(t.tag(idx), t.plan.Slice(b), b.Bounds, t.inv); err != nil {
 			cs.err = err
 			continue
 		}
 		d := time.Since(c0)
 		cs.comm += d
-		t.recordComm(idx, c0, d)
+		if t.Tracer != nil {
+			// The name trace.Stragglers parses to attribute per-bucket
+			// exposed gradient communication.
+			t.recordSpan(fmt.Sprintf("allreduce.b%d", idx), c0, d)
+		}
 		bucketsReduced.Inc()
 	}
 	return cs
 }
 
-// recordComm logs one bucket's AllReduce as an "allreduce.b<idx>" span
-// under the current step's context — the name trace.Stragglers parses to
-// attribute per-bucket exposed communication.
-func (t *Trainer) recordComm(idx int, start time.Time, d time.Duration) {
+// recordSpan logs a span under the current step's root.
+func (t *Trainer) recordSpan(name string, start time.Time, d time.Duration) {
 	if t.Tracer == nil {
 		return
 	}
 	t.Tracer.Record(trace.Span{
 		Trace:  t.stepSC.Trace,
 		Parent: t.stepSC.Parent,
-		Name:   fmt.Sprintf("allreduce.b%d", idx),
+		Name:   name,
 		Step:   t.step + 1,
 		Start:  start,
 		Dur:    d,
 	})
+}
+
+// update applies the step's weight update. At world 1 that is LAMB over
+// every parameter. Sharded, it is four moves:
+//
+//  1. each rank sums the squares of its own, reduced gradients per
+//     tensor (float64) and one small all-gather hands every rank all of
+//     them, each float64 carried bit-exact in two float32 slots;
+//  2. every rank folds them in M.Params() order — the order
+//     LAMB.Prepare folds its global norm in — so the clip scale is the
+//     unsharded one, identical everywhere;
+//  3. LAMB's Apply runs on the owned parameters, in place in W;
+//  4. a ring all-gather over W with the ownership bounds copies every
+//     owner's updated weights to every rank, verbatim, and the received
+//     tensors get a new generation.
+func (t *Trainer) update(st *stepStats) error {
+	if t.G.World() == 1 {
+		t.Opt.Step(t.Ctx, t.M.Params())
+		return nil
+	}
+	ss, err := t.globalSumSquares(st)
+	if err != nil {
+		return err
+	}
+	t.Opt.PrepareSumSquares(ss).Apply(t.Ctx, t.owned)
+	return t.gatherWeights(st)
+}
+
+// globalSumSquares returns the squared global gradient norm, summed in
+// M.Params() order from every owner's per-tensor sums (moves 1 and 2).
+func (t *Trainer) globalSumSquares(st *stepStats) (float64, error) {
+	n0 := time.Now()
+	optim.GradSumSquares(t.Ctx, t.owned, t.ss)
+	x0 := time.Now()
+	base := t.plan.OwnParams[t.G.Rank()]
+	for i, v := range t.ss {
+		bits := math.Float64bits(v)
+		t.norms[2*(base+i)] = math.Float32frombits(uint32(bits))
+		t.norms[2*(base+i)+1] = math.Float32frombits(uint32(bits >> 32))
+	}
+	if err := t.G.AllGather(t.tag(len(t.plan.List)), t.norms, t.normBounds); err != nil {
+		return 0, err
+	}
+	x := time.Since(x0)
+	st.comm += x
+	st.exposed += x
+	var ss float64
+	for _, k := range t.canon {
+		ss += math.Float64frombits(uint64(math.Float32bits(t.norms[2*k])) | uint64(math.Float32bits(t.norms[2*k+1]))<<32)
+	}
+	t.recordSpan("gradnorm", n0, time.Since(n0))
+	return ss, nil
+}
+
+// gatherWeights all-gathers the owners' updated weights into W and gives
+// every received tensor a new generation (move 4).
+func (t *Trainer) gatherWeights(st *stepStats) error {
+	p, r := t.plan, t.G.Rank()
+	g0 := time.Now()
+	var err error
+	t.Ctx.Prof.Time("allgather_weights", profile.CatComm, profile.Update,
+		0, int64(len(p.W))*4, func() {
+			err = t.G.AllGather(t.tag(len(p.List)+1), p.W, p.Own)
+		})
+	if err != nil {
+		return err
+	}
+	st.gather = time.Since(g0)
+	st.comm += st.gather
+	st.exposed += st.gather
+	t.recordSpan("allgather.w", g0, st.gather)
+	for _, prm := range p.Params[:p.OwnParams[r]] {
+		prm.BumpGen()
+	}
+	for _, prm := range p.Params[p.OwnParams[r+1]:] {
+		prm.BumpGen()
+	}
+	return nil
 }
 
 // Step trains one iteration on this rank's batch shard and returns the
@@ -306,12 +441,11 @@ func (t *Trainer) Step(b *data.Batch) (float64, stepStats, error) {
 	}
 
 	updStart := time.Now()
-	if t.OptStep != nil {
-		if err := t.OptStep(t.Ctx, t.M.Params()); err != nil {
-			return 0, st, err
-		}
-	} else {
-		t.Opt.Step(t.Ctx, t.M.Params())
+	t.weightsMu.Lock()
+	err := t.update(&st)
+	t.weightsMu.Unlock()
+	if err != nil {
+		return 0, st, err
 	}
 	t.M.ZeroGrads()
 	st.upd = time.Since(updStart)
@@ -480,6 +614,7 @@ func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 		acc.upd += st.upd
 		acc.comm += st.comm
 		acc.exposed += st.exposed
+		acc.gather += st.gather
 		acc.wall += st.wall
 		prev := time.Duration(0)
 		for i := range t.plan.List {
@@ -497,12 +632,14 @@ func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 		}
 		res.StepMS, res.FwdMS, res.BwdMS = ms(acc.wall), ms(acc.fwd), ms(acc.bwd)
 		res.UpdMS, res.CommMS, res.ExposedMS = ms(acc.upd), ms(acc.comm), ms(acc.exposed)
+		res.GatherMS = ms(acc.gather)
 		for i := range bucketBwd {
 			res.BucketBwdMS = append(res.BucketBwdMS, bucketBwd[i]/float64(measured))
 		}
 		tx, rx := g.WireBytes()
 		res.WireBytesPerStep = (tx - txBefore + rx - rxBefore) / int64(cfg.Steps)
 	}
+	res.OptStateBytes = t.Opt.StateBytes()
 
 	// Ship span shards home: workers attach their measured clock offset
 	// so rank 0 can merge every rank onto one aligned timeline, derive

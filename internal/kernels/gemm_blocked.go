@@ -380,17 +380,19 @@ func packARange(s *packAArgs, lo, hi int) {
 		rows := min(mr, s.rows-r0)
 		if s.transA {
 			// A stored K×M: op(A)[i][p] = a[p·ld + i] — the mr rows
-			// of a panel are contiguous in memory.
+			// of a panel are contiguous in memory, so each depth step is
+			// a copy, or one rounded multiply per element (scaleRow's
+			// vector body): the bytes of the scalar alpha·a loop.
 			base := s.pc*s.ld + s.row0 + r0
 			for p := 0; p < kcb; p++ {
-				src := s.src[base+p*s.ld:]
-				d := dst[p*mr:]
-				for r := 0; r < rows; r++ {
-					d[r] = alpha * src[r]
+				src := s.src[base+p*s.ld : base+p*s.ld+rows]
+				d := dst[p*mr : (p+1)*mr]
+				if alpha == 1 {
+					copy(d, src)
+				} else {
+					scaleRow(d[:rows], src, alpha)
 				}
-				for r := rows; r < mr; r++ {
-					d[r] = 0
-				}
+				clear(d[rows:])
 			}
 			continue
 		}

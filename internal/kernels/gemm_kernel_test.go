@@ -149,6 +149,47 @@ func TestVectorPacksMatchGoPacks(t *testing.T) {
 	}
 }
 
+// TestTransposedAPackMatchesScalarLoop: packing a K×M-stored A (the TN
+// weight-gradient and per-head dV/dK operand) by copies and scaleRow must
+// write the bytes of the scalar alpha·a loop it replaced, under every
+// kernel-table entry, for alpha 1 (the copy) and two scaled cases, short
+// and full panels, with A ending where an unreadable page begins.
+func TestTransposedAPackMatchesScalarLoop(t *testing.T) {
+	r := tensor.NewRNG(67)
+	forEachKernel(t, "", func(t *testing.T) {
+		mr := activeKernel.mr
+		for _, alpha := range []float32{1, 0.5, -3} {
+			for _, rows := range []int{1, mr - 1, mr, mr + 3, 2*mr + 1} {
+				for _, kcb := range []int{1, 7, 64} {
+					const row0, pc = 2, 3
+					m, k := row0+rows, pc+kcb
+					a := guardedTail(t, randSlice(r, k*m))
+					panels := (rows + mr - 1) / mr
+					got := make([]float32, panels*mr*kcb)
+					want := make([]float32, len(got))
+					packA(true, got, a, row0, rows, pc, kcb, m, k, alpha, mr, false)
+					for pi := 0; pi < panels; pi++ {
+						n := min(mr, rows-pi*mr)
+						for p := 0; p < kcb; p++ {
+							src := a[(pc+p)*m+row0+pi*mr:]
+							d := want[pi*mr*kcb+p*mr:]
+							for i := 0; i < n; i++ {
+								d[i] = alpha * src[i]
+							}
+						}
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("alpha=%v rows=%d kcb=%d: element %d is %v, the scalar loop wrote %v",
+								alpha, rows, kcb, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestCheckKernelRejectsBadGeometry: every table entry passes the init
 // check, and an mr that does not divide gemmMC — which would misalign row
 // blocks silently — is refused.

@@ -1,11 +1,12 @@
 // Package memscale lets a laptop-class machine execute honest BERT-Large
 // training iterations in bounded memory, the regime the paper's Table 4
 // footprint analysis says cannot fit naively: optimizer state is
-// partitioned ZeRO-1 style across ranks (or streamed shard-by-shard from
-// disk in a single process), and checkpointed activations spill to a
+// streamed shard by shard from disk in a single process (virtual shards;
+// across data-parallel ranks the distnet trainer shards it, over this
+// package's PlanShards), and checkpointed activations spill to a
 // file-backed arena instead of living in RAM. Everything is exact — the
-// spilled bytes round-trip bitwise, and the sharded update paths are
-// pinned bitwise-equal to their unsharded references.
+// spilled bytes round-trip bitwise, and the sharded update is pinned
+// bitwise-equal to its unsharded reference.
 package memscale
 
 import (

@@ -2,11 +2,8 @@ package memscale
 
 import (
 	"math"
-	"sync"
 	"testing"
-	"time"
 
-	"demystbert/internal/distnet"
 	"demystbert/internal/nn"
 	"demystbert/internal/optim"
 	"demystbert/internal/tensor"
@@ -50,7 +47,7 @@ func TestVirtualShardLAMBBitwiseMatchesUnsharded(t *testing.T) {
 
 	po := optim.NewLAMB(0.01)
 	so := optim.NewLAMB(0.01)
-	sh, err := NewSharded(so, sharded, 3, nil)
+	sh, err := NewSharded(so, sharded, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +88,7 @@ func TestVirtualShardAdamBitwiseMatchesUnsharded(t *testing.T) {
 
 	po := optim.NewAdam(0.01, true)
 	so := optim.NewAdam(0.01, true)
-	sh, err := NewSharded(so, sharded, 2, nil)
+	sh, err := NewSharded(so, sharded, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,79 +104,4 @@ func TestVirtualShardAdamBitwiseMatchesUnsharded(t *testing.T) {
 		}
 	}
 	paramsEqual(t, "virtual-shard Adam", plain, sharded)
-}
-
-// joinPair stands up a loopback world-2 group in-process.
-func joinPair(t *testing.T) []*distnet.Group {
-	t.Helper()
-	groups, err := distnet.JoinLoopback(2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, g := range groups {
-			g.Close()
-		}
-	})
-	return groups
-}
-
-// TestShardedLAMBWorld2BitwiseMatchesUnsharded is the ZeRO-1 pin at
-// world 2: two ranks, each holding optimizer state for only its own
-// shard, update their shards and all-gather the weights. Both ranks'
-// full weight sets must be bitwise identical to an unsharded LAMB run
-// on the same (already all-reduced) gradients.
-func TestShardedLAMBWorld2BitwiseMatchesUnsharded(t *testing.T) {
-	groups := joinPair(t)
-	mk := func() []*nn.Param { return mkParams(150, 44, 80, 21, 64) }
-	reference := mk()
-	replicas := [][]*nn.Param{mk(), mk()}
-
-	ro := optim.NewLAMB(0.01)
-	shs := make([]*Sharded, 2)
-	for r := 0; r < 2; r++ {
-		var err error
-		shs[r], err = NewSharded(optim.NewLAMB(0.01), replicas[r], 2, groups[r])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	gr := tensor.NewRNG(12)
-	refCtx := nn.NewCtx(1)
-	for iter := 0; iter < 3; iter++ {
-		// Identical grads everywhere — the state after the trainer's
-		// gradient all-reduce.
-		fillGrads(gr, reference, replicas[0], replicas[1])
-		ro.Step(refCtx, reference)
-
-		errs := make([]error, 2)
-		var wg sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				errs[r] = shs[r].Step(nn.NewCtx(1), replicas[r])
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d iter %d: %v", r, iter, err)
-			}
-		}
-	}
-	paramsEqual(t, "rank 0 vs unsharded", reference, replicas[0])
-	paramsEqual(t, "rank 1 vs unsharded", reference, replicas[1])
-}
-
-// TestShardedRejectsWorldMismatch: K must equal the world size in
-// distributed mode.
-func TestShardedRejectsWorldMismatch(t *testing.T) {
-	groups := joinPair(t)
-	if _, err := NewSharded(optim.NewLAMB(0.01), mkParams(10, 10), 3, groups[0]); err == nil {
-		t.Fatal("3 shards for world 2 accepted")
-	}
-	// Unblock rank 1's group teardown (no collective was issued).
-	_ = groups
 }

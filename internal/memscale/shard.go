@@ -6,21 +6,22 @@ import (
 	"demystbert/internal/nn"
 )
 
-// ShardPlan partitions the canonical parameter list into K contiguous
-// shards, balanced by element count. Contiguity matters twice over: the
-// flat gradient/weight buffer the distributed path gathers is laid out in
-// Params() order, so a shard is one contiguous span of it (Bounds are the
-// param-aligned chunk bounds handed to distnet.AllGather), and the
-// global-norm and update arithmetic visit parameters in the same order
-// the unsharded optimizer would.
+// ShardPlan partitions a parameter list into K contiguous shards,
+// balanced by element count. Contiguity matters twice over: laid out in
+// the list's order, a shard is one contiguous span of the flat buffer
+// (Bounds are tensor-aligned chunk bounds, what the distnet trainer hands
+// its reduce-scatter and all-gather), and the global-norm and update
+// arithmetic visit parameters in the same order the unsharded optimizer
+// would.
 type ShardPlan struct {
-	Shards [][]*nn.Param // Shards[k] is params[lo_k:hi_k] of the canonical list
+	Shards [][]*nn.Param // Shards[k] is params[lo_k:hi_k] of the planned list
 	Bounds []int         // flat element offsets, len K+1; shard k spans Bounds[k]:Bounds[k+1]
 }
 
-// PlanShards builds a K-way plan over params (ALL trainable parameters in
-// canonical order). Every shard gets at least the parameters needed to
-// keep cumulative size nearest the ideal k·total/K split points; with
+// PlanShards builds a K-way plan over params (every trainable parameter,
+// in the order they are laid out). Every shard gets at least the
+// parameters needed to keep cumulative size nearest the ideal k·total/K
+// split points; with
 // more shards than parameters the tail shards are empty, which is valid —
 // their owners simply have nothing to update.
 func PlanShards(params []*nn.Param, k int) (ShardPlan, error) {

@@ -69,6 +69,19 @@ func (o *LAMB) State(p *nn.Param) (m, v *tensor.Tensor) {
 	return o.m[p], o.v[p]
 }
 
+// HasState reports whether p's momentum and velocity are resident.
+func (o *LAMB) HasState(p *nn.Param) bool { return o.m[p] != nil }
+
+// StateBytes is the resident optimizer state: m and v of every parameter
+// Apply has touched, FP32.
+func (o *LAMB) StateBytes() int64 {
+	var n int64
+	for _, m := range o.m {
+		n += int64(m.Size())
+	}
+	return 2 * n * fp32Size
+}
+
 // ReleaseState drops p's optimizer state (m and v) from the resident
 // maps. The virtual-shard memory-scaling path spills
 // state to disk between shards and releases it so only one shard's state
@@ -102,29 +115,51 @@ func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
 }
 
 func (o *LAMB) prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
-	o.step++
-
 	// Global gradient norm: LAMB normalizes all layers' gradients before
 	// any parameter can be updated.
-	var gradScale float32 = 1
+	var ss float64
 	ctx.Prof.Time("lamb_global_gradnorm", profile.CatLAMBStage1, profile.Update,
 		totalFLOPs(params, 2), totalBytes(params, 1, 0), func() {
-			var ss float64
 			for _, p := range params {
 				ss += kernels.SumSquares(p.Grad.Data())
 			}
-			norm := math.Sqrt(ss)
-			if o.ClipNorm > 0 && norm > o.ClipNorm {
-				gradScale = float32(o.ClipNorm / norm)
-			}
 		})
+	return o.prepareSumSquares(ss)
+}
 
+// PrepareSumSquares is Prepare for a caller that holds ss, the squared
+// global gradient norm, already: a sharded trainer sums its ranks'
+// per-tensor GradSumSquares in canonical order, the order Prepare folds
+// them in, so every rank fixes the clip scale Prepare would.
+func (o *LAMB) PrepareSumSquares(ss float64) Applier {
+	s := o.prepareSumSquares(ss)
+	return &s
+}
+
+func (o *LAMB) prepareSumSquares(ss float64) LAMBStep {
+	o.step++
+	var gradScale float32 = 1
+	if norm := math.Sqrt(ss); o.ClipNorm > 0 && norm > o.ClipNorm {
+		gradScale = float32(o.ClipNorm / norm)
+	}
 	return LAMBStep{
 		o:         o,
 		gradScale: gradScale,
 		bc1:       1 - float32(math.Pow(float64(o.Beta1), float64(o.step))),
 		bc2:       1 - float32(math.Pow(float64(o.Beta2), float64(o.step))),
 	}
+}
+
+// GradSumSquares stores ‖g‖² of params[i]'s gradient in dst[i], float64:
+// the per-tensor terms of LAMB's global norm, timed as its
+// lamb_global_gradnorm kernel.
+func GradSumSquares(ctx *nn.Ctx, params []*nn.Param, dst []float64) {
+	ctx.Prof.Time("lamb_global_gradnorm", profile.CatLAMBStage1, profile.Update,
+		totalFLOPs(params, 2), totalBytes(params, 1, 0), func() {
+			for i, p := range params {
+				dst[i] = kernels.SumSquares(p.Grad.Data())
+			}
+		})
 }
 
 // Step applies one LAMB update to every parameter.

@@ -79,8 +79,14 @@ go test -count=1 -timeout 30m ./internal/kernels/ -gelu-full -exp-full
 echo "== numerics audit, full mode matrix uncached (cross-path differential + gradcheck + determinism; ~1 s)"
 go test -count=1 ./internal/audit/
 
-echo "== distributed training smoke (2 real processes over loopback TCP, loss falls)"
-go run ./cmd/bertdist -launch 2 -steps 6 -train-b 2 -seq 16 -fixed-data -drop 0 | grep "loss fell"
+echo "== distributed training smoke (2 real processes over loopback TCP, loss falls, each rank holds about half the optimizer state)"
+dist=$(go run ./cmd/bertdist -launch 2 -steps 6 -train-b 2 -seq 16 -fixed-data -drop 0)
+echo "$dist" | grep "loss fell"
+test "$(echo "$dist" | grep -cE 'opt state [0-9]+B \(0\.[45][0-9] of replicated\)')" -eq 2 || {
+	echo "check: a rank's optimizer state is not about half the model's:" >&2
+	echo "$dist" >&2
+	exit 1
+}
 
 echo "== distributed trace smoke (2 ranks, merged timeline + straggler table)"
 go run ./cmd/bertdist -launch 2 -steps 3 -train-b 2 -seq 16 -drop 0 -trace -trace-out /tmp/bertdist_trace.json | grep "gating-rank" >/dev/null
