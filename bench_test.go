@@ -354,7 +354,7 @@ func BenchmarkRealIterationBatchOne(b *testing.B) {
 	b.ReportMetric(100*sum.GEMMShare(), "gemm-share-%")
 }
 
-func benchRealGEMM(b *testing.B, m, n, k int) {
+func benchRealGEMM(b *testing.B, pool *kernels.Pool, m, n, k int) {
 	r := tensor.NewRNG(1)
 	x := make([]float32, m*k)
 	y := make([]float32, k*n)
@@ -368,14 +368,14 @@ func benchRealGEMM(b *testing.B, m, n, k int) {
 	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernels.GEMM(false, false, m, n, k, 1, x, y, 0, z)
+		kernels.GEMMPathAuto.GEMM(pool, false, false, m, n, k, 1, x, y, 0, z)
 	}
 	b.ReportMetric(float64(2*m*n*k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
 // Scaled-down Table 2b shapes (1/8 linear dimensions of BERT-Large Ph1-B32).
-func BenchmarkRealGEMMLinearShape(b *testing.B) { benchRealGEMM(b, 128, 512, 128) }
-func BenchmarkRealGEMMFCShape(b *testing.B)     { benchRealGEMM(b, 512, 512, 128) }
+func BenchmarkRealGEMMLinearShape(b *testing.B) { benchRealGEMM(b, nil, 128, 512, 128) }
+func BenchmarkRealGEMMFCShape(b *testing.B)     { benchRealGEMM(b, nil, 512, 512, 128) }
 
 func BenchmarkRealAttentionBGEMMShape(b *testing.B) {
 	// 64 batched 16x16x8 GEMMs — the skinny memory-bound manifestation.
@@ -406,7 +406,7 @@ func BenchmarkRealSoftmax(b *testing.B) {
 	b.SetBytes(int64(8 * rows * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernels.Softmax(y, x, rows, n)
+		process.Softmax(y, x, rows, n)
 	}
 }
 
@@ -428,7 +428,7 @@ func BenchmarkRealLayerNorm(b *testing.B) {
 	b.SetBytes(int64(8 * rows * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernels.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-5)
+		process.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-5)
 	}
 }
 
@@ -443,7 +443,7 @@ func BenchmarkRealGeLU(b *testing.B) {
 	b.SetBytes(8 * n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kernels.GeLUForward(y, x)
+		process.GeLUForward(y, x)
 	}
 }
 
@@ -636,13 +636,17 @@ func BenchmarkModelSaveLoad(b *testing.B) {
 	}
 }
 
+// process is the process pool, which a nil *kernels.Pool means.
+var process *kernels.Pool
+
+// ablationPools holds one pool per width the ablation runs at.
+var ablationPools = map[int]*kernels.Pool{1: kernels.NewPool(1), 2: kernels.NewPool(2), 4: kernels.NewPool(4), 8: kernels.NewPool(8)}
+
 // Engine parallel-scaling ablation: GEMM throughput vs worker count.
 func BenchmarkAblationGEMMWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			old := kernels.SetMaxWorkers(workers)
-			defer kernels.SetMaxWorkers(old)
-			benchRealGEMM(b, 256, 256, 256)
+			benchRealGEMM(b, ablationPools[workers], 256, 256, 256)
 		})
 	}
 }
@@ -739,7 +743,7 @@ func BenchmarkAblationOptimizerChoice(b *testing.B) {
 // Each shape runs the cache-blocked path (kernels.GEMM, packs B per call),
 // the pre-packed path (kernels.GEMMPacked consuming a PackedB built once,
 // as nn.Linear does via the Param pack cache), and the naive reference
-// (kernels.GEMMNaive) so the speedups are measured in-tree:
+// (kernels.GEMMPathNaive) so the speedups are measured in-tree:
 //
 //	go test -bench GEMMPaperSizes -benchmem .
 //
@@ -767,7 +771,7 @@ func BenchmarkGEMMPaperSizes(b *testing.B) {
 			kernels.GEMM(ta, tb, m, n, k, 1, a, bm, 0, c)
 		}},
 		{"naive", func(ta, tb bool, m, n, k int, a, bm, c []float32) {
-			kernels.GEMMNaive(ta, tb, m, n, k, 1, a, bm, 0, c)
+			kernels.GEMMPathNaive.GEMM(nil, ta, tb, m, n, k, 1, a, bm, 0, c)
 		}},
 	}
 	for _, s := range shapes {
@@ -927,17 +931,17 @@ func benchRealFFNEpilogue(b *testing.B, fused bool) {
 	}
 	run := func() {
 		if fused {
-			kernels.GEMMPathAuto.GEMMPackedEpilogue(false, tokens, dff, d, 1, x, pb1, ep1, a)
-			kernels.GEMMPathAuto.GEMMPackedEpilogue(false, tokens, d, dff, 1, a, pb2, ep2, out)
+			kernels.GEMMPathAuto.GEMMPackedEpilogue(nil, false, tokens, dff, d, 1, x, pb1, ep1, a)
+			kernels.GEMMPathAuto.GEMMPackedEpilogue(nil, false, tokens, d, dff, 1, a, pb2, ep2, out)
 			return
 		}
 		kernels.GEMM(false, true, tokens, dff, d, 1, x, w1, 0, h)
-		kernels.AddBias(h, b1, tokens, dff)
-		kernels.GeLUForward(a, h)
+		process.AddBias(h, b1, tokens, dff)
+		process.GeLUForward(a, h)
 		kernels.GEMM(false, true, tokens, d, dff, 1, a, w2, 0, y)
-		kernels.AddBias(y, b2, tokens, d)
+		process.AddBias(y, b2, tokens, d)
 		kernels.Add(res, y, x)
-		kernels.LayerNormForward(out, res, gamma, beta, mean, invStd, tokens, d, eps)
+		process.LayerNormForward(out, res, gamma, beta, mean, invStd, tokens, d, eps)
 	}
 	run() // warm pools
 	b.ResetTimer()
@@ -969,11 +973,11 @@ func BenchmarkRealAddBias(b *testing.B) {
 			for i := range x {
 				x[i] = r.Float32()
 			}
-			kernels.AddBias(x, bias, s.m, s.n) // warm pools
+			process.AddBias(x, bias, s.m, s.n) // warm pools
 			b.SetBytes(int64(8 * s.m * s.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.AddBias(x, bias, s.m, s.n)
+				process.AddBias(x, bias, s.m, s.n)
 			}
 		})
 	}
@@ -994,11 +998,11 @@ func BenchmarkRealBiasGrad(b *testing.B) {
 			for i := range dY {
 				dY[i] = r.Float32()
 			}
-			kernels.BiasGrad(dB, dY, s.m, s.n) // warm pools
+			process.BiasGrad(dB, dY, s.m, s.n) // warm pools
 			b.SetBytes(int64(4 * s.m * s.n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				kernels.BiasGrad(dB, dY, s.m, s.n)
+				process.BiasGrad(dB, dY, s.m, s.n)
 			}
 		})
 	}

@@ -16,11 +16,10 @@ import (
 // the race leg of scripts/check.sh) runs the reduced matrix.
 func TestModeMatrix(t *testing.T) {
 	for _, s := range Subjects() {
-		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			for _, d := range RunModes(s, Modes(s, testing.Short())) {
-				t.Errorf("%s", d)
-			}
+			ms := Modes(s, testing.Short())
+			oracles := oracleTraces(s, ms)
+			forEachMode(t, ms, func(m Mode) []Divergence { return checkMode(s, m, oracles) })
 		})
 	}
 }
@@ -32,17 +31,12 @@ func TestGradCheck(t *testing.T) {
 		if s.GradCheck == nil {
 			continue
 		}
-		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			modes := GradModes(s)
 			if testing.Short() {
 				modes = modes[:1]
 			}
-			for _, m := range modes {
-				for _, d := range s.GradCheck(m) {
-					t.Errorf("%s", d)
-				}
-			}
+			forEachMode(t, modes, s.GradCheck)
 		})
 	}
 }
@@ -53,13 +47,8 @@ func TestGradCheck(t *testing.T) {
 // forward+backward traces for the module subjects.
 func TestDeterminism(t *testing.T) {
 	for _, s := range Subjects() {
-		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			for _, m := range DeterminismModes(testing.Short()) {
-				for _, d := range CheckDeterminism(s, m) {
-					t.Errorf("%s", d)
-				}
-			}
+			forEachMode(t, DeterminismModes(testing.Short()), func(m Mode) []Divergence { return CheckDeterminism(s, m) })
 		})
 	}
 }
@@ -152,7 +141,7 @@ func mutationSubjects(fault bool) []*Subject {
 			fillInput(p.Value, seed)
 			seed++
 			if fault && m.Path != kernels.GEMMPathNaive {
-				kernels.Scale(p.Value.Data(), p.Value.Data(), 1.5)
+				m.pool().Scale(p.Value.Data(), p.Value.Data(), 1.5)
 			}
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // Fixed-seed determinism pins. The engine's reproducibility claim is:
 // identical seed and mode ⇒ bitwise-identical results. Forward, backward,
 // dropout and data partition work disjointly with a fixed per-element
-// order, and LAMB's float64 norms are one fixed fold (kernels.SumSquares),
+// order, and LAMB's float64 norms are one fixed fold (Pool.SumSquares),
 // so nothing depends on the worker count either (the oracle comparisons in
 // RunModes pin that separately, with zero tolerance on the naive path, and
 // optim's TestLAMBTrajectoryWorkerInvariant for the update).
@@ -48,8 +48,6 @@ func DeterminismModes(quick bool) []Mode {
 // final parameter fingerprints over determinismSteps LAMB steps; module
 // subjects compare whole forward+backward traces.
 func CheckDeterminism(s *Subject, m Mode) []Divergence {
-	restore := m.apply()
-	defer restore()
 	if s.Steps == nil {
 		a := s.Run(m)
 		b := s.Run(m)

@@ -79,9 +79,6 @@ func gradCheckModule(subject string, m Mode, inst *modInstance) []Divergence {
 	if m.MP {
 		return nil
 	}
-	restore := m.apply()
-	defer restore()
-
 	ctx := m.ctx()
 	inst.forward(ctx)
 	for _, p := range inst.params {
@@ -110,9 +107,6 @@ func gradCheckLoss(subject string, m Mode, params []*nn.Param,
 	if m.MP {
 		return nil
 	}
-	restore := m.apply()
-	defer restore()
-
 	analytic()
 	rng := tensor.NewRNG(4242)
 	var divs []Divergence

@@ -26,6 +26,8 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
+	"testing"
 
 	"demystbert/internal/kernels"
 	"demystbert/internal/nn"
@@ -36,7 +38,8 @@ type Mode struct {
 	// Path is the GEMM route of every context the mode builds
 	// (nn.Ctx.Route; GEMMPathAuto: production's own per-call routing).
 	Path kernels.GEMMPath
-	// Workers is the kernel pool width (kernels.SetMaxWorkers).
+	// Workers is the width of the kernel pool every context the mode
+	// builds runs on (nn.Ctx.Pool; poolOf).
 	Workers int
 	// MP enables mixed-precision activation storage (nn.Ctx.MixedPrecision).
 	MP bool
@@ -67,23 +70,48 @@ func (m Mode) Oracle() Mode {
 // IsOracle reports whether the mode is its own oracle.
 func (m Mode) IsOracle() bool { return m == m.Oracle() }
 
-// apply installs the mode's one process-wide knob, the worker count, and
-// returns a restore function. Per-context knobs come from ctx (route, MP)
-// and from each subject's runner (Ckpt, Fused).
-func (m Mode) apply() (restore func()) {
-	prevW := kernels.SetMaxWorkers(m.Workers)
-	return func() { kernels.SetMaxWorkers(prevW) }
+// widthPools holds the test binary's kernel pool of each width a mode
+// runs at, built on first use: like every pool, it lives as long as the
+// process. A mode changes no process state, so modes run side by side.
+var (
+	widthPoolsMu sync.Mutex
+	widthPools   = map[int]*kernels.Pool{}
+)
+
+// pool returns the kernel pool of the mode's width.
+func (m Mode) pool() *kernels.Pool {
+	widthPoolsMu.Lock()
+	defer widthPoolsMu.Unlock()
+	if widthPools[m.Workers] == nil {
+		widthPools[m.Workers] = kernels.NewPool(m.Workers)
+	}
+	return widthPools[m.Workers]
 }
 
-// ctx returns a fresh training context carrying the mode's route and
+// ctx returns a fresh training context carrying the mode's route, pool and
 // numeric settings, seeded like every other audit context. Every context a
-// mode runs on must come from here: one built any other way runs auto,
-// which at audit sizes is bitwise the naive oracle.
+// mode runs on must come from here: one built any other way runs auto on
+// the process pool, which at audit sizes is bitwise the naive oracle.
+// Ckpt and Fused come from each subject's runner.
 func (m Mode) ctx() *nn.Ctx {
 	c := nn.NewCtx(ctxSeed)
 	c.Route = m.Path
+	c.Pool = m.pool()
 	c.MixedPrecision = m.MP
 	return c
+}
+
+// forEachMode runs check for every mode of ms as a parallel subtest named
+// after the mode.
+func forEachMode(t *testing.T, ms []Mode, check func(m Mode) []Divergence) {
+	for _, m := range ms {
+		t.Run(m.String(), func(t *testing.T) {
+			t.Parallel()
+			for _, d := range check(m) {
+				t.Errorf("%s", d)
+			}
+		})
+	}
 }
 
 // routes are the GEMM routes every mode list is built from: the oracle,
@@ -320,12 +348,7 @@ func diffScalar(got, want float64, tol Tol) string {
 // a kernel-level pin of its own (TestGEMMPackedBitwiseMatchesGEMM,
 // TestGEMMPackedEpilogueFusedBitwiseUnfused).
 func CheckFastPathEquivalence(s *Subject, workers int) []Divergence {
-	run := func(p kernels.GEMMPath) *Trace {
-		m := Mode{Path: p, Workers: workers}
-		restore := m.apply()
-		defer restore()
-		return s.Run(m)
-	}
+	run := func(p kernels.GEMMPath) *Trace { return s.Run(Mode{Path: p, Workers: workers}) }
 	m := Mode{Path: kernels.GEMMPathFused, Workers: workers}
 	divs := compareTraces(s.Name, m, run(kernels.GEMMPathFused), run(kernels.GEMMPathBlocked), Tol{}, Tol{})
 	for i := range divs {
@@ -334,47 +357,57 @@ func CheckFastPathEquivalence(s *Subject, workers int) []Divergence {
 	return divs
 }
 
-// RunModes runs a subject through every mode in ms and differences each
-// against its oracle (oracle traces are computed once per distinct oracle
-// mode). When an MP mode is present, its forward output is additionally
-// sanity-checked against the FP32 oracle at tolMPSanity.
-func RunModes(s *Subject, ms []Mode) []Divergence {
+// fp32Oracle is the oracle of every FP32 mode, and the reference of the
+// MP oracles' sanity check.
+var fp32Oracle = Mode{Path: kernels.GEMMPathNaive, Workers: 1}
+
+// oracleTraces runs a subject once under each distinct oracle of ms and,
+// when ms holds an MP oracle, under fp32Oracle as well.
+func oracleTraces(s *Subject, ms []Mode) map[Mode]*Trace {
 	oracles := map[Mode]*Trace{}
-	oracleOf := func(m Mode) *Trace {
-		if tr, ok := oracles[m]; ok {
-			return tr
-		}
-		restore := m.apply()
-		tr := s.Run(m)
-		restore()
-		oracles[m] = tr
-		return tr
-	}
-	var divs []Divergence
 	for _, m := range ms {
-		want := oracleOf(m.Oracle())
-		var got *Trace
-		if m.IsOracle() {
-			got = want
-		} else {
-			restore := m.apply()
-			got = s.Run(m)
-			restore()
-		}
-		fwd, grad := tolerances(m)
-		divs = append(divs, compareTraces(s.Name, m, got, want, fwd, grad)...)
-		if m.MP && m.IsOracle() {
-			// Loose FP32-vs-MP sanity: quantized forward must stay near
-			// the full-precision forward (gradients excluded; surrogate
-			// upstream gradients make their MP deltas uninformative).
-			fp32 := oracleOf(Mode{Path: kernels.GEMMPathNaive, Workers: 1})
-			for _, d := range compareTraces(s.Name, m, got, fp32, tolMPSanity, Tol{Abs: math.Inf(1)}) {
-				if d.Kind == "forward" {
-					d.Kind = "mp-sanity"
-					divs = append(divs, d)
-				}
+		for _, o := range []Mode{m.Oracle(), fp32Oracle} {
+			if oracles[o] == nil && (o == m.Oracle() || m.MP && m.IsOracle()) {
+				oracles[o] = s.Run(o)
 			}
 		}
+	}
+	return oracles
+}
+
+// checkMode differences a subject's run under m against its oracle trace,
+// taken from oracles (oracleTraces). The forward output of an MP oracle is
+// additionally sanity-checked against the FP32 oracle at tolMPSanity.
+func checkMode(s *Subject, m Mode, oracles map[Mode]*Trace) []Divergence {
+	want := oracles[m.Oracle()]
+	got := want
+	if !m.IsOracle() {
+		got = s.Run(m)
+	}
+	fwd, grad := tolerances(m)
+	divs := compareTraces(s.Name, m, got, want, fwd, grad)
+	if m.MP && m.IsOracle() {
+		// Loose FP32-vs-MP sanity: quantized forward must stay near
+		// the full-precision forward (gradients excluded; surrogate
+		// upstream gradients make their MP deltas uninformative).
+		for _, d := range compareTraces(s.Name, m, got, oracles[fp32Oracle], tolMPSanity, Tol{Abs: math.Inf(1)}) {
+			if d.Kind == "forward" {
+				d.Kind = "mp-sanity"
+				divs = append(divs, d)
+			}
+		}
+	}
+	return divs
+}
+
+// RunModes runs a subject through every mode in ms and differences each
+// against its oracle (oracle traces are computed once per distinct oracle
+// mode).
+func RunModes(s *Subject, ms []Mode) []Divergence {
+	oracles := oracleTraces(s, ms)
+	var divs []Divergence
+	for _, m := range ms {
+		divs = append(divs, checkMode(s, m, oracles)...)
 	}
 	return divs
 }

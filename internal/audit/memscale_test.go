@@ -72,9 +72,6 @@ func AccumModes(quick bool) []Mode {
 // rounding, so that route is pinned at the blocked-engine tolerance
 // instead.
 func CheckAccumEquivalence(m Mode) []Divergence {
-	restore := m.apply()
-	defer restore()
-
 	var fwd, grad Tol
 	if m.Path == kernels.GEMMPathAuto {
 		fwd, grad = tolBlockedFwd, tolBlockedGrad
@@ -237,14 +234,7 @@ func CheckShardedOptimizer() []Divergence {
 // TestAccumEquivalence pins StepAccum bitwise against the full-batch
 // Step across the GEMM-path × checkpointing matrix.
 func TestAccumEquivalence(t *testing.T) {
-	for _, m := range AccumModes(testing.Short()) {
-		m := m
-		t.Run(m.String(), func(t *testing.T) {
-			for _, d := range CheckAccumEquivalence(m) {
-				t.Error(d)
-			}
-		})
-	}
+	forEachMode(t, AccumModes(testing.Short()), CheckAccumEquivalence)
 }
 
 // TestShardedOptimizerBitwise pins the sharded update — virtual shards

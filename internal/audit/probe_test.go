@@ -13,12 +13,7 @@ import (
 // accidentally bitwise.
 func probeDiff(t *testing.T, s *Subject, a, b Mode) (maxRel float64, bitwise bool) {
 	t.Helper()
-	restore := a.apply()
-	ta := s.Run(a)
-	restore()
-	restore = b.apply()
-	tb := s.Run(b)
-	restore()
+	ta, tb := s.Run(a), s.Run(b)
 	bitwise = true
 	for name, va := range ta.Tensors {
 		vb := tb.Tensors[name]

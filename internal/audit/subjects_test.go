@@ -52,8 +52,7 @@ type Subject struct {
 	// route.
 	NoGEMM bool
 	// Run builds a fresh, deterministically-seeded instance and runs one
-	// forward+backward pass under mode m (whose worker count the caller
-	// has already applied), returning the comparison trace.
+	// forward+backward pass under mode m, returning the comparison trace.
 	Run func(m Mode) *Trace
 	// GradCheck compares analytic gradients against central differences
 	// on sampled coordinates under mode m. Nil for subjects where the

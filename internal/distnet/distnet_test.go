@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -602,6 +603,17 @@ func TestTrainLossDecreases(t *testing.T) {
 		if r.CommMS <= 0 || r.WireBytesPerStep <= 0 {
 			t.Fatalf("rank %d: missing comm accounting: comm %vms wire %dB", r.Rank, r.CommMS, r.WireBytesPerStep)
 		}
+	}
+}
+
+// TestTrainLeavesGOMAXPROCS: an in-process world-2 Train returns with the
+// scheduler as it found it, so every later test of the binary runs at the
+// core count its leg set (check.sh's GOMAXPROCS=1 leg included).
+func TestTrainLeavesGOMAXPROCS(t *testing.T) {
+	before := runtime.GOMAXPROCS(0)
+	runTrainWorld(t, 2, 2, 0, true, 7)
+	if after := runtime.GOMAXPROCS(0); after != before {
+		t.Fatalf("GOMAXPROCS %d before Train, %d after", before, after)
 	}
 }
 

@@ -3,7 +3,6 @@ package distnet
 import (
 	"fmt"
 
-	"demystbert/internal/kernels"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
@@ -138,14 +137,14 @@ func (s *SlicedLayer) Backward(ctx *nn.Ctx, dY *tensor.Tensor) (*tensor.Tensor, 
 		return nil, err
 	}
 	// The skip connection adds the post-LN gradient directly.
-	kernels.AccumulateInto(dH.Data(), dSum2.Data())
+	ctx.Pool.AccumulateInto(dH.Data(), dSum2.Data())
 
 	dSum := l.AttnLN.Backward(ctx, dH)
 	dX := l.Attn.Backward(ctx, dSum)
 	if err := s.g.AllReduce(tagSlice+3, dX.Data()); err != nil {
 		return nil, err
 	}
-	kernels.AccumulateInto(dX.Data(), dSum.Data())
+	ctx.Pool.AccumulateInto(dX.Data(), dSum.Data())
 	return dX, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -486,7 +485,10 @@ func (t *Trainer) Step(b *data.Batch) (float64, stepStats, error) {
 // parity checks). Every rank generates the full global batch sequence
 // from the shared data seed and consumes its own shard — a schedule a
 // serial reference can replay, which is what makes world=2 runs
-// bit-identical to two replicas stepped one after the other.
+// bit-identical to two replicas stepped one after the other. Train leaves
+// the process's scheduler as it finds it: at GOMAXPROCS=1 the sender
+// goroutine runs only at preemption points of the compute, so overlap
+// hides nothing, and that is what a one-core run measures.
 func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 	if cfg.Steps < 1 || cfg.B < 1 || cfg.N < 1 {
 		return nil, nil, fmt.Errorf("distnet: need positive steps/B/N, got %d/%d/%d", cfg.Steps, cfg.B, cfg.N)
@@ -494,14 +496,6 @@ func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 	lr := cfg.LR
 	if lr == 0 {
 		lr = 0.01
-	}
-	if cfg.World > 1 && runtime.GOMAXPROCS(0) < 2 {
-		// Give the comm goroutine its own scheduler slot. With a single P
-		// it only runs at ~10ms async-preemption boundaries of the
-		// backward compute, so buckets barely progress until the drain and
-		// overlap hides nothing — the software analog of a GPU needing a
-		// separate copy/comm stream.
-		runtime.GOMAXPROCS(2)
 	}
 	g, err := Join(Config{
 		Rank: cfg.Rank, World: cfg.World, Addr: cfg.Addr,

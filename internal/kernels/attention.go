@@ -17,7 +17,7 @@ import "fmt"
 // (serial, no epilogue), and an item reads and writes only its own
 // sequence's rows: a sequence's output is bitwise the same alone, in any
 // batch, at any position in it and at any worker count.
-func (p GEMMPath) AttentionRagged(out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
+func (p GEMMPath) AttentionRagged(pool *Pool, out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
 	d := heads * dHead
 	b := len(offsets) - 1
 	if b < 0 || offsets[0] != 0 || heads < 1 || dHead < 1 {
@@ -37,7 +37,7 @@ func (p GEMMPath) AttentionRagged(out, q, k, v []float32, offsets []int, heads, 
 	if b == 0 {
 		return
 	}
-	raggedAttnBodies.run(b*heads, 1, raggedAttnArgs{path: p, out: out, q: q, k: k, v: v, offsets: offsets,
+	raggedAttnBodies.run(pool, b*heads, 1, raggedAttnArgs{path: p, out: out, q: q, k: k, v: v, offsets: offsets,
 		heads: heads, dHead: dHead, maxN: maxN, scale: scale, causal: causal}, raggedAttnRange)
 }
 
@@ -74,7 +74,7 @@ func raggedAttnRange(s *raggedAttnArgs, lo, hi int) {
 			copy(vh[r*dh:(r+1)*dh], s.v[src:])
 		}
 
-		s.path.run(false, true, n, n, dh, 1, qh, kh, nil, 0, nil, sc, false)
+		s.path.run(serial, false, true, n, n, dh, 1, qh, kh, nil, 0, nil, sc)
 		for r := 0; r < n; r++ {
 			row := sc[r*n : (r+1)*n]
 			for j := range row {
@@ -90,7 +90,7 @@ func raggedAttnRange(s *raggedAttnArgs, lo, hi int) {
 			softmaxRow(row, row)
 		}
 
-		s.path.run(false, false, n, dh, n, 1, sc, vh, nil, 0, nil, ch, false)
+		s.path.run(serial, false, false, n, dh, n, 1, sc, vh, nil, 0, nil, ch)
 		for r := 0; r < n; r++ {
 			copy(s.out[(row0+r)*d+col:], ch[r*dh:(r+1)*dh])
 		}

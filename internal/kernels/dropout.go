@@ -41,7 +41,7 @@ var dropoutBodies argsPool[dropoutArgs]
 // (tensor.RNG.Skip), so the mask does not depend on the worker count.
 // Draw u drops its element when u>>40 < ceil(p·2²⁴), which is exactly
 // rng.Float32() < p: Float32 is the 24-bit integer u>>40 over 2²⁴, exact.
-func DropoutMask(mask []float32, p float32, rng *tensor.RNG) {
+func (pool *Pool) DropoutMask(mask []float32, p float32, rng *tensor.RNG) {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("kernels: dropout probability %v outside [0,1)", p))
 	}
@@ -53,7 +53,7 @@ func DropoutMask(mask []float32, p float32, rng *tensor.RNG) {
 	}
 	args := dropoutArgs{mask: mask, state: rng.State(),
 		thr: uint64(math.Ceil(float64(p) * (1 << 24))), keep: 1 / (1 - p)}
-	dropoutBodies.run(len(mask), dropoutGrain, args, dropoutRange)
+	dropoutBodies.run(pool, len(mask), dropoutGrain, args, dropoutRange)
 	rng.Skip(uint64(len(mask)))
 }
 
@@ -107,6 +107,6 @@ func dropoutFillGo(mask []float32, s uint64, thr uint64, keep float32) {
 // DropoutApply computes dst = x * mask; it implements both the forward
 // pass and, applied to gradients, the backward pass (dropout's Jacobian is
 // the mask itself).
-func DropoutApply(dst, x, mask []float32) {
-	Mul(dst, x, mask)
+func (pool *Pool) DropoutApply(dst, x, mask []float32) {
+	pool.Mul(dst, x, mask)
 }

@@ -39,14 +39,14 @@ func TestDropoutMaskMatchesSerialStream(t *testing.T) {
 	lengths := []int{0, 1, 63, 64, 65, 511, 513, c - 1, c, c + 1, 3*c + 5}
 	forEachKernel(t, "", func(t *testing.T) {
 		for w := 1; w <= 4; w++ {
-			old := SetMaxWorkers(w)
+			pool := poolOf(w)
 			for _, n := range lengths {
 				for _, p := range []float32{0, 1e-7, 0.1, 0.5, 0.999} {
 					seed := uint64(1000*w + n)
 					want, got := make([]float32, n), make([]float32, n)
 					wr, gr := tensor.NewRNG(seed), tensor.NewRNG(seed)
 					parentDropoutMask(want, p, wr)
-					DropoutMask(got, p, gr)
+					pool.DropoutMask(got, p, gr)
 					id := fmt.Sprintf("width %d n=%d p=%v", w, n, p)
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
@@ -61,7 +61,6 @@ func TestDropoutMaskMatchesSerialStream(t *testing.T) {
 					}
 				}
 			}
-			SetMaxWorkers(old)
 		}
 	})
 }
@@ -82,7 +81,7 @@ func TestDropoutMaskStreamFingerprint(t *testing.T) {
 		mask := make([]float32, 1<<20)
 		for _, c := range cases {
 			rng := tensor.NewRNG(20240611)
-			DropoutMask(mask, c.p, rng)
+			processPool.DropoutMask(mask, c.p, rng)
 			h := fnv.New64a()
 			var b [4]byte
 			for _, v := range mask {
@@ -102,7 +101,7 @@ func TestDropoutMaskStreamFingerprint(t *testing.T) {
 // kernel-table entry, at the width -cpu sets. MB/s counts the mask
 // written.
 func BenchmarkDropoutMask(b *testing.B) {
-	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	pool := poolOf(runtime.GOMAXPROCS(0))
 	for _, s := range []struct {
 		name           string
 		hidden, scores int
@@ -114,8 +113,8 @@ func BenchmarkDropoutMask(b *testing.B) {
 			hidden, scores := make([]float32, s.hidden), make([]float32, s.scores)
 			rng := tensor.NewRNG(48)
 			benchEachKernel(b, 4*(s.hidden+s.scores), func() {
-				DropoutMask(hidden, 0.1, rng)
-				DropoutMask(scores, 0.1, rng)
+				pool.DropoutMask(hidden, 0.1, rng)
+				pool.DropoutMask(scores, 0.1, rng)
 			})
 		})
 	}

@@ -40,19 +40,22 @@ type rowArgs struct {
 
 var rowBodies argsPool[rowArgs]
 
+// Add computes dst[i] = a[i] + b[i] on the process pool.
+func Add(dst, a, b []float32) { processPool.Add(dst, a, b) }
+
 // Add computes dst[i] = a[i] + b[i].
-func Add(dst, a, b []float32) {
+func (pool *Pool) Add(dst, a, b []float32) {
 	checkSameLen("Add", dst, a, b)
-	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, addRange)
+	ewBodies.run(pool, len(dst), grainFor(pool, len(dst), 1), ewArgs{dst: dst, a: a, b: b}, addRange)
 }
 
 func addRange(e *ewArgs, lo, hi int) { sumRow(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }
 
 // AccumulateInto computes dst[i] += a[i], the gradient-accumulation
 // primitive.
-func AccumulateInto(dst, a []float32) {
+func (pool *Pool) AccumulateInto(dst, a []float32) {
 	checkSameLen("AccumulateInto", dst, a)
-	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a}, accumulateRange)
+	ewBodies.run(pool, len(dst), grainFor(pool, len(dst), 1), ewArgs{dst: dst, a: a}, accumulateRange)
 }
 
 func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
@@ -61,9 +64,9 @@ func accumulateRange(e *ewArgs, lo, hi int) { addRow(e.dst[lo:hi], e.a[lo:hi]) }
 // dst and clears them: dst[r] += acc[r], then acc[r] = +0, for every
 // width-wide row r in rows (distinct). Each row is AccumulateInto's add,
 // so over the listed rows it is bitwise AccumulateInto followed by ZeroAll.
-func FlushRows(dst, acc []float32, rows []int, width int) {
+func (pool *Pool) FlushRows(dst, acc []float32, rows []int, width int) {
 	checkSameLen("FlushRows", dst, acc)
-	rowBodies.run(len(rows), grainFor(len(rows), width), rowArgs{dst: dst, x: acc, targets: rows, n: width}, flushRowsRange)
+	rowBodies.run(pool, len(rows), grainFor(pool, len(rows), width), rowArgs{dst: dst, x: acc, targets: rows, n: width}, flushRowsRange)
 }
 
 func flushRowsRange(e *rowArgs, lo, hi int) {
@@ -130,7 +133,7 @@ func zeroAllRange(s *zeroAllArgs, lo, hi int) {
 // ZeroAll sets every element of every buffer to +0 in one pool region —
 // a model's gradients cleared at once rather than one serial loop per
 // tensor. The buffers must not overlap.
-func ZeroAll(bufs ...[]float32) {
+func (pool *Pool) ZeroAll(bufs ...[]float32) {
 	s := zeroAllPlans.get()
 	s.bufs, s.ends = append(s.bufs[:0], bufs...), s.ends[:0]
 	total := 0
@@ -138,15 +141,15 @@ func ZeroAll(bufs ...[]float32) {
 		total += len(b)
 		s.ends = append(s.ends, total)
 	}
-	zeroAllBodies.run(total, zeroGrain, *s, zeroAllRange)
+	zeroAllBodies.run(pool, total, zeroGrain, *s, zeroAllRange)
 	clear(s.bufs)
 	zeroAllPlans.put(s)
 }
 
 // Mul computes dst[i] = a[i] * b[i].
-func Mul(dst, a, b []float32) {
+func (pool *Pool) Mul(dst, a, b []float32) {
 	checkSameLen("Mul", dst, a, b)
-	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, b: b}, mulRange)
+	ewBodies.run(pool, len(dst), grainFor(pool, len(dst), 1), ewArgs{dst: dst, a: a, b: b}, mulRange)
 }
 
 func mulRange(e *ewArgs, lo, hi int) { mulRow(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }
@@ -169,9 +172,9 @@ func mulRow(dst, a, b []float32) {
 
 // Scale computes dst[i] = s * a[i]. This is the attention-score
 // normalization kernel (multiply by 1/sqrt(d_model/h)).
-func Scale(dst, a []float32, s float32) {
+func (pool *Pool) Scale(dst, a []float32, s float32) {
 	checkSameLen("Scale", dst, a)
-	ewBodies.run(len(dst), grainFor(len(dst), 1), ewArgs{dst: dst, a: a, s: s}, scaleRange)
+	ewBodies.run(pool, len(dst), grainFor(pool, len(dst), 1), ewArgs{dst: dst, a: a, s: s}, scaleRange)
 }
 
 func scaleRange(e *ewArgs, lo, hi int) { scaleRow(e.dst[lo:hi], e.a[lo:hi], e.s) }
@@ -222,11 +225,11 @@ func addBiasRange(e *biasArgs, lo, hi int) {
 // place. (The GEMM epilogue engine fuses this into the tile write-back on
 // the fast paths — this standalone kernel remains the unfused reference
 // and serves the sites without a producing GEMM.)
-func AddBias(x []float32, bias []float32, m, n int) {
+func (pool *Pool) AddBias(x []float32, bias []float32, m, n int) {
 	if len(x) != m*n || len(bias) != n {
 		panic(fmt.Sprintf("kernels: AddBias dims x=%d bias=%d m=%d n=%d", len(x), len(bias), m, n))
 	}
-	biasBodies.run(m*n, addBiasGrain, biasArgs{mat: x, vec: bias, m: m, n: n}, addBiasRange)
+	biasBodies.run(pool, m*n, addBiasGrain, biasArgs{mat: x, vec: bias, m: m, n: n}, addBiasRange)
 }
 
 // colBand is the column multiple the column-band sweeps (BiasGrad,
@@ -238,8 +241,8 @@ const colBand = 64
 // rows: the chunk rule's, rounded up to whole colBand multiples, so a few
 // rows of a wide matrix (the MLM decoder's bias) sweep long contiguous
 // runs per row instead of many narrow bands.
-func colBandGrain(n, m int) int {
-	return (grainFor(n, m) + colBand - 1) / colBand * colBand
+func colBandGrain(pool *Pool, n, m int) int {
+	return (grainFor(pool, n, m) + colBand - 1) / colBand * colBand
 }
 
 // biasGradRange adds the sums of columns [lo, hi) of mat into vec. Work
@@ -272,11 +275,11 @@ func biasGradRange(e *biasArgs, lo, hi int) {
 
 // BiasGrad accumulates the column sums of an m×n gradient matrix into
 // dBias (the backward pass of AddBias).
-func BiasGrad(dBias []float32, dY []float32, m, n int) {
+func (pool *Pool) BiasGrad(dBias []float32, dY []float32, m, n int) {
 	if len(dY) != m*n || len(dBias) != n {
 		panic(fmt.Sprintf("kernels: BiasGrad dims dY=%d dBias=%d m=%d n=%d", len(dY), len(dBias), m, n))
 	}
-	biasBodies.run(n, colBandGrain(n, m), biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
+	biasBodies.run(pool, n, colBandGrain(pool, n, m), biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
 }
 
 // ScaleMaskSoftmaxAttention is the fused attention-score pipeline over a
@@ -284,7 +287,7 @@ func BiasGrad(dBias []float32, dY []float32, m, n int) {
 // (keyMask: [B, n], may be nil), optional causal masking of future
 // positions (decoder-style attention, Section 2.3), and row softmax — all
 // in one pass, against the unfused four-kernel sequence.
-func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float32, causal bool, b, h, n int) {
+func (pool *Pool) ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float32, causal bool, b, h, n int) {
 	rows := b * h * n
 	if len(scores) != rows*n || len(dst) != rows*n {
 		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention dims scores=%d want %d", len(scores), rows*n))
@@ -292,7 +295,7 @@ func ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float
 	if keyMask != nil && len(keyMask) != b*n {
 		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention keyMask=%d want %d", len(keyMask), b*n))
 	}
-	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
+	rowBodies.run(pool, rows, grainFor(pool, rows, n), rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
 }
 
 func scaleMaskSoftmaxRange(ra *rowArgs, lo, hi int) {

@@ -100,10 +100,10 @@ var (
 // forEachFoldCase runs f for every entry, width, shape and special-value
 // case (tailCases: plain; ±0, ±Inf and subnormals; NaN in the first, the
 // second or both operands).
-func forEachFoldCase(t *testing.T, f func(t *testing.T, id string, r *tensor.RNG, rows, n int, c tailCase)) {
+func forEachFoldCase(t *testing.T, f func(t *testing.T, id string, r *tensor.RNG, pool *Pool, rows, n int, c tailCase)) {
 	forEachKernel(t, "", func(t *testing.T) {
 		for w := 1; w <= 3; w++ {
-			old := SetMaxWorkers(w)
+			pool := poolOf(w)
 			r := tensor.NewRNG(uint64(70 + w))
 			for _, n := range foldCols {
 				for _, rows := range foldRows {
@@ -111,11 +111,10 @@ func forEachFoldCase(t *testing.T, f func(t *testing.T, id string, r *tensor.RNG
 						continue
 					}
 					for _, c := range tailCases {
-						f(t, fmt.Sprintf("width %d rows=%d n=%d %v", w, rows, n, c), r, rows, n, c)
+						f(t, fmt.Sprintf("width %d rows=%d n=%d %v", w, rows, n, c), r, pool, rows, n, c)
 					}
 				}
 			}
-			SetMaxWorkers(old)
 		}
 	})
 }
@@ -124,12 +123,12 @@ func forEachFoldCase(t *testing.T, f func(t *testing.T, id string, r *tensor.RNG
 // (gradient accumulation's running sum) exactly as the scalar band loop
 // did.
 func TestBiasGradMatchesParentLoop(t *testing.T) {
-	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, m, n int, c tailCase) {
+	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, pool *Pool, m, n int, c tailCase) {
 		dY := tailOperand(r, m*n, m%8, c, false)
 		seed := tailOperand(r, n, 0, c, true)
 		want, got := append([]float32(nil), seed...), append([]float32(nil), seed...)
 		parentBiasGrad(want, dY, m, n)
-		BiasGrad(got, dY, m, n)
+		pool.BiasGrad(got, dY, m, n)
 		if i := sameFold(got, want); i >= 0 {
 			t.Fatalf("%s: dBias[%d] = %#08x, loop %#08x", id, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
@@ -139,7 +138,7 @@ func TestBiasGradMatchesParentLoop(t *testing.T) {
 // TestLayerNormBackwardMatchesParentLoops: dX, and dγ/dβ accumulated into
 // non-zero seeds, equal the parent loops.
 func TestLayerNormBackwardMatchesParentLoops(t *testing.T) {
-	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, rows, n int, c tailCase) {
+	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, pool *Pool, rows, n int, c tailCase) {
 		x := tailOperand(r, rows*n, 1, c, true)
 		dY := tailOperand(r, rows*n, 3, c, false)
 		gamma := tailOperand(r, n, 0, c, false)
@@ -155,7 +154,7 @@ func TestLayerNormBackwardMatchesParentLoops(t *testing.T) {
 		wantG, gotG := append([]float32(nil), dgSeed...), append([]float32(nil), dgSeed...)
 		wantB, gotB := append([]float32(nil), dbSeed...), append([]float32(nil), dbSeed...)
 		parentLayerNormBackward(wantX, wantG, wantB, dY, x, gamma, mean, invStd, rows, n)
-		LayerNormBackward(gotX, gotG, gotB, dY, x, gamma, mean, invStd, rows, n)
+		pool.LayerNormBackward(gotX, gotG, gotB, dY, x, gamma, mean, invStd, rows, n)
 		for _, o := range []struct {
 			name      string
 			got, want []float32
@@ -170,12 +169,12 @@ func TestLayerNormBackwardMatchesParentLoops(t *testing.T) {
 // TestSoftmaxGradMatchesParentLoop: the four-row dot equals the one-row
 // loop.
 func TestSoftmaxGradMatchesParentLoop(t *testing.T) {
-	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, rows, n int, c tailCase) {
+	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, pool *Pool, rows, n int, c tailCase) {
 		y := tailOperand(r, rows*n, 2, c, true)
 		dY := tailOperand(r, rows*n, 5, c, false)
 		want, got := make([]float32, rows*n), make([]float32, rows*n)
 		parentSoftmaxGrad(want, dY, y, rows, n)
-		SoftmaxGrad(got, dY, y, rows, n)
+		pool.SoftmaxGrad(got, dY, y, rows, n)
 		if i := sameFold(got, want); i >= 0 {
 			t.Fatalf("%s: dX[%d] = %#08x, loop %#08x", id, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
@@ -205,8 +204,8 @@ func TestAddMulScaleMatchParentLoops(t *testing.T) {
 						f    func(dst, a, b []float32)
 						loop func(a, b float32) float32
 					}{
-						{"Add", Add, func(a, b float32) float32 { return a + b }},
-						{"Mul", Mul, func(a, b float32) float32 { return a * b }},
+						{"Add", processPool.Add, func(a, b float32) float32 { return a + b }},
+						{"Mul", processPool.Mul, func(a, b float32) float32 { return a * b }},
 					} {
 						want := make([]float32, n)
 						for i := range want {
@@ -229,9 +228,9 @@ func TestAddMulScaleMatchParentLoops(t *testing.T) {
 						for i := range want {
 							want[i] = sc * a[i]
 						}
-						Scale(got, a, sc)
+						processPool.Scale(got, a, sc)
 						copy(inPlace, a)
-						Scale(inPlace, inPlace, sc)
+						processPool.Scale(inPlace, inPlace, sc)
 						cs := c
 						if sc != sc {
 							cs = tailNaNBoth
@@ -263,17 +262,17 @@ var foldBenchShapes = []struct {
 // The fold benchmarks run under every kernel-table entry at the width
 // -cpu sets (-cpu 1,2); MB/s counts the bytes each kernel must move.
 func BenchmarkBiasGrad(b *testing.B) {
-	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	pool := poolOf(runtime.GOMAXPROCS(0))
 	for _, s := range foldBenchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			dY, dBias := normalSlice(49, s.tokens*s.dff, 1), make([]float32, s.dff)
-			benchEachKernel(b, 4*len(dY), func() { BiasGrad(dBias, dY, s.tokens, s.dff) })
+			benchEachKernel(b, 4*len(dY), func() { pool.BiasGrad(dBias, dY, s.tokens, s.dff) })
 		})
 	}
 }
 
 func BenchmarkLayerNormBackward(b *testing.B) {
-	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	pool := poolOf(runtime.GOMAXPROCS(0))
 	for _, s := range foldBenchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			rows, n := s.tokens, s.d
@@ -281,19 +280,19 @@ func BenchmarkLayerNormBackward(b *testing.B) {
 			gamma, mean, invStd := normalSlice(52, n, 1), normalSlice(53, rows, 0.1), normalSlice(54, rows, 0.1)
 			dGamma, dBeta := make([]float32, n), make([]float32, n)
 			benchEachKernel(b, 4*3*len(x), func() {
-				LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
+				pool.LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
 			})
 		})
 	}
 }
 
 func BenchmarkSoftmaxGrad(b *testing.B) {
-	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	pool := poolOf(runtime.GOMAXPROCS(0))
 	for _, s := range foldBenchShapes {
 		b.Run(s.name, func(b *testing.B) {
 			rows, n := s.scores, 128
 			y, dY, dX := normalSlice(55, rows*n, 1), normalSlice(56, rows*n, 1), make([]float32, rows*n)
-			benchEachKernel(b, 4*3*len(y), func() { SoftmaxGrad(dX, dY, y, rows, n) })
+			benchEachKernel(b, 4*3*len(y), func() { pool.SoftmaxGrad(dX, dY, y, rows, n) })
 		})
 	}
 }

@@ -17,7 +17,7 @@ func FuzzSoftmax(f *testing.F) {
 			}
 		}
 		out := make([]float32, 4)
-		Softmax(out, in, 1, 4)
+		processPool.Softmax(out, in, 1, 4)
 		var sum float64
 		for _, v := range out {
 			if math.IsNaN(float64(v)) || v < 0 {
@@ -119,8 +119,8 @@ func FuzzGEMMBlockedVsNaive(f *testing.F) {
 		}
 		got := append([]float32(nil), c0...)
 		want := append([]float32(nil), c0...)
-		blockedFull(transA, transB, m, n, k, alpha, a, b, beta, got, true)
-		GEMMNaive(transA, transB, m, n, k, alpha, a, b, beta, want)
+		blockedFull(nil, transA, transB, m, n, k, alpha, a, b, beta, got)
+		GEMMPathNaive.GEMM(nil, transA, transB, m, n, k, alpha, a, b, beta, want)
 		if d := maxAbsDiff(got, want); d > tolFor(k) {
 			t.Fatalf("tA=%v tB=%v m=%d n=%d k=%d alpha=%v beta=%v: max diff %v",
 				transA, transB, m, n, k, alpha, beta, d)

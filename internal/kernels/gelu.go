@@ -11,9 +11,9 @@ import (
 //
 // element-wise. dst and x may alias only if the backward pass will not
 // need the original input (the engine keeps x).
-func GeLUForward(dst, x []float32) {
+func (pool *Pool) GeLUForward(dst, x []float32) {
 	checkSameLen("GeLUForward", dst, x)
-	ewBodies.run(len(x), grainFor(len(x), 1), ewArgs{dst: dst, a: x}, geluFwdRange)
+	ewBodies.run(pool, len(x), grainFor(pool, len(x), 1), ewArgs{dst: dst, a: x}, geluFwdRange)
 }
 
 func geluFwdRange(e *ewArgs, lo, hi int) { geluSpan(e.dst[lo:hi], e.a[lo:hi]) }
@@ -23,9 +23,9 @@ func geluFwdRange(e *ewArgs, lo, hi int) { geluSpan(e.dst[lo:hi], e.a[lo:hi]) }
 //	GELU'(x) = 0.5*(1 + erf(x/sqrt(2))) + x * phi(x)
 //
 // where phi is the standard normal density.
-func GeLUBackward(dX, dY, x []float32) {
+func (pool *Pool) GeLUBackward(dX, dY, x []float32) {
 	checkSameLen("GeLUBackward", dX, dY, x)
-	ewBodies.run(len(x), grainFor(len(x), 1), ewArgs{dst: dX, a: dY, b: x}, geluBwdRange)
+	ewBodies.run(pool, len(x), grainFor(pool, len(x), 1), ewArgs{dst: dX, a: dY, b: x}, geluBwdRange)
 }
 
 func geluBwdRange(e *ewArgs, lo, hi int) { geluGradSpan(e.dst[lo:hi], e.a[lo:hi], e.b[lo:hi]) }

@@ -81,15 +81,15 @@ func TestGeLUPublicEntryPointsMatchReference(t *testing.T) {
 	x := normalSlice(32, 3*minForkWork+17, 2)
 	copy(x, []float32{0, float32(math.Copysign(0, -1)), 6, -6, 7.5, -7.5, float32(math.Inf(1))})
 	y := make([]float32, len(x))
-	GeLUForward(y, x)
+	processPool.GeLUForward(y, x)
 	dY := normalSlice(33, len(x), 1)
 	dX := make([]float32, len(x))
-	GeLUBackward(dX, dY, x)
+	processPool.GeLUBackward(dX, dY, x)
 	inPlace := append([]float32(nil), dY...)
-	GeLUBackward(inPlace, inPlace, x)
+	processPool.GeLUBackward(inPlace, inPlace, x)
 	for i, xv := range x {
 		if math.Float32bits(y[i]) != math.Float32bits(geluScalar(xv)) {
-			t.Fatalf("GeLUForward(%v) = %v, want %v", xv, y[i], geluScalar(xv))
+			t.Fatalf("pool.GeLUForward(%v) = %v, want %v", xv, y[i], geluScalar(xv))
 		}
 		want := math.Float32bits(dY[i] * geluGradScalar(xv))
 		if math.Float32bits(dX[i]) != want || math.Float32bits(inPlace[i]) != want {
@@ -173,7 +173,7 @@ func BenchmarkGeLUForward(b *testing.B) {
 	b.SetBytes(int64(8 * len(x)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GeLUForward(y, x)
+		processPool.GeLUForward(y, x)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/element")
 }
@@ -185,7 +185,7 @@ func BenchmarkGeLUBackward(b *testing.B) {
 	b.SetBytes(int64(12 * len(x)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GeLUBackward(dX, dY, x)
+		processPool.GeLUBackward(dX, dY, x)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/element")
 }

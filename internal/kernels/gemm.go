@@ -20,11 +20,12 @@ import "fmt"
 // NaN/Inf. Within a computed product, however, non-finite values propagate
 // exactly (0·NaN = NaN): the kernels never skip zero operands.
 func GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	GEMMPathAuto.GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
+	GEMMPathAuto.GEMM(nil, transA, transB, m, n, k, alpha, a, b, beta, c)
 }
 
-// GEMM is the package-level GEMM on route p instead of auto.
-func (p GEMMPath) GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
+// GEMM is the package-level GEMM on route p and pool instead of auto and
+// the process pool.
+func (p GEMMPath) GEMM(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	checkGEMMArgs(transA, transB, m, n, k, a, b, c)
 	if m == 0 || n == 0 {
 		return
@@ -33,23 +34,7 @@ func (p GEMMPath) GEMM(transA, transB bool, m, n, k int, alpha float32, a, b []f
 		scaleC(c[:m*n], beta)
 		return
 	}
-	p.run(transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c, true)
-}
-
-// GEMMNaive is the unblocked row-saxpy/dot implementation GEMM used before
-// cache blocking. It is kept as the reference oracle for equivalence tests
-// and as the "before" baseline for the perf benchmarks; same semantics as
-// GEMM.
-func GEMMNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
-	checkGEMMArgs(transA, transB, m, n, k, a, b, c)
-	if m == 0 || n == 0 {
-		return
-	}
-	scaleC(c[:m*n], beta)
-	if k == 0 || alpha == 0 {
-		return
-	}
-	gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
+	p.run(pool, transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c)
 }
 
 // gemmNaivePar accumulates C += alpha·op(A)·op(B) with the unblocked
@@ -57,8 +42,8 @@ func GEMMNaive(transA, transB bool, m, n, k int, alpha float32, a, b []float32, 
 // caller). Each output element is computed by exactly one worker with the
 // same inner-loop order regardless of the partition, so results are
 // bitwise identical for any worker count.
-func gemmNaivePar(transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
-	parallelFor(m, grainFor(m, n*k), func(lo, hi int) {
+func gemmNaivePar(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b, c []float32) {
+	parallelFor(pool, m, grainFor(pool, m, n*k), func(lo, hi int) {
 		gemmNaiveRows(transA, transB, m, n, k, alpha, a, b, c, lo, hi)
 	})
 }
@@ -186,17 +171,18 @@ func axpy(s float32, x, y []float32) {
 // smaller than its matrix or a buffer cannot hold all batch entries, since
 // a silent out-of-bounds access would corrupt a later batch element.
 func BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
-	GEMMPathAuto.BatchedGEMM(batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
+	GEMMPathAuto.BatchedGEMM(nil, batch, transA, transB, m, n, k, alpha, a, strideA, b, strideB, beta, c, strideC)
 }
 
-// BatchedGEMM is the package-level BatchedGEMM on route p instead of auto.
-func (p GEMMPath) BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
+// BatchedGEMM is the package-level BatchedGEMM on route p and pool instead
+// of auto and the process pool.
+func (p GEMMPath) BatchedGEMM(pool *Pool, batch int, transA, transB bool, m, n, k int, alpha float32, a []float32, strideA int, b []float32, strideB int, beta float32, c []float32, strideC int) {
 	checkBatchedGEMMArgs(batch, m, n, k, a, strideA, b, strideB, c, strideC)
 	if batch == 0 {
 		return
 	}
 	if batch == 1 {
-		p.GEMM(transA, transB, m, n, k, alpha, a, b, beta, c)
+		p.GEMM(pool, transA, transB, m, n, k, alpha, a, b, beta, c)
 		return
 	}
 	if m == 0 || n == 0 {
@@ -209,7 +195,7 @@ func (p GEMMPath) BatchedGEMM(batch int, transA, transB bool, m, n, k int, alpha
 		return
 	}
 	batchedGEMMRuns.Inc()
-	batchedBodies.run(batch, 1, batchedArgs{path: p, transA: transA, transB: transB, m: m, n: n, k: k,
+	batchedBodies.run(pool, batch, 1, batchedArgs{path: p, transA: transA, transB: transB, m: m, n: n, k: k,
 		alpha: alpha, beta: beta, a: a, b: b, c: c, sA: strideA, sB: strideB, sC: strideC}, batchedRange)
 }
 
@@ -268,9 +254,9 @@ var batchedBodies argsPool[batchedArgs]
 
 func batchedRange(s *batchedArgs, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		s.path.run(s.transA, s.transB, s.m, s.n, s.k, s.alpha,
+		s.path.run(serial, s.transA, s.transB, s.m, s.n, s.k, s.alpha,
 			s.a[i*s.sA:i*s.sA+s.m*s.k],
 			s.b[i*s.sB:i*s.sB+s.k*s.n],
-			nil, s.beta, nil, s.c[i*s.sC:i*s.sC+s.m*s.n], false)
+			nil, s.beta, nil, s.c[i*s.sC:i*s.sC+s.m*s.n])
 	}
 }

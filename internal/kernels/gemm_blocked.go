@@ -38,8 +38,8 @@ const (
 
 // gemmBlocked computes C = alpha·op(A)·op(B) + beta·C with cache blocking
 // and packing: the per-call schedule every blocked route runs, and the
-// oracle of auto's short stripes (gemmShortStripe). par selects
-// pool parallelism; BatchedGEMM passes false so per-matrix GEMMs never nest
+// oracle of auto's short stripes (gemmShortStripe). Its regions run on
+// pool; BatchedGEMM passes serial so per-matrix GEMMs never nest
 // dispatch. At beta = 0 nothing clears C up front: every tile of a
 // stripe's first depth block clears its own region just before the
 // micro-kernel first accumulates into it; other betas scale C first.
@@ -57,8 +57,8 @@ const (
 // tile grid of each stripe's final depth block applies the element-wise
 // part to every tile right after the micro-kernel finishes it, and LN rows
 // are finalized once the stripe's grid completes, while they are still
-// warm. The finalize always runs on the pool, so ep comes with par.
-func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32, par bool) {
+// warm. The finalize always runs on the pool, so ep never comes with serial.
+func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32) {
 	clearC := beta == 0
 	if !clearC {
 		scaleC(c[:m*n], beta)
@@ -79,21 +79,21 @@ func gemmBlocked(transA, transB bool, m, n, k int, alpha float32, a, b, panels [
 			kcb := min(gemmKC, k-pc)
 			g.epOn = pc+gemmKC >= k
 			g.clearC = clearC && pc == 0
-			packA(transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr, par)
+			packA(pool, transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr)
 			for jc := 0; jc < n; jc += nc {
 				ncb := min(nc, n-jc)
 				var block []float32
 				if bp != nil {
-					packB(transB, *bp, b, jc, ncb, pc, kcb, n, k, nr, par)
+					packB(pool, transB, *bp, b, jc, ncb, pc, kcb, n, k, nr)
 					block = *bp
 				} else {
 					block = panels[panelW*pc:]
 				}
-				g.run(c, *ap, block, n, io, ms, jc, ncb, kcb, par)
+				g.run(pool, c, *ap, block, n, io, ms, jc, ncb, kcb)
 			}
 		}
 		if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
-			ep.finalizeLNRows(c, io, ms, n)
+			ep.finalizeLNRows(pool, c, io, ms, n)
 		}
 	}
 	putScratch(ap)
@@ -128,12 +128,12 @@ type gemmState struct {
 
 var gemmBodies argsPool[gemmState]
 
-func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par bool) {
+func (g *gemmState) run(pool *Pool, c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int) {
 	icBlocks := (ms + gemmMC - 1) / gemmMC
 	segs, segCols := 1, ncb
 	target := 1
-	if par {
-		target = piecesPer(icBlocks, 3)
+	if pool != serial {
+		target = piecesPer(pool, icBlocks, 3)
 	}
 	if target > 1 {
 		// Few row blocks: split columns too, keeping ≥ ~3 items per
@@ -150,8 +150,8 @@ func (g *gemmState) run(c, ap, bp []float32, ldc, i0, ms, jc, ncb, kcb int, par 
 	g.ldc, g.i0, g.ms, g.jc, g.ncb, g.kcb = ldc, i0, ms, jc, ncb, kcb
 	g.segs, g.segCols = segs, segCols
 	items := icBlocks * segs
-	if par {
-		gemmBodies.run(items, 1, *g, gemmTiles)
+	if pool != serial {
+		gemmBodies.run(pool, items, 1, *g, gemmTiles)
 	} else {
 		gemmTiles(g, 0, items)
 	}
@@ -190,7 +190,7 @@ func (g *gemmState) tile(t int) {
 const shortStripeRows = 2 * gemmMC
 
 // gemmShortStripe is auto's first-use route for a short stripe
-// (m ≤ shortStripeRows, no pre-built panels, pool parallelism allowed): the
+// (m ≤ shortStripeRows, no pre-built panels, a pool to run on): the
 // same micro-kernel calls as gemmBlocked, without its block-wide packB
 // pass. A is packed
 // for the whole depth up front, then one pool region of column segments
@@ -204,7 +204,7 @@ const shortStripeRows = 2 * gemmMC
 // order as on gemmBlocked, beta = 0 clears and the epilogue tail run per
 // segment as they run per tile there, so the result is bitwise
 // gemmBlocked's (GEMMPathBlocked is the oracle).
-func gemmShortStripe(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, ep *Epilogue, c []float32) {
+func gemmShortStripe(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, ep *Epilogue, c []float32) {
 	gemmShortStripes.Inc()
 	if beta != 0 {
 		scaleC(c[:m*n], beta)
@@ -213,18 +213,17 @@ func gemmShortStripe(transA, transB bool, m, n, k int, alpha float32, a, b []flo
 	mp := (m + mr - 1) / mr * mr
 	ap := getScratch(mp * k)
 	for pc := 0; pc < k; pc += gemmKC {
-		packA(transA, (*ap)[mp*pc:], a, 0, m, pc, min(gemmKC, k-pc), m, k, alpha, mr, true)
+		packA(pool, transA, (*ap)[mp*pc:], a, 0, m, pc, min(gemmKC, k-pc), m, k, alpha, mr)
 	}
-	// About four segments per worker, for dynamic balance; the width is
-	// read once, since a concurrent SetMaxWorkers may change it.
-	panels, segs := (n+nr-1)/nr, piecesPer(1, 4)
+	// About four segments per worker, for dynamic balance.
+	panels, segs := (n+nr-1)/nr, piecesPer(pool, 1, 4)
 	per := (panels + segs - 1) / segs // micro-panels per segment
 	s := stripeState{c: c, ap: *ap, b: b, transB: transB, m: m, n: n, k: k, mp: mp,
 		segCols: per * nr, clearC: beta == 0, ep: ep}
-	stripeBodies.run((panels+per-1)/per, 1, s, stripeSegments)
+	stripeBodies.run(pool, (panels+per-1)/per, 1, s, stripeSegments)
 	putScratch(ap)
 	if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
-		ep.finalizeLNRows(c, 0, m, n)
+		ep.finalizeLNRows(pool, c, 0, m, n)
 	}
 }
 
@@ -263,7 +262,7 @@ func stripeSegments(s *stripeState, lo, hi int) {
 					if bs == nil {
 						bs = getScratch(nr * gemmKC)
 					}
-					packB(s.transB, *bs, s.b, jr, nw, pc, kcb, s.n, s.k, nr, false)
+					packB(serial, s.transB, *bs, s.b, jr, nw, pc, kcb, s.n, s.k, nr)
 					bpanel, ldb = *bs, nr
 				}
 				tmp = microColumn(s.c[jr:], s.n, ap, bpanel, ldb, kcb, 0, s.m, s.m, nw, tmp)
@@ -358,14 +357,14 @@ type packAArgs struct {
 
 var packABodies argsPool[packAArgs]
 
-func packA(transA bool, dst, a []float32, io, ms, pc, kcb, m, k int, alpha float32, mr int, par bool) {
+func packA(pool *Pool, transA bool, dst, a []float32, io, ms, pc, kcb, m, k int, alpha float32, mr int) {
 	s := packAArgs{dst: dst, src: a, transA: transA, row0: io, rows: ms, pc: pc, kcb: kcb, ld: k, alpha: alpha, mr: mr}
 	if transA {
 		s.ld = m
 	}
 	panels := (ms + mr - 1) / mr
-	if par {
-		packABodies.run(panels, 8, s, packARange)
+	if pool != serial {
+		packABodies.run(pool, panels, 8, s, packARange)
 	} else {
 		packARange(&s, 0, panels)
 	}
@@ -434,14 +433,14 @@ type packBArgs struct {
 
 var packBBodies argsPool[packBArgs]
 
-func packB(transB bool, dst, b []float32, jc, ncb, pc, kcb, n, k, nr int, par bool) {
+func packB(pool *Pool, transB bool, dst, b []float32, jc, ncb, pc, kcb, n, k, nr int) {
 	s := packBArgs{dst: dst, src: b, transB: transB, jc: jc, cols: ncb, pc: pc, kcb: kcb, ld: n, nr: nr}
 	if transB {
 		s.ld = k
 	}
 	panels := (ncb + nr - 1) / nr
-	if par {
-		packBBodies.run(panels, 8, s, packBRange)
+	if pool != serial {
+		packBBodies.run(pool, panels, 8, s, packBRange)
 	} else {
 		packBRange(&s, 0, panels)
 	}

@@ -12,7 +12,7 @@ import (
 // blockedFull applies full GEMM semantics (beta scaling, quick returns)
 // around a forced gemmBlocked call, bypassing the small-size dispatch to
 // the naive path so tests exercise the blocked code on any shape.
-func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32, par bool) {
+func blockedFull(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, c []float32) {
 	checkGEMMArgs(transA, transB, m, n, k, a, b, c)
 	if m == 0 || n == 0 {
 		return
@@ -21,7 +21,7 @@ func blockedFull(transA, transB bool, m, n, k int, alpha float32, a, b []float32
 	if k == 0 || alpha == 0 {
 		return
 	}
-	gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, 1, nil, c, par)
+	gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, nil, 1, nil, c)
 }
 
 // withKernel runs f under micro-kernel backend k, then restores the
@@ -63,7 +63,7 @@ func TestGEMMBlockedEquivalence(t *testing.T) {
 	alphas := []float32{0, 1, -0.5}
 	betas := []float32{0, 1, -0.5}
 	r := tensor.NewRNG(11)
-	run := func(t *testing.T, par bool) {
+	run := func(t *testing.T, pool *Pool) {
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for i, m := range dims {
@@ -76,8 +76,8 @@ func TestGEMMBlockedEquivalence(t *testing.T) {
 						for _, beta := range betas {
 							got := append([]float32(nil), cInit...)
 							want := append([]float32(nil), cInit...)
-							blockedFull(ta, tb, m, n, k, alpha, a, b, beta, got, par)
-							GEMMNaive(ta, tb, m, n, k, alpha, a, b, beta, want)
+							blockedFull(pool, ta, tb, m, n, k, alpha, a, b, beta, got)
+							GEMMPathNaive.GEMM(nil, ta, tb, m, n, k, alpha, a, b, beta, want)
 							if d := maxAbsDiff(got, want); d > tolFor(k) {
 								t.Fatalf("tA=%v tB=%v %dx%dx%d alpha=%v beta=%v: max diff %v",
 									ta, tb, m, n, k, alpha, beta, d)
@@ -88,8 +88,8 @@ func TestGEMMBlockedEquivalence(t *testing.T) {
 			}
 		}
 	}
-	forEachKernel(t, "-parallel", func(t *testing.T) { run(t, true) })
-	forEachKernel(t, "-serial", func(t *testing.T) { run(t, false) })
+	forEachKernel(t, "-parallel", func(t *testing.T) { run(t, nil) })
+	forEachKernel(t, "-serial", func(t *testing.T) { run(t, serial) })
 }
 
 // TestGEMMBlockedEquivalenceWorkers exercises the dynamic tile scheduler
@@ -100,12 +100,10 @@ func TestGEMMBlockedEquivalenceWorkers(t *testing.T) {
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
 	want := make([]float32, m*n)
-	GEMMNaive(false, false, m, n, k, 1, a, b, 0, want)
+	GEMMPathNaive.GEMM(nil, false, false, m, n, k, 1, a, b, 0, want)
 	for _, w := range []int{1, 2, 3, 4, 8} {
-		old := SetMaxWorkers(w)
 		got := make([]float32, m*n)
-		blockedFull(false, false, m, n, k, 1, a, b, 0, got, true)
-		SetMaxWorkers(old)
+		blockedFull(poolOf(w), false, false, m, n, k, 1, a, b, 0, got)
 		if d := maxAbsDiff(got, want); d > tolFor(k) {
 			t.Fatalf("workers=%d: max diff %v", w, d)
 		}
@@ -120,13 +118,12 @@ func TestGEMMBlockedDeterministic(t *testing.T) {
 	m, n, k := 130, 257, 129
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
+	pool := poolOf(4)
 	first := make([]float32, m*n)
-	blockedFull(false, true, m, n, k, 1.25, a, b, 0, first, true)
+	blockedFull(pool, false, true, m, n, k, 1.25, a, b, 0, first)
 	for run := 0; run < 5; run++ {
 		got := make([]float32, m*n)
-		blockedFull(false, true, m, n, k, 1.25, a, b, 0, got, true)
+		blockedFull(pool, false, true, m, n, k, 1.25, a, b, 0, got)
 		for i := range got {
 			if got[i] != first[i] {
 				t.Fatalf("run %d: non-deterministic result at %d: %v vs %v", run, i, got[i], first[i])
@@ -180,10 +177,10 @@ func TestGEMMNaNPropagation(t *testing.T) {
 			run  func(c []float32)
 		}{
 			{"GEMM", func(c []float32) { GEMM(false, false, m, n, k, 1, a, b, 0, c) }},
-			{"GEMMNaive", func(c []float32) { GEMMNaive(false, false, m, n, k, 1, a, b, 0, c) }},
-			{"serial", func(c []float32) { GEMMPathAuto.run(false, false, m, n, k, 1, a, b, nil, 0, nil, c, false) }},
+			{"GEMMPathNaive", func(c []float32) { GEMMPathNaive.GEMM(nil, false, false, m, n, k, 1, a, b, 0, c) }},
+			{"serial", func(c []float32) { GEMMPathAuto.run(serial, false, false, m, n, k, 1, a, b, nil, 0, nil, c) }},
 			{"blocked-scalar", func(c []float32) {
-				withKernel(&scalarKernel, func() { blockedFull(false, false, m, n, k, 1, a, b, 0, c, true) })
+				withKernel(&scalarKernel, func() { blockedFull(nil, false, false, m, n, k, 1, a, b, 0, c) })
 			}},
 		}
 		for _, p := range paths {
@@ -261,44 +258,43 @@ func TestGEMMZeroAllocSteadyState(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	r := tensor.NewRNG(14)
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
-	forEachKernel(t, "", func(t *testing.T) { zeroAllocSteadyState(t, r) })
+	pool := poolOf(1)
+	forEachKernel(t, "", func(t *testing.T) { zeroAllocSteadyState(t, r, pool) })
 }
 
-func zeroAllocSteadyState(t *testing.T, r *tensor.RNG) {
+func zeroAllocSteadyState(t *testing.T, r *tensor.RNG, pool *Pool) {
 	m, n, k := 192, 192, 192
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
 	c := make([]float32, m*n)
 	w := randSlice(r, n*k)
-	pb, unbuilt := PackWeight(true, n, k, w), describeWeight(true, n, k, w)
+	pb, unbuilt := packWeight(pool, true, n, k, w), describeWeight(true, n, k, w)
 	const batch = 8
 	ab := randSlice(r, batch*32*32)
 	bb := randSlice(r, batch*32*32)
 	cb := make([]float32, batch*32*32)
-	GEMM(false, false, m, n, k, 1, a, b, 0, c) // warm the scratch pools
-	GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
-	GEMMPacked(false, m, n, k, 1, a, unbuilt, 0, c)
-	BatchedGEMM(batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)
+	GEMMPathAuto.GEMM(pool, false, false, m, n, k, 1, a, b, 0, c) // warm the scratch pools
+	GEMMPathAuto.GEMMPacked(pool, false, m, n, k, 1, a, pb, 0, c)
+	GEMMPathAuto.GEMMPacked(pool, false, m, n, k, 1, a, unbuilt, 0, c)
+	GEMMPathAuto.BatchedGEMM(pool, batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)
 	for _, ac := range allocCases {
 		if avg := ac.allocs(10, func() {
-			GEMM(false, false, m, n, k, 1, a, b, 0, c)
+			GEMMPathAuto.GEMM(pool, false, false, m, n, k, 1, a, b, 0, c)
 		}); avg != 0 {
 			t.Errorf("GEMM allocates %v per op %s, want 0", avg, ac.name)
 		}
 		if avg := ac.allocs(10, func() {
-			GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
+			GEMMPathAuto.GEMMPacked(pool, false, m, n, k, 1, a, pb, 0, c)
 		}); avg != 0 {
 			t.Errorf("GEMMPacked allocates %v per op %s, want 0", avg, ac.name)
 		}
 		if avg := ac.allocs(10, func() {
-			GEMMPacked(false, m, n, k, 1, a, unbuilt, 0, c)
+			GEMMPathAuto.GEMMPacked(pool, false, m, n, k, 1, a, unbuilt, 0, c)
 		}); avg != 0 {
 			t.Errorf("GEMMPacked on an un-built operand allocates %v per op %s, want 0", avg, ac.name)
 		}
 		if avg := ac.allocs(10, func() {
-			BatchedGEMM(batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)
+			GEMMPathAuto.BatchedGEMM(pool, batch, false, true, 32, 32, 32, 1, ab, 32*32, bb, 32*32, 0, cb, 32*32)
 		}); avg != 0 {
 			t.Errorf("BatchedGEMM allocates %v per op %s, want 0", avg, ac.name)
 		}
@@ -335,7 +331,7 @@ func TestGEMMBlockedAgainstFloat64Ref(t *testing.T) {
 		b := randSlice(r, k*n)
 		got := randSlice(r, m*n)
 		want := append([]float32(nil), got...)
-		blockedFull(tc.ta, tc.tb, m, n, k, 1.5, a, b, -0.5, got, true)
+		blockedFull(nil, tc.ta, tc.tb, m, n, k, 1.5, a, b, -0.5, got)
 		refGEMM(tc.ta, tc.tb, m, n, k, 1.5, a, b, -0.5, want)
 		if d := maxAbsDiff(got, want); d > tolFor(k) {
 			t.Fatalf("tA=%v tB=%v: max diff %v vs float64 ref", tc.ta, tc.tb, d)
@@ -367,7 +363,7 @@ func TestGEMMPaperShapeSmoke(t *testing.T) {
 			got := make([]float32, s.m*s.n)
 			want := make([]float32, s.m*s.n)
 			GEMM(s.ta, s.tb, s.m, s.n, s.k, 1, a, b, 0, got)
-			GEMMNaive(s.ta, s.tb, s.m, s.n, s.k, 1, a, b, 0, want)
+			GEMMPathNaive.GEMM(nil, s.ta, s.tb, s.m, s.n, s.k, 1, a, b, 0, want)
 			if d := maxAbsDiff(got, want); d > tolFor(s.k) {
 				t.Fatalf("%s %s: max diff %v", s.name, fmt.Sprintf("%dx%dx%d", s.m, s.n, s.k), d)
 			}

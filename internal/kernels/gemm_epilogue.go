@@ -125,9 +125,9 @@ func (ep *Epilogue) check(m, n int) {
 // fused route run the engine with the tail fused into its write-back,
 // whichever panel source pb gives it. Fused and unfused results are bitwise
 // identical on the same backend (see the package comment above).
-func (p GEMMPath) GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
+func (p GEMMPath) GEMMPackedEpilogue(pool *Pool, transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, ep *Epilogue, c []float32) {
 	if ep == nil || ep.Kind == EpilogueNone {
-		p.GEMMPacked(transA, m, n, k, alpha, a, pb, 0, c)
+		p.GEMMPacked(pool, transA, m, n, k, alpha, a, pb, 0, c)
 		return
 	}
 	pb.check("GEMMPackedEpilogue", n, k)
@@ -140,10 +140,10 @@ func (p GEMMPath) GEMMPackedEpilogue(transA bool, m, n, k int, alpha float32, a 
 		// BLAS quick return for the product; the epilogue still defines
 		// the output (bias rows, or LN of bias+residual).
 		scaleC(c[:m*n], 0)
-		ep.applyReference(c, m, n)
+		ep.applyReference(pool, c, m, n)
 		return
 	}
-	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, 0, ep, c, true)
+	p.run(pool, transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, 0, ep, c)
 }
 
 // countFused counts a fused write-back of the epilogue; nil-safe, like
@@ -165,8 +165,8 @@ func (ep *Epilogue) countFused() {
 // applyReference applies the epilogue as the unfused kernel sequence the
 // fused write-back replaces, reusing the stand-alone element-wise kernels
 // so legacy call sites and epilogue call sites stay bitwise-identical. A
-// nil epilogue applies nothing.
-func (ep *Epilogue) applyReference(c []float32, m, n int) {
+// nil epilogue applies nothing. The kernels run on pool.
+func (ep *Epilogue) applyReference(pool *Pool, c []float32, m, n int) {
 	if ep == nil {
 		return
 	}
@@ -174,24 +174,24 @@ func (ep *Epilogue) applyReference(c []float32, m, n int) {
 	switch ep.Kind {
 	case EpilogueNone:
 	case EpilogueBias:
-		AddBias(c, ep.Bias, m, n)
+		pool.AddBias(c, ep.Bias, m, n)
 	case EpilogueBiasGeLU:
-		AddBias(c, ep.Bias, m, n)
+		pool.AddBias(c, ep.Bias, m, n)
 		if ep.X != nil {
-			copyRows(ep.X, c)
+			copyRows(pool, ep.X, c)
 		}
-		GeLUForward(c, c)
+		pool.GeLUForward(c, c)
 	case EpilogueBiasResidualLayerNorm:
-		AddBias(c, ep.Bias, m, n)
-		AccumulateInto(c, ep.Residual)
-		ep.finalizeLNRows(c, 0, m, n)
+		pool.AddBias(c, ep.Bias, m, n)
+		pool.AccumulateInto(c, ep.Residual)
+		ep.finalizeLNRows(pool, c, 0, m, n)
 	}
 }
 
 // copyRows copies src into dst in parallel (save-buffer fill).
-func copyRows(dst, src []float32) {
+func copyRows(pool *Pool, dst, src []float32) {
 	checkSameLen("copyRows", dst, src)
-	ewBodies.run(len(src), grainFor(len(src), 1), ewArgs{dst: dst, a: src}, copyRange)
+	ewBodies.run(pool, len(src), grainFor(pool, len(src), 1), ewArgs{dst: dst, a: src}, copyRange)
 }
 
 func copyRange(e *ewArgs, lo, hi int) { copy(e.dst[lo:hi], e.a[lo:hi]) }
@@ -245,6 +245,6 @@ func epLNRange(s *epLNArgs, lo, hi int) {
 // finalizeLNRows normalizes rows [row0, row0+rows) of c in place. Shared
 // by the fused stripe finalize and the unfused reference applier, so both
 // perform the identical per-row float sequence.
-func (ep *Epilogue) finalizeLNRows(c []float32, row0, rows, n int) {
-	epLNBodies.run(rows, 4, epLNArgs{c: c, ep: ep, row0: row0, n: n}, epLNRange)
+func (ep *Epilogue) finalizeLNRows(pool *Pool, c []float32, row0, rows, n int) {
+	epLNBodies.run(pool, rows, 4, epLNArgs{c: c, ep: ep, row0: row0, n: n}, epLNRange)
 }

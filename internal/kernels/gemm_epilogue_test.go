@@ -109,7 +109,7 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 			ep := makeEpilogue(r, kind, m, n, true)
 
 			got := make([]float32, m*n)
-			GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+			GEMMPathAuto.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
 
 			want := make([]float32, m*n)
 			refGEMM(false, false, m, n, k, 1, a, b, 0, want)
@@ -159,8 +159,8 @@ func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 
 				unfused := make([]float32, m*n)
 				uep := cloneEpilogue(ep, m, n)
-				GEMMPathFused.GEMMPacked(false, m, n, k, 1, a, built, 0, unfused)
-				uep.applyReference(unfused, m, n)
+				GEMMPathFused.GEMMPacked(nil, false, m, n, k, 1, a, built, 0, unfused)
+				uep.applyReference(nil, unfused, m, n)
 
 				for _, leg := range []struct {
 					name string
@@ -169,7 +169,7 @@ func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 					fep := cloneEpilogue(ep, m, n)
 					fused := make([]float32, m*n)
 					if d := counterDelta(epilogueReferenceRuns, func() {
-						GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, fep, fused)
+						GEMMPathFused.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, leg.pb, fep, fused)
 					}); d != 0 {
 						t.Fatalf("%s, %s %dx%dx%d: ran the reference tail", leg.name, kind, m, n, k)
 					}
@@ -207,19 +207,16 @@ func TestGEMMPackedEpilogueWorkerInvariance(t *testing.T) {
 	for _, kind := range epilogueKinds {
 		ep := makeEpilogue(r, kind, m, n, false)
 		ref := make([]float32, m*n)
-		old := SetMaxWorkers(1)
-		GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
+		GEMMPathAuto.GEMMPackedEpilogue(poolOf(1), false, m, n, k, 1, a, pb, ep, ref)
 		for _, w := range []int{2, 4, 7} {
-			SetMaxWorkers(w)
 			got := make([]float32, m*n)
-			GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+			GEMMPathAuto.GEMMPackedEpilogue(poolOf(w), false, m, n, k, 1, a, pb, ep, got)
 			for i := range got {
 				if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 					t.Fatalf("%s: workers=%d diverges from workers=1 at %d", kind, w, i)
 				}
 			}
 		}
-		SetMaxWorkers(old)
 	}
 }
 
@@ -235,7 +232,7 @@ func TestGEMMPackedEpilogueNilAndNone(t *testing.T) {
 	GEMMPacked(false, m, n, k, 1, a, pb, 0, want)
 	for _, ep := range []*Epilogue{nil, {Kind: EpilogueNone}} {
 		got := randSlice(r, m*n) // pre-filled garbage must be overwritten
-		GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+		GEMMPathAuto.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
 		if d := maxAbsDiff(got, want); d != 0 {
 			t.Fatalf("nil/none epilogue differs from GEMMPacked by %v", d)
 		}
@@ -250,7 +247,7 @@ func TestGEMMPackedEpilogueQuickReturns(t *testing.T) {
 	bias := randSlice(r, n)
 	pb := PackWeight(false, n, 0, nil)
 	c := randSlice(r, m*n)
-	GEMMPathAuto.GEMMPackedEpilogue(false, m, n, 0, 1, nil, pb, &Epilogue{Kind: EpilogueBias, Bias: bias}, c)
+	GEMMPathAuto.GEMMPackedEpilogue(nil, false, m, n, 0, 1, nil, pb, &Epilogue{Kind: EpilogueBias, Bias: bias}, c)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			if c[i*n+j] != bias[j] {
@@ -271,10 +268,10 @@ func TestGEMMPackedEpilogueAllPathsAgree(t *testing.T) {
 	pb := PackWeight(false, n, k, b)
 	ep := makeEpilogue(r, EpilogueBiasResidualLayerNorm, m, n, false)
 	ref := make([]float32, m*n)
-	GEMMPathNaive.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, ref)
+	GEMMPathNaive.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, ref)
 	for _, p := range []GEMMPath{GEMMPathBlocked, GEMMPathFused, GEMMPathAuto} {
 		got := make([]float32, m*n)
-		p.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+		p.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
 		// LN divides by the row scale, so agreement within 1e-4 is tight.
 		if d := maxAbsDiff(got, ref); d > 1e-4 {
 			t.Errorf("path %v disagrees with naive by %v", p, d)
@@ -292,20 +289,19 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 	m, n, k := 128, 128, 128
 	a := randSlice(r, m*k)
 	c := make([]float32, m*n)
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
+	pool := poolOf(1)
 	forEachKernel(t, "", func(t *testing.T) {
 		b := randSlice(r, k*n)
 		for _, leg := range []struct {
 			name string
 			pb   *PackedB
-		}{{"pre-packed panels", PackWeight(false, n, k, b)}, {"per-call panels", describeWeight(false, n, k, b)}} {
+		}{{"pre-packed panels", packWeight(pool, false, n, k, b)}, {"per-call panels", describeWeight(false, n, k, b)}} {
 			for _, kind := range epilogueKinds {
 				ep := makeEpilogue(r, kind, m, n, true)
-				GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
+				GEMMPathAuto.GEMMPackedEpilogue(pool, false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
 				for _, ac := range allocCases {
 					if avg := ac.allocs(10, func() {
-						GEMMPathAuto.GEMMPackedEpilogue(false, m, n, k, 1, a, leg.pb, ep, c)
+						GEMMPathAuto.GEMMPackedEpilogue(pool, false, m, n, k, 1, a, leg.pb, ep, c)
 					}); avg != 0 {
 						t.Errorf("%s, %s: fused epilogue allocates %v per op %s, want 0", leg.name, kind, avg, ac.name)
 					}

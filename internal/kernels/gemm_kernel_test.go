@@ -28,25 +28,25 @@ func fmaKernels(t testing.TB) []*gemmKernel {
 // bitwiseOutputs runs every GEMM entry point that reaches the micro-kernel
 // on one problem, on route p, and returns the named results (outputs and
 // saved epilogue tensors).
-func bitwiseOutputs(p GEMMPath, seed uint64, m, n, k int) map[string][]float32 {
+func bitwiseOutputs(p GEMMPath, pool *Pool, seed uint64, m, n, k int) map[string][]float32 {
 	r := tensor.NewRNG(seed)
 	out := map[string][]float32{}
 	a, b, c0 := randSlice(r, m*k), randSlice(r, k*n), randSlice(r, m*n)
 	for _, ta := range []bool{false, true} {
 		for _, tb := range []bool{false, true} {
 			c := append([]float32(nil), c0...)
-			p.GEMM(ta, tb, m, n, k, 1.25, a, b, 0.5, c)
+			p.GEMM(pool, ta, tb, m, n, k, 1.25, a, b, 0.5, c)
 			out[fmt.Sprintf("GEMM tA=%v tB=%v", ta, tb)] = c
 			c = append([]float32(nil), c0...)
-			p.GEMMPacked(ta, m, n, k, 1.25, a, PackWeight(tb, n, k, b), 0.5, c)
+			p.GEMMPacked(pool, ta, m, n, k, 1.25, a, packWeight(pool, tb, n, k, b), 0.5, c)
 			out[fmt.Sprintf("GEMMPacked tA=%v tB=%v", ta, tb)] = c
 		}
 	}
-	pb := PackWeight(true, n, k, b)
+	pb := packWeight(pool, true, n, k, b)
 	for _, kind := range epilogueKinds {
 		ep := makeEpilogue(r, kind, m, n, true)
 		c := make([]float32, m*n)
-		p.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, c)
+		p.GEMMPackedEpilogue(pool, false, m, n, k, 1, a, pb, ep, c)
 		out["epilogue "+kind.String()] = c
 		out["epilogue "+kind.String()+" X"] = ep.X
 		out["epilogue "+kind.String()+" mean"] = ep.Mean
@@ -54,7 +54,7 @@ func bitwiseOutputs(p GEMMPath, seed uint64, m, n, k int) map[string][]float32 {
 	}
 	const batch = 3
 	ab, bb, cb := randSlice(r, batch*m*k), randSlice(r, batch*k*n), randSlice(r, batch*m*n)
-	p.BatchedGEMM(batch, false, true, m, n, k, 0.5, ab, m*k, bb, k*n, 0.5, cb, m*n)
+	p.BatchedGEMM(pool, batch, false, true, m, n, k, 0.5, ab, m*k, bb, k*n, 0.5, cb, m*n)
 	out["BatchedGEMM"] = cb
 	return out
 }
@@ -70,7 +70,6 @@ func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 	if len(ks) < 2 {
 		t.Skipf("need two FMA kernels to compare, host supports %d", len(ks))
 	}
-	defer SetMaxWorkers(MaxWorkers())
 	ms := []int{1, 5, 12, 13, 127, 512}
 	ns := []int{1, 31, 32, 33, 768}
 	kks := []int{1, 255, 256, 257, 768}
@@ -81,14 +80,14 @@ func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 		ms, ns, kks = []int{1, 13, 127}, []int{31, 33}, []int{255, 257}
 	}
 	for _, workers := range []int{1, 4} {
-		SetMaxWorkers(workers)
+		pool := poolOf(workers)
 		for _, m := range ms {
 			for _, n := range ns {
 				for _, k := range kks {
 					var want map[string][]float32
 					for i, kn := range ks {
 						var got map[string][]float32
-						withKernel(kn, func() { got = bitwiseOutputs(GEMMPathFused, uint64(m*n+k), m, n, k) })
+						withKernel(kn, func() { got = bitwiseOutputs(GEMMPathFused, pool, uint64(m*n+k), m, n, k) })
 						if i == 0 {
 							want = got
 							continue
@@ -129,8 +128,8 @@ func TestVectorPacksMatchGoPacks(t *testing.T) {
 					withKernel(k, func() {
 						ap = make([]float32, (rows+k.mr-1)/k.mr*k.mr*kcb)
 						bp = make([]float32, (rows+k.nr-1)/k.nr*k.nr*kcb)
-						packA(false, ap, src, 0, rows, 1, kcb, rows, ld, -1.5, k.mr, false)
-						packB(true, bp, src, 0, rows, 1, kcb, rows, ld, k.nr, false)
+						packA(serial, false, ap, src, 0, rows, 1, kcb, rows, ld, -1.5, k.mr)
+						packB(serial, true, bp, src, 0, rows, 1, kcb, rows, ld, k.nr)
 					})
 					return ap, bp
 				}
@@ -167,7 +166,7 @@ func TestTransposedAPackMatchesScalarLoop(t *testing.T) {
 					panels := (rows + mr - 1) / mr
 					got := make([]float32, panels*mr*kcb)
 					want := make([]float32, len(got))
-					packA(true, got, a, row0, rows, pc, kcb, m, k, alpha, mr, false)
+					packA(serial, true, got, a, row0, rows, pc, kcb, m, k, alpha, mr)
 					for pi := 0; pi < panels; pi++ {
 						n := min(mr, rows-pi*mr)
 						for p := 0; p < kcb; p++ {
@@ -286,10 +285,10 @@ func BenchmarkPackPanels(b *testing.B) {
 			b.ReportMetric(float64(bytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		}
 		b.Run("packA/"+name, func(b *testing.B) {
-			run(b, 4*m*gemmKC, func() { packA(false, ap, a, 0, m, gemmKC, gemmKC, m, k, 1, kn.mr, false) })
+			run(b, 4*m*gemmKC, func() { packA(serial, false, ap, a, 0, m, gemmKC, gemmKC, m, k, 1, kn.mr) })
 		})
 		b.Run("packB/"+name, func(b *testing.B) {
-			run(b, 4*n*gemmKC, func() { packB(true, bp, w, 0, n, gemmKC, gemmKC, n, k, kn.nr, false) })
+			run(b, 4*n*gemmKC, func() { packB(serial, true, bp, w, 0, n, gemmKC, gemmKC, n, k, kn.nr) })
 		})
 	}
 }

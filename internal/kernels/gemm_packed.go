@@ -43,12 +43,17 @@ type PackedB struct {
 // matrix and one extra copy of it in memory; amortize it by reusing the
 // result across calls (see PackCache).
 func PackWeight(transB bool, n, k int, b []float32) *PackedB {
+	return packWeight(nil, transB, n, k, b)
+}
+
+// packWeight is PackWeight on pool.
+func packWeight(pool *Pool, transB bool, n, k int, b []float32) *PackedB {
 	pb := describeWeight(transB, n, k, b)
 	panelW := panelWidth(n, pb.nr)
 	pb.buf = make([]float32, panelW*k)
 	for pc := 0; pc < k; pc += gemmKC {
 		kcb := min(gemmKC, k-pc)
-		packB(transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, 0, n, pc, kcb, n, k, pb.nr, true)
+		packB(pool, transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, 0, n, pc, kcb, n, k, pb.nr)
 	}
 	return pb
 }
@@ -90,14 +95,15 @@ func (pb *PackedB) Matches(transB bool, n, k int) bool {
 // quick returns, same panics, and bitwise-identical results on the same
 // backend — minus, when pb holds panels, the per-call packB pass.
 func GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
-	GEMMPathAuto.GEMMPacked(transA, m, n, k, alpha, a, pb, beta, c)
+	GEMMPathAuto.GEMMPacked(nil, transA, m, n, k, alpha, a, pb, beta, c)
 }
 
-// GEMMPacked is the package-level GEMMPacked on route p instead of auto.
+// GEMMPacked is the package-level GEMMPacked on route p and pool instead
+// of auto and the process pool.
 // The forced blocked route ignores pb's panels and packs the raw operand
 // per call, as GEMM does; the naive routes multiply the raw operand pb
 // keeps.
-func (p GEMMPath) GEMMPacked(transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
+func (p GEMMPath) GEMMPacked(pool *Pool, transA bool, m, n, k int, alpha float32, a []float32, pb *PackedB, beta float32, c []float32) {
 	pb.check("GEMMPacked", n, k)
 	checkGEMMArgs(transA, pb.transB, m, n, k, a, pb.src, c)
 	if m == 0 || n == 0 {
@@ -107,7 +113,7 @@ func (p GEMMPath) GEMMPacked(transA bool, m, n, k int, alpha float32, a []float3
 		scaleC(c[:m*n], beta)
 		return
 	}
-	p.run(transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, beta, nil, c, true)
+	p.run(pool, transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, beta, nil, c)
 }
 
 // check panics unless pb can serve a call named op with op(B) k×n.
@@ -156,20 +162,20 @@ type PackCache struct {
 // on route p: the cached pack when one is current; else, on the first use
 // of this generation (or shape, or micro-kernel backend), an un-built
 // PackedB that makes the call pack per use; and on the second, a pack built
-// now and cached. The forced fused route is the pre-packed route by
+// now on pool and cached. The forced fused route is the pre-packed route by
 // definition and always builds.
-func (pc *PackCache) Get(p GEMMPath, transB bool, n, k int, b []float32, gen uint64) *PackedB {
-	return pc.get(transB, n, k, b, gen, p == GEMMPathFused)
+func (pc *PackCache) Get(p GEMMPath, pool *Pool, transB bool, n, k int, b []float32, gen uint64) *PackedB {
+	return pc.get(pool, transB, n, k, b, gen, p == GEMMPathFused)
 }
 
 // Warm is Get for a caller that knows the reuse is coming (serving warm-up
 // over frozen weights): it builds the pack at once, so every later lookup
 // of this generation is a hit.
-func (pc *PackCache) Warm(transB bool, n, k int, b []float32, gen uint64) *PackedB {
-	return pc.get(transB, n, k, b, gen, true)
+func (pc *PackCache) Warm(pool *Pool, transB bool, n, k int, b []float32, gen uint64) *PackedB {
+	return pc.get(pool, transB, n, k, b, gen, true)
 }
 
-func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build bool) *PackedB {
+func (pc *PackCache) get(pool *Pool, transB bool, n, k int, b []float32, gen uint64, build bool) *PackedB {
 	slot := &pc.e[0]
 	if transB {
 		slot = &pc.e[1]
@@ -197,7 +203,7 @@ func (pc *PackCache) get(transB bool, n, k int, b []float32, gen uint64, build b
 		} else {
 			packCacheMisses.Inc()
 		}
-		pb = PackWeight(transB, n, k, b)
+		pb = packWeight(pool, transB, n, k, b)
 	}
 	ne := &packEntry{pb: pb, stale: stale}
 	ne.gen.Store(gen)

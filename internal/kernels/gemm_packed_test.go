@@ -158,26 +158,26 @@ func TestPackCacheInvalidation(t *testing.T) {
 	n, k := 48, 32
 	b := randSlice(r, n*k)
 	var cache PackCache
-	if first := cache.Get(GEMMPathAuto, true, n, k, b, 0); first.buf != nil {
+	if first := cache.Get(GEMMPathAuto, nil, true, n, k, b, 0); first.buf != nil {
 		t.Fatal("a generation's first use must not build panels")
 	}
-	pb0 := cache.Get(GEMMPathAuto, true, n, k, b, 0)
+	pb0 := cache.Get(GEMMPathAuto, nil, true, n, k, b, 0)
 	if pb0.buf == nil {
 		t.Fatal("a generation's second use must build the pack")
 	}
-	if cache.Get(GEMMPathAuto, true, n, k, b, 0) != pb0 {
+	if cache.Get(GEMMPathAuto, nil, true, n, k, b, 0) != pb0 {
 		t.Fatal("unchanged generation must return the cached pack")
 	}
 	for i := range b {
 		b[i] += 1
 	}
-	if cache.Get(GEMMPathAuto, true, n, k, b, 0) != pb0 {
+	if cache.Get(GEMMPathAuto, nil, true, n, k, b, 0) != pb0 {
 		t.Fatal("mutation without a generation bump must (by contract) keep serving the old pack")
 	}
-	if first := cache.Get(GEMMPathAuto, true, n, k, b, 1); first == pb0 || first.buf != nil {
+	if first := cache.Get(GEMMPathAuto, nil, true, n, k, b, 1); first == pb0 || first.buf != nil {
 		t.Fatal("generation bump must drop the pack, and the new generation's first use must not build one")
 	}
-	pb1 := cache.Get(GEMMPathAuto, true, n, k, b, 1)
+	pb1 := cache.Get(GEMMPathAuto, nil, true, n, k, b, 1)
 	if pb1 == pb0 || pb1.buf == nil {
 		t.Fatal("the new generation's second use must rebuild the pack")
 	}
@@ -188,7 +188,7 @@ func TestPackCacheInvalidation(t *testing.T) {
 		}
 	}
 	// Orientation slots are independent.
-	if cache.Get(GEMMPathAuto, false, k, n, b, 1).buf != nil || cache.Get(GEMMPathAuto, true, n, k, b, 1) != pb1 {
+	if cache.Get(GEMMPathAuto, nil, false, k, n, b, 1).buf != nil || cache.Get(GEMMPathAuto, nil, true, n, k, b, 1) != pb1 {
 		t.Fatal("transpose orientations must cache separately")
 	}
 }
@@ -213,7 +213,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 				// and concurrent rebuilds both occur; the buffer itself is
 				// never written, per the reader contract.
 				gen := uint64(i / (2 + seed))
-				pb := cache.Get(GEMMPathAuto, false, n, k, bBuf, gen)
+				pb := cache.Get(GEMMPathAuto, nil, false, n, k, bBuf, gen)
 				GEMMPacked(false, m, n, k, 1, a, pb, 0, c)
 			}
 		}(g)
@@ -222,7 +222,7 @@ func TestPackCacheConcurrentReaders(t *testing.T) {
 	want := make([]float32, m*n)
 	refGEMM(false, false, m, n, k, 1, a, bBuf, 0, want)
 	got := make([]float32, m*n)
-	GEMMPacked(false, m, n, k, 1, a, cache.Get(GEMMPathAuto, false, n, k, bBuf, 99), 0, got)
+	GEMMPacked(false, m, n, k, 1, a, cache.Get(GEMMPathAuto, nil, false, n, k, bBuf, 99), 0, got)
 	if d := maxAbsDiff(got, want); d > tolFor(k) {
 		t.Fatalf("post-race pack wrong: max diff %v", d)
 	}
@@ -246,7 +246,7 @@ func TestBatchedGEMMBlockedEquivalence(t *testing.T) {
 					b := randSlice(r, (batch-1)*sB+k*n)
 					got := randSlice(r, (batch-1)*sC+m*n)
 					want := append([]float32(nil), got...)
-					GEMMPathBlocked.BatchedGEMM(batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
+					GEMMPathBlocked.BatchedGEMM(nil, batch, ta, tb, m, n, k, 1.25, a, sA, b, sB, 0.5, got, sC)
 					for i := 0; i < batch; i++ {
 						refGEMM(ta, tb, m, n, k, 1.25, a[i*sA:], b[i*sB:], 0.5, want[i*sC:i*sC+m*n])
 					}
@@ -277,7 +277,6 @@ func TestBatchedGEMMMatchesLoopOfGEMM(t *testing.T) {
 		{2, 24, 40, 2*gemmKC + 5}, // several depth blocks
 	}
 	r := tensor.NewRNG(27)
-	defer SetMaxWorkers(SetMaxWorkers(1))
 	for _, sh := range shapes {
 		batch, m, n, k := sh.batch, sh.m, sh.n, sh.k
 		sA, sB, sC := m*k+3, k*n+1, m*n+7
@@ -286,15 +285,13 @@ func TestBatchedGEMMMatchesLoopOfGEMM(t *testing.T) {
 		c0 := randSlice(r, (batch-1)*sC+m*n)
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
-				SetMaxWorkers(1)
 				want := append([]float32(nil), c0...)
 				for i := 0; i < batch; i++ {
-					GEMM(ta, tb, m, n, k, 0.75, a[i*sA:i*sA+m*k], b[i*sB:i*sB+k*n], 0.5, want[i*sC:i*sC+m*n])
+					GEMMPathAuto.GEMM(poolOf(1), ta, tb, m, n, k, 0.75, a[i*sA:i*sA+m*k], b[i*sB:i*sB+k*n], 0.5, want[i*sC:i*sC+m*n])
 				}
 				for _, w := range []int{1, 2, 4} {
-					SetMaxWorkers(w)
 					got := append([]float32(nil), c0...)
-					BatchedGEMM(batch, ta, tb, m, n, k, 0.75, a, sA, b, sB, 0.5, got, sC)
+					GEMMPathAuto.BatchedGEMM(poolOf(w), batch, ta, tb, m, n, k, 0.75, a, sA, b, sB, 0.5, got, sC)
 					for i := range want {
 						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 							t.Fatalf("batch=%d %dx%dx%d tA=%v tB=%v workers=%d: c[%d] = %v, loop of GEMM gives %v",
@@ -311,16 +308,16 @@ func TestBatchedGEMMMatchesLoopOfGEMM(t *testing.T) {
 // loop order, so repeated runs are bitwise identical even with parallel
 // workers.
 func TestBatchedGEMMDeterministic(t *testing.T) {
-	defer SetMaxWorkers(SetMaxWorkers(4))
+	pool := poolOf(4)
 	r := tensor.NewRNG(28)
 	batch, m, n, k := 16, 33, 29, 65
 	a := randSlice(r, batch*m*k)
 	b := randSlice(r, batch*k*n)
 	first := make([]float32, batch*m*n)
-	BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, first, m*n)
+	GEMMPathAuto.BatchedGEMM(pool, batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, first, m*n)
 	for run := 0; run < 3; run++ {
 		c := make([]float32, batch*m*n)
-		BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, c, m*n)
+		GEMMPathAuto.BatchedGEMM(pool, batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, c, m*n)
 		for i := range c {
 			if c[i] != first[i] {
 				t.Fatalf("run %d differs at %d", run, i)

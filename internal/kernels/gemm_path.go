@@ -1,20 +1,21 @@
 package kernels
 
 // GEMMPath is the route a GEMM call takes: a value the caller passes (the
-// methods below; nn reads it from Ctx.Route), never process state.
+// methods below; nn reads it from Ctx.Route), never process state. Its
+// entry points take the pool the product runs on as their first argument.
 //
 // Production passes GEMMPathAuto: every call decides its own route from its
 // operands — products below smallGEMMFlops take the naive loops, larger
 // ones the cache-blocked engine, weights the pack cache has seen reused
-// skip the per-call pack, short stripes without built panels read or pack
-// B where they consume it, epilogues fuse into the tile write-back, and a
+// skip the per-call pack, short stripes without built panels read or pack B
+// where they consume it, epilogues fuse into the tile write-back, and a
 // batch runs one product per work item. The package-level GEMM, GEMMPacked
-// and BatchedGEMM are that route. The other three values force one route
-// for a whole forward+backward pass, so the audit harness (internal/audit)
-// and the kernel tests can differential-test the implementations against
-// each other at model scale — including shapes the size rule would never
-// send to the engine (edge tiles, k < NR, single-row stripes). One value per
-// route that differs in code executed:
+// and BatchedGEMM are that route on the process pool. The other three
+// values force one route for a whole forward+backward pass, so the audit
+// harness (internal/audit) and the kernel tests can differential-test the
+// implementations against each other at model scale — including shapes the
+// size rule would never send to the engine (edge tiles, k < NR, single-row
+// stripes). One value per route that differs in code executed:
 //
 //	         small      B with built       B without panels (a weight's     epilogue tail
 //	         products   panels             first use, activations)
@@ -73,11 +74,11 @@ func (p GEMMPath) String() string {
 // routes here: the naive loops when forced, or under auto below the size
 // rule, and the forced blocked engine on per-call panels, each followed by
 // the reference tail; otherwise the engine with the tail fused into its
-// write-back: auto's short-stripe route when panels is nil, par is set and
+// write-back: auto's short-stripe route when panels is nil, pool is set and
 // C has at most shortStripeRows rows, else gemmBlocked on panels (op(B)
-// pre-packed by PackWeight) or, when nil, packed per call. par allows pool
-// parallelism; BatchedGEMM and AttentionRagged pass false for their
-// per-matrix products.
+// pre-packed by PackWeight) or, when nil, packed per call. pool is the
+// pool the product's regions run on; BatchedGEMM and AttentionRagged pass
+// serial for their per-matrix products, which carry no epilogue.
 //
 // The naive loops scale C by beta in a pre-pass. The engine does too for a
 // beta other than 0 and 1; at beta = 0 each tile (each column segment, on
@@ -86,24 +87,30 @@ func (p GEMMPath) String() string {
 // it. C holds +0 before the first multiply-add either way, so the
 // result is bitwise the same, and C's prior contents — NaN included — are
 // never read.
-func (p GEMMPath) run(transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32, par bool) {
+func (p GEMMPath) run(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32) {
 	switch {
-	case p == GEMMPathNaive && par:
+	case p == GEMMPathNaive && pool != serial:
 		scaleC(c[:m*n], beta)
-		gemmNaivePar(transA, transB, m, n, k, alpha, a, b, c)
+		gemmNaivePar(pool, transA, transB, m, n, k, alpha, a, b, c)
 	case p == GEMMPathNaive, p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
 		scaleC(c[:m*n], beta)
 		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
 	case p == GEMMPathBlocked:
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c, par)
-	case p == GEMMPathAuto && panels == nil && par && m <= shortStripeRows:
+		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c)
+	case p == GEMMPathAuto && panels == nil && pool != serial && m <= shortStripeRows:
 		ep.countFused()
-		gemmShortStripe(transA, transB, m, n, k, alpha, a, b, beta, ep, c)
+		gemmShortStripe(pool, transA, transB, m, n, k, alpha, a, b, beta, ep, c)
 		return
 	default:
 		ep.countFused()
-		gemmBlocked(transA, transB, m, n, k, alpha, a, b, panels, beta, ep, c, par)
+		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, panels, beta, ep, c)
 		return
 	}
-	ep.applyReference(c, m, n)
+	ep.applyReference(pool, c, m, n)
 }
+
+// serial is the pool argument that makes the GEMM engine's internal
+// functions run a product on the calling goroutine without forking a
+// region: a product nested in another region's work item. It is a sentinel
+// compared by address; nothing is ever dispatched on it.
+var serial = new(Pool)

@@ -20,7 +20,6 @@ import (
 // depth block and across it; and every epilogue kind on a first-use
 // (un-built) weight.
 func TestShortStripeBitwiseMatchesBlocked(t *testing.T) {
-	defer SetMaxWorkers(MaxWorkers())
 	// 256 is a multiple of every entry's nr, 259 of none; at m = 1 both
 	// still clear the size rule.
 	ns := []int{256, 259}
@@ -35,7 +34,7 @@ func TestShortStripeBitwiseMatchesBlocked(t *testing.T) {
 		}
 		r := tensor.NewRNG(71)
 		for w := 1; w <= 3; w++ {
-			SetMaxWorkers(w)
+			pool := poolOf(w)
 			for _, m := range ms {
 				for _, n := range ns {
 					for _, k := range ks {
@@ -60,7 +59,7 @@ func TestShortStripeBitwiseMatchesBlocked(t *testing.T) {
 							for _, tb := range []bool{false, true} {
 								for _, beta := range []float32{0, 1} {
 									check(fmt.Sprintf("GEMM tA=%v tB=%v beta=%v", ta, tb, beta), func(p GEMMPath, c []float32) {
-										p.GEMM(ta, tb, m, n, k, 0.75, a, b, beta, c)
+										p.GEMM(pool, ta, tb, m, n, k, 0.75, a, b, beta, c)
 									})
 								}
 							}
@@ -70,7 +69,7 @@ func TestShortStripeBitwiseMatchesBlocked(t *testing.T) {
 							saved := map[GEMMPath]*Epilogue{}
 							check("epilogue "+kind.String(), func(p GEMMPath, c []float32) {
 								saved[p] = cloneEpilogue(ep, m, n)
-								p.GEMMPackedEpilogue(false, m, n, k, 1, a, describeWeight(true, n, k, b), saved[p], c)
+								p.GEMMPackedEpilogue(pool, false, m, n, k, 1, a, describeWeight(true, n, k, b), saved[p], c)
 							})
 							got, want := saved[GEMMPathAuto], saved[GEMMPathBlocked]
 							for name, pair := range map[string][2][]float32{
@@ -95,7 +94,7 @@ func TestShortStripeBitwiseMatchesBlocked(t *testing.T) {
 // (forward NT, input gradient NN with K = 8192) — on auto (the route) and
 // on blocked (the per-call schedule it replaced), at the width -cpu sets.
 func BenchmarkGEMMShortStripe(b *testing.B) {
-	defer SetMaxWorkers(SetMaxWorkers(runtime.GOMAXPROCS(0)))
+	pool := poolOf(runtime.GOMAXPROCS(0))
 	shapes := []struct {
 		name    string
 		transB  bool
@@ -116,7 +115,7 @@ func BenchmarkGEMMShortStripe(b *testing.B) {
 		for _, p := range []GEMMPath{GEMMPathAuto, GEMMPathBlocked} {
 			b.Run(s.name+"/"+p.String(), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					p.GEMM(false, s.transB, s.m, s.n, s.k, 1, a, w, 0, c)
+					p.GEMM(pool, false, s.transB, s.m, s.n, s.k, 1, a, w, 0, c)
 				}
 				b.ReportMetric(float64(GEMMFLOPs(s.m, s.n, s.k))*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})

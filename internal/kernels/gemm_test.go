@@ -147,16 +147,14 @@ func TestGEMMSingleWorkerMatchesParallel(t *testing.T) {
 	par := make([]float32, m*n)
 	ser := make([]float32, m*n)
 	GEMM(false, false, m, n, k, 1, a, b, 0, par)
-	old := SetMaxWorkers(1)
-	GEMM(false, false, m, n, k, 1, a, b, 0, ser)
-	SetMaxWorkers(old)
+	GEMMPathAuto.GEMM(poolOf(1), false, false, m, n, k, 1, a, b, 0, ser)
 	if d := maxAbsDiff(par, ser); d > 1e-5 {
 		t.Fatalf("parallel vs serial diff %v", d)
 	}
 }
 
 // Below smallGEMMFlops the auto route runs the naive loops serially and
-// GEMMNaive runs them row-parallel; both sum every element over p in
+// GEMMPathNaive runs them row-parallel; both sum every element over p in
 // order, so they agree bit for bit at any pool width.
 func TestGEMMSmallAutoBitwiseNaive(t *testing.T) {
 	r := tensor.NewRNG(5)
@@ -165,18 +163,17 @@ func TestGEMMSmallAutoBitwiseNaive(t *testing.T) {
 		t.Fatalf("%dx%dx%d must be below the naive threshold and large enough to fork", m, n, k)
 	}
 	a, b, cInit := randSlice(r, m*k), randSlice(r, k*n), randSlice(r, m*n)
-	defer SetMaxWorkers(SetMaxWorkers(1))
 	for _, w := range []int{1, 2} {
-		SetMaxWorkers(w)
+		pool := poolOf(w)
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				got := append([]float32(nil), cInit...)
 				want := append([]float32(nil), cInit...)
-				GEMM(ta, tb, m, n, k, 0.75, a, b, 0.5, got)
-				GEMMNaive(ta, tb, m, n, k, 0.75, a, b, 0.5, want)
+				GEMMPathAuto.GEMM(pool, ta, tb, m, n, k, 0.75, a, b, 0.5, got)
+				GEMMPathNaive.GEMM(pool, ta, tb, m, n, k, 0.75, a, b, 0.5, want)
 				for i := range got {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-						t.Fatalf("workers=%d tA=%v tB=%v: GEMM[%d] = %v, GEMMNaive %v", w, ta, tb, i, got[i], want[i])
+						t.Fatalf("workers=%d tA=%v tB=%v: GEMM[%d] = %v, GEMMPathNaive %v", w, ta, tb, i, got[i], want[i])
 					}
 				}
 			}
@@ -275,14 +272,6 @@ func TestDotAndAxpy(t *testing.T) {
 			t.Fatalf("axpy[%d] = %v, want %v", i, dst[i], want[i])
 		}
 	}
-}
-
-func TestSetMaxWorkersClamps(t *testing.T) {
-	old := SetMaxWorkers(-5)
-	if MaxWorkers() != 1 {
-		t.Fatal("SetMaxWorkers(-5) must clamp to 1")
-	}
-	SetMaxWorkers(old)
 }
 
 func TestCostFormulas(t *testing.T) {

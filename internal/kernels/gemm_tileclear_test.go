@@ -71,12 +71,12 @@ func TestBetaZeroIgnoresPriorC(t *testing.T) {
 				for _, ta := range []bool{false, true} {
 					for _, tb := range []bool{false, true} {
 						check(p.String()+" GEMM", func(c []float32) {
-							p.GEMM(ta, tb, m, n, k, 0.75, a, b, 0, c)
+							p.GEMM(nil, ta, tb, m, n, k, 0.75, a, b, 0, c)
 						})
 					}
 					for _, pb := range []*PackedB{PackWeight(ta, n, k, b), describeWeight(ta, n, k, b)} {
 						check(p.String()+" GEMMPacked", func(c []float32) {
-							p.GEMMPacked(ta, m, n, k, 0.75, a, pb, 0, c)
+							p.GEMMPacked(nil, ta, m, n, k, 0.75, a, pb, 0, c)
 						})
 					}
 				}
@@ -84,7 +84,7 @@ func TestBetaZeroIgnoresPriorC(t *testing.T) {
 				for _, kind := range epilogueKinds {
 					ep := makeEpilogue(r, kind, m, n, true)
 					check(p.String()+" GEMMPackedEpilogue "+kind.String(), func(c []float32) {
-						p.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, cloneEpilogue(ep, m, n), c)
+						p.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, cloneEpilogue(ep, m, n), c)
 					})
 				}
 			}
@@ -96,12 +96,12 @@ func TestBetaZeroIgnoresPriorC(t *testing.T) {
 		b := randSlice(r, batch*k*n)
 		for _, p := range routes {
 			want := make([]float32, batch*(m*n+5))
-			p.BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, want, m*n+5)
+			p.BatchedGEMM(nil, batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, want, m*n+5)
 			got := poisonedC(r, len(want))
 			for i := 0; i < batch; i++ {
 				copy(want[i*(m*n+5)+m*n:(i+1)*(m*n+5)], got[i*(m*n+5)+m*n:])
 			}
-			p.BatchedGEMM(batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, got, m*n+5)
+			p.BatchedGEMM(nil, batch, false, true, m, n, k, 1, a, m*k, b, k*n, 0, got, m*n+5)
 			if i := firstDiff(got, want); i >= 0 {
 				t.Fatalf("%s BatchedGEMM: C[%d] = %v into a poisoned C, %v into a zeroed one", p, i, got[i], want[i])
 			}

@@ -90,12 +90,12 @@ func lambStage1Range(s *lambStage1Args, lo, hi int) {
 // It reads g, m, v, w, writes m, v, u, and returns ‖w‖² and ‖u‖² — the
 // trust ratio's two norms — accumulated in the same pass; they equal
 // SumSquares(w) and SumSquares(u) bit for bit.
-func LAMBStage1(g, m, v, w, u []float32, gradScale, beta1, beta2, bc1, bc2, eps, weightDecay float32) (wSq, uSq float64) {
+func (pool *Pool) LAMBStage1(g, m, v, w, u []float32, gradScale, beta1, beta2, bc1, bc2, eps, weightDecay float32) (wSq, uSq float64) {
 	n := checkSameLen("LAMBStage1", g, m, v, w, u)
 	blocks := (n + sumSqBlock - 1) / sumSqBlock
 	p := getPartials(2 * blocks)
 	c := lambCoef{gradScale, beta1, 1 - beta1, beta2, 1 - beta2, bc1, bc2, eps, weightDecay}
-	lambStage1Bodies.run(blocks, grainFor(blocks, sumSqBlock), lambStage1Args{g: g, m: m, v: v, w: w, u: u, c: c, part: *p}, lambStage1Range)
+	lambStage1Bodies.run(pool, blocks, grainFor(pool, blocks, sumSqBlock), lambStage1Args{g: g, m: m, v: v, w: w, u: u, c: c, part: *p}, lambStage1Range)
 	for b := 0; b < blocks; b++ {
 		wSq += (*p)[2*b]
 		uSq += (*p)[2*b+1]
@@ -120,7 +120,7 @@ func subScaledRange(e *ewArgs, lo, hi int) {
 
 // SubScaled computes y[i] -= a·x[i], the product rounded to float32 before
 // the subtraction: LAMB's second sweep (w -= lr·trust·u) and SGD's apply.
-func SubScaled(y, x []float32, a float32) {
+func (pool *Pool) SubScaled(y, x []float32, a float32) {
 	n := checkSameLen("SubScaled", y, x)
-	ewBodies.run(n, grainFor(n, 1), ewArgs{dst: y, a: x, s: a}, subScaledRange)
+	ewBodies.run(pool, n, grainFor(pool, n, 1), ewArgs{dst: y, a: x, s: a}, subScaledRange)
 }

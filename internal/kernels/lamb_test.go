@@ -70,11 +70,12 @@ func firstBitDiff(a, b []float32) int {
 	return -1
 }
 
-// stage1 runs LAMBStage1 on a copy of c with fixed, BERT-like scalars.
-func (c lambCase) stage1() (out lambCase, u []float32, wSq, uSq float64) {
+// stage1 runs LAMBStage1 on a copy of c with fixed, BERT-like scalars, on
+// pool.
+func (c lambCase) stage1(pool *Pool) (out lambCase, u []float32, wSq, uSq float64) {
 	out = c.clone()
 	u = make([]float32, len(c.g))
-	wSq, uSq = LAMBStage1(out.g, out.m, out.v, out.w, u, 0.37, 0.9, 0.999, 0.19, 0.002, 1e-6, 0.01)
+	wSq, uSq = pool.LAMBStage1(out.g, out.m, out.v, out.w, u, 0.37, 0.9, 0.999, 0.19, 0.002, 1e-6, 0.01)
 	return out, u, wSq, uSq
 }
 
@@ -89,11 +90,11 @@ func TestLAMBBodiesBitwiseAcrossKernels(t *testing.T) {
 		wSq, uSq   float64
 		ss         float64
 	}
-	run := func(c lambCase) result {
-		out, u, wSq, uSq := c.stage1()
+	run := func(pool *Pool, c lambCase) result {
+		out, u, wSq, uSq := c.stage1(pool)
 		w := append([]float32(nil), c.w...)
-		SubScaled(w, u, 0.0123)
-		return result{out.m, out.v, u, w, wSq, uSq, SumSquares(c.g)}
+		pool.SubScaled(w, u, 0.0123)
+		return result{out.m, out.v, u, w, wSq, uSq, pool.SumSquares(c.g)}
 	}
 	type key struct {
 		n, off  int
@@ -108,16 +109,16 @@ func TestLAMBBodiesBitwiseAcrossKernels(t *testing.T) {
 				for _, special := range []bool{false, true} {
 					k := key{n, off, special}
 					cases[k] = newLAMBCase(r, n, off, special)
-					want[k] = run(cases[k])
+					want[k] = run(nil, cases[k])
 				}
 			}
 		}
 	})
 	forEachKernel(t, "", func(t *testing.T) {
 		for _, workers := range []int{1, 3} {
-			old := SetMaxWorkers(workers)
+			pool := poolOf(workers)
 			for k, c := range cases {
-				got, w := run(c), want[k]
+				got, w := run(pool, c), want[k]
 				id := fmt.Sprintf("n=%d off=%d special=%v workers=%d", k.n, k.off, k.special, workers)
 				for _, p := range []struct {
 					name      string
@@ -140,7 +141,6 @@ func TestLAMBBodiesBitwiseAcrossKernels(t *testing.T) {
 					}
 				}
 			}
-			SetMaxWorkers(old)
 		}
 	})
 }
@@ -152,12 +152,12 @@ func TestLAMBStage1NormsAreSumSquares(t *testing.T) {
 	forEachKernel(t, "", func(t *testing.T) {
 		for _, n := range lambLengths() {
 			c := newLAMBCase(r, n, n%8, false)
-			_, u, wSq, uSq := c.stage1()
-			if w := SumSquares(c.w); math.Float64bits(wSq) != math.Float64bits(w) {
-				t.Fatalf("n=%d: fused ‖w‖² %v, SumSquares(w) %v", n, wSq, w)
+			_, u, wSq, uSq := c.stage1(nil)
+			if w := processPool.SumSquares(c.w); math.Float64bits(wSq) != math.Float64bits(w) {
+				t.Fatalf("n=%d: fused ‖w‖² %v, pool.SumSquares(w) %v", n, wSq, w)
 			}
-			if w := SumSquares(u); math.Float64bits(uSq) != math.Float64bits(w) {
-				t.Fatalf("n=%d: fused ‖u‖² %v, SumSquares(u) %v", n, uSq, w)
+			if w := processPool.SumSquares(u); math.Float64bits(uSq) != math.Float64bits(w) {
+				t.Fatalf("n=%d: fused ‖u‖² %v, pool.SumSquares(u) %v", n, uSq, w)
 			}
 		}
 	})
@@ -181,9 +181,9 @@ func TestLAMBGoBodyRoundsEveryOperation(t *testing.T) {
 		float32(0.19), float32(0.002), float32(1e-6), float32(0.01), float32(0.0123)
 	c := newLAMBCase(tensor.NewRNG(42), 1003, 0, false)
 	withKernel(&scalarKernel, func() {
-		out, u, _, _ := c.stage1()
+		out, u, _, _ := c.stage1(nil)
 		w := append([]float32(nil), c.w...)
-		SubScaled(w, u, step)
+		processPool.SubScaled(w, u, step)
 		for i := range c.g {
 			g := mul(c.g[i], gradScale)
 			m := add(mul(beta1, c.m[i]), mul(sub(1, beta1), g))
@@ -203,12 +203,9 @@ func TestLAMBGoBodyRoundsEveryOperation(t *testing.T) {
 // did not.
 func TestSumSquaresWorkerInvariant(t *testing.T) {
 	x := normalSlice(43, 25*sumSqBlock+123, 1)
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
-	want := SumSquares(x)
+	want := poolOf(1).SumSquares(x)
 	for _, w := range []int{2, 3, 4, 8} {
-		SetMaxWorkers(w)
-		if got := SumSquares(x); math.Float64bits(got) != math.Float64bits(want) {
+		if got := poolOf(w).SumSquares(x); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("SumSquares at %d workers %v, at 1 worker %v", w, got, want)
 		}
 	}
@@ -223,20 +220,20 @@ func BenchmarkLAMBStage1(b *testing.B) {
 	c := newLAMBCase(tensor.NewRNG(44), 768*3072, 0, false)
 	u := make([]float32, len(c.g))
 	benchEachKernel(b, 7*4*len(u), func() {
-		LAMBStage1(c.g, c.m, c.v, c.w, u, 0.37, 0.9, 0.999, 0.19, 0.002, 1e-6, 0.01)
+		processPool.LAMBStage1(c.g, c.m, c.v, c.w, u, 0.37, 0.9, 0.999, 0.19, 0.002, 1e-6, 0.01)
 	})
 }
 
 func BenchmarkSubScaled(b *testing.B) {
 	y, x := normalSlice(45, 768*3072, 1), normalSlice(46, 768*3072, 1)
-	benchEachKernel(b, 3*4*len(y), func() { SubScaled(y, x, 1e-9) })
+	benchEachKernel(b, 3*4*len(y), func() { processPool.SubScaled(y, x, 1e-9) })
 }
 
 var sumSquaresSink float64
 
 func BenchmarkSumSquares(b *testing.B) {
 	x := normalSlice(47, 768*3072, 1)
-	benchEachKernel(b, 4*len(x), func() { sumSquaresSink = SumSquares(x) })
+	benchEachKernel(b, 4*len(x), func() { sumSquaresSink = processPool.SumSquares(x) })
 }
 
 func benchEachKernel(b *testing.B, bytes int, f func()) {

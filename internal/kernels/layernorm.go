@@ -29,11 +29,11 @@ const lnStatsRows = 4
 // It stores per-row mean and inverse standard deviation into mean and
 // invStd (each of length rows) for reuse by the backward pass, matching
 // how DNN frameworks implement LN (Ba et al., the paper's [13]).
-func LayerNormForward(y, x, gamma, beta []float32, mean, invStd []float32, rows, n int, eps float32) {
+func (pool *Pool) LayerNormForward(y, x, gamma, beta []float32, mean, invStd []float32, rows, n int, eps float32) {
 	if len(x) != rows*n || len(y) != rows*n || len(gamma) != n || len(beta) != n || len(mean) != rows || len(invStd) != rows {
 		panic(fmt.Sprintf("kernels: LayerNormForward dims rows=%d n=%d", rows, n))
 	}
-	lnBodies.run(rows, grainFor(rows, n), lnArgs{y: y, x: x, gamma: gamma, beta: beta, mean: mean, invStd: invStd, rows: rows, n: n, eps: eps}, layerNormRange)
+	lnBodies.run(pool, rows, grainFor(pool, rows, n), lnArgs{y: y, x: x, gamma: gamma, beta: beta, mean: mean, invStd: invStd, rows: rows, n: n, eps: eps}, layerNormRange)
 }
 
 // lnArgs are the operands of the LayerNorm kernels' argsPool bodies.
@@ -155,7 +155,7 @@ func layerNormRowApply(yr, xr, gamma, beta []float32, mu, istd float32) {
 // where g = dY*gamma and xhat is the normalized input. dGamma/dBeta are
 // accumulated (+=) so multiple calls sum gradients, like every other
 // weight-gradient kernel in the engine.
-func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd []float32, rows, n int) {
+func (pool *Pool) LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd []float32, rows, n int) {
 	if len(dX) != rows*n || len(dY) != rows*n || len(x) != rows*n ||
 		len(gamma) != n || len(dGamma) != n || len(dBeta) != n ||
 		len(mean) != rows || len(invStd) != rows {
@@ -165,12 +165,12 @@ func LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, mean, invStd [
 	args := lnArgs{x: x, gamma: gamma, mean: mean, invStd: invStd,
 		dX: dX, dY: dY, dGamma: dGamma, dBeta: dBeta, rows: rows, n: n}
 	// dX: independent per row, parallel over rows.
-	lnBodies.run(rows, grainFor(rows, n), args, layerNormGradRows)
+	lnBodies.run(pool, rows, grainFor(pool, rows, n), args, layerNormGradRows)
 	// dGamma/dBeta: column reductions, parallel over column bands. Each
 	// column's fold is seeded from the existing gradient and runs over the
 	// rows in order, so splitting the rows across multiple calls (gradient
 	// accumulation) matches one call bitwise.
-	lnBodies.run(n, colBandGrain(n, rows), args, layerNormGradCols)
+	lnBodies.run(pool, n, colBandGrain(pool, n, rows), args, layerNormGradCols)
 }
 
 // layerNormGradRows computes dX for rows [lo, hi), lnStatsRows rows per

@@ -25,37 +25,30 @@ func TestPoolDispatchCounters(t *testing.T) {
 		}
 	}
 
-	old := SetMaxWorkers(1)
-	if d := counterDelta(poolInline, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d != 1 {
+	pool := poolOf(1)
+	if d := counterDelta(poolInline, func() { parallelFor(pool, 1024, grainFor(pool, 1024, heavy), body) }); d != 1 {
 		t.Errorf("serial pool: inline delta %d, want 1", d)
 	}
-	SetMaxWorkers(4)
-	if d := counterDelta(poolDispatches, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d != 1 {
+	pool = poolOf(4)
+	if d := counterDelta(poolDispatches, func() { parallelFor(pool, 1024, grainFor(pool, 1024, heavy), body) }); d != 1 {
 		t.Errorf("parallel pool: dispatch delta %d, want 1", d)
 	}
-	if d := counterDelta(poolGrains, func() { parallelFor(1024, grainFor(1024, heavy), body) }); d < 2 {
+	if d := counterDelta(poolGrains, func() { parallelFor(pool, 1024, grainFor(pool, 1024, heavy), body) }); d < 2 {
 		t.Errorf("parallel pool: grain delta %d, want >= 2", d)
 	}
-	SetMaxWorkers(old)
 }
 
 // TestPoolHotAndParkCounters: the workers of a saturated pool take
 // regions handed to them back to back inside their hot window; left alone
-// they park, once. Every live worker is enlisted (earlier tests may have
-// grown the pool), because a send on workCh prefers a parked receiver to a
-// polling one.
+// they park, once. The pool is fresh, so cold: saturate has to earn its
+// heat with regions of its own, which wake all three of its workers,
+// whatever ran before (this test included, under -count). Three, not one:
+// while the host still time-slices the VM's two vCPUs on one core, a lone
+// worker misses every region its caller drains during its slice away.
 func TestPoolHotAndParkCounters(t *testing.T) {
-	old := SetMaxWorkers(max(2, int(spawned.Load())+1))
-	defer SetMaxWorkers(old)
-	// heat is settled only when a region starts or ends, so read between
-	// two tests it still says "saturated" long after every worker has
-	// parked, and saturate would return at once on a cold pool. Start from
-	// none: saturate then has to earn it with regions of its own, which
-	// wake every worker this test enlists, whatever ran before (this test
-	// included, under -count).
-	heat.Store(0)
+	pool := NewPool(4)
 	body := func(lo, hi int) { busyFor(50 * time.Microsecond) }
-	saturate(t, 64, body) // every worker is now inside its window
+	saturate(t, pool, 64, body) // every worker is now inside its window
 
 	// The park baseline is read before the last region starts: a worker
 	// whose hot window runs out while this goroutine is descheduled, in
@@ -66,7 +59,7 @@ func TestPoolHotAndParkCounters(t *testing.T) {
 			if i == 99 {
 				parks0 = poolParks.Value()
 			}
-			parallelFor(64, 1, body)
+			parallelFor(pool, 64, 1, body)
 		}
 	})
 	// With one P the caller finishes and steals its own handles before a
@@ -116,7 +109,7 @@ func TestPackCacheCounters(t *testing.T) {
 		}
 	}
 	get := func(transB bool, n, k int, gen uint64) func() *PackedB {
-		return func() *PackedB { return pc.Get(GEMMPathAuto, transB, n, k, b, gen) }
+		return func() *PackedB { return pc.Get(GEMMPathAuto, nil, transB, n, k, b, gen) }
 	}
 
 	step("first use", packCacheDeferred, get(false, 48, 64, 1))
@@ -131,14 +124,14 @@ func TestPackCacheCounters(t *testing.T) {
 	step("generation after it", packCacheDeferred, get(false, 48, 64, 4))
 	step("generation after it, second use", packCacheRebuilds, get(false, 48, 64, 4))
 	// The other orientation is its own slot: cold, and Warm builds at once.
-	step("Warm, cold", packCacheMisses, func() *PackedB { return pc.Warm(true, 64, 48, b, 4) })
+	step("Warm, cold", packCacheMisses, func() *PackedB { return pc.Warm(nil, true, 64, 48, b, 4) })
 	step("after Warm", packCacheHits, get(true, 64, 48, 4))
-	step("Warm, warm", packCacheHits, func() *PackedB { return pc.Warm(true, 64, 48, b, 4) })
-	step("Warm, new generation", packCacheRebuilds, func() *PackedB { return pc.Warm(true, 64, 48, b, 5) })
+	step("Warm, warm", packCacheHits, func() *PackedB { return pc.Warm(nil, true, 64, 48, b, 4) })
+	step("Warm, new generation", packCacheRebuilds, func() *PackedB { return pc.Warm(nil, true, 64, 48, b, 5) })
 	// The forced fused route is the pre-packed route: it builds at once.
-	step("forced fused, new generation", packCacheRebuilds, func() *PackedB { return pc.Get(GEMMPathFused, false, 48, 64, b, 5) })
+	step("forced fused, new generation", packCacheRebuilds, func() *PackedB { return pc.Get(GEMMPathFused, nil, false, 48, 64, b, 5) })
 	var cold PackCache
-	step("forced fused, cold", packCacheMisses, func() *PackedB { return cold.Get(GEMMPathFused, false, 48, 64, b, 0) })
+	step("forced fused, cold", packCacheMisses, func() *PackedB { return cold.Get(GEMMPathFused, nil, false, 48, 64, b, 0) })
 }
 
 // TestBatchedRoutingCounters: the one batched counter left (bench/ reads it

@@ -16,15 +16,15 @@ func TestAddMulScale(t *testing.T) {
 	if dst[0] != 5 || dst[2] != 9 {
 		t.Fatalf("Add = %v", dst)
 	}
-	Mul(dst, a, b)
+	processPool.Mul(dst, a, b)
 	if dst[0] != 4 || dst[2] != 18 {
 		t.Fatalf("Mul = %v", dst)
 	}
-	Scale(dst, a, 3)
+	processPool.Scale(dst, a, 3)
 	if dst[0] != 3 || dst[2] != 9 {
 		t.Fatalf("Scale = %v", dst)
 	}
-	AccumulateInto(dst, a)
+	processPool.AccumulateInto(dst, a)
 	if dst[0] != 4 || dst[2] != 12 {
 		t.Fatalf("AccumulateInto = %v", dst)
 	}
@@ -43,7 +43,7 @@ func TestAddBiasAndGrad(t *testing.T) {
 	m, n := 3, 4
 	x := make([]float32, m*n)
 	bias := []float32{1, 2, 3, 4}
-	AddBias(x, bias, m, n)
+	processPool.AddBias(x, bias, m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
 			if x[i*n+j] != bias[j] {
@@ -52,14 +52,14 @@ func TestAddBiasAndGrad(t *testing.T) {
 		}
 	}
 	dBias := make([]float32, n)
-	BiasGrad(dBias, x, m, n)
+	processPool.BiasGrad(dBias, x, m, n)
 	for j := 0; j < n; j++ {
 		if dBias[j] != float32(m)*bias[j] {
 			t.Fatalf("BiasGrad[%d] = %v, want %v", j, dBias[j], float32(m)*bias[j])
 		}
 	}
 	// BiasGrad must accumulate.
-	BiasGrad(dBias, x, m, n)
+	processPool.BiasGrad(dBias, x, m, n)
 	if dBias[0] != 2*float32(m)*bias[0] {
 		t.Fatal("BiasGrad must accumulate into dBias")
 	}
@@ -70,7 +70,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rows, n := 8, 16
 	x := randSlice(r, rows*n)
 	y := make([]float32, rows*n)
-	Softmax(y, x, rows, n)
+	processPool.Softmax(y, x, rows, n)
 	for row := 0; row < rows; row++ {
 		var s float64
 		for j := 0; j < n; j++ {
@@ -99,8 +99,8 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 		}
 		y1 := make([]float32, n)
 		y2 := make([]float32, n)
-		Softmax(y1, x, 1, n)
-		Softmax(y2, shifted, 1, n)
+		processPool.Softmax(y1, x, 1, n)
+		processPool.Softmax(y2, shifted, 1, n)
 		return maxAbsDiff(y1, y2) < 1e-5
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -110,7 +110,7 @@ func TestSoftmaxShiftInvarianceProperty(t *testing.T) {
 
 func TestSoftmaxLargeValuesStable(t *testing.T) {
 	y := make([]float32, 3)
-	Softmax(y, []float32{1000, 1000, 1000}, 1, 3)
+	processPool.Softmax(y, []float32{1000, 1000, 1000}, 1, 3)
 	for _, v := range y {
 		if math.Abs(float64(v)-1.0/3) > 1e-5 {
 			t.Fatalf("softmax of equal large values = %v", y)
@@ -125,9 +125,9 @@ func TestSoftmaxGradFiniteDifference(t *testing.T) {
 	x := randSlice(r, n)
 	dY := randSlice(r, n)
 	y := make([]float32, n)
-	Softmax(y, x, 1, n)
+	processPool.Softmax(y, x, 1, n)
 	dX := make([]float32, n)
-	SoftmaxGrad(dX, dY, y, 1, n)
+	processPool.SoftmaxGrad(dX, dY, y, 1, n)
 
 	const eps = 1e-3
 	for i := 0; i < n; i++ {
@@ -137,8 +137,8 @@ func TestSoftmaxGradFiniteDifference(t *testing.T) {
 		xm[i] -= eps
 		yp := make([]float32, n)
 		ym := make([]float32, n)
-		Softmax(yp, xp, 1, n)
-		Softmax(ym, xm, 1, n)
+		processPool.Softmax(yp, xp, 1, n)
+		processPool.Softmax(ym, xm, 1, n)
 		var num float64
 		for j := 0; j < n; j++ {
 			num += float64(dY[j]) * float64(yp[j]-ym[j]) / (2 * eps)
@@ -161,7 +161,7 @@ func TestLayerNormForwardStatistics(t *testing.T) {
 	y := make([]float32, rows*n)
 	mean := make([]float32, rows)
 	invStd := make([]float32, rows)
-	LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-12)
+	processPool.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-12)
 	for row := 0; row < rows; row++ {
 		var s, sq float64
 		for j := 0; j < n; j++ {
@@ -188,7 +188,7 @@ func TestLayerNormAffine(t *testing.T) {
 	y := make([]float32, n)
 	mean := make([]float32, rows)
 	invStd := make([]float32, rows)
-	LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-12)
+	processPool.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-12)
 	var s float64
 	for _, v := range y {
 		s += float64(v)
@@ -211,7 +211,7 @@ func TestLayerNormBackwardFiniteDifference(t *testing.T) {
 		y := make([]float32, rows*n)
 		mean := make([]float32, rows)
 		invStd := make([]float32, rows)
-		LayerNormForward(y, xv, gv, bv, mean, invStd, rows, n, 1e-5)
+		processPool.LayerNormForward(y, xv, gv, bv, mean, invStd, rows, n, 1e-5)
 		return y
 	}
 	loss := func(xv, gv, bv []float32) float64 {
@@ -226,11 +226,11 @@ func TestLayerNormBackwardFiniteDifference(t *testing.T) {
 	y := make([]float32, rows*n)
 	mean := make([]float32, rows)
 	invStd := make([]float32, rows)
-	LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-5)
+	processPool.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, 1e-5)
 	dX := make([]float32, rows*n)
 	dGamma := make([]float32, n)
 	dBeta := make([]float32, n)
-	LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
+	processPool.LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
 
 	const eps = 1e-2
 	check := func(name string, buf []float32, grad []float32, idx int) {
@@ -258,7 +258,7 @@ func TestLayerNormBackwardFiniteDifference(t *testing.T) {
 func TestGeLUKnownValues(t *testing.T) {
 	x := []float32{0, 1, -1, 3}
 	y := make([]float32, len(x))
-	GeLUForward(y, x)
+	processPool.GeLUForward(y, x)
 	// GELU(0)=0; GELU(1)=0.841345; GELU(-1)=-0.158655; GELU(3)≈2.99595.
 	want := []float64{0, 0.8413447, -0.1586553, 2.9959502}
 	for i := range want {
@@ -274,14 +274,14 @@ func TestGeLUBackwardFiniteDifference(t *testing.T) {
 	x := randSlice(r, n)
 	dY := randSlice(r, n)
 	dX := make([]float32, n)
-	GeLUBackward(dX, dY, x)
+	processPool.GeLUBackward(dX, dY, x)
 	const eps = 1e-3
 	for i := 0; i < n; i += 5 {
 		xp, xm := x[i]+eps, x[i]-eps
 		yp := make([]float32, 1)
 		ym := make([]float32, 1)
-		GeLUForward(yp, []float32{xp})
-		GeLUForward(ym, []float32{xm})
+		processPool.GeLUForward(yp, []float32{xp})
+		processPool.GeLUForward(ym, []float32{xm})
 		num := float64(dY[i]) * float64(yp[0]-ym[0]) / (2 * eps)
 		if math.Abs(num-float64(dX[i])) > 1e-3 {
 			t.Fatalf("GeLU grad[%d]: analytic %v vs numeric %v", i, dX[i], num)
@@ -295,7 +295,7 @@ func TestGeLUBoundsProperty(t *testing.T) {
 		r := tensor.NewRNG(seed)
 		x := []float32{r.Float32()*20 - 10}
 		y := make([]float32, 1)
-		GeLUForward(y, x)
+		processPool.GeLUForward(y, x)
 		lo, hi := float32(math.Min(0, float64(x[0]))), float32(math.Max(0, float64(x[0])))
 		return y[0] >= lo-1e-6 && y[0] <= hi+1e-6
 	}
@@ -308,7 +308,7 @@ func TestDropoutMaskStatistics(t *testing.T) {
 	const n = 100000
 	const p = 0.3
 	mask := make([]float32, n)
-	DropoutMask(mask, p, tensor.NewRNG(5))
+	processPool.DropoutMask(mask, p, tensor.NewRNG(5))
 	zeros := 0
 	keep := float32(1 / (1 - p))
 	for _, v := range mask {
@@ -333,9 +333,9 @@ func TestDropoutMaskPreservesExpectation(t *testing.T) {
 		x[i] = 1
 	}
 	mask := make([]float32, n)
-	DropoutMask(mask, 0.1, tensor.NewRNG(6))
+	processPool.DropoutMask(mask, 0.1, tensor.NewRNG(6))
 	y := make([]float32, n)
-	DropoutApply(y, x, mask)
+	processPool.DropoutApply(y, x, mask)
 	var sum float64
 	for _, v := range y {
 		sum += float64(v)
@@ -347,7 +347,7 @@ func TestDropoutMaskPreservesExpectation(t *testing.T) {
 
 func TestDropoutZeroProbability(t *testing.T) {
 	mask := make([]float32, 10)
-	DropoutMask(mask, 0, tensor.NewRNG(7))
+	processPool.DropoutMask(mask, 0, tensor.NewRNG(7))
 	for _, v := range mask {
 		if v != 1 {
 			t.Fatalf("p=0 mask value %v, want 1", v)
@@ -360,7 +360,7 @@ func TestDropoutZeroProbabilityPreservesStream(t *testing.T) {
 	// zero-rate dropout layer leaves downstream random state untouched
 	// and seed-for-seed comparisons against a no-dropout model hold.
 	rng := tensor.NewRNG(7)
-	DropoutMask(make([]float32, 1024), 0, rng)
+	processPool.DropoutMask(make([]float32, 1024), 0, rng)
 	want := tensor.NewRNG(7)
 	for i := 0; i < 8; i++ {
 		if got, w := rng.Float32(), want.Float32(); got != w {
@@ -369,7 +369,7 @@ func TestDropoutZeroProbabilityPreservesStream(t *testing.T) {
 	}
 	// And p > 0 consumes exactly len(mask) draws, sequentially.
 	rng = tensor.NewRNG(7)
-	DropoutMask(make([]float32, 100), 0.5, rng)
+	processPool.DropoutMask(make([]float32, 100), 0.5, rng)
 	want = tensor.NewRNG(7)
 	for i := 0; i < 100; i++ {
 		want.Float32()
@@ -385,15 +385,15 @@ func TestDropoutBadProbabilityPanics(t *testing.T) {
 			t.Fatal("p=1 did not panic")
 		}
 	}()
-	DropoutMask(make([]float32, 4), 1, tensor.NewRNG(8))
+	processPool.DropoutMask(make([]float32, 4), 1, tensor.NewRNG(8))
 }
 
 func TestReductions(t *testing.T) {
 	x := []float32{3, 4}
-	if got := SumSquares(x); got != 25 {
+	if got := processPool.SumSquares(x); got != 25 {
 		t.Fatalf("SumSquares = %v", got)
 	}
-	if SumSquares(nil) != 0 {
+	if processPool.SumSquares(nil) != 0 {
 		t.Fatal("empty reductions must be 0")
 	}
 }
@@ -401,10 +401,8 @@ func TestReductions(t *testing.T) {
 func TestSumSquaresParallelMatchesSerial(t *testing.T) {
 	r := tensor.NewRNG(9)
 	x := randSlice(r, 100001)
-	par := SumSquares(x)
-	old := SetMaxWorkers(1)
-	ser := SumSquares(x)
-	SetMaxWorkers(old)
+	par := processPool.SumSquares(x)
+	ser := poolOf(1).SumSquares(x)
 	if math.Abs(par-ser) > 1e-6*math.Abs(ser) {
 		t.Fatalf("parallel %v vs serial %v", par, ser)
 	}
@@ -416,8 +414,8 @@ func TestSplitMergeHeadsRoundTrip(t *testing.T) {
 	x := randSlice(r, b*n*h*dHead)
 	split := make([]float32, len(x))
 	merged := make([]float32, len(x))
-	SplitHeads(split, x, b, n, h, dHead)
-	MergeHeads(merged, split, b, n, h, dHead)
+	processPool.SplitHeads(split, x, b, n, h, dHead)
+	processPool.MergeHeads(merged, split, b, n, h, dHead)
 	if maxAbsDiff(x, merged) != 0 {
 		t.Fatal("SplitHeads/MergeHeads round trip failed")
 	}
@@ -436,7 +434,7 @@ func TestSplitHeadsLayout(t *testing.T) {
 		}
 	}
 	out := make([]float32, len(x))
-	SplitHeads(out, x, b, n, h, dHead)
+	processPool.SplitHeads(out, x, b, n, h, dHead)
 	// Head 1, token 0, elem 1 lives at ((0*2+1)*2+0)*2+1.
 	if got := out[((0*2+1)*2+0)*2+1]; got != 11 {
 		t.Fatalf("SplitHeads layout: got %v, want 11", got)
@@ -451,7 +449,7 @@ func TestCrossEntropyUniformLogits(t *testing.T) {
 	rows, classes := 2, 4
 	logits := make([]float32, rows*classes)
 	probs := make([]float32, rows*classes)
-	loss := CrossEntropyForward(probs, logits, []int{1, 3}, rows, classes)
+	loss := processPool.CrossEntropyForward(probs, logits, []int{1, 3}, rows, classes)
 	if math.Abs(loss-math.Log(4)) > 1e-6 {
 		t.Fatalf("uniform CE loss = %v, want ln4 = %v", loss, math.Log(4))
 	}
@@ -462,13 +460,13 @@ func TestCrossEntropyIgnoreIndex(t *testing.T) {
 	logits := make([]float32, rows*classes)
 	logits[0*classes+2] = 5 // confident correct prediction on row 0
 	probs := make([]float32, rows*classes)
-	lossAll := CrossEntropyForward(probs, logits, []int{2, 0, 0}, rows, classes)
-	lossIgnored := CrossEntropyForward(probs, logits, []int{2, IgnoreIndex, IgnoreIndex}, rows, classes)
+	lossAll := processPool.CrossEntropyForward(probs, logits, []int{2, 0, 0}, rows, classes)
+	lossIgnored := processPool.CrossEntropyForward(probs, logits, []int{2, IgnoreIndex, IgnoreIndex}, rows, classes)
 	if lossIgnored >= lossAll {
 		t.Fatalf("ignoring uniform rows should lower mean loss: %v vs %v", lossIgnored, lossAll)
 	}
 	dLogits := make([]float32, rows*classes)
-	CrossEntropyBackward(dLogits, probs, []int{2, IgnoreIndex, IgnoreIndex}, rows, classes)
+	processPool.CrossEntropyBackward(dLogits, probs, []int{2, IgnoreIndex, IgnoreIndex}, rows, classes)
 	for j := 0; j < classes; j++ {
 		if dLogits[1*classes+j] != 0 || dLogits[2*classes+j] != 0 {
 			t.Fatal("ignored rows must have zero gradient")
@@ -478,11 +476,11 @@ func TestCrossEntropyIgnoreIndex(t *testing.T) {
 
 func TestCrossEntropyAllIgnored(t *testing.T) {
 	probs := make([]float32, 4)
-	if loss := CrossEntropyForward(probs, make([]float32, 4), []int{IgnoreIndex}, 1, 4); loss != 0 {
+	if loss := processPool.CrossEntropyForward(probs, make([]float32, 4), []int{IgnoreIndex}, 1, 4); loss != 0 {
 		t.Fatalf("all-ignored loss = %v", loss)
 	}
 	d := []float32{1, 1, 1, 1}
-	CrossEntropyBackward(d, probs, []int{IgnoreIndex}, 1, 4)
+	processPool.CrossEntropyBackward(d, probs, []int{IgnoreIndex}, 1, 4)
 	for _, v := range d {
 		if v != 0 {
 			t.Fatal("all-ignored gradient must be zero")
@@ -496,17 +494,17 @@ func TestCrossEntropyGradFiniteDifference(t *testing.T) {
 	logits := randSlice(r, rows*classes)
 	targets := []int{2, IgnoreIndex, 4}
 	probs := make([]float32, rows*classes)
-	CrossEntropyForward(probs, logits, targets, rows, classes)
+	processPool.CrossEntropyForward(probs, logits, targets, rows, classes)
 	dLogits := make([]float32, rows*classes)
-	CrossEntropyBackward(dLogits, probs, targets, rows, classes)
+	processPool.CrossEntropyBackward(dLogits, probs, targets, rows, classes)
 
 	const eps = 1e-3
 	for i := 0; i < rows*classes; i += 3 {
 		orig := logits[i]
 		logits[i] = orig + eps
-		lp := CrossEntropyForward(probs, logits, targets, rows, classes)
+		lp := processPool.CrossEntropyForward(probs, logits, targets, rows, classes)
 		logits[i] = orig - eps
-		lm := CrossEntropyForward(probs, logits, targets, rows, classes)
+		lm := processPool.CrossEntropyForward(probs, logits, targets, rows, classes)
 		logits[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(num-float64(dLogits[i])) > 1e-3 {
@@ -521,7 +519,7 @@ func TestCrossEntropyBadTargetPanics(t *testing.T) {
 			t.Fatal("out-of-range target did not panic")
 		}
 	}()
-	CrossEntropyForward(make([]float32, 4), make([]float32, 4), []int{7}, 1, 4)
+	processPool.CrossEntropyForward(make([]float32, 4), make([]float32, 4), []int{7}, 1, 4)
 }
 
 func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
@@ -535,11 +533,11 @@ func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
 
 	for _, causal := range []bool{false, true} {
 		fused := make([]float32, rows*n)
-		ScaleMaskSoftmaxAttention(fused, scores, keyMask, s, causal, b, h, n)
+		processPool.ScaleMaskSoftmaxAttention(fused, scores, keyMask, s, causal, b, h, n)
 
 		// Unfused reference: scale, broadcast mask, causal, softmax.
 		tmp := make([]float32, rows*n)
-		Scale(tmp, scores, s)
+		processPool.Scale(tmp, scores, s)
 		for r0 := 0; r0 < rows; r0++ {
 			batch := r0 / (h * n)
 			q := r0 % n
@@ -552,7 +550,7 @@ func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
 			}
 		}
 		want := make([]float32, rows*n)
-		Softmax(want, tmp, rows, n)
+		processPool.Softmax(want, tmp, rows, n)
 		if d := maxAbsDiff(fused, want); d > 1e-6 {
 			t.Fatalf("causal=%v: fused attention softmax differs by %v", causal, d)
 		}
@@ -565,7 +563,7 @@ func TestScaleMaskSoftmaxAttentionNilMask(t *testing.T) {
 	rows := b * h * n
 	scores := randSlice(r, rows*n)
 	out := make([]float32, rows*n)
-	ScaleMaskSoftmaxAttention(out, scores, nil, 1, false, b, h, n)
+	processPool.ScaleMaskSoftmaxAttention(out, scores, nil, 1, false, b, h, n)
 	for row := 0; row < rows; row++ {
 		var sum float64
 		for k := 0; k < n; k++ {
@@ -583,7 +581,7 @@ func TestScaleMaskSoftmaxAttentionBadDimsPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	ScaleMaskSoftmaxAttention(make([]float32, 8), make([]float32, 8), make([]float32, 3), 1, false, 1, 1, 2)
+	processPool.ScaleMaskSoftmaxAttention(make([]float32, 8), make([]float32, 8), make([]float32, 3), 1, false, 1, 1, 2)
 }
 
 // refAddBias / refBiasGrad are the serial reference kernels the flattened
@@ -619,12 +617,12 @@ func TestAddBiasBiasGradMatchReferenceBitwise(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		for _, w := range []int{1, 2, 4, 7} {
-			old := SetMaxWorkers(w)
+			pool := poolOf(w)
 			x := randSlice(r, sh.m*sh.n)
 			bias := randSlice(r, sh.n)
 			want := append([]float32(nil), x...)
 			refAddBias(want, bias, sh.m, sh.n)
-			AddBias(x, bias, sh.m, sh.n)
+			pool.AddBias(x, bias, sh.m, sh.n)
 			for i := range x {
 				if math.Float32bits(x[i]) != math.Float32bits(want[i]) {
 					t.Fatalf("AddBias m=%d n=%d w=%d: elem %d = %v, want %v",
@@ -634,14 +632,13 @@ func TestAddBiasBiasGradMatchReferenceBitwise(t *testing.T) {
 			dB := randSlice(r, sh.n)
 			wantB := append([]float32(nil), dB...)
 			refBiasGrad(wantB, x, sh.m, sh.n)
-			BiasGrad(dB, x, sh.m, sh.n)
+			pool.BiasGrad(dB, x, sh.m, sh.n)
 			for j := range dB {
 				if math.Float32bits(dB[j]) != math.Float32bits(wantB[j]) {
 					t.Fatalf("BiasGrad m=%d n=%d w=%d: col %d = %v, want %v",
 						sh.m, sh.n, w, j, dB[j], wantB[j])
 				}
 			}
-			SetMaxWorkers(old)
 		}
 	}
 }
@@ -655,15 +652,14 @@ func TestAddBiasBiasGradZeroAlloc(t *testing.T) {
 	x := randSlice(r, m*n)
 	bias := randSlice(r, n)
 	dB := make([]float32, n)
-	old := SetMaxWorkers(1)
-	defer SetMaxWorkers(old)
-	AddBias(x, bias, m, n) // warm the state pools
-	BiasGrad(dB, x, m, n)
+	pool := poolOf(1)
+	pool.AddBias(x, bias, m, n) // warm the state pools
+	pool.BiasGrad(dB, x, m, n)
 	for _, ac := range allocCases {
-		if avg := ac.allocs(10, func() { AddBias(x, bias, m, n) }); avg != 0 {
+		if avg := ac.allocs(10, func() { pool.AddBias(x, bias, m, n) }); avg != 0 {
 			t.Errorf("AddBias allocates %v per op %s, want 0", avg, ac.name)
 		}
-		if avg := ac.allocs(10, func() { BiasGrad(dB, x, m, n) }); avg != 0 {
+		if avg := ac.allocs(10, func() { pool.BiasGrad(dB, x, m, n) }); avg != 0 {
 			t.Errorf("BiasGrad allocates %v per op %s, want 0", avg, ac.name)
 		}
 	}

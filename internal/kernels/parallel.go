@@ -9,8 +9,9 @@
 // Kernels operate on raw []float32 buffers with explicit dimensions; the
 // layer modules in internal/nn supply tensor-typed wrappers.
 //
-// Parallel kernels share one persistent worker pool (this file): workers
-// are spawned once, and each parallel region hands out index ranges through
+// Parallel kernels run on a persistent worker pool (this file), a value the
+// caller passes (a nil *Pool is the process pool): workers are spawned
+// once, and each parallel region hands out index ranges through
 // an atomic counter, so load balance is dynamic and steady-state dispatch
 // does no per-call goroutine spawning. A BERT step is hundreds of small
 // kernels back to back, so the fork/join is built to cost microseconds:
@@ -26,28 +27,56 @@ import (
 	"time"
 )
 
-// maxWorkers bounds kernel parallelism. It defaults to GOMAXPROCS and can
-// be changed (e.g. in tests) via SetMaxWorkers; reads and writes are atomic
-// because tests and ablation benchmarks retune it while kernels run.
-var maxWorkers atomic.Int64
+// Pool is a set of persistent workers that parallel kernels fork onto:
+// its work channel, the workers spawned so far (grown on demand up to
+// width-1; the calling goroutine is the last) and its heat. A pool is a
+// value the caller passes, like the GEMM route: the kernels are its
+// methods, and nn reads it from Ctx.Pool. Its width is fixed when it is
+// built, and nothing ever closes it: its workers live as long as the
+// process. A nil *Pool is the process pool, GOMAXPROCS wide at init,
+// which is what production runs everywhere.
+type Pool struct {
+	width int // read only in this file: grainFor, piecesPer, parallelRun
 
-func init() { maxWorkers.Store(int64(runtime.GOMAXPROCS(0))) }
+	// work feeds regions to the workers and to joining callers, which
+	// steal from it while they wait. The buffer lets a caller enlist
+	// helpers without ever blocking: queued handles are consumed by an
+	// idle worker, by a waiter, or by the enqueuing caller itself once it
+	// reaches its own join loop.
+	work chan *region
 
-// SetMaxWorkers sets the number of goroutines kernels may use and returns
-// the previous value. n < 1 is treated as 1. Raising the bound grows the
-// persistent pool; lowering it parks the excess workers (they are not
-// killed, only left idle).
-func SetMaxWorkers(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	old := maxWorkers.Swap(int64(n))
-	ensureWorkers(n - 1)
-	return int(old)
+	spawned atomic.Int64 // live workers
+
+	// Heat says how saturated the pool has been lately. inFlight counts
+	// dispatched regions; each change between "none" and "some" settles
+	// the stretch that just ended into heat: a busy stretch adds its
+	// length, and so does an idle one no longer than hotWindow (a hot
+	// worker bridges it, so the stream of kernels did not break); a
+	// longer idle stretch takes away idleWeight times its length. heat
+	// stays within [0, heatCap]. The updates are plain loads and stores:
+	// concurrent roots can lose one, which a heuristic can afford.
+	inFlight atomic.Int64
+	lastFlip atomic.Int64 // ns since poolEpoch
+	heat     atomic.Int64 // ns
 }
 
-// MaxWorkers returns the current worker bound.
-func MaxWorkers() int { return int(maxWorkers.Load()) }
+// NewPool returns a pool of the given width: regions run on at most width
+// goroutines, the caller included. A width below 1 is 1, a pool that runs
+// every region inline.
+func NewPool(width int) *Pool {
+	return &Pool{width: max(width, 1), work: make(chan *region, 1024)}
+}
+
+// processPool is what a nil *Pool means.
+var processPool = NewPool(runtime.GOMAXPROCS(0))
+
+// or returns pool, or the process pool when pool is nil.
+func (pool *Pool) or() *Pool {
+	if pool == nil {
+		return processPool
+	}
+	return pool
+}
 
 // blockBody is a unit of parallel work: runRange is invoked with disjoint
 // half-open index ranges, possibly concurrently from several workers. Its
@@ -60,14 +89,15 @@ type blockBody interface{ runRange(lo, hi int) }
 // chunking) instead of being assigned a fixed slice up front.
 //
 // Completion is one word, so the caller's join never depends on the pool
-// picking anything up: state counts the handles enlisted in workCh and not
-// yet retired, and a handle is retired only after its holder's drain has
-// returned. The caller's own drain returns once every chunk is claimed, so
-// from then on state == 0 means every index is processed and nobody else
-// holds the region. regionParked, set in the same word by a caller that
-// gives up yielding, obliges whoever retires the last handle to send on
-// wake; a retirer that sees anything else never touches the region again,
-// which is what lets the caller recycle it the moment it reads zero.
+// picking anything up: state counts the handles enlisted in the pool's work
+// channel and not yet retired, and a handle is retired only after its
+// holder's drain has returned. The caller's own drain returns once every
+// chunk is claimed, so from then on state == 0 means every index is
+// processed and nobody else holds the region. regionParked, set in the same
+// word by a caller that gives up yielding, obliges whoever retires the last
+// handle to send on wake; a retirer that sees anything else never touches
+// the region again, which is what lets the caller recycle it the moment it
+// reads zero.
 type region struct {
 	body  blockBody
 	n     int
@@ -110,29 +140,17 @@ func (r *region) help() {
 	}
 }
 
-var (
-	// workCh feeds regions to the persistent workers and to joining
-	// callers, which steal from it while they wait. The buffer lets a
-	// caller enlist helpers without ever blocking: queued handles are
-	// consumed by an idle worker, by a waiter, or by the enqueuing caller
-	// itself once it reaches its own join loop.
-	workCh = make(chan *region, 1024)
+var regions freeList[region]
 
-	// spawned counts live pool workers.
-	spawned atomic.Int64
-
-	regions freeList[region]
-)
-
-// ensureWorkers grows the persistent pool to at least target goroutines.
-func ensureWorkers(target int) {
+// ensureWorkers grows the pool to at least target workers.
+func (pool *Pool) ensureWorkers(target int) {
 	for {
-		cur := spawned.Load()
+		cur := pool.spawned.Load()
 		if cur >= int64(target) {
 			return
 		}
-		if spawned.CompareAndSwap(cur, cur+1) {
-			go poolWorker()
+		if pool.spawned.CompareAndSwap(cur, cur+1) {
+			go pool.worker()
 		}
 	}
 }
@@ -184,64 +202,54 @@ const (
 	idleWeight = 3
 )
 
-// Pool heat says how saturated the pool has been lately. inFlight counts
-// dispatched regions; each change between "none" and "some" settles the
-// stretch that just ended into heat: a busy stretch adds its length, and
-// so does an idle one no longer than hotWindow (a hot worker bridges it, so
-// the stream of kernels did not break); a longer idle stretch takes away
-// idleWeight times its length. heat stays within [0, heatCap]. The updates
-// are plain loads and stores: concurrent roots can lose one, which a
-// heuristic can afford.
-var (
-	poolEpoch = time.Now()
-	inFlight  atomic.Int64
-	lastFlip  atomic.Int64 // ns since poolEpoch
-	heat      atomic.Int64 // ns
-)
+// poolEpoch is the time base of every pool's lastFlip.
+var poolEpoch = time.Now()
 
-func settle(busy bool) {
+func (pool *Pool) settle(busy bool) {
 	now := int64(time.Since(poolEpoch))
-	d := max(now-lastFlip.Swap(now), 0) // a concurrent root may have stamped later
-	h := heat.Load()
+	d := max(now-pool.lastFlip.Swap(now), 0) // a concurrent root may have stamped later
+	h := pool.heat.Load()
 	if busy || d <= int64(hotWindow) {
 		h = min(h+d, int64(heatCap))
 	} else {
 		h = max(h-idleWeight*d, 0)
 	}
-	heat.Store(h)
+	pool.heat.Store(h)
 }
 
-// poolSaturated reports whether workers stay hot between regions.
-func poolSaturated() bool { return heat.Load() >= int64(heatCap/2) }
+// saturated reports whether workers stay hot between regions.
+func (pool *Pool) saturated() bool { return pool.heat.Load() >= int64(heatCap/2) }
 
-// poolWorker joins one region at a time for the life of the process — the
-// pool is sized by SetMaxWorkers, never torn down. Between regions of a
-// saturated pool it polls workCh for hotWindow, yielding every turn so
-// that a single P is never starved by a spinning worker, and only then
-// blocks in the receive; otherwise it blocks at once.
-func poolWorker() {
+// worker joins one region at a time for the life of the process — a pool
+// is never torn down. Between regions of a saturated pool it polls the
+// work channel for hotWindow, yielding every turn so that a single P is
+// never starved by a spinning worker, and only then blocks in the receive;
+// otherwise it blocks at once.
+func (pool *Pool) worker() {
 	for {
 		var r *region
-		if poolSaturated() {
-			r = pollWork()
+		if pool.saturated() {
+			r = pool.poll()
 		}
 		if r != nil {
 			poolHotPickups.Inc()
 		} else {
 			poolParks.Inc()
-			r = <-workCh
+			r = <-pool.work
 		}
 		r.help()
 	}
 }
 
-// pollWork returns the next queued region, or nil if none arrives within
-// hotWindow.
-func pollWork() *region {
+// poll returns the next queued region, or nil if none arrives within
+// hotWindow. It reads the channel field once: the line it sits on is the
+// one every dispatch writes the heat to.
+func (pool *Pool) poll() *region {
+	work := pool.work
 	start := time.Now()
 	for {
 		select {
-		case r := <-workCh:
+		case r := <-work:
 			return r
 		default:
 		}
@@ -261,9 +269,10 @@ func steal(other *region) {
 
 // join blocks until every handle of r has been retired. The caller has
 // already drained r, so that is also when every index has been processed.
-// Stealing while it waits is what keeps nested dispatch live: a waiter is
-// always a reader of workCh, parked or not.
-func (r *region) join() {
+// Stealing from work, the channel r was enlisted on, while it waits is
+// what keeps nested dispatch live: a waiter is always a reader of its
+// pool's channel, parked or not.
+func (r *region) join(work chan *region) {
 	var start time.Time
 	for {
 		s := r.state.Load()
@@ -271,7 +280,7 @@ func (r *region) join() {
 			return
 		}
 		select {
-		case other := <-workCh:
+		case other := <-work:
 			steal(other)
 			continue
 		default:
@@ -291,7 +300,7 @@ func (r *region) join() {
 	// count to zero, and r cannot be recycled before it arrives.
 	for {
 		select {
-		case other := <-workCh:
+		case other := <-work:
 			steal(other)
 		case <-r.wake:
 			r.state.Store(0)
@@ -300,22 +309,24 @@ func (r *region) join() {
 	}
 }
 
-// parallelRun executes body over [0, n) in grain-sized chunks using the
-// worker pool, blocking until every index is processed. The calling
-// goroutine always participates, and while it waits for chunks claimed by
-// others it steals queued handles from workCh — so no join ever depends on
+// parallelRun executes body over [0, n) in grain-sized chunks on pool,
+// blocking until every index is processed. The calling goroutine always
+// participates, and while it waits for chunks claimed by others it steals
+// queued handles from the pool's work channel — so no join ever depends on
 // pool availability, and nested dispatch (a pool worker calling
 // parallelRun) cannot deadlock even when every worker is itself blocked in
-// a join. With maxWorkers == 1 or a single chunk it runs inline with zero
-// dispatch cost. Kernels reach it through argsPool.run.
-func parallelRun(n, grain int, body blockBody) {
+// a join.
+// With width 1 or a single chunk it runs inline with zero dispatch cost.
+// Kernels reach it through argsPool.run.
+func parallelRun(pool *Pool, n, grain int, body blockBody) {
 	if n <= 0 {
 		return
 	}
 	if grain < 1 {
 		grain = 1
 	}
-	w := int(maxWorkers.Load())
+	pool = pool.or()
+	w := pool.width
 	if items := (n + grain - 1) / grain; w > items {
 		w = items
 	}
@@ -325,10 +336,10 @@ func parallelRun(n, grain int, body blockBody) {
 		return
 	}
 	poolDispatches.Inc()
-	if inFlight.Add(1) == 1 {
-		settle(false) // an idle stretch ends
+	if pool.inFlight.Add(1) == 1 {
+		pool.settle(false) // an idle stretch ends
 	}
-	ensureWorkers(w - 1)
+	pool.ensureWorkers(w - 1)
 	r := regions.get()
 	if r.wake == nil {
 		r.wake = make(chan struct{}, 1)
@@ -339,7 +350,7 @@ enlist:
 	for i := 0; i < w-1; i++ {
 		r.state.Add(1)
 		select {
-		case workCh <- r:
+		case pool.work <- r:
 		default:
 			// Queue full: plenty of work is already circulating; run
 			// with the helpers enlisted so far.
@@ -348,11 +359,11 @@ enlist:
 		}
 	}
 	r.drain()
-	r.join()
+	r.join(pool.work)
 	r.body = nil
 	regions.put(r)
-	if inFlight.Add(-1) == 0 {
-		settle(true) // a busy stretch ends
+	if pool.inFlight.Add(-1) == 0 {
+		pool.settle(true) // a busy stretch ends
 	}
 }
 
@@ -367,9 +378,9 @@ const minForkWork = 4096
 // row length for a row-wise kernel): about four chunks per worker — coarse
 // enough to amortize dispatch, fine enough that an unlucky worker cannot
 // stall the join — and a single chunk, which runs inline, at width 1 or
-// below minForkWork elements.
-func grainFor(n, per int) int {
-	w := int(maxWorkers.Load())
+// below minForkWork elements. w is the pool's width.
+func grainFor(pool *Pool, n, per int) int {
+	w := pool.or().width
 	if w == 1 || n*per < minForkWork {
 		return max(n, 1)
 	}
@@ -380,9 +391,9 @@ func grainFor(n, per int) int {
 // into for a region to hold at least perWorker items per worker: 1 at
 // width 1 or when items already suffice. The blocked GEMM cuts the row
 // blocks of a short stripe into column segments with it, and auto's
-// short-stripe route sizes its segments with it.
-func piecesPer(items, perWorker int) int {
-	w := int(maxWorkers.Load())
+// short-stripe route sizes its segments with it. w is the pool's width.
+func piecesPer(pool *Pool, items, perWorker int) int {
+	w := pool.or().width
 	if w <= 1 || items >= perWorker*w {
 		return 1
 	}
@@ -404,13 +415,13 @@ func (b *argsBody[A]) runRange(lo, hi int) { b.f(&b.args, lo, hi) }
 type argsPool[A any] struct{ bodies freeList[argsBody[A]] }
 
 // run is the one way a kernel forks: it runs f(&args, lo, hi) over [0, n)
-// in grain-sized chunks on the worker pool (parallelRun), and allocates
-// nothing once the pool holds a body. f must be a top-level function, not
-// a closure. grain is the kernel's own, or grainFor's.
-func (ap *argsPool[A]) run(n, grain int, args A, f func(a *A, lo, hi int)) {
+// in grain-sized chunks on pool (parallelRun), and allocates nothing
+// once ap holds a body. f must be a top-level function, not a closure.
+// grain is the kernel's own, or grainFor's.
+func (ap *argsPool[A]) run(pool *Pool, n, grain int, args A, f func(a *A, lo, hi int)) {
 	b := ap.bodies.get()
 	b.args, b.f = args, f
-	parallelRun(n, grain, b)
+	parallelRun(pool, n, grain, b)
 	var zero A
 	b.args, b.f = zero, nil
 	ap.bodies.put(b)
@@ -423,15 +434,17 @@ var closures argsPool[func(lo, hi int)]
 
 func callClosure(f *func(lo, hi int), lo, hi int) { (*f)(lo, hi) }
 
-// parallelFor runs body over [0, n) in grain-sized chunks on the pool.
-func parallelFor(n, grain int, body func(lo, hi int)) {
-	closures.run(n, grain, body, callClosure)
+// parallelFor runs body over [0, n) in grain-sized chunks on pool.
+func parallelFor(pool *Pool, n, grain int, body func(lo, hi int)) {
+	closures.run(pool, n, grain, body, callClosure)
 }
 
 // ParallelRange runs body over disjoint half-open ranges that together
-// cover [0, n), the element indices of flat buffers, on the worker pool.
-// It is for element-wise loops outside this package (the optimizers):
-// body must compute each element from that element's inputs alone, so the
-// result does not depend on where the ranges are cut or on the worker
-// count. Buffers under minForkWork elements run inline.
-func ParallelRange(n int, body func(lo, hi int)) { parallelFor(n, grainFor(n, 1), body) }
+// cover [0, n), the element indices of flat buffers, on pool. It is for
+// element-wise loops outside this package (the optimizers): body must
+// compute each element from that element's inputs alone, so the result
+// does not depend on where the ranges are cut or on the pool's width.
+// Buffers under minForkWork elements run inline.
+func (pool *Pool) ParallelRange(n int, body func(lo, hi int)) {
+	parallelFor(pool, n, grainFor(pool, n, 1), body)
+}

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,15 +15,32 @@ import (
 // more indices fork, however small n is.
 const heavy = minForkWork
 
+// widthPools holds the test binary's pool of each width under test,
+// built on first use: like every pool, it lives as long as the process.
+var (
+	widthPoolsMu sync.Mutex
+	widthPools   = map[int]*Pool{}
+)
+
+// poolOf returns the test binary's pool of width w.
+func poolOf(w int) *Pool {
+	widthPoolsMu.Lock()
+	defer widthPoolsMu.Unlock()
+	if widthPools[w] == nil {
+		widthPools[w] = NewPool(w)
+	}
+	return widthPools[w]
+}
+
 // TestParallelForCoversExactlyOnce: every index in [0, n) must be visited
 // exactly once, for worker counts above and below the chunk count and for
 // awkward n.
 func TestParallelForCoversExactlyOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 7, 16} {
 		for _, n := range []int{1, 3, 4, 5, 63, 64, 1000, 1021} {
-			old := SetMaxWorkers(w)
+			pool := poolOf(w)
 			counts := make([]int32, n)
-			parallelFor(n, grainFor(n, heavy), func(lo, hi int) {
+			parallelFor(pool, n, grainFor(pool, n, heavy), func(lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("w=%d n=%d: bad range [%d,%d)", w, n, lo, hi)
 					return
@@ -33,7 +49,6 @@ func TestParallelForCoversExactlyOnce(t *testing.T) {
 					atomic.AddInt32(&counts[i], 1)
 				}
 			})
-			SetMaxWorkers(old)
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("w=%d n=%d: index %d visited %d times", w, n, i, c)
@@ -47,11 +62,10 @@ func TestParallelForCoversExactlyOnce(t *testing.T) {
 // serialize behind one slow chunk — verified structurally: with grain g,
 // no runRange span may exceed g.
 func TestParallelRunDynamicChunking(t *testing.T) {
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
+	pool := poolOf(4)
 	const n, grain = 1000, 16
 	var calls, covered atomic.Int64
-	parallelFor(n, grain, func(lo, hi int) {
+	parallelFor(pool, n, grain, func(lo, hi int) {
 		if hi-lo > grain {
 			t.Errorf("chunk [%d,%d) exceeds grain %d", lo, hi, grain)
 		}
@@ -73,12 +87,11 @@ func TestParallelRunDynamicChunking(t *testing.T) {
 // other tests — the scenario that deadlocked the WaitGroup-based join when
 // run in isolation (`-run TestParallelNested`) or under -shuffle.
 func TestParallelNested(t *testing.T) {
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
+	pool := NewPool(2) // fresh: no idle workers left over from other tests
 	var total atomic.Int64
-	parallelFor(8, grainFor(8, heavy), func(lo, hi int) {
+	parallelFor(pool, 8, grainFor(pool, 8, heavy), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(100, grainFor(100, heavy), func(l, h int) {
+			parallelFor(pool, 100, grainFor(pool, 100, heavy), func(l, h int) {
 				total.Add(int64(h - l))
 			})
 		}
@@ -93,14 +106,13 @@ func TestParallelNested(t *testing.T) {
 // the caller sit in joins simultaneously. Covered-index accounting proves
 // every level ran to completion.
 func TestParallelNestedSaturated(t *testing.T) {
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
+	pool := poolOf(4)
 	var total atomic.Int64
-	parallelFor(16, grainFor(16, heavy), func(lo, hi int) {
+	parallelFor(pool, 16, grainFor(pool, 16, heavy), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			parallelFor(64, grainFor(64, heavy), func(l, h int) {
+			parallelFor(pool, 64, grainFor(pool, 64, heavy), func(l, h int) {
 				for j := l; j < h; j++ {
-					parallelFor(32, grainFor(32, heavy), func(l2, h2 int) {
+					parallelFor(pool, 32, grainFor(pool, 32, heavy), func(l2, h2 int) {
 						total.Add(int64(h2 - l2))
 					})
 				}
@@ -117,17 +129,16 @@ func TestParallelNestedSaturated(t *testing.T) {
 // on the shared work channel and waiters steal handles that belong to
 // other roots' regions.
 func TestParallelNestedConcurrentRoots(t *testing.T) {
-	old := SetMaxWorkers(3)
-	defer SetMaxWorkers(old)
+	pool := poolOf(3)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var total atomic.Int64
-			parallelFor(8, grainFor(8, heavy), func(lo, hi int) {
+			parallelFor(pool, 8, grainFor(pool, 8, heavy), func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					parallelFor(50, grainFor(50, heavy), func(l, h int) {
+					parallelFor(pool, 50, grainFor(pool, 50, heavy), func(l, h int) {
 						total.Add(int64(h - l))
 					})
 				}
@@ -140,60 +151,50 @@ func TestParallelNestedConcurrentRoots(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSetMaxWorkersConcurrent hammers SetMaxWorkers while GEMMs and
-// reductions run — the satellite fix for the unsynchronized maxWorkers
-// var. Run with -race to verify.
-func TestSetMaxWorkersConcurrent(t *testing.T) {
+// TestPoolWidthsRunConcurrently: a pool's width is fixed when it is built
+// (a width below 1 is 1), so pools of different widths can run the same
+// regions side by side with bitwise-equal results, and a width-1 pool
+// never spawns a worker: every region runs inline.
+func TestPoolWidthsRunConcurrently(t *testing.T) {
+	if w := NewPool(0).width; w != 1 {
+		t.Fatalf("NewPool(0) has width %d, want 1", w)
+	}
 	r := tensor.NewRNG(21)
 	m, n, k := 96, 96, 96
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
-	want := make([]float32, m*n)
-	GEMMNaive(false, false, m, n, k, 1, a, b, 0, want)
-
-	wantSq := 0.0
-	for _, v := range a {
-		wantSq += float64(v) * float64(v)
+	x := randSlice(r, 100_000)
+	one, four := NewPool(1), NewPool(4)
+	run := func(pool *Pool) (c []float32, sq float64) {
+		c = make([]float32, m*n)
+		GEMMPathAuto.GEMM(pool, false, false, m, n, k, 1, a, b, 0, c)
+		return c, pool.SumSquares(x)
 	}
-
-	old := MaxWorkers()
-	defer SetMaxWorkers(old)
+	wantC, wantSq := run(one)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ws := []int{1, 2, 4, 8, 3}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				SetMaxWorkers(ws[i%len(ws)])
+	for _, pool := range []*Pool{one, four, one, four} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				c, sq := run(pool)
+				if i := firstBitDiff(c, wantC); i >= 0 || sq != wantSq {
+					t.Errorf("width %d, iter %d: GEMM differs at %d, SumSquares %v vs %v", pool.width, iter, i, sq, wantSq)
+					return
+				}
 			}
-		}
-	}()
-	for iter := 0; iter < 50; iter++ {
-		c := make([]float32, m*n)
-		GEMM(false, false, m, n, k, 1, a, b, 0, c)
-		if d := maxAbsDiff(c, want); d > tolFor(k) {
-			t.Fatalf("iter %d: diff %v while retuning workers", iter, d)
-		}
-		// The value check matters: a retune that drops the bound to 1
-		// mid-call used to leave stale pooled partials in the sum.
-		if got := SumSquares(a); math.Abs(got-wantSq) > 1e-6 {
-			t.Fatalf("iter %d: SumSquares %v, want %v while retuning workers", iter, got, wantSq)
-		}
+		}()
 	}
-	close(stop)
 	wg.Wait()
+	if s := one.spawned.Load(); s != 0 {
+		t.Errorf("width-1 pool spawned %d workers, want 0", s)
+	}
 }
 
-// TestSumSquaresInlineFallbackCoversAllSlots pins the contract that lets
-// SumSquares survive a concurrent worker retune: when parallelRun falls
-// back to the inline path it delivers one range spanning every block, and
-// sumSqRange must overwrite every partial slot — stale values left in the
-// pooled slice by a previous call must not leak into the reduction.
+// TestSumSquaresInlineFallbackCoversAllSlots: when parallelRun takes the
+// inline path it delivers one range spanning every block, and sumSqRange
+// must overwrite every partial slot — stale values left in the pooled
+// slice by a previous call must not leak into the reduction.
 func TestSumSquaresInlineFallbackCoversAllSlots(t *testing.T) {
 	const n = 10_000
 	x := make([]float32, n)
@@ -205,7 +206,7 @@ func TestSumSquaresInlineFallbackCoversAllSlots(t *testing.T) {
 	for i := range part {
 		part[i] = 1e9 // poison: any slot not rewritten corrupts the sum
 	}
-	sumSqBodies.run(chunks, chunks, sumSqArgs{x: x, part: part}, sumSqRange) // one chunk: inline
+	sumSqBodies.run(nil, chunks, chunks, sumSqArgs{x: x, part: part}, sumSqRange) // one chunk: inline
 	var sum float64
 	for _, p := range part {
 		sum += p
@@ -225,30 +226,16 @@ func TestSumSquaresPoolDeterministic(t *testing.T) {
 	for _, v := range x {
 		want += float64(v) * float64(v)
 	}
-	old := SetMaxWorkers(4)
-	defer SetMaxWorkers(old)
-	first := SumSquares(x)
+	pool := poolOf(4)
+	first := pool.SumSquares(x)
 	if diff := first - want; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("SumSquares parallel %v vs serial %v", first, want)
 	}
 	for i := 0; i < 10; i++ {
-		if got := SumSquares(x); got != first {
+		if got := pool.SumSquares(x); got != first {
 			t.Fatalf("SumSquares not deterministic: %v vs %v", got, first)
 		}
 	}
-}
-
-// TestMaxWorkersReporting: SetMaxWorkers returns the previous bound and
-// MaxWorkers reflects the current one.
-func TestMaxWorkersReporting(t *testing.T) {
-	orig := MaxWorkers()
-	if prev := SetMaxWorkers(3); prev != orig {
-		t.Fatalf("SetMaxWorkers returned %d, want %d", prev, orig)
-	}
-	if MaxWorkers() != 3 {
-		t.Fatalf("MaxWorkers = %d, want 3", MaxWorkers())
-	}
-	SetMaxWorkers(orig)
 }
 
 // busyFor spins for d: a work item of known length, whatever the core's
@@ -260,13 +247,13 @@ func busyFor(d time.Duration) {
 
 // saturate runs body's region back to back until the pool counts as
 // saturated, which is when its workers start to stay hot.
-func saturate(tb testing.TB, n int, body func(lo, hi int)) {
+func saturate(tb testing.TB, pool *Pool, n int, body func(lo, hi int)) {
 	tb.Helper()
-	for start := time.Now(); !poolSaturated(); {
+	for start := time.Now(); !pool.saturated(); {
 		if time.Since(start) > 10*heatCap {
 			tb.Fatalf("pool not saturated after %v of back-to-back regions", 10*heatCap)
 		}
-		parallelFor(n, 1, body)
+		parallelFor(pool, n, 1, body)
 	}
 }
 
@@ -280,8 +267,7 @@ func BenchmarkForkJoin(b *testing.B) {
 		b.Skip("the ideal assumes the two items run side by side")
 	}
 	const item = 100 * time.Microsecond
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
+	pool := poolOf(2)
 	body := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			busyFor(item)
@@ -292,11 +278,11 @@ func BenchmarkForkJoin(b *testing.B) {
 		gap  time.Duration
 	}{{"back_to_back", 0}, {"gap_100us", 100 * time.Microsecond}} {
 		b.Run(bc.name, func(b *testing.B) {
-			saturate(b, 2, body) // spawn the helper and warm the pool outside the timer
+			saturate(b, pool, 2, body) // spawn the helper and warm the pool outside the timer
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				busyFor(bc.gap)
-				parallelFor(2, 1, body)
+				parallelFor(pool, 2, 1, body)
 			}
 			perOp := float64(b.Elapsed()) / float64(b.N)
 			b.ReportMetric((perOp-float64(item+bc.gap))/1e3, "overhead_us/op")
@@ -317,7 +303,7 @@ func TestJoinParksAndWakes(t *testing.T) {
 		r.help()
 	}()
 	start := time.Now()
-	r.join()
+	r.join(nil)
 	if waited := time.Since(start); waited < 20*joinWindow {
 		t.Errorf("join returned after %v, before the handle was retired", waited)
 	}
@@ -327,7 +313,7 @@ func TestJoinParksAndWakes(t *testing.T) {
 
 	r.state.Store(1)
 	r.help()
-	r.join()
+	r.join(nil)
 	if s, tokens := r.state.Load(), len(r.wake); s != 0 || tokens != 0 {
 		t.Errorf("after an unparked join: state %#x, %d wake-ups pending, want 0 and 0", s, tokens)
 	}
@@ -347,10 +333,9 @@ func cpuTime(t *testing.T) time.Duration {
 // parked in the blocking receive and an idle process burns nothing — a
 // worker still polling would burn the whole stretch.
 func TestPoolParksWhenIdle(t *testing.T) {
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
+	pool := poolOf(2)
 	body := func(lo, hi int) { busyFor(20 * time.Microsecond) }
-	saturate(t, 2, body)
+	saturate(t, pool, 2, body)
 	time.Sleep(20 * hotWindow)
 	const idle = 50 * time.Millisecond
 	before := cpuTime(t)
@@ -366,15 +351,12 @@ func TestPoolParksWhenIdle(t *testing.T) {
 // what such a process does cannot depend on whether its helper's core is
 // really there.
 func TestPoolColdWhenSparse(t *testing.T) {
-	old := SetMaxWorkers(2)
-	defer SetMaxWorkers(old)
+	pool := NewPool(2) // fresh, so cold
 	body := func(lo, hi int) { busyFor(20 * time.Microsecond) }
-	// Whatever heat earlier tests left drains with the first region.
-	time.Sleep(heatCap/idleWeight + 50*time.Millisecond)
 	hot := counterDelta(poolHotPickups, func() {
 		for burst := 0; burst < 30; burst++ {
 			for i := 0; i < 40; i++ {
-				parallelFor(2, 1, body)
+				parallelFor(pool, 2, 1, body)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}

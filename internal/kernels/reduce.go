@@ -69,14 +69,14 @@ func sumSqRange(a *sumSqArgs, lo, hi int) {
 // notes serializes the model update against the entire backprop
 // (Section 3.2.3). Large inputs are reduced on the persistent worker pool;
 // the result is the same at every worker count.
-func SumSquares(x []float32) float64 {
+func (pool *Pool) SumSquares(x []float32) float64 {
 	n := len(x)
 	if n <= sumSqBlock {
 		return sumSqFold(x)
 	}
 	blocks := (n + sumSqBlock - 1) / sumSqBlock
 	p := getPartials(blocks)
-	sumSqBodies.run(blocks, grainFor(blocks, sumSqBlock), sumSqArgs{x: x, part: *p}, sumSqRange)
+	sumSqBodies.run(pool, blocks, grainFor(pool, blocks, sumSqBlock), sumSqArgs{x: x, part: *p}, sumSqRange)
 	var sum float64
 	for _, v := range *p {
 		sum += v

@@ -55,11 +55,11 @@ func expGo(dst, x []float32, m float32) {
 }
 
 // Softmax applies a row-wise softmax to a rows×n matrix.
-func Softmax(dst, x []float32, rows, n int) {
+func (pool *Pool) Softmax(dst, x []float32, rows, n int) {
 	if len(x) != rows*n || len(dst) != rows*n {
 		panic(fmt.Sprintf("kernels: Softmax dims x=%d dst=%d rows=%d n=%d", len(x), len(dst), rows, n))
 	}
-	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dst, x: x, n: n}, softmaxRange)
+	rowBodies.run(pool, rows, grainFor(pool, rows, n), rowArgs{dst: dst, x: x, n: n}, softmaxRange)
 }
 
 func softmaxRange(ra *rowArgs, lo, hi int) {
@@ -73,11 +73,11 @@ func softmaxRange(ra *rowArgs, lo, hi int) {
 // softmax output y and upstream gradient dY:
 //
 //	dX[i] = y[i] * (dY[i] - sum_j dY[j]*y[j])
-func SoftmaxGrad(dX, dY, y []float32, rows, n int) {
+func (pool *Pool) SoftmaxGrad(dX, dY, y []float32, rows, n int) {
 	if len(dX) != rows*n || len(dY) != rows*n || len(y) != rows*n {
 		panic("kernels: SoftmaxGrad dims mismatch")
 	}
-	rowBodies.run(rows, grainFor(rows, n), rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
+	rowBodies.run(pool, rows, grainFor(pool, rows, n), rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
 }
 
 // softmaxGradRange computes dX for rows [lo, hi), four rows per pass

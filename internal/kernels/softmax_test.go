@@ -204,7 +204,7 @@ func BenchmarkSoftmax(b *testing.B) {
 			b.SetBytes(int64(8 * len(x)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				Softmax(y, x, rows, n)
+				processPool.Softmax(y, x, rows, n)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/element")
 		})

@@ -177,7 +177,7 @@ func TestAddRowMatchesParentLoop(t *testing.T) {
 						}
 					}
 					got = append(got[:0], y...)
-					AccumulateInto(got, x)
+					processPool.AccumulateInto(got, x)
 					if i := sameTail(got, want, c); i >= 0 {
 						t.Fatalf("AccumulateInto %s: [%d] differs", id, i)
 					}
@@ -194,7 +194,7 @@ func TestAddRowMatchesParentLoop(t *testing.T) {
 					for i := range want {
 						want[i] += bias[i%n]
 					}
-					AddBias(x, bias, m, n)
+					processPool.AddBias(x, bias, m, n)
 					if i := sameTail(x, want, c); i >= 0 {
 						t.Fatalf("AddBias m=%d n=%d %v: [%d] differs", m, n, c, i)
 					}
@@ -294,16 +294,15 @@ func TestLayerNormRowsMatchParentLoops(t *testing.T) {
 					check("in place", inPlace, mean, invStd, save)
 
 					for _, workers := range []int{1, 3} {
-						old := SetMaxWorkers(workers)
-						LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, eps)
-						SetMaxWorkers(old)
+						pool := poolOf(workers)
+						pool.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, eps)
 						check(fmt.Sprintf("LayerNormForward workers=%d", workers), y, mean, invStd, nil)
 					}
 
 					ep := &Epilogue{Kind: EpilogueBiasResidualLayerNorm, Gamma: gamma, Beta: beta, Eps: eps,
 						X: save, Mean: mean, InvStd: invStd}
 					copy(inPlace, x)
-					ep.finalizeLNRows(inPlace, 0, rows, n)
+					ep.finalizeLNRows(nil, inPlace, 0, rows, n)
 					check("finalizeLNRows", inPlace, mean, invStd, save)
 				}
 			}
@@ -330,10 +329,10 @@ func TestLayerNormGoBodyRoundsEveryOperation(t *testing.T) {
 	dG0, dB0 := randSlice(r, n), randSlice(r, n)
 	withKernel(&scalarKernel, func() {
 		y, mean, invStd := make([]float32, rows*n), make([]float32, rows), make([]float32, rows)
-		LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, eps)
+		processPool.LayerNormForward(y, x, gamma, beta, mean, invStd, rows, n, eps)
 		dX := make([]float32, rows*n)
 		dG, dB := append([]float32(nil), dG0...), append([]float32(nil), dB0...)
-		LayerNormBackward(dX, dG, dB, dY, x, gamma, mean, invStd, rows, n)
+		processPool.LayerNormBackward(dX, dG, dB, dY, x, gamma, mean, invStd, rows, n)
 
 		fn := float32(n)
 		invN := div(1, fn)
@@ -396,12 +395,12 @@ func TestGEMMPackedEpilogueIgnoresOldC(t *testing.T) {
 				ep := makeEpilogue(r, kind, m, n, false)
 				for _, pb := range []*PackedB{PackWeight(false, n, k, b), describeWeight(false, n, k, b)} {
 					want := make([]float32, m*n)
-					GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, want)
+					GEMMPathFused.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, want)
 					got := make([]float32, m*n)
 					for i := range got {
 						got[i] = float32(math.NaN())
 					}
-					GEMMPathFused.GEMMPackedEpilogue(false, m, n, k, 1, a, pb, ep, got)
+					GEMMPathFused.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("%s %dx%dx%d: element %d is %v over old NaN, %v over zeros", kind, m, n, k, i, got[i], want[i])
 					}
@@ -436,7 +435,7 @@ func BenchmarkGEMMEpilogue(b *testing.B) {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, kind), func(b *testing.B) {
 				b.SetBytes(4 * int64(s.m*s.n)) // the output the tail streams
 				for i := 0; i < b.N; i++ {
-					GEMMPathAuto.GEMMPackedEpilogue(false, s.m, s.n, s.k, 1, a, pb, ep, c)
+					GEMMPathAuto.GEMMPackedEpilogue(nil, false, s.m, s.n, s.k, 1, a, pb, ep, c)
 				}
 			})
 		}

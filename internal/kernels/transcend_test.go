@@ -219,10 +219,10 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			off := n % 8
 			x := input(off+n, 3)[off:]
 			y := make([]float32, off+n)[off:]
-			GeLUForward(y, x)
+			processPool.GeLUForward(y, x)
 			record(fmt.Sprintf("GeLUForward n=%d", n), y...)
 			dY := append(make([]float32, off), normalSlice(r.Uint64(), n, 1)...)[off:]
-			GeLUBackward(dY, dY, x)
+			processPool.GeLUBackward(dY, dY, x)
 			record(fmt.Sprintf("GeLUBackward n=%d", n), dY...)
 
 			if n == 0 {
@@ -230,7 +230,7 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			}
 			rows := 1 + n%3
 			s := input(off+rows*n, 4)[off:]
-			Softmax(s, s, rows, n)
+			processPool.Softmax(s, s, rows, n)
 			record(fmt.Sprintf("Softmax %dx%d", rows, n), s...)
 			logits := input(off+rows*n, 4)[off:]
 			probs := make([]float32, rows*n)
@@ -238,7 +238,7 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			for i := range targets {
 				targets[i] = r.Intn(n+1) - 1 // IgnoreIndex included
 			}
-			loss := CrossEntropyForward(probs, logits, targets, rows, n)
+			loss := processPool.CrossEntropyForward(probs, logits, targets, rows, n)
 			lb := math.Float64bits(loss)
 			record(fmt.Sprintf("CrossEntropyForward %dx%d", rows, n), append(probs, math.Float32frombits(uint32(lb)), math.Float32frombits(uint32(lb>>32)))...)
 
@@ -249,7 +249,7 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			c := make([]float32, off+rows*n)[off:]
 			xs := make([]float32, rows*n)
 			// The forced fused route: the tail on the fused write-back at every shape.
-			GEMMPathFused.GEMMPackedEpilogue(false, rows, n, k, 1, a, PackWeight(true, n, k, w), &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias, X: xs}, c)
+			GEMMPathFused.GEMMPackedEpilogue(nil, false, rows, n, k, 1, a, PackWeight(true, n, k, w), &Epilogue{Kind: EpilogueBiasGeLU, Bias: bias, X: xs}, c)
 			for i, xv := range xs {
 				if g, w := math.Float32bits(c[i]), math.Float32bits(geluScalar(xv)); g != w {
 					t.Fatalf("f32 bias+GeLU epilogue %dx%d element %d: GELU(%v) = %#08x, want %#08x", rows, n, i, xv, g, w)
@@ -275,7 +275,7 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			out := make([]float32, size)
 			// Both products on the naive loops, the same Go code on every
 			// entry, so only the softmax's exp can tell entries apart.
-			GEMMPathNaive.AttentionRagged(out, q, kk, v, offsets, heads, dHead, 0.35, causal)
+			GEMMPathNaive.AttentionRagged(nil, out, q, kk, v, offsets, heads, dHead, 0.35, causal)
 			record(fmt.Sprintf("AttentionRagged causal=%v", causal), out...)
 		}
 		return names, outs

@@ -7,12 +7,12 @@ import "fmt"
 // (b·h + head) holds the n×dHead block for that head. This is the "split
 // to create the query, key and value vectors for each attention head"
 // step of Section 3.2.2.
-func SplitHeads(dst, x []float32, b, n, heads, dHead int) {
+func (pool *Pool) SplitHeads(dst, x []float32, b, n, heads, dHead int) {
 	dModel := heads * dHead
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: SplitHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	rowBodies.run(b*n, grainFor(b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, splitHeadsRange)
+	rowBodies.run(pool, b*n, grainFor(pool, b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, splitHeadsRange)
 }
 
 func splitHeadsRange(ra *rowArgs, lo, hi int) {
@@ -30,12 +30,12 @@ func splitHeadsRange(ra *rowArgs, lo, hi int) {
 
 // MergeHeads is the inverse of SplitHeads: it concatenates per-head
 // (B·h)×n×dHead outputs back into (B·n)×dModel rows.
-func MergeHeads(dst, x []float32, b, n, heads, dHead int) {
+func (pool *Pool) MergeHeads(dst, x []float32, b, n, heads, dHead int) {
 	dModel := heads * dHead
 	if len(x) != b*n*dModel || len(dst) != b*n*dModel {
 		panic(fmt.Sprintf("kernels: MergeHeads dims x=%d dst=%d b=%d n=%d h=%d dHead=%d", len(x), len(dst), b, n, heads, dHead))
 	}
-	rowBodies.run(b*n, grainFor(b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, mergeHeadsRange)
+	rowBodies.run(pool, b*n, grainFor(pool, b*n, dModel), rowArgs{dst: dst, x: x, n: n, heads: heads, dHead: dHead}, mergeHeadsRange)
 }
 
 func mergeHeadsRange(ra *rowArgs, lo, hi int) {

@@ -10,8 +10,8 @@ import (
 // softmax probabilities to probs for reuse by the backward pass. Rows
 // whose target is IgnoreIndex contribute neither loss nor gradient —
 // BERT's masked-LM loss only scores the ~15% masked positions.
-func CrossEntropyForward(probs, logits []float32, targets []int, rows, classes int) float64 {
-	sum, count := CrossEntropySumForward(probs, logits, targets, rows, classes, 0, 0)
+func (pool *Pool) CrossEntropyForward(probs, logits []float32, targets []int, rows, classes int) float64 {
+	sum, count := pool.CrossEntropySumForward(probs, logits, targets, rows, classes, 0, 0)
 	if count == 0 {
 		return 0
 	}
@@ -25,11 +25,11 @@ func CrossEntropyForward(probs, logits []float32, targets []int, rows, classes i
 // micro-batch calls in row order — the exact float64 addition sequence of
 // one full-batch call — so the accumulated mean is bitwise-identical to
 // the full-batch mean.
-func CrossEntropySumForward(probs, logits []float32, targets []int, rows, classes int, sum float64, count int) (float64, int) {
+func (pool *Pool) CrossEntropySumForward(probs, logits []float32, targets []int, rows, classes int, sum float64, count int) (float64, int) {
 	if len(logits) != rows*classes || len(probs) != rows*classes || len(targets) != rows {
 		panic(fmt.Sprintf("kernels: CrossEntropyForward dims rows=%d classes=%d", rows, classes))
 	}
-	Softmax(probs, logits, rows, classes)
+	pool.Softmax(probs, logits, rows, classes)
 	for r, t := range targets {
 		if t == IgnoreIndex {
 			continue
@@ -53,14 +53,14 @@ const IgnoreIndex = -1
 // CrossEntropyBackward computes the logit gradient of the mean
 // cross-entropy loss: dLogits[r,c] = (probs[r,c] - 1{c==target_r}) / count
 // for scored rows and zero for ignored rows.
-func CrossEntropyBackward(dLogits, probs []float32, targets []int, rows, classes int) {
+func (pool *Pool) CrossEntropyBackward(dLogits, probs []float32, targets []int, rows, classes int) {
 	count := 0
 	for _, t := range targets {
 		if t != IgnoreIndex {
 			count++
 		}
 	}
-	CrossEntropyBackwardCount(dLogits, probs, targets, rows, classes, count)
+	pool.CrossEntropyBackwardCount(dLogits, probs, targets, rows, classes, count)
 }
 
 // CrossEntropyBackwardCount is CrossEntropyBackward with the scored-row
@@ -68,7 +68,7 @@ func CrossEntropyBackward(dLogits, probs []float32, targets []int, rows, classes
 // targets. Gradient accumulation passes the FULL batch's count so each
 // micro-batch's logit gradient carries the full-batch 1/count
 // normalization and the summed gradients match a full-batch call bitwise.
-func CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, classes, count int) {
+func (pool *Pool) CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, classes, count int) {
 	if len(dLogits) != rows*classes || len(probs) != rows*classes || len(targets) != rows {
 		panic(fmt.Sprintf("kernels: CrossEntropyBackward dims rows=%d classes=%d", rows, classes))
 	}
@@ -77,7 +77,7 @@ func CrossEntropyBackwardCount(dLogits, probs []float32, targets []int, rows, cl
 		return
 	}
 	inv := 1 / float32(count)
-	rowBodies.run(rows, grainFor(rows, classes), rowArgs{dst: dLogits, x: probs, targets: targets, s: inv, n: classes}, xentGradRange)
+	rowBodies.run(pool, rows, grainFor(pool, rows, classes), rowArgs{dst: dLogits, x: probs, targets: targets, s: inv, n: classes}, xentGradRange)
 }
 
 func xentGradRange(ra *rowArgs, lo, hi int) {

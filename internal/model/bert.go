@@ -211,11 +211,11 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 		ctx.Prof.Time("mlm_xent_fwd", profile.CatOutput, profile.Forward,
 			kernels.EWFLOPs(nl, 4), kernels.EWBytes(nl, 1, 1, ctx.ElemSize()), func() {
 				if m.accum.active {
-					m.accum.mlmSum, m.accum.mlmSeen = kernels.CrossEntropySumForward(
+					m.accum.mlmSum, m.accum.mlmSeen = ctx.Pool.CrossEntropySumForward(
 						m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab,
 						m.accum.mlmSum, m.accum.mlmSeen)
 				} else {
-					mlmLoss = kernels.CrossEntropyForward(m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab)
+					mlmLoss = ctx.Pool.CrossEntropyForward(m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab)
 				}
 			})
 	}
@@ -244,11 +244,11 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 	ctx.Prof.Time("nsp_xent_fwd", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(b.B*2, 4), kernels.EWBytes(b.B*2, 1, 1, ctx.ElemSize()), func() {
 			if m.accum.active {
-				m.accum.nspSum, m.accum.nspSeen = kernels.CrossEntropySumForward(
+				m.accum.nspSum, m.accum.nspSeen = ctx.Pool.CrossEntropySumForward(
 					m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2,
 					m.accum.nspSum, m.accum.nspSeen)
 			} else {
-				nspLoss = kernels.CrossEntropyForward(m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2)
+				nspLoss = ctx.Pool.CrossEntropyForward(m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2)
 			}
 		})
 
@@ -302,12 +302,12 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 				if m.accum.active {
 					// Normalize by the FULL batch's scored-row count so the
 					// summed micro-batch gradients match one full-batch step.
-					kernels.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmTotal)
+					ctx.Pool.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmTotal)
 				} else {
-					kernels.CrossEntropyBackward(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab)
+					ctx.Pool.CrossEntropyBackward(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab)
 				}
 				if s := ctx.EffectiveLossScale(); s != 1 {
-					kernels.Scale(dLogits.Data(), dLogits.Data(), s)
+					ctx.Pool.Scale(dLogits.Data(), dLogits.Data(), s)
 				}
 			})
 		dx := m.MLMDecoder.Backward(ctx, dLogits)
@@ -327,12 +327,12 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 	ctx.Prof.Time("nsp_xent_bwd", profile.CatOutput, profile.Backward,
 		kernels.EWFLOPs(b.B*2, 2), kernels.EWBytes(b.B*2, 1, 1, es), func() {
 			if m.accum.active {
-				kernels.CrossEntropyBackwardCount(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2, m.accum.nspTotal)
+				ctx.Pool.CrossEntropyBackwardCount(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2, m.accum.nspTotal)
 			} else {
-				kernels.CrossEntropyBackward(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2)
+				ctx.Pool.CrossEntropyBackward(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2)
 			}
 			if s := ctx.EffectiveLossScale(); s != 1 {
-				kernels.Scale(dNSPLogits.Data(), dNSPLogits.Data(), s)
+				ctx.Pool.Scale(dNSPLogits.Data(), dNSPLogits.Data(), s)
 			}
 		})
 	dPooledTanh := m.NSP.Backward(ctx, dNSPLogits)
@@ -569,22 +569,25 @@ func (m *BERT) NumParams() int {
 	return total
 }
 
-// ZeroGrads clears all parameter gradients in one pool region, including
-// any pending token-scatter accumulation from an abandoned half-iteration.
+// ZeroGrads clears all parameter gradients in one region of the process
+// pool, including any pending token-scatter accumulation from an abandoned
+// half-iteration.
 func (m *BERT) ZeroGrads() {
 	m.gradBufs = zeroGrads(m.gradBufs, m.Params())
 	m.Embed.DropTokScatter()
 }
 
-// zeroGrads clears the gradients of params at once (kernels.ZeroAll),
-// collecting their buffers into bufs, which it returns for reuse. The
-// buffers are read at every call: a distributed trainer rebinds them.
+// zeroGrads clears the gradients of params at once (Pool.ZeroAll on the
+// process pool), collecting their buffers into bufs, which it returns for
+// reuse. The buffers are read at every call: a distributed trainer rebinds
+// them.
 func zeroGrads(bufs [][]float32, params []*nn.Param) [][]float32 {
 	bufs = bufs[:0]
 	for _, p := range params {
 		bufs = append(bufs, p.Grad.Data())
 	}
-	kernels.ZeroAll(bufs...)
+	var process *kernels.Pool // nil: the process pool
+	process.ZeroAll(bufs...)
 	return bufs
 }
 

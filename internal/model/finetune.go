@@ -72,8 +72,8 @@ func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
 	var loss float64
 	ctx.Prof.Time("span_xent_fwd", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(2*b.B*b.N, 4), kernels.EWBytes(2*b.B*b.N, 1, 1, es), func() {
-			loss = 0.5*kernels.CrossEntropyForward(f.startProbs.Data(), start.Data(), b.StartPos, b.B, b.N) +
-				0.5*kernels.CrossEntropyForward(f.endProbs.Data(), end.Data(), b.EndPos, b.B, b.N)
+			loss = 0.5*ctx.Pool.CrossEntropyForward(f.startProbs.Data(), start.Data(), b.StartPos, b.B, b.N) +
+				0.5*ctx.Pool.CrossEntropyForward(f.endProbs.Data(), end.Data(), b.EndPos, b.B, b.N)
 		})
 	return loss
 }
@@ -91,8 +91,8 @@ func (f *FineTuner) Backward(ctx *nn.Ctx) {
 	dLogits := ctx.NewActivation(b.B*b.N, 2)
 	ctx.Prof.Time("span_xent_bwd", profile.CatOutput, profile.Backward,
 		kernels.EWFLOPs(2*b.B*b.N, 2), kernels.EWBytes(2*b.B*b.N, 1, 1, es), func() {
-			kernels.CrossEntropyBackward(dStart.Data(), f.startProbs.Data(), b.StartPos, b.B, b.N)
-			kernels.CrossEntropyBackward(dEnd.Data(), f.endProbs.Data(), b.EndPos, b.B, b.N)
+			ctx.Pool.CrossEntropyBackward(dStart.Data(), f.startProbs.Data(), b.StartPos, b.B, b.N)
+			ctx.Pool.CrossEntropyBackward(dEnd.Data(), f.endProbs.Data(), b.EndPos, b.B, b.N)
 			dd := dLogits.Data()
 			for s := 0; s < b.B; s++ {
 				for t := 0; t < b.N; t++ {

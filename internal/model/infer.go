@@ -152,11 +152,11 @@ func (m *BERT) mlmLogits(ctx *nn.Ctx, seq *tensor.Tensor, rows []int) *tensor.Te
 // calls this once at load, so steady-state traffic never takes a
 // pack-cache miss: frozen weights never bump their generation, which is
 // exactly the 100% reuse regime the pack cache was designed around.
-// Returns the number of packs built.
-func (m *BERT) WarmupInference() int {
+// The packs are built on pool. Returns the number of packs built.
+func (m *BERT) WarmupInference(pool *kernels.Pool) int {
 	warmed := 0
 	warm := func(l *nn.Linear) {
-		l.WarmPack()
+		l.WarmPack(pool)
 		warmed++
 	}
 	for _, layer := range m.Layers {

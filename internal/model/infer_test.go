@@ -82,6 +82,9 @@ func encodeAndLogits(m *BERT, ctx *nn.Ctx, b *data.Ragged, positions [][]int) (s
 // even a one-row product stays on the engine (2·1·128·128 = smallGEMMFlops);
 // a narrower model can cross the size rule as the row count changes — the
 // caveat StepAccum and the sparse MLM head carry too.
+// widthPools holds the kernel pool of each width the ragged tests run at.
+var widthPools = map[int]*kernels.Pool{1: kernels.NewPool(1), 3: kernels.NewPool(3)}
+
 func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 	wide := Config{Vocab: 256, MaxPos: 32, NumLayers: 2, DModel: 128, Heads: 2, DFF: 256, DropProb: 0.1}
 	for _, tc := range []struct {
@@ -95,7 +98,6 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 	} {
 		for _, causal := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/causal=%v", tc.path, causal), func(t *testing.T) {
-				defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(1))
 				cfg := tc.cfg
 				cfg.Causal = causal
 				m, err := New(cfg, 17)
@@ -110,14 +112,13 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 				aloneLogits := make([]*tensor.Tensor, len(lens))
 				for s := range lens {
 					b, ps := pick(all, positions, s)
-					aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, &nn.Ctx{Route: tc.path}, b, ps)
+					aloneSeq[s], aloneLogits[s] = encodeAndLogits(m, &nn.Ctx{Route: tc.path, Pool: widthPools[1]}, b, ps)
 				}
 
 				for _, workers := range []int{1, 3} {
-					kernels.SetMaxWorkers(workers)
 					for _, order := range [][]int{{0, 1, 2, 3, 4, 5}, {3, 5, 0, 4, 2, 1}} {
 						b, ps := pick(all, positions, order...)
-						seq, logits := encodeAndLogits(m, &nn.Ctx{Route: tc.path}, b, ps)
+						seq, logits := encodeAndLogits(m, &nn.Ctx{Route: tc.path, Pool: widthPools[workers]}, b, ps)
 						logitRow := 0
 						for i, s := range order {
 							for r := 0; r < lens[s]; r++ {

@@ -31,7 +31,7 @@ func denseStep(m *BERT, ctx *nn.Ctx, b *data.Batch) (float64, *tensor.Tensor) {
 	x = m.MLMLN.Forward(ctx, x)
 	logits := m.MLMDecoder.Forward(ctx, x)
 	mlmProbs := tensor.New(b.B*b.N, cfg.Vocab)
-	mlmLoss := kernels.CrossEntropyForward(mlmProbs.Data(), logits.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
+	mlmLoss := ctx.Pool.CrossEntropyForward(mlmProbs.Data(), logits.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
 
 	// NSP head over the CLS token of each sequence.
 	cls := tensor.New(b.B, cfg.DModel)
@@ -45,13 +45,13 @@ func denseStep(m *BERT, ctx *nn.Ctx, b *data.Batch) (float64, *tensor.Tensor) {
 	}
 	nspLogits := m.NSP.Forward(ctx, pooledTanh)
 	nspProbs := tensor.New(b.B, 2)
-	nspLoss := kernels.CrossEntropyForward(nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2)
+	nspLoss := ctx.Pool.CrossEntropyForward(nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2)
 
 	// MLM head backward.
 	dLogits := tensor.New(b.B*b.N, cfg.Vocab)
-	kernels.CrossEntropyBackward(dLogits.Data(), mlmProbs.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
+	ctx.Pool.CrossEntropyBackward(dLogits.Data(), mlmProbs.Data(), b.MLMTargets, b.B*b.N, cfg.Vocab)
 	if s := ctx.EffectiveLossScale(); s != 1 {
-		kernels.Scale(dLogits.Data(), dLogits.Data(), s)
+		ctx.Pool.Scale(dLogits.Data(), dLogits.Data(), s)
 	}
 	dx := m.MLMDecoder.Backward(ctx, dLogits)
 	dx = m.MLMLN.Backward(ctx, dx)
@@ -60,9 +60,9 @@ func denseStep(m *BERT, ctx *nn.Ctx, b *data.Batch) (float64, *tensor.Tensor) {
 
 	// NSP head backward.
 	dNSPLogits := tensor.New(b.B, 2)
-	kernels.CrossEntropyBackward(dNSPLogits.Data(), nspProbs.Data(), b.NSPLabels, b.B, 2)
+	ctx.Pool.CrossEntropyBackward(dNSPLogits.Data(), nspProbs.Data(), b.NSPLabels, b.B, 2)
 	if s := ctx.EffectiveLossScale(); s != 1 {
-		kernels.Scale(dNSPLogits.Data(), dNSPLogits.Data(), s)
+		ctx.Pool.Scale(dNSPLogits.Data(), dNSPLogits.Data(), s)
 	}
 	dPooledTanh := m.NSP.Backward(ctx, dNSPLogits)
 	for i, td := range pooledTanh.Data() {

@@ -25,7 +25,7 @@ func (g *GeLU) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	// (scale, erf, add, halve, multiply).
 	ctx.Prof.Time("gelu_fwd", profile.CatGeLU, profile.Forward,
 		kernels.EWFLOPs(n, 5), kernels.EWBytes(n, 1, 1, es), func() {
-			kernels.GeLUForward(y.Data(), x.Data())
+			ctx.Pool.GeLUForward(y.Data(), x.Data())
 		})
 	ctx.StoreHalf(y)
 	return y
@@ -41,7 +41,7 @@ func (g *GeLU) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("gelu_bwd", profile.CatGeLU, profile.Backward,
 		kernels.EWFLOPs(n, 8), kernels.EWBytes(n, 2, 1, es), func() {
-			kernels.GeLUBackward(dX.Data(), dY.Data(), g.x.Data())
+			ctx.Pool.GeLUBackward(dX.Data(), dY.Data(), g.x.Data())
 		})
 	g.x = nil
 	return dX
@@ -85,7 +85,7 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 		d.mask = ctx.NewActivation(x.Shape()...)
 		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
 			0, int64(x.Size())*4, func() {
-				kernels.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+				ctx.Pool.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
 			})
 	}
 	y := ctx.NewActivation(x.Shape()...)
@@ -93,7 +93,7 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("dropout_fwd", d.Category, profile.Forward,
 		kernels.EWFLOPs(n, 1), kernels.EWBytes(n, 2, 1, es), func() {
-			kernels.DropoutApply(y.Data(), x.Data(), d.mask.Data())
+			ctx.Pool.DropoutApply(y.Data(), x.Data(), d.mask.Data())
 		})
 	return y
 }
@@ -108,7 +108,7 @@ func (d *Dropout) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("dropout_bwd", d.Category, profile.Backward,
 		kernels.EWFLOPs(n, 1), kernels.EWBytes(n, 2, 1, es), func() {
-			kernels.DropoutApply(dX.Data(), dY.Data(), d.mask.Data())
+			ctx.Pool.DropoutApply(dX.Data(), dY.Data(), d.mask.Data())
 		})
 	d.mask = nil
 	return dX

@@ -110,9 +110,9 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
-			kernels.SplitHeads(a.qh.Data(), q.Data(), b, n, a.heads, a.dHead)
-			kernels.SplitHeads(a.kh.Data(), k.Data(), b, n, a.heads, a.dHead)
-			kernels.SplitHeads(a.vh.Data(), v.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.SplitHeads(a.qh.Data(), q.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.SplitHeads(a.kh.Data(), k.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.SplitHeads(a.vh.Data(), v.Data(), b, n, a.heads, a.dHead)
 		})
 
 	// Attention scores: B·h batched GEMMs of n×n×dHead (Table 2b
@@ -125,7 +125,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	ctx.Prof.Time("attn_score_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
 		int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			ctx.Route.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, true, n, n, a.dHead, 1,
 				a.qh.Data(), stQK, a.kh.Data(), stQK, 0, scores.Data(), stS)
 		})
 
@@ -142,13 +142,13 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	if a.FusedSoftmax {
 		ctx.Prof.Time("attn_scale_mask_softmax_fused", profile.CatScaleMaskSM, profile.Forward,
 			kernels.EWFLOPs(nScores, 6), kernels.EWBytes(nScores, 1, 1, es), func() {
-				kernels.ScaleMaskSoftmaxAttention(a.softmaxOut.Data(), scores.Data(),
+				ctx.Pool.ScaleMaskSoftmaxAttention(a.softmaxOut.Data(), scores.Data(),
 					maskData, scale, a.Causal, b, a.heads, n)
 			})
 	} else {
 		ctx.Prof.Time("attn_scale", profile.CatScaleMaskSM, profile.Forward,
 			kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-				kernels.Scale(scores.Data(), scores.Data(), scale)
+				ctx.Pool.Scale(scores.Data(), scores.Data(), scale)
 			})
 		if mask != nil {
 			ctx.Prof.Time("attn_mask", profile.CatScaleMaskSM, profile.Forward,
@@ -183,7 +183,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 		}
 		ctx.Prof.Time("attn_softmax", profile.CatScaleMaskSM, profile.Forward,
 			kernels.EWFLOPs(nScores, 4), kernels.EWBytes(nScores, 1, 1, es), func() {
-				kernels.Softmax(a.softmaxOut.Data(), scores.Data(), batch*n, n)
+				ctx.Pool.Softmax(a.softmaxOut.Data(), scores.Data(), batch*n, n)
 			})
 	}
 
@@ -197,7 +197,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	ctx.Prof.Time("attn_output_bgemm", profile.CatAttnBGEMM, profile.Forward,
 		int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			ctx.Route.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, false, n, a.dHead, n, 1,
 				a.probs.Data(), stS, a.vh.Data(), stQK, 0, ctxOut.Data(), stQK)
 		})
 
@@ -205,7 +205,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	merged := ctx.NewActivation(tokens, a.inner())
 	ctx.Prof.Time("merge_heads", profile.CatOther, profile.Forward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
-			kernels.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
 		})
 
 	return merged
@@ -242,7 +242,7 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 	merged := ctx.NewActivation(tokens, a.inner())
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
-		ctx.Route.AttentionRagged(merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
+		ctx.Route.AttentionRagged(ctx.Pool, merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
 	})
 	return merged
 }
@@ -267,7 +267,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	sz := tokens * a.inner()
 	ctx.Prof.Time("split_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(sz, 1, 1, es), func() {
-			kernels.SplitHeads(dCtxOut.Data(), dMerged.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.SplitHeads(dCtxOut.Data(), dMerged.Data(), b, n, a.heads, a.dHead)
 		})
 
 	// Backward of output BGEMM (Table 2b "Attn. O/p" BWD rows):
@@ -277,9 +277,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	ctx.Prof.Time("attn_output_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
 		2*int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			ctx.Route.BatchedGEMM(batch, false, true, n, n, a.dHead, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, true, n, n, a.dHead, 1,
 				dCtxOut.Data(), stQK, a.vh.Data(), stQK, 0, dProbs.Data(), stS)
-			ctx.Route.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, true, false, n, a.dHead, n, 1,
 				a.probs.Data(), stS, dCtxOut.Data(), stQK, 0, dVh.Data(), stQK)
 		})
 
@@ -289,14 +289,14 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	nScores := batch * n * n
 	ctx.Prof.Time("attn_softmax_bwd", profile.CatScaleMaskSM, profile.Backward,
 		kernels.EWFLOPs(nScores, 4), kernels.EWBytes(nScores, 2, 1, es), func() {
-			kernels.SoftmaxGrad(dScores.Data(), dAfterDrop.Data(), a.softmaxOut.Data(), batch*n, n)
+			ctx.Pool.SoftmaxGrad(dScores.Data(), dAfterDrop.Data(), a.softmaxOut.Data(), batch*n, n)
 		})
 	// Mask add has identity gradient; scale backward multiplies by the
 	// same constant.
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	ctx.Prof.Time("attn_scale_bwd", profile.CatScaleMaskSM, profile.Backward,
 		kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-			kernels.Scale(dScores.Data(), dScores.Data(), scale)
+			ctx.Pool.Scale(dScores.Data(), dScores.Data(), scale)
 		})
 
 	// Backward of score BGEMM (Table 2b "Attn. Score" BWD rows):
@@ -306,9 +306,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	ctx.Prof.Time("attn_score_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
 		2*int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
 		2*int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			ctx.Route.BatchedGEMM(batch, false, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, false, n, a.dHead, n, 1,
 				dScores.Data(), stS, a.kh.Data(), stQK, 0, dQh.Data(), stQK)
-			ctx.Route.BatchedGEMM(batch, true, false, n, a.dHead, n, 1,
+			ctx.Route.BatchedGEMM(ctx.Pool, batch, true, false, n, a.dHead, n, 1,
 				dScores.Data(), stS, a.qh.Data(), stQK, 0, dKh.Data(), stQK)
 		})
 
@@ -318,9 +318,9 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	dV := ctx.NewActivation(tokens, a.inner())
 	ctx.Prof.Time("merge_heads_bwd", profile.CatOther, profile.Backward,
 		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
-			kernels.MergeHeads(dQ.Data(), dQh.Data(), b, n, a.heads, a.dHead)
-			kernels.MergeHeads(dK.Data(), dKh.Data(), b, n, a.heads, a.dHead)
-			kernels.MergeHeads(dV.Data(), dVh.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.MergeHeads(dQ.Data(), dQh.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.MergeHeads(dK.Data(), dKh.Data(), b, n, a.heads, a.dHead)
+			ctx.Pool.MergeHeads(dV.Data(), dVh.Data(), b, n, a.heads, a.dHead)
 		})
 
 	// Through the three input projections; their dX contributions sum
@@ -331,8 +331,8 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	nIn := tokens * a.Wq.In()
 	ctx.Prof.Time("attn_input_grad_sum", profile.CatOther, profile.Backward,
 		kernels.EWFLOPs(nIn, 2), kernels.EWBytes(nIn, 3, 1, es), func() {
-			kernels.AccumulateInto(dX.Data(), dXk.Data())
-			kernels.AccumulateInto(dX.Data(), dXv.Data())
+			ctx.Pool.AccumulateInto(dX.Data(), dXk.Data())
+			ctx.Pool.AccumulateInto(dX.Data(), dXv.Data())
 		})
 
 	a.qh, a.kh, a.vh, a.probs, a.softmaxOut, a.mask = nil, nil, nil, nil, nil, nil

@@ -206,7 +206,7 @@ func (e *Embedding) FlushTokScatter(ctx *Ctx) {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("embedding_scatter_flush", profile.CatEmbedding, profile.Backward,
 		kernels.EWFLOPs(touched, 1), kernels.EWBytes(touched, 2, 2, es), func() {
-			kernels.FlushRows(e.Tok.Grad.Data(), e.tokScatter.Data(), e.tokRows, e.dModel)
+			ctx.Pool.FlushRows(e.Tok.Grad.Data(), e.tokScatter.Data(), e.tokRows, e.dModel)
 		})
 	e.forgetTokRows()
 }

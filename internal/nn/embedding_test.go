@@ -51,7 +51,7 @@ func TestTokScatterFlushSparseMatchesDense(t *testing.T) {
 	flushMatchesDense := func(label string) {
 		t.Helper()
 		want := append([]float32(nil), e.Tok.Grad.Data()...)
-		kernels.AccumulateInto(want, e.tokScatter.Data())
+		ctx.Pool.AccumulateInto(want, e.tokScatter.Data())
 		e.FlushTokScatter(ctx)
 		for i, w := range want {
 			if g := e.Tok.Grad.Data()[i]; math.Float32bits(g) != math.Float32bits(w) {

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"demystbert/internal/kernels"
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
 )
@@ -151,7 +150,7 @@ func addGrad(ctx *Ctx, dst, src *tensor.Tensor) {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("residual_add_bwd", profile.CatDRRCLN, profile.Backward,
 		int64(n), int64(n)*int64(3*es), func() {
-			kernels.AccumulateInto(dst.Data(), src.Data())
+			ctx.Pool.AccumulateInto(dst.Data(), src.Data())
 		})
 }
 

@@ -47,7 +47,7 @@ func (l *LayerNorm) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	// LN is a reduction plus a few EW ops: ~8 ops/element.
 	ctx.Prof.Time("layernorm_fwd", profile.CatDRRCLN, profile.Forward,
 		kernels.EWFLOPs(n, 8), kernels.EWBytes(n, 1, 1, es), func() {
-			kernels.LayerNormForward(y.Data(), x.Data(), l.Gamma.Value.Data(), l.Beta.Value.Data(),
+			ctx.Pool.LayerNormForward(y.Data(), x.Data(), l.Gamma.Value.Data(), l.Beta.Value.Data(),
 				l.mean.Data(), l.invStd.Data(), rows, dim, l.Eps)
 		})
 	ctx.StoreHalf(y)
@@ -65,7 +65,7 @@ func (l *LayerNorm) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("layernorm_bwd", profile.CatDRRCLN, profile.Backward,
 		kernels.EWFLOPs(n, 14), kernels.EWBytes(n, 3, 1, es), func() {
-			kernels.LayerNormBackward(dX.Data(), l.Gamma.Grad.Data(), l.Beta.Grad.Data(),
+			ctx.Pool.LayerNormBackward(dX.Data(), l.Gamma.Grad.Data(), l.Beta.Grad.Data(),
 				dY.Data(), l.x.Data(), l.Gamma.Value.Data(), l.mean.Data(), l.invStd.Data(), rows, dim)
 		})
 	l.x, l.mean, l.invStd = nil, nil, nil
@@ -89,7 +89,7 @@ func (Residual) AddSkip(ctx *Ctx, x, skip *tensor.Tensor) *tensor.Tensor {
 	es := ctx.ElemSize()
 	ctx.Prof.Time("residual_add", profile.CatDRRCLN, profile.Forward,
 		kernels.EWFLOPs(n, 1), kernels.EWBytes(n, 2, 1, es), func() {
-			kernels.Add(y.Data(), x.Data(), skip.Data())
+			ctx.Pool.Add(y.Data(), x.Data(), skip.Data())
 		})
 	return y
 }

@@ -150,7 +150,7 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	m, n, k := tokens, l.out, l.in
 	ctx.Prof.Time("linear_fwd_gemm", l.Category, profile.Forward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			ctx.Route.GEMMPackedEpilogue(false, m, n, k, 1, x.Data(), l.W.Packed(ctx.Route, true, n, k), ep, y.Data())
+			ctx.Route.GEMMPackedEpilogue(ctx.Pool, false, m, n, k, 1, x.Data(), l.W.Packed(ctx.Route, ctx.Pool, true, n, k), ep, y.Data())
 		})
 	return y
 }
@@ -185,19 +185,19 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 	m, n, k := tokens, l.in, l.out
 	ctx.Prof.Time("linear_bwd_dgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			ctx.Route.GEMMPacked(false, m, n, k, 1, dY.Data(), l.W.Packed(ctx.Route, false, n, k), 0, dX.Data())
+			ctx.Route.GEMMPacked(ctx.Pool, false, m, n, k, 1, dY.Data(), l.W.Packed(ctx.Route, ctx.Pool, false, n, k), 0, dX.Data())
 		})
 
 	// dW += dY^T · X: (out×tokens)·(tokens×in).
 	m, n, k = l.out, l.in, tokens
 	ctx.Prof.Time("linear_bwd_wgrad_gemm", l.Category, profile.Backward,
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
-			ctx.Route.GEMM(true, false, m, n, k, 1, dY.Data(), l.x.Data(), 1, l.W.Grad.Data())
+			ctx.Route.GEMM(ctx.Pool, true, false, m, n, k, 1, dY.Data(), l.x.Data(), 1, l.W.Grad.Data())
 		})
 
 	ctx.Prof.Time("linear_bwd_bgrad", l.Category, profile.Backward,
 		kernels.EWFLOPs(tokens*l.out, 1), kernels.EWBytes(tokens*l.out, 1, 0, es)+int64(l.out*es), func() {
-			kernels.BiasGrad(l.B.Grad.Data(), dY.Data(), tokens, l.out)
+			ctx.Pool.BiasGrad(l.B.Grad.Data(), dY.Data(), tokens, l.out)
 		})
 	l.x = nil
 	ctx.StoreHalf(dX)
@@ -208,9 +208,9 @@ func (l *Linear) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
 // the serving warmup that turns every steady-state pack-cache lookup
 // into a hit, where Forward alone would pack per call on its first use and
 // build on its second. Frozen weights never bump their generation, so a
-// warmed pack stays valid for the life of the process.
-func (l *Linear) WarmPack() {
-	l.W.packs.Warm(true, l.out, l.in, l.W.Value.Data(), l.W.gen.Load())
+// warmed pack stays valid for the life of the process. It packs on pool.
+func (l *Linear) WarmPack(pool *kernels.Pool) {
+	l.W.packs.Warm(pool, true, l.out, l.in, l.W.Value.Data(), l.W.gen.Load())
 }
 
 // Params returns the weight and bias parameters.

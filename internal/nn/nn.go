@@ -67,14 +67,14 @@ func (p *Param) Gen() uint64 { return p.gen.Load() }
 func (p *Param) BumpGen() { p.gen.Add(1) }
 
 // Packed returns Value as the B operand of a kernels.GEMMPacked call on
-// route (op(B) is k×n; Value is stored n×k when transB is true, k×n
+// route and pool (op(B) is k×n; Value is stored n×k when transB is true, k×n
 // otherwise): the cached micro-panel packing from the second call on with
 // this orientation since the generation, shape, or kernel backend last
 // changed, and an un-built operand that packs per call on the first
 // (kernels.PackCache); the forced fused route builds at once. Concurrent readers are safe; the tied
 // MLM-decoder weight shares the embedding Param and therefore this cache.
-func (p *Param) Packed(route kernels.GEMMPath, transB bool, n, k int) *kernels.PackedB {
-	return p.packs.Get(route, transB, n, k, p.Value.Data(), p.gen.Load())
+func (p *Param) Packed(route kernels.GEMMPath, pool *kernels.Pool, transB bool, n, k int) *kernels.PackedB {
+	return p.packs.Get(route, pool, transB, n, k, p.Value.Data(), p.gen.Load())
 }
 
 // Ctx carries per-iteration execution state through forward and backward
@@ -118,6 +118,11 @@ type Ctx struct {
 	// kernels.GEMMPathAuto, is production's per-call routing; the forced
 	// routes are for differential tests (internal/audit).
 	Route kernels.GEMMPath
+
+	// Pool is the worker pool every kernel of a pass runs on. The zero
+	// value, nil, is the process pool, which production runs everywhere;
+	// tests pass pools of the widths they check.
+	Pool *kernels.Pool
 
 	// Tracer and Span carry request/step-scoped trace identity through
 	// the model's forward/backward plumbing, so phase spans (embed,

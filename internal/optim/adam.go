@@ -134,7 +134,7 @@ func (o *Adam) stepFused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 				for _, p := range group {
 					m, v := o.State(p)
 					md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
-					kernels.ParallelRange(len(gd), func(lo, hi int) {
+					ctx.Pool.ParallelRange(len(gd), func(lo, hi int) {
 						for i := lo; i < hi; i++ {
 							g := gd[i]
 							// Each product is rounded before its add,
@@ -168,21 +168,21 @@ func (o *Adam) stepUnfused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 
 		md, vd, gd, wd := m.Data(), v.Data(), p.Grad.Data(), p.Value.Data()
 		// m = beta1*m
-		run("adam_m_scale", 1, 1, func() { kernels.Scale(md, md, o.Beta1) })
+		run("adam_m_scale", 1, 1, func() { ctx.Pool.Scale(md, md, o.Beta1) })
 		// tmp = (1-beta1)*g
-		run("adam_g_scale", 1, 1, func() { kernels.Scale(tmp, gd, 1-o.Beta1) })
+		run("adam_g_scale", 1, 1, func() { ctx.Pool.Scale(tmp, gd, 1-o.Beta1) })
 		// m += tmp
-		run("adam_m_add", 2, 1, func() { kernels.AccumulateInto(md, tmp) })
+		run("adam_m_add", 2, 1, func() { ctx.Pool.AccumulateInto(md, tmp) })
 		// v = beta2*v
-		run("adam_v_scale", 1, 1, func() { kernels.Scale(vd, vd, o.Beta2) })
+		run("adam_v_scale", 1, 1, func() { ctx.Pool.Scale(vd, vd, o.Beta2) })
 		// tmp = g*g
-		run("adam_g_square", 1, 1, func() { kernels.Mul(tmp, gd, gd) })
+		run("adam_g_square", 1, 1, func() { ctx.Pool.Mul(tmp, gd, gd) })
 		// tmp = (1-beta2)*tmp
-		run("adam_gsq_scale", 1, 1, func() { kernels.Scale(tmp, tmp, 1-o.Beta2) })
+		run("adam_gsq_scale", 1, 1, func() { ctx.Pool.Scale(tmp, tmp, 1-o.Beta2) })
 		// v += tmp
-		run("adam_v_add", 2, 1, func() { kernels.AccumulateInto(vd, tmp) })
+		run("adam_v_add", 2, 1, func() { ctx.Pool.AccumulateInto(vd, tmp) })
 		// tmp = v/bc2 (bias-corrected velocity)
-		run("adam_v_bias", 1, 1, func() { kernels.Scale(tmp, vd, 1/bc2) })
+		run("adam_v_bias", 1, 1, func() { ctx.Pool.Scale(tmp, vd, 1/bc2) })
 		// tmp = sqrt(tmp) + eps
 		run("adam_sqrt_eps", 1, 1, func() {
 			for i := range tmp {
@@ -190,7 +190,7 @@ func (o *Adam) stepUnfused(ctx *nn.Ctx, params []*nn.Param, bc1, bc2 float32) {
 			}
 		})
 		// tmp2 = m/bc1 (bias-corrected momentum)
-		run("adam_m_bias", 1, 1, func() { kernels.Scale(tmp2, md, 1/bc1) })
+		run("adam_m_bias", 1, 1, func() { ctx.Pool.Scale(tmp2, md, 1/bc1) })
 		// tmp2 = tmp2/tmp
 		run("adam_div", 2, 1, func() {
 			for i := range tmp2 {
@@ -229,7 +229,7 @@ func (o *SGD) Step(ctx *nn.Ctx, params []*nn.Param) {
 		n := p.Size()
 		ctx.Prof.Time("sgd_apply", profile.CatOptimizer, profile.Update,
 			kernels.EWFLOPs(n, 2), kernels.EWBytes(n, 2, 1, fp32Size), func() {
-				kernels.SubScaled(p.Value.Data(), p.Grad.Data(), o.LR)
+				ctx.Pool.SubScaled(p.Value.Data(), p.Grad.Data(), o.LR)
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}

@@ -121,7 +121,7 @@ func (o *LAMB) prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
 	ctx.Prof.Time("lamb_global_gradnorm", profile.CatLAMBStage1, profile.Update,
 		totalFLOPs(params, 2), totalBytes(params, 1, 0), func() {
 			for _, p := range params {
-				ss += kernels.SumSquares(p.Grad.Data())
+				ss += ctx.Pool.SumSquares(p.Grad.Data())
 			}
 		})
 	return o.prepareSumSquares(ss)
@@ -157,7 +157,7 @@ func GradSumSquares(ctx *nn.Ctx, params []*nn.Param, dst []float64) {
 	ctx.Prof.Time("lamb_global_gradnorm", profile.CatLAMBStage1, profile.Update,
 		totalFLOPs(params, 2), totalBytes(params, 1, 0), func() {
 			for i, p := range params {
-				dst[i] = kernels.SumSquares(p.Grad.Data())
+				dst[i] = ctx.Pool.SumSquares(p.Grad.Data())
 			}
 		})
 }
@@ -189,7 +189,7 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 		var wSq, uSq float64
 		ctx.Prof.Time("lamb_stage1", profile.CatLAMBStage1, profile.Update,
 			kernels.EWFLOPs(n, 12), kernels.EWBytes(n, 4, 3, fp32Size), func() {
-				wSq, uSq = kernels.LAMBStage1(p.Grad.Data(), m.Data(), v.Data(), wd, ud,
+				wSq, uSq = ctx.Pool.LAMBStage1(p.Grad.Data(), m.Data(), v.Data(), wd, ud,
 					s.gradScale, o.Beta1, o.Beta2, s.bc1, s.bc2, o.Eps, o.WeightDecay)
 			})
 
@@ -202,7 +202,7 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 				if wNorm > 0 && uNorm > 0 {
 					trust = float32(wNorm / uNorm)
 				}
-				kernels.SubScaled(wd, ud, o.LR*trust)
+				ctx.Pool.SubScaled(wd, ud, o.LR*trust)
 			})
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}

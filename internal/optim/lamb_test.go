@@ -54,14 +54,13 @@ func firstBitDiff(a, b []float32) int {
 // same parameters and optimizer state at 1, 2 and GOMAXPROCS workers. The
 // float64 norms used to be partial sums whose grain depended on the pool
 // width, which made a LAMB trajectory reproducible per width only; the
-// fixed fold (kernels.SumSquares) removed that dependence.
+// fixed fold (Pool.SumSquares) removed that dependence.
 func TestLAMBTrajectoryWorkerInvariant(t *testing.T) {
 	run := func(workers int) []float32 {
-		defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(workers))
 		params := lambTestParams(51)
 		o := NewLAMB(0.01)
 		o.ClipNorm = 0.5 // below the gradient norm: the global fold matters too
-		ctx := &nn.Ctx{}
+		ctx := &nn.Ctx{Pool: poolOf(workers)}
 		gr := tensor.NewRNG(52)
 		for step := 0; step < 5; step++ {
 			fillGrads(gr, params)
@@ -82,10 +81,11 @@ func TestLAMBTrajectoryWorkerInvariant(t *testing.T) {
 // ‖u‖ and the apply — five passes, with the arithmetic written the way the
 // compiler was then free to contract.
 func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
+	var process *kernels.Pool // nil: the process pool
 	o.step++
 	var ss float64
 	for _, p := range params {
-		ss += kernels.SumSquares(p.Grad.Data())
+		ss += process.SumSquares(p.Grad.Data())
 	}
 	var gradScale float32 = 1
 	if norm := math.Sqrt(ss); o.ClipNorm > 0 && norm > o.ClipNorm {
@@ -109,8 +109,8 @@ func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
 	}
 	for _, p := range params {
 		wd, ud := p.Value.Data(), updates[p]
-		wNorm := math.Sqrt(kernels.SumSquares(wd))
-		uNorm := math.Sqrt(kernels.SumSquares(ud))
+		wNorm := math.Sqrt(process.SumSquares(wd))
+		uNorm := math.Sqrt(process.SumSquares(ud))
 		trust := float32(1)
 		if wNorm > 0 && uNorm > 0 {
 			trust = float32(wNorm / uNorm)
@@ -128,7 +128,7 @@ func TestLAMBStepBitwiseMatchesFivePass(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// Where the compiler fuses multiply-adds the five-pass body above
 		// computes different last bits than amd64 — the portability bug
-		// the explicit roundings in kernels.LAMBStage1 fixed.
+		// the explicit roundings in Pool.LAMBStage1 fixed.
 		t.Skip("the unrounded five-pass body is the reference only where the compiler does not fuse")
 	}
 	for _, clip := range []float64{0, 1e6, 0.25} {

@@ -3,6 +3,7 @@ package optim
 import (
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"demystbert/internal/kernels"
@@ -10,6 +11,23 @@ import (
 	"demystbert/internal/profile"
 	"demystbert/internal/tensor"
 )
+
+// widthPools holds the test binary's kernel pool of each width under test,
+// built on first use: like every pool, it lives as long as the process.
+var (
+	widthPoolsMu sync.Mutex
+	widthPools   = map[int]*kernels.Pool{}
+)
+
+// poolOf returns the test binary's kernel pool of width w.
+func poolOf(w int) *kernels.Pool {
+	widthPoolsMu.Lock()
+	defer widthPoolsMu.Unlock()
+	if widthPools[w] == nil {
+		widthPools[w] = kernels.NewPool(w)
+	}
+	return widthPools[w]
+}
 
 func makeParam(name string, r *tensor.RNG, shape ...int) *nn.Param {
 	p := nn.NewParam(name, shape...)
@@ -276,7 +294,6 @@ func TestOptimizersBitwiseAcrossWorkers(t *testing.T) {
 	}
 	// run returns every weight, m and v after three steps at w workers.
 	run := func(w int, mk func() (Optimizer, state)) []float32 {
-		defer kernels.SetMaxWorkers(kernels.SetMaxWorkers(w))
 		r := tensor.NewRNG(7)
 		params := []*nn.Param{
 			makeParam("bias", r, 256),
@@ -285,6 +302,7 @@ func TestOptimizersBitwiseAcrossWorkers(t *testing.T) {
 		}
 		o, st := mk()
 		ctx := nn.NewCtx(1)
+		ctx.Pool = poolOf(w)
 		for step := 0; step < 3; step++ {
 			fillGrads(r, params)
 			o.Step(ctx, params)

@@ -216,7 +216,7 @@ func New(cfg Config) (*Engine, error) {
 		e.ctx.Tracer = e.tracer
 	}
 	queueCap.Set(float64(cfg.QueueCap))
-	e.WarmedPacks = m.WarmupInference()
+	e.WarmedPacks = m.WarmupInference(e.ctx.Pool)
 	go e.run()
 	return e, nil
 }

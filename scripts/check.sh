@@ -36,12 +36,12 @@ if { grep -E '(layernorm|elementwise|softmax)\.go:' /tmp/kernels_arm64.txt; grep
 fi
 rm -f /tmp/kernels_arm64.txt /tmp/model_arm64.txt
 
-echo "== one pooling primitive and one reader of the width (no non-test Go file in internal/kernels or internal/memscale mentions sync.Pool, which a collection empties; in internal/kernels only parallel.go reads maxWorkers or MaxWorkers())"
+echo "== one pooling primitive and one reader of the width (no non-test Go file in internal/kernels or internal/memscale mentions sync.Pool, which a collection empties; in internal/kernels only parallel.go reads a pool's width field)"
 if grep -n 'sync\.Pool' $(ls internal/kernels/*.go internal/memscale/*.go | grep -v '_test\.go$'); then
 	echo "check: sync.Pool in internal/kernels or internal/memscale: use a free list (DESIGN.md §6)" >&2
 	exit 1
 fi
-if grep -nE 'maxWorkers|MaxWorkers\(\)' $(ls internal/kernels/*.go | grep -v '_test\.go$' | grep -v '/parallel\.go$'); then
+if grep -nE '\.width\b' $(ls internal/kernels/*.go | grep -v '_test\.go$' | grep -v '/parallel\.go$'); then
 	echo "check: the worker width is read outside internal/kernels/parallel.go: take a grain from grainFor or piecesPer" >&2
 	exit 1
 fi
@@ -67,7 +67,7 @@ GOMAXPROCS=1 go test -count=1 -timeout 5m ./internal/kernels/ ./internal/optim/ 
 echo "== DEMYSTBERT_NOSIMD=1 leg (kernels, optim, model, serve: the portable Go body behind every kernel-table entry — micro-kernels, packs, LAMB sweeps, GeLU/exp spans — end to end, ragged batch == alone and batched == serial included, which an AVX host otherwise never runs)"
 DEMYSTBERT_NOSIMD=1 go test -count=1 ./internal/kernels/ ./internal/optim/ ./internal/model/ ./internal/serve/
 
-echo "== re-run leg (kernels, nn, model, optim, serve, distnet twice in one process: a test that leans on process-global state — pool heat, obs counters, SetMaxWorkers, the kernels' free lists (every region, argument body and scratch buffer ever in use at once, kept for the life of the process), a group's sender goroutine outliving its Close — cannot pass by running first)"
+echo "== re-run leg (kernels, nn, model, optim, serve, distnet twice in one process: a test that leans on process-global state — pool heat, obs counters, the kernels' free lists (every region, argument body and scratch buffer ever in use at once, kept for the life of the process), a group's sender goroutine outliving its Close — cannot pass by running first)"
 go test -count=2 -short ./internal/kernels/ ./internal/nn/ ./internal/model/ ./internal/optim/ ./internal/serve/ ./internal/distnet/
 
 echo "== go test ./..."
