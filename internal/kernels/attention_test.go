@@ -105,3 +105,27 @@ func TestAttentionRaggedRejectsBadOffsets(t *testing.T) {
 		}()
 	}
 }
+
+// BenchmarkAttentionRaggedShort times AttentionRagged on one served
+// query of n tokens through 4 heads of 64, on a one-worker pool and on
+// the process pool. Below n = 16 both per-head products take the naive
+// loops (2·n·n·64 < smallGEMMFlops).
+func BenchmarkAttentionRaggedShort(b *testing.B) {
+	const heads, dHead = 4, 64
+	r := tensor.NewRNG(74)
+	for _, n := range []int{5, 10, 16, 64} {
+		size := n * heads * dHead
+		q, k, v, out := randSlice(r, size), randSlice(r, size), randSlice(r, size), make([]float32, size)
+		offsets := []int{0, n}
+		for _, pp := range []struct {
+			name string
+			pool *Pool
+		}{{"serial", poolOf(1)}, {"process", nil}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, pp.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					GEMMPathAuto.AttentionRagged(pp.pool, out, q, k, v, offsets, heads, dHead, 0.125, false)
+				}
+			})
+		}
+	}
+}

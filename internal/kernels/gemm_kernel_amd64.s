@@ -35,6 +35,12 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // Register plan: Y0-Y11 hold the 6×16 accumulator tile (two 8-lane vectors
 // per row), Y12/Y13 the current B vectors, Y14/Y15 broadcast A elements.
 // 12 FMAs per depth step; B feeds from L1, A from L2.
+//
+// Each depth step prefetches the B line it will read 16 steps later
+// (R11 = 16·ldb bytes ahead): 1 KiB ahead on a packed panel, 16 operand
+// rows ahead when B is read in place. A cold weight otherwise stalls
+// every step on its next line. The addresses run up to 16 rows past B's
+// end; PREFETCHT0 never faults (TestPrefetchPastBNeverFaults).
 TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-48
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
@@ -44,6 +50,8 @@ TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-48
 	MOVQ ldc+40(FP), R8
 	SHLQ $2, R10                // B depth stride in bytes
 	SHLQ $2, R8                 // row stride in bytes
+	MOVQ R10, R11
+	SHLQ $4, R11                // prefetch distance: 16 depth steps
 
 	// Seed the accumulator tile from C, row by row.
 	MOVQ    DI, R9
@@ -68,6 +76,7 @@ TEXT ·sgemmKernel6x16(SB), NOSPLIT, $0-48
 kloop:
 	VMOVUPS (DX), Y12
 	VMOVUPS 32(DX), Y13
+	PREFETCHT0 (DX)(R11*1)
 	VBROADCASTSS (SI), Y14
 	VBROADCASTSS 4(SI), Y15
 	VFMADD231PS Y12, Y14, Y0
@@ -127,7 +136,9 @@ kloop:
 // vectors per row), Z24/Z25 the current B vectors, Z26-Z31 rotate through
 // the broadcast A elements so six rows' broadcasts are in flight ahead of
 // their FMAs. 24 FMAs against 14 loads per depth step; B feeds from L1
-// (a 256-deep B micro-panel is 32 KiB), A from L2.
+// (a 256-deep B micro-panel is 32 KiB), A from L2. Like the 6×16 kernel,
+// each step prefetches the two B lines it reads 16 steps later (2 KiB
+// ahead on a packed panel).
 #define SEED12x32(lo, hi) \
 	VMOVUPS (R9), lo; \
 	VMOVUPS 64(R9), hi; \
@@ -157,6 +168,8 @@ TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-48
 	MOVQ ldc+40(FP), R8
 	SHLQ $2, R10                // B depth stride in bytes
 	SHLQ $2, R8                 // row stride in bytes
+	MOVQ R10, R11
+	SHLQ $4, R11                // prefetch distance: 16 depth steps
 
 	MOVQ DI, R9
 	SEED12x32(Z0, Z1)
@@ -191,6 +204,8 @@ TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-48
 kloop512:
 	VMOVUPS (DX), Z24
 	VMOVUPS 64(DX), Z25
+	PREFETCHT0 (DX)(R11*1)
+	PREFETCHT0 64(DX)(R11*1)
 	ROW12x32(0, Z26, Z0, Z1)
 	ROW12x32(4, Z27, Z2, Z3)
 	ROW12x32(8, Z28, Z4, Z5)

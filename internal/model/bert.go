@@ -79,8 +79,9 @@ type BERT struct {
 	// Gradient-accumulation state for an in-flight StepAccum.
 	accum accumState
 
-	params   []*nn.Param // Params, built on first use
-	gradBufs [][]float32 // ZeroGrads' reused list of gradient buffers
+	params   []*nn.Param   // Params, built on first use
+	gradBufs [][]float32   // ZeroGrads' reused list of gradient buffers
+	pool     *kernels.Pool // the last Forward's ctx pool, which ZeroGrads clears on
 }
 
 // accumState threads the loss fold and normalization counts across the
@@ -135,7 +136,7 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 // on ctx.
 func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 	ctx.ResetWorkspace()
-	m.batch = b
+	m.batch, m.pool = b, ctx.Pool
 	h := m.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
 
 	if m.CheckpointEvery > 0 {
@@ -569,25 +570,24 @@ func (m *BERT) NumParams() int {
 	return total
 }
 
-// ZeroGrads clears all parameter gradients in one region of the process
-// pool, including any pending token-scatter accumulation from an abandoned
+// ZeroGrads clears all parameter gradients in one region of the pool the
+// last Forward's ctx carried (the process pool before any Forward),
+// including any pending token-scatter accumulation from an abandoned
 // half-iteration.
 func (m *BERT) ZeroGrads() {
-	m.gradBufs = zeroGrads(m.gradBufs, m.Params())
+	m.gradBufs = zeroGrads(m.pool, m.gradBufs, m.Params())
 	m.Embed.DropTokScatter()
 }
 
-// zeroGrads clears the gradients of params at once (Pool.ZeroAll on the
-// process pool), collecting their buffers into bufs, which it returns for
-// reuse. The buffers are read at every call: a distributed trainer rebinds
-// them.
-func zeroGrads(bufs [][]float32, params []*nn.Param) [][]float32 {
+// zeroGrads clears the gradients of params at once (Pool.ZeroAll on
+// pool), collecting their buffers into bufs, which it returns for reuse.
+// The buffers are read at every call: a distributed trainer rebinds them.
+func zeroGrads(pool *kernels.Pool, bufs [][]float32, params []*nn.Param) [][]float32 {
 	bufs = bufs[:0]
 	for _, p := range params {
 		bufs = append(bufs, p.Grad.Data())
 	}
-	var process *kernels.Pool // nil: the process pool
-	process.ZeroAll(bufs...)
+	pool.ZeroAll(bufs...)
 	return bufs
 }
 

@@ -2,12 +2,14 @@ package model
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"demystbert/internal/data"
 	"demystbert/internal/kernels"
 	"demystbert/internal/nn"
+	"demystbert/internal/obs"
 	"demystbert/internal/profile"
 )
 
@@ -286,6 +288,57 @@ func TestZeroGrads(t *testing.T) {
 		for _, g := range p.Grad.Data() {
 			if g != 0 {
 				t.Fatal("ZeroGrads left nonzero gradient")
+			}
+		}
+	}
+}
+
+// TestZeroGradsClearsOnCtxPool: after a step on a ctx whose pool is one
+// worker wide, ZeroGrads clears on that pool — it dispatches no region
+// (a one-wide pool runs every region inline), where the process pool
+// would split the clear over its workers — and leaves every gradient +0,
+// for pre-training and fine-tuning alike.
+func TestZeroGradsClearsOnCtxPool(t *testing.T) {
+	cfg := Tiny()
+	cfg.DropProb = 0
+	m, err := New(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Log("one-wide process pool: the process pool would not dispatch either")
+	}
+	dispatches := func() float64 {
+		mt, ok := obs.Default.Find("kernels_pool_dispatches_total")
+		if !ok {
+			t.Fatal("kernels_pool_dispatches_total is not registered")
+		}
+		return mt.Value
+	}
+	ctx := nn.NewCtx(1)
+	ctx.Pool = kernels.NewPool(1)
+	f := NewFineTuner(m, 2)
+	gen := data.NewGenerator(cfg.Vocab, 0.15, 1)
+	for _, s := range []struct {
+		name   string
+		step   func()
+		zero   func()
+		params []*nn.Param
+	}{
+		{"pre-training", func() { m.Forward(ctx, gen.Next(2, 16)); m.Backward(ctx) }, m.ZeroGrads, m.Params()},
+		{"fine-tuning", func() { f.Forward(ctx, gen.NextQA(2, 16)); f.Backward(ctx) }, f.ZeroGrads, f.Params()},
+	} {
+		s.step()
+		before := dispatches()
+		s.zero()
+		if d := dispatches() - before; d != 0 {
+			t.Errorf("%s: ZeroGrads dispatched %v regions after a step on a one-wide pool", s.name, d)
+		}
+		for _, p := range s.params {
+			for _, g := range p.Grad.Data() {
+				if g != 0 {
+					t.Fatalf("%s: ZeroGrads left a nonzero gradient in %s", s.name, p.Name)
+				}
 			}
 		}
 	}

@@ -26,8 +26,9 @@ type FineTuner struct {
 	startProbs *tensor.Tensor
 	endProbs   *tensor.Tensor
 
-	params   []*nn.Param // Params, built on first use
-	gradBufs [][]float32 // ZeroGrads' reused list of gradient buffers
+	params   []*nn.Param   // Params, built on first use
+	gradBufs [][]float32   // ZeroGrads' reused list of gradient buffers
+	pool     *kernels.Pool // the last Forward's ctx pool, which ZeroGrads clears on
 }
 
 // NewFineTuner wraps a (typically pre-trained) BERT with a fresh span
@@ -45,7 +46,7 @@ func NewFineTuner(base *BERT, seed uint64) *FineTuner {
 // forward on ctx's workspace, as BERT.Forward does.
 func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
 	ctx.ResetWorkspace()
-	f.batch = b
+	f.batch, f.pool = b, ctx.Pool
 	h := f.Base.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
 	for _, layer := range f.Base.Layers {
 		h = layer.Forward(ctx, h, b.B, b.N, b.Mask)
@@ -138,9 +139,10 @@ func (f *FineTuner) Params() []*nn.Param {
 	return f.params[:len(f.params):len(f.params)]
 }
 
-// ZeroGrads clears all fine-tuning gradients in one pool region.
+// ZeroGrads clears all fine-tuning gradients in one region of the pool
+// the last Forward's ctx carried (the process pool before any Forward).
 func (f *FineTuner) ZeroGrads() {
-	f.gradBufs = zeroGrads(f.gradBufs, f.Params())
+	f.gradBufs = zeroGrads(f.pool, f.gradBufs, f.Params())
 }
 
 // PredictSpan runs inference over a QA batch and returns the

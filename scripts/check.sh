@@ -27,10 +27,10 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
-echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go or softmax.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, pooler, initial-weight and Adam bits)"
+echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler, initial-weight and Adam bits)"
 GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/kernels_arm64.txt 2>&1 || { tail -20 /tmp/kernels_arm64.txt; exit 1; }
 GOARCH=arm64 go build -gcflags=-S ./internal/model/ ./internal/tensor/ ./internal/optim/ >/tmp/model_arm64.txt 2>&1 || { tail -20 /tmp/model_arm64.txt; exit 1; }
-if { grep -E '(layernorm|elementwise|softmax)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
+if { grep -E '(layernorm|elementwise|softmax|gemm)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
 	echo "check: fused multiply-add in an arm64 listing that must round every product" >&2
 	exit 1
 fi
@@ -98,7 +98,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + GeLU + LAMB sweeps + softmax/exp + fused GEMM tails + dropout fill and column folds, 1 iteration)"
-go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|ShortStripe|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue|DropoutMask|BiasGrad|LayerNormBackward|SoftmaxGrad' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + streamed pre-packed weights + short ragged attention + GeLU + LAMB sweeps + softmax/exp + fused GEMM tails + dropout fill and column folds, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|ShortStripe|GEMMStreamedWeights|AttentionRaggedShort|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue|DropoutMask|BiasGrad|LayerNormBackward|SoftmaxGrad' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
