@@ -12,9 +12,10 @@ import (
 	"demystbert/internal/tensor"
 )
 
-// Special token ids, mirroring BERT's WordPiece conventions.
+// Special token ids, mirroring BERT's WordPiece conventions. Id 0 is
+// [PAD], which no batch here contains: generated sequences are full and
+// serving batches are ragged.
 const (
-	PadID  = 0
 	ClsID  = 1
 	SepID  = 2
 	MaskID = 3
@@ -182,28 +183,4 @@ func (b *Batch) MaskedCount() int {
 		}
 	}
 	return c
-}
-
-// NextVarLen generates a batch whose sequences have heterogeneous real
-// lengths in [minLen, n], padded with [PAD] to the bucket length n and
-// masked out of attention — the heterogeneity the paper notes makes NLP
-// iterations non-uniform (Section 3.1.4, citing SeqPoint). Padded
-// positions carry a large-negative attention mask and are never selected
-// as MLM targets.
-func (g *Generator) NextVarLen(b, n, minLen int) *Batch {
-	if minLen < 4 || minLen > n {
-		panic(fmt.Sprintf("data: minLen %d outside [4, %d]", minLen, n))
-	}
-	batch := g.Next(b, n)
-	for s := 0; s < b; s++ {
-		length := minLen + g.rng.Intn(n-minLen+1)
-		base := s * n
-		for i := length; i < n; i++ {
-			batch.Tokens[base+i] = PadID
-			batch.Segments[base+i] = 1 // padding continues segment B
-			batch.MLMTargets[base+i] = kernels.IgnoreIndex
-			batch.Mask.Set(-1e9, s, i)
-		}
-	}
-	return batch
 }

@@ -107,47 +107,3 @@ func TestGeneratorValidation(t *testing.T) {
 		}()
 	}
 }
-
-func TestVarLenBatchPadding(t *testing.T) {
-	g := NewGenerator(500, 0.15, 5)
-	b := g.NextVarLen(8, 32, 8)
-	pads := 0
-	for _, id := range b.Tokens {
-		if id == PadID {
-			pads++
-		}
-	}
-	if pads == 0 {
-		t.Fatal("variable-length batch has no padding")
-	}
-	for s := 0; s < b.B; s++ {
-		for i := 0; i < b.N; i++ {
-			pad := b.Tokens[s*b.N+i] == PadID
-			masked := b.Mask.At(s, i) < -1e8
-			if pad != masked {
-				t.Fatalf("seq %d pos %d: pad=%v but masked=%v", s, i, pad, masked)
-			}
-			if pad && b.MLMTargets[s*b.N+i] != kernels.IgnoreIndex {
-				t.Fatal("padding must not be an MLM target")
-			}
-		}
-		// Real tokens occupy a contiguous prefix of at least minLen.
-		realLen := 0
-		for i := 0; i < b.N && b.Tokens[s*b.N+i] != PadID; i++ {
-			realLen++
-		}
-		if realLen < 8 {
-			t.Fatalf("seq %d real length %d below minLen", s, realLen)
-		}
-	}
-}
-
-func TestVarLenValidation(t *testing.T) {
-	g := NewGenerator(500, 0.15, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	g.NextVarLen(2, 16, 2)
-}

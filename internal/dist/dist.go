@@ -54,15 +54,6 @@ type Profile struct {
 	Total time.Duration
 }
 
-// ComputeTotal sums all compute segments.
-func (p Profile) ComputeTotal() time.Duration {
-	var t time.Duration
-	for _, d := range p.Compute {
-		t += d
-	}
-	return t
-}
-
 // CommShare returns exposed communication's fraction of iteration time.
 func (p Profile) CommShare() float64 {
 	if p.Total == 0 {

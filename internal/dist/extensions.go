@@ -86,8 +86,3 @@ func ZeRO(name string, r *perfmodel.Result, devices int, dev device.Device) Prof
 		Total:   total + comm,
 	}
 }
-
-// UpdateShare returns the optimizer's fraction of the profile.
-func (p Profile) UpdateShare() float64 {
-	return p.Share(opgraph.ClassLAMB)
-}

@@ -45,7 +45,7 @@ func TestTensorSlicingInNetworkReducesComm(t *testing.T) {
 	if inNet.Total >= ring.Total {
 		t.Fatal("in-network TS must lower iteration time")
 	}
-	if inNet.ComputeTotal() != ring.ComputeTotal() {
+	if computeTotal(inNet) != computeTotal(ring) {
 		t.Fatal("in-network processing must not change on-device compute")
 	}
 }
@@ -58,9 +58,9 @@ func TestZeROShrinksOptimizerWork(t *testing.T) {
 	z := ZeRO("ZeRO-128", r, 128, dev)
 	// Takeaway from [69]: the redundant update disappears — optimizer
 	// compute scales down ~D (modulo launch overhead).
-	if z.UpdateShare() >= base.UpdateShare()/4 {
+	if z.Share(opgraph.ClassLAMB) >= base.Share(opgraph.ClassLAMB)/4 {
 		t.Fatalf("ZeRO update share %.4f should be far below baseline %.4f",
-			z.UpdateShare(), base.UpdateShare())
+			z.Share(opgraph.ClassLAMB), base.Share(opgraph.ClassLAMB))
 	}
 	// Communication volume is AllReduce-equivalent: comparable to plain
 	// DP without overlap.

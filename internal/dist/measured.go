@@ -36,16 +36,6 @@ type Prediction struct {
 	Hidden  time.Duration // communication overlapped with backward
 }
 
-// Efficiency returns the modeled scaling efficiency versus a measured
-// single-process step time: serialStep / predicted step. 1.0 is perfect
-// weak scaling.
-func (p Prediction) Efficiency(serialStep time.Duration) float64 {
-	if p.Step == 0 {
-		return 0
-	}
-	return float64(serialStep) / float64(p.Step)
-}
-
 // PredictDP predicts one data-parallel training step from measured
 // single-process compute and a measured link, using the same ring cost
 // and overlap schedule as the analytical Fig. 11 model.

@@ -78,13 +78,3 @@ func TestPredictDPMatchesRingCost(t *testing.T) {
 		}
 	}
 }
-
-func TestPredictionEfficiency(t *testing.T) {
-	p := Prediction{Step: 20 * time.Millisecond}
-	if got := p.Efficiency(10 * time.Millisecond); got != 0.5 {
-		t.Fatalf("efficiency %v, want 0.5", got)
-	}
-	if (Prediction{}).Efficiency(time.Second) != 0 {
-		t.Fatal("zero step must not divide by zero")
-	}
-}

@@ -2,7 +2,7 @@ package distnet
 
 import "fmt"
 
-// ReduceScatter and AllGather are the two halves of the ring AllReduce,
+// reduceScatter and AllGather are the two halves of the ring AllReduce,
 // exposed separately with CALLER-SUPPLIED chunk bounds. The trainer's
 // sharded update needs bounds aligned to parameter-tensor boundaries —
 // rank r owns the parameters in buf[bounds[r]:bounds[r+1]] — where
@@ -29,21 +29,16 @@ func (g *Group) checkBounds(buf []float32, bounds []int) error {
 	return nil
 }
 
-// ReduceScatter sums buf element-wise across ranks such that on return
+// reduceScatter sums buf element-wise across ranks such that on return
 // this rank's own chunk buf[bounds[rank]:bounds[rank+1]] holds the full
-// world-wide sum. Other chunks are left holding partial sums and must be
-// treated as garbage. Chunk c is folded in ring order starting after its
-// owner: acc = x_{c+1}, then acc = x_{c+1+k mod D} + acc for k = 1..D-1,
-// the last addend being the owner's own. At world=2 each element of the
-// owned chunk is one float addition — bit-identical to AllReduce's
-// reduced value.
-func (g *Group) ReduceScatter(tag uint32, buf []float32, bounds []int) error {
-	return g.reduceScatter(tag, buf, bounds, 1)
-}
-
-// reduceScatter is ReduceScatter with the owner computing
-// float32(acc+own)·scale on its last step, as allReduce does: the trainer
-// passes 1/world, the data-parallel average.
+// world-wide sum times scale. Other chunks are left holding partial sums
+// and must be treated as garbage. Chunk c is folded in ring order starting
+// after its owner: acc = x_{c+1}, then acc = x_{c+1+k mod D} + acc for
+// k = 1..D-1, the last addend being the owner's own, and the owner
+// computes float32(acc+own)·scale on that last step, as allReduce does:
+// the trainer passes 1/world, the data-parallel average. At world=2 and
+// scale 1 each element of the owned chunk is one float addition —
+// bit-identical to AllReduce's reduced value.
 func (g *Group) reduceScatter(tag uint32, buf []float32, bounds []int, scale float32) error {
 	if g.world == 1 {
 		return nil

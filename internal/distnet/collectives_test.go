@@ -59,7 +59,7 @@ func TestReduceScatterOwnChunkMatchesSum(t *testing.T) {
 			}
 		}
 		runCollective(t, groups, func(g *Group) error {
-			return g.ReduceScatter(0x1001, bufs[g.Rank()], bounds)
+			return g.reduceScatter(0x1001, bufs[g.Rank()], bounds, 1)
 		})
 		for r := 0; r < world; r++ {
 			for i := bounds[r]; i < bounds[r+1]; i++ {
@@ -121,7 +121,7 @@ func TestReduceScatterAllGatherComposesToAllReduce(t *testing.T) {
 
 	runCollective(t, groups, func(g *Group) error {
 		r := g.Rank()
-		if err := g.ReduceScatter(0x2001, composed[r], bounds); err != nil {
+		if err := g.reduceScatter(0x2001, composed[r], bounds, 1); err != nil {
 			return err
 		}
 		return g.AllGather(0x2002, composed[r], bounds)
@@ -155,7 +155,7 @@ func TestCollectivesAllocFree(t *testing.T) {
 	}{
 		{"AllReduce", func(g *Group) error { return g.AllReduce(1, bufs[g.Rank()]) }},
 		{"averaging allReduce", func(g *Group) error { return g.allReduce(2, bufs[g.Rank()], 0.5) }},
-		{"ReduceScatter", func(g *Group) error { return g.ReduceScatter(3, bufs[g.Rank()], bounds) }},
+		{"ReduceScatter", func(g *Group) error { return g.reduceScatter(3, bufs[g.Rank()], bounds, 1) }},
 		{"AllGather", func(g *Group) error { return g.AllGather(4, bufs[g.Rank()], bounds) }},
 	}
 	for _, o := range ops {
@@ -206,7 +206,7 @@ func TestCollectivesRejectBadBounds(t *testing.T) {
 		{0, 8, 10, 10}, // too many entries
 	}
 	for _, bounds := range cases {
-		if err := groups[0].ReduceScatter(0x3001, buf, bounds); err == nil {
+		if err := groups[0].reduceScatter(0x3001, buf, bounds, 1); err == nil {
 			t.Fatalf("ReduceScatter accepted bad bounds %v", bounds)
 		}
 		if err := groups[0].AllGather(0x3002, buf, bounds); err == nil {

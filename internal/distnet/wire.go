@@ -39,8 +39,9 @@ import (
 const (
 	protoVersion = 1
 
-	magicCtrl = 0x44420001 // rendezvous handshake conn
-	magicData = 0x44420002 // ring data conn
+	// magicData tags the first frame on a ring data conn, the dialer's
+	// rank in seq; a control conn opens with tagHello instead.
+	magicData = 0x44420002
 
 	frameHeaderBytes = 12
 

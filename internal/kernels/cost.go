@@ -22,12 +22,6 @@ func GEMMBytes(m, n, k int, elemSize int) int64 {
 	return int64(elemSize) * (int64(m)*int64(k) + int64(k)*int64(n) + int64(m)*int64(n))
 }
 
-// GEMMIntensity returns the arithmetic intensity (FLOPs per byte) of an
-// M×N×K GEMM, the quantity plotted in Fig. 6.
-func GEMMIntensity(m, n, k int, elemSize int) float64 {
-	return float64(GEMMFLOPs(m, n, k)) / float64(GEMMBytes(m, n, k, elemSize))
-}
-
 // EWFLOPs returns the operation count of an element-wise kernel over n
 // elements performing opsPerElem operations each.
 func EWFLOPs(n int, opsPerElem int) int64 {

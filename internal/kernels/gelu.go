@@ -275,8 +275,3 @@ func vecSpan(dst, x []float32, body func(dst, x []float32) uint64, ref func(floa
 	}
 	return fallbacks
 }
-
-// GeLUUnfusedKernelCount is the kernel count of an unfused GeLU forward:
-// scale (x/sqrt2), erf, add-one, halve, multiply-by-x (Section 3.2.3 lists
-// the EW add, multiply, divide and ERF steps).
-const GeLUUnfusedKernelCount = 5

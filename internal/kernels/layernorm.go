@@ -295,9 +295,3 @@ func lnGradColsRow(dg, db, x, dy []float32, mu, istd float32) {
 		db[i] += d
 	}
 }
-
-// LayerNormUnfusedKernelCount is the number of separate GPU kernels an
-// unfused layer-norm forward launches in the paper's fusion study
-// (Fig. 12a): mean reduction, centering, square, variance reduction,
-// rsqrt-normalize, gamma multiply, beta add.
-const LayerNormUnfusedKernelCount = 7

@@ -427,8 +427,8 @@ func (ap *argsPool[A]) run(pool *Pool, n, grain int, args A, f func(a *A, lo, hi
 	ap.bodies.put(b)
 }
 
-// closures runs closures through the one entry: ParallelRange, the naive
-// GEMM and tests use it. Unlike an args struct, a closure's captures
+// closures runs closures through the one entry: the naive GEMM and tests
+// use it. Unlike an args struct, a closure's captures
 // escape to the heap on every call.
 var closures argsPool[func(lo, hi int)]
 
@@ -437,14 +437,4 @@ func callClosure(f *func(lo, hi int), lo, hi int) { (*f)(lo, hi) }
 // parallelFor runs body over [0, n) in grain-sized chunks on pool.
 func parallelFor(pool *Pool, n, grain int, body func(lo, hi int)) {
 	closures.run(pool, n, grain, body, callClosure)
-}
-
-// ParallelRange runs body over disjoint half-open ranges that together
-// cover [0, n), the element indices of flat buffers, on pool. It is for
-// element-wise loops outside this package (the optimizers): body must
-// compute each element from that element's inputs alone, so the result
-// does not depend on where the ranges are cut or on the pool's width.
-// Buffers under minForkWork elements run inline.
-func (pool *Pool) ParallelRange(n int, body func(lo, hi int)) {
-	parallelFor(pool, n, grainFor(pool, n, 1), body)
 }

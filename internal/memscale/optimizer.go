@@ -7,7 +7,7 @@ import (
 )
 
 // Sharded is a virtual-shard optimizer-state engine: a single process
-// walks K = Plan.NumShards() shards of the optimizer state — Adam/LAMB's m
+// walks K = len(Plan.Shards) shards of the optimizer state — LAMB's m
 // and v, 8 bytes per parameter, 2× the model itself — keeping one shard's
 // m/v resident at a time and spilling the rest to the Arena between
 // iterations. Resident optimizer state drops to ~1/K at the cost of
@@ -15,16 +15,16 @@ import (
 // round-trip bitwise, so this equals the unsharded update. (Sharding the
 // state across data-parallel ranks is the distnet trainer's own update.)
 type Sharded struct {
-	Opt   optim.Shardable
+	Opt   *optim.LAMB
 	Plan  ShardPlan
 	Arena *Arena // spill store for non-resident shards
 
 	regions map[*nn.Param][2]Region // m, v spill regions
 }
 
-// NewSharded plans K shards over params and shards opt's state (LAMB or
-// Adam); SetArena enables the spilling.
-func NewSharded(opt optim.Shardable, params []*nn.Param, k int) (*Sharded, error) {
+// NewSharded plans K shards over params and shards opt's state; SetArena
+// enables the spilling.
+func NewSharded(opt *optim.LAMB, params []*nn.Param, k int) (*Sharded, error) {
 	plan, err := PlanShards(params, k)
 	if err != nil {
 		return nil, err

@@ -64,9 +64,6 @@ func PlanShards(params []*nn.Param, k int) (ShardPlan, error) {
 	return plan, nil
 }
 
-// NumShards returns K.
-func (pl ShardPlan) NumShards() int { return len(pl.Shards) }
-
 // Elems returns the total element count across all shards.
 func (pl ShardPlan) Elems() int { return pl.Bounds[len(pl.Bounds)-1] }
 

@@ -25,8 +25,8 @@ func TestPlanShardsPartitionIsExactAndAligned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan.NumShards() != k {
-			t.Fatalf("k=%d: %d shards", k, plan.NumShards())
+		if len(plan.Shards) != k {
+			t.Fatalf("k=%d: %d shards", k, len(plan.Shards))
 		}
 		// Every param exactly once, in order, with matching bounds.
 		idx, off := 0, 0

@@ -148,7 +148,7 @@ func TestTrainingPacksWeightsOnReuseOnly(t *testing.T) {
 	// plus MLM dense, the tied decoder, the pooler and the NSP classifier.
 	uses := int64(2 * (6*cfg.NumLayers + 4))
 	ctx := nn.NewCtx(1)
-	opt := optim.NewSGD(0.01)
+	opt := optim.NewLAMB(0.01)
 
 	for i := 0; i < 2; i++ {
 		d0, b0, h0 := packCounters(t)

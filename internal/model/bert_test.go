@@ -11,6 +11,7 @@ import (
 	"demystbert/internal/nn"
 	"demystbert/internal/obs"
 	"demystbert/internal/profile"
+	"demystbert/internal/tensor"
 )
 
 func tinyBatch(cfg Config, b, n int, seed uint64) *data.Batch {
@@ -344,6 +345,25 @@ func TestZeroGradsClearsOnCtxPool(t *testing.T) {
 	}
 }
 
+// padTails cuts every sequence of b to a length drawn from [minLen, b.N]
+// and pads the rest, the heterogeneous lengths of Section 3.1.4: [PAD]
+// tokens continuing segment 1, out of the MLM loss and masked out of
+// attention with -1e9. It returns the number of padded positions.
+func padTails(b *data.Batch, r *tensor.RNG, minLen int) int {
+	pads := 0
+	for s := 0; s < b.B; s++ {
+		base := s * b.N
+		for i := minLen + r.Intn(b.N-minLen+1); i < b.N; i++ {
+			b.Tokens[base+i] = 0 // [PAD]
+			b.Segments[base+i] = 1
+			b.MLMTargets[base+i] = kernels.IgnoreIndex
+			b.Mask.Set(-1e9, s, i)
+			pads++
+		}
+	}
+	return pads
+}
+
 // TestVarLenBatchTrains exercises the attention-mask path for real:
 // heterogeneous-length padded sequences train without padding leaking
 // into attention.
@@ -352,7 +372,10 @@ func TestVarLenBatchTrains(t *testing.T) {
 	cfg.DropProb = 0
 	m, _ := New(cfg, 1)
 	ctx := nn.NewCtx(1)
-	b := data.NewGenerator(cfg.Vocab, 0.15, 21).NextVarLen(4, 16, 6)
+	b := data.NewGenerator(cfg.Vocab, 0.15, 21).Next(4, 16)
+	if padTails(b, tensor.NewRNG(21), 6) == 0 {
+		t.Fatal("no sequence was padded")
+	}
 	loss := m.Step(ctx, b)
 	if loss <= 0 || math.IsNaN(loss) {
 		t.Fatalf("var-len step loss %v", loss)

@@ -174,23 +174,6 @@ func argmaxRow(t *tensor.Tensor, row int) int {
 	return best
 }
 
-// PredictMasked runs an inference forward pass of the pre-training model
-// and returns, for every masked position, the predicted token id — the
-// masked-word prediction task performed for real.
-func (m *BERT) PredictMasked(ctx *nn.Ctx, b *data.Batch) map[int]int {
-	prevTrain := ctx.Train
-	ctx.Train = false
-	m.Forward(ctx, b)
-	ctx.Train = prevTrain
-
-	preds := make(map[int]int, len(m.mlmRows))
-	for i, pos := range m.mlmRows {
-		preds[pos] = argmaxRow(m.mlmProbs, i)
-	}
-	m.dropIterationState()
-	return preds
-}
-
 // String describes the fine-tuner.
 func (f *FineTuner) String() string {
 	return fmt.Sprintf("FineTuner(span head over %d-layer encoder)", f.Base.Config.NumLayers)

@@ -146,7 +146,7 @@ func TestPredictMaskedReturnsMaskedPositionsOnly(t *testing.T) {
 	m, _ := New(cfg, 1)
 	gen := data.NewGenerator(cfg.Vocab, 0.15, 3)
 	b := gen.Next(2, 16)
-	preds := m.PredictMasked(nn.NewCtx(1), b)
+	preds := m.predictMasked(nn.NewCtx(1), b)
 	if len(preds) != b.MaskedCount() {
 		t.Fatalf("got %d predictions, want %d", len(preds), b.MaskedCount())
 	}

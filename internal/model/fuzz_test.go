@@ -56,7 +56,7 @@ func withInt32(b []byte, off int, v int32) []byte {
 }
 
 // FuzzLoad fuzzes the third place external bytes enter the process: a
-// checkpoint, through Load and through LoadParams into an existing model.
+// checkpoint, through Load.
 // Whatever the bytes, the outcome is an error, or a model whose Save
 // writes exactly the bytes that were read (trailing bytes aside) — never a
 // panic, and never an allocation a 40-byte header alone asked for.
@@ -112,24 +112,16 @@ func FuzzLoad(f *testing.F) {
 				t.Skipf("well-formed header of a %d-parameter model", n)
 			}
 		}
-		roundTrips := func(how string, m *BERT) {
-			var out bytes.Buffer
-			if err := m.Save(&out); err != nil {
-				t.Fatalf("%s: Save after a successful load: %v", how, err)
-			}
-			if !bytes.HasPrefix(data, out.Bytes()) {
-				t.Fatalf("%s accepted %d bytes that do not round-trip: Save writes %d", how, len(data), out.Len())
-			}
-		}
-		if m, err := Load(bytes.NewReader(data)); err == nil {
-			roundTrips("Load", m)
-		}
-		into, err := New(fuzzConfig, 2)
+		m, err := Load(bytes.NewReader(data))
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if err := into.LoadParams(bytes.NewReader(data)); err == nil {
-			roundTrips("LoadParams", into)
+		var out bytes.Buffer
+		if err := m.Save(&out); err != nil {
+			t.Fatalf("Save after a successful Load: %v", err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) {
+			t.Fatalf("Load accepted %d bytes that do not round-trip: Save writes %d", len(data), out.Len())
 		}
 	})
 }

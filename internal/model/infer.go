@@ -19,7 +19,7 @@ import (
 // largest GEMM in the network) runs over the handful of masked rows
 // instead of all T of them. It is the only serving forward; the [B, n]
 // batch and its additive mask belong to the training step, which
-// PredictMasked and FineTuner.PredictSpan also run, with Train off.
+// FineTuner.PredictSpan also runs, with Train off.
 //
 // The contract serving rests on: every operator is either row-wise over
 // the T stacked token rows or, in attention, confined to one sequence's

@@ -147,7 +147,7 @@ func TestRaggedBatchBitwiseMatchesAlone(t *testing.T) {
 }
 
 // paddedEncode is the oracle for the ragged forward: the evaluation pass
-// this package ran before it — every sequence padded with PadID to n
+// this package ran before it — every sequence padded with [PAD] (id 0) to n
 // tokens, a [B, n] additive key-padding mask, and the training layers in
 // eval mode. Sequence s is in rows s·n … of the result.
 func paddedEncode(m *BERT, ctx *nn.Ctx, b *data.Ragged, n int) *tensor.Tensor {
@@ -218,8 +218,26 @@ func TestRaggedMatchesPaddedOracle(t *testing.T) {
 	}
 }
 
+// predictMasked runs an inference forward pass of the pre-training model
+// and returns, for every masked position, the predicted token id: the
+// training-side oracle that PredictMaskedAt, the serving entry point, is
+// checked against.
+func (m *BERT) predictMasked(ctx *nn.Ctx, b *data.Batch) map[int]int {
+	prevTrain := ctx.Train
+	ctx.Train = false
+	m.Forward(ctx, b)
+	ctx.Train = prevTrain
+
+	preds := make(map[int]int, len(m.mlmRows))
+	for i, pos := range m.mlmRows {
+		preds[pos] = argmaxRow(m.mlmProbs, i)
+	}
+	m.dropIterationState()
+	return preds
+}
+
 // TestPredictMaskedAtAgreesWithPredictMasked: the serving entry point
-// and the existing training-side inference API must agree on a full
+// and the training-side oracle predictMasked must agree on a full
 // (unpadded) batch when queried at the same positions.
 func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 	cfg := Tiny()
@@ -235,7 +253,7 @@ func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 		Tokens:     make([]int, B*n),
 		Segments:   make([]int, B*n),
 		MLMTargets: make([]int, B*n),
-		NSPLabels:  make([]int, B), // PredictMasked runs the full pretrain forward
+		NSPLabels:  make([]int, B), // predictMasked runs the full pretrain forward
 	}
 	rb := &data.Ragged{}
 	positions := make([][]int, B)
@@ -257,7 +275,7 @@ func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 	}
 
 	got := m.PredictMaskedAt(inferCtx(), rb, positions)
-	want := m.PredictMasked(inferCtx(), b)
+	want := m.predictMasked(inferCtx(), b)
 	for s := range positions {
 		for i, p := range positions[s] {
 			if w := want[s*n+p]; got[s][i] != w {

@@ -79,26 +79,6 @@ func Load(r io.Reader) (*BERT, error) {
 	return m, nil
 }
 
-// LoadParams restores a checkpoint written by Save into the receiver —
-// the resume path for a model that has already trained. The checkpoint's
-// configuration must equal the model's. Every parameter's pack-cache
-// generation is bumped, so pre-packed GEMM panels built from the
-// pre-restore weights are invalidated and the next step repacks from the
-// restored values instead of silently reusing stale weights.
-func (m *BERT) LoadParams(r io.Reader) error {
-	br := bufio.NewReader(r)
-	cfg, err := readHeader(br)
-	if err != nil {
-		return err
-	}
-	// Equal to the bit: a header whose dropout is -0 does not describe a
-	// model configured with +0.
-	if cfg != m.Config || math.Float32bits(cfg.DropProb) != math.Float32bits(m.Config.DropProb) {
-		return fmt.Errorf("model: checkpoint config %+v does not match model config %+v", cfg, m.Config)
-	}
-	return m.readParams(br)
-}
-
 // readParams reads the parameter stream of a checkpoint into the model's
 // existing tensors, verifying names and shapes in Params() order.
 func (m *BERT) readParams(br *bufio.Reader) error {
@@ -129,8 +109,8 @@ func (m *BERT) readParams(br *bufio.Reader) error {
 		if err := binary.Read(br, binary.LittleEndian, p.Value.Data()); err != nil {
 			return fmt.Errorf("model: reading %s data: %w", name, err)
 		}
-		// Invalidate any packed-weight panels built from the pre-restore
-		// values — a resumed run must repack from the loaded weights.
+		// Invalidate any packed-weight panels built from the initial
+		// values New drew: they must not outlive the loaded weights.
 		p.BumpGen()
 	}
 	return nil

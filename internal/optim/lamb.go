@@ -56,9 +56,6 @@ func NewLAMB(lr float32) *LAMB {
 	}
 }
 
-// StepCount returns the number of updates applied so far.
-func (o *LAMB) StepCount() int { return o.step }
-
 // State returns the momentum and velocity tensors for p, allocating them
 // on first use.
 func (o *LAMB) State(p *nn.Param) (m, v *tensor.Tensor) {
@@ -109,12 +106,7 @@ type LAMBStep struct {
 // canonical order — LAMB's clip norm is global, so every rank and every
 // shard must derive the identical scale even when Apply later touches
 // only a subset.
-func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) Applier {
-	s := o.prepare(ctx, params)
-	return &s
-}
-
-func (o *LAMB) prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
+func (o *LAMB) Prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
 	// Global gradient norm: LAMB normalizes all layers' gradients before
 	// any parameter can be updated.
 	var ss float64
@@ -124,19 +116,14 @@ func (o *LAMB) prepare(ctx *nn.Ctx, params []*nn.Param) LAMBStep {
 				ss += ctx.Pool.SumSquares(p.Grad.Data())
 			}
 		})
-	return o.prepareSumSquares(ss)
+	return o.PrepareSumSquares(ss)
 }
 
 // PrepareSumSquares is Prepare for a caller that holds ss, the squared
 // global gradient norm, already: a sharded trainer sums its ranks'
 // per-tensor GradSumSquares in canonical order, the order Prepare folds
 // them in, so every rank fixes the clip scale Prepare would.
-func (o *LAMB) PrepareSumSquares(ss float64) Applier {
-	s := o.prepareSumSquares(ss)
-	return &s
-}
-
-func (o *LAMB) prepareSumSquares(ss float64) LAMBStep {
+func (o *LAMB) PrepareSumSquares(ss float64) LAMBStep {
 	o.step++
 	var gradScale float32 = 1
 	if norm := math.Sqrt(ss); o.ClipNorm > 0 && norm > o.ClipNorm {
@@ -164,8 +151,7 @@ func GradSumSquares(ctx *nn.Ctx, params []*nn.Param, dst []float64) {
 
 // Step applies one LAMB update to every parameter.
 func (o *LAMB) Step(ctx *nn.Ctx, params []*nn.Param) {
-	s := o.prepare(ctx, params)
-	s.Apply(ctx, params)
+	o.Prepare(ctx, params).Apply(ctx, params)
 }
 
 // Apply runs both LAMB stages over params, which may be any subset of the
@@ -173,7 +159,7 @@ func (o *LAMB) Step(ctx *nn.Ctx, params []*nn.Param) {
 // while the tensor's update and weights are still in cache. Per-tensor
 // arithmetic is independent across tensors, so splitting one iteration's
 // Apply across shards is bitwise identical to a single whole-model Apply.
-func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
+func (s LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 	o := s.o
 	for _, p := range params {
 		m, v := o.State(p)
@@ -207,12 +193,6 @@ func (s *LAMBStep) Apply(ctx *nn.Ctx, params []*nn.Param) {
 		p.BumpGen() // weights changed: invalidate cached GEMM packs
 	}
 }
-
-// BytesPerParam is the algorithmic traffic of one LAMB update per
-// parameter element: stage 1 reads 4 and writes 3 FP32 values, stage 2
-// reads 2 and writes 1. The trust ratio's norms add nothing: stage 1
-// accumulates them from the w and update values it already holds.
-const BytesPerParam = (4 + 3 + 2 + 1) * fp32Size
 
 func totalFLOPs(params []*nn.Param, perElem int) int64 {
 	var n int64

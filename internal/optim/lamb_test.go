@@ -104,7 +104,7 @@ func fivePassLAMBStep(o *LAMB, params []*nn.Param) {
 			vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
 			mh := md[i] / bc1
 			vh := vd[i] / bc2
-			ud[i] = mh/(sqrt32(vh)+o.Eps) + o.WeightDecay*wd[i]
+			ud[i] = mh/(float32(math.Sqrt(float64(vh)))+o.Eps) + o.WeightDecay*wd[i]
 		}
 	}
 	for _, p := range params {

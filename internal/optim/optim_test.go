@@ -36,19 +36,6 @@ func makeParam(name string, r *tensor.RNG, shape ...int) *nn.Param {
 	return p
 }
 
-func TestSGDStep(t *testing.T) {
-	p := nn.NewParam("w", 3)
-	copy(p.Value.Data(), []float32{1, 2, 3})
-	copy(p.Grad.Data(), []float32{1, 1, 1})
-	NewSGD(0.5).Step(nn.NewCtx(1), []*nn.Param{p})
-	want := []float32{0.5, 1.5, 2.5}
-	for i := range want {
-		if p.Value.Data()[i] != want[i] {
-			t.Fatalf("SGD value[%d] = %v, want %v", i, p.Value.Data()[i], want[i])
-		}
-	}
-}
-
 func TestLAMBFirstStepClosedForm(t *testing.T) {
 	// Single scalar parameter, no weight decay, no clipping: after one
 	// step m̂ = g, v̂ = g², so the raw update is sign(g)/(1+eps·/|g|)≈1,
@@ -65,8 +52,8 @@ func TestLAMBFirstStepClosedForm(t *testing.T) {
 	if got := float64(p.Value.Data()[0]); math.Abs(got-want) > 1e-3 {
 		t.Fatalf("LAMB first step w = %v, want ~%v", got, want)
 	}
-	if o.StepCount() != 1 {
-		t.Fatalf("StepCount = %d", o.StepCount())
+	if o.step != 1 {
+		t.Fatalf("step count = %d", o.step)
 	}
 }
 
@@ -167,93 +154,6 @@ func TestLAMBReadsFourTimesModelSize(t *testing.T) {
 	}
 }
 
-func TestAdamFusedMatchesUnfused(t *testing.T) {
-	r := tensor.NewRNG(4)
-	mk := func() []*nn.Param {
-		rr := tensor.NewRNG(77)
-		return []*nn.Param{makeParam("a", rr, 33), makeParam("b", rr, 17)}
-	}
-	_ = r
-	fusedParams := mk()
-	unfusedParams := mk()
-	fused := NewAdam(0.01, true)
-	unfused := NewAdam(0.01, false)
-	ctx := nn.NewCtx(1)
-	for i := 0; i < 3; i++ {
-		fused.Step(ctx, fusedParams)
-		unfused.Step(ctx, unfusedParams)
-	}
-	for i := range fusedParams {
-		fd, ud := fusedParams[i].Value.Data(), unfusedParams[i].Value.Data()
-		for j := range fd {
-			if math.Abs(float64(fd[j]-ud[j])) > 1e-5 {
-				t.Fatalf("param %d elem %d: fused %v vs unfused %v", i, j, fd[j], ud[j])
-			}
-		}
-	}
-}
-
-func TestAdamFusionKernelAndTrafficRatios(t *testing.T) {
-	// Fig. 12a: fusing Adam collapses kernel count by orders of magnitude
-	// (~250× for ~400 tensors with multi-tensor apply) but cuts traffic
-	// and runtime only ~6-8× because per-tensor state is independent.
-	r := tensor.NewRNG(5)
-	const tensors = 320
-	mk := func() []*nn.Param {
-		ps := make([]*nn.Param, tensors)
-		for i := range ps {
-			ps[i] = makeParam("p", r, 64)
-		}
-		return ps
-	}
-	fusedCtx, unfusedCtx := nn.NewCtx(1), nn.NewCtx(1)
-	NewAdam(0.01, true).Step(fusedCtx, mk())
-	NewAdam(0.01, false).Step(unfusedCtx, mk())
-	fused := fusedCtx.Prof.Summarize().Total
-	unfused := unfusedCtx.Prof.Summarize().Total
-
-	kernelRatio := float64(unfused.Kernels) / float64(fused.Kernels)
-	if kernelRatio < 100 {
-		t.Fatalf("kernel-count ratio %v, want >= 100 (paper ~250x)", kernelRatio)
-	}
-	trafficRatio := float64(unfused.Bytes) / float64(fused.Bytes)
-	if trafficRatio < 2 || trafficRatio > 8.5 {
-		t.Fatalf("traffic ratio %v outside the paper's ~6-8x band", trafficRatio)
-	}
-}
-
-func TestAdamChunkingCountsLaunches(t *testing.T) {
-	r := tensor.NewRNG(6)
-	ps := make([]*nn.Param, 10)
-	for i := range ps {
-		ps[i] = makeParam("p", r, 8)
-	}
-	o := NewAdam(0.01, true)
-	o.MultiTensorChunk = 4
-	ctx := nn.NewCtx(1)
-	o.Step(ctx, ps)
-	if got := ctx.Prof.KernelCount(); got != 3 { // ceil(10/4)
-		t.Fatalf("fused launches = %d, want 3", got)
-	}
-}
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	// Minimize f(w) = ||w||²/2 (gradient = w); Adam must shrink w.
-	p := nn.NewParam("w", 8)
-	p.Value.Fill(1)
-	o := NewAdam(0.05, true)
-	ctx := nn.NewCtx(1)
-	for i := 0; i < 200; i++ {
-		copy(p.Grad.Data(), p.Value.Data())
-		o.Step(ctx, []*nn.Param{p})
-	}
-	for _, v := range p.Value.Data() {
-		if math.Abs(float64(v)) > 0.1 {
-			t.Fatalf("Adam failed to shrink weight: %v", v)
-		}
-	}
-}
-
 func TestLAMBConvergesOnQuadratic(t *testing.T) {
 	p := nn.NewParam("w", 8)
 	p.Value.Fill(1)
@@ -271,36 +171,21 @@ func TestLAMBConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestOptimizerInterfaceCompliance(t *testing.T) {
-	var _ Optimizer = NewLAMB(0.1)
-	var _ Optimizer = NewAdam(0.1, true)
-	var _ Optimizer = NewSGD(0.1)
-}
-
-// TestOptimizersBitwiseAcrossWorkers: the update loops run as pooled
+// TestOptimizersBitwiseAcrossWorkers: LAMB's update loops run as pooled
 // element ranges, and where the ranges are cut must not show. Three steps
-// of LAMB, fused Adam and SGD leave bitwise the same weights, m and v at
-// any worker count. The tensors sit on both sides of the pool's inline
-// threshold, and one has a length no chunking divides.
+// leave bitwise the same weights, m and v at any worker count. The
+// tensors sit on both sides of the pool's inline threshold, and one has a
+// length no chunking divides.
 func TestOptimizersBitwiseAcrossWorkers(t *testing.T) {
-	type state = func(*nn.Param) (m, v *tensor.Tensor)
-	cases := []struct {
-		name string
-		make func() (Optimizer, state)
-	}{
-		{"lamb", func() (Optimizer, state) { o := NewLAMB(0.01); return o, o.State }},
-		{"adam_fused", func() (Optimizer, state) { o := NewAdam(0.01, true); return o, o.State }},
-		{"sgd", func() (Optimizer, state) { return NewSGD(0.01), nil }},
-	}
 	// run returns every weight, m and v after three steps at w workers.
-	run := func(w int, mk func() (Optimizer, state)) []float32 {
+	run := func(w int) []float32 {
 		r := tensor.NewRNG(7)
 		params := []*nn.Param{
 			makeParam("bias", r, 256),
 			makeParam("w", r, 96, 96),
 			makeParam("odd", r, 10007),
 		}
-		o, st := mk()
+		o := NewLAMB(0.01)
 		ctx := nn.NewCtx(1)
 		ctx.Pool = poolOf(w)
 		for step := 0; step < 3; step++ {
@@ -309,23 +194,19 @@ func TestOptimizersBitwiseAcrossWorkers(t *testing.T) {
 		}
 		var out []float32
 		for _, p := range params {
+			m, v := o.State(p)
 			out = append(out, p.Value.Data()...)
-			if st != nil {
-				m, v := st(p)
-				out = append(out, m.Data()...)
-				out = append(out, v.Data()...)
-			}
+			out = append(out, m.Data()...)
+			out = append(out, v.Data()...)
 		}
 		return out
 	}
-	for _, c := range cases {
-		want := run(1, c.make)
-		for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
-			got := run(w, c.make)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s: workers=%d differs from workers=1 at element %d: %v vs %v", c.name, w, i, got[i], want[i])
-				}
+	want := run(1)
+	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
+		got := run(w)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("workers=%d differs from workers=1 at element %d: %v vs %v", w, i, got[i], want[i])
 			}
 		}
 	}

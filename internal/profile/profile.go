@@ -59,7 +59,7 @@ const (
 	// Optimizer (Fig. 3 and 7).
 	CatLAMBStage1 Category = "LAMBStage1"
 	CatLAMBStage2 Category = "LAMBStage2"
-	CatOptimizer  Category = "Optimizer" // non-LAMB optimizers (Adam, SGD)
+	CatOptimizer  Category = "Optimizer" // opgraph's analytical Adam and SGD ops
 
 	// Distributed communication (Fig. 11).
 	CatComm Category = "Comm"
@@ -120,17 +120,6 @@ func (p *Profiler) BeginIteration() {
 	p.mu.Lock()
 	p.iter++
 	p.mu.Unlock()
-}
-
-// Iteration returns the current 1-based iteration index (0 before the
-// first BeginIteration).
-func (p *Profiler) Iteration() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.iter
 }
 
 // Time runs f, measuring its wall-clock duration, and records an event with

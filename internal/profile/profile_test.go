@@ -201,18 +201,15 @@ func TestIterationTracking(t *testing.T) {
 			t.Errorf("event %d Iter = %d, want %d", i, evs[i].Iter, want)
 		}
 	}
-	if p.Iteration() != 2 {
-		t.Errorf("Iteration() = %d, want 2", p.Iteration())
+	if p.iter != 2 {
+		t.Errorf("iteration = %d, want 2", p.iter)
 	}
 	p.Reset()
-	if p.Iteration() != 0 {
-		t.Errorf("Iteration() after Reset = %d, want 0", p.Iteration())
+	if p.iter != 0 {
+		t.Errorf("iteration after Reset = %d, want 0", p.iter)
 	}
 	var nilP *Profiler
-	nilP.BeginIteration()
-	if nilP.Iteration() != 0 {
-		t.Error("nil profiler iteration must be 0")
-	}
+	nilP.BeginIteration() // a no-op, not a panic
 }
 
 // TestNilProfilerZeroAlloc pins the overhead guard: the nil-Profiler

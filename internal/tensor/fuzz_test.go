@@ -37,21 +37,3 @@ func FuzzF16RoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReshape drives Reshape with arbitrary factorizations.
-func FuzzReshape(f *testing.F) {
-	f.Add(uint8(4), uint8(6))
-	f.Fuzz(func(t *testing.T, a, b uint8) {
-		m, n := int(a%16)+1, int(b%16)+1
-		x := New(m, n)
-		for i := range x.Data() {
-			x.Data()[i] = float32(i)
-		}
-		y := x.Reshape(n, m).Reshape(-1).Reshape(m, n)
-		for i := range x.Data() {
-			if y.Data()[i] != x.Data()[i] {
-				t.Fatalf("reshape chain mutated data at %d", i)
-			}
-		}
-	})
-}

@@ -98,39 +98,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Reshape returns a tensor sharing t's storage with a new shape. The new
-// shape must have the same number of elements. One dimension may be -1, in
-// which case it is inferred.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	shape = append([]int(nil), shape...)
-	infer := -1
-	known := 1
-	for i, d := range shape {
-		switch {
-		case d == -1:
-			if infer >= 0 {
-				panic("tensor: Reshape with more than one -1 dimension")
-			}
-			infer = i
-		case d < 0:
-			panic(fmt.Sprintf("tensor: invalid dimension %d in Reshape", d))
-		default:
-			known *= d
-		}
-	}
-	if infer >= 0 {
-		if known == 0 || len(t.data)%known != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension reshaping %v to %v", t.shape, shape))
-		}
-		shape[infer] = len(t.data) / known
-		known *= shape[infer]
-	}
-	if known != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elements) to %v (%d elements)", t.shape, len(t.data), shape, known))
-	}
-	return &Tensor{shape: shape, data: t.data}
-}
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	c := New(t.shape...)

@@ -64,39 +64,6 @@ func TestAtWrongRankPanics(t *testing.T) {
 	x.At(1)
 }
 
-func TestReshapeSharesStorage(t *testing.T) {
-	x := New(4, 6)
-	y := x.Reshape(2, 12)
-	y.Set(3, 1, 0)
-	if x.At(2, 0) != 3 {
-		t.Fatal("Reshape must share storage")
-	}
-}
-
-func TestReshapeInfer(t *testing.T) {
-	x := New(4, 6)
-	y := x.Reshape(2, -1)
-	if y.Dim(1) != 12 {
-		t.Fatalf("inferred dim = %d, want 12", y.Dim(1))
-	}
-	z := x.Reshape(-1)
-	if z.Rank() != 1 || z.Dim(0) != 24 {
-		t.Fatalf("flatten got shape %v", z.Shape())
-	}
-}
-
-func TestReshapeBadSizePanics(t *testing.T) {
-	x := New(4, 6)
-	defer expectPanic(t, "Reshape to wrong size")
-	x.Reshape(5, 5)
-}
-
-func TestReshapeDoubleInferPanics(t *testing.T) {
-	x := New(4, 6)
-	defer expectPanic(t, "Reshape with two -1 dims")
-	x.Reshape(-1, -1)
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	x := New(2, 2)
 	x.Fill(1)
@@ -187,26 +154,6 @@ func TestSameShape(t *testing.T) {
 func TestString(t *testing.T) {
 	if s := New(2, 3).String(); s != "Tensor[2 3]" {
 		t.Fatalf("String = %q", s)
-	}
-}
-
-// Property: Reshape preserves the flattened contents for any factorization.
-func TestReshapePreservesDataProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := NewRNG(seed)
-		a, b := 1+r.Intn(8), 1+r.Intn(8)
-		x := New(a, b)
-		x.FillUniform(r, -1, 1)
-		y := x.Reshape(b, a).Reshape(1, a*b).Reshape(a, b)
-		for i := range x.Data() {
-			if x.Data()[i] != y.Data()[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

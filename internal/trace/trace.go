@@ -99,7 +99,6 @@ type Tracer struct {
 	idCtr    atomic.Uint64 // span ids and the trace-id stream
 	traceCtr atomic.Uint64 // head-based sampling counter
 	sampleN  atomic.Int64  // keep 1 in N traces; 1 = all, 0/neg = none
-	dropped  atomic.Int64
 
 	mu    sync.Mutex
 	ring  []Span
@@ -308,18 +307,9 @@ func (t *Tracer) record(s Span) {
 	} else {
 		t.ring[t.next] = s
 		t.wrap = true
-		t.dropped.Add(1)
 	}
 	t.next = (t.next + 1) % t.ringCap
 	t.mu.Unlock()
-}
-
-// Dropped returns how many spans were overwritten by ring wrap-around.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }
 
 // Spans returns a copy of the retained spans sorted by start time.

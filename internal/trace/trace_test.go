@@ -67,14 +67,18 @@ func TestStepTraceIDDeterministicAcrossRanks(t *testing.T) {
 func TestRingBounded(t *testing.T) {
 	tr := New(0, 8)
 	_, sc := tr.NewTrace()
+	t0 := time.Now()
 	for i := 0; i < 20; i++ {
-		tr.Record(Span{Trace: sc.Trace, Name: "s", Start: time.Now()})
+		tr.Record(Span{Trace: sc.Trace, Name: "s", Start: t0.Add(time.Duration(i) * time.Millisecond)})
 	}
 	if tr.Len() != 8 {
 		t.Fatalf("ring holds %d spans, cap 8", tr.Len())
 	}
-	if tr.Dropped() != 12 {
-		t.Fatalf("dropped = %d, want 12", tr.Dropped())
+	// The 12 oldest spans were overwritten: spans 12..19 remain.
+	for i, s := range tr.Spans() {
+		if want := t0.Add(time.Duration(12+i) * time.Millisecond); !s.Start.Equal(want) {
+			t.Fatalf("retained span %d started at +%v, want +%v", i, s.Start.Sub(t0), want.Sub(t0))
+		}
 	}
 }
 

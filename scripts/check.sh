@@ -27,7 +27,7 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
-echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler, initial-weight and Adam bits)"
+echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler and initial-weight bits)"
 GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/kernels_arm64.txt 2>&1 || { tail -20 /tmp/kernels_arm64.txt; exit 1; }
 GOARCH=arm64 go build -gcflags=-S ./internal/model/ ./internal/tensor/ ./internal/optim/ >/tmp/model_arm64.txt 2>&1 || { tail -20 /tmp/model_arm64.txt; exit 1; }
 if { grep -E '(layernorm|elementwise|softmax|gemm)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
