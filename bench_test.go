@@ -461,11 +461,12 @@ func BenchmarkRealLAMBStep(b *testing.B) {
 	}
 	ctx := &nn.Ctx{RNG: tensor.NewRNG(3), Train: true}
 	opt := optim.NewLAMB(0.001)
-	// Stage 1 reads 4 and writes 3 FP32 arrays, stage 2 reads 2 and
-	// writes 1: the EWBytes calls in internal/optim/lamb.go's Apply.
+	// Step's global-norm pre-pass reads 1 FP32 array (Prepare's
+	// totalBytes), stage 1 reads 4 and writes 3, stage 2 reads 2 and
+	// writes 1 (Apply's EWBytes calls in internal/optim/lamb.go).
 	var bytes int64
 	for _, p := range params {
-		bytes += int64(p.Size()) * (4 + 3 + 2 + 1) * 4
+		bytes += int64(p.Size()) * (1 + 4 + 3 + 2 + 1) * 4
 	}
 	b.SetBytes(bytes)
 	b.ResetTimer()
@@ -501,24 +502,6 @@ func BenchmarkAblationFusedAttentionModel(b *testing.B) {
 	b.ReportMetric(1e3*fused.Total.Seconds(), "fused-ms")
 	b.ReportMetric(100*(float64(base.Total)/float64(fused.Total)-1), "iteration-speedup-%")
 }
-
-// Real fused vs unfused attention-score pipeline (engine ablation).
-func benchRealAttention(b *testing.B, fusedSoftmax bool) {
-	r := tensor.NewRNG(1)
-	a := nn.NewMultiHeadAttention("a", 128, 8, 0, r)
-	a.FusedSoftmax = fusedSoftmax
-	const batch, n = 4, 64
-	x := tensor.New(batch*n, 128)
-	x.FillUniform(r, -1, 1)
-	ctx := &nn.Ctx{RNG: tensor.NewRNG(2), Train: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Forward(ctx, x, batch, n, nil)
-	}
-}
-
-func BenchmarkRealAttentionUnfusedSoftmax(b *testing.B) { benchRealAttention(b, false) }
-func BenchmarkRealAttentionFusedSoftmax(b *testing.B)   { benchRealAttention(b, true) }
 
 // Decoder (causal) vs encoder training cost — Section 2.3's claim that
 // masking does not affect training cost structure.

@@ -7,7 +7,7 @@
 //
 //	bertprof [-layers N] [-dmodel D] [-heads H] [-dff F] [-vocab V]
 //	         [-b B] [-n SEQ] [-iters I] [-mp] [-checkpoint K]
-//	         [-causal] [-fused-attention] [-mode pretrain|finetune]
+//	         [-causal] [-mode pretrain|finetune]
 //	         [-trace FILE] [-seed S]
 //	         [-metrics-jsonl FILE] [-debug-addr HOST:PORT]
 //
@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mp := fs.Bool("mp", false, "mixed precision: FP16 activation storage + loss scaling")
 	checkpoint := fs.Int("checkpoint", 0, "activation checkpointing segment length (0 = off)")
 	causal := fs.Bool("causal", false, "decoder-style (causal) attention")
-	fused := fs.Bool("fused-attention", false, "fuse the scale/mask/softmax kernels")
 	mode := fs.String("mode", "pretrain", "pretrain or finetune")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the step/phase/kernel timeline to this path")
 	seed := fs.Uint64("seed", 42, "deterministic seed")
@@ -101,15 +100,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := model.Config{
-		Vocab:          *vocab,
-		MaxPos:         *n,
-		NumLayers:      *layers,
-		DModel:         *dmodel,
-		Heads:          *heads,
-		DFF:            *dff,
-		DropProb:       0.1,
-		Causal:         *causal,
-		FusedAttention: *fused,
+		Vocab:     *vocab,
+		MaxPos:    *n,
+		NumLayers: *layers,
+		DModel:    *dmodel,
+		Heads:     *heads,
+		DFF:       *dff,
+		DropProb:  0.1,
+		Causal:    *causal,
 	}
 	m, err := model.New(cfg, *seed)
 	if err != nil {

@@ -45,7 +45,7 @@ func TestMixedPrecisionProfile(t *testing.T) {
 }
 
 func TestCausalFusedProfile(t *testing.T) {
-	out, code := runCmd(t, "-causal", "-fused-attention", "-iters", "1")
+	out, code := runCmd(t, "-causal", "-iters", "1")
 	if code != 0 || !strings.Contains(out, "causal=true") {
 		t.Fatalf("causal profile failed: code %d", code)
 	}

@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	mcfg := model.Config{
 		Vocab: *vocab, MaxPos: *maxpos, NumLayers: *layers,
 		DModel: *dmodel, Heads: *heads, DFF: *dff,
-		FusedAttention: true,
 	}
 	ecfg := serve.Config{
 		Model: mcfg, Seed: *seed,

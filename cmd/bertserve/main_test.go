@@ -36,7 +36,6 @@ func TestLoadgenAgainstLiveServer(t *testing.T) {
 	ecfg := serve.Config{}
 	ecfg.Model.Vocab, ecfg.Model.MaxPos = 1000, 64
 	ecfg.Model.NumLayers, ecfg.Model.DModel, ecfg.Model.Heads, ecfg.Model.DFF = 2, 64, 4, 256
-	ecfg.Model.FusedAttention = true
 	ecfg.Seed = 42
 	engine, srv, err := serve.Start(ecfg, "localhost:0")
 	if err != nil {

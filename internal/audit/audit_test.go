@@ -164,7 +164,6 @@ func mutationSubjects(fault bool) []*Subject {
 		rng := tensor.NewRNG(weightSeed)
 		e := nn.NewEncoderLayer("audit.encb", encDModel, encHeads, encDFF, 0.1, rng)
 		skew(m, e.Params())
-		e.Attn.FusedSoftmax = m.Fused
 		mask := paddingMask(encB, encN)
 		x := tensor.New(encB*encN, encDModel)
 		fillInput(x, dataSeed)

@@ -77,7 +77,7 @@ func CheckDeterminism(s *Subject, m Mode) []Divergence {
 func CheckAnalyticModels() []Divergence {
 	var divs []Divergence
 	w := opgraph.Workload{
-		Name: "audit", Cfg: stepConfig(true), B: stepB, SeqLen: stepN,
+		Name: "audit", Cfg: stepConfig(), B: stepB, SeqLen: stepN,
 		Precision: opgraph.Mixed, CheckpointEvery: 1,
 	}
 	g1, g2 := opgraph.Build(w), opgraph.Build(w)
@@ -92,8 +92,8 @@ func CheckAnalyticModels() []Divergence {
 		divs = append(divs, Divergence{"fusion.TransformerLayerNormStudy", Mode{}, "determinism", "study",
 			"two studies of the same workload differ"})
 	}
-	q1 := fusion.QKV(stepB*stepN, stepConfig(false).DModel, opgraph.Mixed, dev)
-	q2 := fusion.QKV(stepB*stepN, stepConfig(false).DModel, opgraph.Mixed, dev)
+	q1 := fusion.QKV(stepB*stepN, stepConfig().DModel, opgraph.Mixed, dev)
+	q2 := fusion.QKV(stepB*stepN, stepConfig().DModel, opgraph.Mixed, dev)
 	if q1 != q2 {
 		divs = append(divs, Divergence{"fusion.QKV", Mode{}, "determinism", "study",
 			"two studies of the same shape differ"})

@@ -2,7 +2,7 @@
 // semantically-equivalent execution paths. The same math is implemented
 // many ways — naive vs blocked vs fused vs size-routed GEMM, 1..N pool
 // workers, FP32 vs mixed-precision storage, stored vs checkpointed
-// activations, fused vs unfused attention softmax — and their mutual
+// activations — and their mutual
 // agreement was previously only spot-checked per kernel. The harness runs
 // whole modules (each nn layer, the full encoder block, BERT.Step,
 // FineTuner.Step) forward+backward through the cross-product of execution
@@ -46,8 +46,11 @@ type Mode struct {
 	// Ckpt enables activation checkpointing (BERT.CheckpointEvery=1);
 	// ignored by subjects without a checkpointing path.
 	Ckpt bool
-	// Fused enables the fused scale/mask/softmax attention kernel;
-	// ignored by subjects without attention.
+	// Fused names the attention-score dimension the matrix enumerates
+	// for subjects with attention. The engine has one scale/mask/softmax
+	// pass, so it selects nothing: a fused=true mode runs what its
+	// fused=false twin runs. It stays in the matrix because the audit's
+	// subtests are named after it (DESIGN.md §10).
 	Fused bool
 }
 
@@ -92,7 +95,7 @@ func (m Mode) pool() *kernels.Pool {
 // numeric settings, seeded like every other audit context. Every context a
 // mode runs on must come from here: one built any other way runs auto on
 // the process pool, which at audit sizes is bitwise the naive oracle.
-// Ckpt and Fused come from each subject's runner.
+// Ckpt comes from each subject's runner.
 func (m Mode) ctx() *nn.Ctx {
 	c := nn.NewCtx(ctxSeed)
 	c.Route = m.Path
@@ -125,9 +128,9 @@ var routes = []kernels.GEMMPath{
 
 // Modes enumerates the cross product for a subject. Worker counts are
 // {1, 2, GOMAXPROCS} deduplicated; dimensions the subject does not have
-// (fusion without attention, checkpointing without a checkpoint path) are
-// pinned to false rather than enumerated, so the matrix has no aliased
-// duplicate modes.
+// (Fused without attention, checkpointing without a checkpoint path) are
+// pinned to false rather than enumerated. Fused is the one aliased
+// dimension: its twins are duplicates (see Mode.Fused).
 func Modes(s *Subject, quick bool) []Mode {
 	workers := dedupInts([]int{1, 2, runtime.GOMAXPROCS(0)})
 	mps := []bool{false, true}
@@ -217,10 +220,9 @@ func tolerances(m Mode) (fwd, grad Tol) {
 		fwd = fwd.max(tolBlockedFwd)
 		grad = grad.max(tolBlockedGrad)
 	}
-	// Ckpt and Fused contribute zero: recomputed activations replay
-	// dropout masks and must be bit-identical to the stored originals, and
-	// the fused softmax rounds the scaled score before the mask add, as
-	// the unfused sequence does.
+	// Ckpt contributes zero: recomputed activations replay dropout masks
+	// and must be bit-identical to the stored originals. Fused selects
+	// nothing.
 	if m.MP && !fwd.zero() {
 		fwd = fwd.max(tolMPAmplify)
 		grad = grad.max(tolMPAmplify)

@@ -31,8 +31,8 @@ const accumB, accumSteps = 4, 2
 // the same data through the same kernels, but the dropout RNG stream
 // advances per forward call, so bitwise equality is only defined for the
 // deterministic part of the network.
-func accumConfig(fused bool) model.Config {
-	cfg := stepConfig(fused)
+func accumConfig() model.Config {
+	cfg := stepConfig()
 	cfg.DropProb = 0
 	return cfg
 }
@@ -78,14 +78,14 @@ func CheckAccumEquivalence(m Mode) []Divergence {
 	}
 
 	run := func(accum int) *Trace {
-		bert, err := model.New(accumConfig(m.Fused), weightSeed)
+		bert, err := model.New(accumConfig(), weightSeed)
 		if err != nil {
 			panic("audit: " + err.Error())
 		}
 		if m.Ckpt {
 			bert.CheckpointEvery = 1
 		}
-		batch := data.NewGenerator(accumConfig(false).Vocab, 0.15, dataSeed).Next(accumB, stepN)
+		batch := data.NewGenerator(accumConfig().Vocab, 0.15, dataSeed).Next(accumB, stepN)
 		ctx := m.ctx()
 		bert.ZeroGrads()
 		var loss float64
@@ -190,7 +190,7 @@ func CheckShardedOptimizer() []Divergence {
 			g.Close()
 		}
 	}()
-	cfg := accumConfig(false)
+	cfg := accumConfig()
 	newModel := func() *model.BERT {
 		m, err := model.New(cfg, weightSeed)
 		if err != nil {

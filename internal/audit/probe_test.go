@@ -66,13 +66,6 @@ func TestProbePathDeltas(t *testing.T) {
 			if !bw {
 				t.Errorf("fused vs blocked: maxRel=%.3g, want bitwise", rel)
 			}
-			if s.HasAttention {
-				base := Mode{Path: kernels.GEMMPathFused, Workers: 2}
-				fused := base
-				fused.Fused = true
-				rel, bw = probeDiff(t, s, fused, base)
-				t.Logf("%-40s fused vs unfused softmax: maxRel=%.3g bitwise=%v", s.Name, rel, bw)
-			}
 		})
 	}
 }

@@ -33,18 +33,19 @@ const (
 	stepB, stepN             = 2, 8
 )
 
-func stepConfig(fused bool) model.Config {
+func stepConfig() model.Config {
 	return model.Config{
 		Vocab: 101, MaxPos: 16, NumLayers: 2,
 		DModel: 16, Heads: 2, DFF: 32,
-		DropProb: 0.1, FusedAttention: fused,
+		DropProb: 0.1,
 	}
 }
 
 // Subject is one auditable unit: a module or a full training step.
 type Subject struct {
 	Name string
-	// HasAttention: the fused-softmax dimension applies.
+	// HasAttention: the subject runs attention, so its modes are
+	// enumerated under both values of Mode.Fused.
 	HasAttention bool
 	// HasCkpt: the activation-checkpointing dimension applies.
 	HasCkpt bool
@@ -174,7 +175,6 @@ func newAttentionSubject() *Subject {
 	return moduleSubject("attention", true, func(m Mode) *modInstance {
 		rng := tensor.NewRNG(weightSeed)
 		a := nn.NewMultiHeadAttention("audit.attn", attnDModel, attnHeads, 0.1, rng)
-		a.FusedSoftmax = m.Fused
 		mask := paddingMask(attnB, attnN)
 		x := tensor.New(attnB*attnN, attnDModel)
 		fillInput(x, dataSeed)
@@ -194,7 +194,6 @@ func newEncoderSubject() *Subject {
 	return moduleSubject("encoder", true, func(m Mode) *modInstance {
 		rng := tensor.NewRNG(weightSeed)
 		e := nn.NewEncoderLayer("audit.enc", encDModel, encHeads, encDFF, 0.1, rng)
-		e.Attn.FusedSoftmax = m.Fused
 		mask := paddingMask(encB, encN)
 		x := tensor.New(encB*encN, encDModel)
 		fillInput(x, dataSeed)
@@ -221,7 +220,6 @@ func newEncoderEvalSubject() *Subject {
 	s.Run = func(m Mode) *Trace {
 		rng := tensor.NewRNG(weightSeed)
 		e := nn.NewEncoderLayer("audit.ence", encDModel, encHeads, encDFF, 0.1, rng)
-		e.Attn.FusedSoftmax = m.Fused
 		mask := paddingMask(encB, encN)
 		x := tensor.New(encB*encN, encDModel)
 		fillInput(x, dataSeed)
@@ -236,7 +234,7 @@ func newEncoderEvalSubject() *Subject {
 }
 
 func buildStepBERT(m Mode) *model.BERT {
-	b, err := model.New(stepConfig(m.Fused), weightSeed)
+	b, err := model.New(stepConfig(), weightSeed)
 	if err != nil {
 		panic("audit: " + err.Error())
 	}
@@ -250,7 +248,7 @@ func newBERTStepSubject() *Subject {
 	s := &Subject{Name: "bert.step", HasAttention: true, HasCkpt: true}
 	s.Run = func(m Mode) *Trace {
 		bert := buildStepBERT(m)
-		batch := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed).Next(stepB, stepN)
+		batch := data.NewGenerator(stepConfig().Vocab, 0.15, dataSeed).Next(stepB, stepN)
 		ctx := m.ctx()
 		bert.ZeroGrads()
 		loss := bert.Step(ctx, batch)
@@ -263,7 +261,7 @@ func newBERTStepSubject() *Subject {
 	}
 	s.GradCheck = func(m Mode) []Divergence {
 		bert := buildStepBERT(m)
-		batch := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed).Next(stepB, stepN)
+		batch := data.NewGenerator(stepConfig().Vocab, 0.15, dataSeed).Next(stepB, stepN)
 		loss := func() float64 { return bert.Forward(m.ctx(), batch) }
 		analytic := func() {
 			bert.ZeroGrads()
@@ -273,7 +271,7 @@ func newBERTStepSubject() *Subject {
 	}
 	s.Steps = func(m Mode, steps int) ([]float64, []float32) {
 		bert := buildStepBERT(m)
-		gen := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed)
+		gen := data.NewGenerator(stepConfig().Vocab, 0.15, dataSeed)
 		opt := optim.NewLAMB(0.01)
 		ctx := m.ctx()
 		params := bert.Params()
@@ -292,7 +290,7 @@ func newFineTuneStepSubject() *Subject {
 	s := &Subject{Name: "finetune.step", HasAttention: true}
 	build := func(m Mode) (*model.FineTuner, *data.QABatch) {
 		ft := model.NewFineTuner(buildStepBERT(m), weightSeed+1)
-		batch := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed).NextQA(stepB, stepN)
+		batch := data.NewGenerator(stepConfig().Vocab, 0.15, dataSeed).NextQA(stepB, stepN)
 		return ft, batch
 	}
 	s.Run = func(m Mode) *Trace {
@@ -309,7 +307,7 @@ func newFineTuneStepSubject() *Subject {
 	}
 	s.Steps = func(m Mode, steps int) ([]float64, []float32) {
 		ft, _ := build(m)
-		gen := data.NewGenerator(stepConfig(false).Vocab, 0.15, dataSeed+1)
+		gen := data.NewGenerator(stepConfig().Vocab, 0.15, dataSeed+1)
 		opt := optim.NewLAMB(0.01)
 		ctx := m.ctx()
 		params := ft.Params()

@@ -15,7 +15,7 @@ import (
 // matching row-split slice of the output projection, a column-split FC-1
 // and row-split FC-2 slice, and a full replica of the LayerNorms; it runs
 // the same attention, feed-forward and Add&Norm modules as the unsliced
-// layer and inherits its Causal and FusedSoftmax flags. The two forward
+// layer and inherits its Causal flag. The two forward
 // partial-sum AllReduces (after the output projection and after FC-2) and
 // the two backward input-gradient AllReduces (into the FC-1 and Q/K/V
 // inputs) are the group's ring AllReduce — Section 5.1's four AllReduces
@@ -53,7 +53,7 @@ func NewSlicedLayer(g *Group, ref *nn.EncoderLayer) (*SlicedLayer, error) {
 		sliceLinearRows(ref.Attn.Wv, w*dm, dm),
 		sliceLinearCols(ref.Attn.Wo, w*dm, dm, w == 0),
 		heads/m)
-	attn.Causal, attn.FusedSoftmax = ref.Attn.Causal, ref.Attn.FusedSoftmax
+	attn.Causal = ref.Attn.Causal
 	return &SlicedLayer{g: g, shard: &nn.EncoderLayer{
 		Attn:     attn,
 		AttnDrop: nn.NewDropout(0, profile.CatDRRCLN),

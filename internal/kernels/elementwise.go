@@ -286,7 +286,9 @@ func (pool *Pool) BiasGrad(dBias []float32, dY []float32, m, n int) {
 // [B·h, n, n] score tensor: scale, broadcast additive key mask
 // (keyMask: [B, n], may be nil), optional causal masking of future
 // positions (decoder-style attention, Section 2.3), and row softmax — all
-// in one pass, against the unfused four-kernel sequence.
+// in one pass (Section 6.1.1), bit for bit what Scale, the mask add, the
+// causal fill and Softmax compute as four passes. dst may be scores
+// itself: each row is read, then written, by one work item.
 func (pool *Pool) ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float32, causal bool, b, h, n int) {
 	rows := b * h * n
 	if len(scores) != rows*n || len(dst) != rows*n {

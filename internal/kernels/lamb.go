@@ -119,7 +119,7 @@ func subScaledRange(e *ewArgs, lo, hi int) {
 }
 
 // SubScaled computes y[i] -= a·x[i], the product rounded to float32 before
-// the subtraction: LAMB's second sweep (w -= lr·trust·u) and SGD's apply.
+// the subtraction: LAMB's second sweep (w -= lr·trust·u).
 func (pool *Pool) SubScaled(y, x []float32, a float32) {
 	n := checkSameLen("SubScaled", y, x)
 	ewBodies.run(pool, n, grainFor(pool, n, 1), ewArgs{dst: y, a: x, s: a}, subScaledRange)

@@ -522,39 +522,69 @@ func TestCrossEntropyBadTargetPanics(t *testing.T) {
 	processPool.CrossEntropyForward(make([]float32, 4), make([]float32, 4), []int{7}, 1, 4)
 }
 
+// scaleMaskSoftmaxSequence is the attention-score chain the training
+// forward ran as four passes before it used ScaleMaskSoftmaxAttention:
+// Scale in place, the broadcast key-mask add, the causal fill, then
+// Softmax into dst. It is the kernel's bitwise oracle and the sequence
+// half of BenchmarkScaleMaskSoftmaxAttention.
+func scaleMaskSoftmaxSequence(dst, scores, keyMask []float32, s float32, causal bool, b, h, n int) {
+	processPool.Scale(scores, scores, s)
+	for r := 0; r < b*h*n; r++ {
+		row := scores[r*n : (r+1)*n]
+		if keyMask != nil {
+			batch := r / (h * n)
+			for k, m := range keyMask[batch*n : (batch+1)*n] {
+				row[k] += m
+			}
+		}
+		if causal {
+			for k := r%n + 1; k < n; k++ {
+				row[k] = -1e9
+			}
+		}
+	}
+	processPool.Softmax(dst, scores, b*h*n, n)
+}
+
+// TestScaleMaskSoftmaxAttentionMatchesSequence: the one-pass kernel
+// computes the four-pass chain's bits, written to a separate dst or over
+// the scores, under every kernel-table entry, with and without a key mask
+// and causal masking, at rows that are and are not a multiple of the
+// vector width.
 func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
-	r := tensor.NewRNG(21)
-	b, h, n := 2, 3, 8
-	rows := b * h * n
-	scores := randSlice(r, rows*n)
-	keyMask := make([]float32, b*n)
-	keyMask[n-1] = -1e9 // mask last key of sequence 0
-	const s = 0.25
-
-	for _, causal := range []bool{false, true} {
-		fused := make([]float32, rows*n)
-		processPool.ScaleMaskSoftmaxAttention(fused, scores, keyMask, s, causal, b, h, n)
-
-		// Unfused reference: scale, broadcast mask, causal, softmax.
-		tmp := make([]float32, rows*n)
-		processPool.Scale(tmp, scores, s)
-		for r0 := 0; r0 < rows; r0++ {
-			batch := r0 / (h * n)
-			q := r0 % n
-			row := tmp[r0*n : (r0+1)*n]
-			for k := 0; k < n; k++ {
-				row[k] += keyMask[batch*n+k]
-				if causal && k > q {
-					row[k] = -1e9
+	forEachKernel(t, "", func(t *testing.T) {
+		for _, sh := range []struct{ b, h, n int }{{2, 3, 8}, {4, 12, 128}, {1, 4, 37}} {
+			rows := sh.b * sh.h * sh.n
+			r := tensor.NewRNG(uint64(21 + sh.n))
+			scores := randSlice(r, rows*sh.n)
+			for i := range scores {
+				scores[i] *= 8
+			}
+			keyMask := make([]float32, sh.b*sh.n)
+			for bi := 0; bi < sh.b; bi++ {
+				for k := sh.n - 1 - bi; k < sh.n; k++ {
+					keyMask[bi*sh.n+k] = -1e9 // sequence bi: its last bi+1 keys are padding
+				}
+			}
+			s := float32(1 / math.Sqrt(float64(sh.n)))
+			for _, mask := range [][]float32{nil, keyMask} {
+				for _, causal := range []bool{false, true} {
+					want := make([]float32, rows*sh.n)
+					scaleMaskSoftmaxSequence(want, append([]float32(nil), scores...), mask, s, causal, sh.b, sh.h, sh.n)
+					got := make([]float32, rows*sh.n)
+					processPool.ScaleMaskSoftmaxAttention(got, scores, mask, s, causal, sh.b, sh.h, sh.n)
+					inPlace := append([]float32(nil), scores...)
+					processPool.ScaleMaskSoftmaxAttention(inPlace, inPlace, mask, s, causal, sh.b, sh.h, sh.n)
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%+v mask=%v causal=%v elem %d: kernel %#08x, in place %#08x, sequence %#08x",
+								sh, mask != nil, causal, i, math.Float32bits(got[i]), math.Float32bits(inPlace[i]), math.Float32bits(want[i]))
+						}
+					}
 				}
 			}
 		}
-		want := make([]float32, rows*n)
-		processPool.Softmax(want, tmp, rows, n)
-		if d := maxAbsDiff(fused, want); d > 1e-6 {
-			t.Fatalf("causal=%v: fused attention softmax differs by %v", causal, d)
-		}
-	}
+	})
 }
 
 func TestScaleMaskSoftmaxAttentionNilMask(t *testing.T) {

@@ -122,7 +122,6 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 	for i := 0; i < cfg.NumLayers; i++ {
 		layer := nn.NewEncoderLayer(fmt.Sprintf("encoder.%d", i), cfg.DModel, cfg.Heads, cfg.DFF, cfg.DropProb, rng)
 		layer.Attn.Causal = cfg.Causal
-		layer.Attn.FusedSoftmax = cfg.FusedAttention
 		m.Layers = append(m.Layers, layer)
 	}
 	return m, nil

@@ -27,10 +27,6 @@ type Config struct {
 	// matrix elements but changes no kernel shapes, which is why the
 	// paper's training characterization covers decoders too.
 	Causal bool
-
-	// FusedAttention replaces the scale/mask/softmax kernel sequence with
-	// one fused kernel (the Section 6.1.1 software optimization).
-	FusedAttention bool
 }
 
 // Validate reports whether the configuration is internally consistent.

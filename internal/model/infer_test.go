@@ -174,45 +174,43 @@ func paddedEncode(m *BERT, ctx *nn.Ctx, b *data.Ragged, n int) *tensor.Tensor {
 // n_s wide here and n wide there, and the per-matrix route and the
 // blocking depend on that width.
 func TestRaggedMatchesPaddedOracle(t *testing.T) {
-	for _, fused := range []bool{true, false} {
-		for _, causal := range []bool{false, true} {
-			cfg := Tiny()
-			cfg.FusedAttention, cfg.Causal = fused, causal
-			m, err := New(cfg, 17)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const n = 16
-			lens := []int{16, 9, 5, 12, 1, 2}
-			b, positions := raggedBatch(cfg, lens, 99)
+	for _, causal := range []bool{false, true} {
+		cfg := Tiny()
+		cfg.Causal = causal
+		m, err := New(cfg, 17)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 16
+		lens := []int{16, 9, 5, 12, 1, 2}
+		b, positions := raggedBatch(cfg, lens, 99)
 
-			seq := m.EncodeEval(inferCtx(), b)
-			got := m.PredictMaskedAt(inferCtx(), b, positions)
+		seq := m.EncodeEval(inferCtx(), b)
+		got := m.PredictMaskedAt(inferCtx(), b, positions)
 
-			padded := paddedEncode(m, inferCtx(), b, n)
-			var rows []int
-			for s, ln := range lens {
-				for i := 0; i < ln; i++ {
-					rr, pr := seq.Row(b.Offsets[s]+i), padded.Row(s*n+i)
-					for j := range pr {
-						if diff := math.Abs(float64(rr[j] - pr[j])); diff > 1e-4 {
-							t.Fatalf("fused=%v causal=%v seq %d pos %d dim %d: ragged %g vs padded %g", fused, causal, s, i, j, rr[j], pr[j])
-						}
+		padded := paddedEncode(m, inferCtx(), b, n)
+		var rows []int
+		for s, ln := range lens {
+			for i := 0; i < ln; i++ {
+				rr, pr := seq.Row(b.Offsets[s]+i), padded.Row(s*n+i)
+				for j := range pr {
+					if diff := math.Abs(float64(rr[j] - pr[j])); diff > 1e-4 {
+						t.Fatalf("causal=%v seq %d pos %d dim %d: ragged %g vs padded %g", causal, s, i, j, rr[j], pr[j])
 					}
 				}
-				for _, p := range positions[s] {
-					rows = append(rows, s*n+p)
-				}
 			}
-			logits := m.mlmLogits(inferCtx(), padded, rows)
-			row := 0
-			for s := range lens {
-				for i := range positions[s] {
-					if want := argmaxRow(logits, row); got[s][i] != want {
-						t.Errorf("fused=%v causal=%v seq %d mask %d: ragged predicts %d, padded oracle %d", fused, causal, s, i, got[s][i], want)
-					}
-					row++
+			for _, p := range positions[s] {
+				rows = append(rows, s*n+p)
+			}
+		}
+		logits := m.mlmLogits(inferCtx(), padded, rows)
+		row := 0
+		for s := range lens {
+			for i := range positions[s] {
+				if want := argmaxRow(logits, row); got[s][i] != want {
+					t.Errorf("causal=%v seq %d mask %d: ragged predicts %d, padded oracle %d", causal, s, i, got[s][i], want)
 				}
+				row++
 			}
 		}
 	}
@@ -241,7 +239,6 @@ func (m *BERT) predictMasked(ctx *nn.Ctx, b *data.Batch) map[int]int {
 // (unpadded) batch when queried at the same positions.
 func TestPredictMaskedAtAgreesWithPredictMasked(t *testing.T) {
 	cfg := Tiny()
-	cfg.FusedAttention = true
 	m, err := New(cfg, 23)
 	if err != nil {
 		t.Fatal(err)

@@ -50,36 +50,6 @@ func TestCausalModelTrains(t *testing.T) {
 	}
 }
 
-func TestFusedAttentionModelMatchesUnfused(t *testing.T) {
-	mk := func(fused bool) float64 {
-		cfg := Tiny()
-		cfg.DropProb = 0
-		cfg.FusedAttention = fused
-		m, _ := New(cfg, 9)
-		ctx := nn.NewCtx(1)
-		ctx.Train = false
-		return m.Forward(ctx, tinyBatch(cfg, 2, 16, 1))
-	}
-	lu, lf := mk(false), mk(true)
-	if math.Abs(lu-lf) > 1e-5 {
-		t.Fatalf("fused attention changed the loss: %v vs %v", lu, lf)
-	}
-}
-
-func TestFusedAttentionReducesModelKernels(t *testing.T) {
-	run := func(fused bool) int {
-		cfg := Tiny()
-		cfg.FusedAttention = fused
-		m, _ := New(cfg, 9)
-		ctx := nn.NewCtx(1)
-		m.Forward(ctx, tinyBatch(cfg, 2, 16, 1))
-		return ctx.Prof.KernelCount()
-	}
-	if kf, ku := run(true), run(false); kf >= ku {
-		t.Fatalf("fused attention must reduce kernel count: %d vs %d", kf, ku)
-	}
-}
-
 func TestGradientAccumulation(t *testing.T) {
 	// Accumulating gradients over K identical micro-batches then scaling
 	// by 1/K must equal one micro-batch's gradients exactly.
@@ -118,7 +88,6 @@ func TestGradientAccumulation(t *testing.T) {
 func TestGPTCheckpointRoundTrip(t *testing.T) {
 	cfg := Tiny()
 	cfg.Causal = true
-	cfg.FusedAttention = true
 	m, _ := New(cfg, 13)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
@@ -128,8 +97,8 @@ func TestGPTCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !loaded.Config.Causal || !loaded.Config.FusedAttention {
-		t.Fatal("checkpoint lost causal/fused-attention flags")
+	if !loaded.Config.Causal {
+		t.Fatal("checkpoint lost the causal flag")
 	}
 	if !loaded.Layers[0].Attn.Causal {
 		t.Fatal("loaded layers are not causal")

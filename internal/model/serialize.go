@@ -121,9 +121,6 @@ func writeHeader(w io.Writer, cfg Config) error {
 	if cfg.Causal {
 		flags |= 1
 	}
-	if cfg.FusedAttention {
-		flags |= 2
-	}
 	fields := []int32{
 		checkpointMagic, checkpointVersion,
 		int32(cfg.Vocab), int32(cfg.MaxPos), int32(cfg.NumLayers),
@@ -150,7 +147,9 @@ func readHeader(r io.Reader) (Config, error) {
 	if fields[1] != checkpointVersion {
 		return Config{}, fmt.Errorf("model: unsupported checkpoint version %d", fields[1])
 	}
-	if fields[8]&^3 != 0 {
+	// Bit 0 (Causal) is the only flag Save writes: a file with any other
+	// bit set could not be written back byte for byte, so it is refused.
+	if fields[8]&^1 != 0 {
 		return Config{}, fmt.Errorf("model: unknown checkpoint flags %#x", fields[8])
 	}
 	var dropBits uint32
@@ -158,15 +157,14 @@ func readHeader(r io.Reader) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Vocab:          int(fields[2]),
-		MaxPos:         int(fields[3]),
-		NumLayers:      int(fields[4]),
-		DModel:         int(fields[5]),
-		Heads:          int(fields[6]),
-		DFF:            int(fields[7]),
-		Causal:         fields[8]&1 != 0,
-		FusedAttention: fields[8]&2 != 0,
-		DropProb:       math.Float32frombits(dropBits),
+		Vocab:     int(fields[2]),
+		MaxPos:    int(fields[3]),
+		NumLayers: int(fields[4]),
+		DModel:    int(fields[5]),
+		Heads:     int(fields[6]),
+		DFF:       int(fields[7]),
+		Causal:    fields[8]&1 != 0,
+		DropProb:  math.Float32frombits(dropBits),
 	}, nil
 }
 

@@ -25,11 +25,6 @@ type MultiHeadAttention struct {
 	// kernel structure).
 	Causal bool
 
-	// FusedSoftmax replaces the scale → mask → softmax kernel sequence
-	// with one fused pass (the Section 6.1.1 optimization), saving two
-	// full reads and writes of the score matrix.
-	FusedSoftmax bool
-
 	heads, dHead int
 
 	// Saved forward state for backprop.
@@ -37,7 +32,6 @@ type MultiHeadAttention struct {
 	qh, kh, vh *tensor.Tensor // [B*h, n, dHead] split projections
 	probs      *tensor.Tensor // post-dropout attention probabilities
 	softmaxOut *tensor.Tensor // post-softmax (pre-dropout) probabilities
-	mask       *tensor.Tensor // additive mask [B, n] or nil
 }
 
 // NewMultiHeadAttention builds an attention block for the given model
@@ -94,7 +88,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 	if mask != nil && (mask.Rank() != 2 || mask.Dim(0) != b || mask.Dim(1) != n) {
 		panic(fmt.Sprintf("nn: attention mask %v, want [%d, %d]", mask.Shape(), b, n))
 	}
-	a.b, a.n, a.mask = b, n, mask
+	a.b, a.n = b, n
 	es := ctx.ElemSize()
 	batch := b * a.heads
 
@@ -129,63 +123,21 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 				a.qh.Data(), stQK, a.kh.Data(), stQK, 0, scores.Data(), stS)
 		})
 
-	// Scale by 1/sqrt(dHead), mask (key padding + optional causal), and
-	// softmax — fused into one kernel or as the separate sequence the
-	// paper profiles (Section 3.2.3).
+	// Scale by 1/sqrt(dHead), mask (key padding + optional causal) and
+	// softmax in one pass over the score matrix (the Section 6.1.1
+	// fusion), writing the probabilities over the scores.
 	scale := float32(1 / math.Sqrt(float64(a.dHead)))
 	nScores := batch * n * n
-	a.softmaxOut = ctx.NewActivation(batch, n, n)
 	var maskData []float32
 	if mask != nil {
 		maskData = mask.Data()
 	}
-	if a.FusedSoftmax {
-		ctx.Prof.Time("attn_scale_mask_softmax_fused", profile.CatScaleMaskSM, profile.Forward,
-			kernels.EWFLOPs(nScores, 6), kernels.EWBytes(nScores, 1, 1, es), func() {
-				ctx.Pool.ScaleMaskSoftmaxAttention(a.softmaxOut.Data(), scores.Data(),
-					maskData, scale, a.Causal, b, a.heads, n)
-			})
-	} else {
-		ctx.Prof.Time("attn_scale", profile.CatScaleMaskSM, profile.Forward,
-			kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-				ctx.Pool.Scale(scores.Data(), scores.Data(), scale)
-			})
-		if mask != nil {
-			ctx.Prof.Time("attn_mask", profile.CatScaleMaskSM, profile.Forward,
-				kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-					sd := scores.Data()
-					for bi := 0; bi < batch; bi++ {
-						mrow := maskData[(bi/a.heads)*n : (bi/a.heads+1)*n]
-						base := bi * stS
-						for qi := 0; qi < n; qi++ {
-							row := sd[base+qi*n : base+(qi+1)*n]
-							for ki := range row {
-								row[ki] += mrow[ki]
-							}
-						}
-					}
-				})
-		}
-		if a.Causal {
-			ctx.Prof.Time("attn_causal_mask", profile.CatScaleMaskSM, profile.Forward,
-				kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-					sd := scores.Data()
-					for bi := 0; bi < batch; bi++ {
-						base := bi * stS
-						for qi := 0; qi < n; qi++ {
-							row := sd[base+qi*n : base+(qi+1)*n]
-							for ki := qi + 1; ki < n; ki++ {
-								row[ki] = -1e9
-							}
-						}
-					}
-				})
-		}
-		ctx.Prof.Time("attn_softmax", profile.CatScaleMaskSM, profile.Forward,
-			kernels.EWFLOPs(nScores, 4), kernels.EWBytes(nScores, 1, 1, es), func() {
-				ctx.Pool.Softmax(a.softmaxOut.Data(), scores.Data(), batch*n, n)
-			})
-	}
+	ctx.Prof.Time("attn_scale_mask_softmax_fused", profile.CatScaleMaskSM, profile.Forward,
+		kernels.EWFLOPs(nScores, 6), kernels.EWBytes(nScores, 1, 1, es), func() {
+			ctx.Pool.ScaleMaskSoftmaxAttention(scores.Data(), scores.Data(),
+				maskData, scale, a.Causal, b, a.heads, n)
+		})
+	a.softmaxOut = scores
 
 	// Attention dropout (element-wise, so over the [B*h, n, n] tensor as
 	// it is).
@@ -215,9 +167,7 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, m
 // x is [T, Wq.In()] and sequence s owns rows offsets[s]..offsets[s+1]. The
 // three projections run over all T rows; everything between them and the
 // output projection is one kernel (kernels.AttentionRagged), so there is
-// no key mask, no score tensor and nothing saved for Backward. It always
-// scales and normalizes in one pass, whatever FusedSoftmax says — the two
-// training sequences agree bitwise anyway.
+// no key mask, no score tensor and nothing saved for Backward.
 func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
 	tokens, dim := mustRank2("MultiHeadAttention", x)
 	if dim != a.Wq.In() || offsets[len(offsets)-1] != tokens {
@@ -335,7 +285,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 			ctx.Pool.AccumulateInto(dX.Data(), dXv.Data())
 		})
 
-	a.qh, a.kh, a.vh, a.probs, a.softmaxOut, a.mask = nil, nil, nil, nil, nil, nil
+	a.qh, a.kh, a.vh, a.probs, a.softmaxOut = nil, nil, nil, nil, nil
 	return dX
 }
 

@@ -36,8 +36,8 @@ func TestCausalAttentionMasksFuture(t *testing.T) {
 
 func TestCausalDoesNotChangeKernelStructure(t *testing.T) {
 	// Section 2.3: masking "only zeros certain matrix elements" — the
-	// decoder launches the same GEMMs; only one extra masking kernel
-	// appears in the unfused pipeline.
+	// decoder launches the same GEMMs and the same kernels: the causal
+	// mask rides inside the one scale/mask/softmax pass.
 	r := tensor.NewRNG(2)
 	run := func(causal bool) (kernels int, gemmFLOPs int64) {
 		a := NewMultiHeadAttention("a", 16, 4, 0, tensor.NewRNG(3))
@@ -59,8 +59,8 @@ func TestCausalDoesNotChangeKernelStructure(t *testing.T) {
 	if fDec != fEnc {
 		t.Fatalf("causal masking changed GEMM FLOPs: %d vs %d", fDec, fEnc)
 	}
-	if kDec != kEnc+1 {
-		t.Fatalf("causal masking should add exactly one kernel: %d vs %d", kDec, kEnc)
+	if kDec != kEnc {
+		t.Fatalf("causal masking changed the kernel count: %d vs %d", kDec, kEnc)
 	}
 }
 
@@ -78,70 +78,4 @@ func TestCausalGradCheck(t *testing.T) {
 		return dotLoss(a.Forward(evalCtx(), x, b, n, nil), dY)
 	}
 	checkGrad(t, "causal attn dX", x.Data(), dX.Data(), forward, 2e-2, 5)
-}
-
-func TestFusedSoftmaxMatchesUnfused(t *testing.T) {
-	r := tensor.NewRNG(5)
-	b, n, d, h := 2, 6, 16, 4
-	x := randTensor(r, b*n, d)
-	mask := tensor.New(b, n)
-	mask.Set(-1e9, 0, n-1)
-	mask.Set(-1e9, 1, 0)
-
-	run := func(fused, causal bool) *tensor.Tensor {
-		a := NewMultiHeadAttention("a", d, h, 0, tensor.NewRNG(7))
-		a.FusedSoftmax = fused
-		a.Causal = causal
-		return a.Forward(evalCtx(), x, b, n, mask)
-	}
-	for _, causal := range []bool{false, true} {
-		yU := run(false, causal)
-		yF := run(true, causal)
-		for i := range yU.Data() {
-			diff := math.Abs(float64(yU.Data()[i] - yF.Data()[i]))
-			if diff > 1e-5 {
-				t.Fatalf("causal=%v: fused/unfused outputs differ by %v at %d", causal, diff, i)
-			}
-		}
-	}
-}
-
-func TestFusedSoftmaxReducesKernels(t *testing.T) {
-	r := tensor.NewRNG(6)
-	b, n, d := 2, 6, 16
-	x := randTensor(r, b*n, d)
-	mask := tensor.New(b, n)
-	run := func(fused bool) (int, int64) {
-		a := NewMultiHeadAttention("a", d, 4, 0, tensor.NewRNG(7))
-		a.FusedSoftmax = fused
-		ctx := NewCtx(1)
-		a.Forward(ctx, x, b, n, mask)
-		sum := ctx.Prof.Summarize()
-		sm := sum.ByCategory["ScaleMaskDRSM"]
-		return sm.Kernels, sm.Bytes
-	}
-	kU, bU := run(false)
-	kF, bF := run(true)
-	if kF >= kU {
-		t.Fatalf("fusion must reduce scale/mask/softmax kernels: %d vs %d", kF, kU)
-	}
-	if bF >= bU {
-		t.Fatalf("fusion must reduce score-pipeline traffic: %d vs %d", bF, bU)
-	}
-}
-
-func TestFusedSoftmaxGradCheck(t *testing.T) {
-	r := tensor.NewRNG(8)
-	a := NewMultiHeadAttention("a", 8, 2, 0, r)
-	a.FusedSoftmax = true
-	b, n := 1, 4
-	x := randTensor(r, b*n, 8)
-	dY := randTensor(r, b*n, 8)
-	ctx := evalCtx()
-	a.Forward(ctx, x, b, n, nil)
-	dX := a.Backward(ctx, dY)
-	forward := func() float64 {
-		return dotLoss(a.Forward(evalCtx(), x, b, n, nil), dY)
-	}
-	checkGrad(t, "fused attn dX", x.Data(), dX.Data(), forward, 2e-2, 5)
 }

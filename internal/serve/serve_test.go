@@ -19,10 +19,8 @@ import (
 
 // testConfig is the reduced-scale engine every scheduler test uses.
 func testConfig() Config {
-	mcfg := model.Tiny()
-	mcfg.FusedAttention = true
 	return Config{
-		Model:    mcfg,
+		Model:    model.Tiny(),
 		Seed:     7,
 		MaxBatch: 8,
 		QueueCap: 256,

@@ -98,7 +98,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + streamed pre-packed weights + short ragged attention + GeLU + LAMB sweeps + softmax/exp + fused GEMM tails + dropout fill and column folds, 1 iteration)"
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + streamed pre-packed weights + short ragged attention + GeLU + LAMB sweeps + softmax/exp + the scale-mask-softmax pass vs its four-pass chain (ScaleMaskSoftmaxAttention) + fused GEMM tails + dropout fill and column folds, 1 iteration)"
 go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|ShortStripe|GEMMStreamedWeights|AttentionRaggedShort|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue|DropoutMask|BiasGrad|LayerNormBackward|SoftmaxGrad' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
