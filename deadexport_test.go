@@ -26,11 +26,24 @@ var deadExportAllowlist = map[string]string{
 	"dist.PredictDP":           "the modeled data-parallel step that the benchmark's DP phase is to call (ROADMAP item 19)",
 }
 
+// deletedExports names exports that were deleted because something else
+// does their work: key → what does it now. Declaring one again under
+// internal/ fails TestNoDeadExports, so a second implementation cannot
+// grow back beside the one that replaced it.
+var deletedExports = map[string]string{
+	"kernels.Pool.SplitHeads":                "kernels.GEMMPath.AttentionForward/AttentionBackward gather a head's rows per item",
+	"kernels.Pool.MergeHeads":                "the attention region scatters a head's rows per item",
+	"kernels.Pool.ScaleMaskSoftmaxAttention": "the attention region's row body, scaleMaskSoftmaxRow",
+	"kernels.Pool.SoftmaxGrad":               "the attention backward's row body, softmaxGradRows",
+	"kernels.GEMMPath.AttentionRagged":       "kernels.GEMMPath.AttentionForward with no mask, dropout or saved probabilities",
+}
+
 // TestNoDeadExports fails when an exported top-level func, method, type,
 // const or var declared in a non-test file under internal/ has no
 // identifier reference in any non-test Go file of the module outside its
 // own declaration (assembly counts through its ·Name symbols), or when an
-// allowlist entry is no longer needed. The check is by name: a reference
+// allowlist entry is no longer needed, or when a deletedExports name is
+// declared again. The check is by name: a reference
 // to any declaration of the same name counts, so it can miss a dead
 // export but never flags a live one. Struct fields are out of scope: a
 // name like Name is too common to tell anything by name.
@@ -140,6 +153,9 @@ func TestNoDeadExports(t *testing.T) {
 	allowed := map[string]bool{}
 	var dead []string
 	for _, d := range decls {
+		if why, ok := deletedExports[d.key]; ok {
+			t.Errorf("%s (%s) was deleted: %s", d.key, d.pos, why)
+		}
 		live := false
 		for _, p := range refs[d.name] {
 			if p == token.NoPos || p < d.start || p >= d.end {

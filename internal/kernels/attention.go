@@ -1,98 +1,305 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+	"time"
+)
 
-// AttentionRagged computes multi-head self-attention over a padding-free
-// batch: q, k, v and out are [T, heads·dHead] row-major, and sequence s
-// owns rows offsets[s]..offsets[s+1] of each (len(offsets) = B+1,
-// ascending from 0 to T). Every (sequence, head) pair is one work item of
-// a single pool region: gather that head's Q/K/V rows, form the n×n
-// scores in a per-worker scratch tile, scale and softmax each row (with
-// causal, query i sees keys 0..i), multiply by V and write the result
-// straight into the head's columns of out — so no score tensor, no
-// split/merge pass and no key-padding mask exist, and the tile is consumed
-// while it is still in cache.
-//
-// Both products take route p the way BatchedGEMM's per-matrix products do
-// (serial, no epilogue), and an item reads and writes only its own
-// sequence's rows: a sequence's output is bitwise the same alone, in any
-// batch, at any position in it and at any worker count.
-func (p GEMMPath) AttentionRagged(pool *Pool, out, q, k, v []float32, offsets []int, heads, dHead int, scale float32, causal bool) {
-	d := heads * dHead
-	b := len(offsets) - 1
-	if b < 0 || offsets[0] != 0 || heads < 1 || dHead < 1 {
-		panic(fmt.Sprintf("kernels: AttentionRagged offsets %v, heads=%d dHead=%d", offsets, heads, dHead))
+// Attention is the operand set of the attention core, everything between
+// the Q/K/V projections and the output projection. Q, K and V are
+// [T, Heads·DHead] row-major; sequence s owns rows Offsets[s]..Offsets[s+1]
+// (Offsets ascends from 0 to T; a padded [B, n] batch is 0, n, 2n, …).
+// Every (sequence, head) pair is one work item of a single pool region,
+// item i being head i%Heads of sequence i/Heads. Item (s, h) owns an
+// n_s×n_s block of Probs and Drop, in item order: for a padded batch, the
+// [B·h, n, n] score tensor.
+type Attention struct {
+	Q, K, V      []float32
+	Offsets      []int
+	Heads, DHead int
+	Scale        float32   // applied to every raw score, 1/sqrt(DHead) in BERT
+	Causal       bool      // query i sees keys 0..i only
+	KeyMask      []float32 // nil, or one additive value per token (0 visible, -1e9 padding)
+
+	// Probs, if set, receives the forward's post-softmax, pre-dropout
+	// probabilities, which the backward reads. Drop, if set, is an
+	// inverted-dropout mask (DropoutMask) multiplied into the
+	// probabilities, and in the backward into their gradient; it needs
+	// Probs.
+	Probs, Drop []float32
+}
+
+// AttentionStages is a region's busy time per stage in nanoseconds,
+// summed over its items: the per-head products, scale/mask/dropout/softmax,
+// and the row gathers and scatters. A region handed one overwrites it.
+type AttentionStages [3]atomic.Int64
+
+const (
+	stageBGEMM = iota
+	stageSoftmax
+	stageCopy
+)
+
+// AttentionForward computes the attention core into out ([T, Heads·DHead]).
+// Each item gathers its head's Q, K and V rows, forms the n×n scores in its
+// Probs block (else in a per-worker tile), scales, masks and softmaxes
+// each row (scaleMaskSoftmaxRow), multiplies the dropout mask into a tile
+// copy, multiplies by V and writes the context straight into the head's
+// columns of out. Both products take route p as a BatchedGEMM item does
+// (serial, no epilogue, contiguous operands), and an item touches only its
+// own sequence's rows, so the result is bitwise the whole-tensor chain it
+// replaced at any worker count, and a sequence's output is bitwise the
+// same alone or anywhere in any batch. st, if non-nil, gets stage times.
+func (p GEMMPath) AttentionForward(pool *Pool, at *Attention, out []float32, st *AttentionStages) {
+	if b, maxN := at.check("AttentionForward", st, out); b > 0 {
+		attnBodies.run(pool, b*at.Heads, 1, attnArgs{path: p, at: at, out: out, maxN: maxN, st: st}, attnForwardRange)
 	}
-	maxN := 0
-	for s := 0; s < b; s++ {
-		n := offsets[s+1] - offsets[s]
-		if n < 1 {
-			panic(fmt.Sprintf("kernels: AttentionRagged sequence %d has %d tokens", s, n))
+}
+
+// AttentionBackward propagates dOut, the gradient of AttentionForward's
+// out, into dQ, dK and dV (all [T, Heads·DHead], overwritten) from the
+// forward's Probs and Drop. Each item gathers its dOut, Q, K and V rows,
+// forms dP = dOut·Vᵀ and dV = Pᵀ·dOut with P = Probs × Drop (the forward's
+// multiply), takes dP through dropout, the softmax gradient
+// (softmaxGradRows) and the scale, then forms dQ = dS·K and dK = dSᵀ·Q:
+// the whole-tensor chain item by item, so bitwise it at any worker count.
+func (p GEMMPath) AttentionBackward(pool *Pool, at *Attention, dQ, dK, dV, dOut []float32, st *AttentionStages) {
+	if at.Probs == nil {
+		panic("kernels: AttentionBackward without the forward's saved Probs")
+	}
+	if b, maxN := at.check("AttentionBackward", st, dOut, dQ, dK, dV); b > 0 {
+		attnBodies.run(pool, b*at.Heads, 1, attnArgs{path: p, at: at, out: dOut, dQ: dQ, dK: dK, dV: dV, maxN: maxN, st: st}, attnBackwardRange)
+	}
+}
+
+// check validates at and bufs (the call's [T, Heads·DHead] buffers)
+// before anything is read or written through them, clears st, and
+// returns the sequence count and the longest sequence.
+func (at *Attention) check(name string, st *AttentionStages, bufs ...[]float32) (b, maxN int) {
+	b = len(at.Offsets) - 1
+	bad := b < 0 || at.Offsets[0] != 0 || at.Heads < 1 || at.DHead < 1
+	tokens, scores := 0, 0
+	for s := 0; !bad && s < b; s++ {
+		n := at.Offsets[s+1] - at.Offsets[s]
+		bad, tokens = n < 1, at.Offsets[s+1]
+		maxN, scores = max(maxN, n), scores+at.Heads*n*n
+	}
+	t := tokens * at.Heads * at.DHead
+	bad = bad || len(at.Q) != t || len(at.K) != t || len(at.V) != t ||
+		at.KeyMask != nil && len(at.KeyMask) != tokens || at.Probs != nil && len(at.Probs) != scores ||
+		at.Drop != nil && (len(at.Drop) != scores || at.Probs == nil)
+	for _, x := range bufs {
+		bad = bad || len(x) != t
+	}
+	if bad {
+		panic(fmt.Sprintf("kernels: %s offsets %v, heads %d×%d, q=%d k=%d v=%d, key mask %d, probs %d, drop %d (drop only with probs)",
+			name, at.Offsets, at.Heads, at.DHead, len(at.Q), len(at.K), len(at.V), len(at.KeyMask), len(at.Probs), len(at.Drop)))
+	}
+	for i := 0; st != nil && i < len(st); i++ {
+		st[i].Store(0)
+	}
+	return b, maxN
+}
+
+// attnArgs are one region's operands; out is the forward's output or the
+// backward's incoming gradient.
+type attnArgs struct {
+	path       GEMMPath
+	at         *Attention
+	out        []float32
+	dQ, dK, dV []float32
+	maxN       int // longest sequence: sizes every worker's scratch
+	st         *AttentionStages
+}
+
+var attnBodies argsPool[attnArgs]
+
+// attnItem is one item's place in the operands: its sequence's first row
+// and length, its head's first column, and its blocks of the key mask,
+// Probs and Drop (nil where the operand is).
+type attnItem struct {
+	row0, n, col         int
+	keyMask, probs, drop []float32
+}
+
+func (s *attnArgs) item(i int) (it attnItem) {
+	at := s.at
+	seq, blk := i/at.Heads, 0
+	for j := 0; j < seq; j++ {
+		m := at.Offsets[j+1] - at.Offsets[j]
+		blk += at.Heads * m * m
+	}
+	it.row0, it.n, it.col = at.Offsets[seq], at.Offsets[seq+1]-at.Offsets[seq], i%at.Heads*at.DHead
+	blk += i % at.Heads * it.n * it.n
+	if at.KeyMask != nil {
+		it.keyMask = at.KeyMask[it.row0 : it.row0+it.n]
+	}
+	if at.Probs != nil {
+		it.probs = at.Probs[blk : blk+it.n*it.n]
+	}
+	if at.Drop != nil {
+		it.drop = at.Drop[blk : blk+it.n*it.n]
+	}
+	return it
+}
+
+// rows copies the item's n rows between the [T, Heads·DHead] layout and a
+// contiguous n×DHead block: gathers them from src into block, or, with
+// scatter, scatters block into src.
+func (s *attnArgs) rows(block, src []float32, it attnItem, scatter bool) {
+	dh, d := s.at.DHead, s.at.Heads*s.at.DHead
+	for r := 0; r < it.n; r++ {
+		if scatter {
+			copy(src[(it.row0+r)*d+it.col:], block[r*dh:(r+1)*dh])
+		} else {
+			copy(block[r*dh:(r+1)*dh], src[(it.row0+r)*d+it.col:])
 		}
-		maxN = max(maxN, n)
 	}
-	if t := offsets[b] * d; len(q) != t || len(k) != t || len(v) != t || len(out) != t {
-		panic(fmt.Sprintf("kernels: AttentionRagged buffers q=%d k=%d v=%d out=%d, want %d tokens × %d", len(q), len(k), len(v), len(out), offsets[b], d))
-	}
-	if b == 0 {
-		return
-	}
-	raggedAttnBodies.run(pool, b*heads, 1, raggedAttnArgs{path: p, out: out, q: q, k: k, v: v, offsets: offsets,
-		heads: heads, dHead: dHead, maxN: maxN, scale: scale, causal: causal}, raggedAttnRange)
 }
 
-// raggedAttnArgs are AttentionRagged's operands: item i is head i%heads of
-// sequence i/heads.
-type raggedAttnArgs struct {
-	path         GEMMPath
-	out, q, k, v []float32
-	offsets      []int
-	heads, dHead int
-	maxN         int // longest sequence: sizes every worker's scratch
-	scale        float32
-	causal       bool
+// stageClock sums one chunk's stage times into st at flush; with a nil st
+// it reads no clock.
+type stageClock struct {
+	st   *AttentionStages
+	last time.Time
+	d    [3]time.Duration
 }
 
-var raggedAttnBodies argsPool[raggedAttnArgs]
+// lap charges the time since the previous lap to stage; the first lap
+// only starts the clock.
+func (c *stageClock) lap(stage int) {
+	if c.st != nil {
+		now := time.Now()
+		if !c.last.IsZero() {
+			c.d[stage] += now.Sub(c.last)
+		}
+		c.last = now
+	}
+}
 
-func raggedAttnRange(s *raggedAttnArgs, lo, hi int) {
-	dh, d := s.dHead, s.heads*s.dHead
+func (c *stageClock) flush() {
+	for i := 0; c.st != nil && i < len(c.st); i++ {
+		c.st[i].Add(int64(c.d[i]))
+	}
+}
+
+func attnForwardRange(s *attnArgs, lo, hi int) {
+	at, dh := s.at, s.at.DHead
 	// One scratch per claimed chunk: the head's Q, K, V and context rows
-	// (n×dHead each) and its n×n score tile.
+	// (n×dHead each) and an n×n tile.
 	buf := getScratch(4*s.maxN*dh + s.maxN*s.maxN)
 	defer putScratch(buf)
+	clk := stageClock{st: s.st}
+	clk.lap(stageCopy)
 	for i := lo; i < hi; i++ {
-		row0 := s.offsets[i/s.heads]
-		n := s.offsets[i/s.heads+1] - row0
-		col := (i % s.heads) * dh
-		qh, kh, vh, ch := (*buf)[:n*dh], (*buf)[n*dh:2*n*dh], (*buf)[2*n*dh:3*n*dh], (*buf)[3*n*dh:4*n*dh]
-		sc := (*buf)[4*n*dh : 4*n*dh+n*n]
+		it := s.item(i)
+		n, nd := it.n, it.n*dh
+		qh, kh, vh, ch, tile := (*buf)[:nd], (*buf)[nd:2*nd], (*buf)[2*nd:3*nd], (*buf)[3*nd:4*nd], (*buf)[4*nd:4*nd+n*n]
+		s.rows(qh, at.Q, it, false)
+		s.rows(kh, at.K, it, false)
+		s.rows(vh, at.V, it, false)
+		clk.lap(stageCopy)
+
+		probs := tile
+		if it.probs != nil {
+			probs = it.probs
+		}
+		s.path.run(serial, false, true, n, n, dh, 1, qh, kh, nil, 0, nil, probs)
+		clk.lap(stageBGEMM)
 		for r := 0; r < n; r++ {
-			src := (row0+r)*d + col
-			copy(qh[r*dh:(r+1)*dh], s.q[src:])
-			copy(kh[r*dh:(r+1)*dh], s.k[src:])
-			copy(vh[r*dh:(r+1)*dh], s.v[src:])
+			scaleMaskSoftmaxRow(probs[r*n:(r+1)*n], it.keyMask, at.Scale, at.Causal, r)
+		}
+		if it.drop != nil {
+			mulRow(tile, probs, it.drop)
+			probs = tile
+		}
+		clk.lap(stageSoftmax)
+
+		s.path.run(serial, false, false, n, dh, n, 1, probs, vh, nil, 0, nil, ch)
+		clk.lap(stageBGEMM)
+		s.rows(ch, s.out, it, true)
+		clk.lap(stageCopy)
+	}
+	clk.flush()
+}
+
+func attnBackwardRange(s *attnArgs, lo, hi int) {
+	at, dh := s.at, s.at.DHead
+	// One scratch per claimed chunk: the head's Q, K, V and dOut rows and
+	// a gradient's rows on their way out (n×dHead each), the dropped
+	// probabilities and the score gradient (n×n each).
+	buf := getScratch(5*s.maxN*dh + 2*s.maxN*s.maxN)
+	defer putScratch(buf)
+	clk := stageClock{st: s.st}
+	clk.lap(stageCopy)
+	for i := lo; i < hi; i++ {
+		it := s.item(i)
+		n, nd := it.n, it.n*dh
+		qh, kh, vh, dch, gh := (*buf)[:nd], (*buf)[nd:2*nd], (*buf)[2*nd:3*nd], (*buf)[3*nd:4*nd], (*buf)[4*nd:5*nd]
+		probs, dS := it.probs, (*buf)[5*nd+n*n:5*nd+2*n*n]
+		s.rows(qh, at.Q, it, false)
+		s.rows(kh, at.K, it, false)
+		s.rows(vh, at.V, it, false)
+		s.rows(dch, s.out, it, false)
+		clk.lap(stageCopy)
+		if it.drop != nil {
+			probs = (*buf)[5*nd : 5*nd+n*n]
+			mulRow(probs, it.probs, it.drop)
+			clk.lap(stageSoftmax)
 		}
 
-		s.path.run(serial, false, true, n, n, dh, 1, qh, kh, nil, 0, nil, sc)
-		for r := 0; r < n; r++ {
-			row := sc[r*n : (r+1)*n]
-			for j := range row {
-				row[j] *= s.scale
-			}
-			if s.causal {
-				// Bitwise what writing -1e9 over the future keys and
-				// normalizing the whole row gives: exp underflows to an
-				// exact zero there.
-				clear(row[r+1:])
-				row = row[:r+1]
-			}
-			softmaxRow(row, row)
-		}
+		// dP = dOut·Vᵀ, dV = Pᵀ·dOut.
+		s.path.run(serial, false, true, n, n, dh, 1, dch, vh, nil, 0, nil, dS)
+		s.path.run(serial, true, false, n, dh, n, 1, probs, dch, nil, 0, nil, gh)
+		clk.lap(stageBGEMM)
+		s.rows(gh, s.dV, it, true)
+		clk.lap(stageCopy)
 
-		s.path.run(serial, false, false, n, dh, n, 1, sc, vh, nil, 0, nil, ch)
-		for r := 0; r < n; r++ {
-			copy(s.out[(row0+r)*d+col:], ch[r*dh:(r+1)*dh])
+		// Through dropout, softmax and the scale; the mask add has an
+		// identity gradient.
+		if it.drop != nil {
+			mulRow(dS, dS, it.drop)
+		}
+		softmaxGradRows(dS, dS, it.probs, 0, n, n)
+		scaleRow(dS, dS, at.Scale)
+		clk.lap(stageSoftmax)
+
+		// dQ = dS·K, dK = dSᵀ·Q.
+		s.path.run(serial, false, false, n, dh, n, 1, dS, kh, nil, 0, nil, gh)
+		clk.lap(stageBGEMM)
+		s.rows(gh, s.dQ, it, true)
+		clk.lap(stageCopy)
+		s.path.run(serial, true, false, n, dh, n, 1, dS, qh, nil, 0, nil, gh)
+		clk.lap(stageBGEMM)
+		s.rows(gh, s.dK, it, true)
+		clk.lap(stageCopy)
+	}
+	clk.flush()
+}
+
+// scaleMaskSoftmaxRow turns row q of an item's raw scores into attention
+// probabilities in place: scale, the additive key mask (nil: none) and a
+// row softmax. The product is rounded before the mask add, as the
+// Scale-then-add chain did (arm64 would otherwise fuse the two). Causal
+// clears the future keys and normalizes the visible prefix: bitwise the
+// -1e9 fill over them and a whole-row softmax whenever a visible key
+// scores above -1e9+128 (key 0 of a right-padded sequence always does),
+// as exp underflows to an exact zero there.
+func scaleMaskSoftmaxRow(row, keyMask []float32, s float32, causal bool, q int) {
+	if causal {
+		clear(row[q+1:])
+		row = row[:q+1]
+	}
+	if keyMask != nil {
+		keyMask = keyMask[:len(row)]
+		for i := range row {
+			row[i] = float32(s*row[i]) + keyMask[i]
+		}
+	} else {
+		for i := range row {
+			row[i] *= s
 		}
 	}
+	softmaxRow(row, row)
 }

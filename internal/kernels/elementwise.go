@@ -28,14 +28,13 @@ type ewArgs struct {
 
 var ewBodies argsPool[ewArgs]
 
-// rowArgs are the operands of the row-wise kernels (softmax, head split
-// and merge, cross-entropy backward); each uses the fields it names.
+// rowArgs are the operands of the row-wise kernels (softmax, the sparse
+// row flush, cross-entropy backward); each uses the fields it names.
 type rowArgs struct {
-	dst, x, y, mask []float32
-	targets         []int
-	s               float32
-	causal          bool
-	n, heads, dHead int
+	dst, x  []float32
+	targets []int
+	s       float32
+	n       int
 }
 
 var rowBodies argsPool[rowArgs]
@@ -280,52 +279,4 @@ func (pool *Pool) BiasGrad(dBias []float32, dY []float32, m, n int) {
 		panic(fmt.Sprintf("kernels: BiasGrad dims dY=%d dBias=%d m=%d n=%d", len(dY), len(dBias), m, n))
 	}
 	biasBodies.run(pool, n, colBandGrain(pool, n, m), biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
-}
-
-// ScaleMaskSoftmaxAttention is the fused attention-score pipeline over a
-// [B·h, n, n] score tensor: scale, broadcast additive key mask
-// (keyMask: [B, n], may be nil), optional causal masking of future
-// positions (decoder-style attention, Section 2.3), and row softmax — all
-// in one pass (Section 6.1.1), bit for bit what Scale, the mask add, the
-// causal fill and Softmax compute as four passes. dst may be scores
-// itself: each row is read, then written, by one work item.
-func (pool *Pool) ScaleMaskSoftmaxAttention(dst, scores []float32, keyMask []float32, s float32, causal bool, b, h, n int) {
-	rows := b * h * n
-	if len(scores) != rows*n || len(dst) != rows*n {
-		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention dims scores=%d want %d", len(scores), rows*n))
-	}
-	if keyMask != nil && len(keyMask) != b*n {
-		panic(fmt.Sprintf("kernels: ScaleMaskSoftmaxAttention keyMask=%d want %d", len(keyMask), b*n))
-	}
-	rowBodies.run(pool, rows, grainFor(pool, rows, n), rowArgs{dst: dst, x: scores, mask: keyMask, s: s, causal: causal, heads: h, n: n}, scaleMaskSoftmaxRange)
-}
-
-func scaleMaskSoftmaxRange(ra *rowArgs, lo, hi int) {
-	const negInf = float32(-1e9)
-	dst, scores, keyMask, s, causal, h, n := ra.dst, ra.x, ra.mask, ra.s, ra.causal, ra.heads, ra.n
-	for r := lo; r < hi; r++ {
-		q := r % n           // query position
-		batch := r / (h * n) // sequence index
-		in := scores[r*n : (r+1)*n]
-		out := dst[r*n : (r+1)*n]
-		if keyMask != nil {
-			mk := keyMask[batch*n : (batch+1)*n]
-			// The conversion rounds the scaled score before the mask
-			// add, as the unfused Scale-then-add sequence does; without
-			// it arm64 contracts the two into one fused multiply-add.
-			for i := range out {
-				out[i] = float32(s*in[i]) + mk[i]
-			}
-		} else {
-			for i := range out {
-				out[i] = s * in[i]
-			}
-		}
-		if causal {
-			for i := q + 1; i < n; i++ {
-				out[i] = negInf
-			}
-		}
-		softmaxRow(out, out)
-	}
 }

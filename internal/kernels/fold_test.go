@@ -10,7 +10,7 @@ import (
 )
 
 // Oracle tests for the column folds (BiasGrad, LayerNormBackward's dγ/dβ),
-// the four-row passes (LayerNormBackward's dX, SoftmaxGrad) and
+// the four-row passes (LayerNormBackward's dX, softmaxGradRows) and
 // Add's, Mul's and Scale's vector bodies against copies of the loops they
 // replaced, under every kernel-table entry, bit for bit.
 
@@ -166,15 +166,15 @@ func TestLayerNormBackwardMatchesParentLoops(t *testing.T) {
 	})
 }
 
-// TestSoftmaxGradMatchesParentLoop: the four-row dot equals the one-row
-// loop.
+// TestSoftmaxGradMatchesParentLoop: the attention backward's softmax
+// gradient rows (four-row dot) equal the one-row loop.
 func TestSoftmaxGradMatchesParentLoop(t *testing.T) {
 	forEachFoldCase(t, func(t *testing.T, id string, r *tensor.RNG, pool *Pool, rows, n int, c tailCase) {
 		y := tailOperand(r, rows*n, 2, c, true)
 		dY := tailOperand(r, rows*n, 5, c, false)
 		want, got := make([]float32, rows*n), make([]float32, rows*n)
 		parentSoftmaxGrad(want, dY, y, rows, n)
-		pool.SoftmaxGrad(got, dY, y, rows, n)
+		softmaxGradRows(got, dY, y, 0, rows, n)
 		if i := sameFold(got, want); i >= 0 {
 			t.Fatalf("%s: dX[%d] = %#08x, loop %#08x", id, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
@@ -282,17 +282,6 @@ func BenchmarkLayerNormBackward(b *testing.B) {
 			benchEachKernel(b, 4*3*len(x), func() {
 				pool.LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma, mean, invStd, rows, n)
 			})
-		})
-	}
-}
-
-func BenchmarkSoftmaxGrad(b *testing.B) {
-	pool := poolOf(runtime.GOMAXPROCS(0))
-	for _, s := range foldBenchShapes {
-		b.Run(s.name, func(b *testing.B) {
-			rows, n := s.scores, 128
-			y, dY, dX := normalSlice(55, rows*n, 1), normalSlice(56, rows*n, 1), make([]float32, rows*n)
-			benchEachKernel(b, 4*3*len(y), func() { pool.SoftmaxGrad(dX, dY, y, rows, n) })
 		})
 	}
 }

@@ -33,7 +33,7 @@ package kernels
 // routes: same micro-kernel, same A panels and B values, same depth order
 // per C element, with every shortcut (pack reuse, fused tail, short
 // stripes) turned off. Serial products (BatchedGEMM's and
-// AttentionRagged's per-matrix calls) keep the per-call schedule on auto.
+// the attention region's per-head calls) keep the per-call schedule on auto.
 type GEMMPath int32
 
 const (
@@ -77,7 +77,7 @@ func (p GEMMPath) String() string {
 // write-back: auto's short-stripe route when panels is nil, pool is set and
 // C has at most shortStripeRows rows, else gemmBlocked on panels (op(B)
 // pre-packed by PackWeight) or, when nil, packed per call. pool is the
-// pool the product's regions run on; BatchedGEMM and AttentionRagged pass
+// pool the product's regions run on; BatchedGEMM and the attention region pass
 // serial for their per-matrix products, which carry no epilogue.
 //
 // The naive loops scale C by beta in a pre-pass. The engine does too for a

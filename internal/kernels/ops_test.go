@@ -118,7 +118,8 @@ func TestSoftmaxLargeValuesStable(t *testing.T) {
 	}
 }
 
-// Property: SoftmaxGrad matches finite differences of the softmax.
+// Property: the softmax-gradient row body matches finite differences of
+// the softmax.
 func TestSoftmaxGradFiniteDifference(t *testing.T) {
 	r := tensor.NewRNG(7)
 	n := 6
@@ -127,7 +128,7 @@ func TestSoftmaxGradFiniteDifference(t *testing.T) {
 	y := make([]float32, n)
 	processPool.Softmax(y, x, 1, n)
 	dX := make([]float32, n)
-	processPool.SoftmaxGrad(dX, dY, y, 1, n)
+	softmaxGradRows(dX, dY, y, 0, 1, n)
 
 	const eps = 1e-3
 	for i := 0; i < n; i++ {
@@ -408,43 +409,6 @@ func TestSumSquaresParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSplitMergeHeadsRoundTrip(t *testing.T) {
-	r := tensor.NewRNG(10)
-	b, n, h, dHead := 2, 3, 4, 5
-	x := randSlice(r, b*n*h*dHead)
-	split := make([]float32, len(x))
-	merged := make([]float32, len(x))
-	processPool.SplitHeads(split, x, b, n, h, dHead)
-	processPool.MergeHeads(merged, split, b, n, h, dHead)
-	if maxAbsDiff(x, merged) != 0 {
-		t.Fatal("SplitHeads/MergeHeads round trip failed")
-	}
-}
-
-func TestSplitHeadsLayout(t *testing.T) {
-	// One batch, 2 tokens, 2 heads, dHead 2: token t, head h, elem j has
-	// input value 100*t + 10*h + j.
-	b, n, h, dHead := 1, 2, 2, 2
-	x := make([]float32, b*n*h*dHead)
-	for t0 := 0; t0 < n; t0++ {
-		for hh := 0; hh < h; hh++ {
-			for j := 0; j < dHead; j++ {
-				x[t0*h*dHead+hh*dHead+j] = float32(100*t0 + 10*hh + j)
-			}
-		}
-	}
-	out := make([]float32, len(x))
-	processPool.SplitHeads(out, x, b, n, h, dHead)
-	// Head 1, token 0, elem 1 lives at ((0*2+1)*2+0)*2+1.
-	if got := out[((0*2+1)*2+0)*2+1]; got != 11 {
-		t.Fatalf("SplitHeads layout: got %v, want 11", got)
-	}
-	// Head 0, token 1, elem 0 lives at ((0*2+0)*2+1)*2+0.
-	if got := out[((0*2+0)*2+1)*2+0]; got != 100 {
-		t.Fatalf("SplitHeads layout: got %v, want 100", got)
-	}
-}
-
 func TestCrossEntropyUniformLogits(t *testing.T) {
 	rows, classes := 2, 4
 	logits := make([]float32, rows*classes)
@@ -522,11 +486,11 @@ func TestCrossEntropyBadTargetPanics(t *testing.T) {
 	processPool.CrossEntropyForward(make([]float32, 4), make([]float32, 4), []int{7}, 1, 4)
 }
 
-// scaleMaskSoftmaxSequence is the attention-score chain the training
-// forward ran as four passes before it used ScaleMaskSoftmaxAttention:
+// scaleMaskSoftmaxSequence is the attention-score chain as four passes:
 // Scale in place, the broadcast key-mask add, the causal fill, then
-// Softmax into dst. It is the kernel's bitwise oracle and the sequence
-// half of BenchmarkScaleMaskSoftmaxAttention.
+// Softmax into dst. It is the bitwise oracle of scaleMaskSoftmaxRow and
+// the score pass of the test copy of the whole-tensor attention chain
+// (attnChain).
 func scaleMaskSoftmaxSequence(dst, scores, keyMask []float32, s float32, causal bool, b, h, n int) {
 	processPool.Scale(scores, scores, s)
 	for r := 0; r < b*h*n; r++ {
@@ -546,11 +510,23 @@ func scaleMaskSoftmaxSequence(dst, scores, keyMask []float32, s float32, causal 
 	processPool.Softmax(dst, scores, b*h*n, n)
 }
 
-// TestScaleMaskSoftmaxAttentionMatchesSequence: the one-pass kernel
-// computes the four-pass chain's bits, written to a separate dst or over
-// the scores, under every kernel-table entry, with and without a key mask
-// and causal masking, at rows that are and are not a multiple of the
-// vector width.
+// scaleMaskSoftmaxRows runs the attention region's row body over a
+// [B·h, n, n] score tensor in place.
+func scaleMaskSoftmaxRows(scores, keyMask []float32, s float32, causal bool, b, h, n int) {
+	for r := 0; r < b*h*n; r++ {
+		var mk []float32
+		if keyMask != nil {
+			batch := r / (h * n)
+			mk = keyMask[batch*n : (batch+1)*n]
+		}
+		scaleMaskSoftmaxRow(scores[r*n:(r+1)*n], mk, s, causal, r%n)
+	}
+}
+
+// TestScaleMaskSoftmaxAttentionMatchesSequence: the attention region's
+// scale/mask/softmax row body computes the four-pass chain's bits under
+// every kernel-table entry, with and without a key mask and causal
+// masking, at rows that are and are not a multiple of the vector width.
 func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
 	forEachKernel(t, "", func(t *testing.T) {
 		for _, sh := range []struct{ b, h, n int }{{2, 3, 8}, {4, 12, 128}, {1, 4, 37}} {
@@ -571,14 +547,12 @@ func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
 				for _, causal := range []bool{false, true} {
 					want := make([]float32, rows*sh.n)
 					scaleMaskSoftmaxSequence(want, append([]float32(nil), scores...), mask, s, causal, sh.b, sh.h, sh.n)
-					got := make([]float32, rows*sh.n)
-					processPool.ScaleMaskSoftmaxAttention(got, scores, mask, s, causal, sh.b, sh.h, sh.n)
-					inPlace := append([]float32(nil), scores...)
-					processPool.ScaleMaskSoftmaxAttention(inPlace, inPlace, mask, s, causal, sh.b, sh.h, sh.n)
+					got := append([]float32(nil), scores...)
+					scaleMaskSoftmaxRows(got, mask, s, causal, sh.b, sh.h, sh.n)
 					for i := range want {
-						if math.Float32bits(got[i]) != math.Float32bits(want[i]) || math.Float32bits(inPlace[i]) != math.Float32bits(want[i]) {
-							t.Fatalf("%+v mask=%v causal=%v elem %d: kernel %#08x, in place %#08x, sequence %#08x",
-								sh, mask != nil, causal, i, math.Float32bits(got[i]), math.Float32bits(inPlace[i]), math.Float32bits(want[i]))
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%+v mask=%v causal=%v elem %d: row body %#08x, sequence %#08x",
+								sh, mask != nil, causal, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
 						}
 					}
 				}
@@ -587,17 +561,18 @@ func TestScaleMaskSoftmaxAttentionMatchesSequence(t *testing.T) {
 	})
 }
 
+// TestScaleMaskSoftmaxAttentionNilMask: with no key mask every row of the
+// attention probabilities the region saves sums to one.
 func TestScaleMaskSoftmaxAttentionNilMask(t *testing.T) {
 	r := tensor.NewRNG(22)
-	b, h, n := 1, 2, 4
-	rows := b * h * n
-	scores := randSlice(r, rows*n)
-	out := make([]float32, rows*n)
-	processPool.ScaleMaskSoftmaxAttention(out, scores, nil, 1, false, b, h, n)
-	for row := 0; row < rows; row++ {
+	b, h, n, dh := 1, 2, 4, 3
+	x := randSlice(r, b*n*h*dh)
+	at := &Attention{Q: x, K: x, V: x, Offsets: []int{0, n}, Heads: h, DHead: dh, Scale: 1, Probs: make([]float32, b*h*n*n)}
+	GEMMPathAuto.AttentionForward(nil, at, make([]float32, len(x)), nil)
+	for row := 0; row < b*h*n; row++ {
 		var sum float64
 		for k := 0; k < n; k++ {
-			sum += float64(out[row*n+k])
+			sum += float64(at.Probs[row*n+k])
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Fatalf("row %d sums to %v", row, sum)
@@ -605,13 +580,16 @@ func TestScaleMaskSoftmaxAttentionNilMask(t *testing.T) {
 	}
 }
 
+// TestScaleMaskSoftmaxAttentionBadDimsPanics: a key mask that is not one
+// value per token panics.
 func TestScaleMaskSoftmaxAttentionBadDimsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	processPool.ScaleMaskSoftmaxAttention(make([]float32, 8), make([]float32, 8), make([]float32, 3), 1, false, 1, 1, 2)
+	x := make([]float32, 2)
+	GEMMPathAuto.AttentionForward(nil, &Attention{Q: x, K: x, V: x, Offsets: []int{0, 2}, Heads: 1, DHead: 1, Scale: 1, KeyMask: make([]float32, 3)}, make([]float32, 2), nil)
 }
 
 // refAddBias / refBiasGrad are the serial reference kernels the flattened

@@ -69,23 +69,16 @@ func softmaxRange(ra *rowArgs, lo, hi int) {
 	}
 }
 
-// SoftmaxGrad computes the input gradient of a row-wise softmax given the
-// softmax output y and upstream gradient dY:
+// softmaxGradRows computes the input gradient of a row-wise softmax over
+// rows [lo, hi) of n-wide matrices, given the softmax output y and the
+// upstream gradient dY (dX may be dY):
 //
 //	dX[i] = y[i] * (dY[i] - sum_j dY[j]*y[j])
-func (pool *Pool) SoftmaxGrad(dX, dY, y []float32, rows, n int) {
-	if len(dX) != rows*n || len(dY) != rows*n || len(y) != rows*n {
-		panic("kernels: SoftmaxGrad dims mismatch")
-	}
-	rowBodies.run(pool, rows, grainFor(pool, rows, n), rowArgs{dst: dX, x: dY, y: y, n: n}, softmaxGradRange)
-}
-
-// softmaxGradRange computes dX for rows [lo, hi), four rows per pass
-// through the dot products, each row in its own accumulator and its own
-// sequential order. The product is rounded before it is added, so arm64
-// does not fuse the two (check.sh greps the listing).
-func softmaxGradRange(ra *rowArgs, lo, hi int) {
-	dX, dY, y, n := ra.dst, ra.x, ra.y, ra.n
+//
+// four rows per pass through the dot products, each row in its own
+// accumulator and its own sequential order. The product is rounded before
+// it is added, so arm64 does not fuse the two (check.sh greps the listing).
+func softmaxGradRows(dX, dY, y []float32, lo, hi, n int) {
 	var dot [4]float32
 	for r0 := lo; r0 < hi; r0 += len(dot) {
 		rows := min(len(dot), hi-r0)

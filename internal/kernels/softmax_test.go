@@ -211,40 +211,6 @@ func BenchmarkSoftmax(b *testing.B) {
 	}
 }
 
-// BenchmarkScaleMaskSoftmaxAttention times the attention-score pass at
-// the Table 2b score shape of BERT-Large (h = 16, n = 128; B = 4, key
-// mask on): the one-pass kernel in place, as training runs it, against
-// the four-pass chain it replaced (scaleMaskSoftmaxSequence) — the
-// measured half of E19. Bytes are one read and one write of the scores.
-func BenchmarkScaleMaskSoftmaxAttention(b *testing.B) {
-	const batch, heads, n = 4, 16, 128
-	scores := normalSlice(40, batch*heads*n*n, 3)
-	keyMask := make([]float32, batch*n)
-	for k := n - 16; k < n; k++ {
-		keyMask[k] = -1e9
-	}
-	s := float32(1 / math.Sqrt(64))
-	work := make([]float32, len(scores))
-	for _, bc := range []struct {
-		name string
-		run  func()
-	}{
-		{"fused", func() { processPool.ScaleMaskSoftmaxAttention(work, work, keyMask, s, false, batch, heads, n) }},
-		{"sequence", func() { scaleMaskSoftmaxSequence(work, work, keyMask, s, false, batch, heads, n) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * len(scores)))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				copy(work, scores)
-				b.StartTimer()
-				bc.run()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(scores)), "ns/element")
-		})
-	}
-}
-
 // BenchmarkExp times the exp span alone (the installed body) on
 // softmax-like inputs, ns/element.
 func BenchmarkExp(b *testing.B) {

@@ -179,7 +179,7 @@ func checkEdges(t *testing.T, f transcendental) {
 
 // TestTranscendentalBodiesBitwiseAcrossKernels: every public path through
 // the three spans — GeLUForward, GeLUBackward with dX aliasing dY, the
-// bias+GeLU epilogue, Softmax, CrossEntropyForward and AttentionRagged —
+// bias+GeLU epilogue, Softmax, CrossEntropyForward and AttentionForward —
 // gives the same bits under every kernel-table entry the host supports, on
 // lengths 0..70 and ragged tails past the 16- and 64-lane blocks, at
 // element offsets 0..7, with special values mixed in. The one exception is
@@ -275,8 +275,8 @@ func TestTranscendentalBodiesBitwiseAcrossKernels(t *testing.T) {
 			out := make([]float32, size)
 			// Both products on the naive loops, the same Go code on every
 			// entry, so only the softmax's exp can tell entries apart.
-			GEMMPathNaive.AttentionRagged(nil, out, q, kk, v, offsets, heads, dHead, 0.35, causal)
-			record(fmt.Sprintf("AttentionRagged causal=%v", causal), out...)
+			GEMMPathNaive.AttentionForward(nil, &Attention{Q: q, K: kk, V: v, Offsets: offsets, Heads: heads, DHead: dHead, Scale: 0.35, Causal: causal}, out, nil)
+			record(fmt.Sprintf("AttentionForward causal=%v", causal), out...)
 		}
 		return names, outs
 	}

@@ -70,32 +70,44 @@ func NewDropout(p float32, cat profile.Category) *Dropout {
 
 // Forward samples a fresh mask in training mode and applies it.
 func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	if !ctx.Train || d.P == 0 {
-		d.mask = nil
+	mask := d.fillMask(ctx, x)
+	if mask == nil {
 		return x
-	}
-	if ctx.Recompute && d.mask != nil && tensor.SameShape(d.mask, x) {
-		// Checkpointed recompute: replay the saved mask so the recomputed
-		// activation matches the original bit-for-bit.
-	} else {
-		// The fill draws one RNG stream — in parallel chunks, each skipped
-		// to its start, so the mask does not depend on the worker count —
-		// and is a kernel of its own in the profile: n float32 written, no
-		// arithmetic.
-		d.mask = ctx.NewActivation(x.Shape()...)
-		ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
-			0, int64(x.Size())*4, func() {
-				ctx.Pool.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
-			})
 	}
 	y := ctx.NewActivation(x.Shape()...)
 	n := x.Size()
 	es := ctx.ElemSize()
 	ctx.Prof.Time("dropout_fwd", d.Category, profile.Forward,
 		kernels.EWFLOPs(n, 1), kernels.EWBytes(n, 2, 1, es), func() {
-			ctx.Pool.DropoutApply(y.Data(), x.Data(), d.mask.Data())
+			ctx.Pool.DropoutApply(y.Data(), x.Data(), mask.Data())
 		})
 	return y
+}
+
+// fillMask returns the mask for an activation shaped like x, saved for
+// Backward: a fresh one in training mode, the saved one replayed in a
+// checkpointed recompute, nil when the dropout is inactive. Forward
+// applies it; attention multiplies it in inside its own region.
+func (d *Dropout) fillMask(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
+	if !ctx.Train || d.P == 0 {
+		d.mask = nil
+		return nil
+	}
+	if ctx.Recompute && d.mask != nil && tensor.SameShape(d.mask, x) {
+		// Checkpointed recompute: replay the saved mask so the recomputed
+		// activation matches the original bit-for-bit.
+		return d.mask
+	}
+	// The fill draws one RNG stream — in parallel chunks, each skipped to
+	// its start, so the mask does not depend on the worker count — and is
+	// a kernel of its own in the profile: n float32 written, no
+	// arithmetic.
+	d.mask = ctx.NewActivation(x.Shape()...)
+	ctx.Prof.Time("dropout_mask", d.Category, profile.Forward,
+		0, int64(x.Size())*4, func() {
+			ctx.Pool.DropoutMask(d.mask.Data(), d.P, ctx.RNG)
+		})
+	return d.mask
 }
 
 // Backward propagates gradients through the saved mask.

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"demystbert/internal/kernels"
 	"demystbert/internal/profile"
@@ -10,10 +11,11 @@ import (
 )
 
 // MultiHeadAttention implements the attention network of Fig. 2(c,d) and
-// Fig. 5: Q/K/V linear projections, h parallel attention heads executed as
-// batched GEMMs of B·h small matrices, the scale→mask→softmax→dropout
-// pipeline on attention scores, the weighted-sum batched GEMM, head
-// concatenation, and the output projection.
+// Fig. 5: Q/K/V linear projections; the core — h heads' score products,
+// scale→mask→softmax→dropout on the scores, the weighted sum of values and
+// the head concatenation — as one kernel region over (sequence, head)
+// items in training and evaluation alike (kernels.AttentionForward,
+// AttentionBackward), profiled per stage; and the output projection.
 type MultiHeadAttention struct {
 	Wq, Wk, Wv, Wo *Linear
 	AttnDrop       *Dropout
@@ -27,11 +29,12 @@ type MultiHeadAttention struct {
 
 	heads, dHead int
 
-	// Saved forward state for backprop.
-	b, n       int
-	qh, kh, vh *tensor.Tensor // [B*h, n, dHead] split projections
-	probs      *tensor.Tensor // post-dropout attention probabilities
-	softmaxOut *tensor.Tensor // post-softmax (pre-dropout) probabilities
+	// Saved for backprop: the region's operands and the post-softmax,
+	// pre-dropout probabilities [B·h, n, n].
+	core       kernels.Attention
+	softmaxOut *tensor.Tensor
+	offsets    []int // a [B, n] batch's offsets: 0, n, 2n, …
+	stages     kernels.AttentionStages
 }
 
 // NewMultiHeadAttention builds an attention block for the given model
@@ -75,124 +78,58 @@ func (a *MultiHeadAttention) inner() int { return a.heads * a.dHead }
 // Forward runs attention over x: [B·n, Wq.In()]. mask, if non-nil, is an
 // additive [B, n] key mask (0 for visible, large-negative for padding).
 func (a *MultiHeadAttention) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
-	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, b, n, mask))
+	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, a.uniform(b, n), mask))
 }
 
-// forwardCore runs everything up to (not including) the output
-// projection, returning the merged head outputs [B·n, heads·dHead].
-func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
-	tokens, dim := mustRank2("MultiHeadAttention", x)
-	if tokens != b*n || dim != a.Wq.In() {
-		panic(fmt.Sprintf("nn: attention input %v, want [%d, %d]", x.Shape(), b*n, a.Wq.In()))
+// uniform returns the offsets of a [B, n] batch in a buffer the block keeps.
+func (a *MultiHeadAttention) uniform(b, n int) []int {
+	a.offsets = a.offsets[:0]
+	for s := 0; s <= b; s++ {
+		a.offsets = append(a.offsets, s*n)
 	}
-	if mask != nil && (mask.Rank() != 2 || mask.Dim(0) != b || mask.Dim(1) != n) {
-		panic(fmt.Sprintf("nn: attention mask %v, want [%d, %d]", mask.Shape(), b, n))
-	}
-	a.b, a.n = b, n
-	es := ctx.ElemSize()
-	batch := b * a.heads
+	return a.offsets
+}
 
+// forwardCore runs the three projections over all T rows of x and the
+// attention region over them (sequence s owns rows offsets[s]..offsets[s+1];
+// mask is an additive [B, n] key mask or nil), returning the merged head
+// outputs [T, heads·dHead]. Training saves the probabilities in a
+// [B·h, n, n] tensor (the batch must be [B, n] then) and fills — or, in a
+// checkpointed recompute, replays — the dropout mask the region multiplies
+// in; evaluation saves nothing and draws no score tensor.
+func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, offsets []int, mask *tensor.Tensor) *tensor.Tensor {
+	tokens, dim := mustRank2("MultiHeadAttention", x)
+	b := len(offsets) - 1
+	if dim != a.Wq.In() || offsets[b] != tokens {
+		panic(fmt.Sprintf("nn: attention input %v, want [%d, %d]", x.Shape(), offsets[b], a.Wq.In()))
+	}
+	var keyMask []float32
+	if mask != nil {
+		if mask.Rank() != 2 || mask.Dim(0) != b || mask.Size() != tokens {
+			panic(fmt.Sprintf("nn: attention mask %v, want [%d, %d]", mask.Shape(), b, tokens/b))
+		}
+		keyMask = mask.Data()
+	}
 	// Linear projections (Table 2b "Linear": d_model × n·B × d_model).
 	q := a.Wq.Forward(ctx, x)
 	k := a.Wk.Forward(ctx, x)
 	v := a.Wv.Forward(ctx, x)
-
-	// Split into h heads: [B*h, n, dHead].
-	a.qh = ctx.NewActivation(batch, n, a.dHead)
-	a.kh = ctx.NewActivation(batch, n, a.dHead)
-	a.vh = ctx.NewActivation(batch, n, a.dHead)
-	sz := tokens * a.inner()
-	ctx.Prof.Time("split_heads", profile.CatOther, profile.Forward,
-		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
-			ctx.Pool.SplitHeads(a.qh.Data(), q.Data(), b, n, a.heads, a.dHead)
-			ctx.Pool.SplitHeads(a.kh.Data(), k.Data(), b, n, a.heads, a.dHead)
-			ctx.Pool.SplitHeads(a.vh.Data(), v.Data(), b, n, a.heads, a.dHead)
-		})
-
-	// Attention scores: B·h batched GEMMs of n×n×dHead (Table 2b
-	// "Attn. Score"). BatchedGEMM hands whole matrices to the worker pool
-	// and routes each product as GEMM would, so heads of the paper's
-	// models (64 wide) run the blocked engine and tiny ones (small
-	// configs: 16×16×8) the naive loops; see DESIGN.md §8.
-	scores := ctx.NewActivation(batch, n, n)
-	stQK, stS := n*a.dHead, n*n
-	ctx.Prof.Time("attn_score_bgemm", profile.CatAttnBGEMM, profile.Forward,
-		int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
-		int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, true, n, n, a.dHead, 1,
-				a.qh.Data(), stQK, a.kh.Data(), stQK, 0, scores.Data(), stS)
-		})
-
-	// Scale by 1/sqrt(dHead), mask (key padding + optional causal) and
-	// softmax in one pass over the score matrix (the Section 6.1.1
-	// fusion), writing the probabilities over the scores.
-	scale := float32(1 / math.Sqrt(float64(a.dHead)))
-	nScores := batch * n * n
-	var maskData []float32
-	if mask != nil {
-		maskData = mask.Data()
+	a.core = kernels.Attention{
+		Q: q.Data(), K: k.Data(), V: v.Data(), Offsets: offsets,
+		Heads: a.heads, DHead: a.dHead, Scale: float32(1 / math.Sqrt(float64(a.dHead))), Causal: a.Causal,
+		KeyMask: keyMask,
 	}
-	ctx.Prof.Time("attn_scale_mask_softmax_fused", profile.CatScaleMaskSM, profile.Forward,
-		kernels.EWFLOPs(nScores, 6), kernels.EWBytes(nScores, 1, 1, es), func() {
-			ctx.Pool.ScaleMaskSoftmaxAttention(scores.Data(), scores.Data(),
-				maskData, scale, a.Causal, b, a.heads, n)
-		})
-	a.softmaxOut = scores
-
-	// Attention dropout (element-wise, so over the [B*h, n, n] tensor as
-	// it is).
-	a.probs = a.AttnDrop.Forward(ctx, a.softmaxOut)
-
-	// Weighted sum of values: B·h batched GEMMs of n×dHead×n (Table 2b
-	// "Attn. O/p").
-	ctxOut := ctx.NewActivation(batch, n, a.dHead)
-	ctx.Prof.Time("attn_output_bgemm", profile.CatAttnBGEMM, profile.Forward,
-		int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
-		int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, false, n, a.dHead, n, 1,
-				a.probs.Data(), stS, a.vh.Data(), stQK, 0, ctxOut.Data(), stQK)
-		})
-
-	// Concatenate heads back to [B·n, heads·dHead].
-	merged := ctx.NewActivation(tokens, a.inner())
-	ctx.Prof.Time("merge_heads", profile.CatOther, profile.Forward,
-		0, kernels.EWBytes(sz, 1, 1, es), func() {
-			ctx.Pool.MergeHeads(merged.Data(), ctxOut.Data(), b, n, a.heads, a.dHead)
-		})
-
-	return merged
-}
-
-// forwardCoreRagged is forwardCore for a padding-free evaluation batch:
-// x is [T, Wq.In()] and sequence s owns rows offsets[s]..offsets[s+1]. The
-// three projections run over all T rows; everything between them and the
-// output projection is one kernel (kernels.AttentionRagged), so there is
-// no key mask, no score tensor and nothing saved for Backward.
-func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
-	tokens, dim := mustRank2("MultiHeadAttention", x)
-	if dim != a.Wq.In() || offsets[len(offsets)-1] != tokens {
-		panic(fmt.Sprintf("nn: ragged attention input %v, want [%d, %d]", x.Shape(), offsets[len(offsets)-1], a.Wq.In()))
-	}
+	a.softmaxOut = nil
 	if ctx.Train {
-		panic("nn: ragged attention is evaluation-only")
-	}
-	q := a.Wq.Forward(ctx, x)
-	k := a.Wk.Forward(ctx, x)
-	v := a.Wv.Forward(ctx, x)
-
-	// One event for the whole region, carrying the B-GEMM work of every
-	// (sequence, head) item; the scale and softmax ride inside it.
-	es := ctx.ElemSize()
-	var flops, bytes int64
-	for s := 1; s < len(offsets); s++ {
-		n := offsets[s] - offsets[s-1]
-		flops += int64(a.heads) * (kernels.GEMMFLOPs(n, n, a.dHead) + kernels.GEMMFLOPs(n, a.dHead, n))
-		bytes += int64(a.heads) * (kernels.GEMMBytes(n, n, a.dHead, es) + kernels.GEMMBytes(n, a.dHead, n, es))
+		a.softmaxOut = ctx.NewActivation(b*a.heads, offsets[1], offsets[1])
+		a.core.Probs = a.softmaxOut.Data()
+		if m := a.AttnDrop.fillMask(ctx, a.softmaxOut); m != nil {
+			a.core.Drop = m.Data()
+		}
 	}
 	merged := ctx.NewActivation(tokens, a.inner())
-	scale := float32(1 / math.Sqrt(float64(a.dHead)))
-	ctx.Prof.Time("attn_ragged", profile.CatAttnBGEMM, profile.Forward, flops, bytes, func() {
-		ctx.Route.AttentionRagged(ctx.Pool, merged.Data(), q.Data(), k.Data(), v.Data(), offsets, a.heads, a.dHead, scale, a.Causal)
+	a.profileRegion(ctx, profile.Forward, func(st *kernels.AttentionStages) {
+		ctx.Route.AttentionForward(ctx.Pool, &a.core, merged.Data(), st)
 	})
 	return merged
 }
@@ -200,78 +137,18 @@ func (a *MultiHeadAttention) forwardCoreRagged(ctx *Ctx, x *tensor.Tensor, offse
 // Backward propagates dY: [B·n, Wo.Out()] through the attention block and
 // returns dX. Parameter gradients accumulate into the four projections.
 func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tensor {
-	if a.qh == nil {
-		panic("nn: MultiHeadAttention.Backward called before Forward")
+	if a.softmaxOut == nil {
+		panic("nn: MultiHeadAttention.Backward called before a training Forward")
 	}
-	b, n := a.b, a.n
-	tokens := b * n
-	batch := b * a.heads
-	es := ctx.ElemSize()
-	stQK, stS := n*a.dHead, n*n
-
-	// Through output projection.
+	// Through the output projection, then the attention region.
 	dMerged := a.Wo.Backward(ctx, dY)
-
-	// Un-concatenate heads.
-	dCtxOut := ctx.NewActivation(batch, n, a.dHead)
-	sz := tokens * a.inner()
-	ctx.Prof.Time("split_heads_bwd", profile.CatOther, profile.Backward,
-		0, kernels.EWBytes(sz, 1, 1, es), func() {
-			ctx.Pool.SplitHeads(dCtxOut.Data(), dMerged.Data(), b, n, a.heads, a.dHead)
-		})
-
-	// Backward of output BGEMM (Table 2b "Attn. O/p" BWD rows):
-	// dProbs = dCtxOut · V^T, dV = Probs^T · dCtxOut.
-	dProbs := ctx.NewActivation(batch, n, n)
-	dVh := ctx.NewActivation(batch, n, a.dHead)
-	ctx.Prof.Time("attn_output_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
-		2*int64(batch)*kernels.GEMMFLOPs(n, n, a.dHead),
-		2*int64(batch)*kernels.GEMMBytes(n, n, a.dHead, es), func() {
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, true, n, n, a.dHead, 1,
-				dCtxOut.Data(), stQK, a.vh.Data(), stQK, 0, dProbs.Data(), stS)
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, true, false, n, a.dHead, n, 1,
-				a.probs.Data(), stS, dCtxOut.Data(), stQK, 0, dVh.Data(), stQK)
-		})
-
-	// Through dropout, then softmax.
-	dAfterDrop := a.AttnDrop.Backward(ctx, dProbs)
-	dScores := ctx.NewActivation(batch, n, n)
-	nScores := batch * n * n
-	ctx.Prof.Time("attn_softmax_bwd", profile.CatScaleMaskSM, profile.Backward,
-		kernels.EWFLOPs(nScores, 4), kernels.EWBytes(nScores, 2, 1, es), func() {
-			ctx.Pool.SoftmaxGrad(dScores.Data(), dAfterDrop.Data(), a.softmaxOut.Data(), batch*n, n)
-		})
-	// Mask add has identity gradient; scale backward multiplies by the
-	// same constant.
-	scale := float32(1 / math.Sqrt(float64(a.dHead)))
-	ctx.Prof.Time("attn_scale_bwd", profile.CatScaleMaskSM, profile.Backward,
-		kernels.EWFLOPs(nScores, 1), kernels.EWBytes(nScores, 1, 1, es), func() {
-			ctx.Pool.Scale(dScores.Data(), dScores.Data(), scale)
-		})
-
-	// Backward of score BGEMM (Table 2b "Attn. Score" BWD rows):
-	// dQ = dScores · K, dK = dScores^T · Q.
-	dQh := ctx.NewActivation(batch, n, a.dHead)
-	dKh := ctx.NewActivation(batch, n, a.dHead)
-	ctx.Prof.Time("attn_score_bgemm_bwd", profile.CatAttnBGEMM, profile.Backward,
-		2*int64(batch)*kernels.GEMMFLOPs(n, a.dHead, n),
-		2*int64(batch)*kernels.GEMMBytes(n, a.dHead, n, es), func() {
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, false, false, n, a.dHead, n, 1,
-				dScores.Data(), stS, a.kh.Data(), stQK, 0, dQh.Data(), stQK)
-			ctx.Route.BatchedGEMM(ctx.Pool, batch, true, false, n, a.dHead, n, 1,
-				dScores.Data(), stS, a.qh.Data(), stQK, 0, dKh.Data(), stQK)
-		})
-
-	// Merge head gradients back to [B·n, heads·dHead].
+	tokens := dMerged.Dim(0)
 	dQ := ctx.NewActivation(tokens, a.inner())
 	dK := ctx.NewActivation(tokens, a.inner())
 	dV := ctx.NewActivation(tokens, a.inner())
-	ctx.Prof.Time("merge_heads_bwd", profile.CatOther, profile.Backward,
-		0, kernels.EWBytes(3*sz, 1, 1, es), func() {
-			ctx.Pool.MergeHeads(dQ.Data(), dQh.Data(), b, n, a.heads, a.dHead)
-			ctx.Pool.MergeHeads(dK.Data(), dKh.Data(), b, n, a.heads, a.dHead)
-			ctx.Pool.MergeHeads(dV.Data(), dVh.Data(), b, n, a.heads, a.dHead)
-		})
+	a.profileRegion(ctx, profile.Backward, func(st *kernels.AttentionStages) {
+		ctx.Route.AttentionBackward(ctx.Pool, &a.core, dQ.Data(), dK.Data(), dV.Data(), dMerged.Data(), st)
+	})
 
 	// Through the three input projections; their dX contributions sum
 	// because x feeds all three.
@@ -279,14 +156,79 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	dXk := a.Wk.Backward(ctx, dK)
 	dXv := a.Wv.Backward(ctx, dV)
 	nIn := tokens * a.Wq.In()
+	es := ctx.ElemSize()
 	ctx.Prof.Time("attn_input_grad_sum", profile.CatOther, profile.Backward,
 		kernels.EWFLOPs(nIn, 2), kernels.EWBytes(nIn, 3, 1, es), func() {
 			ctx.Pool.AccumulateInto(dX.Data(), dXk.Data())
 			ctx.Pool.AccumulateInto(dX.Data(), dXv.Data())
 		})
 
-	a.qh, a.kh, a.vh, a.probs, a.softmaxOut = nil, nil, nil, nil, nil
+	a.AttnDrop.mask = nil
+	a.core, a.softmaxOut = kernels.Attention{}, nil
 	return dX
+}
+
+// profileRegion runs one attention region. Under a profiler it records
+// the region as three events — the per-head products (CatAttnBGEMM),
+// scale/mask/dropout/softmax (CatScaleMaskSM) and the row gathers and
+// scatters (CatOther) — that tile its wall time back to back, split in
+// proportion to the busy time its items spent in each stage.
+func (a *MultiHeadAttention) profileRegion(ctx *Ctx, phase profile.Phase, region func(st *kernels.AttentionStages)) {
+	if ctx.Prof == nil {
+		region(nil)
+		return
+	}
+	start := time.Now()
+	region(&a.stages)
+	wall := time.Since(start)
+
+	// Algorithmic costs as the whole-tensor kernels counted them. Per head
+	// the forward runs 2 products, the fused score pass (6 FLOPs and 2
+	// accesses per score), the dropout apply (1, 3) and 4 row copies; the
+	// backward 4 products, the softmax gradient and scale (5, 5), the
+	// dropout re-form and apply (2, 6) and 7 row copies.
+	products, ops, io, copies := 1, 6, 2, 4
+	if phase == profile.Backward {
+		products, ops, io, copies = 2, 5, 5, 7
+	}
+	if a.core.Drop != nil {
+		ops, io = ops+products, io+3*products
+	}
+	es, offs := ctx.ElemSize(), a.core.Offsets
+	var gemmFLOPs, gemmBytes int64
+	scores := 0
+	for s := 1; s < len(offs); s++ {
+		n := offs[s] - offs[s-1]
+		scores += a.heads * n * n
+		gemmFLOPs += int64(2*products*a.heads) * kernels.GEMMFLOPs(n, n, a.dHead)
+		gemmBytes += int64(2*products*a.heads) * kernels.GEMMBytes(n, n, a.dHead, es)
+	}
+	events := [3]profile.Event{
+		{Kernel: "attn_core_bgemm", Category: profile.CatAttnBGEMM, FLOPs: gemmFLOPs, Bytes: gemmBytes},
+		{Kernel: "attn_core_softmax", Category: profile.CatScaleMaskSM, FLOPs: kernels.EWFLOPs(scores, ops), Bytes: kernels.EWBytes(scores, io, 0, es)},
+		{Kernel: "attn_core_copy", Category: profile.CatOther, Bytes: kernels.EWBytes(copies*offs[len(offs)-1]*a.inner(), 1, 1, es)},
+	}
+	busy := [3]int64{a.stages[0].Load(), a.stages[1].Load(), a.stages[2].Load()}
+	for i, d := range splitWall(wall, busy) {
+		events[i].Phase, events[i].Start, events[i].Duration = phase, start, d
+		ctx.Prof.Record(events[i])
+		start = start.Add(d)
+	}
+}
+
+// splitWall splits a region's wall time into per-stage durations in
+// proportion to the stages' busy times; they sum to wall exactly (the
+// last takes the rounding remainder, and all of it when nothing was
+// busy).
+func splitWall(wall time.Duration, busy [3]int64) (d [3]time.Duration) {
+	total := busy[0] + busy[1] + busy[2]
+	left := wall
+	for i := 0; i < len(d)-1 && total > 0; i++ {
+		d[i] = min(time.Duration(float64(wall)*float64(busy[i])/float64(total)), left)
+		left -= d[i]
+	}
+	d[len(d)-1] = left
+	return d
 }
 
 // Params returns the four projection layers' parameters.

@@ -76,15 +76,18 @@ func NewEncoderLayer(name string, dModel, heads, dFF int, dropP float32, rng *te
 // Forward runs the layer over x: [B·n, dModel] with an optional additive
 // [B, n] attention mask.
 func (e *EncoderLayer) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
-	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, b, n, mask))
+	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, e.Attn.uniform(b, n), mask))
 }
 
 // ForwardRagged runs the layer in evaluation mode over a padding-free
 // batch: x is [T, dModel] and sequence s owns rows offsets[s]..offsets[s+1].
 // Only attention knows where a sequence ends; every other operator sees T
-// rows.
+// rows. Nothing is saved for Backward, so a training context is refused.
 func (e *EncoderLayer) ForwardRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) *tensor.Tensor {
-	return e.forwardFrom(ctx, x, e.Attn.forwardCoreRagged(ctx, x, offsets))
+	if ctx.Train {
+		panic("nn: ragged forward is evaluation-only")
+	}
+	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, offsets, nil))
 }
 
 // forwardFrom runs the layer from the merged attention heads on: output

@@ -51,7 +51,7 @@ func TestMaskedKeysExactlyZeroWeight(t *testing.T) {
 
 	a := NewMultiHeadAttention("attn", d, heads, 0, tensor.NewRNG(3))
 	x, mask := maskedInput(tensor.NewRNG(8), b, n, d, lens)
-	a.Forward(inferCtx(), x, b, n, mask)
+	a.Forward(&Ctx{Train: true}, x, b, n, mask) // only a training pass saves the probabilities; dropout is off
 
 	probs := a.softmaxOut // [b·heads, n, n]
 	for bh := 0; bh < b*heads; bh++ {

@@ -46,24 +46,33 @@ func TestRaggedForwardMatchesPerSequenceForward(t *testing.T) {
 					}
 				}
 
-				// The whole attention core of a layer call is one event with the
-				// B-GEMM work of every (sequence, head) item.
+				// The whole attention core of a layer call is one region,
+				// recorded as its three stage events; the B-GEMM one carries
+				// the products of every (sequence, head) item.
 				var flops int64
 				for s := 1; s < len(offsets); s++ {
 					n := offsets[s] - offsets[s-1]
 					flops += heads * 2 * kernels.GEMMFLOPs(n, n, d/heads)
 				}
-				events := 0
+				ctx.Prof.Reset()
+				layer.ForwardRagged(ctx, emb.ForwardRagged(ctx, tokens, segments, offsets), offsets)
+				want := map[string]profile.Category{"attn_core_bgemm": profile.CatAttnBGEMM, "attn_core_softmax": profile.CatScaleMaskSM, "attn_core_copy": profile.CatOther}
+				var gemmFLOPs int64
 				for _, ev := range ctx.Prof.Events() {
-					if ev.Kernel == "attn_ragged" {
-						events++
-						if ev.Category != profile.CatAttnBGEMM || ev.FLOPs != flops {
-							t.Errorf("attn_ragged event: category %v, %d FLOPs; want %v, %d", ev.Category, ev.FLOPs, profile.CatAttnBGEMM, flops)
+					if cat, ok := want[ev.Kernel]; ok {
+						delete(want, ev.Kernel)
+						if ev.Category != cat {
+							t.Errorf("%s event: category %v, want %v", ev.Kernel, ev.Category, cat)
 						}
+						if ev.Category == profile.CatAttnBGEMM {
+							gemmFLOPs = ev.FLOPs
+						}
+					} else if ev.Category == profile.CatAttnBGEMM || ev.Category == profile.CatScaleMaskSM {
+						t.Errorf("unexpected attention event %+v", ev)
 					}
 				}
-				if events != 1 {
-					t.Errorf("%d attn_ragged events for one ragged layer call, want 1", events)
+				if len(want) != 0 || gemmFLOPs != flops {
+					t.Errorf("ragged layer call: stage events %v missing, B-GEMM FLOPs %d; want one of each, %d", want, gemmFLOPs, flops)
 				}
 			})
 		}

@@ -27,10 +27,10 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
-echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler and initial-weight bits)"
+echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go, attention.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler and initial-weight bits)"
 GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/kernels_arm64.txt 2>&1 || { tail -20 /tmp/kernels_arm64.txt; exit 1; }
 GOARCH=arm64 go build -gcflags=-S ./internal/model/ ./internal/tensor/ ./internal/optim/ >/tmp/model_arm64.txt 2>&1 || { tail -20 /tmp/model_arm64.txt; exit 1; }
-if { grep -E '(layernorm|elementwise|softmax|gemm)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
+if { grep -E '(layernorm|elementwise|softmax|attention|gemm)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
 	echo "check: fused multiply-add in an arm64 listing that must round every product" >&2
 	exit 1
 fi
@@ -43,6 +43,12 @@ if grep -n 'sync\.Pool' $(ls internal/kernels/*.go internal/memscale/*.go | grep
 fi
 if grep -nE '\.width\b' $(ls internal/kernels/*.go | grep -v '_test\.go$' | grep -v '/parallel\.go$'); then
 	echo "check: the worker width is read outside internal/kernels/parallel.go: take a grain from grainFor or piecesPer" >&2
+	exit 1
+fi
+
+echo "== one attention implementation (no non-test Go file in internal/nn calls BatchedGEMM: training, evaluation and serving attention all run the one region, kernels.GEMMPath.AttentionForward/AttentionBackward)"
+if grep -n 'BatchedGEMM' $(ls internal/nn/*.go | grep -v '_test\.go$'); then
+	echo "check: internal/nn calls BatchedGEMM: attention runs the one region (DESIGN.md §8)" >&2
 	exit 1
 fi
 
@@ -98,7 +104,7 @@ go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
 
-echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + streamed pre-packed weights + short ragged attention + GeLU + LAMB sweeps + softmax/exp + the scale-mask-softmax pass vs its four-pass chain (ScaleMaskSoftmaxAttention) + fused GEMM tails + dropout fill and column folds, 1 iteration)"
-go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|ShortStripe|GEMMStreamedWeights|AttentionRaggedShort|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue|DropoutMask|BiasGrad|LayerNormBackward|SoftmaxGrad' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
+echo "== kernel micro-benchmark smoke (pool fork/join + micro-kernels + transposing packs + short-stripe GEMMs + streamed pre-packed weights + short ragged attention + one layer's training attention, the region vs the whole-tensor chain it replaced + GeLU + LAMB sweeps + softmax/exp + fused GEMM tails + dropout fill and column folds, 1 iteration)"
+go test -run 'xxx' -bench 'ForkJoin|MicroKernel|PackPanels|ShortStripe|GEMMStreamedWeights|AttentionRaggedShort|AttentionTrain|GeLU|LAMB|SumSquares|SubScaled|Softmax|Exp|Epilogue|DropoutMask|BiasGrad|LayerNormBackward' -benchtime 1x -benchmem ./internal/kernels/ >/dev/null
 
 echo "check: OK"
