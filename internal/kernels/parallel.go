@@ -191,13 +191,18 @@ const (
 	// on a multiplexed host that is earned by load: the reference VM's two
 	// vCPUs take 4 ms turns on one core once the VM has idled for ~2 s,
 	// and get a core each again after ~1.2 s with both busy (4.7 s at
-	// 50 % duty, never at 30 %). A server answering one short request
-	// every 20 ms never earns it, so with always-hot workers the same
-	// workload read 8.4 ms or 14 ms from one run to the next, by where the
-	// hypervisor had left the second vCPU before the process started.
-	// Training steps and saturated serving keep the pool above 80 % busy
-	// and are spread within their first second; sparse serving stays
-	// below 60 % and runs with parked workers, as it always did.
+	// 50 % duty, never at 30 %). A caller that forks a short burst every
+	// 20 ms never earns it: sparse serving, when it still forked every
+	// kernel across this pool, read 8.4 ms or 14 ms from one run to the
+	// next with always-hot workers, by where the hypervisor had left the
+	// second vCPU before the process started. Serving no longer forks —
+	// each batch runner has a one-wide pool of its own, which runs every
+	// region inline — so the rule serves the callers that do: training
+	// steps (single-process, each distnet rank, bertprof, the
+	// memory-scaled trainer), which keep the pool above 80 % busy and are
+	// spread within their first second, and one-off bursts such as
+	// serving's load-time pack warm-up, which stay cold as they always
+	// did.
 	heatCap    = time.Second
 	idleWeight = 3
 )

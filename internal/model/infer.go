@@ -40,7 +40,14 @@ import (
 // (nn.Ctx) — the same one a training step on ctx draws from — which
 // EncodeEval resets on entry: the result stays valid until the next
 // EncodeEval, training step or any other model forward on the same ctx.
-// Copy it to keep it longer.
+// Copy it to keep it longer. Layer i draws into the slots layer i−2 drew
+// (ping-pong): a layer reads only its input, the previous layer's output,
+// so layer i−2's activations are dead by then, and the workspace holds the
+// embedding, two layers and the head whatever the depth. Draws after
+// EncodeEval come after both layers' slots.
+//
+// EncodeEval writes no field of the model: concurrent calls on one model,
+// each on its own ctx, share only its weights and their pack caches.
 func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
 	ctx.ResetWorkspace()
 	prevTrain := ctx.Train
@@ -50,7 +57,12 @@ func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
 	sp := ctx.StartSpan("embed")
 	h := m.Embed.ForwardRagged(ctx, b.Tokens, b.Segments, b.Offsets)
 	sp.End()
+	// bounds[j]..bounds[j+1] are the slots layer j draws, for j = 0, 1.
+	bounds := [3]int{ctx.WorkspaceMark()}
 	for i, layer := range m.Layers {
+		if i >= 2 {
+			ctx.ReuseWorkspace(bounds[i%2], bounds[i%2+1])
+		}
 		// Recording gate keeps the layerName lookup (and any Sprintf
 		// fallback) off the tracing-off path entirely.
 		var ls trace.ActiveSpan
@@ -59,7 +71,12 @@ func (m *BERT) EncodeEval(ctx *nn.Ctx, b *data.Ragged) *tensor.Tensor {
 		}
 		h = layer.ForwardRagged(ctx, h, b.Offsets)
 		ls.End()
+		if i < 2 {
+			bounds[i+1] = ctx.WorkspaceMark()
+		}
 	}
+	end := bounds[min(len(m.Layers), 2)]
+	ctx.ReuseWorkspace(end, end)
 	return h
 }
 

@@ -9,15 +9,17 @@ import (
 // GeLU is the Gaussian Error Linear Unit activation between the two FC
 // GEMMs of the feed-forward block (paper Eq. 1).
 type GeLU struct {
-	x *tensor.Tensor
+	x *tensor.Tensor // a training forward's input, saved for Backward
 }
 
 // NewGeLU returns a GeLU activation module.
 func NewGeLU() *GeLU { return &GeLU{} }
 
-// Forward applies GELU element-wise.
+// Forward applies GELU element-wise, saving x for Backward in training.
 func (g *GeLU) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	g.x = x
+	if ctx.Train {
+		g.x = x
+	}
 	y := ctx.NewActivation(x.Shape()...)
 	n := x.Size()
 	es := ctx.ElemSize()
@@ -87,9 +89,13 @@ func (d *Dropout) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 // fillMask returns the mask for an activation shaped like x, saved for
 // Backward: a fresh one in training mode, the saved one replayed in a
 // checkpointed recompute, nil when the dropout is inactive. Forward
-// applies it; attention multiplies it in inside its own region.
+// applies it; attention multiplies it in inside its own region. An
+// evaluation pass writes nothing here.
 func (d *Dropout) fillMask(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	if !ctx.Train || d.P == 0 {
+	if !ctx.Train {
+		return nil
+	}
+	if d.P == 0 {
 		d.mask = nil
 		return nil
 	}

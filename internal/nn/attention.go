@@ -29,12 +29,11 @@ type MultiHeadAttention struct {
 
 	heads, dHead int
 
-	// Saved for backprop: the region's operands and the post-softmax,
-	// pre-dropout probabilities [B·h, n, n].
+	// Saved for backprop by a training forward: the region's operands and
+	// the post-softmax, pre-dropout probabilities [B·h, n, n].
 	core       kernels.Attention
 	softmaxOut *tensor.Tensor
 	offsets    []int // a [B, n] batch's offsets: 0, n, 2n, …
-	stages     kernels.AttentionStages
 }
 
 // NewMultiHeadAttention builds an attention block for the given model
@@ -96,7 +95,8 @@ func (a *MultiHeadAttention) uniform(b, n int) []int {
 // outputs [T, heads·dHead]. Training saves the probabilities in a
 // [B·h, n, n] tensor (the batch must be [B, n] then) and fills — or, in a
 // checkpointed recompute, replays — the dropout mask the region multiplies
-// in; evaluation saves nothing and draws no score tensor.
+// in; evaluation saves nothing, draws no score tensor and runs the region
+// on the context's operand struct, writing no field of the block.
 func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, offsets []int, mask *tensor.Tensor) *tensor.Tensor {
 	tokens, dim := mustRank2("MultiHeadAttention", x)
 	b := len(offsets) - 1
@@ -114,22 +114,25 @@ func (a *MultiHeadAttention) forwardCore(ctx *Ctx, x *tensor.Tensor, offsets []i
 	q := a.Wq.Forward(ctx, x)
 	k := a.Wk.Forward(ctx, x)
 	v := a.Wv.Forward(ctx, x)
-	a.core = kernels.Attention{
+	core := &ctx.attn
+	if ctx.Train {
+		core = &a.core
+	}
+	*core = kernels.Attention{
 		Q: q.Data(), K: k.Data(), V: v.Data(), Offsets: offsets,
 		Heads: a.heads, DHead: a.dHead, Scale: float32(1 / math.Sqrt(float64(a.dHead))), Causal: a.Causal,
 		KeyMask: keyMask,
 	}
-	a.softmaxOut = nil
 	if ctx.Train {
 		a.softmaxOut = ctx.NewActivation(b*a.heads, offsets[1], offsets[1])
-		a.core.Probs = a.softmaxOut.Data()
+		core.Probs = a.softmaxOut.Data()
 		if m := a.AttnDrop.fillMask(ctx, a.softmaxOut); m != nil {
-			a.core.Drop = m.Data()
+			core.Drop = m.Data()
 		}
 	}
 	merged := ctx.NewActivation(tokens, a.inner())
-	a.profileRegion(ctx, profile.Forward, func(st *kernels.AttentionStages) {
-		ctx.Route.AttentionForward(ctx.Pool, &a.core, merged.Data(), st)
+	a.profileRegion(ctx, core, profile.Forward, func(st *kernels.AttentionStages) {
+		ctx.Route.AttentionForward(ctx.Pool, core, merged.Data(), st)
 	})
 	return merged
 }
@@ -146,7 +149,7 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	dQ := ctx.NewActivation(tokens, a.inner())
 	dK := ctx.NewActivation(tokens, a.inner())
 	dV := ctx.NewActivation(tokens, a.inner())
-	a.profileRegion(ctx, profile.Backward, func(st *kernels.AttentionStages) {
+	a.profileRegion(ctx, &a.core, profile.Backward, func(st *kernels.AttentionStages) {
 		ctx.Route.AttentionBackward(ctx.Pool, &a.core, dQ.Data(), dK.Data(), dV.Data(), dMerged.Data(), st)
 	})
 
@@ -168,18 +171,18 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 	return dX
 }
 
-// profileRegion runs one attention region. Under a profiler it records
-// the region as three events — the per-head products (CatAttnBGEMM),
-// scale/mask/dropout/softmax (CatScaleMaskSM) and the row gathers and
-// scatters (CatOther) — that tile its wall time back to back, split in
-// proportion to the busy time its items spent in each stage.
-func (a *MultiHeadAttention) profileRegion(ctx *Ctx, phase profile.Phase, region func(st *kernels.AttentionStages)) {
+// profileRegion runs one attention region over core. Under a profiler it
+// records the region as three events — the per-head products
+// (CatAttnBGEMM), scale/mask/dropout/softmax (CatScaleMaskSM) and the row
+// gathers and scatters (CatOther) — that tile its wall time back to back,
+// split in proportion to the busy time its items spent in each stage.
+func (a *MultiHeadAttention) profileRegion(ctx *Ctx, core *kernels.Attention, phase profile.Phase, region func(st *kernels.AttentionStages)) {
 	if ctx.Prof == nil {
 		region(nil)
 		return
 	}
 	start := time.Now()
-	region(&a.stages)
+	region(&ctx.stages)
 	wall := time.Since(start)
 
 	// Algorithmic costs as the whole-tensor kernels counted them. Per head
@@ -191,10 +194,10 @@ func (a *MultiHeadAttention) profileRegion(ctx *Ctx, phase profile.Phase, region
 	if phase == profile.Backward {
 		products, ops, io, copies = 2, 5, 5, 7
 	}
-	if a.core.Drop != nil {
+	if core.Drop != nil {
 		ops, io = ops+products, io+3*products
 	}
-	es, offs := ctx.ElemSize(), a.core.Offsets
+	es, offs := ctx.ElemSize(), core.Offsets
 	var gemmFLOPs, gemmBytes int64
 	scores := 0
 	for s := 1; s < len(offs); s++ {
@@ -208,7 +211,7 @@ func (a *MultiHeadAttention) profileRegion(ctx *Ctx, phase profile.Phase, region
 		{Kernel: "attn_core_softmax", Category: profile.CatScaleMaskSM, FLOPs: kernels.EWFLOPs(scores, ops), Bytes: kernels.EWBytes(scores, io, 0, es)},
 		{Kernel: "attn_core_copy", Category: profile.CatOther, Bytes: kernels.EWBytes(copies*offs[len(offs)-1]*a.inner(), 1, 1, es)},
 	}
-	busy := [3]int64{a.stages[0].Load(), a.stages[1].Load(), a.stages[2].Load()}
+	busy := [3]int64{ctx.stages[0].Load(), ctx.stages[1].Load(), ctx.stages[2].Load()}
 	for i, d := range splitWall(wall, busy) {
 		events[i].Phase, events[i].Start, events[i].Duration = phase, start, d
 		ctx.Prof.Record(events[i])

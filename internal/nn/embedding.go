@@ -112,8 +112,9 @@ func (e *Embedding) sumRow(row []float32, id, seg, pos int) {
 // ForwardRagged embeds a padding-free batch for evaluation: tokens and
 // segments are the concatenation of the sequences' real tokens, sequence s
 // owns entries offsets[s]..offsets[s+1] (len(offsets) = B+1, from 0 to
-// len(tokens)) and its positions restart at 0. Returns [T, dModel]. No
-// state is saved: Backward does not follow it.
+// len(tokens)) and its positions restart at 0. Returns [T, dModel]. It
+// writes no field of the layer: Backward does not follow it, and
+// concurrent calls on their own contexts share the tables only.
 func (e *Embedding) ForwardRagged(ctx *Ctx, tokens, segments, offsets []int) *tensor.Tensor {
 	t := len(tokens)
 	if ctx.Train {
@@ -127,8 +128,6 @@ func (e *Embedding) ForwardRagged(ctx *Ctx, tokens, segments, offsets []int) *te
 			panic(fmt.Sprintf("nn: ragged sequence %d has %d tokens, want 1..%d", s-1, n, e.maxPos))
 		}
 	}
-	e.tokens, e.segments = nil, nil
-
 	out := ctx.NewActivation(t, e.dModel)
 	total := t * e.dModel
 	ctx.Prof.Time("embedding_gather", profile.CatEmbedding, profile.Forward,

@@ -96,10 +96,13 @@ func (e *EncoderLayer) forwardFrom(ctx *Ctx, x, merged *tensor.Tensor) *tensor.T
 	var h *tensor.Tensor
 	if fuseResidualLN(ctx, e.AttnDrop) {
 		// The block dropout is inactive, so its module call is skipped
-		// entirely; clear any stale mask so its Backward stays an identity.
-		// The output projection absorbs the Add&Norm tail (bias, residual
-		// skip addition, LayerNorm) into its GEMM write-back.
-		e.AttnDrop.mask = nil
+		// entirely; a training pass clears any stale mask so its Backward
+		// stays an identity. The output projection absorbs the Add&Norm
+		// tail (bias, residual skip addition, LayerNorm) into its GEMM
+		// write-back.
+		if ctx.Train {
+			e.AttnDrop.mask = nil
+		}
 		h = e.Attn.Wo.ForwardBiasResidualLN(ctx, merged, x, e.AttnLN)
 	} else {
 		attnOut := e.Attn.Wo.Forward(ctx, merged)
@@ -109,7 +112,9 @@ func (e *EncoderLayer) forwardFrom(ctx *Ctx, x, merged *tensor.Tensor) *tensor.T
 	}
 
 	if fuseResidualLN(ctx, e.FFDrop) {
-		e.FFDrop.mask = nil
+		if ctx.Train {
+			e.FFDrop.mask = nil
+		}
 		hidden := e.FF.forwardHidden(ctx, h)
 		return e.FF.FC2.ForwardBiasResidualLN(ctx, hidden, h, e.FFLN)
 	}

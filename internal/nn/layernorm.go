@@ -14,7 +14,8 @@ type LayerNorm struct {
 	Gamma, Beta *Param
 	Eps         float32
 
-	dim          int
+	dim int
+	// A training forward's input and row statistics, saved for Backward.
 	x            *tensor.Tensor
 	mean, invStd *tensor.Tensor
 }
@@ -32,15 +33,17 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 	return ln
 }
 
-// Forward normalizes rows and saves the statistics for backward.
+// Forward normalizes rows, saving the input and statistics for backward
+// in training.
 func (l *LayerNorm) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	rows, dim := mustRank2("LayerNorm", x)
 	if dim != l.dim {
 		panic(fmt.Sprintf("nn: LayerNorm features %d, want %d", dim, l.dim))
 	}
-	l.x = x
-	l.mean = ctx.NewActivation(rows)
-	l.invStd = ctx.NewActivation(rows)
+	mean, invStd := ctx.NewActivation(rows), ctx.NewActivation(rows)
+	if ctx.Train {
+		l.x, l.mean, l.invStd = x, mean, invStd
+	}
 	y := ctx.NewActivation(rows, dim)
 	n := rows * dim
 	es := ctx.ElemSize()
@@ -48,7 +51,7 @@ func (l *LayerNorm) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	ctx.Prof.Time("layernorm_fwd", profile.CatDRRCLN, profile.Forward,
 		kernels.EWFLOPs(n, 8), kernels.EWBytes(n, 1, 1, es), func() {
 			ctx.Pool.LayerNormForward(y.Data(), x.Data(), l.Gamma.Value.Data(), l.Beta.Value.Data(),
-				l.mean.Data(), l.invStd.Data(), rows, dim, l.Eps)
+				mean.Data(), invStd.Data(), rows, dim, l.Eps)
 		})
 	ctx.StoreHalf(y)
 	return y

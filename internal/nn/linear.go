@@ -24,8 +24,7 @@ type Linear struct {
 	Category profile.Category
 
 	in, out int
-	x       *tensor.Tensor   // saved forward input
-	ep      kernels.Epilogue // the forward's fused tail, kept here so a call allocates none
+	x       *tensor.Tensor // a training forward's input, saved for Backward
 }
 
 // NewLinear returns a Linear layer with Xavier-initialized weights.
@@ -41,14 +40,14 @@ func NewLinear(name string, in, out int, cat profile.Category, rng *tensor.RNG) 
 	return l
 }
 
-// Forward computes Y = X·W^T + b and saves X for the backward pass. The
-// bias add is fused into the GEMM's tile write-back
+// Forward computes Y = X·W^T + b, saving X for the backward pass in
+// training. The bias add is fused into the GEMM's tile write-back
 // (kernels.GEMMPackedEpilogue), which is bitwise identical to the legacy
 // GEMM-then-AddBias sequence.
 func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
-	l.ep = kernels.Epilogue{Kind: kernels.EpilogueBias, Bias: l.B.Value.Data()}
-	y := l.runEpilogueGEMM(ctx, x, &l.ep)
+	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBias, Bias: l.B.Value.Data()}
+	y := l.runEpilogueGEMM(ctx, x, &ctx.ep)
 	es := ctx.ElemSize()
 	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
 		kernels.EWFLOPs(tokens*l.out, 1), kernels.EWBytes(tokens*l.out, 1, 1, es))
@@ -63,15 +62,13 @@ func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
 // mixed precision, which fusion deliberately skips.
 func (l *Linear) ForwardBiasGeLU(ctx *Ctx, x *tensor.Tensor, act *GeLU) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
-	l.ep = kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU, Bias: l.B.Value.Data()}
-	ep := &l.ep
-	var pre *tensor.Tensor
+	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU, Bias: l.B.Value.Data()}
+	ep := &ctx.ep
 	if ctx.Train {
-		pre = ctx.NewActivation(tokens, l.out)
-		ep.X = pre.Data()
+		act.x = ctx.NewActivation(tokens, l.out)
+		ep.X = act.x.Data()
 	}
 	y := l.runEpilogueGEMM(ctx, x, ep)
-	act.x = pre
 	es := ctx.ElemSize()
 	sz := tokens * l.out
 	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
@@ -95,7 +92,7 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 	if ln.dim != l.out {
 		panic(fmt.Sprintf("nn: Linear fused LayerNorm dim %d, want %d", ln.dim, l.out))
 	}
-	l.ep = kernels.Epilogue{
+	ctx.ep = kernels.Epilogue{
 		Kind:     kernels.EpilogueBiasResidualLayerNorm,
 		Bias:     l.B.Value.Data(),
 		Residual: skip.Data(),
@@ -103,14 +100,12 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 		Beta:     ln.Beta.Value.Data(),
 		Eps:      ln.Eps,
 	}
-	ep := &l.ep
+	ep := &ctx.ep
 	if ctx.Train {
 		ln.x = ctx.NewActivation(tokens, l.out)
 		ln.mean = ctx.NewActivation(tokens)
 		ln.invStd = ctx.NewActivation(tokens)
 		ep.X, ep.Mean, ep.InvStd = ln.x.Data(), ln.mean.Data(), ln.invStd.Data()
-	} else {
-		ln.x, ln.mean, ln.invStd = nil, nil, nil
 	}
 	y := l.runEpilogueGEMM(ctx, x, ep)
 	es := ctx.ElemSize()
@@ -126,7 +121,7 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 }
 
 // runEpilogueGEMM executes the forward product with the given fused tail,
-// saving X for backward. The whole fused call is timed as
+// saving X for backward in training. The whole fused call is timed as
 // "linear_fwd_gemm" with exactly the product's FLOPs — the integration
 // tests reconcile real against analytical GEMM FLOPs by event name, so
 // tail-operator work must not leak into GEMM accounting.
@@ -135,7 +130,9 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	if in != l.in {
 		panic(fmt.Sprintf("nn: Linear input features %d, want %d", in, l.in))
 	}
-	l.x = x
+	if ctx.Train {
+		l.x = x
+	}
 	y := ctx.NewActivation(tokens, l.out)
 	es := ctx.ElemSize()
 

@@ -133,6 +133,17 @@ type Ctx struct {
 	Span   trace.SpanContext
 
 	ws *workspace // nil until the first ResetWorkspace
+
+	// The per-call operand structs of the layers' kernels: a Linear's
+	// fused GEMM tail, an evaluation pass's attention region and every
+	// region's stage clock. They live here, not on the modules, so that a
+	// call allocates none and an evaluation forward writes no module field:
+	// a module holds its weights and what a training forward saves for its
+	// backward, and one model serves concurrent evaluation passes, each on
+	// its own Ctx.
+	ep     kernels.Epilogue
+	attn   kernels.Attention
+	stages kernels.AttentionStages
 }
 
 // StartSpan opens a model-phase span under the context's ambient trace.

@@ -499,3 +499,54 @@ func TestParamHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestReuseWorkspace: released slots are handed out again, in order, to
+// the draws that follow, and in a poisoned workspace a tensor drawn from a
+// released slot reads NaN at once; slots before and after the released
+// range keep their contents, and an empty range only moves the draw
+// position.
+func TestReuseWorkspace(t *testing.T) {
+	c := &Ctx{}
+	PoisonWorkspace(c)
+	before := c.NewActivation(4)
+	before.Fill(1)
+	from := c.WorkspaceMark()
+	released := c.NewActivation(2, 3)
+	released.Fill(2)
+	to := c.WorkspaceMark()
+	after := c.NewActivation(5)
+	after.Fill(3)
+	end := c.WorkspaceMark()
+
+	c.ReuseWorkspace(from, to)
+	for i, v := range released.Data() {
+		if !math.IsNaN(float64(v)) {
+			t.Fatalf("released slot element %d reads %v, want NaN", i, v)
+		}
+	}
+	for _, kept := range []struct {
+		t    *tensor.Tensor
+		want float32
+	}{{before, 1}, {after, 3}} {
+		for _, v := range kept.t.Data() {
+			if v != kept.want {
+				t.Fatalf("a slot outside the released range reads %v, want %v", v, kept.want)
+			}
+		}
+	}
+	if again := c.NewActivation(2, 3); &again.Data()[0] != &released.Data()[0] {
+		t.Fatal("the draw after a release did not take the released slot")
+	}
+	c.ReuseWorkspace(end, end)
+	if c.WorkspaceMark() != end {
+		t.Fatalf("mark %d after moving to %d", c.WorkspaceMark(), end)
+	}
+	for _, v := range after.Data() {
+		if v != 3 {
+			t.Fatalf("a slot skipped over reads %v, want 3", v)
+		}
+	}
+	if c.WorkspaceBytes() < 4*(4+6+5) {
+		t.Fatalf("workspace holds %d bytes, its draws alone take %d", c.WorkspaceBytes(), 4*(4+6+5))
+	}
+}

@@ -2,6 +2,7 @@ package nn_test
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +129,63 @@ func TestWorkspacePoisonBitwise(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEvalWorkspacePoisonBitwise: the evaluation forward of a four-layer
+// model releases the slots of layer i−2 before every layer i from the
+// third on and draws into them. With every slot NaN-poisoned at each reset
+// and each release, it gives bitwise the encoder rows and predictions it
+// gives without, twice in a row: a layer that read a slot released before
+// it ran — its own input, had the release reached back one layer instead of
+// two — would read NaN.
+func TestEvalWorkspacePoisonBitwise(t *testing.T) {
+	cfg := model.Tiny()
+	cfg.NumLayers = 4
+	m, err := model.New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b data.Ragged
+	var positions [][]int
+	for s, ln := range []int{cfg.MaxPos, 3, 17, 1} {
+		toks := make([]int, ln)
+		toks[0] = data.ClsID
+		for i := 1; i < ln; i++ {
+			toks[i] = data.FirstWordID + (s*131+i*17)%(cfg.Vocab-data.FirstWordID)
+		}
+		var ps []int
+		if ln > 1 {
+			toks[ln-1] = data.MaskID
+			ps = []int{ln - 1}
+		}
+		b.Append(toks, nil)
+		positions = append(positions, ps)
+	}
+	evaluate := func(poison bool) ([]float32, [][]int) {
+		ctx := &nn.Ctx{}
+		if poison {
+			nn.PoisonWorkspace(ctx)
+		}
+		var rows []float32
+		var preds [][]int
+		for range 2 {
+			rows = append(rows, m.EncodeEval(ctx, &b).Data()...)
+			preds = append(preds, m.PredictMaskedAt(ctx, &b, positions)...)
+		}
+		return rows, preds
+	}
+	wantRows, wantPreds := evaluate(false)
+	gotRows, gotPreds := evaluate(true)
+	for i := range wantRows {
+		if math.Float32bits(gotRows[i]) != math.Float32bits(wantRows[i]) {
+			t.Fatalf("encoder row element %d: %v with the workspace poisoned, %v without", i, gotRows[i], wantRows[i])
+		}
+	}
+	for s := range wantPreds {
+		if !slices.Equal(gotPreds[s], wantPreds[s]) {
+			t.Fatalf("sequence %d: predictions %v with the workspace poisoned, %v without", s, gotPreds[s], wantPreds[s])
+		}
 	}
 }
 

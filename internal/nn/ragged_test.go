@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"demystbert/internal/kernels"
@@ -97,5 +98,52 @@ func TestRaggedForwardIsEvaluationOnly(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestEvalForwardWritesNoModuleField: the evaluation forward — the ragged
+// embedding, an encoder layer and an MLM-style head (dense + GeLU,
+// LayerNorm, decoder) — leaves every module exactly as it found it, in
+// full and in mixed precision, so one model serves concurrent passes on
+// their own contexts. Each module is compared by value with a copy taken
+// before the pass; the weights are pointers and compare equal as long as
+// they are not swapped.
+func TestEvalForwardWritesNoModuleField(t *testing.T) {
+	const d, vocab = 16, 20
+	r := tensor.NewRNG(3)
+	emb := NewEmbedding(vocab, 8, d, 0.1, r)
+	layer := NewEncoderLayer("l", d, 2, 32, 0.1, r)
+	dense := NewLinear("dense", d, d, profile.CatOutput, r)
+	act := NewGeLU()
+	ln := NewLayerNorm("ln", d)
+	decoder := NewLinear("decoder", d, vocab, profile.CatOutput, r)
+	modules := []any{
+		emb, emb.LN, emb.Drop, layer, layer.Attn, layer.Attn.Wq, layer.Attn.Wk, layer.Attn.Wv, layer.Attn.Wo,
+		layer.Attn.AttnDrop, layer.AttnDrop, layer.AttnLN, layer.FF, layer.FF.FC1, layer.FF.FC2, layer.FF.Act,
+		layer.FFDrop, layer.FFLN, dense, act, ln, decoder,
+	}
+	for _, mp := range []bool{false, true} {
+		before := make([]reflect.Value, len(modules))
+		for i, m := range modules {
+			v := reflect.ValueOf(m).Elem()
+			before[i] = reflect.New(v.Type()).Elem()
+			before[i].Set(v)
+		}
+		ctx := &Ctx{MixedPrecision: mp, Prof: profile.New()}
+		ctx.ResetWorkspace()
+		offsets := []int{0, 3, 8}
+		h := emb.ForwardRagged(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, make([]int, 8), offsets)
+		h = layer.ForwardRagged(ctx, h, offsets)
+		if mp {
+			h = act.Forward(ctx, dense.Forward(ctx, h))
+		} else {
+			h = dense.ForwardBiasGeLU(ctx, h, act)
+		}
+		decoder.Forward(ctx, ln.Forward(ctx, h))
+		for i, m := range modules {
+			if !reflect.DeepEqual(before[i].Interface(), reflect.ValueOf(m).Elem().Interface()) {
+				t.Errorf("mixed precision %v: the evaluation forward changed a field of %T (module %d)", mp, m, i)
+			}
+		}
 	}
 }

@@ -17,9 +17,12 @@ import (
 // memory, and the runtime zeroes none. While a slot's shape repeats, its
 // tensor header is handed out again too.
 //
-// Nothing is reused within a step: every draw since the last reset stays
-// valid until the next one, so a forward's saved activations survive into
-// its backward, checkpoint recompute included.
+// A training step reuses nothing within the step: every draw since the
+// last reset stays valid until the next one, so a forward's saved
+// activations survive into its backward, checkpoint recompute included.
+// The evaluation forward, which saves nothing, moves the draw position
+// itself (ReuseWorkspace): layer i draws into layer i−2's slots, so its
+// workspace holds two layers whatever the depth.
 //
 // NewActivation hands memory out uninitialised, for producers that write
 // every element (GEMM write-backs, element-wise kernels, LayerNorm, the
@@ -93,6 +96,49 @@ func (c *Ctx) ResetWorkspace() {
 			fillNaN(s.buf[:cap(s.buf)])
 		}
 	}
+}
+
+// WorkspaceMark returns the workspace position: the slot the next draw
+// takes (0 on a context without a workspace).
+func (c *Ctx) WorkspaceMark() int {
+	if c.ws == nil {
+		return 0
+	}
+	return c.ws.next
+}
+
+// ReuseWorkspace makes the next draw take slot from, a position
+// WorkspaceMark returned since the last reset, and releases the slots
+// [from, to) for reuse: every tensor drawn from them becomes invalid (in a
+// poisoned workspace its memory reads NaN at once), and the draws that
+// follow take them in order as after a reset. Slots outside [from, to) keep
+// their tensors, so from == to only moves the draw position — forward past
+// slots still in use, say. Only a pass that is done with what [from, to)
+// holds may release it: the evaluation forward does, between layers; a
+// training step must not.
+func (c *Ctx) ReuseWorkspace(from, to int) {
+	w := c.ws
+	if w == nil {
+		return
+	}
+	if w.poison {
+		for _, s := range w.slots[from:to] {
+			fillNaN(s.buf[:cap(s.buf)])
+		}
+	}
+	w.next = from
+}
+
+// WorkspaceBytes returns the memory the context's workspace holds.
+func (c *Ctx) WorkspaceBytes() int {
+	if c.ws == nil {
+		return 0
+	}
+	n := 0
+	for _, s := range c.ws.slots {
+		n += 4 * cap(s.buf)
+	}
+	return n
 }
 
 // NewActivation returns a tensor for an activation or activation gradient,

@@ -122,6 +122,19 @@ func (p *Profiler) BeginIteration() {
 	p.mu.Unlock()
 }
 
+// SetIteration makes events recorded from now on carry index i: a
+// serving runner stamps them with its batch's number, since with several
+// batches in flight a count of BeginIteration calls would name another's.
+// On a nil profiler it is a no-op.
+func (p *Profiler) SetIteration(i int) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.iter = i
+	p.mu.Unlock()
+}
+
 // Time runs f, measuring its wall-clock duration, and records an event with
 // the given metadata. On a nil profiler it just runs f.
 func (p *Profiler) Time(kernel string, cat Category, phase Phase, flops, bytes int64, f func()) {

@@ -26,6 +26,10 @@ var (
 		"requests waiting in the scheduler (queued or coalescing)")
 	queueCap = obs.NewGauge("serve_queue_cap",
 		"admission queue capacity (queue depth saturates here)")
+	runnersLive = obs.NewGauge("serve_runners",
+		"batch runners of the engine built last, one per core (GOMAXPROCS)")
+	workspaceBytes = obs.NewGauge("serve_workspace_bytes",
+		"activation workspace the live runners hold, all of them together")
 
 	batchSizeHist = obs.NewHistogram("serve_batch_size",
 		"requests per dispatched batch",

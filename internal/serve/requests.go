@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"demystbert/internal/profile"
 	"demystbert/internal/trace"
 )
 
@@ -118,13 +119,18 @@ func (e *Engine) FindRequest(id trace.TraceID) (RequestRecord, bool) {
 	return RequestRecord{}, false
 }
 
-// WriteTrace exports the retained spans plus the kernel events captured
-// while tracing as one Perfetto/Chrome timeline (requests and batches on
-// the span track, GEMM/attention kernels on the kernel track, shared
-// wall clock).
+// WriteTrace exports the retained spans plus the kernel events every
+// runner captured while tracing as one Perfetto/Chrome timeline (requests
+// and batches on the span track, GEMM/attention kernels on the kernel
+// track, shared wall clock; a kernel event's iteration is its batch's
+// seq).
 func (e *Engine) WriteTrace(w io.Writer) error {
 	if e.tracer == nil {
 		return errors.New("serve: tracing not enabled (Config.Tracer is nil)")
 	}
-	return trace.WriteChromeTrace(w, e.tracer.Spans(), e.prof.Events())
+	var events []profile.Event
+	for _, r := range e.runners {
+		events = append(events, r.ctx.Prof.Events()...)
+	}
+	return trace.WriteChromeTrace(w, e.tracer.Spans(), events)
 }

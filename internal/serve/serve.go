@@ -1,21 +1,25 @@
 // Package serve is the frozen-weight inference engine: the ROADMAP's
 // "serving heavy traffic" path, characterized the same way the paper
-// characterizes training. A single model instance (eval context —
-// forward only, no gradients, no optimizer state) sits behind a
+// characterizes training. One model instance (forward only, no gradients,
+// no optimizer state), its weights pre-packed once at load, sits behind a
 // continuous-batching scheduler: concurrent requests are coalesced into
 // padding-free (ragged) batches — the concatenation of their real tokens,
 // [T, d] activations plus an offsets slice — so every GEMM row is a token
-// somebody sent, and the whole weight set is pre-packed at load so
-// steady-state traffic runs at 100% pack-cache reuse — the regime the
-// generation-counted pack cache (DESIGN.md §7) and the fused epilogues
-// (§11) were built for.
+// somebody sent, and steady-state traffic runs at 100% pack-cache reuse —
+// the regime the generation-counted pack cache (DESIGN.md §7) and the
+// fused epilogues (§11) were built for.
 //
-// Scheduling policy (DESIGN.md §12): one bounded FIFO. The runner blocks
-// for the first request, takes what else is queued up to MaxBatch in
-// arrival order, runs the batch, and repeats. It is work-conserving — an
-// idle engine never holds a request back for company — and the batch in
-// flight is the coalescing window: arrivals during a forward pass form
-// the next batch. A request waits at most for the batch in flight plus
+// Scheduling policy (DESIGN.md §12): one bounded FIFO and one batch runner
+// per core (GOMAXPROCS of them). A runner blocks for the first request,
+// takes what else is queued up to MaxBatch in arrival order, runs the
+// batch on its own core, and repeats; cutting a batch is serialized, so
+// every batch is the head of the queue when it leaves. Each runner has its
+// own context — a one-wide kernel pool, a workspace, assembly buffers —
+// and all of them run the one shared model, whose evaluation forward
+// writes none of its fields. The scheduler is work-conserving — an idle
+// runner never holds a request back for company — and the batches in
+// flight are the coalescing window: arrivals during forward passes form
+// the next batch. A request waits at most for the batches in flight plus
 // the requests ahead of it.
 package serve
 
@@ -28,6 +32,7 @@ import (
 	"time"
 
 	"demystbert/internal/data"
+	"demystbert/internal/kernels"
 	"demystbert/internal/model"
 	"demystbert/internal/nn"
 	"demystbert/internal/profile"
@@ -152,24 +157,34 @@ type result struct {
 type Engine struct {
 	cfg Config
 	m   *model.BERT
-	ctx *nn.Ctx
 
-	mu     sync.RWMutex // admission vs Close
-	closed bool
-	queue  chan *pending
-	stop   chan struct{}
-	done   chan struct{}
+	mu      sync.RWMutex // admission vs Close
+	closed  bool
+	queue   chan *pending
+	stop    chan struct{}
+	running sync.WaitGroup // the runners, until each has exited
 
-	// Tracing state. tracer comes from Config; prof captures kernel
-	// events on the same wall clock when tracing is on (nil otherwise,
-	// which is the profile package's free path). seq numbers batches —
-	// it doubles as the span Step, linking every request in a batch to
-	// the batch's kernel events. reqLog is the /debug/requests ring,
+	// cut serializes batch cutting: a runner holds it from blocking for a
+	// batch's first request until the batch is cut, so each batch is the
+	// head of the queue in arrival order. It is held across that blocking
+	// receive on purpose — the holder is the queue's only reader, and a
+	// runner that took a first request without it could leave the second
+	// to another batch — and the receive returns once stop closes. seq
+	// numbers batches in cut order; it doubles as the span Step and the
+	// kernel events' iteration, linking every request in a batch to the
+	// batch's kernel events.
+	cut sync.Mutex
+	seq int64 // under cut
+
+	runners []*runner
+
+	// beforeForward, when set (tests only, before start), runs in each
+	// batch just before its forward pass.
+	beforeForward func()
+
+	// tracer comes from Config. reqLog is the /debug/requests ring,
 	// always on (bounded, no per-entry allocation).
 	tracer *trace.Tracer
-	prof   *profile.Profiler
-	seq    int64       // runner goroutine only
-	batch  data.Ragged // runner goroutine only: assembly buffers, reused
 
 	logMu   sync.Mutex
 	log     []reqRecord
@@ -177,6 +192,20 @@ type Engine struct {
 
 	// WarmedPacks counts weight packs built by the load-time warmup.
 	WarmedPacks int
+}
+
+// runner runs one batch at a time on its own core. Everything a batch
+// writes is here: the context (a one-wide kernel pool, so a forward never
+// forks, the activation workspace and, while tracing, a profiler that
+// captures kernel events on the shared wall clock) and the assembly
+// buffers, reused from batch to batch.
+type runner struct {
+	e         *Engine
+	ctx       *nn.Ctx
+	batch     data.Ragged
+	reqs      []*pending
+	positions [][]int
+	wsBytes   int // the workspace's size as last added to workspaceBytes
 }
 
 // requestLogCap bounds the /debug/requests ring.
@@ -189,36 +218,57 @@ const profEventCap = 1 << 18
 
 // New builds the model, pre-packs every inference weight (so the first
 // request is as fast as the thousandth and the pack-cache miss counters
-// stay flat in steady state), and starts the scheduler.
+// stay flat in steady state), and starts one batch runner per core.
 func New(cfg Config) (*Engine, error) {
+	e, err := newEngine(cfg, runtime.GOMAXPROCS(0))
+	if err != nil {
+		return nil, err
+	}
+	e.start()
+	return e, nil
+}
+
+// newEngine builds an engine with the given number of runners and does
+// not start them.
+func newEngine(cfg Config, runners int) (*Engine, error) {
 	cfg.setDefaults()
 	m, err := model.New(cfg.Model, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg: cfg,
-		m:   m,
-		// Eval-only context: nil profiler (alloc-free no-op path), no
-		// RNG use (dropout inactive), Train permanently false.
-		ctx:    &nn.Ctx{Train: false},
+		cfg:    cfg,
+		m:      m,
 		queue:  make(chan *pending, cfg.QueueCap),
 		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
 		tracer: cfg.Tracer,
 		log:    make([]reqRecord, 0, requestLogCap),
 	}
-	if e.tracer != nil {
-		// Tracing on: capture kernel events on the shared wall clock so
-		// WriteTrace can nest them under batch spans.
-		e.prof = profile.New()
-		e.ctx.Prof = e.prof
-		e.ctx.Tracer = e.tracer
+	for range max(runners, 1) {
+		// Eval-only context: no RNG use (dropout inactive), Train
+		// permanently false, and a nil profiler (the alloc-free no-op
+		// path) unless tracing is on.
+		r := &runner{e: e, ctx: &nn.Ctx{Pool: kernels.NewPool(1)}}
+		if e.tracer != nil {
+			r.ctx.Prof = profile.New()
+			r.ctx.Tracer = e.tracer
+		}
+		e.runners = append(e.runners, r)
 	}
 	queueCap.Set(float64(cfg.QueueCap))
-	e.WarmedPacks = m.WarmupInference(e.ctx.Pool)
-	go e.run()
+	runnersLive.Set(float64(len(e.runners)))
+	// The packs are built once, on the process pool, and every runner
+	// reads them.
+	e.WarmedPacks = m.WarmupInference(nil)
 	return e, nil
+}
+
+// start launches the runners.
+func (e *Engine) start() {
+	e.running.Add(len(e.runners))
+	for _, r := range e.runners {
+		go r.run()
+	}
 }
 
 // Model exposes the underlying model (tests compare scheduler output
@@ -295,7 +345,7 @@ func (e *Engine) Submit(req *Request) (*Response, error) {
 
 	// Admission happens under RLock so Close (write lock) establishes a
 	// barrier: every request that saw closed==false is in the buffered
-	// queue before stop closes, and the runner's final drain answers it.
+	// queue before stop closes, and the runners' final drain answers it.
 	e.mu.RLock()
 	if e.closed {
 		e.mu.RUnlock()
@@ -360,74 +410,84 @@ func (e *Engine) Submit(req *Request) (*Response, error) {
 }
 
 // Close stops admission, drains every already-admitted request through
-// the model, and waits for the scheduler to exit.
+// the model, and waits for the runners to exit.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		<-e.done
-		return
+	if !e.closed {
+		e.closed = true
+		close(e.stop)
 	}
-	e.closed = true
 	e.mu.Unlock()
-	close(e.stop)
-	<-e.done
+	e.running.Wait()
 }
 
-// run is the scheduler: single goroutine, so the model's per-layer
-// saved state is never shared. Throughput parallelism lives inside the
-// kernels (the GEMM worker pool fans each forward across cores);
-// concurrency across requests is the batching itself. The admission
-// channel is the FIFO: a batch is its first MaxBatch entries, whatever
-// their lengths.
-func (e *Engine) run() {
-	defer close(e.done)
-	var reqs []*pending
+// run is one runner's loop: cut the next batch, run it, repeat, until
+// the engine is closed and the queue is empty.
+func (r *runner) run() {
+	defer r.e.running.Done()
+	defer func() { workspaceBytes.Add(-float64(r.wsBytes)) }()
 	for {
-		var first *pending
+		reqs, seq, ok := r.e.cutBatch(r.reqs[:0])
+		if !ok {
+			return
+		}
+		r.reqs = reqs
+		queueDepth.Add(-float64(len(reqs)))
+		r.runBatch(reqs, seq)
+	}
+}
+
+// cutBatch appends the next batch to reqs: the first MaxBatch entries of
+// the admission channel, which is the FIFO, whatever their lengths. It
+// blocks for the first one and reports false once the engine is closed
+// and the queue empty. Cutting holds e.cut, so a batch is the head of the
+// queue however many runners wait; it returns the batch's seq.
+func (e *Engine) cutBatch(reqs []*pending) ([]*pending, int64, bool) {
+	e.cut.Lock()
+	defer e.cut.Unlock()
+	var first *pending
+	select {
+	case first = <-e.queue:
+	case <-e.stop:
+		// Close's barrier put every admitted request in the queue
+		// before stop closed: answer them all, then exit.
 		select {
 		case first = <-e.queue:
-		case <-e.stop:
-			// Close's barrier put every admitted request in the queue
-			// before stop closed: answer them all, then exit.
-			select {
-			case first = <-e.queue:
-			default:
-				return
-			}
+		default:
+			return reqs, 0, false
 		}
-		reqs = append(reqs[:0], first)
-		// Let every caller that is ready to enqueue do so before the
-		// batch is cut. On one core the send that woke this goroutine
-		// also put it ahead of all other submitters, and without the
-		// yield every batch would hold one request however many callers
-		// are waiting; with nothing else runnable it costs nothing.
-		runtime.Gosched()
-	fill:
-		for len(reqs) < e.cfg.MaxBatch {
-			select {
-			case p := <-e.queue:
-				reqs = append(reqs, p)
-			default:
-				break fill
-			}
-		}
-		queueDepth.Add(-float64(len(reqs)))
-		e.runBatch(reqs)
 	}
+	reqs = append(reqs, first)
+	// Let every caller that is ready to enqueue do so before the batch
+	// is cut. On one core the send that woke this goroutine also put it
+	// ahead of all other submitters, and without the yield every batch
+	// would hold one request however many callers are waiting; with
+	// nothing else runnable it costs nothing.
+	runtime.Gosched()
+fill:
+	for len(reqs) < e.cfg.MaxBatch {
+		select {
+		case p := <-e.queue:
+			reqs = append(reqs, p)
+		default:
+			break fill
+		}
+	}
+	e.seq++
+	return reqs, e.seq, true
 }
 
 // runBatch concatenates the requests' tokens into one ragged batch, runs
-// the forward-only model pass, and delivers per-request predictions.
-func (e *Engine) runBatch(reqs []*pending) {
-	e.seq++
-	seq := e.seq
+// the forward-only model pass on the runner's context, and delivers
+// per-request predictions.
+func (r *runner) runBatch(reqs []*pending, seq int64) {
+	e, ctx := r.e, r.ctx
 	td := time.Now()
 	defer func() {
-		// A panic in the model must not kill the scheduler: deliver the
+		// A panic in the model must not kill the runner: deliver the
 		// failure to this batch's requests and keep serving.
-		if r := recover(); r != nil {
-			err := fmt.Errorf("serve: batch failed: %v\n%s", r, debug.Stack())
+		if rec := recover(); rec != nil {
+			err := fmt.Errorf("serve: batch failed: %v\n%s", rec, debug.Stack())
 			for _, p := range reqs {
 				p.done <- result{err: err, seq: seq}
 			}
@@ -435,18 +495,19 @@ func (e *Engine) runBatch(reqs []*pending) {
 	}()
 
 	B := len(reqs)
-	e.batch.Reset()
-	positions := make([][]int, B)
-	for s, p := range reqs {
-		e.batch.Append(p.tokens, p.segments)
-		positions[s] = p.positions
+	r.batch.Reset()
+	r.positions = r.positions[:0]
+	for _, p := range reqs {
+		r.batch.Append(p.tokens, p.segments)
+		r.positions = append(r.positions, p.positions)
 	}
-	tokens := len(e.batch.Tokens)
+	tokens := len(r.batch.Tokens)
 
 	// When any rider is sampled, the batch records a span under that
 	// request's root; the model's phase spans (embed, layerN) nest under
-	// it, and the profiler's kernel events share the iteration index —
-	// that is the request→batch→kernel linkage WriteTrace exports.
+	// it, and the runner's profiler stamps the kernel events with the
+	// batch's seq — that is the request→batch→kernel linkage WriteTrace
+	// exports, and it holds with several batches in flight.
 	var bsp trace.ActiveSpan
 	if e.tracer != nil {
 		for _, p := range reqs {
@@ -455,20 +516,25 @@ func (e *Engine) runBatch(reqs []*pending) {
 				break
 			}
 		}
-		e.ctx.Span = bsp.Context()
-		if e.prof != nil {
-			if e.prof.KernelCount() > profEventCap {
-				e.prof.Reset()
-			}
-			e.prof.BeginIteration()
+		ctx.Span = bsp.Context()
+		if ctx.Prof.KernelCount() > profEventCap {
+			ctx.Prof.Reset()
 		}
+		ctx.Prof.SetIteration(int(seq))
 	}
 
+	if e.beforeForward != nil {
+		e.beforeForward()
+	}
 	ta := time.Now()
-	preds := e.m.PredictMaskedAt(e.ctx, &e.batch, positions)
+	preds := e.m.PredictMaskedAt(ctx, &r.batch, r.positions)
 	tf := time.Now()
 	bsp.End()
-	e.ctx.Span = trace.SpanContext{}
+	ctx.Span = trace.SpanContext{}
+	if ws := ctx.WorkspaceBytes(); ws != r.wsBytes {
+		workspaceBytes.Add(float64(ws - r.wsBytes))
+		r.wsBytes = ws
+	}
 
 	batchesTotal.Inc()
 	batchSizeHist.Observe(float64(B))

@@ -156,25 +156,35 @@ func TestLoneRequestIsNotHeld(t *testing.T) {
 	}
 }
 
-// holdRunner parks e's runner inside a batch until release is called, so
-// that requests submitted meanwhile queue up behind a running batch in an
-// order the test controls. The gate is a lone [CLS] whose result channel
-// is unbuffered: the runner blocks delivering it.
-func holdRunner(t *testing.T, e *Engine) (release func()) {
+// holdRunners parks every runner of e inside a batch until release is
+// called, so that requests submitted meanwhile queue up behind the running
+// batches in an order the test controls. Each gate is a lone [CLS] whose
+// result channel is unbuffered: its runner blocks delivering it. The next
+// gate is sent only once the previous one's runner is parked, so each
+// gate is a batch of its own and every runner holds one.
+func holdRunners(t *testing.T, e *Engine) (release func()) {
 	t.Helper()
-	before := counterValue(t, "serve_batches_total")
-	gate := &pending{tokens: []int{data.ClsID}, enq: time.Now(), done: make(chan result)}
-	e.queue <- gate
-	queueDepth.Add(1) // as Submit does after its send
-	// The batch counter moves after the forward: from then on the runner
-	// is past its fill loop and takes nothing more into the gate's batch.
-	for counterValue(t, "serve_batches_total") == before {
-		time.Sleep(100 * time.Microsecond)
+	gates := make([]*pending, len(e.runners))
+	for i := range gates {
+		before := counterValue(t, "serve_batches_total")
+		gates[i] = &pending{tokens: []int{data.ClsID}, enq: time.Now(), done: make(chan result)}
+		e.queue <- gates[i]
+		queueDepth.Add(1) // as Submit does after its send
+		// The batch counter moves after the forward: from then on the
+		// runner is past its fill loop and takes nothing more into the
+		// gate's batch.
+		for counterValue(t, "serve_batches_total") == before {
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
-	return func() { <-gate.done }
+	return func() {
+		for _, g := range gates {
+			<-g.done
+		}
+	}
 }
 
-// submitQueued submits reqs to an engine whose runner is held, one
+// submitQueued submits reqs to an engine whose runners are held, one
 // goroutine each, request i in the queue before request i+1 is sent. wait
 // returns each request's /debug/requests record once all are answered.
 func submitQueued(t *testing.T, e *Engine, reqs []*Request) (wait func() []RequestRecord) {
@@ -214,12 +224,12 @@ func submitQueued(t *testing.T, e *Engine, reqs []*Request) (wait func() []Reque
 }
 
 // TestMixedLengthsShareABatch: nothing groups requests by length any
-// more — the shortest and the longest admissible request, queued behind a
-// running batch, leave together.
+// more — the shortest and the longest admissible request, queued behind
+// the running batches, leave together.
 func TestMixedLengthsShareABatch(t *testing.T) {
 	e := newTestEngine(t, testConfig())
 	maxPos := e.cfg.Model.MaxPos
-	release := holdRunner(t, e)
+	release := holdRunners(t, e)
 	wait := submitQueued(t, e, []*Request{testRequest(5, 1), testRequest(maxPos, 2)})
 	release()
 	recs := wait()
@@ -234,13 +244,14 @@ func TestMixedLengthsShareABatch(t *testing.T) {
 }
 
 // TestFIFOAcrossBatches: requests leave in arrival order, MaxBatch at a
-// time — six queued behind a running batch with MaxBatch 2 make three
-// consecutive batches of two.
+// time, whichever runner takes them — six queued behind every runner's
+// running batch with MaxBatch 2 make three consecutive batches of two,
+// each the head of the queue when it was cut.
 func TestFIFOAcrossBatches(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxBatch = 2
 	e := newTestEngine(t, cfg)
-	release := holdRunner(t, e)
+	release := holdRunners(t, e)
 	var reqs []*Request
 	for i, ln := range []int{9, 40, 5, 5, 64, 2} {
 		reqs = append(reqs, testRequest(ln, i))
@@ -265,7 +276,7 @@ func TestRaggedBatchLengthExtremes(t *testing.T) {
 	reqs := []*Request{{Tokens: []int{data.ClsID}}, testRequest(2, 1), testRequest(maxPos, 2)}
 	want := directF32Predictions(e, reqs)
 
-	release := holdRunner(t, e)
+	release := holdRunners(t, e)
 	wait := submitQueued(t, e, reqs)
 	release()
 	recs := wait()
@@ -568,5 +579,123 @@ func TestServedBatchAllocationGuard(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / batches; per >= 64<<10 {
 		t.Errorf("a warm served batch allocates %d bytes, want under 64 KiB", per)
+	}
+}
+
+// inFlightBarrier returns a beforeForward hook that holds each of the
+// first n batches before its forward until all n have arrived, so that n
+// batches are in flight at once — on n runners, since a held runner cuts
+// nothing. Later batches pass straight through.
+func inFlightBarrier(n int) func() {
+	var mu sync.Mutex
+	arrived := 0
+	all := make(chan struct{})
+	return func() {
+		mu.Lock()
+		arrived++
+		k := arrived
+		if k == n {
+			close(all)
+		}
+		mu.Unlock()
+		if k <= n {
+			<-all
+		}
+	}
+}
+
+// startEngine builds an engine with the given number of runners, installs
+// hook as its beforeForward, and starts it.
+func startEngine(t *testing.T, cfg Config, runners int, hook func()) *Engine {
+	t.Helper()
+	e, err := newEngine(cfg, runners)
+	if err != nil {
+		t.Fatalf("newEngine: %v", err)
+	}
+	e.beforeForward = hook
+	e.start()
+	t.Cleanup(e.Close)
+	return e
+}
+
+// TestRunnersAnswerBitwiseSerial: three runners serving one model at once
+// answer every request exactly as the model answers it alone, one request
+// at a time with no scheduler. The first three batches are held until all
+// three are in flight, so every runner runs, and runs beside the others.
+// The model is d = 128 wide, where a one-row product already takes the
+// blocked engine, so a batch's rows are bitwise its requests' alone rows
+// under the auto route; three layers make the evaluation forward rewind
+// its workspace.
+func TestRunnersAnswerBitwiseSerial(t *testing.T) {
+	cfg := testConfig()
+	cfg.Model = model.Config{Vocab: 1000, MaxPos: 32, NumLayers: 3, DModel: 128, Heads: 2, DFF: 256, DropProb: 0.1}
+	cfg.MaxBatch = 4
+	const runners = 3
+	e := startEngine(t, cfg, runners, inFlightBarrier(runners))
+
+	reqs := make([]*Request, 36)
+	for i := range reqs {
+		reqs[i] = testRequest(2+(i*7)%(cfg.Model.MaxPos-1), i)
+	}
+	want := directF32Predictions(e, reqs)
+	got := make([]*Response, len(reqs))
+	var wg sync.WaitGroup
+	for i, r := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := e.Submit(r)
+			if err != nil {
+				t.Errorf("request %d: %v", i, err)
+				return
+			}
+			got[i] = resp
+		}()
+	}
+	wg.Wait()
+	batched := 0
+	for i, resp := range got {
+		if resp == nil {
+			continue
+		}
+		if resp.BatchSize > 1 {
+			batched++
+		}
+		if len(resp.Predictions) != len(want[i]) {
+			t.Fatalf("request %d: %d predictions, want %d", i, len(resp.Predictions), len(want[i]))
+		}
+		for j, p := range resp.Predictions {
+			if p.Token != want[i][j] {
+				t.Errorf("request %d mask %d: served %d, alone %d", i, j, p.Token, want[i][j])
+			}
+		}
+	}
+	if batched == 0 {
+		t.Error("no request shared a batch: the test compared single-request batches only")
+	}
+	for i, r := range e.runners {
+		if r.ctx.WorkspaceBytes() == 0 {
+			t.Errorf("runner %d never ran a batch", i)
+		}
+	}
+}
+
+// TestOneRunnerPerCore: New builds one runner per GOMAXPROCS — exactly
+// one on one core — and the serve_runners gauge shows how many.
+func TestOneRunnerPerCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		e := newTestEngine(t, testConfig())
+		if len(e.runners) != procs {
+			t.Errorf("GOMAXPROCS=%d: %d runners, want %d", procs, len(e.runners), procs)
+		}
+		if g := counterValue(t, "serve_runners"); g != int64(procs) {
+			t.Errorf("GOMAXPROCS=%d: serve_runners reads %d", procs, g)
+		}
+		if _, err := e.Submit(testRequest(6, procs)); err != nil {
+			t.Errorf("GOMAXPROCS=%d: %v", procs, err)
+		}
+		e.Close()
 	}
 }

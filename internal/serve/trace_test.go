@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"demystbert/internal/obs"
@@ -201,5 +202,90 @@ func TestQuantileGaugesAndExemplarPopulate(t *testing.T) {
 	}
 	if _, idOK := trace.ParseTraceID(m.Exemplar.TraceID); !idOK {
 		t.Fatalf("exemplar trace id %q", m.Exemplar.TraceID)
+	}
+}
+
+// TestConcurrentBatchesKeepTheirKernels: with two batches in flight at
+// once, each on its own runner, the exported timeline still links every
+// request to its batch and every batch to its own kernel events: a batch
+// span nests under a request span of its step, every kernel event carries
+// the seq of a batch, and lies inside that batch's span.
+func TestConcurrentBatchesKeepTheirKernels(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxBatch = 1
+	cfg.Tracer = trace.New(0, 4096)
+	e := startEngine(t, cfg, 2, inFlightBarrier(2))
+	var wg sync.WaitGroup
+	for i := range 6 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Submit(testRequest(6+i, i)); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	var buf bytes.Buffer
+	if err := e.WriteTrace(&buf); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	var events []struct {
+		Name  string            `json:"name"`
+		Cat   string            `json:"cat"`
+		Phase string            `json:"ph"`
+		TS    float64           `json:"ts"`
+		Dur   float64           `json:"dur"`
+		Args  map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("trace export not valid JSON: %v", err)
+	}
+	type window struct{ from, to float64 }
+	requestStep := map[string]string{} // request span id → step
+	batches := map[string]window{}     // step → batch span
+	for _, ev := range events {
+		if ev.Cat == "span" && ev.Name == "request" {
+			requestStep[ev.Args["span"]] = ev.Args["step"]
+		}
+	}
+	for _, ev := range events {
+		if ev.Cat != "span" || ev.Name != "batch" {
+			continue
+		}
+		step := ev.Args["step"]
+		if requestStep[ev.Args["parent"]] != step {
+			t.Errorf("batch %s nests under span %s, not under a request of its batch", step, ev.Args["parent"])
+		}
+		batches[step] = window{ev.TS, ev.TS + ev.Dur}
+	}
+	if len(batches) != 6 {
+		t.Fatalf("%d batch spans, want 6", len(batches))
+	}
+	if b1, b2 := batches["1"], batches["2"]; b1.from >= b2.to || b2.from >= b1.to {
+		t.Errorf("batches 1 and 2 at %v and %v did not overlap: the test ran them one after the other", b1, b2)
+	}
+	kernels := map[string]int{}
+	const eps = 0.01 // µs: the export's rounding
+	for _, ev := range events {
+		if ev.Cat == "span" || ev.Phase != "X" {
+			continue
+		}
+		step := ev.Args["iter"]
+		w, ok := batches[step]
+		if !ok {
+			t.Fatalf("kernel %s carries iteration %s, no batch's seq", ev.Name, step)
+		}
+		if ev.TS < w.from-eps || ev.TS+ev.Dur > w.to+eps {
+			t.Errorf("kernel %s of batch %s at [%.3f, %.3f] µs lies outside its batch [%.3f, %.3f]",
+				ev.Name, step, ev.TS, ev.TS+ev.Dur, w.from, w.to)
+		}
+		kernels[step]++
+	}
+	for step := range batches {
+		if kernels[step] == 0 {
+			t.Errorf("batch %s has no kernel events", step)
+		}
 	}
 }
