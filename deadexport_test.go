@@ -31,8 +31,8 @@ var deadExportAllowlist = map[string]string{
 // internal/ fails TestNoDeadExports, so a second implementation cannot
 // grow back beside the one that replaced it.
 var deletedExports = map[string]string{
-	"kernels.Pool.SplitHeads":                "kernels.GEMMPath.AttentionForward/AttentionBackward gather a head's rows per item",
-	"kernels.Pool.MergeHeads":                "the attention region scatters a head's rows per item",
+	"kernels.Pool.SplitHeads":                "kernels.GEMMPath.AttentionForward/AttentionBackward read a head's Q, K, V and dOut columns in place",
+	"kernels.Pool.MergeHeads":                "the attention region writes each head's context and gradients into its columns in place",
 	"kernels.Pool.ScaleMaskSoftmaxAttention": "the attention region's row body, scaleMaskSoftmaxRow",
 	"kernels.Pool.SoftmaxGrad":               "the attention backward's row body, softmaxGradRows",
 	"kernels.GEMMPath.AttentionRagged":       "kernels.GEMMPath.AttentionForward with no mask, dropout or saved probabilities",

@@ -31,26 +31,27 @@ type Attention struct {
 }
 
 // AttentionStages is a region's busy time per stage in nanoseconds,
-// summed over its items: the per-head products, scale/mask/dropout/softmax,
-// and the row gathers and scatters. A region handed one overwrites it.
-type AttentionStages [3]atomic.Int64
+// summed over its items: the per-head products and
+// scale/mask/dropout/softmax. A region handed one overwrites it.
+type AttentionStages [2]atomic.Int64
 
 const (
 	stageBGEMM = iota
 	stageSoftmax
-	stageCopy
 )
 
 // AttentionForward computes the attention core into out ([T, Heads·DHead]).
-// Each item gathers its head's Q, K and V rows, forms the n×n scores in its
-// Probs block (else in a per-worker tile), scales, masks and softmaxes
-// each row (scaleMaskSoftmaxRow), multiplies the dropout mask into a tile
-// copy, multiplies by V and writes the context straight into the head's
-// columns of out. Both products take route p as a BatchedGEMM item does
-// (serial, no epilogue, contiguous operands), and an item touches only its
-// own sequence's rows, so the result is bitwise the whole-tensor chain it
-// replaced at any worker count, and a sequence's output is bitwise the
-// same alone or anywhere in any batch. st, if non-nil, gets stage times.
+// Each item forms the n×n scores of its head's Q and K rows, read in place
+// at row stride Heads·DHead, in its Probs block (else in a per-worker
+// tile), scales, masks and softmaxes each row (scaleMaskSoftmaxRow),
+// multiplies the dropout mask into a tile copy, multiplies by V and writes
+// the context into the head's columns of out. Both products take route p
+// as a BatchedGEMM item does (serial, no epilogue, beta = 0); a strided
+// operand packs into the same panels as a contiguous one, and an item
+// touches only its own sequence's rows, so the result is bitwise the
+// whole-tensor chain it replaced at any worker count, and a sequence's
+// output is bitwise the same alone or anywhere in any batch. st, if
+// non-nil, gets stage times.
 func (p GEMMPath) AttentionForward(pool *Pool, at *Attention, out []float32, st *AttentionStages) {
 	if b, maxN := at.check("AttentionForward", st, out); b > 0 {
 		attnBodies.run(pool, b*at.Heads, 1, attnArgs{path: p, at: at, out: out, maxN: maxN, st: st}, attnForwardRange)
@@ -59,8 +60,9 @@ func (p GEMMPath) AttentionForward(pool *Pool, at *Attention, out []float32, st 
 
 // AttentionBackward propagates dOut, the gradient of AttentionForward's
 // out, into dQ, dK and dV (all [T, Heads·DHead], overwritten) from the
-// forward's Probs and Drop. Each item gathers its dOut, Q, K and V rows,
-// forms dP = dOut·Vᵀ and dV = Pᵀ·dOut with P = Probs × Drop (the forward's
+// forward's Probs and Drop. Each item reads its head's dOut, Q, K and V
+// columns in place and writes its dQ, dK and dV columns in place; it forms
+// dP = dOut·Vᵀ and dV = Pᵀ·dOut with P = Probs × Drop (the forward's
 // multiply), takes dP through dropout, the softmax gradient
 // (softmaxGradRows) and the scale, then forms dQ = dS·K and dK = dSᵀ·Q:
 // the whole-tensor chain item by item, so bitwise it at any worker count.
@@ -115,11 +117,12 @@ type attnArgs struct {
 
 var attnBodies argsPool[attnArgs]
 
-// attnItem is one item's place in the operands: its sequence's first row
-// and length, its head's first column, and its blocks of the key mask,
-// Probs and Drop (nil where the operand is).
+// attnItem is one item's place in the operands: the offset of its head's
+// first element in the [T, Heads·DHead] buffers (its sequence's first row,
+// its head's first column), its sequence length, and its blocks of the key
+// mask, Probs and Drop (nil where the operand is).
 type attnItem struct {
-	row0, n, col         int
+	off, n               int
 	keyMask, probs, drop []float32
 }
 
@@ -130,10 +133,11 @@ func (s *attnArgs) item(i int) (it attnItem) {
 		m := at.Offsets[j+1] - at.Offsets[j]
 		blk += at.Heads * m * m
 	}
-	it.row0, it.n, it.col = at.Offsets[seq], at.Offsets[seq+1]-at.Offsets[seq], i%at.Heads*at.DHead
+	row0 := at.Offsets[seq]
+	it.off, it.n = row0*at.Heads*at.DHead+i%at.Heads*at.DHead, at.Offsets[seq+1]-row0
 	blk += i % at.Heads * it.n * it.n
 	if at.KeyMask != nil {
-		it.keyMask = at.KeyMask[it.row0 : it.row0+it.n]
+		it.keyMask = at.KeyMask[row0 : row0+it.n]
 	}
 	if at.Probs != nil {
 		it.probs = at.Probs[blk : blk+it.n*it.n]
@@ -144,26 +148,12 @@ func (s *attnArgs) item(i int) (it attnItem) {
 	return it
 }
 
-// rows copies the item's n rows between the [T, Heads·DHead] layout and a
-// contiguous n×DHead block: gathers them from src into block, or, with
-// scatter, scatters block into src.
-func (s *attnArgs) rows(block, src []float32, it attnItem, scatter bool) {
-	dh, d := s.at.DHead, s.at.Heads*s.at.DHead
-	for r := 0; r < it.n; r++ {
-		if scatter {
-			copy(src[(it.row0+r)*d+it.col:], block[r*dh:(r+1)*dh])
-		} else {
-			copy(block[r*dh:(r+1)*dh], src[(it.row0+r)*d+it.col:])
-		}
-	}
-}
-
 // stageClock sums one chunk's stage times into st at flush; with a nil st
 // it reads no clock.
 type stageClock struct {
 	st   *AttentionStages
 	last time.Time
-	d    [3]time.Duration
+	d    [2]time.Duration
 }
 
 // lap charges the time since the previous lap to stage; the first lap
@@ -185,27 +175,20 @@ func (c *stageClock) flush() {
 }
 
 func attnForwardRange(s *attnArgs, lo, hi int) {
-	at, dh := s.at, s.at.DHead
-	// One scratch per claimed chunk: the head's Q, K, V and context rows
-	// (n×dHead each) and an n×n tile.
-	buf := getScratch(4*s.maxN*dh + s.maxN*s.maxN)
+	at, dh, d := s.at, s.at.DHead, s.at.Heads*s.at.DHead
+	// One n×n scratch tile per claimed chunk.
+	buf := getScratch(s.maxN * s.maxN)
 	defer putScratch(buf)
 	clk := stageClock{st: s.st}
-	clk.lap(stageCopy)
+	clk.lap(stageBGEMM)
 	for i := lo; i < hi; i++ {
 		it := s.item(i)
-		n, nd := it.n, it.n*dh
-		qh, kh, vh, ch, tile := (*buf)[:nd], (*buf)[nd:2*nd], (*buf)[2*nd:3*nd], (*buf)[3*nd:4*nd], (*buf)[4*nd:4*nd+n*n]
-		s.rows(qh, at.Q, it, false)
-		s.rows(kh, at.K, it, false)
-		s.rows(vh, at.V, it, false)
-		clk.lap(stageCopy)
-
+		n, tile := it.n, (*buf)[:it.n*it.n]
 		probs := tile
 		if it.probs != nil {
 			probs = it.probs
 		}
-		s.path.run(serial, false, true, n, n, dh, 1, qh, kh, nil, 0, nil, probs)
+		s.path.run(serial, false, true, n, n, dh, 1, at.Q[it.off:], d, at.K[it.off:], d, nil, 0, nil, probs, n)
 		clk.lap(stageBGEMM)
 		for r := 0; r < n; r++ {
 			scaleMaskSoftmaxRow(probs[r*n:(r+1)*n], it.keyMask, at.Scale, at.Causal, r)
@@ -216,45 +199,34 @@ func attnForwardRange(s *attnArgs, lo, hi int) {
 		}
 		clk.lap(stageSoftmax)
 
-		s.path.run(serial, false, false, n, dh, n, 1, probs, vh, nil, 0, nil, ch)
+		s.path.run(serial, false, false, n, dh, n, 1, probs, n, at.V[it.off:], d, nil, 0, nil, s.out[it.off:], d)
 		clk.lap(stageBGEMM)
-		s.rows(ch, s.out, it, true)
-		clk.lap(stageCopy)
 	}
 	clk.flush()
 }
 
 func attnBackwardRange(s *attnArgs, lo, hi int) {
-	at, dh := s.at, s.at.DHead
-	// One scratch per claimed chunk: the head's Q, K, V and dOut rows and
-	// a gradient's rows on their way out (n×dHead each), the dropped
-	// probabilities and the score gradient (n×n each).
-	buf := getScratch(5*s.maxN*dh + 2*s.maxN*s.maxN)
+	at, dh, d := s.at, s.at.DHead, s.at.Heads*s.at.DHead
+	// One scratch per claimed chunk: the dropped probabilities and the
+	// score gradient (n×n each).
+	buf := getScratch(2 * s.maxN * s.maxN)
 	defer putScratch(buf)
 	clk := stageClock{st: s.st}
-	clk.lap(stageCopy)
+	clk.lap(stageBGEMM)
 	for i := lo; i < hi; i++ {
 		it := s.item(i)
-		n, nd := it.n, it.n*dh
-		qh, kh, vh, dch, gh := (*buf)[:nd], (*buf)[nd:2*nd], (*buf)[2*nd:3*nd], (*buf)[3*nd:4*nd], (*buf)[4*nd:5*nd]
-		probs, dS := it.probs, (*buf)[5*nd+n*n:5*nd+2*n*n]
-		s.rows(qh, at.Q, it, false)
-		s.rows(kh, at.K, it, false)
-		s.rows(vh, at.V, it, false)
-		s.rows(dch, s.out, it, false)
-		clk.lap(stageCopy)
+		n, off := it.n, it.off
+		probs, dS := it.probs, (*buf)[n*n:2*n*n]
 		if it.drop != nil {
-			probs = (*buf)[5*nd : 5*nd+n*n]
+			probs = (*buf)[:n*n]
 			mulRow(probs, it.probs, it.drop)
 			clk.lap(stageSoftmax)
 		}
 
 		// dP = dOut·Vᵀ, dV = Pᵀ·dOut.
-		s.path.run(serial, false, true, n, n, dh, 1, dch, vh, nil, 0, nil, dS)
-		s.path.run(serial, true, false, n, dh, n, 1, probs, dch, nil, 0, nil, gh)
+		s.path.run(serial, false, true, n, n, dh, 1, s.out[off:], d, at.V[off:], d, nil, 0, nil, dS, n)
+		s.path.run(serial, true, false, n, dh, n, 1, probs, n, s.out[off:], d, nil, 0, nil, s.dV[off:], d)
 		clk.lap(stageBGEMM)
-		s.rows(gh, s.dV, it, true)
-		clk.lap(stageCopy)
 
 		// Through dropout, softmax and the scale; the mask add has an
 		// identity gradient.
@@ -266,14 +238,9 @@ func attnBackwardRange(s *attnArgs, lo, hi int) {
 		clk.lap(stageSoftmax)
 
 		// dQ = dS·K, dK = dSᵀ·Q.
-		s.path.run(serial, false, false, n, dh, n, 1, dS, kh, nil, 0, nil, gh)
+		s.path.run(serial, false, false, n, dh, n, 1, dS, n, at.K[off:], d, nil, 0, nil, s.dQ[off:], d)
+		s.path.run(serial, true, false, n, dh, n, 1, dS, n, at.Q[off:], d, nil, 0, nil, s.dK[off:], d)
 		clk.lap(stageBGEMM)
-		s.rows(gh, s.dQ, it, true)
-		clk.lap(stageCopy)
-		s.path.run(serial, true, false, n, dh, n, 1, dS, qh, nil, 0, nil, gh)
-		clk.lap(stageBGEMM)
-		s.rows(gh, s.dK, it, true)
-		clk.lap(stageCopy)
 	}
 	clk.flush()
 }

@@ -58,10 +58,13 @@ const (
 // part to every tile right after the micro-kernel finishes it, and LN rows
 // are finalized once the stripe's grid completes, while they are still
 // warm. The finalize always runs on the pool, so ep never comes with serial.
-func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32) {
+//
+// lda, ldb and ldc are the operands' row strides (GEMMPath.run); panels,
+// when set, were packed from a contiguous op(B).
+func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, panels []float32, beta float32, ep *Epilogue, c []float32, ldc int) {
 	clearC := beta == 0
 	if !clearC {
-		scaleC(c[:m*n], beta)
+		scaleC(c, m, n, ldc, beta)
 	}
 	mr, nr := gemmMR, gemmNR
 	kc0 := min(k, gemmKC)
@@ -79,17 +82,17 @@ func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a,
 			kcb := min(gemmKC, k-pc)
 			g.epOn = pc+gemmKC >= k
 			g.clearC = clearC && pc == 0
-			packA(pool, transA, *ap, a, io, ms, pc, kcb, m, k, alpha, mr)
+			packA(pool, transA, *ap, a, lda, io, ms, pc, kcb, alpha, mr)
 			for jc := 0; jc < n; jc += nc {
 				ncb := min(nc, n-jc)
 				var block []float32
 				if bp != nil {
-					packB(pool, transB, *bp, b, jc, ncb, pc, kcb, n, k, nr)
+					packB(pool, transB, *bp, b, ldb, jc, ncb, pc, kcb, nr)
 					block = *bp
 				} else {
 					block = panels[panelW*pc:]
 				}
-				g.run(pool, c, *ap, block, n, io, ms, jc, ncb, kcb)
+				g.run(pool, c, *ap, block, ldc, io, ms, jc, ncb, kcb)
 			}
 		}
 		if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
@@ -195,7 +198,7 @@ const shortStripeRows = 2 * gemmMC
 // pass. A is packed
 // for the whole depth up front, then one pool region of column segments
 // runs the product: each segment sweeps every row block through every
-// depth block in order, reading a non-transposed B in place (row stride n)
+// depth block in order, reading a non-transposed B in place (row stride ldb)
 // and packing a transposed one — and an in-place edge panel, which must not
 // read past the operand — one micro-panel at a time into its own scratch.
 // That is one fork/join for the product instead of three per depth block,
@@ -204,21 +207,21 @@ const shortStripeRows = 2 * gemmMC
 // order as on gemmBlocked, beta = 0 clears and the epilogue tail run per
 // segment as they run per tile there, so the result is bitwise
 // gemmBlocked's (GEMMPathBlocked is the oracle).
-func gemmShortStripe(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b []float32, beta float32, ep *Epilogue, c []float32) {
+func gemmShortStripe(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, ep *Epilogue, c []float32, ldc int) {
 	gemmShortStripes.Inc()
 	if beta != 0 {
-		scaleC(c[:m*n], beta)
+		scaleC(c, m, n, ldc, beta)
 	}
 	mr, nr := gemmMR, gemmNR
 	mp := (m + mr - 1) / mr * mr
 	ap := getScratch(mp * k)
 	for pc := 0; pc < k; pc += gemmKC {
-		packA(pool, transA, (*ap)[mp*pc:], a, 0, m, pc, min(gemmKC, k-pc), m, k, alpha, mr)
+		packA(pool, transA, (*ap)[mp*pc:], a, lda, 0, m, pc, min(gemmKC, k-pc), alpha, mr)
 	}
 	// About four segments per worker, for dynamic balance.
 	panels, segs := (n+nr-1)/nr, piecesPer(pool, 1, 4)
 	per := (panels + segs - 1) / segs // micro-panels per segment
-	s := stripeState{c: c, ap: *ap, b: b, transB: transB, m: m, n: n, k: k, mp: mp,
+	s := stripeState{c: c, ap: *ap, b: b, transB: transB, m: m, n: n, k: k, ldb: ldb, ldc: ldc, mp: mp,
 		segCols: per * nr, clearC: beta == 0, ep: ep}
 	stripeBodies.run(pool, (panels+per-1)/per, 1, s, stripeSegments)
 	putScratch(ap)
@@ -233,6 +236,7 @@ type stripeState struct {
 	c, ap, b []float32
 	transB   bool
 	m, n, k  int
+	ldb, ldc int
 	mp       int // rows of a packed A depth block (m rounded up to mr)
 	segCols  int // multiple of nr
 	clearC   bool
@@ -249,7 +253,7 @@ func stripeSegments(s *stripeState, lo, hi int) {
 		jEnd := min(j0+s.segCols, s.n)
 		if s.clearC {
 			for r := 0; r < s.m; r++ {
-				clear(s.c[r*s.n+j0 : r*s.n+jEnd])
+				clear(s.c[r*s.ldc+j0 : r*s.ldc+jEnd])
 			}
 		}
 		for pc := 0; pc < s.k; pc += gemmKC {
@@ -257,19 +261,22 @@ func stripeSegments(s *stripeState, lo, hi int) {
 			ap := s.ap[s.mp*pc:]
 			for jr := j0; jr < jEnd; jr += nr {
 				nw := min(nr, s.n-jr)
-				bpanel, ldb := s.b[pc*s.n+jr:], s.n
+				var bpanel []float32
+				ldb := nr
 				if s.transB || nw < nr {
 					if bs == nil {
 						bs = getScratch(nr * gemmKC)
 					}
-					packB(serial, s.transB, *bs, s.b, jr, nw, pc, kcb, s.n, s.k, nr)
-					bpanel, ldb = *bs, nr
+					packB(serial, s.transB, *bs, s.b, s.ldb, jr, nw, pc, kcb, nr)
+					bpanel = *bs
+				} else {
+					bpanel, ldb = s.b[pc*s.ldb+jr:], s.ldb
 				}
-				tmp = microColumn(s.c[jr:], s.n, ap, bpanel, ldb, kcb, 0, s.m, s.m, nw, tmp)
+				tmp = microColumn(s.c[jr:], s.ldc, ap, bpanel, ldb, kcb, 0, s.m, s.m, nw, tmp)
 			}
 		}
 		if s.ep != nil {
-			s.ep.applyTile(s.c, s.n, 0, s.m, j0, jEnd)
+			s.ep.applyTile(s.c, s.ldc, 0, s.m, j0, jEnd)
 		}
 	}
 	if bs != nil {
@@ -350,18 +357,15 @@ type packAArgs struct {
 	row0     int // io: first op(A) row of the stripe
 	rows     int // ms
 	pc, kcb  int
-	ld       int // k when !transA (A is M×K), m when transA (A is K×M)
+	ld       int // A's row stride: ≥ k when !transA (A is M×K), ≥ m when transA (A is K×M)
 	alpha    float32
 	mr       int
 }
 
 var packABodies argsPool[packAArgs]
 
-func packA(pool *Pool, transA bool, dst, a []float32, io, ms, pc, kcb, m, k int, alpha float32, mr int) {
-	s := packAArgs{dst: dst, src: a, transA: transA, row0: io, rows: ms, pc: pc, kcb: kcb, ld: k, alpha: alpha, mr: mr}
-	if transA {
-		s.ld = m
-	}
+func packA(pool *Pool, transA bool, dst, a []float32, lda, io, ms, pc, kcb int, alpha float32, mr int) {
+	s := packAArgs{dst: dst, src: a, transA: transA, row0: io, rows: ms, pc: pc, kcb: kcb, ld: lda, alpha: alpha, mr: mr}
 	panels := (ms + mr - 1) / mr
 	if pool != serial {
 		packABodies.run(pool, panels, 8, s, packARange)
@@ -427,17 +431,14 @@ type packBArgs struct {
 	transB   bool
 	jc, cols int // column-block origin and width (ncb)
 	pc, kcb  int
-	ld       int // n when !transB (B is K×N), k when transB (B is N×K)
+	ld       int // B's row stride: ≥ n when !transB (B is K×N), ≥ k when transB (B is N×K)
 	nr       int
 }
 
 var packBBodies argsPool[packBArgs]
 
-func packB(pool *Pool, transB bool, dst, b []float32, jc, ncb, pc, kcb, n, k, nr int) {
-	s := packBArgs{dst: dst, src: b, transB: transB, jc: jc, cols: ncb, pc: pc, kcb: kcb, ld: n, nr: nr}
-	if transB {
-		s.ld = k
-	}
+func packB(pool *Pool, transB bool, dst, b []float32, ldb, jc, ncb, pc, kcb, nr int) {
+	s := packBArgs{dst: dst, src: b, transB: transB, jc: jc, cols: ncb, pc: pc, kcb: kcb, ld: ldb, nr: nr}
 	panels := (ncb + nr - 1) / nr
 	if pool != serial {
 		packBBodies.run(pool, panels, 8, s, packBRange)

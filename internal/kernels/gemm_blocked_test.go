@@ -17,11 +17,11 @@ func blockedFull(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a,
 	if m == 0 || n == 0 {
 		return
 	}
-	scaleC(c[:m*n], beta)
+	scaleC(c, m, n, n, beta)
 	if k == 0 || alpha == 0 {
 		return
 	}
-	gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, nil, 1, nil, c)
+	gemmBlocked(pool, transA, transB, m, n, k, alpha, a, ldOf(transA, m, k), b, ldOf(transB, k, n), nil, 1, nil, c, n)
 }
 
 // withKernel runs f under micro-kernel backend k, then restores the
@@ -178,7 +178,7 @@ func TestGEMMNaNPropagation(t *testing.T) {
 		}{
 			{"GEMM", func(c []float32) { GEMM(false, false, m, n, k, 1, a, b, 0, c) }},
 			{"GEMMPathNaive", func(c []float32) { GEMMPathNaive.GEMM(nil, false, false, m, n, k, 1, a, b, 0, c) }},
-			{"serial", func(c []float32) { GEMMPathAuto.run(serial, false, false, m, n, k, 1, a, b, nil, 0, nil, c) }},
+			{"serial", func(c []float32) { GEMMPathAuto.run(serial, false, false, m, n, k, 1, a, k, b, n, nil, 0, nil, c, n) }},
 			{"blocked-scalar", func(c []float32) {
 				withKernel(&scalarKernel, func() { blockedFull(nil, false, false, m, n, k, 1, a, b, 0, c) })
 			}},

@@ -139,11 +139,11 @@ func (p GEMMPath) GEMMPackedEpilogue(pool *Pool, transA bool, m, n, k int, alpha
 	if k == 0 || alpha == 0 {
 		// BLAS quick return for the product; the epilogue still defines
 		// the output (bias rows, or LN of bias+residual).
-		scaleC(c[:m*n], 0)
+		scaleC(c, m, n, n, 0)
 		ep.applyReference(pool, c, m, n)
 		return
 	}
-	p.run(pool, transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, 0, ep, c)
+	p.run(pool, transA, pb.transB, m, n, k, alpha, a, ldOf(transA, m, k), pb.src, ldOf(pb.transB, k, n), pb.buf, 0, ep, c, n)
 }
 
 // countFused counts a fused write-back of the epilogue; nil-safe, like

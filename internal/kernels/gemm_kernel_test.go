@@ -128,8 +128,8 @@ func TestVectorPacksMatchGoPacks(t *testing.T) {
 					withKernel(k, func() {
 						ap = make([]float32, (rows+k.mr-1)/k.mr*k.mr*kcb)
 						bp = make([]float32, (rows+k.nr-1)/k.nr*k.nr*kcb)
-						packA(serial, false, ap, src, 0, rows, 1, kcb, rows, ld, -1.5, k.mr)
-						packB(serial, true, bp, src, 0, rows, 1, kcb, rows, ld, k.nr)
+						packA(serial, false, ap, src, ld, 0, rows, 1, kcb, -1.5, k.mr)
+						packB(serial, true, bp, src, ld, 0, rows, 1, kcb, k.nr)
 					})
 					return ap, bp
 				}
@@ -166,7 +166,7 @@ func TestTransposedAPackMatchesScalarLoop(t *testing.T) {
 					panels := (rows + mr - 1) / mr
 					got := make([]float32, panels*mr*kcb)
 					want := make([]float32, len(got))
-					packA(serial, true, got, a, row0, rows, pc, kcb, m, k, alpha, mr)
+					packA(serial, true, got, a, m, row0, rows, pc, kcb, alpha, mr)
 					for pi := 0; pi < panels; pi++ {
 						n := min(mr, rows-pi*mr)
 						for p := 0; p < kcb; p++ {
@@ -285,10 +285,10 @@ func BenchmarkPackPanels(b *testing.B) {
 			b.ReportMetric(float64(bytes)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		}
 		b.Run("packA/"+name, func(b *testing.B) {
-			run(b, 4*m*gemmKC, func() { packA(serial, false, ap, a, 0, m, gemmKC, gemmKC, m, k, 1, kn.mr) })
+			run(b, 4*m*gemmKC, func() { packA(serial, false, ap, a, k, 0, m, gemmKC, gemmKC, 1, kn.mr) })
 		})
 		b.Run("packB/"+name, func(b *testing.B) {
-			run(b, 4*n*gemmKC, func() { packB(serial, true, bp, w, 0, n, gemmKC, gemmKC, n, k, kn.nr) })
+			run(b, 4*n*gemmKC, func() { packB(serial, true, bp, w, k, 0, n, gemmKC, gemmKC, kn.nr) })
 		})
 	}
 }

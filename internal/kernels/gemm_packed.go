@@ -53,7 +53,7 @@ func packWeight(pool *Pool, transB bool, n, k int, b []float32) *PackedB {
 	pb.buf = make([]float32, panelW*k)
 	for pc := 0; pc < k; pc += gemmKC {
 		kcb := min(gemmKC, k-pc)
-		packB(pool, transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, 0, n, pc, kcb, n, k, pb.nr)
+		packB(pool, transB, pb.buf[panelW*pc:panelW*pc+panelW*kcb], b, ldOf(transB, k, n), 0, n, pc, kcb, pb.nr)
 	}
 	return pb
 }
@@ -110,10 +110,10 @@ func (p GEMMPath) GEMMPacked(pool *Pool, transA bool, m, n, k int, alpha float32
 		return
 	}
 	if k == 0 || alpha == 0 {
-		scaleC(c[:m*n], beta)
+		scaleC(c, m, n, n, beta)
 		return
 	}
-	p.run(pool, transA, pb.transB, m, n, k, alpha, a, pb.src, pb.buf, beta, nil, c)
+	p.run(pool, transA, pb.transB, m, n, k, alpha, a, ldOf(transA, m, k), pb.src, ldOf(pb.transB, k, n), pb.buf, beta, nil, c, n)
 }
 
 // check panics unless pb can serve a call named op with op(B) k×n.

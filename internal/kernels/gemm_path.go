@@ -70,40 +70,50 @@ func (p GEMMPath) String() string {
 }
 
 // run computes C = alpha·op(A)·op(B) + beta·C on route p and applies ep
-// (nil: no tail); the quick returns are the caller's. Every entry point
-// routes here: the naive loops when forced, or under auto below the size
-// rule, and the forced blocked engine on per-call panels, each followed by
-// the reference tail; otherwise the engine with the tail fused into its
-// write-back: auto's short-stripe route when panels is nil, pool is set and
-// C has at most shortStripeRows rows, else gemmBlocked on panels (op(B)
-// pre-packed by PackWeight) or, when nil, packed per call. pool is the
-// pool the product's regions run on; BatchedGEMM and the attention region pass
-// serial for their per-matrix products, which carry no epilogue.
+// (nil: no tail); the quick returns are the caller's. Each operand is read
+// or written at its own leading dimension (lda, ldb, ldc: the row stride
+// of the stored matrix, BLAS's convention), so an operand may be a window
+// of a wider matrix, such as one head's columns of the attention
+// projections; nothing outside C's m×n window is written. The public entry
+// points pass the contiguous strides (ldOf). Every entry point routes
+// here: the naive loops when forced, or under auto below the size rule,
+// and the forced blocked engine on per-call panels, each followed by the
+// reference tail; otherwise the engine with the tail fused into its
+// write-back: auto's short-stripe route when panels is nil, pool is set
+// and C has at most shortStripeRows rows, else gemmBlocked on panels
+// (op(B) pre-packed by PackWeight) or, when nil, packed per call. pool is
+// the pool the product's regions run on; BatchedGEMM and the attention
+// region pass serial for their per-matrix products, which carry no
+// epilogue. An epilogue's buffers share C's layout, so ep comes only with
+// a contiguous C (ldc = n).
 //
-// The naive loops scale C by beta in a pre-pass. The engine does too for a
+// Packing reads a strided operand into the same panels as a contiguous
+// one, and the naive loops read the same values in the same order, so a
+// product's bits do not depend on its operands' leading dimensions. The
+// naive loops scale C by beta in a pre-pass. The engine does too for a
 // beta other than 0 and 1; at beta = 0 each tile (each column segment, on
 // a short stripe) clears its own region of C on its first depth block
 // instead (gemmState.tile, stripeSegments), on the worker that computes
 // it. C holds +0 before the first multiply-add either way, so the
 // result is bitwise the same, and C's prior contents — NaN included — are
 // never read.
-func (p GEMMPath) run(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a, b, panels []float32, beta float32, ep *Epilogue, c []float32) {
+func (p GEMMPath) run(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, panels []float32, beta float32, ep *Epilogue, c []float32, ldc int) {
 	switch {
 	case p == GEMMPathNaive && pool != serial:
-		scaleC(c[:m*n], beta)
-		gemmNaivePar(pool, transA, transB, m, n, k, alpha, a, b, c)
+		scaleC(c, m, n, ldc, beta)
+		gemmNaivePar(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
 	case p == GEMMPathNaive, p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
-		scaleC(c[:m*n], beta)
-		gemmNaiveSerial(transA, transB, m, n, k, alpha, a, b, c)
+		scaleC(c, m, n, ldc, beta)
+		gemmNaiveRows(transA, transB, n, k, alpha, a, lda, b, ldb, c, ldc, 0, m)
 	case p == GEMMPathBlocked:
-		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, nil, beta, nil, c)
+		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, nil, beta, nil, c, ldc)
 	case p == GEMMPathAuto && panels == nil && pool != serial && m <= shortStripeRows:
 		ep.countFused()
-		gemmShortStripe(pool, transA, transB, m, n, k, alpha, a, b, beta, ep, c)
+		gemmShortStripe(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, ep, c, ldc)
 		return
 	default:
 		ep.countFused()
-		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, b, panels, beta, ep, c)
+		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, panels, beta, ep, c, ldc)
 		return
 	}
 	ep.applyReference(pool, c, m, n)

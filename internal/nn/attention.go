@@ -77,16 +77,17 @@ func (a *MultiHeadAttention) inner() int { return a.heads * a.dHead }
 // Forward runs attention over x: [B·n, Wq.In()]. mask, if non-nil, is an
 // additive [B, n] key mask (0 for visible, large-negative for padding).
 func (a *MultiHeadAttention) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
-	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, a.uniform(b, n), mask))
+	return a.Wo.Forward(ctx, a.forwardCore(ctx, x, uniformOffsets(&a.offsets, b, n), mask))
 }
 
-// uniform returns the offsets of a [B, n] batch in a buffer the block keeps.
-func (a *MultiHeadAttention) uniform(b, n int) []int {
-	a.offsets = a.offsets[:0]
+// uniformOffsets returns the offsets of a [B, n] batch, 0, n, 2n, …, B·n,
+// in *buf, which it grows as needed.
+func uniformOffsets(buf *[]int, b, n int) []int {
+	*buf = (*buf)[:0]
 	for s := 0; s <= b; s++ {
-		a.offsets = append(a.offsets, s*n)
+		*buf = append(*buf, s*n)
 	}
-	return a.offsets
+	return *buf
 }
 
 // forwardCore runs the three projections over all T rows of x and the
@@ -172,10 +173,10 @@ func (a *MultiHeadAttention) Backward(ctx *Ctx, dY *tensor.Tensor) *tensor.Tenso
 }
 
 // profileRegion runs one attention region over core. Under a profiler it
-// records the region as three events — the per-head products
-// (CatAttnBGEMM), scale/mask/dropout/softmax (CatScaleMaskSM) and the row
-// gathers and scatters (CatOther) — that tile its wall time back to back,
-// split in proportion to the busy time its items spent in each stage.
+// records the region as two events — the per-head products
+// (CatAttnBGEMM) and scale/mask/dropout/softmax (CatScaleMaskSM) — that
+// tile its wall time back to back, split in proportion to the busy time
+// its items spent in each stage.
 func (a *MultiHeadAttention) profileRegion(ctx *Ctx, core *kernels.Attention, phase profile.Phase, region func(st *kernels.AttentionStages)) {
 	if ctx.Prof == nil {
 		region(nil)
@@ -187,12 +188,12 @@ func (a *MultiHeadAttention) profileRegion(ctx *Ctx, core *kernels.Attention, ph
 
 	// Algorithmic costs as the whole-tensor kernels counted them. Per head
 	// the forward runs 2 products, the fused score pass (6 FLOPs and 2
-	// accesses per score), the dropout apply (1, 3) and 4 row copies; the
-	// backward 4 products, the softmax gradient and scale (5, 5), the
-	// dropout re-form and apply (2, 6) and 7 row copies.
-	products, ops, io, copies := 1, 6, 2, 4
+	// accesses per score) and the dropout apply (1, 3); the backward 4
+	// products, the softmax gradient and scale (5, 5) and the dropout
+	// re-form and apply (2, 6).
+	products, ops, io := 1, 6, 2
 	if phase == profile.Backward {
-		products, ops, io, copies = 2, 5, 5, 7
+		products, ops, io = 2, 5, 5
 	}
 	if core.Drop != nil {
 		ops, io = ops+products, io+3*products
@@ -206,12 +207,11 @@ func (a *MultiHeadAttention) profileRegion(ctx *Ctx, core *kernels.Attention, ph
 		gemmFLOPs += int64(2*products*a.heads) * kernels.GEMMFLOPs(n, n, a.dHead)
 		gemmBytes += int64(2*products*a.heads) * kernels.GEMMBytes(n, n, a.dHead, es)
 	}
-	events := [3]profile.Event{
+	events := [2]profile.Event{
 		{Kernel: "attn_core_bgemm", Category: profile.CatAttnBGEMM, FLOPs: gemmFLOPs, Bytes: gemmBytes},
 		{Kernel: "attn_core_softmax", Category: profile.CatScaleMaskSM, FLOPs: kernels.EWFLOPs(scores, ops), Bytes: kernels.EWBytes(scores, io, 0, es)},
-		{Kernel: "attn_core_copy", Category: profile.CatOther, Bytes: kernels.EWBytes(copies*offs[len(offs)-1]*a.inner(), 1, 1, es)},
 	}
-	busy := [3]int64{ctx.stages[0].Load(), ctx.stages[1].Load(), ctx.stages[2].Load()}
+	busy := [2]int64{ctx.stages[0].Load(), ctx.stages[1].Load()}
 	for i, d := range splitWall(wall, busy) {
 		events[i].Phase, events[i].Start, events[i].Duration = phase, start, d
 		ctx.Prof.Record(events[i])
@@ -223,14 +223,11 @@ func (a *MultiHeadAttention) profileRegion(ctx *Ctx, core *kernels.Attention, ph
 // proportion to the stages' busy times; they sum to wall exactly (the
 // last takes the rounding remainder, and all of it when nothing was
 // busy).
-func splitWall(wall time.Duration, busy [3]int64) (d [3]time.Duration) {
-	total := busy[0] + busy[1] + busy[2]
-	left := wall
-	for i := 0; i < len(d)-1 && total > 0; i++ {
-		d[i] = min(time.Duration(float64(wall)*float64(busy[i])/float64(total)), left)
-		left -= d[i]
+func splitWall(wall time.Duration, busy [2]int64) (d [2]time.Duration) {
+	if total := busy[0] + busy[1]; total > 0 {
+		d[0] = min(time.Duration(float64(wall)*float64(busy[0])/float64(total)), wall)
 	}
-	d[len(d)-1] = left
+	d[1] = wall - d[0]
 	return d
 }
 

@@ -76,7 +76,7 @@ func NewEncoderLayer(name string, dModel, heads, dFF int, dropP float32, rng *te
 // Forward runs the layer over x: [B·n, dModel] with an optional additive
 // [B, n] attention mask.
 func (e *EncoderLayer) Forward(ctx *Ctx, x *tensor.Tensor, b, n int, mask *tensor.Tensor) *tensor.Tensor {
-	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, e.Attn.uniform(b, n), mask))
+	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, uniformOffsets(&e.Attn.offsets, b, n), mask))
 }
 
 // ForwardRagged runs the layer in evaluation mode over a padding-free

@@ -46,9 +46,13 @@ if grep -nE '\.width\b' $(ls internal/kernels/*.go | grep -v '_test\.go$' | grep
 	exit 1
 fi
 
-echo "== one attention implementation (no non-test Go file in internal/nn calls BatchedGEMM: training, evaluation and serving attention all run the one region, kernels.GEMMPath.AttentionForward/AttentionBackward)"
+echo "== one attention implementation (no non-test Go file in internal/nn calls BatchedGEMM: training, evaluation and serving attention all run the one region, kernels.GEMMPath.AttentionForward/AttentionBackward; and the region moves no rows: internal/kernels/attention.go has no copy(, its products read and write each head's columns in place)"
 if grep -n 'BatchedGEMM' $(ls internal/nn/*.go | grep -v '_test\.go$'); then
 	echo "check: internal/nn calls BatchedGEMM: attention runs the one region (DESIGN.md §8)" >&2
+	exit 1
+fi
+if grep -n 'copy(' internal/kernels/attention.go; then
+	echo "check: internal/kernels/attention.go copies rows: the per-head products read Q, K, V and dOut at their leading dimension (DESIGN.md §8)" >&2
 	exit 1
 fi
 
