@@ -15,7 +15,6 @@
 //	bertchar -dp D [-zero] [-no-overlap] [-b N] [-mp]
 //	bertchar -ts M [-in-network] [-b N] [-mp]
 //	bertchar -export json|csv [-phase 1|2] [-b N] [-mp] [-sweep ...]
-//	bertchar -large [-debug-addr HOST:PORT]
 //
 // -model, -phase, -b and -mp define the workload that -sweep, -dp, -ts
 // and -export act on. The -compute, -bandwidth and -link flags scale the
@@ -26,15 +25,12 @@
 // per -sweep point, as JSON lines closed by the runtime-counter snapshot,
 // or as CSV category rows.
 //
-// The reduced-scale run on the real engine is bertprof's job (bertprof
-// -iters N -metrics-jsonl FILE streams the per-step telemetry), and real
-// multi-process training is bertdist's. -large executes one honest
-// BERT-Large iteration here (see large.go); it runs for minutes, so
-// -debug-addr serves the runtime counters (pack-cache hit rate,
-// worker-pool dispatch/steal counts, spill traffic) as Prometheus text
-// plus expvar and pprof while it does.
-//
-// The cross-path numerics audit is a test suite: go test ./internal/audit/.
+// bertchar models, and every mode returns in milliseconds. bertprof
+// measures: it runs real training on one machine, BERT-Large under
+// memory scaling included, and prints this model's shares beside its
+// measured ones. bertdist distributes real training over processes, and
+// bertserve serves. The cross-path numerics audit is a test suite:
+// go test ./internal/audit/.
 package main
 
 import (
@@ -42,11 +38,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"demystbert"
-	"demystbert/internal/obs"
-	"demystbert/internal/runutil"
 )
 
 func main() {
@@ -73,35 +66,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&mf.noOverlap, "no-overlap", false, "with -dp: no compute/communication overlap")
 	fs.IntVar(&mf.ts, "ts", 0, "profile m-way tensor slicing of the workload (0 = off)")
 	fs.BoolVar(&mf.inNetwork, "in-network", false, "with -ts: in-network AllReduce (Section 6.2.3)")
-	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this address")
-	large := fs.Bool("large", false, "execute one honest memory-scaled BERT-Large training iteration for real and report the per-category breakdown")
-	var lf largeFlags
-	fs.IntVar(&lf.layers, "large-layers", 0, "with -large: override the layer count (0 = the full 24; reduced values are the CI smoke)")
-	fs.IntVar(&lf.b, "large-b", 8, "with -large: global batch size, reached via accumulation")
-	fs.IntVar(&lf.accum, "accum", 8, "with -large: accumulation micro-steps (micro-batch = large-b/accum)")
-	fs.IntVar(&lf.seq, "large-seq", 128, "with -large: sequence length (128 = pre-training phase 1)")
-	fs.IntVar(&lf.shards, "shards", 8, "with -large: virtual optimizer-state shards (1 = unsharded)")
-	fs.IntVar(&lf.ckptEvery, "ckpt-every", 6, "with -large: activation-checkpoint segment length in layers")
-	fs.IntVar(&lf.memlimitMB, "memlimit-mb", 5120, "with -large: GOMEMLIMIT in MiB (0 = unlimited)")
-	fs.StringVar(&lf.spillDir, "spill-dir", "", "with -large: directory for the spill arena (default: system temp)")
-	fs.StringVar(&lf.jsonOut, "breakdown-json", "", "with -large: write the measured-vs-modeled breakdown JSON here")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	// One LIFO cleanup list shared by normal return and SIGINT/SIGTERM,
-	// so an interrupt drains the debug server.
-	sd := runutil.Install(stderr)
-	defer sd.Drain()
-
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr, obs.Default)
-		if err != nil {
-			fmt.Fprintf(stderr, "bertchar: %v\n", err)
-			return 2
-		}
-		sd.Defer("debug server", func() { srv.ShutdownTimeout(2 * time.Second) })
-		fmt.Fprintf(stdout, "debug server: http://%s/metrics\n", srv.Addr)
 	}
 
 	var cfg demystbert.Config
@@ -123,14 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *computeX != 1 || *bwX != 1 || *linkX != 1 {
 		dev = dev.Scale(*computeX, *bwX, *linkX)
 		fmt.Fprintf(stdout, "device: %s (compute x%.2f, bandwidth x%.2f, link x%.2f)\n", dev.Name, *computeX, *bwX, *linkX)
-	}
-
-	if *large {
-		if err := runLarge(stdout, &lf, dev); err != nil {
-			fmt.Fprintf(stderr, "bertchar: %v\n", err)
-			return 2
-		}
-		return 0
 	}
 
 	if mf.active() {

@@ -209,24 +209,18 @@ func TestRunBadValues(t *testing.T) {
 	}
 }
 
-func TestRunDebugAddr(t *testing.T) {
-	out, _, code := runCmd(t, "-artifact", "fig3", "-debug-addr", "127.0.0.1:0")
-	if code != 0 || !strings.Contains(out, "debug server: http://127.0.0.1:") {
-		t.Fatalf("debug server did not start: code %d\n%s", code, out[:min(200, len(out))])
-	}
-}
-
-func TestRunSweepDebugAddr(t *testing.T) {
-	out, _, code := runCmd(t, "-sweep", "batch", "-values", "4", "-debug-addr", "127.0.0.1:0")
-	if code != 0 || !strings.Contains(out, "debug server: http://127.0.0.1:") || !strings.Contains(out, "tokens/s") {
-		t.Fatalf("sweep with debug server failed: code %d\n%s", code, out)
-	}
-}
-
-// The live reduced-scale run is bertprof's (-iters N -metrics-jsonl F);
-// its second entry point here is gone, not ignored.
+// Real training is bertprof's (-iters N -metrics-jsonl F, and BERT-Large
+// through its shape and memory flags): bertchar's live run and its -large
+// mode are gone, not ignored, and with them the debug server that only a
+// minutes-long run wanted.
 func TestRunLiveFlagsRemoved(t *testing.T) {
-	for _, args := range [][]string{{"-steps", "1"}, {"-metrics-jsonl", "x"}} {
+	for _, args := range [][]string{
+		{"-steps", "1"}, {"-metrics-jsonl", "x"},
+		{"-large"}, {"-large-layers", "2"}, {"-large-b", "2"}, {"-accum", "2"},
+		{"-large-seq", "32"}, {"-shards", "2"}, {"-ckpt-every", "1"},
+		{"-memlimit-mb", "768"}, {"-spill-dir", "x"}, {"-breakdown-json", "x"},
+		{"-debug-addr", "127.0.0.1:0"},
+	} {
 		_, errOut, code := runCmd(t, args...)
 		if code != 2 || !strings.Contains(errOut, "flag provided but not defined") {
 			t.Errorf("%v: exit %d, stderr %q", args, code, errOut)

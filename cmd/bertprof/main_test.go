@@ -2,10 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"demystbert/internal/model"
+	"demystbert/internal/opgraph"
+	"demystbert/internal/profile"
 )
 
 func runCmd(t *testing.T, args ...string) (string, int) {
@@ -199,5 +205,113 @@ func TestBadConfig(t *testing.T) {
 func TestBadMode(t *testing.T) {
 	if _, code := runCmd(t, "-mode", "predict"); code == 0 {
 		t.Fatal("unknown mode must fail")
+	}
+}
+
+// reportRow returns the fields of the kernel-profile row of category c.
+func reportRow(t *testing.T, out string, c profile.Category) []string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == string(c) {
+			return f
+		}
+	}
+	t.Fatalf("no %s row in:\n%s", c, out)
+	return nil
+}
+
+// TestMemoryScaledRun runs the reduced BERT-Large smoke's flags at a small
+// width: accumulation, two virtual optimizer shards and checkpoint spill.
+// The profile carries a modeled share beside every measured one, the
+// spill wrote bytes, and peak RSS is printed beside the modeled resident
+// footprint.
+func TestMemoryScaledRun(t *testing.T) {
+	out, code := runCmd(t, "-layers", "2", "-dmodel", "64", "-heads", "4", "-dff", "256", "-n", "32",
+		"-b", "2", "-accum", "2", "-shards", "2", "-checkpoint", "1", "-spill-dir", t.TempDir(), "-iters", "1")
+	if code != 0 {
+		t.Fatalf("exit code %d:\n%s", code, out)
+	}
+	if !strings.Contains(out, "accum=2, shards=2, spill=") {
+		t.Errorf("workload line does not carry the memory plan:\n%s", out)
+	}
+	for _, c := range []profile.Category{profile.CatFCGEMM, profile.CatLinear, profile.CatOutput, profile.CatLAMBStage1, profile.CatOther} {
+		f := reportRow(t, out, c)
+		if len(f) != 8 || !strings.HasSuffix(f[6], "%") || !strings.HasSuffix(f[7], "%") {
+			t.Errorf("%s row has no measured and modeled share: %v", c, f)
+		}
+	}
+	var wrote, read int64
+	var stall string
+	var swaps int
+	i := strings.Index(out, "spill: wrote ")
+	if i < 0 {
+		t.Fatalf("no spill line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "spill: wrote %d B, read %d B, stall %s %d shard swaps", &wrote, &read, &stall, &swaps); err != nil || wrote <= 0 || swaps != 2 {
+		t.Errorf("spill line %q: wrote %d B, %d shard swaps (err %v); want bytes written and 2 swaps", out[i:i+80], wrote, swaps, err)
+	}
+	if !strings.Contains(out, "peak RSS ") || !strings.Contains(out, "MiB vs modeled resident ") {
+		t.Errorf("no peak-RSS line beside the modeled resident footprint:\n%s", out)
+	}
+}
+
+// TestRefusals: the memory knobs' combinations that cannot run, or would
+// run and save nothing, exit 2 before any work.
+func TestRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-b", "4", "-accum", "3"}, "-accum 3 must divide -b 4"},
+		{[]string{"-mode", "finetune", "-accum", "2"}, "-accum > 1 needs -mode pretrain"},
+		{[]string{"-shards", "2"}, "-shards 2 needs -spill-dir"},
+	} {
+		var out, errOut strings.Builder
+		if code := run(tc.args, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), tc.want) || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stderr %q, stdout %d bytes; want 2, %q and no output", tc.args, code, errOut.String(), out.Len(), tc.want)
+		}
+	}
+}
+
+// TestModeledOutputMatchesMeasured: the modeled column prices the MLM
+// head the engine runs, over the run's scored rows. At the default shapes
+// the analytical graph's Output FLOPs agree with the profiler's within
+// 2 %; priced over all B·n rows (MLMRows 0) they would read several times
+// the measured work.
+func TestModeledOutputMatchesMeasured(t *testing.T) {
+	const iters = 2
+	out, code := runCmd(t, "-iters", strconv.Itoa(iters))
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	var rows int
+	i := strings.Index(out, "MLM head over ")
+	if i < 0 {
+		t.Fatalf("no scored-row count in:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "MLM head over %d scored rows", &rows); err != nil || rows <= 0 {
+		t.Fatalf("scored rows %d (%v)", rows, err)
+	}
+	measured, err := strconv.ParseInt(reportRow(t, out, profile.CatOutput)[3], 10, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// bertprof's defaults.
+	cfg := model.Config{Vocab: 1000, MaxPos: 32, NumLayers: 2, DModel: 64, Heads: 4, DFF: 256, DropProb: 0.1}
+	modeled := func(mlmRows int) float64 {
+		var flops int64
+		for _, op := range opgraph.Build(opgraph.Workload{Cfg: cfg, B: 4, SeqLen: 32, MLMRows: mlmRows}).Ops {
+			if op.Category == profile.CatOutput {
+				flops += op.TotalFLOPs()
+			}
+		}
+		return float64(flops*iters) / float64(measured)
+	}
+	t.Logf("modeled/measured Output FLOPs: %.3f over %d scored rows, %.2f over all rows", modeled(rows), rows, modeled(0))
+	if r := modeled(rows); r < 0.98 || r > 1.02 {
+		t.Errorf("modeled Output FLOPs over %d scored rows are %.3fx the measured %d", rows, r, measured)
+	}
+	if r := modeled(0); r < 2 {
+		t.Errorf("the all-row head reads %.2fx the measured Output FLOPs: the pin cannot tell the heads apart", r)
 	}
 }

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("loss fell %.1f%% over %d iterations on a fixed batch\n\n",
 		100*(1-last/first), len(run.Losses))
 
-	run.Profile.WriteReport(os.Stdout, "kernel profile (all iterations)")
+	run.Profile.WriteReport(os.Stdout, "kernel profile (all iterations)", nil)
 
 	// 2. Analytical model: the same iteration at BERT-Large scale on an
 	//    MI100-class device — the paper's Ph1-B32-FP32 configuration.

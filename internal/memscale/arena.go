@@ -33,7 +33,7 @@ var (
 )
 
 // SpillCounters reports the cumulative arena traffic and stall time —
-// the numbers bertchar -large prints next to the compute breakdown.
+// the numbers bertprof prints beside its profile when it spills.
 func SpillCounters() (written, read int64, stall time.Duration) {
 	return spillBytesWritten.Value(), spillBytesRead.Value(),
 		time.Duration(spillStallNS.Value())

@@ -136,11 +136,19 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 	ctx.ResetWorkspace()
 	m.batch, m.pool = b, ctx.Pool
-	h := m.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
+	h := m.encode(ctx, b.Tokens, b.Segments, b.B, b.N, b.Mask)
+	m.seqOut = h
 
-	if m.CheckpointEvery > 0 {
-		m.ckptInputs = m.ckptInputs[:0]
-	}
+	return m.headsForward(ctx, h)
+}
+
+// encode runs the embedding and the encoder stack over a [b, n] batch —
+// the trunk pre-training and fine-tuning share. With CheckpointEvery k > 0
+// it keeps the input of every k-th layer for encodeBackward's recompute,
+// or spills it through CkptSpill.
+func (m *BERT) encode(ctx *nn.Ctx, tokens, segments []int, b, n int, mask *tensor.Tensor) *tensor.Tensor {
+	h := m.Embed.Forward(ctx, tokens, segments, b, n)
+	m.ckptInputs = m.ckptInputs[:0]
 	for i, layer := range m.Layers {
 		if m.CheckpointEvery > 0 && i%m.CheckpointEvery == 0 {
 			if m.CkptSpill != nil {
@@ -157,11 +165,9 @@ func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
 				m.ckptInputs = append(m.ckptInputs, h)
 			}
 		}
-		h = layer.Forward(ctx, h, b.B, b.N, b.Mask)
+		h = layer.Forward(ctx, h, b, n, mask)
 	}
-	m.seqOut = h
-
-	return m.headsForward(ctx, h)
+	return h
 }
 
 // gatherRows copies the listed rows of x into a new [len(rows), d] tensor,
@@ -265,18 +271,7 @@ func (m *BERT) Backward(ctx *nn.Ctx) {
 
 	// All head gradients are final once the CLS path has backpropagated.
 	m.fireGrad(0)
-
-	// Encoder layers in reverse, with optional recompute-from-checkpoint.
-	if m.CheckpointEvery > 0 {
-		m.backwardWithCheckpoints(ctx, dSeq)
-	} else {
-		for i := len(m.Layers) - 1; i >= 0; i-- {
-			dSeq = m.Layers[i].Backward(ctx, dSeq)
-			m.fireGrad(1 + (len(m.Layers) - 1 - i))
-		}
-		m.Embed.Backward(ctx, dSeq)
-		m.finishEmbedGrads(ctx)
-	}
+	m.encodeBackward(ctx, dSeq, m.batch.B, m.batch.N, m.batch.Mask, m.fireGrad)
 
 	m.dropIterationState()
 }
@@ -368,58 +363,56 @@ func (m *BERT) dropIterationState() {
 	m.mlmRows, m.mlmTargets, m.mlmProbs = m.mlmRows[:0], m.mlmTargets[:0], nil
 }
 
-// finishEmbedGrads merges the token-table scatter accumulator into the
-// tied embedding/decoder gradient once the iteration's gradients are
-// complete, then fires the embedding gradient group. Under accumulation
-// both happen only on the final micro-batch.
-func (m *BERT) finishEmbedGrads(ctx *nn.Ctx) {
-	if !m.accum.active || m.accum.last {
-		m.Embed.FlushTokScatter(ctx)
-	}
-	m.fireGrad(1 + len(m.Layers))
-}
-
-// backwardWithCheckpoints re-executes each checkpoint segment's forward
-// pass (with dropout masks replayed) before backpropagating it — the
-// recomputation the paper measures as ~33% more kernels and ~27% more
-// runtime (Section 4).
-func (m *BERT) backwardWithCheckpoints(ctx *nn.Ctx, dSeq *tensor.Tensor) {
-	b := m.batch
+// encodeBackward backpropagates dSeq through the encoder stack, last
+// layer first, and into the embedding. Under checkpointing every segment
+// but the last is first re-executed forward from its checkpoint, dropout
+// masks replayed — the recomputation the paper measures as ~33% more
+// kernels and ~27% more runtime (Section 4); the last segment's
+// activations are still live from the forward pass. The token-table
+// scatter is merged into the tied gradient once the iteration's gradients
+// are complete (under accumulation, on the final micro-batch only). fire,
+// when non-nil, is called with each GradGroups index as its gradients
+// become final.
+func (m *BERT) encodeBackward(ctx *nn.Ctx, dSeq *tensor.Tensor, b, n int, mask *tensor.Tensor, fire func(group int)) {
 	k := m.CheckpointEvery
-	nSeg := len(m.ckptInputs)
+	if k <= 0 {
+		k = len(m.Layers)
+	}
+	nSeg := (len(m.Layers) + k - 1) / k
 	for seg := nSeg - 1; seg >= 0; seg-- {
 		first := seg * k
-		last := first + k - 1
-		if last >= len(m.Layers) {
-			last = len(m.Layers) - 1
-		}
-		// Recompute the segment forward from its checkpointed input. The
-		// final segment's activations are still live from the main
-		// forward pass, so it needs no recompute.
+		last := min(first+k, len(m.Layers)) - 1
 		if seg != nSeg-1 {
 			ctx.Recompute = true
 			h := m.ckptInputs[seg]
 			if h == nil {
 				// Spilled checkpoint: restore into a workspace draw, which
 				// Restore fills whole.
-				h = ctx.NewActivation(b.B*b.N, m.Config.DModel)
+				h = ctx.NewActivation(b*n, m.Config.DModel)
 				ctx.Prof.Time("spill_ckpt_read", profile.CatOther, profile.Backward,
 					0, int64(h.Size())*4, func() {
 						m.CkptSpill.Restore(seg, h.Data())
 					})
 			}
 			for i := first; i <= last; i++ {
-				h = m.Layers[i].Forward(ctx, h, b.B, b.N, b.Mask)
+				h = m.Layers[i].Forward(ctx, h, b, n, mask)
 			}
 			ctx.Recompute = false
 		}
 		for i := last; i >= first; i-- {
 			dSeq = m.Layers[i].Backward(ctx, dSeq)
-			m.fireGrad(1 + (len(m.Layers) - 1 - i))
+			if fire != nil {
+				fire(1 + (len(m.Layers) - 1 - i))
+			}
 		}
 	}
 	m.Embed.Backward(ctx, dSeq)
-	m.finishEmbedGrads(ctx)
+	if !m.accum.active || m.accum.last {
+		m.Embed.FlushTokScatter(ctx)
+	}
+	if fire != nil {
+		fire(1 + len(m.Layers))
+	}
 	m.ckptInputs = m.ckptInputs[:0]
 }
 

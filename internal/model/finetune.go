@@ -16,7 +16,8 @@ import (
 // d_model → 2 projection producing start/end logits per token — is added.
 // Everything else (embedding, encoder stack, training technique) is
 // reused unchanged, which is why the paper's takeaways carry over to
-// fine-tuning.
+// fine-tuning: the step runs the base's encoder trunk, so the base's
+// CheckpointEvery and CkptSpill apply to it as they do to pre-training.
 type FineTuner struct {
 	Base *BERT
 	Span *nn.Linear
@@ -47,10 +48,7 @@ func NewFineTuner(base *BERT, seed uint64) *FineTuner {
 func (f *FineTuner) Forward(ctx *nn.Ctx, b *data.QABatch) float64 {
 	ctx.ResetWorkspace()
 	f.batch, f.pool = b, ctx.Pool
-	h := f.Base.Embed.Forward(ctx, b.Tokens, b.Segments, b.B, b.N)
-	for _, layer := range f.Base.Layers {
-		h = layer.Forward(ctx, h, b.B, b.N, b.Mask)
-	}
+	h := f.Base.encode(ctx, b.Tokens, b.Segments, b.B, b.N, b.Mask)
 	logits := f.Span.Forward(ctx, h) // [B·n, 2]
 
 	// Regroup into per-sequence position logits: start[B, n], end[B, n].
@@ -103,12 +101,7 @@ func (f *FineTuner) Backward(ctx *nn.Ctx) {
 			}
 		})
 
-	dSeq := f.Span.Backward(ctx, dLogits)
-	for i := len(f.Base.Layers) - 1; i >= 0; i-- {
-		dSeq = f.Base.Layers[i].Backward(ctx, dSeq)
-	}
-	f.Base.Embed.Backward(ctx, dSeq)
-	f.Base.Embed.FlushTokScatter(ctx)
+	f.Base.encodeBackward(ctx, f.Span.Backward(ctx, dLogits), b.B, b.N, b.Mask, nil)
 	f.batch, f.startProbs, f.endProbs = nil, nil, nil
 }
 

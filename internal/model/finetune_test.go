@@ -176,3 +176,64 @@ func TestQABatchStructure(t *testing.T) {
 		}
 	}
 }
+
+// mapSpill keeps spilled checkpoints in a map: the CkptSpiller contract
+// without the disk arena.
+type mapSpill map[int][]float32
+
+func (s mapSpill) Spill(idx int, data []float32)  { s[idx] = append([]float32(nil), data...) }
+func (s mapSpill) Restore(idx int, dst []float32) { copy(dst, s[idx]) }
+
+// TestFineTunerCheckpointingBitwise: fine-tuning runs BERT's encoder
+// trunk, so CheckpointEvery re-executes every segment but the last in
+// backward, kept or spilled, dropout masks replayed. The loss and every
+// gradient equal the uncheckpointed step's bit for bit, and the profile
+// carries the recompute: with k = 1 over 4 layers, layers 0–2 run forward
+// twice, each re-applying its two block dropouts.
+func TestFineTunerCheckpointingBitwise(t *testing.T) {
+	cfg := Tiny()
+	cfg.NumLayers = 4
+	b := data.NewGenerator(cfg.Vocab, 0.15, 1).NextQA(2, 16)
+	run := func(ckpt int, spill CkptSpiller) (float64, *FineTuner, map[string]int) {
+		base, err := New(cfg, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.CheckpointEvery, base.CkptSpill = ckpt, spill
+		f := NewFineTuner(base, 8)
+		ctx := nn.NewCtx(99) // same dropout stream every run
+		loss := f.Step(ctx, b)
+		kernels := map[string]int{}
+		for _, ev := range ctx.Prof.Events() {
+			kernels[ev.Kernel]++
+		}
+		return loss, f, kernels
+	}
+	loss0, f0, k0 := run(0, nil)
+	for _, tc := range []struct {
+		name  string
+		spill CkptSpiller
+	}{{"kept", nil}, {"spilled", mapSpill{}}} {
+		loss, f, k := run(1, tc.spill)
+		if math.Float64bits(loss) != math.Float64bits(loss0) {
+			t.Errorf("%s: checkpointing changed the loss: %v vs %v", tc.name, loss, loss0)
+		}
+		ps, ps0 := f.Params(), f0.Params()
+		for i := range ps0 {
+			if j := firstBitDiff(ps[i].Grad.Data(), ps0[i].Grad.Data()); j >= 0 {
+				t.Errorf("%s: grad %s[%d] %v, uncheckpointed %v", tc.name, ps0[i].Name, j, ps[i].Grad.Data()[j], ps0[i].Grad.Data()[j])
+			}
+		}
+		recomputed := cfg.NumLayers - 1
+		if got, want := k["dropout_fwd"], k0["dropout_fwd"]+2*recomputed; got != want {
+			t.Errorf("%s: %d dropout_fwd events, want %d (%d without checkpointing + 2 per recomputed layer)", tc.name, got, want, k0["dropout_fwd"])
+		}
+		wantWrites, wantReads := 0, 0
+		if tc.spill != nil {
+			wantWrites, wantReads = cfg.NumLayers, recomputed
+		}
+		if k["spill_ckpt_write"] != wantWrites || k["spill_ckpt_read"] != wantReads {
+			t.Errorf("%s: %d spill writes and %d reads, want %d and %d", tc.name, k["spill_ckpt_write"], k["spill_ckpt_read"], wantWrites, wantReads)
+		}
+	}
+}

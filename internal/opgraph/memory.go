@@ -121,6 +121,8 @@ type MemScale struct {
 // checkpoint tensors that now live on disk.
 func ScaledFootprint(w Workload, s MemScale) MemoryFootprint {
 	if s.MicroB > 0 {
+		// A micro-batch scores its share of the batch's MLM rows.
+		w.MLMRows = (w.MLMRows*s.MicroB + w.B - 1) / w.B
 		w.B = s.MicroB
 	}
 	f := Footprint(w)

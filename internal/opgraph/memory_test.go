@@ -129,6 +129,18 @@ func TestScaledFootprintIdentityWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestScaledFootprintScalesScoredRows: a micro-batch's MLM head runs over
+// its share of the batch's scored rows, rounded up, not over all of them.
+func TestScaledFootprintScalesScoredRows(t *testing.T) {
+	w := Phase1(model.BERTLarge(), 8, FP32)
+	w.MLMRows = 153
+	micro := w
+	micro.B, micro.MLMRows = 2, 39 // ceil(153 · 2/8)
+	if got, want := ScaledFootprint(w, MemScale{MicroB: 2}), Footprint(micro); got != want {
+		t.Fatalf("micro-batch footprint %+v, want %+v", got, want)
+	}
+}
+
 func TestMaxBatchSizeZeroWhenTooSmall(t *testing.T) {
 	if got := MaxBatchSize(Phase1(model.BERTLarge(), 1, FP32), 1<<20); got != 0 {
 		t.Fatalf("1 MiB device fits batch %d?", got)

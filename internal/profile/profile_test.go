@@ -177,11 +177,37 @@ func TestWriteReport(t *testing.T) {
 	p.Record(Event{Kernel: "g", Category: CatFCGEMM, Phase: Forward, Duration: 8 * time.Millisecond, FLOPs: 80, Bytes: 8})
 	p.Record(Event{Kernel: "l", Category: CatLAMBStage1, Phase: Update, Duration: 2 * time.Millisecond, FLOPs: 2, Bytes: 20})
 	var sb strings.Builder
-	p.Summarize().WriteReport(&sb, "test profile")
+	p.Summarize().WriteReport(&sb, "test profile", nil)
 	out := sb.String()
 	for _, want := range []string{"test profile", "FCGEMM", "LAMBStage1", "TOTAL", "80.0%", "20.0%", "FWD", "UPD"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "modeled") {
+		t.Errorf("report without modeled shares has a modeled column:\n%s", out)
+	}
+
+	// Modeled shares sit beside the measured ones, and a category only
+	// the model has gets a row of its own.
+	sb.Reset()
+	p.Summarize().WriteReport(&sb, "test profile", map[Category]float64{CatFCGEMM: 0.6, CatLAMBStage1: 0.3, CatGeLU: 0.1})
+	lines := strings.Split(sb.String(), "\n")
+	for _, want := range []struct{ prefix, share, modeled string }{
+		{"category", "share", "modeled"},
+		{"FCGEMM", "80.0%", "60.0%"},
+		{"LAMBStage1", "20.0%", "30.0%"},
+		{"GeLU", "0.0%", "10.0%"},
+		{"TOTAL", "100.0%", "100.0%"},
+	} {
+		found := false
+		for _, l := range lines {
+			if f := strings.Fields(l); len(f) > 2 && f[0] == want.prefix {
+				found = f[len(f)-2] == want.share && f[len(f)-1] == want.modeled
+			}
+		}
+		if !found {
+			t.Errorf("no %s row ending in share %s, modeled %s:\n%s", want.prefix, want.share, want.modeled, sb.String())
 		}
 	}
 }

@@ -56,9 +56,13 @@ if grep -n 'copy(' internal/kernels/attention.go; then
 	exit 1
 fi
 
-echo "== bertdist trains, bertchar models (no non-test Go file in cmd/bertdist imports the root demystbert package, internal/opgraph, internal/perfmodel, internal/dist or internal/report)"
+echo "== bertdist trains, bertchar models (no non-test Go file in cmd/bertdist imports the root demystbert package, internal/opgraph, internal/perfmodel, internal/dist or internal/report; none in cmd/bertchar imports internal/memscale, internal/optim, internal/nn or internal/data: real training on one machine is bertprof's)"
 if grep -nE '"demystbert(/internal/(opgraph|perfmodel|dist|report))?"' $(ls cmd/bertdist/*.go | grep -v '_test\.go$'); then
 	echo "check: cmd/bertdist imports the analytical model: its modeled modes are bertchar's" >&2
+	exit 1
+fi
+if grep -nE '"demystbert/internal/(memscale|optim|nn|data)"' $(ls cmd/bertchar/*.go | grep -v '_test\.go$'); then
+	echo "check: cmd/bertchar imports the engine: measured runs are bertprof's" >&2
 	exit 1
 fi
 
@@ -102,8 +106,17 @@ echo "== distributed trace smoke (2 ranks, merged timeline + straggler table)"
 go run ./cmd/bertdist -launch 2 -steps 3 -train-b 2 -seq 16 -drop 0 -trace -trace-out /tmp/bertdist_trace.json | grep "gating-rank" >/dev/null
 test -s /tmp/bertdist_trace.json && rm -f /tmp/bertdist_trace.json
 
-echo "== memory-scaled BERT-Large smoke (reduced layers; accumulation + virtual shards + spill under GOMEMLIMIT)"
-go run ./cmd/bertchar -large -large-layers 2 -large-b 2 -accum 2 -large-seq 32 -shards 2 -ckpt-every 1 -memlimit-mb 768 >/dev/null
+echo "== memory-scaled BERT-Large smoke (bertprof at BERT-Large width, 2 layers: accumulation + virtual shards + checkpoint spill under GOMEMLIMIT; measured and modeled shares, spill traffic, peak RSS beside the modeled resident set)"
+tmp=$(mktemp -d)
+large=$(GOMEMLIMIT=768MiB go run ./cmd/bertprof -layers 2 -dmodel 1024 -heads 16 -dff 4096 -vocab 30522 -n 32 -b 2 -accum 2 -shards 2 -checkpoint 1 -spill-dir "$tmp" -iters 1)
+rm -rf "$tmp"
+for want in 'share  modeled' 'spill: wrote [1-9][0-9]* B' 'peak RSS [0-9]+ MiB vs modeled resident'; do
+	echo "$large" | grep -qE "$want" || {
+		echo "check: the memory-scaled smoke printed no line matching '$want':" >&2
+		echo "$large" >&2
+		exit 1
+	}
+done
 
 echo "== benchmark smoke (all six workloads at toy scale + golden losses, cross-rank bitwise, batched == serial; writes bench/out/)"
 go run ./bench -all -smoke >/dev/null
