@@ -352,6 +352,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "peak RSS %.0f MiB vs modeled resident %.0f MiB (x%.2f); unscaled model %.0f MiB; GOMEMLIMIT %s\n",
 		mib(rss), mib(scaled.Total()), float64(rss)/float64(scaled.Total()), mib(full.Total()), limit)
+	// The workspace holds every activation and activation gradient a whole
+	// step draws, forward and backward, where the model counts only what
+	// the forward keeps for the backward: it is the larger by design.
+	ws := int64(ctx.WorkspaceBytes())
+	fmt.Fprintf(stdout, "step workspace %.1f MiB measured (forward and backward draws) vs modeled retained activations %.1f MiB (x%.2f)\n",
+		mib(ws), mib(scaled.Activations), float64(ws)/float64(scaled.Activations))
 
 	if err := writeTrace(); err != nil {
 		return 2

@@ -253,6 +253,14 @@ func TestMemoryScaledRun(t *testing.T) {
 	if !strings.Contains(out, "peak RSS ") || !strings.Contains(out, "MiB vs modeled resident ") {
 		t.Errorf("no peak-RSS line beside the modeled resident footprint:\n%s", out)
 	}
+	var ws, act float64
+	i = strings.Index(out, "step workspace ")
+	if i < 0 {
+		t.Fatalf("no step-workspace line:\n%s", out)
+	}
+	if _, err := fmt.Sscanf(out[i:], "step workspace %f MiB measured (forward and backward draws) vs modeled retained activations %f MiB", &ws, &act); err != nil || ws <= 0 || act <= 0 {
+		t.Errorf("step-workspace line %q: workspace %v MiB, modeled %v MiB (err %v); want both positive", out[i:min(len(out), i+120)], ws, act, err)
+	}
 }
 
 // TestRefusals: the memory knobs' combinations that cannot run, or would

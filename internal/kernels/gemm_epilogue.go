@@ -1,6 +1,10 @@
 package kernels
 
-import "fmt"
+import (
+	"fmt"
+
+	"demystbert/internal/tensor"
+)
 
 // Fused GEMM epilogues. The paper's operator-fusion study (Section 6.1)
 // shows that once the GEMMs are fast, BERT's memory-bound tail operators —
@@ -15,8 +19,9 @@ import "fmt"
 //
 // Numerics contract: the fused write-back performs the exact same float32
 // expressions, in the same order, as the unfused reference sequence
-// (AddBias → GeLUForward / AddBias → residual add → LayerNormForward),
-// sharing the helpers addRow, geluSpan and layerNormRows. The
+// (AddBias → [binary16 store] → GeLUForward / AddBias → [binary16 store]
+// → [dropout mask multiply] → residual add → LayerNormForward), sharing
+// the helpers addRow, halfRow, mulRow, geluSpan and layerNormRows. The
 // engine never contracts a+b+c or reorders row reductions, so fused and
 // unfused results are bitwise identical on the same micro-kernel backend —
 // an invariant the audit harness pins (internal/audit).
@@ -34,9 +39,10 @@ const (
 	// C[i][j] = gelu(acc + Bias[j]). The pre-activation (acc + bias) is
 	// optionally saved to X for the backward pass.
 	EpilogueBiasGeLU
-	// EpilogueBiasResidualLayerNorm adds bias and a residual skip input,
-	// then layer-normalizes each completed row with the learned affine
-	// transform: C[i] = LN(acc_i + Bias + Residual_i; Gamma, Beta, Eps).
+	// EpilogueBiasResidualLayerNorm adds bias, applies the block dropout
+	// mask when one is set, adds a residual skip input, then
+	// layer-normalizes each completed row with the learned affine
+	// transform: C[i] = LN((acc_i + Bias)·Mask_i + Residual_i; Gamma, Beta, Eps).
 	// The pre-LN rows and per-row statistics are optionally saved to
 	// X/Mean/InvStd for the backward pass.
 	EpilogueBiasResidualLayerNorm
@@ -74,9 +80,19 @@ type Epilogue struct {
 	Gamma, Beta []float32
 	Eps         float32
 
+	// Mask, when non-nil (length m×n, LN kind only), multiplies acc+bias
+	// before the residual add: the block dropout's inverted mask, zeros
+	// and 1/(1−p), applied through DropoutApply's mulRow, so a zero times
+	// a NaN stays NaN.
+	Mask []float32
+	// Half rounds acc+bias through IEEE binary16 before anything reads
+	// it — the mask, the X save, the GeLU: mixed precision's store of the
+	// product to half storage and load back (nn.Ctx.StoreHalf).
+	Half bool
+
 	// X, when non-nil (length m×n), receives the pre-activation: acc+bias
-	// for EpilogueBiasGeLU (the GeLU backward input), acc+bias+residual
-	// for the LN kind (the LayerNorm backward input).
+	// for EpilogueBiasGeLU (the GeLU backward input), (acc+bias)·mask +
+	// residual for the LN kind (the LayerNorm backward input).
 	X []float32
 	// Mean and InvStd, when non-nil (length m), receive the per-row LN
 	// statistics for the backward pass. Both or neither must be set.
@@ -108,6 +124,9 @@ func (ep *Epilogue) check(m, n int) {
 	}
 	if len(ep.Bias) != n {
 		panic(fmt.Sprintf("kernels: Epilogue %s bias %d, want n=%d", ep.Kind, len(ep.Bias), n))
+	}
+	if ep.Mask != nil && (ep.Kind != EpilogueBiasResidualLayerNorm || len(ep.Mask) != m*n) {
+		panic(fmt.Sprintf("kernels: Epilogue %s mask %d, want m*n=%d on the LN kind", ep.Kind, len(ep.Mask), m*n))
 	}
 	if ep.X != nil && len(ep.X) != m*n {
 		panic(fmt.Sprintf("kernels: Epilogue %s X save buffer %d, want m*n=%d", ep.Kind, len(ep.X), m*n))
@@ -171,20 +190,35 @@ func (ep *Epilogue) applyReference(pool *Pool, c []float32, m, n int) {
 		return
 	}
 	epilogueReferenceRuns.Inc()
+	if ep.Kind == EpilogueNone {
+		return
+	}
+	pool.AddBias(c, ep.Bias, m, n)
+	if ep.Half {
+		ewBodies.run(pool, len(c), grainFor(pool, len(c), 1), ewArgs{dst: c}, halfRange)
+	}
 	switch ep.Kind {
-	case EpilogueNone:
-	case EpilogueBias:
-		pool.AddBias(c, ep.Bias, m, n)
 	case EpilogueBiasGeLU:
-		pool.AddBias(c, ep.Bias, m, n)
 		if ep.X != nil {
 			copyRows(pool, ep.X, c)
 		}
 		pool.GeLUForward(c, c)
 	case EpilogueBiasResidualLayerNorm:
-		pool.AddBias(c, ep.Bias, m, n)
+		if ep.Mask != nil {
+			pool.Mul(c, c, ep.Mask)
+		}
 		pool.AccumulateInto(c, ep.Residual)
 		ep.finalizeLNRows(pool, c, 0, m, n)
+	}
+}
+
+func halfRange(e *ewArgs, lo, hi int) { halfRow(e.dst[lo:hi]) }
+
+// halfRow rounds every element of row through IEEE binary16 in place:
+// tensor.RoundTripF16's store and load, one element at a time.
+func halfRow(row []float32) {
+	for i, v := range row {
+		row[i] = tensor.ToF16(v).Float32()
 	}
 }
 
@@ -204,23 +238,31 @@ func copyRange(e *ewArgs, lo, hi int) { copy(e.dst[lo:hi], e.a[lo:hi]) }
 // applyTile applies the element-wise part of the epilogue to the C region
 // rows [r0, r1) × cols [c0, c1). c is the full output buffer with leading
 // dimension ld; Residual and X share that leading dimension. For the LN
-// kind only bias+residual happens here — normalization needs complete
-// rows and runs in finalizeLNRows.
+// kind only bias, mask and residual happen here — normalization needs
+// complete rows and runs in finalizeLNRows.
 func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 	bias := ep.Bias[c0:c1]
 	for r := r0; r < r1; r++ {
-		row := c[r*ld+c0 : r*ld+c1]
+		lo, hi := r*ld+c0, r*ld+c1
+		row := c[lo:hi]
 		addRow(row, bias)
+		if ep.Half {
+			halfRow(row)
+		}
 		switch ep.Kind {
 		case EpilogueBiasGeLU:
 			if ep.X != nil {
-				copy(ep.X[r*ld+c0:r*ld+c1], row)
+				copy(ep.X[lo:hi], row)
 			}
 			geluSpan(row, row)
 		case EpilogueBiasResidualLayerNorm:
 			// Same association as the unfused sequence: (acc+bias) first
-			// (AddBias), then +residual (AccumulateInto).
-			addRow(row, ep.Residual[r*ld+c0:r*ld+c1])
+			// (AddBias), then ·mask (DropoutApply), then +residual
+			// (AccumulateInto).
+			if ep.Mask != nil {
+				mulRow(row, row, ep.Mask[lo:hi])
+			}
+			addRow(row, ep.Residual[lo:hi])
 		}
 	}
 }

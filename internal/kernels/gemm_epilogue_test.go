@@ -10,49 +10,104 @@ import (
 // refEpilogue applies the unfused reference tail to c in plain serial Go:
 // the independent oracle for both the fused write-back and applyReference.
 func refEpilogue(ep *Epilogue, c []float32, m, n int) {
-	switch ep.Kind {
-	case EpilogueNone:
-	case EpilogueBias:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				c[i*n+j] += ep.Bias[j]
+	if ep.Kind == EpilogueNone {
+		return
+	}
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			pre := c[i*n+j] + ep.Bias[j]
+			if ep.Half {
+				pre = tensor.ToF16(pre).Float32()
 			}
-		}
-	case EpilogueBiasGeLU:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				pre := c[i*n+j] + ep.Bias[j]
+			switch ep.Kind {
+			case EpilogueBias:
+				c[i*n+j] = pre
+			case EpilogueBiasGeLU:
 				if ep.X != nil {
 					ep.X[i*n+j] = pre
 				}
 				c[i*n+j] = geluScalar(pre)
+			case EpilogueBiasResidualLayerNorm:
+				if ep.Mask != nil {
+					pre *= ep.Mask[i*n+j]
+				}
+				c[i*n+j] = pre + ep.Residual[i*n+j]
 			}
 		}
-	case EpilogueBiasResidualLayerNorm:
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				c[i*n+j] = (c[i*n+j] + ep.Bias[j]) + ep.Residual[i*n+j]
-			}
+	}
+	if ep.Kind != EpilogueBiasResidualLayerNorm {
+		return
+	}
+	for i := 0; i < m; i++ {
+		row := c[i*n : (i+1)*n]
+		if ep.X != nil {
+			copy(ep.X[i*n:(i+1)*n], row)
 		}
-		for i := 0; i < m; i++ {
-			row := c[i*n : (i+1)*n]
-			if ep.X != nil {
-				copy(ep.X[i*n:(i+1)*n], row)
-			}
-			mu, istd := layerNormRowStats(row, ep.Eps)
-			if ep.Mean != nil {
-				ep.Mean[i] = mu
-				ep.InvStd[i] = istd
-			}
-			layerNormRowApply(row, row, ep.Gamma, ep.Beta, mu, istd)
+		mu, istd := layerNormRowStats(row, ep.Eps)
+		if ep.Mean != nil {
+			ep.Mean[i] = mu
+			ep.InvStd[i] = istd
 		}
+		layerNormRowApply(row, row, ep.Gamma, ep.Beta, mu, istd)
 	}
 }
 
-// makeEpilogue builds a randomized epilogue of the given kind for an m×n
+// epilogueCase is one epilogue the suites run: a kind, with or without the
+// binary16 store (Epilogue.Half) and, on the LN kind, the block dropout
+// mask. A mask case also puts a NaN in the product's A operand (operand),
+// so a zero of the mask must keep its row NaN: the tail multiplies, it
+// does not select.
+type epilogueCase struct {
+	Kind       EpilogueKind
+	Mask, Half bool
+}
+
+func (c epilogueCase) String() string {
+	s := c.Kind.String()
+	if c.Mask {
+		s += "+mask"
+	}
+	if c.Half {
+		s += "+half"
+	}
+	return s
+}
+
+var epilogueKinds = []epilogueCase{
+	{Kind: EpilogueBias}, {Kind: EpilogueBiasGeLU}, {Kind: EpilogueBiasResidualLayerNorm},
+	{Kind: EpilogueBias, Half: true}, {Kind: EpilogueBiasGeLU, Half: true}, {Kind: EpilogueBiasResidualLayerNorm, Half: true},
+	{Kind: EpilogueBiasResidualLayerNorm, Mask: true}, {Kind: EpilogueBiasResidualLayerNorm, Mask: true, Half: true},
+}
+
+// dropMask returns an n-element block dropout mask at BERT's p = 0.1 —
+// zeros and 1/(1−p), filled by the production kernel — or nil when the
+// case has none.
+func (c epilogueCase) dropMask(r *tensor.RNG, n int) []float32 {
+	if !c.Mask {
+		return nil
+	}
+	mask := make([]float32, n)
+	processPool.DropoutMask(mask, 0.1, r)
+	return mask
+}
+
+// operand returns the m×k A operand of a product the case runs: a itself,
+// or for a mask case a copy with a NaN in row m/2, which makes every
+// element of that output row NaN before the tail.
+func (c epilogueCase) operand(a []float32, m, k int) []float32 {
+	if !c.Mask || m*k == 0 {
+		return a
+	}
+	a = append([]float32(nil), a...)
+	a[m/2*k] = float32(math.NaN())
+	return a
+}
+
+// makeEpilogue builds a randomized epilogue of the given case for an m×n
 // output, with save buffers when withSaves is set.
-func makeEpilogue(r *tensor.RNG, kind EpilogueKind, m, n int, withSaves bool) *Epilogue {
-	ep := &Epilogue{Kind: kind}
+func makeEpilogue(r *tensor.RNG, ec epilogueCase, m, n int, withSaves bool) *Epilogue {
+	kind := ec.Kind
+	ep := &Epilogue{Kind: kind, Half: ec.Half, Mask: ec.dropMask(r, m*n)}
 	if kind != EpilogueNone {
 		ep.Bias = randSlice(r, n)
 	}
@@ -89,8 +144,6 @@ func cloneEpilogue(ep *Epilogue, m, n int) *Epilogue {
 	return &cp
 }
 
-var epilogueKinds = []EpilogueKind{EpilogueBias, EpilogueBiasGeLU, EpilogueBiasResidualLayerNorm}
-
 // TestGEMMPackedEpilogueMatchesReference checks every kind and a spread of
 // shapes (micro-tile remainders, multi-stripe m, multi-segment n) against
 // a serial f64-free reference built from the same scalar helpers.
@@ -103,7 +156,7 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 	for _, kind := range epilogueKinds {
 		for _, sh := range shapes {
 			m, n, k := sh[0], sh[1], sh[2]
-			a := randSlice(r, m*k)
+			a := kind.operand(randSlice(r, m*k), m, k)
 			b := randSlice(r, k*n)
 			pb := PackWeight(false, n, k, b)
 			ep := makeEpilogue(r, kind, m, n, true)
@@ -116,16 +169,22 @@ func TestGEMMPackedEpilogueMatchesReference(t *testing.T) {
 			wep := cloneEpilogue(ep, m, n)
 			refEpilogue(wep, want, m, n)
 
-			if d := maxAbsDiff(got, want); d > 2e-4 {
+			// The binary16 store turns the product's float32 rounding
+			// differences into at most one half-precision ulp.
+			tol, meanTol := 2e-4, 1e-4
+			if kind.Half {
+				tol, meanTol = 1e-2, 1e-3
+			}
+			if d := maxAbsDiff(got, want); d > tol {
 				t.Errorf("%s %dx%dx%d: output max diff %v", kind, m, n, k, d)
 			}
 			if ep.X != nil {
-				if d := maxAbsDiff(ep.X, wep.X); d > 2e-4 {
+				if d := maxAbsDiff(ep.X, wep.X); d > tol {
 					t.Errorf("%s %dx%dx%d: X save max diff %v", kind, m, n, k, d)
 				}
 			}
 			if ep.Mean != nil {
-				if d := maxAbsDiff(ep.Mean, wep.Mean); d > 1e-4 {
+				if d := maxAbsDiff(ep.Mean, wep.Mean); d > meanTol {
 					t.Errorf("%s %dx%dx%d: Mean max diff %v", kind, m, n, k, d)
 				}
 				if d := maxAbsDiff(ep.InvStd, wep.InvStd); d > 1e-2 {
@@ -152,7 +211,7 @@ func TestGEMMPackedEpilogueFusedBitwiseUnfused(t *testing.T) {
 			for i, sh := range [][3]int{{7, 17, 33}, {64, 64, 64}, {130, 96, 96}, {33, 257, 48}, {9, gemmNC + 52, gemmKC + 44}} {
 				m, n, k := sh[0], sh[1], sh[2]
 				tb := i%2 == 1
-				a := randSlice(r, m*k)
+				a := kind.operand(randSlice(r, m*k), m, k)
 				b := randSlice(r, k*n)
 				built := PackWeight(tb, n, k, b)
 				ep := makeEpilogue(r, kind, m, n, true)
@@ -206,6 +265,7 @@ func TestGEMMPackedEpilogueWorkerInvariance(t *testing.T) {
 	pb := PackWeight(false, n, k, b)
 	for _, kind := range epilogueKinds {
 		ep := makeEpilogue(r, kind, m, n, false)
+		a := kind.operand(a, m, k)
 		ref := make([]float32, m*n)
 		GEMMPathAuto.GEMMPackedEpilogue(poolOf(1), false, m, n, k, 1, a, pb, ep, ref)
 		for _, w := range []int{2, 4, 7} {
@@ -266,15 +326,24 @@ func TestGEMMPackedEpilogueAllPathsAgree(t *testing.T) {
 	a := randSlice(r, m*k)
 	b := randSlice(r, k*n)
 	pb := PackWeight(false, n, k, b)
-	ep := makeEpilogue(r, EpilogueBiasResidualLayerNorm, m, n, false)
-	ref := make([]float32, m*n)
-	GEMMPathNaive.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, ref)
-	for _, p := range []GEMMPath{GEMMPathBlocked, GEMMPathFused, GEMMPathAuto} {
-		got := make([]float32, m*n)
-		p.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
-		// LN divides by the row scale, so agreement within 1e-4 is tight.
-		if d := maxAbsDiff(got, ref); d > 1e-4 {
-			t.Errorf("path %v disagrees with naive by %v", p, d)
+	for _, kind := range epilogueKinds {
+		ep := makeEpilogue(r, kind, m, n, false)
+		a := kind.operand(a, m, k)
+		ref := make([]float32, m*n)
+		GEMMPathNaive.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, ref)
+		// LN divides by the row scale, so agreement within 1e-4 is tight;
+		// the binary16 store widens a product's rounding difference to
+		// one half-precision ulp.
+		tol := 1e-4
+		if kind.Half {
+			tol = 1e-2
+		}
+		for _, p := range []GEMMPath{GEMMPathBlocked, GEMMPathFused, GEMMPathAuto} {
+			got := make([]float32, m*n)
+			p.GEMMPackedEpilogue(nil, false, m, n, k, 1, a, pb, ep, got)
+			if d := maxAbsDiff(got, ref); d > tol {
+				t.Errorf("%s: path %v disagrees with naive by %v", kind, p, d)
+			}
 		}
 	}
 }
@@ -298,6 +367,7 @@ func TestGEMMPackedEpilogueZeroAlloc(t *testing.T) {
 		}{{"pre-packed panels", packWeight(pool, false, n, k, b)}, {"per-call panels", describeWeight(false, n, k, b)}} {
 			for _, kind := range epilogueKinds {
 				ep := makeEpilogue(r, kind, m, n, true)
+				a := kind.operand(a, m, k)
 				GEMMPathAuto.GEMMPackedEpilogue(pool, false, m, n, k, 1, a, leg.pb, ep, c) // warm pools
 				for _, ac := range allocCases {
 					if avg := ac.allocs(10, func() {

@@ -123,6 +123,21 @@ func TestGEMMPackedArgChecks(t *testing.T) {
 	mustPanic("short C", func() {
 		GEMMPacked(false, 4, 8, 8, 1, make([]float32, 32), pb, 0, make([]float32, 31))
 	})
+	ln := func(mask []float32) *Epilogue {
+		return &Epilogue{Kind: EpilogueBiasResidualLayerNorm, Bias: make([]float32, 8), Residual: make([]float32, 32),
+			Gamma: make([]float32, 8), Beta: make([]float32, 8), Mask: mask}
+	}
+	mustPanic("short epilogue mask", func() {
+		GEMMPathAuto.GEMMPackedEpilogue(nil, false, 4, 8, 8, 1, make([]float32, 32), pb, ln(make([]float32, 31)), make([]float32, 32))
+	})
+	mustPanic("long epilogue mask", func() {
+		GEMMPathAuto.GEMMPackedEpilogue(nil, false, 4, 8, 8, 1, make([]float32, 32), pb, ln(make([]float32, 33)), make([]float32, 32))
+	})
+	mustPanic("mask on the bias+gelu kind", func() {
+		ep := &Epilogue{Kind: EpilogueBiasGeLU, Bias: make([]float32, 8), Mask: make([]float32, 32)}
+		GEMMPathAuto.GEMMPackedEpilogue(nil, false, 4, 8, 8, 1, make([]float32, 32), pb, ep, make([]float32, 32))
+	})
+	GEMMPathAuto.GEMMPackedEpilogue(nil, false, 4, 8, 8, 1, make([]float32, 32), pb, ln(make([]float32, 32)), make([]float32, 32))
 }
 
 // TestGEMMPackedBackendMismatchPanics: a pack built for one backend's

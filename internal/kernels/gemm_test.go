@@ -41,9 +41,14 @@ func randSlice(r *tensor.RNG, n int) []float32 {
 	return s
 }
 
+// maxAbsDiff is the largest |a[i] − b[i]|, and +Inf where only one of
+// the two is NaN.
 func maxAbsDiff(a, b []float32) float64 {
 	var m float64
 	for i := range a {
+		if (a[i] != a[i]) != (b[i] != b[i]) {
+			return math.Inf(1)
+		}
 		d := math.Abs(float64(a[i] - b[i]))
 		if d > m {
 			m = d

@@ -14,14 +14,22 @@ import (
 // run the same helpers; these pin the helpers themselves, under every
 // kernel-table entry, bit for bit.
 
-// parentApplyTile is the scalar write-back the vector row add replaced.
+// parentApplyTile is the scalar write-back the vector row add replaced,
+// with the binary16 store and the mask multiply where the fused tail
+// takes them.
 func parentApplyTile(ep *Epilogue, c []float32, ld, r0, r1, c0, c1 int) {
+	half := func(v float32) float32 {
+		if ep.Half {
+			return tensor.ToF16(v).Float32()
+		}
+		return v
+	}
 	switch ep.Kind {
 	case EpilogueBias:
 		for r := r0; r < r1; r++ {
 			row := c[r*ld : r*ld+c1]
 			for j := c0; j < c1; j++ {
-				row[j] += ep.Bias[j]
+				row[j] = half(row[j] + ep.Bias[j])
 			}
 		}
 	case EpilogueBiasGeLU:
@@ -29,7 +37,7 @@ func parentApplyTile(ep *Epilogue, c []float32, ld, r0, r1, c0, c1 int) {
 		for r := r0; r < r1; r++ {
 			row := c[r*ld+c0 : r*ld+c1]
 			for j, b := range bias {
-				row[j] += b
+				row[j] = half(row[j] + b)
 			}
 			if ep.X != nil {
 				copy(ep.X[r*ld+c0:r*ld+c1], row)
@@ -41,7 +49,11 @@ func parentApplyTile(ep *Epilogue, c []float32, ld, r0, r1, c0, c1 int) {
 			row := c[r*ld : r*ld+c1]
 			res := ep.Residual[r*ld : r*ld+c1]
 			for j := c0; j < c1; j++ {
-				row[j] = (row[j] + ep.Bias[j]) + res[j]
+				v := half(row[j] + ep.Bias[j])
+				if ep.Mask != nil {
+					v *= ep.Mask[r*ld+j]
+				}
+				row[j] = v + res[j]
 			}
 		}
 	}
@@ -216,14 +228,15 @@ func TestApplyTileMatchesParentLoops(t *testing.T) {
 				ld := c0 + w + 5
 				for _, kind := range epilogueKinds {
 					for _, c := range tailCases {
-						ep := &Epilogue{Kind: kind, Bias: tailOperand(r, ld, 0, c, false)}
-						if kind == EpilogueBiasResidualLayerNorm {
+						ep := &Epilogue{Kind: kind.Kind, Half: kind.Half, Bias: tailOperand(r, ld, 0, c, false)}
+						if kind.Kind == EpilogueBiasResidualLayerNorm {
 							ep.Residual = tailOperand(r, m*ld, 0, c, false)
+							ep.Mask = kind.dropMask(r, m*ld)
 						}
 						acc := tailOperand(r, m*ld, 0, c, true)
 						want, got := append([]float32(nil), acc...), append([]float32(nil), acc...)
 						wep, gep := *ep, *ep
-						if kind == EpilogueBiasGeLU {
+						if kind.Kind == EpilogueBiasGeLU {
 							wep.X, gep.X = make([]float32, m*ld), make([]float32, m*ld)
 						}
 						parentApplyTile(&wep, want, ld, r0, r1, c0, c0+w)
@@ -411,7 +424,8 @@ func TestGEMMPackedEpilogueIgnoresOldC(t *testing.T) {
 }
 
 // BenchmarkGEMMEpilogue times one fused GEMM call on pre-packed weights
-// with no tail (the bare product) and with each tail, at serving shapes:
+// with no tail (the bare product) and with each plain tail (no mask, no
+// binary16 store), at serving shapes:
 // a 292-token batch through the d=256, d_ff=1024 projections (QKV and the
 // output projection are 292×256×256, FC1 292×1024×256, FC2 292×256×1024)
 // and the 43-row MLM decoder over an 8192-word vocabulary. A tail's cost
@@ -419,7 +433,7 @@ func TestGEMMPackedEpilogueIgnoresOldC(t *testing.T) {
 func BenchmarkGEMMEpilogue(b *testing.B) {
 	type shape struct{ m, n, k int }
 	shapes := []shape{{292, 256, 256}, {292, 1024, 256}, {292, 256, 1024}, {292, 1024, 1024}, {43, 8192, 256}}
-	kinds := append([]EpilogueKind{EpilogueNone}, epilogueKinds...)
+	kinds := append([]epilogueCase{{Kind: EpilogueNone}}, epilogueKinds[:3]...)
 	r := tensor.NewRNG(64)
 	for _, s := range shapes {
 		// Activations of unit scale and weights of 1/√k, as an initialised
@@ -439,5 +453,37 @@ func BenchmarkGEMMEpilogue(b *testing.B) {
 				}
 			})
 		}
+	}
+	// The training form at train_update's 128 tokens: the attention output
+	// projection (128×256×256) and FC2 (128×256×1024) with the block
+	// dropout's mask and the saves the backward reads, the weight packed
+	// per call as a training step's one use packs it. "fused" is the whole
+	// Add&Norm tail in the write-back; "chain" is the bias-only product
+	// followed by the Mul → Add → LayerNormForward chain the tail replaces.
+	for _, s := range []shape{{128, 256, 256}, {128, 256, 1024}} {
+		a, w := randSlice(r, s.m*s.k), randSlice(r, s.n*s.k)
+		for i := range w {
+			w[i] /= float32(math.Sqrt(float64(s.k)))
+		}
+		pb := describeWeight(true, s.n, s.k, w)
+		ep := makeEpilogue(r, epilogueCase{Kind: EpilogueBiasResidualLayerNorm, Mask: true}, s.m, s.n, true)
+		bias := &Epilogue{Kind: EpilogueBias, Bias: ep.Bias}
+		c, dropped, sum := make([]float32, s.m*s.n), make([]float32, s.m*s.n), make([]float32, s.m*s.n)
+		name := fmt.Sprintf("%dx%dx%d/train", s.m, s.n, s.k)
+		b.Run(name+"/fused", func(b *testing.B) {
+			b.SetBytes(4 * int64(s.m*s.n))
+			for i := 0; i < b.N; i++ {
+				GEMMPathAuto.GEMMPackedEpilogue(nil, false, s.m, s.n, s.k, 1, a, pb, ep, c)
+			}
+		})
+		b.Run(name+"/chain", func(b *testing.B) {
+			b.SetBytes(4 * int64(s.m*s.n))
+			for i := 0; i < b.N; i++ {
+				GEMMPathAuto.GEMMPackedEpilogue(nil, false, s.m, s.n, s.k, 1, a, pb, bias, c)
+				processPool.Mul(dropped, c, ep.Mask)
+				processPool.Add(sum, dropped, ep.Residual)
+				processPool.LayerNormForward(c, sum, ep.Gamma, ep.Beta, ep.Mean, ep.InvStd, s.m, s.n, ep.Eps)
+			}
+		})
 	}
 }

@@ -208,8 +208,7 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 	var mlmLoss float64
 	if rows := len(m.mlmRows); rows > 0 {
 		x := gatherRows(ctx, "mlm_gather", seq, m.mlmRows)
-		x = m.MLMDense.Forward(ctx, x)
-		x = m.MLMAct.Forward(ctx, x)
+		x = m.MLMDense.ForwardBiasGeLU(ctx, x, m.MLMAct)
 		x = m.MLMLN.Forward(ctx, x)
 		logits := m.MLMDecoder.Forward(ctx, x)
 		m.mlmProbs = ctx.NewActivation(rows, cfg.Vocab)

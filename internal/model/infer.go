@@ -152,15 +152,8 @@ func (m *BERT) mlmLogits(ctx *nn.Ctx, seq *tensor.Tensor, rows []int) *tensor.Te
 	ctx.Train = false
 	defer func() { ctx.Train = prevTrain }()
 	gathered := gatherRows(ctx, "infer_gather", seq, rows)
-
-	var x *tensor.Tensor
-	if ctx.MixedPrecision {
-		x = m.MLMAct.Forward(ctx, m.MLMDense.Forward(ctx, gathered))
-	} else {
-		x = m.MLMDense.ForwardBiasGeLU(ctx, gathered, m.MLMAct)
-	}
-	x = m.MLMLN.Forward(ctx, x)
-	return m.MLMDecoder.Forward(ctx, x)
+	x := m.MLMDense.ForwardBiasGeLU(ctx, gathered, m.MLMAct)
+	return m.MLMDecoder.Forward(ctx, m.MLMLN.Forward(ctx, x))
 }
 
 // WarmupInference pre-packs every weight the inference path consults —

@@ -22,21 +22,10 @@ func NewFeedForward(name string, dModel, dFF int, rng *tensor.RNG) *FeedForward 
 	}
 }
 
-// Forward computes FC2(GeLU(FC1(x))).
+// Forward computes FC2(GeLU(FC1(x))), bias and GeLU fused into FC-1's
+// write-back.
 func (f *FeedForward) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	return f.FC2.Forward(ctx, f.forwardHidden(ctx, x))
-}
-
-// forwardHidden computes GeLU(FC1(x)), fusing bias+GeLU into the FC1 GEMM
-// write-back when numerically transparent. In mixed precision the legacy
-// sequence quantizes the pre-activation through f16 storage between the
-// two modules — a boundary fusion deliberately skips — so MP defers to
-// the unfused modules to keep the established numerics.
-func (f *FeedForward) forwardHidden(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	if ctx.MixedPrecision {
-		return f.Act.Forward(ctx, f.FC1.Forward(ctx, x))
-	}
-	return f.FC1.ForwardBiasGeLU(ctx, x, f.Act)
+	return f.FC2.Forward(ctx, f.FC1.ForwardBiasGeLU(ctx, x, f.Act))
 }
 
 // Backward propagates through FC2, GeLU, FC1.
@@ -57,8 +46,6 @@ type EncoderLayer struct {
 	FF       *FeedForward
 	FFDrop   *Dropout
 	FFLN     *LayerNorm
-
-	res Residual
 }
 
 // NewEncoderLayer builds a Transformer encoder layer.
@@ -90,47 +77,15 @@ func (e *EncoderLayer) ForwardRagged(ctx *Ctx, x *tensor.Tensor, offsets []int) 
 	return e.forwardFrom(ctx, x, e.Attn.forwardCore(ctx, x, offsets, nil))
 }
 
-// forwardFrom runs the layer from the merged attention heads on: output
-// projection, Add&Norm, feed-forward, Add&Norm.
+// forwardFrom runs the layer from the merged attention heads on: each
+// sub-layer's last projection absorbs its Add&Norm tail (bias, block
+// dropout, residual skip, LayerNorm) into its GEMM write-back, and FC-1
+// its bias and GeLU — in training and evaluation, in full and mixed
+// precision alike.
 func (e *EncoderLayer) forwardFrom(ctx *Ctx, x, merged *tensor.Tensor) *tensor.Tensor {
-	var h *tensor.Tensor
-	if fuseResidualLN(ctx, e.AttnDrop) {
-		// The block dropout is inactive, so its module call is skipped
-		// entirely; a training pass clears any stale mask so its Backward
-		// stays an identity. The output projection absorbs the Add&Norm
-		// tail (bias, residual skip addition, LayerNorm) into its GEMM
-		// write-back.
-		if ctx.Train {
-			e.AttnDrop.mask = nil
-		}
-		h = e.Attn.Wo.ForwardBiasResidualLN(ctx, merged, x, e.AttnLN)
-	} else {
-		attnOut := e.Attn.Wo.Forward(ctx, merged)
-		attnOut = e.AttnDrop.Forward(ctx, attnOut)
-		h = e.res.AddSkip(ctx, attnOut, x)
-		h = e.AttnLN.Forward(ctx, h)
-	}
-
-	if fuseResidualLN(ctx, e.FFDrop) {
-		if ctx.Train {
-			e.FFDrop.mask = nil
-		}
-		hidden := e.FF.forwardHidden(ctx, h)
-		return e.FF.FC2.ForwardBiasResidualLN(ctx, hidden, h, e.FFLN)
-	}
-	ffOut := e.FF.Forward(ctx, h)
-	ffOut = e.FFDrop.Forward(ctx, ffOut)
-	out := e.res.AddSkip(ctx, ffOut, h)
-	return e.FFLN.Forward(ctx, out)
-}
-
-// fuseResidualLN reports whether a sub-layer's Add&Norm tail can fuse
-// into its preceding projection GEMM: the block dropout sitting between
-// them must be inactive (eval, or drop probability zero) and precision
-// must be full — the legacy sequence's f16 storage boundaries are part of
-// the established MP numerics and fusion would skip them.
-func fuseResidualLN(ctx *Ctx, d *Dropout) bool {
-	return !ctx.MixedPrecision && (!ctx.Train || d.P == 0)
+	h := e.Attn.Wo.ForwardBiasResidualLN(ctx, merged, x, e.AttnDrop, e.AttnLN)
+	hidden := e.FF.FC1.ForwardBiasGeLU(ctx, h, e.FF.Act)
+	return e.FF.FC2.ForwardBiasResidualLN(ctx, hidden, h, e.FFDrop, e.FFLN)
 }
 
 // Backward propagates through the layer. Residual connections split the

@@ -45,46 +45,36 @@ func NewLinear(name string, in, out int, cat profile.Category, rng *tensor.RNG) 
 // (kernels.GEMMPackedEpilogue), which is bitwise identical to the legacy
 // GEMM-then-AddBias sequence.
 func (l *Linear) Forward(ctx *Ctx, x *tensor.Tensor) *tensor.Tensor {
-	tokens, _ := mustRank2("Linear", x)
-	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBias, Bias: l.B.Value.Data()}
-	y := l.runEpilogueGEMM(ctx, x, &ctx.ep)
-	es := ctx.ElemSize()
-	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
-		kernels.EWFLOPs(tokens*l.out, 1), kernels.EWBytes(tokens*l.out, 1, 1, es))
-	ctx.StoreHalf(y)
-	return y
+	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBias}
+	return l.runEpilogueGEMM(ctx, x, &ctx.ep)
 }
 
 // ForwardBiasGeLU computes GeLU(X·W^T + b) with bias and activation fused
 // into the GEMM write-back, filling act's saved pre-activation (training
-// only) so act.Backward works unchanged. Callers gate on full precision:
-// the legacy sequence quantizes the pre-activation through f16 storage in
-// mixed precision, which fusion deliberately skips.
+// only) so act.Backward works unchanged: in mixed precision the saved and
+// activated values are the pre-activation after its binary16 store, as
+// between Forward and GeLU.Forward.
 func (l *Linear) ForwardBiasGeLU(ctx *Ctx, x *tensor.Tensor, act *GeLU) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
-	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU, Bias: l.B.Value.Data()}
-	ep := &ctx.ep
+	ctx.ep = kernels.Epilogue{Kind: kernels.EpilogueBiasGeLU}
 	if ctx.Train {
 		act.x = ctx.NewActivation(tokens, l.out)
-		ep.X = act.x.Data()
+		ctx.ep.X = act.x.Data()
 	}
-	y := l.runEpilogueGEMM(ctx, x, ep)
-	es := ctx.ElemSize()
-	sz := tokens * l.out
-	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
-		kernels.EWFLOPs(sz, 1), kernels.EWBytes(sz, 1, 1, es))
-	l.markFusedTail(ctx, "gelu_fwd", profile.CatGeLU,
-		kernels.EWFLOPs(sz, 5), kernels.EWBytes(sz, 1, 1, es))
+	y := l.runEpilogueGEMM(ctx, x, &ctx.ep)
+	markFusedTail(ctx, "gelu_fwd", profile.CatGeLU, tokens*l.out, 5, 1)
 	ctx.StoreHalf(y)
 	return y
 }
 
-// ForwardBiasResidualLN computes LN(X·W^T + b + skip) — a sub-layer
+// ForwardBiasResidualLN computes LN(drop(X·W^T + b) + skip): a sub-layer
 // output projection with its whole Add&Norm tail fused into the GEMM
-// write-back — filling ln's saved input and statistics (training only) so
-// ln.Backward works unchanged. Callers guarantee the block dropout
-// between projection and residual is inactive and precision is full.
-func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *LayerNorm) *tensor.Tensor {
+// write-back. drop fills its mask before the product, or replays it in a
+// checkpointed recompute, and ln's saved input and statistics are filled
+// in training, so drop.Backward and ln.Backward work unchanged. The values
+// and profile events are those of Forward → Dropout.Forward →
+// Residual.AddSkip → LayerNorm.Forward.
+func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, drop *Dropout, ln *LayerNorm) *tensor.Tensor {
 	tokens, _ := mustRank2("Linear", x)
 	if sr, sc := mustRank2("Linear residual skip", skip); sr != tokens || sc != l.out {
 		panic(fmt.Sprintf("nn: Linear residual skip %v, want [%d, %d]", skip.Shape(), tokens, l.out))
@@ -94,13 +84,16 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 	}
 	ctx.ep = kernels.Epilogue{
 		Kind:     kernels.EpilogueBiasResidualLayerNorm,
-		Bias:     l.B.Value.Data(),
 		Residual: skip.Data(),
 		Gamma:    ln.Gamma.Value.Data(),
 		Beta:     ln.Beta.Value.Data(),
 		Eps:      ln.Eps,
 	}
 	ep := &ctx.ep
+	mask := drop.fillMask(ctx, skip)
+	if mask != nil {
+		ep.Mask = mask.Data()
+	}
 	if ctx.Train {
 		ln.x = ctx.NewActivation(tokens, l.out)
 		ln.mean = ctx.NewActivation(tokens)
@@ -108,23 +101,25 @@ func (l *Linear) ForwardBiasResidualLN(ctx *Ctx, x, skip *tensor.Tensor, ln *Lay
 		ep.X, ep.Mean, ep.InvStd = ln.x.Data(), ln.mean.Data(), ln.invStd.Data()
 	}
 	y := l.runEpilogueGEMM(ctx, x, ep)
-	es := ctx.ElemSize()
 	sz := tokens * l.out
-	l.markFusedTail(ctx, "linear_fwd_bias", l.Category,
-		kernels.EWFLOPs(sz, 1), kernels.EWBytes(sz, 1, 1, es))
-	l.markFusedTail(ctx, "residual_add", profile.CatDRRCLN,
-		kernels.EWFLOPs(sz, 1), kernels.EWBytes(sz, 2, 1, es))
-	l.markFusedTail(ctx, "layernorm_fwd", profile.CatDRRCLN,
-		kernels.EWFLOPs(sz, 8), kernels.EWBytes(sz, 1, 1, es))
+	if mask != nil {
+		markFusedTail(ctx, "dropout_fwd", drop.Category, sz, 1, 2)
+	}
+	markFusedTail(ctx, "residual_add", profile.CatDRRCLN, sz, 1, 2)
+	markFusedTail(ctx, "layernorm_fwd", profile.CatDRRCLN, sz, 8, 1)
 	ctx.StoreHalf(y)
 	return y
 }
 
-// runEpilogueGEMM executes the forward product with the given fused tail,
-// saving X for backward in training. The whole fused call is timed as
+// runEpilogueGEMM executes the forward product with the given fused tail
+// and the layer's bias, saving X for backward in training. In mixed
+// precision the tail first rounds acc + bias through binary16
+// (Epilogue.Half): the store of the product to half storage and back,
+// taken in the write-back. The whole fused call is timed as
 // "linear_fwd_gemm" with exactly the product's FLOPs — the integration
 // tests reconcile real against analytical GEMM FLOPs by event name, so
-// tail-operator work must not leak into GEMM accounting.
+// tail-operator work must not leak into GEMM accounting; the bias add
+// follows as a marker.
 func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogue) *tensor.Tensor {
 	tokens, in := mustRank2("Linear", x)
 	if in != l.in {
@@ -133,6 +128,7 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 	if ctx.Train {
 		l.x = x
 	}
+	ep.Bias, ep.Half = l.B.Value.Data(), ctx.MixedPrecision
 	y := ctx.NewActivation(tokens, l.out)
 	es := ctx.ElemSize()
 
@@ -149,15 +145,17 @@ func (l *Linear) runEpilogueGEMM(ctx *Ctx, x *tensor.Tensor, ep *kernels.Epilogu
 		kernels.GEMMFLOPs(m, n, k), kernels.GEMMBytes(m, n, k, es), func() {
 			ctx.Route.GEMMPackedEpilogue(ctx.Pool, false, m, n, k, 1, x.Data(), l.W.Packed(ctx.Route, ctx.Pool, true, n, k), ep, y.Data())
 		})
+	markFusedTail(ctx, "linear_fwd_bias", l.Category, m*n, 1, 1)
 	return y
 }
 
 // markFusedTail records a zero-duration marker event for a tail operator
-// executed inside a fused GEMM write-back, so operator-level FLOP/byte
-// accounting (and the paper's category breakdowns) still see the op while
-// its wall time is attributed to the GEMM that absorbed it.
-func (l *Linear) markFusedTail(ctx *Ctx, name string, cat profile.Category, flops, bytes int64) {
-	ctx.Prof.Time(name, cat, profile.Forward, flops, bytes, func() {})
+// of ops operations per element over n elements (reads inputs, one
+// output) executed inside a fused GEMM write-back, so operator-level
+// FLOP/byte accounting (and the paper's category breakdowns) still see
+// the op while its wall time is attributed to the GEMM that absorbed it.
+func markFusedTail(ctx *Ctx, name string, cat profile.Category, n, ops, reads int) {
+	ctx.Prof.Time(name, cat, profile.Forward, kernels.EWFLOPs(n, ops), kernels.EWBytes(n, reads, 1, ctx.ElemSize()), func() {})
 }
 
 // Backward computes dX = dY·W, accumulates dW += dY^T·X and db += colsum(dY).

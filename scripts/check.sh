@@ -27,10 +27,10 @@ GOARCH=s390x go vet ./internal/distnet/
 echo "== GOARCH=arm64 go vet ./... (the non-amd64 kernel table, gemm_kernel_noasm.go, keeps compiling when table fields go)"
 GOARCH=arm64 go vet ./...
 
-echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go, attention.go or gemm.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, pooler and initial-weight bits)"
+echo "== GOARCH=arm64 listings (no fused multiply-add in kernels' layernorm.go, elementwise.go, softmax.go, attention.go, gemm.go or gemm_epilogue.go, nor anywhere in model, tensor or optim: every product is rounded before it is added, so arm64 computes amd64's LayerNorm, softmax, naive-GEMM, GEMM-tail, pooler and initial-weight bits)"
 GOARCH=arm64 go build -gcflags=-S ./internal/kernels/ >/tmp/kernels_arm64.txt 2>&1 || { tail -20 /tmp/kernels_arm64.txt; exit 1; }
 GOARCH=arm64 go build -gcflags=-S ./internal/model/ ./internal/tensor/ ./internal/optim/ >/tmp/model_arm64.txt 2>&1 || { tail -20 /tmp/model_arm64.txt; exit 1; }
-if { grep -E '(layernorm|elementwise|softmax|attention|gemm)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
+if { grep -E '(layernorm|elementwise|softmax|attention|gemm|gemm_epilogue)\.go:' /tmp/kernels_arm64.txt; grep -E '/internal/(model|tensor|optim)/[a-z0-9_]+\.go:' /tmp/model_arm64.txt; } | grep -E 'FN?M(ADD|SUB)S'; then
 	echo "check: fused multiply-add in an arm64 listing that must round every product" >&2
 	exit 1
 fi
@@ -53,6 +53,16 @@ if grep -n 'BatchedGEMM' $(ls internal/nn/*.go | grep -v '_test\.go$'); then
 fi
 if grep -n 'copy(' internal/kernels/attention.go; then
 	echo "check: internal/kernels/attention.go copies rows: the per-head products read Q, K, V and dOut at their leading dimension (DESIGN.md §8)" >&2
+	exit 1
+fi
+
+echo "== one Add&Norm path (no non-test Go file in internal/nn or internal/model but nn.go and linear.go mentions MixedPrecision: the binary16 store, the block dropout and the Add&Norm tail run in the GEMM write-back, in training and evaluation alike; and internal/nn/encoder.go has no AddSkip)"
+if grep -n 'MixedPrecision' $(ls internal/nn/*.go internal/model/*.go | grep -v '_test\.go$' | grep -vE '/nn/(nn|linear)\.go$'); then
+	echo "check: a MixedPrecision fork outside nn.go and linear.go: the mixed-precision store belongs to the GEMM write-back (DESIGN.md §11)" >&2
+	exit 1
+fi
+if grep -n 'AddSkip' internal/nn/encoder.go; then
+	echo "check: internal/nn/encoder.go calls AddSkip: the encoder's Add&Norm runs in the projections' write-back (DESIGN.md §11)" >&2
 	exit 1
 fi
 
