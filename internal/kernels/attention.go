@@ -54,6 +54,7 @@ const (
 // non-nil, gets stage times.
 func (p GEMMPath) AttentionForward(pool *Pool, at *Attention, out []float32, st *AttentionStages) {
 	if b, maxN := at.check("AttentionForward", st, out); b > 0 {
+		p.reserveAttention(pool, b*at.Heads, maxN, at.DHead, maxN*maxN)
 		attnBodies.run(pool, b*at.Heads, 1, attnArgs{path: p, at: at, out: out, maxN: maxN, st: st}, attnForwardRange)
 	}
 }
@@ -71,8 +72,20 @@ func (p GEMMPath) AttentionBackward(pool *Pool, at *Attention, dQ, dK, dV, dOut 
 		panic("kernels: AttentionBackward without the forward's saved Probs")
 	}
 	if b, maxN := at.check("AttentionBackward", st, dOut, dQ, dK, dV); b > 0 {
+		p.reserveAttention(pool, b*at.Heads, maxN, at.DHead, 2*maxN*maxN)
 		attnBodies.run(pool, b*at.Heads, 1, attnArgs{path: p, at: at, out: dOut, dQ: dQ, dK: dK, dV: dV, maxN: maxN, st: st}, attnBackwardRange)
 	}
+}
+
+// reserveAttention reserves the scratch that the chunks of an attention
+// region over items (sequence, head) pairs hold at once: a chunk's tile of
+// tile floats and the buffers of whichever per-head product it runs. Both
+// directions' products have the shapes n×n×dHead and n×dHead×n; those of
+// the longest sequence, n, are reserved.
+func (p GEMMPath) reserveAttention(pool *Pool, items, n, dHead, tile int) {
+	pieces := concurrentPieces(pool, items, 1)
+	p.reserveNested(pieces, n, n, dHead, tile)
+	p.reserveNested(pieces, n, dHead, n, tile)
 }
 
 // check validates at and bufs (the call's [T, Heads·DHead] buffers)

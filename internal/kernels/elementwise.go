@@ -278,5 +278,7 @@ func (pool *Pool) BiasGrad(dBias []float32, dY []float32, m, n int) {
 	if len(dY) != m*n || len(dBias) != n {
 		panic(fmt.Sprintf("kernels: BiasGrad dims dY=%d dBias=%d m=%d n=%d", len(dY), len(dBias), m, n))
 	}
-	biasBodies.run(pool, n, colBandGrain(pool, n, m), biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
+	grain := colBandGrain(pool, n, m)
+	reserveScratch(concurrentPieces(pool, n, grain), scratchMin)
+	biasBodies.run(pool, n, grain, biasArgs{mat: dY, vec: dBias, m: m, n: n}, biasGradRange)
 }

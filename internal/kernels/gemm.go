@@ -207,6 +207,7 @@ func (p GEMMPath) BatchedGEMM(pool *Pool, batch int, transA, transB bool, m, n, 
 		return
 	}
 	batchedGEMMRuns.Inc()
+	p.reserveNested(concurrentPieces(pool, batch, 1), m, n, k, 0)
 	batchedBodies.run(pool, batch, 1, batchedArgs{path: p, transA: transA, transB: transB, m: m, n: n, k: k,
 		alpha: alpha, beta: beta, a: a, b: b, c: c, sA: strideA, sB: strideB, sC: strideC}, batchedRange)
 }

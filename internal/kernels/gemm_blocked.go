@@ -67,13 +67,13 @@ func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a 
 		scaleC(c, m, n, ldc, beta)
 	}
 	mr, nr := gemmMR, gemmNR
-	kc0 := min(k, gemmKC)
-	ap := getScratch(((min(m, gemmStripe) + mr - 1) / mr) * mr * kc0)
+	apN, bpN := blockedScratch(m, n, k)
+	ap := getScratch(apN)
 	nc, panelW := n, panelWidth(n, nr)
 	var bp *[]float32
 	if panels == nil {
 		nc = gemmNC
-		bp = getScratch(panelWidth(min(n, nc), nr) * kc0)
+		bp = getScratch(bpN)
 	}
 	g := gemmState{ep: ep}
 	for io := 0; io < m; io += gemmStripe {
@@ -103,6 +103,25 @@ func gemmBlocked(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a 
 	if bp != nil {
 		putScratch(bp)
 	}
+}
+
+// blockedScratch is the float count of the packed A block and of the
+// packed B block gemmBlocked draws for an m×n×k product (B only without
+// pre-built panels).
+func blockedScratch(m, n, k int) (ap, bp int) {
+	mr, nr, kc0 := gemmMR, gemmNR, min(k, gemmKC)
+	return (min(m, gemmStripe) + mr - 1) / mr * mr * kc0, panelWidth(min(n, gemmNC), nr) * kc0
+}
+
+// edgeScratch is the float count of the side buffer a sweep over m rows
+// and n columns draws (microColumn): one micro-tile when some tile lacks
+// columns, or lacks rows and the entry has no row-edge body; 0 when every
+// tile runs in place.
+func edgeScratch(m, n int) int {
+	if n%gemmNR != 0 || m%gemmMR != 0 && activeKernel.f32Rows == nil {
+		return microTileMax
+	}
+	return 0
 }
 
 // gemmState holds the operands of the tile grid of one (stripe, pc, jc)
@@ -154,6 +173,7 @@ func (g *gemmState) run(pool *Pool, c, ap, bp []float32, ldc, i0, ms, jc, ncb, k
 	g.segs, g.segCols = segs, segCols
 	items := icBlocks * segs
 	if pool != serial {
+		reserveScratch(concurrentPieces(pool, items, 1), edgeScratch(ms, ncb))
 		gemmBodies.run(pool, items, 1, *g, gemmTiles)
 	} else {
 		gemmTiles(g, 0, items)
@@ -223,7 +243,12 @@ func gemmShortStripe(pool *Pool, transA, transB bool, m, n, k int, alpha float32
 	per := (panels + segs - 1) / segs // micro-panels per segment
 	s := stripeState{c: c, ap: *ap, b: b, transB: transB, m: m, n: n, k: k, ldb: ldb, ldc: ldc, mp: mp,
 		segCols: per * nr, clearC: beta == 0, ep: ep}
-	stripeBodies.run(pool, (panels+per-1)/per, 1, s, stripeSegments)
+	items, bs := (panels+per-1)/per, 0
+	if transB || n%nr != 0 {
+		bs = nr * gemmKC // a segment's B micro-panel (stripeSegments)
+	}
+	reserveScratch(concurrentPieces(pool, items, 1), bs, edgeScratch(m, n))
+	stripeBodies.run(pool, items, 1, s, stripeSegments)
 	putScratch(ap)
 	if ep != nil && ep.Kind == EpilogueBiasResidualLayerNorm {
 		ep.finalizeLNRows(pool, c, 0, m, n)
@@ -310,22 +335,30 @@ func microTileSweep(c []float32, ldc int, ap, bp []float32, kcb, ir0, irEnd, jr0
 // is a continuation fold (its accumulators seed from C), so the sweep
 // preserves that property: a depth range split across calls folds
 // bitwise-identically to one call. Full tiles go straight to the
-// micro-kernel; edge tiles land in a scratch side buffer first (a plain
-// local array would escape through the indirect kern call and allocate per
-// tile) that is seeded with the live C region and copied back afterwards —
-// dead B lanes are zero padding or, read in place, the operand's own
-// columns, and either way they only feed dead lanes, which never leak into
-// C. tmp is that buffer, fetched on first need and returned for the next
-// call; the caller puts it back.
+// micro-kernel, and so do row-edge tiles (mw < mr live rows) of all nr
+// columns when the entry has a row-edge body (f32Rows), which folds only
+// the live rows into C in place. Other edge tiles land in a scratch side
+// buffer first (a plain local array would escape through the indirect
+// kern call and allocate per tile) that is seeded with the live C region
+// and copied back afterwards — dead B lanes are zero padding or, read in
+// place, the operand's own columns, and either way they only feed dead
+// lanes, which never leak into C; the row-edge body, when there is one,
+// folds only the live rows there too. tmp is that buffer, fetched on
+// first need and returned for the next call; the caller puts it back.
 func microColumn(c []float32, ldc int, ap, bpanel []float32, ldb, kcb, ir0, irEnd, ms, nw int, tmp *[]float32) *[]float32 {
 	mr, nr := gemmMR, gemmNR
-	kern := activeKernel.f32
+	kern, rowsKern := activeKernel.f32, activeKernel.f32Rows
 	for ir := ir0; ir < irEnd; ir += mr {
 		mw := min(mr, ms-ir)
 		apanel := ap[(ir/mr)*mr*kcb:]
 		cc := c[ir*ldc:]
-		if mw == mr && nw == nr {
-			kern(kcb, apanel, bpanel, ldb, cc, ldc)
+		edge := mw < mr && rowsKern != nil
+		if nw == nr && (mw == mr || edge) {
+			if edge {
+				rowsKern(kcb, apanel, bpanel, ldb, cc, ldc, mw)
+			} else {
+				kern(kcb, apanel, bpanel, ldb, cc, ldc)
+			}
 			continue
 		}
 		if tmp == nil {
@@ -336,7 +369,11 @@ func microColumn(c []float32, ldc int, ap, bpanel []float32, ldb, kcb, ir0, irEn
 		for r := 0; r < mw; r++ {
 			copy(t[r*nr:r*nr+nw], cc[r*ldc:])
 		}
-		kern(kcb, apanel, bpanel, ldb, t, nr)
+		if edge {
+			rowsKern(kcb, apanel, bpanel, ldb, t, nr, mw)
+		} else {
+			kern(kcb, apanel, bpanel, ldb, t, nr)
+		}
 		for r := 0; r < mw; r++ {
 			copy(cc[r*ldc:r*ldc+nw], t[r*nr:])
 		}

@@ -208,6 +208,9 @@ func (ep *Epilogue) applyReference(pool *Pool, c []float32, m, n int) {
 			pool.Mul(c, c, ep.Mask)
 		}
 		pool.AccumulateInto(c, ep.Residual)
+		if ep.X != nil {
+			copyRows(pool, ep.X, c)
+		}
 		ep.finalizeLNRows(pool, c, 0, m, n)
 	}
 }
@@ -239,7 +242,8 @@ func copyRange(e *ewArgs, lo, hi int) { copy(e.dst[lo:hi], e.a[lo:hi]) }
 // rows [r0, r1) × cols [c0, c1). c is the full output buffer with leading
 // dimension ld; Residual and X share that leading dimension. For the LN
 // kind only bias, mask and residual happen here — normalization needs
-// complete rows and runs in finalizeLNRows.
+// complete rows and runs in finalizeLNRows — and the pre-LN sum is
+// written to X when X is set, C otherwise.
 func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 	bias := ep.Bias[c0:c1]
 	for r := r0; r < r1; r++ {
@@ -258,18 +262,25 @@ func (ep *Epilogue) applyTile(c []float32, ld, r0, r1, c0, c1 int) {
 		case EpilogueBiasResidualLayerNorm:
 			// Same association as the unfused sequence: (acc+bias) first
 			// (AddBias), then ·mask (DropoutApply), then +residual
-			// (AccumulateInto).
+			// (AccumulateInto). The sum lands in X when the caller saves
+			// it: the finalize pass then normalizes X into C, with no copy
+			// of the row.
 			if ep.Mask != nil {
 				mulRow(row, row, ep.Mask[lo:hi])
 			}
-			addRow(row, ep.Residual[lo:hi])
+			dst := row
+			if ep.X != nil {
+				dst = ep.X[lo:hi]
+			}
+			sumRow(dst, row, ep.Residual[lo:hi])
 		}
 	}
 }
 
 // epLNArgs are the LayerNorm finalize pass's operands: item r normalizes
-// row row0+r of c in place, saving the pre-LN row and statistics when the
-// epilogue asks for them.
+// row row0+r into c, from ep.X when the epilogue saves the pre-LN rows
+// there (and in place otherwise), saving the statistics when it asks for
+// them.
 type epLNArgs struct {
 	c    []float32
 	ep   *Epilogue
@@ -280,12 +291,16 @@ type epLNArgs struct {
 var epLNBodies argsPool[epLNArgs]
 
 func epLNRange(s *epLNArgs, lo, hi int) {
-	ep := s.ep
-	layerNormRows(s.c, s.c, ep.X, ep.Gamma, ep.Beta, ep.Mean, ep.InvStd, s.row0+lo, s.row0+hi, s.n, ep.Eps)
+	ep, x := s.ep, s.c
+	if ep.X != nil {
+		x = ep.X
+	}
+	layerNormRows(s.c, x, ep.Gamma, ep.Beta, ep.Mean, ep.InvStd, s.row0+lo, s.row0+hi, s.n, ep.Eps)
 }
 
-// finalizeLNRows normalizes rows [row0, row0+rows) of c in place. Shared
-// by the fused stripe finalize and the unfused reference applier, so both
+// finalizeLNRows normalizes rows [row0, row0+rows) of the pre-LN sums —
+// X when the epilogue sets it, c itself otherwise — into c. Shared by the
+// fused stripe finalize and the unfused reference applier, so both
 // perform the identical per-row float sequence.
 func (ep *Epilogue) finalizeLNRows(pool *Pool, c []float32, row0, rows, n int) {
 	epLNBodies.run(pool, rows, 4, epLNArgs{c: c, ep: ep, row0: row0, n: n}, epLNRange)

@@ -10,7 +10,9 @@ import (
 // gemmKernel is one micro-kernel backend: the register-tile geometry the
 // packs and the tile sweep are built around, the f32 kernel (B read with
 // row stride ldb: nr on packed panels, the operand's row length where
-// op(B) is read in place), and the
+// op(B) is read in place), its row-edge body f32Rows (the same fold on
+// the tile's first rows only, 1 ≤ rows ≤ mr; nil: edge tiles run the full
+// kernel, padded to mr rows), and the
 // vectorised transposing pack that goes with it (nil: the portable Go
 // loops). kernelTable (one per build, gemm_kernel_*.go) lists the
 // backends widest first; init installs the first supported one and tests
@@ -34,6 +36,7 @@ type gemmKernel struct {
 	name        string
 	mr, nr      int
 	f32         func(kc int, a, b []float32, ldb int, c []float32, ldc int)
+	f32Rows     func(kc int, a, b []float32, ldb int, c []float32, ldc, rows int)
 	packT4      func(dst *float32, stride int64, src *float32, ld, k int64, alpha float32, scale bool)
 	lambStage1  func(g, m, v, w, u []float32, c *lambCoef) (wSq, uSq float64)
 	subScaled   func(y, x []float32, a float32)
@@ -109,18 +112,35 @@ func init() {
 	}
 	k := pickKernel(kernelTable, os.Getenv("DEMYSTBERT_NOSIMD") != "")
 	installKernel(k)
-	obs.NewGauge(fmt.Sprintf(`kernels_gemm_kernel_info{isa="%s",mr="%d",nr="%d"}`, k.name, k.mr, k.nr),
+	obs.NewGauge(fmt.Sprintf(`kernels_gemm_kernel_info{isa="%s",mr="%d",nr="%d",edge_rows="%s"}`, k.name, k.mr, k.nr, k.edgeRows()),
 		"GEMM micro-kernel installed at start-up (constant 1; the labels carry the answer)").Set(1)
 }
 
-// KernelInfo names the installed GEMM micro-kernel and its register tile.
-type KernelInfo struct {
-	Name   string
-	MR, NR int
+// edgeRows says how the entry runs a tile of fewer than mr live rows:
+// "1-11" (at mr = 12) when its row-edge body folds only those rows,
+// "padded" when the full body runs all mr rows on a side buffer.
+func (k *gemmKernel) edgeRows() string {
+	if k.f32Rows == nil {
+		return "padded"
+	}
+	return fmt.Sprintf("1-%d", k.mr-1)
 }
 
-func (k KernelInfo) String() string { return fmt.Sprintf("%s %dx%d", k.Name, k.MR, k.NR) }
+// KernelInfo names the installed GEMM micro-kernel, its register tile and
+// how a row-edge tile runs (EdgeRows: "1-11" for a row-edge body at those
+// row counts, "padded" for the full tile on a side buffer).
+type KernelInfo struct {
+	Name     string
+	MR, NR   int
+	EdgeRows string
+}
+
+func (k KernelInfo) String() string {
+	return fmt.Sprintf("%s %dx%d (edge rows %s)", k.Name, k.MR, k.NR, k.EdgeRows)
+}
 
 // ActiveKernel reports which micro-kernel the GEMM engine runs on: the
 // widest one the CPU and OS support, or scalar under DEMYSTBERT_NOSIMD=1.
-func ActiveKernel() KernelInfo { return KernelInfo{activeKernel.name, gemmMR, gemmNR} }
+func ActiveKernel() KernelInfo {
+	return KernelInfo{activeKernel.name, gemmMR, gemmNR, activeKernel.edgeRows()}
+}

@@ -2,11 +2,13 @@
 
 package kernels
 
+import "fmt"
+
 // Assembly micro-kernel bindings (gemm_kernel_amd64.s), the CPU feature
 // probe, and the kernel table built from them.
 
 //go:noescape
-func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
+func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc, rows int64)
 
 //go:noescape
 func sgemmKernel6x16(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
@@ -17,14 +19,37 @@ func packT4asm(dst *float32, stride int64, src *float32, ld, k int64, alpha floa
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// microKernel12x32 and microKernel6x16 adapt the assembly kernels to the
-// generic micro-kernel signature: C[0:mr][0:nr] += Apanel·Bpanel.
+// microKernel12x32, microKernelRows12x32 and microKernel6x16 adapt the
+// assembly kernels to the generic micro-kernel signatures: C[0:mr][0:nr]
+// (C[0:rows][0:nr] for the row-edge body) += Apanel·Bpanel. The avx512
+// full tile is the row-edge body at 12 rows. Each wrapper checks the
+// slices against what its body reads and writes first, so a short operand
+// panics here instead of letting the assembly run past it.
 func microKernel12x32(kc int, a, b []float32, ldb int, c []float32, ldc int) {
-	sgemmKernel12x32(int64(kc), &a[0], &b[0], int64(ldb), &c[0], int64(ldc))
+	microKernelRows12x32(kc, a, b, ldb, c, ldc, 12)
+}
+
+func microKernelRows12x32(kc int, a, b []float32, ldb int, c []float32, ldc, rows int) {
+	checkMicroArgs(kc, 12, 32, rows, a, b, ldb, c, ldc)
+	sgemmKernel12x32(int64(kc), &a[0], &b[0], int64(ldb), &c[0], int64(ldc), int64(rows))
 }
 
 func microKernel6x16(kc int, a, b []float32, ldb int, c []float32, ldc int) {
+	checkMicroArgs(kc, 6, 16, 6, a, b, ldb, c, ldc)
 	sgemmKernel6x16(int64(kc), &a[0], &b[0], int64(ldb), &c[0], int64(ldc))
+}
+
+// checkMicroArgs panics unless an mr×nr body may run kc ≥ 1 depth steps
+// on rows of C: a holds kc packed steps of mr floats, b kc steps of nr
+// floats at stride ldb, and c rows of nr floats at stride ldc, with
+// 1 ≤ rows ≤ mr.
+func checkMicroArgs(kc, mr, nr, rows int, a, b []float32, ldb int, c []float32, ldc int) {
+	if kc < 1 || rows < 1 || rows > mr {
+		panic(fmt.Sprintf("kernels: micro-kernel %dx%d called with kc=%d rows=%d", mr, nr, kc, rows))
+	}
+	_ = a[mr*kc-1]
+	_ = b[(kc-1)*ldb+nr-1]
+	_ = c[(rows-1)*ldc+nr-1]
 }
 
 // cpuRegs is what the feature decision reads: the highest basic CPUID
@@ -75,7 +100,7 @@ func cpuFeatures(r cpuRegs) (avx2fma, avx512 bool) {
 
 var kernelTable = func() []gemmKernel {
 	avx2fma, avx512ok := cpuFeatures(readCPU())
-	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, supported: avx512ok,
+	avx512 := gemmKernel{name: "avx512", mr: 12, nr: 32, f32: microKernel12x32, f32Rows: microKernelRows12x32, supported: avx512ok,
 		gelu: geluVec512, geluGrad: geluGradVec512, exp: expVec512, dropout: dropoutFillSIMD}
 	avx2 := gemmKernel{name: "avx2", mr: 6, nr: 16, f32: microKernel6x16, supported: avx2fma}
 	// Everything else is 256-bit code the two share.

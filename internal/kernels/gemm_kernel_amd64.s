@@ -122,23 +122,33 @@ kloop:
 	VZEROUPPER
 	RET
 
-// func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc int64)
+// func sgemmKernel12x32(kc int64, a, b *float32, ldb int64, c *float32, ldc, rows int64)
 //
-// The AVX-512F counterpart of sgemmKernel6x16: C[0:12][0:32] +=
-// Apanel·Bpanel, the same continuation fold (seed from C, one FMA per
-// element per depth step in depth order, plain store), so every C element
-// is bitwise what the 6×16 kernel produces for the same panels.
-// a: packed 12-row micro-panel, 12 floats per depth step.
+// The AVX-512F counterpart of sgemmKernel6x16 on the first `rows` (1–12)
+// rows of a 12×32 tile: C[0:rows][0:32] += Apanel·Bpanel, the same
+// continuation fold (seed from C, one FMA per element per depth step in
+// depth order, plain store), so every C element is bitwise what the 6×16
+// kernel produces for the same panels, whatever the row count.
+// a: packed 12-row micro-panel, 12 floats per depth step (dead rows are
+// zero padding the body never reads).
 // b: 32-column micro-panel, depth step p at b[p·ldb:p·ldb+32] (ldb = 32
 // for a packed panel).
 //
 // Register plan: Z0-Z23 hold the 12×32 accumulator tile (two 16-lane
 // vectors per row), Z24/Z25 the current B vectors, Z26-Z31 rotate through
 // the broadcast A elements so six rows' broadcasts are in flight ahead of
-// their FMAs. 24 FMAs against 14 loads per depth step; B feeds from L1
-// (a 256-deep B micro-panel is 32 KiB), A from L2. Like the 6×16 kernel,
-// each step prefetches the two B lines it reads 16 steps later (2 KiB
-// ahead on a packed panel).
+// their FMAs. 24 FMAs against 14 loads per depth step on a full tile; B
+// feeds from L1 (a 256-deep B micro-panel is 32 KiB), A from L2. Like the
+// 6×16 kernel, each step prefetches the two B lines it reads 16 steps
+// later (2 KiB ahead on a packed panel); an edge tile's step does a few
+// FMAs and would outrun that, so it prefetches 64 steps ahead.
+//
+// A compare-and-branch ladder on the row count ends the seed, each depth
+// step and the store after the last live row: a row-edge tile (a served
+// query of 4 tokens, a 128-row stripe's last 8) runs only its live rows'
+// FMAs and writes C in place, and C below them is never read or written.
+// On a full tile the ladder's eleven untaken branches per step cost
+// nothing measurable (BenchmarkMicroKernel, DESIGN.md §7 "Edge rows").
 #define SEED12x32(lo, hi) \
 	VMOVUPS (R9), lo; \
 	VMOVUPS 64(R9), hi; \
@@ -159,35 +169,64 @@ kloop:
 	VMOVUPS hi, 64(DI); \
 	ADDQ    R8, DI
 
-TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-48
+TEXT ·sgemmKernel12x32(SB), NOSPLIT, $0-56
 	MOVQ kc+0(FP), CX
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
 	MOVQ ldb+24(FP), R10
 	MOVQ c+32(FP), DI
 	MOVQ ldc+40(FP), R8
+	MOVQ rows+48(FP), BX
 	SHLQ $2, R10                // B depth stride in bytes
 	SHLQ $2, R8                 // row stride in bytes
 	MOVQ R10, R11
 	SHLQ $4, R11                // prefetch distance: 16 depth steps
+	CMPQ BX, $12
+	JEQ  seed512
+	SHLQ $2, R11                // an edge tile's: 64 depth steps
+
+seed512:
 
 	MOVQ DI, R9
 	SEED12x32(Z0, Z1)
+	CMPQ BX, $1
+	JEQ  kloop512
 	SEED12x32(Z2, Z3)
+	CMPQ BX, $2
+	JEQ  kloop512
 	SEED12x32(Z4, Z5)
+	CMPQ BX, $3
+	JEQ  kloop512
 	SEED12x32(Z6, Z7)
+	CMPQ BX, $4
+	JEQ  kloop512
 	SEED12x32(Z8, Z9)
+	CMPQ BX, $5
+	JEQ  kloop512
 	SEED12x32(Z10, Z11)
+	CMPQ BX, $6
+	JEQ  kloop512
 	SEED12x32(Z12, Z13)
+	CMPQ BX, $7
+	JEQ  kloop512
 	SEED12x32(Z14, Z15)
+	CMPQ BX, $8
+	JEQ  kloop512
 	SEED12x32(Z16, Z17)
+	CMPQ BX, $9
+	JEQ  kloop512
 	SEED12x32(Z18, Z19)
+	CMPQ BX, $10
+	JEQ  kloop512
 	SEED12x32(Z20, Z21)
+	CMPQ BX, $11
+	JEQ  kloop512
 	SEED12x32(Z22, Z23)
 
-	// Touch the tile below (the sweep's next call) so its seed loads
-	// hit L1: the kernel seeds from C up front, so the current tile's
-	// misses cannot hide behind the depth loop, the next one's can.
+	// A full tile touches the tile below (the sweep's next call) so its
+	// seed loads hit L1: the kernel seeds from C up front, so the current
+	// tile's misses cannot hide behind the depth loop, the next one's
+	// can. An edge tile is the last of its column and skips this.
 	PREFETCH12x32
 	PREFETCH12x32
 	PREFETCH12x32
@@ -207,34 +246,82 @@ kloop512:
 	PREFETCHT0 (DX)(R11*1)
 	PREFETCHT0 64(DX)(R11*1)
 	ROW12x32(0, Z26, Z0, Z1)
+	CMPQ BX, $1
+	JEQ  knext512
 	ROW12x32(4, Z27, Z2, Z3)
+	CMPQ BX, $2
+	JEQ  knext512
 	ROW12x32(8, Z28, Z4, Z5)
+	CMPQ BX, $3
+	JEQ  knext512
 	ROW12x32(12, Z29, Z6, Z7)
+	CMPQ BX, $4
+	JEQ  knext512
 	ROW12x32(16, Z30, Z8, Z9)
+	CMPQ BX, $5
+	JEQ  knext512
 	ROW12x32(20, Z31, Z10, Z11)
+	CMPQ BX, $6
+	JEQ  knext512
 	ROW12x32(24, Z26, Z12, Z13)
+	CMPQ BX, $7
+	JEQ  knext512
 	ROW12x32(28, Z27, Z14, Z15)
+	CMPQ BX, $8
+	JEQ  knext512
 	ROW12x32(32, Z28, Z16, Z17)
+	CMPQ BX, $9
+	JEQ  knext512
 	ROW12x32(36, Z29, Z18, Z19)
+	CMPQ BX, $10
+	JEQ  knext512
 	ROW12x32(40, Z30, Z20, Z21)
+	CMPQ BX, $11
+	JEQ  knext512
 	ROW12x32(44, Z31, Z22, Z23)
+
+knext512:
 	ADDQ $48, SI
 	ADDQ R10, DX
 	DECQ CX
 	JNZ  kloop512
 
 	STORE12x32(Z0, Z1)
+	CMPQ BX, $1
+	JEQ  done512
 	STORE12x32(Z2, Z3)
+	CMPQ BX, $2
+	JEQ  done512
 	STORE12x32(Z4, Z5)
+	CMPQ BX, $3
+	JEQ  done512
 	STORE12x32(Z6, Z7)
+	CMPQ BX, $4
+	JEQ  done512
 	STORE12x32(Z8, Z9)
+	CMPQ BX, $5
+	JEQ  done512
 	STORE12x32(Z10, Z11)
+	CMPQ BX, $6
+	JEQ  done512
 	STORE12x32(Z12, Z13)
+	CMPQ BX, $7
+	JEQ  done512
 	STORE12x32(Z14, Z15)
+	CMPQ BX, $8
+	JEQ  done512
 	STORE12x32(Z16, Z17)
+	CMPQ BX, $9
+	JEQ  done512
 	STORE12x32(Z18, Z19)
+	CMPQ BX, $10
+	JEQ  done512
 	STORE12x32(Z20, Z21)
+	CMPQ BX, $11
+	JEQ  done512
 	STORE12x32(Z22, Z23)
+
+done512:
 	VZEROUPPER
 	RET
 

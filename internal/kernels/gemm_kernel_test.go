@@ -108,6 +108,95 @@ func TestKernelsBitwiseAcrossISAs(t *testing.T) {
 	}
 }
 
+// TestEdgeRowBodiesMatchFullBody: a row-edge body at mw live rows must
+// leave in those rows the bits the full body leaves there on the same
+// panels, and touch nothing else (TestKernelsBitwiseAcrossISAs pins the
+// full body against the other entries). Depths one, below and at a depth block;
+// B packed (ldb = nr) and read in place from a wider operand; C at stride
+// nr and wider. Every float of C the body must not write — the rows from
+// mw on and the gap past nr columns of every row — holds a NaN canary that
+// must come back with its payload intact.
+func TestEdgeRowBodiesMatchFullBody(t *testing.T) {
+	r := tensor.NewRNG(83)
+	canary := math.Float32frombits(0x7fc0dead)
+	for _, k := range fmaKernels(t) {
+		if k.f32Rows == nil {
+			continue
+		}
+		for _, kc := range []int{1, 7, gemmKC} {
+			a := randSlice(r, k.mr*kc)
+			for _, ldb := range []int{k.nr, 259} {
+				b := randSlice(r, kc*ldb)
+				bp := b[ldb-k.nr:] // the operand's last nr columns when read in place
+				for _, ldc := range []int{k.nr, k.nr + 5} {
+					c0 := randSlice(r, k.mr*ldc)
+					want := append([]float32(nil), c0...)
+					k.f32(kc, a, bp, ldb, want, ldc)
+					for mw := 1; mw <= k.mr; mw++ {
+						got := append([]float32(nil), c0...)
+						for i := range got {
+							if i/ldc >= mw || i%ldc >= k.nr {
+								got[i] = canary
+							}
+						}
+						k.f32Rows(kc, a, bp, ldb, got, ldc, mw)
+						for i := range got {
+							w := want[i]
+							if i/ldc >= mw || i%ldc >= k.nr {
+								w = canary
+							}
+							if math.Float32bits(got[i]) != math.Float32bits(w) {
+								t.Fatalf("%s kc=%d ldb=%d ldc=%d rows=%d: C[%d][%d] = %x, want %x",
+									k.name, kc, ldb, ldc, mw, i/ldc, i%ldc, math.Float32bits(got[i]), math.Float32bits(w))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMicroKernelWrappersCheckLengths: the Go wrappers of the assembly
+// bodies refuse operands shorter than what the body reads or writes, a
+// depth below one and a row count outside [1, mr], by panicking before
+// the assembly runs.
+func TestMicroKernelWrappersCheckLengths(t *testing.T) {
+	for _, k := range fmaKernels(t) {
+		const kc = 3
+		mr, nr := k.mr, k.nr
+		a, b, c := make([]float32, mr*kc), make([]float32, kc*nr), make([]float32, mr*nr)
+		type call struct {
+			name string
+			f    func()
+		}
+		calls := []call{
+			{"short A", func() { k.f32(kc, a[:len(a)-1], b, nr, c, nr) }},
+			{"short B", func() { k.f32(kc, a, b[:len(b)-1], nr, c, nr) }},
+			{"short in-place B", func() { k.f32(kc, a, b, nr+1, c, nr) }},
+			{"short C", func() { k.f32(kc, a, b, nr, c[:len(c)-1], nr) }},
+			{"short strided C", func() { k.f32(kc, a, b, nr, c, nr+1) }},
+			{"kc 0", func() { k.f32(0, a, b, nr, c, nr) }},
+		}
+		if k.f32Rows != nil {
+			calls = append(calls,
+				call{"rows 0", func() { k.f32Rows(kc, a, b, nr, c, nr, 0) }},
+				call{"rows mr+1", func() { k.f32Rows(kc, a, b, nr, make([]float32, (mr+1)*nr), nr, mr+1) }},
+				call{"short C at 2 rows", func() { k.f32Rows(kc, a, b, nr, c[:2*nr-1], nr, 2) }})
+		}
+		for _, tc := range calls {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s %s: no panic", k.name, tc.name)
+					}
+				}()
+				tc.f()
+			}()
+		}
+	}
+}
+
 // TestVectorPacksMatchGoPacks: the assembly transposing pack must write
 // the bytes the portable loops write — packs feed PackCache and the
 // bitwise contracts — for both transposing packs, full and short panels,
@@ -221,18 +310,33 @@ func TestPickKernel(t *testing.T) {
 	}
 }
 
-// TestActiveKernelPublished: the installed kernel is readable from the
-// API and from the default registry's /metrics text.
+// TestActiveKernelPublished: the installed kernel, with how it runs a
+// row-edge tile, is readable from the API and from the default registry's
+// /metrics text.
 func TestActiveKernelPublished(t *testing.T) {
 	k := ActiveKernel()
 	if k.Name != activeKernel.name || k.MR != gemmMR || k.NR != gemmNR {
 		t.Fatalf("ActiveKernel() = %+v, installed %s %dx%d", k, activeKernel.name, gemmMR, gemmNR)
 	}
+	want := map[string]string{
+		"avx512": "avx512 12x32 (edge rows 1-11)",
+		"avx2":   "avx2 6x16 (edge rows padded)",
+		"scalar": "scalar 4x4 (edge rows padded)",
+	}
+	for i := range kernelTable {
+		e := &kernelTable[i]
+		if got := (KernelInfo{e.name, e.mr, e.nr, e.edgeRows()}).String(); got != want[e.name] {
+			t.Errorf("table entry %s reads %q, want %q", e.name, got, want[e.name])
+		}
+	}
+	if k.String() != want[k.Name] {
+		t.Errorf("ActiveKernel().String() = %q, want %q", k.String(), want[k.Name])
+	}
 	var sb strings.Builder
 	if err := obs.Default.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sb.String(), "\nkernels_gemm_kernel_info{isa=\"") || !strings.Contains(sb.String(), "# TYPE kernels_gemm_kernel_info gauge\n") {
+	if !strings.Contains(sb.String(), fmt.Sprintf(",edge_rows=%q} 1\n", k.EdgeRows)) || !strings.Contains(sb.String(), "# TYPE kernels_gemm_kernel_info gauge\n") {
 		t.Errorf("kernels_gemm_kernel_info missing or malformed in:\n%s", sb.String())
 	}
 }

@@ -99,12 +99,13 @@ func (p GEMMPath) String() string {
 // never read.
 func (p GEMMPath) run(pool *Pool, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, panels []float32, beta float32, ep *Epilogue, c []float32, ldc int) {
 	switch {
-	case p == GEMMPathNaive && pool != serial:
+	case p.naiveLoops(m, n, k):
 		scaleC(c, m, n, ldc, beta)
-		gemmNaivePar(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
-	case p == GEMMPathNaive, p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops:
-		scaleC(c, m, n, ldc, beta)
-		gemmNaiveRows(transA, transB, n, k, alpha, a, lda, b, ldb, c, ldc, 0, m)
+		if p == GEMMPathNaive && pool != serial {
+			gemmNaivePar(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, c, ldc)
+		} else {
+			gemmNaiveRows(transA, transB, n, k, alpha, a, lda, b, ldb, c, ldc, 0, m)
+		}
 	case p == GEMMPathBlocked:
 		gemmBlocked(pool, transA, transB, m, n, k, alpha, a, lda, b, ldb, nil, beta, nil, c, ldc)
 	case p == GEMMPathAuto && panels == nil && pool != serial && m <= shortStripeRows:
@@ -117,6 +118,26 @@ func (p GEMMPath) run(pool *Pool, transA, transB bool, m, n, k int, alpha float3
 		return
 	}
 	ep.applyReference(pool, c, m, n)
+}
+
+// naiveLoops reports whether route p runs an m×n×k product on the naive
+// loops: always when forced, below smallGEMMFlops on auto.
+func (p GEMMPath) naiveLoops(m, n, k int) bool {
+	return p == GEMMPathNaive || p == GEMMPathAuto && 2*m*n*k < smallGEMMFlops
+}
+
+// reserveNested reserves (reserveScratch), for pieces chunks of a region,
+// the buffers an m×n×k product run on the serial pool inside each draws
+// on route p — the packed A and B blocks and the edge side buffer of
+// gemmBlocked, none on the naive loops — besides a buffer of held floats
+// that a chunk holds across the product.
+func (p GEMMPath) reserveNested(pieces, m, n, k, held int) {
+	ap, bp, edge := 0, 0, 0
+	if !p.naiveLoops(m, n, k) {
+		ap, bp = blockedScratch(m, n, k)
+		edge = edgeScratch(m, n)
+	}
+	reserveScratch(pieces, held, ap, bp, edge)
 }
 
 // serial is the pool argument that makes the GEMM engine's internal

@@ -9,14 +9,16 @@ import (
 )
 
 // prefetchDepths are the depths the prefetch guard runs: one step, around
-// the 16-step prefetch distance, and a whole depth block.
-var prefetchDepths = []int{1, 15, 16, 17, gemmKC}
+// the 16-step prefetch distance of a full tile and the 64-step one of an
+// avx512 row-edge tile, and a whole depth block.
+var prefetchDepths = []int{1, 15, 16, 17, 63, 64, 65, gemmKC}
 
 // TestPrefetchPastBNeverFaults: the micro-kernels prefetch B 16 depth
 // steps ahead of the row they read, so near the end of B they name
 // addresses past the operand. PREFETCHT0 never faults; this pins it, with
 // B's last element just before a PROT_NONE page (guardedTail), for every
-// entry's micro-kernel on a packed panel and on an in-place operand (the
+// entry's micro-kernel (and its row-edge body at every row count below
+// mr) on a packed panel and on an in-place operand (the
 // panel is the last nr columns of a 259-wide B), for GEMMPacked on a
 // pre-packed weight, and for a short stripe reading an NN B in place, each
 // at the depths in prefetchDepths. Each result must equal the same call on
@@ -43,6 +45,11 @@ func TestPrefetchPastBNeverFaults(t *testing.T) {
 				k.f32(kc, a, b[ldb-k.nr:], ldb, want, k.nr)
 				k.f32(kc, a, g[ldb-k.nr:], ldb, got, k.nr)
 				same(fmt.Sprintf("micro-kernel kc=%d ldb=%d", kc, ldb), got, want)
+				for mw := 1; k.f32Rows != nil && mw < k.mr; mw++ {
+					k.f32Rows(kc, a, b[ldb-k.nr:], ldb, want, k.nr, mw)
+					k.f32Rows(kc, a, g[ldb-k.nr:], ldb, got, k.nr, mw)
+					same(fmt.Sprintf("row-edge body rows=%d kc=%d ldb=%d", mw, kc, ldb), got, want)
+				}
 			}
 
 			const n = 256
@@ -71,9 +78,10 @@ func TestPrefetchPastBNeverFaults(t *testing.T) {
 }
 
 // BenchmarkGEMMStreamedWeights times auto GEMMPacked calls at the shapes
-// one served query runs (a mid4 forward of 1–13 tokens: QKV and the
+// one served query runs (a mid4 forward of 1–16 tokens: QKV and the
 // output projection k 256 n 256, FC1 n 1024, the tied decoder n 8192, and
-// FC2 k 1024 n 256) with B cold: each iteration takes the next of enough
+// FC2 k 1024 n 256; the row counts are one and two register tiles and
+// either side of them) with B cold: each iteration takes the next of enough
 // pre-packed copies of the weight to exceed a 4 MiB L2, so every call
 // streams its panels from L3 or memory as a served request does between
 // arrivals.
@@ -91,7 +99,7 @@ func BenchmarkGEMMStreamedWeights(b *testing.B) {
 		for i := range pbs {
 			pbs[i] = PackWeight(true, s.n, s.k, w)
 		}
-		for _, m := range []int{1, 10, 13} {
+		for _, m := range []int{1, 4, 10, 12, 13, 16} {
 			a, c := randSlice(r, m*s.k), make([]float32, m*s.n)
 			b.Run(fmt.Sprintf("%s/m=%d", s.name, m), func(b *testing.B) {
 				b.SetBytes(4 * int64(s.n*s.k)) // the weight each call streams

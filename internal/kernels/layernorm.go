@@ -47,21 +47,18 @@ type lnArgs struct {
 var lnBodies argsPool[lnArgs]
 
 func layerNormRange(a *lnArgs, lo, hi int) {
-	layerNormRows(a.y, a.x, nil, a.gamma, a.beta, a.mean, a.invStd, lo, hi, a.n, a.eps)
+	layerNormRows(a.y, a.x, a.gamma, a.beta, a.mean, a.invStd, lo, hi, a.n, a.eps)
 }
 
 // layerNormRows normalizes rows [lo, hi) of the n-wide matrix x into y (the
-// two may alias). When save is non-nil it receives each x row before y is
-// written; when mean is non-nil, mean and invStd receive the statistics.
+// two may alias). When mean is non-nil, mean and invStd receive the
+// statistics.
 // Shared by LayerNormForward and the fused epilogue's finalize pass, so the
 // two are bitwise identical.
-func layerNormRows(y, x, save, gamma, beta, mean, invStd []float32, lo, hi, n int, eps float32) {
+func layerNormRows(y, x, gamma, beta, mean, invStd []float32, lo, hi, n int, eps float32) {
 	var mu, istd [lnStatsRows]float32
 	for r0 := lo; r0 < hi; r0 += lnStatsRows {
 		rows := min(lnStatsRows, hi-r0)
-		if save != nil {
-			copy(save[r0*n:(r0+rows)*n], x[r0*n:(r0+rows)*n])
-		}
 		if rows == lnStatsRows {
 			mu, istd = layerNormRowStats4(x[r0*n:(r0+1)*n], x[(r0+1)*n:(r0+2)*n],
 				x[(r0+2)*n:(r0+3)*n], x[(r0+3)*n:(r0+4)*n], eps)
@@ -170,7 +167,9 @@ func (pool *Pool) LayerNormBackward(dX, dGamma, dBeta, dY, x, gamma []float32, m
 	// column's fold is seeded from the existing gradient and runs over the
 	// rows in order, so splitting the rows across multiple calls (gradient
 	// accumulation) matches one call bitwise.
-	lnBodies.run(pool, n, colBandGrain(pool, n, rows), args, layerNormGradCols)
+	grain := colBandGrain(pool, n, rows)
+	reserveScratch(concurrentPieces(pool, n, grain), scratchMin)
+	lnBodies.run(pool, n, grain, args, layerNormGradCols)
 }
 
 // layerNormGradRows computes dX for rows [lo, hi), lnStatsRows rows per

@@ -36,7 +36,7 @@ import (
 // process. A nil *Pool is the process pool, GOMAXPROCS wide at init,
 // which is what production runs everywhere.
 type Pool struct {
-	width int // read only in this file: grainFor, piecesPer, parallelRun
+	width int // read only in this file: grainFor, piecesPer, concurrentPieces, parallelRun
 
 	// work feeds regions to the workers and to joining callers, which
 	// steal from it while they wait. The buffer lets a caller enlist
@@ -403,6 +403,13 @@ func piecesPer(pool *Pool, items, perWorker int) int {
 		return 1
 	}
 	return (perWorker*w + items - 1) / items
+}
+
+// concurrentPieces is the most chunks of a region of n indices at grain
+// that run on pool at once: one per goroutine parallelRun puts on it.
+func concurrentPieces(pool *Pool, n, grain int) int {
+	grain = max(grain, 1)
+	return min(pool.or().width, (n+grain-1)/grain)
 }
 
 // argsBody is a parallel-region body that calls a plain function on

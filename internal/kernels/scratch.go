@@ -60,6 +60,35 @@ func getScratch(n int) *[]float32 {
 
 func putScratch(s *[]float32) { f32Scratch[scratchClass(cap(*s))].put(s) }
 
+// reserveScratch tops up the free lists, before a region forks, to what
+// pieces of its chunks running at once hold when each holds one buffer of
+// every size in sizes (float counts; 0 stands for none). Which chunks
+// overlap is the scheduler's choice, so without it the lists would grow
+// in whichever step first ran the most of them side by side; with it they
+// reach their high-water mark in the first step of a shape, whatever the
+// timing. A region whose chunks draw different sets in turn reserves each
+// set with its own call.
+func reserveScratch(pieces int, sizes ...int) {
+	for _, n := range sizes {
+		if n == 0 {
+			continue
+		}
+		c, need := scratchClass(n), 0
+		for _, m := range sizes {
+			if m != 0 && scratchClass(m) == c {
+				need += pieces
+			}
+		}
+		l := &f32Scratch[c]
+		l.mu.Lock()
+		for len(l.free) < need {
+			b := make([]float32, 1<<c)
+			l.free = append(l.free, &b)
+		}
+		l.mu.Unlock()
+	}
+}
+
 // f64Partials holds the per-block partial sums of SumSquares and
 // LAMBStage1.
 var f64Partials freeList[[]float64]

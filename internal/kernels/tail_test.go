@@ -218,7 +218,8 @@ func TestAddRowMatchesParentLoop(t *testing.T) {
 
 // TestApplyTileMatchesParentLoops: every kind's element-wise write-back
 // over tiles of width 0…70 at unaligned column origins, rows of a wider
-// matrix, equals the scalar loops, save buffer included.
+// matrix, equals the scalar loops, save buffer included — for the LN kind
+// the pre-LN sum the loops leave in C, which goes to X when X is set.
 func TestApplyTileMatchesParentLoops(t *testing.T) {
 	r := tensor.NewRNG(61)
 	forEachKernel(t, "", func(t *testing.T) {
@@ -248,6 +249,20 @@ func TestApplyTileMatchesParentLoops(t *testing.T) {
 						if i := sameTail(gep.X, wep.X, c); i >= 0 {
 							t.Fatalf("%s: X[%d] differs", id, i)
 						}
+						if kind.Kind == EpilogueBiasResidualLayerNorm {
+							// With X set the pre-LN sum lands there, the
+							// tile's region of X holding what the loops
+							// leave in C, and the rest of X is untouched.
+							gep.X = make([]float32, m*ld)
+							xWant := make([]float32, m*ld)
+							for r := r0; r < r1; r++ {
+								copy(xWant[r*ld+c0:r*ld+c0+w], want[r*ld+c0:])
+							}
+							gep.applyTile(append([]float32(nil), acc...), ld, r0, r1, c0, c0+w)
+							if i := sameTail(gep.X, xWant, c); i >= 0 {
+								t.Fatalf("%s: pre-LN X[%d] = %#08x, loops %#08x", id, i, math.Float32bits(gep.X[i]), math.Float32bits(xWant[i]))
+							}
+						}
 					}
 				}
 			}
@@ -260,7 +275,8 @@ func TestApplyTileMatchesParentLoops(t *testing.T) {
 // saved input — at every width 0…70, for row counts that are and are not
 // multiples of the interleave, in place and out of place, on unaligned
 // rows, through layerNormRows, LayerNormForward (serial and forked) and
-// the epilogue's finalize pass.
+// the epilogue's finalize pass (from the saved rows X into C, which it
+// leaves unchanged, and in place without X).
 func TestLayerNormRowsMatchParentLoops(t *testing.T) {
 	r := tensor.NewRNG(62)
 	forEachKernel(t, "", func(t *testing.T) {
@@ -299,12 +315,12 @@ func TestLayerNormRowsMatchParentLoops(t *testing.T) {
 					}
 
 					y, mean, invStd := make([]float32, rows*n), make([]float32, rows), make([]float32, rows)
-					layerNormRows(y, x, nil, gamma, beta, mean, invStd, 0, rows, n, eps)
+					layerNormRows(y, x, gamma, beta, mean, invStd, 0, rows, n, eps)
 					check("out of place", y, mean, invStd, nil)
 
-					inPlace, save := append([]float32(nil), x...), make([]float32, rows*n)
-					layerNormRows(inPlace, inPlace, save, gamma, beta, mean, invStd, 0, rows, n, eps)
-					check("in place", inPlace, mean, invStd, save)
+					inPlace := append([]float32(nil), x...)
+					layerNormRows(inPlace, inPlace, gamma, beta, mean, invStd, 0, rows, n, eps)
+					check("in place", inPlace, mean, invStd, nil)
 
 					for _, workers := range []int{1, 3} {
 						pool := poolOf(workers)
@@ -312,11 +328,20 @@ func TestLayerNormRowsMatchParentLoops(t *testing.T) {
 						check(fmt.Sprintf("LayerNormForward workers=%d", workers), y, mean, invStd, nil)
 					}
 
+					// The finalize normalizes the saved pre-LN rows X into
+					// C, or C in place when nothing is saved.
+					save := append([]float32(nil), x...)
 					ep := &Epilogue{Kind: EpilogueBiasResidualLayerNorm, Gamma: gamma, Beta: beta, Eps: eps,
 						X: save, Mean: mean, InvStd: invStd}
+					for i := range y {
+						y[i] = float32(math.NaN())
+					}
+					ep.finalizeLNRows(nil, y, 0, rows, n)
+					check("finalizeLNRows from X", y, mean, invStd, save)
+					ep.X = nil
 					copy(inPlace, x)
 					ep.finalizeLNRows(nil, inPlace, 0, rows, n)
-					check("finalizeLNRows", inPlace, mean, invStd, save)
+					check("finalizeLNRows in place", inPlace, mean, invStd, nil)
 				}
 			}
 		}

@@ -79,16 +79,12 @@ func TestTrainingStepAllocationPin(t *testing.T) {
 	}
 }
 
-// bytesPerRun is the heap bytes f allocates per run, measured the way
-// testing.AllocsPerRun counts objects: after one warm run, under
-// GOMAXPROCS(1). At full width the window also catches the kernels'
-// free lists growing to a new high-water mark: the first time a pool
-// worker and the caller run attention items at once (which a loaded host
-// can put off past any warm-up), each takes its own 16 KiB GEMM scratch
-// buffers, kept for the life of the process. That growth is once per
-// process, not per step, and which step pays it is the scheduler's choice.
+// bytesPerRun is the heap bytes f allocates per run after one warm run,
+// at full width: every region whose chunks draw kernel scratch reserves
+// what its concurrent chunks hold before it forks (reserveScratch in
+// internal/kernels), so the free lists reach their high-water mark in the
+// warm run however the scheduler overlaps the chunks of later ones.
 func bytesPerRun(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
