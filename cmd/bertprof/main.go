@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bertprof: %v\n", err)
 			return 2
 		}
-		em := obs.NewStepEmitter(f, obs.Peaks{}) // a CPU step has no MI100 roofline
+		em := obs.NewStepEmitter(f) // a CPU step has no MI100 roofline
 		sd.Defer("metrics jsonl", func() {
 			if err := em.EmitFinal(obs.Default); err != nil {
 				fmt.Fprintf(stderr, "bertprof: metrics final: %v\n", err)

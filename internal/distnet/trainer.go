@@ -43,8 +43,7 @@ type TrainConfig struct {
 	// not).
 	FixedData bool
 
-	ProbeElems  int // link probe size in float32s; 0 disables the probe
-	ProbeRounds int
+	ProbeElems int // link probe size in float32s; 0 disables the probe
 
 	// Trace enables step-scoped span recording on this rank: every rank
 	// derives the same per-step trace id locally (trace.StepTraceID), a
@@ -546,11 +545,8 @@ func Train(cfg TrainConfig) (*Result, *model.BERT, error) {
 	}
 
 	if g.World() > 1 && cfg.ProbeElems > 0 {
-		rounds := cfg.ProbeRounds
-		if rounds == 0 {
-			rounds = 3
-		}
-		bw, lat, err := g.ProbeLink(cfg.ProbeElems, rounds)
+		const probeRounds = 3
+		bw, lat, err := g.ProbeLink(cfg.ProbeElems, probeRounds)
 		if err != nil {
 			return nil, nil, fmt.Errorf("distnet: link probe: %w", err)
 		}

@@ -74,9 +74,8 @@ type BERT struct {
 	nspProbs   *tensor.Tensor
 	pooledTanh *tensor.Tensor
 	ckptInputs []*tensor.Tensor
-	res        nn.Residual
 
-	// Gradient-accumulation state for an in-flight StepAccum.
+	// The loss fold and normalization counts of the in-flight iteration.
 	accum accumState
 
 	params   []*nn.Param   // Params, built on first use
@@ -85,18 +84,42 @@ type BERT struct {
 }
 
 // accumState threads the loss fold and normalization counts across the
-// micro-batches of one StepAccum iteration. The cross-entropy sums
-// continue the exact float64 fold a full-batch step would run, and the
-// backward normalizes by the FULL batch's scored-row totals, so summed
-// micro-batch gradients and the final loss are bitwise-identical to one
-// full-batch step.
+// micro-batches of one iteration; Forward and Step run one micro-batch.
+// The cross-entropy sums continue the exact float64 fold a full-batch step
+// would run, and the backward normalizes by the FULL batch's scored-row
+// totals, so summed micro-batch gradients and the final loss are
+// bitwise-identical to one full-batch step.
 type accumState struct {
-	active bool
-	last   bool // current micro-batch is the final one: fire GradHook
+	// last marks the iteration's final micro-batch: its backward fires
+	// GradHook and flushes the token scatter.
+	last bool
 
 	mlmSum, nspSum     float64
-	mlmSeen, nspSeen   int
 	mlmTotal, nspTotal int // full-batch scored-row counts
+}
+
+// newAccum arms an iteration over batch b: each head's loss is normalized
+// by the batch's count of targets that are not IgnoreIndex.
+func newAccum(b *data.Batch) accumState {
+	a := accumState{mlmTotal: b.MaskedCount()}
+	for _, l := range b.NSPLabels {
+		if l != kernels.IgnoreIndex {
+			a.nspTotal++
+		}
+	}
+	return a
+}
+
+// loss is the iteration's summed MLM + NSP mean loss.
+func (a *accumState) loss() float64 {
+	var loss float64
+	if a.mlmTotal > 0 {
+		loss += a.mlmSum / float64(a.mlmTotal)
+	}
+	if a.nspTotal > 0 {
+		loss += a.nspSum / float64(a.nspTotal)
+	}
+	return loss
 }
 
 // New constructs a BERT model with deterministic initialization.
@@ -127,19 +150,26 @@ func New(cfg Config, seed uint64) (*BERT, error) {
 	return m, nil
 }
 
-// Forward runs the forward pass over a batch and returns the summed
-// MLM + NSP loss. State is retained for a subsequent Backward. Like
-// EncodeEval it starts a new pass on ctx's workspace, from which this
-// forward and the Backward that follows draw every activation and
-// activation gradient: what they return is valid until the next forward
-// on ctx.
+// Forward runs the forward pass over a batch as a one-micro-batch
+// iteration and returns the summed MLM + NSP loss. State is retained for a
+// subsequent Backward. Like EncodeEval it starts a new pass on ctx's
+// workspace, from which this forward and the Backward that follows draw
+// every activation and activation gradient: what they return is valid
+// until the next forward on ctx.
 func (m *BERT) Forward(ctx *nn.Ctx, b *data.Batch) float64 {
+	m.accum = newAccum(b)
+	m.accum.last = true
+	m.forward(ctx, b)
+	return m.accum.loss()
+}
+
+// forward runs one micro-batch's forward pass, folding its losses into
+// m.accum.
+func (m *BERT) forward(ctx *nn.Ctx, b *data.Batch) {
 	ctx.ResetWorkspace()
 	m.batch, m.pool = b, ctx.Pool
-	h := m.encode(ctx, b.Tokens, b.Segments, b.B, b.N, b.Mask)
-	m.seqOut = h
-
-	return m.headsForward(ctx, h)
+	m.seqOut = m.encode(ctx, b.Tokens, b.Segments, b.B, b.N, b.Mask)
+	m.headsForward(ctx, m.seqOut)
 }
 
 // encode runs the embedding and the encoder stack over a [b, n] batch —
@@ -186,8 +216,8 @@ func gatherRows(ctx *nn.Ctx, name string, x *tensor.Tensor, rows []int) *tensor.
 	return out
 }
 
-// headsForward computes both task losses from the encoder output.
-func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
+// headsForward folds both task losses of the encoder output into m.accum.
+func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) {
 	b := m.batch
 	cfg := m.Config
 
@@ -205,7 +235,6 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 			m.mlmTargets = append(m.mlmTargets, t)
 		}
 	}
-	var mlmLoss float64
 	if rows := len(m.mlmRows); rows > 0 {
 		x := gatherRows(ctx, "mlm_gather", seq, m.mlmRows)
 		x = m.MLMDense.ForwardBiasGeLU(ctx, x, m.MLMAct)
@@ -215,13 +244,8 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 		nl := rows * cfg.Vocab
 		ctx.Prof.Time("mlm_xent_fwd", profile.CatOutput, profile.Forward,
 			kernels.EWFLOPs(nl, 4), kernels.EWBytes(nl, 1, 1, ctx.ElemSize()), func() {
-				if m.accum.active {
-					m.accum.mlmSum, m.accum.mlmSeen = ctx.Pool.CrossEntropySumForward(
-						m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab,
-						m.accum.mlmSum, m.accum.mlmSeen)
-				} else {
-					mlmLoss = ctx.Pool.CrossEntropyForward(m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab)
-				}
+				m.accum.mlmSum, _ = ctx.Pool.CrossEntropySumForward(
+					m.mlmProbs.Data(), logits.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmSum, 0)
 			})
 	}
 
@@ -245,19 +269,11 @@ func (m *BERT) headsForward(ctx *nn.Ctx, seq *tensor.Tensor) float64 {
 		})
 	nspLogits := m.NSP.Forward(ctx, m.pooledTanh)
 	m.nspProbs = ctx.NewActivation(b.B, 2)
-	var nspLoss float64
 	ctx.Prof.Time("nsp_xent_fwd", profile.CatOutput, profile.Forward,
 		kernels.EWFLOPs(b.B*2, 4), kernels.EWBytes(b.B*2, 1, 1, ctx.ElemSize()), func() {
-			if m.accum.active {
-				m.accum.nspSum, m.accum.nspSeen = ctx.Pool.CrossEntropySumForward(
-					m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2,
-					m.accum.nspSum, m.accum.nspSeen)
-			} else {
-				nspLoss = ctx.Pool.CrossEntropyForward(m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2)
-			}
+			m.accum.nspSum, _ = ctx.Pool.CrossEntropySumForward(
+				m.nspProbs.Data(), nspLogits.Data(), b.NSPLabels, b.B, 2, m.accum.nspSum, 0)
 		})
-
-	return mlmLoss + nspLoss
 }
 
 // Backward backpropagates the combined loss, accumulating all parameter
@@ -270,7 +286,7 @@ func (m *BERT) Backward(ctx *nn.Ctx) {
 
 	// All head gradients are final once the CLS path has backpropagated.
 	m.fireGrad(0)
-	m.encodeBackward(ctx, dSeq, m.batch.B, m.batch.N, m.batch.Mask, m.fireGrad)
+	m.encodeBackward(ctx, dSeq, m.batch.B, m.batch.N, m.batch.Mask, m.accum.last, m.fireGrad)
 
 	m.dropIterationState()
 }
@@ -293,13 +309,9 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 		nl := rows * cfg.Vocab
 		ctx.Prof.Time("mlm_xent_bwd", profile.CatOutput, profile.Backward,
 			kernels.EWFLOPs(nl, 2), kernels.EWBytes(nl, 1, 1, es), func() {
-				if m.accum.active {
-					// Normalize by the FULL batch's scored-row count so the
-					// summed micro-batch gradients match one full-batch step.
-					ctx.Pool.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmTotal)
-				} else {
-					ctx.Pool.CrossEntropyBackward(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab)
-				}
+				// Normalize by the FULL batch's scored-row count so the
+				// summed micro-batch gradients match one full-batch step.
+				ctx.Pool.CrossEntropyBackwardCount(dLogits.Data(), m.mlmProbs.Data(), m.mlmTargets, rows, cfg.Vocab, m.accum.mlmTotal)
 				if s := ctx.EffectiveLossScale(); s != 1 {
 					ctx.Pool.Scale(dLogits.Data(), dLogits.Data(), s)
 				}
@@ -320,11 +332,7 @@ func (m *BERT) headsBackward(ctx *nn.Ctx) *tensor.Tensor {
 	dNSPLogits := ctx.NewActivation(b.B, 2)
 	ctx.Prof.Time("nsp_xent_bwd", profile.CatOutput, profile.Backward,
 		kernels.EWFLOPs(b.B*2, 2), kernels.EWBytes(b.B*2, 1, 1, es), func() {
-			if m.accum.active {
-				ctx.Pool.CrossEntropyBackwardCount(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2, m.accum.nspTotal)
-			} else {
-				ctx.Pool.CrossEntropyBackward(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2)
-			}
+			ctx.Pool.CrossEntropyBackwardCount(dNSPLogits.Data(), m.nspProbs.Data(), b.NSPLabels, b.B, 2, m.accum.nspTotal)
 			if s := ctx.EffectiveLossScale(); s != 1 {
 				ctx.Pool.Scale(dNSPLogits.Data(), dNSPLogits.Data(), s)
 			}
@@ -367,12 +375,11 @@ func (m *BERT) dropIterationState() {
 // but the last is first re-executed forward from its checkpoint, dropout
 // masks replayed — the recomputation the paper measures as ~33% more
 // kernels and ~27% more runtime (Section 4); the last segment's
-// activations are still live from the forward pass. The token-table
-// scatter is merged into the tied gradient once the iteration's gradients
-// are complete (under accumulation, on the final micro-batch only). fire,
-// when non-nil, is called with each GradGroups index as its gradients
-// become final.
-func (m *BERT) encodeBackward(ctx *nn.Ctx, dSeq *tensor.Tensor, b, n int, mask *tensor.Tensor, fire func(group int)) {
+// activations are still live from the forward pass. With flush set — the
+// iteration's final micro-batch — the token-table scatter is merged into
+// the tied gradient. fire, when non-nil, is called with each GradGroups
+// index as its gradients become final.
+func (m *BERT) encodeBackward(ctx *nn.Ctx, dSeq *tensor.Tensor, b, n int, mask *tensor.Tensor, flush bool, fire func(group int)) {
 	k := m.CheckpointEvery
 	if k <= 0 {
 		k = len(m.Layers)
@@ -406,7 +413,7 @@ func (m *BERT) encodeBackward(ctx *nn.Ctx, dSeq *tensor.Tensor, b, n int, mask *
 		}
 	}
 	m.Embed.Backward(ctx, dSeq)
-	if !m.accum.active || m.accum.last {
+	if flush {
 		m.Embed.FlushTokScatter(ctx)
 	}
 	if fire != nil {
@@ -418,7 +425,7 @@ func (m *BERT) encodeBackward(ctx *nn.Ctx, dSeq *tensor.Tensor, b, n int, mask *
 func (m *BERT) fireGrad(group int) {
 	// Under gradient accumulation a group's gradients are final only once
 	// the LAST micro-batch has backpropagated through it.
-	if m.GradHook != nil && (!m.accum.active || m.accum.last) {
+	if m.GradHook != nil && m.accum.last {
 		m.GradHook(group)
 	}
 }
@@ -457,18 +464,11 @@ func (m *BERT) GradGroups() [][]*nn.Param {
 }
 
 // Step runs one full training iteration's forward and backward passes and
-// returns the loss. Parameter gradients accumulate; the optimizer update
-// is the caller's job (internal/optim), matching the paper's FWD/BWD/
-// update decomposition.
+// returns the loss: StepAccum of one micro-batch. Parameter gradients
+// accumulate; the optimizer update is the caller's job (internal/optim),
+// matching the paper's FWD/BWD/update decomposition.
 func (m *BERT) Step(ctx *nn.Ctx, b *data.Batch) float64 {
-	ctx.Prof.BeginIteration()
-	sp := ctx.StartSpan("fwd")
-	loss := m.Forward(ctx, b)
-	sp.End()
-	sp = ctx.StartSpan("bwd")
-	m.Backward(ctx)
-	sp.End()
-	return loss
+	return m.StepAccum(ctx, b, 1)
 }
 
 // StepAccum runs one logical training iteration of batch b as accumSteps
@@ -483,40 +483,29 @@ func (m *BERT) Step(ctx *nn.Ctx, b *data.Batch) float64 {
 // Under GEMMPathAuto the size-based routing may pick different engines
 // for micro vs full shapes, which is still valid training but not
 // bitwise. GradHook fires only during the last micro-batch, when
-// gradients are final.
+// gradients are final. accumSteps ≤ 1 runs the batch as one micro-batch.
 func (m *BERT) StepAccum(ctx *nn.Ctx, b *data.Batch, accumSteps int) float64 {
-	if accumSteps <= 1 {
-		return m.Step(ctx, b)
-	}
+	accumSteps = max(accumSteps, 1)
 	if b.B%accumSteps != 0 {
 		panic(fmt.Sprintf("model: StepAccum batch B=%d not divisible into %d micro-steps", b.B, accumSteps))
 	}
 	micro := b.B / accumSteps
-	m.accum = accumState{
-		active:   true,
-		mlmTotal: b.MaskedCount(),
-		nspTotal: b.B,
-	}
+	m.accum = newAccum(b)
 	ctx.Prof.BeginIteration()
 	for s := 0; s < accumSteps; s++ {
 		m.accum.last = s == accumSteps-1
-		mb := b.Slice(s*micro, (s+1)*micro)
+		mb := b // one micro-batch is the batch itself, with no Slice to allocate
+		if accumSteps > 1 {
+			mb = b.Slice(s*micro, (s+1)*micro)
+		}
 		sp := ctx.StartSpan("fwd")
-		m.Forward(ctx, mb)
+		m.forward(ctx, mb)
 		sp.End()
 		sp = ctx.StartSpan("bwd")
 		m.Backward(ctx)
 		sp.End()
 	}
-	var loss float64
-	if m.accum.mlmTotal > 0 {
-		loss += m.accum.mlmSum / float64(m.accum.mlmTotal)
-	}
-	if m.accum.nspTotal > 0 {
-		loss += m.accum.nspSum / float64(m.accum.nspTotal)
-	}
-	m.accum = accumState{}
-	return loss
+	return m.accum.loss()
 }
 
 // Params returns every trainable parameter of the model exactly once

@@ -101,7 +101,7 @@ func (f *FineTuner) Backward(ctx *nn.Ctx) {
 			}
 		})
 
-	f.Base.encodeBackward(ctx, f.Span.Backward(ctx, dLogits), b.B, b.N, b.Mask, nil)
+	f.Base.encodeBackward(ctx, f.Span.Backward(ctx, dLogits), b.B, b.N, b.Mask, true, nil)
 	f.batch, f.startProbs, f.endProbs = nil, nil, nil
 }
 
@@ -143,8 +143,8 @@ func (f *FineTuner) ZeroGrads() {
 func (f *FineTuner) PredictSpan(ctx *nn.Ctx, b *data.QABatch) (starts, ends []int) {
 	prevTrain := ctx.Train
 	ctx.Train = false
+	defer func() { ctx.Train = prevTrain }()
 	f.Forward(ctx, b)
-	ctx.Train = prevTrain
 
 	starts = make([]int, b.B)
 	ends = make([]int, b.B)

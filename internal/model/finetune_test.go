@@ -237,3 +237,67 @@ func TestFineTunerCheckpointingBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestFineTunerFlushesTokenScatter: fine-tuning backpropagates into the
+// token table through the embedding's sparse scatter, which must be merged
+// into Tok.Grad at the end of every FineTuner backward. After one step the
+// gradient is non-zero on exactly the batch's token ids and zero on every
+// other row.
+func TestFineTunerFlushesTokenScatter(t *testing.T) {
+	cfg := Tiny()
+	cfg.DropProb = 0
+	base, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := NewFineTuner(base, 8)
+	b := data.NewGenerator(cfg.Vocab, 0.15, 7).NextQA(2, 16)
+	f.Step(nn.NewCtx(1), b)
+
+	inBatch := map[int]bool{}
+	for _, id := range b.Tokens {
+		inBatch[id] = true
+	}
+	g := base.Embed.Tok.Grad
+	nonZero := 0
+	for id := 0; id < cfg.Vocab; id++ {
+		hit := false
+		for _, v := range g.Row(id) {
+			if v != 0 {
+				hit = true
+				break
+			}
+		}
+		if hit != inBatch[id] {
+			t.Errorf("token %d: gradient non-zero %v, in batch %v", id, hit, inBatch[id])
+		}
+		if hit {
+			nonZero++
+		}
+	}
+	if nonZero != len(inBatch) {
+		t.Errorf("%d token rows carry gradient, want the batch's %d ids", nonZero, len(inBatch))
+	}
+}
+
+// TestPredictSpanRestoresTrainOnPanic: a QA batch whose gold start lies
+// past the sequence panics in the span loss; PredictSpan must still hand
+// the caller's ctx back in training mode.
+func TestPredictSpanRestoresTrainOnPanic(t *testing.T) {
+	cfg := Tiny()
+	f := newFineTuner(t, cfg)
+	b := data.NewGenerator(cfg.Vocab, 0.15, 1).NextQA(2, 16)
+	b.StartPos[1] = b.N
+	ctx := nn.NewCtx(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("PredictSpan with StartPos >= n did not panic")
+			}
+		}()
+		f.PredictSpan(ctx, b)
+	}()
+	if !ctx.Train {
+		t.Fatal("PredictSpan left ctx in eval mode after a panic")
+	}
+}

@@ -108,13 +108,22 @@ func scoreRows(b *data.Batch, rows ...int) *data.Batch {
 	return &cp
 }
 
+// ignoreNSP returns a copy of b whose NSP loss skips sequence s.
+func ignoreNSP(b *data.Batch, s int) *data.Batch {
+	cp := *b
+	cp.NSPLabels = append([]int(nil), b.NSPLabels...)
+	cp.NSPLabels[s] = kernels.IgnoreIndex
+	return &cp
+}
+
 // TestSparseHeadMatchesDenseOracle pins the gather-before-the-head
 // contract: running the MLM head over the scored rows only is bitwise — not
 // approximately — what running it over all B·n rows was, in the loss, in
 // every parameter gradient and in the gradient handed to the encoder, on
 // every GEMM route, with and without mixed precision and loss scaling, at
 // the generator's 15 % masking, with every row scored, with one, and with
-// none (where the loss is the NSP loss and the head records no kernel).
+// none (where the loss is the NSP loss and the head records no kernel), and
+// with an NSP label ignored (both heads normalize by their scored count).
 func TestSparseHeadMatchesDenseOracle(t *testing.T) {
 	cfg := sparseHeadConfig()
 	const B, N, seed = 2, 16, 5
@@ -131,6 +140,7 @@ func TestSparseHeadMatchesDenseOracle(t *testing.T) {
 		{"all_rows", scoreRows(gen, all...)},
 		{"one_row", scoreRows(gen, N+3)},
 		{"no_rows", scoreRows(gen)},
+		{"nsp_ignored", ignoreNSP(gen, 1)},
 	}
 	if mc := gen.MaskedCount(); mc < 2 || mc > B*N/2 {
 		t.Fatalf("generator batch scores %d of %d rows; the 15%% case needs a few", mc, B*N)

@@ -114,17 +114,16 @@ func newCategoryStep(c profile.Category, st profile.Stat, peaks Peaks) CategoryS
 // an interrupted run still lands its completed steps on disk. Safe for
 // concurrent use.
 type StepEmitter struct {
-	mu    sync.Mutex
-	bw    *bufio.Writer
-	peaks Peaks
-	enc   *json.Encoder
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	enc *json.Encoder
 }
 
-// NewStepEmitter wraps w. peaks may be zero-valued when no device model
-// applies (the peak-fraction fields are then omitted).
-func NewStepEmitter(w io.Writer, peaks Peaks) *StepEmitter {
+// NewStepEmitter wraps w. A measured step has no device model, so its
+// records omit the peak-fraction fields.
+func NewStepEmitter(w io.Writer) *StepEmitter {
 	bw := bufio.NewWriter(w)
-	return &StepEmitter{bw: bw, peaks: peaks, enc: json.NewEncoder(bw)}
+	return &StepEmitter{bw: bw, enc: json.NewEncoder(bw)}
 }
 
 // emit writes rec as one JSON line.
@@ -163,14 +162,14 @@ func (e *StepEmitter) EmitFinal(r *Registry) error {
 
 // EmitStep builds a record from the step's summary and writes it.
 func (e *StepEmitter) EmitStep(step int, loss float64, tokens int, wall time.Duration, sum profile.Summary) error {
-	return e.emit(NewStepRecord(step, loss, tokens, wall, sum, e.peaks))
+	return e.emit(NewStepRecord(step, loss, tokens, wall, sum, Peaks{}))
 }
 
 // WriteJSONL writes records computed up front (the analytical model's)
 // as the stream a StepEmitter leaves behind: one JSON line per record,
 // then r's closing snapshot (none when r is nil).
 func WriteJSONL(w io.Writer, recs []StepRecord, r *Registry) error {
-	e := NewStepEmitter(w, Peaks{})
+	e := NewStepEmitter(w)
 	for _, rec := range recs {
 		if err := e.emit(rec); err != nil {
 			return err

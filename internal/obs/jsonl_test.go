@@ -67,7 +67,7 @@ func TestNewStepRecordZeroPeaksAndWall(t *testing.T) {
 
 func TestStepEmitterOneLinePerStep(t *testing.T) {
 	var sb strings.Builder
-	e := NewStepEmitter(&sb, Peaks{GEMMFLOPS: 1e12, VectorFLOPS: 5e11, MemBytes: 1e11})
+	e := NewStepEmitter(&sb)
 	sum := sampleSummary()
 	for step := 1; step <= 3; step++ {
 		if err := e.EmitStep(step, 10-float64(step), 128, 15*time.Millisecond, sum); err != nil {

@@ -107,7 +107,7 @@ func TestEmitFinalSnapshot(t *testing.T) {
 	c := r.NewCounter("reqs_total", "")
 	c.Add(7)
 	var sb strings.Builder
-	e := NewStepEmitter(&sb, Peaks{})
+	e := NewStepEmitter(&sb)
 	if err := e.EmitStep(1, 5, 64, 0, sampleSummary()); err != nil {
 		t.Fatal(err)
 	}

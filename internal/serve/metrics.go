@@ -60,12 +60,6 @@ var (
 )
 
 func init() {
-	// Nothing pads and no deadline flushes any more; bench/ still reads
-	// both counters, so they stay registered and read 0.
-	obs.NewCounter("serve_padding_tokens_total",
-		"always 0: batches are ragged, no padding token is ever dispatched")
-	obs.NewCounter("serve_deadline_flushes_total",
-		"always 0: there is no coalescing deadline")
 	obs.NewQuantileGauge("serve_latency_p50_ms",
 		"rolling-window median request latency, milliseconds", latencyWindow, 0.50)
 	obs.NewQuantileGauge("serve_latency_p99_ms",

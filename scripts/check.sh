@@ -66,6 +66,12 @@ if grep -n 'AddSkip' internal/nn/encoder.go; then
 	exit 1
 fi
 
+echo "== one training-iteration path (internal/model/bert.go mentions neither accum.active nor CrossEntropyForward( nor CrossEntropyBackward(: Step is StepAccum of one micro-batch, and the pre-training heads fold through the Sum/Count cross-entropy kernels)"
+if grep -nE 'accum\.active|CrossEntropyForward\(|CrossEntropyBackward\(' internal/model/bert.go; then
+	echo "check: a second loss path in internal/model/bert.go: Step and Forward run one micro-batch of StepAccum's fold (DESIGN.md §7a)" >&2
+	exit 1
+fi
+
 echo "== bertdist trains, bertchar models (no non-test Go file in cmd/bertdist imports the root demystbert package, internal/opgraph, internal/perfmodel, internal/dist or internal/report; none in cmd/bertchar imports internal/memscale, internal/optim, internal/nn or internal/data: real training on one machine is bertprof's)"
 if grep -nE '"demystbert(/internal/(opgraph|perfmodel|dist|report))?"' $(ls cmd/bertdist/*.go | grep -v '_test\.go$'); then
 	echo "check: cmd/bertdist imports the analytical model: its modeled modes are bertchar's" >&2
